@@ -161,7 +161,7 @@ def _table_spec(info, registry) -> Dict[str, Any]:
         "policy": policy_spec,
         "indexes": [
             {"name": index.name, "column": index.column, "method": index.method}
-            for index in info.indexes.values()
+            for index in info.indexes.values() if not index.implicit
         ],
     }
 

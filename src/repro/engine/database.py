@@ -275,7 +275,7 @@ class InstantDB:
     def _commit_txn(self, txn: Transaction) -> None:
         """Commit ``txn``, logging pending DDL state and handling I/O faults."""
         now = self.clock.now()
-        self._append_catalog_if_dirty(now)
+        self._append_catalog_if_dirty(now, txn_id=txn.txn_id)
         try:
             self.transactions.commit(txn, now=now)
         except DurabilityError as exc:
@@ -290,20 +290,25 @@ class InstantDB:
             self._enter_read_only(str(exc))
             raise
 
-    def _append_catalog_if_dirty(self, now: float) -> None:
+    def _append_catalog_if_dirty(self, now: float, txn_id: int = 0) -> None:
         """Log a CATALOG record when DDL state changed since the last one.
 
         Appended (buffered) just before a commit's durable flush, so catalog
-        changes become durable with the transaction that first builds on
-        them; :meth:`checkpoint` logs one unconditionally so WAL truncation
-        never loses the catalog.
+        changes become durable with the first commit after them.  The record
+        is logged under the committing transaction's id: a commit that is
+        otherwise read-only (``CREATE TABLE`` then ``commit()``) thereby has a
+        record of its own and still flushes, where a plain read-only commit
+        leaves the log alone.  Recovery restores the last CATALOG record
+        whatever its transaction's fate — DDL is not transactional.
+        :meth:`checkpoint` logs one unconditionally so WAL truncation never
+        loses the catalog.
         """
         if not self._catalog_dirty:
             return
         payload = self._encode_catalog_snapshot()
         self._catalog_dirty = False
         if payload is not None:
-            self.wal.append(LogRecordType.CATALOG, 0, after=payload,
+            self.wal.append(LogRecordType.CATALOG, txn_id, after=payload,
                             timestamp=now)
 
     def _encode_catalog_snapshot(self) -> Optional[bytes]:
@@ -383,10 +388,18 @@ class InstantDB:
         store = TableStore(schema, self.buffer_pool, self.wal,
                            keystore=self.keystore, strategy=self.strategy)
         self.stores[schema.name] = store
+        if schema.primary_key is not None:
+            # The implicit primary-key index: derived from the schema on
+            # every attach and never written to the CATALOG record, so a
+            # directory created before it existed gets it on reopen.  From
+            # here on it is an ordinary entry of ``info.indexes``.
+            self._attach_recovered_index(schema.name, f"pk_{schema.name}",
+                                         schema.primary_key, "hash",
+                                         implicit=True)
         return store
 
     def _attach_recovered_index(self, table: str, name: str, column: str,
-                                method: str) -> None:
+                                method: str, implicit: bool = False) -> None:
         """Recreate an index structure from catalog-restore metadata.
 
         The structure starts empty; :meth:`_rebuild_indexes` fills it from
@@ -398,7 +411,8 @@ class InstantDB:
         index = ddl.build_index(statement, info.schema, self.registry)
         self.catalog.add_index(IndexInfo(name=name, table=table,
                                          column=column.lower(),
-                                         method=method.lower(), index=index))
+                                         method=method.lower(), index=index,
+                                         implicit=implicit))
 
     def table_store(self, name: str) -> TableStore:
         return self._store_for(name)
@@ -736,6 +750,16 @@ class InstantDB:
                          purpose: Optional[Purpose],
                          txn: Optional[Transaction] = None) -> QueryResult:
         inner = statement.statement
+        if isinstance(inner, (ast.Update, ast.Delete)):
+            # The access path DML matches its rows through.  Plan only, also
+            # under ANALYZE: explaining must never run the modification.
+            plan, root = self.executor.match_pipeline(inner.table, inner.where,
+                                                      purpose)
+            lines = [f"{type(inner).__name__} via {plan.base.describe()}"]
+            if purpose is not None:
+                lines.append(f"  purpose: {purpose.name}")
+            lines.extend(root.explain_lines())
+            return QueryResult(columns=["plan"], rows=[(line,) for line in lines])
         if not isinstance(inner, ast.Select):
             return QueryResult(columns=["plan"],
                                rows=[(f"{type(inner).__name__} statement",)])
@@ -1081,16 +1105,19 @@ class InstantDB:
                           txn: Transaction, now: float) -> None:
         """Shared lock-conflict protocol for the per-step and batch paths.
 
-        The SCHED_DEFER record(s) are appended *before* the abort so the
-        abort's durable flush carries them (chunked under the record codec's
-        field cap); the steps are then re-queued at the retry time.
+        The SCHED_DEFER record(s) are appended *before* the abort, under the
+        system transaction's id, so the abort's durable flush carries them
+        (chunked under the record codec's field cap) — they are the only
+        records that transaction logs, and without one of its own its abort
+        would skip the flush.  Replay honours a deferral whatever became of
+        its transaction.  The steps are then re-queued at the retry time.
         """
         until = now + _CONFLICT_RETRY_SECONDS
         entries = [(step.record_id[1], step.attribute, step.from_state,
                     step.due, until) for step in steps]
         for start in range(0, len(entries), _SCHED_RECORD_CHUNK):
             self.wal.append(
-                LogRecordType.SCHED_DEFER, 0, table=table,
+                LogRecordType.SCHED_DEFER, txn.txn_id, table=table,
                 after=encode_schedule_defers(
                     entries[start:start + _SCHED_RECORD_CHUNK]),
                 timestamp=now,

@@ -1,8 +1,13 @@
 """Hash index: equality-only lookups in O(1).
 
 The hash index is the cheapest structure for the point lookups of an OLTP
-workload; it is included as a baseline in the C3 index comparison and used by
-the engine for primary-key lookups.
+workload.  The engine gives every table that declares a ``PRIMARY KEY`` one on
+that column (``pk_<table>``, attached in
+:meth:`~repro.engine.database.InstantDB._attach_recovered_table`, never
+persisted in the catalog), which is what serves ``WHERE id = ?`` in SELECT,
+UPDATE and DELETE; ``CREATE INDEX ... USING hash`` declares further ones, and
+it is a baseline in the C3 index comparison.  Duplicate keys are supported —
+the engine does not enforce primary-key uniqueness.
 """
 
 from __future__ import annotations

@@ -27,6 +27,10 @@ class IndexInfo:
     column: str
     method: str
     index: Index
+    #: Derived from the schema (the primary-key index) rather than declared
+    #: by ``CREATE INDEX``: the engine re-creates it whenever the table is
+    #: attached, so it is left out of the persisted catalog document.
+    implicit: bool = False
 
 
 @dataclass

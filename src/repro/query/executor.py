@@ -142,6 +142,16 @@ class Executor:
 
     # -------------------------------------------------------------- DML helpers
 
+    def match_pipeline(self, table: str, where: Optional[ast.Expression],
+                       purpose: Optional[Purpose] = None
+                       ) -> Tuple[PhysicalPlan, Operator]:
+        """Plan and instantiate (but do not run) the row-matching pipeline of
+        an UPDATE/DELETE — what :meth:`matching_rows` runs and EXPLAIN shows."""
+        plan = self.planner.plan_physical(
+            ast.Select(table=table, items=(ast.Star(),), where=where), purpose
+        )
+        return plan, build_match_pipeline(self._runtime, plan)
+
     def matching_rows(self, table: str, where: Optional[ast.Expression],
                       purpose: Optional[Purpose] = None) -> List[StoredRow]:
         """Stored rows of ``table`` matching ``where`` under ``purpose``.
@@ -152,10 +162,7 @@ class Executor:
         pipeline as SELECTs, so DML benefits from access paths and residual
         pushdown too.
         """
-        plan = self.planner.plan_physical(
-            ast.Select(table=table, items=(ast.Star(),), where=where), purpose
-        )
-        root = build_match_pipeline(self._runtime, plan)
+        plan, root = self.match_pipeline(table, where, purpose)
         store = self.stores(plan.base.table)
         return [store.read(visible[ROW_KEY_FIELD]) for visible in root]
 

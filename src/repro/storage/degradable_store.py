@@ -115,6 +115,11 @@ class TableStore:
         self.stats = TableStoreStats()
         self._degradable = [column.name for column in schema.degradable_columns()]
         self._locations: Dict[int, RecordId] = {}
+        #: Pages a relocating rewrite moved a record *out of*.  The old image
+        #: is zeroed in the buffer pool only; until such a page is flushed the
+        #: disk still holds it, so everything that scrubs the log afterwards
+        #: flushes these first (:meth:`_flush_pages`).
+        self._vacated_pages: set = set()
         self._next_row_key = 1
         #: Memoized per column-subset: which fields to decode vs. byte-skip.
         self._decode_plans: Dict[Optional[frozenset], Tuple] = {}
@@ -362,7 +367,24 @@ class TableStore:
         new_id = self.heap.update(record_id, payload)
         if new_id != record_id:
             self._locations[row_key] = new_id
+            self._vacated_pages.add(record_id.page_id)
             self.stats.relocations += 1
+
+    def _flush_pages(self, page_ids: List[int]) -> None:
+        """Make ``page_ids`` — and every page vacated by a relocation since
+        the last call — durable with one pager sync.
+
+        The irreversibility ordering of degradation and removal: the
+        overwritten pages reach stable storage *before* the accurate log
+        images are scrubbed.  A relocated record overwrites two pages — the
+        one it lands on and the one it left (its stale image zeroed) — and a
+        crash that finds only the first on disk lets recovery pick the stale,
+        more accurate image back up with nothing in the log to redo.
+        """
+        for page_id in (*page_ids, *self._vacated_pages):
+            self.buffer_pool.flush_page(page_id)    # no-op on a clean page
+        self.buffer_pool.sync()
+        self._vacated_pages.clear()
 
     # -- degradation ------------------------------------------------------------
 
@@ -412,7 +434,7 @@ class TableStore:
         if self.segments is not None:
             self.segments.on_value_change(row_key, column, new_value, to_level)
         # A degradation step is only irreversible once it reached stable storage.
-        self.buffer_pool.flush_page(self._locations[row_key].page_id, sync=True)
+        self._flush_pages([self._locations[row_key].page_id])
         if self.strategy == "rewrite":
             # The accurate value also survives in the row images logged by the
             # INSERT (and stable UPDATEs); physically scrub them now that the
@@ -520,10 +542,8 @@ class TableStore:
         # Irreversibility ordering, as in degrade(): the degraded pages reach
         # stable storage (one sync for the whole batch) before the accurate
         # log images are scrubbed.
-        for page_id in dirty_pages:
-            self.buffer_pool.flush_page(page_id)
         if dirty_pages:
-            self.buffer_pool.sync()
+            self._flush_pages(dirty_pages)
         if scrub_rows:
             self.wal.scrub_records(
                 [(self.schema.name, row_key) for row_key in scrub_rows], now=now)
@@ -644,10 +664,8 @@ class TableStore:
             segments.stats.degrade_chunks += 1
         # Same irreversibility ordering as the row path: degraded pages reach
         # stable storage before the accurate log images are scrubbed.
-        for page_id in dirty_pages:
-            self.buffer_pool.flush_page(page_id)
         if dirty_pages:
-            self.buffer_pool.sync()
+            self._flush_pages(dirty_pages)
         if scrub_rows:
             self.wal.scrub_records(
                 [(self.schema.name, row_key) for row_key in scrub_rows], now=now)
@@ -673,7 +691,7 @@ class TableStore:
             self.segments.on_remove(row_key)
         if scrub_log:
             self.wal.scrub_record(self.schema.name, row_key, now=now)
-        self.buffer_pool.flush_page(record_id.page_id, sync=True)
+        self._flush_pages([record_id.page_id])
         self.stats.removals += 1
 
     def remove_many(self, row_keys: List[int], now: float, txn_id: int = 0) -> int:
@@ -708,10 +726,8 @@ class TableStore:
         if removed:
             self.wal.scrub_records(
                 [(self.schema.name, row_key) for row_key in removed], now=now)
-        for page_id in dirty_pages:
-            self.buffer_pool.flush_page(page_id)
         if dirty_pages:
-            self.buffer_pool.sync()
+            self._flush_pages(dirty_pages)
         return len(removed)
 
     def replay_remove(self, row_key: int, now: float,

@@ -350,16 +350,40 @@ class WriteAheadLog:
         #: and the file have diverged beyond the append protocol's reach, so
         #: the next flush must retry the full rewrite instead of appending.
         self._rewrite_pending = False
+        #: Transactions that have begun but logged nothing yet: txn id → begin
+        #: timestamp.  Their BEGIN is written just ahead of their first record
+        #: (see :meth:`begin`), so a read-only transaction never reaches the log.
+        self._unlogged: Dict[int, float] = {}
         self.stats = WALStats()
         if path is not None and os.path.exists(path):
             self._load(path)
 
     # -- basic protocol -----------------------------------------------------
 
+    def begin(self, txn_id: int, timestamp: float = 0.0) -> None:
+        """Note that ``txn_id`` began; its BEGIN record is emitted lazily.
+
+        Nothing is appended here: :meth:`append` writes the BEGIN (carrying
+        this begin timestamp) immediately before the first record logged
+        under ``txn_id``.  A transaction that never logs a record of its own
+        therefore leaves no BEGIN behind, and whoever ends it learns from
+        :meth:`end_unlogged` that it needs no COMMIT/ABORT and no flush.
+        Keyed per transaction, so interleaved sessions cannot steal or
+        suppress one another's BEGIN.
+        """
+        self._unlogged[txn_id] = timestamp
+
+    def end_unlogged(self, txn_id: int) -> bool:
+        """Forget ``txn_id`` if it never logged; True when that was the case."""
+        return self._unlogged.pop(txn_id, None) is not None
+
     def append(self, record_type: LogRecordType, txn_id: int, *, table: str = "",
                row_key: int = -1, attribute: str = "",
                before: Optional[bytes] = None, after: Optional[bytes] = None,
                timestamp: float = 0.0) -> LogRecord:
+        if txn_id in self._unlogged:
+            self.append(LogRecordType.BEGIN, txn_id,
+                        timestamp=self._unlogged.pop(txn_id))
         if before is not None and (
                 record_type is LogRecordType.DEGRADE
                 or record_type is LogRecordType.SEGMENT_DEGRADE):

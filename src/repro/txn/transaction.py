@@ -7,6 +7,10 @@ semantics?": an insert's effects keep changing after commit (the degradation
 steps), so durability applies to the *policy-compliant* state of the data, not
 to the accurate values themselves.  Concretely:
 
+* BEGIN is lazy — the log writes it just ahead of a transaction's first
+  record — so a transaction that logged nothing (a reader, an empty commit, a
+  system transaction that lost its lock) ends without a COMMIT/ABORT record and
+  without a flush;
 * degradation steps run as short system transactions (``system=True``) so they
   serialize against readers through the same lock manager;
 * undo of an aborted user transaction never restores an accurate image that a
@@ -94,7 +98,7 @@ class TransactionManager:
         txn = Transaction(txn_id=self._next_txn_id, system=system, started_at=now)
         self._next_txn_id += 1
         self._active[txn.txn_id] = txn
-        self.wal.append(LogRecordType.BEGIN, txn.txn_id, timestamp=now)
+        self.wal.begin(txn.txn_id, timestamp=now)   # BEGIN itself is lazy
         self.stats.begun += 1
         if system:
             self.stats.system_begun += 1
@@ -102,8 +106,9 @@ class TransactionManager:
 
     def commit(self, txn: Transaction, now: float = 0.0) -> None:
         txn.require_active()
-        self.wal.append(LogRecordType.COMMIT, txn.txn_id, timestamp=now)
-        self.wal.flush()
+        if not self.wal.end_unlogged(txn.txn_id):
+            self.wal.append(LogRecordType.COMMIT, txn.txn_id, timestamp=now)
+            self.wal.flush()
         txn.state = TransactionState.COMMITTED
         txn.undo_actions.clear()
         self.locks.release_all(txn.txn_id)
@@ -131,17 +136,18 @@ class TransactionManager:
                     undo_failure = exc
                 self.stats.undo_failures += 1
         txn.undo_actions.clear()
-        self.wal.append(LogRecordType.ABORT, txn.txn_id, timestamp=now)
-        try:
-            self.wal.flush()
-        except DurabilityError:
-            # The abort must complete even when the log device is failing:
-            # recovery treats any transaction without a durable COMMIT as a
-            # loser and undoes it, so a lost ABORT record costs nothing, while
-            # bailing out here would leak this transaction's locks and wedge
-            # the engine.  The ABORT record stays buffered and rides the next
-            # healthy flush.
-            self.stats.abort_flush_failures += 1
+        if not self.wal.end_unlogged(txn.txn_id):
+            self.wal.append(LogRecordType.ABORT, txn.txn_id, timestamp=now)
+            try:
+                self.wal.flush()
+            except DurabilityError:
+                # The abort must complete even when the log device is
+                # failing: recovery treats any transaction without a durable
+                # COMMIT as a loser and undoes it, so a lost ABORT record
+                # costs nothing, while bailing out here would leak this
+                # transaction's locks and wedge the engine.  The ABORT record
+                # stays buffered and rides the next healthy flush.
+                self.stats.abort_flush_failures += 1
         txn.state = TransactionState.ABORTED
         self.locks.release_all(txn.txn_id)
         self._active.pop(txn.txn_id, None)

@@ -75,14 +75,16 @@ class TestPlanReuse:
         assert db.statements.stats.plan_hits == hits_before + 2
 
     def test_catalog_change_invalidates_plan(self, db):
-        db.executemany(SQL_INSERT, [(i, "x") for i in range(5)])
-        sql = "SELECT * FROM t WHERE id = 3"
+        # Filter on the non-key column: the primary key has an index from
+        # the start, so ``id = ?`` would never plan as a SeqScan.
+        db.executemany(SQL_INSERT, [(i, f"n{i}") for i in range(5)])
+        sql = "SELECT * FROM t WHERE name = 'n3'"
         assert "SeqScan" in db.execute(f"EXPLAIN {sql}").rows[0][0]
         db.execute(sql)
         db.execute(sql)                              # plan now cached
-        db.execute("CREATE INDEX idx_id ON t (id) USING btree")
+        db.execute("CREATE INDEX idx_name ON t (name) USING btree")
         result = db.execute(sql)                     # must not reuse stale plan
-        assert result.rows == [(3, "x")]
+        assert result.rows == [(3, "n3")]
         assert "IndexScan" in db.execute(f"EXPLAIN {sql}").rows[0][0]
 
     def test_adhoc_purpose_sharing_a_name_is_not_served_a_cached_plan(self, db):

@@ -21,11 +21,15 @@ class TestLifecycle:
 
     def test_commit(self, manager):
         txn = manager.begin()
+        manager.wal.append(LogRecordType.INSERT, txn.txn_id, table="t",
+                           row_key=1, after=b"row")
         manager.commit(txn)
         assert txn.state is TransactionState.COMMITTED
         assert not manager.is_active(txn.txn_id)
         types = [record.record_type for record in manager.wal]
-        assert types == [LogRecordType.BEGIN, LogRecordType.COMMIT]
+        assert types == [LogRecordType.BEGIN, LogRecordType.INSERT,
+                         LogRecordType.COMMIT]
+        assert manager.wal.stats.flushed == 1
 
     def test_abort_runs_undo_actions_in_reverse(self, manager):
         txn = manager.begin()
