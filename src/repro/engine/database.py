@@ -1631,7 +1631,7 @@ class InstantDB:
         """Number of live rows per stored accuracy level of ``column``."""
         store = self._store_for(table)
         histogram: Dict[int, int] = {}
-        for stored in store.scan():
+        for stored in store.scan(frozenset()):      # headers only: no value decoded
             level = stored.levels.get(column.lower(), 0)
             histogram[level] = histogram.get(level, 0) + 1
         return histogram

@@ -42,6 +42,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Tuple,
 )
 
@@ -200,15 +201,22 @@ class _ScanBase(Operator):
     def describe(self) -> str:
         return self.scan.describe()
 
-    def _candidates(self) -> Iterator[StoredRow]:
+    def _candidates(self) -> Tuple[Iterator[StoredRow], Sequence[Tuple[str, int]]]:
+        """The stored rows to consider, and the exclusions still to be
+        checked on each (those the access path has not applied itself)."""
         raise NotImplementedError
+
+    def _count_excluded(self, count: int) -> None:
+        stats = self.runtime.stats
+        stats.rows_scanned += count
+        stats.rows_excluded_not_computable += count
+        self.rows_excluded_not_computable += count
 
     def rows(self) -> Iterator[Dict[str, Any]]:
         stats = self.runtime.stats
-        exclusions = self._exclusions
         specs = self._specs
-        for row in self._candidates():
-            stats.rows_scanned += 1
+        candidates, exclusions = self._candidates()
+        for row in candidates:
             levels = row.levels
             excluded = False
             for name, demanded in exclusions:
@@ -216,9 +224,9 @@ class _ScanBase(Operator):
                     excluded = True
                     break
             if excluded:
-                self.rows_excluded_not_computable += 1
-                stats.rows_excluded_not_computable += 1
+                self._count_excluded(1)
                 continue
+            stats.rows_scanned += 1
             values = row.values
             visible: Dict[str, Any] = {ROW_KEY_FIELD: row.row_key}
             for name, keys, demanded, scheme in specs:
@@ -236,15 +244,19 @@ class _ScanBase(Operator):
 class SeqScan(_ScanBase):
     label = "SeqScan"
 
-    def _candidates(self) -> Iterator[StoredRow]:
+    def _candidates(self) -> Tuple[Iterator[StoredRow], Sequence[Tuple[str, int]]]:
+        # The store applies the exclusions itself, on the record header: a
+        # row this purpose cannot see is counted and never value-decoded.
         self.runtime.stats.seq_scans += 1
-        return self.runtime.stores(self.scan.table).scan(self._columns)
+        store = self.runtime.stores(self.scan.table)
+        return store.scan(self._columns, self._exclusions,
+                          self._count_excluded), ()
 
 
 class IndexScan(_ScanBase):
     label = "IndexScan"
 
-    def _candidates(self) -> Iterator[StoredRow]:
+    def _candidates(self) -> Tuple[Iterator[StoredRow], Sequence[Tuple[str, int]]]:
         self.runtime.stats.index_lookups += 1
         access = self.scan.access
         store = self.runtime.stores(self.scan.table)
@@ -254,9 +266,9 @@ class IndexScan(_ScanBase):
             # value, so an open upper bound would admit them; the residual
             # range conjuncts were dropped, so guard missing values here.
             column = access.column
-            return (row for row in candidates
-                    if not is_missing(row.values[column]))
-        return candidates
+            candidates = (row for row in candidates
+                          if not is_missing(row.values[column]))
+        return candidates, self._exclusions
 
     def _candidate_keys(self, access: AccessPath) -> Iterator[int]:
         """Stream candidate row keys from the index.

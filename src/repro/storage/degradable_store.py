@@ -26,7 +26,7 @@ other (experiment C2):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.errors import (
     KeyDestroyedError,
@@ -42,11 +42,12 @@ from .crypto import KeyStore
 from .heap import HeapFile, RecordId
 from .segment import SegmentSet
 from .serialization import (
+    decode_fields,
     decode_value,
     encode_record,
     encode_value,
+    fixed_prefix,
     record_field_count,
-    skip_values,
 )
 from .wal import LogRecordType, WriteAheadLog, encode_segment_degrade
 
@@ -114,6 +115,11 @@ class TableStore:
                              on_allocate=self._log_page_allocation)
         self.stats = TableStoreStats()
         self._degradable = [column.name for column in schema.degradable_columns()]
+        #: The record prefix — count, row key, insertion time, one level per
+        #: degradable column — as one struct, and the tags it must carry.
+        self._header, self._header_tags = fixed_prefix(
+            "if" + "i" * len(self._degradable))
+        self._field_count = 2 + len(self._degradable) + len(schema.columns)
         self._locations: Dict[int, RecordId] = {}
         #: Pages a relocating rewrite moved a record *out of*.  The old image
         #: is zeroed in the buffer pool only; until such a page is flushed the
@@ -121,6 +127,9 @@ class TableStore:
         #: flushes these first (:meth:`_flush_pages`).
         self._vacated_pages: set = set()
         self._next_row_key = 1
+        #: Bumped whenever a stored record is rewritten or erased, so a lazy
+        #: reader can tell its decoded batch went stale (:meth:`_read_keys`).
+        self._version = 0
         #: Memoized per column-subset: which fields to decode vs. byte-skip.
         self._decode_plans: Dict[Optional[frozenset], Tuple] = {}
         #: Optional columnar mirror (see :meth:`columnarize`).  ``None`` keeps
@@ -159,77 +168,103 @@ class TableStore:
 
     def _decode_row(self, payload: bytes,
                     columns: Optional[frozenset] = None) -> StoredRow:
-        """Decode a record, optionally materializing only ``columns``.
+        """Decode a stand-alone record image (a log image, a fresh encode)."""
+        return self._decode_at(payload, 0, len(payload), self._decode_plan(columns))
 
-        The header (row key, timestamp, accuracy levels) is always decoded —
-        levels drive the visibility exclusion check regardless of which
-        values a query projects.  With a column subset, unreferenced value
-        fields are *skipped* byte-wise (no object construction, no UTF-8
-        decode, no decryption), so a 2-column query over a 20-column table
-        pays for 2 values; the returned :class:`StoredRow` then carries only
-        the requested columns in ``values``.
+    def _decode_at(self, data: Any, start: int, end: int, plan: Tuple,
+                   level_caps: Sequence[Tuple[int, int]] = ()
+                   ) -> Optional[StoredRow]:
+        """The record reader: decode ``data[start:end]`` under ``plan``.
+
+        Every read of this table — :meth:`read`, :meth:`scan`, :meth:`fetch`,
+        :meth:`rebuild_locations`, :meth:`restore_row` — decodes here, in
+        place in the page frame (or in a log image, at offset 0).
+
+        *Level first.*  The record prefix ``count, row_key, inserted_at,
+        level×n`` is fixed-width, so one precompiled struct decodes it in a
+        single call.  ``level_caps`` — ``(position among the degradable
+        columns, highest level the purpose can compute from)`` pairs — is
+        checked against those levels before a single value byte is touched:
+        a row the purpose cannot see returns ``None`` for one header unpack.
+
+        *Values.*  ``plan`` (:meth:`_decode_plan`) names the fields to
+        materialize; unreferenced runs are *skipped* byte-wise (no object
+        construction, no UTF-8 decode, no decryption), so a 2-column query
+        over a 20-column table pays for 2 values and the returned
+        :class:`StoredRow` carries only those in ``values``.  A wrong field
+        count or header tag, a truncated field and (full decodes only)
+        trailing bytes raise :class:`StorageError`.
         """
-        count, offset = record_field_count(payload)
-        expected = 2 + len(self._degradable) + len(self.schema.columns)
-        if count != expected:
-            raise StorageError(
-                f"table {self.schema.name!r}: malformed record with {count} fields "
-                f"(expected {expected})"
-            )
-        raw_key, offset = decode_value(payload, offset)
-        row_key = int(raw_key)
-        raw_inserted, offset = decode_value(payload, offset)
-        inserted_at = float(raw_inserted)
-        levels: Dict[str, int] = {}
-        for column in self._degradable:
-            level, offset = decode_value(payload, offset)
-            levels[column] = int(level)
+        fused = self._header
+        position = start + fused.size
+        if position > end:
+            raise self._malformed(data, start, end)
+        header = fused.unpack_from(data, start)
+        if header[0] != self._field_count or header[1::2] != self._header_tags:
+            raise self._malformed(data, start, end)
+        row_key = header[2]
+        levels = header[6::2]
+        for index, cap in level_caps:
+            if levels[index] > cap:
+                return None
+        entries, encrypted, verify_tail = plan
         values: Dict[str, Any] = {}
-        entries, verify_tail = self._decode_plan(columns)
-        for name, crypto in entries:
-            if name is None:
-                # A run of skipped fields: hop over the payload bytes in one
-                # call without building values (crypto is the run length).
-                offset = skip_values(payload, offset, crypto)
-                continue
-            value, offset = decode_value(payload, offset)
-            if crypto and isinstance(value, (bytes, bytearray)):
-                key_id = (self.schema.name, row_key, name, levels[name])
+        position = decode_fields(data, position, end, entries, values)
+        for name, index in encrypted:
+            value = values[name]
+            if isinstance(value, bytes):
+                key_id = (self.schema.name, row_key, name, levels[index])
                 try:
-                    plain = self.keystore.decrypt(key_id, bytes(value))
+                    values[name], _ = decode_value(
+                        self.keystore.decrypt(key_id, value), 0)
                 except KeyDestroyedError:
                     # Fail safe: a destroyed key means the value is, by design,
                     # unrecoverable — readers see it as suppressed.
                     values[name] = SUPPRESSED
-                    continue
-                decoded, _ = decode_value(plain, 0)
-                values[name] = decoded
-            else:
-                values[name] = value
-        if verify_tail and offset != len(payload):
+        if verify_tail and position != end:
             raise StorageError("trailing bytes after record payload")
-        return StoredRow(row_key=row_key, values=values, levels=levels,
-                         inserted_at=inserted_at)
+        return StoredRow(row_key, values, dict(zip(self._degradable, levels)),
+                         header[4])
 
-    def _decode_plan(self, columns: Optional[frozenset]) -> Tuple[Tuple, bool]:
-        """Per column-subset decode/skip schedule: ``(entries, verify_tail)``.
+    def _malformed(self, data: Any, start: int, end: int) -> StorageError:
+        """Why ``data[start:end]`` does not begin with this table's record prefix."""
+        count, _ = record_field_count(data, start, end)
+        if count != self._field_count:
+            return StorageError(
+                f"table {self.schema.name!r}: malformed record with {count} fields "
+                f"(expected {self._field_count})"
+            )
+        if end - start < self._header.size:
+            return StorageError("truncated record: short header")
+        return StorageError(
+            f"table {self.schema.name!r}: malformed record header (row key, "
+            "insertion time and levels must be INT, FLOAT, INT...)"
+        )
 
-        Entries are ``(column name, crypto?)`` for fields to decode, and
-        ``(None, run length)`` for a run of consecutive skipped fields —
-        runs are collapsed so a 2-of-20 projection pays one
-        :func:`~repro.storage.serialization.skip_values` call per gap, not
-        one per column, and the run *after the last decoded column* is
-        dropped entirely (nothing downstream needs the offset).  Full
-        decodes keep the trailing-bytes integrity check; pruned decodes
-        stop early, so ``verify_tail`` is False for them.
+    def _decode_plan(self, columns: Optional[frozenset]) -> Tuple[Tuple, Tuple, bool]:
+        """Per column-subset schedule: ``(entries, encrypted, verify_tail)``.
+
+        Entries (see :func:`~repro.storage.serialization.decode_fields`) are
+        ``(column name, 0)`` for fields to decode and ``(None, run length)``
+        for a run of consecutive skipped fields — runs are collapsed so a
+        2-of-20 projection pays one ``skip_values`` call per gap, not one per
+        column, and the run *after the last decoded column* is dropped
+        entirely (nothing downstream needs the offset).  ``encrypted`` lists
+        the decoded columns held as ciphertext (crypto strategy only), each
+        with its position among the degradable columns.  Full decodes keep
+        the trailing-bytes integrity check; pruned decodes stop early, so
+        ``verify_tail`` is False for them.
         """
         plan = self._decode_plans.get(columns)
         if plan is None:
-            crypto = self.strategy == "crypto"
-            entries: List[Tuple[Optional[str], Any]] = []
+            entries: List[Tuple[Optional[str], int]] = []
+            encrypted: List[Tuple[str, int]] = []
             for column in self.schema.columns:
                 if columns is None or column.name in columns:
-                    entries.append((column.name, crypto and column.degradable))
+                    entries.append((column.name, 0))
+                    if column.degradable and self.strategy == "crypto":
+                        encrypted.append(
+                            (column.name, self._degradable.index(column.name)))
                 elif entries and entries[-1][0] is None:
                     entries[-1] = (None, entries[-1][1] + 1)
                 else:
@@ -238,7 +273,7 @@ class TableStore:
             if not verify_tail:
                 while entries and entries[-1][0] is None:
                     entries.pop()
-            plan = (tuple(entries), verify_tail)
+            plan = (tuple(entries), tuple(encrypted), verify_tail)
             self._decode_plans[columns] = plan
         return plan
 
@@ -285,16 +320,88 @@ class TableStore:
     def read(self, row_key: int,
              columns: Optional[frozenset] = None) -> StoredRow:
         record_id = self._location(row_key)
-        payload = self.heap.read(record_id)
         self.stats.reads += 1
-        return self._decode_row(payload, columns)
+        return self._read_run(record_id.page_id, (record_id.slot,),
+                              self._decode_plan(columns))[0]
 
-    def scan(self, columns: Optional[frozenset] = None) -> Iterator[StoredRow]:
-        for row_key in list(self._locations):
-            try:
-                yield self.read(row_key, columns)
-            except RecordNotFoundError:  # pragma: no cover - defensive
+    def _read_run(self, page_id: int, slots: Sequence[int], plan: Tuple,
+                  level_caps: Sequence[Tuple[int, int]] = ()
+                  ) -> List[Optional[StoredRow]]:
+        """Decode the records in ``slots`` of one heap page, in place: one
+        buffer-pool lookup and one page-header read for the whole run.  The
+        result is parallel to ``slots``; ``None`` marks a row ``level_caps``
+        excludes (see :meth:`_decode_at`)."""
+        data, spans = self.heap.read_run(page_id, slots)
+        decode = self._decode_at
+        return [decode(data, start, end, plan, level_caps) for start, end in spans]
+
+    def scan(self, columns: Optional[frozenset] = None,
+             level_caps: Iterable[Tuple[str, int]] = (),
+             on_excluded: Optional[Callable[[int], None]] = None
+             ) -> Iterator[StoredRow]:
+        """Every row of the table, in row-key order of insertion.
+
+        ``level_caps`` — ``(degradable column, level)`` pairs — pushes the
+        read rule's exclusion into the record reader: a row storing any of
+        those columns *above* its cap is dropped on its header alone, no
+        value decoded, and reported through ``on_excluded(count)`` just
+        before the next visible row (or the end of the scan) is produced.
+        """
+        caps = [(self._degradable.index(name.lower()), cap)
+                for name, cap in level_caps]
+        return self._read_keys(list(self._locations), columns, caps, on_excluded)
+
+    def _read_keys(self, row_keys: Sequence[int], columns: Optional[frozenset],
+                   level_caps: Sequence[Tuple[int, int]] = (),
+                   on_excluded: Optional[Callable[[int], None]] = None
+                   ) -> Iterator[StoredRow]:
+        """Materialize ``row_keys`` in order, one page run at a time.
+
+        Consecutive keys that currently live on the same page form a run,
+        decoded together (:meth:`_read_run`) into a batch of at most one page
+        before the first of them is yielded — no page frame is held across a
+        ``yield``, and an early-exit consumer over-reads at most one page.
+        Keys are resolved when their run is formed, so vanished rows are
+        skipped and relocated ones found, and each key is produced at most
+        once.  If the consumer changes the table between two pulls, the rest
+        of the batch is dropped and re-read: a lazy reader never sees an
+        image older than the last completed degradation step.
+        """
+        plan = self._decode_plan(columns)
+        locations = self._locations
+        total = len(row_keys)
+        excluded = 0
+        index = 0
+        while index < total:
+            record_id = locations.get(row_keys[index])
+            if record_id is None:
+                index += 1
                 continue
+            first = index
+            page_id = record_id.page_id
+            slots = []
+            while record_id is not None and record_id.page_id == page_id:
+                slots.append(record_id.slot)
+                index += 1
+                if index == total:
+                    break
+                record_id = locations.get(row_keys[index])
+            batch = self._read_run(page_id, slots, plan, level_caps)
+            self.stats.reads += len(slots)
+            version = self._version
+            for position, row in enumerate(batch):
+                if row is None:
+                    excluded += 1
+                    continue
+                if self._version != version:
+                    index = first + position
+                    break
+                if excluded and on_excluded is not None:
+                    on_excluded(excluded)
+                    excluded = 0
+                yield row
+        if excluded and on_excluded is not None:
+            on_excluded(excluded)
 
     #: fetch() chunks grow geometrically from this size up to the cap: small
     #: first chunks keep LIMIT-k consumers at O(k) heap reads, large later
@@ -311,13 +418,13 @@ class TableStore:
         ping-ponging across the buffer pool; the chunk size starts small and
         doubles, keeping early-exit consumers (``LIMIT k``) at O(k) reads.
         """
-        chunk: List[Tuple[RecordId, int]] = []
+        chunk: List[Tuple[int, int, int]] = []
         limit = self._FETCH_CHUNK_START
         for row_key in row_keys:
             record_id = self._locations.get(row_key)
             if record_id is None:
                 continue
-            chunk.append((record_id, row_key))
+            chunk.append((record_id.page_id, record_id.slot, row_key))
             if len(chunk) >= limit:
                 yield from self._read_chunk(chunk, columns)
                 chunk = []
@@ -325,18 +432,15 @@ class TableStore:
         if chunk:
             yield from self._read_chunk(chunk, columns)
 
-    def _read_chunk(self, chunk: List[Tuple[RecordId, int]],
+    def _read_chunk(self, chunk: List[Tuple[int, int, int]],
                     columns: Optional[frozenset]) -> Iterator[StoredRow]:
+        """Read ``(page_id, slot, row_key)`` entries in page order.  The
+        addresses only order the chunk: :meth:`_read_keys` resolves each key
+        again when it reads it, since the row may have vanished or relocated
+        since it was queued (lazy consumers interleave with other work)."""
         chunk.sort()
-        for _record_id, row_key in chunk:
-            # Re-resolve: the row may have vanished or relocated since it was
-            # queued (lazy consumers interleave with other work).
-            record_id = self._locations.get(row_key)
-            if record_id is None:
-                continue
-            payload = self.heap.read(record_id)
-            self.stats.reads += 1
-            yield self._decode_row(payload, columns)
+        return self._read_keys([row_key for _page_id, _slot, row_key in chunk],
+                               columns)
 
     def row_keys(self) -> List[int]:
         return list(self._locations)
@@ -364,11 +468,21 @@ class TableStore:
 
     def _rewrite(self, row_key: int, payload: bytes) -> None:
         record_id = self._location(row_key)
+        self._version += 1
         new_id = self.heap.update(record_id, payload)
         if new_id != record_id:
             self._locations[row_key] = new_id
             self._vacated_pages.add(record_id.page_id)
             self.stats.relocations += 1
+
+    def _erase(self, row_key: int, record_id: RecordId) -> None:
+        """Physically delete a record (secure page reclamation) and destroy
+        every crypto key of the row."""
+        self._version += 1
+        self.heap.delete(record_id)
+        del self._locations[row_key]
+        if self.keystore is not None:
+            self.keystore.destroy_matching((self.schema.name, row_key))
 
     def _flush_pages(self, page_ids: List[int]) -> None:
         """Make ``page_ids`` — and every page vacated by a relocation since
@@ -679,10 +793,7 @@ class TableStore:
         crypto key of the row and scrubs its images from the WAL.
         """
         record_id = self._location(row_key)
-        self.heap.delete(record_id)
-        del self._locations[row_key]
-        if self.keystore is not None:
-            self.keystore.destroy_matching((self.schema.name, row_key))
+        self._erase(row_key, record_id)
         self.wal.append(
             LogRecordType.REMOVE, txn_id, table=self.schema.name, row_key=row_key,
             timestamp=now,
@@ -708,10 +819,7 @@ class TableStore:
             record_id = self._locations.get(row_key)
             if record_id is None:
                 continue
-            self.heap.delete(record_id)
-            del self._locations[row_key]
-            if self.keystore is not None:
-                self.keystore.destroy_matching((self.schema.name, row_key))
+            self._erase(row_key, record_id)
             self.wal.append(
                 LogRecordType.REMOVE, txn_id, table=self.schema.name,
                 row_key=row_key, timestamp=now,
@@ -742,10 +850,7 @@ class TableStore:
         undoing a loser insert).
         """
         record_id = self._location(row_key)
-        self.heap.delete(record_id)
-        del self._locations[row_key]
-        if self.keystore is not None:
-            self.keystore.destroy_matching((self.schema.name, row_key))
+        self._erase(row_key, record_id)
         if self.segments is not None:
             self.segments.on_remove(row_key)
         if scrub_log:
@@ -839,22 +944,26 @@ class TableStore:
     def rebuild_locations(self) -> None:
         """Rebuild the row-key → record-id map by scanning the heap (recovery).
 
-        An attached columnar mirror is rebuilt in the same decode pass —
-        segments are derived state and must come back from the recovered
-        heap, never from their own (non-durable) vectors.
+        Only record headers are decoded — the map needs a row key, nothing
+        else — unless a columnar mirror is attached: that is rebuilt in the
+        same pass from full rows, since segments are derived state and must
+        come back from the recovered heap, never from their own
+        (non-durable) vectors.
         """
         self._locations.clear()
         segments = self.segments
         if segments is not None:
             segments.clear()
+        plan = self._decode_plan(None if segments is not None else frozenset())
         max_key = 0
-        for record_id, payload in self.heap.scan():
-            row = self._decode_row(payload)
-            self._locations[row.row_key] = record_id
-            if segments is not None:
-                segments.on_insert(row.row_key, row.inserted_at,
-                                   row.values, row.levels)
-            max_key = max(max_key, row.row_key)
+        for page_id in self.heap.page_ids():
+            slots = self.heap.live_slots(page_id)
+            for slot, row in zip(slots, self._read_run(page_id, slots, plan)):
+                self._locations[row.row_key] = RecordId(page_id, slot)
+                if segments is not None:
+                    segments.on_insert(row.row_key, row.inserted_at,
+                                       row.values, row.levels)
+                max_key = max(max_key, row.row_key)
         if segments is not None:
             segments.stats.rebuilds += 1
         self._next_row_key = max_key + 1

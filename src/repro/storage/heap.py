@@ -9,7 +9,7 @@ callers (indexes, the degradation scheduler) can fix their references.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.errors import PageFullError, RecordNotFoundError, StorageError
 from .buffer import BufferPool
@@ -69,8 +69,18 @@ class HeapFile:
     # -- read --------------------------------------------------------------------
 
     def read(self, record_id: RecordId) -> bytes:
-        page = self.buffer_pool.get_page(record_id.page_id)
-        return page.read(record_id.slot)
+        buffer, ((start, end),) = self.read_run(record_id.page_id, (record_id.slot,))
+        return bytes(buffer[start:end])
+
+    def read_run(self, page_id: int, slots: Iterable[int]
+                 ) -> Tuple[bytearray, List[Tuple[int, int]]]:
+        """One buffer-pool lookup for a run of records on one page: the page
+        buffer and each slot's ``(start, end)`` span (see
+        :meth:`SlottedPage.spans` — decode before the page can change)."""
+        return self.buffer_pool.get_page(page_id).spans(slots)
+
+    def live_slots(self, page_id: int) -> List[int]:
+        return self.buffer_pool.get_page(page_id).live_slots()
 
     def exists(self, record_id: RecordId) -> bool:
         try:

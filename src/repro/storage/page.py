@@ -17,7 +17,7 @@ al., SIGMOD'07).
 from __future__ import annotations
 
 import struct
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from ..core.errors import PageFullError, RecordNotFoundError, StorageError
 
@@ -103,11 +103,29 @@ class SlottedPage:
         self._set_slot(slot_count, new_offset, length)
         return slot_count
 
+    def spans(self, slots: Iterable[int]) -> Tuple[bytearray, List[Tuple[int, int]]]:
+        """The page buffer and the ``(start, end)`` byte span of each of ``slots``.
+
+        The batch form of :meth:`read`: one header unpack for the whole run,
+        the slot directory read in place, no payload copied.  The buffer is
+        the live frame — decode from it before anything can mutate the page.
+        """
+        buffer = self._buffer
+        slot_count = _HEADER.unpack_from(buffer, 0)[0]
+        unpack_slot = _SLOT.unpack_from
+        spans: List[Tuple[int, int]] = []
+        for slot in slots:
+            if not 0 <= slot < slot_count:
+                raise RecordNotFoundError(f"slot {slot} out of range")
+            offset, length = unpack_slot(buffer, _HEADER.size + slot * _SLOT.size)
+            if offset == 0:
+                raise RecordNotFoundError(f"slot {slot} is deleted")
+            spans.append((offset, offset + length))
+        return buffer, spans
+
     def read(self, slot: int) -> bytes:
-        offset, length = self._get_slot(slot)
-        if offset == 0:
-            raise RecordNotFoundError(f"slot {slot} is deleted")
-        return bytes(self._buffer[offset:offset + length])
+        buffer, ((start, end),) = self.spans((slot,))
+        return bytes(buffer[start:end])
 
     def is_live(self, slot: int) -> bool:
         try:
@@ -157,10 +175,15 @@ class SlottedPage:
         return False
 
     def live_slots(self) -> List[int]:
-        return [slot for slot in range(self.slot_count) if self.is_live(slot)]
+        directory = self._buffer[_HEADER.size:self._slot_directory_end()]
+        return [slot for slot, (offset, _length)
+                in enumerate(_SLOT.iter_unpack(directory)) if offset != 0]
 
     def records(self) -> List[Tuple[int, bytes]]:
-        return [(slot, self.read(slot)) for slot in self.live_slots()]
+        slots = self.live_slots()
+        buffer, spans = self.spans(slots)
+        return [(slot, bytes(buffer[start:end]))
+                for slot, (start, end) in zip(slots, spans)]
 
     # -- maintenance ----------------------------------------------------------
 
@@ -170,7 +193,7 @@ class SlottedPage:
         Returns the number of free bytes after compaction.  Slot numbers are
         preserved (record ids stay valid).
         """
-        live = [(slot, self.read(slot)) for slot in self.live_slots()]
+        live = self.records()
         free_offset = self.page_size
         payload_area_start = self._slot_directory_end()
         self._buffer[payload_area_start:self.page_size] = (

@@ -11,7 +11,7 @@ for residual plaintext.
 from __future__ import annotations
 
 import struct
-from typing import Any, List, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import StorageError
 from ..core.values import NULL, REMOVED, SUPPRESSED
@@ -55,9 +55,16 @@ def encode_value(value: Any) -> bytes:
     raise StorageError(f"cannot serialize value of type {type(value).__name__}: {value!r}")
 
 
-def decode_value(data: bytes, offset: int = 0) -> Tuple[Any, int]:
-    """Decode one value starting at ``offset``; return ``(value, next_offset)``."""
-    if offset >= len(data):
+def decode_value(data: bytes, offset: int = 0,
+                 end: Optional[int] = None) -> Tuple[Any, int]:
+    """Decode one value starting at ``offset``; return ``(value, next_offset)``.
+
+    ``end`` bounds the record when ``data`` is a larger buffer (a page frame
+    decoded in place); by default the record ends with ``data``.
+    """
+    if end is None:
+        end = len(data)
+    if offset >= end:
         raise StorageError("truncated record: no type tag")
     tag = data[offset]
     offset += 1
@@ -72,39 +79,41 @@ def decode_value(data: bytes, offset: int = 0) -> Tuple[Any, int]:
     if tag == _TAG_BOOL_FALSE:
         return False, offset
     if tag == _TAG_INT:
-        end = offset + _INT_STRUCT.size
-        if end > len(data):
+        stop = offset + _INT_STRUCT.size
+        if stop > end:
             raise StorageError("truncated record: short INT payload")
-        return _INT_STRUCT.unpack_from(data, offset)[0], end
+        return _INT_STRUCT.unpack_from(data, offset)[0], stop
     if tag == _TAG_FLOAT:
-        end = offset + _FLOAT_STRUCT.size
-        if end > len(data):
+        stop = offset + _FLOAT_STRUCT.size
+        if stop > end:
             raise StorageError("truncated record: short FLOAT payload")
-        return _FLOAT_STRUCT.unpack_from(data, offset)[0], end
+        return _FLOAT_STRUCT.unpack_from(data, offset)[0], stop
     if tag in (_TAG_TEXT, _TAG_BYTES):
         length_end = offset + _LEN_STRUCT.size
-        if length_end > len(data):
+        if length_end > end:
             raise StorageError("truncated record: short length prefix")
         (length,) = _LEN_STRUCT.unpack_from(data, offset)
-        end = length_end + length
-        if end > len(data):
+        stop = length_end + length
+        if stop > end:
             raise StorageError("truncated record: short string payload")
-        payload = data[length_end:end]
+        payload = data[length_end:stop]
         if tag == _TAG_TEXT:
-            return payload.decode("utf-8"), end
-        return payload, end
+            return payload.decode("utf-8"), stop
+        return bytes(payload), stop
     raise StorageError(f"unknown type tag {tag} at offset {offset - 1}")
 
 
-def skip_values(data: bytes, offset: int, count: int) -> int:
+def skip_values(data: bytes, offset: int, count: int,
+                end: Optional[int] = None) -> int:
     """Advance past ``count`` encoded values without materializing them.
 
     The column-pruned read path uses this to hop over a *run* of fields a
     query does not touch in one call: fixed-width payloads are skipped by
     size, strings/bytes by their length prefix, so no Python object (and no
-    UTF-8 decode) is ever built for an unreferenced column.
+    UTF-8 decode) is ever built for an unreferenced column.  ``end`` bounds
+    the record inside a larger buffer, as in :func:`decode_value`.
     """
-    size = len(data)
+    size = len(data) if end is None else end
     unpack_length = _LEN_STRUCT.unpack_from
     for _ in range(count):
         if offset >= size:
@@ -131,12 +140,74 @@ def skip_value(data: bytes, offset: int = 0) -> int:
     return skip_values(data, offset, 1)
 
 
-def record_field_count(data: bytes) -> Tuple[int, int]:
-    """Field count of an encoded record plus the offset of its first field."""
-    if len(data) < _COUNT_STRUCT.size:
+def record_field_count(data: bytes, offset: int = 0,
+                       end: Optional[int] = None) -> Tuple[int, int]:
+    """Field count of the encoded record at ``offset`` plus the offset of its
+    first field."""
+    first = offset + _COUNT_STRUCT.size
+    if first > (len(data) if end is None else end):
         raise StorageError("truncated record: missing field count")
-    (count,) = _COUNT_STRUCT.unpack_from(data, 0)
-    return count, _COUNT_STRUCT.size
+    (count,) = _COUNT_STRUCT.unpack_from(data, offset)
+    return count, first
+
+
+def fixed_prefix(kinds: str) -> Tuple[struct.Struct, Tuple[int, ...]]:
+    """One-call decoder for a record whose leading fields are fixed-width.
+
+    ``kinds`` names those fields, ``"i"`` for an INT and ``"f"`` for a FLOAT.
+    The returned struct unpacks ``count, tag, value, tag, value, ...`` from
+    the start of the record; the prefix is well-formed exactly when the
+    unpacked tags (every other item from index 1) equal the returned tuple.
+    """
+    layout = {"i": ("Bq", _TAG_INT), "f": ("Bd", _TAG_FLOAT)}
+    return (struct.Struct("<H" + "".join(layout[kind][0] for kind in kinds)),
+            tuple(layout[kind][1] for kind in kinds))
+
+
+def decode_fields(data: bytes, offset: int, end: int,
+                  plan: Sequence[Tuple[Any, int]], into: Dict[Any, Any]) -> int:
+    """Decode the consecutive fields at ``data[offset:end]`` that ``plan`` asks for.
+
+    ``plan`` entries are ``(key, 0)`` — decode the next field into
+    ``into[key]`` — or ``(None, n)`` — hop over the next ``n`` fields with
+    :func:`skip_values`.  Returns the offset after the last planned field.
+    The common tags are dispatched inline (one loop, no call per value); the
+    rest take :func:`decode_value`.  Same checks and errors either way.
+    """
+    for key, run in plan:
+        if key is None:
+            offset = skip_values(data, offset, run, end)
+            continue
+        if offset >= end:
+            raise StorageError("truncated record: no type tag")
+        tag = data[offset]
+        if tag == _TAG_TEXT:
+            start = offset + 5
+            if start > end:
+                raise StorageError("truncated record: short length prefix")
+            offset = start + _LEN_STRUCT.unpack_from(data, offset + 1)[0]
+            if offset > end:
+                raise StorageError("truncated record: short string payload")
+            into[key] = data[start:offset].decode("utf-8")
+        elif tag == _TAG_INT:
+            offset += 9
+            if offset > end:
+                raise StorageError("truncated record: short INT payload")
+            into[key] = _INT_STRUCT.unpack_from(data, offset - 8)[0]
+        elif tag == _TAG_FLOAT:
+            offset += 9
+            if offset > end:
+                raise StorageError("truncated record: short FLOAT payload")
+            into[key] = _FLOAT_STRUCT.unpack_from(data, offset - 8)[0]
+        elif tag == _TAG_NULL:
+            offset += 1
+            into[key] = NULL
+        elif tag == _TAG_SUPPRESSED:
+            offset += 1
+            into[key] = SUPPRESSED
+        else:
+            into[key], offset = decode_value(data, offset, end)
+    return offset
 
 
 def encode_record(values: Sequence[Any]) -> bytes:
@@ -165,4 +236,5 @@ def decode_record(data: bytes) -> Tuple[Any, ...]:
 
 
 __all__ = ["encode_value", "decode_value", "encode_record", "decode_record",
-           "skip_value", "skip_values", "record_field_count"]
+           "skip_value", "skip_values", "record_field_count", "fixed_prefix",
+           "decode_fields"]
