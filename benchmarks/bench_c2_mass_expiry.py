@@ -63,7 +63,7 @@ def _drain_wave(db: InstantDB):
     steps = db.stats.degradation_steps_applied
     wal_flushes = db.wal.stats.flushed
     page_flushes = db.buffer_pool.stats.flushes
-    scrub_rewrites = db.wal.stats.scrub_rewrites
+    scrub_passes = db.wal.stats.scrub_passes
     started = time.perf_counter()
     db.advance_time(hours=2)       # every record owes exactly one location step
     elapsed = time.perf_counter() - started
@@ -72,7 +72,7 @@ def _drain_wave(db: InstantDB):
         "seconds": elapsed,
         "wal_flushes": db.wal.stats.flushed - wal_flushes,
         "page_flushes": db.buffer_pool.stats.flushes - page_flushes,
-        "scrub_rewrites": db.wal.stats.scrub_rewrites - scrub_rewrites,
+        "scrub_passes": db.wal.stats.scrub_passes - scrub_passes,
     }
 
 
@@ -91,24 +91,24 @@ def test_mass_expiry_batch_vs_per_step():
     print_table(
         f"C2: mass expiry of a {N}-record wave (first degradation step)",
         ["pipeline", "steps", "steps/s", "WAL flushes", "page flushes",
-         "scrub rewrites"],
+         "scrub passes"],
         [("batched", batched["steps"], f"{batched_rate:,.0f}",
-          batched["wal_flushes"], batched["page_flushes"], batched["scrub_rewrites"]),
+          batched["wal_flushes"], batched["page_flushes"], batched["scrub_passes"]),
          ("per-step", per_step["steps"], f"{per_step_rate:,.0f}",
-          per_step["wal_flushes"], per_step["page_flushes"], per_step["scrub_rewrites"])])
+          per_step["wal_flushes"], per_step["page_flushes"], per_step["scrub_passes"])])
 
     # Both pipelines apply the full wave and agree on the visible end state.
     assert batched["steps"] == N and per_step["steps"] == N
     assert batched_db.level_histogram("trace", "location") == {1: N}
     assert per_step_db.level_histogram("trace", "location") == {1: N}
 
-    # The batch path pays one durable WAL flush and one scrub rewrite for the
+    # The batch path pays one durable WAL flush and one scrub pass for the
     # whole wave; the per-step baseline pays one of each per step.  This is
     # the structural guard against silently regressing to per-step application.
     assert batched["wal_flushes"] == 1
-    assert batched["scrub_rewrites"] == 1
+    assert batched["scrub_passes"] == 1
     assert per_step["wal_flushes"] >= N
-    assert per_step["scrub_rewrites"] >= N
+    assert per_step["scrub_passes"] >= N
 
     # Each dirty heap page is flushed at most once per batch.
     assert batched["page_flushes"] <= heap_pages
@@ -166,7 +166,7 @@ def test_mass_expiry_columnar_wave():
     assert columnar["steps"] == N
     assert columnar_db.level_histogram("trace", "location") == {1: N}
     assert columnar["wal_flushes"] == 1
-    assert columnar["scrub_rewrites"] == 1
+    assert columnar["scrub_passes"] == 1
 
     # The wave was applied as per-segment chunks, and each chunk covers many
     # rows: the WAL carries one SEGMENT_DEGRADE record per chunk instead of

@@ -106,14 +106,14 @@ def test_c2_log_overhead(benchmark, strategy):
         load_trace(db, 80, interval=1.0, seed=47)
         db.advance_time(hours=2)
         wal_stats = db.wal.stats
-        return (wal_stats.appended, wal_stats.scrub_rewrites, wal_stats.scrubbed_records,
+        return (wal_stats.appended, wal_stats.scrub_passes, wal_stats.scrubbed_records,
                 len(db.wal))
 
-    appended, scrub_rewrites, scrubbed_records, live_records = benchmark(run)
+    appended, scrub_passes, scrubbed_records, live_records = benchmark(run)
     print_table(f"C2: WAL overhead (strategy={strategy})",
                 ["metric", "value"],
                 [("records appended", appended),
-                 ("scrub rewrites", scrub_rewrites),
+                 ("scrub passes", scrub_passes),
                  ("record images scrubbed", scrubbed_records),
                  ("records in log", live_records)])
     if strategy == "rewrite":
@@ -121,10 +121,10 @@ def test_c2_log_overhead(benchmark, strategy):
         # batched pipeline pays one log rewrite per degradation batch, not one
         # per step.
         assert scrubbed_records >= 80
-        assert 1 <= scrub_rewrites <= 8
+        assert 1 <= scrub_passes <= 8
     else:
         # Crypto-erasure never rewrites the log for degradation steps.
-        assert scrub_rewrites == 0
+        assert scrub_passes == 0
 
 
 def test_c2_catch_up_after_downtime(benchmark):

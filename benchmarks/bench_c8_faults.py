@@ -1,7 +1,7 @@
 """Experiment C8 — serving under injected faults: throughput and retention lag.
 
 The same seeded inclusion-platform stream as C7 replays against a victim
-engine whose durability seams (WAL flush/rewrite, pager sync — plus both
+engine whose durability seams (WAL flush/scrub, pager sync — plus both
 wire directions for the remote variant) fail at a *fixed seeded rate*,
 while the driver heals the way a deployment would: per-op retries,
 reconnects, ``recover()`` out of read-only degraded mode.  An unfaulted

@@ -120,6 +120,17 @@ class WALError(StorageError):
     """Write-ahead log corruption or protocol violation."""
 
 
+class LogCorruptionError(WALError):
+    """A log record or segment header failed its checksum, framing or LSN
+    sequence check somewhere a torn append cannot explain (anywhere but the
+    tail of the last segment).  Raised instead of replaying garbage."""
+
+
+class LogFormatError(WALError):
+    """The log on disk was written in a format version this build does not
+    read (for instance the single-file ``wal.log`` of format version 1)."""
+
+
 class CryptoError(StorageError):
     """Key-store failure; typically a key was already destroyed."""
 

@@ -166,7 +166,7 @@ class InstantDB:
         self.clock: Clock = make_clock(clock) if isinstance(clock, str) else clock
         self.strategy = strategy
         #: Optional fault-injection schedule threaded through every I/O seam
-        #: (WAL flush/rewrite, pager sync, simulated-clock skips); ``None``
+        #: (WAL flush/scrub, pager sync, simulated-clock skips); ``None``
         #: (the default) compiles every hook down to a no-op branch.
         self.faults = fault_plan
         if fault_plan is not None and isinstance(self.clock, SimulatedClock):
@@ -176,7 +176,7 @@ class InstantDB:
         if data_dir is not None:
             os.makedirs(data_dir, exist_ok=True)
             pager_path = os.path.join(data_dir, "pages.db")
-            wal_path = os.path.join(data_dir, "wal.log")
+            wal_path = os.path.join(data_dir, "wal")
         self.pager = open_pager(pager_path, page_size=page_size,
                                 faults=fault_plan)
         self.buffer_pool = BufferPool(self.pager, capacity=buffer_capacity)
@@ -1306,7 +1306,7 @@ class InstantDB:
     def _on_records_final(self, record_ids: List[Any]) -> None:
         """Bulk completion handler: remove finalized tuples table by table.
 
-        Where :meth:`_on_record_final` pays one WAL scrub rewrite per record,
+        Where :meth:`_on_record_final` pays one WAL scrub pass per record,
         this path collects every record a degradation drain finalized and
         removes them through :meth:`TableStore.remove_many` — one scrub pass
         and one flush per touched page per table.
@@ -1364,6 +1364,9 @@ class InstantDB:
         # needs, even after every older record is dropped.  (Engines with
         # unserializable custom schemes skip it and keep the legacy re-run-DDL
         # reopen protocol; truncation then anchors on the schedule snapshot.)
+        # The anchor opens a log segment of its own, so truncating up to it
+        # unlinks whole segment files.
+        self.wal.roll()
         anchor = None
         payload = self._encode_catalog_snapshot()
         if payload is not None:
@@ -1644,7 +1647,9 @@ class InstantDB:
         independently of any inserted tuple; see
         :meth:`~repro.storage.wal.WriteAheadLog.forensic_image`.
         """
-        parts = [store.forensic_image() for store in self.stores.values()]
+        parts = [store.heap.raw_image() for store in self.stores.values()]
+        # One log serves every table: read it (from disk) once.
+        parts.append(self.wal.forensic_image())
         for info in self.catalog.tables():
             for index_info in info.indexes.values():
                 parts.append(index_info.index.raw_image())

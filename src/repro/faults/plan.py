@@ -2,7 +2,7 @@
 
 A plan is a list of :class:`FaultRule` triggers over named *sites*.  A site is
 a string naming one injection hook compiled into the engine (``"wal.flush"``,
-``"pager.sync"``, ``"server.send"``, ``"client.recv"``, ``"clock.advance"``);
+``"wal.scrub"``, ``"pager.sync"``, ``"server.send"``, ``"client.recv"``, ``"clock.advance"``);
 components with a plan call :meth:`FaultPlan.fire` at the top of the guarded
 operation and act on the returned event — raise ``OSError(ENOSPC)``, write a
 torn prefix, drop the socket, skip the clock.  The *kind* string says what to

@@ -3,9 +3,10 @@
 The paper cites Stahlberg et al. (SIGMOD'07): conventional DBMSs retain deleted
 data in the data space, the indexes and the logs.  The scanner below is the
 reproduction's verification tool for the non-recoverability requirement — it
-greps every raw byte the engine holds (heap pages including free space, WAL
-images, index keys) for the plaintext of values that should have been degraded
-away, and reports the ones it finds.
+greps every raw byte the engine holds (heap pages including free space, the
+WAL's segment files as they are *on disk* plus its unflushed records, index
+keys) for the plaintext of values that should have been degraded away, and
+reports the ones it finds.
 """
 
 from __future__ import annotations
@@ -107,7 +108,8 @@ def scan_engine(db, values: Sequence[Any], table: Optional[str] = None) -> Foren
     else:
         store = db.table_store(table)
         channels["heap"] = store.heap.raw_image()
-        # The WAL channel redacts CATALOG documents: they enumerate the
+        # The WAL channel is read from the log directory (scrubs happen in
+        # place there) and redacts CATALOG documents: they enumerate the
         # domain vocabulary (schema, fixed at DDL time), and flagging the
         # ontology would drown real tuple-retention leaks in false positives.
         channels["wal"] = store.wal.forensic_image()

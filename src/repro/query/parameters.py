@@ -60,24 +60,59 @@ def bind_parameters(statement: ast.Statement, params: Sequence[Any],
     Raises :class:`~repro.core.errors.ParameterError` when the parameter count
     does not match the placeholder count or a value has an unsupported type.
     """
+    if expected is None:
+        expected = count_placeholders(statement)
+    bound = _checked_parameters(params, expected)
+    if expected == 0:
+        return statement
+    result = _bind_node(statement, bound)
+    assert isinstance(result, ast.Statement)
+    return result
+
+
+def _checked_parameters(params: Sequence[Any], expected: int) -> Tuple[Any, ...]:
+    """``params`` as a tuple, after the count and type checks every binding
+    path shares."""
     if isinstance(params, (str, bytes)):
         raise ParameterError(
             "parameters must be a sequence of values, not a bare string"
         )
     bound: Tuple[Any, ...] = tuple(params)
-    if expected is None:
-        expected = count_placeholders(statement)
     if expected != len(bound):
         raise ParameterError(
             f"statement takes {expected} parameter(s) but {len(bound)} were given"
         )
     for value in bound:
         check_parameter(value)
-    if expected == 0:
-        return statement
-    result = _bind_node(statement, bound)
-    assert isinstance(result, ast.Statement)
-    return result
+    return bound
+
+
+#: One VALUES row of an INSERT, resolved: ``(parameter index, literal)`` per
+#: value, the index being -1 where the row holds a literal.
+InsertSlots = Tuple[Tuple[Tuple[int, Any], ...], ...]
+
+
+def insert_slots(statement: ast.Insert) -> InsertSlots:
+    """Where each parameter goes in the VALUES rows of ``statement``.
+
+    INSERT values are plain literals or placeholders (never expressions), so
+    binding needs no tree walk: a prepared statement resolves the slots once
+    and :func:`bind_insert` fills them per parameter sequence.
+    """
+    return tuple(
+        tuple((value.index, None) if isinstance(value, ast.Placeholder)
+              else (-1, value) for value in row)
+        for row in statement.rows)
+
+
+def bind_insert(statement: ast.Insert, slots: InsertSlots,
+                params: Sequence[Any], expected: int) -> ast.Insert:
+    """:func:`bind_parameters` for an INSERT with its slots already resolved."""
+    bound = _checked_parameters(params, expected)
+    return ast.Insert(
+        table=statement.table, columns=statement.columns,
+        rows=tuple(tuple(bound[index] if index >= 0 else literal
+                         for index, literal in row) for row in slots))
 
 
 def _bind_node(node: Any, params: Tuple[Any, ...]) -> Any:
@@ -122,5 +157,6 @@ def bind_expression(expression: ast.Expression,
     return _bind_node(expression, tuple(params))
 
 
-__all__ = ["bind_parameters", "bind_expression", "count_placeholders",
-           "check_parameter", "SUPPORTED_PARAMETER_TYPES"]
+__all__ = ["bind_parameters", "bind_expression", "bind_insert", "insert_slots",
+           "count_placeholders", "check_parameter",
+           "SUPPORTED_PARAMETER_TYPES"]

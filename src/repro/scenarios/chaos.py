@@ -42,7 +42,7 @@ DAY = 86400.0
 #: Engine-side fault sites, armable on every variant.
 ENGINE_FAULT_SITES: Dict[str, Tuple[str, ...]] = {
     "wal.flush": ("enospc", "torn_write", "fsync"),
-    "wal.rewrite": ("enospc", "fsync"),
+    "wal.scrub": ("torn_write", "fsync"),
     "pager.sync": ("enospc", "fsync"),
     "clock.advance": ("skip",),
 }
@@ -59,7 +59,7 @@ NETWORK_FAULT_SITES: Dict[str, Tuple[str, ...]] = {
 #: schedule may pick so every deterministic rule actually gets to fire.
 _SITE_CALL_CEILING: Dict[str, int] = {
     "wal.flush": 40,
-    "wal.rewrite": 2,
+    "wal.scrub": 2,
     "pager.sync": 2,
     "clock.advance": 5,
     "server.recv": 30,
@@ -312,7 +312,7 @@ class ChaosRunner:
                           + self.plan.describe())
 
     def _checkpoint_both(self) -> None:
-        """Periodic checkpoints drive the pager.sync / wal.rewrite seams."""
+        """Periodic checkpoints drive the pager.sync seam."""
         assert self.victim is not None and self.twin is not None
         for attempt in range(self.MAX_ATTEMPTS):
             try:

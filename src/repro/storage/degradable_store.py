@@ -502,6 +502,19 @@ class TableStore:
 
     # -- degradation ------------------------------------------------------------
 
+    def _scrub_interrupted(self, row_key: int) -> bool:
+        """A step found ``row_key`` already at its target level: does the log
+        still hold an image of the row?
+
+        Then a crash or an I/O fault cut an earlier attempt at this step
+        short between its page flush and its log scrub (recovery re-applies
+        the step because its SCHED_STEP never committed).  The caller
+        finishes the job — flush the row's page, then scrub — instead of
+        leaving the accurate image in the log until the row's next step.
+        """
+        return self.strategy == "rewrite" and bool(
+            self.wal.records_for(self.schema.name, row_key))
+
     def degrade(self, row_key: int, column: str, scheme: GeneralizationScheme,
                 to_level: int, now: float, txn_id: int = 0) -> StoredRow:
         """Apply one degradation step to ``column`` of ``row_key``.
@@ -520,6 +533,9 @@ class TableStore:
         if to_level < from_level:
             raise PolicyError("degradation is irreversible: cannot decrease the level")
         if to_level == from_level:
+            if self._scrub_interrupted(row_key):
+                self._flush_pages([self._locations[row_key].page_id])
+                self.wal.scrub_record(self.schema.name, row_key, now=now)
             return row
         old_value = row.values[column]
         if self._is_sentinel(old_value):
@@ -566,7 +582,7 @@ class TableStore:
         of the same row are applied against one read/encode/rewrite cycle,
         every dirty page is flushed exactly once, and (for the rewrite
         strategy) the WAL images of all touched rows are scrubbed in a single
-        :meth:`WriteAheadLog.scrub_records` pass — one log rewrite for the
+        :meth:`WriteAheadLog.scrub_records` pass — one zeroing pass for the
         whole batch instead of one per step.  The WAL DEGRADE records of the
         batch are appended here and reach the disk with the caller's single
         durable flush (the enclosing system transaction's commit).
@@ -633,6 +649,9 @@ class TableStore:
                 applied.append(outcome)
                 outcomes.append(outcome)
             if not applied:
+                if self._scrub_interrupted(row_key):
+                    dirty_pages.append(self._locations[row_key].page_id)
+                    scrub_rows.append(row_key)
                 continue
             payload = self._encode_row(row_key, row.inserted_at, levels, values)
             self._rewrite(row_key, payload)
@@ -742,6 +761,9 @@ class TableStore:
                 applied.append(outcome)
                 outcomes.append(outcome)
             if not applied:
+                if self._scrub_interrupted(row_key):
+                    dirty_pages.append(self._locations[row_key].page_id)
+                    scrub_rows.append(row_key)
                 continue
             payload = self._encode_row(row_key, inserted_at, levels, values)
             self._rewrite(row_key, payload)
@@ -900,12 +922,6 @@ class TableStore:
     def raw_image(self) -> bytes:
         """Raw bytes of the heap pages and the log (forensic scanning input)."""
         return self.heap.raw_image() + self.wal.raw_image()
-
-    def forensic_image(self) -> bytes:
-        """Like :meth:`raw_image` with the WAL's catalog documents redacted —
-        they hold domain vocabulary (schema), not tuple data; see
-        :meth:`WriteAheadLog.forensic_image`."""
-        return self.heap.raw_image() + self.wal.forensic_image()
 
     def restore_row(self, payload: bytes) -> int:
         """Write a logged row image back into the store (recovery redo/undo).

@@ -8,12 +8,12 @@ This WAL therefore supports, besides the classic append/flush/replay protocol:
 * ``DEGRADE`` log records that carry **no accurate before-image** — degradation
   is deterministic and irreversible, so recovery never needs to undo it;
 * :meth:`WriteAheadLog.scrub_record` / :meth:`WriteAheadLog.scrub_records` —
-  physically rewrite the log so that no image of the given records survives
-  (used when tuples reach their final state or are deleted); the bulk form is
-  the one the batch degradation pipeline uses, paying one rewrite for a whole
-  expiry wave;
+  destroy every row image of the given rows **in place**: a key → LSN side
+  table finds the records, one mark byte per record flags it scrubbed and
+  its image bytes are overwritten with zeroes where they lie.  Nothing else
+  in the log moves or is rewritten, so a wave costs O(images it destroys);
 * :meth:`WriteAheadLog.truncate_until` — drop the prefix made obsolete by a
-  checkpoint.
+  checkpoint by unlinking whole segment files.
 
 The log also persists the **degradation schedule** (the ``SCHED_*`` record
 types): registrations, applied steps, deferrals, event firings and — on clean
@@ -23,11 +23,12 @@ scrubbing untouched; :class:`~repro.txn.recovery.RecoveryManager` replays them
 into a reconstructed :class:`~repro.core.scheduler.DegradationScheduler` (see
 ``docs/durability.md``).
 
-The log is held in memory and optionally mirrored to a file so that crash
-recovery tests can reopen it.  The durability path is append-only: ``flush``
-writes only the records past ``flushed_lsn`` and fsyncs once, so a run of n
-commits costs O(n) bytes of log I/O; only scrubbing and truncation pay a full
-rewrite (that is their point — removing bytes from the middle of the file).
+On disk the log is a directory of append-grown **segment** files named by
+the first LSN they were created for.  Every record is framed with its own
+lengths and two CRCs (layout in ``docs/durability.md``), so zeroing an image
+moves no byte and framing survives; a record never spans segments.  The
+records still in the log are also held in memory (checkpoints bound them).
+Without a path the log is memory-only and behaves the same minus the I/O.
 """
 
 from __future__ import annotations
@@ -35,18 +36,54 @@ from __future__ import annotations
 import errno
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from array import array
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from zlib import crc32
 
-from ..core.errors import DurabilityError, WALError
+from ..core.errors import (
+    DurabilityError,
+    LogCorruptionError,
+    LogFormatError,
+    WALError,
+)
 from ..faults import FaultPlan
 from .serialization import decode_record, encode_record
 
-_LEN_STRUCT = struct.Struct("<I")
+#: Version of the on-disk format, stored in every segment header.  Version 1
+#: was the single-file, unchecksummed ``wal.log``; there is no reader for it.
+WAL_FORMAT_VERSION = 2
+
+#: A segment is rolled when the next record would grow it past this many
+#: bytes.  A record larger than the cap gets a segment of its own.
+SEGMENT_MAX_BYTES = 256 * 1024
+
+_SEGMENT_MAGIC = b"IDBWAL\r\n"
+_SEGMENT_SUFFIX = ".seg"
+_TMP_SUFFIX = ".tmp"
+#: magic · format version · first LSN · CRC-32 of the three.
+_SEGMENT_HEADER = struct.Struct("<8sIQI")
+
+#: Fixed record head: length of everything behind this field · header CRC ·
+#: scrub mark · type code · lsn · txn id · row key · timestamp · table length
+#: · attribute length · before length · after length.  The header CRC covers
+#: the length field and everything from the type code to the end of the
+#: attribute name — not the mark, which a scrub flips with a one-byte write.
+_HEAD = struct.Struct("<IIBBqqqdHHII")
+_MARK_OFFSET = 8
+_CRC = struct.Struct("<I")
+#: Image length standing for "no image" (``None``), as opposed to ``b""``.
+_NO_IMAGE = 0xFFFFFFFF
+#: The two valid scrub marks: a single flipped bit turns neither into the other.
+_LIVE = 0x00
+_SCRUBBED = 0xA5
 
 
 class LogRecordType(Enum):
+    """Record types.  A record stores its type as the member's position in
+    this class, so new types are appended at the end, never inserted."""
+
     BEGIN = "BEGIN"
     COMMIT = "COMMIT"
     ABORT = "ABORT"
@@ -94,18 +131,21 @@ class LogRecordType(Enum):
     PAGE_ALLOC = "PAGE_ALLOC"
 
 
+_TYPES: Tuple[LogRecordType, ...] = tuple(LogRecordType)
+_TYPE_CODES: Dict[LogRecordType, int] = {
+    record_type: code for code, record_type in enumerate(_TYPES)}
+
 #: Record types whose before/after images hold row payloads: when a row
 #: degrades past an accuracy level, these are the records whose images
-#: :meth:`WriteAheadLog.scrub_records` rewrites to ``None`` so the accurate
-#: value cannot be resurrected from the log (the paper's bounded-retention
-#: guarantee).  Every :class:`LogRecordType` must appear in exactly one of
-#: ``_SCRUB_TARGETS`` / ``_SCRUB_EXEMPT`` — enforced by the *wal-exhaustive*
-#: reprolint rule; see the new-record-type checklist in docs/invariants.md.
+#: :meth:`WriteAheadLog.scrub_records` zeroes so the accurate value cannot be
+#: resurrected from the log (the paper's bounded-retention guarantee).  Every
+#: :class:`LogRecordType` must appear in exactly one of ``_SCRUB_TARGETS`` /
+#: ``_SCRUB_EXEMPT`` — enforced by the *wal-exhaustive* reprolint rule; see
+#: the new-record-type checklist in docs/invariants.md.
 _SCRUB_TARGETS = frozenset({
     LogRecordType.INSERT,
     LogRecordType.UPDATE,
     LogRecordType.DELETE,
-    LogRecordType.DEGRADE,
     LogRecordType.REMOVE,
 })
 
@@ -126,6 +166,9 @@ _SCRUB_EXEMPT = frozenset({
     LogRecordType.TABLE_DROP,
     LogRecordType.CATALOG,
     LogRecordType.PAGE_ALLOC,
+    # Its payload is ``encode_record([to_level])``: a target accuracy level,
+    # no attribute value (and never a before-image, enforced at append).
+    LogRecordType.DEGRADE,
     # Carries a target level + row keys only (its ``row_key`` field is a
     # segment id, so the (table, row_key) scrub match must never touch it).
     LogRecordType.SEGMENT_DEGRADE,
@@ -149,51 +192,79 @@ class LogRecord:
     before: Optional[bytes] = None
     after: Optional[bytes] = None
     timestamp: float = 0.0
-    #: Memoized wire encoding.  Records are immutable, so the payload is
-    #: computed at most once; ``dataclasses.replace`` (scrubbing) builds a new
-    #: record and therefore a fresh encoding.
-    _encoded: Optional[bytes] = field(default=None, init=False, repr=False,
-                                      compare=False)
 
     def encode(self) -> bytes:
-        cached = self._encoded
-        if cached is None:
-            cached = encode_record([
-                self.lsn,
-                self.txn_id,
-                self.record_type.value,
-                self.table,
-                self.row_key,
-                self.attribute,
-                self.before if self.before is not None else False,
-                self.after if self.after is not None else False,
-                float(self.timestamp),
-            ])
-            object.__setattr__(self, "_encoded", cached)
-        return cached
-
-    @property
-    def encoding_cached(self) -> bool:
-        return self._encoded is not None
+        """The record as it is framed on disk (length prefix included)."""
+        table = self.table.encode("utf-8")
+        attribute = self.attribute.encode("utf-8")
+        before, after = self.before, self.after
+        images = (before or b"") + (after or b"")
+        head = _HEAD.pack(
+            _HEAD.size - 4 + len(table) + len(attribute) + len(images) + 4,
+            0, _LIVE, _TYPE_CODES[self.record_type], self.lsn, self.txn_id,
+            self.row_key, float(self.timestamp), len(table), len(attribute),
+            _NO_IMAGE if before is None else len(before),
+            _NO_IMAGE if after is None else len(after))
+        covered = head[_MARK_OFFSET + 1:] + table + attribute
+        return b"".join((
+            head[:4], _CRC.pack(crc32(covered, crc32(head[:4]))),
+            head[_MARK_OFFSET:_MARK_OFFSET + 1], covered,
+            images, _CRC.pack(crc32(images))))
 
     @classmethod
-    def decode(cls, payload: bytes) -> "LogRecord":
-        values = decode_record(payload)
-        if len(values) != 9:
-            raise WALError(f"malformed log record with {len(values)} fields")
-        before = values[6] if isinstance(values[6], (bytes, bytearray)) else None
-        after = values[7] if isinstance(values[7], (bytes, bytearray)) else None
-        return cls(
-            lsn=int(values[0]),
-            txn_id=int(values[1]),
-            record_type=LogRecordType(values[2]),
-            table=str(values[3]),
-            row_key=int(values[4]),
-            attribute=str(values[5]),
-            before=bytes(before) if before is not None else None,
-            after=bytes(after) if after is not None else None,
-            timestamp=float(values[8]),
-        )
+    def decode(cls, data: bytes) -> "LogRecord":
+        """Inverse of :meth:`encode` for exactly one framed record."""
+        record, end, _image_offset = _parse_record(data, 0, len(data))
+        if end != len(data):
+            raise LogCorruptionError("trailing bytes behind a log record")
+        return record
+
+
+def _parse_record(data: bytes, offset: int, limit: int
+                  ) -> Tuple[LogRecord, int, int]:
+    """Parse the record framed at ``data[offset:limit]``.
+
+    Returns ``(record, end offset, image offset)``.  A record marked scrubbed
+    comes back without images whatever its image bytes hold (the caller
+    checks they are zero); a live record's images must match their CRC.
+    Anything that does not check out raises :class:`LogCorruptionError`.
+    """
+    if offset + _HEAD.size > limit:
+        raise LogCorruptionError("truncated log record head")
+    (length, header_crc, mark, code, lsn, txn_id, row_key, timestamp,
+     table_len, attribute_len, before_len, after_len) = \
+        _HEAD.unpack_from(data, offset)
+    end = offset + 4 + length
+    names_end = offset + _HEAD.size + table_len + attribute_len
+    image_len = ((0 if before_len == _NO_IMAGE else before_len)
+                 + (0 if after_len == _NO_IMAGE else after_len))
+    if end > limit or names_end + image_len + 4 != end:
+        raise LogCorruptionError("log record framing does not add up")
+    if crc32(data[offset + _MARK_OFFSET + 1:names_end],
+             crc32(data[offset:offset + 4])) != header_crc:
+        raise LogCorruptionError(f"log record header CRC mismatch at {offset}")
+    if code >= len(_TYPES):
+        raise LogCorruptionError(f"unknown log record type code {code}")
+    table_end = offset + _HEAD.size + table_len
+    before = after = None
+    if mark == _LIVE:
+        if crc32(data[names_end:end - 4]) != \
+                _CRC.unpack_from(data, end - 4)[0]:
+            raise LogCorruptionError(
+                f"log record image CRC mismatch (lsn {lsn})")
+        if before_len != _NO_IMAGE:
+            before = bytes(data[names_end:names_end + before_len])
+        if after_len != _NO_IMAGE:
+            after = bytes(data[end - 4 - after_len:end - 4])
+    elif mark != _SCRUBBED:
+        raise LogCorruptionError(f"invalid scrub mark {mark:#x} (lsn {lsn})")
+    record = LogRecord(
+        lsn=lsn, txn_id=txn_id, record_type=_TYPES[code],
+        table=str(data[offset + _HEAD.size:table_end], "utf-8"),
+        row_key=row_key,
+        attribute=str(data[table_end:names_end], "utf-8"),
+        before=before, after=after, timestamp=timestamp)
+    return record, end, names_end
 
 
 # -- schedule record payloads -------------------------------------------------
@@ -320,43 +391,86 @@ class WALStats:
     appended: int = 0
     flushed: int = 0
     scrubbed_records: int = 0
-    scrub_rewrites: int = 0
+    #: :meth:`WriteAheadLog.scrub_records` calls that found an image to
+    #: destroy (a batch of keys is one pass, however many records it hits).
+    scrub_passes: int = 0
+    #: Bytes of zeroes written over images in segment files.
+    scrub_bytes_zeroed: int = 0
     truncations: int = 0
-    #: Bytes physically written to the log file (appends and rewrites alike);
-    #: the benchmark guard that the durability path stays O(n), not O(n^2).
+    #: Bytes physically written to the log directory — appended records,
+    #: segment headers, scrub marks and zeroes, boundary-segment rewrites;
+    #: the guard that the durability path stays O(n) and scrubbing O(k).
     bytes_written: int = 0
-    #: Payload encodings actually computed (vs. served from the per-record
-    #: cache); the guard that scrub/truncate rewrites do not re-encode every
-    #: surviving record.
-    payload_encodes: int = 0
-    payload_cache_hits: int = 0
+
+
+class _Segment:
+    """One segment file and where each of its records starts."""
+
+    __slots__ = ("path", "first_lsn", "size", "offsets")
+
+    def __init__(self, path: str, first_lsn: int) -> None:
+        self.path = path
+        #: LSN of the first record (the header's value; the file *name* is
+        #: the LSN the file was created for and only orders the files).
+        self.first_lsn = first_lsn
+        #: Length of the known-good prefix.  A failed or torn append leaves
+        #: garbage past it; the next append truncates back to it first.
+        self.size = _SEGMENT_HEADER.size
+        #: Byte offset of record ``first_lsn + i`` (LSNs are dense).
+        self.offsets = array("I")
+
+    @property
+    def end_lsn(self) -> int:
+        """One past the last LSN held."""
+        return self.first_lsn + len(self.offsets)
+
+
+def _fsync_directory(path: str) -> None:
+    """Make a create, rename or unlink inside ``path`` durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _segment_header(first_lsn: int) -> bytes:
+    body = _SEGMENT_HEADER.pack(
+        _SEGMENT_MAGIC, WAL_FORMAT_VERSION, first_lsn, 0)[:-4]
+    return body + _CRC.pack(crc32(body))
 
 
 class WriteAheadLog:
-    """Append-only log with degradation-aware scrubbing."""
+    """Segmented, checksummed append-only log with in-place scrubbing."""
 
     def __init__(self, path: Optional[str] = None,
                  faults: Optional[FaultPlan] = None) -> None:
+        #: The log *directory*, or ``None`` for a memory-only log.
         self.path = path
         self.faults = faults
+        #: Every record still in the log, LSNs dense: record ``lsn`` sits at
+        #: index ``lsn - self._records[0].lsn``.
         self._records: List[LogRecord] = []
         self._next_lsn = 1
         self._flushed_lsn = 0
-        #: Byte length of the known-good on-disk prefix.  A failed or torn
-        #: flush leaves garbage past this point; the next flush truncates back
-        #: to it before appending, so the file never accumulates torn tails.
-        self._disk_bytes = 0
-        #: Set when a scrub/truncate rewrite failed mid-way: the in-memory log
-        #: and the file have diverged beyond the append protocol's reach, so
-        #: the next flush must retry the full rewrite instead of appending.
-        self._rewrite_pending = False
+        self._segments: List[_Segment] = []
+        #: LSN whose record must open a new segment (:meth:`roll`).
+        self._roll_at = 0
+        #: ``(table, row_key)`` → LSNs of the records that still hold a row
+        #: image of that row.  What a scrub looks up instead of scanning.
+        self._images: Dict[Tuple[str, int], List[int]] = {}
+        #: Images already dropped from memory whose on-disk bytes are not
+        #: durably zeroed yet: ``(lsn, image offset in the record, length)``.
+        #: Emptied by a successful zeroing pass; one that failed leaves it
+        #: for the next :meth:`flush` to retry first.
+        self._unzeroed: List[Tuple[int, int, int]] = []
         #: Transactions that have begun but logged nothing yet: txn id → begin
         #: timestamp.  Their BEGIN is written just ahead of their first record
         #: (see :meth:`begin`), so a read-only transaction never reaches the log.
         self._unlogged: Dict[int, float] = {}
         self.stats = WALStats()
-        if path is not None and os.path.exists(path):
-            self._load(path)
+        if path is not None:
+            self._open_directory(path)
 
     # -- basic protocol -----------------------------------------------------
 
@@ -403,87 +517,41 @@ class WriteAheadLog:
         )
         self._next_lsn += 1
         self._records.append(record)
+        if (before or after) and record_type in _SCRUB_TARGETS:
+            self._images.setdefault((table, row_key), []).append(record.lsn)
         self.stats.appended += 1
         return record
 
     def flush(self) -> None:
         """Persist every appended record (durability point).
 
-        Append-only: only records with ``lsn > flushed_lsn`` are written (they
-        form a suffix of the in-memory list), followed by one fsync.  Full
-        rewrites happen only in :meth:`scrub_records` and
-        :meth:`truncate_until`, which must remove bytes already on disk.
+        Append-only: only records with ``lsn > flushed_lsn`` are written,
+        behind the last segment's known-good end (a new segment is opened
+        when the cap or :meth:`roll` says so), followed by one fsync per
+        segment written to.  An unfinished zeroing pass is retried first.
 
         Failure semantics: any I/O error — real or injected via the fault
         plan — surfaces as :class:`DurabilityError` *without* advancing
-        ``flushed_lsn`` or the known-good byte mark, so a retry (or the next
-        flush after recovery) first truncates any torn tail back to the last
-        good byte and rewrites the whole pending suffix.  The on-disk prefix
-        up to the last successful flush is never touched.
+        ``flushed_lsn`` or the segment's known-good size past what an fsync
+        confirmed, so a retry (or the next flush after recovery) first
+        truncates any torn tail and rewrites the whole pending suffix.
+        Bytes an earlier flush made durable are never touched.
         """
         if self.path is not None:
-            if self._rewrite_pending:
-                # A scrub/truncate rewrite failed earlier; appending would
-                # persist images the in-memory log already dropped.
-                self._rewrite_file()
-                self.stats.flushed += 1
-                return
-            start = len(self._records)
-            while start > 0 and self._records[start - 1].lsn > self._flushed_lsn:
-                start -= 1
-            pending = self._records[start:]
-            if pending:
-                buffer = bytearray()
-                for record in pending:
-                    payload = self._payload(record)
-                    buffer += _LEN_STRUCT.pack(len(payload))
-                    buffer += payload
-                event = self.faults.fire("wal.flush") if self.faults else None
-                try:
-                    if event is not None and event.kind == "enospc":
-                        raise OSError(errno.ENOSPC,
-                                      "injected: no space left on device")
-                    mode = "r+b" if os.path.exists(self.path) else "w+b"
-                    with open(self.path, mode) as handle:
-                        handle.truncate(self._disk_bytes)
-                        handle.seek(self._disk_bytes)
-                        if event is not None and event.kind == "torn_write":
-                            handle.write(bytes(buffer[:max(1, len(buffer) // 2)]))
-                            handle.flush()
-                            raise OSError(errno.EIO, "injected: torn write")
-                        handle.write(bytes(buffer))
-                        handle.flush()
-                        if event is not None and event.kind == "fsync":
-                            raise OSError(errno.EIO, "injected: fsync failed")
-                        os.fsync(handle.fileno())
-                except OSError as exc:
-                    # Best-effort immediate repair: chop whatever the failed
-                    # attempt managed to write back to the known-good prefix.
-                    # A torn half-buffer can end exactly on a record boundary,
-                    # and a crash before the next flush would then make _load
-                    # accept records whose durability was *denied* to the
-                    # caller.  If this repair fails too, the next flush (or
-                    # _load's framing check) still truncates first.
-                    try:
-                        with open(self.path, "r+b") as handle:
-                            handle.truncate(self._disk_bytes)
-                            handle.flush()
-                            os.fsync(handle.fileno())
-                    except OSError:  # reprolint: disable=no-swallowed-io-error -- best-effort torn-tail repair while propagating the original failure
-                        pass
-                    raise DurabilityError(f"WAL flush failed: {exc}") from exc
-                self.stats.bytes_written += len(buffer)
-                self._disk_bytes += len(buffer)
-        self._flushed_lsn = self._records[-1].lsn if self._records else self._flushed_lsn
+            if self._unzeroed:
+                self._zero_images()
+            self._flush_pending()
+        elif self._records:
+            self._flushed_lsn = self._records[-1].lsn
         self.stats.flushed += 1
 
-    def _payload(self, record: LogRecord) -> bytes:
-        """Wire encoding of ``record``, tracking cache effectiveness."""
-        if record.encoding_cached:
-            self.stats.payload_cache_hits += 1
-        else:
-            self.stats.payload_encodes += 1
-        return record.encode()
+    def roll(self) -> None:
+        """Make the next record appended the first of a new segment.
+
+        Checkpoints call this ahead of their anchor record, so truncating up
+        to the anchor unlinks whole segments and rewrites none.
+        """
+        self._roll_at = self._next_lsn
 
     @property
     def last_lsn(self) -> int:
@@ -503,164 +571,454 @@ class WriteAheadLog:
         return len(self._records)
 
     def records_for(self, table: str, row_key: int) -> List[LogRecord]:
-        return [
-            record for record in self._records
-            if record.table == table and record.row_key == row_key
-        ]
+        """The records still holding a row image of ``(table, row_key)``."""
+        first = self._records[0].lsn if self._records else 0
+        return [self._records[lsn - first]
+                for lsn in self._images.get((table, row_key), ())]
 
     # -- degradation-aware maintenance -----------------------------------------
 
     def scrub_record(self, table: str, row_key: int, now: float = 0.0) -> int:
-        """Remove every image of ``(table, row_key)`` from the log.
+        """Destroy every row image of ``(table, row_key)`` in the log.
 
-        The payloads of matching INSERT/UPDATE/DELETE records are dropped (the
-        structural entry remains so LSNs stay dense and recovery still knows a
-        record existed); the log file is rewritten so no byte of the images
-        survives on disk.  Returns the number of records scrubbed.
+        The images of its INSERT/UPDATE/DELETE/REMOVE records are dropped
+        (the structural entry remains so LSNs stay dense and recovery still
+        knows a record existed) and zeroed in the segment files, so no byte
+        of them survives on disk.  Returns the number of records scrubbed.
         """
         return self.scrub_records([(table, row_key)], now=now)
 
     def scrub_records(self, keys: Iterable[Tuple[str, int]], now: float = 0.0) -> int:
-        """Bulk :meth:`scrub_record`: one log pass and one rewrite for all ``keys``.
+        """Bulk :meth:`scrub_record`: one pass for all ``keys``.
 
-        This is what makes scrubbing affordable on the degradation hot path:
-        a batch of n expiring rows pays a single O(log) scan and a single file
-        rewrite instead of n of each.  One *aggregate* SCRUB audit record is
-        appended per batch (its ``attribute`` names the touched-key count and
-        its ``after`` payload carries the count), so a mass-removal wave grows
-        the log by O(1) audit bytes instead of O(n).  A single-key scrub keeps
-        the per-row audit shape (table + row key).  Returns the total number
-        of records scrubbed.
+        Each key costs one lookup in the image side table; a key with no
+        image left in the log costs nothing else and a batch of such keys
+        does no I/O at all.  Otherwise the pending suffix is written first
+        (every record then has a place on disk, and — as scrubbing always
+        did — everything appended so far is durable when this returns), the
+        hit records are marked scrubbed and their image bytes overwritten
+        with zeroes in place (:meth:`_zero_images`), and one *aggregate*
+        SCRUB audit record is appended per batch (its ``attribute`` names
+        the touched-key count and its ``after`` payload carries the count),
+        so a mass-removal wave grows the log by O(1) audit bytes.  A
+        single-key scrub keeps the per-row audit shape (table + row key).
+        Returns the total number of records scrubbed.
+
+        A zeroing pass that fails raises :class:`DurabilityError` with the
+        images already gone from memory; the next :meth:`flush` finishes it.
         """
-        targets = set(keys)
-        if not targets:
+        images = self._images
+        touched = [key for key in dict.fromkeys(keys) if key in images]
+        if not touched:
             return 0
+        on_disk = self.path is not None
+        if on_disk:
+            self._flush_pending()
+        records = self._records
+        first = records[0].lsn
         scrubbed = 0
-        touched = set()
-        for index, record in enumerate(self._records):
-            if record.record_type in _SCRUB_EXEMPT:
-                # Schedule/structure records never hold attribute values —
-                # their payloads (policy names, state indices, page ids) must
-                # survive scrubbing for recovery to work.
-                continue
-            key = (record.table, record.row_key)
-            if key not in targets:
-                continue
-            if record.before is None and record.after is None:
-                continue
-            self._records[index] = replace(record, before=None, after=None)
-            scrubbed += 1
-            touched.add(key)
-        if scrubbed:
-            self.stats.scrubbed_records += scrubbed
-            self.stats.scrub_rewrites += 1
-            tables = sorted({table for table, _row_key in touched})
-            if len(touched) == 1:
-                table, row_key = next(iter(touched))
-                self.append(LogRecordType.SCRUB, txn_id=0, table=table,
-                            row_key=row_key, timestamp=now)
-            else:
-                self.append(
-                    LogRecordType.SCRUB, txn_id=0,
-                    table=tables[0] if len(tables) == 1 else "",
-                    row_key=-1, attribute=f"batch:{len(touched)}",
-                    after=encode_record([len(touched), scrubbed]),
-                    timestamp=now,
-                )
-            if self.path is not None:
-                self._rewrite_file()
+        for key in touched:
+            for lsn in images.pop(key):
+                record = records[lsn - first]
+                if on_disk:
+                    self._unzeroed.append((
+                        lsn,
+                        _HEAD.size + len(record.table.encode("utf-8"))
+                        + len(record.attribute.encode("utf-8")),
+                        len(record.before or b"") + len(record.after or b"")
+                        + _CRC.size))
+                records[lsn - first] = replace(record, before=None, after=None)
+                scrubbed += 1
+        self.stats.scrubbed_records += scrubbed
+        self.stats.scrub_passes += 1
+        if on_disk:
+            self._zero_images()
+        if len(touched) == 1:
+            table, row_key = touched[0]
+            self.append(LogRecordType.SCRUB, txn_id=0, table=table,
+                        row_key=row_key, timestamp=now)
+        else:
+            tables = {table for table, _row_key in touched}
+            self.append(
+                LogRecordType.SCRUB, txn_id=0,
+                table=tables.pop() if len(tables) == 1 else "",
+                row_key=-1, attribute=f"batch:{len(touched)}",
+                after=encode_record([len(touched), scrubbed]),
+                timestamp=now,
+            )
         return scrubbed
 
     def truncate_until(self, lsn: int) -> int:
-        """Drop every record with ``record.lsn <= lsn`` (post-checkpoint cleanup)."""
+        """Drop every record with ``record.lsn <= lsn`` (post-checkpoint cleanup).
+
+        Segments lying wholly at or below ``lsn`` are unlinked; when ``lsn``
+        falls inside a segment, that one boundary segment is rewritten
+        without its dropped prefix (tmp file + rename) — the only rewrite
+        the log ever does, and one a checkpoint avoids through :meth:`roll`.
+        Memory follows the disk segment by segment, so an I/O failure
+        (:class:`DurabilityError`) leaves a shorter but consistent truncation.
+        """
+        if not self._records or lsn < self._records[0].lsn:
+            return 0
         before = len(self._records)
-        self._records = [record for record in self._records if record.lsn > lsn]
-        dropped = before - len(self._records)
-        if dropped:
-            self.stats.truncations += 1
-            if self.path is not None:
-                self._rewrite_file()
-        return dropped
+        lsn = min(lsn, self._records[-1].lsn)
+        try:
+            if self.path is None:
+                self._drop_records(lsn)
+            else:
+                self._flush_pending()
+                self._truncate_segments(lsn)
+        except OSError as exc:
+            raise DurabilityError(f"WAL truncation failed: {exc}") from exc
+        finally:
+            # Whatever prefix did go: forget its side-table entries.
+            kept = self._records[0].lsn if self._records else self._next_lsn
+            self._flushed_lsn = max(self._flushed_lsn, kept - 1)
+            self._images = {
+                key: live for key, lsns in self._images.items()
+                if (live := [held for held in lsns if held >= kept])}
+            self._unzeroed = [entry for entry in self._unzeroed
+                              if entry[0] >= kept]
+        self.stats.truncations += 1
+        return before - len(self._records)
 
-    # -- persistence -------------------------------------------------------------
+    def _drop_records(self, lsn: int) -> None:
+        """Drop the in-memory records up to ``lsn``."""
+        if self._records:
+            del self._records[:max(0, lsn + 1 - self._records[0].lsn)]
 
-    def _rewrite_file(self) -> None:
-        assert self.path is not None
-        # Armed until the atomic replace lands: a failure here (the in-memory
-        # log has already dropped images the file still holds) forces the next
-        # flush to retry the full rewrite instead of appending.
-        self._rewrite_pending = True
-        event = self.faults.fire("wal.rewrite") if self.faults else None
-        tmp_path = self.path + ".tmp"
-        total = 0
+    # -- segment files -------------------------------------------------------------
+
+    def _sync_directory(self) -> None:
+        """fsync the log directory after a segment create, rename or unlink."""
+        _fsync_directory(self.path)
+
+    def _create_segment(self, first_lsn: int) -> _Segment:
+        segment = _Segment(
+            os.path.join(self.path, f"{first_lsn:020d}{_SEGMENT_SUFFIX}"),
+            first_lsn)
+        header = _segment_header(first_lsn)
+        fd = os.open(segment.path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+        try:
+            os.write(fd, header)
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+        self._sync_directory()
+        self.stats.bytes_written += len(header)
+        self._segments.append(segment)
+        return segment
+
+    def _flush_pending(self) -> None:
+        """Write the records past ``flushed_lsn`` to the segment files."""
+        records = self._records
+        if not records or self._flushed_lsn >= records[-1].lsn:
+            return
+        start = max(0, self._flushed_lsn + 1 - records[0].lsn)
+        event = self.faults.fire("wal.flush") if self.faults else None
+        segment = self._segments[-1] if self._segments else None
+        # Of ``segment`` once the buffered records are in it: bytes, records.
+        size = segment.size if segment is not None else 0
+        held = len(segment.offsets) if segment is not None else 0
+        roll_at, cap = self._roll_at, SEGMENT_MAX_BYTES
+        buffer = bytearray()
+        offsets: List[int] = []
         try:
             if event is not None and event.kind == "enospc":
-                raise OSError(errno.ENOSPC,
-                              "injected: no space left on device")
-            with open(tmp_path, "wb") as handle:
-                for record in self._records:
-                    payload = self._payload(record)
-                    handle.write(_LEN_STRUCT.pack(len(payload)))
-                    handle.write(payload)
-                    total += _LEN_STRUCT.size + len(payload)
-                handle.flush()
+                raise OSError(errno.ENOSPC, "injected: no space left on device")
+            for record in records[start:]:
+                data = record.encode()
+                if segment is None or (held and (
+                        record.lsn == roll_at or size + len(data) > cap)):
+                    if offsets:
+                        self._write_tail(segment, buffer, offsets, event)
+                        event = None
+                        buffer = bytearray()
+                        offsets = []
+                    segment = self._create_segment(record.lsn)
+                    size, held = segment.size, 0
+                offsets.append(size)
+                buffer += data
+                size += len(data)
+                held += 1
+            self._write_tail(segment, buffer, offsets, event)
+        except OSError as exc:
+            raise DurabilityError(f"WAL flush failed: {exc}") from exc
+
+    def _write_tail(self, segment: _Segment, buffer: bytearray,
+                    offsets: List[int], event: Any) -> None:
+        """Append ``buffer`` (whole records) to ``segment`` and fsync it."""
+        if segment.end_lsn != self._flushed_lsn + 1:
+            raise WALError(
+                f"log segment {segment.path} ends at LSN {segment.end_lsn - 1}"
+                f" but the log is flushed up to {self._flushed_lsn}")
+        fd = os.open(segment.path, os.O_RDWR)
+        try:
+            os.ftruncate(fd, segment.size)
+            try:
+                if event is not None and event.kind == "torn_write":
+                    os.pwrite(fd, bytes(buffer[:max(1, len(buffer) // 2)]),
+                              segment.size)
+                    raise OSError(errno.EIO, "injected: torn write")
+                os.pwrite(fd, buffer, segment.size)
                 if event is not None and event.kind == "fsync":
                     raise OSError(errno.EIO, "injected: fsync failed")
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, self.path)
+                os.fsync(fd)
+            except OSError:
+                # Best-effort immediate repair: chop whatever the failed
+                # attempt managed to write back to the known-good prefix.
+                # A torn half-buffer can end exactly on a record boundary,
+                # and a crash before the next flush would then make _load
+                # accept records whose durability was *denied* to the
+                # caller.  If this repair fails too, the next flush (or
+                # _load's framing check) still truncates first.
+                try:
+                    os.ftruncate(fd, segment.size)
+                    os.fsync(fd)
+                except OSError:  # reprolint: disable=no-swallowed-io-error -- best-effort torn-tail repair while propagating the original failure
+                    pass
+                raise
+        finally:
+            os.close(fd)
+        segment.size += len(buffer)
+        segment.offsets.extend(offsets)
+        self.stats.bytes_written += len(buffer)
+        self._flushed_lsn = segment.end_lsn - 1
+
+    def _locate(self, lsn: int) -> Tuple[_Segment, int]:
+        """The segment holding flushed record ``lsn`` and its offset there."""
+        for segment in reversed(self._segments):
+            if lsn >= segment.first_lsn:
+                return segment, segment.offsets[lsn - segment.first_lsn]
+        raise WALError(f"log record {lsn} is in no segment")
+
+    def _zero_images(self) -> None:
+        """Make the scrubs in ``_unzeroed`` durable, in place.
+
+        Mark before zero, with a barrier between: first every hit record's
+        mark byte is set to *scrubbed* (one byte each — it cannot tear, and
+        it lies outside the header CRC so nothing else is rewritten) and the
+        segment is fsynced; only then are the image bytes and their CRC
+        overwritten with zeroes and the segment fsynced again.  Whatever
+        subset of these writes a crash lets through, every record loads
+        either intact (its mark never landed, so no zero was written) or
+        scrubbed (:meth:`_load` queues a marked record whose image bytes are
+        not all zero and runs this pass again) — never half an image under a
+        live mark.
+        """
+        by_segment: Dict[_Segment, List[Tuple[int, int, int]]] = {}
+        for lsn, image_offset, length in self._unzeroed:
+            segment, offset = self._locate(lsn)
+            by_segment.setdefault(segment, []).append(
+                (offset, offset + image_offset, length))
+        event = self.faults.fire("wal.scrub") if self.faults else None
+        mark = bytes([_SCRUBBED])
+        written = zeroed = 0
+        try:
+            for segment, places in by_segment.items():
+                fd = os.open(segment.path, os.O_RDWR)
+                try:
+                    for offset, _image_at, _length in places:
+                        written += os.pwrite(fd, mark, offset + _MARK_OFFSET)
+                    os.fsync(fd)
+                    if event is not None and event.kind == "torn_write":
+                        places = places[:len(places) // 2]
+                    for _offset, image_at, length in places:
+                        zeroed += os.pwrite(fd, bytes(length), image_at)
+                    if event is not None:
+                        raise OSError(errno.EIO, f"injected: {event.kind}")
+                    os.fsync(fd)
+                finally:
+                    os.close(fd)
         except OSError as exc:
+            raise DurabilityError(f"WAL scrub failed: {exc}") from exc
+        finally:
+            self.stats.bytes_written += written + zeroed
+            self.stats.scrub_bytes_zeroed += zeroed
+        self._unzeroed.clear()
+
+    def _truncate_segments(self, lsn: int) -> None:
+        changed = False
+        try:
+            while self._segments and self._segments[0].first_lsn <= lsn:
+                segment = self._segments[0]
+                if segment.end_lsn - 1 <= lsn:
+                    os.unlink(segment.path)
+                    changed = True
+                    del self._segments[0]
+                    self._drop_records(segment.end_lsn - 1)
+                else:
+                    self._rewrite_boundary(segment, lsn)
+                    changed = True
+                    self._drop_records(lsn)
+        finally:
+            if changed:
+                self._sync_directory()
+
+    def _rewrite_boundary(self, segment: _Segment, lsn: int) -> None:
+        """Rewrite ``segment`` without its records up to ``lsn``."""
+        cut = segment.offsets[lsn + 1 - segment.first_lsn]
+        with open(segment.path, "rb") as handle:
+            handle.seek(cut)
+            body = handle.read(segment.size - cut)
+        data = _segment_header(lsn + 1) + body
+        tmp_path = segment.path + _TMP_SUFFIX
+        try:
+            fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+            try:
+                os.write(fd, data)
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+            os.replace(tmp_path, segment.path)
+        except OSError:
             try:
                 os.unlink(tmp_path)
             except OSError:  # reprolint: disable=no-swallowed-io-error -- best-effort tmp cleanup while propagating the original failure
                 pass
-            raise DurabilityError(f"WAL rewrite failed: {exc}") from exc
-        self.stats.bytes_written += total
-        self._disk_bytes = total
-        # A rewrite persists everything currently in memory, so later flushes
-        # must not re-append those records.
-        self._flushed_lsn = self._records[-1].lsn if self._records else 0
-        self._rewrite_pending = False
+            raise
+        self.stats.bytes_written += len(data)
+        shift = cut - _SEGMENT_HEADER.size
+        segment.offsets = array("I", (
+            offset - shift
+            for offset in segment.offsets[lsn + 1 - segment.first_lsn:]))
+        segment.first_lsn = lsn + 1
+        segment.size = len(data)
 
-    def _load(self, path: str) -> None:
-        with open(path, "rb") as handle:
-            data = handle.read()
-        offset = 0
-        valid_until = 0
-        while offset < len(data):
-            if offset + _LEN_STRUCT.size > len(data):
-                # Torn tail write: ignore the incomplete record.
+    # -- opening ---------------------------------------------------------------------
+
+    def _open_directory(self, path: str) -> None:
+        """Create the log directory or load the segments it holds."""
+        for legacy in (path, path + ".log"):
+            if os.path.isfile(legacy):
+                raise LogFormatError(
+                    f"{legacy} is a single-file log of format version 1; "
+                    f"this build reads only format version "
+                    f"{WAL_FORMAT_VERSION} (a directory of segments) and has "
+                    "no reader for older logs")
+        try:
+            if os.path.isdir(path):
+                self._load()
+            else:
+                os.makedirs(path)
+                _fsync_directory(os.path.dirname(os.path.abspath(path)))
+        except OSError as exc:
+            raise DurabilityError(f"cannot open WAL at {path}: {exc}") from exc
+
+    def _load(self) -> None:
+        """Read every segment back, repairing what a crash left half-done.
+
+        * a stray ``*.tmp`` (an interrupted boundary rewrite) is removed;
+        * in the *last* segment a record that does not check out is a torn
+          append: the file is chopped there.  Anywhere else — or an LSN out
+          of sequence — it is corruption and raises
+          :class:`LogCorruptionError` instead of replaying garbage;
+        * a record marked scrubbed whose image bytes are not all zero is an
+          interrupted scrub: the zeroing is finished (and fsynced) before
+          this returns, so a record that loads as scrubbed is scrubbed on
+          disk.
+        """
+        names = sorted(os.listdir(self.path))
+        stray = [name for name in names if name.endswith(_TMP_SUFFIX)]
+        for name in stray:
+            os.unlink(os.path.join(self.path, name))
+        if stray:
+            self._sync_directory()
+        names = [name for name in names if name.endswith(_SEGMENT_SUFFIX)]
+        for position, name in enumerate(names):
+            last = position == len(names) - 1
+            segment_path = os.path.join(self.path, name)
+            with open(segment_path, "rb") as handle:
+                data = handle.read()
+            try:
+                segment = _Segment(segment_path,
+                                   self._read_header(name, data))
+            except LogCorruptionError:
+                if not last or len(data) > _SEGMENT_HEADER.size:
+                    raise
+                # Crash inside _create_segment: no record ever followed.
+                os.unlink(segment_path)
+                self._sync_directory()
                 break
-            (length,) = _LEN_STRUCT.unpack_from(data, offset)
-            offset += _LEN_STRUCT.size
-            if offset + length > len(data):
-                break
-            payload = data[offset:offset + length]
-            record = LogRecord.decode(payload)
-            # The bytes just read *are* the encoding; seed the cache so a
-            # later rewrite does not re-encode recovered records.
-            object.__setattr__(record, "_encoded", payload)
-            self._records.append(record)
-            offset += length
-            valid_until = offset
-        if valid_until < len(data):
-            # Chop the torn tail now: the append-only flush writes after the
-            # end of the file, and bytes appended behind garbage would be
-            # unreachable on the next load.
-            with open(path, "r+b") as handle:
-                handle.truncate(valid_until)
-                handle.flush()
-                os.fsync(handle.fileno())
-        self._disk_bytes = valid_until
-        if self._records:
-            self._next_lsn = self._records[-1].lsn + 1
-            self._flushed_lsn = self._records[-1].lsn
+            expected = segment.first_lsn
+            if self._records and expected != self._records[-1].lsn + 1:
+                raise LogCorruptionError(
+                    f"log segment {name} starts at LSN {expected}, behind "
+                    f"LSN {self._records[-1].lsn}: a segment is missing")
+            offset = _SEGMENT_HEADER.size
+            while offset < len(data):
+                try:
+                    record, end, image_at = _parse_record(
+                        data, offset, len(data))
+                except LogCorruptionError:
+                    if not last:
+                        raise
+                    self._chop(segment_path, offset)
+                    break
+                if record.lsn != expected:
+                    raise LogCorruptionError(
+                        f"log segment {name} holds LSN {record.lsn} where "
+                        f"{expected} belongs")
+                if data[offset + _MARK_OFFSET] == _SCRUBBED:
+                    if data.count(0, image_at, end) != end - image_at:
+                        self._unzeroed.append(
+                            (record.lsn, image_at - offset, end - image_at))
+                elif (record.before or record.after) and \
+                        record.record_type in _SCRUB_TARGETS:
+                    self._images.setdefault(
+                        (record.table, record.row_key), []).append(record.lsn)
+                self._records.append(record)
+                segment.offsets.append(offset)
+                offset = end
+                expected += 1
+            segment.size = offset
+            self._segments.append(segment)
+        if self._segments:
+            self._next_lsn = self._segments[-1].end_lsn
+            self._flushed_lsn = self._next_lsn - 1
+        if self._unzeroed:
+            self._zero_images()
+
+    @staticmethod
+    def _read_header(name: str, data: bytes) -> int:
+        """Validate a segment header; returns the segment's first LSN."""
+        if len(data) < _SEGMENT_HEADER.size:
+            raise LogCorruptionError(f"log segment {name} has no header")
+        magic, version, first_lsn, header_crc = \
+            _SEGMENT_HEADER.unpack_from(data, 0)
+        if magic == _SEGMENT_MAGIC and version != WAL_FORMAT_VERSION:
+            raise LogFormatError(
+                f"log segment {name} is format version {version}; this "
+                f"build reads only format version {WAL_FORMAT_VERSION}")
+        if magic != _SEGMENT_MAGIC or \
+                crc32(data[:_SEGMENT_HEADER.size - 4]) != header_crc:
+            raise LogCorruptionError(f"log segment {name} has a bad header")
+        return first_lsn
+
+    @staticmethod
+    def _chop(segment_path: str, size: int) -> None:
+        """Cut a torn tail off: appends go behind the end of the file, and
+        bytes appended behind garbage would be unreachable on the next load."""
+        fd = os.open(segment_path, os.O_RDWR)
+        try:
+            os.ftruncate(fd, size)
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+
+    # -- forensics ---------------------------------------------------------------------
 
     def raw_image(self) -> bytes:
-        """Every byte currently held by the log (forensic scanning)."""
-        return b"".join(self._payload(record) for record in self._records)
+        """Every byte currently held by the log (forensic scanning).
+
+        For a file-backed log that is what is *on disk* — every file in the
+        log directory, a stray temporary file included — followed by the
+        records not flushed yet; for a memory-only log, every record.
+        """
+        return self._image(redact_catalog=False)
 
     def forensic_image(self) -> bytes:
-        """Scanner input: every payload byte except CATALOG ``after`` documents.
+        """Scanner input: every log byte except CATALOG ``after`` documents.
 
         CATALOG records persist the DDL state, and a generalization *domain*
         is part of it — including its level-0 vocabulary, i.e. every accurate
@@ -671,12 +1029,37 @@ class WriteAheadLog:
         disk); this view is what the non-recoverability scanner greps so the
         ontology is not flagged as a retained tuple value.
         """
-        parts = []
-        for record in self._records:
-            if record.record_type is LogRecordType.CATALOG and record.after:
-                parts.append(replace(record, after=None).encode())
-            else:
-                parts.append(self._payload(record))
+        return self._image(redact_catalog=True)
+
+    def _image(self, redact_catalog: bool) -> bytes:
+        records = self._records
+        flushed = 0          # how many of ``records`` are in the files
+        parts: List[bytes] = []
+        if self.path is not None:
+            if records:
+                flushed = max(0, self._flushed_lsn + 1 - records[0].lsn)
+            files: Dict[str, bytearray] = {}
+            for name in sorted(os.listdir(self.path)):
+                with open(os.path.join(self.path, name), "rb") as handle:
+                    files[os.path.join(self.path, name)] = \
+                        bytearray(handle.read())
+            if redact_catalog:
+                for record in records[:flushed]:
+                    if record.record_type is LogRecordType.CATALOG \
+                            and record.after:
+                        segment, offset = self._locate(record.lsn)
+                        data = files[segment.path]
+                        # ``after`` ends where the image CRC (the record's
+                        # last 4 bytes) begins.
+                        end = offset + _HEAD.unpack_from(data, offset)[0]
+                        data[end - len(record.after):end] = \
+                            bytes(len(record.after))
+            parts.extend(bytes(data) for data in files.values())
+        for record in records[flushed:]:
+            if redact_catalog and record.after and \
+                    record.record_type is LogRecordType.CATALOG:
+                record = replace(record, after=None)
+            parts.append(record.encode())
         return b"".join(parts)
 
     def close(self) -> None:
@@ -685,6 +1068,7 @@ class WriteAheadLog:
 
 
 __all__ = ["WriteAheadLog", "LogRecord", "LogRecordType", "WALStats",
+           "WAL_FORMAT_VERSION",
            "encode_schedule_steps", "decode_schedule_steps",
            "encode_schedule_defers", "decode_schedule_defers",
            "encode_segment_degrade", "decode_segment_degrade",

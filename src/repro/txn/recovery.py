@@ -24,7 +24,7 @@ due while the process was down are overdue (not lost) after a restart.  See
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.errors import RecoveryError
 from ..core.scheduler import DegradationScheduler, LCPResolver, SchedulerSnapshot
@@ -120,6 +120,11 @@ class RecoveryManager:
         self._highest_row_keys: Dict[str, int] = {}
         #: Full forward WAL iterations spent preparing recovery — exactly one.
         self.wal_prep_passes = 0
+        #: Rows the redo pass found degraded to (or past) a logged target
+        #: level, or removed: no accurate image of them may stay in the log.
+        #: Normally none is left; one is when the crash fell between a
+        #: step's page flush and the end of its log scrub.
+        self._settled: Dict[Tuple[str, int], None] = {}
         self._prepare()
 
     # -- preparation (the single forward pass) ---------------------------------
@@ -201,6 +206,9 @@ class RecoveryManager:
         self._reserve_row_keys()
         for store in self.stores.values():
             store.flush()
+        # Only now, with every recovered page durable: finish any scrub the
+        # crash interrupted (a dict miss per row when there is none).
+        self.wal.scrub_records(self._settled)
         report.wal_prep_passes = self.wal_prep_passes
         return report
 
@@ -275,7 +283,10 @@ class RecoveryManager:
             elif record.record_type is LogRecordType.DEGRADE:
                 # Degradation is redone regardless of the surrounding user txn.
                 if store.exists(record.row_key):
-                    report.redone_degrades += self._redo_degrade(store, record)
+                    lagging = self._redo_degrade(store, record)
+                    report.redone_degrades += lagging
+                    if not lagging and record.after is not None:
+                        self._settle(store, record.row_key)
             elif record.record_type is LogRecordType.SEGMENT_DEGRADE:
                 # A columnar wave chunk: like DEGRADE, always redone.  The
                 # record's row-key field is a segment id; the affected heap
@@ -288,6 +299,11 @@ class RecoveryManager:
                 if store.exists(record.row_key):
                     store.replay_remove(record.row_key, now=record.timestamp)
                     report.redone_removes += 1
+                self._settle(store, record.row_key)
+
+    def _settle(self, store: TableStore, row_key: int) -> None:
+        if store.strategy == "rewrite":
+            self._settled[(store.schema.name, row_key)] = None
 
     # -- schedule replay -------------------------------------------------------
 
@@ -424,8 +440,7 @@ class RecoveryManager:
         # report it so tests can assert on the count.
         return 1
 
-    @staticmethod
-    def _redo_segment_degrade(store: TableStore, record: LogRecord) -> int:
+    def _redo_segment_degrade(self, store: TableStore, record: LogRecord) -> int:
         """Per-row lag check for one columnar wave chunk.
 
         Same contract as :meth:`_redo_degrade`, applied to every row key the
@@ -442,6 +457,8 @@ class RecoveryManager:
             row = store.read(row_key)
             if row.levels.get(record.attribute, 0) < to_level:
                 lagging += 1
+            else:
+                self._settle(store, row_key)
         return lagging
 
     def _undo(self, report: RecoveryReport) -> None:

@@ -65,6 +65,49 @@ class TestExecutemanySemantics:
         assert db.row_count("t") == 4
 
 
+class TestInsertSlotBinding:
+    """An INSERT resolves its VALUES slots once; per row it only fills them."""
+
+    SQL = "INSERT INTO t (id, name) VALUES (?, 'fixed'), (7, ?)"
+
+    def test_same_statement_as_the_generic_binder(self, db):
+        from repro.query.parameters import bind_parameters
+        prepared = db.prepare(self.SQL)
+        for params in [(1, "a"), (2, None), (True, "x")]:
+            assert prepared.bind(params) == \
+                bind_parameters(prepared.statement, params)
+        assert prepared.bind((1, "a")).rows == ((1, "fixed"), (7, "a"))
+
+    def test_no_tree_walk_per_row(self, db, monkeypatch):
+        from repro.query import parameters
+        prepared = db.prepare(SQL_INSERT)
+        prepared.bind((0, "warm"))           # resolves the slots
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("executemany walked the AST for a row")
+
+        monkeypatch.setattr(parameters, "_bind_node", no_walk)
+        monkeypatch.setattr(parameters, "insert_slots", no_walk)
+        assert db.executemany(SQL_INSERT, [(i, "x") for i in range(50)]) == 50
+
+    @pytest.mark.parametrize("params, message", [
+        ((1,), "takes 2 parameter(s) but 1 were given"),
+        ((1, "a", 3), "takes 2 parameter(s) but 3 were given"),
+        ("ab", "not a bare string"),
+        ((1, b"raw"), "unsupported parameter type 'bytes'"),
+    ])
+    def test_same_errors_as_the_generic_binder(self, db, params, message):
+        from repro.core.errors import ParameterError
+        from repro.query.parameters import bind_parameters
+        prepared = db.prepare(SQL_INSERT)
+        with pytest.raises(ParameterError) as generic:
+            bind_parameters(prepared.statement, params)
+        with pytest.raises(ParameterError) as fast:
+            prepared.bind(params)
+        assert str(fast.value) == str(generic.value)
+        assert message in str(fast.value)
+
+
 class TestPlanReuse:
     def test_repeated_select_reuses_plan(self, db):
         db.executemany(SQL_INSERT, [(i, "x") for i in range(5)])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro import AttributeLCP, InstantDB
@@ -48,6 +50,16 @@ def location_lcp(location_tree):
 def salary_lcp(salary_scheme):
     return AttributeLCP(salary_scheme, transitions=SALARY_TRANSITIONS,
                         name="salary_lcp")
+
+
+def log_dir_bytes(wal_dir) -> bytes:
+    """Every byte of every file in a log directory, in name (= LSN) order."""
+    wal_dir = str(wal_dir)
+    parts = []
+    for name in sorted(os.listdir(wal_dir)):
+        with open(os.path.join(wal_dir, name), "rb") as handle:
+            parts.append(handle.read())
+    return b"".join(parts)
 
 
 def build_engine(strategy: str = "rewrite", with_salary_policy: bool = True,

@@ -57,9 +57,9 @@ class TestBatchedWave:
     def test_single_scrub_pass_per_batch(self):
         db = build_trace_engine()
         insert_wave(db, 20)
-        rewrites = db.wal.stats.scrub_rewrites
+        passes = db.wal.stats.scrub_passes
         db.advance_time(hours=2)
-        assert db.wal.stats.scrub_rewrites - rewrites == 1
+        assert db.wal.stats.scrub_passes - passes == 1
 
     def test_one_system_txn_per_batch(self):
         db = build_trace_engine()

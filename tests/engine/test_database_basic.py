@@ -214,4 +214,4 @@ class TestEngineConfiguration:
         db.execute("INSERT INTO person (id, location) VALUES (1, '1 Main Street, Paris')")
         db.close()
         assert (tmp_path / "data" / "pages.db").exists()
-        assert (tmp_path / "data" / "wal.log").exists()
+        assert list((tmp_path / "data" / "wal").glob("*.seg"))

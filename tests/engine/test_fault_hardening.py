@@ -1,7 +1,7 @@
 """Engine hardening under injected I/O faults.
 
 A :class:`~repro.faults.FaultPlan` arms the engine's durability seams
-(``wal.flush``, ``wal.rewrite``, ``pager.sync``, ``clock.advance``) and the
+(``wal.flush``, ``wal.scrub``, ``pager.sync``, ``clock.advance``) and the
 engine must honour the degraded-mode contract: a typed
 :class:`DurabilityError`, a clean transaction abort, sticky read-only mode
 that keeps serving reads, and a one-call :meth:`InstantDB.recover` that
@@ -91,7 +91,7 @@ class TestUndoFault:
             db.execute("INSERT INTO t (id, val) VALUES (2, 'doomed')",
                        txn=txn)
             # the rollback's undo (WAL scrub of the logged insert) fails
-            plan.fail_once("wal.rewrite", "enospc")
+            plan.fail_once("wal.scrub", "fsync")
             db.rollback(txn)
             assert db.read_only
             assert "undo failure" in db.read_only_reason

@@ -94,3 +94,28 @@ class TestBaselineComparison:
         wal.append(LogRecordType.INSERT, 1, table="person", row_key=1,
                    after=PARIS.encode())
         assert PARIS.encode() in wal.raw_image()
+
+
+class TestScannerReadsTheLogFromDisk:
+    """Scrubs happen in place in the segment files, so that is what the
+    scanner has to look at — not the records held in memory."""
+
+    def test_image_left_on_disk_is_found_though_memory_is_clean(self, tmp_path):
+        from dataclasses import replace
+        db = build_engine(data_dir=str(tmp_path / "data"))
+        populate(db)
+        # What a scrub that forgot the disk would leave behind.
+        db.wal._records[:] = [replace(record, before=None, after=None)
+                              if record.table == "person" else record
+                              for record in db.wal]
+        assert all(record.after is None for record in db.wal
+                   if record.table == "person")
+        report = scan_engine(db, [PARIS], table="person")
+        assert report.findings_in("wal")
+
+    def test_clean_after_the_real_scrub(self, tmp_path):
+        db = build_engine(data_dir=str(tmp_path / "data"))
+        populate(db)
+        db.advance_time(hours=2)           # first step: city level, log scrubbed
+        assert scan_engine(db, [PARIS, LYON]).clean
+        assert scan_engine(db, [PARIS, LYON], table="person").clean

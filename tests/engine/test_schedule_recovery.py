@@ -8,6 +8,8 @@ directory, run :meth:`InstantDB.recover`, and assert that every overdue step
 fires **exactly once**: no step is lost, no tuple is degraded twice.
 """
 
+import os
+
 import pytest
 
 from repro import AttributeLCP, InstantDB
@@ -173,13 +175,13 @@ class TestCleanShutdownSnapshot:
         db.checkpoint(truncate_wal=True)      # intact snapshot run + marker
         db.advance_time(hours=2)
         db.checkpoint()                       # second snapshot run + marker
-        # Simulate the torn tail: the second marker (the last record) never
-        # reached the disk, exactly what WriteAheadLog._load chops.
-        records = db.wal.records()
-        assert records[-1].record_type.name == "CHECKPOINT"
-        db.wal._records = records[:-1]
-        db.wal._rewrite_file()
+        # Simulate the torn tail: the second marker (the last record) only
+        # half reached the disk, exactly what WriteAheadLog._load chops.
+        assert db.wal.records()[-1].record_type.name == "CHECKPOINT"
         crash(db)
+        wal_dir = tmp_path / "wal"
+        last_segment = sorted(wal_dir.glob("*.seg"))[-1]
+        os.truncate(last_segment, last_segment.stat().st_size - 3)
 
         db2 = build_trace_db(tmp_path)
         report = db2.recover()

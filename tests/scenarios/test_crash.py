@@ -8,6 +8,11 @@ wave, so together the sweep samples kill points across the *whole* WAL
 rather than a fixed handful near the start.  ``REPRO_CRASH_SWEEP`` widens
 the sweep (default 3 strata) for soak runs.
 
+A second sweep kills the victim *inside* one of the wave's log scrubs — after
+the scrub marks are written, between two image zeroings, before the final
+fsync, and before the SCRUB audit record — where a half-scrubbed segment must
+recover to "scrubbed", never to "accurate".
+
 The victim's directory is reopened **cold** with one-call recovery — the
 catalog comes back from its WAL CATALOG record, no DDL re-run — and must
 (a) satisfy the retention invariant, (b) leak nothing forensically, and
@@ -72,9 +77,102 @@ def crash(db: InstantDB) -> None:
     db.daemon.pause()
 
 
+#: Kill points inside one zeroing pass of ``WriteAheadLog._zero_images``.
+SCRUB_KILL_POINTS = ("after_marks", "mid_zeroing", "before_fsync",
+                     "before_scrub_append")
+
+
+def count_zeroing_passes(db: InstantDB):
+    """Count the log's zeroing passes from now on; ``(counter, restore)``."""
+    original = db.wal._zero_images
+    state = {"count": 0}
+
+    def counting():
+        state["count"] += 1
+        return original()
+
+    db.wal._zero_images = counting
+    return state, lambda: setattr(db.wal, "_zero_images", original)
+
+
+def arm_scrub_crash(db: InstantDB, point: str, nth_pass: int) -> None:
+    """Kill the process at ``point`` of the ``nth_pass``-th zeroing pass."""
+    zero_images, append = db.wal._zero_images, db.wal.append
+    state = {"passes": 0, "fsyncs": 0, "zeroes": 0, "armed": False}
+    real_pwrite, real_fsync = os.pwrite, os.fsync
+
+    def pwrite(fd, data, offset):
+        if len(data) > 1 and not any(data):
+            state["zeroes"] += 1
+            if point == "mid_zeroing" and state["zeroes"] == 2:
+                raise KeyboardInterrupt
+        return real_pwrite(fd, data, offset)
+
+    def fsync(fd):
+        state["fsyncs"] += 1
+        # (A pass with a single image has no "between two zeroings": that
+        # kill then falls at the final fsync too.)
+        if (point, state["fsyncs"]) in (("after_marks", 1), ("mid_zeroing", 2),
+                                        ("before_fsync", 2)):
+            raise KeyboardInterrupt
+        return real_fsync(fd)
+
+    def killing_pass():
+        state["passes"] += 1
+        if state["passes"] != nth_pass:
+            return zero_images()
+        os.pwrite, os.fsync = pwrite, fsync
+        try:
+            zero_images()
+        finally:
+            os.pwrite, os.fsync = real_pwrite, real_fsync
+        state["armed"] = point == "before_scrub_append"
+
+    def killing_append(record_type, *args, **kwargs):
+        if state["armed"] and record_type.name == "SCRUB":
+            raise KeyboardInterrupt
+        return append(record_type, *args, **kwargs)
+
+    db.wal._zero_images = killing_pass
+    db.wal.append = killing_append
+
+
 @pytest.mark.parametrize("stratum", range(SWEEP))
 def test_mid_wave_crash_recovers_to_twin_equivalence(tmp_path, stratum):
     kill_seed = BASE_SEED + 101 * stratum
+
+    def arm(victim, twin_counts):
+        wave_appends = twin_counts["appends"]
+        assert wave_appends > 0
+        # The kill offset is drawn from this stratum's slice of [0, appends)
+        # — the sweep as a whole covers the entire wave, not just its first
+        # few records.
+        lo = wave_appends * stratum // SWEEP
+        hi = max(lo + 1, wave_appends * (stratum + 1) // SWEEP)
+        kill_after = random.Random(kill_seed).randrange(lo, hi)
+        arm_crash(victim, kill_after)
+        return f"kill_after={kill_after}/{wave_appends}"
+
+    run_crash_case(tmp_path, kill_seed, arm)
+
+
+@pytest.mark.parametrize("point", SCRUB_KILL_POINTS)
+def test_crash_inside_a_scrub_recovers_to_twin_equivalence(tmp_path, point):
+    kill_seed = BASE_SEED + 7 * SCRUB_KILL_POINTS.index(point)
+
+    def arm(victim, twin_counts):
+        passes = twin_counts["zeroing_passes"]
+        assert passes > 0
+        nth_pass = random.Random(kill_seed).randrange(1, passes + 1)
+        arm_scrub_crash(victim, point, nth_pass)
+        return f"point={point} pass={nth_pass}/{passes}"
+
+    run_crash_case(tmp_path, kill_seed, arm)
+
+
+def run_crash_case(tmp_path, kill_seed, arm):
+    """Load twins, run the killer wave on the twin, kill the victim where
+    ``arm(victim engine, twin's wave counts)`` says, recover, compare."""
     scenario = InclusionScenario(SCALE)
     generator = InclusionGenerator(scenario, seed=kill_seed)
     salaries = generator.sensitive_salaries()
@@ -97,19 +195,15 @@ def test_mid_wave_crash_recovers_to_twin_equivalence(tmp_path, stratum):
 
     # The killer wave: 10 days due at once.  The twin runs it first, counting
     # its WAL appends; the engines are deterministic over identical state, so
-    # the victim's wave costs the same number.  The kill offset is then drawn
-    # from this stratum's slice of [0, appends) — the sweep as a whole covers
-    # the entire wave, not just its first few records.
-    counter, restore = count_appends(twin.engine)
+    # the victim's wave costs the same number (and as many zeroing passes).
+    appends, restore_appends = count_appends(twin.engine)
+    passes, restore_passes = count_zeroing_passes(twin.engine)
     twin.advance(10 * DAY)
-    restore()
-    wave_appends = counter["count"]
-    assert wave_appends > 0
-    lo = wave_appends * stratum // SWEEP
-    hi = max(lo + 1, wave_appends * (stratum + 1) // SWEEP)
-    kill_after = random.Random(kill_seed).randrange(lo, hi)
+    restore_appends()
+    restore_passes()
 
-    arm_crash(victim.engine, kill_after)
+    kill = arm(victim.engine, {"appends": appends["count"],
+                               "zeroing_passes": passes["count"]})
     with pytest.raises(KeyboardInterrupt):
         victim.advance(10 * DAY)
     crash(victim.engine)
@@ -119,8 +213,8 @@ def test_mid_wave_crash_recovers_to_twin_equivalence(tmp_path, stratum):
     # the overdue schedule.
     recovered = InstantDB(data_dir=str(tmp_path / "victim"))
     report = recovered.recover(drain=True)
-    assert report.registrations > 0, \
-        f"kill_seed={kill_seed} kill_after={kill_after}/{wave_appends}"
+    context = f"kill_seed={kill_seed} {kill}"
+    assert report.registrations > 0, context
     assert recovered.catalog.tables(), "catalog did not survive the crash"
 
     # Clock skew between the twins is possible (the victim may have died
@@ -132,7 +226,6 @@ def test_mid_wave_crash_recovers_to_twin_equivalence(tmp_path, stratum):
     elif twin_now < recovered_now:
         twin.advance(recovered_now - twin_now)
 
-    context = f"kill_seed={kill_seed} kill_after={kill_after}/{wave_appends}"
     try:
         # (a) retention invariant holds on the recovered engine
         violations = check_engine(recovered)

@@ -153,17 +153,17 @@ class TestServerSideFaults:
     def test_teardown_rollback_hitting_bad_device_degrades_not_crashes(
             self, tmp_path):
         plan = FaultPlan(seed=4)
-        # a data_dir matters here: the undo's WAL scrub is a *file* rewrite
+        # a data_dir matters here: the undo's WAL scrub zeroes bytes on disk
         engine = InstantDB(data_dir=str(tmp_path / "db"), fault_plan=plan)
         server = serve(engine, fault_plan=plan)
         try:
             conn = connect(*server.address, retries=0)
             conn.execute("INSERT INTO t (id, val) VALUES (1, 'a')")
             # flush the WAL so the uncommitted insert's record is on disk:
-            # the teardown rollback must now *scrub* it (a file rewrite),
-            # and that rewrite hits the failing device
+            # the teardown rollback must now *scrub* it (zero its image in
+            # the segment file), and that write hits the failing device
             server.submit(engine.wal.flush)
-            plan.fail_once("wal.rewrite", "enospc")
+            plan.fail_once("wal.scrub", "torn_write")
             conn._sock.close()  # abrupt disconnect, no GOODBYE
             # the abort completes its bookkeeping (locks released, session
             # gone) and the engine degrades to read-only instead of wedging

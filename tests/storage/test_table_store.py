@@ -177,9 +177,9 @@ class TestBulkDegradation:
     def test_degrade_many_single_scrub_pass(self):
         store = make_store("rewrite")
         keys = [store.insert({**ROW, "id": i}, now=0.0) for i in range(1, 11)]
-        rewrites = store.wal.stats.scrub_rewrites
+        passes = store.wal.stats.scrub_passes
         store.degrade_many([(k, "location", LOCATION, 1) for k in keys], now=1.0)
-        assert store.wal.stats.scrub_rewrites == rewrites + 1
+        assert store.wal.stats.scrub_passes == passes + 1
         assert b"Main Street" not in store.wal.raw_image()
 
     def test_degrade_many_flushes_each_page_once(self):
@@ -211,12 +211,12 @@ class TestBulkDegradation:
     def test_remove_many_bulk(self):
         store = make_store("rewrite")
         keys = [store.insert({**ROW, "id": i}, now=0.0) for i in range(1, 6)]
-        rewrites = store.wal.stats.scrub_rewrites
+        passes = store.wal.stats.scrub_passes
         assert store.remove_many(keys + [999], now=1.0) == 5
         assert store.row_count == 0
         assert store.stats.removals == 5
         # One scrub pass for the whole batch.
-        assert store.wal.stats.scrub_rewrites == rewrites + 1
+        assert store.wal.stats.scrub_passes == passes + 1
         assert b"alice" not in store.wal.raw_image()
 
 
