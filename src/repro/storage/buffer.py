@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, Optional
 
 from ..core.errors import StorageError
+from ..devtools import invariants
 from .page import SlottedPage
 from .pager import Pager
 
@@ -87,9 +88,14 @@ class BufferPool:
     def _evict_one(self) -> None:
         victim_id, victim = self._frames.popitem(last=False)
         if self._dirty.pop(victim_id, False):
-            self.pager.write_page(victim_id, victim)
-            self.stats.flushes += 1
+            self._write_back(victim_id, victim)
         self.stats.evictions += 1
+
+    def _write_back(self, page_id: int, page: SlottedPage) -> None:
+        if invariants.enabled():
+            page.check()    # page hygiene (docs/invariants.md)
+        self.pager.write_page(page_id, page)
+        self.stats.flushes += 1
 
     # -- flushing ----------------------------------------------------------------
 
@@ -102,9 +108,8 @@ class BufferPool:
         alone only reaches the pager's buffers.
         """
         if page_id in self._frames and self._dirty.get(page_id, False):
-            self.pager.write_page(page_id, self._frames[page_id])
+            self._write_back(page_id, self._frames[page_id])
             self._dirty[page_id] = False
-            self.stats.flushes += 1
         if sync:
             self.pager.sync()
 

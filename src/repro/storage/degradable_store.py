@@ -121,10 +121,12 @@ class TableStore:
             "if" + "i" * len(self._degradable))
         self._field_count = 2 + len(self._degradable) + len(schema.columns)
         self._locations: Dict[int, RecordId] = {}
-        #: Pages a relocating rewrite moved a record *out of*.  The old image
-        #: is zeroed in the buffer pool only; until such a page is flushed the
-        #: disk still holds it, so everything that scrubs the log afterwards
-        #: flushes these first (:meth:`_flush_pages`).
+        #: Pages a relocating rewrite moved a record *out of* — the rare case
+        #: of a page full in total; a page with scattered room compacts in
+        #: place and vacates nothing.  The old image is zeroed in the buffer
+        #: pool only; until such a page is flushed the disk still holds it, so
+        #: everything that scrubs the log afterwards flushes these first
+        #: (:meth:`_flush_pages`).
         self._vacated_pages: set = set()
         self._next_row_key = 1
         #: Bumped whenever a stored record is rewritten or erased, so a lazy

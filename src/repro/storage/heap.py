@@ -1,19 +1,35 @@
 """Heap files: unordered record storage on top of the buffer pool.
 
 Records are addressed by :class:`RecordId` — ``(page_id, slot)``.  The heap
-keeps record ids stable across in-place updates; when an update outgrows its
-page the heap transparently *relocates* the record and reports the new id so
-callers (indexes, the degradation scheduler) can fix their references.
+keeps record ids stable across updates as long as the page has room *in
+total* (a page compacts itself around a grown record, see
+:mod:`~repro.storage.page`); only when the page is full does the heap
+*relocate* the record and report the new id so the table store can fix its
+row → record map.
+
+Space is reused, not just zeroed.  The heap keeps a **free-space map**: for
+every page the largest record it still accepts (:meth:`SlottedPage.free_space`
+— gap plus holes), exact because every page mutation goes through this class,
+filed in :data:`SIZE_CLASSES` size classes.  An insert goes to the tail page
+while that has room (a bulk load only ever appends), else to a page of the
+roomiest non-empty class (one compaction there serves many inserts), else to a
+freshly allocated page — it touches no page it does not write.  The map is
+derived state: nothing of it is persisted, :meth:`HeapFile.adopt_pages`
+rebuilds it from the slot directories it reads anyway.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..core.errors import PageFullError, RecordNotFoundError, StorageError
+from ..core.errors import StorageError
 from .buffer import BufferPool
 from .page import SlottedPage
+
+#: Size classes of the free-space map: class ``c`` holds the pages whose free
+#: space is in ``[c, c + 1) × page_size / SIZE_CLASSES``.
+SIZE_CLASSES = 16
 
 
 @dataclass(frozen=True, order=True)
@@ -39,32 +55,75 @@ class HeapFile:
         self.on_allocate = on_allocate
         self._page_ids: List[int] = []
         self._record_count = 0
+        #: The free-space map: page id → ``free_space()`` of that page, and
+        #: per size class the set of its pages as a bitset over page ids — add,
+        #: remove and lowest member are single integer operations, and the
+        #: lowest member depends on the set's contents alone, so a reopened
+        #: heap picks the same page as one that never closed.
+        self._free: Dict[int, int] = {}
+        self._classes: List[int] = [0] * SIZE_CLASSES
+
+    # -- free-space map ------------------------------------------------------------
+
+    def _size_class(self, free: int) -> int:
+        return free * SIZE_CLASSES // self.buffer_pool.pager.page_size
+
+    def _file(self, page_id: int, page: SlottedPage) -> None:
+        """Record ``page``'s free space in the map (after every mutation)."""
+        free = page.free_space()
+        old = self._free.get(page_id)
+        if free == old:
+            return
+        self._free[page_id] = free
+        size_class = self._size_class(free)
+        if old is not None:
+            old_class = self._size_class(old)
+            if old_class == size_class:
+                return
+            self._classes[old_class] &= ~(1 << page_id)
+        self._classes[size_class] |= 1 << page_id
+
+    def _changed(self, page_id: int, page: SlottedPage) -> None:
+        self.buffer_pool.mark_dirty(page_id)
+        self._file(page_id, page)
+
+    def _roomiest(self) -> Optional[int]:
+        """The lowest page of the roomiest non-empty size class."""
+        for members in reversed(self._classes):
+            if members:
+                return (members & -members).bit_length() - 1
+        return None
 
     # -- insert ------------------------------------------------------------------
 
     def insert(self, payload: bytes) -> RecordId:
-        """Insert ``payload`` into the first page with room, allocating if needed."""
+        """Insert ``payload``: into the tail page if it has room, else into a
+        page of the roomiest size class, else into a newly allocated page."""
+        length = len(payload)
         max_payload = self.buffer_pool.pager.page_size - 64
-        if len(payload) > max_payload:
+        if length > max_payload:
             raise StorageError(
-                f"record of {len(payload)} bytes exceeds page capacity ({max_payload})"
+                f"record of {length} bytes exceeds page capacity ({max_payload})"
             )
-        for page_id in reversed(self._page_ids):
-            page = self.buffer_pool.get_page(page_id)
-            if page.can_fit(len(payload)):
-                slot = page.insert(payload)
-                self.buffer_pool.mark_dirty(page_id)
-                self._record_count += 1
-                return RecordId(page_id, slot)
-        page_id = self.buffer_pool.new_page()
-        self._page_ids.append(page_id)
-        if self.on_allocate is not None:
-            self.on_allocate(page_id)
+        page_id = self._page_ids[-1] if self._page_ids else None
+        if page_id is None or self._free[page_id] < length:
+            page_id = self._roomiest()
+            if page_id is None or self._free[page_id] < length:
+                page_id = self._allocate()
         page = self.buffer_pool.get_page(page_id)
         slot = page.insert(payload)
-        self.buffer_pool.mark_dirty(page_id)
+        self._changed(page_id, page)
         self._record_count += 1
         return RecordId(page_id, slot)
+
+    def _allocate(self) -> int:
+        """A fresh page; its ownership is logged before the heap uses it."""
+        page_id = self.buffer_pool.new_page()
+        if self.on_allocate is not None:
+            self.on_allocate(page_id)
+        self._page_ids.append(page_id)
+        self._file(page_id, self.buffer_pool.get_page(page_id))
+        return page_id
 
     # -- read --------------------------------------------------------------------
 
@@ -92,25 +151,26 @@ class HeapFile:
     # -- update / delete -----------------------------------------------------------
 
     def update(self, record_id: RecordId, payload: bytes) -> RecordId:
-        """Update a record in place when possible, relocating it otherwise.
+        """Update a record where it is, relocating it only off a full page.
 
-        Returns the (possibly new) record id.  The old location is securely
-        scrubbed on relocation.
+        Returns the (possibly new) record id.  A relocation places the new
+        image first — if that fails (page allocation can raise) the record is
+        still whole at its old id — and only then securely scrubs the old one.
         """
         page = self.buffer_pool.get_page(record_id.page_id)
         if page.update(record_id.slot, payload):
-            self.buffer_pool.mark_dirty(record_id.page_id)
+            self._changed(record_id.page_id, page)
             return record_id
-        # Relocation: delete (which zeroes the old payload) then insert afresh.
-        page.delete(record_id.slot)
-        self.buffer_pool.mark_dirty(record_id.page_id)
-        self._record_count -= 1
-        return self.insert(payload)
+        # Never lands on the page it leaves: what does not fit there on top
+        # of the old image does not fit beside it either.
+        new_id = self.insert(payload)
+        self.delete(record_id)
+        return new_id
 
     def delete(self, record_id: RecordId) -> None:
         page = self.buffer_pool.get_page(record_id.page_id)
         page.delete(record_id.slot)
-        self.buffer_pool.mark_dirty(record_id.page_id)
+        self._changed(record_id.page_id, page)
         self._record_count -= 1
 
     # -- scans ----------------------------------------------------------------------
@@ -135,8 +195,8 @@ class HeapFile:
         ids the WAL proves were allocated to this table (checkpoint directory
         plus PAGE_ALLOC tail).  Ids unknown to the pager are skipped — their
         allocation never became durable, so no data can live there.  The live
-        record count is rebuilt from the adopted pages.  Returns the number of
-        pages adopted.
+        record count and the free-space map are rebuilt from the adopted
+        pages' slot directories.  Returns the number of pages adopted.
         """
         known = set(self._page_ids)
         adopted = 0
@@ -150,9 +210,10 @@ class HeapFile:
             self._page_ids.append(page_id)
             known.add(page_id)
             adopted += 1
-            # Count the adopted page's records in the same read that
-            # validated it; already-known pages are already counted.
-            self._record_count += len(page.live_slots())
+            # Count the adopted page's records and room in the same read
+            # that validated it; already-known pages are already counted.
+            self._record_count += page.live_count
+            self._file(page_id, page)
         return adopted
 
     def compact(self) -> None:
@@ -160,7 +221,24 @@ class HeapFile:
         for page_id in self._page_ids:
             page = self.buffer_pool.get_page(page_id)
             page.compact()
-            self.buffer_pool.mark_dirty(page_id)
+            self._changed(page_id, page)
+
+    def check(self) -> None:
+        """Raise :class:`StorageError` unless every page passes
+        :meth:`SlottedPage.check` and the free-space map and the record count
+        equal a recount from the pages."""
+        free: Dict[int, int] = {}
+        classes = [0] * SIZE_CLASSES
+        records = 0
+        for page_id in self._page_ids:
+            page = self.buffer_pool.get_page(page_id)
+            page.check()
+            free[page_id] = page.free_space()
+            classes[self._size_class(free[page_id])] |= 1 << page_id
+            records += len(page.live_slots())
+        if (free, classes, records) != (self._free, self._classes, self._record_count):
+            raise StorageError(f"heap {self.name!r}: free-space map or record "
+                               "count out of step with the pages")
 
     def flush(self) -> None:
         self.buffer_pool.flush_all()

@@ -12,12 +12,23 @@ deleted or shrunk, the freed bytes are physically overwritten with zeros so
 that no accurate value survives in the free space of a page — one of the
 "unintended retention" channels identified by the paper (citing Stahlberg et
 al., SIGMOD'07).
+
+Zeroed bytes are not lost bytes.  A page's room is everything that is neither
+header, slot directory nor live payload — the contiguous gap *plus* the holes
+deletes and shrinking updates left — and :meth:`SlottedPage.insert` and a
+growing :meth:`SlottedPage.update` get at the holes by compacting the page in
+place when the gap alone is too small: slot numbers stay, trailing dead slots
+leave the directory, the payload area is zeroed before the live records are
+put back.  Dead slots are reused before the directory grows.  None of this is
+in the page image: the live-byte count and the dead-slot list are attributes
+of the in-memory page, counted from the directory when first needed.
 """
 
 from __future__ import annotations
 
+import heapq
 import struct
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from ..core.errors import PageFullError, RecordNotFoundError, StorageError
 
@@ -36,6 +47,11 @@ class SlottedPage:
             raise StorageError("page size must be at least 64 bytes")
         self.page_size = page_size
         self.secure = secure
+        #: Live payload bytes and the dead slots (a min-heap: the lowest is
+        #: reused first).  ``None`` until :meth:`_account` counts them from the
+        #: slot directory; insert/update/delete keep them current afterwards.
+        self._live: Optional[int] = 0 if data is None else None
+        self._dead: List[int] = []
         if data is None:
             self._buffer = bytearray(page_size)
             self._set_header(0, page_size)
@@ -58,13 +74,8 @@ class SlottedPage:
     def slot_count(self) -> int:
         return self._get_header()[0]
 
-    @property
-    def _free_offset(self) -> int:
-        return self._get_header()[1]
-
-    def _slot_directory_end(self, slot_count: Optional[int] = None) -> int:
-        if slot_count is None:
-            slot_count = self.slot_count
+    @staticmethod
+    def _slot_directory_end(slot_count: int) -> int:
         return _HEADER.size + slot_count * _SLOT.size
 
     def _get_slot(self, slot: int) -> Tuple[int, int]:
@@ -75,20 +86,56 @@ class SlottedPage:
     def _set_slot(self, slot: int, offset: int, length: int) -> None:
         _SLOT.pack_into(self._buffer, _HEADER.size + slot * _SLOT.size, offset, length)
 
+    def _directory(self) -> Iterator[Tuple[int, int]]:
+        """The ``(offset, length)`` entry of every slot, in slot order."""
+        return _SLOT.iter_unpack(
+            self._buffer[_HEADER.size:self._slot_directory_end(self.slot_count)])
+
     # -- capacity --------------------------------------------------------------
 
+    def _account(self) -> None:
+        """Count the live payload bytes and the dead slots from the slot
+        directory — done once, for a page that was read from its image."""
+        if self._live is not None:
+            return
+        live = 0
+        dead: List[int] = []
+        for slot, (offset, length) in enumerate(self._directory()):
+            if offset:
+                live += length
+            else:
+                dead.append(slot)
+        self._live, self._dead = live, dead     # ascending is heap order
+
+    def _room(self) -> int:
+        """Bytes that are neither header, slot directory nor live payload:
+        the contiguous gap plus the zeroed holes compaction brings back."""
+        self._account()
+        return self.page_size - self._slot_directory_end(self.slot_count) - self._live
+
     def free_space(self) -> int:
-        """Bytes available for a new record including its new slot entry."""
-        contiguous = self._free_offset - self._slot_directory_end()
-        return max(0, contiguous - _SLOT.size)
+        """The largest record :meth:`insert` accepts — :meth:`_room`, less the
+        directory entry of a new slot when there is no dead slot to reuse."""
+        room = self._room()
+        return max(0, room if self._dead else room - _SLOT.size)
 
     def can_fit(self, payload_length: int) -> bool:
         return payload_length <= self.free_space()
 
+    @property
+    def live_count(self) -> int:
+        self._account()
+        return self.slot_count - len(self._dead)
+
     # -- record operations -------------------------------------------------------
 
     def insert(self, payload: bytes) -> int:
-        """Insert ``payload`` and return its slot number."""
+        """Insert ``payload`` and return its slot number.
+
+        The lowest dead slot is reused before the directory grows, and a page
+        whose contiguous gap is too small is compacted first (:meth:`compact`)
+        — :class:`PageFullError` means full in total, holes included.
+        """
         if not payload:
             raise StorageError("cannot store an empty record")
         length = len(payload)
@@ -97,11 +144,21 @@ class SlottedPage:
                 f"record of {length} bytes does not fit (free={self.free_space()})"
             )
         slot_count, free_offset = self._get_header()
+        entry = 0 if self._dead else _SLOT.size
+        if length + entry > free_offset - self._slot_directory_end(slot_count):
+            self._repack()      # may trim every dead slot: look again
+            slot_count, free_offset = self._get_header()
+        if self._dead:
+            slot = heapq.heappop(self._dead)
+        else:
+            slot = slot_count
+            slot_count += 1
         new_offset = free_offset - length
         self._buffer[new_offset:free_offset] = payload
-        self._set_header(slot_count + 1, new_offset)
-        self._set_slot(slot_count, new_offset, length)
-        return slot_count
+        self._set_header(slot_count, new_offset)
+        self._set_slot(slot, new_offset, length)
+        self._live += length
+        return slot
 
     def spans(self, slots: Iterable[int]) -> Tuple[bytearray, List[Tuple[int, int]]]:
         """The page buffer and the ``(start, end)`` byte span of each of ``slots``.
@@ -139,45 +196,52 @@ class SlottedPage:
         offset, length = self._get_slot(slot)
         if offset == 0:
             raise RecordNotFoundError(f"slot {slot} is already deleted")
+        self._account()
         if self.secure:
-            self._buffer[offset:offset + length] = b"\x00" * length
+            self._buffer[offset:offset + length] = bytes(length)
         self._set_slot(slot, 0, 0)
+        self._live -= length
+        heapq.heappush(self._dead, slot)
 
     def update(self, slot: int, payload: bytes) -> bool:
-        """Update the record in ``slot`` in place.
+        """Update the record in ``slot``; its slot number never changes.
 
-        Returns ``True`` on success.  When the new payload is larger than the
-        old one and no contiguous free space exists, the caller must fall back
-        to delete + re-insert elsewhere (the method returns ``False`` after
-        securely deleting nothing).
+        A payload no longer than the old one is written over it (secure pages
+        zero the tail).  A longer one goes into the contiguous gap, or — when
+        the gap is too small but gap plus holes are not — the page is
+        compacted around it (:meth:`compact`).  Returns ``False``, the page
+        untouched, only when the page is full in total: the caller must then
+        move the record to another page.
         """
         offset, length = self._get_slot(slot)
         if offset == 0:
             raise RecordNotFoundError(f"slot {slot} is deleted")
         new_length = len(payload)
+        self._account()
         if new_length <= length:
             self._buffer[offset:offset + new_length] = payload
             if self.secure and new_length < length:
-                self._buffer[offset + new_length:offset + length] = b"\x00" * (length - new_length)
+                self._buffer[offset + new_length:offset + length] = bytes(length - new_length)
             self._set_slot(slot, offset, new_length)
-            return True
-        # Try to place the larger payload in fresh free space on the same page.
-        slot_count, free_offset = self._get_header()
-        contiguous = free_offset - self._slot_directory_end(slot_count)
-        if new_length <= contiguous:
-            new_offset = free_offset - new_length
-            self._buffer[new_offset:free_offset] = payload
-            self._set_header(slot_count, new_offset)
-            if self.secure:
-                self._buffer[offset:offset + length] = b"\x00" * length
-            self._set_slot(slot, new_offset, new_length)
-            return True
-        return False
+        else:
+            slot_count, free_offset = self._get_header()
+            if new_length <= free_offset - self._slot_directory_end(slot_count):
+                new_offset = free_offset - new_length
+                self._buffer[new_offset:free_offset] = payload
+                self._set_header(slot_count, new_offset)
+                if self.secure:
+                    self._buffer[offset:offset + length] = bytes(length)
+                self._set_slot(slot, new_offset, new_length)
+            elif new_length - length <= self._room():
+                self._repack(slot, payload)
+            else:
+                return False
+        self._live += new_length - length
+        return True
 
     def live_slots(self) -> List[int]:
-        directory = self._buffer[_HEADER.size:self._slot_directory_end()]
-        return [slot for slot, (offset, _length)
-                in enumerate(_SLOT.iter_unpack(directory)) if offset != 0]
+        return [slot for slot, (offset, _length) in enumerate(self._directory())
+                if offset != 0]
 
     def records(self) -> List[Tuple[int, bytes]]:
         slots = self.live_slots()
@@ -187,24 +251,81 @@ class SlottedPage:
 
     # -- maintenance ----------------------------------------------------------
 
+    def _repack(self, replaced: Optional[int] = None, payload: bytes = b"") -> None:
+        """Secure in-page compaction: lift the live records out, zero the
+        whole payload area, put them back end to end at the back of the page
+        — ``replaced``'s as ``payload`` — and rewrite the directory in one go.
+        Slot numbers are kept (record ids stay valid); dead slots behind the
+        last live one leave the directory.
+        """
+        self._account()
+        buffer = self._buffer
+        entries = list(self._directory())
+        while entries and entries[-1][0] == 0:
+            entries.pop()
+        packed_length = self._live
+        if replaced is not None:
+            packed_length += len(payload) - entries[replaced][1]
+        offset = free_offset = self.page_size - packed_length
+        directory: List[int] = []
+        images = []
+        for slot, (start, length) in enumerate(entries):
+            if start:
+                image = payload if slot == replaced else buffer[start:start + length]
+                images.append(image)
+                directory += (offset, len(image))
+                offset += len(image)
+            else:
+                directory += (0, 0)
+        area = self._slot_directory_end(len(entries))
+        buffer[area:] = bytes(free_offset - area) + b"".join(images)
+        struct.pack_into(f"<{len(directory)}H", buffer, _HEADER.size, *directory)
+        self._set_header(len(entries), free_offset)
+        self._dead = [slot for slot, (start, _length) in enumerate(entries) if not start]
+
     def compact(self) -> int:
         """Compact live records to the end of the page, zeroing reclaimed space.
 
         Returns the number of free bytes after compaction.  Slot numbers are
-        preserved (record ids stay valid).
+        preserved (record ids stay valid).  :meth:`insert` and :meth:`update`
+        do this themselves when they need the holes.
         """
-        live = self.records()
-        free_offset = self.page_size
-        payload_area_start = self._slot_directory_end()
-        self._buffer[payload_area_start:self.page_size] = (
-            b"\x00" * (self.page_size - payload_area_start)
-        )
-        for slot, payload in live:
-            free_offset -= len(payload)
-            self._buffer[free_offset:free_offset + len(payload)] = payload
-            self._set_slot(slot, free_offset, len(payload))
-        self._set_header(self.slot_count, free_offset)
+        self._repack()
         return self.free_space()
+
+    def check(self) -> None:
+        """Raise :class:`StorageError` unless the page is well formed and
+        *hygienic* (``docs/invariants.md``): the directory ends below the free
+        frontier, live records lie behind it without overlapping, the counted
+        live bytes and dead slots match the directory, and — on a secure page
+        — every byte outside header, slot directory and live records is zero.
+        """
+        slot_count, free_offset = self._get_header()
+        cursor = self._slot_directory_end(slot_count)
+        if not cursor <= free_offset <= self.page_size:
+            raise StorageError(f"free frontier {free_offset} outside the payload area")
+        dead: List[int] = []
+        spans: List[Tuple[int, int]] = []
+        for slot, (offset, length) in enumerate(self._directory()):
+            if (offset == 0) != (length == 0):
+                raise StorageError(f"slot {slot} has an offset xor a length")
+            if offset:
+                spans.append((offset, length))
+            else:
+                dead.append(slot)
+        spans.sort()
+        if self._live is not None and (
+                self._live != sum(length for _offset, length in spans)
+                or sorted(self._dead) != dead):
+            raise StorageError("live-byte count or dead-slot list out of step "
+                               "with the slot directory")
+        for offset, length in (*spans, (self.page_size, 0)):
+            if offset < cursor or offset < free_offset:
+                raise StorageError(f"record at {offset} overlaps its neighbour "
+                                   "or the free space")
+            if self.secure and any(self._buffer[cursor:offset]):
+                raise StorageError(f"stale bytes in the free space before {offset}")
+            cursor = offset + length
 
     def to_bytes(self) -> bytes:
         return bytes(self._buffer)

@@ -236,3 +236,19 @@ class TestServedEngineConfinement:
         result = engine.execute("SELECT id FROM person")
         assert result.rows == []
         assert invariants.violations == []
+
+
+class TestPageHygiene:
+    def test_unhygienic_page_is_refused_at_write_back(self):
+        from repro.core.errors import StorageError
+        from repro.storage.buffer import BufferPool
+        from repro.storage.heap import HeapFile
+        from repro.storage.pager import MemoryPager
+
+        heap = HeapFile(BufferPool(MemoryPager(page_size=512), capacity=4))
+        rid = heap.insert(b"record")
+        heap.flush()                                    # a hygienic page passes
+        heap.update(rid, b"r")
+        heap.buffer_pool.get_page(rid.page_id)._buffer[200] = 9     # a stale byte
+        with pytest.raises(StorageError, match="stale bytes"):
+            heap.flush()

@@ -1,5 +1,7 @@
 """Tests for heap files."""
 
+import random
+
 import pytest
 
 from repro.core.errors import RecordNotFoundError, StorageError
@@ -85,3 +87,129 @@ class TestHeapFile:
         heap.flush()
         pager = heap.buffer_pool.pager
         assert pager.read_page(rid.page_id).read(rid.slot) == b"durable"
+
+    def test_failed_relocation_leaves_the_record_where_it_was(self):
+        """Relocation places the new image before it zeroes the old one: page
+        allocation raising (a full disk, a failing PAGE_ALLOC append) must not
+        cost the record."""
+        def refuse(page_id):
+            if armed:
+                raise StorageError("no page for you")
+
+        armed = []
+        heap = HeapFile(BufferPool(MemoryPager(page_size=512), capacity=8),
+                        on_allocate=refuse)
+        rid = heap.insert(b"a" * 200)
+        heap.insert(b"b" * 200)                  # the page is full in total
+        armed.append(True)
+        with pytest.raises(StorageError, match="no page for you"):
+            heap.update(rid, b"c" * 320)
+        assert heap.read(rid) == b"a" * 200
+        assert (heap.record_count, heap.page_count) == (2, 1)
+        heap.check()
+        armed.clear()
+        new_rid = heap.update(rid, b"c" * 320)
+        assert new_rid.page_id != rid.page_id and not heap.exists(rid)
+        assert heap.read(new_rid) == b"c" * 320
+        assert heap.record_count == 2
+        heap.check()
+
+
+class TestFreeSpaceMap:
+    def test_inserts_reuse_emptied_pages(self, heap):
+        rids = [heap.insert(b"x" * 100) for _ in range(20)]
+        pages = heap.page_count
+        for rid in rids:
+            heap.delete(rid)
+        again = [heap.insert(b"y" * 100) for _ in range(20)]
+        assert heap.page_count == pages
+        assert {rid.page_id for rid in again} == {rid.page_id for rid in rids}
+        heap.check()
+
+    def test_update_compacts_in_place_before_relocating(self, heap):
+        rids = [heap.insert(bytes([n]) * 120) for n in (1, 2, 3, 4)]   # 496 of 512
+        assert heap.page_count == 1
+        heap.delete(rids[1])
+        assert heap.update(rids[3], b"\x04" * 200) == rids[3]         # uses the hole
+        assert heap.update(rids[0], b"\x01" * 200) != rids[0]         # full in total
+        heap.check()
+
+    def test_insert_touches_only_the_page_it_writes(self, heap):
+        for _ in range(40):
+            heap.insert(b"x" * 100)             # 10 pages, pool of 8
+        stats = heap.buffer_pool.stats
+        before = stats.hits + stats.misses
+        heap.insert(b"x" * 100)                 # tail page has room
+        heap.insert(b"x" * 300)                 # no page has: allocate
+        # one get per insert, one more to file the fresh page in the map
+        assert stats.hits + stats.misses - before == 3
+
+
+def _drive(heap, rng, model, steps, trail):
+    """Random insert / grow / shrink / delete; ``model`` maps a key to
+    ``[record id, payload]``, ``trail`` records every id the heap hands out."""
+    page_size = heap.buffer_pool.pager.page_size
+    for _ in range(steps):
+        op = rng.choice(("insert", "insert", "grow", "shrink", "delete"))
+        if op == "insert":
+            image = bytes(rng.randrange(1, 256) for _ in range(rng.randrange(1, page_size // 3)))
+            key = max(model, default=0) + 1
+            model[key] = [heap.insert(image), image]
+            trail.append(model[key][0])
+        elif model:
+            key = rng.choice(sorted(model))
+            rid, old = model[key]
+            if op == "delete":
+                heap.delete(rid)
+                del model[key]
+                continue
+            if op == "shrink":
+                image = old[:rng.randrange(1, len(old) + 1)]
+            else:       # the heap takes records up to page_size - 64 bytes
+                image = (old + bytes(rng.randrange(1, 256) for _ in range(
+                    rng.randrange(1, page_size // 4))))[:page_size - 64]
+            page = heap.buffer_pool.get_page(rid.page_id)
+            on_page = sum(len(payload) for other, payload in model.values()
+                          if other.page_id == rid.page_id)
+            full = on_page - len(old) + len(image) > page_size - 4 - 4 * page.slot_count
+            new_rid = heap.update(rid, image)
+            assert (new_rid != rid) is full         # relocated only off a full page
+            assert heap.exists(rid) is not full
+            model[key] = [new_rid, image]
+            trail.append(new_rid)
+
+
+@pytest.mark.parametrize("page_size", [128, 512, 4096])
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_heap_against_a_model(seed, page_size):
+    rng = random.Random(seed)
+    heap = HeapFile(BufferPool(MemoryPager(page_size=page_size), capacity=4))
+    model, trail = {}, []
+    for _ in range(150):
+        _drive(heap, rng, model, 1, trail)
+        heap.check()          # map == recount, every page hygienic
+        assert heap.record_count == len(model)
+        assert dict(heap.scan()) == {rid: payload for rid, payload in model.values()}
+
+
+@pytest.mark.parametrize("seed", [21, 22, 23])
+def test_reopened_heap_chooses_the_same_pages(seed):
+    """The map is derived state: after ``adopt_pages`` every placement is the
+    one the heap that never closed makes."""
+    def fresh():
+        return HeapFile(BufferPool(MemoryPager(page_size=512), capacity=4))
+
+    kept, closed = fresh(), fresh()
+    kept_model, closed_model = {}, {}
+    _drive(kept, random.Random(seed), kept_model, 300, [])
+    _drive(closed, random.Random(seed), closed_model, 300, [])
+    closed.flush()
+    reopened = HeapFile(BufferPool(closed.buffer_pool.pager, capacity=4))
+    assert reopened.adopt_pages(closed.page_ids()) == closed.page_count
+    reopened.check()
+    assert reopened.record_count == kept.record_count
+    kept_trail, reopened_trail = [], []
+    _drive(kept, random.Random(seed + 1), kept_model, 300, kept_trail)
+    _drive(reopened, random.Random(seed + 1), closed_model, 300, reopened_trail)
+    assert reopened_trail == kept_trail
+    assert reopened.page_ids() == kept.page_ids()

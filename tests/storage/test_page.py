@@ -1,5 +1,7 @@
 """Tests for slotted pages and secure space reclamation."""
 
+import random
+
 import pytest
 
 from repro.core.errors import PageFullError, RecordNotFoundError, StorageError
@@ -156,3 +158,105 @@ class TestPersistence:
         slot = page.insert(b"b")
         page.delete(slot)
         assert page.records() == [(0, b"a")]
+
+
+class TestSpaceReuse:
+    def test_insert_compacts_to_reach_the_holes(self):
+        page = SlottedPage(page_size=128)
+        slots = [page.insert(bytes([n]) * 36) for n in (1, 2, 3)]   # 120 of 128 bytes
+        page.delete(slots[1])
+        assert page.read(page.insert(b"\x09" * 36)) == b"\x09" * 36
+        page.update(slots[0], b"\x01" * 10)             # a hole behind the frontier
+        assert page.update(slots[2], b"\x03" * 60)      # needs gap + hole
+        assert page.read(slots[0]) == b"\x01" * 10
+        assert page.read(slots[2]) == b"\x03" * 60
+        page.check()
+
+    def test_dead_slots_are_reused_lowest_first(self):
+        page = SlottedPage()
+        slots = [page.insert(b"r") for _ in range(5)]
+        page.delete(slots[3])
+        page.delete(slots[1])
+        assert [page.insert(b"n"), page.insert(b"n"), page.insert(b"n")] == [1, 3, 5]
+
+    def test_compaction_trims_trailing_dead_slots(self):
+        page = SlottedPage()
+        slots = [page.insert(b"r") for _ in range(5)]
+        for slot in slots[2:]:
+            page.delete(slot)
+        page.compact()
+        assert page.slot_count == 2
+        assert page.insert(b"n") == 2
+
+    def test_check_catches_a_stale_byte_and_a_wrong_count(self):
+        page = SlottedPage()
+        slot = page.insert(b"record")
+        page._buffer[100] = 7
+        with pytest.raises(StorageError, match="stale bytes"):
+            page.check()
+        page._buffer[100] = 0
+        page._live += 1
+        with pytest.raises(StorageError, match="out of step"):
+            page.check()
+        insecure = SlottedPage(secure=False)
+        insecure.delete(insecure.insert(b"ghost"))
+        insecure.check()                                # ghosts are its contract
+        assert slot == 0
+
+
+_SLOT_BYTES = 4
+_HEADER_BYTES = 4
+
+
+@pytest.mark.parametrize("page_size", [128, 256, 512, 1024, 4096])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_page_against_a_model(seed, page_size):
+    """Random insert / grow / shrink / delete / reload against a dict."""
+    rng = random.Random(seed * 7919 + page_size)
+    page = SlottedPage(page_size=page_size)
+    model = {}                                          # slot → payload
+    peak_live = 0
+
+    def payload(length):
+        return bytes(rng.randrange(1, 256) for _ in range(length))
+
+    def room():
+        return (page_size - _HEADER_BYTES - _SLOT_BYTES * page.slot_count
+                - sum(map(len, model.values())))
+
+    for _ in range(400):
+        op = rng.choice(("insert", "insert", "grow", "shrink", "delete", "reload"))
+        if op == "insert":
+            image = payload(rng.randrange(1, page_size // 3))
+            entry = 0 if page.slot_count > len(model) else _SLOT_BYTES
+            if len(image) + entry <= room():
+                slot = page.insert(image)
+                assert slot not in model
+                model[slot] = image
+            else:
+                with pytest.raises(PageFullError):
+                    page.insert(image)
+        elif op == "reload":        # eviction: the counts are not in the image
+            page = SlottedPage.from_bytes(page.to_bytes())
+        elif model:
+            slot = rng.choice(sorted(model))
+            old = model[slot]
+            if op == "delete":
+                page.delete(slot)
+                del model[slot]
+            elif op == "shrink":
+                model[slot] = payload(rng.randrange(1, len(old) + 1))
+                assert page.update(slot, model[slot])
+            else:
+                image = payload(len(old) + rng.randrange(1, page_size // 4))
+                fits = len(image) - len(old) <= room()
+                assert page.update(slot, image) is fits     # False: full in total
+                if fits:
+                    model[slot] = image
+        peak_live = max(peak_live, len(model))
+        assert dict(page.records()) == model            # contents; slot ids never change
+        entry = 0 if page.slot_count > len(model) else _SLOT_BYTES
+        assert page.free_space() == max(0, room() - entry)
+        assert page.live_count == len(model)
+        assert page.slot_count <= peak_live             # dead slots are reused first
+        page.check()                                    # hygiene: no stale byte anywhere
