@@ -8,8 +8,8 @@ degradation step expire in one wave, and drains it twice:
 * **batched** (the engine default) — one system transaction, one exclusive
   lock, one coalesced page-flush pass, one WAL scrub pass and one durable WAL
   flush per batch;
-* **per-step baseline** (``batch_degradation=False``) — the original
-  step-at-a-time pipeline that pays all of the above once per step.
+* **per-step baseline** (``batch_degradation=False``) — the same pipeline
+  fed one step at a time, paying all of the above once per step.
 
 Series reported: steps/second for both pipelines, WAL flush and page flush
 counts, and the chunked-drain behaviour of the daemon's ``max_batch`` knob.
@@ -128,20 +128,22 @@ def test_mass_expiry_batch_vs_per_step():
 
 
 def test_mass_expiry_columnar_wave():
-    """The same wave through the columnar segment layer.
+    """The same wave over a table mirrored into columnar segments.
 
-    With the trace table mirrored into columnar segments, the batch applies
-    each wave as one pass per affected (segment, column, level) chunk and logs
-    one ``SEGMENT_DEGRADE`` record per chunk instead of one ``DEGRADE`` record
-    per row — far fewer WAL records for the same durable outcome — while
-    keeping the batch pipeline's one-flush / one-scrub-pass structure.  The
-    wave must cost no more than the row-path batch wave.
+    There is one wave routine (``TableStore.degrade_many``): the heap is
+    rewritten page by page and the log gets one ``DEGRADE`` record per
+    (column, level) chunk whether or not a mirror is attached — the mirror
+    only hears of each new value through its ``on_value_change`` hook.  So
+    both waves must log O(chunks) records, keep the one-flush /
+    one-scrub-pass structure, and the mirrored one must cost about the same.
     """
     row_db = _build_engine(batch=True)
     _load_wave(row_db, N)
     columnar_db = _build_engine(batch=True)
     _load_wave(columnar_db, N)
     columnar_db.columnarize("trace")
+    segments = columnar_db.table_store("trace").segments
+    mirrored = segments.stats.value_changes
 
     row_appended = row_db.wal.stats.appended
     row = _drain_wave(row_db)
@@ -151,29 +153,24 @@ def test_mass_expiry_columnar_wave():
     columnar = _drain_wave(columnar_db)
     columnar_records = columnar_db.wal.stats.appended - columnar_appended
 
-    segments = columnar_db.table_store("trace").segments
     print_table(
-        f"C2: {N}-record wave, row-path batch vs columnar segment chunks",
-        ["pipeline", "steps", "seconds", "WAL records", "WAL flushes",
-         "degrade chunks"],
-        [("row batch", row["steps"], f"{row['seconds']:.4f}",
-          row_records, row["wal_flushes"], "-"),
-         ("columnar batch", columnar["steps"], f"{columnar['seconds']:.4f}",
-          columnar_records, columnar["wal_flushes"],
-          segments.stats.degrade_chunks)])
+        f"C2: {N}-record wave, plain table vs columnarized table",
+        ["table", "steps", "seconds", "WAL records", "WAL flushes"],
+        [("plain", row["steps"], f"{row['seconds']:.4f}",
+          row_records, row["wal_flushes"]),
+         ("columnarized", columnar["steps"], f"{columnar['seconds']:.4f}",
+          columnar_records, columnar["wal_flushes"])])
 
-    # Same visible outcome, same durability structure as the row batch.
+    # Same visible outcome, same durability structure.
     assert columnar["steps"] == N
     assert columnar_db.level_histogram("trace", "location") == {1: N}
     assert columnar["wal_flushes"] == 1
     assert columnar["scrub_passes"] == 1
+    assert segments.stats.value_changes == mirrored + N
 
-    # The wave was applied as per-segment chunks, and each chunk covers many
-    # rows: the WAL carries one SEGMENT_DEGRADE record per chunk instead of
-    # one DEGRADE record per row.
-    assert segments.stats.degrade_chunks > 0
-    assert segments.stats.degrade_chunks < max(N // 2, 2)
-    assert columnar_records < row_records
+    # Both waves are one (column, level) chunk: BEGIN, the DEGRADE chunk, the
+    # scrub's audit record, SCHED_STEP and COMMIT — however many rows.
+    assert columnar_records == row_records <= 6
 
     record_bench("c2", "mass_expiry_wave_columnar",
                  variant="columnar", rows=N,
@@ -181,16 +178,15 @@ def test_mass_expiry_columnar_wave():
                                      max(columnar["seconds"], 1e-9), 1),
                  wal_records=columnar_records,
                  row_path_wal_records=row_records,
-                 degrade_chunks=segments.stats.degrade_chunks,
                  seconds=round(columnar["seconds"], 6),
                  row_path_seconds=round(row["seconds"], 6))
 
-    # Columnar wave cost stays at or below the row-path batch cost (generous
-    # slack: timing noise at smoke scale must not fail CI).
+    # Maintaining the mirror stays a small part of the wave (generous slack:
+    # timing noise at smoke scale must not fail CI).
     if N >= MIN_N_FOR_RATIO:
         assert columnar["seconds"] <= row["seconds"] * 1.25, (
-            f"columnar wave {columnar['seconds']:.4f}s vs "
-            f"row batch {row['seconds']:.4f}s"
+            f"columnarized wave {columnar['seconds']:.4f}s vs "
+            f"plain {row['seconds']:.4f}s"
         )
 
 

@@ -46,8 +46,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DegradationError
 from .lcp import NEVER, TupleLCP
@@ -80,25 +81,37 @@ class SchedulerStats:
     records_completed: int = 0
     total_lag: float = 0.0
     max_lag: float = 0.0
-    lags: List[float] = field(default_factory=list)
+    #: Lag distribution in bounded space: bucket → ``[steps, largest lag seen
+    #: in it]``.  Eight buckets per power of two (6–12 % wide), and a float
+    #: has only so many exponents, so a server that runs for years holds a
+    #: few hundred entries where it used to hold a float per step.
+    _lag_buckets: Dict[float, List[float]] = field(default_factory=dict, repr=False)
 
-    def record_lag(self, lag: float) -> None:
-        self.steps_applied += 1
-        self.total_lag += lag
+    def record_lag(self, lag: float, count: int = 1) -> None:
+        """``count`` steps — a chunk of a wave — were applied ``lag`` late."""
+        self.steps_applied += count
+        self.total_lag += lag * count
         self.max_lag = max(self.max_lag, lag)
-        self.lags.append(lag)
+        mantissa, exponent = math.frexp(lag)
+        key = 8 * exponent + int(16 * mantissa) if lag > 0.0 else -math.inf
+        bucket = self._lag_buckets.setdefault(key, [0, lag])
+        bucket[0] += count
+        bucket[1] = max(bucket[1], lag)
 
     @property
     def mean_lag(self) -> float:
         return self.total_lag / self.steps_applied if self.steps_applied else 0.0
 
     def percentile_lag(self, q: float) -> float:
-        """Lag percentile (``q`` in [0, 1])."""
-        if not self.lags:
-            return 0.0
-        ordered = sorted(self.lags)
-        index = min(len(ordered) - 1, int(q * len(ordered)))
-        return ordered[index]
+        """Lag percentile (``q`` in [0, 1]): the largest lag seen in the
+        bucket holding that rank — exact at the maximum, within a bucket's
+        width below it."""
+        rank = min(self.steps_applied - 1, int(q * self.steps_applied))
+        for _bucket, (count, lag) in sorted(self._lag_buckets.items()):
+            rank -= count
+            if rank < 0:
+                return lag
+        return 0.0
 
 
 @dataclass
@@ -568,23 +581,33 @@ class DegradationScheduler:
             popped += 1
         return batches
 
-    def _mark_applied(self, step: DegradationStep, now: float,
+    def _mark_applied(self, steps: Iterable[DegradationStep], now: float,
                       applied: List[DegradationStep],
                       on_complete: Optional[CompletionCallback]) -> None:
-        """Book-keeping after an applier reported ``step`` as done."""
+        """Book-keeping after an applier reported ``steps`` as done; their
+        lag is recorded once per due time, not once per step."""
+        dues: Dict[float, int] = {}
+        for step in steps:
+            if self._advance(step, on_complete):
+                applied.append(step)
+                dues[step.due] = dues.get(step.due, 0) + 1
+        for due, count in dues.items():
+            self.stats.record_lag(max(0.0, now - due), count)
+
+    def _advance(self, step: DegradationStep,
+                 on_complete: Optional[CompletionCallback]) -> bool:
         registration = self._registrations.get(step.record_id)
         if registration is None:
-            return
+            return False
         registration.current_states[step.attribute] = step.to_state
         registration.entered_at[step.attribute] = step.due
-        self.stats.record_lag(max(0.0, now - step.due))
-        applied.append(step)
         self._schedule_next(registration, step.attribute)
         if registration.is_final():
             self.stats.records_completed += 1
             del self._registrations[step.record_id]
             if on_complete is not None:
                 on_complete(step.record_id)
+        return True
 
     def predict_complete(self, steps: Sequence[DegradationStep]) -> List[Any]:
         """Record ids that reach their final tuple state once ``steps`` apply.
@@ -636,7 +659,7 @@ class DegradationScheduler:
                     continue
                 if not applier(step):
                     continue
-                self._mark_applied(step, now, applied, on_complete)
+                self._mark_applied((step,), now, applied, on_complete)
         return applied
 
     def run_due_batched(self, now: float, applier: BatchApplier,
@@ -657,8 +680,8 @@ class DegradationScheduler:
             if not batches:
                 break
             for batch in batches:
-                for step in applier(batch.key, batch.steps):
-                    self._mark_applied(step, now, applied, on_complete)
+                self._mark_applied(applier(batch.key, batch.steps), now,
+                                   applied, on_complete)
         return applied
 
     def pending_count(self) -> int:

@@ -18,8 +18,9 @@ Two application pipelines exist:
   batch instead of per step.  Records that reach their final tuple state are
   collected and handed to ``on_complete_batch`` in one call, letting the
   engine scrub and remove them in bulk as well.
-* **per-step** (``batch_applier=None``) — the original one-step-one-
-  transaction path, kept as the measurable baseline and for appliers that
+* **per-step** (``batch_applier=None``) — one ``applier`` call, hence one
+  transaction, per step: the measurable baseline (the engine's applier is
+  its batch applier fed a batch of one) and the way in for appliers that
   cannot batch.
 
 ``max_batch`` bounds how many steps each scheduler drain round may pop: a

@@ -108,7 +108,8 @@ def _param_shape(params: Sequence[Any]) -> Optional[Tuple[str, ...]]:
 
 #: Max step/defer entries per schedule WAL record: an unbounded wave must be
 #: split across records to respect the record codec's 65535-field cap
-#: (steps flatten to 4 fields each, defers to 5, plus a count).
+#: (a defer flattens to 5 fields, a step to its row key plus — at worst, in a
+#: group of its own — 4 more).
 _SCHED_RECORD_CHUNK = 10_000
 
 
@@ -209,7 +210,11 @@ class InstantDB:
         self.planner = Planner(self.catalog)
         self.statements = StatementCache(capacity=256)
         self.daemon = DegradationDaemon(
-            self.clock, self.scheduler, applier=self._apply_degradation_step,
+            self.clock, self.scheduler,
+            # The per-step baseline is the batch pipeline fed one step at a
+            # time: a transaction, a flush and a scrub per step.
+            applier=lambda step: bool(
+                self._apply_degradation_batch(step.record_id[0], [step])),
             on_complete=self._on_record_final,
             batch_applier=self._apply_degradation_batch if batch_degradation else None,
             on_complete_batch=self._on_records_final if batch_degradation else None,
@@ -819,8 +824,8 @@ class InstantDB:
         active = txn or self.transactions.begin(now=now)
         try:
             self._locked(active, table, exclusive=True)
-            row_key = store.insert(row, now, txn_id=active.txn_id)
-            stored = store.read(row_key)
+            stored = store.insert(row, now, txn_id=active.txn_id, returning=True)
+            row_key = stored.row_key
             self._index_insert(info, stored)
             self.statistics.on_insert(table, stored.values)
             if info.policy is not None and info.policy.has_degradable_columns():
@@ -1033,77 +1038,9 @@ class InstantDB:
 
     # ------------------------------------------------------------------ degradation machinery
 
-    def _apply_degradation_step(self, step: DegradationStep) -> bool:
-        table, row_key = step.record_id
-        if self._read_only_reason is not None:
-            # Read-only degraded mode: no new WAL records, so push the step
-            # forward; the post-recovery catch-up drain applies the backlog.
-            self._defer_faulted(table, [step], None, self.clock.now())
-            return False
-        store = self._store_for(table)
-        if not store.exists(row_key):
-            self.scheduler.cancel(step.record_id)
-            return False
-        tuple_lcp = self._tuple_lcps.get((table, row_key))
-        if tuple_lcp is None:
-            self.scheduler.cancel(step.record_id)
-            return False
-        lcp = tuple_lcp.attributes[step.attribute]
-        from_level = lcp.state_level(step.from_state)
-        to_level = lcp.state_level(step.to_state)
-        now = self.clock.now()
-        txn = self.transactions.begin(system=True, now=now)
-        try:
-            granted = self.transactions.lock_exclusive(txn, table)
-        except DeadlockError:
-            granted = False
-        if not granted:
-            self._defer_conflicted(table, [step], txn, now)
-            return False
-        try:
-            info = self.catalog.table(table)
-            old_row = store.read(row_key)
-            old_value = old_row.values[step.attribute]
-            new_row = store.degrade(row_key, step.attribute, lcp.scheme, to_level,
-                                    now, txn_id=txn.txn_id)
-            new_value = new_row.values[step.attribute]
-            self.statistics.on_value_change(table, step.attribute,
-                                            old_value, new_value)
-            for index_info in info.indexes.values():
-                if index_info.column != step.attribute:
-                    continue
-                if isinstance(index_info.index, GTIndex):
-                    index_info.index.degrade_entry(old_value, from_level,
-                                                   new_value, to_level, row_key)
-                else:
-                    index_info.index.update(old_value, new_value, row_key)
-            # The schedule advance rides in the same system transaction as the
-            # DEGRADE record: one commit flush makes both durable, and replay
-            # honours the step only if that transaction committed.
-            self.wal.append(
-                LogRecordType.SCHED_STEP, txn.txn_id, table=table,
-                after=encode_schedule_steps(
-                    [(row_key, step.attribute, step.to_state, step.due)]),
-                timestamp=now,
-            )
-        except DurabilityError:
-            self._defer_faulted(table, [step], txn, now)
-            return False
-        except BaseException:
-            self.transactions.abort(txn, now=now)
-            raise
-        try:
-            self.transactions.commit(txn, now=now)
-        except DurabilityError:
-            self._defer_faulted(table, [step], txn, now)
-            return False
-        self._fault_backoff.pop(table, None)
-        self.stats.degradation_steps_applied += 1
-        return True
-
     def _defer_conflicted(self, table: str, steps: List[DegradationStep],
                           txn: Transaction, now: float) -> None:
-        """Shared lock-conflict protocol for the per-step and batch paths.
+        """Lock-conflict protocol of a degradation batch.
 
         The SCHED_DEFER record(s) are appended *before* the abort, under the
         system transaction's id, so the abort's durable flush carries them
@@ -1195,15 +1132,6 @@ class InstantDB:
         if not granted:
             self._defer_conflicted(table, live, txn, now)
             return []
-        # Order steps by heap page (the store's row→page map): degrade_many
-        # coalesces page flushes either way, but page order keeps the rewrite
-        # pass sequential on the heap and the WAL batch deterministic.
-        def page_order(step: DegradationStep) -> Tuple[int, int]:
-            row_key = step.record_id[1]
-            page_id = store.page_of(row_key)
-            return (page_id if page_id is not None else -1, row_key)
-
-        live.sort(key=page_order)
         items = []
         for step in live:
             lcp = self._tuple_lcps[(table, step.record_id[1])].attributes[step.attribute]
@@ -1211,25 +1139,25 @@ class InstantDB:
                           lcp.state_level(step.to_state)))
         try:
             info = self.catalog.table(table)
-            outcomes = store.degrade_many(items, now, txn_id=txn.txn_id)
-            for outcome in outcomes:
-                if outcome.changed:
-                    self.statistics.on_value_change(table, outcome.column,
-                                                    outcome.old_value,
-                                                    outcome.new_value)
-            for index_info in info.indexes.values():
-                moves = [o for o in outcomes
-                         if o.changed and o.column == index_info.column]
-                if not moves:
-                    continue
-                if isinstance(index_info.index, GTIndex):
-                    index_info.index.degrade_entries(
-                        [(o.old_value, o.from_level, o.new_value, o.to_level,
-                          o.row_key) for o in moves])
-                else:
-                    for outcome in moves:
-                        index_info.index.update(outcome.old_value,
-                                                outcome.new_value, outcome.row_key)
+            chunks = store.degrade_many(items, now, txn_id=txn.txn_id)
+            for chunk in chunks:
+                moves = chunk.transitions.items()
+                for (old_value, new_value), row_keys in moves:
+                    self.statistics.on_value_change(
+                        table, chunk.column, old_value, new_value, len(row_keys))
+                for index_info in info.indexes.values():
+                    if index_info.column != chunk.column:
+                        continue
+                    if isinstance(index_info.index, GTIndex):
+                        index_info.index.degrade_entries(
+                            [(old_value, chunk.from_level, new_value,
+                              chunk.to_level, row_key)
+                             for (old_value, new_value), row_keys in moves
+                             for row_key in row_keys])
+                    else:
+                        for (old_value, new_value), row_keys in moves:
+                            for row_key in row_keys:
+                                index_info.index.update(old_value, new_value, row_key)
             # Final removals ride the same system transaction: steps driving
             # a remove_on_final tuple into full suppression delete the row
             # here — under the batch's table lock, with REMOVE records in the
@@ -1254,19 +1182,17 @@ class InstantDB:
                 if removable:
                     store.remove_many(removable, now=now, txn_id=txn.txn_id)
                     self.stats.rows_removed_by_policy += len(removable)
-            # Schedule records for the whole batch (chunked under the record
-            # codec's field cap), inside the same system transaction as its
-            # DEGRADE records: the single commit flush makes data and
+            # The schedule advance of the whole batch, as (attribute, state,
+            # due) → row keys groups, inside the same system transaction as
+            # its DEGRADE records: the single commit flush makes data and
             # schedule durable together.
-            entries = [(step.record_id[1], step.attribute, step.to_state,
-                        step.due) for step in live]
-            for start in range(0, len(entries), _SCHED_RECORD_CHUNK):
-                self.wal.append(
-                    LogRecordType.SCHED_STEP, txn.txn_id, table=table,
-                    after=encode_schedule_steps(
-                        entries[start:start + _SCHED_RECORD_CHUNK]),
-                    timestamp=now,
-                )
+            groups: Dict[Tuple[str, int, float], List[int]] = {}
+            for step in live:
+                groups.setdefault((step.attribute, step.to_state, step.due),
+                                  []).append(step.record_id[1])
+            for payload in encode_schedule_steps(groups, _SCHED_RECORD_CHUNK):
+                self.wal.append(LogRecordType.SCHED_STEP, txn.txn_id,
+                                table=table, after=payload, timestamp=now)
         except DurabilityError:
             self._defer_faulted(table, live, txn, now)
             return []

@@ -25,6 +25,7 @@ accurate value images degradation scrubbed are gone by design.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -89,13 +90,13 @@ class ColumnStatistics:
 
     # -- maintenance ----------------------------------------------------------
 
-    def add(self, value: Any) -> None:
+    def add(self, value: Any, count: int = 1) -> None:
         if is_missing(value):
-            self.missing += 1
+            self.missing += count
             return
         surrogate = _stat_key(value)
-        self.counts[surrogate] = self.counts.get(surrogate, 0) + 1
-        self.non_missing += 1
+        self.counts[surrogate] = self.counts.get(surrogate, 0) + count
+        self.non_missing += count
         self._hist = None
         skey = sort_key(surrogate)
         if self._min is None or skey < self._min[0]:
@@ -103,28 +104,29 @@ class ColumnStatistics:
         if self._max is None or skey > self._max[0]:
             self._max = (skey, surrogate)
 
-    def remove(self, value: Any) -> None:
+    def remove(self, value: Any, count: int = 1) -> None:
         if is_missing(value):
-            self.missing = max(0, self.missing - 1)
+            self.missing = max(0, self.missing - count)
             return
         surrogate = _stat_key(value)
-        count = self.counts.get(surrogate)
-        if count is None:
+        held = self.counts.get(surrogate)
+        if held is None:
             return
-        self.non_missing = max(0, self.non_missing - 1)
+        self.non_missing = max(0, self.non_missing - min(count, held))
         self._hist = None
-        if count <= 1:
+        if held <= count:
             del self.counts[surrogate]
             # The removed value may have been an extreme; rescan lazily.
             if (self._min is not None and surrogate == self._min[1]) or \
                     (self._max is not None and surrogate == self._max[1]):
                 self._dirty = True
         else:
-            self.counts[surrogate] = count - 1
+            self.counts[surrogate] = held - count
 
-    def replace(self, old: Any, new: Any) -> None:
-        self.remove(old)
-        self.add(new)
+    def replace(self, old: Any, new: Any, count: int = 1) -> None:
+        """``count`` rows move from ``old`` to ``new``."""
+        self.remove(old, count)
+        self.add(new, count)
 
     # -- introspection --------------------------------------------------------
 
@@ -264,12 +266,17 @@ class TableStatistics:
 
     # -- incremental maintenance ----------------------------------------------
 
-    def _note_mod(self) -> None:
-        self._mods_since_epoch += 1
-        if self._mods_since_epoch >= max(EPOCH_MOD_FLOOR,
-                                         self.row_count * EPOCH_MOD_FRACTION):
-            self.epoch += 1
-            self._mods_since_epoch = 0
+    def _note_mod(self, count: int = 1) -> None:
+        """``count`` modifications, one after the other: the epoch advances
+        every time the bump rule's threshold is reached."""
+        threshold = math.ceil(max(EPOCH_MOD_FLOOR,
+                                  self.row_count * EPOCH_MOD_FRACTION))
+        first = max(1, threshold - self._mods_since_epoch)  # mods to the next bump
+        if count < first:
+            self._mods_since_epoch += count
+        else:
+            bumps, self._mods_since_epoch = divmod(count - first, threshold)
+            self.epoch += 1 + bumps
 
     def on_insert(self, values: Dict[str, Any]) -> None:
         self.row_count += 1
@@ -283,12 +290,14 @@ class TableStatistics:
             stats.remove(values.get(name))
         self._note_mod()
 
-    def on_value_change(self, column: str, old: Any, new: Any) -> None:
-        """One value transition: a degradation step or a stable update."""
+    def on_value_change(self, column: str, old: Any, new: Any,
+                        count: int = 1) -> None:
+        """``count`` rows making one value transition: a stable update, or
+        the rows of a degradation wave that shared both values."""
         stats = self.columns.get(column)
         if stats is not None:
-            stats.replace(old, new)
-            self._note_mod()
+            stats.replace(old, new, count)
+            self._note_mod(count)
 
     def reset(self) -> None:
         self.row_count = 0
@@ -386,10 +395,11 @@ class StatisticsRegistry:
         if stats is not None:
             stats.on_remove(values)
 
-    def on_value_change(self, table: str, column: str, old: Any, new: Any) -> None:
+    def on_value_change(self, table: str, column: str, old: Any, new: Any,
+                        count: int = 1) -> None:
         stats = self._tables.get(table)
         if stats is not None:
-            stats.on_value_change(column, old, new)
+            stats.on_value_change(column, old, new, count)
 
 
 __all__ = ["ColumnStatistics", "TableStatistics", "StatisticsRegistry",

@@ -25,8 +25,8 @@ other (experiment C2):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..core.errors import (
     KeyDestroyedError,
@@ -48,8 +48,9 @@ from .serialization import (
     encode_value,
     fixed_prefix,
     record_field_count,
+    skip_values,
 )
-from .wal import LogRecordType, WriteAheadLog, encode_segment_degrade
+from .wal import LogRecordType, WriteAheadLog, encode_degrade_chunk
 
 #: Strategies for making degradation non-recoverable.
 STRATEGIES = ("rewrite", "crypto")
@@ -72,17 +73,23 @@ class StoredRow:
 
 
 @dataclass
-class DegradeOutcome:
-    """What one bulk degradation step did (input to index maintenance)."""
+class DegradeChunk:
+    """One cohort of a degradation wave — the rows that took ``column`` from
+    ``from_level`` to ``to_level`` — and what one ``DEGRADE`` log record says."""
 
-    row_key: int
     column: str
     from_level: int
     to_level: int
-    old_value: Any
-    new_value: Any
-    #: False when the step was a pure state advance (level already reached).
-    changed: bool = True
+    scheme: GeneralizationScheme = field(repr=False)
+    #: ``(old value, new value)`` → keys of the rows that made that move.
+    transitions: Dict[Tuple[Any, Any], List[int]] = field(default_factory=dict)
+    #: Encoded old field → ``(encoded new field, new value, that transition's
+    #: row keys)``: ``generalize`` is pure, each distinct value pays it once.
+    memo: Dict[bytes, Tuple[bytes, Any, List[int]]] = field(
+        default_factory=dict, repr=False, compare=False)
+
+    def row_keys(self) -> List[int]:
+        return [row_key for moved in self.transitions.values() for row_key in moved]
 
 
 @dataclass
@@ -115,6 +122,11 @@ class TableStore:
                              on_allocate=self._log_page_allocation)
         self.stats = TableStoreStats()
         self._degradable = [column.name for column in schema.degradable_columns()]
+        #: Degradable column → (its position among the record's levels, its
+        #: position among the record's values).
+        self._degradable_fields = {
+            name: (position, schema.column_index(name))
+            for position, name in enumerate(self._degradable)}
         #: The record prefix — count, row key, insertion time, one level per
         #: degradable column — as one struct, and the tags it must carry.
         self._header, self._header_tags = fixed_prefix(
@@ -144,8 +156,8 @@ class TableStore:
 
         The heap remains the authoritative durable copy; the returned
         :class:`~repro.storage.segment.SegmentSet` holds the same rows in
-        column-major vectors for vectorized scans and chunked degradation
-        waves, and is kept in sync by the mutation hooks from here on.
+        column-major vectors for vectorized scans, and is kept in sync by the
+        mutation hooks from here on.
         """
         segments = SegmentSet(self.schema)
         segments.rebuild(self.scan())
@@ -297,8 +309,12 @@ class TableStore:
 
     # -- basic operations ----------------------------------------------------
 
-    def insert(self, row: Any, now: float, txn_id: int = 0) -> int:
-        """Insert a row (most accurate state) and return its logical row key."""
+    def insert(self, row: Any, now: float, txn_id: int = 0,
+               returning: bool = False) -> Union[int, StoredRow]:
+        """Insert a row (most accurate state) and return its logical row key
+        — or, with ``returning``, the stored row exactly as :meth:`read` would
+        decode it (coerced values, every level 0), sparing the caller that
+        read."""
         values_tuple = self.schema.coerce_row(row)
         values = self.schema.row_dict(values_tuple)
         levels = {column: 0 for column in self._degradable}
@@ -314,7 +330,7 @@ class TableStore:
         if self.segments is not None:
             self.segments.on_insert(row_key, now, values, levels)
         self.stats.inserts += 1
-        return row_key
+        return StoredRow(row_key, values, levels, float(now)) if returning else row_key
 
     def exists(self, row_key: int) -> bool:
         return row_key in self._locations
@@ -452,11 +468,7 @@ class TableStore:
         return len(self._locations)
 
     def page_of(self, row_key: int) -> Optional[int]:
-        """Heap page currently holding ``row_key`` (the row→page map).
-
-        The batch degradation pipeline uses this to sub-group a table's due
-        steps by page so every dirty page is rewritten and flushed once.
-        """
+        """Heap page currently holding ``row_key`` (the row→page map)."""
         record_id = self._locations.get(row_key)
         return record_id.page_id if record_id is not None else None
 
@@ -497,348 +509,201 @@ class TableStore:
         crash that finds only the first on disk lets recovery pick the stale,
         more accurate image back up with nothing in the log to redo.
         """
-        for page_id in (*page_ids, *self._vacated_pages):
+        for page_id in dict.fromkeys((*page_ids, *self._vacated_pages)):
             self.buffer_pool.flush_page(page_id)    # no-op on a clean page
         self.buffer_pool.sync()
         self._vacated_pages.clear()
 
     # -- degradation ------------------------------------------------------------
 
-    def _scrub_interrupted(self, row_key: int) -> bool:
-        """A step found ``row_key`` already at its target level: does the log
-        still hold an image of the row?
-
-        Then a crash or an I/O fault cut an earlier attempt at this step
-        short between its page flush and its log scrub (recovery re-applies
-        the step because its SCHED_STEP never committed).  The caller
-        finishes the job — flush the row's page, then scrub — instead of
-        leaving the accurate image in the log until the row's next step.
-        """
-        return self.strategy == "rewrite" and bool(
-            self.wal.records_for(self.schema.name, row_key))
-
     def degrade(self, row_key: int, column: str, scheme: GeneralizationScheme,
                 to_level: int, now: float, txn_id: int = 0) -> StoredRow:
-        """Apply one degradation step to ``column`` of ``row_key``.
+        """One degradation step — a wave of one (:meth:`degrade_many`);
+        returns the row as now visible to readers."""
+        self.degrade_many([(row_key, column, scheme, to_level)], now, txn_id)
+        return self.read(row_key)
 
-        The degraded row (as now visible to readers) is returned.  The WAL
-        record carries only the degraded after-image, never the accurate
-        before-image.
+    def degrade_many(self, items: Iterable[Tuple[int, str, GeneralizationScheme, int]],
+                     now: float, txn_id: int = 0) -> List[DegradeChunk]:
+        """Apply a wave of ``(row_key, column, scheme, to_level)`` steps — the
+        only degradation routine — and return its chunks.
+
+        Page by page, slot by slot: one :meth:`HeapFile.read_run` per page,
+        one new image per row with a step to take (:meth:`_degraded_record`),
+        one :meth:`HeapFile.update_many` per page.  The log gets one
+        ``DEGRADE`` record per chunk — column, target level, row keys, never
+        a value.  Irreversibility ordering: the rewritten pages reach stable
+        storage (each once, one sync) *before* the accurate log images of
+        their rows are scrubbed, in a single pass (rewrite strategy; under
+        crypto logged images only hold ciphertext whose key is destroyed
+        here).  A step whose row already is at its target level is in no
+        chunk; if the log still holds an image of such a row, a crash or an
+        I/O fault cut an earlier attempt short between its page flush and its
+        scrub, and this one finishes the job — flush the page, then scrub.
         """
-        column = column.lower()
-        if column not in self._degradable:
-            raise PolicyError(
-                f"table {self.schema.name!r}: column {column!r} is not degradable"
-            )
-        row = self.read(row_key)
-        from_level = row.levels[column]
-        if to_level < from_level:
-            raise PolicyError("degradation is irreversible: cannot decrease the level")
-        if to_level == from_level:
-            if self._scrub_interrupted(row_key):
-                self._flush_pages([self._locations[row_key].page_id])
-                self.wal.scrub_record(self.schema.name, row_key, now=now)
-            return row
-        old_value = row.values[column]
-        if self._is_sentinel(old_value):
-            # Missing or already-suppressed values carry no information to
-            # degrade; only the stored accuracy level advances.
-            new_value = old_value
-        else:
-            new_value = scheme.generalize(old_value, to_level, from_level=from_level)
-        new_levels = dict(row.levels)
-        new_levels[column] = to_level
-        new_values = dict(row.values)
-        new_values[column] = new_value
-        payload = self._encode_row(row_key, row.inserted_at, new_levels, new_values)
-        self._rewrite(row_key, payload)
-        if self.strategy == "crypto":
-            # Destroy every key of more accurate levels for this column: the
-            # accurate and intermediate ciphertexts become unreadable everywhere.
-            for level in range(from_level, to_level):
-                self.keystore.destroy_key((self.schema.name, row_key, column, level))
-        self.wal.append(
-            LogRecordType.DEGRADE, txn_id, table=self.schema.name, row_key=row_key,
-            attribute=column,
-            after=encode_record([to_level]),
-            timestamp=now,
-        )
-        if self.segments is not None:
-            self.segments.on_value_change(row_key, column, new_value, to_level)
-        # A degradation step is only irreversible once it reached stable storage.
-        self._flush_pages([self._locations[row_key].page_id])
-        if self.strategy == "rewrite":
-            # The accurate value also survives in the row images logged by the
-            # INSERT (and stable UPDATEs); physically scrub them now that the
-            # degraded page is durable.  The crypto strategy does not need this:
-            # logged images only ever contain ciphertext whose key is destroyed.
-            self.wal.scrub_record(self.schema.name, row_key, now=now)
-        self.stats.degrade_steps += 1
-        return self._decode_row(payload)
-
-    def degrade_many(self, items: List[Tuple[int, str, GeneralizationScheme, int]],
-                     now: float, txn_id: int = 0) -> List[DegradeOutcome]:
-        """Apply a batch of degradation steps with coalesced physical I/O.
-
-        ``items`` is a list of ``(row_key, column, scheme, to_level)``; steps
-        of the same row are applied against one read/encode/rewrite cycle,
-        every dirty page is flushed exactly once, and (for the rewrite
-        strategy) the WAL images of all touched rows are scrubbed in a single
-        :meth:`WriteAheadLog.scrub_records` pass — one zeroing pass for the
-        whole batch instead of one per step.  The WAL DEGRADE records of the
-        batch are appended here and reach the disk with the caller's single
-        durable flush (the enclosing system transaction's commit).
-
-        Returns one :class:`DegradeOutcome` per item, in item order grouped by
-        row, carrying the value transition the index layer needs.
-
-        With a columnar mirror attached the wave runs through the segment
-        layer instead (:meth:`_degrade_many_columnar`): same outcomes, same
-        page-flush/scrub ordering, but the row images come from the segment
-        vectors (no heap read, no record decode) and the WAL carries one
-        ``SEGMENT_DEGRADE`` record per (segment, column, level) chunk instead
-        of one ``DEGRADE`` record per row.
-        """
-        if self.segments is not None:
-            return self._degrade_many_columnar(items, now, txn_id)
-        by_row: Dict[int, List[Tuple[int, str, GeneralizationScheme, int]]] = {}
-        row_order: List[int] = []
-        for item in items:
-            row_key = item[0]
-            if row_key not in by_row:
-                by_row[row_key] = []
-                row_order.append(row_key)
-            by_row[row_key].append(item)
-        outcomes: List[DegradeOutcome] = []
+        pages: Dict[int, Dict[int, Tuple[int, list]]] = {}
+        for row_key, column, scheme, to_level in items:
+            place = self._degradable_fields.get(column.lower())
+            if place is None:
+                raise PolicyError(
+                    f"table {self.schema.name!r}: column {column!r} is not degradable")
+            record_id = self._location(row_key)
+            pages.setdefault(record_id.page_id, {}).setdefault(
+                record_id.slot, (row_key, []))[1].append((place, scheme, to_level))
+        chunks: Dict[Tuple, DegradeChunk] = {}
+        rewrite = self.strategy == "rewrite"
         dirty_pages: List[int] = []
-        seen_pages: set = set()
-        scrub_rows: List[int] = []
-        for row_key in row_order:
-            row = self.read(row_key)
-            levels = dict(row.levels)
-            values = dict(row.values)
-            applied: List[DegradeOutcome] = []
-            for _row_key, column, scheme, to_level in by_row[row_key]:
-                column = column.lower()
-                if column not in self._degradable:
-                    raise PolicyError(
-                        f"table {self.schema.name!r}: column {column!r} is not degradable"
-                    )
-                from_level = levels[column]
-                if to_level < from_level:
-                    raise PolicyError(
-                        "degradation is irreversible: cannot decrease the level"
-                    )
-                old_value = values[column]
-                if to_level == from_level:
-                    outcomes.append(DegradeOutcome(
-                        row_key=row_key, column=column, from_level=from_level,
-                        to_level=to_level, old_value=old_value,
-                        new_value=old_value, changed=False,
-                    ))
+        settled: List[Tuple[str, int]] = []       # scrub keys: rows at their target
+        for page_id in sorted(pages):
+            rows = pages[page_id]
+            slots = sorted(rows)
+            data, spans = self.heap.read_run(page_id, slots)
+            rewrites: List[Tuple[int, bytes]] = []
+            for slot, (start, end) in zip(slots, spans):
+                row_key, steps = rows[slot]
+                payload = self._degraded_record(data, start, end, steps, chunks)
+                if payload is not None:
+                    rewrites.append((slot, payload))
+                elif not (rewrite and self.wal.records_for(self.schema.name, row_key)):
                     continue
-                if self._is_sentinel(old_value):
-                    new_value = old_value
-                else:
-                    new_value = scheme.generalize(old_value, to_level,
-                                                  from_level=from_level)
-                levels[column] = to_level
-                values[column] = new_value
-                outcome = DegradeOutcome(
-                    row_key=row_key, column=column, from_level=from_level,
-                    to_level=to_level, old_value=old_value, new_value=new_value,
-                )
-                applied.append(outcome)
-                outcomes.append(outcome)
-            if not applied:
-                if self._scrub_interrupted(row_key):
-                    dirty_pages.append(self._locations[row_key].page_id)
-                    scrub_rows.append(row_key)
-                continue
-            payload = self._encode_row(row_key, row.inserted_at, levels, values)
-            self._rewrite(row_key, payload)
-            for outcome in applied:
-                if self.strategy == "crypto":
-                    for level in range(outcome.from_level, outcome.to_level):
-                        self.keystore.destroy_key(
-                            (self.schema.name, row_key, outcome.column, level))
+                settled.append((self.schema.name, row_key))
+                dirty_pages.append(page_id)
+            if rewrites:
+                self._version += 1
+                moved = self.heap.update_many(page_id, rewrites)
+                for slot, record_id in moved.items():
+                    self._locations[rows[slot][0]] = record_id
+                    self._vacated_pages.add(page_id)
+                    dirty_pages.append(record_id.page_id)
+                self.stats.relocations += len(moved)
+        for chunk in chunks.values():
+            for payload in encode_degrade_chunk(chunk.to_level, chunk.row_keys()):
                 self.wal.append(
                     LogRecordType.DEGRADE, txn_id, table=self.schema.name,
-                    row_key=row_key, attribute=outcome.column,
-                    after=encode_record([outcome.to_level]), timestamp=now,
-                )
-                self.stats.degrade_steps += 1
-            page_id = self._locations[row_key].page_id
-            if page_id not in seen_pages:
-                seen_pages.add(page_id)
-                dirty_pages.append(page_id)
-            if self.strategy == "rewrite":
-                scrub_rows.append(row_key)
-        # Irreversibility ordering, as in degrade(): the degraded pages reach
-        # stable storage (one sync for the whole batch) before the accurate
-        # log images are scrubbed.
+                    attribute=chunk.column, after=payload, timestamp=now)
         if dirty_pages:
             self._flush_pages(dirty_pages)
-        if scrub_rows:
-            self.wal.scrub_records(
-                [(self.schema.name, row_key) for row_key in scrub_rows], now=now)
-        return outcomes
+        if settled and rewrite:
+            self.wal.scrub_records(settled, now=now)
+        return list(chunks.values())
 
-    def _degrade_many_columnar(
-            self, items: List[Tuple[int, str, GeneralizationScheme, int]],
-            now: float, txn_id: int = 0) -> List[DegradeOutcome]:
-        """Columnar wave path: rewrite level/value vector chunks in one pass.
+    def _degraded_record(self, data: Any, start: int, end: int,
+                         steps: Sequence[Tuple[Tuple[int, int], GeneralizationScheme, int]],
+                         chunks: Dict[Tuple, DegradeChunk]) -> Optional[bytes]:
+        """The record at ``data[start:end]`` after ``steps`` — ``((level
+        position, value position), scheme, to_level)`` each — or ``None`` when
+        the row already is at every target.
 
-        Row images are taken from the segment vectors (already-decoded
-        plaintext), so the heap is only *written*: per affected row one
-        re-encode + in-place rewrite, with the same coalesced page flush, one
-        pager sync, and one log-scrub pass as the row path.  The WAL records
-        the wave as one ``SEGMENT_DEGRADE`` record per (segment, column,
-        target level) chunk — recovery redoes lagging rows from the listed
-        row keys exactly like per-row ``DEGRADE`` records.
+        *Levels first*: one unpack of the fixed prefix decides which steps
+        apply.  Only their fields are then located (:func:`skip_values` over
+        what lies between) and replaced (:meth:`_degraded_field`); the new
+        record is the old one with those fields spliced in and the levels
+        patched in the prefix — byte for byte what :meth:`_encode_row` makes
+        of the degraded row, with no other value decoded or encoded.
         """
-        segments = self.segments
-        assert segments is not None
-        by_row: Dict[int, List[Tuple[int, str, GeneralizationScheme, int]]] = {}
-        row_order: List[int] = []
-        for item in items:
-            row_key = item[0]
-            if row_key not in by_row:
-                by_row[row_key] = []
-                row_order.append(row_key)
-            by_row[row_key].append(item)
-        outcomes: List[DegradeOutcome] = []
-        dirty_pages: List[int] = []
-        seen_pages: set = set()
-        scrub_rows: List[int] = []
-        #: (segment id, column, to_level) → affected row keys: the chunks.
-        chunks: Dict[Tuple[int, str, int], List[int]] = {}
-        for row_key in row_order:
-            slot = segments.locate(row_key)
-            if slot is None:
-                # Not mirrored (defensive): take the row-at-a-time heap path.
-                row = self.read(row_key)
-                segment, position = None, -1
-                levels = dict(row.levels)
-                values = dict(row.values)
-                inserted_at = row.inserted_at
-            else:
-                segment, position = slot
-                levels = {name: vector[position]
-                          for name, vector in segment.levels.items()}
-                values = {name: vector[position]
-                          for name, vector in segment.values.items()}
-                inserted_at = segment.inserted_at[position]
-            applied: List[DegradeOutcome] = []
-            for _row_key, column, scheme, to_level in by_row[row_key]:
-                column = column.lower()
-                if column not in self._degradable:
-                    raise PolicyError(
-                        f"table {self.schema.name!r}: column {column!r} is not degradable"
-                    )
-                from_level = levels[column]
-                if to_level < from_level:
-                    raise PolicyError(
-                        "degradation is irreversible: cannot decrease the level"
-                    )
-                old_value = values[column]
-                if to_level == from_level:
-                    outcomes.append(DegradeOutcome(
-                        row_key=row_key, column=column, from_level=from_level,
-                        to_level=to_level, old_value=old_value,
-                        new_value=old_value, changed=False,
-                    ))
-                    continue
-                if self._is_sentinel(old_value):
-                    new_value = old_value
-                else:
-                    new_value = scheme.generalize(old_value, to_level,
-                                                  from_level=from_level)
-                levels[column] = to_level
-                values[column] = new_value
-                outcome = DegradeOutcome(
-                    row_key=row_key, column=column, from_level=from_level,
-                    to_level=to_level, old_value=old_value, new_value=new_value,
-                )
-                applied.append(outcome)
-                outcomes.append(outcome)
-            if not applied:
-                if self._scrub_interrupted(row_key):
-                    dirty_pages.append(self._locations[row_key].page_id)
-                    scrub_rows.append(row_key)
+        fused = self._header
+        if start + fused.size > end:
+            raise self._malformed(data, start, end)
+        header = fused.unpack_from(data, start)
+        if header[0] != self._field_count or header[1::2] != self._header_tags:
+            raise self._malformed(data, start, end)
+        levels = list(header[6::2])
+        #: value position → the chunks its field passes through, in order
+        fields: Dict[int, List[DegradeChunk]] = {}
+        for (level_at, value_at), scheme, to_level in steps:
+            from_level = levels[level_at]
+            if to_level < from_level:
+                raise PolicyError("degradation is irreversible: cannot decrease the level")
+            if to_level == from_level:
                 continue
-            payload = self._encode_row(row_key, inserted_at, levels, values)
-            self._rewrite(row_key, payload)
-            for outcome in applied:
-                segments.on_value_change(row_key, outcome.column,
-                                         outcome.new_value, outcome.to_level)
-                if self.strategy == "crypto":
-                    for level in range(outcome.from_level, outcome.to_level):
-                        self.keystore.destroy_key(
-                            (self.schema.name, row_key, outcome.column, level))
-                if segment is not None:
-                    chunks.setdefault(
-                        (segment.segment_id, outcome.column, outcome.to_level),
-                        []).append(row_key)
-                else:
-                    self.wal.append(
-                        LogRecordType.DEGRADE, txn_id, table=self.schema.name,
-                        row_key=row_key, attribute=outcome.column,
-                        after=encode_record([outcome.to_level]), timestamp=now,
-                    )
-                self.stats.degrade_steps += 1
-            page_id = self._locations[row_key].page_id
-            if page_id not in seen_pages:
-                seen_pages.add(page_id)
-                dirty_pages.append(page_id)
-            if self.strategy == "rewrite":
-                scrub_rows.append(row_key)
-        for (segment_id, column, to_level), row_keys in chunks.items():
-            self.wal.append(
-                LogRecordType.SEGMENT_DEGRADE, txn_id, table=self.schema.name,
-                row_key=segment_id, attribute=column,
-                after=encode_segment_degrade(to_level, row_keys), timestamp=now,
-            )
-            segments.stats.degrade_chunks += 1
-        # Same irreversibility ordering as the row path: degraded pages reach
-        # stable storage before the accurate log images are scrubbed.
-        if dirty_pages:
-            self._flush_pages(dirty_pages)
-        if scrub_rows:
-            self.wal.scrub_records(
-                [(self.schema.name, row_key) for row_key in scrub_rows], now=now)
-        return outcomes
+            key = (value_at, from_level, to_level, scheme)
+            chunk = chunks.get(key)
+            if chunk is None:
+                chunk = chunks[key] = DegradeChunk(
+                    self._degradable[level_at], from_level, to_level, scheme)
+            fields.setdefault(value_at, []).append(chunk)
+            levels[level_at] = to_level
+            self.stats.degrade_steps += 1
+        if not fields:
+            return None
+        prefix = list(header)
+        prefix[6::2] = levels
+        pieces: List[Any] = [fused.pack(*prefix)]
+        cursor = start + fused.size
+        passed = 0
+        for value_at in sorted(fields):
+            first = skip_values(data, cursor, value_at - passed, end)
+            last = skip_values(data, first, 1, end)
+            image = bytes(data[first:last])
+            for chunk in fields[value_at]:
+                image = self._degraded_field(chunk, header[2], image)
+            pieces += (data[cursor:first], image)
+            cursor, passed = last, value_at + 1
+        pieces.append(data[cursor:end])
+        return b"".join(pieces)
+
+    def _degraded_field(self, chunk: DegradeChunk, row_key: int, image: bytes) -> bytes:
+        """``image`` — one encoded value of ``chunk.column`` at the chunk's
+        old level — degraded to its new one; ``row_key`` is entered under the
+        value transition it makes.
+
+        Missing and already-suppressed values carry no information to
+        degrade: only the stored level advances.  Under the crypto strategy
+        the field is ciphertext under the row's key of the old level: it is
+        decrypted first, the result encrypted under a fresh key of the new
+        level, and every key of a more accurate level destroyed — the
+        accurate and intermediate ciphertexts become unreadable everywhere.
+        """
+        crypto = self.strategy == "crypto"
+        if crypto:
+            key_id = (self.schema.name, row_key, chunk.column)
+            blob = decode_value(image)[0]
+            if isinstance(blob, bytes):
+                try:
+                    image = self.keystore.decrypt((*key_id, chunk.from_level), blob)
+                except KeyDestroyedError:
+                    image = encode_value(SUPPRESSED)    # fail safe, as in reads
+        entry = chunk.memo.get(image)
+        if entry is None:
+            old_value = decode_value(image)[0]
+            new_value = old_value if self._is_sentinel(old_value) else \
+                chunk.scheme.generalize(old_value, chunk.to_level,
+                                        from_level=chunk.from_level)
+            entry = chunk.memo[image] = (
+                encode_value(new_value), new_value,
+                chunk.transitions.setdefault((old_value, new_value), []))
+        image, new_value, row_keys = entry
+        row_keys.append(row_key)
+        if self.segments is not None:
+            self.segments.on_value_change(row_key, chunk.column, new_value,
+                                          chunk.to_level)
+        if crypto:
+            if not self._is_sentinel(new_value):
+                image = encode_value(
+                    self.keystore.encrypt((*key_id, chunk.to_level), image))
+            for level in range(chunk.from_level, chunk.to_level):
+                self.keystore.destroy_key((*key_id, level))
+        return image
 
     def remove(self, row_key: int, now: float, txn_id: int = 0,
                scrub_log: bool = True) -> None:
-        """Final removal at the end of the life cycle (or explicit delete).
+        """Final removal at the end of the life cycle (or explicit delete) of
+        one row that must exist: :meth:`remove_many` with one key."""
+        self._location(row_key)
+        self.remove_many([row_key], now, txn_id, scrub_log)
 
-        Physically deletes the record (secure page reclamation), destroys every
-        crypto key of the row and scrubs its images from the WAL.
-        """
-        record_id = self._location(row_key)
-        self._erase(row_key, record_id)
-        self.wal.append(
-            LogRecordType.REMOVE, txn_id, table=self.schema.name, row_key=row_key,
-            timestamp=now,
-        )
-        if self.segments is not None:
-            self.segments.on_remove(row_key)
-        if scrub_log:
-            self.wal.scrub_record(self.schema.name, row_key, now=now)
-        self._flush_pages([record_id.page_id])
-        self.stats.removals += 1
-
-    def remove_many(self, row_keys: List[int], now: float, txn_id: int = 0) -> int:
-        """Bulk :meth:`remove`: one scrub pass and one flush per touched page.
+    def remove_many(self, row_keys: List[int], now: float, txn_id: int = 0,
+                    scrub_log: bool = True) -> int:
+        """Physically delete rows (secure page reclamation), destroy every
+        crypto key of theirs and scrub their images from the WAL: one scrub
+        pass and one flush per touched page for the lot.
 
         Used by the engine when a degradation batch drives many tuples into
         their final state at once; rows that vanished meanwhile are skipped.
         Returns the number of rows removed.
         """
-        removed: List[int] = []
+        removed: List[Tuple[str, int]] = []
         dirty_pages: List[int] = []
-        seen_pages: set = set()
         for row_key in row_keys:
             record_id = self._locations.get(row_key)
             if record_id is None:
@@ -850,15 +715,12 @@ class TableStore:
             )
             if self.segments is not None:
                 self.segments.on_remove(row_key)
-            if record_id.page_id not in seen_pages:
-                seen_pages.add(record_id.page_id)
-                dirty_pages.append(record_id.page_id)
-            removed.append(row_key)
-            self.stats.removals += 1
+            dirty_pages.append(record_id.page_id)
+            removed.append((self.schema.name, row_key))
+        self.stats.removals += len(removed)
+        if removed and scrub_log:
+            self.wal.scrub_records(removed, now=now)
         if removed:
-            self.wal.scrub_records(
-                [(self.schema.name, row_key) for row_key in removed], now=now)
-        if dirty_pages:
             self._flush_pages(dirty_pages)
         return len(removed)
 
@@ -987,5 +849,5 @@ class TableStore:
         self._next_row_key = max_key + 1
 
 
-__all__ = ["TableStore", "StoredRow", "DegradeOutcome", "TableStoreStats",
+__all__ = ["TableStore", "StoredRow", "DegradeChunk", "TableStoreStats",
            "STRATEGIES"]

@@ -21,7 +21,7 @@ rebuilds it from the slot directories it reads anyway.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.errors import StorageError
 from .buffer import BufferPool
@@ -151,21 +151,38 @@ class HeapFile:
     # -- update / delete -----------------------------------------------------------
 
     def update(self, record_id: RecordId, payload: bytes) -> RecordId:
-        """Update a record where it is, relocating it only off a full page.
+        """Update a record where it is, relocating it only off a full page
+        (:meth:`update_many` with one record).  Returns the record's id,
+        a new one when it moved."""
+        moved = self.update_many(record_id.page_id, [(record_id.slot, payload)])
+        return moved.get(record_id.slot, record_id)
 
-        Returns the (possibly new) record id.  A relocation places the new
-        image first — if that fails (page allocation can raise) the record is
-        still whole at its old id — and only then securely scrubs the old one.
+    def update_many(self, page_id: int, updates: Sequence[Tuple[int, bytes]]
+                    ) -> Dict[int, RecordId]:
+        """Apply ``(slot, payload)`` updates to the records of one page, in
+        order: at most one compaction of the page, one free-space refile.
+
+        A record the page — full in total — has no room for is relocated, as
+        by :meth:`update` at its turn: the new image is placed first — if
+        that fails (page allocation can raise) the record is still whole at
+        its old id — and only then is the old one securely scrubbed.  Returns
+        ``{slot: new record id}`` for the records that moved.
         """
-        page = self.buffer_pool.get_page(record_id.page_id)
-        if page.update(record_id.slot, payload):
-            self._changed(record_id.page_id, page)
-            return record_id
-        # Never lands on the page it leaves: what does not fit there on top
-        # of the old image does not fit beside it either.
-        new_id = self.insert(payload)
-        self.delete(record_id)
-        return new_id
+        moved: Dict[int, RecordId] = {}
+        while updates:
+            page = self.buffer_pool.get_page(page_id)
+            applied = page.update_many(updates)
+            if applied:
+                self._changed(page_id, page)
+            if applied == len(updates):
+                break
+            # Never lands on the page it leaves: what does not fit there on
+            # top of the old image does not fit beside it either.
+            slot, payload = updates[applied]
+            moved[slot] = self.insert(payload)
+            self.delete(RecordId(page_id, slot))
+            updates = updates[applied + 1:]
+        return moved
 
     def delete(self, record_id: RecordId) -> None:
         page = self.buffer_pool.get_page(record_id.page_id)

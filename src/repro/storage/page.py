@@ -17,18 +17,21 @@ Zeroed bytes are not lost bytes.  A page's room is everything that is neither
 header, slot directory nor live payload — the contiguous gap *plus* the holes
 deletes and shrinking updates left — and :meth:`SlottedPage.insert` and a
 growing :meth:`SlottedPage.update` get at the holes by compacting the page in
-place when the gap alone is too small: slot numbers stay, trailing dead slots
-leave the directory, the payload area is zeroed before the live records are
-put back.  Dead slots are reused before the directory grows.  None of this is
-in the page image: the live-byte count and the dead-slot list are attributes
-of the in-memory page, counted from the directory when first needed.
+place when the gap alone is too small: slot numbers stay, the payload area is
+zeroed before the live records are put back.  A batch of updates
+(:meth:`SlottedPage.update_many`) compacts at most once.  Dead slots are
+reused before the directory grows, and those behind the last live record
+leave it the moment they die, so a page's room is a function of its live
+records alone.  None of this is in the page image: the live-byte count and the
+dead-slot list are attributes of the in-memory page, counted from the
+directory when first needed.
 """
 
 from __future__ import annotations
 
 import heapq
 import struct
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.errors import PageFullError, RecordNotFoundError, StorageError
 
@@ -192,7 +195,12 @@ class SlottedPage:
         return offset != 0
 
     def delete(self, slot: int) -> None:
-        """Delete the record in ``slot``; secure pages zero the payload bytes."""
+        """Delete the record in ``slot``; secure pages zero the payload bytes.
+
+        Dead slots behind the last live one leave the directory at once, so a
+        page's room depends on its live records alone — never on whether a
+        compaction happened to run since.
+        """
         offset, length = self._get_slot(slot)
         if offset == 0:
             raise RecordNotFoundError(f"slot {slot} is already deleted")
@@ -201,43 +209,60 @@ class SlottedPage:
             self._buffer[offset:offset + length] = bytes(length)
         self._set_slot(slot, 0, 0)
         self._live -= length
-        heapq.heappush(self._dead, slot)
+        slot_count, free_offset = self._get_header()
+        if slot < slot_count - 1:
+            heapq.heappush(self._dead, slot)
+            return
+        while slot and not self._get_slot(slot - 1)[0]:
+            slot -= 1
+        self._set_header(slot, free_offset)
+        self._dead = sorted(dead for dead in self._dead if dead < slot)
 
     def update(self, slot: int, payload: bytes) -> bool:
         """Update the record in ``slot``; its slot number never changes.
 
-        A payload no longer than the old one is written over it (secure pages
-        zero the tail).  A longer one goes into the contiguous gap, or — when
-        the gap is too small but gap plus holes are not — the page is
-        compacted around it (:meth:`compact`).  Returns ``False``, the page
+        A batch of one (:meth:`update_many`).  Returns ``False``, the page
         untouched, only when the page is full in total: the caller must then
         move the record to another page.
         """
-        offset, length = self._get_slot(slot)
-        if offset == 0:
-            raise RecordNotFoundError(f"slot {slot} is deleted")
-        new_length = len(payload)
+        return self.update_many(((slot, payload),)) == 1
+
+    def update_many(self, updates: Sequence[Tuple[int, bytes]]) -> int:
+        """Apply ``(slot, payload)`` updates in order; returns how many were
+        applied — all of them, or those ahead of the first one the page, full
+        in total, has no room for (it and the rest are left untouched).
+
+        A payload no longer than the old one is written over it (secure pages
+        zero the tail); a longer one goes into the contiguous gap.  Once the
+        gap is too small the page is compacted *once*, around that update and
+        every later one it has room for (:meth:`_repack`).  Which updates fit
+        depends on the page's room alone, so the outcome — records, slot
+        numbers, free space — is the one a loop over :meth:`update` reaches.
+        """
         self._account()
-        if new_length <= length:
-            self._buffer[offset:offset + new_length] = payload
-            if self.secure and new_length < length:
-                self._buffer[offset + new_length:offset + length] = bytes(length - new_length)
-            self._set_slot(slot, offset, new_length)
-        else:
-            slot_count, free_offset = self._get_header()
-            if new_length <= free_offset - self._slot_directory_end(slot_count):
+        buffer = self._buffer
+        for done, (slot, payload) in enumerate(updates):
+            offset, length = self._get_slot(slot)
+            if offset == 0:
+                raise RecordNotFoundError(f"slot {slot} is deleted")
+            new_length = len(payload)
+            if new_length <= length:
+                buffer[offset:offset + new_length] = payload
+                if self.secure and new_length < length:
+                    buffer[offset + new_length:offset + length] = bytes(length - new_length)
+                self._set_slot(slot, offset, new_length)
+            else:
+                slot_count, free_offset = self._get_header()
+                if new_length > free_offset - self._slot_directory_end(slot_count):
+                    return done + self._repack(updates[done:])
                 new_offset = free_offset - new_length
-                self._buffer[new_offset:free_offset] = payload
+                buffer[new_offset:free_offset] = payload
                 self._set_header(slot_count, new_offset)
                 if self.secure:
-                    self._buffer[offset:offset + length] = bytes(length)
+                    buffer[offset:offset + length] = bytes(length)
                 self._set_slot(slot, new_offset, new_length)
-            elif new_length - length <= self._room():
-                self._repack(slot, payload)
-            else:
-                return False
-        self._live += new_length - length
-        return True
+            self._live += new_length - length
+        return len(updates)
 
     def live_slots(self) -> List[int]:
         return [slot for slot, (offset, _length) in enumerate(self._directory())
@@ -251,27 +276,42 @@ class SlottedPage:
 
     # -- maintenance ----------------------------------------------------------
 
-    def _repack(self, replaced: Optional[int] = None, payload: bytes = b"") -> None:
+    def _repack(self, updates: Sequence[Tuple[int, bytes]] = ()) -> int:
         """Secure in-page compaction: lift the live records out, zero the
         whole payload area, put them back end to end at the back of the page
-        — ``replaced``'s as ``payload`` — and rewrite the directory in one go.
-        Slot numbers are kept (record ids stay valid); dead slots behind the
-        last live one leave the directory.
+        and rewrite the directory in one go.  Slot numbers are kept (record
+        ids stay valid); dead slots behind the last live one leave the
+        directory.
+
+        The leading ``updates`` the page has room for replace their slots'
+        records on the way; returns how many that was.  When not even the
+        first one fits, the page is left as it is.
         """
         self._account()
         buffer = self._buffer
         entries = list(self._directory())
+        room = had = self._room()
+        replaced: Dict[int, bytes] = {}
+        for slot, payload in updates:
+            if not 0 <= slot < len(entries) or not entries[slot][0]:
+                raise RecordNotFoundError(f"slot {slot} is deleted or out of range")
+            old = replaced.get(slot)
+            growth = len(payload) - (entries[slot][1] if old is None else len(old))
+            if growth > room:
+                break
+            room -= growth
+            replaced[slot] = payload
+        if updates and not replaced:
+            return 0
         while entries and entries[-1][0] == 0:
             entries.pop()
-        packed_length = self._live
-        if replaced is not None:
-            packed_length += len(payload) - entries[replaced][1]
-        offset = free_offset = self.page_size - packed_length
+        self._live += had - room                # what the replacements add
+        offset = free_offset = self.page_size - self._live
         directory: List[int] = []
         images = []
         for slot, (start, length) in enumerate(entries):
             if start:
-                image = payload if slot == replaced else buffer[start:start + length]
+                image = replaced[slot] if slot in replaced else buffer[start:start + length]
                 images.append(image)
                 directory += (offset, len(image))
                 offset += len(image)
@@ -282,6 +322,7 @@ class SlottedPage:
         struct.pack_into(f"<{len(directory)}H", buffer, _HEADER.size, *directory)
         self._set_header(len(entries), free_offset)
         self._dead = [slot for slot, (start, _length) in enumerate(entries) if not start]
+        return len(replaced)
 
     def compact(self) -> int:
         """Compact live records to the end of the page, zeroing reclaimed space.

@@ -26,8 +26,8 @@ removal, recovery restore).  Deleted rows leave a dead slot (``live`` flag
 cleared) until the set is rebuilt; zone maps widen monotonically and are
 re-tightened only on rebuild.  After a crash the engine rebuilds every
 segment set from the recovered heap, so segments never need their own
-durability — the WAL's ``SEGMENT_DEGRADE`` records exist to redo the *heap*
-effects of a columnar wave chunk, not to persist segments.
+durability, and a degradation wave reaches them through the same
+``on_value_change`` hook as any other mutation.
 """
 
 from __future__ import annotations
@@ -103,8 +103,6 @@ class SegmentSetStats:
     inserts: int = 0
     removes: int = 0
     value_changes: int = 0
-    #: (segment, column, level) chunks rewritten by columnar waves.
-    degrade_chunks: int = 0
     #: Whole segments skipped by zone-map pruning during scans.
     segments_pruned: int = 0
     rebuilds: int = 0
@@ -216,20 +214,6 @@ class SegmentSet:
             segment.live[position] = False
             segment.live_count -= 1
         self.stats.removes += 1
-
-    # -- wave support ----------------------------------------------------------
-
-    def group_rows(self, row_keys: Iterable[int]) -> Dict[Segment, List[int]]:
-        """Map wave-affected row keys to per-segment position lists, ordered
-        by segment — the unit the columnar degradation path rewrites."""
-        chunks: Dict[Segment, List[int]] = {}
-        for row_key in row_keys:
-            slot = self._directory.get(row_key)
-            if slot is None:
-                continue
-            segment, position = slot
-            chunks.setdefault(segment, []).append(position)
-        return chunks
 
     # -- rebuild ---------------------------------------------------------------
 

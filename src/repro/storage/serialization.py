@@ -215,8 +215,11 @@ def encode_record(values: Sequence[Any]) -> bytes:
     if len(values) > 0xFFFF:
         raise StorageError("records with more than 65535 fields are not supported")
     parts: List[bytes] = [_COUNT_STRUCT.pack(len(values))]
+    int_tag, pack_int = bytes([_TAG_INT]), _INT_STRUCT.pack
     for value in values:
-        parts.append(encode_value(value))
+        # Most fields are plain ints (row keys above all): skip the dispatch.
+        parts.append(int_tag + pack_int(value) if type(value) is int
+                     else encode_value(value))
     return b"".join(parts)
 
 

@@ -5,8 +5,10 @@ singles out: even after a value has been degraded in the data store, its
 accurate before-image survives in the log and can be recovered forensically.
 This WAL therefore supports, besides the classic append/flush/replay protocol:
 
-* ``DEGRADE`` log records that carry **no accurate before-image** — degradation
-  is deterministic and irreversible, so recovery never needs to undo it;
+* ``DEGRADE`` log records that carry **no image at all** — one record per
+  wave chunk names a column, a target accuracy level and the rows that reached
+  it; degradation is deterministic and irreversible, so recovery never needs
+  to undo it;
 * :meth:`WriteAheadLog.scrub_record` / :meth:`WriteAheadLog.scrub_records` —
   destroy every row image of the given rows **in place**: a key → LSN side
   table finds the records, one mark byte per record flags it scrubbed and
@@ -39,7 +41,7 @@ import struct
 from array import array
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 from zlib import crc32
 
 from ..core.errors import (
@@ -52,8 +54,10 @@ from ..faults import FaultPlan
 from .serialization import decode_record, encode_record
 
 #: Version of the on-disk format, stored in every segment header.  Version 1
-#: was the single-file, unchecksummed ``wal.log``; there is no reader for it.
-WAL_FORMAT_VERSION = 2
+#: was the single-file, unchecksummed ``wal.log``; version 2 had per-row
+#: ``DEGRADE`` and per-step ``SCHED_STEP`` payloads and a ``SEGMENT_DEGRADE``
+#: type whose code ``PAGE_ALLOC`` has now.  There is no reader for either.
+WAL_FORMAT_VERSION = 3
 
 #: A segment is rolled when the next record would grow it past this many
 #: bytes.  A record larger than the cap gets a segment of its own.
@@ -82,7 +86,9 @@ _SCRUBBED = 0xA5
 
 class LogRecordType(Enum):
     """Record types.  A record stores its type as the member's position in
-    this class, so new types are appended at the end, never inserted."""
+    this class, so new types are appended at the end, never inserted, and
+    removing one — the last member then moves into its slot — is a new
+    ``WAL_FORMAT_VERSION``."""
 
     BEGIN = "BEGIN"
     COMMIT = "COMMIT"
@@ -90,14 +96,21 @@ class LogRecordType(Enum):
     INSERT = "INSERT"
     UPDATE = "UPDATE"
     DELETE = "DELETE"
+    # One chunk of a degradation wave: every listed row of ``table`` had
+    # ``attribute`` advanced to the same accuracy level.  The payload carries
+    # the target level and the row keys (``row_key`` is unused) — never an
+    # attribute value — so the record is scrub-exempt by construction.
     DEGRADE = "DEGRADE"
-    # One degradation-wave chunk applied through the columnar segment layer:
-    # every listed row of one segment had ``attribute`` advanced to the same
-    # accuracy level.  ``row_key`` holds the *segment id* (not a heap row key)
-    # and the payload carries only the target level plus the affected row
-    # keys — never attribute values — so the record replaces N per-row
-    # DEGRADE records with one, and is scrub-exempt by construction.
-    SEGMENT_DEGRADE = "SEGMENT_DEGRADE"
+    # Heap page allocated to a table (``row_key`` holds the page id).  The
+    # row→page map is rebuilt by scanning the heap at recovery, but *which*
+    # pager pages belong to which table must itself be durable: degraded rows
+    # exist only on their flushed pages (their accurate log images are
+    # scrubbed), so losing page ownership would lose the rows.  CHECKPOINT
+    # records fold the full directory into their payload; PAGE_ALLOC covers
+    # the tail behind the last checkpoint.  (It sits here because it took the
+    # slot of ``SEGMENT_DEGRADE``, which format version 3 retired: one type
+    # renumbered instead of every type behind the hole.)
+    PAGE_ALLOC = "PAGE_ALLOC"
     REMOVE = "REMOVE"          # final removal at end of life cycle
     CHECKPOINT = "CHECKPOINT"
     SCRUB = "SCRUB"            # audit trace of a log scrubbing action
@@ -121,14 +134,6 @@ class LogRecordType(Enum):
     # it carries names, structure and selector keys — never degradable
     # attribute values — so it is scrub-exempt by construction.
     CATALOG = "CATALOG"
-    # Heap page allocated to a table (``row_key`` holds the page id).  The
-    # row→page map is rebuilt by scanning the heap at recovery, but *which*
-    # pager pages belong to which table must itself be durable: degraded rows
-    # exist only on their flushed pages (their accurate log images are
-    # scrubbed), so losing page ownership would lose the rows.  CHECKPOINT
-    # records fold the full directory into their payload; PAGE_ALLOC covers
-    # the tail behind the last checkpoint.
-    PAGE_ALLOC = "PAGE_ALLOC"
 
 
 _TYPES: Tuple[LogRecordType, ...] = tuple(LogRecordType)
@@ -166,12 +171,9 @@ _SCRUB_EXEMPT = frozenset({
     LogRecordType.TABLE_DROP,
     LogRecordType.CATALOG,
     LogRecordType.PAGE_ALLOC,
-    # Its payload is ``encode_record([to_level])``: a target accuracy level,
-    # no attribute value (and never a before-image, enforced at append).
+    # Its payload is a target accuracy level and row keys: no attribute
+    # value (and never a before-image, enforced at append).
     LogRecordType.DEGRADE,
-    # Carries a target level + row keys only (its ``row_key`` field is a
-    # segment id, so the (table, row_key) scrub match must never touch it).
-    LogRecordType.SEGMENT_DEGRADE,
 })
 
 
@@ -267,33 +269,72 @@ def _parse_record(data: bytes, offset: int, limit: int
     return record, end, names_end
 
 
-# -- schedule record payloads -------------------------------------------------
+# -- wave record payloads --------------------------------------------------------
 #
-# SCHED_STEP and SCHED_DEFER records cover a whole degradation batch with one
-# log record: their ``after`` payload is a flat encoded list with a leading
-# entry count.  The table name lives in the record header; row keys identify
-# the tuples within it.
+# A degradation wave reaches the log as *chunks*: DEGRADE says "these rows of
+# this column are now at this level", SCHED_STEP "these rows took this step
+# of the schedule", SCHED_DEFER "these steps were put off".  Their ``after``
+# payloads are flat encoded lists.  The table name lives in the record header
+# (for DEGRADE the column too); row keys identify the tuples within it.
 
-def encode_schedule_steps(entries: List[Tuple[int, str, int, float]]) -> bytes:
-    """Encode ``(row_key, attribute, to_state, due)`` step entries."""
-    flat: List[Any] = [len(entries)]
-    for row_key, attribute, to_state, due in entries:
-        flat.extend([int(row_key), attribute, int(to_state), float(due)])
-    return encode_record(flat)
+#: Row keys one DEGRADE record lists at most: the record codec stops at
+#: 65,535 fields.
+DEGRADE_RECORD_KEYS = 60_000
 
 
-def decode_schedule_steps(payload: bytes) -> List[Tuple[int, str, int, float]]:
-    """Inverse of :func:`encode_schedule_steps`."""
+def encode_degrade_chunk(to_level: int, row_keys: Sequence[int]) -> Iterator[bytes]:
+    """DEGRADE payloads — target level, then row keys — for one wave chunk,
+    its key list cut under the codec's field cap."""
+    for start in range(0, len(row_keys), DEGRADE_RECORD_KEYS):
+        yield encode_record(
+            [int(to_level), *row_keys[start:start + DEGRADE_RECORD_KEYS]])
+
+
+def decode_degrade_chunk(payload: bytes) -> Tuple[int, List[int]]:
+    """One DEGRADE payload back as ``(to_level, row keys)``."""
     flat = decode_record(payload)
-    count = int(flat[0])
-    if len(flat) != 1 + 4 * count:
-        raise WALError(f"malformed SCHED_STEP payload with {len(flat)} fields")
-    entries = []
-    for index in range(count):
-        offset = 1 + 4 * index
-        entries.append((int(flat[offset]), str(flat[offset + 1]),
-                        int(flat[offset + 2]), float(flat[offset + 3])))
-    return entries
+    if not flat:
+        raise WALError("malformed DEGRADE payload: no target level")
+    return int(flat[0]), [int(row_key) for row_key in flat[1:]]
+
+
+def encode_schedule_steps(groups: Mapping[Tuple[str, int, float], Sequence[int]],
+                          limit: int) -> Iterator[bytes]:
+    """SCHED_STEP payloads for ``(attribute, to_state, due) → row keys``
+    groups: ``attribute, to_state, due, n, key × n`` runs back to back, at
+    most ``limit`` row keys per payload (a group is split where it must be;
+    ``5 × limit`` fields have to fit the codec's cap)."""
+    flat: List[Any] = []
+    room = limit
+    for (attribute, to_state, due), row_keys in groups.items():
+        for start in range(0, len(row_keys), limit):
+            part = row_keys[start:start + limit]
+            if len(part) > room:
+                yield encode_record(flat)
+                flat, room = [], limit
+            flat += (attribute, int(to_state), float(due), len(part), *part)
+            room -= len(part)
+    if flat:
+        yield encode_record(flat)
+
+
+def decode_schedule_steps(payload: bytes
+                          ) -> List[Tuple[str, int, float, List[int]]]:
+    """One SCHED_STEP payload back as ``(attribute, to_state, due, row keys)``
+    groups."""
+    flat = decode_record(payload)
+    groups = []
+    cursor = 0
+    while cursor < len(flat):
+        if cursor + 4 > len(flat):
+            raise WALError(f"malformed SCHED_STEP payload with {len(flat)} fields")
+        attribute, to_state, due, count = flat[cursor:cursor + 4]
+        cursor += 4 + int(count)
+        if cursor > len(flat):
+            raise WALError(f"malformed SCHED_STEP payload with {len(flat)} fields")
+        groups.append((str(attribute), int(to_state), float(due),
+                       [int(row_key) for row_key in flat[cursor - int(count):cursor]]))
+    return groups
 
 
 def encode_schedule_defers(entries: List[Tuple[int, str, int, float, float]]) -> bytes:
@@ -318,23 +359,6 @@ def decode_schedule_defers(payload: bytes) -> List[Tuple[int, str, int, float, f
                         int(flat[offset + 2]), float(flat[offset + 3]),
                         float(flat[offset + 4])))
     return entries
-
-
-def encode_segment_degrade(to_level: int, row_keys: List[int]) -> bytes:
-    """Encode a SEGMENT_DEGRADE payload: target level + affected row keys."""
-    flat: List[Any] = [int(to_level), len(row_keys)]
-    flat.extend(int(row_key) for row_key in row_keys)
-    return encode_record(flat)
-
-
-def decode_segment_degrade(payload: bytes) -> Tuple[int, List[int]]:
-    """Inverse of :func:`encode_segment_degrade`."""
-    flat = decode_record(payload)
-    count = int(flat[1])
-    if len(flat) != 2 + count:
-        raise WALError(
-            f"malformed SEGMENT_DEGRADE payload with {len(flat)} fields")
-    return int(flat[0]), [int(row_key) for row_key in flat[2:]]
 
 
 def encode_policy_names(policies: Dict[str, str]) -> bytes:
@@ -498,9 +522,7 @@ class WriteAheadLog:
         if txn_id in self._unlogged:
             self.append(LogRecordType.BEGIN, txn_id,
                         timestamp=self._unlogged.pop(txn_id))
-        if before is not None and (
-                record_type is LogRecordType.DEGRADE
-                or record_type is LogRecordType.SEGMENT_DEGRADE):
+        if before is not None and record_type is LogRecordType.DEGRADE:
             raise WALError(
                 "DEGRADE log records must not carry an accurate before-image"
             )
@@ -1069,8 +1091,8 @@ class WriteAheadLog:
 
 __all__ = ["WriteAheadLog", "LogRecord", "LogRecordType", "WALStats",
            "WAL_FORMAT_VERSION",
+           "encode_degrade_chunk", "decode_degrade_chunk",
            "encode_schedule_steps", "decode_schedule_steps",
            "encode_schedule_defers", "decode_schedule_defers",
-           "encode_segment_degrade", "decode_segment_degrade",
            "encode_policy_names", "decode_policy_names",
            "encode_page_directory", "decode_page_directory"]

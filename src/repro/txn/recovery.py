@@ -34,11 +34,11 @@ from ..storage.wal import (
     LogRecord,
     LogRecordType,
     WriteAheadLog,
+    decode_degrade_chunk,
     decode_page_directory,
     decode_policy_names,
     decode_schedule_defers,
     decode_schedule_steps,
-    decode_segment_degrade,
 )
 
 #: Record types that replay deliberately ignores, with the reason on record.
@@ -66,9 +66,11 @@ class RecoveryReport:
     committed_txns: Set[int] = field(default_factory=set)
     loser_txns: Set[int] = field(default_factory=set)
     redone_inserts: int = 0
+    #: Rows a DEGRADE chunk lists that the heap still holds *below* the
+    #: logged level (their page write was lost; the step is pending again).
     redone_degrades: int = 0
-    #: SEGMENT_DEGRADE chunk records dispatched during redo (columnar waves).
-    redone_segment_chunks: int = 0
+    #: DEGRADE chunk records dispatched during redo.
+    redone_degrade_chunks: int = 0
     redone_removes: int = 0
     redone_updates: int = 0
     undone_inserts: int = 0
@@ -183,12 +185,11 @@ class RecoveryManager:
                 self._page_directory.setdefault(record.table, []).append(
                     record.row_key)
                 continue
-            if record.table and record.row_key >= 0 and \
-                    record_type is not LogRecordType.SEGMENT_DEGRADE:
-                # SEGMENT_DEGRADE's row-key field holds a segment id; the rows
-                # it lists are covered by their own INSERT records.
-                if record.row_key > highest.get(record.table, 0):
-                    highest[record.table] = record.row_key
+            # (A DEGRADE chunk has no row key of its own; the rows it lists
+            # are live — the heap scan finds them — or have a REMOVE record
+            # behind the chunk.)
+            if record.table and record.row_key > highest.get(record.table, 0):
+                highest[record.table] = record.row_key
         self._committed = committed
         self._losers = begun - committed
 
@@ -218,9 +219,9 @@ class RecoveryManager:
         Rebuilding from live rows alone would re-issue keys freed by
         removals; a reused key would collide with the old incarnation's
         surviving REMOVE records on the next recovery and delete the new
-        row.  The per-table highs come from the prepare pass (PAGE_ALLOC and
-        SEGMENT_DEGRADE records excluded — their row-key fields hold page and
-        segment ids — as are records of dropped epochs).
+        row.  The per-table highs come from the prepare pass (PAGE_ALLOC
+        records excluded — their row-key field holds a page id — as are
+        records of dropped epochs).
         """
         for table, row_key in self._highest_row_keys.items():
             store = self.stores.get(table)
@@ -281,20 +282,10 @@ class RecoveryManager:
                 if committed and store.exists(record.row_key):
                     store.replay_remove(record.row_key, now=record.timestamp)
             elif record.record_type is LogRecordType.DEGRADE:
-                # Degradation is redone regardless of the surrounding user txn.
-                if store.exists(record.row_key):
-                    lagging = self._redo_degrade(store, record)
-                    report.redone_degrades += lagging
-                    if not lagging and record.after is not None:
-                        self._settle(store, record.row_key)
-            elif record.record_type is LogRecordType.SEGMENT_DEGRADE:
-                # A columnar wave chunk: like DEGRADE, always redone.  The
-                # record's row-key field is a segment id; the affected heap
-                # rows are listed in the payload.
+                # Degradation is redone regardless of the surrounding txn.
                 if record.after is not None:
-                    report.redone_degrades += \
-                        self._redo_segment_degrade(store, record)
-                    report.redone_segment_chunks += 1
+                    report.redone_degrades += self._redo_degrade(store, record)
+                    report.redone_degrade_chunks += 1
             elif record.record_type is LogRecordType.REMOVE:
                 if store.exists(record.row_key):
                     store.replay_remove(record.row_key, now=record.timestamp)
@@ -398,11 +389,12 @@ class RecoveryManager:
                     continue
                 if record.after is None:
                     continue
-                for row_key, attribute, to_state, due in \
+                for attribute, to_state, due, row_keys in \
                         decode_schedule_steps(record.after):
-                    if scheduler.replay_applied((record.table, row_key),
-                                                attribute, to_state, due):
-                        report.steps_replayed += 1
+                    for row_key in row_keys:
+                        if scheduler.replay_applied((record.table, row_key),
+                                                    attribute, to_state, due):
+                            report.steps_replayed += 1
             elif record_type is LogRecordType.SCHED_EVENT:
                 scheduler.fire_event(record.attribute, record.timestamp)
                 report.events_replayed += 1
@@ -416,46 +408,26 @@ class RecoveryManager:
                 ])
         return report
 
-    @staticmethod
-    def _redo_degrade(store: TableStore, record: LogRecord) -> int:
-        """Ensure the stored state is at least the logged target state.
+    def _redo_degrade(self, store: TableStore, record: LogRecord) -> int:
+        """Redo of one wave chunk is a lag check, row by row.
 
-        The value itself cannot be recomputed from the log (no accurate image);
-        instead the row is marked as already at the target state if it lags —
-        the physical degradation is idempotent because the engine flushes the
-        degraded page before logging commit of the system step.  Lagging states
-        can only appear when the crash hit between the WAL append and the page
-        flush; in that case the daemon re-degrades from the current (still more
-        accurate than logged? no: equal or already degraded) value on restart.
+        The value cannot be recomputed from the log (no accurate image, by
+        design), and need not be: the engine flushes the degraded pages
+        before it scrubs or commits the step.  A listed row the heap holds at
+        (or past) the logged level is *settled* — whatever accurate image of
+        it the log still has is scrubbed once the recovered pages are
+        durable.  A row that lags had its page write lost in the crash: the
+        accurate value is still there, the step is simply pending again and
+        the daemon re-applies it on restart.  Returns the number of lagging
+        rows (asserted on by tests).
         """
-        row = store.read(record.row_key)
-        target_level = int(decode_record(record.after)[0]) if record.after else None
-        if target_level is None:
-            return 0
-        current = row.levels.get(record.attribute, 0)
-        if current >= target_level:
-            return 0
-        # The page write was lost: the accurate value is still there, so the
-        # degradation step is simply pending again.  Leave it to the daemon;
-        # report it so tests can assert on the count.
-        return 1
-
-    def _redo_segment_degrade(self, store: TableStore, record: LogRecord) -> int:
-        """Per-row lag check for one columnar wave chunk.
-
-        Same contract as :meth:`_redo_degrade`, applied to every row key the
-        chunk payload lists: rows whose stored level lags the logged target
-        had their page write lost in the crash — they stay pending for the
-        daemon (the value cannot come from the log, which carries no images).
-        Returns the number of lagging rows.
-        """
-        to_level, row_keys = decode_segment_degrade(record.after)
+        to_level, row_keys = decode_degrade_chunk(record.after)
         lagging = 0
         for row_key in row_keys:
             if not store.exists(row_key):
                 continue
-            row = store.read(row_key)
-            if row.levels.get(record.attribute, 0) < to_level:
+            levels = store.read(row_key, frozenset()).levels
+            if levels.get(record.attribute, 0) < to_level:
                 lagging += 1
             else:
                 self._settle(store, row_key)

@@ -102,6 +102,43 @@ class TestTimedSteps:
         assert scheduler.stats.mean_lag == pytest.approx(30.0)
         assert scheduler.stats.percentile_lag(0.5) == pytest.approx(30.0)
 
+    def test_lag_distribution_is_bounded_and_keeps_its_percentiles(self):
+        from repro.core.scheduler import SchedulerStats
+        import random
+
+        rng = random.Random(5)
+        stats = SchedulerStats()
+        lags = []
+        for _ in range(4000):
+            lag = rng.choice((0.0, rng.uniform(0.001, 5.0), rng.expovariate(1 / 3600.0)))
+            count = rng.randrange(1, 400)
+            stats.record_lag(lag, count)
+            lags += [lag] * count
+        lags.sort()
+        assert stats.steps_applied == len(lags)
+        assert stats.max_lag == lags[-1] == stats.percentile_lag(1.0)
+        assert stats.mean_lag == pytest.approx(sum(lags) / len(lags))
+        for q in (0.0, 0.1, 0.5, 0.9, 0.99):
+            exact = lags[min(len(lags) - 1, int(q * len(lags)))]
+            # the largest lag seen in the bucket that holds the rank: never
+            # below the exact percentile, within the bucket's width above it
+            assert exact <= stats.percentile_lag(q) <= exact * 1.13 + 1e-12
+        assert len(stats._lag_buckets) < 400          # 4,000 chunks, 800,000 steps
+        assert SchedulerStats().percentile_lag(0.5) == 0.0
+
+    def test_batched_drain_records_lag_per_due_time(self, tuple_lcp):
+        scheduler = DegradationScheduler()
+        for index in range(50):
+            scheduler.register(("t", index), tuple_lcp, inserted_at=float(index % 2))
+        calls = []
+        record_lag = scheduler.stats.record_lag
+        scheduler.stats.record_lag = lambda lag, count=1: (
+            calls.append((lag, count)), record_lag(lag, count))
+        scheduler.run_due_batched(HOUR + 10, lambda key, steps: steps)
+        assert sorted(calls) == [(9.0, 25), (10.0, 25)]
+        assert scheduler.stats.steps_applied == 50
+        assert scheduler.stats.mean_lag == pytest.approx(9.5)
+
     def test_completion_callback(self, tuple_lcp):
         scheduler = DegradationScheduler()
         scheduler.register("r1", tuple_lcp, inserted_at=0.0)

@@ -48,9 +48,9 @@ def _salary(row_id: int) -> int:
     return 41_003 + 7 * row_id       # unique per row, so its bytes are traceable
 
 
-#: One mode per store path that rewrites a degraded record: ``degrade_many``
-#: (the default wave), ``degrade`` (per-step baseline) and
-#: ``_degrade_many_columnar`` (a columnarized table).
+#: One mode per way a degraded record gets rewritten: the default wave, the
+#: per-step baseline (a wave of one per step) and a wave over a columnarized
+#: table — all through ``TableStore.degrade_many`` → ``HeapFile.update_many``.
 MODES = {"batch": {}, "per_step": {"batch_degradation": False}, "columnar": {}}
 
 

@@ -448,9 +448,10 @@ class TestScheduleHygieneAcrossRestart:
 
 
 class TestColumnarSegmentsAfterCrash:
-    """Columnar waves log SEGMENT_DEGRADE chunk records; a crash mid-wave
-    must leave a log that recovery can replay into correct segments and
-    level vectors (the mirror is derived — the heap stays the truth)."""
+    """A wave over a columnarized table logs the same DEGRADE chunk records
+    as any other; a crash mid-wave must leave a log that recovery can replay
+    into correct segments and level vectors (the mirror is derived — the heap
+    stays the truth)."""
 
     def test_mid_wave_kill_rebuilds_segments_and_level_vectors(self, tmp_path):
         from repro.storage.wal import LogRecordType
@@ -472,18 +473,15 @@ class TestColumnarSegmentsAfterCrash:
         with pytest.raises(KeyboardInterrupt):
             db.advance_time(hours=2)
         assert db.stats.degradation_steps_applied == 2
-        # The committed chunk went through the segment layer: the surviving
-        # log carries SEGMENT_DEGRADE records, no per-row DEGRADE records.
-        assert any(r.record_type is LogRecordType.SEGMENT_DEGRADE
-                   for r in db.wal)
-        assert not any(r.record_type is LogRecordType.DEGRADE for r in db.wal)
+        # The committed batch is in the surviving log as one chunk record.
+        assert sum(r.record_type is LogRecordType.DEGRADE for r in db.wal) == 1
         crash(db)
 
         db2 = build_trace_db(tmp_path, degradation_max_batch=2)
         db2.columnarize("trace")             # reopened engines re-opt in
         report = db2.recover()
         assert report.recovery.wal_prep_passes == 1
-        assert report.recovery.redone_segment_chunks >= 1
+        assert report.recovery.redone_degrade_chunks >= 1
         # The two logged steps are replayed, the four unapplied ones fire
         # exactly once through the catch-up drain — identical outcome to the
         # row path.
@@ -492,10 +490,10 @@ class TestColumnarSegmentsAfterCrash:
         assert db2.level_histogram("trace", "location") == {1: 6}
 
         # The rebuilt mirror agrees with the recovered heap, level vectors
-        # included, and the catch-up wave itself ran columnar.
+        # included, and the catch-up wave itself reached the mirror.
         segments = db2.table_store("trace").segments
         assert segments.stats.rebuilds >= 1
-        assert segments.stats.degrade_chunks >= 1
+        assert segments.stats.value_changes >= 4
         for key in range(1, 7):
             segment, position = segments.locate(key)
             assert segment.levels["location"][position] == 1
@@ -503,8 +501,7 @@ class TestColumnarSegmentsAfterCrash:
 
     def test_reopen_without_columnarize_recovers_on_the_row_path(self, tmp_path):
         """The mirror is opt-in per process lifetime: a reopened engine that
-        never calls columnarize() recovers and degrades row-at-a-time, even
-        with SEGMENT_DEGRADE records in the log."""
+        never calls columnarize() recovers and degrades without one."""
         db = build_trace_db(tmp_path)
         insert_wave(db, 4)
         db.columnarize("trace")

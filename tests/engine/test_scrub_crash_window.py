@@ -25,7 +25,7 @@ from ..conftest import log_dir_bytes
 
 ROWS = range(1, 8)
 
-#: One mode per store path that applies a degradation step.
+#: One mode per way the engine drives ``TableStore.degrade_many``.
 MODES = {"batch": {}, "per_step": {"batch_degradation": False}, "columnar": {}}
 
 

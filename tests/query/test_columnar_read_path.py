@@ -226,9 +226,10 @@ class TestDegradableColumnsThroughVectors:
 
     def test_level_vector_tracks_degradation_waves(self):
         db = make_degradable_db(columnar=True)
-        db.advance_time(hours=2)
         segments = db.table_store("visits").segments
-        assert segments.stats.degrade_chunks > 0
+        before = segments.stats.value_changes
+        db.advance_time(hours=2)
+        assert segments.stats.value_changes == before + 40
         levels = [level for segment in segments.segments
                   for level in segment.levels["location"]
                   if level is not None]

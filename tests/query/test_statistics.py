@@ -255,6 +255,51 @@ class TestRegistry:
         assert registry.table("ghost") is None
 
 
+class TestTransitionCounts:
+    """A wave reports ``count`` rows per value transition; that must leave
+    the statistics — and the plan-cache epoch — where ``count`` single
+    transitions leave them."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_counted_transitions_equal_single_ones(self, seed):
+        import random
+        from repro.core.schema import Column, TableSchema
+        from repro.core.values import NULL, SUPPRESSED
+        from repro.query.statistics import TableStatistics
+
+        rng = random.Random(seed)
+        schema = TableSchema("t", [Column("id", "INT", primary_key=True),
+                                   Column("v", "TEXT")])
+        counted, single = TableStatistics(schema), TableStatistics(schema)
+        values = ["a", "b", "c", "d", NULL, SUPPRESSED]
+        held = []
+        for row_id in range(rng.randrange(50, 600)):
+            held.append(rng.choice(values))
+            for stats in (counted, single):
+                stats.on_insert({"id": row_id, "v": held[-1]})
+        for _ in range(60):
+            if rng.random() < 0.2 and held:          # the threshold moves with the rows
+                gone = held.pop(rng.randrange(len(held)))
+                for stats in (counted, single):
+                    stats.on_remove({"id": 0, "v": gone})
+                continue
+            old, new = rng.choice(values), rng.choice(values)
+            movers = [i for i, value in enumerate(held) if value is old or value == old]
+            movers = movers[:rng.randrange(0, len(movers) + 1)]
+            if not movers:
+                continue
+            for i in movers:
+                held[i] = new
+                single.on_value_change("v", old, new)
+            counted.on_value_change("v", old, new, len(movers))
+            for stats in (counted, single):
+                assert stats.epoch == single.epoch
+                assert stats._mods_since_epoch == single._mods_since_epoch
+            a, b = counted.columns["v"], single.columns["v"]
+            assert (a.counts, a.non_missing, a.missing, a.min_value, a.max_value) == \
+                (b.counts, b.non_missing, b.missing, b.min_value, b.max_value)
+
+
 class TestHistograms:
     """Equi-width histograms take over range estimation past the exact-NDV
     limit, where uniform min/max interpolation is badly wrong for skew."""

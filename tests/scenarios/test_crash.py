@@ -13,6 +13,12 @@ the scrub marks are written, between two image zeroings, before the final
 fsync, and before the SCRUB audit record — where a half-scrubbed segment must
 recover to "scrubbed", never to "accurate".
 
+A third sweep kills the victim at the seams of one of the wave's batches —
+after its DEGRADE chunk records are appended and before any page is flushed,
+after the page flush and before the scrub, after the scrub and before the
+SCHED_STEP record, and at the commit — where the chunk record, the degraded
+pages and the schedule must never disagree in a way recovery cannot settle.
+
 The victim's directory is reopened **cold** with one-call recovery — the
 catalog comes back from its WAL CATALOG record, no DDL re-run — and must
 (a) satisfy the retention invariant, (b) leak nothing forensically, and
@@ -137,6 +143,75 @@ def arm_scrub_crash(db: InstantDB, point: str, nth_pass: int) -> None:
     db.wal.append = killing_append
 
 
+#: Kill points at the seams of one wave batch (``_apply_degradation_batch``).
+WAVE_KILL_POINTS = ("after_chunk_append", "after_page_flush", "after_scrub",
+                    "at_commit")
+
+
+def watch_wave_batches(db: InstantDB, on_batch=None, on_append=None):
+    """Call ``on_batch(n)`` when the ``n``-th system transaction that logs a
+    DEGRADE chunk appends its first one, ``on_append(record type name)`` before
+    every append; returns ``(counter_dict, restore)``."""
+    original = db.wal.append
+    state = {"count": 0, "txn": None}
+
+    def watching_append(record_type, txn_id=0, **kwargs):
+        if record_type.name == "DEGRADE" and txn_id != state["txn"]:
+            state["txn"] = txn_id
+            state["count"] += 1
+            if on_batch is not None:
+                on_batch(state["count"])
+        if on_append is not None:
+            on_append(record_type.name)
+        return original(record_type, txn_id, **kwargs)
+
+    db.wal.append = watching_append
+    return state, lambda: setattr(db.wal, "append", original)
+
+
+def arm_wave_crash(db: InstantDB, point: str, nth_batch: int) -> None:
+    """Kill the process at ``point`` of the ``nth_batch``-th wave batch."""
+    state = {"armed": False}
+    flush_page, scrub_records = db.buffer_pool.flush_page, db.wal.scrub_records
+
+    def on_batch(count):
+        state["armed"] = count == nth_batch
+
+    def on_append(name):
+        if state["armed"] and (point, name) in (("after_scrub", "SCHED_STEP"),
+                                                ("at_commit", "COMMIT")):
+            raise KeyboardInterrupt
+
+    def killing_flush_page(page_id):
+        if state["armed"] and point == "after_chunk_append":
+            raise KeyboardInterrupt
+        return flush_page(page_id)
+
+    def killing_scrub(keys, now=0.0):
+        if state["armed"] and point == "after_page_flush":
+            raise KeyboardInterrupt
+        return scrub_records(keys, now=now)
+
+    watch_wave_batches(db, on_batch, on_append)
+    db.buffer_pool.flush_page = killing_flush_page
+    db.wal.scrub_records = killing_scrub
+
+
+@pytest.mark.parametrize("point", WAVE_KILL_POINTS)
+def test_crash_at_a_seam_of_a_wave_batch_recovers_to_twin_equivalence(
+        tmp_path, point):
+    kill_seed = BASE_SEED + 13 * WAVE_KILL_POINTS.index(point)
+
+    def arm(victim, twin_counts):
+        batches = twin_counts["wave_batches"]
+        assert batches > 0
+        nth_batch = random.Random(kill_seed).randrange(1, batches + 1)
+        arm_wave_crash(victim, point, nth_batch)
+        return f"point={point} batch={nth_batch}/{batches}"
+
+    run_crash_case(tmp_path, kill_seed, arm)
+
+
 @pytest.mark.parametrize("stratum", range(SWEEP))
 def test_mid_wave_crash_recovers_to_twin_equivalence(tmp_path, stratum):
     kill_seed = BASE_SEED + 101 * stratum
@@ -197,12 +272,15 @@ def run_crash_case(tmp_path, kill_seed, arm):
     # its WAL appends; the engines are deterministic over identical state, so
     # the victim's wave costs the same number (and as many zeroing passes).
     appends, restore_appends = count_appends(twin.engine)
+    batches, restore_batches = watch_wave_batches(twin.engine)
     passes, restore_passes = count_zeroing_passes(twin.engine)
     twin.advance(10 * DAY)
+    restore_batches()
     restore_appends()
     restore_passes()
 
     kill = arm(victim.engine, {"appends": appends["count"],
+                               "wave_batches": batches["count"],
                                "zeroing_passes": passes["count"]})
     with pytest.raises(KeyboardInterrupt):
         victim.advance(10 * DAY)

@@ -213,3 +213,59 @@ def test_reopened_heap_chooses_the_same_pages(seed):
     _drive(reopened, random.Random(seed + 1), closed_model, 300, reopened_trail)
     assert reopened_trail == kept_trail
     assert reopened.page_ids() == kept.page_ids()
+
+
+@pytest.mark.parametrize("page_size", [128, 512, 4096])
+@pytest.mark.parametrize("seed", [31, 32, 33])
+def test_update_many_places_records_where_sequential_updates_do(seed, page_size):
+    """Twin heaps: every batch of updates to the records of one page goes
+    through ``update_many`` on one and ``update``, record by record, on the
+    other.  Same records relocated, to the same ids, and the same free-space
+    map after every batch."""
+    rng = random.Random(seed)
+    batched = HeapFile(BufferPool(MemoryPager(page_size=page_size), capacity=4))
+    sequential = HeapFile(BufferPool(MemoryPager(page_size=page_size), capacity=4))
+    model = {}                                  # record id → payload
+    relocated = 0
+
+    def payload(length):
+        return bytes(rng.randrange(1, 256) for _ in range(length))
+
+    for _ in range(200):
+        op = rng.choice(("insert", "insert", "delete", "batch", "batch"))
+        if op == "insert":
+            image = payload(rng.randrange(1, page_size // 3))
+            rid = batched.insert(image)
+            assert sequential.insert(image) == rid
+            model[rid] = image
+        elif op == "delete" and model:
+            rid = rng.choice(sorted(model))
+            batched.delete(rid)
+            sequential.delete(rid)
+            del model[rid]
+        elif model:
+            page_id = rng.choice(sorted(model)).page_id
+            on_page = sorted(rid for rid in model if rid.page_id == page_id)
+            updates = []
+            for rid in rng.sample(on_page, rng.randrange(1, len(on_page) + 1)):
+                old = model[rid]
+                length = rng.choice((rng.randrange(1, len(old) + 1),
+                                     len(old) + rng.randrange(1, page_size // 4)))
+                updates.append((rid.slot, payload(min(length, page_size - 64))))
+            expected = {}
+            for slot, image in updates:
+                rid = RecordId(page_id, slot)
+                new_rid = sequential.update(rid, image)
+                if new_rid != rid:
+                    expected[slot] = new_rid
+            moved = batched.update_many(page_id, updates)
+            assert moved == expected
+            relocated += len(moved)
+            for slot, image in updates:
+                del model[RecordId(page_id, slot)]
+            for slot, image in updates:
+                model[moved.get(slot, RecordId(page_id, slot))] = image
+        batched.check()
+        assert dict(batched.scan()) == dict(sequential.scan()) == model
+        assert batched._free == sequential._free
+    assert relocated

@@ -260,3 +260,83 @@ def test_page_against_a_model(seed, page_size):
         assert page.live_count == len(model)
         assert page.slot_count <= peak_live             # dead slots are reused first
         page.check()                                    # hygiene: no stale byte anywhere
+
+
+@pytest.mark.parametrize("page_size", [128, 256, 512, 1024, 4096])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_update_many_against_sequential_update(seed, page_size):
+    """Twin pages take the same random inserts, deletes and update batches —
+    one through ``update_many``, one through ``update`` record by record, a
+    rejected record leaving the page at its turn (as the heap relocates it).
+    Same updates refused, same records, slot numbers and free space after
+    every batch; the batched page compacts at most once per batch."""
+    rng = random.Random(seed * 104729 + page_size)
+    batched, sequential = SlottedPage(page_size=page_size), SlottedPage(page_size=page_size)
+    model = {}                                          # slot → payload
+    refused = compactions = 0
+
+    def payload(length):
+        return bytes(rng.randrange(1, 256) for _ in range(length))
+
+    repack = SlottedPage._repack
+
+    def counting_repack(page, updates=()):
+        nonlocal compactions
+        compactions += page is batched
+        return repack(page, updates)
+
+    for _ in range(300):
+        op = rng.choice(("insert", "insert", "delete", "batch", "batch", "reload"))
+        if op == "insert":
+            image = payload(rng.randrange(1, page_size // 3))
+            if batched.can_fit(len(image)):
+                model[batched.insert(image)] = image
+                assert sequential.insert(image) in model
+        elif op == "reload":
+            batched = SlottedPage.from_bytes(batched.to_bytes())
+        elif op == "delete" and model:
+            slot = rng.choice(sorted(model))
+            batched.delete(slot)
+            sequential.delete(slot)
+            del model[slot]
+        elif model:
+            slots = rng.sample(sorted(model), rng.randrange(1, len(model) + 1))
+            updates = []
+            for slot in slots:
+                old = model[slot]
+                length = rng.choice((rng.randrange(1, len(old) + 1),
+                                     len(old) + rng.randrange(1, page_size // 4)))
+                updates.append((slot, payload(length)))
+            # the twin, one by one; a refused record is deleted at its turn
+            expected = set()
+            for slot, image in updates:
+                if sequential.update(slot, image):
+                    model[slot] = image
+                else:
+                    expected.add(slot)
+                    sequential.delete(slot)
+                    del model[slot]
+            # the batch: update_many up to the first refusal, as HeapFile does
+            left = updates
+            before = compactions
+            SlottedPage._repack = counting_repack
+            try:
+                moved = set()
+                while left:
+                    applied = batched.update_many(left)
+                    if applied == len(left):
+                        break
+                    moved.add(left[applied][0])
+                    batched.delete(left[applied][0])
+                    left = left[applied + 1:]
+            finally:
+                SlottedPage._repack = repack
+            assert moved == expected
+            assert compactions - before <= 1 + len(moved)
+            refused += len(moved)
+        assert dict(batched.records()) == dict(sequential.records()) == model
+        assert batched.slot_count == sequential.slot_count
+        assert batched.free_space() == sequential.free_space()
+        batched.check()
+        sequential.check()
+    assert refused                 # the case that matters was exercised

@@ -101,16 +101,6 @@ class TestSegmentSetHooks:
         assert segment.live_count == 2
         assert [segment.row_keys[i] for i in segment.live_positions()] == [2, 3]
 
-    def test_group_rows_partitions_a_wave_by_segment(self):
-        _db, store = make_store()
-        segments = store.columnarize()
-        for i in range(SEGMENT_ROWS + 5):
-            segments.on_insert(i, 0.0, {"id": i, "grp": "g", "val": i}, {})
-        chunks = segments.group_rows([0, 1, SEGMENT_ROWS + 1, 10**9])
-        assert {s.segment_id for s in chunks} == {0, 1}
-        by_id = {s.segment_id: positions for s, positions in chunks.items()}
-        assert by_id[0] == [0, 1] and len(by_id[1]) == 1
-
 
 class TestSentinelsAndLevels:
     def test_sentinels_round_trip_by_identity(self):

@@ -143,11 +143,10 @@ class TestDegradation:
 class TestBulkDegradation:
     def test_degrade_many_matches_per_step_results(self, store):
         keys = [store.insert({**ROW, "id": i}, now=0.0) for i in range(1, 5)]
-        outcomes = store.degrade_many(
+        (chunk,) = store.degrade_many(
             [(row_key, "location", LOCATION, 1) for row_key in keys], now=3600.0)
-        assert [o.row_key for o in outcomes] == keys
-        assert all(o.changed and o.to_level == 1 for o in outcomes)
-        assert all(o.new_value == "Paris" for o in outcomes)
+        assert (chunk.column, chunk.from_level, chunk.to_level) == ("location", 0, 1)
+        assert chunk.transitions == {("1 Main Street, Paris", "Paris"): keys}
         for row_key in keys:
             row = store.read(row_key)
             assert row.values["location"] == "Paris"
@@ -156,10 +155,10 @@ class TestBulkDegradation:
     def test_degrade_many_multiple_columns_one_rewrite(self, store):
         row_key = store.insert(ROW, now=0.0)
         relocations = store.stats.relocations
-        outcomes = store.degrade_many(
+        chunks = store.degrade_many(
             [(row_key, "location", LOCATION, 1), (row_key, "salary", SALARY, 2)],
             now=1.0)
-        assert len(outcomes) == 2
+        assert sorted(chunk.column for chunk in chunks) == ["location", "salary"]
         row = store.read(row_key)
         assert row.values["location"] == "Paris"
         assert row.values["salary"] == "2000-3000"
@@ -168,8 +167,7 @@ class TestBulkDegradation:
 
     def test_degrade_many_noop_level_reported_unchanged(self, store):
         row_key = store.insert(ROW, now=0.0)
-        outcomes = store.degrade_many([(row_key, "location", LOCATION, 0)], now=1.0)
-        assert outcomes[0].changed is False
+        assert store.degrade_many([(row_key, "location", LOCATION, 0)], now=1.0) == []
         assert store.read(row_key).values["location"] == "1 Main Street, Paris"
         # No WAL record, no degrade counted for a pure no-op.
         assert store.stats.degrade_steps == 0

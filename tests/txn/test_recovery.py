@@ -7,7 +7,12 @@ from repro.core.schema import Column, TableSchema
 from repro.storage.buffer import BufferPool
 from repro.storage.degradable_store import TableStore
 from repro.storage.pager import MemoryPager
-from repro.storage.wal import LogRecordType, WriteAheadLog
+from repro.storage.wal import (
+    LogRecordType,
+    WriteAheadLog,
+    decode_degrade_chunk,
+    encode_degrade_chunk,
+)
 from repro.txn.recovery import RecoveryManager
 from repro.txn.transaction import TransactionManager
 
@@ -124,9 +129,9 @@ class TestRedo:
         manager.commit(winner)
         # Append a DEGRADE record without performing the physical degradation,
         # as if the crash hit between WAL append and page flush.
-        from repro.storage.serialization import encode_record
-        wal.append(LogRecordType.DEGRADE, 0, table="person", row_key=row_key,
-                   attribute="location", after=encode_record([1]), timestamp=3600.0)
+        (payload,) = encode_degrade_chunk(1, [row_key])
+        wal.append(LogRecordType.DEGRADE, 0, table="person",
+                   attribute="location", after=payload, timestamp=3600.0)
         report = RecoveryManager(wal, {"person": store}).recover()
         assert report.redone_degrades == 1
 
@@ -153,16 +158,21 @@ class TestSinglePassPrepare:
 
 
 class TestSegmentDegradeRecords:
+    """A wave is logged as one DEGRADE record per (column, level) chunk — on
+    a columnarized table exactly as on a plain one (the class is named after
+    the record type the chunk DEGRADE absorbed)."""
+
     def rows(self, count):
         return [{**ROW, "id": i} for i in range(1, count + 1)]
 
-    def make_columnar_wave(self, count=5, to_level=1):
+    def make_columnar_wave(self, count=5, to_level=1, columnar=True):
         wal, store, manager = make_environment()
         winner = manager.begin()
         keys = [store.insert(row, now=0.0, txn_id=winner.txn_id)
                 for row in self.rows(count)]
         manager.commit(winner)
-        store.columnarize()
+        if columnar:
+            store.columnarize()
         system = manager.begin(system=True)
         store.degrade_many([(key, "location", LOCATION, to_level)
                             for key in keys], now=3600.0,
@@ -170,17 +180,17 @@ class TestSegmentDegradeRecords:
         return wal, store, manager, keys
 
     def test_columnar_wave_logs_chunks_not_rows(self):
-        wal, store, _manager, keys = self.make_columnar_wave()
-        records = [r for r in wal
-                   if r.record_type is LogRecordType.SEGMENT_DEGRADE]
-        degrades = [r for r in wal if r.record_type is LogRecordType.DEGRADE]
-        assert len(records) == 1 and not degrades
-        # The record's row-key field carries the segment id, and the payload
-        # lists every affected heap row.
-        from repro.storage.wal import decode_segment_degrade
-        to_level, row_keys = decode_segment_degrade(records[0].after)
-        assert to_level == 1 and sorted(row_keys) == sorted(keys)
-        assert records[0].before is None
+        for columnar in (True, False):
+            wal, store, _manager, keys = self.make_columnar_wave(columnar=columnar)
+            (record,) = [r for r in wal if r.record_type is LogRecordType.DEGRADE]
+            # The record names the column; the payload lists every affected
+            # heap row behind the target level.  No row key of its own, no
+            # image.
+            assert (record.table, record.attribute, record.row_key) == \
+                ("person", "location", -1)
+            to_level, row_keys = decode_degrade_chunk(record.after)
+            assert to_level == 1 and sorted(row_keys) == sorted(keys)
+            assert record.before is None
 
     def test_recovery_rebuilds_segments_and_level_vectors(self):
         wal, store, manager, keys = self.make_columnar_wave()
@@ -189,7 +199,7 @@ class TestSegmentDegradeRecords:
         store.segments.clear()
         report = RecoveryManager(wal, {"person": store}).recover()
         assert report.wal_prep_passes == 1
-        assert report.redone_segment_chunks == 1
+        assert report.redone_degrade_chunks == 1
         assert report.redone_degrades == 0            # pages were flushed
         segments = store.segments
         assert segments.stats.rebuilds >= 1
@@ -207,20 +217,55 @@ class TestSegmentDegradeRecords:
         store.columnarize()
         # A chunk record whose page write never made it: every listed row
         # still stores the accurate value at level 0.
-        from repro.storage.wal import encode_segment_degrade
-        wal.append(LogRecordType.SEGMENT_DEGRADE, 0, table="person",
-                   row_key=0, attribute="location",
-                   after=encode_segment_degrade(1, keys), timestamp=3600.0)
+        (payload,) = encode_degrade_chunk(1, keys)
+        wal.append(LogRecordType.DEGRADE, 0, table="person",
+                   attribute="location", after=payload, timestamp=3600.0)
         report = RecoveryManager(wal, {"person": store}).recover()
-        assert report.redone_segment_chunks == 1
+        assert report.redone_degrade_chunks == 1
         assert report.redone_degrades == 3            # all three rows lag
         # The values were NOT fabricated from the log (it carries no images).
         for key in keys:
             assert store.read(key).values["location"] == ROW["location"]
 
+    def test_chunk_whose_rows_partly_lag(self):
+        """Of the four rows a chunk lists, two were degraded on disk before
+        the crash (which came ahead of the scrub) and two had their page write
+        lost: the first two are settled — their INSERT images leave the log —
+        the others stay pending, accurate value and log image intact."""
+        wal, store, manager = make_environment()
+        winner = manager.begin()
+        keys = [store.insert(row, now=0.0, txn_id=winner.txn_id)
+                for row in self.rows(4)]
+        manager.commit(winner)
+        done, lost = keys[:2], keys[2:]
+
+        def die(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        wal.scrub_records = die                # pages flushed, log not scrubbed
+        with pytest.raises(KeyboardInterrupt):
+            store.degrade_many([(key, "location", LOCATION, 1) for key in done],
+                               now=3600.0)
+        del wal.scrub_records
+        (payload,) = encode_degrade_chunk(1, keys)
+        wal.append(LogRecordType.DEGRADE, 0, table="person",
+                   attribute="location", after=payload, timestamp=3600.0)
+        assert all(wal.records_for("person", key) for key in keys)
+
+        report = RecoveryManager(wal, {"person": store}).recover()
+        assert report.redone_degrade_chunks == 2       # the wave's own + ours
+        assert report.redone_degrades == len(lost)
+        for key in done:
+            assert store.read(key).values["location"] == "Paris"
+            assert not wal.records_for("person", key)     # settled: re-scrubbed
+        for key in lost:
+            assert store.read(key).values["location"] == ROW["location"]
+            assert wal.records_for("person", key)         # still pending
+        assert b"1 Main Street, Paris" in wal.raw_image()
+
     def test_segment_ids_do_not_pollute_row_key_reservation(self):
-        """SEGMENT_DEGRADE's row-key field holds a segment id (0, 1, ...);
-        it must not drag the store's row-key counter around."""
+        """A chunk record has no row key of its own (the field reads -1); it
+        must not drag the store's row-key counter around."""
         wal, store, manager, keys = self.make_columnar_wave(count=2)
         store._locations.clear()
         store.segments.clear()
