@@ -8,7 +8,7 @@ degradation step expire in one wave, and drains it twice:
 * **batched** (the engine default) — one system transaction, one exclusive
   lock, one coalesced page-flush pass, one WAL scrub pass and one durable WAL
   flush per batch;
-* **per-step baseline** (``batch_degradation=False``) — the same pipeline
+* **per-step baseline** (``degradation_max_batch=1``) — the same pipeline
   fed one step at a time, paying all of the above once per step.
 
 Series reported: steps/second for both pipelines, WAL flush and page flush
@@ -38,9 +38,8 @@ MIN_N_FOR_RATIO = 1000
 TRANSITIONS = ["1 hour", "1 day", "1 month", "3 months"]
 
 
-def _build_engine(batch: bool, max_batch=None) -> InstantDB:
-    db = InstantDB(batch_degradation=batch, degradation_max_batch=max_batch,
-                   buffer_capacity=4096)
+def _build_engine(max_batch=None) -> InstantDB:
+    db = InstantDB(degradation_max_batch=max_batch, buffer_capacity=4096)
     location = db.register_domain(build_location_tree())
     db.register_policy(AttributeLCP(location, transitions=TRANSITIONS,
                                     name="location_lcp"))
@@ -64,6 +63,7 @@ def _drain_wave(db: InstantDB):
     wal_flushes = db.wal.stats.flushed
     page_flushes = db.buffer_pool.stats.flushes
     scrub_passes = db.wal.stats.scrub_passes
+    wal_records = db.wal.stats.appended
     started = time.perf_counter()
     db.advance_time(hours=2)       # every record owes exactly one location step
     elapsed = time.perf_counter() - started
@@ -73,13 +73,14 @@ def _drain_wave(db: InstantDB):
         "wal_flushes": db.wal.stats.flushed - wal_flushes,
         "page_flushes": db.buffer_pool.stats.flushes - page_flushes,
         "scrub_passes": db.wal.stats.scrub_passes - scrub_passes,
+        "wal_records": db.wal.stats.appended - wal_records,
     }
 
 
 def test_mass_expiry_batch_vs_per_step():
-    batched_db = _build_engine(batch=True)
+    batched_db = _build_engine()
     _load_wave(batched_db, N)
-    per_step_db = _build_engine(batch=False)
+    per_step_db = _build_engine(max_batch=1)
     _load_wave(per_step_db, N)
 
     batched = _drain_wave(batched_db)
@@ -109,16 +110,20 @@ def test_mass_expiry_batch_vs_per_step():
     assert batched["scrub_passes"] == 1
     assert per_step["wal_flushes"] >= N
     assert per_step["scrub_passes"] >= N
+    # The wave is one (column, level) chunk: BEGIN, the DEGRADE chunk, the
+    # scrub's audit record, SCHED_STEP and COMMIT — however many rows.
+    assert batched["wal_records"] <= 6
 
     # Each dirty heap page is flushed at most once per batch.
     assert batched["page_flushes"] <= heap_pages
     assert per_step["page_flushes"] >= N
 
     record_bench("c2", "mass_expiry_wave",
-                 variant="row", rows=N,
+                 rows=N,
                  batched_steps_per_sec=round(batched_rate, 1),
                  per_step_steps_per_sec=round(per_step_rate, 1),
                  batched_wal_flushes=batched["wal_flushes"],
+                 batched_wal_records=batched["wal_records"],
                  batched_seconds=round(batched["seconds"], 6))
 
     if N >= MIN_N_FOR_RATIO:
@@ -127,73 +132,10 @@ def test_mass_expiry_batch_vs_per_step():
         )
 
 
-def test_mass_expiry_columnar_wave():
-    """The same wave over a table mirrored into columnar segments.
-
-    There is one wave routine (``TableStore.degrade_many``): the heap is
-    rewritten page by page and the log gets one ``DEGRADE`` record per
-    (column, level) chunk whether or not a mirror is attached — the mirror
-    only hears of each new value through its ``on_value_change`` hook.  So
-    both waves must log O(chunks) records, keep the one-flush /
-    one-scrub-pass structure, and the mirrored one must cost about the same.
-    """
-    row_db = _build_engine(batch=True)
-    _load_wave(row_db, N)
-    columnar_db = _build_engine(batch=True)
-    _load_wave(columnar_db, N)
-    columnar_db.columnarize("trace")
-    segments = columnar_db.table_store("trace").segments
-    mirrored = segments.stats.value_changes
-
-    row_appended = row_db.wal.stats.appended
-    row = _drain_wave(row_db)
-    row_records = row_db.wal.stats.appended - row_appended
-
-    columnar_appended = columnar_db.wal.stats.appended
-    columnar = _drain_wave(columnar_db)
-    columnar_records = columnar_db.wal.stats.appended - columnar_appended
-
-    print_table(
-        f"C2: {N}-record wave, plain table vs columnarized table",
-        ["table", "steps", "seconds", "WAL records", "WAL flushes"],
-        [("plain", row["steps"], f"{row['seconds']:.4f}",
-          row_records, row["wal_flushes"]),
-         ("columnarized", columnar["steps"], f"{columnar['seconds']:.4f}",
-          columnar_records, columnar["wal_flushes"])])
-
-    # Same visible outcome, same durability structure.
-    assert columnar["steps"] == N
-    assert columnar_db.level_histogram("trace", "location") == {1: N}
-    assert columnar["wal_flushes"] == 1
-    assert columnar["scrub_passes"] == 1
-    assert segments.stats.value_changes == mirrored + N
-
-    # Both waves are one (column, level) chunk: BEGIN, the DEGRADE chunk, the
-    # scrub's audit record, SCHED_STEP and COMMIT — however many rows.
-    assert columnar_records == row_records <= 6
-
-    record_bench("c2", "mass_expiry_wave_columnar",
-                 variant="columnar", rows=N,
-                 steps_per_sec=round(columnar["steps"] /
-                                     max(columnar["seconds"], 1e-9), 1),
-                 wal_records=columnar_records,
-                 row_path_wal_records=row_records,
-                 seconds=round(columnar["seconds"], 6),
-                 row_path_seconds=round(row["seconds"], 6))
-
-    # Maintaining the mirror stays a small part of the wave (generous slack:
-    # timing noise at smoke scale must not fail CI).
-    if N >= MIN_N_FOR_RATIO:
-        assert columnar["seconds"] <= row["seconds"] * 1.25, (
-            f"columnarized wave {columnar['seconds']:.4f}s vs "
-            f"plain {row['seconds']:.4f}s"
-        )
-
-
 def test_mass_expiry_chunked_drain():
     """The max_batch knob drains a big backlog in bounded chunks."""
     chunk = max(1, N // 4)
-    db = _build_engine(batch=True, max_batch=chunk)
+    db = _build_engine(max_batch=chunk)
     _load_wave(db, N)
     drained = _drain_wave(db)
     expected_batches = -(-N // chunk)          # ceil division

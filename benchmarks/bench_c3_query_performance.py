@@ -238,8 +238,6 @@ def _load_read_path_engine(optimized: bool) -> InstantDB:
     db.execute("CREATE INDEX idx_score ON events (score) USING btree")
     db.executemany("INSERT INTO events VALUES (?, ?)",
                    [(i, (i * 37) % 1000) for i in range(1, PERF_ROWS + 1)])
-    # ``seq`` is deliberately unindexed: range predicates on it must go
-    # through a full scan, which is the case the columnar zone maps target.
     columns = ", ".join(f"c{i:02d} TEXT" for i in range(WIDE_COLUMNS))
     db.execute(f"CREATE TABLE wide (id INT PRIMARY KEY, seq INT, {columns})")
     db.executemany(
@@ -249,19 +247,10 @@ def _load_read_path_engine(optimized: bool) -> InstantDB:
     return db
 
 
-def _load_columnar_engine() -> InstantDB:
-    """The optimized engine with both tables mirrored into columnar segments."""
-    db = _load_read_path_engine(True)
-    db.columnarize("wide")
-    db.columnarize("events")
-    return db
-
-
 @pytest.fixture(scope="module")
 def read_path_pair():
     return {"before": _load_read_path_engine(False),
-            "after": _load_read_path_engine(True),
-            "columnar": _load_columnar_engine()}
+            "after": _load_read_path_engine(True)}
 
 
 def _throughput(db: InstantDB, sql: str, repeats: int) -> float:
@@ -370,82 +359,3 @@ def test_c3_join_with_limit_streams_the_probe_side(benchmark, pipeline_db):
                  ("users (build, materialized)", by_table["users"])])
     assert by_table["events"] == 10          # probe side stops early
     assert by_table["users"] == NUM_USERS    # build side fully materialized
-
-
-# -- columnar segments / vectorized batch execution -----------------------------
-
-
-def test_c3_columnar_wide_selective_scan_speedup(read_path_pair):
-    """Columnar acceptance: ≥2x on a selective full-table scan of a wide table.
-
-    The predicate ranges over the unindexed ``seq`` column, so every engine
-    pays a full scan.  The columnar engine prunes non-overlapping segments via
-    the per-segment zone maps and runs the residual as a vectorized batch
-    filter over the ``seq`` vector; the row path (the previous overhaul's
-    compiled SeqScan) still decodes and tests row by row.
-    """
-    low = PERF_ROWS // 2
-    high = low + max(PERF_ROWS // 100, 9)
-    sql = f"SELECT c03, c11 FROM wide WHERE seq BETWEEN {low} AND {high}"
-    before = read_path_pair["before"]
-    after = read_path_pair["after"]
-    columnar = read_path_pair["columnar"]
-    expected = sorted(before.execute(sql).rows)
-    assert sorted(after.execute(sql).rows) == expected
-    result = columnar.execute(sql)
-    assert sorted(result.rows) == expected
-    explain = "\n".join(r[0] for r in columnar.execute(f"EXPLAIN {sql}").rows)
-    assert "ColumnarScan" in explain
-    scan = result.pipeline.find("ColumnarScan")
-    total_segments = len(columnar.table_store("wide").segments.segments)
-    if PERF_ROWS >= 4096:                 # several segments → zone maps prune
-        assert scan.segments_pruned > 0
-    repeats = max(5, min(100, 100_000 // max(PERF_ROWS, 1)))
-    row_ops = _throughput(after, sql, repeats)
-    columnar_ops = _throughput(columnar, sql, repeats)
-    speedup = columnar_ops / row_ops
-    print_table(f"C3: selective scan of a {WIDE_COLUMNS + 2}-column table, "
-                f"{PERF_ROWS} rows (row path vs columnar)",
-                ["path", "queries/sec"],
-                [("row path (compiled SeqScan)", f"{row_ops:.2f}"),
-                 ("columnar (zone maps + batch filter)", f"{columnar_ops:.2f}"),
-                 ("segments pruned", f"{scan.segments_pruned}/{total_segments}"),
-                 ("speedup", f"{speedup:.2f}x")])
-    record_bench("c3", "columnar_wide_selective_scan",
-                 variant="columnar", rows=PERF_ROWS, columns=WIDE_COLUMNS + 2,
-                 repeats=repeats, segments_pruned=scan.segments_pruned,
-                 segments_total=total_segments,
-                 row_ops_per_sec=round(row_ops, 2),
-                 columnar_ops_per_sec=round(columnar_ops, 2),
-                 speedup=round(speedup, 2))
-    if PERF_ROWS >= 10_000:
-        assert speedup >= 2.0
-
-
-def test_c3_columnar_unindexed_equality_scan(read_path_pair):
-    """Equality on an unindexed text column: batch filter over the value
-    vector, no zone-map help (string min/max spans every segment)."""
-    needle = PERF_ROWS // 3
-    sql = f"SELECT id FROM wide WHERE c07 = 'row-{needle}-column-7-payload'"
-    after = read_path_pair["after"]
-    columnar = read_path_pair["columnar"]
-    assert after.execute(sql).rows == columnar.execute(sql).rows == [(needle,)]
-    explain = "\n".join(r[0] for r in columnar.execute(f"EXPLAIN {sql}").rows)
-    assert "ColumnarScan" in explain
-    repeats = max(5, min(100, 100_000 // max(PERF_ROWS, 1)))
-    row_ops = _throughput(after, sql, repeats)
-    columnar_ops = _throughput(columnar, sql, repeats)
-    speedup = columnar_ops / row_ops
-    print_table(f"C3: unindexed text equality, {PERF_ROWS} rows "
-                f"(row path vs columnar)",
-                ["path", "queries/sec"],
-                [("row path (compiled SeqScan)", f"{row_ops:.2f}"),
-                 ("columnar (vectorized filter)", f"{columnar_ops:.2f}"),
-                 ("speedup", f"{speedup:.2f}x")])
-    record_bench("c3", "columnar_unindexed_equality",
-                 variant="columnar", rows=PERF_ROWS, repeats=repeats,
-                 row_ops_per_sec=round(row_ops, 2),
-                 columnar_ops_per_sec=round(columnar_ops, 2),
-                 speedup=round(speedup, 2))
-    if PERF_ROWS >= 10_000:
-        assert speedup >= 1.0              # never slower than the row path

@@ -2,9 +2,9 @@
 
 One seeded inclusion-platform workload (mixed point reads, range scans,
 joins, aggregates, writes, live expiry waves and forensic scans) replays
-against every engine variant — interpreted, compiled, columnar, remote —
+against every engine variant — interpreted, compiled, remote —
 with the differential oracle armed: besides QPS and tail latency per
-variant, the run *proves* all four variants returned identical results and
+variant, the run *proves* all three variants returned identical results and
 the retention invariant held after every wave.
 
 Assertions are structural (oracle clean, retention clean, every op ran);

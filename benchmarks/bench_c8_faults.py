@@ -38,7 +38,7 @@ OPS = int(os.environ.get("C8_OPS", "200"))
 SEED = int(os.environ.get("C8_SEED", "11"))
 FAULT_RATE = float(os.environ.get("C8_FAULT_RATE", "0.01"))
 VARIANTS = tuple(
-    os.environ.get("C8_VARIANTS", "compiled,columnar,remote").split(","))
+    os.environ.get("C8_VARIANTS", "compiled,remote").split(","))
 
 
 def _run(variant, data_dir, fault_rate):

@@ -225,19 +225,17 @@ def snapshot_catalog(db) -> Dict[str, Any]:
         "tables": [_table_spec(info, registry) for info in db.catalog.tables()],
         "purposes": [_purpose_spec(purpose)
                      for purpose in db.catalog.purposes()],
-        "columnar": sorted(db.catalog._columnar_tables),
     }
 
 
-def restore_catalog(db, snapshot: Dict[str, Any]) -> List[str]:
+def restore_catalog(db, snapshot: Dict[str, Any]) -> None:
     """Rebuild the DDL state of ``db`` from a :func:`snapshot_catalog` document.
 
     Registers domains / policies, recreates every table (schema, policy
     bindings, per-tuple overrides, empty stores, index structures) and every
     purpose — all without logging new WAL records, since the reopened log
-    already holds them.  Returns the names of tables that had columnar
-    mirrors attached; the engine re-columnarizes them only after the heap has
-    been recovered.
+    already holds them.  Keys this build does not write are ignored, so a
+    record an older build wrote with more keys still restores.
     """
     fmt = snapshot.get("format")
     if fmt != CATALOG_FORMAT:
@@ -261,7 +259,6 @@ def restore_catalog(db, snapshot: Dict[str, Any]) -> List[str]:
                                        index["column"], index["method"])
     for spec in snapshot["purposes"]:
         db.catalog.add_purpose(_purpose_from_spec(spec))
-    return list(snapshot.get("columnar", ()))
 
 
 def encode_catalog(snapshot: Dict[str, Any]) -> bytes:

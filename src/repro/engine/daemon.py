@@ -8,28 +8,22 @@ storage mutations, *timely*.  It can be driven in two ways:
 * polled explicitly through :meth:`DegradationDaemon.run_pending`, which is
   what a wall-clock deployment would call from a background thread or timer.
 
-Two application pipelines exist:
-
-* **batched** (the default when the engine provides a ``batch_applier``) —
-  due steps are drained through
-  :meth:`~repro.core.scheduler.DegradationScheduler.run_due_batched`, grouped
-  per table, so a mass-expiry wave pays one system transaction, one exclusive
-  table lock, one coalesced page-flush pass and one durable WAL flush per
-  batch instead of per step.  Records that reach their final tuple state are
-  collected and handed to ``on_complete_batch`` in one call, letting the
-  engine scrub and remove them in bulk as well.
-* **per-step** (``batch_applier=None``) — one ``applier`` call, hence one
-  transaction, per step: the measurable baseline (the engine's applier is
-  its batch applier fed a batch of one) and the way in for appliers that
-  cannot batch.
+Due steps are drained through
+:meth:`~repro.core.scheduler.DegradationScheduler.run_due_batched`, grouped
+per table, so a mass-expiry wave pays one system transaction, one exclusive
+table lock, one coalesced page-flush pass and one durable WAL flush per
+batch instead of per step.  Records that reach their final tuple state are
+collected and handed to ``on_complete`` in one call, letting the engine scrub
+and remove them in bulk as well.
 
 ``max_batch`` bounds how many steps each scheduler drain round may pop: a
 backlog of 100k overdue steps is then applied in 100k/``max_batch`` chunks,
 each with its own short-lived lock and WAL flush, so readers interleave with
 a draining backlog instead of stalling behind one giant system transaction.
-``None`` (the default) applies each wave as a single batch per table.
+``None`` (the default) applies each wave as a single batch per table;
+``1`` is the per-step baseline (a transaction, a flush and a scrub per step).
 
-The daemon delegates the physical work to the engine-provided applier(s) and
+The daemon delegates the physical work to the engine-provided applier and
 tracks timeliness statistics through the scheduler.
 """
 
@@ -58,18 +52,16 @@ class DegradationDaemon:
     """Drives the degradation scheduler against the engine."""
 
     def __init__(self, clock: Clock, scheduler: DegradationScheduler,
-                 applier: Callable[[DegradationStep], bool],
-                 on_complete: Optional[Callable[[object], None]] = None,
+                 applier: BatchApplier,
+                 on_complete: Optional[Callable[[List[object]], None]] = None,
                  auto_attach: bool = True,
-                 batch_applier: Optional[BatchApplier] = None,
-                 on_complete_batch: Optional[Callable[[List[object]], None]] = None,
                  max_batch: Optional[int] = None) -> None:
         self.clock = clock
         self.scheduler = scheduler
+        #: Applies one table's batch of due steps, returns those it applied.
         self.applier = applier
+        #: Receives, once per drain, the records that reached their final state.
         self.on_complete = on_complete
-        self.batch_applier = batch_applier
-        self.on_complete_batch = on_complete_batch
         #: Upper bound on steps popped per drain round (``None`` = unbounded).
         self.max_batch = max_batch
         self.stats = DaemonStats()
@@ -101,19 +93,9 @@ class DegradationDaemon:
         if now is None:
             now = self.clock.now()
         self.stats.invocations += 1
-        if self.batch_applier is not None:
-            applied = self._run_batched(now)
-        else:
-            applied = self.scheduler.run_due(now, self.applier,
-                                             on_complete=self.on_complete)
-            if applied:
-                self.stats.batches += 1
-        self.stats.steps_applied += len(applied)
-        return applied
 
-    def _run_batched(self, now: float) -> List[DegradationStep]:
         def counting_applier(key, steps):
-            result = self.batch_applier(key, steps)
+            result = self.applier(key, steps)
             if result:
                 self.stats.batches += 1
             return result
@@ -122,12 +104,9 @@ class DegradationDaemon:
         applied = self.scheduler.run_due_batched(
             now, counting_applier, on_complete=completed.append,
             max_batch=self.max_batch)
-        if completed:
-            if self.on_complete_batch is not None:
-                self.on_complete_batch(completed)
-            elif self.on_complete is not None:
-                for record_id in completed:
-                    self.on_complete(record_id)
+        if completed and self.on_complete is not None:
+            self.on_complete(completed)
+        self.stats.steps_applied += len(applied)
         return applied
 
     def catch_up(self, now: Optional[float] = None) -> List[DegradationStep]:
@@ -135,11 +114,11 @@ class DegradationDaemon:
 
         Called by :meth:`InstantDB.recover` after the schedule has been
         reconstructed from the WAL: the backlog drains through the normal
-        pipeline (batched when a ``batch_applier`` is configured, chunked by
-        ``max_batch``), so a restart after a long outage pays the same
-        amortized cost as a live mass-expiry wave.  The applied steps are also
-        counted separately in :attr:`DaemonStats.catch_up_steps` so benchmarks
-        can report post-restart degradation lag.
+        pipeline (chunked by ``max_batch``), so a restart after a long outage
+        pays the same amortized cost as a live mass-expiry wave.  The applied
+        steps are also counted separately in
+        :attr:`DaemonStats.catch_up_steps` so benchmarks can report
+        post-restart degradation lag.
         """
         applied = self.run_pending(now)
         self.stats.catch_up_steps += len(applied)

@@ -160,7 +160,6 @@ class InstantDB:
                  buffer_capacity: int = 256,
                  data_dir: Optional[str] = None,
                  deterministic_crypto: bool = True,
-                 batch_degradation: bool = True,
                  degradation_max_batch: Optional[int] = None,
                  read_path_optimizations: bool = True,
                  fault_plan: Optional[FaultPlan] = None) -> None:
@@ -211,13 +210,8 @@ class InstantDB:
         self.statements = StatementCache(capacity=256)
         self.daemon = DegradationDaemon(
             self.clock, self.scheduler,
-            # The per-step baseline is the batch pipeline fed one step at a
-            # time: a transaction, a flush and a scrub per step.
-            applier=lambda step: bool(
-                self._apply_degradation_batch(step.record_id[0], [step])),
-            on_complete=self._on_record_final,
-            batch_applier=self._apply_degradation_batch if batch_degradation else None,
-            on_complete_batch=self._on_records_final if batch_degradation else None,
+            applier=self._apply_degradation_batch,
+            on_complete=self._on_records_final,
             max_batch=degradation_max_batch,
         )
         self.stats = EngineStats()
@@ -421,23 +415,6 @@ class InstantDB:
 
     def table_store(self, name: str) -> TableStore:
         return self._store_for(name)
-
-    def columnarize(self, table: str) -> None:
-        """Attach a columnar segment mirror to ``table``.
-
-        Builds the :class:`~repro.storage.segment.SegmentSet` from the current
-        heap and registers the table in the catalog, so the planner turns its
-        sequential scans into vectorized ColumnarScans (under read-path
-        optimizations — the baseline engine keeps the reference row pipeline)
-        and degradation waves rewrite it chunk-wise through the segment layer.
-        The mirror is derived state: recovery rebuilds it from the recovered
-        heap, and a reopened database must call :meth:`columnarize` again
-        after re-running its DDL.
-        """
-        name = table.lower()
-        self._store_for(name).columnarize()
-        self.catalog.set_columnar(name)
-        self._catalog_dirty = True
 
     def table_policy(self, name: str) -> Optional[TablePolicy]:
         return self.catalog.table(name).policy
@@ -1208,34 +1185,12 @@ class InstantDB:
         self.stats.degradation_steps_applied += len(live)
         return live
 
-    def _on_record_final(self, record_id: Any) -> None:
-        table, row_key = record_id
-        info = self.catalog.table(table)
-        tuple_lcp = self._tuple_lcps.pop((table, row_key), None)
-        if info.policy is None or not info.policy.remove_on_final:
-            return
-        # Physical removal only closes a life cycle that actually ends in full
-        # suppression; a partial policy (final state = some intermediate level)
-        # keeps the degraded tuple in the database indefinitely.
-        if tuple_lcp is not None and not all(
-                lcp.fully_suppresses for lcp in tuple_lcp.attributes.values()):
-            return
-        store = self._store_for(table)
-        if not store.exists(row_key):
-            return
-        stored = store.read(row_key)
-        self._index_delete(info, stored)
-        self.statistics.on_remove(table, stored.values)
-        store.remove(row_key, now=self.clock.now())
-        self.stats.rows_removed_by_policy += 1
-
     def _on_records_final(self, record_ids: List[Any]) -> None:
-        """Bulk completion handler: remove finalized tuples table by table.
+        """Completion handler: remove finalized tuples table by table.
 
-        Where :meth:`_on_record_final` pays one WAL scrub pass per record,
-        this path collects every record a degradation drain finalized and
-        removes them through :meth:`TableStore.remove_many` — one scrub pass
-        and one flush per touched page per table.
+        Every record a degradation drain finalized is removed through
+        :meth:`TableStore.remove_many` — one scrub pass and one flush per
+        touched page per table.
         """
         by_table: Dict[str, List[int]] = {}
         for record_id in record_ids:
@@ -1249,6 +1204,9 @@ class InstantDB:
                 tuple_lcp = self._tuple_lcps.pop((table, row_key), None)
                 if info.policy is None or not info.policy.remove_on_final:
                     continue
+                # Physical removal only closes a life cycle that actually ends
+                # in full suppression; a partial policy (final state = some
+                # intermediate level) keeps the degraded tuple indefinitely.
                 if tuple_lcp is not None and not all(
                         lcp.fully_suppresses for lcp in tuple_lcp.attributes.values()):
                     continue
@@ -1381,11 +1339,10 @@ class InstantDB:
            pipeline — the paper's timeliness promise, restored across
            restarts.
         """
-        columnar: List[str] = []
         if not self.catalog.tables() and not self.registry.domains():
             snapshot = latest_catalog_snapshot(self.wal)
             if snapshot is not None:
-                columnar = restore_catalog(self, snapshot)
+                restore_catalog(self, snapshot)
         manager = RecoveryManager(self.wal, dict(self.stores))
         report = manager.recover()
         last_timestamp = 0.0
@@ -1404,12 +1361,6 @@ class InstantDB:
         # empty; rebuild them from the recovered rows before anything (the
         # catch-up drain included) queries or maintains them.
         self._rebuild_indexes()
-        # Columnar mirrors are derived state: re-attach them only now that
-        # the heap holds the recovered rows.
-        for name in columnar:
-            if name in self.stores:
-                self._store_for(name).columnarize()
-                self.catalog.set_columnar(name)
         # The resolver caches per-record policies eagerly; keep only those
         # that ended up registered (mirrors live completion bookkeeping).
         for record_id in list(self._tuple_lcps):
@@ -1566,7 +1517,13 @@ class InstantDB:
         return histogram
 
     def forensic_image(self) -> bytes:
-        """Every byte the engine holds: pages, WAL and index keys.
+        """What the forensic scanner greps: every heap page (as the buffer
+        pool holds it), the log (segment files plus unflushed records) and
+        every key of every index.
+
+        Derived in-memory state — table statistics, cached plans — is not
+        in the image; it holds current values only (``docs/invariants.md``,
+        "Derived state holds current values only").
 
         The WAL contribution redacts CATALOG documents — they carry the
         domain ontology (every value the schema *admits*), which exists

@@ -67,29 +67,6 @@ class Catalog:
         #: Read-path optimizations toggle (column pruning, index-only scans);
         #: the engine sets this False in baseline/benchmark-comparison mode.
         self.read_optimized = True
-        #: Tables with a columnar segment mirror attached: sequential scans
-        #: over them are planned as vectorized ColumnarScans (when
-        #: ``read_optimized`` — the baseline never sees columnar plans).
-        self._columnar_tables: set = set()
-
-    # -- columnar registration -------------------------------------------------
-
-    def set_columnar(self, table: str) -> None:
-        """Record that ``table`` has columnar segments; invalidates cached
-        plans (version bump) so they re-plan onto ColumnarScan."""
-        name = self.table(table).name
-        if name not in self._columnar_tables:
-            self._columnar_tables.add(name)
-            self.version += 1
-
-    def clear_columnar(self, table: str) -> None:
-        name = table.lower()
-        if name in self._columnar_tables:
-            self._columnar_tables.discard(name)
-            self.version += 1
-
-    def is_columnar(self, table: str) -> bool:
-        return table.lower() in self._columnar_tables
 
     # -- tables ----------------------------------------------------------------
 
@@ -107,7 +84,6 @@ class Catalog:
             info = self._tables.pop(name.lower())
         except KeyError:
             raise CatalogError(f"unknown table {name!r}") from None
-        self._columnar_tables.discard(name.lower())
         self.version += 1
         return info
 

@@ -428,244 +428,6 @@ def compile_projection(expressions: List[ast.Expression]) -> RowFn:
     return lambda row: tuple(fn(row) for fn in fns)
 
 
-# -- batch (vectorized) compilation -----------------------------------------------
-
-#: A per-position truth test over one batch's column vectors.
-BatchTest = Callable[[int], bool]
-#: A batch-test factory: column-name → value-vector mapping in, test out.
-#: All constant work (sort keys, LIKE regexes) is done when the factory is
-#: built — once per plan; building the test binds the vectors — once per
-#: batch; per row only ``test(i)`` runs.
-BatchPredicate = Callable[[Dict[str, List[Any]]], BatchTest]
-
-_FLIPPED_COMPARISON = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
-
-def _and_operands(expression: ast.Expression) -> List[ast.Expression]:
-    if isinstance(expression, ast.BooleanOp) and expression.operator == "AND":
-        operands: List[ast.Expression] = []
-        for operand in expression.operands:
-            operands.extend(_and_operands(operand))
-        return operands
-    return [expression]
-
-
-def _batch_column_literal(
-        comparison: ast.Comparison) -> Optional[Tuple[str, str, Any]]:
-    """Recognize ``column <op> literal`` (either orientation, operator
-    flipped when the literal is on the left)."""
-    left, right = comparison.left, comparison.right
-    if isinstance(left, ast.ColumnRef) and isinstance(right, ast.Literal):
-        return left.column, comparison.operator, right.value
-    if isinstance(right, ast.ColumnRef) and isinstance(left, ast.Literal):
-        operator = _FLIPPED_COMPARISON.get(comparison.operator,
-                                           comparison.operator)
-        return right.column, operator, left.value
-    return None
-
-
-def _const_false(columns: Dict[str, List[Any]]) -> BatchTest:
-    return lambda i: False
-
-
-def _compile_batch_leaf(expression: ast.Expression) -> Optional[BatchPredicate]:
-    if isinstance(expression, ast.Comparison):
-        match = _batch_column_literal(expression)
-        if match is None:
-            return None
-        name, operator, constant = match
-        if is_missing(constant):
-            # A missing operand makes every comparison false, including !=.
-            return _const_false
-        if operator == "LIKE":
-            if not isinstance(constant, str):
-                return None
-            pattern = _like_pattern(constant)
-
-            def make_like(columns: Dict[str, List[Any]],
-                          name=name, pattern=pattern) -> BatchTest:
-                vector = columns[name]
-
-                def test(i: int) -> bool:
-                    value = vector[i]
-                    return not is_missing(value) \
-                        and pattern.match(str(value)) is not None
-
-                return test
-
-            return make_like
-        if operator in ("=", "!="):
-            negated = operator == "!="
-
-            def make_eq(columns: Dict[str, List[Any]],
-                        name=name, constant=constant,
-                        negated=negated) -> BatchTest:
-                vector = columns[name]
-
-                def test(i: int) -> bool:
-                    value = vector[i]
-                    if is_missing(value):
-                        return False
-                    return bool(_equal(value, constant)) != negated
-
-                return test
-
-            return make_eq
-        if operator in ("<", "<=", ">", ">="):
-            constant_key = sort_key(constant)
-
-            def make_ordered(columns: Dict[str, List[Any]],
-                             name=name, operator=operator,
-                             constant_key=constant_key) -> BatchTest:
-                vector = columns[name]
-                if operator == "<":
-                    return lambda i: not is_missing(vector[i]) \
-                        and sort_key(vector[i]) < constant_key
-                if operator == "<=":
-                    return lambda i: not is_missing(vector[i]) \
-                        and sort_key(vector[i]) <= constant_key
-                if operator == ">":
-                    return lambda i: not is_missing(vector[i]) \
-                        and sort_key(vector[i]) > constant_key
-                return lambda i: not is_missing(vector[i]) \
-                    and sort_key(vector[i]) >= constant_key
-
-            return make_ordered
-        return None
-    if isinstance(expression, ast.Between):
-        if not isinstance(expression.operand, ast.ColumnRef) \
-                or not isinstance(expression.low, ast.Literal) \
-                or not isinstance(expression.high, ast.Literal):
-            return None
-        low, high = expression.low.value, expression.high.value
-        if is_missing(low) or is_missing(high):
-            return _const_false
-        name = expression.operand.column
-        low_key, high_key = sort_key(low), sort_key(high)
-        negated = expression.negated
-
-        def make_between(columns: Dict[str, List[Any]],
-                         name=name, low_key=low_key, high_key=high_key,
-                         negated=negated) -> BatchTest:
-            vector = columns[name]
-
-            def test(i: int) -> bool:
-                value = vector[i]
-                if is_missing(value):
-                    return False
-                return (low_key <= sort_key(value) <= high_key) is not negated
-
-            return test
-
-        return make_between
-    if isinstance(expression, ast.InList):
-        if not isinstance(expression.operand, ast.ColumnRef):
-            return None
-        name = expression.operand.column
-        candidates = tuple(expression.values)
-        negated = expression.negated
-
-        def make_in(columns: Dict[str, List[Any]],
-                    name=name, candidates=candidates,
-                    negated=negated) -> BatchTest:
-            vector = columns[name]
-
-            def test(i: int) -> bool:
-                value = vector[i]
-                if is_missing(value):
-                    return False
-                result = any(_equal(value, candidate)
-                             for candidate in candidates)
-                return result is not negated
-
-            return test
-
-        return make_in
-    if isinstance(expression, ast.IsNull):
-        if not isinstance(expression.operand, ast.ColumnRef):
-            return None
-        name = expression.operand.column
-        negated = expression.negated
-
-        def make_is_null(columns: Dict[str, List[Any]],
-                         name=name, negated=negated) -> BatchTest:
-            vector = columns[name]
-
-            def test(i: int) -> bool:
-                value = vector[i]
-                result = value is NULL or value is None or value is SUPPRESSED
-                return result is not negated
-
-            return test
-
-        return make_is_null
-    if isinstance(expression, ast.Not):
-        inner = _compile_batch_leaf(expression.operand)
-        if inner is None:
-            return None
-
-        def make_not(columns: Dict[str, List[Any]], inner=inner) -> BatchTest:
-            test = inner(columns)
-            return lambda i: not test(i)
-
-        return make_not
-    if isinstance(expression, ast.BooleanOp):
-        parts = []
-        for operand in expression.operands:
-            part = _compile_batch_leaf(operand)
-            if part is None:
-                return None
-            parts.append(part)
-        disjunction = expression.operator == "OR"
-
-        def make_bool(columns: Dict[str, List[Any]],
-                      parts=tuple(parts),
-                      disjunction=disjunction) -> BatchTest:
-            tests = tuple(part(columns) for part in parts)
-            if disjunction:
-                return lambda i: any(test(i) for test in tests)
-            return lambda i: all(test(i) for test in tests)
-
-        return make_bool
-    return None
-
-
-def compile_batch_conjuncts(
-        expression: ast.Expression) -> Optional[List[BatchPredicate]]:
-    """Split ``expression`` on top-level AND into per-conjunct batch passes.
-
-    The vectorized Filter applies each conjunct as one pass that narrows the
-    batch's selection vector — the cheapest conjunct shrinks the work of the
-    rest.  ``None`` means some conjunct is not batch-compilable (parameter
-    placeholders, column-to-column comparisons, subexpressions only the
-    row-at-a-time closures handle); the caller then falls back to the row
-    pipeline, which is always correct.
-    """
-    conjuncts: List[BatchPredicate] = []
-    for conjunct in _and_operands(expression):
-        compiled = _compile_batch_leaf(conjunct)
-        if compiled is None:
-            return None
-        conjuncts.append(compiled)
-    return conjuncts
-
-
-def compile_batch_projection(
-        items: List[Tuple[str, ast.Expression]]) -> Optional[List[str]]:
-    """Column names of an all-column-reference SELECT list, or ``None``.
-
-    When every output expression is a plain column reference the vectorized
-    Project gathers output tuples straight from the batch's vectors; any
-    computed expression sends the plan down the row-at-a-time fallback.
-    """
-    names: List[str] = []
-    for _name, expression in items:
-        if not isinstance(expression, ast.ColumnRef):
-            return None
-        names.append(expression.column)
-    return names
-
-
 def compile_join_key(ref: ast.ColumnRef) -> RowFn:
     """Join-key extractor with the hash normalization baked in.
 
@@ -720,13 +482,6 @@ class CompiledSelect:
     #: ORDER BY keys absent from the SELECT list; Sort/TopN strip them and
     #: the result exposes ``columns[:-hidden]``.
     hidden: int = 0
-    #: Batch-compiled residual conjuncts for the vectorized pipeline;
-    #: ``None`` when the residual (or the mode) is not batch-compilable —
-    #: the row-at-a-time closures then run instead.
-    batch_conjuncts: Optional[List[BatchPredicate]] = None
-    #: Gather list for the vectorized projection (all-column-reference
-    #: SELECT lists only); ``None`` forces the row-at-a-time projection.
-    batch_project: Optional[List[str]] = None
 
 
 def _resolve_join_refs(clause: ast.JoinClause,
@@ -824,26 +579,14 @@ def compile_select(catalog: Any, plan: Any,
                 (lambda ref: lambda row: _hashable(lookup(ref, row)))(left_ref),
                 (lambda ref: lambda row: _hashable(lookup(ref, row)))(right_ref),
             ))
-    batch_conjuncts: Optional[List[BatchPredicate]] = None
-    batch_project: Optional[List[str]] = None
-    if mode == "compiled":
-        if plan.residual is None:
-            batch_conjuncts = []
-        else:
-            batch_conjuncts = compile_batch_conjuncts(plan.residual)
-        if not statement.is_aggregate:
-            batch_project = compile_batch_projection(items)
     return CompiledSelect(mode=mode, columns=columns, items=items,
                           project=project, residual=residual,
-                          join_keys=join_keys, hidden=len(hidden_items),
-                          batch_conjuncts=batch_conjuncts,
-                          batch_project=batch_project)
+                          join_keys=join_keys, hidden=len(hidden_items))
 
 
 __all__ = [
-    "RowFn", "BatchTest", "BatchPredicate", "CompiledSelect", "compile_select",
+    "RowFn", "CompiledSelect", "compile_select",
     "compile_predicate", "compile_value", "compile_projection",
-    "compile_batch_conjuncts", "compile_batch_projection",
     "compile_join_key", "compile_lookup",
     "output_items", "evaluate", "lookup", "render_expression",
 ]

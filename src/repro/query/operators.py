@@ -53,7 +53,6 @@ from ..storage.degradable_store import StoredRow, TableStore
 from . import ast_nodes as ast
 from .catalog import Catalog
 from .compiler import (
-    BatchPredicate,
     RowFn,
     _hashable,
     _resolve_join_refs,
@@ -63,14 +62,7 @@ from .compiler import (
     output_items,
     render_expression,
 )
-from .planner import (
-    AccessPath,
-    ParamMarker,
-    PhysicalPlan,
-    TableScanPlan,
-    _as_column_literal,
-    _flatten_and,
-)
+from .planner import AccessPath, PhysicalPlan, TableScanPlan
 
 #: Callable giving the pipeline access to a table's storage manager.
 StoreProvider = Callable[[str], TableStore]
@@ -358,195 +350,8 @@ class IndexOnlyScan(Operator):
             yield visible
 
 
-#: One vectorized batch: (column → visible-value vector, selected positions,
-#: per-position row keys).  Vectors are full segment columns — only the
-#: positions in the selection list are meaningful.
-Batch = Tuple[Dict[str, List[Any]], List[int], List[int]]
-
-
-def _zone_prunes(catalog: Catalog, scan: TableScanPlan,
-                 residual: Optional[ast.Expression]) -> List[Tuple]:
-    """Residual conjuncts usable for zone-map segment pruning.
-
-    Only ``column <op> constant`` conjuncts over *non-degradable* columns
-    qualify: zone maps summarize stored values, and a degradable column's
-    visible value is a generalization of its stored value, which the stored
-    min/max says nothing about.  Returns ``("eq", column, key)`` and
-    ``("range", column, low, high, include_low, include_high)`` entries with
-    the sort keys precomputed.
-    """
-    if residual is None:
-        return []
-    schema = catalog.table(scan.table).schema
-    prunable = {column.name for column in schema.columns
-                if not column.degradable}
-    prunes: List[Tuple] = []
-    for conjunct in _flatten_and(residual):
-        match = _as_column_literal(conjunct, scan.table, scan.alias)
-        if match is None:
-            continue
-        column, operator, value = match
-        if column not in prunable:
-            continue
-        if operator == "between":
-            low, high = value
-            if isinstance(low, ParamMarker) or isinstance(high, ParamMarker) \
-                    or is_missing(low) or is_missing(high):
-                continue
-            prunes.append(("range", column, sort_key(low), sort_key(high),
-                           True, True))
-            continue
-        if isinstance(value, ParamMarker) or is_missing(value):
-            continue
-        if operator == "=":
-            prunes.append(("eq", column, sort_key(value)))
-        elif operator in ("<", "<="):
-            prunes.append(("range", column, None, sort_key(value),
-                           True, operator == "<="))
-        elif operator in (">", ">="):
-            prunes.append(("range", column, sort_key(value), None,
-                           operator == ">=", True))
-    return prunes
-
-
-class ColumnarScan(_ScanBase):
-    """Vectorized sequential scan over a table's columnar segments.
-
-    Works segment-at-a-time instead of row-at-a-time: per segment it takes
-    the live positions as the initial selection vector, applies the paper's
-    exclusion rule as one pass per constrained accuracy-level vector (stored
-    level above the demanded level hides the row), and exposes the value
-    vectors with generalize-on-read applied — a ``(stored level, value) →
-    generalized`` memo means each distinct value of a wave-degraded segment
-    generalizes once, not once per row.  Zone maps prune whole segments
-    whose min/max provably cannot satisfy a residual conjunct on a
-    non-degradable column.
-
-    Downstream vectorized operators consume :meth:`batches`; :meth:`rows`
-    materializes the same batches as visible row dicts, so joins, aggregates
-    and the DML match pipeline run unchanged over a columnar table.
-    """
-
-    label = "ColumnarScan"
-
-    def __init__(self, runtime: PipelineRuntime, scan: TableScanPlan,
-                 residual: Optional[ast.Expression] = None) -> None:
-        super().__init__(runtime, scan)
-        self._prunes = _zone_prunes(runtime.catalog, scan, residual)
-        self.segments_pruned = 0
-        #: Per (column, demanded): (stored level, value) → generalized value.
-        self._gen_memo: Dict[Tuple[str, int], Dict[Tuple[int, Any], Any]] = {}
-
-    def batches(self) -> Iterator[Batch]:
-        stats = self.runtime.stats
-        store = self.runtime.stores(self.scan.table)
-        segments = store.segments
-        if segments is None:
-            raise ExecutionError(
-                f"table {self.scan.table!r} was planned columnar but its "
-                "store has no segment mirror"
-            )
-        stats.seq_scans += 1
-        exclusions = self._exclusions
-        prunes = self._prunes
-        for segment in segments.segments:
-            pruned = False
-            for prune in prunes:
-                zone = segment.zones[prune[1]]
-                if prune[0] == "eq":
-                    keep = zone.may_match_eq(prune[2])
-                else:
-                    _kind, _column, low, high, include_low, include_high = prune
-                    keep = zone.may_match_range(low, high,
-                                                include_low, include_high)
-                if not keep:
-                    pruned = True
-                    break
-            if pruned:
-                self.segments_pruned += 1
-                segments.stats.segments_pruned += 1
-                continue
-            selection = segment.live_positions()
-            stats.rows_scanned += len(selection)
-            for name, demanded in exclusions:
-                levels = segment.levels[name]
-                kept = [i for i in selection if levels[i] <= demanded]
-                dropped = len(selection) - len(kept)
-                if dropped:
-                    self.rows_excluded_not_computable += dropped
-                    stats.rows_excluded_not_computable += dropped
-                selection = kept
-                if not selection:
-                    break
-            if not selection:
-                continue
-            self.stats.rows_out += len(selection)
-            yield self._visible_columns(segment, selection), selection, \
-                segment.row_keys
-
-    def _visible_columns(self, segment: Any,
-                         selection: List[int]) -> Dict[str, List[Any]]:
-        """Value vectors with generalize-on-read applied where demanded.
-
-        Columns that need no generalization are exposed as the segment's own
-        vectors (zero copies); a degradable column lagging behind its demanded
-        level gets a patched copy, filled through the per-plan memo.
-        """
-        columns: Dict[str, List[Any]] = {}
-        for name, _keys, demanded, scheme in self._specs:
-            vector = segment.values[name]
-            if demanded is None or scheme is None:
-                columns[name] = vector
-                continue
-            levels = segment.levels[name]
-            memo = self._gen_memo.setdefault((name, demanded), {})
-            out = vector
-            for i in selection:
-                stored = levels[i]
-                if stored >= demanded:
-                    continue
-                value = vector[i]
-                if is_missing(value):
-                    continue
-                try:
-                    generalized = memo[(stored, value)]
-                except KeyError:
-                    generalized = scheme.generalize(value, demanded,
-                                                    from_level=stored)
-                    memo[(stored, value)] = generalized
-                except TypeError:    # unhashable degraded value
-                    generalized = scheme.generalize(value, demanded,
-                                                    from_level=stored)
-                if out is vector:
-                    out = list(vector)
-                out[i] = generalized
-            columns[name] = out
-        return columns
-
-    def rows(self) -> Iterator[Dict[str, Any]]:
-        specs = self._specs
-        for columns, selection, row_keys in self.batches():
-            vectors = [(keys, columns[name]) for name, keys, _d, _s in specs]
-            for i in selection:
-                visible: Dict[str, Any] = {ROW_KEY_FIELD: row_keys[i]}
-                for keys, vector in vectors:
-                    value = vector[i]
-                    for key in keys:
-                        visible[key] = value
-                yield visible
-
-    def __iter__(self) -> Iterator[Dict[str, Any]]:
-        # batches() already counts rows_out (it is the operator's real
-        # output either way); the default __iter__ would double-count.
-        return self.rows()
-
-
-def make_scan(runtime: PipelineRuntime, scan: TableScanPlan,
-              residual: Optional[ast.Expression] = None) -> Operator:
+def make_scan(runtime: PipelineRuntime, scan: TableScanPlan) -> Operator:
     if scan.access.kind == "seq":
-        if scan.columnar and \
-                getattr(runtime.stores(scan.table), "segments", None) is not None:
-            return ColumnarScan(runtime, scan, residual=residual)
         return SeqScan(runtime, scan)
     if scan.index_only:
         return IndexOnlyScan(runtime, scan)
@@ -582,76 +387,6 @@ class Filter(Operator):
         for row in self.children[0]:
             if predicate_fn(row):
                 yield row
-
-
-class BatchFilter(Operator):
-    """Vectorized residual filtering: selection-vector passes over batches.
-
-    Each batch-compiled conjunct narrows the selection list in one pass over
-    the column vectors — no row dicts are built, no closure is entered per
-    conjunct tree node.  Labeled ``Filter`` on purpose: it implements exactly
-    the row operator's semantics, only the iteration shape differs.
-    """
-
-    label = "Filter"
-
-    def __init__(self, child: Operator, predicate: ast.Expression,
-                 conjuncts: List[BatchPredicate]) -> None:
-        super().__init__((child,))
-        self.predicate = predicate
-        self.conjuncts = conjuncts
-
-    def describe(self) -> str:
-        return f"Filter ({render_expression(self.predicate)})"
-
-    def batches(self) -> Iterator[Batch]:
-        conjuncts = self.conjuncts
-        for columns, selection, row_keys in self.children[0].batches():
-            for conjunct in conjuncts:
-                test = conjunct(columns)
-                selection = [i for i in selection if test(i)]
-                if not selection:
-                    break
-            if not selection:
-                continue
-            self.stats.rows_out += len(selection)
-            yield columns, selection, row_keys
-
-
-class BatchProject(Operator):
-    """Vectorized projection: gathers output tuples straight from vectors.
-
-    Only built when every output expression is a plain column reference
-    (:func:`~repro.query.compiler.compile_batch_projection`); anything
-    computed falls back to the row-at-a-time :class:`Project`.
-    """
-
-    label = "Project"
-
-    def __init__(self, child: Operator,
-                 items: List[Tuple[str, ast.Expression]],
-                 names: List[str], hidden: int = 0) -> None:
-        super().__init__((child,))
-        self.items = items
-        self.columns = [name for name, _expr in items]
-        self._names = names
-        self.hidden = hidden
-
-    def describe(self) -> str:
-        visible = self.columns[:-self.hidden] if self.hidden else self.columns
-        return f"Project ({', '.join(visible)})"
-
-    def rows(self) -> Iterator[Tuple[Any, ...]]:
-        names = self._names
-        for columns, selection, _row_keys in self.children[0].batches():
-            vectors = [columns[name] for name in names]
-            if len(vectors) == 1:
-                vector = vectors[0]
-                for i in selection:
-                    yield (vector[i],)
-            else:
-                for i in selection:
-                    yield tuple(vector[i] for vector in vectors)
 
 
 class HashJoin(Operator):
@@ -1028,17 +763,9 @@ def build_pipeline(runtime: PipelineRuntime,
     compiled = plan.ensure_compiled(runtime.catalog, runtime.compile_mode)
     statement = plan.statement
     stats_registry = getattr(runtime.catalog, "statistics", None)
-    root: Operator = make_scan(runtime, plan.base, residual=plan.residual)
+    root: Operator = make_scan(runtime, plan.base)
     root.estimated_rows = plan.base.estimated_rows
     running = plan.base.estimated_rows
-    # The fully vectorized chain (batches end to end, tuples gathered from
-    # vectors) needs a columnar base, a single table, a non-aggregate
-    # statement, and batch-compiled residual + projection; anything else
-    # consumes the columnar scan's row-dict view, which is always available.
-    vectorized = (isinstance(root, ColumnarScan) and not plan.joins
-                  and not statement.is_aggregate
-                  and compiled.batch_conjuncts is not None
-                  and compiled.batch_project is not None)
     for (clause, scan), key_fns in zip(plan.joins, compiled.join_keys):
         right = make_scan(runtime, scan)
         right.estimated_rows = scan.estimated_rows
@@ -1046,10 +773,7 @@ def build_pipeline(runtime: PipelineRuntime,
         running = scan.join_estimated_rows    # planner's running chain
         root.estimated_rows = running
     if plan.residual is not None:
-        if vectorized:
-            root = BatchFilter(root, plan.residual, compiled.batch_conjuncts)
-        else:
-            root = Filter(root, plan.residual, predicate_fn=compiled.residual)
+        root = Filter(root, plan.residual, predicate_fn=compiled.residual)
         if running is not None:
             running *= plan.residual_selectivity
         root.estimated_rows = running
@@ -1063,12 +787,8 @@ def build_pipeline(runtime: PipelineRuntime,
     else:
         items = compiled.items
         columns = compiled.columns
-        if vectorized:
-            root = BatchProject(root, items, compiled.batch_project,
-                                hidden=compiled.hidden)
-        else:
-            root = Project(root, items, project_fn=compiled.project,
-                           hidden=compiled.hidden)
+        root = Project(root, items, project_fn=compiled.project,
+                       hidden=compiled.hidden)
         root.estimated_rows = running
     hidden = compiled.hidden
     if statement.order_by:
@@ -1113,7 +833,7 @@ def build_match_pipeline(runtime: PipelineRuntime,
                          plan: PhysicalPlan) -> Operator:
     """Scan + residual filter only: the row-matching pipeline DML uses."""
     compiled = plan.ensure_compiled(runtime.catalog, runtime.compile_mode)
-    root: Operator = make_scan(runtime, plan.base, residual=plan.residual)
+    root: Operator = make_scan(runtime, plan.base)
     if plan.residual is not None:
         root = Filter(root, plan.residual, predicate_fn=compiled.residual)
     return root
@@ -1145,8 +865,7 @@ class StreamingResult:
 
 __all__ = [
     "Operator", "OperatorStats", "PipelineRuntime", "SeqScan", "IndexScan",
-    "IndexOnlyScan", "ColumnarScan", "Filter", "BatchFilter", "HashJoin",
-    "Project", "BatchProject", "Aggregate", "Sort",
+    "IndexOnlyScan", "Filter", "HashJoin", "Project", "Aggregate", "Sort",
     "TopN", "Limit", "StreamingResult", "build_pipeline",
     "build_match_pipeline", "make_scan", "output_items", "evaluate", "lookup",
     "render_expression", "ROW_KEY_FIELD", "StoreProvider",

@@ -42,7 +42,6 @@ from .catalog import Catalog, IndexInfo
 from .compiler import (
     CompiledSelect,
     _truthy,
-    compile_batch_conjuncts,
     compile_predicate,
     compile_select,
     evaluate,
@@ -133,10 +132,6 @@ class TableScanPlan:
     qualified_keys: bool = True
     #: The chosen index covers every needed column: skip the heap fetch.
     index_only: bool = False
-    #: Sequential access over a table with columnar segments: run the
-    #: vectorized ColumnarScan (batch exclusion/filter over column vectors)
-    #: instead of the row-at-a-time heap scan.
-    columnar: bool = False
     #: Estimated rows this scan produces (``None`` without statistics).
     estimated_rows: Optional[float] = None
     #: For join-side scans of an inner join: build the hash table on the
@@ -150,8 +145,6 @@ class TableScanPlan:
         levels = ", ".join(f"{col}@{lvl}" for col, lvl in sorted(self.demanded_levels.items()))
         accuracy = f" accuracy[{levels}]" if levels else ""
         access = self.access.describe()
-        if self.columnar and self.access.kind == "seq":
-            access = "ColumnarScan"
         if self.index_only:
             _name, _sep, detail = access.partition("(")
             access = f"IndexOnlyScan({detail}" if detail else "IndexOnlyScan"
@@ -272,7 +265,6 @@ class Planner:
         self._prune_columns(plan)
         self._estimate(plan)
         self._mark_index_only(plan)
-        self._mark_columnar(plan)
         self._choose_build_sides(plan)
         return plan
 
@@ -469,25 +461,6 @@ class Planner:
             return False
         return True
 
-    # -- columnar scans --------------------------------------------------------------
-
-    def _mark_columnar(self, plan: PhysicalPlan) -> None:
-        """Sequential scans of columnar tables run vectorized.
-
-        Only under read-path optimizations (the interpreted baseline engine
-        must keep its reference row-at-a-time pipeline), and only for ``seq``
-        access — index probes already touch a small row subset, for which
-        batch materialization has nothing to amortize.
-        """
-        if not getattr(self.catalog, "read_optimized", True):
-            return
-        is_columnar = getattr(self.catalog, "is_columnar", None)
-        if is_columnar is None:
-            return
-        for scan in [plan.base] + [scan for _clause, scan in plan.joins]:
-            if scan.access.kind == "seq" and is_columnar(scan.table):
-                scan.columnar = True
-
     # -- join build side -------------------------------------------------------------
 
     def _choose_build_sides(self, plan: PhysicalPlan) -> None:
@@ -677,25 +650,19 @@ def bind_physical_plan(template: PhysicalPlan, params: Sequence[Any],
              for clause, scan in template.joins]
     residual = template.residual
     residual_fn = compiled.residual
-    batch_conjuncts = compiled.batch_conjuncts
     if residual is not None:
         bound = bind_expression(residual, values)
         if bound is not residual:
             residual = bound
             if mode == "compiled":
                 residual_fn = compile_predicate(bound)
-                # Placeholders made the template residual non-batchable;
-                # the bound residual is all literals, so try again.
-                batch_conjuncts = compile_batch_conjuncts(bound)
             else:
                 residual_fn = (lambda predicate: lambda row: _truthy(
                     evaluate(predicate, row)))(bound)
     bound_compiled = CompiledSelect(
         mode=compiled.mode, columns=compiled.columns, items=compiled.items,
         project=compiled.project, residual=residual_fn,
-        join_keys=compiled.join_keys, hidden=compiled.hidden,
-        batch_conjuncts=batch_conjuncts,
-        batch_project=compiled.batch_project)
+        join_keys=compiled.join_keys, hidden=compiled.hidden)
     return PhysicalPlan(statement=template.statement, base=base, joins=joins,
                         purpose=template.purpose, residual=residual,
                         residual_selectivity=template.residual_selectivity,

@@ -116,9 +116,12 @@ class ColumnStatistics:
         self._hist = None
         if held <= count:
             del self.counts[surrogate]
-            # The removed value may have been an extreme; rescan lazily.
+            # The removed value was an extreme: drop both cached extremes now
+            # (a degraded or removed value must not outlive its last row
+            # here) and rescan lazily.
             if (self._min is not None and surrogate == self._min[1]) or \
                     (self._max is not None and surrogate == self._max[1]):
+                self._min = self._max = None
                 self._dirty = True
         else:
             self.counts[surrogate] = held - count

@@ -4,8 +4,8 @@ Models a les-emplois-style labour-inclusion platform — job seekers, employer
 companies, work approvals, employment records, applications — with per-
 attribute retention policies (generalize, suppress, remove), seeded data
 generators and a mixed op-stream driver.  A differential oracle replays the
-same stream against every engine variant (interpreted, compiled, columnar,
-remote) and demands identical results; a retention checker independently
+same stream against every engine variant (interpreted, compiled, remote)
+and demands identical results; a retention checker independently
 re-derives each attribute's mandated accuracy floor from the policy automaton
 and asserts the stores never exceed it.  Chaos mode replays the same streams
 under a seeded fault schedule (I/O errors, dropped sockets, clock skips) and

@@ -211,11 +211,6 @@ class InclusionScenario:
             db.execute(sql)
         return db
 
-    def columnarize(self, db: InstantDB) -> None:
-        """Attach columnar segment mirrors to every scenario table."""
-        for table in TABLES:
-            db.columnarize(table)
-
     def describe(self) -> str:
         lines = [f"scenario {self.name!r} @ scale {self.scale}:"]
         lines.append(f"  users={self.num_users} companies={self.num_companies} "

@@ -1,14 +1,12 @@
 """Engine variants the scenario suite runs (and differences) against.
 
-One scenario op stream replays against four engines that must be
+One scenario op stream replays against three engines that must be
 behaviourally identical:
 
 * ``interpreted`` — ``InstantDB(read_path_optimizations=False)``: the
   tree-walking reference read path, the ground truth.
 * ``compiled`` — the default engine: compiled predicates, column pruning,
   cost-based plans, index-only scans.
-* ``columnar`` — compiled engine with every scenario table columnarized:
-  vectorized scans, zone-map pruning, segment-wise degradation waves.
 * ``remote`` — a compiled engine behind the asyncio wire server, driven
   through the remote PEP 249 driver: sentinels must round-trip the socket
   by identity.
@@ -31,7 +29,7 @@ from ..server import ServerThread
 from .inclusion import InclusionScenario
 
 #: Canonical variant order (the first one is the reference engine).
-VARIANT_NAMES: Tuple[str, ...] = ("interpreted", "compiled", "columnar", "remote")
+VARIANT_NAMES: Tuple[str, ...] = ("interpreted", "compiled", "remote")
 
 
 class ScenarioVariant:
@@ -55,8 +53,6 @@ class ScenarioVariant:
             fault_plan=fault_plan,
         )
         scenario.install(self.engine)
-        if name == "columnar":
-            scenario.columnarize(self.engine)
         self.server: Optional[ServerThread] = None
         if name == "remote":
             self.server = ServerThread(self.engine,

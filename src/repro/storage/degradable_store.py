@@ -40,7 +40,6 @@ from ..core.values import NULL, REMOVED, SUPPRESSED
 from .buffer import BufferPool
 from .crypto import KeyStore
 from .heap import HeapFile, RecordId
-from .segment import SegmentSet
 from .serialization import (
     decode_fields,
     decode_value,
@@ -146,23 +145,6 @@ class TableStore:
         self._version = 0
         #: Memoized per column-subset: which fields to decode vs. byte-skip.
         self._decode_plans: Dict[Optional[frozenset], Tuple] = {}
-        #: Optional columnar mirror (see :meth:`columnarize`).  ``None`` keeps
-        #: the table purely row-oriented; when attached, every mutation below
-        #: maintains the segment vectors in O(1).
-        self.segments: Optional[SegmentSet] = None
-
-    def columnarize(self) -> SegmentSet:
-        """Attach (or rebuild) the columnar segment mirror of this table.
-
-        The heap remains the authoritative durable copy; the returned
-        :class:`~repro.storage.segment.SegmentSet` holds the same rows in
-        column-major vectors for vectorized scans, and is kept in sync by the
-        mutation hooks from here on.
-        """
-        segments = SegmentSet(self.schema)
-        segments.rebuild(self.scan())
-        self.segments = segments
-        return segments
 
     # -- encoding helpers -----------------------------------------------------
 
@@ -327,8 +309,6 @@ class TableStore:
             LogRecordType.INSERT, txn_id, table=self.schema.name, row_key=row_key,
             after=payload, timestamp=now,
         )
-        if self.segments is not None:
-            self.segments.on_insert(row_key, now, values, levels)
         self.stats.inserts += 1
         return StoredRow(row_key, values, levels, float(now)) if returning else row_key
 
@@ -674,9 +654,6 @@ class TableStore:
                 chunk.transitions.setdefault((old_value, new_value), []))
         image, new_value, row_keys = entry
         row_keys.append(row_key)
-        if self.segments is not None:
-            self.segments.on_value_change(row_key, chunk.column, new_value,
-                                          chunk.to_level)
         if crypto:
             if not self._is_sentinel(new_value):
                 image = encode_value(
@@ -713,8 +690,6 @@ class TableStore:
                 LogRecordType.REMOVE, txn_id, table=self.schema.name,
                 row_key=row_key, timestamp=now,
             )
-            if self.segments is not None:
-                self.segments.on_remove(row_key)
             dirty_pages.append(record_id.page_id)
             removed.append((self.schema.name, row_key))
         self.stats.removals += len(removed)
@@ -737,8 +712,6 @@ class TableStore:
         """
         record_id = self._location(row_key)
         self._erase(row_key, record_id)
-        if self.segments is not None:
-            self.segments.on_remove(row_key)
         if scrub_log:
             self.wal.scrub_record(self.schema.name, row_key, now=now)
         self.stats.removals += 1
@@ -769,8 +742,6 @@ class TableStore:
             LogRecordType.UPDATE, txn_id, table=self.schema.name, row_key=row_key,
             attribute=column, before=before_payload, after=payload, timestamp=now,
         )
-        if self.segments is not None:
-            self.segments.on_value_change(row_key, column, new_values[column])
         self.stats.stable_updates += 1
         return self._decode_row(payload)
 
@@ -801,11 +772,6 @@ class TableStore:
         else:
             record_id = self.heap.insert(payload)
             self._locations[row.row_key] = record_id
-        if self.segments is not None:
-            # on_insert replaces any existing slot, so both branches above
-            # land the restored image in the segment vectors.
-            self.segments.on_insert(row.row_key, row.inserted_at,
-                                    row.values, row.levels)
         self._next_row_key = max(self._next_row_key, row.row_key + 1)
         return row.row_key
 
@@ -824,28 +790,16 @@ class TableStore:
     def rebuild_locations(self) -> None:
         """Rebuild the row-key → record-id map by scanning the heap (recovery).
 
-        Only record headers are decoded — the map needs a row key, nothing
-        else — unless a columnar mirror is attached: that is rebuilt in the
-        same pass from full rows, since segments are derived state and must
-        come back from the recovered heap, never from their own
-        (non-durable) vectors.
+        Only record headers are decoded: the map needs a row key, nothing else.
         """
         self._locations.clear()
-        segments = self.segments
-        if segments is not None:
-            segments.clear()
-        plan = self._decode_plan(None if segments is not None else frozenset())
+        plan = self._decode_plan(frozenset())
         max_key = 0
         for page_id in self.heap.page_ids():
             slots = self.heap.live_slots(page_id)
             for slot, row in zip(slots, self._read_run(page_id, slots, plan)):
                 self._locations[row.row_key] = RecordId(page_id, slot)
-                if segments is not None:
-                    segments.on_insert(row.row_key, row.inserted_at,
-                                       row.values, row.levels)
                 max_key = max(max_key, row.row_key)
-        if segments is not None:
-            segments.stats.rebuilds += 1
         self._next_row_key = max_key + 1
 
 

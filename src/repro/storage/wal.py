@@ -128,7 +128,7 @@ class LogRecordType(Enum):
     # an absent table without one is still a hard configuration error.
     TABLE_DROP = "TABLE_DROP"
     # Catalog snapshot: the full DDL state (domains, policies, tables,
-    # purposes, indexes, columnar mirrors) serialized into the ``after``
+    # purposes, indexes) serialized into the ``after``
     # payload, appended on DDL commit and folded into every checkpoint so
     # ``recover()`` reopens without re-running DDL.  Like the SCHED_* records
     # it carries names, structure and selector keys — never degradable

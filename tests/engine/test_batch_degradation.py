@@ -19,9 +19,11 @@ ADDRESSES = [PARIS, LYON, ENSCHEDE]
 def build_trace_engine(batch: bool = True, max_batch=None,
                        strategy: str = "rewrite",
                        transitions=None) -> InstantDB:
-    """Single-table engine with a location-only policy (fully controllable waves)."""
-    db = InstantDB(strategy=strategy, batch_degradation=batch,
-                   degradation_max_batch=max_batch)
+    """Single-table engine with a location-only policy (fully controllable
+    waves); ``batch=False`` is the per-step baseline, a drain of one step at
+    a time."""
+    db = InstantDB(strategy=strategy,
+                   degradation_max_batch=max_batch if batch else 1)
     location = db.register_domain(build_location_tree())
     db.register_policy(AttributeLCP(
         location, transitions=transitions or ["1 hour", "1 day", "1 month", "3 months"],
@@ -98,6 +100,12 @@ class TestBatchedWave:
         assert rows_batched == rows_per_step
         assert batched.level_histogram("trace", "location") == \
             per_step.level_histogram("trace", "location") == {2: 15}
+        assert batched.scheduler.pending_count() == \
+            per_step.scheduler.pending_count() == 15
+        assert batched.scheduler.peek_next_due() == \
+            per_step.scheduler.peek_next_due()
+        assert batched.stats.degradation_steps_applied == \
+            per_step.stats.degradation_steps_applied == 30
 
     def test_gt_index_maintained_in_bulk(self):
         db = build_trace_engine()
@@ -124,7 +132,7 @@ class TestBatchedWave:
         # A single-transition policy: the wave's only step is also the final
         # one, so the removals must fold into the same system transaction as
         # the DEGRADE records — one txn, one commit flush for the whole wave.
-        db = InstantDB(batch_degradation=True)
+        db = InstantDB()
         location = db.register_domain(build_location_tree())
         db.register_policy(AttributeLCP(location, states=[0, 4],
                                         transitions=["1 hour"],
@@ -148,7 +156,7 @@ class TestBatchedWave:
     def test_partial_policy_batch_keeps_degraded_rows(self):
         # remove_on_final only fires for fully-suppressing life cycles; a
         # partial policy's final batch must leave the degraded tuples behind.
-        db = InstantDB(batch_degradation=True)
+        db = InstantDB()
         location = db.register_domain(build_location_tree())
         db.register_policy(AttributeLCP(location, states=[0, 2],
                                         transitions=["1 hour"],

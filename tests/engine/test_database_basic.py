@@ -1,5 +1,7 @@
 """Basic engine behaviour: DDL, DML, SELECT, purposes, EXPLAIN."""
 
+import inspect
+
 import pytest
 
 from repro import InstantDB
@@ -11,6 +13,7 @@ from repro.core.errors import (
     PolicyError,
 )
 from repro.query.executor import QueryResult
+from repro.scenarios import VARIANT_NAMES
 
 from ..conftest import build_engine
 
@@ -195,6 +198,18 @@ class TestPurposes:
 
 
 class TestEngineConfiguration:
+    def test_option_surface_is_pinned(self):
+        """Every constructor option and every oracle variant multiplies the
+        configurations the tests, oracles and benchmarks must cover.  Adding
+        one means editing this list, and saying which two existing callers
+        need different values (or which engine path has no other oracle)."""
+        options = list(inspect.signature(InstantDB.__init__).parameters)[1:]
+        assert options == [
+            "clock", "strategy", "page_size", "buffer_capacity", "data_dir",
+            "deterministic_crypto", "degradation_max_batch",
+            "read_path_optimizations", "fault_plan"]
+        assert VARIANT_NAMES == ("interpreted", "compiled", "remote")
+
     def test_wall_clock_engine_rejects_advance_time(self):
         db = InstantDB(clock="wall")
         with pytest.raises(ConfigurationError):

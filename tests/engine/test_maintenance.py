@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro import InstantDB
+from repro.engine import database as database_module
+from repro.engine.catalog_io import restore_catalog, snapshot_catalog
 from repro.storage.wal import LogRecordType
 from repro.txn.recovery import RecoveryManager
 
@@ -106,3 +109,48 @@ class TestPersistenceAndRecovery:
         db.execute("DECLARE PURPOSE city SET ACCURACY LEVEL city FOR person.location")
         assert set(db.execute("SELECT location FROM person", purpose="city")
                    .column("location")) == {"Paris", "Lyon"}
+
+
+def older_build_snapshot(engine):
+    """The catalog document as builds with the ``"columnar"`` key wrote it."""
+    return {**snapshot_catalog(engine), "columnar": ["person"]}
+
+
+class TestCatalogRecordCompatibility:
+    """``CATALOG`` records of older builds list the tables that had an
+    in-memory mirror under a ``"columnar"`` key; the key is retired, the
+    record format is not: such a record restores, the key is ignored."""
+
+    def test_snapshot_with_the_retired_key_restores(self, db):
+        fresh = InstantDB()
+        assert restore_catalog(fresh, older_build_snapshot(db)) is None
+        assert [info.name for info in fresh.catalog.tables()] == ["person"]
+        assert fresh.describe() == db.describe()
+
+    def test_directory_written_with_the_retired_key_reopens(
+            self, tmp_path, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(database_module, "snapshot_catalog",
+                          older_build_snapshot)
+            db = build_engine(data_dir=str(tmp_path))
+            for row_id, address in ((1, PARIS), (2, LYON), (3, PARIS)):
+                db.execute(f"INSERT INTO person (id, user_id, name, location, "
+                           f"salary) VALUES ({row_id}, {row_id}, 'u{row_id}', "
+                           f"'{address}', 2500)")
+            db.advance_time(hours=2)          # location: address -> city
+            db.checkpoint()
+            db.execute(f"INSERT INTO person (id, user_id, name, location, "
+                       f"salary) VALUES (4, 4, 'u4', '{LYON}', 3100)")
+            db.daemon.pause()                 # abandon without close()
+        assert b'"columnar": ["person"]' in db.wal.raw_image()
+        rows = sorted(db.table_store("person").scan(),
+                      key=lambda row: row.row_key)
+
+        reopened = InstantDB(data_dir=str(tmp_path))
+        reopened.recover()
+        recovered = sorted(reopened.table_store("person").scan(),
+                           key=lambda row: row.row_key)
+        assert recovered == rows
+        assert reopened.level_histogram("person", "location") == {1: 3, 0: 1}
+        assert reopened.scheduler.pending_count() == \
+            db.scheduler.pending_count()

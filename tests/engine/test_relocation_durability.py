@@ -48,10 +48,10 @@ def _salary(row_id: int) -> int:
     return 41_003 + 7 * row_id       # unique per row, so its bytes are traceable
 
 
-#: One mode per way a degraded record gets rewritten: the default wave, the
-#: per-step baseline (a wave of one per step) and a wave over a columnarized
-#: table — all through ``TableStore.degrade_many`` → ``HeapFile.update_many``.
-MODES = {"batch": {}, "per_step": {"batch_degradation": False}, "columnar": {}}
+#: One mode per way a degraded record gets rewritten: the default wave and
+#: the per-step baseline (a wave of one per step) — both through
+#: ``TableStore.degrade_many`` → ``HeapFile.update_many``.
+MODES = {"batch": {}, "per_step": {"degradation_max_batch": 1}}
 
 
 def _open(data_dir, mode) -> InstantDB:
@@ -71,8 +71,6 @@ def _young_cohort_on_full_pages(data_dir, mode):
                "DEGRADABLE DOMAIN salary POLICY salary_lcp)")
     # the fillers sit at level 1 when holes are cut: a purpose that sees them
     db.execute("DECLARE PURPOSE coarse SET ACCURACY LEVEL range100 FOR pay.salary")
-    if mode == "columnar":
-        db.columnarize("pay")
     store = db.table_store("pay")
     db.executemany("INSERT INTO pay VALUES (?, ?, ?)", _fillers())
     assert store.heap.page_count == len(PAGES)

@@ -15,6 +15,7 @@ import pytest
 from repro import AttributeLCP, InstantDB
 from repro.core.clock import DAY, HOUR
 from repro.core.domains import build_location_tree
+from repro.storage.wal import LogRecordType
 
 PARIS = "1 Main Street, Paris"
 LYON = "2 Station Road, Lyon"
@@ -82,7 +83,7 @@ class TestOverdueStepsAfterCrash:
         db = build_trace_db(tmp_path, degradation_max_batch=2)
         insert_wave(db, 6)
 
-        original = db.daemon.batch_applier
+        original = db.daemon.applier
         calls = {"count": 0}
 
         def crashing_applier(key, steps):
@@ -91,14 +92,18 @@ class TestOverdueStepsAfterCrash:
                 raise KeyboardInterrupt      # then the process is killed
             return original(key, steps)
 
-        db.daemon.batch_applier = crashing_applier
+        db.daemon.applier = crashing_applier
         with pytest.raises(KeyboardInterrupt):
             db.advance_time(hours=2)
         assert db.stats.degradation_steps_applied == 2
+        # The committed batch is in the surviving log as one chunk record.
+        assert sum(r.record_type is LogRecordType.DEGRADE for r in db.wal) == 1
         crash(db)
 
         db2 = build_trace_db(tmp_path, degradation_max_batch=2)
         report = db2.recover()
+        assert report.recovery.wal_prep_passes == 1
+        assert report.recovery.redone_degrade_chunks >= 1
         # The two logged steps are *replayed* (not re-applied); the four
         # unapplied ones come back overdue and fire exactly once.
         assert report.schedule.steps_replayed == 2
@@ -114,7 +119,6 @@ class TestOverdueStepsAfterCrash:
         """A wave larger than one record's field cap spans several SCHED_STEP
         records in the same system transaction; replay reads them all."""
         from repro.engine import database as database_module
-        from repro.storage.wal import LogRecordType
 
         monkeypatch.setattr(database_module, "_SCHED_RECORD_CHUNK", 2)
         db = build_trace_db(tmp_path)
@@ -241,7 +245,7 @@ class TestDeferralsAndEvents:
         def crashing_applier(key, steps):     # killed before any step applies
             raise KeyboardInterrupt
 
-        db.daemon.batch_applier = crashing_applier
+        db.daemon.applier = crashing_applier
         with pytest.raises(KeyboardInterrupt):
             db.fire_event("consent_revoked")  # the firing itself is durable
         crash(db)
@@ -338,8 +342,6 @@ class TestScheduleHygieneAcrossRestart:
         assert db2.row_count("trace") == 2
 
     def test_event_without_waiters_writes_no_log_record(self, tmp_path):
-        from repro.storage.wal import LogRecordType
-
         db = build_trace_db(tmp_path)          # timed policy: no event waiters
         insert_wave(db, 1)
         flushes = db.wal.stats.flushed
@@ -445,73 +447,3 @@ class TestScheduleHygieneAcrossRestart:
         assert second.overdue_steps_applied == 0
         assert second.registrations == first.registrations
         assert db2.level_histogram("trace", "location") == {1: 3, 0: 1}
-
-
-class TestColumnarSegmentsAfterCrash:
-    """A wave over a columnarized table logs the same DEGRADE chunk records
-    as any other; a crash mid-wave must leave a log that recovery can replay
-    into correct segments and level vectors (the mirror is derived — the heap
-    stays the truth)."""
-
-    def test_mid_wave_kill_rebuilds_segments_and_level_vectors(self, tmp_path):
-        from repro.storage.wal import LogRecordType
-
-        db = build_trace_db(tmp_path, degradation_max_batch=2)
-        insert_wave(db, 6)
-        db.columnarize("trace")
-
-        original = db.daemon.batch_applier
-        calls = {"count": 0}
-
-        def crashing_applier(key, steps):
-            calls["count"] += 1
-            if calls["count"] > 1:            # first chunk committed + flushed,
-                raise KeyboardInterrupt      # then the process is killed
-            return original(key, steps)
-
-        db.daemon.batch_applier = crashing_applier
-        with pytest.raises(KeyboardInterrupt):
-            db.advance_time(hours=2)
-        assert db.stats.degradation_steps_applied == 2
-        # The committed batch is in the surviving log as one chunk record.
-        assert sum(r.record_type is LogRecordType.DEGRADE for r in db.wal) == 1
-        crash(db)
-
-        db2 = build_trace_db(tmp_path, degradation_max_batch=2)
-        db2.columnarize("trace")             # reopened engines re-opt in
-        report = db2.recover()
-        assert report.recovery.wal_prep_passes == 1
-        assert report.recovery.redone_degrade_chunks >= 1
-        # The two logged steps are replayed, the four unapplied ones fire
-        # exactly once through the catch-up drain — identical outcome to the
-        # row path.
-        assert report.schedule.steps_replayed == 2
-        assert report.overdue_steps_applied == 4
-        assert db2.level_histogram("trace", "location") == {1: 6}
-
-        # The rebuilt mirror agrees with the recovered heap, level vectors
-        # included, and the catch-up wave itself reached the mirror.
-        segments = db2.table_store("trace").segments
-        assert segments.stats.rebuilds >= 1
-        assert segments.stats.value_changes >= 4
-        for key in range(1, 7):
-            segment, position = segments.locate(key)
-            assert segment.levels["location"][position] == 1
-            assert segment.values["location"][position] == "Paris"
-
-    def test_reopen_without_columnarize_recovers_on_the_row_path(self, tmp_path):
-        """The mirror is opt-in per process lifetime: a reopened engine that
-        never calls columnarize() recovers and degrades without one."""
-        db = build_trace_db(tmp_path)
-        insert_wave(db, 4)
-        db.columnarize("trace")
-        db.daemon.pause()
-        db.advance_time(hours=2)             # steps come due, unapplied
-        db.execute(f"INSERT INTO trace VALUES (99, '{LYON}')")   # ts proof
-        crash(db)
-
-        db2 = build_trace_db(tmp_path)       # no columnarize
-        report = db2.recover()
-        assert report.overdue_steps_applied == 4
-        assert db2.table_store("trace").segments is None
-        assert db2.level_histogram("trace", "location") == {1: 4, 0: 1}

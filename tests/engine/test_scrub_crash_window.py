@@ -26,7 +26,7 @@ from ..conftest import log_dir_bytes
 ROWS = range(1, 8)
 
 #: One mode per way the engine drives ``TableStore.degrade_many``.
-MODES = {"batch": {}, "per_step": {"batch_degradation": False}, "columnar": {}}
+MODES = {"batch": {}, "per_step": {"degradation_max_batch": 1}}
 
 
 def _salary(row_id: int) -> int:
@@ -53,8 +53,6 @@ def _load(tmp_path, mode) -> InstantDB:
         name="salary_lcp"))
     db.execute("CREATE TABLE pay (id INT PRIMARY KEY, salary INT "
                "DEGRADABLE DOMAIN salary POLICY salary_lcp)")
-    if mode == "columnar":
-        db.columnarize("pay")
     db.executemany("INSERT INTO pay VALUES (?, ?)",
                    [(row_id, _salary(row_id)) for row_id in ROWS])
     db.checkpoint()

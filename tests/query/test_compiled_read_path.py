@@ -12,13 +12,15 @@ Covers the PR-5 overhaul end to end:
 * covering queries run as index-only scans over GT and B+-tree entries with
   zero heap reads;
 * LIMIT over an index range streams B+-tree entries (O(k) index work);
-* hash-join key extractors normalize unhashable degraded values once per row.
+* hash-join key extractors normalize unhashable degraded values once per row;
+* ORDER BY columns that are not in the output list sort correctly and stay
+  out of the result, in both execution modes.
 """
 
 import pytest
 
 from repro import InstantDB
-from repro.core.errors import GeneralizationError
+from repro.core.errors import BindingError, GeneralizationError
 from repro.core.generalization import GeneralizationScheme
 from repro.core.values import SUPPRESSED
 
@@ -67,7 +69,10 @@ class TestCompiledMatchesInterpreted:
         "SELECT grp, COUNT(*) AS n, AVG(val) AS a FROM t GROUP BY grp "
         "HAVING n > 10 ORDER BY grp",
         "SELECT id, val FROM t ORDER BY val DESC, id ASC LIMIT 7",
+        "SELECT grp FROM t ORDER BY val DESC, id ASC LIMIT 7",
         "SELECT * FROM t WHERE id = 42",
+        "SELECT note FROM t WHERE val <= 3",
+        "SELECT id FROM t WHERE note IS NOT NULL AND val != 7",
     ]
 
     def test_same_results_across_the_sql_surface(self):
@@ -289,3 +294,39 @@ class TestExplainShape:
         text = "\n".join(r[0] for r in db.execute(
             "EXPLAIN ANALYZE SELECT id FROM t WHERE grp = 'g1'").rows)
         assert "(rows=" in text and "(est~" in text
+
+
+class TestOrderByHiddenColumns:
+    """Regression: ORDER BY columns absent from the output list used to fail
+    binding; now they sort the rows and stay out of the result."""
+
+    MODES = pytest.mark.parametrize("optimized", [True, False],
+                                    ids=["compiled", "interpreted"])
+
+    @MODES
+    def test_sorts_by_hidden_column_and_drops_it(self, optimized):
+        db = make_stable_db(optimized, rows=30)
+        result = db.execute("SELECT grp FROM t ORDER BY val DESC, id ASC")
+        assert result.columns == ["grp"]
+        order = sorted(range(1, 31), key=lambda i: (-((i * 7) % 101), i))
+        assert result.rows == [(f"g{i % 5}",) for i in order]
+
+    @MODES
+    def test_topn_with_hidden_sort_column(self, optimized):
+        db = make_stable_db(optimized, rows=30)
+        result = db.execute("SELECT note FROM t ORDER BY val DESC, id LIMIT 4")
+        assert result.columns == ["note"]
+        order = sorted(range(1, 31), key=lambda i: (-((i * 7) % 101), i))
+        assert result.rows == [(f"note-{i}",) for i in order[:4]]
+
+    def test_aggregate_may_order_by_hidden_group_column(self):
+        db = make_stable_db(rows=30)
+        result = db.execute(
+            "SELECT COUNT(*) AS n FROM t GROUP BY grp ORDER BY grp DESC")
+        assert result.columns == ["n"]
+        assert len(result.rows) == 5
+
+    def test_aggregate_order_by_non_group_column_still_errors(self):
+        db = make_stable_db(rows=30)
+        with pytest.raises(BindingError):
+            db.execute("SELECT COUNT(*) AS n FROM t GROUP BY grp ORDER BY val")

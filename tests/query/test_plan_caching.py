@@ -13,6 +13,8 @@ PR-6's two carry-over fixes from the read-path overhaul:
 import pytest
 
 from repro import InstantDB
+from repro.query.compiler import compile_select
+from repro.query.planner import bind_physical_plan
 from repro.query.prepared import PARAM_PLAN_CACHE_SIZE
 from repro.query.statistics import EPOCH_MOD_FLOOR
 
@@ -95,6 +97,33 @@ class TestParameterShapePlans:
             [(10,), (15,), (20,)]
         assert db.execute(sql, params=(10, 20, "g1")).rows == \
             [(11,), (16,)]
+
+    def test_binding_builds_row_closures_and_nothing_else(self, db):
+        """One expression compiler: a plan carries the row-at-a-time residual,
+        projection and join-key closures — no second compiled form of the
+        same predicate — and a template compiles once however often it is
+        bound."""
+        sql = ("SELECT id FROM t WHERE val BETWEEN ? AND ? AND grp = ? "
+               "ORDER BY id")
+        artefacts = {"mode", "columns", "items", "project", "residual",
+                     "join_keys", "hidden"}
+        template = db.planner.plan_physical(db.prepare(sql).statement, None)
+        assert set(vars(compile_select(db.catalog, template))) == artefacts
+        shared = template.ensure_compiled(db.catalog, "compiled")
+        bound = bind_physical_plan(template, (10, 20, "g0"), db.catalog)
+        rebound = bound.ensure_compiled(db.catalog, "compiled")
+        assert set(vars(rebound)) == artefacts
+        assert rebound.project is shared.project        # template's closure
+        assert rebound.residual is not shared.residual  # bound per execution
+        assert rebound.residual({"grp": "g0"})
+        assert not rebound.residual({"grp": "g1"})
+
+        stats = db.statements.stats
+        compiles, hits = stats.predicate_compiles, stats.predicate_compile_hits
+        for params in ((10, 20, "g0"), (30, 40, "g1"), (10, 20, "g0")):
+            db.execute(sql, params=params)
+        assert stats.predicate_compiles - compiles == 1
+        assert stats.predicate_compile_hits - hits == 2
 
     def test_shapes_are_cached_separately(self, db):
         sql = "SELECT id FROM t WHERE val = ?"

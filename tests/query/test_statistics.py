@@ -103,6 +103,30 @@ class TestIncrementalMaintenance:
         assert stats.row_count == 0
         assert stats.ndv("location") == 0
 
+    def test_departed_values_leave_every_attribute(self):
+        """Derived state holds current values only (docs/invariants.md): once
+        a wave moved the last row off a value, or removed the row, no slot of
+        the column's statistics holds it — cached extremes included, read or
+        not."""
+        def held(column):
+            return repr([getattr(column, slot)
+                         for slot in ColumnStatistics.__slots__]).lower()
+
+        db = build_db()
+        db.executemany("INSERT INTO trace VALUES (?, ?, ?)",
+                       [(1, "k", PARIS), (2, "k", LYON)])
+        location = db.statistics.table("trace").columns["location"]
+        assert PARIS.lower() in held(location)
+        db.advance_time(hours=2)               # address -> city
+        assert PARIS.lower() not in held(location)
+        assert LYON.lower() not in held(location)
+        assert (location.min_value, location.max_value) == ("lyon", "paris")
+        db.advance_time(days=200)              # whole life cycle: tuples gone
+        assert db.row_count("trace") == 0
+        for departed in ("paris", "lyon", "france"):
+            assert departed not in held(location)
+        assert location.min_value is None and location.max_value is None
+
     def test_stable_update_moves_counts(self):
         db = build_db()
         db.executemany("INSERT INTO trace VALUES (?, ?, ?)",

@@ -47,9 +47,9 @@ def test_chaos_run_heals_to_twin_equivalence(tmp_path, variant):
 
 def test_chaos_is_reproducible_from_seeds(tmp_path):
     """The printed (seed, fault_seed) pair pins the entire run."""
-    first = run_chaos("columnar", seed=SEED + 1, fault_seed=FAULT_SEED + 1,
+    first = run_chaos("compiled", seed=SEED + 1, fault_seed=FAULT_SEED + 1,
                       data_dir=str(tmp_path / "a"), scale=SCALE, ops=OPS)
-    second = run_chaos("columnar", seed=SEED + 1, fault_seed=FAULT_SEED + 1,
+    second = run_chaos("compiled", seed=SEED + 1, fault_seed=FAULT_SEED + 1,
                       data_dir=str(tmp_path / "b"), scale=SCALE, ops=OPS)
     assert first.ok and second.ok, (first.describe(), second.describe())
     assert first.armed == second.armed

@@ -1,7 +1,7 @@
 """The cross-engine differential oracle, run for real.
 
 Five fixed seeds, ~200 mixed ops each (plus a full-lifecycle epilogue),
-replayed in lockstep against all four engine variants.  Any disagreement
+replayed in lockstep against all three engine variants.  Any disagreement
 fails with the seed and a minimized op trace, so a regression here is
 immediately reproducible from the failure message alone.
 """
@@ -72,7 +72,7 @@ def test_edge_semantics_agree_across_variants():
     """Edges the random mix rarely hits, pinned explicitly: no-purpose reads
     of degraded attributes (stored-accuracy observation), deletes of rows the
     policy already removed, and the typed refusal to update a degradable
-    column — all four variants must behave identically."""
+    column — all three variants must behave identically."""
     from repro.core.errors import PolicyError
     from repro.scenarios import Op, run_op
 

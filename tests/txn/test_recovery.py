@@ -158,21 +158,18 @@ class TestSinglePassPrepare:
 
 
 class TestSegmentDegradeRecords:
-    """A wave is logged as one DEGRADE record per (column, level) chunk — on
-    a columnarized table exactly as on a plain one (the class is named after
-    the record type the chunk DEGRADE absorbed)."""
+    """A wave is logged as one DEGRADE record per (column, level) chunk (the
+    class is named after the record type the chunk DEGRADE absorbed)."""
 
     def rows(self, count):
         return [{**ROW, "id": i} for i in range(1, count + 1)]
 
-    def make_columnar_wave(self, count=5, to_level=1, columnar=True):
+    def make_wave(self, count=5, to_level=1):
         wal, store, manager = make_environment()
         winner = manager.begin()
         keys = [store.insert(row, now=0.0, txn_id=winner.txn_id)
                 for row in self.rows(count)]
         manager.commit(winner)
-        if columnar:
-            store.columnarize()
         system = manager.begin(system=True)
         store.degrade_many([(key, "location", LOCATION, to_level)
                             for key in keys], now=3600.0,
@@ -180,33 +177,32 @@ class TestSegmentDegradeRecords:
         return wal, store, manager, keys
 
     def test_columnar_wave_logs_chunks_not_rows(self):
-        for columnar in (True, False):
-            wal, store, _manager, keys = self.make_columnar_wave(columnar=columnar)
-            (record,) = [r for r in wal if r.record_type is LogRecordType.DEGRADE]
-            # The record names the column; the payload lists every affected
-            # heap row behind the target level.  No row key of its own, no
-            # image.
-            assert (record.table, record.attribute, record.row_key) == \
-                ("person", "location", -1)
-            to_level, row_keys = decode_degrade_chunk(record.after)
-            assert to_level == 1 and sorted(row_keys) == sorted(keys)
-            assert record.before is None
+        """A wave's cohort is one record, whatever its size."""
+        wal, store, _manager, keys = self.make_wave()
+        (record,) = [r for r in wal if r.record_type is LogRecordType.DEGRADE]
+        # The record names the column; the payload lists every affected
+        # heap row behind the target level.  No row key of its own, no
+        # image.
+        assert (record.table, record.attribute, record.row_key) == \
+            ("person", "location", -1)
+        to_level, row_keys = decode_degrade_chunk(record.after)
+        assert to_level == 1 and sorted(row_keys) == sorted(keys)
+        assert record.before is None
 
     def test_recovery_rebuilds_segments_and_level_vectors(self):
-        wal, store, manager, keys = self.make_columnar_wave()
+        """The row map is rebuilt from the pages, and the pages hold the
+        degraded values and levels: nothing is redone."""
+        wal, store, manager, keys = self.make_wave()
         # Crash: lose the in-memory state, keep heap pages + log.
         store._locations.clear()
-        store.segments.clear()
         report = RecoveryManager(wal, {"person": store}).recover()
         assert report.wal_prep_passes == 1
         assert report.redone_degrade_chunks == 1
         assert report.redone_degrades == 0            # pages were flushed
-        segments = store.segments
-        assert segments.stats.rebuilds >= 1
         for key in keys:
-            segment, position = segments.locate(key)
-            assert segment.levels["location"][position] == 1
-            assert segment.values["location"][position] == "Paris"
+            row = store.read(key)
+            assert row.levels["location"] == 1
+            assert row.values["location"] == "Paris"
 
     def test_lagging_rows_counted_and_left_to_the_daemon(self):
         wal, store, manager = make_environment()
@@ -214,7 +210,6 @@ class TestSegmentDegradeRecords:
         keys = [store.insert(row, now=0.0, txn_id=winner.txn_id)
                 for row in self.rows(3)]
         manager.commit(winner)
-        store.columnarize()
         # A chunk record whose page write never made it: every listed row
         # still stores the accurate value at level 0.
         (payload,) = encode_degrade_chunk(1, keys)
@@ -266,9 +261,8 @@ class TestSegmentDegradeRecords:
     def test_segment_ids_do_not_pollute_row_key_reservation(self):
         """A chunk record has no row key of its own (the field reads -1); it
         must not drag the store's row-key counter around."""
-        wal, store, manager, keys = self.make_columnar_wave(count=2)
+        wal, store, manager, keys = self.make_wave(count=2)
         store._locations.clear()
-        store.segments.clear()
         RecoveryManager(wal, {"person": store}).recover()
         fresh = store.insert({**ROW, "id": 99}, now=1.0, txn_id=0)
         assert fresh == max(keys) + 1
