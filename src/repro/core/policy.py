@@ -207,6 +207,12 @@ class TablePolicy:
         }
         return TupleLCP(policies)
 
+    def tuple_lcp_of(self, values: Mapping[str, Any]) -> TupleLCP:
+        """Tuple LCP of the row holding ``values``: its selector column, if
+        the table has one, picks the per-tuple override."""
+        selector = self.selector_column
+        return self.tuple_lcp(None if selector is None else values.get(selector))
+
     def scheme_for(self, column: str) -> GeneralizationScheme:
         return self.policy_for(column).scheme
 

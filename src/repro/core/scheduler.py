@@ -430,6 +430,12 @@ class DegradationScheduler:
         """Number of live registrations (records not yet in their final state)."""
         return len(self._registrations)
 
+    def tuple_lcp(self, record_id: Any) -> Optional[TupleLCP]:
+        """The policy ``record_id`` was registered with — the registration is
+        its one owner — or ``None`` for ids the scheduler does not track."""
+        registration = self._registrations.get(record_id)
+        return registration.tuple_lcp if registration is not None else None
+
     def current_state(self, record_id: Any) -> Dict[str, int]:
         """Per-attribute state indices of ``record_id``.
 
@@ -614,9 +620,7 @@ class DegradationScheduler:
 
         Pure prediction — the schedule is not mutated.  A batch applier uses
         this to fold the resulting final removals into the same system
-        transaction as the batch's ``DEGRADE`` records; the completion
-        callback that runs after the drain then finds the rows already gone
-        and no-ops.
+        transaction as the batch's ``DEGRADE`` records.
         """
         overlay: Dict[Any, Dict[str, int]] = {}
         for step in steps:

@@ -463,15 +463,70 @@ class NoSwallowedIOErrorRule(NoSwallowedAbortRule):
         return False
 
 
+# ---------------------------------------------------------------- single-fanout
+
+
+class SingleFanoutRule(Rule):
+    """Derived state changes in one place: the engine's ``_apply_delta``.
+
+    Indexes, statistics and the degradation schedule are all derived from
+    rows, and stay right only if every row change reaches all of them — so
+    under ``engine/`` the calls that maintain them (an index's ``insert`` /
+    ``delete`` / ``update`` / ``degrade_entries``, ``on_insert`` /
+    ``on_remove`` / ``on_value_change``, the scheduler's ``register`` /
+    ``cancel``) may appear in that one function only.  A second call site is
+    a change that some structure will miss, and an undo nobody wrote.
+    """
+
+    name = "single-fanout"
+    description = ("index / statistics / schedule maintenance called outside "
+                   "the engine's one fan-out function (_apply_delta)")
+
+    FANOUT = "_apply_delta"
+    #: receiver attribute (``None`` = any) → the maintenance methods on it
+    MAINTENANCE = {
+        "index": frozenset({"insert", "delete", "update", "degrade_entries"}),
+        "scheduler": frozenset({"register", "cancel"}),
+        None: frozenset({"on_insert", "on_remove", "on_value_change"}),
+    }
+
+    def check(self, path: str, tree: ast.AST, source: str) -> List[Finding]:
+        if "engine" not in _path_parts(path):
+            return []
+        findings: List[Finding] = []
+        self._scan(path, tree, None, findings)
+        return findings
+
+    def _scan(self, path: str, node: ast.AST, function: Optional[str],
+              findings: List[Finding]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif (isinstance(node, ast.Call) and function != self.FANOUT
+                and isinstance(node.func, ast.Attribute)):
+            chain = attribute_chain(node.func)
+            receiver, method = chain[-2], chain[-1]
+            if (method in self.MAINTENANCE[None]
+                    or method in self.MAINTENANCE.get(receiver, ())):
+                findings.append(self.finding(
+                    path, node,
+                    f"{'.'.join(chain)}() maintains derived state outside "
+                    f"{self.FANOUT}(); hand the row change to the fan-out so "
+                    "every index, the statistics and the schedule follow it "
+                    "— and so does its undo"))
+        for child in ast.iter_child_nodes(node):
+            self._scan(path, child, function, findings)
+
+
 PER_FILE_RULES = (
     SentinelIdentityRule,
     ExecutorConfinementRule,
     LockDisciplineRule,
     NoSwallowedAbortRule,
     NoSwallowedIOErrorRule,
+    SingleFanoutRule,
 )
 
 __all__ = ["Rule", "attribute_chain", "SentinelIdentityRule",
            "ExecutorConfinementRule", "LockDisciplineRule",
            "NoSwallowedAbortRule", "NoSwallowedIOErrorRule",
-           "PER_FILE_RULES"]
+           "SingleFanoutRule", "PER_FILE_RULES"]

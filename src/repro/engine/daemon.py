@@ -12,9 +12,8 @@ Due steps are drained through
 :meth:`~repro.core.scheduler.DegradationScheduler.run_due_batched`, grouped
 per table, so a mass-expiry wave pays one system transaction, one exclusive
 table lock, one coalesced page-flush pass and one durable WAL flush per
-batch instead of per step.  Records that reach their final tuple state are
-collected and handed to ``on_complete`` in one call, letting the engine scrub
-and remove them in bulk as well.
+batch instead of per step.  Tuples a batch drives into their final state are
+removed by the applier inside that batch's own transaction.
 
 ``max_batch`` bounds how many steps each scheduler drain round may pop: a
 backlog of 100k overdue steps is then applied in 100k/``max_batch`` chunks,
@@ -30,7 +29,7 @@ tracks timeliness statistics through the scheduler.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from ..core.clock import Clock, SimulatedClock
 from ..core.scheduler import BatchApplier, DegradationScheduler, DegradationStep
@@ -53,15 +52,12 @@ class DegradationDaemon:
 
     def __init__(self, clock: Clock, scheduler: DegradationScheduler,
                  applier: BatchApplier,
-                 on_complete: Optional[Callable[[List[object]], None]] = None,
                  auto_attach: bool = True,
                  max_batch: Optional[int] = None) -> None:
         self.clock = clock
         self.scheduler = scheduler
         #: Applies one table's batch of due steps, returns those it applied.
         self.applier = applier
-        #: Receives, once per drain, the records that reached their final state.
-        self.on_complete = on_complete
         #: Upper bound on steps popped per drain round (``None`` = unbounded).
         self.max_batch = max_batch
         self.stats = DaemonStats()
@@ -100,12 +96,8 @@ class DegradationDaemon:
                 self.stats.batches += 1
             return result
 
-        completed: List[object] = []
         applied = self.scheduler.run_due_batched(
-            now, counting_applier, on_complete=completed.append,
-            max_batch=self.max_batch)
-        if completed and self.on_complete is not None:
-            self.on_complete(completed)
+            now, counting_applier, max_batch=self.max_batch)
         self.stats.steps_applied += len(applied)
         return applied
 
@@ -123,9 +115,6 @@ class DegradationDaemon:
         applied = self.run_pending(now)
         self.stats.catch_up_steps += len(applied)
         return applied
-
-    def next_due(self) -> Optional[float]:
-        return self.scheduler.peek_next_due()
 
     def backlog(self, now: Optional[float] = None) -> int:
         """Number of steps overdue at ``now`` (timeliness measure)."""

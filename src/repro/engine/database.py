@@ -32,8 +32,10 @@ Example
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Any, ContextManager, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..core.clock import Clock, SimulatedClock, make_clock
 from ..core.errors import (
@@ -55,9 +57,8 @@ from ..core.scheduler import DegradationScheduler, DegradationStep
 from ..core.schema import TableSchema
 from ..core.values import SUPPRESSED
 from ..devtools import invariants
-from ..index.gt_index import GTIndex
 from ..query import ast_nodes as ast
-from ..query.catalog import Catalog, IndexInfo
+from ..query.catalog import Catalog, IndexInfo, TableInfo
 from ..query.executor import Executor, QueryResult, ROW_KEY_FIELD
 from ..query.parameters import count_placeholders
 from ..query.parser import parse_script
@@ -66,7 +67,7 @@ from ..query.prepared import PreparedStatement, StatementCache
 from ..query.statistics import StatisticsRegistry
 from ..storage.buffer import BufferPool
 from ..storage.crypto import KeyStore
-from ..storage.degradable_store import TableStore
+from ..storage.degradable_store import DegradeChunk, StoredRow, TableStore
 from ..storage.pager import open_pager
 from ..storage.serialization import encode_record
 from ..storage.wal import (
@@ -202,7 +203,6 @@ class InstantDB:
             lambda exc: self._enter_read_only(f"undo failure: {exc}"))
         self.scheduler = DegradationScheduler()
         self.stores: Dict[str, TableStore] = {}
-        self._tuple_lcps: Dict[Tuple[str, int], TupleLCP] = {}
         self.executor = Executor(
             self.catalog, self._store_for,
             compile_mode="compiled" if read_path_optimizations else "interpreted")
@@ -211,7 +211,6 @@ class InstantDB:
         self.daemon = DegradationDaemon(
             self.clock, self.scheduler,
             applier=self._apply_degradation_batch,
-            on_complete=self._on_records_final,
             max_batch=degradation_max_batch,
         )
         self.stats = EngineStats()
@@ -398,20 +397,22 @@ class InstantDB:
         return store
 
     def _attach_recovered_index(self, table: str, name: str, column: str,
-                                method: str, implicit: bool = False) -> None:
-        """Recreate an index structure from catalog-restore metadata.
+                                method: str, implicit: bool = False) -> IndexInfo:
+        """Create an index structure from its catalog metadata.
 
-        The structure starts empty; :meth:`_rebuild_indexes` fills it from
-        the recovered heap later in the recovery sequence.
+        The structure starts empty: :meth:`create_index` lets it catch up on
+        the stored rows, :meth:`_rebuild_indexes` fills it from the recovered
+        heap later in the recovery sequence.
         """
         info = self.catalog.table(table)
         statement = ast.CreateIndex(name=name, table=table, column=column,
                                     method=method)
-        index = ddl.build_index(statement, info.schema, self.registry)
-        self.catalog.add_index(IndexInfo(name=name, table=table,
-                                         column=column.lower(),
-                                         method=method.lower(), index=index,
-                                         implicit=implicit))
+        index_info = IndexInfo(
+            name=name, table=info.name, column=column.lower(),
+            method=method.lower(), implicit=implicit,
+            index=ddl.build_index(statement, info.schema, self.registry))
+        self.catalog.add_index(index_info)
+        return index_info
 
     def table_store(self, name: str) -> TableStore:
         return self._store_for(name)
@@ -483,15 +484,42 @@ class InstantDB:
         invariants.assert_engine_thread(self)
         self.transactions.abort(txn, now=self.clock.now())
 
-    def _locked(self, txn: Transaction, table: str, exclusive: bool) -> None:
-        granted = (self.transactions.lock_exclusive(txn, table) if exclusive
-                   else self.transactions.lock_shared(txn, table))
-        if not granted:
-            self.transactions.abort(txn, now=self.clock.now(), reason="lock conflict")
-            raise TransactionAborted(
-                f"transaction {txn.txn_id} blocked on table {table!r} "
-                "(held by a concurrent transaction)"
-            )
+    def _transaction(self, txn: Optional[Transaction], *tables: str,
+                     exclusive: bool = False) -> ContextManager[Transaction]:
+        """The transaction a statement runs in, holding locks on ``tables``:
+        the caller's ``txn``, passed through untouched (its owner ends it),
+        or one of the statement's own.  A lock another transaction holds
+        aborts either kind."""
+        if txn is None:
+            return self._own_transaction(tables, exclusive)
+        self._locked(txn, tables, exclusive)
+        return nullcontext(txn)
+
+    @contextmanager
+    def _own_transaction(self, tables: Sequence[str],
+                         exclusive: bool) -> Iterator[Transaction]:
+        """Begun here, aborted if taking a lock or the body raises, committed
+        through :meth:`_commit_txn` when the body returns."""
+        active = self.transactions.begin(now=self.clock.now())
+        try:
+            self._locked(active, tables, exclusive)
+            yield active
+        except BaseException:
+            if self.transactions.is_active(active.txn_id):
+                self.transactions.abort(active, now=self.clock.now())
+            raise
+        self._commit_txn(active)
+
+    def _locked(self, txn: Transaction, tables: Sequence[str], exclusive: bool) -> None:
+        lock = (self.transactions.lock_exclusive if exclusive
+                else self.transactions.lock_shared)
+        for table in tables:
+            if not lock(txn, table):
+                self.transactions.abort(txn, now=self.clock.now(), reason="lock conflict")
+                raise TransactionAborted(
+                    f"transaction {txn.txn_id} blocked on table {table!r} "
+                    "(held by a concurrent transaction)"
+                )
 
     # ------------------------------------------------------------------ SQL entry point
 
@@ -539,11 +567,8 @@ class InstantDB:
         """
         invariants.assert_engine_thread(self)
         prepared = self.prepare(sql)
-        now = self.clock.now()
-        own_txn = txn is None
-        active = txn or self.transactions.begin(now=now)
         total = 0
-        try:
+        with self._transaction(txn) as active:
             for params in seq_of_params:
                 statement = prepared.bind(params)
                 prepared.executions += 1
@@ -552,12 +577,6 @@ class InstantDB:
                                                 params=params)
                 if isinstance(result, int):
                     total += result
-        except BaseException:
-            if own_txn and self.transactions.is_active(active.txn_id):
-                self.transactions.abort(active, now=self.clock.now())
-            raise
-        if own_txn:
-            self._commit_txn(active)
         return total
 
     def execute_script(self, sql: str, purpose: Union[None, str, Purpose] = None) -> List[Any]:
@@ -599,7 +618,8 @@ class InstantDB:
             self.create_table(schema)
             return None
         if isinstance(statement, ast.CreateIndex):
-            self._execute_create_index(statement)
+            self.create_index(statement.name, statement.table,
+                              statement.column, statement.method)
             return None
         if isinstance(statement, ast.DropTable):
             self._execute_drop_table(statement)
@@ -640,25 +660,14 @@ class InstantDB:
                         prepared: Optional[PreparedStatement] = None,
                         stream: bool = False,
                         params: Optional[Sequence[Any]] = None) -> Any:
-        own_txn = txn is None
-        active = txn or self.transactions.begin(now=self.clock.now())
-        try:
-            self._locked(active, statement.table, exclusive=False)
-            for clause in statement.joins:
-                self._locked(active, clause.table, exclusive=False)
+        with self._transaction(txn, statement.table,
+                               *(clause.table for clause in statement.joins)):
             plan = self._plan_select(statement, purpose, prepared, params)
-            if stream and not own_txn:
+            if stream and txn is not None:
                 # The caller's transaction keeps the read locks while the
                 # cursor drains the pipeline lazily.
                 return self.executor.stream_physical(plan)
-            result = self.executor.execute_physical(plan)
-        except BaseException:
-            if own_txn and self.transactions.is_active(active.txn_id):
-                self.transactions.abort(active, now=self.clock.now())
-            raise
-        if own_txn:
-            self._commit_txn(active)
-        return result
+            return self.executor.execute_physical(plan)
 
     def _plan_select(self, statement: ast.Select, purpose: Optional[Purpose],
                      prepared: Optional[PreparedStatement],
@@ -752,20 +761,10 @@ class InstantDB:
             # the actual per-operator row counts.  The run takes the same
             # shared locks a plain SELECT would — analyzing must not read
             # past a concurrent writer.
-            own_txn = txn is None
-            active = txn or self.transactions.begin(now=self.clock.now())
-            try:
-                self._locked(active, inner.table, exclusive=False)
-                for clause in inner.joins:
-                    self._locked(active, clause.table, exclusive=False)
+            with self._transaction(txn, inner.table,
+                                   *(clause.table for clause in inner.joins)):
                 for _row in root:
                     pass
-            except BaseException:
-                if own_txn and self.transactions.is_active(active.txn_id):
-                    self.transactions.abort(active, now=self.clock.now())
-                raise
-            if own_txn:
-                self.transactions.commit(active, now=self.clock.now())
         lines = plan.describe().splitlines()
         lines.extend(root.explain_lines(analyze=statement.analyze))
         return QueryResult(columns=["plan"], rows=[(line,) for line in lines])
@@ -796,22 +795,13 @@ class InstantDB:
         table = table.lower()
         info = self.catalog.table(table)
         store = self._store_for(table)
-        now = self.clock.now()
-        own_txn = txn is None
-        active = txn or self.transactions.begin(now=now)
-        try:
-            self._locked(active, table, exclusive=True)
+        with self._transaction(txn, table, exclusive=True) as active:
+            now = self.clock.now()
             stored = store.insert(row, now, txn_id=active.txn_id, returning=True)
-            row_key = stored.row_key
-            self._index_insert(info, stored)
-            self.statistics.on_insert(table, stored.values)
-            if info.policy is not None and info.policy.has_degradable_columns():
-                selector_value = None
-                if info.policy.selector_column is not None:
-                    selector_value = stored.values.get(info.policy.selector_column)
-                tuple_lcp = info.policy.tuple_lcp(selector_value)
-                self.scheduler.register((table, row_key), tuple_lcp, now)
-                self._tuple_lcps[(table, row_key)] = tuple_lcp
+            active.on_abort(partial(self._undo_delta, info, store, None, stored))
+            self._apply_delta(info, None, stored)
+            tuple_lcp = self.scheduler.tuple_lcp((table, stored.row_key))
+            if tuple_lcp is not None:
                 # The registration becomes durable with the transaction's
                 # commit flush; recovery replays it only if the txn committed.
                 # The payload names each attribute's policy so replay can
@@ -819,34 +809,15 @@ class InstantDB:
                 # value itself has degraded (values never enter the log).
                 self.wal.append(
                     LogRecordType.SCHED_REGISTER, active.txn_id,
-                    table=table, row_key=row_key,
+                    table=table, row_key=stored.row_key,
                     after=encode_policy_names({
                         attribute: lcp.name
                         for attribute, lcp in tuple_lcp.attributes.items()
                     }),
                     timestamp=now,
                 )
-            active.on_abort(lambda: self._undo_insert(table, row_key))
-        except BaseException:
-            if own_txn and self.transactions.is_active(active.txn_id):
-                self.transactions.abort(active, now=now)
-            raise
-        if own_txn:
-            self._commit_txn(active)
         self.stats.rows_inserted += 1
-        return row_key
-
-    def _undo_insert(self, table: str, row_key: int) -> None:
-        store = self._store_for(table)
-        if not store.exists(row_key):
-            return
-        info = self.catalog.table(table)
-        stored = store.read(row_key)
-        self._index_delete(info, stored)
-        self.statistics.on_remove(table, stored.values)
-        self.scheduler.cancel((table, row_key))
-        self._tuple_lcps.pop((table, row_key), None)
-        store.remove(row_key, now=self.clock.now())
+        return stored.row_key
 
     # ------------------------------------------------------------------ UPDATE / DELETE
 
@@ -856,108 +827,69 @@ class InstantDB:
         table = statement.table.lower()
         info = self.catalog.table(table)
         store = self._store_for(table)
-        now = self.clock.now()
-        own_txn = txn is None
-        active = txn or self.transactions.begin(now=now)
         count = 0
-        try:
-            self._locked(active, table, exclusive=True)
+        with self._transaction(txn, table, exclusive=True) as active:
             for column, _value in statement.assignments:
                 if info.schema.column(column).degradable:
                     raise PolicyError(
                         f"column {table}.{column} is degradable: updates are not granted "
                         "after the tuple creation has been committed"
                     )
+            now = self.clock.now()
             for stored in self.executor.matching_rows(table, statement.where, purpose):
                 for column, value in statement.assignments:
-                    old_value = stored.values[column]
                     updated = store.update_stable(stored.row_key, column, value, now,
                                                   txn_id=active.txn_id)
-                    self._index_update_column(info, column, old_value,
-                                              updated.values[column], stored, updated)
-                    self.statistics.on_value_change(table, column, old_value,
-                                                    updated.values[column])
+                    active.on_abort(partial(self._undo_delta, info, store,
+                                            stored, updated))
+                    self._apply_delta(info, stored, updated)
                     stored = updated
                 count += 1
-        except BaseException:
-            if own_txn and self.transactions.is_active(active.txn_id):
-                self.transactions.abort(active, now=now)
-            raise
-        if own_txn:
-            self._commit_txn(active)
         self.stats.rows_updated += count
         return count
 
     def _execute_delete(self, statement: ast.Delete, purpose: Optional[Purpose],
                         txn: Optional[Transaction]) -> int:
+        """A secure erase at statement time (:meth:`TableStore.delete` scrubs
+        and flushes before it returns): no rollback brings the row back."""
         self._require_writable()
         table = statement.table.lower()
-        now = self.clock.now()
-        own_txn = txn is None
-        active = txn or self.transactions.begin(now=now)
+        info = self.catalog.table(table)
+        store = self._store_for(table)
         count = 0
-        try:
-            self._locked(active, table, exclusive=True)
+        with self._transaction(txn, table, exclusive=True) as active:
             for stored in self.executor.matching_rows(table, statement.where, purpose):
-                self._delete_row(table, stored.row_key, txn_id=active.txn_id)
+                self._apply_delta(info, stored, None)
+                store.delete(stored.row_key, now=self.clock.now(),
+                             txn_id=active.txn_id)
                 count += 1
-        except BaseException:
-            if own_txn and self.transactions.is_active(active.txn_id):
-                self.transactions.abort(active, now=now)
-            raise
-        if own_txn:
-            self._commit_txn(active)
         self.stats.rows_deleted += count
         return count
 
-    def _delete_row(self, table: str, row_key: int, txn_id: int = 0) -> None:
-        info = self.catalog.table(table)
-        store = self._store_for(table)
-        stored = store.read(row_key)
-        self._index_delete(info, stored)
-        self.statistics.on_remove(table, stored.values)
-        self.scheduler.cancel((table, row_key))
-        self._tuple_lcps.pop((table, row_key), None)
-        store.delete(row_key, now=self.clock.now(), txn_id=txn_id)
-
     # ------------------------------------------------------------------ DDL helpers
-
-    def _execute_create_index(self, statement: ast.CreateIndex) -> None:
-        self._require_writable()
-        table = statement.table.lower()
-        info = self.catalog.table(table)
-        index = ddl.build_index(statement, info.schema, self.registry)
-        index_info = IndexInfo(name=statement.name, table=table,
-                               column=statement.column.lower(),
-                               method=statement.method.lower(), index=index)
-        self.catalog.add_index(index_info)
-        self._catalog_dirty = True
-        store = self._store_for(table)
-        column = statement.column.lower()
-        for stored in store.scan():
-            value = stored.values[column]
-            if isinstance(index, GTIndex):
-                index.insert_at(value, stored.levels.get(column, 0), stored.row_key)
-            else:
-                index.insert(value, stored.row_key)
 
     def create_index(self, name: str, table: str, column: str,
                      method: str = "btree") -> None:
-        """Python API equivalent of ``CREATE INDEX``."""
-        self._execute_create_index(ast.CreateIndex(name=name, table=table,
-                                                   column=column, method=method))
+        """``CREATE INDEX`` (and its Python API equivalent)."""
+        self._require_writable()
+        index_info = self._attach_recovered_index(table, name, column, method)
+        self._catalog_dirty = True
+        info = self.catalog.table(table)
+        for stored in self._store_for(table).scan():
+            self._apply_delta(info, None, stored, only=index_info)
 
     def _execute_drop_table(self, statement: ast.DropTable) -> None:
         self._require_writable()
         table = statement.table.lower()
-        self.catalog.drop_table(table)
+        info = self.catalog.drop_table(table)
         self._catalog_dirty = True
         self.statistics.drop(table)
         store = self.stores.pop(table, None)
         if store is not None:
+            # Indexes and statistics went with the catalog entry; only the
+            # schedule still holds the rows.
+            self._apply_delta(info, gone=store.row_keys())
             for row_key in store.row_keys():
-                self.scheduler.cancel((table, row_key))
-                self._tuple_lcps.pop((table, row_key), None)
                 store.remove(row_key, now=self.clock.now())
         # The TABLE_DROP marker closes the table's log *epoch*: it is written
         # after the drop's own removals so every record up to and including
@@ -980,62 +912,120 @@ class InstantDB:
         self._catalog_dirty = True
         return added
 
-    # ------------------------------------------------------------------ index maintenance
+    # ------------------------------------------------------------------ derived state
 
-    def _index_insert(self, info, stored) -> None:
-        for index_info in info.indexes.values():
-            value = stored.values[index_info.column]
-            if isinstance(index_info.index, GTIndex):
-                index_info.index.insert_at(value, stored.levels.get(index_info.column, 0),
-                                           stored.row_key)
-            else:
-                index_info.index.insert(value, stored.row_key)
+    def _apply_delta(self, info: TableInfo, old: Optional[StoredRow] = None,
+                     new: Optional[StoredRow] = None, *,
+                     chunk: Optional[DegradeChunk] = None,
+                     gone: Optional[Sequence[int]] = None,
+                     only: Optional[IndexInfo] = None,
+                     schedule: bool = True) -> None:
+        """The one way a row change reaches what is derived from rows: the
+        table's indexes, its statistics and the degradation schedule.
 
-    def _index_delete(self, info, stored) -> None:
-        for index_info in info.indexes.values():
-            value = stored.values[index_info.column]
-            if isinstance(index_info.index, GTIndex):
-                index_info.index.delete_at(value, stored.levels.get(index_info.column, 0),
-                                           stored.row_key)
-            else:
-                index_info.index.delete(value, stored.row_key)
+        ``(None, row)`` enters, ``(row, None)`` leaves, two images of one row
+        move every value that differs; undoing a change is the same call with
+        the images swapped (:meth:`_undo_delta`).  A wave passes each
+        ``chunk`` as the store produced it — value transitions, no row
+        decoded.  ``gone`` are keys of rows that left without an image to
+        retract (a dropped table's; a row a faulted wave had erased): only
+        the schedule still holds them.  ``only`` feeds an entering row to one
+        index, a new one catching up.  ``schedule=False`` leaves the schedule
+        to its own source for the change: WAL replay after recovery, the
+        drain's advance for the rows a wave removes.
+        """
+        table = info.name
+        indexes = info.indexes.values() if only is None else (only,)
+        if chunk is not None:
+            moves = chunk.transitions.items()
+            for (old_value, new_value), row_keys in moves:
+                self.statistics.on_value_change(table, chunk.column, old_value,
+                                                new_value, len(row_keys))
+            for index_info in indexes:
+                if index_info.column == chunk.column:
+                    index_info.index.degrade_entries(
+                        (old_value, chunk.from_level, new_value, chunk.to_level, row_key)
+                        for (old_value, new_value), row_keys in moves
+                        for row_key in row_keys)
+        elif gone is not None:
+            for row_key in gone:
+                self.scheduler.cancel((table, row_key))
+        elif old is None:
+            for index_info in indexes:
+                column = index_info.column
+                index_info.index.insert(new.values[column], new.row_key,
+                                        new.levels.get(column))
+            if only is not None:
+                return
+            self.statistics.on_insert(table, new.values)
+            policy = info.policy
+            if schedule and policy is not None and policy.has_degradable_columns():
+                self.scheduler.register((table, new.row_key),
+                                        policy.tuple_lcp_of(new.values),
+                                        new.inserted_at)
+        elif new is None:
+            for index_info in indexes:
+                column = index_info.column
+                index_info.index.delete(old.values[column], old.row_key,
+                                        old.levels.get(column))
+            self.statistics.on_remove(table, old.values)
+            if schedule:
+                self.scheduler.cancel((table, old.row_key))
+        else:
+            for column, value in new.values.items():
+                before = old.values[column]
+                if before == value:
+                    continue
+                self.statistics.on_value_change(table, column, before, value)
+                for index_info in indexes:
+                    if index_info.column == column:
+                        index_info.index.update(before, value, old.row_key,
+                                                old.levels.get(column))
 
-    def _index_update_column(self, info, column: str, old_value: Any, new_value: Any,
-                             old_row, new_row) -> None:
-        for index_info in info.indexes.values():
-            if index_info.column != column:
-                continue
-            if isinstance(index_info.index, GTIndex):
-                index_info.index.degrade_entry(
-                    old_value, old_row.levels.get(column, 0),
-                    new_value, new_row.levels.get(column, 0), old_row.row_key,
-                )
-            else:
-                index_info.index.update(old_value, new_value, old_row.row_key)
+    def _undo_delta(self, info: TableInfo, store: TableStore,
+                    old: Optional[StoredRow], new: StoredRow) -> None:
+        """Abort-undo of the change ``old → new``: the physical undo, then the
+        inverse delta through the same fan-out.  Either physical undo logs
+        itself under system transaction 0 (``REMOVE``; the before-image as an
+        ``UPDATE``), which recovery always redoes.  A row the transaction
+        went on to ``DELETE`` stays erased."""
+        if not store.exists(new.row_key):
+            return
+        if old is None:
+            store.remove(new.row_key, now=self.clock.now())
+        else:
+            store.undo_update(old, now=self.clock.now())
+        self._apply_delta(info, new, old)
 
     # ------------------------------------------------------------------ degradation machinery
+
+    def _log_deferrals(self, table: str, steps: List[DegradationStep],
+                       until: float, now: float, txn_id: int) -> None:
+        """``SCHED_DEFER`` record(s) moving ``steps`` to ``until``, chunked
+        under the record codec's field cap."""
+        entries = [(step.record_id[1], step.attribute, step.from_state,
+                    step.due, until) for step in steps]
+        for start in range(0, len(entries), _SCHED_RECORD_CHUNK):
+            self.wal.append(
+                LogRecordType.SCHED_DEFER, txn_id, table=table,
+                after=encode_schedule_defers(
+                    entries[start:start + _SCHED_RECORD_CHUNK]),
+                timestamp=now,
+            )
 
     def _defer_conflicted(self, table: str, steps: List[DegradationStep],
                           txn: Transaction, now: float) -> None:
         """Lock-conflict protocol of a degradation batch.
 
         The SCHED_DEFER record(s) are appended *before* the abort, under the
-        system transaction's id, so the abort's durable flush carries them
-        (chunked under the record codec's field cap) — they are the only
-        records that transaction logs, and without one of its own its abort
-        would skip the flush.  Replay honours a deferral whatever became of
-        its transaction.  The steps are then re-queued at the retry time.
+        system transaction's id, so the abort's durable flush carries them —
+        they are the only records that transaction logs, and without one of
+        its own its abort would skip the flush.  Replay honours a deferral
+        whatever became of its transaction.  The steps are then re-queued at
+        the retry time.
         """
         until = now + _CONFLICT_RETRY_SECONDS
-        entries = [(step.record_id[1], step.attribute, step.from_state,
-                    step.due, until) for step in steps]
-        for start in range(0, len(entries), _SCHED_RECORD_CHUNK):
-            self.wal.append(
-                LogRecordType.SCHED_DEFER, txn.txn_id, table=table,
-                after=encode_schedule_defers(
-                    entries[start:start + _SCHED_RECORD_CHUNK]),
-                timestamp=now,
-            )
+        self._log_deferrals(table, steps, until, now, txn.txn_id)
         self.transactions.abort(txn, now=now, reason="degradation lock conflict")
         self.transactions.note_reader_degrader_conflict()
         self.stats.degradation_conflicts += 1
@@ -1058,16 +1048,8 @@ class InstantDB:
         self._fault_backoff[table] = attempts + 1
         until = now + _CONFLICT_RETRY_SECONDS * (2 ** min(attempts, 8))
         if txn is not None:
-            entries = [(step.record_id[1], step.attribute, step.from_state,
-                        step.due, until) for step in steps]
-            for start in range(0, len(entries), _SCHED_RECORD_CHUNK):
-                # Buffered only: these ride the next healthy flush.
-                self.wal.append(
-                    LogRecordType.SCHED_DEFER, 0, table=table,
-                    after=encode_schedule_defers(
-                        entries[start:start + _SCHED_RECORD_CHUNK]),
-                    timestamp=now,
-                )
+            # Buffered only: these ride the next healthy flush.
+            self._log_deferrals(table, steps, until, now, 0)
             if self.transactions.is_active(txn.txn_id):
                 self.transactions.abort(txn, now=now,
                                         reason="degradation durability fault")
@@ -1091,13 +1073,19 @@ class InstantDB:
             self._defer_faulted(table, steps, None, self.clock.now())
             return []
         store = self._store_for(table)
+        info = self.catalog.table(table)
         live: List[DegradationStep] = []
+        items = []
         for step in steps:
-            _table, row_key = step.record_id
-            if not store.exists(row_key) or (table, row_key) not in self._tuple_lcps:
-                self.scheduler.cancel(step.record_id)
+            row_key = step.record_id[1]
+            tuple_lcp = self.scheduler.tuple_lcp(step.record_id)
+            if tuple_lcp is None or not store.exists(row_key):
+                self._apply_delta(info, gone=(row_key,))
                 continue
+            lcp = tuple_lcp.attributes[step.attribute]
             live.append(step)
+            items.append((row_key, step.attribute, lcp.scheme,
+                          lcp.state_level(step.to_state)))
         if not live:
             return []
         now = self.clock.now()
@@ -1109,56 +1097,10 @@ class InstantDB:
         if not granted:
             self._defer_conflicted(table, live, txn, now)
             return []
-        items = []
-        for step in live:
-            lcp = self._tuple_lcps[(table, step.record_id[1])].attributes[step.attribute]
-            items.append((step.record_id[1], step.attribute, lcp.scheme,
-                          lcp.state_level(step.to_state)))
         try:
-            info = self.catalog.table(table)
-            chunks = store.degrade_many(items, now, txn_id=txn.txn_id)
-            for chunk in chunks:
-                moves = chunk.transitions.items()
-                for (old_value, new_value), row_keys in moves:
-                    self.statistics.on_value_change(
-                        table, chunk.column, old_value, new_value, len(row_keys))
-                for index_info in info.indexes.values():
-                    if index_info.column != chunk.column:
-                        continue
-                    if isinstance(index_info.index, GTIndex):
-                        index_info.index.degrade_entries(
-                            [(old_value, chunk.from_level, new_value,
-                              chunk.to_level, row_key)
-                             for (old_value, new_value), row_keys in moves
-                             for row_key in row_keys])
-                    else:
-                        for (old_value, new_value), row_keys in moves:
-                            for row_key in row_keys:
-                                index_info.index.update(old_value, new_value, row_key)
-            # Final removals ride the same system transaction: steps driving
-            # a remove_on_final tuple into full suppression delete the row
-            # here — under the batch's table lock, with REMOVE records in the
-            # batch's commit flush — instead of in a separate post-drain pass
-            # (the completion callback then finds the rows gone and no-ops).
-            if info.policy is not None and info.policy.remove_on_final:
-                removable: List[int] = []
-                for record_id in self.scheduler.predict_complete(live):
-                    row_key = record_id[1]
-                    tuple_lcp = self._tuple_lcps.get((table, row_key))
-                    if tuple_lcp is not None and not all(
-                            lcp.fully_suppresses
-                            for lcp in tuple_lcp.attributes.values()):
-                        continue
-                    if not store.exists(row_key):
-                        continue
-                    stored = store.read(row_key)
-                    self._index_delete(info, stored)
-                    self.statistics.on_remove(table, stored.values)
-                    self._tuple_lcps.pop((table, row_key), None)
-                    removable.append(row_key)
-                if removable:
-                    store.remove_many(removable, now=now, txn_id=txn.txn_id)
-                    self.stats.rows_removed_by_policy += len(removable)
+            for chunk in store.degrade_many(items, now, txn_id=txn.txn_id):
+                self._apply_delta(info, chunk=chunk)
+            self._on_records_final(info, store, live, txn, now)
             # The schedule advance of the whole batch, as (attribute, state,
             # due) → row keys groups, inside the same system transaction as
             # its DEGRADE records: the single commit flush makes data and
@@ -1185,40 +1127,29 @@ class InstantDB:
         self.stats.degradation_steps_applied += len(live)
         return live
 
-    def _on_records_final(self, record_ids: List[Any]) -> None:
-        """Completion handler: remove finalized tuples table by table.
-
-        Every record a degradation drain finalized is removed through
-        :meth:`TableStore.remove_many` — one scrub pass and one flush per
-        touched page per table.
-        """
-        by_table: Dict[str, List[int]] = {}
-        for record_id in record_ids:
-            table, row_key = record_id
-            by_table.setdefault(table, []).append(row_key)
-        for table, row_keys in by_table.items():
-            info = self.catalog.table(table)
-            store = self._store_for(table)
-            removable: List[int] = []
-            for row_key in row_keys:
-                tuple_lcp = self._tuple_lcps.pop((table, row_key), None)
-                if info.policy is None or not info.policy.remove_on_final:
-                    continue
-                # Physical removal only closes a life cycle that actually ends
-                # in full suppression; a partial policy (final state = some
-                # intermediate level) keeps the degraded tuple indefinitely.
-                if tuple_lcp is not None and not all(
-                        lcp.fully_suppresses for lcp in tuple_lcp.attributes.values()):
-                    continue
-                if not store.exists(row_key):
-                    continue
-                stored = store.read(row_key)
-                self._index_delete(info, stored)
-                self.statistics.on_remove(table, stored.values)
-                removable.append(row_key)
-            if removable:
-                store.remove_many(removable, now=self.clock.now())
-                self.stats.rows_removed_by_policy += len(removable)
+    def _on_records_final(self, info: TableInfo, store: TableStore,
+                          steps: List[DegradationStep], txn: Transaction,
+                          now: float) -> None:
+        """The one policy remover, a step of the wave: tuples that ``steps``
+        drive into the final state of a ``remove_on_final`` policy leave the
+        table inside the wave's system transaction — under its table lock,
+        their ``REMOVE`` records in its commit flush.  Removal only closes a
+        life cycle that ends in full suppression; a partial policy (final
+        state = some intermediate level) keeps the degraded tuple."""
+        if info.policy is None or not info.policy.remove_on_final:
+            return
+        removable: List[int] = []
+        for record_id in self.scheduler.predict_complete(steps):
+            if not all(lcp.fully_suppresses for lcp in
+                       self.scheduler.tuple_lcp(record_id).attributes.values()):
+                continue
+            row_key = record_id[1]
+            # The drain retires the registration when it advances ``steps``.
+            self._apply_delta(info, store.read(row_key), None, schedule=False)
+            removable.append(row_key)
+        if removable:
+            store.remove_many(removable, now=now, txn_id=txn.txn_id)
+            self.stats.rows_removed_by_policy += len(removable)
 
     # ------------------------------------------------------------------ maintenance
 
@@ -1361,11 +1292,6 @@ class InstantDB:
         # empty; rebuild them from the recovered rows before anything (the
         # catch-up drain included) queries or maintains them.
         self._rebuild_indexes()
-        # The resolver caches per-record policies eagerly; keep only those
-        # that ended up registered (mirrors live completion bookkeeping).
-        for record_id in list(self._tuple_lcps):
-            if not self.scheduler.is_registered(record_id):
-                del self._tuple_lcps[record_id]
         was_enabled = self.daemon.enabled
         self.daemon.pause()
         try:
@@ -1394,7 +1320,7 @@ class InstantDB:
             recovered_to=self.clock.now(),
         )
 
-    def _rebuild_indexes(self) -> int:
+    def _rebuild_indexes(self) -> None:
         """Repopulate every catalog index — and the table statistics — from
         its recovered store.
 
@@ -1403,31 +1329,20 @@ class InstantDB:
         one scan per table; the same scan rebuilds the table's statistics
         exactly.  The WAL cannot replay statistics: the accurate value images
         degradation scrubbed are gone by design, so the recovered heap is the
-        only source.  Returns the number of indexes rebuilt.
+        only source.
         """
-        rebuilt = 0
         for info in self.catalog.tables():
-            store = self.stores.get(info.name)
-            if store is None:
-                continue
-            table_stats = self.statistics.table(info.name)
-            if table_stats is not None:
-                table_stats.reset()
+            self.statistics.table(info.name).reset()
             for index_info in info.indexes.values():
                 index_info.index = ddl.build_index(
                     ast.CreateIndex(name=index_info.name, table=info.name,
                                     column=index_info.column,
                                     method=index_info.method),
                     info.schema, self.registry)
-                rebuilt += 1
-            if not info.indexes and table_stats is None:
-                continue
-            for stored in store.scan():
-                if info.indexes:
-                    self._index_insert(info, stored)
-                if table_stats is not None:
-                    table_stats.on_insert(stored.values)
-        return rebuilt
+            # The same fan-out as a live insert, minus the schedule: WAL
+            # replay has rebuilt that from the log's own records.
+            for stored in self.stores[info.name].scan():
+                self._apply_delta(info, None, stored, schedule=False)
 
     def _resolve_tuple_lcp(self, record_id: Any,
                            policy_names: Optional[Dict[str, str]] = None
@@ -1453,12 +1368,7 @@ class InstantDB:
             return None
         tuple_lcp = self._tuple_lcp_from_names(info, policy_names)
         if tuple_lcp is None:
-            selector_value = None
-            if info.policy.selector_column is not None:
-                selector_value = store.read(row_key).values.get(
-                    info.policy.selector_column)
-            tuple_lcp = info.policy.tuple_lcp(selector_value)
-        self._tuple_lcps[(table, row_key)] = tuple_lcp
+            tuple_lcp = info.policy.tuple_lcp_of(store.read(row_key).values)
         return tuple_lcp
 
     def _tuple_lcp_from_names(self, info,

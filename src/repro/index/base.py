@@ -50,23 +50,38 @@ class Index:
         self.stats = IndexStats()
 
     # -- mutation ----------------------------------------------------------
+    # ``level`` is the accuracy level the key is stored at: every index takes
+    # it, so the engine feeds all kinds through one call, and only a
+    # level-partitioned one (:class:`~repro.index.gt_index.GTIndex`) uses it.
 
-    def insert(self, key: Any, row_key: int) -> None:
+    def insert(self, key: Any, row_key: int, level: Optional[int] = None) -> None:
         raise NotImplementedError
 
-    def delete(self, key: Any, row_key: int) -> bool:
+    def delete(self, key: Any, row_key: int, level: Optional[int] = None) -> bool:
         """Remove one entry; returns True when the entry existed."""
         raise NotImplementedError
 
-    def update(self, old_key: Any, new_key: Any, row_key: int) -> None:
-        """Move ``row_key`` from ``old_key`` to ``new_key`` (degradation step)."""
-        removed = self.delete(old_key, row_key)
+    def update(self, old_key: Any, new_key: Any, row_key: int,
+               level: Optional[int] = None) -> None:
+        """Move ``row_key`` from ``old_key`` to ``new_key`` at one level (a
+        stable update; a flat index's share of a degradation step)."""
+        removed = self.delete(old_key, row_key, level)
         if not removed:
             raise IndexError_(
                 f"index {self.name!r}: cannot update missing entry {old_key!r} -> {row_key}"
             )
-        self.insert(new_key, row_key)
+        self.insert(new_key, row_key, level)
         self.stats.updates += 1
+
+    def degrade_entries(self, moves: Iterable[Tuple[Any, int, Any, int, int]]) -> int:
+        """Apply a wave's ``(old key, old level, new key, new level, row key)``
+        moves; returns how many.  A flat index keeps no levels: each move is
+        an :meth:`update`."""
+        moved = 0
+        for old_key, _old_level, new_key, _new_level, row_key in moves:
+            self.update(old_key, new_key, row_key)
+            moved += 1
+        return moved
 
     # -- queries --------------------------------------------------------------
 

@@ -62,7 +62,7 @@ class BitmapIndex(Index):
 
     # -- mutation -------------------------------------------------------------
 
-    def insert(self, key: Any, row_key: int) -> None:
+    def insert(self, key: Any, row_key: int, level: Optional[int] = None) -> None:
         surrogate = _hashable(key)
         position = self._position_of(row_key)
         bitmap = self._bitmaps.get(surrogate, 0)
@@ -73,7 +73,7 @@ class BitmapIndex(Index):
         self._display_keys[surrogate] = key
         self.stats.inserts += 1
 
-    def delete(self, key: Any, row_key: int) -> bool:
+    def delete(self, key: Any, row_key: int, level: Optional[int] = None) -> bool:
         surrogate = _hashable(key)
         position = self._positions.get(row_key)
         if position is None:

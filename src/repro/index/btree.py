@@ -61,7 +61,7 @@ class BPlusTreeIndex(Index):
 
     # -- mutation ---------------------------------------------------------------
 
-    def insert(self, key: Any, row_key: int) -> None:
+    def insert(self, key: Any, row_key: int, level: Optional[int] = None) -> None:
         skey = sort_key(key)
         path: List[Tuple[_Node, int]] = []
         node = self._root
@@ -118,7 +118,7 @@ class BPlusTreeIndex(Index):
         if len(parent.keys) > self.order:
             self._split(parent, path[:-1])
 
-    def delete(self, key: Any, row_key: int) -> bool:
+    def delete(self, key: Any, row_key: int, level: Optional[int] = None) -> bool:
         skey = sort_key(key)
         leaf = self._find_leaf(skey)
         index = bisect.bisect_left(leaf.sort_keys, skey)

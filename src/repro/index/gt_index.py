@@ -18,7 +18,7 @@ postings along the accuracy levels of the attribute's generalization scheme:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..core.errors import GeneralizationError, IndexError_
 from ..core.generalization import GeneralizationScheme
@@ -78,18 +78,9 @@ class GTIndex(Index):
 
     def degrade_entry(self, old_value: Any, old_level: int, new_value: Any,
                       new_level: int, row_key: int) -> None:
-        """Move one posting from its old accuracy bucket to the degraded one."""
-        if new_level < old_level:
-            raise IndexError_(
-                f"index {self.name!r}: degradation cannot decrease the level"
-            )
-        if not self.delete_at(old_value, old_level, row_key):
-            raise IndexError_(
-                f"index {self.name!r}: missing entry {old_value!r}@{old_level} "
-                f"for row {row_key}"
-            )
-        self.insert_at(new_value, new_level, row_key)
-        self.stats.updates += 1
+        """Move one posting from its old accuracy bucket to the degraded one
+        — :meth:`degrade_entries` with one move."""
+        self.degrade_entries([(old_value, old_level, new_value, new_level, row_key)])
 
     def degrade_entries(self, moves: Iterable[Tuple[Any, int, Any, int, int]]) -> int:
         """Bulk :meth:`degrade_entry`: apply many posting moves in one pass.
@@ -167,13 +158,15 @@ class GTIndex(Index):
         self.stats.updates += moved
         return moved
 
-    # -- Index interface (level-0 convenience) ---------------------------------------
+    # -- Index interface ----------------------------------------------------------
 
-    def insert(self, key: Any, row_key: int) -> None:
-        self.insert_at(key, 0, row_key)
+    def insert(self, key: Any, row_key: int, level: Optional[int] = None) -> None:
+        self.insert_at(key, level or 0, row_key)
 
-    def delete(self, key: Any, row_key: int) -> bool:
-        # Try every level: callers using the flat interface do not track levels.
+    def delete(self, key: Any, row_key: int, level: Optional[int] = None) -> bool:
+        if level is not None:
+            return self.delete_at(key, level, row_key)
+        # Callers of the flat interface do not track levels: try every one.
         for level in range(self.scheme.num_levels):
             if self.delete_at(key, level, row_key):
                 return True

@@ -12,7 +12,7 @@ the engine does not enforce primary-key uniqueness.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Set
+from typing import Any, Dict, Iterator, List, Optional, Set
 
 from ..core.values import sort_key
 from .base import Index
@@ -38,7 +38,7 @@ class HashIndex(Index):
         self._display_keys: Dict[Any, Any] = {}
         self._size = 0
 
-    def insert(self, key: Any, row_key: int) -> None:
+    def insert(self, key: Any, row_key: int, level: Optional[int] = None) -> None:
         surrogate = _hashable(key)
         bucket = self._buckets.setdefault(surrogate, set())
         if row_key not in bucket:
@@ -47,7 +47,7 @@ class HashIndex(Index):
         self._display_keys[surrogate] = key
         self.stats.inserts += 1
 
-    def delete(self, key: Any, row_key: int) -> bool:
+    def delete(self, key: Any, row_key: int, level: Optional[int] = None) -> bool:
         surrogate = _hashable(key)
         bucket = self._buckets.get(surrogate)
         if bucket is None or row_key not in bucket:

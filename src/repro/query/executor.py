@@ -14,7 +14,7 @@ materializes it into a :class:`QueryResult` or hands back a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..core.errors import ExecutionError
 from ..core.policy import Purpose
@@ -30,7 +30,7 @@ from .operators import (
     build_match_pipeline,
     build_pipeline,
 )
-from .planner import PhysicalPlan, Planner, SelectPlan
+from .planner import PhysicalPlan, Planner
 
 
 @dataclass
@@ -93,17 +93,6 @@ class Executor:
                                         compile_mode=compile_mode)
 
     # ------------------------------------------------------------------ SELECT
-
-    def execute_select(self, statement: ast.Select,
-                       purpose: Optional[Purpose] = None) -> QueryResult:
-        plan = self.planner.plan_physical(statement, purpose)
-        return self.execute_physical(plan)
-
-    def execute_plan(self, plan: Union[SelectPlan, PhysicalPlan]) -> QueryResult:
-        """Execute a plan; logical :class:`SelectPlan` objects are upgraded."""
-        if isinstance(plan, SelectPlan):
-            plan = self.planner.plan_physical(plan.statement, plan.purpose)
-        return self.execute_physical(plan)
 
     def execute_physical(self, plan: PhysicalPlan) -> QueryResult:
         """Materialize the pipeline into a :class:`QueryResult`."""

@@ -4,9 +4,10 @@ The planner's access-path choice was a fixed preference order (equality index
 beats range index beats sequential scan) with zero knowledge of the data.
 This module gives it numbers: per table a live row count, per column the
 number of distinct values (NDV), min/max, missing count and an exact
-value-frequency map — all maintained *incrementally* by the engine at the
-same sites that maintain secondary indexes (insert, degradation step, stable
-update, removal), so estimates never require a table scan.
+value-frequency map — all maintained *incrementally* by the engine's one
+fan-out of row changes (``InstantDB._apply_delta``: insert, degradation step,
+stable update, removal — and their undo), beside the secondary indexes, so
+estimates never require a table scan.
 
 Degradation makes these statistics unusual: a degradation wave is a burst of
 value transitions (``on_degrade``) that collapses fine-grained values into
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.schema import TableSchema
 from ..core.values import is_missing, sort_key
@@ -309,12 +310,6 @@ class TableStatistics:
         # Wholesale replacement (recovery rebuild) invalidates cached plans.
         self.epoch += 1
         self._mods_since_epoch = 0
-
-    def rebuild(self, rows: Iterable[Dict[str, Any]]) -> None:
-        """Exact rebuild from materialized row values (recovery)."""
-        self.reset()
-        for values in rows:
-            self.on_insert(values)
 
     # -- estimates ------------------------------------------------------------
 

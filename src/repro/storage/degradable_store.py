@@ -745,14 +745,26 @@ class TableStore:
         self.stats.stable_updates += 1
         return self._decode_row(payload)
 
+    def undo_update(self, before: StoredRow, now: float) -> None:
+        """Abort-undo of stable updates: write the row as it was ``before``
+        them back, and log that as an ``UPDATE`` of system transaction 0.
+
+        Recovery does not undo a transaction whose ``ABORT`` it finds — it
+        takes the undo as done — but always redoes transaction 0: the log
+        itself leads back to this image, even when the updated page had
+        reached disk before the abort and the restored one has not yet.
+        """
+        payload = self._encode_row(before.row_key, before.inserted_at,
+                                   before.levels, before.values)
+        self._rewrite(before.row_key, payload)
+        self.wal.append(LogRecordType.UPDATE, 0, table=self.schema.name,
+                        row_key=before.row_key, after=payload, timestamp=now)
+
     # -- maintenance / recovery / forensics -----------------------------------------
 
     def flush(self) -> None:
         self.heap.flush()
         self.wal.flush()
-
-    def compact(self) -> None:
-        self.heap.compact()
 
     def raw_image(self) -> bytes:
         """Raw bytes of the heap pages and the log (forensic scanning input)."""

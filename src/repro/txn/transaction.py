@@ -13,9 +13,9 @@ to the accurate values themselves.  Concretely:
   without a flush;
 * degradation steps run as short system transactions (``system=True``) so they
   serialize against readers through the same lock manager;
-* undo of an aborted user transaction never restores an accurate image that a
-  degradation step already destroyed — undo actions are captured as closures
-  at operation time and become no-ops if the row has moved on.
+* abort-undo is a list of closures the engine registers at operation time —
+  the physical undo plus the inverse of the change to derived state; the
+  transaction's table lock keeps degradation off the rows until they have run.
 """
 
 from __future__ import annotations
@@ -182,24 +182,8 @@ class TransactionManager:
 
     # -- introspection -------------------------------------------------------------
 
-    def active_transactions(self) -> List[Transaction]:
-        return list(self._active.values())
-
     def is_active(self, txn_id: int) -> bool:
         return txn_id in self._active
-
-    def run_atomically(self, work: Callable[[Transaction], Any],
-                       system: bool = False, now: float = 0.0) -> Any:
-        """Run ``work`` in a fresh transaction, committing on success and
-        aborting (then re-raising) on failure."""
-        txn = self.begin(system=system, now=now)
-        try:
-            result = work(txn)
-        except BaseException:
-            self.abort(txn, now=now, reason="exception during atomic block")
-            raise
-        self.commit(txn, now=now)
-        return result
 
 
 __all__ = ["Transaction", "TransactionManager", "TransactionState",

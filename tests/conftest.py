@@ -62,6 +62,29 @@ def log_dir_bytes(wal_dir) -> bytes:
     return b"".join(parts)
 
 
+def derived_state(db: InstantDB, table: str):
+    """What the engine derives from ``table``'s rows, as plain values: every
+    index's ``key -> row keys`` (a GT index per accuracy level), the
+    statistics' row count and per-column value frequencies, and the row keys
+    the degradation schedule tracks."""
+    indexes = {}
+    for name, index_info in db.catalog.table(table).indexes.items():
+        index = index_info.index
+        if index.kind == "gt":
+            indexes[name] = {(level, value): sorted(rows)
+                             for level, buckets in index._buckets.items()
+                             for value, rows in buckets.items()}
+        else:
+            indexes[name] = {key: index.search(key) for key in index.keys()}
+    stats = db.statistics.table(table)
+    columns = {name: (dict(column.counts), column.non_missing, column.missing,
+                      column.min_value, column.max_value)
+               for name, column in stats.columns.items()}
+    scheduled = sorted(row_key for row_key in db.table_store(table).row_keys()
+                       if db.scheduler.is_registered((table, row_key)))
+    return indexes, stats.row_count, columns, scheduled
+
+
 def build_engine(strategy: str = "rewrite", with_salary_policy: bool = True,
                  data_dir=None) -> InstantDB:
     """Create an InstantDB with the canonical PERSON table registered."""

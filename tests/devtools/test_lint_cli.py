@@ -115,7 +115,7 @@ class TestCliBehavior:
         assert lint_mod.main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule in ("sentinel-identity", "executor-confinement",
-                     "lock-discipline", "no-swallowed-abort",
+                     "lock-discipline", "no-swallowed-abort", "single-fanout",
                      "wal-exhaustive", "frame-tag-exhaustive"):
             assert rule in out
 

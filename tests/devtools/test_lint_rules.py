@@ -305,6 +305,70 @@ class TestNoSwallowedIOError:
         assert run_rule(tmp_path, "no-swallowed-io-error") == []
 
 
+class TestSingleFanout:
+    FANOUT = """\
+        class Engine:
+            def _apply_delta(self, info, old, new):
+                for index_info in info.indexes.values():
+                    index_info.index.insert(new.values[index_info.column], new.row_key)
+                    index_info.index.degrade_entries([])
+                self.statistics.on_insert(info.name, new.values)
+                self.scheduler.register((info.name, new.row_key), None, 0.0)
+                self.scheduler.cancel((info.name, old.row_key))
+    """
+
+    def test_maintenance_inside_the_fanout_clean(self, tmp_path):
+        write(tmp_path, "engine/database.py", self.FANOUT)
+        assert run_rule(tmp_path, "single-fanout") == []
+
+    def test_maintenance_elsewhere_flagged(self, tmp_path):
+        write(tmp_path, "engine/database.py", """\
+            def delete_row(self, info, stored, index):
+                index.delete(stored.values["name"], stored.row_key)
+                info.indexes["pk"].index.update(1, 2, stored.row_key)
+                self.statistics.on_remove(info.name, stored.values)
+                table_stats.on_value_change("name", "a", "b")
+                self.scheduler.cancel((info.name, stored.row_key))
+        """)
+        findings = run_rule(tmp_path, "single-fanout")
+        assert [f.line for f in findings] == [2, 3, 4, 5, 6]
+        assert all("_apply_delta" in f.message for f in findings)
+
+    def test_same_names_on_other_receivers_clean(self, tmp_path):
+        write(tmp_path, "engine/database.py", """\
+            def work(self, store, txn, values):
+                store.insert(values, 0.0)
+                store.delete(1, now=0.0)
+                values.update(extra=1)
+                self.statistics.register(store.schema)
+                self.registry.register_domain(None)
+                txn.on_abort(lambda: None)
+                self.scheduler.defer(None, 1.0)
+        """)
+        assert run_rule(tmp_path, "single-fanout") == []
+
+    def test_outside_the_engine_package_ignored(self, tmp_path):
+        write(tmp_path, "query/statistics.py", """\
+            def rebuild(self, rows):
+                for values in rows:
+                    self.on_insert(values)
+        """)
+        assert run_rule(tmp_path, "single-fanout") == []
+
+    def test_real_engine_with_a_stray_statistics_call_fails(self, tmp_path):
+        import repro.engine.database as database_module
+        real = open(database_module.__file__, encoding="utf-8").read()
+        write(tmp_path, "engine/database.py", real)
+        assert run_rule(tmp_path, "single-fanout") == []
+        anchor = "                self._apply_delta(info, stored, None)\n"
+        assert real.count(anchor) == 1
+        write(tmp_path, "engine/database.py", real.replace(
+            anchor,
+            anchor + "                self.statistics.on_remove(table, stored.values)\n"))
+        findings = run_rule(tmp_path, "single-fanout")
+        assert len(findings) == 1 and "on_remove" in findings[0].message
+
+
 WAL_FIXTURE = """\
     class LogRecordType:
         BEGIN = "BEGIN"

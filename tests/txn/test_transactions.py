@@ -101,22 +101,3 @@ class TestLockingHelpers:
         manager.note_reader_degrader_conflict()
         manager.note_reader_degrader_conflict()
         assert manager.stats.reader_degrader_conflicts == 2
-
-
-class TestRunAtomically:
-    def test_commits_on_success(self, manager):
-        result = manager.run_atomically(lambda txn: txn.txn_id * 10)
-        assert result > 0
-        assert manager.stats.committed == 1
-
-    def test_aborts_and_reraises_on_failure(self, manager):
-        undone = []
-
-        def work(txn):
-            txn.on_abort(lambda: undone.append(True))
-            raise ValueError("boom")
-
-        with pytest.raises(ValueError):
-            manager.run_atomically(work)
-        assert undone == [True]
-        assert manager.stats.aborted == 1
