@@ -8,8 +8,8 @@ and watches the data degrade as simulated time advances.
 
 This is the living documentation of ``repro.connect()``: connections own the
 transaction, cursors bind ``?`` parameters, and query purposes are scoped per
-connection (``examples/web_search_log.py`` still exercises the legacy
-``InstantDB.execute`` facade).
+connection (``examples/web_search_log.py`` calls the engine's statement entry,
+``InstantDB.execute``, directly — one transaction per statement).
 
 Run with:  python examples/quickstart.py
 """

@@ -3,36 +3,40 @@
 The driver layers the standard connect/cursor/transaction protocol on top of
 :class:`~repro.engine.database.InstantDB`:
 
-* a :class:`Connection` owns (at most) one open engine transaction at a time,
-  begun lazily by the first statement and ended by :meth:`Connection.commit`
-  or :meth:`Connection.rollback` — the PEP 249 implicit-transaction model;
+* a :class:`Connection` has one :class:`~repro.api.session.EngineSession`,
+  which owns (at most) one open engine transaction at a time, begun lazily by
+  the first statement and ended by :meth:`Connection.commit` or
+  :meth:`Connection.rollback` — the PEP 249 implicit-transaction model;
 * a connection is *purpose-scoped*: the paper's query purposes (which decide
   the accuracy level degradable columns are observed at) default from the
   connection and can be overridden per statement;
 * a :class:`Cursor` executes statements with qmark (``?``) parameter binding
   through the engine's prepared-statement cache, so ``executemany`` parses
   and plans once, binds N times, and commits once.
+
+Everything that does not depend on the transport — the session, the
+result-set buffer, the cursor's traversal — lives in :mod:`repro.api.session`
+and is shared with the wire server and the remote driver.
 """
 
 from __future__ import annotations
 
-import weakref
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Iterable, Optional, Sequence, Tuple
 
-from ..core.errors import InterfaceError, NotSupportedError, ProgrammingError
-from ..core.policy import Purpose
+from ..core.errors import InterfaceError
 from ..engine.database import InstantDB
-from ..query import ast_nodes as ast
-from ..query.executor import QueryResult
-from ..query.operators import StreamingResult
-from ..txn.transaction import Transaction, TransactionState
+from .session import (
+    BaseConnection,
+    BaseCursor,
+    EngineSession,
+    PurposeSpec,
+    ResultSet,
+)
 
 #: PEP 249 module globals (re-exported by :mod:`repro.api` and :mod:`repro`).
 apilevel = "2.0"
 threadsafety = 1          # threads may share the module, but not connections
 paramstyle = "qmark"
-
-PurposeSpec = Union[None, str, Purpose]
 
 
 def connect(data_dir: Optional[str] = None, *,
@@ -57,32 +61,22 @@ def connect(data_dir: Optional[str] = None, *,
     return Connection(engine, purpose=purpose, owns_engine=owns_engine)
 
 
-class Connection:
-    """A PEP 249 connection owning one implicit engine transaction."""
+class Connection(BaseConnection):
+    """A PEP 249 connection over one :class:`EngineSession`."""
 
     def __init__(self, engine: InstantDB, purpose: PurposeSpec = None,
                  owns_engine: bool = True) -> None:
-        self._engine = engine
+        self._session = EngineSession(engine)
         self._purpose = purpose
         self._owns_engine = owns_engine
-        self._txn: Optional[Transaction] = None
         self._closed = False
-        self._cursors: "weakref.WeakSet[Cursor]" = weakref.WeakSet()
 
     # -- engine access -------------------------------------------------------
 
     @property
     def engine(self) -> InstantDB:
         """The underlying engine, for non-SQL surface (domains, clock, ...)."""
-        return self._engine
-
-    @property
-    def purpose(self) -> PurposeSpec:
-        return self._purpose
-
-    def set_purpose(self, purpose: PurposeSpec) -> None:
-        """Change the connection's default query purpose."""
-        self._purpose = purpose
+        return self._session.engine
 
     # -- transaction protocol ------------------------------------------------
 
@@ -90,54 +84,19 @@ class Connection:
         if self._closed:
             raise InterfaceError("connection is closed")
 
-    def _transaction(self) -> Transaction:
-        """The connection's open transaction, begun lazily."""
-        self._check_open()
-        self._prune_dead_txn()
-        if self._txn is None:
-            self._txn = self._engine.begin()
-        return self._txn
-
-    def _prune_dead_txn(self) -> None:
-        # The engine aborts the active transaction itself on lock conflicts
-        # and deadlocks; drop our reference so the next statement starts fresh.
-        if self._txn is not None and self._txn.state is not TransactionState.ACTIVE:
-            self._txn = None
-
     @property
     def in_transaction(self) -> bool:
-        self._prune_dead_txn()
-        return self._txn is not None
-
-    def _settle_streams(self) -> None:
-        """Materialize every cursor's pending stream before locks are released.
-
-        A streamed result set is computed under the transaction's read locks;
-        once commit/rollback releases them, other transactions may write the
-        scanned tables, so draining lazily afterwards could observe their
-        uncommitted state.  Settling here gives partially-fetched cursors the
-        same snapshot the old materialize-at-execute cursor had.
-        """
-        for cursor in list(self._cursors):
-            cursor._materialize_stream()
+        return self._session.in_transaction
 
     def commit(self) -> None:
         """Commit the open transaction (no-op when nothing is pending)."""
         self._check_open()
-        self._prune_dead_txn()
-        if self._txn is not None:
-            self._settle_streams()
-            self._engine.commit(self._txn)
-            self._txn = None
+        self._session.commit()
 
     def rollback(self) -> None:
         """Roll back the open transaction (no-op when nothing is pending)."""
         self._check_open()
-        self._prune_dead_txn()
-        if self._txn is not None:
-            self._settle_streams()
-            self._engine.rollback(self._txn)
-            self._txn = None
+        self._session.rollback()
 
     def close(self) -> None:
         """Roll back any pending transaction and close the connection.
@@ -153,209 +112,24 @@ class Connection:
         finally:
             self._closed = True
             if self._owns_engine:
-                self._engine.close()
-
-    def __enter__(self) -> "Connection":
-        self._check_open()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        try:
-            if exc_type is None:
-                self.commit()
-            else:
-                self.rollback()
-        finally:
-            self.close()
-
-    # -- cursors -------------------------------------------------------------
+                self.engine.close()
 
     def cursor(self) -> "Cursor":
         self._check_open()
-        cursor = Cursor(self)
-        self._cursors.add(cursor)
-        return cursor
-
-    def execute(self, sql: str, params: Sequence[Any] = (), *,
-                purpose: PurposeSpec = None) -> "Cursor":
-        """Shortcut: create a cursor and execute one statement on it."""
-        cursor = self.cursor()
-        return cursor.execute(sql, params, purpose=purpose)
-
-    def executemany(self, sql: str,
-                    seq_of_params: Iterable[Sequence[Any]]) -> "Cursor":
-        """Shortcut: create a cursor and run a batched execution on it."""
-        cursor = self.cursor()
-        return cursor.executemany(sql, seq_of_params)
+        return Cursor(self)
 
 
-class Cursor:
-    """A PEP 249 cursor: statement execution plus result-set traversal."""
+class Cursor(BaseCursor):
+    """The in-process cursor: statements go straight to the connection's
+    engine session, and rows stream out of the live operator pipeline."""
 
-    def __init__(self, connection: Connection) -> None:
-        self.connection = connection
-        self.arraysize = 1
-        self._closed = False
-        self._reset()
+    def _send(self, sql: str, params: Sequence[Any],
+              purpose: PurposeSpec) -> Tuple[Optional[ResultSet], int]:
+        return self.connection._session.execute(sql, params, purpose)
 
-    def _reset(self) -> None:
-        self.description: Optional[List[Tuple]] = None
-        self.rowcount: int = -1
-        self.lastrowid: Optional[int] = None
-        self._rows: List[Tuple[Any, ...]] = []
-        self._position = 0
-        self._has_result_set = False
-        self._stream: Optional[Iterator[Tuple[Any, ...]]] = None
-
-    def _check(self) -> None:
-        if self._closed:
-            raise InterfaceError("cursor is closed")
-        self.connection._check_open()
-
-    # -- execution -----------------------------------------------------------
-
-    def execute(self, sql: str, params: Sequence[Any] = (), *,
-                purpose: PurposeSpec = None) -> "Cursor":
-        """Execute one statement, binding qmark (``?``) parameters.
-
-        Runs inside the connection's implicit transaction; remember to
-        :meth:`Connection.commit`.  Returns the cursor itself so calls chain
-        (``for row in cur.execute(...)``).  SELECTs stream: rows flow out of
-        the engine's operator pipeline as they are fetched, so
-        ``fetchone`` after a ``LIMIT``-free query over a large table pays
-        only for the rows actually pulled.
-        """
-        self._check()
-        engine = self.connection._engine
-        result = engine.execute(
-            sql, purpose=self._resolve_purpose(purpose),
-            txn=self.connection._transaction(), params=params, stream=True,
-        )
-        self._ingest(result)
-        return self
-
-    def executemany(self, sql: str,
-                    seq_of_params: Iterable[Sequence[Any]]) -> "Cursor":
-        """Execute ``sql`` once per parameter sequence (DML only).
-
-        The statement is prepared once and bound N times, all inside the
-        connection's single open transaction — the batch fast path.
-        """
-        self._check()
-        engine = self.connection._engine
-        prepared = engine.prepare(sql)
-        if isinstance(prepared.statement, (ast.Select, ast.Explain)):
-            raise NotSupportedError("executemany() cannot produce result sets; "
-                                    "use execute() for queries")
-        total = engine.executemany(sql, seq_of_params,
-                                   txn=self.connection._transaction())
-        self._reset()
-        self.rowcount = total
-        return self
-
-    def _resolve_purpose(self, purpose: PurposeSpec) -> PurposeSpec:
-        return purpose if purpose is not None else self.connection._purpose
-
-    def _ingest(self, result: Any) -> None:
-        self._reset()
-        if isinstance(result, StreamingResult):
-            self.description = [
-                (name, None, None, None, None, None, None)
-                for name in result.columns
-            ]
-            self._stream = iter(result)
-            self._has_result_set = True
-        elif isinstance(result, QueryResult):
-            self.description = [
-                (name, None, None, None, None, None, None)
-                for name in result.columns
-            ]
-            self._rows = list(result.rows)
-            self._has_result_set = True
-        elif isinstance(result, int):
-            self.rowcount = result
-
-    # -- result-set traversal --------------------------------------------------
-
-    def _materialize_stream(self) -> None:
-        """Drain a pending stream into the row buffer (end-of-transaction)."""
-        if self._stream is None:
-            return
-        self._rows = list(self._stream)
-        self._position = 0
-        self._stream = None
-
-    def _require_result_set(self) -> None:
-        if not self._has_result_set:
-            raise ProgrammingError("no result set: the previous statement was "
-                                   "not a query (or nothing was executed)")
-
-    def fetchone(self) -> Optional[Tuple[Any, ...]]:
-        self._check()
-        self._require_result_set()
-        if self._stream is not None:
-            return next(self._stream, None)
-        if self._position >= len(self._rows):
-            return None
-        row = self._rows[self._position]
-        self._position += 1
-        return row
-
-    def fetchmany(self, size: Optional[int] = None) -> List[Tuple[Any, ...]]:
-        self._check()
-        self._require_result_set()
-        if size is None:
-            size = self.arraysize
-        if self._stream is not None:
-            rows: List[Tuple[Any, ...]] = []
-            for _ in range(size):
-                row = next(self._stream, None)
-                if row is None:
-                    break
-                rows.append(row)
-            return rows
-        rows = self._rows[self._position:self._position + size]
-        self._position += len(rows)
-        return rows
-
-    def fetchall(self) -> List[Tuple[Any, ...]]:
-        self._check()
-        self._require_result_set()
-        if self._stream is not None:
-            rows = list(self._stream)
-            return rows
-        rows = self._rows[self._position:]
-        self._position = len(self._rows)
-        return rows
-
-    def __iter__(self) -> Iterator[Tuple[Any, ...]]:
-        return self
-
-    def __next__(self) -> Tuple[Any, ...]:
-        row = self.fetchone()
-        if row is None:
-            raise StopIteration
-        return row
-
-    # -- PEP 249 no-ops --------------------------------------------------------
-
-    def setinputsizes(self, sizes: Sequence[Any]) -> None:
-        """PEP 249 mandated no-op."""
-
-    def setoutputsize(self, size: int, column: Optional[int] = None) -> None:
-        """PEP 249 mandated no-op."""
-
-    def close(self) -> None:
-        self._closed = True
-        self._rows = []
-        self._stream = None
-
-    def __enter__(self) -> "Cursor":
-        self._check()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+    def _send_many(self, sql: str,
+                   seq_of_params: Iterable[Sequence[Any]]) -> int:
+        return self.connection._session.executemany(sql, seq_of_params)
 
 
 __all__ = ["connect", "Connection", "Cursor", "apilevel", "threadsafety",

@@ -5,7 +5,6 @@
 """
 
 from .remote import (
-    FETCH_BATCH,
     RemoteConnection,
     RemoteCursor,
     apilevel,
@@ -14,5 +13,5 @@ from .remote import (
     threadsafety,
 )
 
-__all__ = ["connect", "RemoteConnection", "RemoteCursor", "FETCH_BATCH",
+__all__ = ["connect", "RemoteConnection", "RemoteCursor",
            "apilevel", "threadsafety", "paramstyle"]

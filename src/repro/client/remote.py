@@ -36,25 +36,27 @@ from __future__ import annotations
 import random
 import socket
 import time
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
+from ..api.session import (
+    DEFAULT_PREFETCH,
+    BaseConnection,
+    BaseCursor,
+    PurposeSpec,
+    ResultSet,
+    Row,
+)
 from ..core import errors as _errors
 from ..core.errors import (
     ConnectionPoisonedError,
     InterfaceError,
     OperationalError,
     ParameterError,
-    ProgrammingError,
 )
-from ..core.policy import Purpose
 from ..faults import FaultPlan
 from ..query.parameters import check_parameter
 from ..server import protocol
-
-PurposeSpec = Union[None, str, Purpose]
-
-#: Rows pulled per FETCH round trip by ``fetchall`` and iteration.
-FETCH_BATCH = 1024
 
 #: Default bound on transparent redials per request (at txn boundaries only).
 DEFAULT_RETRIES = 2
@@ -137,7 +139,7 @@ class _TransportFailure(Exception):
         self.cause = cause
 
 
-class RemoteConnection:
+class RemoteConnection(BaseConnection):
     """A PEP 249 connection whose transaction lives in a server session."""
 
     def __init__(self, sock: socket.socket, purpose: PurposeSpec = None, *,
@@ -326,15 +328,7 @@ class RemoteConnection:
             self._sock = None
         self._in_txn = False
 
-    # -- connection surface (mirrors repro.api.Connection) --------------------
-
-    @property
-    def purpose(self) -> PurposeSpec:
-        return self._purpose
-
-    def set_purpose(self, purpose: PurposeSpec) -> None:
-        """Change the connection's default query purpose."""
-        self._purpose = purpose
+    # -- connection surface (with BaseConnection, that of repro.api.Connection)
 
     def _check_open(self) -> None:
         if not self._closed and self._poisoned is not None:
@@ -381,209 +375,65 @@ class RemoteConnection:
                 pass
             self._drop()
 
-    def __enter__(self) -> "RemoteConnection":
-        self._check_open()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        try:
-            if exc_type is None:
-                self.commit()
-            else:
-                self.rollback()
-        finally:
-            self.close()
-
     # -- cursors -------------------------------------------------------------
 
     def cursor(self) -> "RemoteCursor":
         self._check_open()
         return RemoteCursor(self)
 
-    def execute(self, sql: str, params: Sequence[Any] = (), *,
-                purpose: PurposeSpec = None) -> "RemoteCursor":
-        """Shortcut: create a cursor and execute one statement on it."""
-        cursor = self.cursor()
-        return cursor.execute(sql, params, purpose=purpose)
+    def _fetch(self, cursor_id: int, n: int) -> Tuple[List[Row], bool]:
+        """A result set's row source: one FETCH round trip, never for less
+        than a prefetch batch — a caller reading row by row must not pay a
+        round trip per row."""
+        _, reply = self._request(protocol.FETCH, {
+            "cursor": cursor_id,
+            "n": max(n, DEFAULT_PREFETCH),
+        })
+        return ([tuple(row) for row in reply.get("rows", [])],
+                bool(reply.get("done")))
 
-    def executemany(self, sql: str,
-                    seq_of_params: Iterable[Sequence[Any]]) -> "RemoteCursor":
-        """Shortcut: create a cursor and run a batched execution on it."""
-        cursor = self.cursor()
-        return cursor.executemany(sql, seq_of_params)
+    def _close_cursor(self, cursor_id: int) -> None:
+        """Release a server cursor abandoned before its end (best effort:
+        the server reaps it with the session anyway)."""
+        if self._closed or self._sock is None:
+            return
+        try:
+            self._request(protocol.CLOSE_CURSOR, {"cursor": cursor_id})
+        except Exception:  # reprolint: disable=no-swallowed-abort -- best-effort release; server reaps the cursor with the session
+            pass
 
 
-class RemoteCursor:
-    """A PEP 249 cursor whose result set streams from a server cursor."""
+class RemoteCursor(BaseCursor):
+    """The remote cursor: statements cross the wire as EXECUTE / EXECUTEMANY
+    frames, and the result set refills from its server cursor by FETCH."""
 
-    def __init__(self, connection: RemoteConnection) -> None:
-        self.connection = connection
-        self.arraysize = 1
-        self._closed = False
-        self._reset()
-
-    def _reset(self) -> None:
-        self.description: Optional[List[Tuple]] = None
-        self.rowcount: int = -1
-        self.lastrowid: Optional[int] = None
-        self._rows: List[Tuple[Any, ...]] = []
-        self._position = 0
-        self._has_result_set = False
-        self._cursor_id: Optional[int] = None
-        self._done = True
-
-    def _check(self) -> None:
-        if self._closed:
-            raise InterfaceError("cursor is closed")
-        self.connection._check_open()
-
-    def _release_server_cursor(self) -> None:
-        if self._cursor_id is not None and not self._done:
-            try:
-                self.connection._request(protocol.CLOSE_CURSOR,
-                                         {"cursor": self._cursor_id})
-            except Exception:  # reprolint: disable=no-swallowed-abort -- best-effort release; server reaps the cursor with the session
-                pass
-        self._cursor_id = None
-        self._done = True
-
-    # -- execution -----------------------------------------------------------
-
-    def execute(self, sql: str, params: Sequence[Any] = (), *,
-                purpose: PurposeSpec = None) -> "RemoteCursor":
-        """Execute one statement, binding qmark (``?``) parameters.
-
-        Runs inside the connection's implicit server-side transaction;
-        remember to :meth:`RemoteConnection.commit`.  Returns the cursor
-        itself so calls chain.  SELECTs stream: the reply carries a prefetch
-        batch and further rows arrive in FETCH-sized round trips.
-        """
-        self._check()
-        self._release_server_cursor()
-        resolved = purpose if purpose is not None else self.connection._purpose
-        _, reply = self.connection._request(protocol.EXECUTE, {
+    def _send(self, sql: str, params: Sequence[Any],
+              purpose: PurposeSpec) -> Tuple[Optional[ResultSet], int]:
+        connection: RemoteConnection = self.connection
+        _, reply = connection._request(protocol.EXECUTE, {
             "sql": sql,
             "params": _check_params(params),
-            "purpose": protocol.encode_purpose(resolved),
+            "purpose": protocol.encode_purpose(purpose),
         })
-        self._ingest(reply)
-        return self
+        if "columns" not in reply:
+            return None, reply.get("rowcount", -1)
+        rows = [tuple(row) for row in reply.get("rows", [])]
+        if reply.get("done", True):
+            return ResultSet(reply["columns"], rows), -1
+        cursor_id = reply.get("cursor")
+        return ResultSet(reply["columns"], rows,
+                         more=partial(connection._fetch, cursor_id),
+                         release=partial(connection._close_cursor,
+                                         cursor_id)), -1
 
-    def executemany(self, sql: str,
-                    seq_of_params: Iterable[Sequence[Any]]) -> "RemoteCursor":
-        """Execute ``sql`` once per parameter sequence (DML only)."""
-        self._check()
-        self._release_server_cursor()
+    def _send_many(self, sql: str,
+                   seq_of_params: Iterable[Sequence[Any]]) -> int:
         _, reply = self.connection._request(protocol.EXECUTEMANY, {
             "sql": sql,
             "params_seq": [_check_params(params) for params in seq_of_params],
         })
-        self._reset()
-        self.rowcount = reply.get("rowcount", -1)
-        return self
-
-    def _ingest(self, reply: dict) -> None:
-        self._reset()
-        if "columns" in reply:
-            self.description = [
-                (name, None, None, None, None, None, None)
-                for name in reply["columns"]
-            ]
-            self._rows = [tuple(row) for row in reply.get("rows", [])]
-            self._has_result_set = True
-            self._done = bool(reply.get("done", True))
-            self._cursor_id = None if self._done else reply.get("cursor")
-        else:
-            self.rowcount = reply.get("rowcount", -1)
-
-    # -- result-set traversal --------------------------------------------------
-
-    def _require_result_set(self) -> None:
-        if not self._has_result_set:
-            raise ProgrammingError("no result set: the previous statement was "
-                                   "not a query (or nothing was executed)")
-
-    def _fetch_from_server(self, n: int) -> None:
-        if self._done or self._cursor_id is None:
-            return
-        _, reply = self.connection._request(protocol.FETCH, {
-            "cursor": self._cursor_id,
-            "n": n,
-        })
-        # drop already-consumed rows so the buffer stays bounded
-        self._rows = self._rows[self._position:] + \
-            [tuple(row) for row in reply.get("rows", [])]
-        self._position = 0
-        if reply.get("done"):
-            self._done = True
-            self._cursor_id = None
-
-    def _buffered(self) -> int:
-        return len(self._rows) - self._position
-
-    def fetchone(self) -> Optional[Tuple[Any, ...]]:
-        self._check()
-        self._require_result_set()
-        if self._buffered() == 0:
-            self._fetch_from_server(max(self.arraysize, 1))
-        if self._buffered() == 0:
-            return None
-        row = self._rows[self._position]
-        self._position += 1
-        return row
-
-    def fetchmany(self, size: Optional[int] = None) -> List[Tuple[Any, ...]]:
-        self._check()
-        self._require_result_set()
-        if size is None:
-            size = self.arraysize
-        while self._buffered() < size and not self._done:
-            self._fetch_from_server(size - self._buffered())
-        rows = self._rows[self._position:self._position + size]
-        self._position += len(rows)
-        return rows
-
-    def fetchall(self) -> List[Tuple[Any, ...]]:
-        self._check()
-        self._require_result_set()
-        while not self._done:
-            self._fetch_from_server(FETCH_BATCH)
-        rows = self._rows[self._position:]
-        self._position = len(self._rows)
-        return rows
-
-    def __iter__(self) -> Iterator[Tuple[Any, ...]]:
-        return self
-
-    def __next__(self) -> Tuple[Any, ...]:
-        row = self.fetchone()
-        if row is None:
-            raise StopIteration
-        return row
-
-    # -- PEP 249 no-ops --------------------------------------------------------
-
-    def setinputsizes(self, sizes: Sequence[Any]) -> None:
-        """PEP 249 mandated no-op."""
-
-    def setoutputsize(self, size: int, column: Optional[int] = None) -> None:
-        """PEP 249 mandated no-op."""
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        if not self.connection._closed and self.connection._sock is not None:
-            self._release_server_cursor()
-        self._closed = True
-        self._rows = []
-
-    def __enter__(self) -> "RemoteCursor":
-        self._check()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+        return reply.get("rowcount", -1)
 
 
-__all__ = ["connect", "RemoteConnection", "RemoteCursor", "FETCH_BATCH",
+__all__ = ["connect", "RemoteConnection", "RemoteCursor",
            "apilevel", "threadsafety", "paramstyle"]

@@ -44,7 +44,7 @@ from ..core.errors import (
     DeadlockError,
     DurabilityError,
     ExecutionError,
-    ParameterError,
+    NotSupportedError,
     PolicyError,
     ReadOnlyModeError,
     TransactionAborted,
@@ -60,10 +60,8 @@ from ..devtools import invariants
 from ..query import ast_nodes as ast
 from ..query.catalog import Catalog, IndexInfo, TableInfo
 from ..query.executor import Executor, QueryResult, ROW_KEY_FIELD
-from ..query.parameters import count_placeholders
-from ..query.parser import parse_script
-from ..query.planner import Planner, bind_physical_plan
-from ..query.prepared import PreparedStatement, StatementCache
+from ..query.planner import PhysicalPlan, Planner, bind_physical_plan
+from ..query.prepared import PreparedStatement, StatementCache, query_of
 from ..query.statistics import StatisticsRegistry
 from ..storage.buffer import BufferPool
 from ..storage.crypto import KeyStore
@@ -92,20 +90,6 @@ from .daemon import DegradationDaemon
 #: Back-off applied when a degradation step hits a lock conflict.
 _CONFLICT_RETRY_SECONDS = 1.0
 
-
-def _param_shape(params: Sequence[Any]) -> Optional[Tuple[str, ...]]:
-    """Parameter-shape cache key: the tuple of bound value type names.
-
-    A ``None`` value makes the shape ineligible (returns ``None``): a NULL
-    predicate is always false, while an index probed with ``None`` need not
-    agree — such executions fall back to ordinary per-execution planning.
-    """
-    shape = []
-    for value in params:
-        if value is None:
-            return None
-        shape.append(type(value).__name__)
-    return tuple(shape)
 
 #: Max step/defer entries per schedule WAL record: an unbounded wave must be
 #: split across records to respect the record codec's 65535-field cap
@@ -538,21 +522,21 @@ class InstantDB:
                 stream: bool = False) -> Any:
         """Execute one SQL statement, optionally binding qmark parameters.
 
-        This is the legacy facade kept for compatibility; new code should
-        prefer :func:`repro.connect` and the PEP 249 Connection/Cursor API,
-        which delegates to the same prepared-statement path.  Returns a
-        :class:`QueryResult` for SELECT/EXPLAIN, the number of affected rows
-        for DML, and ``None`` for DDL.  With ``stream=True`` and a
-        caller-supplied ``txn``, SELECTs return a lazily-evaluated
+        The engine's statement entry: both PEP 249 drivers
+        (:func:`repro.connect`, :mod:`repro.client`) send every statement
+        through it via their :class:`~repro.api.session.EngineSession`, which
+        adds the implicit transaction; called directly it runs the statement
+        in a transaction of its own.  Returns a :class:`QueryResult` for
+        SELECT/EXPLAIN, the number of affected rows for DML, and ``None`` for
+        DDL.  With ``stream=True`` and a caller-supplied ``txn``, SELECTs
+        return a lazily-evaluated
         :class:`~repro.query.operators.StreamingResult` instead (the cursor
-        fast path — rows are computed as they are fetched).
+        path — rows are computed as they are fetched).
         """
         prepared = self.prepare(sql)
-        statement = prepared.bind(params)
         prepared.executions += 1
-        return self.execute_statement(statement, purpose=purpose, txn=txn,
-                                      prepared=prepared, stream=stream,
-                                      params=params)
+        return self.execute_statement(prepared, params, purpose=purpose,
+                                      txn=txn, stream=stream)
 
     def executemany(self, sql: str, seq_of_params: Iterable[Sequence[Any]],
                     purpose: Union[None, str, Purpose] = None,
@@ -563,56 +547,48 @@ class InstantDB:
         each parameter sequence is bound against the cached tree.  Running the
         whole batch in a single transaction means one lock acquisition and one
         durable WAL flush instead of N — the batch-insert fast path.  Returns
-        the total number of affected rows.
+        the total number of affected rows; a query is refused (a batch has
+        no result set to hand back).
         """
         invariants.assert_engine_thread(self)
         prepared = self.prepare(sql)
+        if isinstance(prepared.statement, (ast.Select, ast.Explain)):
+            raise NotSupportedError("executemany() cannot produce result sets; "
+                                    "use execute() for queries")
         total = 0
         with self._transaction(txn) as active:
             for params in seq_of_params:
-                statement = prepared.bind(params)
                 prepared.executions += 1
-                result = self.execute_statement(statement, purpose=purpose,
-                                                txn=active, prepared=prepared,
-                                                params=params)
+                result = self.execute_statement(prepared, params,
+                                                purpose=purpose, txn=active)
                 if isinstance(result, int):
                     total += result
         return total
 
-    def execute_script(self, sql: str, purpose: Union[None, str, Purpose] = None) -> List[Any]:
-        """Execute a semicolon separated list of statements."""
-        return [
-            self.execute_statement(statement, purpose=purpose)
-            for statement in parse_script(sql)
-        ]
-
-    def execute_statement(self, statement: ast.Statement,
+    def execute_statement(self, prepared: PreparedStatement,
+                          params: Optional[Sequence[Any]] = None,
                           purpose: Union[None, str, Purpose] = None,
                           txn: Optional[Transaction] = None,
-                          prepared: Optional[PreparedStatement] = None,
-                          stream: bool = False,
-                          params: Optional[Sequence[Any]] = None) -> Any:
+                          stream: bool = False) -> Any:
+        """One execution of a prepared statement.  The statement and its
+        parameters travel together: only an INSERT (and what cannot be
+        served from a plan template, see :meth:`_plan`) has its AST rebuilt
+        with the values substituted."""
         invariants.assert_engine_thread(self)
         self.stats.statements_executed += 1
-        # Statements arriving outside the prepare/bind path (execute_script,
-        # direct calls) must not smuggle unbound placeholders into storage.
-        if prepared is None and count_placeholders(statement) > 0:
-            raise ParameterError(
-                "statement contains unbound '?' placeholders; use "
-                "execute(sql, params=...) or a Cursor to bind them"
-            )
         resolved = self._resolve_purpose(purpose)
-        if isinstance(statement, ast.Explain):
-            return self._execute_explain(statement, resolved, txn)
-        if isinstance(statement, ast.Select):
-            return self._execute_select(statement, resolved, txn, prepared,
-                                        stream=stream, params=params)
+        statement = prepared.statement
         if isinstance(statement, ast.Insert):
-            return self._execute_insert(statement, txn)
+            return self._execute_insert(prepared.bind(params), txn)
+        params = prepared.checked(params)
+        if isinstance(statement, ast.Select):
+            return self._execute_select(prepared, params, resolved, txn, stream)
         if isinstance(statement, ast.Update):
-            return self._execute_update(statement, resolved, txn)
+            return self._execute_update(prepared, params, resolved, txn)
         if isinstance(statement, ast.Delete):
-            return self._execute_delete(statement, resolved, txn)
+            return self._execute_delete(prepared, params, resolved, txn)
+        if isinstance(statement, ast.Explain):
+            return self._execute_explain(prepared.bind(params), resolved, txn)
         if isinstance(statement, ast.CreateTable):
             schema = ddl.build_schema(statement, self.registry)
             self.create_table(schema)
@@ -627,13 +603,6 @@ class InstantDB:
         if isinstance(statement, ast.DeclarePurpose):
             return self._execute_declare_purpose(statement)
         raise ExecutionError(f"unsupported statement type {type(statement).__name__}")
-
-    def query(self, sql: str, purpose: Union[None, str, Purpose] = None) -> QueryResult:
-        """Convenience wrapper returning a :class:`QueryResult`."""
-        result = self.execute(sql, purpose=purpose)
-        if not isinstance(result, QueryResult):
-            raise ExecutionError("query() expects a SELECT statement")
-        return result
 
     def _resolve_purpose(self, purpose: Union[None, str, Purpose]) -> Optional[Purpose]:
         if purpose is None or isinstance(purpose, Purpose):
@@ -655,106 +624,79 @@ class InstantDB:
 
     # ------------------------------------------------------------------ SELECT / EXPLAIN
 
-    def _execute_select(self, statement: ast.Select, purpose: Optional[Purpose],
-                        txn: Optional[Transaction],
-                        prepared: Optional[PreparedStatement] = None,
-                        stream: bool = False,
-                        params: Optional[Sequence[Any]] = None) -> Any:
+    def _plan(self, prepared: PreparedStatement, params: Tuple[Any, ...],
+              purpose: Optional[Purpose]) -> PhysicalPlan:
+        """The physical plan of one execution of a SELECT — or of the row
+        match of an UPDATE/DELETE, which is a query like any other
+        (:func:`~repro.query.prepared.query_of`).
+
+        The statement's template — planned once with its placeholders in
+        place — is looked up per (purpose, catalog version, statistics epoch,
+        parameter shape) and this execution's values are bound into a copy;
+        a parameter-free template is executed as it is.  The epoch retires
+        templates costed under economics a degradation wave (or any large
+        statistics shift) has since invalidated.  What cannot be templated —
+        an ad-hoc :class:`Purpose` object, a ``None`` parameter, a
+        placeholder outside the WHERE clause — is bound into the AST first
+        and planned from scratch.
+        """
+        shape = prepared.plan_shape(params) \
+            if self._purpose_is_canonical(purpose) else None
+        if shape is None:
+            plan, hit = self.planner.plan_physical(
+                query_of(prepared.bind(params)), purpose), False
+        else:
+            plan, hit = prepared.plan(
+                (None if purpose is None else purpose.name.lower(),
+                 self.catalog.version, self.statistics.epoch(), shape),
+                partial(self.planner.plan_physical, prepared.query, purpose))
+        stats = self.statements.stats
+        stats.plan_hits += hit
+        stats.plan_misses += not hit
+        # Compilation accounting, mirroring the WAL's payload cache: a plan
+        # served from the cache already carries its compiled closures, so
+        # re-execution compiles nothing (binding recompiles only the small
+        # residual predicate; projection and join-key closures are shared
+        # with the template, so the accounting follows the template).
+        if plan.is_compiled:
+            stats.predicate_compile_hits += 1
+        else:
+            stats.predicate_compiles += 1
+        if shape:
+            plan = bind_physical_plan(plan, params, self.catalog,
+                                      self.executor.compile_mode)
+        return plan
+
+    def _execute_select(self, prepared: PreparedStatement,
+                        params: Tuple[Any, ...], purpose: Optional[Purpose],
+                        txn: Optional[Transaction], stream: bool) -> Any:
+        statement = prepared.statement
         with self._transaction(txn, statement.table,
                                *(clause.table for clause in statement.joins)):
-            plan = self._plan_select(statement, purpose, prepared, params)
+            plan = self._plan(prepared, params, purpose)
             if stream and txn is not None:
                 # The caller's transaction keeps the read locks while the
                 # cursor drains the pipeline lazily.
                 return self.executor.stream_physical(plan)
             return self.executor.execute_physical(plan)
 
-    def _plan_select(self, statement: ast.Select, purpose: Optional[Purpose],
-                     prepared: Optional[PreparedStatement],
-                     params: Optional[Sequence[Any]]) -> Any:
-        """Resolve the physical plan for one SELECT execution.
-
-        Three paths, fastest first:
-
-        * parameter-free prepared statement — the plan is cached per
-          (purpose, catalog version, statistics epoch) and reused verbatim;
-        * parameterized prepared statement whose placeholders all sit in the
-          WHERE clause — a *template* plan (access paths carrying
-          :class:`~repro.query.planner.ParamMarker` slots) is cached per
-          parameter shape and bound to this execution's values;
-        * everything else — plan from scratch.
-
-        The statistics epoch in both cache keys retires plans costed under
-        economics a degradation wave (or any large stats shift) has since
-        invalidated.
-        """
-        stats = self.statements.stats
-        version = self.catalog.version
-        cacheable = prepared is not None and self._purpose_is_canonical(purpose)
-        if cacheable and prepared.param_count == 0:
-            epoch = self.statistics.epoch()
-            plan = prepared.cached_plan(purpose, version, epoch)
-            stats.plan_hits += plan is not None
-            stats.plan_misses += plan is None
-            if plan is None:
-                plan = self.planner.plan_physical(statement, purpose)
-                prepared.store_plan(purpose, version, plan, epoch)
-            # Compilation accounting, mirroring the WAL's payload cache: a
-            # plan served from the statement cache already carries its
-            # compiled closures, so re-execution compiles nothing.
-            if plan.is_compiled:
-                stats.predicate_compile_hits += 1
-            else:
-                stats.predicate_compiles += 1
-            return plan
-        if cacheable and params is not None and \
-                prepared.placeholders_confined_to_where:
-            shape = _param_shape(params)
-            if shape is not None:
-                epoch = self.statistics.epoch()
-                template = prepared.cached_param_plan(purpose, version, epoch,
-                                                      shape)
-                stats.plan_hits += template is not None
-                stats.plan_misses += template is None
-                if template is None:
-                    template = self.planner.plan_physical(prepared.statement,
-                                                          purpose)
-                    prepared.store_param_plan(purpose, version, epoch, shape,
-                                              template)
-                # Binding recompiles only the (small) residual predicate; the
-                # projection and join-key closures are shared with the
-                # template, so the accounting follows the template.
-                if template.is_compiled:
-                    stats.predicate_compile_hits += 1
-                else:
-                    stats.predicate_compiles += 1
-                mode = "compiled" if self.read_path_optimizations \
-                    else "interpreted"
-                return bind_physical_plan(template, params, self.catalog, mode)
-        plan = self.planner.plan_physical(statement, purpose)
-        if cacheable:
-            stats.plan_misses += 1
-        stats.predicate_compiles += 1
-        return plan
-
     def _execute_explain(self, statement: ast.Explain,
                          purpose: Optional[Purpose],
                          txn: Optional[Transaction] = None) -> QueryResult:
         inner = statement.statement
-        if isinstance(inner, (ast.Update, ast.Delete)):
+        query = query_of(inner)
+        if query is None:
+            return QueryResult(columns=["plan"],
+                               rows=[(f"{type(inner).__name__} statement",)])
+        plan = self.planner.plan_physical(query, purpose)
+        if query is not inner:
             # The access path DML matches its rows through.  Plan only, also
             # under ANALYZE: explaining must never run the modification.
-            plan, root = self.executor.match_pipeline(inner.table, inner.where,
-                                                      purpose)
             lines = [f"{type(inner).__name__} via {plan.base.describe()}"]
             if purpose is not None:
                 lines.append(f"  purpose: {purpose.name}")
-            lines.extend(root.explain_lines())
+            lines.extend(self.executor.match_pipeline(plan).explain_lines())
             return QueryResult(columns=["plan"], rows=[(line,) for line in lines])
-        if not isinstance(inner, ast.Select):
-            return QueryResult(columns=["plan"],
-                               rows=[(f"{type(inner).__name__} statement",)])
-        plan = self.planner.plan_physical(inner, purpose)
         _columns, root = self.executor.build(plan)
         if statement.analyze:
             # EXPLAIN ANALYZE: run the pipeline so the rendered tree carries
@@ -773,21 +715,23 @@ class InstantDB:
 
     def _execute_insert(self, statement: ast.Insert,
                         txn: Optional[Transaction]) -> int:
-        info = self.catalog.table(statement.table)
-        count = 0
-        for row in statement.rows:
-            if statement.columns is not None:
-                if len(statement.columns) != len(row):
+        self._require_writable()
+        table = statement.table.lower()
+        info = self.catalog.table(table)
+        store = self._store_for(table)
+        columns = info.schema.column_names()
+        if statement.columns is not None:
+            columns = [column.lower() for column in statement.columns]
+        # One statement, one transaction: every row or none, one log flush.
+        with self._transaction(txn, table, exclusive=True) as active:
+            for row in statement.rows:
+                if statement.columns is not None and len(columns) != len(row):
                     raise ExecutionError(
-                        f"INSERT specifies {len(statement.columns)} columns but "
+                        f"INSERT specifies {len(columns)} columns but "
                         f"{len(row)} values"
                     )
-                mapping = {column.lower(): value for column, value in zip(statement.columns, row)}
-            else:
-                mapping = dict(zip(info.schema.column_names(), row))
-            self.insert_row(statement.table, mapping, txn=txn)
-            count += 1
-        return count
+                self._insert(info, store, dict(zip(columns, row)), active)
+        return len(statement.rows)
 
     def insert_row(self, table: str, row: Any, txn: Optional[Transaction] = None) -> int:
         """Insert one row (Python API); returns the logical row key."""
@@ -796,48 +740,63 @@ class InstantDB:
         info = self.catalog.table(table)
         store = self._store_for(table)
         with self._transaction(txn, table, exclusive=True) as active:
-            now = self.clock.now()
-            stored = store.insert(row, now, txn_id=active.txn_id, returning=True)
-            active.on_abort(partial(self._undo_delta, info, store, None, stored))
-            self._apply_delta(info, None, stored)
-            tuple_lcp = self.scheduler.tuple_lcp((table, stored.row_key))
-            if tuple_lcp is not None:
-                # The registration becomes durable with the transaction's
-                # commit flush; recovery replays it only if the txn committed.
-                # The payload names each attribute's policy so replay can
-                # re-resolve per-tuple overrides even after the selector
-                # value itself has degraded (values never enter the log).
-                self.wal.append(
-                    LogRecordType.SCHED_REGISTER, active.txn_id,
-                    table=table, row_key=stored.row_key,
-                    after=encode_policy_names({
-                        attribute: lcp.name
-                        for attribute, lcp in tuple_lcp.attributes.items()
-                    }),
-                    timestamp=now,
-                )
+            return self._insert(info, store, row, active)
+
+    def _insert(self, info: TableInfo, store: TableStore, row: Any,
+                active: Transaction) -> int:
+        """One row into ``store`` under ``active``, which holds the table's
+        exclusive lock; returns the logical row key."""
+        table = info.name
+        now = self.clock.now()
+        stored = store.insert(row, now, txn_id=active.txn_id, returning=True)
+        active.on_abort(partial(self._undo_delta, info, store, None, stored))
+        self._apply_delta(info, None, stored)
+        tuple_lcp = self.scheduler.tuple_lcp((table, stored.row_key))
+        if tuple_lcp is not None:
+            # The registration becomes durable with the transaction's
+            # commit flush; recovery replays it only if the txn committed.
+            # The payload names each attribute's policy so replay can
+            # re-resolve per-tuple overrides even after the selector
+            # value itself has degraded (values never enter the log).
+            self.wal.append(
+                LogRecordType.SCHED_REGISTER, active.txn_id,
+                table=table, row_key=stored.row_key,
+                after=encode_policy_names({
+                    attribute: lcp.name
+                    for attribute, lcp in tuple_lcp.attributes.items()
+                }),
+                timestamp=now,
+            )
         self.stats.rows_inserted += 1
         return stored.row_key
 
     # ------------------------------------------------------------------ UPDATE / DELETE
 
-    def _execute_update(self, statement: ast.Update, purpose: Optional[Purpose],
+    def _execute_update(self, prepared: PreparedStatement,
+                        params: Tuple[Any, ...], purpose: Optional[Purpose],
                         txn: Optional[Transaction]) -> int:
         self._require_writable()
+        statement = prepared.statement
+        # ``SET c = ?`` reads its value by position: no AST is rebuilt.
+        assignments = [
+            (column, params[value.index]
+             if isinstance(value, ast.Placeholder) else value)
+            for column, value in statement.assignments]
         table = statement.table.lower()
         info = self.catalog.table(table)
         store = self._store_for(table)
         count = 0
         with self._transaction(txn, table, exclusive=True) as active:
-            for column, _value in statement.assignments:
+            for column, _value in assignments:
                 if info.schema.column(column).degradable:
                     raise PolicyError(
                         f"column {table}.{column} is degradable: updates are not granted "
                         "after the tuple creation has been committed"
                     )
             now = self.clock.now()
-            for stored in self.executor.matching_rows(table, statement.where, purpose):
-                for column, value in statement.assignments:
+            for stored in self.executor.matching_rows(
+                    self._plan(prepared, params, purpose)):
+                for column, value in assignments:
                     updated = store.update_stable(stored.row_key, column, value, now,
                                                   txn_id=active.txn_id)
                     active.on_abort(partial(self._undo_delta, info, store,
@@ -848,17 +807,19 @@ class InstantDB:
         self.stats.rows_updated += count
         return count
 
-    def _execute_delete(self, statement: ast.Delete, purpose: Optional[Purpose],
+    def _execute_delete(self, prepared: PreparedStatement,
+                        params: Tuple[Any, ...], purpose: Optional[Purpose],
                         txn: Optional[Transaction]) -> int:
         """A secure erase at statement time (:meth:`TableStore.delete` scrubs
         and flushes before it returns): no rollback brings the row back."""
         self._require_writable()
-        table = statement.table.lower()
+        table = prepared.statement.table.lower()
         info = self.catalog.table(table)
         store = self._store_for(table)
         count = 0
         with self._transaction(txn, table, exclusive=True) as active:
-            for stored in self.executor.matching_rows(table, statement.where, purpose):
+            for stored in self.executor.matching_rows(
+                    self._plan(prepared, params, purpose)):
                 self._apply_delta(info, stored, None)
                 store.delete(stored.row_key, now=self.clock.now(),
                              txn_id=active.txn_id)
@@ -1410,12 +1371,6 @@ class InstantDB:
 
     def row_count(self, table: str) -> int:
         return self._store_for(table).row_count
-
-    def visible_rows(self, table: str,
-                     purpose: Union[None, str, Purpose] = None) -> List[Dict[str, Any]]:
-        """``SELECT *`` convenience returning dictionaries."""
-        result = self.execute(f"SELECT * FROM {table}", purpose=purpose)
-        return result.to_dicts()
 
     def level_histogram(self, table: str, column: str) -> Dict[int, int]:
         """Number of live rows per stored accuracy level of ``column``."""

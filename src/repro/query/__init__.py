@@ -18,7 +18,7 @@ from .operators import (
     TopN,
 )
 from .parser import parse, parse_script
-from .planner import AccessPath, PhysicalPlan, Planner, SelectPlan, TableScanPlan
+from .planner import AccessPath, PhysicalPlan, Planner, TableScanPlan
 from .tokens import Token, TokenType, tokenize
 
 __all__ = [
@@ -28,6 +28,6 @@ __all__ = [
     "Operator", "OperatorStats", "SeqScan", "IndexScan", "Filter", "HashJoin",
     "Project", "Aggregate", "Sort", "TopN", "Limit", "StreamingResult",
     "parse", "parse_script",
-    "Planner", "SelectPlan", "PhysicalPlan", "TableScanPlan", "AccessPath",
+    "Planner", "PhysicalPlan", "TableScanPlan", "AccessPath",
     "Token", "TokenType", "tokenize",
 ]

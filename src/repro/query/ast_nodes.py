@@ -32,8 +32,9 @@ class Placeholder(Expression):
 
     Placeholders appear both as expressions (``WHERE salary > ?``) and as raw
     values inside :class:`Insert` rows, :class:`InList` values and
-    :class:`Update` assignments.  They must be substituted through
-    :func:`repro.query.parameters.bind_parameters` before execution.
+    :class:`Update` assignments.  None is ever evaluated: a plan template
+    binds its values by position per execution, anything else goes through
+    :func:`repro.query.parameters.bind_parameters` first.
     """
 
     index: int

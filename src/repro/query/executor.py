@@ -17,9 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..core.errors import ExecutionError
-from ..core.policy import Purpose
 from ..storage.degradable_store import StoredRow
-from . import ast_nodes as ast
 from .catalog import Catalog
 from .operators import (
     ROW_KEY_FIELD,
@@ -30,7 +28,7 @@ from .operators import (
     build_match_pipeline,
     build_pipeline,
 )
-from .planner import PhysicalPlan, Planner
+from .planner import PhysicalPlan
 
 
 @dataclass
@@ -84,7 +82,7 @@ class Executor:
                  compile_mode: str = "compiled") -> None:
         self.catalog = catalog
         self.stores = store_provider
-        self.planner = Planner(catalog)
+        self.compile_mode = compile_mode
         self.stats = ExecutorStats()
         #: Operator tree of the most recent execution (stats introspection).
         self.last_pipeline: Optional[Operator] = None
@@ -95,12 +93,10 @@ class Executor:
     # ------------------------------------------------------------------ SELECT
 
     def execute_physical(self, plan: PhysicalPlan) -> QueryResult:
-        """Materialize the pipeline into a :class:`QueryResult`."""
-        columns, root = build_pipeline(self._runtime, plan)
-        rows = list(root)
-        self.stats.rows_returned += len(rows)
-        self.last_pipeline = root
-        return QueryResult(columns=columns, rows=rows, pipeline=root)
+        """:meth:`stream_physical`, drained into a :class:`QueryResult`."""
+        stream = self.stream_physical(plan)
+        return QueryResult(columns=stream.columns, rows=list(stream),
+                           pipeline=stream.pipeline)
 
     def stream_physical(self, plan: PhysicalPlan) -> StreamingResult:
         """Open the pipeline without draining it (lazy cursor traversal).
@@ -131,19 +127,15 @@ class Executor:
 
     # -------------------------------------------------------------- DML helpers
 
-    def match_pipeline(self, table: str, where: Optional[ast.Expression],
-                       purpose: Optional[Purpose] = None
-                       ) -> Tuple[PhysicalPlan, Operator]:
-        """Plan and instantiate (but do not run) the row-matching pipeline of
-        an UPDATE/DELETE — what :meth:`matching_rows` runs and EXPLAIN shows."""
-        plan = self.planner.plan_physical(
-            ast.Select(table=table, items=(ast.Star(),), where=where), purpose
-        )
-        return plan, build_match_pipeline(self._runtime, plan)
+    def match_pipeline(self, plan: PhysicalPlan) -> Operator:
+        """Instantiate (but do not run) the row-matching pipeline of an
+        UPDATE/DELETE — scan + residual filter of the plan of its match
+        query; what :meth:`matching_rows` runs and EXPLAIN shows."""
+        return build_match_pipeline(self._runtime, plan)
 
-    def matching_rows(self, table: str, where: Optional[ast.Expression],
-                      purpose: Optional[Purpose] = None) -> List[StoredRow]:
-        """Stored rows of ``table`` matching ``where`` under ``purpose``.
+    def matching_rows(self, plan: PhysicalPlan) -> List[StoredRow]:
+        """Stored rows matching ``plan``, the plan of an UPDATE/DELETE's
+        match query (:func:`~repro.query.prepared.query_of`).
 
         Predicates are evaluated on the degraded view (the paper's view-style
         delete semantics) but the *stored* rows are returned so the caller can
@@ -151,9 +143,9 @@ class Executor:
         pipeline as SELECTs, so DML benefits from access paths and residual
         pushdown too.
         """
-        plan, root = self.match_pipeline(table, where, purpose)
         store = self.stores(plan.base.table)
-        return [store.read(visible[ROW_KEY_FIELD]) for visible in root]
+        return [store.read(visible[ROW_KEY_FIELD])
+                for visible in self.match_pipeline(plan)]
 
 
 class _Exhausted:

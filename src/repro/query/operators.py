@@ -859,9 +859,6 @@ class StreamingResult:
     def __iter__(self) -> Iterator[Tuple[Any, ...]]:
         return self._iterator
 
-    def fetchone(self) -> Optional[Tuple[Any, ...]]:
-        return next(self._iterator, None)
-
 
 __all__ = [
     "Operator", "OperatorStats", "PipelineRuntime", "SeqScan", "IndexScan",

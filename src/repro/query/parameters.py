@@ -24,20 +24,21 @@ from . import ast_nodes as ast
 SUPPORTED_PARAMETER_TYPES = (type(None), bool, int, float, str)
 
 
+def placeholder_indexes(node: Any) -> Tuple[int, ...]:
+    """Positions of the ``?`` placeholders under ``node``, in tree order."""
+    if isinstance(node, ast.Placeholder):
+        return (node.index,)
+    if dataclasses.is_dataclass(node) and not isinstance(node, type):
+        node = [getattr(node, field.name) for field in dataclasses.fields(node)]
+    if isinstance(node, (tuple, list)):
+        return tuple(index for element in node
+                     for index in placeholder_indexes(element))
+    return ()
+
+
 def count_placeholders(statement: ast.Statement) -> int:
     """Number of ``?`` placeholders in a parsed statement."""
-    return _count(statement)
-
-
-def _count(node: Any) -> int:
-    if isinstance(node, ast.Placeholder):
-        return 1
-    if dataclasses.is_dataclass(node) and not isinstance(node, type):
-        return sum(_count(getattr(node, field.name))
-                   for field in dataclasses.fields(node))
-    if isinstance(node, (tuple, list)):
-        return sum(_count(element) for element in node)
-    return 0
+    return len(placeholder_indexes(statement))
 
 
 def check_parameter(value: Any) -> Any:
@@ -62,7 +63,7 @@ def bind_parameters(statement: ast.Statement, params: Sequence[Any],
     """
     if expected is None:
         expected = count_placeholders(statement)
-    bound = _checked_parameters(params, expected)
+    bound = checked_parameters(params, expected)
     if expected == 0:
         return statement
     result = _bind_node(statement, bound)
@@ -70,9 +71,9 @@ def bind_parameters(statement: ast.Statement, params: Sequence[Any],
     return result
 
 
-def _checked_parameters(params: Sequence[Any], expected: int) -> Tuple[Any, ...]:
+def checked_parameters(params: Sequence[Any], expected: int) -> Tuple[Any, ...]:
     """``params`` as a tuple, after the count and type checks every binding
-    path shares."""
+    path shares (a template plan reads its values by position from it)."""
     if isinstance(params, (str, bytes)):
         raise ParameterError(
             "parameters must be a sequence of values, not a bare string"
@@ -108,7 +109,7 @@ def insert_slots(statement: ast.Insert) -> InsertSlots:
 def bind_insert(statement: ast.Insert, slots: InsertSlots,
                 params: Sequence[Any], expected: int) -> ast.Insert:
     """:func:`bind_parameters` for an INSERT with its slots already resolved."""
-    bound = _checked_parameters(params, expected)
+    bound = checked_parameters(params, expected)
     return ast.Insert(
         table=statement.table, columns=statement.columns,
         rows=tuple(tuple(bound[index] if index >= 0 else literal
@@ -150,13 +151,13 @@ def bind_expression(expression: ast.Expression,
                     params: Sequence[Any]) -> ast.Expression:
     """Substitute placeholders inside a single expression subtree.
 
-    Used by parameter-shape-keyed plan caching: a cached template plan keeps
-    placeholders in its residual predicate, and each execution binds just that
-    expression instead of re-binding (and re-planning) the whole statement.
+    Used by plan caching: a cached template plan keeps placeholders in its
+    residual predicate, and each execution binds just that expression instead
+    of re-binding (and re-planning) the whole statement.
     """
     return _bind_node(expression, tuple(params))
 
 
 __all__ = ["bind_parameters", "bind_expression", "bind_insert", "insert_slots",
-           "count_placeholders", "check_parameter",
-           "SUPPORTED_PARAMETER_TYPES"]
+           "count_placeholders", "placeholder_indexes", "check_parameter",
+           "checked_parameters", "SUPPORTED_PARAMETER_TYPES"]

@@ -152,35 +152,6 @@ class TableScanPlan:
 
 
 @dataclass
-class SelectPlan:
-    """Complete plan of a SELECT statement."""
-
-    statement: ast.Select
-    base: TableScanPlan
-    joins: List[Tuple[ast.JoinClause, TableScanPlan]] = field(default_factory=list)
-    purpose: Optional[Purpose] = None
-
-    def describe(self) -> str:
-        lines = [f"Select from {self.base.describe()}"]
-        for clause, scan in self.joins:
-            lines.append(
-                f"  {clause.kind} join {scan.describe()} on "
-                f"{clause.left.qualified} = {clause.right.qualified}"
-            )
-        if self.statement.where is not None:
-            lines.append("  filter: <predicate>")
-        if self.statement.is_aggregate:
-            lines.append("  aggregate")
-        if self.statement.order_by:
-            lines.append("  sort")
-        if self.statement.limit is not None:
-            lines.append(f"  limit {self.statement.limit}")
-        if self.purpose is not None:
-            lines.append(f"  purpose: {self.purpose.name}")
-        return "\n".join(lines)
-
-
-@dataclass
 class PhysicalPlan:
     """Physical plan of a SELECT: scans plus the residual predicate.
 
@@ -189,8 +160,9 @@ class PhysicalPlan:
     is left).  With joins the full WHERE clause stays residual — it is
     evaluated after the joins, where unqualified column references may bind to
     join-side columns.  This object is immutable per (statement, purpose,
-    catalog version) and is what prepared statements cache; per-execution
-    state lives in the operator tree built from it.
+    catalog version, statistics epoch) and is what prepared statements cache,
+    as a template whose :class:`ParamMarker` slots each execution binds into
+    a copy; per-execution state lives in the operator tree built from it.
 
     The plan additionally memoizes its **compiled artifacts** (residual
     predicate, projection and join-key closures, see
@@ -233,7 +205,7 @@ class PhysicalPlan:
 
 
 class Planner:
-    """Builds :class:`SelectPlan` / :class:`PhysicalPlan` objects."""
+    """Builds :class:`PhysicalPlan` objects."""
 
     def __init__(self, catalog: Catalog) -> None:
         self.catalog = catalog
@@ -241,14 +213,10 @@ class Planner:
     # -- public entry points ----------------------------------------------------
 
     def plan_select(self, statement: ast.Select,
-                    purpose: Optional[Purpose] = None) -> SelectPlan:
-        base, _consumed = self._plan_table(statement.table, statement.table_alias,
-                                           statement.where, purpose)
-        joins: List[Tuple[ast.JoinClause, TableScanPlan]] = []
-        for clause in statement.joins:
-            scan, _ = self._plan_table(clause.table, clause.alias, None, purpose)
-            joins.append((clause, scan))
-        return SelectPlan(statement=statement, base=base, joins=joins, purpose=purpose)
+                    purpose: Optional[Purpose] = None) -> PhysicalPlan:
+        """:meth:`plan_physical` under its older name (the benchmark's frozen
+        wrap table resolves it; nothing in ``src/`` calls it)."""
+        return self.plan_physical(statement, purpose)
 
     def plan_physical(self, statement: ast.Select,
                       purpose: Optional[Purpose] = None) -> PhysicalPlan:
@@ -764,7 +732,7 @@ def _as_column_literal(expression: ast.Expression, table: str,
     return None
 
 
-__all__ = ["Planner", "SelectPlan", "PhysicalPlan", "TableScanPlan", "AccessPath",
+__all__ = ["Planner", "PhysicalPlan", "TableScanPlan", "AccessPath",
            "ParamMarker", "bind_physical_plan",
            "SEQ_ROW_COST", "INDEX_FETCH_COST", "INDEX_PROBE_COST",
            "SMALL_TABLE_ROWS"]

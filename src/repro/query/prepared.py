@@ -8,44 +8,58 @@ and never mutates the cached tree, so one prepared statement can safely be
 bound N times inside ``executemany`` (an INSERT resolves where each parameter
 goes in its VALUES rows once and only fills those slots per binding).
 
-Parameter-free ``SELECT`` statements additionally cache their *physical*
-plan per (purpose, catalog version, statistics epoch): repeated identical
-queries — the common shape of the OLTP benchmark mixes — skip accuracy
-binding, access-path selection and the residual-predicate split entirely;
-only the (cheap) operator-tree instantiation happens per execution.  A
-catalog change (new table, index or purpose) bumps the catalog version, and
-a large-enough statistics shift (e.g. a degradation wave collapsing NDV)
-bumps the registry's statistics epoch — either implicitly invalidates every
-cached plan, so a plan can never outlive the economics it was costed under.
-
-Parameterized ``SELECT`` statements whose placeholders all sit in the WHERE
-clause cache a *template* plan per parameter shape (the tuple of bound value
-types): the template is planned once with
-:class:`~repro.query.planner.ParamMarker` slots in its access paths, and
-every execution binds values into a copy via
-:func:`~repro.query.planner.bind_physical_plan` instead of re-planning.
+A ``SELECT`` — and the row match of an ``UPDATE`` or ``DELETE``, which is the
+query ``SELECT * FROM t WHERE …`` — additionally caches its *physical* plan
+as a **template**, per (purpose, catalog version, statistics epoch,
+parameter shape): the statement is planned once with its placeholders still
+in place (:class:`~repro.query.planner.ParamMarker` slots in the access
+paths), and every execution binds its values into a copy via
+:func:`~repro.query.planner.bind_physical_plan` instead of rebuilding the
+AST and re-planning.  A parameter-free statement is the shape ``()`` and
+its template is executed as it is.  A catalog change (new table, index or
+purpose) bumps the catalog version, and a large-enough statistics shift
+(e.g. a degradation wave collapsing NDV) bumps the registry's statistics
+epoch — either retires every cached template, so a plan can never outlive
+the economics it was costed under.  The cache holds templates only: no
+parameter value outlives its execution.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Optional, Sequence, Tuple
 
-from ..core.policy import Purpose
 from . import ast_nodes as ast
 from .parameters import (
     InsertSlots,
     bind_insert,
     bind_parameters,
+    checked_parameters,
     count_placeholders,
     insert_slots,
+    placeholder_indexes,
 )
 from .parser import parse
 from .planner import PhysicalPlan
 
 #: Max distinct (purpose, shape) template plans kept per prepared statement.
-PARAM_PLAN_CACHE_SIZE = 8
+PLAN_CACHE_SIZE = 8
+
+#: (purpose name, catalog version, statistics epoch, parameter shape).
+PlanKey = Tuple[Optional[str], int, int, Tuple[str, ...]]
+
+
+def query_of(statement: ast.Statement) -> Optional[ast.Select]:
+    """The query the planner sees in ``statement``: a SELECT itself, the row
+    match ``SELECT * FROM t WHERE …`` of an UPDATE or DELETE (predicates are
+    evaluated on the degraded view, like any query's), else ``None``."""
+    if isinstance(statement, ast.Select):
+        return statement
+    if isinstance(statement, (ast.Update, ast.Delete)):
+        return ast.Select(table=statement.table, items=(ast.Star(),),
+                          where=statement.where)
+    return None
 
 
 @dataclass
@@ -56,16 +70,30 @@ class PreparedStatement:
     statement: ast.Statement
     param_count: int
     executions: int = 0
-    #: (purpose name, catalog version, stats epoch) -> physical plan; only
-    #: used when param_count == 0.
-    _plans: Dict[Tuple[Optional[str], int, int], PhysicalPlan] = \
-        field(default_factory=dict)
-    #: (purpose name, catalog version, stats epoch, param shape) -> template
-    #: plan with ParamMarker slots; only used when param_count > 0.
-    _param_plans: "OrderedDict[Tuple[Optional[str], int, int, Tuple[str, ...]], PhysicalPlan]" = \
+    _plans: "OrderedDict[PlanKey, PhysicalPlan]" = \
         field(default_factory=OrderedDict)
-    _where_confined: Optional[bool] = field(default=None, repr=False)
     _insert_slots: Optional[InsertSlots] = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        #: What :func:`query_of` makes of the statement, placeholders in place.
+        self.query = query_of(self.statement)
+        #: Positions of the parameters a template plan reads, or ``None``
+        #: when the statement cannot be templated.  Only placeholders in the
+        #: WHERE clause can: the projection, joins, grouping and ordering
+        #: are then parameter-independent, so their compiled closures are
+        #: shared across executions and only the access-path values and the
+        #: residual predicate need per-execution binding.  (An UPDATE's
+        #: ``SET c = ?`` is not part of its match and is read by position.)
+        self._plan_slots: Optional[Tuple[int, ...]] = None
+        if self.query is not None:
+            in_where = placeholder_indexes(self.query.where)
+            if len(in_where) == count_placeholders(self.query):
+                self._plan_slots = in_where
+
+    def checked(self, params: Optional[Sequence[Any]]) -> Tuple[Any, ...]:
+        """``params`` as a tuple, count- and type-checked for this statement."""
+        return checked_parameters(() if params is None else params,
+                                  self.param_count)
 
     def bind(self, params: Optional[Sequence[Any]] = None) -> ast.Statement:
         """Return an executable statement with ``params`` substituted."""
@@ -84,67 +112,41 @@ class PreparedStatement:
 
     # -- plan reuse ----------------------------------------------------------
 
-    def cached_plan(self, purpose: Optional[Purpose], catalog_version: int,
-                    stats_epoch: int = 0) -> Optional[PhysicalPlan]:
-        if self.param_count != 0:
-            return None
-        return self._plans.get((_purpose_key(purpose), catalog_version,
-                                stats_epoch))
+    def plan_shape(self, params: Sequence[Any]) -> Optional[Tuple[str, ...]]:
+        """Parameter-shape part of the plan-cache key: the type names of the
+        values the template reads, or ``None`` when this execution cannot be
+        served from a template.
 
-    def store_plan(self, purpose: Optional[Purpose], catalog_version: int,
-                   plan: PhysicalPlan, stats_epoch: int = 0) -> None:
-        if self.param_count != 0:
-            return
-        # Plans from stale catalog versions or statistics epochs can never
-        # be reused again.
-        for key in [key for key in self._plans
-                    if key[1] != catalog_version or key[2] != stats_epoch]:
-            del self._plans[key]
-        self._plans[(_purpose_key(purpose), catalog_version, stats_epoch)] = plan
-
-    # -- parameter-shape template plans ---------------------------------------
-
-    @property
-    def placeholders_confined_to_where(self) -> bool:
-        """All placeholders sit in the WHERE clause of a SELECT.
-
-        Only then is template planning safe: the projection, joins, grouping
-        and ordering are parameter-independent, so the compiled closures can
-        be shared across executions and only the access-path values and the
-        residual predicate need per-execution binding.
+        A ``None`` value makes the execution ineligible: a NULL predicate is
+        always false, while an index probed with ``None`` need not agree —
+        it falls back to bind-then-plan.
         """
-        if self._where_confined is None:
-            statement = self.statement
-            self._where_confined = (
-                isinstance(statement, ast.Select)
-                and statement.where is not None
-                and count_placeholders(statement.where) == self.param_count
-            )
-        return self._where_confined
+        if self._plan_slots is None:
+            return None
+        shape = []
+        for index in self._plan_slots:
+            if params[index] is None:
+                return None
+            shape.append(type(params[index]).__name__)
+        return tuple(shape)
 
-    def cached_param_plan(self, purpose: Optional[Purpose],
-                          catalog_version: int, stats_epoch: int,
-                          shape: Tuple[str, ...]) -> Optional[PhysicalPlan]:
-        key = (_purpose_key(purpose), catalog_version, stats_epoch, shape)
-        plan = self._param_plans.get(key)
+    def plan(self, key: PlanKey, build: Callable[[], PhysicalPlan]
+             ) -> Tuple[PhysicalPlan, bool]:
+        """The template cached under ``key`` and whether it was a hit; on a
+        miss it is built, entries of another catalog version or statistics
+        epoch — which can never be served again — are dropped, and the
+        least recently used ones beyond :data:`PLAN_CACHE_SIZE`."""
+        plan = self._plans.get(key)
         if plan is not None:
-            self._param_plans.move_to_end(key)
-        return plan
-
-    def store_param_plan(self, purpose: Optional[Purpose],
-                         catalog_version: int, stats_epoch: int,
-                         shape: Tuple[str, ...], plan: PhysicalPlan) -> None:
-        for key in [key for key in self._param_plans
-                    if key[1] != catalog_version or key[2] != stats_epoch]:
-            del self._param_plans[key]
-        self._param_plans[(_purpose_key(purpose), catalog_version,
-                           stats_epoch, shape)] = plan
-        while len(self._param_plans) > PARAM_PLAN_CACHE_SIZE:
-            self._param_plans.popitem(last=False)
-
-
-def _purpose_key(purpose: Optional[Purpose]) -> Optional[str]:
-    return None if purpose is None else purpose.name.lower()
+            self._plans.move_to_end(key)
+            return plan, True
+        for stale in [other for other in self._plans
+                      if other[1:3] != key[1:3]]:
+            del self._plans[stale]
+        plan = self._plans[key] = build()
+        while len(self._plans) > PLAN_CACHE_SIZE:
+            self._plans.popitem(last=False)
+        return plan, False
 
 
 @dataclass
@@ -198,4 +200,4 @@ class StatementCache:
 
 
 __all__ = ["PreparedStatement", "StatementCache", "StatementCacheStats",
-           "PARAM_PLAN_CACHE_SIZE"]
+           "PLAN_CACHE_SIZE", "query_of"]

@@ -323,7 +323,7 @@ class InstantDBServer:
             self.metrics.queue_depth = sum(
                 c.queue.qsize() for c in self._connections.values())
             snapshot = self.metrics.snapshot()
-            snapshot["in_txn"] = session.in_txn
+            snapshot["in_txn"] = session.in_transaction
             await self._write_frame(conn.writer, protocol.OK, snapshot)
             return False
         try:
@@ -363,7 +363,7 @@ class InstantDBServer:
             self.metrics.errors += 1
             await self._write_error(conn, error)
             return False
-        reply["in_txn"] = session.in_txn
+        reply["in_txn"] = session.in_transaction
         await self._write_frame(conn.writer, reply_type, reply)
         return False
 
@@ -482,7 +482,7 @@ class InstantDBServer:
         await self._write_frame(conn.writer, protocol.ERROR, {
             "error_class": type(error).__name__,
             "message": str(error),
-            "in_txn": conn.session.in_txn,
+            "in_txn": conn.session.in_transaction,
         })
 
 

@@ -1,10 +1,12 @@
-"""Sessions: per-connection transaction context and streaming cursors.
+"""Sessions: per-connection transaction context and numbered cursors.
 
-A :class:`Session` is the server-side twin of the PEP 249
-:class:`~repro.api.connection.Connection`: it owns at most one open engine
-transaction (begun lazily by the first statement, ended by COMMIT/ROLLBACK
-frames) and a set of numbered cursors whose result sets stream out of the
-engine's operator pipeline in fetch-N batches.
+A :class:`Session` is the engine session every driver shares
+(:class:`~repro.api.session.EngineSession`: at most one open engine
+transaction, begun lazily by the first statement, ended by COMMIT/ROLLBACK
+frames after the open result sets were settled) plus what only a wire
+connection needs: numbered cursors whose result sets stream out of the
+engine's operator pipeline in fetch-N batches, the prefetch batch that rides
+the EXECUTE reply, and the idle clock the reaper reads.
 
 Every method that touches the engine is **synchronous** and must run on the
 server's single engine-executor thread — the engine is not thread-safe, and
@@ -12,114 +14,34 @@ funnelling all sessions through one executor is what multiplexes the
 lock-based single-writer engine safely under the running degradation daemon
 (a statement and a degradation wave interleave exactly as two engine calls
 would in-process; conflicts surface as ``TransactionAborted`` on the wire).
-
-Commit/rollback *settle* open streams first — remaining rows are
-materialized into the cursor's buffer while the transaction still holds its
-read locks, mirroring the in-process driver's ``_settle_streams`` — so a
-partially fetched cursor keeps serving a consistent snapshot after its
-transaction is gone.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from ..core.errors import NotSupportedError, ProgrammingError
+from ..api.session import DEFAULT_PREFETCH, EngineSession, ResultSet
+from ..core.errors import ProgrammingError
 from ..devtools.invariants import TrackedLock
 from ..engine.database import InstantDB
-from ..query import ast_nodes as ast
-from ..query.executor import QueryResult
-from ..query.operators import StreamingResult
-from ..txn.transaction import Transaction, TransactionState
 from .protocol import decode_purpose
 
-#: Rows pushed inline with an EXECUTE reply (saves the first FETCH round
-#: trip; small result sets complete in a single exchange).
-DEFAULT_PREFETCH = 64
 
-
-class ServerCursor:
-    """One result set: a live stream plus a buffer of settled rows."""
-
-    def __init__(self, cursor_id: int, columns: List[str],
-                 stream: Optional[Iterator[Tuple[Any, ...]]] = None,
-                 rows: Optional[List[Tuple[Any, ...]]] = None) -> None:
-        self.cursor_id = cursor_id
-        self.columns = columns
-        self._stream = stream
-        self._buffer: List[Tuple[Any, ...]] = rows or []
-        self._position = 0
-
-    def take(self, n: int) -> Tuple[List[Tuple[Any, ...]], bool]:
-        """Up to ``n`` rows plus a this-was-the-end flag."""
-        rows: List[Tuple[Any, ...]] = []
-        buffered = self._buffer[self._position:self._position + n]
-        rows.extend(buffered)
-        self._position += len(buffered)
-        while len(rows) < n and self._stream is not None:
-            row = next(self._stream, None)
-            if row is None:
-                self._stream = None
-                break
-            rows.append(row)
-        return rows, self.exhausted
-
-    @property
-    def exhausted(self) -> bool:
-        return self._stream is None and self._position >= len(self._buffer)
-
-    def materialize(self) -> None:
-        """Drain the live stream into the buffer (end-of-transaction)."""
-        if self._stream is None:
-            return
-        self._buffer = self._buffer[self._position:] + list(self._stream)
-        self._position = 0
-        self._stream = None
-
-    def close(self) -> None:
-        self._stream = None
-        self._buffer = []
-        self._position = 0
-
-
-class Session:
+class Session(EngineSession):
     """Server-side connection state; engine calls run on the engine executor."""
 
     def __init__(self, session_id: int, engine: InstantDB,
                  peer: str = "?") -> None:
+        super().__init__(engine)
         self.session_id = session_id
-        self.engine = engine
         self.peer = peer
-        self.txn: Optional[Transaction] = None
-        self.cursors: Dict[int, ServerCursor] = {}
+        #: Result sets the client has not fetched to their end, by cursor id.
+        self.cursors: Dict[int, ResultSet] = {}
         self._next_cursor = 1
         self.last_activity = time.monotonic()
         self.statements = 0
         self.closed = False
-
-    # -- transaction context ---------------------------------------------------
-
-    def _prune_dead_txn(self) -> None:
-        # The engine aborts the session's transaction itself on lock
-        # conflicts; the next statement must start a fresh one.
-        if self.txn is not None and self.txn.state is not TransactionState.ACTIVE:
-            self.txn = None
-
-    def _transaction(self) -> Transaction:
-        self._prune_dead_txn()
-        if self.txn is None:
-            self.txn = self.engine.begin()
-        return self.txn
-
-    @property
-    def in_txn(self) -> bool:
-        self._prune_dead_txn()
-        return self.txn is not None
-
-    def _settle_streams(self) -> None:
-        for cursor in self.cursors.values():
-            cursor.materialize()
 
     # -- statement execution ---------------------------------------------------
 
@@ -128,50 +50,25 @@ class Session:
                 ) -> Dict[str, Any]:
         """Run one statement; returns the RESULT reply payload."""
         self.statements += 1
-        purpose = decode_purpose(purpose_spec)
-        result = self.engine.execute(
-            sql, purpose=purpose, txn=self._transaction(),
-            params=tuple(params) if params is not None else None, stream=True,
-        )
-        payload: Dict[str, Any] = {"rowcount": -1}
-        if isinstance(result, StreamingResult):
-            payload.update(self._open_cursor(result.columns,
-                                             stream=iter(result),
-                                             prefetch=prefetch))
-        elif isinstance(result, QueryResult):
-            payload.update(self._open_cursor(result.columns,
-                                             rows=list(result.rows),
-                                             prefetch=prefetch))
-        elif isinstance(result, int):
-            payload["rowcount"] = result
+        result, rowcount = super().execute(
+            sql, tuple(params) if params is not None else None,
+            decode_purpose(purpose_spec))
+        payload: Dict[str, Any] = {"rowcount": rowcount}
+        if result is not None:
+            cursor_id = self._next_cursor
+            self._next_cursor += 1
+            rows, done = result.take(prefetch) if prefetch > 0 else ([], False)
+            if not done:
+                self.cursors[cursor_id] = result
+            payload.update(cursor=cursor_id, columns=result.columns,
+                           rows=rows, done=done)
         return payload
 
     def executemany(self, sql: str,
                     seq_of_params: List[List[Any]]) -> Dict[str, Any]:
         self.statements += 1
-        prepared = self.engine.prepare(sql)
-        if isinstance(prepared.statement, (ast.Select, ast.Explain)):
-            raise NotSupportedError("executemany() cannot produce result "
-                                    "sets; use execute() for queries")
-        total = self.engine.executemany(
-            sql, [tuple(params) for params in seq_of_params],
-            txn=self._transaction())
-        return {"rowcount": total}
-
-    def _open_cursor(self, columns: List[str],
-                     stream: Optional[Iterator[Tuple[Any, ...]]] = None,
-                     rows: Optional[List[Tuple[Any, ...]]] = None,
-                     prefetch: int = DEFAULT_PREFETCH) -> Dict[str, Any]:
-        cursor_id = self._next_cursor
-        self._next_cursor += 1
-        cursor = ServerCursor(cursor_id, columns, stream=stream, rows=rows)
-        first_rows, done = cursor.take(prefetch) if prefetch > 0 else ([], False)
-        if done:
-            cursor.close()
-        else:
-            self.cursors[cursor_id] = cursor
-        return {"cursor": cursor_id, "columns": list(columns),
-                "rows": first_rows, "done": done}
+        return {"rowcount": super().executemany(
+            sql, [tuple(params) for params in seq_of_params])}
 
     # -- cursor traversal ------------------------------------------------------
 
@@ -181,8 +78,7 @@ class Session:
             raise ProgrammingError(f"unknown (or exhausted) cursor {cursor_id}")
         rows, done = cursor.take(max(0, n))
         if done:
-            self.cursors.pop(cursor_id, None)
-            cursor.close()
+            del self.cursors[cursor_id]
         return {"rows": rows, "done": done}
 
     def close_cursor(self, cursor_id: int) -> None:
@@ -190,24 +86,8 @@ class Session:
         if cursor is not None:
             cursor.close()
 
-    # -- transaction protocol --------------------------------------------------
-
     def begin(self) -> None:
         self._transaction()
-
-    def commit(self) -> None:
-        self._prune_dead_txn()
-        if self.txn is not None:
-            self._settle_streams()
-            self.engine.commit(self.txn)
-            self.txn = None
-
-    def rollback(self) -> None:
-        self._prune_dead_txn()
-        if self.txn is not None:
-            self._settle_streams()
-            self.engine.rollback(self.txn)
-            self.txn = None
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -223,15 +103,13 @@ class Session:
         if self.closed:
             return False
         self.closed = True
-        had_txn = False
-        self._prune_dead_txn()
-        if self.txn is not None:
-            had_txn = True
-            self.engine.rollback(self.txn)
-            self.txn = None
+        # Closed first: nothing will fetch them, so the rollback below has
+        # no stream to settle.
         for cursor in self.cursors.values():
             cursor.close()
         self.cursors.clear()
+        had_txn = self.in_transaction
+        self.rollback()
         return had_txn
 
 
@@ -278,4 +156,4 @@ class SessionManager:
             return len(self.sessions)
 
 
-__all__ = ["Session", "SessionManager", "ServerCursor", "DEFAULT_PREFETCH"]
+__all__ = ["Session", "SessionManager", "DEFAULT_PREFETCH"]

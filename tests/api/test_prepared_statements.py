@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro
 from repro import InstantDB, connect
 from repro.query.prepared import StatementCache
 
@@ -57,6 +58,16 @@ class TestExecutemanySemantics:
             # the third row has a bad parameter count
             db.executemany(SQL_INSERT, [(1, "a"), (2, "b"), (3,)])
         assert db.row_count("t") == 0
+
+    def test_a_query_is_refused_by_the_engine_itself(self, db):
+        # one check under both drivers; it used to run the SELECT N times
+        # and return 0 when called at engine level
+        from repro.core.errors import NotSupportedError
+        executed = db.stats.statements_executed
+        for sql in ("SELECT * FROM t", "EXPLAIN SELECT * FROM t"):
+            with pytest.raises(NotSupportedError):
+                db.executemany(sql, [(), ()])
+        assert db.stats.statements_executed == executed
 
     def test_multi_row_values_batch(self, db):
         total = db.executemany("INSERT INTO t VALUES (?, ?), (?, ?)",
@@ -158,13 +169,16 @@ class TestPlanReuse:
         # and crucially not the cached city-level plan's rows
         assert engine.execute(sql, purpose=strict).rows == []
 
-    def test_parameterized_selects_are_not_plan_cached(self, db):
+    def test_parameterized_selects_cache_a_template(self, db):
         db.executemany(SQL_INSERT, [(i, "x") for i in range(5)])
         prepared = db.prepare("SELECT * FROM t WHERE id = ?")
         db.execute("SELECT * FROM t WHERE id = ?", params=(1,))
         db.execute("SELECT * FROM t WHERE id = ?", params=(2,))
-        # bound literals differ per execution: caching would be wrong
-        assert prepared.cached_plan(None, db.catalog.version) is None
+        # bound literals differ per execution: caching them would be wrong,
+        # so the one cached entry keeps the parameter slot, not a value
+        (key, template), = prepared._plans.items()
+        assert key[3] == ("int",)
+        assert repr(template.base.access.key) == "?0"
 
 
 class TestCursorIntegration:
@@ -179,4 +193,18 @@ class TestCursorIntegration:
         assert conn.engine.statements.stats.misses == misses_before + 1
         assert cur.rowcount == 200
         assert conn.engine.row_count("t") == 200
+        conn.close()
+
+    def test_executemany_looks_the_statement_up_once(self):
+        conn = connect()
+        cur = conn.cursor()
+        cur.execute("CREATE TABLE t (id INT PRIMARY KEY, name TEXT)")
+        conn.commit()
+        stats = conn.engine.statements.stats
+        for batch in ([(1, "a"), (2, "b")], [(3, "c")]):
+            lookups = stats.hits + stats.misses
+            cur.executemany(SQL_INSERT, batch)
+            assert stats.hits + stats.misses == lookups + 1
+        with pytest.raises(repro.NotSupportedError):
+            cur.executemany("SELECT * FROM t", [()])
         conn.close()

@@ -88,7 +88,7 @@ class TestInsertAndSelect:
 
     def test_insert_with_column_subset_fills_nulls(self, empty_db):
         empty_db.execute("INSERT INTO person (id, location) VALUES (5, '1 Main Street, Paris')")
-        row = empty_db.visible_rows("person")[0]
+        row = empty_db.execute("SELECT * FROM person").to_dicts()[0]
         from repro.core.values import NULL
         assert row["name"] is NULL
 
@@ -104,10 +104,6 @@ class TestInsertAndSelect:
         empty_db.execute("DECLARE PURPOSE c SET ACCURACY LEVEL city FOR person.location")
         with pytest.raises(UnknownValueError):
             empty_db.execute("SELECT location FROM person", purpose="c")
-
-    def test_query_helper_rejects_non_select(self, empty_db):
-        with pytest.raises(ExecutionError):
-            empty_db.query("INSERT INTO person (id) VALUES (1)")
 
     def test_where_filters(self, populated_db):
         result = populated_db.execute(
@@ -135,14 +131,6 @@ class TestInsertAndSelect:
         result = populated_db.execute("EXPLAIN SELECT * FROM person WHERE user_id = 1")
         plan_text = "\n".join(row[0] for row in result.rows)
         assert "SeqScan" in plan_text
-
-    def test_execute_script(self, empty_db):
-        results = empty_db.execute_script(
-            "INSERT INTO person (id, location) VALUES (1, '1 Main Street, Paris');"
-            "SELECT COUNT(*) AS n FROM person;"
-        )
-        assert results[0] == 1
-        assert results[1].rows[0][0] == 1
 
 
 class TestUpdateDelete:

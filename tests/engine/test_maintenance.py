@@ -56,10 +56,6 @@ class TestIntrospection:
         db.advance_time(hours=2)
         assert db.level_histogram("person", "location") == {1: 2}
 
-    def test_visible_rows_helper(self, db):
-        rows = db.visible_rows("person")
-        assert {row["name"] for row in rows} == {"alice", "bob"}
-
     def test_forensic_image_nonempty_and_shrinks_meaning(self, db):
         image = db.forensic_image()
         assert PARIS.encode() in image

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import InstantDB
-from repro.core.errors import TransactionAborted
+from repro.core.errors import SchemaError, TransactionAborted
 
 from ..conftest import build_engine, derived_state
 
@@ -105,6 +105,29 @@ class TestStatementScope:
             pass
         assert db.transactions.is_active(txn.txn_id)
         db.rollback(txn)
+
+
+    def test_multi_row_insert_is_one_statement_so_one_transaction(self, tmp_path):
+        """Without a caller's transaction a multi-row INSERT used to run one
+        transaction per row: a third row that failed left the first two
+        committed, and a good three-row statement paid three log flushes."""
+        db = build_engine(data_dir=str(tmp_path))
+        empty = derived_state(db, "person")
+        with pytest.raises(SchemaError):
+            db.execute("INSERT INTO person (id, name) "
+                       "VALUES (1, 'a'), (2, 'b'), ('x', 'c')")
+        assert db.execute("SELECT id, name FROM person").rows == []
+        assert derived_state(db, "person") == empty
+        assert recovered_twin(db, tmp_path).execute(
+            "SELECT id, name FROM person").rows == []
+        flushed, begun = db.wal.stats.flushed, db.transactions.stats.begun
+        assert db.execute("INSERT INTO person (id, name) "
+                          "VALUES (1, 'a'), (2, 'b'), (3, 'c')") == 3
+        assert db.wal.stats.flushed == flushed + 1
+        assert db.transactions.stats.begun == begun + 1
+        assert recovered_twin(db, tmp_path).execute(
+            "SELECT id, name FROM person ORDER BY id").rows == \
+            [(1, "a"), (2, "b"), (3, "c")]
 
 
 @pytest.fixture

@@ -1,13 +1,16 @@
 """Plan-cache keys: statistics epoch and parameter shape.
 
-PR-6's two carry-over fixes from the read-path overhaul:
+A prepared statement keeps one bounded template cache behind one accessor
+(``PreparedStatement.plan``), keyed ``(purpose, catalog version, statistics
+epoch, parameter shape)``:
 
-* the prepared-plan cache key includes a **statistics epoch**, so a plan
-  costed before a large stats shift (mass update, degradation wave) is
-  re-planned instead of reused under economics that no longer hold;
-* parameterized SELECTs whose placeholders all sit in the WHERE clause cache
-  a **template plan per parameter shape** and bind values per execution,
-  instead of re-planning on every execute.
+* the **statistics epoch** retires a plan costed before a large stats shift
+  (mass update, degradation wave) instead of reusing it under economics that
+  no longer hold;
+* statements whose placeholders all sit in the WHERE clause cache a
+  **template plan per parameter shape** and bind values per execution,
+  instead of re-planning on every execute; a parameter-free statement is
+  the shape ``()``.
 """
 
 import pytest
@@ -15,8 +18,15 @@ import pytest
 from repro import InstantDB
 from repro.query.compiler import compile_select
 from repro.query.planner import bind_physical_plan
-from repro.query.prepared import PARAM_PLAN_CACHE_SIZE
+from repro.query.prepared import PLAN_CACHE_SIZE
 from repro.query.statistics import EPOCH_MOD_FLOOR
+
+
+def cached(db, prepared, shape=(), purpose=None):
+    """The template cached for the engine's current catalog version and
+    statistics epoch, or ``None`` — a peek that builds nothing."""
+    return prepared._plans.get((purpose, db.catalog.version,
+                                db.statistics.epoch(), shape))
 
 
 @pytest.fixture
@@ -53,18 +63,17 @@ class TestStatisticsEpoch:
         prepared = db.prepare(sql)
         db.execute(sql)
         db.execute(sql)
-        cached = prepared.cached_plan(None, db.catalog.version,
-                                      db.statistics.epoch())
-        assert cached is not None
-        assert cached.base.access.kind == "index_eq"
+        before = cached(db, prepared)
+        assert before is not None
+        assert before.base.access.kind == "index_eq"
         db.execute("UPDATE t SET val = 1")            # NDV 200 -> 1
-        assert prepared.cached_plan(None, db.catalog.version,
-                                    db.statistics.epoch()) is None
+        assert cached(db, prepared) is None
         assert db.execute(sql).rows == [(i,) for i in range(1, 201)]
-        replanned = prepared.cached_plan(None, db.catalog.version,
-                                         db.statistics.epoch())
+        replanned = cached(db, prepared)
         assert replanned is not None
         assert replanned.base.access.kind == "seq"
+        assert list(prepared._plans) == [(None, db.catalog.version,
+                                          db.statistics.epoch(), ())]
 
     def test_recovery_reset_bumps_the_epoch(self, db):
         before = db.statistics.epoch()
@@ -130,66 +139,76 @@ class TestParameterShapePlans:
         prepared = db.prepare(sql)
         db.execute(sql, params=(5,))
         db.execute(sql, params=(5.0,))
-        version, epoch = db.catalog.version, db.statistics.epoch()
-        assert prepared.cached_param_plan(None, version, epoch,
-                                          ("int",)) is not None
-        assert prepared.cached_param_plan(None, version, epoch,
-                                          ("float",)) is not None
+        assert cached(db, prepared, ("int",)) is not None
+        assert cached(db, prepared, ("float",)) is not None
+        assert cached(db, prepared, ("int",)) is not \
+            cached(db, prepared, ("float",))
 
     def test_null_parameter_is_not_template_planned(self, db):
         sql = "SELECT id FROM t WHERE val = ?"
         prepared = db.prepare(sql)
         # NULL predicate semantics (always false) must not ride an index probe
         assert db.execute(sql, params=(None,)).rows == []
-        assert prepared.cached_param_plan(
-            None, db.catalog.version, db.statistics.epoch(),
-            ("NoneType",)) is None
+        assert prepared.plan_shape((None,)) is None
+        assert not prepared._plans
         # and a later non-NULL execution still answers correctly
         assert db.execute(sql, params=(9,)).rows == [(9,)]
 
     def test_non_where_placeholders_are_not_eligible(self, db):
         insert = db.prepare("INSERT INTO t VALUES (?, ?, ?)")
-        assert not insert.placeholders_confined_to_where
-        no_where = db.prepare("SELECT id FROM t")
-        assert not no_where.placeholders_confined_to_where
+        assert insert.plan_shape((1, "g", 1)) is None
+        sql = ("SELECT grp, COUNT(*) AS n FROM t WHERE val > ? GROUP BY grp "
+               "HAVING n > ? ORDER BY grp")
+        having = db.prepare(sql)
+        assert having.plan_shape((100, 10)) is None
+        assert db.execute(sql, params=(100, 10)).rows == \
+            [(f"g{i}", 20) for i in range(5)]
+        assert not having._plans            # bound, then planned from scratch
+        # without placeholders there is nothing to bind: the shape is ()
+        assert db.prepare("SELECT id FROM t").plan_shape(()) == ()
 
     def test_stats_shift_retires_template_plans(self, db):
         sql = "SELECT id FROM t WHERE val = ?"
         prepared = db.prepare(sql)
         db.execute(sql, params=(1,))
-        old = prepared.cached_param_plan(None, db.catalog.version,
-                                         db.statistics.epoch(), ("int",))
+        old = cached(db, prepared, ("int",))
         assert old is not None and old.base.access.kind == "index_eq"
         db.execute("UPDATE t SET val = 1")            # NDV 200 -> 1
         rows = db.execute(sql, params=(1,)).rows
         assert rows == [(i,) for i in range(1, 201)]
-        fresh = prepared.cached_param_plan(None, db.catalog.version,
-                                           db.statistics.epoch(), ("int",))
+        fresh = cached(db, prepared, ("int",))
         assert fresh is not None
         assert fresh.base.access.kind == "seq"
+        assert len(prepared._plans) == 1              # the old epoch's is gone
 
     def test_catalog_change_retires_template_plans(self, db):
         sql = "SELECT id FROM t WHERE grp = ?"
         prepared = db.prepare(sql)
         db.execute(sql, params=("g1",))
-        seq = prepared.cached_param_plan(None, db.catalog.version,
-                                         db.statistics.epoch(), ("str",))
+        seq = cached(db, prepared, ("str",))
         assert seq is not None and seq.base.access.kind == "seq"
         db.execute("CREATE INDEX idx_grp ON t (grp) USING hash")
         rows = db.execute(sql, params=("g1",)).rows
         assert len(rows) == 40
-        indexed = prepared.cached_param_plan(None, db.catalog.version,
-                                             db.statistics.epoch(), ("str",))
+        indexed = cached(db, prepared, ("str",))
         assert indexed is not None
         assert indexed.base.access.kind == "index_eq"
+        assert len(prepared._plans) == 1              # the old version's is gone
 
     def test_template_cache_is_bounded(self, db):
         prepared = db.prepare("SELECT id FROM t WHERE val = ?")
-        plan = db.planner.plan_physical(prepared.statement, None)
-        for index in range(PARAM_PLAN_CACHE_SIZE + 4):
-            prepared.store_param_plan(None, db.catalog.version, 0,
-                                      (f"shape{index}",), plan)
-        assert len(prepared._param_plans) <= PARAM_PLAN_CACHE_SIZE
+        template = db.planner.plan_physical(prepared.statement, None)
+        for index in range(PLAN_CACHE_SIZE + 4):
+            plan, hit = prepared.plan(
+                (None, db.catalog.version, 0, (f"shape{index}",)),
+                lambda: template)
+            assert plan is template and not hit
+        assert len(prepared._plans) == PLAN_CACHE_SIZE
+        # least recently used first: the oldest shapes went, the newest hits
+        assert prepared.plan((None, db.catalog.version, 0,
+                              (f"shape{PLAN_CACHE_SIZE + 3}",)),
+                             lambda: None) == (template, True)
+        assert (None, db.catalog.version, 0, ("shape0",)) not in prepared._plans
 
     def test_interpreted_mode_matches_compiled(self):
         compiled = InstantDB()

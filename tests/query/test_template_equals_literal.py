@@ -1,0 +1,145 @@
+"""Template ≡ literal, on every statement shape the oracles and the benchmark send.
+
+Every SELECT and every UPDATE/DELETE match is served from a cached *template*
+plan (placeholders still in place) with the execution's values bound into a
+copy.  Two engines hold the same seeded scenario data: one runs each statement
+with parameters, through the cache; its twin runs the same statement with the
+values inlined into the text and planned from scratch (its statement cache is
+emptied first).  They must return the same rows and leave the same tables,
+under each purpose, before and after a degradation wave that bumps the
+statistics epoch, in both ``read_path_optimizations`` modes — and the cached
+template must still hold its slots, and no bound value, afterwards.
+
+The statement texts are imported from where they are sent
+(``repro.scenarios.driver`` and ``benchmarks/e2e/workloads.py``), not copied.
+"""
+
+import pytest
+
+from benchmarks.e2e import workloads
+from repro import InstantDB
+from repro.query import ast_nodes as ast
+from repro.query.parameters import placeholder_indexes
+from repro.query.planner import ParamMarker, _flatten_and
+from repro.scenarios import InclusionGenerator, InclusionScenario, OpStream
+
+SCALE = 80
+SEED = 7
+PURPOSES = (None, "casework", "placement", "statistics")
+#: Parameter sets tried per statement text.
+SAMPLES = 3
+
+
+@pytest.fixture(scope="module")
+def statements():
+    """``sql -> [params, …]`` for every SELECT / UPDATE / DELETE text of the
+    scenario op stream and of the benchmark's workloads."""
+    scenario = InclusionScenario(SCALE)
+    stream = OpStream(scenario, seed=SEED, count=400)
+    ops = [(op.sql, tuple(op.params))
+           for op in stream.ops() + stream.epilogue(400) if op.sql]
+    for workload in ("oltp_mixed", "scan_analytic"):
+        sizes = dict(workloads.TINY_SIZES[workload], scale=SCALE, statements=200)
+        for op in workloads.Inputs(workload, sizes, SEED).streams[0]:
+            ops.append((op.sql, tuple(op.params)))
+    ops += [(workloads._POINT_EMPLOYEE, (row,)) for row in (3, 11)]  # lifecycle's probe
+    found = {}
+    for sql, params in ops:
+        if sql.split()[0].upper() in ("SELECT", "UPDATE", "DELETE"):
+            samples = found.setdefault(sql, [])
+            if len(samples) < SAMPLES and params not in samples:
+                samples.append(params)
+    return found
+
+
+def inlined(sql, params):
+    """``sql`` with each ``?`` replaced by its value as a SQL literal."""
+    for value in params:
+        literal = "'" + value.replace("'", "''") + "'" \
+            if isinstance(value, str) else repr(value)
+        sql = sql.replace("?", literal, 1)
+    assert "?" not in sql
+    return sql
+
+
+def loaded_engine(optimized):
+    engine = InstantDB(read_path_optimizations=optimized)
+    scenario = InclusionScenario(SCALE)
+    scenario.install(engine)
+    for batch in InclusionGenerator(scenario, seed=SEED).batches(500):
+        engine.executemany(batch.insert_sql, batch.rows)
+    return engine
+
+
+def tables(engine):
+    return {table: engine.execute(f"SELECT * FROM {table} ORDER BY id").rows
+            for table in engine.tables()}
+
+
+def assert_template_keeps_its_slots(prepared):
+    """Every cached plan is the unbound template: its residual is made of the
+    statement's own WHERE conjuncts (binding builds new nodes), its access
+    paths read ``ParamMarker`` slots, and between them every parameter slot
+    of the WHERE clause is still a slot."""
+    where = prepared.query.where
+    conjuncts = _flatten_and(where) if where is not None else []
+    literals = {node.value for conjunct in conjuncts
+                for node in vars(conjunct).values()
+                if isinstance(node, ast.Literal)}
+    for template in prepared._plans.values():
+        assert template.statement is prepared.query
+        slots = set(placeholder_indexes(template.residual))
+        if template.residual is not None:
+            for part in _flatten_and(template.residual):
+                assert any(part is conjunct for conjunct in conjuncts + [where])
+        for scan in [template.base] + [scan for _clause, scan in template.joins]:
+            for value in (scan.access.key, scan.access.low, scan.access.high):
+                if isinstance(value, ParamMarker):
+                    slots.add(value.index)
+                else:
+                    assert value is None or value in literals
+        assert slots == set(placeholder_indexes(where))
+
+
+@pytest.mark.parametrize("optimized", [True, False],
+                         ids=["compiled", "interpreted"])
+def test_cached_template_answers_like_the_inlined_statement(
+        optimized, statements):
+    templated, literal = loaded_engine(optimized), loaded_engine(optimized)
+    stats = templated.statements.stats
+    served = set()
+    assert {sql.split()[0] for sql in statements} == {"SELECT", "UPDATE", "DELETE"}
+
+    def run_everything():
+        for sql, samples in statements.items():
+            prepared = templated.prepare(sql)
+            for purpose in PURPOSES:
+                for params in samples:
+                    key = (sql, purpose, templated.catalog.version,
+                           templated.statistics.epoch(),
+                           prepared.plan_shape(params))
+                    hits, misses = stats.plan_hits, stats.plan_misses
+                    got = templated.execute(sql, purpose=purpose, params=params)
+                    # a second execution under one key is a cache hit —
+                    # for UPDATE and DELETE too
+                    assert (stats.plan_hits - hits, stats.plan_misses - misses) \
+                        == ((1, 0) if key in served else (0, 1)), (sql, purpose)
+                    served.add(key)
+                    literal.statements.clear()          # planned from scratch
+                    want = literal.execute(inlined(sql, params), purpose=purpose)
+                    if isinstance(got, int):
+                        assert got == want, (sql, params, purpose)
+                    else:
+                        assert got.columns == want.columns
+                        assert got.rows == want.rows, (sql, params, purpose)
+                assert_template_keeps_its_slots(prepared)
+        assert tables(templated) == tables(literal)
+
+    run_everything()
+    epoch = templated.statistics.epoch()
+    for engine in (templated, literal):
+        engine.advance_time(days=20)        # a wave over most of the rows
+    assert templated.stats.degradation_steps_applied > 0
+    assert templated.statistics.epoch() > epoch
+    run_everything()
+    assert literal.statements.stats.plan_hits == 0
