@@ -1,77 +1,132 @@
-"""Expression evaluation: the tree-walking interpreter and the closure compiler.
+"""Row layout and expression evaluation: the interpreter and the closure compiler.
 
-Two ways to evaluate the same AST live here side by side:
+Rows travel through the operator tree as **positional tuples**.  A
+:class:`Layout` fixes, once per plan, which slot holds which column: per table
+of the FROM list its row key, then the columns the query needs of it; a join's
+row is its inputs' rows concatenated.  A column name is bound to its slot when
+the plan is built (:meth:`Layout.slot`), so an unknown or ambiguous name is a
+:class:`BindingError` at ``execute`` — whatever the data — and no name is ever
+looked up per row.
 
-* :func:`evaluate` / :func:`lookup` — the reference tree-walking interpreter.
-  One call re-dispatches on every node of the expression for every row; it is
-  what the engine's ``read_path_optimizations=False`` baseline mode runs and
-  what non-hot paths (aggregation over group members, HAVING) still use.
-* :func:`compile_predicate` / :func:`compile_value` /
-  :func:`compile_projection` — a one-time translation of the AST into nested
-  Python closures.  All per-query decisions (operator dispatch, column-name
-  resolution order, LIKE-pattern regex construction, hash-key normalization
-  for joins) are made **once per plan**; per row only the captured closures
-  run.  :func:`compile_select` bundles the compiled residual predicate,
-  projection and join-key extractors of one physical plan into a
-  :class:`CompiledSelect` that the plan memoizes — a cached prepared-statement
-  plan therefore compiles exactly once, no matter how often it re-executes
-  (the plan cache counts this, ``StatementCacheStats.predicate_compiles`` vs
-  ``predicate_compile_hits``).
+Two ways to evaluate the same AST over such a row live here side by side:
 
-Both paths implement identical semantics: three-valued-ish missing handling
-(any missing operand makes a comparison false), case-insensitive string
-equality, ``sort_key``-ordered inequalities and SQL LIKE.
+* :func:`evaluate` / :func:`lookup` — the reference tree-walking interpreter
+  (``read_path_optimizations=False``).  It re-dispatches on every node for
+  every row and sees a row through the one adapter :meth:`Layout.view`, a
+  name → value dict built from the same layout.
+* :func:`compile_predicate` / :func:`compile_value` — a one-time translation
+  into nested closures that index the row by position.  Operator dispatch,
+  LIKE regexes, constant folding of ``column <op> literal`` and the hash-key
+  normalization of joins are decided **once per plan**.
+
+:func:`compile_select` bundles what one physical plan needs — the pushed
+filter of each scan, the cross-table residual, join-key and group-key
+extractors, the projection or the aggregate's accumulator recipe — into a
+:class:`CompiledSelect` that the plan memoizes: a cached template compiles
+exactly once (``StatementCacheStats.predicate_compiles``).  Both ways implement
+identical semantics: any missing operand makes a comparison false, string
+equality ignores case, inequalities follow ``sort_key``, LIKE is SQL LIKE.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from functools import lru_cache
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import BindingError, ExecutionError, ParameterError
 from ..core.values import NULL, SUPPRESSED, is_missing, sort_key
 from . import ast_nodes as ast
 
-#: A compiled row function: visible row dict in, value (or bool) out.
-RowFn = Callable[[Dict[str, Any]], Any]
+#: A compiled row function: positional row in, value (or bool) out.
+RowFn = Callable[[Sequence[Any]], Any]
 
-#: Sentinel distinguishing "key absent" from a stored None.
-_MISS = object()
+_UNBOUND = ("statement has unbound '?' placeholders; pass params= "
+            "(or use a Cursor) to bind them")
+
+
+# -- row layout ------------------------------------------------------------------
+
+
+class Layout:
+    """Which slot of a plan's positional rows holds which column.
+
+    ``scans`` lists the FROM tables as ``(alias, table, columns)``.  Every
+    slot answers to ``alias.column`` and ``table.column``, and to the plain
+    ``column`` while exactly one table has it; a name two slots answer to is
+    *ambiguous* and binds nowhere.
+    """
+
+    @staticmethod
+    @lru_cache(maxsize=512)
+    def of(scans: Tuple[Tuple[str, str, Tuple[str, ...]], ...]) -> "Layout":
+        """The layout of ``scans`` — shared: a layout is never changed once
+        built, and every plan over the same FROM list and columns has it."""
+        return Layout(scans)
+
+    def __init__(self, scans: Sequence[Tuple[str, str, Sequence[str]]]) -> None:
+        self.slots: Dict[str, int] = {}
+        #: First slot (the row key) of each scan's part of the row.
+        self.offsets: List[int] = []
+        #: Per slot: (scan position, column) — ``None`` for a row-key slot.
+        self.owners: List[Tuple[int, Optional[str]]] = []
+        for position, (alias, table, columns) in enumerate(scans):
+            self.offsets.append(len(self.owners))
+            self.owners.append((position, None))
+            for column in columns:
+                for name in {column, f"{alias}.{column}", f"{table}.{column}"}:
+                    self.slots[name] = -1 if name in self.slots else len(self.owners)
+                self.owners.append((position, column))
+        self.width = len(self.owners)
+
+    def slot(self, ref: ast.ColumnRef) -> int:
+        slot = self.slots.get(ref.qualified)
+        if slot is None:
+            raise BindingError(f"unknown column {ref.qualified!r}")
+        if slot < 0:
+            raise BindingError(f"ambiguous column reference {ref.qualified!r}")
+        return slot
+
+    def extended(self, names: Sequence[str]) -> "Layout":
+        """This layout plus one trailing slot per output column, whose names
+        win over the table columns' (the scope HAVING is evaluated in)."""
+        wider = Layout(())
+        wider.slots = dict(self.slots)
+        wider.slots.update((name, self.width + index)
+                           for index, name in enumerate(names))
+        wider.width = self.width + len(names)
+        return wider
+
+    def view(self, row: Sequence[Any], offset: int = 0) -> Dict[str, Any]:
+        """The interpreter's name → value view of ``row`` (whose first slot is
+        this layout's slot ``offset``)."""
+        last = offset + len(row)
+        return {name: row[slot - offset] for name, slot in self.slots.items()
+                if offset <= slot < last}
 
 
 # -- interpreted evaluation ------------------------------------------------------
 
 
 def lookup(ref: ast.ColumnRef, row: Dict[str, Any]) -> Any:
-    if ref.table is not None:
-        qualified = f"{ref.table}.{ref.column}"
-        if qualified in row:
-            return row[qualified]
-    if ref.column in row:
-        return row[ref.column]
-    if ref.table is None:
-        # Try any qualified match (single unambiguous suffix).
-        matches = [key for key in row if key.endswith(f".{ref.column}")]
-        if len(matches) == 1:
-            return row[matches[0]]
-        if len(matches) > 1:
-            raise BindingError(f"ambiguous column reference {ref.column!r}")
-    raise BindingError(f"unknown column {ref.qualified!r}")
+    try:
+        return row[ref.qualified]
+    except KeyError:
+        raise BindingError(f"unknown column {ref.qualified!r}") from None
 
 
 def evaluate(expression: ast.Expression, row: Dict[str, Any]) -> Any:
     if isinstance(expression, ast.Literal):
         return expression.value
     if isinstance(expression, ast.Placeholder):
-        raise ParameterError(
-            "statement has unbound '?' placeholders; pass params= "
-            "(or use a Cursor) to bind them"
-        )
+        raise ParameterError(_UNBOUND)
     if isinstance(expression, ast.ColumnRef):
         return lookup(expression, row)
     if isinstance(expression, ast.Comparison):
-        return _compare(expression, row)
+        return _compare(expression.operator, evaluate(expression.left, row),
+                        evaluate(expression.right, row))
     if isinstance(expression, ast.InList):
         value = evaluate(expression.operand, row)
         if is_missing(value):
@@ -79,13 +134,9 @@ def evaluate(expression: ast.Expression, row: Dict[str, Any]) -> Any:
         result = any(_equal(value, candidate) for candidate in expression.values)
         return not result if expression.negated else result
     if isinstance(expression, ast.Between):
-        value = evaluate(expression.operand, row)
-        low = evaluate(expression.low, row)
-        high = evaluate(expression.high, row)
-        if is_missing(value) or is_missing(low) or is_missing(high):
-            return False
-        result = sort_key(low) <= sort_key(value) <= sort_key(high)
-        return not result if expression.negated else result
+        return _between(evaluate(expression.operand, row),
+                        evaluate(expression.low, row),
+                        evaluate(expression.high, row), expression.negated)
     if isinstance(expression, ast.IsNull):
         value = evaluate(expression.operand, row)
         result = value is NULL or value is None or value is SUPPRESSED
@@ -103,30 +154,32 @@ def evaluate(expression: ast.Expression, row: Dict[str, Any]) -> Any:
     raise ExecutionError(f"cannot evaluate expression {expression!r}")
 
 
-def _compare(comparison: ast.Comparison, row: Dict[str, Any]) -> bool:
-    left = evaluate(comparison.left, row)
-    right = evaluate(comparison.right, row)
-    operator = comparison.operator
-    if operator == "LIKE":
-        if is_missing(left) or is_missing(right):
-            return False
-        return _like(str(left), str(right))
+_ORDERINGS = {"<": operator.lt, "<=": operator.le,
+              ">": operator.gt, ">=": operator.ge}
+
+
+def _compare(operator_: str, left: Any, right: Any) -> bool:
+    """``left <operator_> right`` — the one definition both paths share."""
     if is_missing(left) or is_missing(right):
         return False
-    if operator == "=":
+    if operator_ == "=":
         return _equal(left, right)
-    if operator == "!=":
+    if operator_ == "!=":
         return not _equal(left, right)
-    left_key, right_key = sort_key(left), sort_key(right)
-    if operator == "<":
-        return left_key < right_key
-    if operator == "<=":
-        return left_key <= right_key
-    if operator == ">":
-        return left_key > right_key
-    if operator == ">=":
-        return left_key >= right_key
-    raise ExecutionError(f"unsupported comparison operator {operator!r}")
+    if operator_ == "LIKE":
+        return _like_pattern(str(right)).match(str(left)) is not None
+    try:
+        return _ORDERINGS[operator_](sort_key(left), sort_key(right))
+    except KeyError:
+        raise ExecutionError(
+            f"unsupported comparison operator {operator_!r}") from None
+
+
+def _between(value: Any, low: Any, high: Any, negated: bool) -> bool:
+    if is_missing(value) or is_missing(low) or is_missing(high):
+        return False
+    result = sort_key(low) <= sort_key(value) <= sort_key(high)
+    return not result if negated else result
 
 
 def _truthy(value: Any) -> bool:
@@ -156,6 +209,7 @@ _LIKE_CACHE: Dict[str, re.Pattern] = {}
 
 
 def _like_pattern(pattern: str) -> re.Pattern:
+    """SQL LIKE with ``%`` and ``_`` wildcards (case-insensitive) as a regex."""
     compiled = _LIKE_CACHE.get(pattern)
     if compiled is None:
         parts = []
@@ -171,9 +225,31 @@ def _like_pattern(pattern: str) -> re.Pattern:
     return compiled
 
 
-def _like(value: str, pattern: str) -> bool:
-    """SQL LIKE with ``%`` and ``_`` wildcards (case-insensitive)."""
-    return _like_pattern(pattern).match(value) is not None
+def collect_refs(expression: ast.Expression,
+                 out: List[ast.ColumnRef]) -> List[ast.ColumnRef]:
+    """Gather every column reference in an expression tree into ``out``."""
+    if isinstance(expression, ast.ColumnRef):
+        out.append(expression)
+    elif isinstance(expression, ast.Comparison):
+        collect_refs(expression.left, out)
+        collect_refs(expression.right, out)
+    elif isinstance(expression, ast.InList):
+        collect_refs(expression.operand, out)
+    elif isinstance(expression, ast.Between):
+        collect_refs(expression.operand, out)
+        collect_refs(expression.low, out)
+        collect_refs(expression.high, out)
+    elif isinstance(expression, ast.IsNull):
+        collect_refs(expression.operand, out)
+    elif isinstance(expression, ast.BooleanOp):
+        for operand in expression.operands:
+            collect_refs(operand, out)
+    elif isinstance(expression, ast.Not):
+        collect_refs(expression.operand, out)
+    elif isinstance(expression, ast.Aggregate):
+        if expression.argument is not None:
+            out.append(expression.argument)
+    return out
 
 
 def render_expression(expression: ast.Expression) -> str:
@@ -211,158 +287,94 @@ def render_expression(expression: ast.Expression) -> str:
 
 # -- closure compilation ---------------------------------------------------------
 
-
-def compile_lookup(ref: ast.ColumnRef) -> RowFn:
-    """Column access with the name-resolution order decided at compile time."""
-    column = ref.column
-    if ref.table is not None:
-        qualified = f"{ref.table}.{column}"
-
-        def qualified_fn(row: Dict[str, Any]) -> Any:
-            value = row.get(qualified, _MISS)
-            if value is not _MISS:
-                return value
-            value = row.get(column, _MISS)
-            if value is not _MISS:
-                return value
-            raise BindingError(f"unknown column {qualified!r}")
-
-        return qualified_fn
-    suffix = f".{column}"
-
-    def bare_fn(row: Dict[str, Any]) -> Any:
-        value = row.get(column, _MISS)
-        if value is not _MISS:
-            return value
-        matches = [key for key in row if key.endswith(suffix)]
-        if len(matches) == 1:
-            return row[matches[0]]
-        if len(matches) > 1:
-            raise BindingError(f"ambiguous column reference {column!r}")
-        raise BindingError(f"unknown column {column!r}")
-
-    return bare_fn
+#: Maps a column reference to the slot a closure reads it from.
+Resolver = Callable[[ast.ColumnRef], int]
 
 
-def _raise_unbound(row: Dict[str, Any]) -> Any:
-    raise ParameterError(
-        "statement has unbound '?' placeholders; pass params= "
-        "(or use a Cursor) to bind them"
-    )
+def _raiser(error: Exception) -> RowFn:
+    def fail(row: Sequence[Any]) -> Any:
+        raise error
+    return fail
 
 
-def compile_value(expression: ast.Expression) -> RowFn:
+def compile_value(expression: ast.Expression, slot_of: Resolver) -> RowFn:
     """Compile an expression to a closure returning its value per row."""
     if isinstance(expression, ast.Literal):
         value = expression.value
         return lambda row: value
     if isinstance(expression, ast.Placeholder):
-        return _raise_unbound
+        return _raiser(ParameterError(_UNBOUND))
     if isinstance(expression, ast.ColumnRef):
-        return compile_lookup(expression)
+        return operator.itemgetter(slot_of(expression))
     if isinstance(expression, (ast.Comparison, ast.InList, ast.Between,
                                ast.IsNull, ast.BooleanOp, ast.Not)):
-        return compile_predicate(expression)
+        return compile_predicate(expression, slot_of)
     if isinstance(expression, ast.Aggregate):
-        name = expression.display_name
-
-        def aggregate_misuse(row: Dict[str, Any]) -> Any:
-            raise BindingError(
-                f"aggregate {name} used outside an aggregate query"
-            )
-
-        return aggregate_misuse
-
-    def unsupported(row: Dict[str, Any]) -> Any:
-        raise ExecutionError(f"cannot evaluate expression {expression!r}")
-
-    return unsupported
+        return _raiser(BindingError(
+            f"aggregate {expression.display_name} used outside an aggregate query"))
+    return _raiser(ExecutionError(f"cannot evaluate expression {expression!r}"))
 
 
-def _compile_comparison(comparison: ast.Comparison) -> RowFn:
-    left = compile_value(comparison.left)
-    right = compile_value(comparison.right)
-    operator = comparison.operator
-    if operator == "LIKE":
-        if isinstance(comparison.right, ast.Literal) \
-                and isinstance(comparison.right.value, str):
-            # The regex is built once per plan, not once per row.
-            pattern = _like_pattern(comparison.right.value)
+def _compile_comparison(comparison: ast.Comparison, slot_of: Resolver) -> RowFn:
+    left = compile_value(comparison.left, slot_of)
+    right = compile_value(comparison.right, slot_of)
+    operator_ = comparison.operator
+    constant = comparison.right.value \
+        if isinstance(comparison.right, ast.Literal) else None
+    if constant is not None and isinstance(comparison.left, ast.ColumnRef):
+        # ``column <op> literal``: the literal's side of the comparison is
+        # folded now — its regex, its case-folded text or its place in the
+        # ``sort_key`` order — and the common type takes a shortcut that
+        # gives exactly what :func:`_compare` would.
+        if operator_ == "LIKE" and type(constant) is str:
+            match = _like_pattern(constant).match
+            return lambda row: not is_missing(value := left(row)) and \
+                match(str(value)) is not None
+        if operator_ in ("=", "!=") and type(constant) is str:
+            folded, negated = constant.lower(), operator_ == "!="
 
-            def like_literal(row: Dict[str, Any]) -> bool:
+            def text_equality(row: Sequence[Any]) -> bool:
                 value = left(row)
-                if is_missing(value):
-                    return False
-                return pattern.match(str(value)) is not None
+                if type(value) is str:
+                    return (value.lower() == folded) != negated
+                return _compare(operator_, value, constant)
 
-            return like_literal
+            return text_equality
+        if type(constant) in (int, float) and operator_ in ("=", "!=", *_ORDERINGS):
+            test = {"=": operator.eq, "!=": operator.ne, **_ORDERINGS}[operator_]
+            number = float(constant)
 
-        def like_dynamic(row: Dict[str, Any]) -> bool:
-            value, pattern_value = left(row), right(row)
-            if is_missing(value) or is_missing(pattern_value):
-                return False
-            return _like(str(value), str(pattern_value))
+            def numeric(row: Sequence[Any]) -> bool:
+                value = left(row)
+                if type(value) is int or type(value) is float:
+                    return test(float(value), number)
+                return _compare(operator_, value, constant)
 
-        return like_dynamic
-    if operator == "=":
-        def eq(row: Dict[str, Any]) -> bool:
-            lv, rv = left(row), right(row)
-            if is_missing(lv) or is_missing(rv):
-                return False
-            return _equal(lv, rv)
-        return eq
-    if operator == "!=":
-        def ne(row: Dict[str, Any]) -> bool:
-            lv, rv = left(row), right(row)
-            if is_missing(lv) or is_missing(rv):
-                return False
-            return not _equal(lv, rv)
-        return ne
-    if operator == "<":
-        def lt(row: Dict[str, Any]) -> bool:
-            lv, rv = left(row), right(row)
-            if is_missing(lv) or is_missing(rv):
-                return False
-            return sort_key(lv) < sort_key(rv)
-        return lt
-    if operator == "<=":
-        def le(row: Dict[str, Any]) -> bool:
-            lv, rv = left(row), right(row)
-            if is_missing(lv) or is_missing(rv):
-                return False
-            return sort_key(lv) <= sort_key(rv)
-        return le
-    if operator == ">":
-        def gt(row: Dict[str, Any]) -> bool:
-            lv, rv = left(row), right(row)
-            if is_missing(lv) or is_missing(rv):
-                return False
-            return sort_key(lv) > sort_key(rv)
-        return gt
-    if operator == ">=":
-        def ge(row: Dict[str, Any]) -> bool:
-            lv, rv = left(row), right(row)
-            if is_missing(lv) or is_missing(rv):
-                return False
-            return sort_key(lv) >= sort_key(rv)
-        return ge
-
-    def unsupported(row: Dict[str, Any]) -> bool:
-        raise ExecutionError(f"unsupported comparison operator {operator!r}")
-
-    return unsupported
+            return numeric
+    return lambda row: _compare(operator_, left(row), right(row))
 
 
-def compile_predicate(expression: ast.Expression) -> RowFn:
+def all_of(tests: Sequence[RowFn]) -> Optional[RowFn]:
+    """The conjunction of truth functions, short-circuiting in their order
+    (``None`` for none): a chain of two-way closures, no loop per row."""
+    if not tests:
+        return None
+    *heads, chain = tests
+    for head in reversed(heads):
+        chain = (lambda a, b: lambda row: a(row) and b(row))(head, chain)
+    return chain
+
+
+def compile_predicate(expression: ast.Expression, slot_of: Resolver) -> RowFn:
     """Compile an expression to a closure returning a truth value per row."""
     if isinstance(expression, ast.Comparison):
-        return _compile_comparison(expression)
+        return _compile_comparison(expression, slot_of)
     if isinstance(expression, ast.InList):
-        operand = compile_value(expression.operand)
+        operand = compile_value(expression.operand, slot_of)
         candidates = expression.values
         negated = expression.negated
 
-        def in_list(row: Dict[str, Any]) -> bool:
+        def in_list(row: Sequence[Any]) -> bool:
             value = operand(row)
             if is_missing(value):
                 return False
@@ -371,96 +383,73 @@ def compile_predicate(expression: ast.Expression) -> RowFn:
 
         return in_list
     if isinstance(expression, ast.Between):
-        operand = compile_value(expression.operand)
-        low = compile_value(expression.low)
-        high = compile_value(expression.high)
+        operand = compile_value(expression.operand, slot_of)
+        low = compile_value(expression.low, slot_of)
+        high = compile_value(expression.high, slot_of)
         negated = expression.negated
-
-        def between(row: Dict[str, Any]) -> bool:
-            value = operand(row)
-            low_value, high_value = low(row), high(row)
-            if is_missing(value) or is_missing(low_value) or is_missing(high_value):
-                return False
-            result = sort_key(low_value) <= sort_key(value) <= sort_key(high_value)
-            return not result if negated else result
-
-        return between
+        return lambda row: _between(operand(row), low(row), high(row), negated)
     if isinstance(expression, ast.IsNull):
-        operand = compile_value(expression.operand)
+        operand = compile_value(expression.operand, slot_of)
         negated = expression.negated
 
-        def is_null(row: Dict[str, Any]) -> bool:
+        def is_null(row: Sequence[Any]) -> bool:
             value = operand(row)
             result = value is NULL or value is None or value is SUPPRESSED
             return not result if negated else result
 
         return is_null
     if isinstance(expression, ast.BooleanOp):
-        operands = tuple(compile_predicate(op) for op in expression.operands)
+        operands = [compile_predicate(op, slot_of) for op in expression.operands]
         if expression.operator == "AND":
-            def conjunction(row: Dict[str, Any]) -> bool:
-                for fn in operands:
-                    if not _truthy(fn(row)):
-                        return False
-                return True
-            return conjunction
-
-        def disjunction(row: Dict[str, Any]) -> bool:
-            for fn in operands:
-                if _truthy(fn(row)):
-                    return True
-            return False
-
-        return disjunction
+            return all_of(operands)
+        *heads, chain = operands
+        for head in reversed(heads):
+            chain = (lambda a, b: lambda row: a(row) or b(row))(head, chain)
+        return chain
     if isinstance(expression, ast.Not):
-        operand = compile_predicate(expression.operand)
-        return lambda row: not _truthy(operand(row))
-    value_fn = compile_value(expression)
+        operand = compile_predicate(expression.operand, slot_of)
+        return lambda row: not operand(row)
+    value_fn = compile_value(expression, slot_of)
     return lambda row: _truthy(value_fn(row))
 
 
-def compile_projection(expressions: List[ast.Expression]) -> RowFn:
+def compile_projection(expressions: Sequence[ast.Expression],
+                       slot_of: Resolver) -> RowFn:
     """Compile a SELECT list into one closure producing the output tuple."""
-    fns = tuple(compile_value(expression) for expression in expressions)
+    if len(expressions) > 1 and \
+            all(isinstance(expression, ast.ColumnRef) for expression in expressions):
+        return operator.itemgetter(*map(slot_of, expressions))
+    fns = tuple(compile_value(expression, slot_of) for expression in expressions)
     if len(fns) == 1:
         single = fns[0]
         return lambda row: (single(row),)
     return lambda row: tuple(fn(row) for fn in fns)
 
 
-def compile_join_key(ref: ast.ColumnRef) -> RowFn:
-    """Join-key extractor with the hash normalization baked in.
+def hash_key(slot: int) -> RowFn:
+    """Join / group key extractor with the hash normalization baked in:
+    strings fold case, unhashable degraded values (lists, dicts) are
+    converted once per row, an int is its own key."""
+    def key(row: Sequence[Any]) -> Any:
+        value = row[slot]
+        kind = type(value)
+        return value if kind is int else value.lower() if kind is str \
+            else _hashable(value)
+    return key
 
-    ``_hashable`` used to run on every probe row inside the join loop; here
-    it is part of the compiled extractor, so list/dict-typed degraded values
-    are normalized exactly once per row with no per-probe type dispatch.
-    """
-    lookup_fn = compile_lookup(ref)
-    return lambda row: _hashable(lookup_fn(row))
+
+def compile_truth(expression: ast.Expression, layout: Layout, mode: str,
+                  offset: int = 0) -> RowFn:
+    """Truth function of ``expression`` over rows whose first slot is
+    ``layout``'s slot ``offset`` (a scan's own rows start at its offset)."""
+    if mode == "compiled":
+        return compile_predicate(expression,
+                                 lambda ref: layout.slot(ref) - offset)
+    view = layout.view
+    return lambda row: _truthy(evaluate(expression, view(row, offset)))
 
 
 # -- whole-plan compilation -------------------------------------------------------
-
-
-def output_items(catalog: Any, statement: ast.Select,
-                 plan: Any) -> List[Tuple[str, ast.Expression]]:
-    """Resolve the SELECT list into (output name, expression) pairs."""
-    items: List[Tuple[str, ast.Expression]] = []
-    for item in statement.items:
-        if isinstance(item, ast.Star):
-            schema = catalog.table(plan.base.table).schema
-            for column in schema.columns:
-                items.append((column.name, ast.ColumnRef(column=column.name,
-                                                         table=plan.base.alias)))
-            for _clause, scan in plan.joins:
-                join_schema = catalog.table(scan.table).schema
-                for column in join_schema.columns:
-                    items.append((f"{scan.alias}.{column.name}",
-                                  ast.ColumnRef(column=column.name,
-                                                table=scan.alias)))
-        else:
-            items.append((item.output_name, item.expression))
-    return items
 
 
 @dataclass
@@ -468,125 +457,129 @@ class CompiledSelect:
     """Per-plan compiled artifacts (memoized on the :class:`PhysicalPlan`)."""
 
     mode: str
+    layout: Layout
     columns: List[str]
     items: List[Tuple[str, ast.Expression]]
-    #: Output-tuple builder; ``None`` for aggregate queries (the Aggregate
-    #: operator evaluates per group, not per row).
+    #: Output-tuple builder; ``None`` for aggregate queries.
     project: Optional[RowFn]
-    #: Residual-predicate truth function; ``None`` when nothing is residual.
+    #: Per scan (base first): truth function of its pushed filter over the
+    #: scan's own rows, or ``None``.
+    filters: List[Optional[RowFn]]
+    #: Per scan: what its row reader decodes and when (:func:`read_spec`).
+    reads: List[Tuple]
+    #: Truth function of the cross-table residual; ``None`` when nothing is.
     residual: Optional[RowFn]
-    #: Per join clause: (left-row key fn, right-row key fn), orientation
-    #: already resolved against the joined table.
+    #: Per join clause: (left-row key fn, right-row key fn).
     join_keys: List[Tuple[RowFn, RowFn]]
+    #: Aggregate queries: ``(group key fn, per output item its value fn over
+    #: the group's first row or its ``(function, argument fn, distinct)``
+    #: accumulator recipe, HAVING truth fn over first row + output values)``.
+    aggregate: Optional[Tuple[RowFn, List[Any], Optional[RowFn]]] = None
     #: Trailing entries of ``items``/``columns`` that exist only to carry
     #: ORDER BY keys absent from the SELECT list; Sort/TopN strip them and
     #: the result exposes ``columns[:-hidden]``.
     hidden: int = 0
 
 
-def _resolve_join_refs(clause: ast.JoinClause,
-                       scan: Any) -> Tuple[ast.ColumnRef, ast.ColumnRef]:
-    """Orient the ON clause: which side belongs to the joined (right) table."""
-    left_key, right_key = clause.left, clause.right
-
-    def belongs_to_right(ref: ast.ColumnRef) -> bool:
-        return ref.table in (scan.alias, scan.table)
-
-    if belongs_to_right(left_key) and not belongs_to_right(right_key):
-        left_key, right_key = right_key, left_key
-    return left_key, right_key
-
-
-def _hidden_order_items(statement: ast.Select,
-                        items: List[Tuple[str, ast.Expression]]
-                        ) -> List[Tuple[str, ast.Expression]]:
-    """ORDER BY columns absent from the SELECT list, as trailing hidden items.
-
-    ``SELECT name FROM t ORDER BY age`` must compute the sort key even though
-    it is not part of the result; Sort/TopN locate keys by output position, so
-    the missing references ride along as extra trailing projection items
-    (``CompiledSelect.hidden`` counts them, Sort/TopN strip them).  Aggregate
-    queries may only hoist grouping columns — any other reference is ambiguous
-    within a group and keeps raising the binding error downstream.
-    """
-    if not statement.order_by:
-        return []
-    names = {name for name, _expression in items}
-    allowed = None
-    if statement.is_aggregate:
-        allowed = set()
-        for ref in statement.group_by:
-            allowed.add(ref.column)
-            allowed.add(ref.qualified)
-    extra: List[Tuple[str, ast.Expression]] = []
-    for item in statement.order_by:
-        ref = item.column
-        if ref.column in names or ref.qualified in names:
-            continue
-        if allowed is not None and ref.column not in allowed \
-                and ref.qualified not in allowed:
-            continue
-        extra.append((ref.qualified, ref))
-        names.add(ref.qualified)
-    return extra
+def read_spec(catalog: Any, scan: Any, columns: Sequence[str]) -> Tuple:
+    """What the store's row reader is asked for ``scan`` — the arguments of
+    :meth:`~repro.storage.degradable_store.TableStore.row_reader` that no
+    execution changes: ``columns`` with their slots; the ones to decode
+    *first* because a pushed test reads them (the filter's, the join column
+    the build side's keys are matched on, the index-range guard's — all of
+    them when nothing is tested); the level each degradable column of the
+    table must be computable at (the exclusion rule); per degradable column
+    read its demanded level and generalization scheme."""
+    schema = catalog.table(scan.table).schema
+    early = {ref.column for ref in collect_refs(scan.filter, [])}
+    if scan.probe_key is not None and scan.access.kind != "index_keys":
+        early.add(scan.probe_key)
+    if scan.access.kind == "index_range":
+        early.add(scan.access.column)
+    caps, schemes = [], {}
+    for column in schema.degradable_columns():
+        level = scan.demanded_levels.get(column.name, 0)
+        if level is not None:
+            caps.append((column.name, level))
+        if column.name in columns:
+            schemes[column.name] = (level, catalog.registry.domain(column.domain))
+    return (tuple((name, slot) for slot, name in enumerate(columns, 1)),
+            frozenset(early or columns), tuple(caps), schemes)
 
 
 def compile_select(catalog: Any, plan: Any,
                    mode: str = "compiled") -> CompiledSelect:
-    """Compile a physical plan's row-at-a-time work into closures.
+    """Fix the slot layout of ``plan`` and compile its row-at-a-time work.
 
     ``mode="interpreted"`` produces closures that defer to the tree-walking
     interpreter per row — the measured baseline the compiled mode is compared
-    against (``InstantDB(read_path_optimizations=False)``).
+    against (``InstantDB(read_path_optimizations=False)``).  Key extraction —
+    a positional fetch either way — is the same in both modes.
     """
     statement = plan.statement
-    if statement.is_aggregate:
-        items: List[Tuple[str, ast.Expression]] = []
-        for item in statement.items:
-            if isinstance(item, ast.Star):
-                raise BindingError("SELECT * cannot be combined with aggregation")
-            items.append((item.output_name, item.expression))
+    scans = plan.scans
+    columns_of = [scan.needed_columns if scan.needed_columns is not None
+                  else tuple(catalog.table(scan.table).schema.column_names())
+                  for scan in scans]
+    layout = Layout.of(tuple((scan.alias, scan.table, columns)
+                             for scan, columns in zip(scans, columns_of)))
+    if mode == "compiled":
+        def value_fn(expression: ast.Expression, scope: Layout = layout) -> RowFn:
+            return compile_value(expression, scope.slot)
     else:
-        items = output_items(catalog, statement, plan)
-    hidden_items = _hidden_order_items(statement, items)
-    if hidden_items:
-        items = items + hidden_items
-    if statement.is_aggregate:
-        project: Optional[RowFn] = None
-    else:
-        expressions = [expression for _name, expression in items]
-        if mode == "compiled":
-            project = compile_projection(expressions)
-        else:
-            project = (lambda exprs: lambda row: tuple(
-                evaluate(expression, row) for expression in exprs))(expressions)
+        def value_fn(expression: ast.Expression, scope: Layout = layout) -> RowFn:
+            return lambda row: evaluate(expression, scope.view(row))
+    items = plan.items
     columns = [name for name, _expression in items]
-    residual: Optional[RowFn] = None
-    if plan.residual is not None:
-        if mode == "compiled":
-            residual = compile_predicate(plan.residual)
+    project = aggregate = None
+    if statement.is_aggregate:
+        recipes: List[Any] = []
+        for _name, expression in items:
+            if isinstance(expression, ast.Aggregate):
+                argument = None if expression.argument is None \
+                    else operator.itemgetter(layout.slot(expression.argument))
+                recipes.append((expression.function.upper(), argument,
+                                expression.distinct))
+            else:
+                recipes.append(value_fn(expression))
+        keys = [hash_key(layout.slot(ref)) for ref in statement.group_by]
+        if len(keys) == 1:
+            only, = keys
+            group_key = lambda row: (only(row),)
         else:
-            residual = (lambda predicate: lambda row: _truthy(
-                evaluate(predicate, row)))(plan.residual)
-    join_keys: List[Tuple[RowFn, RowFn]] = []
-    for clause, scan in plan.joins:
-        left_ref, right_ref = _resolve_join_refs(clause, scan)
-        if mode == "compiled":
-            join_keys.append((compile_join_key(left_ref),
-                              compile_join_key(right_ref)))
-        else:
-            join_keys.append((
-                (lambda ref: lambda row: _hashable(lookup(ref, row)))(left_ref),
-                (lambda ref: lambda row: _hashable(lookup(ref, row)))(right_ref),
-            ))
-    return CompiledSelect(mode=mode, columns=columns, items=items,
-                          project=project, residual=residual,
-                          join_keys=join_keys, hidden=len(hidden_items))
+            group_key = lambda row: tuple([key(row) for key in keys])
+        having = None
+        if statement.having is not None:
+            scope = layout.extended(columns)
+            test = value_fn(statement.having, scope)
+            having = lambda row: _truthy(test(row))
+        aggregate = (group_key, recipes, having)
+    elif mode == "compiled":
+        project = compile_projection([expression for _name, expression in items],
+                                     layout.slot)
+    else:
+        fns = [value_fn(expression) for _name, expression in items]
+        project = lambda row: tuple(fn(row) for fn in fns)
+    filters = [None if scan.filter is None
+               else compile_truth(scan.filter, layout, mode, offset)
+               for scan, offset in zip(scans, layout.offsets)]
+    residual = None if plan.residual is None \
+        else compile_truth(plan.residual, layout, mode)
+    join_keys = [
+        (hash_key(layout.slot(left)),
+         hash_key(layout.slot(right) - layout.offsets[position]))
+        for position, (left, right) in enumerate(plan.join_refs, 1)]
+    return CompiledSelect(mode=mode, layout=layout, columns=columns, items=items,
+                          project=project, filters=filters, residual=residual,
+                          reads=[read_spec(catalog, scan, columns)
+                                 for scan, columns in zip(scans, columns_of)],
+                          join_keys=join_keys, aggregate=aggregate,
+                          hidden=plan.hidden)
 
 
 __all__ = [
-    "RowFn", "CompiledSelect", "compile_select",
-    "compile_predicate", "compile_value", "compile_projection",
-    "compile_join_key", "compile_lookup",
-    "output_items", "evaluate", "lookup", "render_expression",
+    "RowFn", "Layout", "CompiledSelect", "compile_select", "compile_truth",
+    "read_spec", "collect_refs", "all_of",
+    "compile_predicate", "compile_value", "compile_projection", "hash_key",
+    "evaluate", "lookup", "render_expression",
 ]

@@ -144,8 +144,8 @@ class Executor:
         pushdown too.
         """
         store = self.stores(plan.base.table)
-        return [store.read(visible[ROW_KEY_FIELD])
-                for visible in self.match_pipeline(plan)]
+        return [store.read(row[ROW_KEY_FIELD])
+                for row in self.match_pipeline(plan)]
 
 
 class _Exhausted:

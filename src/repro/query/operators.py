@@ -3,24 +3,26 @@
 The read path is a tree of pull-based operators: every operator is an iterator
 over rows and pulls from its children on demand, so ``LIMIT k`` stops the
 whole pipeline after ``k`` rows and a cursor's ``fetchone`` materializes no
-more than what was fetched.  The degradation-specific parts of the paper live
-in the scans (``σ_{P,k}`` / ``π_{*,k}``: rows are degraded to the demanded
-accuracy levels *before* predicates see them, and tuples whose stored state
-cannot compute a demanded level are excluded); everything downstream is a
-conventional iterator engine:
+more than what was fetched.  Rows are **positional tuples** in the slot layout
+the plan's :class:`~repro.query.compiler.Layout` fixed; no operator looks a
+name up.  The degradation-specific parts of the paper live in the scans
+(``σ_{P,k}`` / ``π_{*,k}``: a row is first excluded, or degraded to the
+demanded accuracy levels, *then* predicates see it); everything downstream is
+a conventional iterator engine:
 
-* :class:`SeqScan` / :class:`IndexScan` — produce the degraded *visible* rows
-  of one table, either by heap scan or through the access path the planner
-  chose (hash/B+-tree/bitmap equality, B+-tree range, GT-index level probe);
-  both decode only the columns the planner proved the query touches;
+* :class:`SeqScan` / :class:`IndexScan` — produce the degraded rows of one
+  table that pass the scan's **pushed filter**, by heap scan or through the
+  access path the planner chose.  The store reads page runs: the level rule
+  on the record header first, then only the filter's columns, then — for the
+  survivors — the other columns the query needs;
 * :class:`IndexOnlyScan` — answers a covering query from GT/B+-tree index
   entries alone, never touching the heap;
-* :class:`Filter` — evaluates only the **residual** predicate, i.e. the
-  conjuncts the access path does not already guarantee, through the plan's
-  compiled closure (one compile per plan, not one tree-walk per row);
-* :class:`HashJoin` — builds a hash table on the estimated-smaller input and
-  streams the other, with compiled key extractors;
-* :class:`Project` / :class:`Aggregate` — projection and grouped aggregation;
+* :class:`Filter` — evaluates the cross-table **residual** above the joins;
+* :class:`HashJoin` — builds a hash table on the estimated-smaller input,
+  ends at once when it is empty, and hands the other input — when that is a
+  scan — the build side's keys to fetch by;
+* :class:`Project` / :class:`Aggregate` — projection and streaming grouped
+  aggregation (per-group accumulators, no row kept but each group's first);
 * :class:`TopN` — ``ORDER BY ... LIMIT n`` with a bounded heap of ``n`` rows
   instead of a full sort;
 * :class:`Sort` / :class:`Limit` — full ordering and early-exit truncation.
@@ -28,13 +30,15 @@ conventional iterator engine:
 Every operator counts the rows it produced in :class:`OperatorStats`, which is
 what ``EXPLAIN ANALYZE`` renders (alongside the planner's row estimates) and
 what tests/benchmarks use to prove that ``LIMIT k`` pulls only O(k) rows past
-the scan.
+the scan.  Nothing an operator learns from rows — hash tables, groups, the
+scan's generalization memo — outlives its ``rows()`` generator.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import partial
 from typing import (
     Any,
     Callable,
@@ -49,26 +53,19 @@ from typing import (
 from ..core.errors import BindingError, ExecutionError
 from ..core.values import NULL, is_missing, sort_key
 from ..index.gt_index import GTIndex
-from ..storage.degradable_store import StoredRow, TableStore
+from ..storage.degradable_store import TableStore
 from . import ast_nodes as ast
 from .catalog import Catalog
-from .compiler import (
-    RowFn,
-    _hashable,
-    _resolve_join_refs,
-    _truthy,
-    evaluate,
-    lookup,
-    output_items,
-    render_expression,
-)
+from .compiler import RowFn, all_of, hash_key, render_expression
 from .planner import AccessPath, PhysicalPlan, TableScanPlan
 
 #: Callable giving the pipeline access to a table's storage manager.
 StoreProvider = Callable[[str], TableStore]
 
-#: Key under which the logical row key is exposed in visible rows.
-ROW_KEY_FIELD = "__row_key__"
+#: Slot of a scan's rows that holds the logical row key.
+ROW_KEY_FIELD = 0
+
+_MISS = object()
 
 
 # -- operator infrastructure ----------------------------------------------------
@@ -146,121 +143,100 @@ class Operator:
 
 
 class _ScanBase(Operator):
-    """Common visible-row machinery of the table scans.
+    """Common machinery of the table scans.
 
-    A scan yields *visible* rows: dictionaries keyed by plain, alias-qualified
-    and table-qualified column names, with degradable values generalized to
-    the accuracy level the purpose demands and rows excluded when a demanded
-    level is not computable from the stored state.
-
-    All per-query decisions — which columns to materialize, their visible-row
-    key names, generalization schemes, demanded levels — are resolved once at
-    operator construction; the per-row loop only moves values.
+    A scan yields rows ``(row key, needed column, ...)`` — degradable values
+    generalized to the accuracy level the purpose demands, rows excluded when
+    a demanded level is not computable from the stored state, rows dropped
+    when the pushed filter (or the hash join this scan is the probe side of)
+    rejects them.  All per-query decisions — which columns to decode first
+    and which only for survivors, generalization schemes, demanded levels —
+    are resolved once at operator construction; per execution only the row
+    reader (:meth:`TableStore.row_reader`) is built.
     """
 
-    def __init__(self, runtime: PipelineRuntime, scan: TableScanPlan) -> None:
+    def __init__(self, runtime: PipelineRuntime, scan: TableScanPlan,
+                 filter_fn: Optional[RowFn], spec: Tuple) -> None:
         super().__init__()
         self.runtime = runtime
         self.scan = scan
-        self.rows_excluded_not_computable = 0
-        schema = runtime.catalog.table(scan.table).schema
-        needed = None if scan.needed_columns is None else set(scan.needed_columns)
-        #: Columns whose stored accuracy can exclude the row: (name, demanded).
-        self._exclusions: List[Tuple[str, int]] = []
-        for column in schema.degradable_columns():
-            demanded = scan.demanded_levels.get(column.name, 0)
-            if demanded is not None:
-                self._exclusions.append((column.name, demanded))
-        #: Per materialized column: (name, visible keys, demanded, scheme).
-        self._specs: List[Tuple[str, Tuple[str, ...], Optional[int], Any]] = []
-        qualified = scan.qualified_keys or scan.needed_columns is None
-        for column in schema.columns:
-            if needed is not None and column.name not in needed:
-                continue
-            keys = [column.name]
-            if qualified:
-                keys.append(f"{scan.alias}.{column.name}")
-                if scan.alias != scan.table:
-                    keys.append(f"{scan.table}.{column.name}")
-            demanded = scan.demanded_levels.get(column.name) if column.degradable \
-                else None
-            scheme = runtime.catalog.scheme_for(scan.table, column.name) \
-                if column.degradable else None
-            self._specs.append((column.name, tuple(keys), demanded, scheme))
-        self._columns: Optional[frozenset] = None if needed is None \
-            else frozenset(needed)
+        self.filter_fn = filter_fn
+        #: What to decode and when (:func:`~repro.query.compiler.read_spec`).
+        self.spec = spec
+        #: Rows whose header was examined, and those of them the level rule
+        #: excluded (the store counts both as it hands rows out);
+        #: ``stats.rows_out`` counts the ones that also passed the filter.
+        self.examined = 0
+        self.excluded = 0
+        #: The build side's hash table while this scan is a join's probe side.
+        self.build_keys: Optional[Dict[Any, Any]] = None
+
+    @property
+    def rows_excluded_not_computable(self) -> int:
+        return self.excluded
 
     def describe(self) -> str:
         return self.scan.describe()
 
-    def _candidates(self) -> Tuple[Iterator[StoredRow], Sequence[Tuple[str, int]]]:
-        """The stored rows to consider, and the exclusions still to be
-        checked on each (those the access path has not applied itself)."""
+    def explain_lines(self, analyze: bool = False, indent: int = 0) -> List[str]:
+        lines = super().explain_lines(analyze, indent)
+        if analyze:
+            lines[0] += f" (examined={self.examined} excluded={self.excluded})"
+        return lines
+
+    def _reader(self, store: TableStore) -> Callable:
+        """This execution's row reader, its pushed tests cheapest first:
+        build-side membership, index-range sentinel guard, the filter."""
+        tests: List[RowFn] = []
+        scan = self.scan
+        if self.build_keys is not None and scan.access.kind != "index_keys":
+            key = hash_key(dict(self.spec[0])[scan.probe_key])
+            keys = self.build_keys
+            tests.append(lambda row: key(row) in keys)
+        if scan.access.kind == "index_range":
+            # The B+-tree orders sentinels (NULL/SUPPRESSED) past every real
+            # value, so an open upper bound would admit them; the range
+            # conjuncts were dropped from the filter, so guard them here.
+            slot = dict(self.spec[0])[scan.access.column]
+            tests.append(lambda row: not is_missing(row[slot]))
+        if self.filter_fn is not None:
+            tests.append(self.filter_fn)
+        return store.row_reader(*self.spec, all_of(tests))
+
+    def _rows(self, store: TableStore, reader: Callable) -> Iterator[Tuple[Any, ...]]:
         raise NotImplementedError
 
-    def _count_excluded(self, count: int) -> None:
-        stats = self.runtime.stats
-        stats.rows_scanned += count
-        stats.rows_excluded_not_computable += count
-        self.rows_excluded_not_computable += count
-
-    def rows(self) -> Iterator[Dict[str, Any]]:
-        stats = self.runtime.stats
-        specs = self._specs
-        candidates, exclusions = self._candidates()
-        for row in candidates:
-            levels = row.levels
-            excluded = False
-            for name, demanded in exclusions:
-                if levels[name] > demanded:
-                    excluded = True
-                    break
-            if excluded:
-                self._count_excluded(1)
-                continue
-            stats.rows_scanned += 1
-            values = row.values
-            visible: Dict[str, Any] = {ROW_KEY_FIELD: row.row_key}
-            for name, keys, demanded, scheme in specs:
-                value = values[name]
-                if demanded is not None:
-                    stored_level = levels[name]
-                    if stored_level < demanded and not is_missing(value):
-                        value = scheme.generalize(value, demanded,
-                                                  from_level=stored_level)
-                for key in keys:
-                    visible[key] = value
-            yield visible
+    def __iter__(self) -> Iterator[Tuple[Any, ...]]:
+        store = self.runtime.stores(self.scan.table)
+        own = self.stats
+        examined, excluded = self.examined, self.excluded
+        try:
+            for row in self._rows(store, self._reader(store)):
+                own.rows_out += 1
+                yield row
+        finally:
+            # The engine-wide counters hear of a scan when it ends (the
+            # operator's own are exact at every row).
+            stats = self.runtime.stats
+            stats.rows_scanned += self.examined - examined
+            stats.rows_excluded_not_computable += self.excluded - excluded
 
 
 class SeqScan(_ScanBase):
     label = "SeqScan"
 
-    def _candidates(self) -> Tuple[Iterator[StoredRow], Sequence[Tuple[str, int]]]:
-        # The store applies the exclusions itself, on the record header: a
-        # row this purpose cannot see is counted and never value-decoded.
+    def _rows(self, store: TableStore, reader: Callable) -> Iterator[Tuple[Any, ...]]:
         self.runtime.stats.seq_scans += 1
-        store = self.runtime.stores(self.scan.table)
-        return store.scan(self._columns, self._exclusions,
-                          self._count_excluded), ()
+        return store.scan(reader=reader, tally=self)
 
 
 class IndexScan(_ScanBase):
     label = "IndexScan"
 
-    def _candidates(self) -> Tuple[Iterator[StoredRow], Sequence[Tuple[str, int]]]:
+    def _rows(self, store: TableStore, reader: Callable) -> Iterator[Tuple[Any, ...]]:
         self.runtime.stats.index_lookups += 1
-        access = self.scan.access
-        store = self.runtime.stores(self.scan.table)
-        candidates = store.fetch(self._candidate_keys(access), self._columns)
-        if access.kind == "index_range":
-            # The B+-tree orders sentinels (NULL/SUPPRESSED) past every real
-            # value, so an open upper bound would admit them; the residual
-            # range conjuncts were dropped, so guard missing values here.
-            column = access.column
-            candidates = (row for row in candidates
-                          if not is_missing(row.values[column]))
-        return candidates, self._exclusions
+        return store.fetch(self._candidate_keys(self.scan.access),
+                           reader=reader, tally=self)
 
     def _candidate_keys(self, access: AccessPath) -> Iterator[int]:
         """Stream candidate row keys from the index.
@@ -272,6 +248,9 @@ class IndexScan(_ScanBase):
         index = access.index.index
         if access.kind == "index_eq":
             return iter(index.search(access.key))
+        if access.kind == "index_keys":
+            search = index.search
+            return (row_key for key in self.build_keys for row_key in search(key))
         if access.kind == "index_range":
             if hasattr(index, "iter_range_keys"):
                 return index.iter_range_keys(access.low, access.high,
@@ -290,7 +269,7 @@ class IndexScan(_ScanBase):
 
 
 class IndexOnlyScan(Operator):
-    """Covering scan: visible rows come from index entries, never the heap.
+    """Covering scan: rows come from index entries, never the heap.
 
     Eligible when the planner proved the chosen GT/B+-tree index covers every
     column the query needs at its accuracy level
@@ -302,16 +281,13 @@ class IndexOnlyScan(Operator):
 
     label = "IndexOnlyScan"
 
-    def __init__(self, runtime: PipelineRuntime, scan: TableScanPlan) -> None:
+    def __init__(self, runtime: PipelineRuntime, scan: TableScanPlan,
+                 filter_fn: Optional[RowFn], spec: Optional[Tuple] = None) -> None:
+        # ``spec`` (what a record reader would decode) is unused: none runs.
         super().__init__()
         self.runtime = runtime
         self.scan = scan
-        keys = [scan.access.column]
-        if scan.qualified_keys or scan.needed_columns is None:
-            keys.append(f"{scan.alias}.{scan.access.column}")
-            if scan.alias != scan.table:
-                keys.append(f"{scan.table}.{scan.access.column}")
-        self._keys = tuple(keys)
+        self.filter_fn = filter_fn
 
     def describe(self) -> str:
         return self.scan.describe()
@@ -335,43 +311,39 @@ class IndexOnlyScan(Operator):
         raise ExecutionError(
             f"access path {access.kind!r} cannot run index-only")
 
-    def rows(self) -> Iterator[Dict[str, Any]]:
+    def rows(self) -> Iterator[Tuple[Any, ...]]:
         stats = self.runtime.stats
         stats.index_lookups += 1
         stats.index_only_scans += 1
         store = self.runtime.stores(self.scan.table)
-        keys = self._keys
+        filter_fn = self.filter_fn
+        bare = not self.scan.needed_columns     # e.g. COUNT(*): the key only
         for value, row_key in self._entries():
-            if not store.exists(row_key):
-                continue
-            visible: Dict[str, Any] = {ROW_KEY_FIELD: row_key}
-            for key in keys:
-                visible[key] = value
-            yield visible
+            row = (row_key,) if bare else (row_key, value)
+            if store.exists(row_key) and (filter_fn is None or filter_fn(row)):
+                yield row
 
 
-def make_scan(runtime: PipelineRuntime, scan: TableScanPlan) -> Operator:
-    if scan.access.kind == "seq":
-        return SeqScan(runtime, scan)
-    if scan.index_only:
-        return IndexOnlyScan(runtime, scan)
-    return IndexScan(runtime, scan)
+def make_scan(runtime: PipelineRuntime, scan: TableScanPlan,
+              filter_fn: Optional[RowFn], spec: Tuple) -> Operator:
+    kind = SeqScan if scan.access.kind == "seq" else \
+        IndexOnlyScan if scan.index_only else IndexScan
+    operator = kind(runtime, scan, filter_fn, spec)
+    operator.estimated_rows = scan.estimated_rows
+    return operator
 
 
 # -- filter / join --------------------------------------------------------------
 
 
 class Filter(Operator):
-    """Evaluates the residual predicate (conjuncts the access path left over).
-
-    ``predicate_fn`` is the plan's compiled closure; without one (operator
-    built outside a compiled plan) the tree-walking interpreter is used.
-    """
+    """Evaluates the residual predicate — what no single scan could decide —
+    through the plan's truth function (compiled or interpreted)."""
 
     label = "Filter"
 
     def __init__(self, child: Operator, predicate: ast.Expression,
-                 predicate_fn: Optional[RowFn] = None) -> None:
+                 predicate_fn: RowFn) -> None:
         super().__init__((child,))
         self.predicate = predicate
         self.predicate_fn = predicate_fn
@@ -379,131 +351,92 @@ class Filter(Operator):
     def describe(self) -> str:
         return f"Filter ({render_expression(self.predicate)})"
 
-    def rows(self) -> Iterator[Dict[str, Any]]:
-        predicate_fn = self.predicate_fn
-        if predicate_fn is None:
-            predicate = self.predicate
-            predicate_fn = lambda row: _truthy(evaluate(predicate, row))
-        for row in self.children[0]:
-            if predicate_fn(row):
-                yield row
+    def rows(self) -> Iterator[Tuple[Any, ...]]:
+        return filter(self.predicate_fn, self.children[0])
 
 
 class HashJoin(Operator):
-    """Equi-join: build a hash table on one input, stream the other.
+    """Equi-join: build a hash table on one input, stream the other; a
+    joined row is the left row followed by the right row.
 
-    The build side defaults to the right (joined) input; the planner flips it
-    to the left when statistics say the left is smaller
-    (``scan.build_left``).  Key extraction runs through the plan's compiled
-    closures, which bake in the hash normalization (``_hashable``) — degraded
-    values of unhashable shapes (lists, dicts) are converted once per row, not
-    re-dispatched per probe.
+    The build side defaults to the right (joined) input; the planner flips
+    an inner join to the left when that is estimated smaller
+    (``scan.build_left``).  An inner join whose build side turns out empty
+    ends without opening the other input; otherwise, when the other input is
+    a scan the planner made the probe side (``probe``), it is handed the hash
+    table and produces only rows whose join column is among its keys —
+    fetched through an index, or tested before the rest of the row is
+    decoded.  Key extraction bakes in the hash normalization (``_hashable``).
     """
 
     label = "HashJoin"
 
-    def __init__(self, runtime: PipelineRuntime, left: Operator, right: Operator,
-                 clause: ast.JoinClause, right_scan: TableScanPlan,
-                 key_fns: Optional[Tuple[RowFn, RowFn]] = None) -> None:
+    def __init__(self, left: Operator, right: Operator, clause: ast.JoinClause,
+                 right_scan: TableScanPlan, key_fns: Tuple[RowFn, RowFn],
+                 probe: Optional[_ScanBase], pad: Tuple[Any, ...]) -> None:
         super().__init__((left, right))
-        self.runtime = runtime
         self.clause = clause
         self.right_scan = right_scan
         self.key_fns = key_fns
+        self.probe = probe
+        #: What a LEFT JOIN appends to a left row without a match.
+        self.pad = pad
 
     def describe(self) -> str:
         clause = self.clause
         build = "build=left" if self.right_scan.build_left else "build=right"
+        probe = "stream" if self.probe is None else \
+            f"index {self.probe.scan.access.index.name}" \
+            if self.probe.scan.access.kind == "index_keys" else "scan filter"
         return (f"HashJoin ({clause.kind} {self.right_scan.table} on "
-                f"{clause.left.qualified} = {clause.right.qualified}, {build})")
+                f"{clause.left.qualified} = {clause.right.qualified}, {build}, "
+                f"probe={probe})")
 
-    def _pad_columns(self) -> List[str]:
-        """Right-side column keys for LEFT JOIN NULL padding.
-
-        Derived from the catalog schema, not from an arbitrary right row, so
-        an empty right table still pads every column it would have produced
-        (restricted to the pruned column set when the planner computed one).
-        """
-        scan = self.right_scan
-        schema = self.runtime.catalog.table(scan.table).schema
-        needed = None if scan.needed_columns is None else set(scan.needed_columns)
-        keys: List[str] = []
-        for column in schema.columns:
-            if needed is not None and column.name not in needed:
-                continue
-            keys.append(column.name)
-            keys.append(f"{scan.alias}.{column.name}")
-            if scan.alias != scan.table:
-                keys.append(f"{scan.table}.{column.name}")
-        return keys
-
-    def _resolve_key_fns(self) -> Tuple[RowFn, RowFn]:
-        if self.key_fns is not None:
-            return self.key_fns
-        left_key, right_key = _resolve_join_refs(self.clause, self.right_scan)
-        return (lambda row: _hashable(lookup(left_key, row)),
-                lambda row: _hashable(lookup(right_key, row)))
-
-    def rows(self) -> Iterator[Dict[str, Any]]:
-        clause = self.clause
-        left_fn, right_fn = self._resolve_key_fns()
-        if self.right_scan.build_left and clause.kind == "inner":
-            yield from self._rows_build_left(left_fn, right_fn)
+    def rows(self) -> Iterator[Tuple[Any, ...]]:
+        left, right = self.children
+        left_key, right_key = self.key_fns
+        inner = self.clause.kind == "inner"
+        build_left = inner and self.right_scan.build_left
+        build: Dict[Any, List[Tuple[Any, ...]]] = {}
+        build_key = left_key if build_left else right_key
+        for row in left if build_left else right:
+            build.setdefault(build_key(row), []).append(row)
+        if inner and not build:
             return
-        build: Dict[Any, List[Dict[str, Any]]] = {}
-        for right_row in self.children[1]:
-            build.setdefault(right_fn(right_row), []).append(right_row)
-        pad_columns = self._pad_columns() if clause.kind == "left" else []
-        for left_row in self.children[0]:
-            matches = build.get(left_fn(left_row), [])
-            if matches:
-                for right_row in matches:
-                    merged = dict(left_row)
-                    merged.update({k: v for k, v in right_row.items()
-                                   if k != ROW_KEY_FIELD})
-                    yield merged
-            elif clause.kind == "left":
-                merged = dict(left_row)
-                merged.update({key: NULL for key in pad_columns})
-                yield merged
-
-    def _rows_build_left(self, left_fn: RowFn,
-                         right_fn: RowFn) -> Iterator[Dict[str, Any]]:
-        """Inner join with the hash table on the (smaller) left input."""
-        build: Dict[Any, List[Dict[str, Any]]] = {}
-        for left_row in self.children[0]:
-            build.setdefault(left_fn(left_row), []).append(left_row)
-        for right_row in self.children[1]:
-            matches = build.get(right_fn(right_row))
-            if not matches:
-                continue
-            right_items = {k: v for k, v in right_row.items()
-                           if k != ROW_KEY_FIELD}
-            for left_row in matches:
-                merged = dict(left_row)
-                merged.update(right_items)
-                yield merged
+        try:
+            if self.probe is not None:
+                self.probe.build_keys = build
+            if build_left:
+                for right_row in right:
+                    for left_row in build.get(right_key(right_row), ()):
+                        yield left_row + right_row
+                return
+            pad = None if inner else self.pad
+            for left_row in left:
+                matches = build.get(left_key(left_row))
+                if matches:
+                    for right_row in matches:
+                        yield left_row + right_row
+                elif pad is not None:
+                    yield left_row + pad
+        finally:
+            if self.probe is not None:
+                self.probe.build_keys = None
 
 
 # -- projection / aggregation ----------------------------------------------------
 
 
 class Project(Operator):
-    """Evaluates the output expressions, turning row dicts into value tuples.
-
-    ``project_fn`` is the plan's compiled whole-tuple builder; without one the
-    expressions are interpreted per row.
-    """
+    """Evaluates the output expressions through ``project_fn``, the plan's
+    whole-tuple builder: layout rows in, output tuples out."""
 
     label = "Project"
 
-    def __init__(self, child: Operator,
-                 items: List[Tuple[str, ast.Expression]],
-                 project_fn: Optional[RowFn] = None,
+    def __init__(self, child: Operator, columns: List[str], project_fn: RowFn,
                  hidden: int = 0) -> None:
         super().__init__((child,))
-        self.items = items
-        self.columns = [name for name, _expr in items]
+        self.columns = columns
         self.project_fn = project_fn
         #: Trailing hidden sort-key items (not part of the visible output;
         #: Sort/TopN strip them downstream, EXPLAIN omits them).
@@ -514,26 +447,67 @@ class Project(Operator):
         return f"Project ({', '.join(visible)})"
 
     def rows(self) -> Iterator[Tuple[Any, ...]]:
-        project_fn = self.project_fn
-        if project_fn is None:
-            items = self.items
-            project_fn = lambda row: tuple(evaluate(expr, row)
-                                           for _name, expr in items)
-        for row in self.children[0]:
-            yield project_fn(row)
+        return map(self.project_fn, self.children[0])
+
+
+class _Accumulator:
+    """Running state of one aggregate over one group: counts and sums, the
+    extreme so far, the distinct values seen — never a row."""
+
+    __slots__ = ("function", "count", "total", "numeric", "best", "seen")
+
+    def __init__(self, function: str, distinct: bool) -> None:
+        self.function = function
+        self.count = self.total = self.numeric = 0
+        self.best: Any = _MISS
+        self.seen: Optional[List[Any]] = [] if distinct else None
+
+    def add(self, value: Any) -> None:
+        if is_missing(value):
+            return
+        if self.seen is not None:
+            if value in self.seen:
+                return
+            self.seen.append(value)
+        self.count += 1
+        function = self.function
+        if function in ("SUM", "AVG"):
+            if type(value) is int or type(value) is float:
+                self.total += value
+                self.numeric += 1
+        elif function == "MIN":
+            if self.best is _MISS or sort_key(value) < sort_key(self.best):
+                self.best = value
+        elif function == "MAX":
+            if self.best is _MISS or sort_key(value) > sort_key(self.best):
+                self.best = value
+
+    def result(self) -> Any:
+        function = self.function
+        if function == "COUNT":
+            return self.count
+        if function == "SUM":
+            return self.total if self.numeric else NULL
+        if function == "AVG":
+            return self.total / self.numeric if self.numeric else NULL
+        if function in ("MIN", "MAX"):
+            return NULL if self.best is _MISS else self.best
+        raise ExecutionError(f"unsupported aggregate {function}")
 
 
 class Aggregate(Operator):
-    """Blocking grouped aggregation with HAVING."""
+    """Streaming grouped aggregation with HAVING: per group its first row and
+    one accumulator per aggregate — the input is never held."""
 
     label = "Aggregate"
 
-    def __init__(self, child: Operator, statement: ast.Select,
-                 items: List[Tuple[str, ast.Expression]]) -> None:
+    def __init__(self, child: Operator, statement: ast.Select, columns: List[str],
+                 recipe: Tuple[RowFn, List[Any], Optional[RowFn]], width: int) -> None:
         super().__init__((child,))
         self.statement = statement
-        self.items = items
-        self.columns = [name for name, _expr in items]
+        self.columns = columns
+        self.recipe = recipe
+        self.width = width
 
     def describe(self) -> str:
         groups = ", ".join(ref.qualified for ref in self.statement.group_by)
@@ -541,59 +515,40 @@ class Aggregate(Operator):
         return f"Aggregate ({', '.join(self.columns)}){suffix}"
 
     def rows(self) -> Iterator[Tuple[Any, ...]]:
-        statement = self.statement
-        group_columns = list(statement.group_by)
-        groups: Dict[Tuple[Any, ...], List[Dict[str, Any]]] = {}
+        key_fn, items, having = self.recipe
+        recipes = [item for item in items if isinstance(item, tuple)]
+        #: COUNT(*) bumps a counter in place; the others are fed a value.
+        starred = [position for position, (_function, argument, distinct)
+                   in enumerate(recipes) if argument is None and not distinct]
+        fed = [(position, argument) for position, (_function, argument, _distinct)
+               in enumerate(recipes) if position not in starred]
+        #: group key → its accumulators, then its first row
+        groups: Dict[Tuple[Any, ...], List[Any]] = {}
+
+        def open_group(key: Tuple[Any, ...], first: Sequence[Any]) -> List[Any]:
+            group = groups[key] = [_Accumulator(function, distinct)
+                                   for function, _argument, distinct in recipes]
+            group.append(first)
+            return group
+
         for row in self.children[0]:
-            key = tuple(_hashable(lookup(ref, row)) for ref in group_columns)
-            groups.setdefault(key, []).append(row)
-        if not group_columns and not groups:
-            groups[()] = []
-        columns = self.columns
-        for key, members in sorted(groups.items(),
-                                   key=lambda kv: tuple(sort_key(v) for v in kv[0])):
-            representative = members[0] if members else {}
-            values = []
-            for _name, expression in self.items:
-                if isinstance(expression, ast.Aggregate):
-                    values.append(_compute_aggregate(expression, members))
-                else:
-                    values.append(evaluate(expression, representative))
-            if statement.having is not None:
-                scope = dict(representative)
-                scope.update(dict(zip(columns, values)))
-                if not _truthy(evaluate(statement.having, scope)):
-                    continue
-            yield tuple(values)
-
-
-def _compute_aggregate(aggregate: ast.Aggregate,
-                       rows: List[Dict[str, Any]]) -> Any:
-    function = aggregate.function.upper()
-    if aggregate.argument is None:
-        values: List[Any] = [1 for _ in rows]
-    else:
-        values = [lookup(aggregate.argument, row) for row in rows]
-        values = [value for value in values if not is_missing(value)]
-    if aggregate.distinct:
-        seen = []
-        for value in values:
-            if value not in seen:
-                seen.append(value)
-        values = seen
-    if function == "COUNT":
-        return len(values)
-    numeric = [value for value in values if isinstance(value, (int, float))
-               and not isinstance(value, bool)]
-    if function == "SUM":
-        return sum(numeric) if numeric else NULL
-    if function == "AVG":
-        return sum(numeric) / len(numeric) if numeric else NULL
-    if function == "MIN":
-        return min(values, key=sort_key) if values else NULL
-    if function == "MAX":
-        return max(values, key=sort_key) if values else NULL
-    raise ExecutionError(f"unsupported aggregate {function}")
+            key = key_fn(row)
+            group = groups.get(key)
+            if group is None:
+                group = open_group(key, row)
+            for position in starred:
+                group[position].count += 1
+            for position, argument in fed:
+                group[position].add(1 if argument is None else argument(row))
+        if not groups and not self.statement.group_by:
+            open_group((), (NULL,) * self.width)
+        for _key, (*accumulators, first) in sorted(
+                groups.items(), key=lambda kv: tuple(sort_key(v) for v in kv[0])):
+            results = iter(accumulators)
+            values = tuple(next(results).result() if isinstance(item, tuple)
+                           else item(first) for item in items)
+            if having is None or having(tuple(first) + values):
+                yield values
 
 
 # -- ordering / limiting ---------------------------------------------------------
@@ -757,38 +712,40 @@ def build_pipeline(runtime: PipelineRuntime,
 
     Operators carry per-execution state (iterators, counters), so a cached
     :class:`~repro.query.planner.PhysicalPlan` is re-instantiated cheaply for
-    every run while the planning work (accuracy binding, access-path choice,
-    residual split, column pruning, expression compilation) is done once.
+    every run while the planning work (name and accuracy binding, access-path
+    choice, filter placement, join strategy, expression compilation) is done
+    once.
     """
     compiled = plan.ensure_compiled(runtime.catalog, runtime.compile_mode)
     statement = plan.statement
     stats_registry = getattr(runtime.catalog, "statistics", None)
-    root: Operator = make_scan(runtime, plan.base)
-    root.estimated_rows = plan.base.estimated_rows
+    root, *rights = map(partial(make_scan, runtime),
+                        plan.scans, compiled.filters, compiled.reads)
     running = plan.base.estimated_rows
-    for (clause, scan), key_fns in zip(plan.joins, compiled.join_keys):
-        right = make_scan(runtime, scan)
-        right.estimated_rows = scan.estimated_rows
-        root = HashJoin(runtime, root, right, clause, scan, key_fns=key_fns)
+    offsets = compiled.layout.offsets + [compiled.layout.width]
+    for position, ((clause, scan), right, key_fns) in enumerate(
+            zip(plan.joins, rights, compiled.join_keys), 1):
+        probe = right if scan.build_left else root
+        if not (isinstance(probe, _ScanBase) and probe.scan.probe_key):
+            probe = None
+        pad = (None,) + (NULL,) * (offsets[position + 1] - offsets[position] - 1)
+        root = HashJoin(root, right, clause, scan, key_fns, probe, pad)
         running = scan.join_estimated_rows    # planner's running chain
         root.estimated_rows = running
     if plan.residual is not None:
-        root = Filter(root, plan.residual, predicate_fn=compiled.residual)
+        root = Filter(root, plan.residual, compiled.residual)
         if running is not None:
             running *= plan.residual_selectivity
         root.estimated_rows = running
-    if statement.is_aggregate:
-        items = compiled.items
-        root = Aggregate(root, statement, items)
-        columns = compiled.columns
+    columns = compiled.columns
+    if compiled.aggregate is not None:
+        root = Aggregate(root, statement, columns, compiled.aggregate,
+                         compiled.layout.width)
         root.estimated_rows = _estimate_groups(statement, plan, stats_registry,
                                                running)
         running = root.estimated_rows
     else:
-        items = compiled.items
-        columns = compiled.columns
-        root = Project(root, items, project_fn=compiled.project,
-                       hidden=compiled.hidden)
+        root = Project(root, columns, compiled.project, hidden=compiled.hidden)
         root.estimated_rows = running
     hidden = compiled.hidden
     if statement.order_by:
@@ -831,11 +788,12 @@ def _estimate_groups(statement: ast.Select, plan: PhysicalPlan,
 
 def build_match_pipeline(runtime: PipelineRuntime,
                          plan: PhysicalPlan) -> Operator:
-    """Scan + residual filter only: the row-matching pipeline DML uses."""
+    """Scan + residual filter only: the row-matching pipeline DML uses (its
+    rows start with the row key, :data:`ROW_KEY_FIELD`)."""
     compiled = plan.ensure_compiled(runtime.catalog, runtime.compile_mode)
-    root: Operator = make_scan(runtime, plan.base)
+    root = make_scan(runtime, plan.base, compiled.filters[0], compiled.reads[0])
     if plan.residual is not None:
-        root = Filter(root, plan.residual, predicate_fn=compiled.residual)
+        root = Filter(root, plan.residual, compiled.residual)
     return root
 
 
@@ -864,6 +822,6 @@ __all__ = [
     "Operator", "OperatorStats", "PipelineRuntime", "SeqScan", "IndexScan",
     "IndexOnlyScan", "Filter", "HashJoin", "Project", "Aggregate", "Sort",
     "TopN", "Limit", "StreamingResult", "build_pipeline",
-    "build_match_pipeline", "make_scan", "output_items", "evaluate", "lookup",
-    "render_expression", "ROW_KEY_FIELD", "StoreProvider",
+    "build_match_pipeline", "make_scan", "render_expression", "ROW_KEY_FIELD",
+    "StoreProvider",
 ]

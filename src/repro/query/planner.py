@@ -13,38 +13,44 @@ usual access-path choice:
 
 The physical step (:meth:`Planner.plan_physical`) additionally:
 
-* splits the WHERE clause into the conjuncts the chosen access path already
-  guarantees and the **residual** predicate the executor still has to
-  evaluate per row;
+* **binds** every column reference against the schemas of the FROM list, so
+  an unknown or ambiguous name fails when the plan is built, and from the
+  bound references computes the columns each scan must decode;
+* **puts each WHERE conjunct where its column is first decoded**: a conjunct
+  whose references all resolve to one table goes into that table's scan —
+  the left table of any join, the right table of an *inner* join only (a
+  LEFT JOIN's right-side conjuncts must see the NULL padding) — minus what
+  the chosen access path already guarantees; the rest is the cross-table
+  **residual** evaluated above the joins.  Without read-path optimizations
+  nothing is pushed: the full WHERE stays above the joins (the reference
+  the differential oracle compares pushdown against);
 * **costs** the candidate access paths against a sequential scan when the
-  catalog carries table statistics (:mod:`repro.query.statistics`) — an
-  indexed-but-unselective predicate is planned as a sequential scan instead
-  of a probe that fetches most of the heap anyway;
-* computes the set of columns the query actually touches (projection +
-  residual + join keys + ORDER BY/GROUP BY/HAVING) and threads it into each
-  :class:`TableScanPlan`, so the store decodes only those columns;
+  catalog carries table statistics (:mod:`repro.query.statistics`);
 * marks a scan **index-only** when the chosen GT/B+-tree index entries cover
-  every needed column at the query's accuracy level — the executor then
-  skips the heap fetch entirely;
-* estimates per-scan output rows and the residual's selectivity (rendered by
-  EXPLAIN, used to pick the hash-join build side).
+  every needed column at the query's accuracy level;
+* estimates each scan *after* its filter, builds an inner join's hash table
+  on the smaller filtered side and fetches the other side by the build
+  side's keys — through an index on its join column when the cost model
+  says so, else as a membership test pushed into its scan.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
+from ..core.errors import BindingError
 from ..core.policy import Purpose
+from ..core.values import ValueType
 from . import ast_nodes as ast
 from .catalog import Catalog, IndexInfo
 from .compiler import (
     CompiledSelect,
-    _truthy,
-    compile_predicate,
+    Layout,
+    collect_refs,
     compile_select,
-    evaluate,
+    compile_truth,
+    render_expression,
 )
 from .parameters import bind_expression
 from .statistics import DEFAULT_SELECTIVITY
@@ -90,7 +96,9 @@ def _has_marker(*values: Any) -> bool:
 class AccessPath:
     """How the executor obtains candidate rows of one table."""
 
-    kind: str                       # "seq", "index_eq", "index_range", "gt_level"
+    #: "seq", "index_eq", "index_range", "gt_level" or "index_keys" (an
+    #: equality probe per key of the hash join's build side).
+    kind: str
     column: Optional[str] = None
     index: Optional[IndexInfo] = None
     key: Any = None
@@ -111,6 +119,8 @@ class AccessPath:
         if self.kind == "gt_level":
             return (f"GTIndexScan({self.index.name} {self.column}={self.key!r} "
                     f"@level {self.level})")
+        if self.kind == "index_keys":
+            return f"IndexScan({self.index.name} {self.column} in build keys)"
         return self.kind
 
 
@@ -123,19 +133,22 @@ class TableScanPlan:
     access: AccessPath
     demanded_levels: Dict[str, int] = field(default_factory=dict)
     #: Columns the query touches on this table (``None`` = all, e.g. for
-    #: ``SELECT *``); the store decodes only these.
+    #: ``SELECT *``); the store decodes only these, and they are the scan's
+    #: part of the plan's row layout.
     needed_columns: Optional[Tuple[str, ...]] = None
-    #: Emit alias/table-qualified key names in visible rows.  Only needed
-    #: when the query actually writes qualified references (or joins, where
-    #: plain names can collide across tables); plain-only rows halve the
-    #: per-row dict work.
-    qualified_keys: bool = True
+    #: The WHERE conjuncts evaluated inside this scan, on the row degraded
+    #: to the demanded levels, before the rest of the row is decoded.
+    filter: Optional[ast.Expression] = None
+    #: This scan is the probe side of an inner hash join: only rows whose
+    #: ``probe_key`` column is among the build side's keys are produced.
+    probe_key: Optional[str] = None
     #: The chosen index covers every needed column: skip the heap fetch.
     index_only: bool = False
-    #: Estimated rows this scan produces (``None`` without statistics).
+    #: Estimated rows this scan produces, after its filter (``None``
+    #: without statistics).
     estimated_rows: Optional[float] = None
     #: For join-side scans of an inner join: build the hash table on the
-    #: *left* (streamed) input because it is estimated smaller.
+    #: *left* input because it is estimated smaller.
     build_left: bool = False
     #: For join-side scans: estimated rows out of the join that consumes
     #: this scan (the planner's running chain, rendered by EXPLAIN).
@@ -148,27 +161,34 @@ class TableScanPlan:
         if self.index_only:
             _name, _sep, detail = access.partition("(")
             access = f"IndexOnlyScan({detail}" if detail else "IndexOnlyScan"
-        return f"{access} on {self.table} as {self.alias}{accuracy}"
+        pushed = ""
+        if self.probe_key is not None and self.access.kind != "index_keys":
+            pushed += f" probe ({self.probe_key} in build keys)"
+        if self.filter is not None:
+            rendered = render_expression(self.filter)
+            pushed += f" filter {rendered}" if rendered.startswith("(") \
+                else f" filter ({rendered})"
+        return f"{access} on {self.table} as {self.alias}{accuracy}{pushed}"
 
 
 @dataclass
 class PhysicalPlan:
-    """Physical plan of a SELECT: scans plus the residual predicate.
+    """Physical plan of a SELECT: scans, each with its pushed filter, plus the
+    cross-table residual.
 
-    ``residual`` is what remains of the WHERE clause after removing the
-    conjuncts the base access path already guarantees (``None`` when nothing
-    is left).  With joins the full WHERE clause stays residual — it is
-    evaluated after the joins, where unqualified column references may bind to
-    join-side columns.  This object is immutable per (statement, purpose,
-    catalog version, statistics epoch) and is what prepared statements cache,
-    as a template whose :class:`ParamMarker` slots each execution binds into
-    a copy; per-execution state lives in the operator tree built from it.
+    ``residual`` is what remains of the WHERE clause above the joins: the
+    conjuncts that touch more than one table or a LEFT JOIN's right side
+    (``None`` when nothing is left) — or, without read-path optimizations,
+    everything the base access path does not guarantee.  This object is
+    immutable per (statement, purpose, catalog version, statistics epoch)
+    and is what prepared statements cache, as a template whose
+    :class:`ParamMarker` slots each execution binds into a copy;
+    per-execution state lives in the operator tree built from it.
 
-    The plan additionally memoizes its **compiled artifacts** (residual
-    predicate, projection and join-key closures, see
+    The plan additionally memoizes its **compiled artifacts** (row layout,
+    filter, residual, projection and key closures, see
     :mod:`repro.query.compiler`): the first execution compiles, every
-    re-execution of a cached plan reuses the closures — the same
-    encode-once/reuse pattern as the WAL's record-payload cache.
+    re-execution of a cached plan reuses the closures.
     """
 
     statement: ast.Select
@@ -178,8 +198,19 @@ class PhysicalPlan:
     residual: Optional[ast.Expression] = None
     #: Estimated fraction of rows the residual predicate lets through.
     residual_selectivity: float = 1.0
+    #: Output ``(name, expression)`` pairs; the trailing ``hidden`` ones only
+    #: carry ORDER BY keys absent from the SELECT list.
+    items: List[Tuple[str, ast.Expression]] = field(default_factory=list)
+    hidden: int = 0
+    #: Per join clause its ON references, oriented ``(left input's column,
+    #: joined table's column)``.
+    join_refs: List[Tuple[ast.ColumnRef, ast.ColumnRef]] = field(default_factory=list)
     _compiled: Optional[CompiledSelect] = field(default=None, repr=False,
                                                 compare=False)
+
+    @property
+    def scans(self) -> List[TableScanPlan]:
+        return [self.base] + [scan for _clause, scan in self.joins]
 
     @property
     def is_compiled(self) -> bool:
@@ -220,41 +251,89 @@ class Planner:
 
     def plan_physical(self, statement: ast.Select,
                       purpose: Optional[Purpose] = None) -> PhysicalPlan:
-        """Plan a SELECT down to the physical level (access path + residual)."""
-        base, consumed = self._plan_table(statement.table, statement.table_alias,
-                                          statement.where, purpose)
-        joins: List[Tuple[ast.JoinClause, TableScanPlan]] = []
-        for clause in statement.joins:
-            scan, _ = self._plan_table(clause.table, clause.alias, None, purpose)
-            joins.append((clause, scan))
-        residual = self._residual(statement, consumed, bool(joins))
-        plan = PhysicalPlan(statement=statement, base=base, joins=joins,
-                            purpose=purpose, residual=residual)
-        self._prune_columns(plan)
-        self._estimate(plan)
-        self._mark_index_only(plan)
-        self._choose_build_sides(plan)
-        return plan
+        """Plan a SELECT down to the physical level: bound names, access
+        paths, pushed filters, residual, join strategy."""
+        optimized = getattr(self.catalog, "read_optimized", True)
+        clauses = statement.joins
+        scans = [self._scan(statement.table, statement.table_alias, purpose)] + \
+            [self._scan(clause.table, clause.alias, purpose) for clause in clauses]
+        schemas = [self.catalog.table(scan.table).schema for scan in scans]
+        names = Layout.of(tuple((scan.alias, scan.table, tuple(schema.column_names()))
+                                for scan, schema in zip(scans, schemas)))
 
-    def _residual(self, statement: ast.Select,
-                  consumed: List[ast.Expression],
-                  has_joins: bool) -> Optional[ast.Expression]:
-        where = statement.where
-        if where is None:
-            return None
-        if has_joins:
-            # Unqualified column names in the WHERE clause may resolve to a
-            # joined table's column on the merged row; keep the full predicate
-            # so post-join evaluation stays exactly as before.
-            return where
-        consumed_ids = {id(conjunct) for conjunct in consumed}
-        remaining = [conjunct for conjunct in _flatten_and(where)
-                     if id(conjunct) not in consumed_ids]
-        if not remaining:
-            return None
-        if len(remaining) == 1:
-            return remaining[0]
-        return ast.BooleanOp(operator="AND", operands=tuple(remaining))
+        slots, owners = names.slots, names.owners
+
+        def owner(ref: ast.ColumnRef) -> int:
+            """Bind ``ref``: the scan it belongs to (its column is needed)."""
+            slot = slots.get(ref.qualified, -1)
+            position, column = owners[slot if slot > 0 else names.slot(ref)]
+            needed[position].add(column)
+            return position
+
+        needed: List[Set[str]] = [set() for _scan in scans]
+        items, hidden = _output_items(statement, scans, schemas)
+        refs: List[ast.ColumnRef] = list(statement.group_by)
+        for _name, expression in items:
+            collect_refs(expression, refs)
+        if statement.having is not None:
+            outputs = {name for name, _expression in items}
+            refs += [ref for ref in collect_refs(statement.having, [])
+                     if ref.qualified not in outputs]
+        for ref in refs:
+            owner(ref)
+        join_refs = []
+        for position, clause in enumerate(clauses, 1):
+            left, right = clause.left, clause.right
+            left_at, right_at = owner(left), owner(right)
+            if left_at == position != right_at:    # written joined-table first
+                left, right = right, left
+            join_refs.append((left, right))
+        # Where each conjunct runs: inside the one scan all its references
+        # resolve to, or above the joins.
+        local: List[List[ast.Expression]] = [[] for _scan in scans]
+        residual: List[ast.Expression] = []
+        for conjunct in _flatten_and(statement.where) if statement.where else ():
+            reads = {owner(ref) for ref in collect_refs(conjunct, [])}
+            position = reads.pop() if len(reads) == 1 else None
+            if position is None or (position and (
+                    not optimized or clauses[position - 1].kind != "inner")):
+                residual.append(conjunct)
+            else:
+                local[position].append(conjunct)
+        star = any(isinstance(item, ast.Star) for item in statement.items)
+        for scan, conjuncts, columns in zip(scans, local, needed):
+            scan.access, consumed = self._choose_access(
+                scan.table, conjuncts, scan.demanded_levels)
+            if not optimized:
+                # Reference mode: nothing is pushed; with joins the full
+                # WHERE clause stays above them.
+                residual += conjuncts if clauses else \
+                    [c for c in conjuncts if c not in consumed]
+                continue
+            scan.filter = _conjunction(
+                [c for c in conjuncts if c not in consumed])
+            if not star:
+                if scan.access.column is not None:
+                    columns.add(scan.access.column)
+                scan.needed_columns = tuple(sorted(columns))
+        plan = PhysicalPlan(statement=statement, base=scans[0],
+                            joins=list(zip(clauses, scans[1:])), purpose=purpose,
+                            residual=_conjunction(residual), items=items,
+                            hidden=hidden, join_refs=join_refs)
+        for scan in scans:
+            scan.estimated_rows = self._access_estimate(scan.table, scan.access)
+            if scan.estimated_rows is not None and scan.filter is not None:
+                scan.estimated_rows *= self._selectivity(
+                    scan.table, _flatten_and(scan.filter))
+        if residual:
+            plan.residual_selectivity = self._selectivity(
+                plan.base.table if not clauses else None, residual)
+        if optimized:
+            if clauses:
+                self._choose_join_strategy(plan)
+            for scan in scans:
+                scan.index_only = self._index_only_eligible(scan)
+        return plan
 
     def demanded_levels_for(self, table: str,
                             purpose: Optional[Purpose]) -> Dict[str, Optional[int]]:
@@ -270,49 +349,12 @@ class Planner:
             levels[column.name] = self.catalog.demanded_level(purpose, table, column.name)
         return levels
 
-    # -- column pruning -----------------------------------------------------------
-
-    def _prune_columns(self, plan: PhysicalPlan) -> None:
-        """Attach the per-table needed-column sets to the plan's scans."""
-        if not getattr(self.catalog, "read_optimized", True):
-            return
-        refs: List[ast.ColumnRef] = []
-        saw_star = False
-        statement = plan.statement
-        for item in statement.items:
-            if isinstance(item, ast.Star):
-                saw_star = True
-            else:
-                _collect_refs(item.expression, refs)
-        if saw_star:
-            return                      # every column of every table is needed
-        if statement.where is not None:
-            _collect_refs(statement.where, refs)
-        if statement.having is not None:
-            _collect_refs(statement.having, refs)
-        for clause in statement.joins:
-            refs.append(clause.left)
-            refs.append(clause.right)
-        for ref in statement.group_by:
-            refs.append(ref)
-        for item in statement.order_by:
-            refs.append(item.column)
-        has_joins = bool(statement.joins)
-        for scan in [plan.base] + [scan for _clause, scan in plan.joins]:
-            schema = self.catalog.table(scan.table).schema
-            needed: Set[str] = set()
-            qualified = has_joins
-            for ref in refs:
-                if ref.table is not None and ref.table not in (scan.table, scan.alias):
-                    continue
-                if schema.has_column(ref.column):
-                    needed.add(ref.column.lower())
-                    if ref.table is not None:
-                        qualified = True
-            if scan.access.column is not None:
-                needed.add(scan.access.column)
-            scan.needed_columns = tuple(sorted(needed))
-            scan.qualified_keys = qualified
+    def _scan(self, table: str, alias: Optional[str],
+              purpose: Optional[Purpose]) -> TableScanPlan:
+        info = self.catalog.table(table)
+        return TableScanPlan(table=info.name, alias=(alias or info.name).lower(),
+                             access=AccessPath(kind="seq"),
+                             demanded_levels=self.demanded_levels_for(table, purpose))
 
     # -- estimates -----------------------------------------------------------------
 
@@ -353,50 +395,42 @@ class Planner:
             return max(1.0, stats.estimated_eq_rows(access.column, access.key))
         return None
 
-    def _estimate(self, plan: PhysicalPlan) -> None:
-        for scan in [plan.base] + [scan for _clause, scan in plan.joins]:
-            scan.estimated_rows = self._access_estimate(scan.table, scan.access)
-        plan.residual_selectivity = self._residual_selectivity(plan)
-
-    def _residual_selectivity(self, plan: PhysicalPlan) -> float:
-        if plan.residual is None:
+    def _selectivity(self, table: Optional[str],
+                     conjuncts: Sequence[ast.Expression]) -> float:
+        """Estimated fraction of ``table``'s rows that pass ``conjuncts``
+        (``table`` is ``None`` for conjuncts no single table's statistics
+        can judge)."""
+        if not conjuncts:
             return 1.0
-        stats = self._table_stats(plan.base.table)
+        stats = self._table_stats(table) if table is not None else None
         selectivity = 1.0
-        for conjunct in _flatten_and(plan.residual):
+        for conjunct in conjuncts:
             fraction = DEFAULT_SELECTIVITY
-            if stats is not None and stats.row_count:
-                match = _as_column_literal(conjunct, plan.base.table,
-                                           plan.base.alias)
-                if match is not None:
-                    column, operator, value = match
-                    if _has_marker(value) or (isinstance(value, tuple)
-                                              and _has_marker(*value)):
-                        fraction = DEFAULT_SELECTIVITY
-                    elif operator == "=":
-                        fraction = stats.estimated_eq_rows(column, value) \
-                            / stats.row_count
-                    elif operator == "between":
-                        fraction = stats.estimated_range_rows(
-                            column, value[0], value[1]) / stats.row_count
-                    elif operator in (">", ">="):
-                        fraction = stats.estimated_range_rows(
-                            column, low=value,
-                            include_low=operator == ">=") / stats.row_count
-                    elif operator in ("<", "<="):
-                        fraction = stats.estimated_range_rows(
-                            column, high=value,
-                            include_high=operator == "<=") / stats.row_count
+            match = _as_column_literal(conjunct)
+            if match is not None and stats is not None and stats.row_count:
+                column, operator, value = match
+                if _has_marker(value) or (isinstance(value, tuple)
+                                          and _has_marker(*value)):
+                    ndv = stats.ndv(column) if operator == "=" else 0
+                    fraction = 1.0 / ndv if ndv else DEFAULT_SELECTIVITY
+                elif operator == "=":
+                    fraction = stats.estimated_eq_rows(column, value) \
+                        / stats.row_count
+                elif operator == "between":
+                    fraction = stats.estimated_range_rows(
+                        column, value[0], value[1]) / stats.row_count
+                elif operator in (">", ">="):
+                    fraction = stats.estimated_range_rows(
+                        column, low=value,
+                        include_low=operator == ">=") / stats.row_count
+                elif operator in ("<", "<="):
+                    fraction = stats.estimated_range_rows(
+                        column, high=value,
+                        include_high=operator == "<=") / stats.row_count
             selectivity *= min(1.0, max(0.0, fraction))
         return max(selectivity, 0.001)
 
     # -- index-only scans -----------------------------------------------------------
-
-    def _mark_index_only(self, plan: PhysicalPlan) -> None:
-        if not getattr(self.catalog, "read_optimized", True):
-            return
-        for scan in [plan.base] + [scan for _clause, scan in plan.joins]:
-            scan.index_only = self._index_only_eligible(scan)
 
     def _index_only_eligible(self, scan: TableScanPlan) -> bool:
         """A scan can skip the heap when the index covers everything.
@@ -417,7 +451,7 @@ class Planner:
                 return False
         else:
             return False
-        if scan.needed_columns is None:
+        if scan.needed_columns is None or scan.probe_key is not None:
             return False
         if not set(scan.needed_columns) <= {access.column}:
             return False
@@ -429,48 +463,61 @@ class Planner:
             return False
         return True
 
-    # -- join build side -------------------------------------------------------------
+    # -- join strategy ----------------------------------------------------------------
 
-    def _choose_build_sides(self, plan: PhysicalPlan) -> None:
-        """Build each inner hash join on its estimated-smaller input, and
-        record the running join-output estimate on each join scan (EXPLAIN
-        and the filter estimate downstream read it — one model, computed
-        once at plan time)."""
-        if not getattr(self.catalog, "read_optimized", True):
-            return
+    def _choose_join_strategy(self, plan: PhysicalPlan) -> None:
+        """Per inner hash join: build on the estimated-smaller filtered input,
+        and have the other side — when it is a table scan — fetched by the
+        build side's keys; also record the running join-output estimate on
+        each join scan (EXPLAIN and the filter estimate downstream read it —
+        one model, computed once at plan time)."""
         running = plan.base.estimated_rows
-        for clause, scan in plan.joins:
-            if clause.kind == "inner" and running is not None \
-                    and scan.estimated_rows is not None \
-                    and running < scan.estimated_rows:
-                scan.build_left = True
+        left_scan: Optional[TableScanPlan] = plan.base
+        for (clause, scan), (left, right) in zip(plan.joins, plan.join_refs):
+            if clause.kind == "inner":
+                smaller = None if running is None or scan.estimated_rows is None \
+                    else min(running, scan.estimated_rows)
+                scan.build_left = smaller is not None and running < scan.estimated_rows
+                if scan.build_left:
+                    self._probe_by_keys(scan, right.column, smaller)
+                elif left_scan is not None:
+                    self._probe_by_keys(left_scan, left.column, smaller)
             running = _join_estimate(running, scan, self._table_stats(scan.table),
-                                     clause)
+                                     right.column, clause.kind)
             scan.join_estimated_rows = running
+            left_scan = None        # the next join's left input is this join
 
-    # -- internals -----------------------------------------------------------------
+    def _probe_by_keys(self, scan: TableScanPlan, column: str,
+                       build_rows: Optional[float]) -> None:
+        """Make ``scan`` the probe side fed the build side's keys: through a
+        hash index on ``column`` when one exists, hash-join key equality is
+        that index's equality (a stable, non-text column) and probing it per
+        key is estimated cheaper than the scan it replaces; else as a
+        membership test the scan evaluates first."""
+        scan.probe_key = column
+        info = self.catalog.table(scan.table)
+        column_def = info.schema.column(column)
+        stats = self._table_stats(scan.table)
+        if scan.access.kind != "seq" or build_rows is None or stats is None \
+                or column_def.degradable or column_def.value_type is ValueType.TEXT:
+            return
+        for index_info in info.indexes_on(column):
+            per_key = max(1.0, stats.row_count / (stats.ndv(column) or 1))
+            cost = build_rows * (INDEX_PROBE_COST + per_key * INDEX_FETCH_COST)
+            if index_info.method == "hash" and cost < stats.row_count * SEQ_ROW_COST:
+                scan.access = AccessPath(kind="index_keys", column=column,
+                                         index=index_info)
+                scan.estimated_rows = min(scan.estimated_rows, build_rows * per_key)
+                return
 
-    def _plan_table(self, table: str, alias: Optional[str],
-                    where: Optional[ast.Expression],
-                    purpose: Optional[Purpose]) -> Tuple[TableScanPlan,
-                                                         List[ast.Expression]]:
-        """Plan one table's scan; also return the conjuncts the access path
-        fully covers (they can be dropped from the residual predicate)."""
-        info = self.catalog.table(table)
-        demanded = self.demanded_levels_for(table, purpose)
-        access, consumed = self._choose_access(info.name, alias or info.name,
-                                               where, demanded)
-        plan = TableScanPlan(table=info.name, alias=(alias or info.name).lower(),
-                             access=access, demanded_levels=demanded)
-        return plan, consumed
+    # -- access paths ----------------------------------------------------------------
 
-    def _choose_access(self, table: str, alias: str,
-                       where: Optional[ast.Expression],
+    def _choose_access(self, table: str, conjuncts: List[ast.Expression],
                        demanded: Dict[str, int]) -> Tuple[AccessPath,
                                                           List[ast.Expression]]:
-        if where is None:
-            return AccessPath(kind="seq"), []
-        candidates = self._gather_candidates(table, alias, where, demanded)
+        """How to reach the rows of ``table`` that pass ``conjuncts`` (all
+        bound to it), and the conjuncts that access path fully covers."""
+        candidates = self._gather_candidates(table, conjuncts, demanded)
         if not candidates:
             return AccessPath(kind="seq"), []
         stats = self._table_stats(table)
@@ -498,25 +545,21 @@ class Planner:
             return AccessPath(kind="seq"), []
         return best
 
-    def _gather_candidates(self, table: str, alias: str,
-                           where: ast.Expression,
+    def _gather_candidates(self, table: str, conjuncts: List[ast.Expression],
                            demanded: Dict[str, int]
                            ) -> List[Tuple[AccessPath, List[ast.Expression]]]:
         """Every usable index access path, in historical preference order."""
         info = self.catalog.table(table)
-        conjuncts = _flatten_and(where)
         candidates: List[Tuple[AccessPath, List[ast.Expression]]] = []
         # Equality on an indexed column.  An equality probe returns exactly
         # the rows whose (visible) value matches the key, so the conjunct is
         # covered — except for a NULL key, where predicate semantics (always
         # false) and index semantics may differ.
         for conjunct in conjuncts:
-            match = _as_column_literal(conjunct, table, alias)
+            match = _as_column_literal(conjunct)
             if match is None:
                 continue
             column, operator, value = match
-            if not info.schema.has_column(column):
-                continue
             column_def = info.schema.column(column)
             for index_info in info.indexes_on(column):
                 if column_def.degradable and index_info.method == "gt" and operator == "=":
@@ -539,12 +582,10 @@ class Planner:
         ranges: Dict[str, AccessPath] = {}
         bound_sources: Dict[str, Dict[str, ast.Expression]] = {}
         for conjunct in conjuncts:
-            match = _as_column_literal(conjunct, table, alias)
+            match = _as_column_literal(conjunct)
             if match is None:
                 continue
             column, operator, value = match
-            if not info.schema.has_column(column):
-                continue
             column_def = info.schema.column(column)
             if column_def.degradable:
                 continue
@@ -586,16 +627,28 @@ class Planner:
         return candidates
 
 
+def _clone(fragment: Any, **changes: Any) -> Any:
+    """A shallow copy of a plan fragment with ``changes`` applied (what
+    ``dataclasses.replace`` does, minus re-running ``__init__`` on the hot
+    path of every templated execution)."""
+    clone = object.__new__(type(fragment))
+    clone.__dict__.update(fragment.__dict__, **changes)
+    return clone
+
+
 def _bind_scan(scan: TableScanPlan, params: Tuple[Any, ...]) -> TableScanPlan:
-    """A copy of ``scan`` with parameter markers replaced by bound values."""
-    access = scan.access
-    if not _has_marker(access.key, access.low, access.high):
+    """A copy of ``scan`` with this execution's values in its access path and
+    its filter (``scan`` itself when it reads no parameter)."""
+    access, bound = scan.access, scan.filter
+    if _has_marker(access.key, access.low, access.high):
+        access = _clone(access, key=_subst_param(access.key, params),
+                        low=_subst_param(access.low, params),
+                        high=_subst_param(access.high, params))
+    if bound is not None:
+        bound = bind_expression(bound, params)
+    if access is scan.access and bound is scan.filter:
         return scan
-    access = dataclasses.replace(access,
-                                 key=_subst_param(access.key, params),
-                                 low=_subst_param(access.low, params),
-                                 high=_subst_param(access.high, params))
-    return dataclasses.replace(scan, access=access)
+    return _clone(scan, access=access, filter=bound)
 
 
 def bind_physical_plan(template: PhysicalPlan, params: Sequence[Any],
@@ -604,80 +657,97 @@ def bind_physical_plan(template: PhysicalPlan, params: Sequence[Any],
     """Bind a parameter-shape template plan to one execution's values.
 
     The template was planned with :class:`ParamMarker` slots in its access
-    paths and raw placeholders in its residual predicate.  Binding substitutes
-    the values into the access paths, binds the residual expression, and
-    recompiles *only* the residual closure — the projection and join-key
-    closures (and the whole access-path choice) are shared with the template,
-    which is the entire point: re-execution pays a small substitution instead
-    of a full ``plan_physical``.
+    paths and raw placeholders in its filters and residual.  Binding
+    substitutes the values and recompiles *only* the predicates that read
+    one — the layout, the projection and the key closures (and the whole
+    access-path and join-strategy choice) are shared with the template,
+    which is the entire point: re-execution pays a small substitution
+    instead of a full ``plan_physical``.
     """
     values = tuple(params)
     compiled = template.ensure_compiled(catalog, mode)
-    base = _bind_scan(template.base, values)
-    joins = [(clause, _bind_scan(scan, values))
-             for clause, scan in template.joins]
-    residual = template.residual
-    residual_fn = compiled.residual
+    templates = template.scans
+    scans = [_bind_scan(scan, values) for scan in templates]
+    filters = [
+        fn if scan.filter is old.filter
+        else compile_truth(scan.filter, compiled.layout, mode, offset)
+        for fn, scan, old, offset in zip(compiled.filters, scans, templates,
+                                         compiled.layout.offsets)]
+    residual, residual_fn = template.residual, compiled.residual
     if residual is not None:
         bound = bind_expression(residual, values)
         if bound is not residual:
             residual = bound
-            if mode == "compiled":
-                residual_fn = compile_predicate(bound)
-            else:
-                residual_fn = (lambda predicate: lambda row: _truthy(
-                    evaluate(predicate, row)))(bound)
-    bound_compiled = CompiledSelect(
-        mode=compiled.mode, columns=compiled.columns, items=compiled.items,
-        project=compiled.project, residual=residual_fn,
-        join_keys=compiled.join_keys, hidden=compiled.hidden)
-    return PhysicalPlan(statement=template.statement, base=base, joins=joins,
-                        purpose=template.purpose, residual=residual,
-                        residual_selectivity=template.residual_selectivity,
-                        _compiled=bound_compiled)
+            residual_fn = compile_truth(bound, compiled.layout, mode)
+    return _clone(
+        template, base=scans[0], residual=residual,
+        joins=[(clause, scan) for (clause, _old), scan
+               in zip(template.joins, scans[1:])],
+        _compiled=_clone(compiled, filters=filters, residual=residual_fn))
 
 
 def _join_estimate(left_rows: Optional[float], scan: TableScanPlan,
-                   right_stats, clause: ast.JoinClause) -> Optional[float]:
-    """Rows out of one hash join, given the streamed side's estimate."""
+                   right_stats, right_column: str, kind: str) -> Optional[float]:
+    """Rows out of one hash join, given its left input's estimate."""
     if left_rows is None or scan.estimated_rows is None:
         return None
-    right_ref = clause.right if clause.right.table in (scan.alias, scan.table) \
-        else clause.left
     matches_per_row = 1.0
     if right_stats is not None:
-        ndv = right_stats.ndv(right_ref.column)
+        ndv = right_stats.ndv(right_column)
         if ndv:
-            matches_per_row = max(1.0, scan.estimated_rows / ndv)
+            # ``estimated_rows`` is what is left of the table after its filter
+            matches_per_row = scan.estimated_rows / ndv
     estimate = left_rows * matches_per_row
-    if clause.kind == "left":
+    if kind == "left":
         estimate = max(estimate, left_rows)
     return estimate
 
 
-def _collect_refs(expression: ast.Expression, out: List[ast.ColumnRef]) -> None:
-    """Gather every column reference in an expression tree."""
-    if isinstance(expression, ast.ColumnRef):
-        out.append(expression)
-    elif isinstance(expression, ast.Comparison):
-        _collect_refs(expression.left, out)
-        _collect_refs(expression.right, out)
-    elif isinstance(expression, ast.InList):
-        _collect_refs(expression.operand, out)
-    elif isinstance(expression, ast.Between):
-        _collect_refs(expression.operand, out)
-        _collect_refs(expression.low, out)
-        _collect_refs(expression.high, out)
-    elif isinstance(expression, ast.IsNull):
-        _collect_refs(expression.operand, out)
-    elif isinstance(expression, ast.BooleanOp):
-        for operand in expression.operands:
-            _collect_refs(operand, out)
-    elif isinstance(expression, ast.Not):
-        _collect_refs(expression.operand, out)
-    elif isinstance(expression, ast.Aggregate):
-        if expression.argument is not None:
-            out.append(expression.argument)
+def _output_items(statement: ast.Select, scans: List[TableScanPlan], schemas
+                  ) -> Tuple[List[Tuple[str, ast.Expression]], int]:
+    """Resolve the SELECT list into (output name, expression) pairs, followed
+    by the hidden ORDER BY items; returns them and how many are hidden.
+
+    ``SELECT name FROM t ORDER BY age`` must compute the sort key even though
+    it is not part of the result; Sort/TopN locate keys by output position, so
+    the missing references ride along as extra trailing projection items.
+    Aggregate queries may only hoist grouping columns — any other reference
+    is ambiguous within a group and raises when the sort binds its keys.
+    """
+    items: List[Tuple[str, ast.Expression]] = []
+    aggregate = bool(statement.order_by) and statement.is_aggregate
+    for item in statement.items:
+        if not isinstance(item, ast.Star):
+            items.append((item.output_name, item.expression))
+            continue
+        if statement.is_aggregate:
+            raise BindingError("SELECT * cannot be combined with aggregation")
+        for position, (scan, schema) in enumerate(zip(scans, schemas)):
+            items += [(f"{scan.alias}.{name}" if position else name,
+                       ast.ColumnRef(column=name, table=scan.alias))
+                      for name in schema.column_names()]
+    visible = len(items)
+    if not statement.order_by:
+        return items, 0
+    names = {name for name, _expression in items}
+    allowed = {name for ref in statement.group_by
+               for name in (ref.column, ref.qualified)} if aggregate else None
+    for item in statement.order_by:
+        ref = item.column
+        if ref.column in names or ref.qualified in names:
+            continue
+        if allowed is not None and ref.column not in allowed \
+                and ref.qualified not in allowed:
+            continue
+        items.append((ref.qualified, ref))
+        names.add(ref.qualified)
+    return items, len(items) - visible
+
+
+def _conjunction(conjuncts: List[ast.Expression]) -> Optional[ast.Expression]:
+    if len(conjuncts) < 2:
+        return conjuncts[0] if conjuncts else None
+    return ast.BooleanOp(operator="AND", operands=tuple(conjuncts))
 
 
 def _flatten_and(expression: ast.Expression) -> List[ast.Expression]:
@@ -703,28 +773,24 @@ def _constant_value(expression: ast.Expression) -> Tuple[bool, Any]:
     return False, None
 
 
-def _as_column_literal(expression: ast.Expression, table: str,
-                       alias: str) -> Optional[Tuple[str, str, Any]]:
-    """Recognize ``column <op> constant`` conjuncts bound to ``table``/``alias``
-    (the constant side may be a literal or a ``?`` placeholder)."""
-    def column_matches(ref: ast.ColumnRef) -> bool:
-        return ref.table is None or ref.table in (table.lower(), alias.lower())
-
+def _as_column_literal(expression: ast.Expression
+                       ) -> Optional[Tuple[str, str, Any]]:
+    """Recognize ``column <op> constant`` conjuncts (the constant side may be
+    a literal or a ``?`` placeholder)."""
     if isinstance(expression, ast.Comparison):
         left, right = expression.left, expression.right
-        if isinstance(left, ast.ColumnRef) and column_matches(left):
+        if isinstance(left, ast.ColumnRef):
             ok, value = _constant_value(right)
             if ok:
                 return left.column, expression.operator, value
-        if isinstance(right, ast.ColumnRef) and column_matches(right):
+        if isinstance(right, ast.ColumnRef):
             ok, value = _constant_value(left)
             if ok:
                 flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
                 operator = flipped.get(expression.operator, expression.operator)
                 return right.column, operator, value
     if isinstance(expression, ast.Between) and not expression.negated:
-        if isinstance(expression.operand, ast.ColumnRef) and \
-                column_matches(expression.operand):
+        if isinstance(expression.operand, ast.ColumnRef):
             low_ok, low = _constant_value(expression.low)
             high_ok, high = _constant_value(expression.high)
             if low_ok and high_ok:

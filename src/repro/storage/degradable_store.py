@@ -26,6 +26,9 @@ other (experiment C2):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import islice
+from types import SimpleNamespace
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..core.errors import (
@@ -36,7 +39,7 @@ from ..core.errors import (
 )
 from ..core.generalization import GeneralizationScheme
 from ..core.schema import TableSchema
-from ..core.values import NULL, REMOVED, SUPPRESSED
+from ..core.values import NULL, REMOVED, SUPPRESSED, is_missing
 from .buffer import BufferPool
 from .crypto import KeyStore
 from .heap import HeapFile, RecordId
@@ -54,6 +57,11 @@ from .wal import LogRecordType, WriteAheadLog, encode_degrade_chunk
 #: Strategies for making degradation non-recoverable.
 STRATEGIES = ("rewrite", "crypto")
 
+#: Decodes one page run (page buffer, record spans[, other level caps]):
+#: ``(rows kept, each one's position in the run, records the level rule had
+#: excluded before each, records it excluded in the whole run)``.
+RunReader = Callable[..., Tuple[List[Any], List[int], List[int], int]]
+
 
 @dataclass
 class StoredRow:
@@ -63,12 +71,6 @@ class StoredRow:
     values: Dict[str, Any]
     levels: Dict[str, int]
     inserted_at: float
-
-    def value(self, column: str) -> Any:
-        return self.values[column.lower()]
-
-    def level(self, column: str) -> int:
-        return self.levels[column.lower()]
 
 
 @dataclass
@@ -167,60 +169,23 @@ class TableStore:
         """Decode a stand-alone record image (a log image, a fresh encode)."""
         return self._decode_at(payload, 0, len(payload), self._decode_plan(columns))
 
-    def _decode_at(self, data: Any, start: int, end: int, plan: Tuple,
+    def _decode_at(self, data: Any, start: int, end: int, plan: RunReader,
                    level_caps: Sequence[Tuple[int, int]] = ()
                    ) -> Optional[StoredRow]:
-        """The record reader: decode ``data[start:end]`` under ``plan``.
+        """The record at ``data[start:end]`` — in a page frame, or a log image
+        at offset 0 — as ``plan`` (:meth:`_decode_plan`) reads it; ``None``
+        when ``level_caps`` (positional, see :meth:`row_reader`) exclude it."""
+        rows = plan(data, ((start, end),), level_caps)[0]
+        return rows[0] if rows else None
 
-        Every read of this table — :meth:`read`, :meth:`scan`, :meth:`fetch`,
-        :meth:`rebuild_locations`, :meth:`restore_row` — decodes here, in
-        place in the page frame (or in a log image, at offset 0).
-
-        *Level first.*  The record prefix ``count, row_key, inserted_at,
-        level×n`` is fixed-width, so one precompiled struct decodes it in a
-        single call.  ``level_caps`` — ``(position among the degradable
-        columns, highest level the purpose can compute from)`` pairs — is
-        checked against those levels before a single value byte is touched:
-        a row the purpose cannot see returns ``None`` for one header unpack.
-
-        *Values.*  ``plan`` (:meth:`_decode_plan`) names the fields to
-        materialize; unreferenced runs are *skipped* byte-wise (no object
-        construction, no UTF-8 decode, no decryption), so a 2-column query
-        over a 20-column table pays for 2 values and the returned
-        :class:`StoredRow` carries only those in ``values``.  A wrong field
-        count or header tag, a truncated field and (full decodes only)
-        trailing bytes raise :class:`StorageError`.
-        """
-        fused = self._header
-        position = start + fused.size
-        if position > end:
-            raise self._malformed(data, start, end)
-        header = fused.unpack_from(data, start)
-        if header[0] != self._field_count or header[1::2] != self._header_tags:
-            raise self._malformed(data, start, end)
-        row_key = header[2]
-        levels = header[6::2]
-        for index, cap in level_caps:
-            if levels[index] > cap:
-                return None
-        entries, encrypted, verify_tail = plan
-        values: Dict[str, Any] = {}
-        position = decode_fields(data, position, end, entries, values)
-        for name, index in encrypted:
-            value = values[name]
-            if isinstance(value, bytes):
-                key_id = (self.schema.name, row_key, name, levels[index])
-                try:
-                    values[name], _ = decode_value(
-                        self.keystore.decrypt(key_id, value), 0)
-                except KeyDestroyedError:
-                    # Fail safe: a destroyed key means the value is, by design,
-                    # unrecoverable — readers see it as suppressed.
-                    values[name] = SUPPRESSED
-        if verify_tail and position != end:
-            raise StorageError("trailing bytes after record payload")
-        return StoredRow(row_key, values, dict(zip(self._degradable, levels)),
-                         header[4])
+    def _decrypt(self, row_key: int, column: str, level: int, blob: bytes) -> Any:
+        """The value a ciphertext field holds.  Fail safe: a destroyed key
+        means the value is, by design, unrecoverable — it reads suppressed."""
+        try:
+            return decode_value(self.keystore.decrypt(
+                (self.schema.name, row_key, column, level), blob), 0)[0]
+        except KeyDestroyedError:
+            return SUPPRESSED
 
     def _malformed(self, data: Any, start: int, end: int) -> StorageError:
         """Why ``data[start:end]`` does not begin with this table's record prefix."""
@@ -237,41 +202,43 @@ class TableStore:
             "insertion time and levels must be INT, FLOAT, INT...)"
         )
 
-    def _decode_plan(self, columns: Optional[frozenset]) -> Tuple[Tuple, Tuple, bool]:
-        """Per column-subset schedule: ``(entries, encrypted, verify_tail)``.
-
-        Entries (see :func:`~repro.storage.serialization.decode_fields`) are
-        ``(column name, 0)`` for fields to decode and ``(None, run length)``
-        for a run of consecutive skipped fields — runs are collapsed so a
-        2-of-20 projection pays one ``skip_values`` call per gap, not one per
-        column, and the run *after the last decoded column* is dropped
-        entirely (nothing downstream needs the offset).  ``encrypted`` lists
-        the decoded columns held as ciphertext (crypto strategy only), each
-        with its position among the degradable columns.  Full decodes keep
-        the trailing-bytes integrity check; pruned decodes stop early, so
-        ``verify_tail`` is False for them.
-        """
+    def _decode_plan(self, columns: Optional[frozenset]) -> RunReader:
+        """The (memoized) run reader that makes :class:`StoredRow` objects
+        carrying ``columns`` (``None``: all) — what DML, maintenance and
+        recovery read through; it generalizes nothing and keeps no memo."""
         plan = self._decode_plans.get(columns)
         if plan is None:
-            entries: List[Tuple[Optional[str], int]] = []
-            encrypted: List[Tuple[str, int]] = []
-            for column in self.schema.columns:
-                if columns is None or column.name in columns:
-                    entries.append((column.name, 0))
-                    if column.degradable and self.strategy == "crypto":
-                        encrypted.append(
-                            (column.name, self._degradable.index(column.name)))
-                elif entries and entries[-1][0] is None:
-                    entries[-1] = (None, entries[-1][1] + 1)
-                else:
-                    entries.append((None, 1))
-            verify_tail = columns is None
-            if not verify_tail:
-                while entries and entries[-1][0] is None:
-                    entries.pop()
-            plan = (tuple(entries), tuple(encrypted), verify_tail)
-            self._decode_plans[columns] = plan
+            names = [column.name for column in self.schema.columns
+                     if columns is None or column.name in columns]
+            degradable = self._degradable
+            plan = self._decode_plans[columns] = self.row_reader(
+                tuple((name, slot) for slot, name in enumerate(names, 1)),
+                frozenset(names), (),
+                {name: (None, True) for name in names if name in degradable},
+                make=lambda head, values: StoredRow(
+                    head[2], dict(zip(names, values[1:])),
+                    dict(zip(degradable, head[6::2])), head[4]))
         return plan
+
+    def _field_plan(self, slots: Dict[str, int]) -> Tuple[Tuple, bool]:
+        """The :func:`~repro.storage.serialization.decode_fields` schedule
+        that decodes the columns of ``slots`` into those positions: ``(slot,
+        0)`` per field to decode, ``(None, run length)`` per run of skipped
+        ones — collapsed, so a 2-of-20 projection pays one ``skip_values``
+        call per gap, and dropped after the last decoded column — and whether
+        that is the record's last field (its end is then verified)."""
+        entries: List[Tuple[Optional[int], int]] = []
+        for column in self.schema.columns:
+            if column.name in slots:
+                entries.append((slots[column.name], 0))
+            elif entries and entries[-1][0] is None:
+                entries[-1] = (None, entries[-1][1] + 1)
+            else:
+                entries.append((None, 1))
+        ends = bool(entries) and entries[-1][0] is not None
+        while entries and entries[-1][0] is None:
+            entries.pop()
+        return tuple(entries), ends
 
     @staticmethod
     def _is_sentinel(value: Any) -> bool:
@@ -319,56 +286,139 @@ class TableStore:
              columns: Optional[frozenset] = None) -> StoredRow:
         record_id = self._location(row_key)
         self.stats.reads += 1
-        return self._read_run(record_id.page_id, (record_id.slot,),
-                              self._decode_plan(columns))[0]
+        data, (span,) = self.heap.read_run(record_id.page_id, (record_id.slot,))
+        return self._decode_at(data, *span, self._decode_plan(columns))
 
-    def _read_run(self, page_id: int, slots: Sequence[int], plan: Tuple,
-                  level_caps: Sequence[Tuple[int, int]] = ()
-                  ) -> List[Optional[StoredRow]]:
-        """Decode the records in ``slots`` of one heap page, in place: one
-        buffer-pool lookup and one page-header read for the whole run.  The
-        result is parallel to ``slots``; ``None`` marks a row ``level_caps``
-        excludes (see :meth:`_decode_at`)."""
-        data, spans = self.heap.read_run(page_id, slots)
-        decode = self._decode_at
-        return [decode(data, start, end, plan, level_caps) for start, end in spans]
+    def row_reader(self, slots: Tuple[Tuple[str, int], ...], early: frozenset,
+                   level_caps: Sequence[Tuple[str, int]] = (),
+                   schemes: Optional[Dict[str, Tuple[Optional[int], Any]]] = None,
+                   predicate: Optional[Callable[[List[Any]], bool]] = None,
+                   make: Optional[Callable[[Tuple, List[Any]], Any]] = None
+                   ) -> RunReader:
+        """The record reader, one page run at a time: positional rows ``(row
+        key, column, ...)``, ``slots`` naming each decoded column's position
+        (or what ``make`` builds from the record prefix and such a row).
+        Every read of this table decodes here, in place in the page frame.
+
+        *Level first.*  The prefix ``count, row_key, inserted_at, level×n`` is
+        fixed-width: one precompiled struct decodes it in a single call, and a
+        row storing a column of ``level_caps`` above its cap is excluded
+        before a value byte is touched.  *Then the filter.*  Only the
+        ``early`` columns are decoded (the others skipped byte-wise: no
+        object, no UTF-8 decode, no decryption), decrypted and generalized to
+        the demanded level of ``schemes`` (``column → (demanded level,
+        scheme)``) through a ``(stored level, value) → generalized`` memo
+        that lives and dies with this reader; ``predicate`` sees the row so
+        far.  *Survivors* get the remaining columns: a second schedule over
+        the same bytes (late materialization).  A wrong field count or header
+        tag, a truncated field and trailing bytes raise :class:`StorageError`.
+        """
+        plans = self._decode_plans.get((slots, early))
+        if plans is None:
+            plans = self._decode_plans[slots, early] = [
+                self._field_plan({name: slot for name, slot in slots
+                                  if (name in early) == first})
+                for first in (True, False)]
+        crypto = self.strategy == "crypto"
+        #: early columns then the rest, each: schedule, whether it ends the
+        #: record, its columns to decrypt / generalize, the test that follows
+        phases = [(*plan, [], test) for plan, test in zip(plans, (predicate, None))]
+        for name, slot in slots:
+            demanded, scheme = (schemes or {}).get(name, (None, None))
+            if demanded is not None or (crypto and scheme is not None):
+                phases[name not in early][2].append(
+                    (slot, name, self._degradable.index(name), demanded, scheme, {}))
+        if not phases[1][0]:
+            del phases[1]
+        named_caps = [(self._degradable.index(name), cap) for name, cap in level_caps]
+        header, tags, count = self._header, self._header_tags, self._field_count
+        unpack, size = header.unpack_from, header.size
+        blank = [None] * (len(slots) + 1)
+
+        def fix(values: List[Any], levels: Tuple[int, ...], todo: List[Tuple]) -> None:
+            for slot, name, at, demanded, scheme, memo in todo:
+                value, stored = values[slot], levels[at]
+                if crypto and isinstance(value, bytes):
+                    value = self._decrypt(values[0], name, stored, value)
+                if demanded is not None and stored < demanded \
+                        and not is_missing(value):
+                    coarse = memo.get((stored, value), memo)
+                    if coarse is memo:
+                        coarse = memo[stored, value] = scheme.generalize(
+                            value, demanded, from_level=stored)
+                    value = coarse
+                values[slot] = value
+
+        def read(data: Any, spans: Sequence[Tuple[int, int]],
+                 caps: Sequence[Tuple[int, int]] = named_caps):
+            rows, positions, drops = [], [], []
+            excluded = 0
+            for position, (start, end) in enumerate(spans):
+                body = start + size
+                if body > end:
+                    raise self._malformed(data, start, end)
+                head = unpack(data, start)
+                if head[0] != count or head[1::2] != tags:
+                    raise self._malformed(data, start, end)
+                levels = head[6::2]
+                for at, cap in caps:
+                    if levels[at] > cap:
+                        excluded += 1
+                        break
+                else:
+                    values = blank[:]
+                    values[0] = head[2]
+                    for fields, ends, todo, test in phases:
+                        if decode_fields(data, body, end, fields, values) != end \
+                                and ends:
+                            raise StorageError("trailing bytes after record payload")
+                        if todo:
+                            fix(values, levels, todo)
+                        if test is not None and not test(values):
+                            break
+                    else:
+                        drops.append(excluded)
+                        positions.append(position)
+                        rows.append(tuple(values) if make is None
+                                    else make(head, values))
+            return rows, positions, drops, excluded
+
+        return read
 
     def scan(self, columns: Optional[frozenset] = None,
              level_caps: Iterable[Tuple[str, int]] = (),
-             on_excluded: Optional[Callable[[int], None]] = None
-             ) -> Iterator[StoredRow]:
-        """Every row of the table, in row-key order of insertion.
-
-        ``level_caps`` — ``(degradable column, level)`` pairs — pushes the
-        read rule's exclusion into the record reader: a row storing any of
-        those columns *above* its cap is dropped on its header alone, no
-        value decoded, and reported through ``on_excluded(count)`` just
-        before the next visible row (or the end of the scan) is produced.
+             tally: Any = None, reader: Optional[RunReader] = None) -> Iterator[Any]:
+        """Every row of the table, in row-key order of insertion — as
+        :class:`StoredRow` objects carrying ``columns``, less the rows storing
+        a ``(degradable column, level)`` of ``level_caps`` above that level;
+        or whatever ``reader`` (:meth:`row_reader`) makes of the records.
+        ``tally.examined`` / ``tally.excluded`` count, exact at every row
+        handed out, the records read so far and those the level rule dropped.
         """
-        caps = [(self._degradable.index(name.lower()), cap)
-                for name, cap in level_caps]
-        return self._read_keys(list(self._locations), columns, caps, on_excluded)
+        if reader is None:
+            reader = partial(self._decode_plan(columns), caps=[
+                (self._degradable.index(name.lower()), cap)
+                for name, cap in level_caps])
+        return self._read_keys(list(self._locations), reader, tally)
 
-    def _read_keys(self, row_keys: Sequence[int], columns: Optional[frozenset],
-                   level_caps: Sequence[Tuple[int, int]] = (),
-                   on_excluded: Optional[Callable[[int], None]] = None
-                   ) -> Iterator[StoredRow]:
+    def _read_keys(self, row_keys: Sequence[int], reader: RunReader,
+                   tally: Any = None) -> Iterator[Any]:
         """Materialize ``row_keys`` in order, one page run at a time.
 
-        Consecutive keys that currently live on the same page form a run,
-        decoded together (:meth:`_read_run`) into a batch of at most one page
-        before the first of them is yielded — no page frame is held across a
-        ``yield``, and an early-exit consumer over-reads at most one page.
-        Keys are resolved when their run is formed, so vanished rows are
-        skipped and relocated ones found, and each key is produced at most
-        once.  If the consumer changes the table between two pulls, the rest
-        of the batch is dropped and re-read: a lazy reader never sees an
-        image older than the last completed degradation step.
+        Consecutive keys that currently live on the same page form a run —
+        the batch: ``reader`` decodes all of it before its first row is
+        yielded, so no page frame is held across a ``yield`` and an
+        early-exit consumer over-reads at most one page.  Keys are resolved
+        when their run is formed: vanished rows are skipped, relocated ones
+        found, each key produced at most once.  If the consumer changes the
+        table between two pulls, what follows the row just handed out is
+        dropped and re-read: a lazy reader never sees — or judges — an image
+        older than the last completed degradation step.
         """
-        plan = self._decode_plan(columns)
+        if tally is None:
+            tally = SimpleNamespace(examined=0, excluded=0)
         locations = self._locations
         total = len(row_keys)
-        excluded = 0
         index = 0
         while index < total:
             record_id = locations.get(row_keys[index])
@@ -384,22 +434,22 @@ class TableStore:
                 if index == total:
                     break
                 record_id = locations.get(row_keys[index])
-            batch = self._read_run(page_id, slots, plan, level_caps)
+            rows, positions, drops, excluded = reader(
+                *self.heap.read_run(page_id, slots))
             self.stats.reads += len(slots)
             version = self._version
-            for position, row in enumerate(batch):
-                if row is None:
-                    excluded += 1
-                    continue
-                if self._version != version:
-                    index = first + position
-                    break
-                if excluded and on_excluded is not None:
-                    on_excluded(excluded)
-                    excluded = 0
+            seen = dropped = 0
+            for row, position, drop in zip(rows, positions, drops):
+                tally.examined += position + 1 - seen
+                tally.excluded += drop - dropped
+                seen, dropped = position + 1, drop
                 yield row
-        if excluded and on_excluded is not None:
-            on_excluded(excluded)
+                if self._version != version:
+                    index = first + seen
+                    break
+            else:
+                tally.examined += len(slots) - seen
+                tally.excluded += excluded - dropped
 
     #: fetch() chunks grow geometrically from this size up to the cap: small
     #: first chunks keep LIMIT-k consumers at O(k) heap reads, large later
@@ -407,38 +457,29 @@ class TableStore:
     _FETCH_CHUNK_START = 8
     _FETCH_CHUNK_MAX = 512
 
-    def fetch(self, row_keys: Iterator[int],
-              columns: Optional[frozenset] = None) -> Iterator[StoredRow]:
-        """Materialize the rows with the given keys, skipping vanished ones.
+    def fetch(self, row_keys: Iterator[int], columns: Optional[frozenset] = None,
+              reader: Optional[RunReader] = None, tally: Any = None) -> Iterator[Any]:
+        """Materialize the rows with the given keys, skipping vanished ones
+        (``columns``, ``reader`` and ``tally`` as in :meth:`scan`).
 
-        Keys are read in chunks sorted by heap page (the row→page map), so a
-        large index fetch sweeps each page's records together instead of
-        ping-ponging across the buffer pool; the chunk size starts small and
-        doubles, keeping early-exit consumers (``LIMIT k``) at O(k) reads.
+        Keys are read in chunks sorted by heap page, so a large index fetch
+        sweeps each page's records together instead of ping-ponging across
+        the buffer pool; the chunk size starts small and doubles, keeping
+        early-exit consumers (``LIMIT k``) at O(k) reads.  The addresses only
+        order a chunk: :meth:`_read_keys` resolves each key again when it
+        reads it (the row may have vanished or moved since it was queued).
         """
-        chunk: List[Tuple[int, int, int]] = []
+        if reader is None:
+            reader = self._decode_plan(columns)
+        keys, locations = iter(row_keys), self._locations
         limit = self._FETCH_CHUNK_START
-        for row_key in row_keys:
-            record_id = self._locations.get(row_key)
-            if record_id is None:
-                continue
-            chunk.append((record_id.page_id, record_id.slot, row_key))
-            if len(chunk) >= limit:
-                yield from self._read_chunk(chunk, columns)
-                chunk = []
-                limit = min(limit * 2, self._FETCH_CHUNK_MAX)
-        if chunk:
-            yield from self._read_chunk(chunk, columns)
-
-    def _read_chunk(self, chunk: List[Tuple[int, int, int]],
-                    columns: Optional[frozenset]) -> Iterator[StoredRow]:
-        """Read ``(page_id, slot, row_key)`` entries in page order.  The
-        addresses only order the chunk: :meth:`_read_keys` resolves each key
-        again when it reads it, since the row may have vanished or relocated
-        since it was queued (lazy consumers interleave with other work)."""
-        chunk.sort()
-        return self._read_keys([row_key for _page_id, _slot, row_key in chunk],
-                               columns)
+        while batch := list(islice(keys, limit)):
+            chunk = sorted((record_id.page_id, record_id.slot, row_key)
+                           for row_key in batch
+                           if (record_id := locations.get(row_key)) is not None)
+            yield from self._read_keys([row_key for _page, _slot, row_key in chunk],
+                                       reader, tally)
+            limit = min(limit * 2, self._FETCH_CHUNK_MAX)
 
     def row_keys(self) -> List[int]:
         return list(self._locations)
@@ -809,7 +850,7 @@ class TableStore:
         max_key = 0
         for page_id in self.heap.page_ids():
             slots = self.heap.live_slots(page_id)
-            for slot, row in zip(slots, self._read_run(page_id, slots, plan)):
+            for slot, row in zip(slots, plan(*self.heap.read_run(page_id, slots))[0]):
                 self._locations[row.row_key] = RecordId(page_id, slot)
                 max_key = max(max_key, row.row_key)
         self._next_row_key = max_key + 1

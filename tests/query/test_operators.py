@@ -27,9 +27,11 @@ class TestLimitEarlyExit:
         result = db.execute("SELECT id FROM t WHERE grp = 'g1' LIMIT 3")
         assert len(result.rows) == 3
         scan = result.pipeline.find("SeqScan")
-        # The scan ran only until the filter let 3 rows through (ids 1, 6, 11).
-        assert scan.stats.rows_out == 11
-        assert result.pipeline.find("Filter").stats.rows_out == 3
+        # The filter runs inside the scan, which stopped as soon as 3 rows
+        # had passed it (ids 1, 6, 11) and had read 11 record headers by then.
+        assert scan.stats.rows_out == 3
+        assert scan.examined == 11
+        assert result.pipeline.find("Filter") is None
 
     def test_limit_zero_produces_nothing_and_pulls_nothing(self, db):
         result = db.execute("SELECT id FROM t LIMIT 0")
@@ -72,10 +74,9 @@ class TestResidualFilterExecution:
         result = db.execute("SELECT id FROM t WHERE grp = 'g1' AND val > 50")
         scan = result.pipeline.find("IndexScan")
         assert scan is not None
-        assert scan.stats.rows_out == 100        # only the g1 partition
-        filter_op = result.pipeline.find("Filter")
-        assert "val > 50" in filter_op.describe()
-        assert "grp" not in filter_op.describe()
+        assert scan.examined == 100              # only the g1 partition
+        assert scan.describe().endswith("filter (val > 50)")
+        assert result.pipeline.find("Filter") is None
         # Same answer as the sequential plan evaluating the full predicate.
         expected = {(i,) for i in range(1, 501)
                     if i % 5 == 1 and (i * 7) % 101 > 50}
@@ -144,8 +145,7 @@ class TestExplain:
             "ORDER BY val DESC LIMIT 3")
         text = "\n".join(row[0] for row in result.rows)
         # Access path + residual + the operator stack, leaf to root.
-        assert "IndexScan(idx_grp grp='g1')" in text
-        assert "Filter (val > 50)" in text
+        assert "IndexScan(idx_grp grp='g1') on t as t filter (val > 50)" in text
         assert "TopN (n=3, by val DESC)" in text
         assert "Project (id)" in text
 

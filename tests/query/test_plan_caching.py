@@ -108,14 +108,14 @@ class TestParameterShapePlans:
             [(11,), (16,)]
 
     def test_binding_builds_row_closures_and_nothing_else(self, db):
-        """One expression compiler: a plan carries the row-at-a-time residual,
-        projection and join-key closures — no second compiled form of the
-        same predicate — and a template compiles once however often it is
-        bound."""
+        """One expression compiler: a plan carries its row layout and the
+        row-at-a-time scan-filter, residual, projection, key and aggregate
+        closures — no second compiled form of the same predicate — and a
+        template compiles once however often it is bound."""
         sql = ("SELECT id FROM t WHERE val BETWEEN ? AND ? AND grp = ? "
                "ORDER BY id")
-        artefacts = {"mode", "columns", "items", "project", "residual",
-                     "join_keys", "hidden"}
+        artefacts = {"mode", "layout", "columns", "items", "project", "filters",
+                     "reads", "residual", "join_keys", "aggregate", "hidden"}
         template = db.planner.plan_physical(db.prepare(sql).statement, None)
         assert set(vars(compile_select(db.catalog, template))) == artefacts
         shared = template.ensure_compiled(db.catalog, "compiled")
@@ -123,9 +123,12 @@ class TestParameterShapePlans:
         rebound = bound.ensure_compiled(db.catalog, "compiled")
         assert set(vars(rebound)) == artefacts
         assert rebound.project is shared.project        # template's closure
-        assert rebound.residual is not shared.residual  # bound per execution
-        assert rebound.residual({"grp": "g0"})
-        assert not rebound.residual({"grp": "g1"})
+        assert rebound.layout is shared.layout and rebound.reads is shared.reads
+        (shared_filter,), (filter_fn,) = shared.filters, rebound.filters
+        assert filter_fn is not shared_filter           # bound per execution
+        grp = rebound.layout.slots["grp"]       # rows are positional
+        assert filter_fn([None] * grp + ["g0"])
+        assert not filter_fn([None] * grp + ["g1"])
 
         stats = db.statements.stats
         compiles, hits = stats.predicate_compiles, stats.predicate_compile_hits

@@ -11,45 +11,19 @@ statistics epoch, in both ``read_path_optimizations`` modes — and the cached
 template must still hold its slots, and no bound value, afterwards.
 
 The statement texts are imported from where they are sent
-(``repro.scenarios.driver`` and ``benchmarks/e2e/workloads.py``), not copied.
+(``repro.scenarios.driver`` and ``benchmarks/e2e/workloads.py``), not copied
+(the ``statements`` fixture, ``conftest.py``).
 """
 
 import pytest
 
-from benchmarks.e2e import workloads
-from repro import InstantDB
 from repro.query import ast_nodes as ast
 from repro.query.parameters import placeholder_indexes
 from repro.query.planner import ParamMarker, _flatten_and
-from repro.scenarios import InclusionGenerator, InclusionScenario, OpStream
 
-SCALE = 80
-SEED = 7
+from .conftest import loaded_engine
+
 PURPOSES = (None, "casework", "placement", "statistics")
-#: Parameter sets tried per statement text.
-SAMPLES = 3
-
-
-@pytest.fixture(scope="module")
-def statements():
-    """``sql -> [params, …]`` for every SELECT / UPDATE / DELETE text of the
-    scenario op stream and of the benchmark's workloads."""
-    scenario = InclusionScenario(SCALE)
-    stream = OpStream(scenario, seed=SEED, count=400)
-    ops = [(op.sql, tuple(op.params))
-           for op in stream.ops() + stream.epilogue(400) if op.sql]
-    for workload in ("oltp_mixed", "scan_analytic"):
-        sizes = dict(workloads.TINY_SIZES[workload], scale=SCALE, statements=200)
-        for op in workloads.Inputs(workload, sizes, SEED).streams[0]:
-            ops.append((op.sql, tuple(op.params)))
-    ops += [(workloads._POINT_EMPLOYEE, (row,)) for row in (3, 11)]  # lifecycle's probe
-    found = {}
-    for sql, params in ops:
-        if sql.split()[0].upper() in ("SELECT", "UPDATE", "DELETE"):
-            samples = found.setdefault(sql, [])
-            if len(samples) < SAMPLES and params not in samples:
-                samples.append(params)
-    return found
 
 
 def inlined(sql, params):
@@ -62,25 +36,16 @@ def inlined(sql, params):
     return sql
 
 
-def loaded_engine(optimized):
-    engine = InstantDB(read_path_optimizations=optimized)
-    scenario = InclusionScenario(SCALE)
-    scenario.install(engine)
-    for batch in InclusionGenerator(scenario, seed=SEED).batches(500):
-        engine.executemany(batch.insert_sql, batch.rows)
-    return engine
-
-
 def tables(engine):
     return {table: engine.execute(f"SELECT * FROM {table} ORDER BY id").rows
             for table in engine.tables()}
 
 
 def assert_template_keeps_its_slots(prepared):
-    """Every cached plan is the unbound template: its residual is made of the
-    statement's own WHERE conjuncts (binding builds new nodes), its access
-    paths read ``ParamMarker`` slots, and between them every parameter slot
-    of the WHERE clause is still a slot."""
+    """Every cached plan is the unbound template: its scan filters and its
+    residual are made of the statement's own WHERE conjuncts (binding builds
+    new nodes), its access paths read ``ParamMarker`` slots, and between them
+    every parameter slot of the WHERE clause is still a slot."""
     where = prepared.query.where
     conjuncts = _flatten_and(where) if where is not None else []
     literals = {node.value for conjunct in conjuncts
@@ -88,11 +53,13 @@ def assert_template_keeps_its_slots(prepared):
                 if isinstance(node, ast.Literal)}
     for template in prepared._plans.values():
         assert template.statement is prepared.query
-        slots = set(placeholder_indexes(template.residual))
-        if template.residual is not None:
-            for part in _flatten_and(template.residual):
-                assert any(part is conjunct for conjunct in conjuncts + [where])
-        for scan in [template.base] + [scan for _clause, scan in template.joins]:
+        slots = set()
+        for predicate in [template.residual] + [scan.filter for scan in template.scans]:
+            slots.update(placeholder_indexes(predicate))
+            if predicate is not None:
+                for part in _flatten_and(predicate):
+                    assert any(part is conjunct for conjunct in conjuncts + [where])
+        for scan in template.scans:
             for value in (scan.access.key, scan.access.low, scan.access.high):
                 if isinstance(value, ParamMarker):
                     slots.add(value.index)

@@ -14,6 +14,7 @@
 
 import itertools
 import struct
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -154,12 +155,13 @@ class TestLevelFirstExclusion:
                 for i in range(120)]
         store.degrade_many([(key, "salary", SALARY, 2) for key in keys[:50]], now=1.0)
         store.degrade_many([(key, "location", LOCATION, 1) for key in keys[100:]], now=1.0)
-        counted = []
-        rows = list(store.scan(None, [("salary", 1), ("location", 0)], counted.append))
-        assert [row.row_key for row in rows] == keys[50:100]
-        assert sum(counted) == 70
-        # Reported just before the next visible row, then at the end of the scan.
-        assert counted == [50, 20]
+        tally = SimpleNamespace(examined=0, excluded=0)
+        scan = store.scan(None, [("salary", 1), ("location", 0)], tally)
+        assert next(scan).row_key == keys[50]
+        # Exact at every row handed out, then at the end of the scan.
+        assert (tally.examined, tally.excluded) == (51, 50)
+        assert [row.row_key for row in scan] == keys[51:100]
+        assert (tally.examined, tally.excluded) == (120, 70)
 
     def test_excluded_row_never_reaches_its_values(self):
         """The header decides: a record whose payload is garbage is still
