@@ -127,7 +127,7 @@ def test_a1_event_triggered_transitions(benchmark):
         db.advance_time(days=30)
         rows_before_event = db.row_count("sightings")
         released = db.fire_event("case_closed")
-        return rows_before_event, len(released), db.row_count("sightings")
+        return rows_before_event, sum(map(len, released)), db.row_count("sightings")
 
     before, released, after = benchmark(run)
     print_table("A1: event-triggered final suppression",

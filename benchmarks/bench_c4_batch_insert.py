@@ -1,9 +1,10 @@
 """Experiment C4 — batch ingest: per-statement ``execute`` vs ``executemany``.
 
-The PEP 249 driver's ``executemany`` is the engine's batch-insert fast path:
-the INSERT is parsed once (prepared-statement cache), each parameter row is
-bound against the cached AST, and the whole batch commits as one transaction
-— one lock acquisition and one durable WAL flush instead of N.  This
+The PEP 249 driver's ``executemany`` is the engine's batch-insert path: the
+INSERT is parsed once (prepared-statement cache), each parameter row binds
+straight to a value row, and the whole batch is one insert — its rows reach
+the store, the log and the degradation schedule together, under one lock
+acquisition and one durable WAL flush instead of N.  This
 experiment measures the speedup over the same rows ingested as N autocommit
 ``execute`` calls, the way every caller had to before the driver API existed.
 

@@ -387,6 +387,11 @@ class TupleLCP:
         """Shortest degradation step across all attributes (attack window bound)."""
         return min(lcp.shortest_delay for lcp in self.attributes.values())
 
+    @property
+    def fully_suppresses(self) -> bool:
+        """True when every attribute's life cycle ends in full suppression."""
+        return all(lcp.fully_suppresses for lcp in self.attributes.values())
+
     # -- the full lattice ------------------------------------------------------
 
     def reachable_states(self) -> List[TupleState]:

@@ -145,6 +145,10 @@ class PolicyRegistry:
         return dict(self._policies)
 
 
+#: :meth:`TablePolicy.tuple_lcp`'s key for the tuples no override selects.
+_DEFAULT = object()
+
+
 @dataclass
 class TablePolicy:
     """Degradation policy of one table: one LCP per degradable column.
@@ -164,9 +168,18 @@ class TablePolicy:
     remove_on_final: bool = True
     selector_column: Optional[str] = None
     per_tuple_policies: Dict[Any, Dict[str, AttributeLCP]] = field(default_factory=dict)
+    #: One shared TupleLCP per combination of attribute policies, so the
+    #: rows that follow the same policies share one object (and one cohort
+    #: of the degradation schedule); and which of them the default and each
+    #: override selector value resolve to.
+    _interned: Dict[Tuple[AttributeLCP, ...], TupleLCP] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _resolved: Dict[Any, TupleLCP] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def add_column(self, column: str, policy: AttributeLCP) -> None:
         self.column_policies[column.lower()] = policy
+        self._resolved.clear()
 
     def has_degradable_columns(self) -> bool:
         return bool(self.column_policies)
@@ -198,14 +211,46 @@ class TablePolicy:
         self.per_tuple_policies[selector_value] = {
             column.lower(): policy for column, policy in policies.items()
         }
+        self._resolved.clear()
 
     def tuple_lcp(self, selector_value: Any = None) -> TupleLCP:
-        """Tuple LCP applying to a tuple (honouring per-tuple overrides)."""
-        policies = {
-            column: self.policy_for(column, selector_value)
-            for column in self.column_policies
-        }
-        return TupleLCP(policies)
+        """Tuple LCP applying to a tuple (honouring per-tuple overrides):
+        the same object for every tuple that follows the same policies."""
+        key = selector_value if selector_value is not None \
+            and selector_value in self.per_tuple_policies else _DEFAULT
+        resolved = self._resolved.get(key)
+        if resolved is None:
+            resolved = self._resolved[key] = self.interned({
+                column: self.policy_for(column, None if key is _DEFAULT else key)
+                for column in self.column_policies})
+        return resolved
+
+    def interned(self, policies: Mapping[str, AttributeLCP]) -> TupleLCP:
+        """The shared TupleLCP of ``policies`` (column → attribute LCP)."""
+        key = tuple(policies[column] for column in sorted(policies))
+        interned = self._interned.get(key)
+        if interned is None:
+            interned = self._interned[key] = TupleLCP(policies)
+        return interned
+
+    def named(self, names: Optional[Mapping[str, str]],
+              registry: PolicyRegistry) -> Optional[TupleLCP]:
+        """The shared TupleLCP of persisted attribute → policy ``names`` —
+        each found in ``registry``, else among the overrides (whose policies
+        need not be registered) — or ``None`` when they do not resolve."""
+        if not names or set(names) != set(self.column_policies):
+            return None
+        resolved: Dict[str, AttributeLCP] = {}
+        for attribute, name in names.items():
+            if registry.has_policy(name):
+                resolved[attribute] = registry.policy(name)
+                continue
+            found = [override[attribute] for override in self.per_tuple_policies.values()
+                     if attribute in override and override[attribute].name == name]
+            if not found:
+                return None
+            resolved[attribute] = found[0]
+        return self.interned(resolved)
 
     def tuple_lcp_of(self, values: Mapping[str, Any]) -> TupleLCP:
         """Tuple LCP of the row holding ``values``: its selector column, if

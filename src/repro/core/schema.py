@@ -40,8 +40,11 @@ class Column:
                 f"column {self.name!r}: a primary key cannot be degradable "
                 "(the paper keeps the donor identity stable)"
             )
+        self._exact = self.value_type.python_type
 
     def coerce(self, value: Any) -> Any:
+        if type(value) is self._exact:
+            return value            # already what coercion would make of it
         if value is None or value is NULL:
             if not self.nullable or self.primary_key:
                 raise SchemaError(f"column {self.name!r} does not accept NULL")
@@ -140,6 +143,20 @@ class TableSchema:
         return tuple(
             column.coerce(value) for column, value in zip(self.columns, values)
         )
+
+    def positions(self, names: Sequence[str]) -> Optional[List[Optional[int]]]:
+        """Where each column's value sits in a row that lists ``names`` (an
+        INSERT's column list): ``None`` for a column it leaves out (NULL);
+        ``None`` instead of the list when ``names`` is every column in order."""
+        lowered = [name.lower() for name in names]
+        unknown = set(lowered) - set(self._by_name)
+        if unknown:
+            raise SchemaError(
+                f"table {self.name!r}: unknown columns {sorted(unknown)!r}"
+            )
+        at = {name: index for index, name in enumerate(lowered)}
+        order = [at.get(column.name) for column in self.columns]
+        return None if order == list(range(len(lowered))) else order
 
     def row_dict(self, values: Sequence[Any]) -> Dict[str, Any]:
         """Inverse of :meth:`coerce_row` — a name → value mapping."""

@@ -474,8 +474,9 @@ class SingleFanoutRule(Rule):
     under ``engine/`` the calls that maintain them (an index's ``insert`` /
     ``delete`` / ``update`` / ``degrade_entries``, ``on_insert`` /
     ``on_remove`` / ``on_value_change``, the scheduler's ``register`` /
-    ``cancel``) may appear in that one function only.  A second call site is
-    a change that some structure will miss, and an undo nobody wrote.
+    ``register_many`` / ``cancel``) may appear in that one function only.
+    A second call site is a change that some structure will miss, and an
+    undo nobody wrote.
     """
 
     name = "single-fanout"
@@ -486,7 +487,7 @@ class SingleFanoutRule(Rule):
     #: receiver attribute (``None`` = any) → the maintenance methods on it
     MAINTENANCE = {
         "index": frozenset({"insert", "delete", "update", "degrade_entries"}),
-        "scheduler": frozenset({"register", "cancel"}),
+        "scheduler": frozenset({"register", "register_many", "cancel"}),
         None: frozenset({"on_insert", "on_remove", "on_value_change"}),
     }
 

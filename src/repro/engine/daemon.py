@@ -98,7 +98,7 @@ class DegradationDaemon:
 
         applied = self.scheduler.run_due_batched(
             now, counting_applier, max_batch=self.max_batch)
-        self.stats.steps_applied += len(applied)
+        self.stats.steps_applied += sum(map(len, applied))
         return applied
 
     def catch_up(self, now: Optional[float] = None) -> List[DegradationStep]:
@@ -113,7 +113,7 @@ class DegradationDaemon:
         post-restart degradation lag.
         """
         applied = self.run_pending(now)
-        self.stats.catch_up_steps += len(applied)
+        self.stats.catch_up_steps += sum(map(len, applied))
         return applied
 
     def backlog(self, now: Optional[float] = None) -> int:

@@ -35,6 +35,7 @@ import os
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 from typing import Any, ContextManager, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..core.clock import Clock, SimulatedClock, make_clock
@@ -72,8 +73,8 @@ from ..storage.wal import (
     LogRecordType,
     WriteAheadLog,
     encode_page_directory,
-    encode_policy_names,
     encode_schedule_defers,
+    encode_schedule_registration,
     encode_schedule_steps,
 )
 from ..txn.recovery import RecoveryManager, RecoveryReport, ScheduleReplayReport
@@ -91,11 +92,22 @@ from .daemon import DegradationDaemon
 _CONFLICT_RETRY_SECONDS = 1.0
 
 
-#: Max step/defer entries per schedule WAL record: an unbounded wave must be
-#: split across records to respect the record codec's 65535-field cap
-#: (a defer flattens to 5 fields, a step to its row key plus — at worst, in a
-#: group of its own — 4 more).
+#: Max row keys per schedule WAL record: an unbounded wave or batch must be
+#: split across records to respect the record codec's 65535-field cap (a row
+#: key is one field, plus — at worst, in a group of its own — 5 more).
 _SCHED_RECORD_CHUNK = 10_000
+
+
+def _row_keys(step: DegradationStep) -> List[int]:
+    """The row keys of the engine record ids ``(table, row_key)`` a step covers."""
+    return [record_id[1] for record_id in step.record_ids]
+
+
+def _batches(rows: Iterable[StoredRow], size: int = 1024) -> Iterator[List[StoredRow]]:
+    """``rows`` (a table scan) in batches of a bounded size."""
+    rows = iter(rows)
+    while batch := list(islice(rows, size)):
+        yield batch
 
 
 @dataclass
@@ -543,18 +555,26 @@ class InstantDB:
                     txn: Optional[Transaction] = None) -> int:
         """Execute ``sql`` once per parameter sequence inside one transaction.
 
-        The statement is parsed (and, when applicable, planned) exactly once;
-        each parameter sequence is bound against the cached tree.  Running the
-        whole batch in a single transaction means one lock acquisition and one
-        durable WAL flush instead of N — the batch-insert fast path.  Returns
-        the total number of affected rows; a query is refused (a batch has
-        no result set to hand back).
+        The statement is parsed (and, when applicable, planned) exactly once
+        and the batch pays one lock acquisition and one durable WAL flush.  An
+        INSERT's parameter sequences bind straight to value rows and the
+        whole batch is one insert (:meth:`_insert`): its rows enter the store,
+        the log and the schedule together.  Returns the total number of
+        affected rows; a query is refused (a batch has no result set).
         """
         invariants.assert_engine_thread(self)
         prepared = self.prepare(sql)
-        if isinstance(prepared.statement, (ast.Select, ast.Explain)):
+        statement = prepared.statement
+        if isinstance(statement, (ast.Select, ast.Explain)):
             raise NotSupportedError("executemany() cannot produce result sets; "
                                     "use execute() for queries")
+        if isinstance(statement, ast.Insert):
+            rows: List[Tuple[Any, ...]] = []
+            for params in seq_of_params:
+                prepared.executions += 1
+                self.stats.statements_executed += 1
+                rows.extend(prepared.insert_rows(params))
+            return self._execute_insert(statement, rows, txn) if rows else 0
         total = 0
         with self._transaction(txn) as active:
             for params in seq_of_params:
@@ -579,7 +599,7 @@ class InstantDB:
         resolved = self._resolve_purpose(purpose)
         statement = prepared.statement
         if isinstance(statement, ast.Insert):
-            return self._execute_insert(prepared.bind(params), txn)
+            return self._execute_insert(statement, prepared.insert_rows(params), txn)
         params = prepared.checked(params)
         if isinstance(statement, ast.Select):
             return self._execute_select(prepared, params, resolved, txn, stream)
@@ -713,62 +733,53 @@ class InstantDB:
 
     # ------------------------------------------------------------------ INSERT
 
-    def _execute_insert(self, statement: ast.Insert,
+    def _execute_insert(self, statement: ast.Insert, rows: List[Sequence[Any]],
                         txn: Optional[Transaction]) -> int:
+        """``rows`` — an INSERT's bound VALUES rows, one statement's or a
+        batch's — as one insert: every row or none, one lock, one flush."""
         self._require_writable()
         table = statement.table.lower()
         info = self.catalog.table(table)
-        store = self._store_for(table)
-        columns = info.schema.column_names()
         if statement.columns is not None:
-            columns = [column.lower() for column in statement.columns]
-        # One statement, one transaction: every row or none, one log flush.
-        with self._transaction(txn, table, exclusive=True) as active:
-            for row in statement.rows:
-                if statement.columns is not None and len(columns) != len(row):
+            for row in rows:
+                if len(row) != len(statement.columns):
                     raise ExecutionError(
-                        f"INSERT specifies {len(columns)} columns but "
-                        f"{len(row)} values"
-                    )
-                self._insert(info, store, dict(zip(columns, row)), active)
-        return len(statement.rows)
+                        f"INSERT specifies {len(statement.columns)} columns "
+                        f"but {len(row)} values")
+            order = info.schema.positions(statement.columns)
+            if order is not None:
+                rows = [tuple([None if at is None else row[at] for at in order])
+                        for row in rows]
+        with self._transaction(txn, table, exclusive=True) as active:
+            self._insert(info, rows, active)
+        return len(rows)
 
     def insert_row(self, table: str, row: Any, txn: Optional[Transaction] = None) -> int:
         """Insert one row (Python API); returns the logical row key."""
         self._require_writable()
-        table = table.lower()
-        info = self.catalog.table(table)
-        store = self._store_for(table)
-        with self._transaction(txn, table, exclusive=True) as active:
-            return self._insert(info, store, row, active)
+        info = self.catalog.table(table.lower())
+        with self._transaction(txn, info.name, exclusive=True) as active:
+            return self._insert(info, [row], active)[0].row_key
 
-    def _insert(self, info: TableInfo, store: TableStore, row: Any,
-                active: Transaction) -> int:
-        """One row into ``store`` under ``active``, which holds the table's
-        exclusive lock; returns the logical row key."""
-        table = info.name
+    def _insert(self, info: TableInfo, rows: Sequence[Any],
+                active: Transaction) -> List[StoredRow]:
+        """``rows`` into the table under ``active``, which holds its exclusive
+        lock — one batch from store to log to schedule; returns them stored."""
         now = self.clock.now()
-        stored = store.insert(row, now, txn_id=active.txn_id, returning=True)
+        store = self._store_for(info.name)
+        stored = store.insert_many(rows, now, txn_id=active.txn_id)
         active.on_abort(partial(self._undo_delta, info, store, None, stored))
-        self._apply_delta(info, None, stored)
-        tuple_lcp = self.scheduler.tuple_lcp((table, stored.row_key))
-        if tuple_lcp is not None:
-            # The registration becomes durable with the transaction's
-            # commit flush; recovery replays it only if the txn committed.
-            # The payload names each attribute's policy so replay can
-            # re-resolve per-tuple overrides even after the selector
-            # value itself has degraded (values never enter the log).
-            self.wal.append(
-                LogRecordType.SCHED_REGISTER, active.txn_id,
-                table=table, row_key=stored.row_key,
-                after=encode_policy_names({
-                    attribute: lcp.name
-                    for attribute, lcp in tuple_lcp.attributes.items()
-                }),
-                timestamp=now,
-            )
-        self.stats.rows_inserted += 1
-        return stored.row_key
+        for tuple_lcp, row_keys in self._apply_delta(info, None, stored):
+            # One record per cohort, durable with the transaction's commit
+            # flush (replayed only if it committed).  It names each
+            # attribute's policy, so replay re-resolves per-tuple overrides
+            # even after the selector value has degraded (no value is logged).
+            names = {attribute: lcp.name for attribute, lcp in tuple_lcp.attributes.items()}
+            for payload in encode_schedule_registration(names, row_keys, _SCHED_RECORD_CHUNK):
+                self.wal.append(LogRecordType.SCHED_REGISTER, active.txn_id,
+                                table=info.name, after=payload, timestamp=now)
+        self.stats.rows_inserted += len(stored)
+        return stored
 
     # ------------------------------------------------------------------ UPDATE / DELETE
 
@@ -800,8 +811,8 @@ class InstantDB:
                     updated = store.update_stable(stored.row_key, column, value, now,
                                                   txn_id=active.txn_id)
                     active.on_abort(partial(self._undo_delta, info, store,
-                                            stored, updated))
-                    self._apply_delta(info, stored, updated)
+                                            [stored], [updated]))
+                    self._apply_delta(info, [stored], [updated])
                     stored = updated
                 count += 1
         self.stats.rows_updated += count
@@ -820,7 +831,7 @@ class InstantDB:
         with self._transaction(txn, table, exclusive=True) as active:
             for stored in self.executor.matching_rows(
                     self._plan(prepared, params, purpose)):
-                self._apply_delta(info, stored, None)
+                self._apply_delta(info, [stored], None)
                 store.delete(stored.row_key, now=self.clock.now(),
                              txn_id=active.txn_id)
                 count += 1
@@ -836,8 +847,8 @@ class InstantDB:
         index_info = self._attach_recovered_index(table, name, column, method)
         self._catalog_dirty = True
         info = self.catalog.table(table)
-        for stored in self._store_for(table).scan():
-            self._apply_delta(info, None, stored, only=index_info)
+        for rows in _batches(self._store_for(table).scan()):
+            self._apply_delta(info, None, rows, only=index_info)
 
     def _execute_drop_table(self, statement: ast.DropTable) -> None:
         self._require_writable()
@@ -850,8 +861,7 @@ class InstantDB:
             # Indexes and statistics went with the catalog entry; only the
             # schedule still holds the rows.
             self._apply_delta(info, gone=store.row_keys())
-            for row_key in store.row_keys():
-                store.remove(row_key, now=self.clock.now())
+            store.remove_many(store.row_keys(), now=self.clock.now())
         # The TABLE_DROP marker closes the table's log *epoch*: it is written
         # after the drop's own removals so every record up to and including
         # the marker belongs to the dropped incarnation.  Recovery skips
@@ -875,25 +885,30 @@ class InstantDB:
 
     # ------------------------------------------------------------------ derived state
 
-    def _apply_delta(self, info: TableInfo, old: Optional[StoredRow] = None,
-                     new: Optional[StoredRow] = None, *,
+    def _apply_delta(self, info: TableInfo,
+                     old: Optional[Sequence[StoredRow]] = None,
+                     new: Optional[Sequence[StoredRow]] = None, *,
                      chunk: Optional[DegradeChunk] = None,
                      gone: Optional[Sequence[int]] = None,
                      only: Optional[IndexInfo] = None,
-                     schedule: bool = True) -> None:
-        """The one way a row change reaches what is derived from rows: the
+                     schedule: bool = True) -> List[Tuple[TupleLCP, List[int]]]:
+        """The one way row changes reach what is derived from rows: the
         table's indexes, its statistics and the degradation schedule.
 
-        ``(None, row)`` enters, ``(row, None)`` leaves, two images of one row
-        move every value that differs; undoing a change is the same call with
-        the images swapped (:meth:`_undo_delta`).  A wave passes each
-        ``chunk`` as the store produced it — value transitions, no row
-        decoded.  ``gone`` are keys of rows that left without an image to
-        retract (a dropped table's; a row a faulted wave had erased): only
-        the schedule still holds them.  ``only`` feeds an entering row to one
-        index, a new one catching up.  ``schedule=False`` leaves the schedule
-        to its own source for the change: WAL replay after recovery, the
-        drain's advance for the rows a wave removes.
+        ``(None, rows)`` enter and ``(rows, None)`` leave, a batch each (one
+        index pass, one statistics update per column; an entering batch is one
+        statement's rows, so one insertion time, and joins the schedule as
+        one cohort per tuple LCP); two batches of images of the same rows move
+        every value that differs.  Undoing a change is the same call with the
+        images swapped (:meth:`_undo_delta`).  A wave passes each ``chunk`` as
+        the store produced it — value transitions, no row decoded.  ``gone``
+        are keys of rows that left without an image to retract (a dropped
+        table's; a row a faulted wave had erased): only the schedule still
+        holds them.  ``only`` feeds entering rows to one index, a new one
+        catching up.  ``schedule=False`` leaves the schedule to its own source
+        for the change: WAL replay after recovery, the drain's advance for
+        the rows a wave removes.  Returns the cohorts entering rows joined,
+        ``(tuple LCP, row keys)``.
         """
         table = info.name
         indexes = info.indexes.values() if only is None else (only,)
@@ -913,66 +928,76 @@ class InstantDB:
                 self.scheduler.cancel((table, row_key))
         elif old is None:
             for index_info in indexes:
-                column = index_info.column
-                index_info.index.insert(new.values[column], new.row_key,
-                                        new.levels.get(column))
+                column, index = index_info.column, index_info.index
+                for row in new:
+                    index.insert(row.values[column], row.row_key, row.levels.get(column))
             if only is not None:
-                return
-            self.statistics.on_insert(table, new.values)
+                return []
+            self.statistics.on_insert(table, [row.values for row in new])
             policy = info.policy
-            if schedule and policy is not None and policy.has_degradable_columns():
-                self.scheduler.register((table, new.row_key),
-                                        policy.tuple_lcp_of(new.values),
-                                        new.inserted_at)
+            if not (schedule and new and policy is not None
+                    and policy.has_degradable_columns()):
+                return []
+            cohorts: Dict[TupleLCP, List[int]] = {}
+            for row in new:
+                cohorts.setdefault(policy.tuple_lcp_of(row.values), []).append(row.row_key)
+            for tuple_lcp, row_keys in cohorts.items():
+                self.scheduler.register_many([(table, row_key) for row_key in row_keys],
+                                             tuple_lcp, new[0].inserted_at)
+            return list(cohorts.items())
         elif new is None:
             for index_info in indexes:
-                column = index_info.column
-                index_info.index.delete(old.values[column], old.row_key,
-                                        old.levels.get(column))
-            self.statistics.on_remove(table, old.values)
+                column, index = index_info.column, index_info.index
+                for row in old:
+                    index.delete(row.values[column], row.row_key, row.levels.get(column))
+            self.statistics.on_remove(table, [row.values for row in old])
             if schedule:
-                self.scheduler.cancel((table, old.row_key))
+                for row in old:
+                    self.scheduler.cancel((table, row.row_key))
         else:
-            for column, value in new.values.items():
-                before = old.values[column]
-                if before == value:
-                    continue
-                self.statistics.on_value_change(table, column, before, value)
-                for index_info in indexes:
-                    if index_info.column == column:
-                        index_info.index.update(before, value, old.row_key,
-                                                old.levels.get(column))
+            for before_row, after_row in zip(old, new):
+                for column, value in after_row.values.items():
+                    before = before_row.values[column]
+                    if before == value:
+                        continue
+                    self.statistics.on_value_change(table, column, before, value)
+                    for index_info in indexes:
+                        if index_info.column == column:
+                            index_info.index.update(before, value, before_row.row_key,
+                                                    before_row.levels.get(column))
+        return []
 
     def _undo_delta(self, info: TableInfo, store: TableStore,
-                    old: Optional[StoredRow], new: StoredRow) -> None:
-        """Abort-undo of the change ``old → new``: the physical undo, then the
-        inverse delta through the same fan-out.  Either physical undo logs
-        itself under system transaction 0 (``REMOVE``; the before-image as an
-        ``UPDATE``), which recovery always redoes.  A row the transaction
-        went on to ``DELETE`` stays erased."""
-        if not store.exists(new.row_key):
-            return
+                    old: Optional[List[StoredRow]], new: List[StoredRow]) -> None:
+        """Abort-undo of the change ``old → new`` (batches): the physical
+        undo, then the inverse delta through the same fan-out.  Either
+        physical undo logs itself under system transaction 0 (``REMOVE``; the
+        before-image as an ``UPDATE``), which recovery always redoes.  A row
+        the transaction went on to ``DELETE`` stays erased."""
+        kept = [store.exists(row.row_key) for row in new]
+        new = [row for row, keep in zip(new, kept) if keep]
         if old is None:
-            store.remove(new.row_key, now=self.clock.now())
+            store.remove_many([row.row_key for row in new], now=self.clock.now())
         else:
-            store.undo_update(old, now=self.clock.now())
-        self._apply_delta(info, new, old)
+            old = [row for row, keep in zip(old, kept) if keep]
+            for before in old:
+                store.undo_update(before, now=self.clock.now())
+        if new:
+            self._apply_delta(info, new, old)
 
     # ------------------------------------------------------------------ degradation machinery
 
     def _log_deferrals(self, table: str, steps: List[DegradationStep],
                        until: float, now: float, txn_id: int) -> None:
-        """``SCHED_DEFER`` record(s) moving ``steps`` to ``until``, chunked
-        under the record codec's field cap."""
-        entries = [(step.record_id[1], step.attribute, step.from_state,
-                    step.due, until) for step in steps]
-        for start in range(0, len(entries), _SCHED_RECORD_CHUNK):
-            self.wal.append(
-                LogRecordType.SCHED_DEFER, txn_id, table=table,
-                after=encode_schedule_defers(
-                    entries[start:start + _SCHED_RECORD_CHUNK]),
-                timestamp=now,
-            )
+        """``SCHED_DEFER`` record(s) moving ``steps`` to ``until``, as
+        ``(attribute, from_state, due, until) → row keys`` groups."""
+        groups: Dict[Tuple[str, int, float, float], List[int]] = {}
+        for step in steps:
+            groups.setdefault((step.attribute, step.from_state, step.due, until),
+                              []).extend(_row_keys(step))
+        for payload in encode_schedule_defers(groups, _SCHED_RECORD_CHUNK):
+            self.wal.append(LogRecordType.SCHED_DEFER, txn_id, table=table,
+                            after=payload, timestamp=now)
 
     def _defer_conflicted(self, table: str, steps: List[DegradationStep],
                           txn: Transaction, now: float) -> None:
@@ -1014,14 +1039,15 @@ class InstantDB:
             if self.transactions.is_active(txn.txn_id):
                 self.transactions.abort(txn, now=now,
                                         reason="degradation durability fault")
-        self.daemon.stats.steps_deferred_by_fault += len(steps)
+        self.daemon.stats.steps_deferred_by_fault += sum(map(len, steps))
         self.stats.degradation_waves_faulted += 1
         for step in steps:
             self.scheduler.defer(step, until)
 
     def _apply_degradation_batch(self, table: str,
                                  steps: List[DegradationStep]) -> List[DegradationStep]:
-        """Apply one table's worth of due steps as one batch.
+        """Apply one table's worth of due steps — cohort steps, each handing
+        its row keys to the store as they are — as one batch.
 
         The whole batch pays one system transaction, one exclusive table lock
         and one durable WAL flush (the commit); the store coalesces page
@@ -1038,15 +1064,16 @@ class InstantDB:
         live: List[DegradationStep] = []
         items = []
         for step in steps:
-            row_key = step.record_id[1]
-            tuple_lcp = self.scheduler.tuple_lcp(step.record_id)
-            if tuple_lcp is None or not store.exists(row_key):
-                self._apply_delta(info, gone=(row_key,))
-                continue
-            lcp = tuple_lcp.attributes[step.attribute]
-            live.append(step)
-            items.append((row_key, step.attribute, lcp.scheme,
-                          lcp.state_level(step.to_state)))
+            row_keys = _row_keys(step)
+            gone = store.missing(row_keys)
+            if gone:
+                self._apply_delta(info, gone=gone)
+                row_keys = [row_key for row_key in row_keys if store.exists(row_key)]
+            if row_keys:
+                lcp = step.tuple_lcp.attributes[step.attribute]
+                live.append(step)
+                items.append((row_keys, step.attribute, lcp.scheme,
+                              lcp.state_level(step.to_state)))
         if not live:
             return []
         now = self.clock.now()
@@ -1059,17 +1086,20 @@ class InstantDB:
             self._defer_conflicted(table, live, txn, now)
             return []
         try:
-            for chunk in store.degrade_many(items, now, txn_id=txn.txn_id):
-                self._apply_delta(info, chunk=chunk)
+            # Indexes and statistics follow the heap even if the wave's log
+            # or page I/O fails after the rewrite (a retry finds the rows at
+            # their target and has no chunk left to hand over).
+            store.degrade_many(items, now, txn_id=txn.txn_id,
+                               on_chunk=lambda chunk: self._apply_delta(info, chunk=chunk))
             self._on_records_final(info, store, live, txn, now)
             # The schedule advance of the whole batch, as (attribute, state,
             # due) → row keys groups, inside the same system transaction as
             # its DEGRADE records: the single commit flush makes data and
             # schedule durable together.
             groups: Dict[Tuple[str, int, float], List[int]] = {}
-            for step in live:
+            for step, (row_keys, *_rest) in zip(live, items):
                 groups.setdefault((step.attribute, step.to_state, step.due),
-                                  []).append(step.record_id[1])
+                                  []).extend(row_keys)
             for payload in encode_schedule_steps(groups, _SCHED_RECORD_CHUNK):
                 self.wal.append(LogRecordType.SCHED_STEP, txn.txn_id,
                                 table=table, after=payload, timestamp=now)
@@ -1085,7 +1115,7 @@ class InstantDB:
             self._defer_faulted(table, live, txn, now)
             return []
         self._fault_backoff.pop(table, None)
-        self.stats.degradation_steps_applied += len(live)
+        self.stats.degradation_steps_applied += sum(len(item[0]) for item in items)
         return live
 
     def _on_records_final(self, info: TableInfo, store: TableStore,
@@ -1099,18 +1129,15 @@ class InstantDB:
         state = some intermediate level) keeps the degraded tuple."""
         if info.policy is None or not info.policy.remove_on_final:
             return
-        removable: List[int] = []
-        for record_id in self.scheduler.predict_complete(steps):
-            if not all(lcp.fully_suppresses for lcp in
-                       self.scheduler.tuple_lcp(record_id).attributes.values()):
-                continue
-            row_key = record_id[1]
-            # The drain retires the registration when it advances ``steps``.
-            self._apply_delta(info, store.read(row_key), None, schedule=False)
-            removable.append(row_key)
-        if removable:
-            store.remove_many(removable, now=now, txn_id=txn.txn_id)
-            self.stats.rows_removed_by_policy += len(removable)
+        finished = self.scheduler.predict_complete(
+            [step for step in steps if step.tuple_lcp.fully_suppresses])
+        if finished:
+            # Read in the removal's own page runs; the drain retires the
+            # registrations when it advances ``steps``.
+            self.stats.rows_removed_by_policy += store.remove_many(
+                [record_id[1] for record_id in finished], now=now,
+                txn_id=txn.txn_id,
+                on_rows=partial(self._apply_delta, info, schedule=False))
 
     # ------------------------------------------------------------------ maintenance
 
@@ -1277,7 +1304,7 @@ class InstantDB:
             recovery=report,
             schedule=schedule,
             registrations=self.scheduler.registered_count(),
-            overdue_steps_applied=len(applied),
+            overdue_steps_applied=sum(map(len, applied)),
             recovered_to=self.clock.now(),
         )
 
@@ -1302,8 +1329,8 @@ class InstantDB:
                     info.schema, self.registry)
             # The same fan-out as a live insert, minus the schedule: WAL
             # replay has rebuilt that from the log's own records.
-            for stored in self.stores[info.name].scan():
-                self._apply_delta(info, None, stored, schedule=False)
+            for rows in _batches(self.stores[info.name].scan()):
+                self._apply_delta(info, None, rows, schedule=False)
 
     def _resolve_tuple_lcp(self, record_id: Any,
                            policy_names: Optional[Dict[str, str]] = None
@@ -1327,42 +1354,8 @@ class InstantDB:
             return None
         if info.policy is None or not info.policy.has_degradable_columns():
             return None
-        tuple_lcp = self._tuple_lcp_from_names(info, policy_names)
-        if tuple_lcp is None:
-            tuple_lcp = info.policy.tuple_lcp_of(store.read(row_key).values)
-        return tuple_lcp
-
-    def _tuple_lcp_from_names(self, info,
-                              policy_names: Optional[Dict[str, str]]
-                              ) -> Optional[TupleLCP]:
-        """Rebuild a TupleLCP from persisted policy names, if they resolve.
-
-        Names are looked up in the registry first, then among the table's
-        per-tuple overrides (whose policies need not be registered).  Any
-        miss or attribute mismatch falls back to selector-based resolution.
-        """
-        if not policy_names:
-            return None
-        expected = {column.name for column in info.schema.degradable_columns()}
-        if set(policy_names) != expected:
-            return None
-        resolved: Dict[str, AttributeLCP] = {}
-        for attribute, name in policy_names.items():
-            try:
-                resolved[attribute] = self.registry.policy(name)
-                continue
-            except CatalogError:
-                pass  # not a registered policy — try per-tuple overrides
-            found = None
-            for override in info.policy.per_tuple_policies.values():
-                candidate = override.get(attribute)
-                if candidate is not None and candidate.name == name:
-                    found = candidate
-                    break
-            if found is None:
-                return None
-            resolved[attribute] = found
-        return TupleLCP(resolved)
+        return info.policy.named(policy_names, self.registry) \
+            or info.policy.tuple_lcp_of(store.read(row_key).values)
 
     # ------------------------------------------------------------------ introspection
 

@@ -106,14 +106,13 @@ def insert_slots(statement: ast.Insert) -> InsertSlots:
         for row in statement.rows)
 
 
-def bind_insert(statement: ast.Insert, slots: InsertSlots,
-                params: Sequence[Any], expected: int) -> ast.Insert:
-    """:func:`bind_parameters` for an INSERT with its slots already resolved."""
+def bind_insert(slots: InsertSlots, params: Sequence[Any],
+                expected: int) -> Tuple[Tuple[Any, ...], ...]:
+    """The VALUES rows :func:`bind_parameters` would put in an INSERT whose
+    slots are already resolved — checked the same way."""
     bound = checked_parameters(params, expected)
-    return ast.Insert(
-        table=statement.table, columns=statement.columns,
-        rows=tuple(tuple(bound[index] if index >= 0 else literal
-                         for index, literal in row) for row in slots))
+    return tuple(tuple([bound[index] if index >= 0 else literal
+                        for index, literal in row]) for row in slots)
 
 
 def _bind_node(node: Any, params: Tuple[Any, ...]) -> Any:

@@ -4,9 +4,10 @@ Parsing is the dominant per-statement cost of the SQL front-end, so the
 engine keeps an LRU cache of parsed statements keyed on the exact SQL text.
 A :class:`PreparedStatement` is immutable once parsed: binding parameters
 (:meth:`PreparedStatement.bind`) rebuilds the AST with literals substituted
-and never mutates the cached tree, so one prepared statement can safely be
-bound N times inside ``executemany`` (an INSERT resolves where each parameter
-goes in its VALUES rows once and only fills those slots per binding).
+and never mutates the cached tree.  An INSERT resolves where each parameter
+goes in its VALUES rows once and then binds each parameter sequence straight
+to value rows (:meth:`PreparedStatement.insert_rows`), which is how an
+``executemany`` of N sequences becomes one insert of N rows.
 
 A ``SELECT`` — and the row match of an ``UPDATE`` or ``DELETE``, which is the
 query ``SELECT * FROM t WHERE …`` — additionally caches its *physical* plan
@@ -96,19 +97,27 @@ class PreparedStatement:
                                   self.param_count)
 
     def bind(self, params: Optional[Sequence[Any]] = None) -> ast.Statement:
-        """Return an executable statement with ``params`` substituted."""
+        """Return an executable statement with ``params`` substituted (for an
+        INSERT: its :meth:`insert_rows` in the statement's shape)."""
         if params is None:
             params = ()
         if self.param_count == 0 and not params:
             return self.statement
         if isinstance(self.statement, ast.Insert):
-            # The slots are resolved once per prepared statement, so an
-            # ``executemany`` fills N rows without walking the tree N times.
-            if self._insert_slots is None:
-                self._insert_slots = insert_slots(self.statement)
-            return bind_insert(self.statement, self._insert_slots, params,
-                               self.param_count)
+            return ast.Insert(table=self.statement.table,
+                              columns=self.statement.columns,
+                              rows=self.insert_rows(params))
         return bind_parameters(self.statement, params, expected=self.param_count)
+
+    def insert_rows(self, params: Optional[Sequence[Any]]) -> Tuple[Tuple[Any, ...], ...]:
+        """An INSERT's VALUES rows with ``params`` filled in — straight to
+        value tuples, no tree rebuilt.  The slots are resolved once per
+        prepared statement, so a batch of N parameter sequences fills N × rows
+        without walking the tree."""
+        if self._insert_slots is None:
+            self._insert_slots = insert_slots(self.statement)
+        return bind_insert(self._insert_slots, () if params is None else params,
+                           self.param_count)
 
     # -- plan reuse ----------------------------------------------------------
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.schema import TableSchema
 from ..core.values import is_missing, sort_key
@@ -94,8 +94,23 @@ class ColumnStatistics:
     def add(self, value: Any, count: int = 1) -> None:
         if is_missing(value):
             self.missing += count
-            return
-        surrogate = _stat_key(value)
+        else:
+            self._add(_stat_key(value), count)
+
+    def add_many(self, values: Iterable[Any]) -> None:
+        """One row per value enters — a column's share of an inserted batch;
+        the state is the one adding them one by one leaves."""
+        entering: Dict[Any, int] = {}
+        for value in values:
+            if is_missing(value):
+                self.missing += 1
+            else:
+                surrogate = _stat_key(value)
+                entering[surrogate] = entering.get(surrogate, 0) + 1
+        for surrogate, count in entering.items():
+            self._add(surrogate, count)
+
+    def _add(self, surrogate: Any, count: int) -> None:
         self.counts[surrogate] = self.counts.get(surrogate, 0) + count
         self.non_missing += count
         self._hist = None
@@ -108,8 +123,23 @@ class ColumnStatistics:
     def remove(self, value: Any, count: int = 1) -> None:
         if is_missing(value):
             self.missing = max(0, self.missing - count)
-            return
-        surrogate = _stat_key(value)
+        else:
+            self._remove(_stat_key(value), count)
+
+    def remove_many(self, values: Iterable[Any]) -> None:
+        """One row per value leaves; the state is the one removing them one
+        by one leaves."""
+        leaving: Dict[Any, int] = {}
+        for value in values:
+            if is_missing(value):
+                self.missing = max(0, self.missing - 1)
+            else:
+                surrogate = _stat_key(value)
+                leaving[surrogate] = leaving.get(surrogate, 0) + 1
+        for surrogate, count in leaving.items():
+            self._remove(surrogate, count)
+
+    def _remove(self, surrogate: Any, count: int) -> None:
         held = self.counts.get(surrogate)
         if held is None:
             return
@@ -282,17 +312,46 @@ class TableStatistics:
             bumps, self._mods_since_epoch = divmod(count - first, threshold)
             self.epoch += 1 + bumps
 
-    def on_insert(self, values: Dict[str, Any]) -> None:
-        self.row_count += 1
-        for name, stats in self.columns.items():
-            stats.add(values.get(name))
-        self._note_mod()
+    def _note_rows(self, count: int, step: int) -> None:
+        """``count`` rows entering (``step`` 1) or leaving (-1) one after the
+        other, each a modification that moves the row count — and with it the
+        bump threshold — first: the epoch ends where one-by-one calls of
+        :meth:`_note_mod` would leave it, found by bisection per bump."""
+        while count:
+            start, mods = self.row_count, self._mods_since_epoch
 
-    def on_remove(self, values: Dict[str, Any]) -> None:
-        self.row_count = max(0, self.row_count - 1)
+            def bumps(k: int) -> bool:      # does the k-th row reach the threshold?
+                rows = max(0, start + step * k)
+                return mods + k >= math.ceil(max(EPOCH_MOD_FLOOR, rows * EPOCH_MOD_FRACTION))
+
+            if not bumps(count):
+                self.row_count = max(0, start + step * count)
+                self._mods_since_epoch += count
+                return
+            low, high = 1, count
+            while low < high:
+                middle = (low + high) // 2
+                if bumps(middle):
+                    high = middle
+                else:
+                    low = middle + 1
+            self.row_count = max(0, start + step * low)
+            self.epoch += 1
+            self._mods_since_epoch = 0
+            count -= low
+
+    def on_insert(self, rows: Sequence[Mapping[str, Any]]) -> None:
+        """``rows`` (each a column → value mapping) enter: one update per
+        column, the state inserting them one by one would leave."""
         for name, stats in self.columns.items():
-            stats.remove(values.get(name))
-        self._note_mod()
+            stats.add_many([values.get(name) for values in rows])
+        self._note_rows(len(rows), 1)
+
+    def on_remove(self, rows: Sequence[Mapping[str, Any]]) -> None:
+        """``rows`` leave — the inverse of :meth:`on_insert`."""
+        for name, stats in self.columns.items():
+            stats.remove_many([values.get(name) for values in rows])
+        self._note_rows(len(rows), -1)
 
     def on_value_change(self, column: str, old: Any, new: Any,
                         count: int = 1) -> None:
@@ -383,15 +442,15 @@ class StatisticsRegistry:
 
     # -- engine-side maintenance hooks (no-ops for unregistered tables) --------
 
-    def on_insert(self, table: str, values: Dict[str, Any]) -> None:
+    def on_insert(self, table: str, rows: Sequence[Mapping[str, Any]]) -> None:
         stats = self._tables.get(table)
         if stats is not None:
-            stats.on_insert(values)
+            stats.on_insert(rows)
 
-    def on_remove(self, table: str, values: Dict[str, Any]) -> None:
+    def on_remove(self, table: str, rows: Sequence[Mapping[str, Any]]) -> None:
         stats = self._tables.get(table)
         if stats is not None:
-            stats.on_remove(values)
+            stats.on_remove(rows)
 
     def on_value_change(self, table: str, column: str, old: Any, new: Any,
                         count: int = 1) -> None:

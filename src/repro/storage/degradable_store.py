@@ -8,26 +8,19 @@ page (physically overwritten or crypto-erased), the log holds no accurate
 image of it, and readers observe only the degraded value.
 
 Each degradable attribute of a stored row carries its current **accuracy
-level** (0 = collection accuracy, ``scheme.max_level`` = suppressed); the
-degradation engine drives levels forward according to the life cycle policy,
-while the query layer compares stored levels against the accuracy demanded by
-the query's purpose.
-
-Two non-recoverability strategies are supported and benchmarked against each
-other (experiment C2):
-
-* ``"rewrite"`` — the record is rewritten in place with the degraded value and
-  the page's secure reclamation zeroes the stale bytes;
-* ``"crypto"`` — degradable values are stored encrypted under a per
-  ``(row, column, level)`` key; a degradation step re-encrypts the degraded
-  value under a fresh key and destroys the old one.
+level** (0 = collection accuracy, ``scheme.max_level`` = suppressed), which
+degradation drives forward and reads compare against the purpose's demand.
+Two non-recoverability strategies are benchmarked against each other (C2):
+``"rewrite"`` rewrites the record in place and the page's secure reclamation
+zeroes the stale bytes; ``"crypto"`` stores degradable values encrypted under
+a per ``(row, column, level)`` key that a degradation step destroys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 from types import SimpleNamespace
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -46,7 +39,6 @@ from .heap import HeapFile, RecordId
 from .serialization import (
     decode_fields,
     decode_value,
-    encode_record,
     encode_value,
     fixed_prefix,
     record_field_count,
@@ -134,12 +126,9 @@ class TableStore:
             "if" + "i" * len(self._degradable))
         self._field_count = 2 + len(self._degradable) + len(schema.columns)
         self._locations: Dict[int, RecordId] = {}
-        #: Pages a relocating rewrite moved a record *out of* — the rare case
-        #: of a page full in total; a page with scattered room compacts in
-        #: place and vacates nothing.  The old image is zeroed in the buffer
-        #: pool only; until such a page is flushed the disk still holds it, so
-        #: everything that scrubs the log afterwards flushes these first
-        #: (:meth:`_flush_pages`).
+        #: Pages a relocating rewrite (a page full in total) moved a record
+        #: *out of*: their zeroed old image is in the buffer pool only, so
+        #: whatever scrubs the log afterwards flushes them first.
         self._vacated_pages: set = set()
         self._next_row_key = 1
         #: Bumped whenever a stored record is rewritten or erased, so a lazy
@@ -152,17 +141,25 @@ class TableStore:
 
     def _encode_row(self, row_key: int, inserted_at: float,
                     levels: Dict[str, int], values: Dict[str, Any]) -> bytes:
-        flat: List[Any] = [row_key, float(inserted_at)]
-        for column in self._degradable:
-            flat.append(int(levels[column]))
-        for column in self.schema.columns:
-            value = values[column.name]
-            if column.degradable and self.strategy == "crypto" and not self._is_sentinel(value):
-                level = levels[column.name]
-                key_id = (self.schema.name, row_key, column.name, level)
-                value = self.keystore.encrypt(key_id, encode_value(value))
-            flat.append(value)
-        return encode_record(flat)
+        return self._encode_values(row_key, inserted_at,
+                                   [levels[column] for column in self._degradable],
+                                   [values[column.name] for column in self.schema.columns])
+
+    def _encode_values(self, row_key: int, inserted_at: float,
+                       levels: Sequence[int], values: Sequence[Any]) -> bytes:
+        """The record of a row — levels in degradable-column order, values in
+        column order — byte for byte :func:`encode_record` of ``[row_key,
+        inserted_at, *levels, *values]``, its fixed prefix in one pack."""
+        if self.strategy == "crypto":
+            values = list(values)
+            for name, (level_at, value_at) in self._degradable_fields.items():
+                if not self._is_sentinel(values[value_at]):
+                    values[value_at] = self.keystore.encrypt(
+                        (self.schema.name, row_key, name, levels[level_at]),
+                        encode_value(values[value_at]))
+        prefix = zip(self._header_tags, (row_key, float(inserted_at), *levels))
+        return self._header.pack(self._field_count, *chain.from_iterable(prefix)) \
+            + b"".join(map(encode_value, values))
 
     def _decode_row(self, payload: bytes,
                     columns: Optional[frozenset] = None) -> StoredRow:
@@ -260,27 +257,43 @@ class TableStore:
 
     def insert(self, row: Any, now: float, txn_id: int = 0,
                returning: bool = False) -> Union[int, StoredRow]:
-        """Insert a row (most accurate state) and return its logical row key
-        — or, with ``returning``, the stored row exactly as :meth:`read` would
-        decode it (coerced values, every level 0), sparing the caller that
-        read."""
-        values_tuple = self.schema.coerce_row(row)
-        values = self.schema.row_dict(values_tuple)
-        levels = {column: 0 for column in self._degradable}
-        row_key = self._next_row_key
-        self._next_row_key += 1
-        payload = self._encode_row(row_key, now, levels, values)
-        record_id = self.heap.insert(payload)
-        self._locations[row_key] = record_id
-        self.wal.append(
-            LogRecordType.INSERT, txn_id, table=self.schema.name, row_key=row_key,
-            after=payload, timestamp=now,
-        )
-        self.stats.inserts += 1
-        return StoredRow(row_key, values, levels, float(now)) if returning else row_key
+        """Insert one row — :meth:`insert_many` with one — and return its
+        logical row key (with ``returning``, the stored row)."""
+        stored = self.insert_many((row,), now, txn_id)[0]
+        return stored if returning else stored.row_key
+
+    def insert_many(self, rows: Sequence[Any], now: float,
+                    txn_id: int = 0) -> List[StoredRow]:
+        """Insert ``rows`` (mappings or value sequences, most accurate state)
+        and return them exactly as :meth:`read` would decode them.
+
+        Every row is coerced and encoded before any is placed, so a bad row
+        inserts none; the pages fill through one :meth:`HeapFile.insert_many`
+        (placement as one-by-one inserts); each row keeps an ``INSERT`` image
+        of its own, so each stays individually scrubbable."""
+        first, table = self._next_row_key, self.schema.name
+        values = [self.schema.coerce_row(row) for row in rows]
+        zero = [0] * len(self._degradable)
+        payloads = [self._encode_values(first + offset, now, zero, row)
+                    for offset, row in enumerate(values)]
+        self._locations.update(zip(range(first, first + len(payloads)),
+                                   self.heap.insert_many(payloads)))
+        self._next_row_key = first + len(payloads)
+        stored = []
+        for row_key, payload, row in zip(range(first, self._next_row_key), payloads, values):
+            self.wal.append(LogRecordType.INSERT, txn_id, table=table,
+                            row_key=row_key, after=payload, timestamp=now)
+            stored.append(StoredRow(row_key, self.schema.row_dict(row),
+                                    dict(zip(self._degradable, zero)), float(now)))
+        self.stats.inserts += len(stored)
+        return stored
 
     def exists(self, row_key: int) -> bool:
         return row_key in self._locations
+
+    def missing(self, row_keys: Iterable[int]) -> List[int]:
+        """The ones of ``row_keys`` the table does not hold."""
+        return [row_key for row_key in row_keys if row_key not in self._locations]
 
     def read(self, row_key: int,
              columns: Optional[frozenset] = None) -> StoredRow:
@@ -521,15 +534,10 @@ class TableStore:
 
     def _flush_pages(self, page_ids: List[int]) -> None:
         """Make ``page_ids`` — and every page vacated by a relocation since
-        the last call — durable with one pager sync.
-
-        The irreversibility ordering of degradation and removal: the
-        overwritten pages reach stable storage *before* the accurate log
-        images are scrubbed.  A relocated record overwrites two pages — the
-        one it lands on and the one it left (its stale image zeroed) — and a
-        crash that finds only the first on disk lets recovery pick the stale,
-        more accurate image back up with nothing in the log to redo.
-        """
+        the last call — durable with one pager sync: the overwritten pages
+        reach stable storage *before* the accurate log images are scrubbed,
+        both pages of a relocation included (with only the one it landed on
+        on disk, recovery would pick the stale, more accurate image up)."""
         for page_id in dict.fromkeys((*page_ids, *self._vacated_pages)):
             self.buffer_pool.flush_page(page_id)    # no-op on a clean page
         self.buffer_pool.sync()
@@ -541,36 +549,37 @@ class TableStore:
                 to_level: int, now: float, txn_id: int = 0) -> StoredRow:
         """One degradation step — a wave of one (:meth:`degrade_many`);
         returns the row as now visible to readers."""
-        self.degrade_many([(row_key, column, scheme, to_level)], now, txn_id)
+        self.degrade_many([([row_key], column, scheme, to_level)], now, txn_id)
         return self.read(row_key)
 
-    def degrade_many(self, items: Iterable[Tuple[int, str, GeneralizationScheme, int]],
-                     now: float, txn_id: int = 0) -> List[DegradeChunk]:
-        """Apply a wave of ``(row_key, column, scheme, to_level)`` steps — the
-        only degradation routine — and return its chunks.
+    def degrade_many(self, items: Iterable[Tuple[Sequence[int], str, GeneralizationScheme, int]],
+                     now: float, txn_id: int = 0,
+                     on_chunk: Optional[Callable[[DegradeChunk], None]] = None
+                     ) -> List[DegradeChunk]:
+        """Apply a wave of ``(row keys, column, scheme, to_level)`` steps —
+        a cohort's each — the only degradation routine; returns its chunks,
+        handed to ``on_chunk`` once the pages are rewritten, before any I/O.
 
-        Page by page, slot by slot: one :meth:`HeapFile.read_run` per page,
-        one new image per row with a step to take (:meth:`_degraded_record`),
-        one :meth:`HeapFile.update_many` per page.  The log gets one
-        ``DEGRADE`` record per chunk — column, target level, row keys, never
-        a value.  Irreversibility ordering: the rewritten pages reach stable
-        storage (each once, one sync) *before* the accurate log images of
-        their rows are scrubbed, in a single pass (rewrite strategy; under
-        crypto logged images only hold ciphertext whose key is destroyed
-        here).  A step whose row already is at its target level is in no
-        chunk; if the log still holds an image of such a row, a crash or an
-        I/O fault cut an earlier attempt short between its page flush and its
-        scrub, and this one finishes the job — flush the page, then scrub.
+        Per page one :meth:`HeapFile.read_run`, one new image per row with a
+        step to take (:meth:`_degraded_record`), one :meth:`HeapFile.update_many`;
+        one ``DEGRADE`` record per chunk (column, level, row keys, never a
+        value).  The rewritten pages reach stable storage (one sync) *before*
+        the rows' accurate log images are scrubbed, in one pass (under crypto
+        the logged ciphertext's key is destroyed here).  A row already at its
+        target is in no chunk; if the log still holds an image of it, an
+        earlier attempt died between page flush and scrub: flush, then scrub.
         """
         pages: Dict[int, Dict[int, Tuple[int, list]]] = {}
-        for row_key, column, scheme, to_level in items:
+        for row_keys, column, scheme, to_level in items:
             place = self._degradable_fields.get(column.lower())
             if place is None:
                 raise PolicyError(
                     f"table {self.schema.name!r}: column {column!r} is not degradable")
-            record_id = self._location(row_key)
-            pages.setdefault(record_id.page_id, {}).setdefault(
-                record_id.slot, (row_key, []))[1].append((place, scheme, to_level))
+            step = (place, scheme, to_level)
+            for row_key in row_keys:
+                record_id = self._location(row_key)
+                pages.setdefault(record_id.page_id, {}).setdefault(
+                    record_id.slot, (row_key, []))[1].append(step)
         chunks: Dict[Tuple, DegradeChunk] = {}
         rewrite = self.strategy == "rewrite"
         dirty_pages: List[int] = []
@@ -598,6 +607,8 @@ class TableStore:
                     dirty_pages.append(record_id.page_id)
                 self.stats.relocations += len(moved)
         for chunk in chunks.values():
+            if on_chunk is not None:
+                on_chunk(chunk)
             for payload in encode_degrade_chunk(chunk.to_level, chunk.row_keys()):
                 self.wal.append(
                     LogRecordType.DEGRADE, txn_id, table=self.schema.name,
@@ -710,16 +721,16 @@ class TableStore:
         self._location(row_key)
         self.remove_many([row_key], now, txn_id, scrub_log)
 
-    def remove_many(self, row_keys: List[int], now: float, txn_id: int = 0,
-                    scrub_log: bool = True) -> int:
+    def remove_many(self, row_keys: Sequence[int], now: float, txn_id: int = 0,
+                    scrub_log: bool = True,
+                    on_rows: Optional[Callable[[List[StoredRow]], None]] = None) -> int:
         """Physically delete rows (secure page reclamation), destroy every
         crypto key of theirs and scrub their images from the WAL: one scrub
-        pass and one flush per touched page for the lot.
-
-        Used by the engine when a degradation batch drives many tuples into
-        their final state at once; rows that vanished meanwhile are skipped.
-        Returns the number of rows removed.
-        """
+        pass and one flush per touched page for the lot.  Rows that vanished
+        meanwhile are skipped.  ``on_rows`` gets the rows as they were, read
+        in page runs before the first is erased.  Returns how many went."""
+        if on_rows is not None:
+            on_rows(list(self._read_keys(row_keys, self._decode_plan(None))))
         removed: List[Tuple[str, int]] = []
         dirty_pages: List[int] = []
         for row_key in row_keys:
@@ -812,13 +823,9 @@ class TableStore:
         return self.heap.raw_image() + self.wal.raw_image()
 
     def restore_row(self, payload: bytes) -> int:
-        """Write a logged row image back into the store (recovery redo/undo).
-
-        The payload must have been produced by :meth:`_encode_row` (it is the
-        before/after image carried by INSERT/UPDATE log records).  Returns the
-        row key.  Existing rows are overwritten in place; missing rows are
-        re-inserted at a fresh physical location.
-        """
+        """Write a logged row image (an INSERT/UPDATE record's) back into the
+        store — in place, or at a fresh location for a missing row (recovery
+        redo/undo).  Returns the row key."""
         row = self._decode_row(payload)
         if row.row_key in self._locations:
             self._rewrite(row.row_key, payload)
@@ -829,22 +836,15 @@ class TableStore:
         return row.row_key
 
     def reserve_row_keys_after(self, row_key: int) -> None:
-        """Never hand out a key at or below ``row_key``.
-
-        Recovery calls this with the highest key the WAL mentions for this
-        table: :meth:`rebuild_locations` only sees *live* rows, so a key
-        freed by a removal would otherwise be reused by the next insert —
-        and the old incarnation's surviving REMOVE records would delete the
-        new row on a later recovery (the row-key analogue of
-        ``TransactionManager.resume_after``).
-        """
+        """Never hand out a key at or below ``row_key`` — recovery's highest
+        key in the log: a key freed by a removal and reused would have its
+        old incarnation's REMOVE records delete the new row on a later
+        recovery (the row-key analogue of ``TransactionManager.resume_after``)."""
         self._next_row_key = max(self._next_row_key, int(row_key) + 1)
 
     def rebuild_locations(self) -> None:
-        """Rebuild the row-key → record-id map by scanning the heap (recovery).
-
-        Only record headers are decoded: the map needs a row key, nothing else.
-        """
+        """Rebuild the row-key → record-id map by scanning the heap's record
+        headers (recovery)."""
         self._locations.clear()
         plan = self._decode_plan(frozenset())
         max_key = 0

@@ -97,24 +97,45 @@ class HeapFile:
     # -- insert ------------------------------------------------------------------
 
     def insert(self, payload: bytes) -> RecordId:
-        """Insert ``payload``: into the tail page if it has room, else into a
-        page of the roomiest size class, else into a newly allocated page."""
-        length = len(payload)
+        """Insert ``payload`` — :meth:`insert_many` with one record."""
+        return self.insert_many((payload,))[0]
+
+    def insert_many(self, payloads: Sequence[bytes]) -> List[RecordId]:
+        """Insert ``payloads`` in order, each into the tail page if it has
+        room, else into a page of the roomiest size class, else into a newly
+        allocated page — the placement one-by-one inserts make — with one
+        buffer-pool lookup per page filled and its free space refiled when
+        the next choice needs the map (a bulk load: once per page)."""
         max_payload = self.buffer_pool.pager.page_size - 64
-        if length > max_payload:
-            raise StorageError(
-                f"record of {length} bytes exceeds page capacity ({max_payload})"
-            )
-        page_id = self._page_ids[-1] if self._page_ids else None
-        if page_id is None or self._free[page_id] < length:
-            page_id = self._roomiest()
-            if page_id is None or self._free[page_id] < length:
-                page_id = self._allocate()
-        page = self.buffer_pool.get_page(page_id)
-        slot = page.insert(payload)
-        self._changed(page_id, page)
-        self._record_count += 1
-        return RecordId(page_id, slot)
+        for payload in payloads:
+            if len(payload) > max_payload:
+                raise StorageError(f"record of {len(payload)} bytes exceeds "
+                                   f"page capacity ({max_payload})")
+        ids: List[RecordId] = []
+        page_id = page = None     # the page being filled; its map entry lags
+        free = 0
+        for payload in payloads:
+            length = len(payload)
+            tail = self._page_ids[-1] if self._page_ids else None
+            room = free if page_id == tail else self._free.get(tail, -1)
+            target = tail if room >= length else None
+            if target is None:
+                if page is not None:
+                    self._file(page_id, page)
+                target = self._roomiest()
+                if target is None or self._free[target] < length:
+                    target = self._allocate()
+            if target != page_id:
+                if page is not None:
+                    self._file(page_id, page)
+                page_id, page = target, self.buffer_pool.get_page(target)
+                self.buffer_pool.mark_dirty(page_id)
+            ids.append(RecordId(page_id, page.insert(payload)))
+            free = page.free_space()
+        if page is not None:
+            self._file(page_id, page)
+        self._record_count += len(ids)
+        return ids
 
     def _allocate(self) -> int:
         """A fresh page; its ownership is logged before the heap uses it."""

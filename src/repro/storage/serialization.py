@@ -32,8 +32,21 @@ _LEN_STRUCT = struct.Struct("<I")
 _COUNT_STRUCT = struct.Struct("<H")
 
 
+_INT_FIELD = struct.Struct("<Bq")
+_FLOAT_FIELD = struct.Struct("<Bd")
+_TEXT_HEAD = struct.Struct("<BI")
+
+
 def encode_value(value: Any) -> bytes:
     """Encode one value to bytes."""
+    kind = type(value)
+    if kind is int:
+        return _INT_FIELD.pack(_TAG_INT, value)
+    if kind is str:
+        payload = value.encode("utf-8")
+        return _TEXT_HEAD.pack(_TAG_TEXT, len(payload)) + payload
+    if kind is float:
+        return _FLOAT_FIELD.pack(_TAG_FLOAT, value)
     if value is NULL or value is None:
         return bytes([_TAG_NULL])
     if value is SUPPRESSED:
@@ -214,13 +227,7 @@ def encode_record(values: Sequence[Any]) -> bytes:
     """Encode a record (tuple of values) with a leading field count."""
     if len(values) > 0xFFFF:
         raise StorageError("records with more than 65535 fields are not supported")
-    parts: List[bytes] = [_COUNT_STRUCT.pack(len(values))]
-    int_tag, pack_int = bytes([_TAG_INT]), _INT_STRUCT.pack
-    for value in values:
-        # Most fields are plain ints (row keys above all): skip the dispatch.
-        parts.append(int_tag + pack_int(value) if type(value) is int
-                     else encode_value(value))
-    return b"".join(parts)
+    return _COUNT_STRUCT.pack(len(values)) + b"".join(map(encode_value, values))
 
 
 def decode_record(data: bytes) -> Tuple[Any, ...]:

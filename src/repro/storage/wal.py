@@ -56,8 +56,10 @@ from .serialization import decode_record, encode_record
 #: Version of the on-disk format, stored in every segment header.  Version 1
 #: was the single-file, unchecksummed ``wal.log``; version 2 had per-row
 #: ``DEGRADE`` and per-step ``SCHED_STEP`` payloads and a ``SEGMENT_DEGRADE``
-#: type whose code ``PAGE_ALLOC`` has now.  There is no reader for either.
-WAL_FORMAT_VERSION = 3
+#: type whose code ``PAGE_ALLOC`` has now; version 3 had one ``SCHED_REGISTER``
+#: per row, per-step ``SCHED_DEFER`` entries and per-record schedule
+#: snapshots.  There is no reader for any of them.
+WAL_FORMAT_VERSION = 4
 
 #: A segment is rolled when the next record would grow it past this many
 #: bytes.  A record larger than the cap gets a segment of its own.
@@ -118,9 +120,9 @@ class LogRecordType(Enum):
     # due-queue.  They carry row keys, attribute names, state indices and due
     # times — never attribute values — so they are exempt from scrubbing by
     # construction (nothing in them can leak a degraded value).
-    SCHED_REGISTER = "SCHED_REGISTER"      # record entered the schedule
+    SCHED_REGISTER = "SCHED_REGISTER"      # rows entered the schedule (a cohort)
     SCHED_STEP = "SCHED_STEP"              # step(s) applied (batch payload)
-    SCHED_DEFER = "SCHED_DEFER"            # step(s) re-queued after a conflict
+    SCHED_DEFER = "SCHED_DEFER"            # step(s) re-queued (batch payload)
     SCHED_EVENT = "SCHED_EVENT"            # named event fired
     SCHED_CHECKPOINT = "SCHED_CHECKPOINT"  # full queue snapshot (clean shutdown)
     # DDL marker: the table was dropped.  Recovery skips records of tables
@@ -298,89 +300,102 @@ def decode_degrade_chunk(payload: bytes) -> Tuple[int, List[int]]:
     return int(flat[0]), [int(row_key) for row_key in flat[1:]]
 
 
-def encode_schedule_steps(groups: Mapping[Tuple[str, int, float], Sequence[int]],
-                          limit: int) -> Iterator[bytes]:
-    """SCHED_STEP payloads for ``(attribute, to_state, due) → row keys``
-    groups: ``attribute, to_state, due, n, key × n`` runs back to back, at
-    most ``limit`` row keys per payload (a group is split where it must be;
-    ``5 × limit`` fields have to fit the codec's cap)."""
+def _encode_groups(groups: Mapping[Tuple[Any, ...], Sequence[int]],
+                   limit: int) -> Iterator[bytes]:
+    """Payloads for ``header → row keys`` groups: ``*header, n, key × n``
+    runs back to back, at most ``limit`` row keys per payload (a group is
+    split where it must be; the fields have to fit the codec's cap)."""
     flat: List[Any] = []
     room = limit
-    for (attribute, to_state, due), row_keys in groups.items():
+    for header, row_keys in groups.items():
         for start in range(0, len(row_keys), limit):
             part = row_keys[start:start + limit]
             if len(part) > room:
                 yield encode_record(flat)
                 flat, room = [], limit
-            flat += (attribute, int(to_state), float(due), len(part), *part)
+            flat += (*header, len(part), *part)
             room -= len(part)
     if flat:
         yield encode_record(flat)
+
+
+def _decode_groups(payload: bytes, width: int, kind: str
+                   ) -> List[Tuple[Tuple[Any, ...], List[int]]]:
+    """Inverse of :func:`_encode_groups` for headers of ``width`` fields."""
+    flat = decode_record(payload)
+    groups = []
+    cursor = 0
+    while cursor < len(flat):
+        if cursor + width + 1 > len(flat):
+            raise WALError(f"malformed {kind} payload with {len(flat)} fields")
+        header, count = flat[cursor:cursor + width], int(flat[cursor + width])
+        cursor += width + 1 + count
+        if cursor > len(flat):
+            raise WALError(f"malformed {kind} payload with {len(flat)} fields")
+        groups.append((header, [int(row_key) for row_key in flat[cursor - count:cursor]]))
+    return groups
+
+
+def encode_schedule_steps(groups: Mapping[Tuple[str, int, float], Sequence[int]],
+                          limit: int) -> Iterator[bytes]:
+    """SCHED_STEP payloads for ``(attribute, to_state, due) → row keys``
+    groups, at most ``limit`` row keys per payload."""
+    return _encode_groups({(attribute, int(to_state), float(due)): row_keys
+                           for (attribute, to_state, due), row_keys in groups.items()},
+                          limit)
 
 
 def decode_schedule_steps(payload: bytes
                           ) -> List[Tuple[str, int, float, List[int]]]:
     """One SCHED_STEP payload back as ``(attribute, to_state, due, row keys)``
     groups."""
-    flat = decode_record(payload)
-    groups = []
-    cursor = 0
-    while cursor < len(flat):
-        if cursor + 4 > len(flat):
-            raise WALError(f"malformed SCHED_STEP payload with {len(flat)} fields")
-        attribute, to_state, due, count = flat[cursor:cursor + 4]
-        cursor += 4 + int(count)
-        if cursor > len(flat):
-            raise WALError(f"malformed SCHED_STEP payload with {len(flat)} fields")
-        groups.append((str(attribute), int(to_state), float(due),
-                       [int(row_key) for row_key in flat[cursor - int(count):cursor]]))
-    return groups
+    return [(str(attribute), int(to_state), float(due), row_keys)
+            for (attribute, to_state, due), row_keys
+            in _decode_groups(payload, 3, "SCHED_STEP")]
 
 
-def encode_schedule_defers(entries: List[Tuple[int, str, int, float, float]]) -> bytes:
-    """Encode ``(row_key, attribute, from_state, due, until)`` defer entries."""
-    flat: List[Any] = [len(entries)]
-    for row_key, attribute, from_state, due, until in entries:
-        flat.extend([int(row_key), attribute, int(from_state),
-                     float(due), float(until)])
-    return encode_record(flat)
+def encode_schedule_defers(groups: Mapping[Tuple[str, int, float, float], Sequence[int]],
+                           limit: int) -> Iterator[bytes]:
+    """SCHED_DEFER payloads for ``(attribute, from_state, due, until) → row
+    keys`` groups, at most ``limit`` row keys per payload."""
+    return _encode_groups({(attribute, int(from_state), float(due), float(until)): row_keys
+                           for (attribute, from_state, due, until), row_keys
+                           in groups.items()}, limit)
 
 
-def decode_schedule_defers(payload: bytes) -> List[Tuple[int, str, int, float, float]]:
-    """Inverse of :func:`encode_schedule_defers`."""
-    flat = decode_record(payload)
-    count = int(flat[0])
-    if len(flat) != 1 + 5 * count:
-        raise WALError(f"malformed SCHED_DEFER payload with {len(flat)} fields")
-    entries = []
-    for index in range(count):
-        offset = 1 + 5 * index
-        entries.append((int(flat[offset]), str(flat[offset + 1]),
-                        int(flat[offset + 2]), float(flat[offset + 3]),
-                        float(flat[offset + 4])))
-    return entries
+def decode_schedule_defers(payload: bytes
+                           ) -> List[Tuple[str, int, float, float, List[int]]]:
+    """One SCHED_DEFER payload back as ``(attribute, from_state, due, until,
+    row keys)`` groups."""
+    return [(str(attribute), int(from_state), float(due), float(until), row_keys)
+            for (attribute, from_state, due, until), row_keys
+            in _decode_groups(payload, 4, "SCHED_DEFER")]
 
 
-def encode_policy_names(policies: Dict[str, str]) -> bytes:
-    """Encode the attribute → policy-name map a SCHED_REGISTER record carries.
+def encode_schedule_registration(policies: Dict[str, str], row_keys: Sequence[int],
+                                 limit: int) -> Iterator[bytes]:
+    """SCHED_REGISTER payloads: the attribute → policy-name map the rows
+    were registered under, then their row keys (at most ``limit`` a payload).
 
     Policy *names* are not sensitive (unlike the selector value that picked
     them, which must never enter the log): they let recovery re-resolve
     per-tuple overrides even after the selector value degraded.
     """
-    flat: List[Any] = [len(policies)]
+    names: List[Any] = [len(policies)]
     for attribute in sorted(policies):
-        flat.extend([attribute, policies[attribute]])
-    return encode_record(flat)
+        names += (attribute, policies[attribute])
+    for start in range(0, len(row_keys), limit):
+        yield encode_record([*names, *row_keys[start:start + limit]])
 
 
-def decode_policy_names(payload: bytes) -> Dict[str, str]:
-    """Inverse of :func:`encode_policy_names`."""
+def decode_schedule_registration(payload: bytes) -> Tuple[Dict[str, str], List[int]]:
+    """One SCHED_REGISTER payload back as ``(policy names, row keys)``."""
     flat = decode_record(payload)
-    count = int(flat[0])
-    if len(flat) != 1 + 2 * count:
-        raise WALError(f"malformed policy-name payload with {len(flat)} fields")
-    return {str(flat[1 + 2 * i]): str(flat[2 + 2 * i]) for i in range(count)}
+    keys_at = 1 + 2 * int(flat[0]) if flat else 1
+    if keys_at > len(flat):
+        raise WALError(f"malformed SCHED_REGISTER payload with {len(flat)} fields")
+    return ({str(flat[i]): str(flat[i + 1]) for i in range(1, keys_at, 2)},
+            [int(row_key) for row_key in flat[keys_at:]])
 
 
 def encode_page_directory(directory: Dict[str, List[int]]) -> bytes:
@@ -1094,5 +1109,5 @@ __all__ = ["WriteAheadLog", "LogRecord", "LogRecordType", "WALStats",
            "encode_degrade_chunk", "decode_degrade_chunk",
            "encode_schedule_steps", "decode_schedule_steps",
            "encode_schedule_defers", "decode_schedule_defers",
-           "encode_policy_names", "decode_policy_names",
+           "encode_schedule_registration", "decode_schedule_registration",
            "encode_page_directory", "decode_page_directory"]

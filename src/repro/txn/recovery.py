@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.errors import RecoveryError
+from ..core.lcp import TupleLCP
 from ..core.scheduler import DegradationScheduler, LCPResolver, SchedulerSnapshot
 from ..storage.degradable_store import TableStore
 from ..storage.serialization import decode_record
@@ -36,8 +37,8 @@ from ..storage.wal import (
     WriteAheadLog,
     decode_degrade_chunk,
     decode_page_directory,
-    decode_policy_names,
     decode_schedule_defers,
+    decode_schedule_registration,
     decode_schedule_steps,
 )
 
@@ -90,9 +91,10 @@ class ScheduleReplayReport:
     #: LSN of the snapshot the replay started from (0 = no snapshot found,
     #: full replay from the start of the log).
     snapshot_lsn: int = 0
-    #: Registrations restored from the snapshot.
+    #: Registrations (records) restored from the snapshot's cohorts.
     snapshot_restored: int = 0
-    #: Registrations replayed from SCHED_REGISTER records behind the snapshot.
+    #: Registrations (records) replayed from SCHED_REGISTER records behind
+    #: the snapshot.
     registrations_replayed: int = 0
     #: Registrations whose row or policy no longer resolves (dropped).
     registrations_dropped: int = 0
@@ -363,7 +365,7 @@ class RecoveryManager:
             restored = scheduler.restore_from(snapshot, epoch_resolver)
             report.snapshot_restored += restored
             report.registrations_dropped += (
-                len(snapshot.registrations) - restored)
+                sum(len(cohort.record_ids) for cohort in snapshot.cohorts) - restored)
         for record in self.wal:
             if record.lsn <= report.snapshot_lsn:
                 continue
@@ -373,17 +375,22 @@ class RecoveryManager:
             if record_type is LogRecordType.SCHED_REGISTER:
                 if record.txn_id != 0 and record.txn_id not in committed:
                     continue
-                record_id = (record.table, record.row_key)
-                if scheduler.is_registered(record_id):
+                if record.after is None:
                     continue
-                policy_names = (decode_policy_names(record.after)
-                                if record.after is not None else None)
-                tuple_lcp = resolve_lcp(record_id, policy_names)
-                if tuple_lcp is None:
-                    report.registrations_dropped += 1
-                    continue
-                scheduler.register(record_id, tuple_lcp, record.timestamp)
-                report.registrations_replayed += 1
+                policy_names, row_keys = decode_schedule_registration(record.after)
+                cohorts: Dict[TupleLCP, List[Tuple[str, int]]] = {}
+                for row_key in row_keys:
+                    record_id = (record.table, row_key)
+                    if scheduler.is_registered(record_id):
+                        continue
+                    tuple_lcp = resolve_lcp(record_id, policy_names or None)
+                    if tuple_lcp is None:
+                        report.registrations_dropped += 1
+                    else:
+                        cohorts.setdefault(tuple_lcp, []).append(record_id)
+                for tuple_lcp, record_ids in cohorts.items():
+                    scheduler.register_many(record_ids, tuple_lcp, record.timestamp)
+                    report.registrations_replayed += len(record_ids)
             elif record_type is LogRecordType.SCHED_STEP:
                 if record.txn_id != 0 and record.txn_id not in committed:
                     continue
@@ -391,21 +398,20 @@ class RecoveryManager:
                     continue
                 for attribute, to_state, due, row_keys in \
                         decode_schedule_steps(record.after):
-                    for row_key in row_keys:
-                        if scheduler.replay_applied((record.table, row_key),
-                                                    attribute, to_state, due):
-                            report.steps_replayed += 1
+                    report.steps_replayed += scheduler.replay_applied(
+                        [(record.table, row_key) for row_key in row_keys],
+                        attribute, to_state, due)
             elif record_type is LogRecordType.SCHED_EVENT:
                 scheduler.fire_event(record.attribute, record.timestamp)
                 report.events_replayed += 1
             elif record_type is LogRecordType.SCHED_DEFER:
                 if record.after is None:
                     continue
-                report.defers_replayed += scheduler.replay_defers([
-                    ((record.table, row_key), attribute, from_state, due, until)
-                    for row_key, attribute, from_state, due, until
-                    in decode_schedule_defers(record.after)
-                ])
+                for attribute, from_state, due, until, row_keys in \
+                        decode_schedule_defers(record.after):
+                    report.defers_replayed += scheduler.replay_defer(
+                        [(record.table, row_key) for row_key in row_keys],
+                        attribute, from_state, due, until)
         return report
 
     def _redo_degrade(self, store: TableStore, record: LogRecord) -> int:

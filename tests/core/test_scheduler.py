@@ -174,7 +174,7 @@ class TestTimedSteps:
         scheduler.register("b", two_attr_lcp, inserted_at=HOUR)
         applied = []
         scheduler.run_due(2 * HOUR, collect_applier(applied))
-        records = {step.record_id for step in applied}
+        records = {record_id for step in applied for record_id in step.record_ids}
         assert records == {"a", "b"}
 
     def test_pending_count_skips_stale(self, tuple_lcp):
@@ -221,9 +221,10 @@ class TestCancellation:
         scheduler.register("r1", TupleLCP({"location": lcp}), inserted_at=0.0)
         scheduler.register("r2", TupleLCP({"location": lcp}), inserted_at=0.0)
         assert scheduler.cancel("r1") == 1
-        # The cancelled record no longer leaks a waiter entry; the survivor stays.
-        assert scheduler._event_waiters == {"go": [("r2", "location")]}
+        # The cancelled record is released no more; the survivor still is.
+        assert scheduler.has_waiters("go")
         scheduler.cancel("r2")
+        assert not scheduler.has_waiters("go")
         assert scheduler._event_waiters == {}
 
 
@@ -260,13 +261,15 @@ class TestPredictComplete:
         assert scheduler.predict_complete(both) == ["r1"]
 
     def test_stale_and_unknown_steps_ignored(self, location_tree):
-        lcp = AttributeLCP(location_tree, states=[0, 4], transitions=["1 hour"])
+        lcp = TupleLCP({"location": AttributeLCP(
+            location_tree, states=[0, 1, 4], transitions=["1 hour", "1 hour"])})
         scheduler = DegradationScheduler()
-        scheduler.register("r1", TupleLCP({"location": lcp}), inserted_at=0.0)
-        stale = DegradationStep(record_id="r1", attribute="location",
-                                from_state=1, to_state=1, due=HOUR)
-        ghost = DegradationStep(record_id="ghost", attribute="location",
-                                from_state=0, to_state=1, due=HOUR)
+        scheduler.register("r1", lcp, inserted_at=0.0)
+        scheduler.register("ghost", lcp, inserted_at=1.0)
+        stale, ghost = scheduler.due_steps(HOUR + 1)
+        scheduler._mark_applied([stale], HOUR, [], None)   # r1 moved on: stale
+        scheduler.cancel("ghost")                          # no record left
+        assert (stale.record_ids, ghost.record_ids) == (("r1",), ("ghost",))
         assert scheduler.predict_complete([stale, ghost]) == []
 
 
@@ -326,22 +329,24 @@ class TestBatchedDrain:
 
     def test_run_due_batched_partial_application(self, tuple_lcp):
         scheduler = DegradationScheduler()
+        # Inserted a second apart: two cohorts, so the applier can tell them
+        # apart (one cohort steps as a whole).
         scheduler.register(("person", 1), tuple_lcp, inserted_at=0.0)
-        scheduler.register(("person", 2), tuple_lcp, inserted_at=0.0)
+        scheduler.register(("person", 2), tuple_lcp, inserted_at=1.0)
 
         def applier(key, steps):
-            kept = [step for step in steps if step.record_id == ("person", 1)]
+            kept = [step for step in steps if step.record_ids == (("person", 1),)]
             for step in steps:
                 if step not in kept:
                     scheduler.defer(step, until=2 * HOUR)
             return kept
 
         applied = scheduler.run_due_batched(HOUR, applier)
-        assert [step.record_id for step in applied] == [("person", 1)]
+        assert [step.record_ids for step in applied] == [(("person", 1),)]
         assert scheduler.current_state(("person", 2)) == {"location": 0}
         # The deferred step fires on the next drain.
         applied = scheduler.run_due_batched(2 * HOUR, lambda key, steps: steps)
-        assert ("person", 2) in {step.record_id for step in applied}
+        assert (("person", 2),) in {step.record_ids for step in applied}
 
     def test_run_due_batched_max_batch_drains_everything(self, tuple_lcp):
         scheduler = DegradationScheduler()
@@ -349,7 +354,76 @@ class TestBatchedDrain:
             scheduler.register(("person", key), tuple_lcp, inserted_at=0.0)
         applied = scheduler.run_due_batched(HOUR, lambda key, steps: steps,
                                             max_batch=2)
-        assert len(applied) == 7
+        # One cohort, cut into steps of at most two records.
+        assert [len(step) for step in applied] == [2, 2, 2, 1]
+
+
+class TestCohorts:
+    """Rows registered at one instant under one policy are one queue entry
+    per attribute and state, until something happens to some of them."""
+
+    def cohorts(self, scheduler):
+        return sorted(sorted(snap.record_ids) for snap in scheduler.snapshot().cohorts)
+
+    def test_rows_registered_together_step_together(self, tuple_lcp):
+        scheduler = DegradationScheduler()
+        scheduler.register_many([("t", 1), ("t", 2), ("t", 3)], tuple_lcp, inserted_at=0.0)
+        scheduler.register(("t", 4), tuple_lcp, inserted_at=0.0)       # joins
+        scheduler.register(("t", 5), tuple_lcp, inserted_at=1.0)       # another instant
+        scheduler.register(("u", 6), tuple_lcp, inserted_at=0.0)       # another table
+        assert self.cohorts(scheduler) == [[("t", 1), ("t", 2), ("t", 3), ("t", 4)],
+                                           [("t", 5)], [("u", 6)]]
+        assert len(scheduler._heap) == 3
+        steps = scheduler.due_steps(HOUR)                # ("t", 5) is due a second later
+        assert [len(step) for step in steps] == [4, 1]
+        assert all(step.tuple_lcp is tuple_lcp for step in steps)
+
+    def test_a_cohort_something_happened_to_takes_no_newcomers(self, location_tree):
+        lcp = TupleLCP({"location": AttributeLCP(
+            location_tree, states=[0, 4], transitions=[{"event": "go"}])})
+        scheduler = DegradationScheduler()
+        scheduler.register("r1", lcp, inserted_at=0.0)
+        scheduler.fire_event("go", now=0.0)
+        scheduler.register("r2", lcp, inserted_at=0.0)     # still waiting on "go"
+        assert self.cohorts(scheduler) == [["r1"], ["r2"]]
+        assert scheduler.current_state("r2") == {"location": 0}
+        assert scheduler.has_waiters("go")
+
+    def test_a_popped_cohort_takes_no_newcomers(self, location_tree):
+        lcp = TupleLCP({"location": AttributeLCP(
+            location_tree, states=[0, 1, 4], transitions=[0.0, "1 hour"])})
+        scheduler = DegradationScheduler()
+        scheduler.register("r1", lcp, inserted_at=0.0)
+        (step,) = scheduler.due_steps(0.0)               # due at once, in flight
+        scheduler.register("r2", lcp, inserted_at=0.0)
+        scheduler._mark_applied([step], 0.0, [], None)
+        assert step.record_ids == ("r1",)
+        assert (scheduler.current_state("r1"), scheduler.current_state("r2")) == \
+            ({"location": 1}, {"location": 0})
+        assert [step.record_ids for step in scheduler.due_steps(0.0)] == [("r2",)]
+
+    def test_a_max_batch_cut_splits_a_cohort_in_the_same_state(self, tuple_lcp):
+        scheduler = DegradationScheduler()
+        scheduler.register_many([("t", key) for key in range(5)], tuple_lcp, inserted_at=0.0)
+        (batch,) = scheduler.due_batches(HOUR, max_batch=3)
+        (step,) = batch.steps
+        assert step.record_ids == (("t", 0), ("t", 1), ("t", 2))
+        assert self.cohorts(scheduler) == [[("t", 0), ("t", 1), ("t", 2)],
+                                           [("t", 3), ("t", 4)]]
+        scheduler._mark_applied([step], HOUR, [], None)
+        assert scheduler.current_state(("t", 0)) == {"location": 1}
+        assert scheduler.current_state(("t", 4)) == {"location": 0}
+        (rest,) = scheduler.due_steps(HOUR)
+        assert rest.record_ids == (("t", 3), ("t", 4)) and rest.due == HOUR
+
+    def test_partial_replay_splits_a_cohort(self, tuple_lcp):
+        scheduler = DegradationScheduler()
+        scheduler.register_many(["a", "b", "c"], tuple_lcp, inserted_at=0.0)
+        assert scheduler.replay_applied(["b"], "location", 1, HOUR) == 1
+        assert scheduler.replay_defer(["c"], "location", 0, HOUR, 2 * HOUR) == 1
+        assert self.cohorts(scheduler) == [["a"], ["b"], ["c"]]
+        assert [(step.record_ids, step.due) for step in scheduler.due_steps(HOUR)] == \
+            [(("a",), HOUR)]
 
 
 class TestEventSteps:
@@ -410,9 +484,9 @@ class TestSnapshotRestore:
         from repro.core.scheduler import SchedulerSnapshot
         rebuilt = SchedulerSnapshot.from_fields(snapshot.to_fields())
         assert rebuilt.taken_at == 20.0
-        assert len(rebuilt.registrations) == 1
-        snap = rebuilt.registrations[0]
-        assert snap.record_id == ("person", 1)
+        assert len(rebuilt.cohorts) == 1
+        snap = rebuilt.cohorts[0]
+        assert snap.record_ids == [("person", 1)]
         assert snap.inserted_at == 10.0
         assert snap.current_states == {"location": 0, "salary": 0}
         assert snap.pending["location"] == (10.0 + HOUR, 10.0 + HOUR)
@@ -464,7 +538,7 @@ class TestSnapshotRestore:
         restored = DegradationScheduler()
         restored.restore_from(scheduler.snapshot(), lambda record_id, policies=None: lcp)
         released = restored.fire_event("go", now=5.0)
-        assert [step.record_id for step in released] == ["r1"]
+        assert [step.record_ids for step in released] == [("r1",)]
 
     def test_replay_applied_matches_live_application(self, tuple_lcp):
         live = DegradationScheduler()
@@ -474,7 +548,7 @@ class TestSnapshotRestore:
 
         replayed = DegradationScheduler()
         replayed.register("r1", tuple_lcp, inserted_at=0.0)
-        assert replayed.replay_applied("r1", "location", to_state=1, due=HOUR)
+        assert replayed.replay_applied(["r1"], "location", to_state=1, due=HOUR)
         assert replayed.current_state("r1") == live.current_state("r1")
         assert replayed.peek_next_due() == live.peek_next_due()
         # Replays are stats-neutral: no lag is recorded.
@@ -483,24 +557,24 @@ class TestSnapshotRestore:
     def test_replay_applied_rejects_stale_or_unknown(self, tuple_lcp):
         scheduler = DegradationScheduler()
         scheduler.register("r1", tuple_lcp, inserted_at=0.0)
-        assert not scheduler.replay_applied("ghost", "location", 1, HOUR)
-        assert scheduler.replay_applied("r1", "location", 1, HOUR)
+        assert not scheduler.replay_applied(["ghost"], "location", 1, HOUR)
+        assert scheduler.replay_applied(["r1"], "location", 1, HOUR)
         # Replaying the same step twice is a no-op (exactly-once).
-        assert not scheduler.replay_applied("r1", "location", 1, HOUR)
+        assert not scheduler.replay_applied(["r1"], "location", 1, HOUR)
 
     def test_replay_applied_drops_final_registrations(self, location_tree):
         lcp = TupleLCP({"location": AttributeLCP(
             location_tree, states=[0, 4], transitions=["1 hour"])})
         scheduler = DegradationScheduler()
         scheduler.register("r1", lcp, inserted_at=0.0)
-        assert scheduler.replay_applied("r1", "location", 1, HOUR)
+        assert scheduler.replay_applied(["r1"], "location", 1, HOUR)
         assert not scheduler.is_registered("r1")
         assert scheduler.stats.records_completed == 0   # stats-neutral
 
     def test_replay_defer_moves_queued_step(self, tuple_lcp):
         scheduler = DegradationScheduler()
         scheduler.register("r1", tuple_lcp, inserted_at=0.0)
-        assert scheduler.replay_defer("r1", "location", from_state=0,
+        assert scheduler.replay_defer(["r1"], "location", from_state=0,
                                       due=HOUR, until=3 * HOUR)
         assert scheduler.due_steps(2 * HOUR) == []
         (step,) = scheduler.due_steps(3 * HOUR)

@@ -154,6 +154,38 @@ class TestDaemonWaveFault:
         finally:
             db.close()
 
+    @pytest.mark.parametrize("site", ["wal.flush", "pager.sync"])
+    def test_a_wave_faulted_after_its_rewrite_leaves_no_stale_index_key(
+            self, tmp_path, site):
+        """The fault hits after the wave rewrote its pages: the retry finds
+        the rows already at their target and has no chunk to hand over, so
+        indexes and statistics must have followed the heap at the rewrite —
+        else the GT index kept the accurate address for good."""
+        from ..conftest import derived_state
+        plan = FaultPlan(seed=1)
+        db = InstantDB(data_dir=str(tmp_path / "db"), fault_plan=plan)
+        try:
+            location = db.register_domain(build_location_tree())
+            db.register_policy(AttributeLCP(
+                location, transitions=["1 hour", "1 day", "1 month", "3 months"],
+                name="location_lcp"))
+            db.execute("CREATE TABLE t (id INT PRIMARY KEY, location TEXT "
+                       "DEGRADABLE DOMAIN location POLICY location_lcp)")
+            db.execute("CREATE INDEX t_location ON t (location) USING gt")
+            db.executemany("INSERT INTO t VALUES (?, ?)",
+                           [(i, "1 Main Street, Paris") for i in range(5)])
+            plan.fail_once(site, "enospc" if site == "wal.flush" else "fsync")
+            db.advance_time(hours=2)
+            assert plan.fired and db.daemon.stats.steps_deferred_by_fault == 5
+            db.advance_time(seconds=2)           # the retry lands
+            assert db.stats.degradation_steps_applied == 5
+            live = derived_state(db, "t")
+            db._rebuild_indexes()
+            assert live == derived_state(db, "t")
+            assert b"Main Street" not in db.forensic_image()
+        finally:
+            db.close()
+
 
 class TestClockFault:
     def test_clock_skip_overshoots_monotonically(self, tmp_path):

@@ -273,8 +273,8 @@ class TestStatsSurviveRecovery:
 class TestRegistry:
     def test_hooks_ignore_unregistered_tables(self):
         registry = StatisticsRegistry()
-        registry.on_insert("ghost", {"a": 1})
-        registry.on_remove("ghost", {"a": 1})
+        registry.on_insert("ghost", [{"a": 1}])
+        registry.on_remove("ghost", [{"a": 1}])
         registry.on_value_change("ghost", "a", 1, 2)
         assert registry.table("ghost") is None
 
@@ -300,12 +300,12 @@ class TestTransitionCounts:
         for row_id in range(rng.randrange(50, 600)):
             held.append(rng.choice(values))
             for stats in (counted, single):
-                stats.on_insert({"id": row_id, "v": held[-1]})
+                stats.on_insert([{"id": row_id, "v": held[-1]}])
         for _ in range(60):
             if rng.random() < 0.2 and held:          # the threshold moves with the rows
                 gone = held.pop(rng.randrange(len(held)))
                 for stats in (counted, single):
-                    stats.on_remove({"id": 0, "v": gone})
+                    stats.on_remove([{"id": 0, "v": gone}])
                 continue
             old, new = rng.choice(values), rng.choice(values)
             movers = [i for i, value in enumerate(held) if value is old or value == old]

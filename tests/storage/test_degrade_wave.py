@@ -98,7 +98,7 @@ def test_spliced_record_is_encode_row_of_the_degraded_row(seed, strategy):
             values, levels = degraded(row, steps)
             expected[key] = (values, levels, store._encode_row(
                 key, row.inserted_at, levels, values))
-        items = [(key, column, SCHEMES[column], to_level)
+        items = [([key], column, SCHEMES[column], to_level)
                  for key, (_row, steps) in steps_of.items()
                  for column, to_level in steps.items()]
         rng.shuffle(items)
@@ -125,8 +125,8 @@ def test_chunks_carry_the_value_transitions():
     keys = [store.insert(row, now=0.0) for row in rows]
     location = SCHEMES["location"]
     chunks = store.degrade_many(
-        [(key, "location", location, 1) for key in keys]
-        + [(key, "salary", SCHEMES["salary"], 2) for key in keys[:2]], now=1.0)
+        [(keys, "location", location, 1), (keys[:2], "salary", SCHEMES["salary"], 2)],
+        now=1.0)
     by_column = {chunk.column: chunk for chunk in chunks}
     assert set(by_column) == {"location", "salary"}
     cities = [location.generalize(address, 1) for address in ADDRESSES[:2]]
@@ -144,8 +144,7 @@ def test_wave_appends_o_chunks_records_without_a_value_byte():
     rows = [random_row(rng, i) for i in range(1, 1001)]
     keys = [store.insert(row, now=0.0) for row in rows]
     appended = store.wal.stats.appended
-    store.degrade_many([(key, "location", SCHEMES["location"], 2) for key in keys],
-                       now=3600.0)
+    store.degrade_many([(keys, "location", SCHEMES["location"], 2)], now=3600.0)
     wave = store.wal.records()[appended:]
     degrades = [r for r in wave if r.record_type is LogRecordType.DEGRADE]
     assert len(degrades) == 1               # one (column, 0 → 2) chunk
@@ -185,8 +184,7 @@ def test_a_chunk_larger_than_one_record_is_cut_and_redone_whole(monkeypatch):
     rng = random.Random(2)
     keys = [store.insert({**random_row(rng, i), "location": ADDRESSES[0]}, now=0.0)
             for i in range(1, 6)]
-    store.degrade_many([(key, "location", SCHEMES["location"], 1) for key in keys],
-                       now=10.0)
+    store.degrade_many([(keys, "location", SCHEMES["location"], 1)], now=10.0)
     pieces = [decode_degrade_chunk(record.after) for record in store.wal
               if record.record_type is LogRecordType.DEGRADE]
     assert [len(row_keys) for _level, row_keys in pieces] == [2, 2, 1]

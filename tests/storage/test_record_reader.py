@@ -153,8 +153,8 @@ class TestLevelFirstExclusion:
         keys = [store.insert({"id": i, "name": "x", "location": "1 Main Street, Paris",
                               "score": 0.5, "salary": 2500, "active": True}, now=0.0)
                 for i in range(120)]
-        store.degrade_many([(key, "salary", SALARY, 2) for key in keys[:50]], now=1.0)
-        store.degrade_many([(key, "location", LOCATION, 1) for key in keys[100:]], now=1.0)
+        store.degrade_many([(keys[:50], "salary", SALARY, 2)], now=1.0)
+        store.degrade_many([(keys[100:], "location", LOCATION, 1)], now=1.0)
         tally = SimpleNamespace(examined=0, excluded=0)
         scan = store.scan(None, [("salary", 1), ("location", 0)], tally)
         assert next(scan).row_key == keys[50]
@@ -271,8 +271,8 @@ class TestLazyReaders:
         for key in (keys[12], keys[13], keys[150]):
             store.delete(key, now=1.0)
         # INT salary → TEXT range grows every record: full pages relocate rows.
-        store.degrade_many([(key, "salary", SALARY, 1) for key in keys[5:120]
-                            if store.exists(key)], now=2.0)
+        store.degrade_many([([key for key in keys[5:120] if store.exists(key)],
+                             "salary", SALARY, 1)], now=2.0)
         assert store.stats.relocations > 0
         for row in scan:
             seen.append(row.row_key)
@@ -290,8 +290,8 @@ class TestLazyReaders:
         fetch = store.fetch(iter(keys))
         first = [next(fetch).row_key for _ in range(3)]
         store.delete(keys[5], now=1.0)
-        store.degrade_many([(key, "salary", SALARY, 1) for key in keys[3:100]
-                            if store.exists(key)], now=2.0)
+        store.degrade_many([([key for key in keys[3:100] if store.exists(key)],
+                             "salary", SALARY, 1)], now=2.0)
         rest = list(fetch)
         got = first + [row.row_key for row in rest]
         assert sorted(got) == sorted(set(keys) - {keys[5]})

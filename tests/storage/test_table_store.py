@@ -144,7 +144,7 @@ class TestBulkDegradation:
     def test_degrade_many_matches_per_step_results(self, store):
         keys = [store.insert({**ROW, "id": i}, now=0.0) for i in range(1, 5)]
         (chunk,) = store.degrade_many(
-            [(row_key, "location", LOCATION, 1) for row_key in keys], now=3600.0)
+            [(keys, "location", LOCATION, 1)], now=3600.0)
         assert (chunk.column, chunk.from_level, chunk.to_level) == ("location", 0, 1)
         assert chunk.transitions == {("1 Main Street, Paris", "Paris"): keys}
         for row_key in keys:
@@ -156,7 +156,7 @@ class TestBulkDegradation:
         row_key = store.insert(ROW, now=0.0)
         relocations = store.stats.relocations
         chunks = store.degrade_many(
-            [(row_key, "location", LOCATION, 1), (row_key, "salary", SALARY, 2)],
+            [([row_key], "location", LOCATION, 1), ([row_key], "salary", SALARY, 2)],
             now=1.0)
         assert sorted(chunk.column for chunk in chunks) == ["location", "salary"]
         row = store.read(row_key)
@@ -167,7 +167,7 @@ class TestBulkDegradation:
 
     def test_degrade_many_noop_level_reported_unchanged(self, store):
         row_key = store.insert(ROW, now=0.0)
-        assert store.degrade_many([(row_key, "location", LOCATION, 0)], now=1.0) == []
+        assert store.degrade_many([([row_key], "location", LOCATION, 0)], now=1.0) == []
         assert store.read(row_key).values["location"] == "1 Main Street, Paris"
         # No WAL record, no degrade counted for a pure no-op.
         assert store.stats.degrade_steps == 0
@@ -176,7 +176,7 @@ class TestBulkDegradation:
         store = make_store("rewrite")
         keys = [store.insert({**ROW, "id": i}, now=0.0) for i in range(1, 11)]
         passes = store.wal.stats.scrub_passes
-        store.degrade_many([(k, "location", LOCATION, 1) for k in keys], now=1.0)
+        store.degrade_many([(keys, "location", LOCATION, 1)], now=1.0)
         assert store.wal.stats.scrub_passes == passes + 1
         assert b"Main Street" not in store.wal.raw_image()
 
@@ -184,13 +184,13 @@ class TestBulkDegradation:
         store = make_store("rewrite")
         keys = [store.insert({**ROW, "id": i}, now=0.0) for i in range(1, 41)]
         flushes = store.buffer_pool.stats.flushes
-        store.degrade_many([(k, "location", LOCATION, 1) for k in keys], now=1.0)
+        store.degrade_many([(keys, "location", LOCATION, 1)], now=1.0)
         assert (store.buffer_pool.stats.flushes - flushes) <= store.heap.page_count
 
     def test_degrade_many_crypto_destroys_old_keys(self):
         store = make_store("crypto")
         row_key = store.insert(ROW, now=0.0)
-        store.degrade_many([(row_key, "location", LOCATION, 2)], now=1.0)
+        store.degrade_many([([row_key], "location", LOCATION, 2)], now=1.0)
         key_id = (store.schema.name, row_key, "location", 0)
         assert store.keystore.is_destroyed(key_id)
         assert store.read(row_key).values["location"] == "Ile-de-France"
@@ -199,7 +199,7 @@ class TestBulkDegradation:
         row_key = store.insert(ROW, now=0.0)
         store.degrade(row_key, "location", LOCATION, to_level=2, now=1.0)
         with pytest.raises(PolicyError):
-            store.degrade_many([(row_key, "location", LOCATION, 1)], now=2.0)
+            store.degrade_many([([row_key], "location", LOCATION, 1)], now=2.0)
 
     def test_page_of_reflects_location(self, store):
         row_key = store.insert(ROW, now=0.0)

@@ -397,6 +397,23 @@ class TestPersistence:
         with pytest.raises(LogFormatError, match="format version 2"):
             WriteAheadLog(path)
 
+    def test_a_version_3_data_directory_is_refused(self, tmp_path):
+        # Version 3 logged one SCHED_REGISTER per row and checkpointed the
+        # schedule record by record; this build reads cohorts only.
+        from repro import InstantDB
+        from repro.storage.wal import WAL_FORMAT_VERSION
+        assert WAL_FORMAT_VERSION == 4
+        db = InstantDB(data_dir=str(tmp_path))
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY)")
+        db.executemany("INSERT INTO t VALUES (?)", [(1,), (2,)])
+        db.close()
+        for segment in segment_paths(str(tmp_path / "wal")):
+            data = bytearray(open(segment, "rb").read())
+            data[8] = 3
+            open(segment, "wb").write(bytes(data))
+        with pytest.raises(LogFormatError, match="format version 3"):
+            InstantDB(data_dir=str(tmp_path))
+
 
 class TestSegments:
     def test_rollover_at_the_size_cap(self, tmp_path, small_segments):

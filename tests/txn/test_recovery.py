@@ -171,8 +171,7 @@ class TestSegmentDegradeRecords:
                 for row in self.rows(count)]
         manager.commit(winner)
         system = manager.begin(system=True)
-        store.degrade_many([(key, "location", LOCATION, to_level)
-                            for key in keys], now=3600.0,
+        store.degrade_many([(keys, "location", LOCATION, to_level)], now=3600.0,
                            txn_id=system.txn_id)
         return wal, store, manager, keys
 
@@ -239,8 +238,7 @@ class TestSegmentDegradeRecords:
 
         wal.scrub_records = die                # pages flushed, log not scrubbed
         with pytest.raises(KeyboardInterrupt):
-            store.degrade_many([(key, "location", LOCATION, 1) for key in done],
-                               now=3600.0)
+            store.degrade_many([(done, "location", LOCATION, 1)], now=3600.0)
         del wal.scrub_records
         (payload,) = encode_degrade_chunk(1, keys)
         wal.append(LogRecordType.DEGRADE, 0, table="person",
