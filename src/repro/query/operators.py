@@ -164,10 +164,12 @@ class _ScanBase(Operator):
         #: What to decode and when (:func:`~repro.query.compiler.read_spec`).
         self.spec = spec
         #: Rows whose header was examined, and those of them the level rule
-        #: excluded (the store counts both as it hands rows out);
+        #: excluded (the store counts both as it hands rows out, a page its
+        #: level floor excludes whole as skipped, its records unread);
         #: ``stats.rows_out`` counts the ones that also passed the filter.
         self.examined = 0
         self.excluded = 0
+        self.pages_skipped = 0
         #: The build side's hash table while this scan is a join's probe side.
         self.build_keys: Optional[Dict[Any, Any]] = None
 
@@ -181,7 +183,8 @@ class _ScanBase(Operator):
     def explain_lines(self, analyze: bool = False, indent: int = 0) -> List[str]:
         lines = super().explain_lines(analyze, indent)
         if analyze:
-            lines[0] += f" (examined={self.examined} excluded={self.excluded})"
+            lines[0] += (f" (examined={self.examined} excluded={self.excluded}"
+                         f" pages_skipped={self.pages_skipped})")
         return lines
 
     def _reader(self, store: TableStore) -> Callable:

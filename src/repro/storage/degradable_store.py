@@ -18,8 +18,8 @@ a per ``(row, column, level)`` key that a degradation step destroys.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import chain, islice
 from types import SimpleNamespace
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -32,7 +32,8 @@ from ..core.errors import (
 )
 from ..core.generalization import GeneralizationScheme
 from ..core.schema import TableSchema
-from ..core.values import NULL, REMOVED, SUPPRESSED, is_missing
+from ..core.values import SUPPRESSED, is_missing
+from ..devtools import invariants
 from .buffer import BufferPool
 from .crypto import KeyStore
 from .heap import HeapFile, RecordId
@@ -49,9 +50,9 @@ from .wal import LogRecordType, WriteAheadLog, encode_degrade_chunk
 #: Strategies for making degradation non-recoverable.
 STRATEGIES = ("rewrite", "crypto")
 
-#: Decodes one page run (page buffer, record spans[, other level caps]):
-#: ``(rows kept, each one's position in the run, records the level rule had
-#: excluded before each, records it excluded in the whole run)``.
+#: Decodes one page run (page buffer, record spans): ``(rows kept, each one's
+#: position in the run, records the level rule had excluded before each,
+#: records it excluded in the whole run)``; ``.caps`` are its level caps.
 RunReader = Callable[..., Tuple[List[Any], List[int], List[int], int]]
 
 
@@ -111,8 +112,6 @@ class TableStore:
         self.buffer_pool = buffer_pool
         self.wal = wal
         self.keystore = keystore
-        self.heap = HeapFile(buffer_pool, name=schema.name,
-                             on_allocate=self._log_page_allocation)
         self.stats = TableStoreStats()
         self._degradable = [column.name for column in schema.degradable_columns()]
         #: Degradable column → (its position among the record's levels, its
@@ -125,6 +124,12 @@ class TableStore:
         self._header, self._header_tags = fixed_prefix(
             "if" + "i" * len(self._degradable))
         self._field_count = 2 + len(self._degradable) + len(schema.columns)
+        # The heap's level summary reads a record's levels off its prefix, unchecked: each
+        # record it holds was encoded here or passed :meth:`rebuild_locations`'s checked read.
+        levels = len(self._degradable)
+        self.heap = HeapFile(buffer_pool, name=schema.name, levels=struct.Struct(
+            f"<{self._header.size - 9 * levels}x" + "xq" * levels).unpack_from
+            if levels else None, on_allocate=self._log_page_allocation)
         self._locations: Dict[int, RecordId] = {}
         #: Pages a relocating rewrite (a page full in total) moved a record
         #: *out of*: their zeroed old image is in the buffer pool only, so
@@ -135,7 +140,7 @@ class TableStore:
         #: reader can tell its decoded batch went stale (:meth:`_read_keys`).
         self._version = 0
         #: Memoized per column-subset: which fields to decode vs. byte-skip.
-        self._decode_plans: Dict[Optional[frozenset], Tuple] = {}
+        self._decode_plans: Dict[Tuple, Any] = {}
 
     # -- encoding helpers -----------------------------------------------------
 
@@ -153,7 +158,7 @@ class TableStore:
         if self.strategy == "crypto":
             values = list(values)
             for name, (level_at, value_at) in self._degradable_fields.items():
-                if not self._is_sentinel(values[value_at]):
+                if not is_missing(values[value_at]):
                     values[value_at] = self.keystore.encrypt(
                         (self.schema.name, row_key, name, levels[level_at]),
                         encode_value(values[value_at]))
@@ -164,16 +169,7 @@ class TableStore:
     def _decode_row(self, payload: bytes,
                     columns: Optional[frozenset] = None) -> StoredRow:
         """Decode a stand-alone record image (a log image, a fresh encode)."""
-        return self._decode_at(payload, 0, len(payload), self._decode_plan(columns))
-
-    def _decode_at(self, data: Any, start: int, end: int, plan: RunReader,
-                   level_caps: Sequence[Tuple[int, int]] = ()
-                   ) -> Optional[StoredRow]:
-        """The record at ``data[start:end]`` — in a page frame, or a log image
-        at offset 0 — as ``plan`` (:meth:`_decode_plan`) reads it; ``None``
-        when ``level_caps`` (positional, see :meth:`row_reader`) exclude it."""
-        rows = plan(data, ((start, end),), level_caps)[0]
-        return rows[0] if rows else None
+        return self._decode_plan(columns)(payload, ((0, len(payload)),))[0][0]
 
     def _decrypt(self, row_key: int, column: str, level: int, blob: bytes) -> Any:
         """The value a ciphertext field holds.  Fail safe: a destroyed key
@@ -188,29 +184,27 @@ class TableStore:
         """Why ``data[start:end]`` does not begin with this table's record prefix."""
         count, _ = record_field_count(data, start, end)
         if count != self._field_count:
-            return StorageError(
-                f"table {self.schema.name!r}: malformed record with {count} fields "
-                f"(expected {self._field_count})"
-            )
+            return StorageError(f"table {self.schema.name!r}: malformed record with "
+                                f"{count} fields (expected {self._field_count})")
         if end - start < self._header.size:
             return StorageError("truncated record: short header")
-        return StorageError(
-            f"table {self.schema.name!r}: malformed record header (row key, "
-            "insertion time and levels must be INT, FLOAT, INT...)"
-        )
+        return StorageError(f"table {self.schema.name!r}: malformed record header (row "
+                            "key, insertion time and levels must be INT, FLOAT, INT...)")
 
-    def _decode_plan(self, columns: Optional[frozenset]) -> RunReader:
+    def _decode_plan(self, columns: Optional[frozenset],
+                     level_caps: Tuple[Tuple[str, int], ...] = ()) -> RunReader:
         """The (memoized) run reader that makes :class:`StoredRow` objects
-        carrying ``columns`` (``None``: all) — what DML, maintenance and
-        recovery read through; it generalizes nothing and keeps no memo."""
-        plan = self._decode_plans.get(columns)
+        carrying ``columns`` (``None``: all), less the rows ``level_caps``
+        exclude — what DML, maintenance and recovery read through; it
+        generalizes nothing and keeps no memo."""
+        plan = self._decode_plans.get((columns, level_caps))
         if plan is None:
             names = [column.name for column in self.schema.columns
                      if columns is None or column.name in columns]
             degradable = self._degradable
-            plan = self._decode_plans[columns] = self.row_reader(
+            plan = self._decode_plans[columns, level_caps] = self.row_reader(
                 tuple((name, slot) for slot, name in enumerate(names, 1)),
-                frozenset(names), (),
+                frozenset(names), level_caps,
                 {name: (None, True) for name in names if name in degradable},
                 make=lambda head, values: StoredRow(
                     head[2], dict(zip(names, values[1:])),
@@ -236,10 +230,6 @@ class TableStore:
         while entries and entries[-1][0] is None:
             entries.pop()
         return tuple(entries), ends
-
-    @staticmethod
-    def _is_sentinel(value: Any) -> bool:
-        return value is SUPPRESSED or value is REMOVED or value is NULL or value is None
 
     def _log_page_allocation(self, page_id: int) -> None:
         """Make heap page ownership durable (see ``LogRecordType.PAGE_ALLOC``).
@@ -299,8 +289,8 @@ class TableStore:
              columns: Optional[frozenset] = None) -> StoredRow:
         record_id = self._location(row_key)
         self.stats.reads += 1
-        data, (span,) = self.heap.read_run(record_id.page_id, (record_id.slot,))
-        return self._decode_at(data, *span, self._decode_plan(columns))
+        data, spans = self.heap.read_run(record_id.page_id, (record_id.slot,))
+        return self._decode_plan(columns)(data, spans)[0][0]
 
     def row_reader(self, slots: Tuple[Tuple[str, int], ...], early: frozenset,
                    level_caps: Sequence[Tuple[str, int]] = (),
@@ -362,8 +352,7 @@ class TableStore:
                     value = coarse
                 values[slot] = value
 
-        def read(data: Any, spans: Sequence[Tuple[int, int]],
-                 caps: Sequence[Tuple[int, int]] = named_caps):
+        def read(data: Any, spans: Sequence[Tuple[int, int]]):
             rows, positions, drops = [], [], []
             excluded = 0
             for position, (start, end) in enumerate(spans):
@@ -374,7 +363,7 @@ class TableStore:
                 if head[0] != count or head[1::2] != tags:
                     raise self._malformed(data, start, end)
                 levels = head[6::2]
-                for at, cap in caps:
+                for at, cap in named_caps:
                     if levels[at] > cap:
                         excluded += 1
                         break
@@ -396,6 +385,7 @@ class TableStore:
                                     else make(head, values))
             return rows, positions, drops, excluded
 
+        read.caps = named_caps      # type: ignore[attr-defined]
         return read
 
     def scan(self, columns: Optional[frozenset] = None,
@@ -409,9 +399,8 @@ class TableStore:
         handed out, the records read so far and those the level rule dropped.
         """
         if reader is None:
-            reader = partial(self._decode_plan(columns), caps=[
-                (self._degradable.index(name.lower()), cap)
-                for name, cap in level_caps])
+            reader = self._decode_plan(columns, tuple(
+                (name.lower(), cap) for name, cap in level_caps))
         return self._read_keys(list(self._locations), reader, tally)
 
     def _read_keys(self, row_keys: Sequence[int], reader: RunReader,
@@ -419,8 +408,10 @@ class TableStore:
         """Materialize ``row_keys`` in order, one page run at a time.
 
         Consecutive keys that currently live on the same page form a run —
-        the batch: ``reader`` decodes all of it before its first row is
-        yielded, so no page frame is held across a ``yield`` and an
+        the batch.  If the page's level floor (:attr:`HeapFile.floors`) is
+        over a cap of the reader, the run is counted examined and excluded
+        and skipped unread; else ``reader`` decodes all of it before its first
+        row is yielded, so no page frame is held across a ``yield`` and an
         early-exit consumer over-reads at most one page.  Keys are resolved
         when their run is formed: vanished rows are skipped, relocated ones
         found, each key produced at most once.  If the consumer changes the
@@ -429,8 +420,8 @@ class TableStore:
         older than the last completed degradation step.
         """
         if tally is None:
-            tally = SimpleNamespace(examined=0, excluded=0)
-        locations = self._locations
+            tally = SimpleNamespace(examined=0, excluded=0, pages_skipped=0)
+        locations, floors, caps = self._locations, self.heap.floors, reader.caps
         total = len(row_keys)
         index = 0
         while index < total:
@@ -447,9 +438,18 @@ class TableStore:
                 if index == total:
                     break
                 record_id = locations.get(row_keys[index])
-            rows, positions, drops, excluded = reader(
-                *self.heap.read_run(page_id, slots))
-            self.stats.reads += len(slots)
+            if caps and any(floors[page_id][at] > cap for at, cap in caps):
+                if invariants.enabled():    # the level rule must drop the page
+                    live = self.heap.live_slots(page_id)
+                    if reader(*self.heap.read_run(page_id, live))[3] != len(live):
+                        raise invariants.InvariantViolation(
+                            f"{self.schema.name}: page {page_id} skipped holds a visible row")
+                tally.pages_skipped += 1
+                rows, positions, drops, excluded = (), (), (), len(slots)
+            else:
+                rows, positions, drops, excluded = reader(
+                    *self.heap.read_run(page_id, slots))
+                self.stats.reads += len(slots)
             version = self._version
             seen = dropped = 0
             for row, position, drop in zip(rows, positions, drops):
@@ -698,7 +698,7 @@ class TableStore:
         entry = chunk.memo.get(image)
         if entry is None:
             old_value = decode_value(image)[0]
-            new_value = old_value if self._is_sentinel(old_value) else \
+            new_value = old_value if is_missing(old_value) else \
                 chunk.scheme.generalize(old_value, chunk.to_level,
                                         from_level=chunk.from_level)
             entry = chunk.memo[image] = (
@@ -707,7 +707,7 @@ class TableStore:
         image, new_value, row_keys = entry
         row_keys.append(row_key)
         if crypto:
-            if not self._is_sentinel(new_value):
+            if not is_missing(new_value):
                 image = encode_value(
                     self.keystore.encrypt((*key_id, chunk.to_level), image))
             for level in range(chunk.from_level, chunk.to_level):

@@ -16,12 +16,25 @@ roomiest non-empty class (one compaction there serves many inserts), else to a
 freshly allocated page — it touches no page it does not write.  The map is
 derived state: nothing of it is persisted, :meth:`HeapFile.adopt_pages`
 rebuilds it from the slot directories it reads anyway.
+
+Beside it, by the same argument, the heap keeps a **level summary** when its
+owner hands it a ``levels(data, start)`` reader of a record's degradable-column
+levels: per page, the level vector each live slot's record stores, and the
+page's *floor* — the lowest level of each column any of them stores.  A scan
+whose purpose caps a column below a page's floor skips the page unread.  The
+summary holds levels only, never a value.  An insert or an update reads the new
+record's levels once, off the image it writes; a delete drops the slot's entry
+without reading the page; :meth:`HeapFile.adopt_pages` reads them off the
+adopted pages' headers.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import repeat
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.errors import StorageError
 from .buffer import BufferPool
@@ -30,6 +43,9 @@ from .page import SlottedPage
 #: Size classes of the free-space map: class ``c`` holds the pages whose free
 #: space is in ``[c, c + 1) × page_size / SIZE_CLASSES``.
 SIZE_CLASSES = 16
+
+#: Reads the levels of the record starting at ``data[start]``.
+LevelReader = Callable[[Any, int], Tuple[int, ...]]
 
 
 @dataclass(frozen=True, order=True)
@@ -47,7 +63,8 @@ class HeapFile:
     """An unordered collection of records belonging to one table."""
 
     def __init__(self, buffer_pool: BufferPool, name: str = "heap",
-                 on_allocate: Optional[Callable[[int], None]] = None) -> None:
+                 on_allocate: Optional[Callable[[int], None]] = None,
+                 levels: Optional[LevelReader] = None) -> None:
         self.buffer_pool = buffer_pool
         self.name = name
         #: Called with the page id whenever the heap allocates a fresh page;
@@ -62,11 +79,43 @@ class HeapFile:
         #: heap picks the same page as one that never closed.
         self._free: Dict[int, int] = {}
         self._classes: List[int] = [0] * SIZE_CLASSES
+        #: The level summary (kept only with a ``levels`` reader): page id →
+        #: live slot → the level vector its record stores, and page id → the
+        #: page's floor, the lowest stored level of each column (pages with
+        #: live records only).
+        self.levels = levels
+        self._slot_levels: Dict[int, Dict[int, Tuple[int, ...]]] = {}
+        self._vectors: Dict[Tuple[int, ...], Tuple[int, ...]] = {}     # one copy of each
+        self.floors: Dict[int, Tuple[int, ...]] = {}
 
-    # -- free-space map ------------------------------------------------------------
+    # -- free-space map and level summary ---------------------------------------------
 
     def _size_class(self, free: int) -> int:
         return free * SIZE_CLASSES // self.buffer_pool.pager.page_size
+
+    def _relevel(self, page_id: int, slots: Iterable[int],
+                 payloads: Optional[Iterable[Any]] = None) -> None:
+        """Note that ``page_id``'s records in ``slots`` are now ``payloads``
+        (``None``: deleted) and refresh the page's floor."""
+        if self.levels is None:
+            return
+        held = self._slot_levels.setdefault(page_id, {})
+        if payloads is None:
+            for slot in slots:
+                del held[slot]
+        else:
+            vectors = list(map(self.levels, payloads, repeat(0)))
+            held.update(zip(slots, map(self._vectors.setdefault, vectors, vectors)))
+        if held:    # a page holds a few distinct vectors: take the minima over those
+            self.floors[page_id] = tuple(map(min, zip(*set(held.values()))))
+        else:
+            del self._slot_levels[page_id]
+            self.floors.pop(page_id, None)
+
+    def _page_levels(self, page: SlottedPage, slots: List[int]) -> Dict[int, Tuple[int, ...]]:
+        """Slot → level vector of ``page``'s records in ``slots``, read off their headers."""
+        data, spans = page.spans(slots)
+        return dict(zip(slots, map(self.levels, repeat(data), map(itemgetter(0), spans))))
 
     def _file(self, page_id: int, page: SlottedPage) -> None:
         """Record ``page``'s free space in the map (after every mutation)."""
@@ -114,27 +163,36 @@ class HeapFile:
         ids: List[RecordId] = []
         page_id = page = None     # the page being filled; its map entry lags
         free = 0
-        for payload in payloads:
-            length = len(payload)
-            tail = self._page_ids[-1] if self._page_ids else None
-            room = free if page_id == tail else self._free.get(tail, -1)
-            target = tail if room >= length else None
-            if target is None:
-                if page is not None:
-                    self._file(page_id, page)
-                target = self._roomiest()
-                if target is None or self._free[target] < length:
-                    target = self._allocate()
-            if target != page_id:
-                if page is not None:
-                    self._file(page_id, page)
-                page_id, page = target, self.buffer_pool.get_page(target)
-                self.buffer_pool.mark_dirty(page_id)
-            ids.append(RecordId(page_id, page.insert(payload)))
-            free = page.free_space()
-        if page is not None:
-            self._file(page_id, page)
-        self._record_count += len(ids)
+        try:
+            for payload in payloads:
+                length = len(payload)
+                tail = self._page_ids[-1] if self._page_ids else None
+                room = free if page_id == tail else self._free.get(tail, -1)
+                target = tail if room >= length else None
+                if target is None:
+                    if page is not None:
+                        self._file(page_id, page)
+                    target = self._roomiest()
+                    if target is None or self._free[target] < length:
+                        target = self._allocate()
+                if target != page_id:
+                    if page is not None:
+                        self._file(page_id, page)
+                    page_id, page = target, self.buffer_pool.get_page(target)
+                    self.buffer_pool.mark_dirty(page_id)
+                ids.append(RecordId(page_id, page.insert(payload)))
+                free = page.free_space()
+        finally:    # what was placed is filed and counted, even if a page allocation raised
+            if page is not None:
+                self._file(page_id, page)
+            self._record_count += len(ids)
+            placed: Dict[int, Tuple[List[int], List[bytes]]] = {}
+            for record_id, payload in zip(ids, payloads):
+                slots, images = placed.setdefault(record_id.page_id, ([], []))
+                slots.append(record_id.slot)
+                images.append(payload)
+            for page_id, (slots, images) in placed.items():
+                self._relevel(page_id, slots, images)
         return ids
 
     def _allocate(self) -> int:
@@ -194,6 +252,8 @@ class HeapFile:
             page = self.buffer_pool.get_page(page_id)
             applied = page.update_many(updates)
             if applied:
+                done = updates[:applied]
+                self._relevel(page_id, map(itemgetter(0), done), map(itemgetter(1), done))
                 self._changed(page_id, page)
             if applied == len(updates):
                 break
@@ -208,6 +268,7 @@ class HeapFile:
     def delete(self, record_id: RecordId) -> None:
         page = self.buffer_pool.get_page(record_id.page_id)
         page.delete(record_id.slot)
+        self._relevel(record_id.page_id, (record_id.slot,))
         self._changed(record_id.page_id, page)
         self._record_count -= 1
 
@@ -234,7 +295,8 @@ class HeapFile:
         plus PAGE_ALLOC tail).  Ids unknown to the pager are skipped — their
         allocation never became durable, so no data can live there.  The live
         record count and the free-space map are rebuilt from the adopted
-        pages' slot directories.  Returns the number of pages adopted.
+        pages' slot directories, the level summary from their record headers.
+        Returns the number of pages adopted.
         """
         known = set(self._page_ids)
         adopted = 0
@@ -251,6 +313,13 @@ class HeapFile:
             # Count the adopted page's records and room in the same read
             # that validated it; already-known pages are already counted.
             self._record_count += page.live_count
+            if self.levels is not None and page.live_count:
+                try:
+                    self._slot_levels[page_id] = self._page_levels(page, page.live_slots())
+                except struct.error as exc:     # a record shorter than its prefix
+                    raise StorageError(f"heap {self.name!r}: page {page_id} holds "
+                                       f"a truncated record") from exc
+                self._relevel(page_id, ())      # its floor
             self._file(page_id, page)
         return adopted
 
@@ -263,20 +332,28 @@ class HeapFile:
 
     def check(self) -> None:
         """Raise :class:`StorageError` unless every page passes
-        :meth:`SlottedPage.check` and the free-space map and the record count
-        equal a recount from the pages."""
+        :meth:`SlottedPage.check` and the free-space map, the record count and
+        the level summary equal a recount from the pages."""
         free: Dict[int, int] = {}
         classes = [0] * SIZE_CLASSES
         records = 0
+        held: Dict[int, Dict[int, Tuple[int, ...]]] = {}
+        floors: Dict[int, Tuple[int, ...]] = {}
         for page_id in self._page_ids:
             page = self.buffer_pool.get_page(page_id)
             page.check()
             free[page_id] = page.free_space()
             classes[self._size_class(free[page_id])] |= 1 << page_id
-            records += len(page.live_slots())
-        if (free, classes, records) != (self._free, self._classes, self._record_count):
-            raise StorageError(f"heap {self.name!r}: free-space map or record "
-                               "count out of step with the pages")
+            slots = page.live_slots()
+            records += len(slots)
+            if self.levels is not None and slots:
+                held[page_id] = self._page_levels(page, slots)
+                floors[page_id] = tuple(map(min, zip(*held[page_id].values())))
+        if (free, classes, records, held, floors) != (
+                self._free, self._classes, self._record_count,
+                self._slot_levels, self.floors):
+            raise StorageError(f"heap {self.name!r}: free-space map, record count "
+                               "or level summary out of step with the pages")
 
     def flush(self) -> None:
         self.buffer_pool.flush_all()

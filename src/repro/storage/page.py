@@ -241,8 +241,12 @@ class SlottedPage:
         """
         self._account()
         buffer = self._buffer
+        slot_count = self.slot_count        # an update adds and drops no slot
         for done, (slot, payload) in enumerate(updates):
-            offset, length = self._get_slot(slot)
+            if not 0 <= slot < slot_count:
+                raise RecordNotFoundError(f"slot {slot} out of range")
+            entry = _HEADER.size + slot * _SLOT.size
+            offset, length = _SLOT.unpack_from(buffer, entry)
             if offset == 0:
                 raise RecordNotFoundError(f"slot {slot} is deleted")
             new_length = len(payload)
@@ -250,9 +254,9 @@ class SlottedPage:
                 buffer[offset:offset + new_length] = payload
                 if self.secure and new_length < length:
                     buffer[offset + new_length:offset + length] = bytes(length - new_length)
-                self._set_slot(slot, offset, new_length)
+                _SLOT.pack_into(buffer, entry, offset, new_length)
             else:
-                slot_count, free_offset = self._get_header()
+                free_offset = self._get_header()[1]
                 if new_length > free_offset - self._slot_directory_end(slot_count):
                     return done + self._repack(updates[done:])
                 new_offset = free_offset - new_length
@@ -260,7 +264,7 @@ class SlottedPage:
                 self._set_header(slot_count, new_offset)
                 if self.secure:
                     buffer[offset:offset + length] = bytes(length)
-                self._set_slot(slot, new_offset, new_length)
+                _SLOT.pack_into(buffer, entry, new_offset, new_length)
             self._live += new_length - length
         return len(updates)
 

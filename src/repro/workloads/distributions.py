@@ -6,13 +6,22 @@ deterministic; nothing here depends on global random state.
 
 from __future__ import annotations
 
-import math
 import random
-from typing import List, Sequence, TypeVar
+from functools import lru_cache
+from itertools import accumulate
+from typing import List, Sequence, Tuple, TypeVar
 
 from ..core.errors import ConfigurationError
 
 T = TypeVar("T")
+
+
+@lru_cache(maxsize=64)
+def _zipf_cumulative(n: int, skew: float) -> Tuple[float, ...]:
+    """The running sums of :meth:`Distributions.zipf_weights` — exactly the
+    ``cum_weights`` ``random.choices`` builds from those weights, so a draw
+    given them is the draw given the weights, at O(log n) instead of O(n)."""
+    return tuple(accumulate(Distributions.zipf_weights(n, skew)))
 
 
 class Distributions:
@@ -28,7 +37,8 @@ class Distributions:
             raise ConfigurationError("cannot sample from an empty sequence")
         return items[self.random.randrange(len(items))]
 
-    def zipf_weights(self, n: int, skew: float = 1.0) -> List[float]:
+    @staticmethod
+    def zipf_weights(n: int, skew: float = 1.0) -> List[float]:
         """Normalized Zipf weights for ranks 1..n."""
         if n < 1:
             raise ConfigurationError("n must be at least 1")
@@ -38,12 +48,10 @@ class Distributions:
 
     def zipf_choice(self, items: Sequence[T], skew: float = 1.0) -> T:
         """Sample one item with Zipf-distributed popularity (rank = list order)."""
-        weights = self.zipf_weights(len(items), skew)
-        return self.random.choices(list(items), weights=weights, k=1)[0]
+        return items[self.zipf_index(len(items), skew)]
 
     def zipf_index(self, n: int, skew: float = 1.0) -> int:
-        weights = self.zipf_weights(n, skew)
-        return self.random.choices(range(n), weights=weights, k=1)[0]
+        return self.random.choices(range(n), cum_weights=_zipf_cumulative(n, skew))[0]
 
     def weighted_choice(self, items: Sequence[T], weights: Sequence[float]) -> T:
         """Sample one item with explicit (not necessarily normalized) weights."""

@@ -36,6 +36,23 @@ class TestDistributions:
         samples = [dist.zipf_choice(items, skew=1.5) for _ in range(500)]
         assert samples.count(0) > samples.count(49)
 
+    @pytest.mark.parametrize("n,skew", [(1, 1.0), (7, 0.6), (50, 1.5), (4000, 0.8)])
+    def test_zipf_draws_are_those_of_the_per_draw_weight_list(self, n, skew):
+        """Memoized cumulative weights draw bit for bit what rebuilding and
+        normalizing the weight list on every draw drew (the seeded inputs of
+        every workload depend on it)."""
+        def rebuilt(rng, count):
+            raw = [1.0 / (rank ** skew) for rank in range(1, count + 1)]
+            total = sum(raw)
+            weights = [weight / total for weight in raw]
+            return rng.choices(range(count), weights=weights, k=1)[0]
+
+        dist, reference = Distributions(11), Distributions(11).random
+        items = [f"item{i}" for i in range(n)]
+        for _ in range(300):
+            assert dist.zipf_index(n, skew) == rebuilt(reference, n)
+            assert dist.zipf_choice(items, skew) == items[rebuilt(reference, n)]
+
     def test_poisson_arrivals_within_horizon(self):
         arrivals = Distributions(2).poisson_arrivals(rate=1.0, horizon=100.0)
         assert all(0 <= when <= 100.0 for when in arrivals)

@@ -47,10 +47,12 @@ class TestEmptySide:
         assert result.rows == []
         left, right = result.pipeline.find("HashJoin").children
         assert left.scan.table == "job_applications" and right.scan.table == "users"
-        # every application was excluded on its header ...
+        # every application was excluded by its page's level floor, no
+        # record header read ...
         assert (left.examined, left.excluded, left.stats.rows_out) == \
             (apps.row_count, apps.row_count, 0)
-        assert apps.stats.reads - reads[1] == apps.row_count
+        assert left.pages_skipped == apps.heap.page_count
+        assert apps.stats.reads - reads[1] == 0
         # ... and users was never opened
         assert (right.examined, right.stats.rows_out) == (0, 0)
         assert users.stats.reads == reads[0]
@@ -137,8 +139,8 @@ class TestExplainAnalyze:
         visible = len(result.rows)
         assert 0 < visible < store.row_count
         assert "filter (applied_day >= 100 AND applied_day <= 130)" in scan
-        assert scan.endswith(f"(examined={store.row_count} "
-                             f"excluded={store.row_count - visible})")
+        assert f"(examined={store.row_count} excluded={store.row_count - visible} " \
+            "pages_skipped=" in scan
         rows = int(scan.split("(rows=")[1].split(")")[0])
         assert 0 < rows < visible
 

@@ -1,13 +1,16 @@
 """Scan counters stay exact when the exclusion check runs inside the store.
 
 ``SeqScan`` hands its per-column level caps to the store's run reader, which
-drops a row the purpose cannot see on its record header alone.  Everything that
-counts rows — ``ExecutorStats``, the operator's own counters, the store's
-``reads`` and ``EXPLAIN ANALYZE`` — must read as it did when the operator
-decoded every row and threw the excluded ones away afterwards.  The numbers
-below were taken on the commit before that pushdown; since the WHERE clause
-runs inside the scan too (compiled mode), a scan's ``rows_out`` counts the
-rows that also passed its filter — the reference mode still shows a ``Filter``.
+drops a row the purpose cannot see on its record header alone — or a whole
+page on the page's level floor, before any header.  Everything that counts rows
+— ``ExecutorStats``, the operator's own counters and ``EXPLAIN ANALYZE`` — must
+read as it did when the operator decoded every row and threw the excluded ones
+away afterwards.  The numbers below were taken on the commit before that
+pushdown; since the WHERE clause runs inside the scan too (compiled mode), a
+scan's ``rows_out`` counts the rows that also passed its filter — the reference
+mode still shows a ``Filter``.  The store's ``reads`` counts records decoded:
+every record of each page that holds a row the purpose may see, none of the
+skipped pages (:func:`decoded_records`).
 """
 
 from collections import Counter
@@ -20,6 +23,11 @@ from repro.core.domains import build_location_tree, build_salary_ranges
 PARIS = "1 Main Street, Paris"
 LYON = "2 Station Road, Lyon"
 WAVE = 300          # rows per insert wave; three waves sit at three levels
+#: Purpose → its cap on the location level, and the records its full scan
+#: decodes (degradation shrank the old waves' records, so later waves filled
+#: their pages' room: 9 pages hold no address-level row, 6 no city-level one).
+CAPS = {"address": 0, "city": 1, "region": 2}
+DECODED = {"address": 591, "city": 670, "region": 900}
 
 
 @pytest.fixture(params=[True, False], ids=["compiled", "interpreted"])
@@ -54,6 +62,19 @@ def db(request):
     return db
 
 
+def decoded_records(db, purpose):
+    """The records on the pages holding at least one row whose stored
+    location level the purpose may see (read row by row, off the books)."""
+    store = db._store_for("visits")
+    pages = {}
+    for key in store.row_keys():
+        level = store.read(key, frozenset()).levels["location"]
+        pages.setdefault(store.page_of(key), []).append(level)
+    store.stats.reads -= store.row_count
+    return sum(len(levels) for levels in pages.values()
+               if min(levels) <= CAPS[purpose])
+
+
 def run(db, sql, purpose):
     """Execute and return (result, Δrows_scanned, Δexcluded, Δstore reads)."""
     stats, store = db.executor.stats, db._store_for("visits")
@@ -73,7 +94,8 @@ class TestFullyConsumedScans:
             db, "SELECT id, location FROM visits", purpose)
         scan = result.pipeline.find("SeqScan")
         assert len(result.rows) == visible
-        assert scanned == reads == 3 * WAVE
+        assert scanned == 3 * WAVE
+        assert reads == decoded_records(db, purpose) == DECODED[purpose]
         assert excluded == scan.rows_excluded_not_computable == 3 * WAVE - visible
         assert scan.stats.rows_out == visible
 
@@ -82,7 +104,8 @@ class TestFullyConsumedScans:
             db, "SELECT id FROM visits WHERE grp = 'g1' AND salary > 1650", "city")
         scan = result.pipeline.find("SeqScan")
         # Excluded rows are counted as scanned and never reach the filter.
-        assert scanned == reads == scan.examined == 900
+        assert scanned == scan.examined == 900
+        assert reads == decoded_records(db, "city") == DECODED["city"]
         assert excluded == scan.rows_excluded_not_computable == 300
         last = scan if db.pushdown else result.pipeline.find("Filter")
         assert (scan.stats.rows_out, last.stats.rows_out) == \
@@ -94,7 +117,7 @@ class TestFullyConsumedScans:
             "EXPLAIN ANALYZE SELECT id FROM visits WHERE grp = 'g1'",
             purpose="address").rows]
         scan_line = next(line for line in lines[1:] if "SeqScan" in line)
-        assert scan_line.endswith("(examined=900 excluded=600)")
+        assert scan_line.endswith("(examined=900 excluded=600 pages_skipped=9)")
         if db.pushdown:
             assert "filter (grp = 'g1') (rows=60)" in scan_line
         else:
@@ -105,7 +128,13 @@ class TestFullyConsumedScans:
         db.advance_time(hours=2)        # the last wave leaves address level too
         result, scanned, excluded, reads = run(db, "SELECT id FROM visits", "address")
         assert result.rows == []
-        assert scanned == excluded == reads == 900
+        assert scanned == excluded == 900
+        # every page's floor is over the cap: not one record decoded, every
+        # page run — consecutive keys on one page — skipped
+        assert reads == 0
+        pages = list(map(db._store_for("visits").page_of, range(1, 3 * WAVE + 1)))
+        runs = 1 + sum(page != after for page, after in zip(pages, pages[1:]))
+        assert result.pipeline.find("SeqScan").pages_skipped == runs
 
 
 class TestEarlyTermination:
@@ -113,7 +142,9 @@ class TestEarlyTermination:
         store = db._store_for("visits")
         fullest_page = max(Counter(map(store.page_of, store.row_keys())).values())
         # Purpose "address" sees ids 601–900 only: the scan drops 600 rows on
-        # their headers, then stops 5 rows into the visible wave.
+        # their headers or their pages' floors, then stops 5 rows into the
+        # visible wave, having decoded at most one page past the pages it
+        # could not skip.
         result, scanned, excluded, reads = run(
             db, "SELECT id FROM visits LIMIT 5", "address")
         scan = result.pipeline.find("SeqScan")
@@ -121,4 +152,5 @@ class TestEarlyTermination:
         assert scan.stats.rows_out == 5
         assert excluded == scan.rows_excluded_not_computable == 600
         assert scanned == 605
-        assert 605 <= reads <= 605 + fullest_page
+        skipped = decoded_records(db, "region") - decoded_records(db, "address")
+        assert 605 - skipped <= reads <= 605 - skipped + fullest_page

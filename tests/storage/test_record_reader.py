@@ -1,4 +1,4 @@
-"""The table store's one record reader (``TableStore._decode_at``).
+"""The table store's one record reader (``TableStore.row_reader``).
 
 * equivalence — over random records carrying every value tag, both
   non-recoverability strategies and every column subset, the reader returns
@@ -27,6 +27,7 @@ from repro.core.schema import Column, TableSchema
 from repro.core.values import NULL, REMOVED, SUPPRESSED
 from repro.storage.buffer import BufferPool
 from repro.storage.degradable_store import TableStore
+from repro.storage.heap import RecordId
 from repro.storage.pager import MemoryPager
 from repro.storage.serialization import decode_record, decode_value
 from repro.storage.wal import WriteAheadLog
@@ -115,8 +116,8 @@ class TestEquivalence:
         framed = bytearray(b"\xaa" * pad + payload + b"\xbb" * pad)
         for columns in SUBSETS:
             assert_same(store._decode_row(payload, columns), expected, columns)
-            in_place = store._decode_at(framed, pad, pad + len(payload),
-                                        store._decode_plan(columns))
+            in_place = store._decode_plan(columns)(
+                framed, ((pad, pad + len(payload)),))[0][0]
             assert_same(in_place, expected, columns)
 
     @pytest.mark.parametrize("strategy", ["rewrite", "crypto"])
@@ -155,13 +156,21 @@ class TestLevelFirstExclusion:
                 for i in range(120)]
         store.degrade_many([(keys[:50], "salary", SALARY, 2)], now=1.0)
         store.degrade_many([(keys[100:], "location", LOCATION, 1)], now=1.0)
-        tally = SimpleNamespace(examined=0, excluded=0)
+        tally = SimpleNamespace(examined=0, excluded=0, pages_skipped=0)
+        reads = store.stats.reads
         scan = store.scan(None, [("salary", 1), ("location", 0)], tally)
         assert next(scan).row_key == keys[50]
         # Exact at every row handed out, then at the end of the scan.
         assert (tally.examined, tally.excluded) == (51, 50)
         assert [row.row_key for row in scan] == keys[51:100]
         assert (tally.examined, tally.excluded) == (120, 70)
+        # A run of keys on a page holding only excluded rows is skipped on
+        # the page's level floor, its records never decoded.
+        pages = [store.page_of(key) for key in keys]
+        seen = set(pages[50:100])
+        runs = [page for at, page in enumerate(pages) if at == 0 or pages[at - 1] != page]
+        assert tally.pages_skipped == sum(page not in seen for page in runs) > 0
+        assert store.stats.reads - reads == sum(page in seen for page in pages) < 120
 
     def test_excluded_row_never_reaches_its_values(self):
         """The header decides: a record whose payload is garbage is still
@@ -172,10 +181,10 @@ class TestLevelFirstExclusion:
         store.degrade(key, "salary", SALARY, 2, now=1.0)
         payload = store.heap.read(store._location(key))
         broken = payload[:store._header.size] + b"\xff" * 8
-        plan = store._decode_plan(None)
-        assert store._decode_at(broken, 0, len(broken), plan, [(1, 1)]) is None
+        span = ((0, len(broken)),)
+        assert store._decode_plan(None, (("salary", 1),))(broken, span)[0] == []
         with pytest.raises(StorageError):
-            store._decode_at(broken, 0, len(broken), plan, [(1, 2)])
+            store._decode_plan(None, (("salary", 2),))(broken, span)
 
 
 def good_payload(store: TableStore) -> bytes:
@@ -234,10 +243,13 @@ class TestCorruption:
         with pytest.raises(StorageError):
             store._decode_row(bad)
         # The same bytes inside a page: the record's own end bounds the
-        # decode, not the end of the 4 KiB frame around it.
+        # decode, not the end of the 4 KiB frame around it.  The damage is
+        # planted in the page under the heap, as a bad disk would.
         filler = store.insert({"id": 1, "name": "f", "location": NULL, "score": 1.0,
                                "salary": 1, "active": NULL}, now=0.0)
-        store._locations[99] = store.heap.insert(bad)
+        page_id = store.page_of(filler)
+        store._locations[99] = RecordId(
+            page_id, store.buffer_pool.get_page(page_id).insert(bad))
         assert store.page_of(99) == store.page_of(filler)
         with pytest.raises(StorageError):
             store.read(99)
