@@ -15,11 +15,13 @@ a stable total order while data degrades.
 
 from __future__ import annotations
 
+import operator
+import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Optional
+from typing import Any, Callable, Dict, Optional, Pattern
 
-from .errors import SchemaError
+from .errors import ExecutionError, SchemaError
 
 
 class _Sentinel:
@@ -188,3 +190,83 @@ def sort_key(value: Any) -> tuple:
     if isinstance(value, str):
         return (2, 0, value)
     return (2, 1, repr(value))
+
+
+# -- predicate semantics ----------------------------------------------------------
+#
+# What a WHERE clause means over values, shared by the engine's compiled
+# closures and the reference model: any missing operand makes a comparison
+# false, string equality ignores case, inequalities follow ``sort_key``, LIKE
+# is SQL LIKE.
+
+ORDERINGS: Dict[str, Callable[[Any, Any], bool]] = {
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def compare(operator_: str, left: Any, right: Any) -> bool:
+    """``left <operator_> right``."""
+    if is_missing(left) or is_missing(right):
+        return False
+    if operator_ == "=":
+        return equal(left, right)
+    if operator_ == "!=":
+        return not equal(left, right)
+    if operator_ == "LIKE":
+        return like_pattern(str(right)).match(str(left)) is not None
+    try:
+        return ORDERINGS[operator_](sort_key(left), sort_key(right))
+    except KeyError:
+        raise ExecutionError(
+            f"unsupported comparison operator {operator_!r}") from None
+
+
+def between(value: Any, low: Any, high: Any, negated: bool) -> bool:
+    if is_missing(value) or is_missing(low) or is_missing(high):
+        return False
+    result = sort_key(low) <= sort_key(value) <= sort_key(high)
+    return not result if negated else result
+
+
+def truthy(value: Any) -> bool:
+    return bool(value) and not is_missing(value)
+
+
+def equal(left: Any, right: Any) -> bool:
+    if isinstance(left, (int, float)) and isinstance(right, (int, float)) \
+            and not isinstance(left, bool) and not isinstance(right, bool):
+        return float(left) == float(right)
+    if isinstance(left, str) and isinstance(right, str):
+        return left.lower() == right.lower()
+    return bool(left == right)
+
+
+def hashable(value: Any) -> Any:
+    """The join / group key of ``value``: strings fold case, an unhashable
+    degraded value (a list, a dict) stands in as its ``repr``."""
+    if isinstance(value, str):
+        return value.lower()
+    try:
+        hash(value)
+        return value
+    except TypeError:
+        return repr(value)
+
+
+_LIKE_CACHE: Dict[str, Pattern[str]] = {}
+
+
+def like_pattern(pattern: str) -> Pattern[str]:
+    """SQL LIKE with ``%`` and ``_`` wildcards (case-insensitive) as a regex."""
+    compiled = _LIKE_CACHE.get(pattern)
+    if compiled is None:
+        parts = []
+        for char in pattern:
+            if char == "%":
+                parts.append(".*")
+            elif char == "_":
+                parts.append(".")
+            else:
+                parts.append(re.escape(char))
+        compiled = re.compile(f"^{''.join(parts)}$", re.IGNORECASE | re.DOTALL)
+        _LIKE_CACHE[pattern] = compiled
+    return compiled

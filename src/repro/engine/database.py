@@ -63,7 +63,6 @@ from ..query.catalog import Catalog, IndexInfo, TableInfo
 from ..query.executor import Executor, QueryResult, ROW_KEY_FIELD
 from ..query.planner import PhysicalPlan, Planner, bind_physical_plan
 from ..query.prepared import PreparedStatement, StatementCache, query_of
-from ..query.statistics import StatisticsRegistry
 from ..storage.buffer import BufferPool
 from ..storage.crypto import KeyStore
 from ..storage.degradable_store import DegradeChunk, StoredRow, TableStore
@@ -158,7 +157,6 @@ class InstantDB:
                  data_dir: Optional[str] = None,
                  deterministic_crypto: bool = True,
                  degradation_max_batch: Optional[int] = None,
-                 read_path_optimizations: bool = True,
                  fault_plan: Optional[FaultPlan] = None) -> None:
         self.clock: Clock = make_clock(clock) if isinstance(clock, str) else clock
         self.strategy = strategy
@@ -183,15 +181,7 @@ class InstantDB:
         self.registry = self.catalog.registry
         #: Incrementally maintained table statistics (row counts, NDV,
         #: min/max, value frequencies) driving cost-based access paths.
-        self.statistics = StatisticsRegistry()
-        #: Compiled read path (predicate/projection closures, column pruning,
-        #: index-only scans, cost-based plans).  ``False`` runs the
-        #: tree-walking interpreter over full-row decodes — the measured
-        #: before/after baseline of the C3 benchmark.
-        self.read_path_optimizations = read_path_optimizations
-        if read_path_optimizations:
-            self.catalog.statistics = self.statistics
-        self.catalog.read_optimized = read_path_optimizations
+        self.statistics = self.catalog.statistics
         self.transactions = TransactionManager(self.wal)
         # An abort whose undo hit the failing device leaves the in-memory
         # image possibly stale; degrade until recover() rebuilds it from disk.
@@ -199,9 +189,7 @@ class InstantDB:
             lambda exc: self._enter_read_only(f"undo failure: {exc}"))
         self.scheduler = DegradationScheduler()
         self.stores: Dict[str, TableStore] = {}
-        self.executor = Executor(
-            self.catalog, self._store_for,
-            compile_mode="compiled" if read_path_optimizations else "interpreted")
+        self.executor = Executor(self.catalog, self._store_for)
         self.planner = Planner(self.catalog)
         self.statements = StatementCache(capacity=256)
         self.daemon = DegradationDaemon(
@@ -378,7 +366,6 @@ class InstantDB:
         """Wire a table's runtime objects without marking the catalog dirty
         (shared by :meth:`create_table` and catalog restore on recovery)."""
         self.catalog.add_table(schema, policy)
-        self.statistics.register(schema)
         store = TableStore(schema, self.buffer_pool, self.wal,
                            keystore=self.keystore, strategy=self.strategy)
         self.stores[schema.name] = store
@@ -683,8 +670,7 @@ class InstantDB:
         else:
             stats.predicate_compiles += 1
         if shape:
-            plan = bind_physical_plan(plan, params, self.catalog,
-                                      self.executor.compile_mode)
+            plan = bind_physical_plan(plan, params, self.catalog)
         return plan
 
     def _execute_select(self, prepared: PreparedStatement,
@@ -855,7 +841,6 @@ class InstantDB:
         table = statement.table.lower()
         info = self.catalog.drop_table(table)
         self._catalog_dirty = True
-        self.statistics.drop(table)
         store = self.stores.pop(table, None)
         if store is not None:
             # Indexes and statistics went with the catalog entry; only the

@@ -16,6 +16,7 @@ from ..core.lcp import AttributeLCP
 from ..core.policy import PolicyRegistry, Purpose, TablePolicy
 from ..core.schema import TableSchema
 from ..index.base import Index
+from .statistics import StatisticsRegistry
 
 
 @dataclass
@@ -60,13 +61,9 @@ class Catalog:
         #: Bumped on every metadata change; cached query plans are only valid
         #: for the version they were built against.
         self.version = 0
-        #: Optional :class:`~repro.query.statistics.StatisticsRegistry` the
-        #: engine attaches so the planner can cost access paths; ``None``
-        #: keeps the stats-free heuristic planner.
-        self.statistics = None
-        #: Read-path optimizations toggle (column pruning, index-only scans);
-        #: the engine sets this False in baseline/benchmark-comparison mode.
-        self.read_optimized = True
+        #: Per-table statistics the planner costs access paths with; a table
+        #: has its entry from :meth:`add_table` to :meth:`drop_table`.
+        self.statistics = StatisticsRegistry()
 
     # -- tables ----------------------------------------------------------------
 
@@ -76,6 +73,7 @@ class Catalog:
             raise CatalogError(f"table {name!r} already exists")
         info = TableInfo(schema=schema, policy=policy)
         self._tables[name] = info
+        self.statistics.register(schema)
         self.version += 1
         return info
 
@@ -84,6 +82,7 @@ class Catalog:
             info = self._tables.pop(name.lower())
         except KeyError:
             raise CatalogError(f"unknown table {name!r}") from None
+        self.statistics.drop(name)
         self.version += 1
         return info
 

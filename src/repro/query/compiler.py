@@ -1,4 +1,4 @@
-"""Row layout and expression evaluation: the interpreter and the closure compiler.
+"""Row layout and the closure compiler.
 
 Rows travel through the operator tree as **positional tuples**.  A
 :class:`Layout` fixes, once per plan, which slot holds which column: per table
@@ -8,36 +8,41 @@ the plan is built (:meth:`Layout.slot`), so an unknown or ambiguous name is a
 :class:`BindingError` at ``execute`` — whatever the data — and no name is ever
 looked up per row.
 
-Two ways to evaluate the same AST over such a row live here side by side:
-
-* :func:`evaluate` / :func:`lookup` — the reference tree-walking interpreter
-  (``read_path_optimizations=False``).  It re-dispatches on every node for
-  every row and sees a row through the one adapter :meth:`Layout.view`, a
-  name → value dict built from the same layout.
-* :func:`compile_predicate` / :func:`compile_value` — a one-time translation
-  into nested closures that index the row by position.  Operator dispatch,
-  LIKE regexes, constant folding of ``column <op> literal`` and the hash-key
-  normalization of joins are decided **once per plan**.
+:func:`compile_predicate` / :func:`compile_value` translate an AST once into
+nested closures that index the row by position.  Operator dispatch, LIKE
+regexes, constant folding of ``column <op> literal`` and the hash-key
+normalization of joins are decided **once per plan**; what a comparison means
+over values is :mod:`repro.core.values`' (``compare``, ``equal``, ...), the
+definition the reference model of :mod:`repro.scenarios.reference` evaluates
+too.
 
 :func:`compile_select` bundles what one physical plan needs — the pushed
 filter of each scan, the cross-table residual, join-key and group-key
 extractors, the projection or the aggregate's accumulator recipe — into a
 :class:`CompiledSelect` that the plan memoizes: a cached template compiles
-exactly once (``StatementCacheStats.predicate_compiles``).  Both ways implement
-identical semantics: any missing operand makes a comparison false, string
-equality ignores case, inequalities follow ``sort_key``, LIKE is SQL LIKE.
+exactly once (``StatementCacheStats.predicate_compiles``).
 """
 
 from __future__ import annotations
 
 import operator
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import BindingError, ExecutionError, ParameterError
-from ..core.values import NULL, SUPPRESSED, is_missing, sort_key
+from ..core.values import (
+    NULL,
+    ORDERINGS,
+    SUPPRESSED,
+    between,
+    compare,
+    equal,
+    hashable,
+    is_missing,
+    like_pattern,
+    truthy,
+)
 from . import ast_nodes as ast
 
 #: A compiled row function: positional row in, value (or bool) out.
@@ -99,130 +104,8 @@ class Layout:
         wider.width = self.width + len(names)
         return wider
 
-    def view(self, row: Sequence[Any], offset: int = 0) -> Dict[str, Any]:
-        """The interpreter's name → value view of ``row`` (whose first slot is
-        this layout's slot ``offset``)."""
-        last = offset + len(row)
-        return {name: row[slot - offset] for name, slot in self.slots.items()
-                if offset <= slot < last}
 
-
-# -- interpreted evaluation ------------------------------------------------------
-
-
-def lookup(ref: ast.ColumnRef, row: Dict[str, Any]) -> Any:
-    try:
-        return row[ref.qualified]
-    except KeyError:
-        raise BindingError(f"unknown column {ref.qualified!r}") from None
-
-
-def evaluate(expression: ast.Expression, row: Dict[str, Any]) -> Any:
-    if isinstance(expression, ast.Literal):
-        return expression.value
-    if isinstance(expression, ast.Placeholder):
-        raise ParameterError(_UNBOUND)
-    if isinstance(expression, ast.ColumnRef):
-        return lookup(expression, row)
-    if isinstance(expression, ast.Comparison):
-        return _compare(expression.operator, evaluate(expression.left, row),
-                        evaluate(expression.right, row))
-    if isinstance(expression, ast.InList):
-        value = evaluate(expression.operand, row)
-        if is_missing(value):
-            return False
-        result = any(_equal(value, candidate) for candidate in expression.values)
-        return not result if expression.negated else result
-    if isinstance(expression, ast.Between):
-        return _between(evaluate(expression.operand, row),
-                        evaluate(expression.low, row),
-                        evaluate(expression.high, row), expression.negated)
-    if isinstance(expression, ast.IsNull):
-        value = evaluate(expression.operand, row)
-        result = value is NULL or value is None or value is SUPPRESSED
-        return not result if expression.negated else result
-    if isinstance(expression, ast.BooleanOp):
-        if expression.operator == "AND":
-            return all(_truthy(evaluate(op, row)) for op in expression.operands)
-        return any(_truthy(evaluate(op, row)) for op in expression.operands)
-    if isinstance(expression, ast.Not):
-        return not _truthy(evaluate(expression.operand, row))
-    if isinstance(expression, ast.Aggregate):
-        raise BindingError(
-            f"aggregate {expression.display_name} used outside an aggregate query"
-        )
-    raise ExecutionError(f"cannot evaluate expression {expression!r}")
-
-
-_ORDERINGS = {"<": operator.lt, "<=": operator.le,
-              ">": operator.gt, ">=": operator.ge}
-
-
-def _compare(operator_: str, left: Any, right: Any) -> bool:
-    """``left <operator_> right`` — the one definition both paths share."""
-    if is_missing(left) or is_missing(right):
-        return False
-    if operator_ == "=":
-        return _equal(left, right)
-    if operator_ == "!=":
-        return not _equal(left, right)
-    if operator_ == "LIKE":
-        return _like_pattern(str(right)).match(str(left)) is not None
-    try:
-        return _ORDERINGS[operator_](sort_key(left), sort_key(right))
-    except KeyError:
-        raise ExecutionError(
-            f"unsupported comparison operator {operator_!r}") from None
-
-
-def _between(value: Any, low: Any, high: Any, negated: bool) -> bool:
-    if is_missing(value) or is_missing(low) or is_missing(high):
-        return False
-    result = sort_key(low) <= sort_key(value) <= sort_key(high)
-    return not result if negated else result
-
-
-def _truthy(value: Any) -> bool:
-    return bool(value) and not is_missing(value)
-
-
-def _equal(left: Any, right: Any) -> bool:
-    if isinstance(left, (int, float)) and isinstance(right, (int, float)) \
-            and not isinstance(left, bool) and not isinstance(right, bool):
-        return float(left) == float(right)
-    if isinstance(left, str) and isinstance(right, str):
-        return left.lower() == right.lower()
-    return left == right
-
-
-def _hashable(value: Any) -> Any:
-    if isinstance(value, str):
-        return value.lower()
-    try:
-        hash(value)
-        return value
-    except TypeError:
-        return repr(value)
-
-
-_LIKE_CACHE: Dict[str, re.Pattern] = {}
-
-
-def _like_pattern(pattern: str) -> re.Pattern:
-    """SQL LIKE with ``%`` and ``_`` wildcards (case-insensitive) as a regex."""
-    compiled = _LIKE_CACHE.get(pattern)
-    if compiled is None:
-        parts = []
-        for char in pattern:
-            if char == "%":
-                parts.append(".*")
-            elif char == "_":
-                parts.append(".")
-            else:
-                parts.append(re.escape(char))
-        compiled = re.compile(f"^{''.join(parts)}$", re.IGNORECASE | re.DOTALL)
-        _LIKE_CACHE[pattern] = compiled
-    return compiled
+# -- expression helpers -----------------------------------------------------------
 
 
 def collect_refs(expression: ast.Expression,
@@ -327,7 +210,7 @@ def _compile_comparison(comparison: ast.Comparison, slot_of: Resolver) -> RowFn:
         # ``sort_key`` order — and the common type takes a shortcut that
         # gives exactly what :func:`_compare` would.
         if operator_ == "LIKE" and type(constant) is str:
-            match = _like_pattern(constant).match
+            match = like_pattern(constant).match
             return lambda row: not is_missing(value := left(row)) and \
                 match(str(value)) is not None
         if operator_ in ("=", "!=") and type(constant) is str:
@@ -337,21 +220,21 @@ def _compile_comparison(comparison: ast.Comparison, slot_of: Resolver) -> RowFn:
                 value = left(row)
                 if type(value) is str:
                     return (value.lower() == folded) != negated
-                return _compare(operator_, value, constant)
+                return compare(operator_, value, constant)
 
             return text_equality
-        if type(constant) in (int, float) and operator_ in ("=", "!=", *_ORDERINGS):
-            test = {"=": operator.eq, "!=": operator.ne, **_ORDERINGS}[operator_]
+        if type(constant) in (int, float) and operator_ in ("=", "!=", *ORDERINGS):
+            test = {"=": operator.eq, "!=": operator.ne, **ORDERINGS}[operator_]
             number = float(constant)
 
             def numeric(row: Sequence[Any]) -> bool:
                 value = left(row)
                 if type(value) is int or type(value) is float:
                     return test(float(value), number)
-                return _compare(operator_, value, constant)
+                return compare(operator_, value, constant)
 
             return numeric
-    return lambda row: _compare(operator_, left(row), right(row))
+    return lambda row: compare(operator_, left(row), right(row))
 
 
 def all_of(tests: Sequence[RowFn]) -> Optional[RowFn]:
@@ -378,7 +261,7 @@ def compile_predicate(expression: ast.Expression, slot_of: Resolver) -> RowFn:
             value = operand(row)
             if is_missing(value):
                 return False
-            result = any(_equal(value, candidate) for candidate in candidates)
+            result = any(equal(value, candidate) for candidate in candidates)
             return not result if negated else result
 
         return in_list
@@ -387,7 +270,7 @@ def compile_predicate(expression: ast.Expression, slot_of: Resolver) -> RowFn:
         low = compile_value(expression.low, slot_of)
         high = compile_value(expression.high, slot_of)
         negated = expression.negated
-        return lambda row: _between(operand(row), low(row), high(row), negated)
+        return lambda row: between(operand(row), low(row), high(row), negated)
     if isinstance(expression, ast.IsNull):
         operand = compile_value(expression.operand, slot_of)
         negated = expression.negated
@@ -410,7 +293,7 @@ def compile_predicate(expression: ast.Expression, slot_of: Resolver) -> RowFn:
         operand = compile_predicate(expression.operand, slot_of)
         return lambda row: not operand(row)
     value_fn = compile_value(expression, slot_of)
-    return lambda row: _truthy(value_fn(row))
+    return lambda row: truthy(value_fn(row))
 
 
 def compile_projection(expressions: Sequence[ast.Expression],
@@ -434,19 +317,15 @@ def hash_key(slot: int) -> RowFn:
         value = row[slot]
         kind = type(value)
         return value if kind is int else value.lower() if kind is str \
-            else _hashable(value)
+            else hashable(value)
     return key
 
 
-def compile_truth(expression: ast.Expression, layout: Layout, mode: str,
+def compile_truth(expression: ast.Expression, layout: Layout,
                   offset: int = 0) -> RowFn:
     """Truth function of ``expression`` over rows whose first slot is
     ``layout``'s slot ``offset`` (a scan's own rows start at its offset)."""
-    if mode == "compiled":
-        return compile_predicate(expression,
-                                 lambda ref: layout.slot(ref) - offset)
-    view = layout.view
-    return lambda row: _truthy(evaluate(expression, view(row, offset)))
+    return compile_predicate(expression, lambda ref: layout.slot(ref) - offset)
 
 
 # -- whole-plan compilation -------------------------------------------------------
@@ -456,7 +335,6 @@ def compile_truth(expression: ast.Expression, layout: Layout, mode: str,
 class CompiledSelect:
     """Per-plan compiled artifacts (memoized on the :class:`PhysicalPlan`)."""
 
-    mode: str
     layout: Layout
     columns: List[str]
     items: List[Tuple[str, ast.Expression]]
@@ -507,15 +385,8 @@ def read_spec(catalog: Any, scan: Any, columns: Sequence[str]) -> Tuple:
             frozenset(early or columns), tuple(caps), schemes)
 
 
-def compile_select(catalog: Any, plan: Any,
-                   mode: str = "compiled") -> CompiledSelect:
-    """Fix the slot layout of ``plan`` and compile its row-at-a-time work.
-
-    ``mode="interpreted"`` produces closures that defer to the tree-walking
-    interpreter per row — the measured baseline the compiled mode is compared
-    against (``InstantDB(read_path_optimizations=False)``).  Key extraction —
-    a positional fetch either way — is the same in both modes.
-    """
+def compile_select(catalog: Any, plan: Any) -> CompiledSelect:
+    """Fix the slot layout of ``plan`` and compile its row-at-a-time work."""
     statement = plan.statement
     scans = plan.scans
     columns_of = [scan.needed_columns if scan.needed_columns is not None
@@ -523,12 +394,6 @@ def compile_select(catalog: Any, plan: Any,
                   for scan in scans]
     layout = Layout.of(tuple((scan.alias, scan.table, columns)
                              for scan, columns in zip(scans, columns_of)))
-    if mode == "compiled":
-        def value_fn(expression: ast.Expression, scope: Layout = layout) -> RowFn:
-            return compile_value(expression, scope.slot)
-    else:
-        def value_fn(expression: ast.Expression, scope: Layout = layout) -> RowFn:
-            return lambda row: evaluate(expression, scope.view(row))
     items = plan.items
     columns = [name for name, _expression in items]
     project = aggregate = None
@@ -541,7 +406,7 @@ def compile_select(catalog: Any, plan: Any,
                 recipes.append((expression.function.upper(), argument,
                                 expression.distinct))
             else:
-                recipes.append(value_fn(expression))
+                recipes.append(compile_value(expression, layout.slot))
         keys = [hash_key(layout.slot(ref)) for ref in statement.group_by]
         if len(keys) == 1:
             only, = keys
@@ -551,25 +416,21 @@ def compile_select(catalog: Any, plan: Any,
         having = None
         if statement.having is not None:
             scope = layout.extended(columns)
-            test = value_fn(statement.having, scope)
-            having = lambda row: _truthy(test(row))
+            having = compile_predicate(statement.having, scope.slot)
         aggregate = (group_key, recipes, having)
-    elif mode == "compiled":
+    else:
         project = compile_projection([expression for _name, expression in items],
                                      layout.slot)
-    else:
-        fns = [value_fn(expression) for _name, expression in items]
-        project = lambda row: tuple(fn(row) for fn in fns)
     filters = [None if scan.filter is None
-               else compile_truth(scan.filter, layout, mode, offset)
+               else compile_truth(scan.filter, layout, offset)
                for scan, offset in zip(scans, layout.offsets)]
     residual = None if plan.residual is None \
-        else compile_truth(plan.residual, layout, mode)
+        else compile_truth(plan.residual, layout)
     join_keys = [
         (hash_key(layout.slot(left)),
          hash_key(layout.slot(right) - layout.offsets[position]))
         for position, (left, right) in enumerate(plan.join_refs, 1)]
-    return CompiledSelect(mode=mode, layout=layout, columns=columns, items=items,
+    return CompiledSelect(layout=layout, columns=columns, items=items,
                           project=project, filters=filters, residual=residual,
                           reads=[read_spec(catalog, scan, columns)
                                  for scan, columns in zip(scans, columns_of)],
@@ -581,5 +442,5 @@ __all__ = [
     "RowFn", "Layout", "CompiledSelect", "compile_select", "compile_truth",
     "read_spec", "collect_refs", "all_of",
     "compile_predicate", "compile_value", "compile_projection", "hash_key",
-    "evaluate", "lookup", "render_expression",
+    "render_expression",
 ]

@@ -78,17 +78,14 @@ class ExecutorStats:
 class Executor:
     """Runs physical plans against the table stores."""
 
-    def __init__(self, catalog: Catalog, store_provider: StoreProvider,
-                 compile_mode: str = "compiled") -> None:
+    def __init__(self, catalog: Catalog, store_provider: StoreProvider) -> None:
         self.catalog = catalog
         self.stores = store_provider
-        self.compile_mode = compile_mode
         self.stats = ExecutorStats()
         #: Operator tree of the most recent execution (stats introspection).
         self.last_pipeline: Optional[Operator] = None
         self._runtime = PipelineRuntime(catalog=catalog, stores=store_provider,
-                                        stats=self.stats,
-                                        compile_mode=compile_mode)
+                                        stats=self.stats)
 
     # ------------------------------------------------------------------ SELECT
 

@@ -84,15 +84,12 @@ class PipelineRuntime:
 
     ``stats`` is the executor's aggregate :class:`ExecutorStats`-shaped
     counter object; scans bump it so engine-level accounting keeps working
-    alongside the per-operator counts.  ``compile_mode`` selects compiled
-    closures (default) or the tree-walking interpreter (the measured
-    baseline).
+    alongside the per-operator counts.
     """
 
     catalog: Catalog
     stores: StoreProvider
     stats: Any
-    compile_mode: str = "compiled"
 
 
 class Operator:
@@ -719,9 +716,8 @@ def build_pipeline(runtime: PipelineRuntime,
     choice, filter placement, join strategy, expression compilation) is done
     once.
     """
-    compiled = plan.ensure_compiled(runtime.catalog, runtime.compile_mode)
+    compiled = plan.ensure_compiled(runtime.catalog)
     statement = plan.statement
-    stats_registry = getattr(runtime.catalog, "statistics", None)
     root, *rights = map(partial(make_scan, runtime),
                         plan.scans, compiled.filters, compiled.reads)
     running = plan.base.estimated_rows
@@ -737,15 +733,14 @@ def build_pipeline(runtime: PipelineRuntime,
         root.estimated_rows = running
     if plan.residual is not None:
         root = Filter(root, plan.residual, compiled.residual)
-        if running is not None:
-            running *= plan.residual_selectivity
+        running *= plan.residual_selectivity
         root.estimated_rows = running
     columns = compiled.columns
     if compiled.aggregate is not None:
         root = Aggregate(root, statement, columns, compiled.aggregate,
                          compiled.layout.width)
-        root.estimated_rows = _estimate_groups(statement, plan, stats_registry,
-                                               running)
+        root.estimated_rows = _estimate_groups(
+            statement, runtime.catalog.statistics.table(plan.base.table), running)
         running = root.estimated_rows
     else:
         root = Project(root, columns, compiled.project, hidden=compiled.hidden)
@@ -755,45 +750,30 @@ def build_pipeline(runtime: PipelineRuntime,
         if statement.limit is not None:
             root = TopN(root, statement.order_by, columns, statement.limit,
                         strip=hidden)
-            root.estimated_rows = _cap_estimate(running, statement.limit)
+            root.estimated_rows = min(running, float(statement.limit))
         else:
             root = Sort(root, statement.order_by, columns, strip=hidden)
             root.estimated_rows = running
     elif statement.limit is not None:
         root = Limit(root, statement.limit)
-        root.estimated_rows = _cap_estimate(running, statement.limit)
+        root.estimated_rows = min(running, float(statement.limit))
     return (columns[:-hidden] if hidden else columns), root
 
 
-def _cap_estimate(running: Optional[float], n: int) -> Optional[float]:
-    if running is None:
-        return float(n)
-    return min(running, float(n))
-
-
-def _estimate_groups(statement: ast.Select, plan: PhysicalPlan,
-                     stats_registry, running: Optional[float]) -> Optional[float]:
+def _estimate_groups(statement: ast.Select, stats: Any, running: float) -> float:
     if not statement.group_by:
         return 1.0
-    if stats_registry is None:
-        return running
-    stats = stats_registry.table(plan.base.table)
-    if stats is None:
-        return running
     groups = 1.0
     for ref in statement.group_by:
-        ndv = stats.ndv(ref.column)
-        groups *= max(1, ndv)
-    if running is not None:
-        groups = min(groups, running)
-    return groups
+        groups *= max(1, stats.ndv(ref.column))
+    return min(groups, running)
 
 
 def build_match_pipeline(runtime: PipelineRuntime,
                          plan: PhysicalPlan) -> Operator:
     """Scan + residual filter only: the row-matching pipeline DML uses (its
     rows start with the row key, :data:`ROW_KEY_FIELD`)."""
-    compiled = plan.ensure_compiled(runtime.catalog, runtime.compile_mode)
+    compiled = plan.ensure_compiled(runtime.catalog)
     root = make_scan(runtime, plan.base, compiled.filters[0], compiled.reads[0])
     if plan.residual is not None:
         root = Filter(root, plan.residual, compiled.residual)

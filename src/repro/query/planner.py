@@ -21,11 +21,9 @@ The physical step (:meth:`Planner.plan_physical`) additionally:
   the left table of any join, the right table of an *inner* join only (a
   LEFT JOIN's right-side conjuncts must see the NULL padding) — minus what
   the chosen access path already guarantees; the rest is the cross-table
-  **residual** evaluated above the joins.  Without read-path optimizations
-  nothing is pushed: the full WHERE stays above the joins (the reference
-  the differential oracle compares pushdown against);
-* **costs** the candidate access paths against a sequential scan when the
-  catalog carries table statistics (:mod:`repro.query.statistics`);
+  **residual** evaluated above the joins;
+* **costs** the candidate access paths against a sequential scan from the
+  catalog's table statistics (:mod:`repro.query.statistics`);
 * marks a scan **index-only** when the chosen GT/B+-tree index entries cover
   every needed column at the query's accuracy level;
 * estimates each scan *after* its filter, builds an inner join's hash table
@@ -53,7 +51,7 @@ from .compiler import (
     render_expression,
 )
 from .parameters import bind_expression
-from .statistics import DEFAULT_SELECTIVITY
+from .statistics import DEFAULT_SELECTIVITY, TableStatistics
 
 #: Cost-model constants (arbitrary units; only ratios matter).  A row fetched
 #: through an index probe pays a random heap lookup, a sequentially scanned
@@ -144,8 +142,7 @@ class TableScanPlan:
     probe_key: Optional[str] = None
     #: The chosen index covers every needed column: skip the heap fetch.
     index_only: bool = False
-    #: Estimated rows this scan produces, after its filter (``None``
-    #: without statistics).
+    #: Estimated rows this scan produces, after its filter.
     estimated_rows: Optional[float] = None
     #: For join-side scans of an inner join: build the hash table on the
     #: *left* input because it is estimated smaller.
@@ -178,8 +175,7 @@ class PhysicalPlan:
 
     ``residual`` is what remains of the WHERE clause above the joins: the
     conjuncts that touch more than one table or a LEFT JOIN's right side
-    (``None`` when nothing is left) — or, without read-path optimizations,
-    everything the base access path does not guarantee.  This object is
+    (``None`` when nothing is left).  This object is
     immutable per (statement, purpose, catalog version, statistics epoch)
     and is what prepared statements cache, as a template whose
     :class:`ParamMarker` slots each execution binds into a copy;
@@ -216,11 +212,10 @@ class PhysicalPlan:
     def is_compiled(self) -> bool:
         return self._compiled is not None
 
-    def ensure_compiled(self, catalog: Catalog,
-                        mode: str = "compiled") -> CompiledSelect:
+    def ensure_compiled(self, catalog: Catalog) -> CompiledSelect:
         """Compile once, reuse on every later execution of this plan."""
-        if self._compiled is None or self._compiled.mode != mode:
-            self._compiled = compile_select(catalog, self, mode)
+        if self._compiled is None:
+            self._compiled = compile_select(catalog, self)
         return self._compiled
 
     def describe(self) -> str:
@@ -253,7 +248,6 @@ class Planner:
                       purpose: Optional[Purpose] = None) -> PhysicalPlan:
         """Plan a SELECT down to the physical level: bound names, access
         paths, pushed filters, residual, join strategy."""
-        optimized = getattr(self.catalog, "read_optimized", True)
         clauses = statement.joins
         scans = [self._scan(statement.table, statement.table_alias, purpose)] + \
             [self._scan(clause.table, clause.alias, purpose) for clause in clauses]
@@ -295,8 +289,7 @@ class Planner:
         for conjunct in _flatten_and(statement.where) if statement.where else ():
             reads = {owner(ref) for ref in collect_refs(conjunct, [])}
             position = reads.pop() if len(reads) == 1 else None
-            if position is None or (position and (
-                    not optimized or clauses[position - 1].kind != "inner")):
+            if position is None or (position and clauses[position - 1].kind != "inner"):
                 residual.append(conjunct)
             else:
                 local[position].append(conjunct)
@@ -304,12 +297,6 @@ class Planner:
         for scan, conjuncts, columns in zip(scans, local, needed):
             scan.access, consumed = self._choose_access(
                 scan.table, conjuncts, scan.demanded_levels)
-            if not optimized:
-                # Reference mode: nothing is pushed; with joins the full
-                # WHERE clause stays above them.
-                residual += conjuncts if clauses else \
-                    [c for c in conjuncts if c not in consumed]
-                continue
             scan.filter = _conjunction(
                 [c for c in conjuncts if c not in consumed])
             if not star:
@@ -322,17 +309,16 @@ class Planner:
                             hidden=hidden, join_refs=join_refs)
         for scan in scans:
             scan.estimated_rows = self._access_estimate(scan.table, scan.access)
-            if scan.estimated_rows is not None and scan.filter is not None:
+            if scan.filter is not None:
                 scan.estimated_rows *= self._selectivity(
                     scan.table, _flatten_and(scan.filter))
         if residual:
             plan.residual_selectivity = self._selectivity(
                 plan.base.table if not clauses else None, residual)
-        if optimized:
-            if clauses:
-                self._choose_join_strategy(plan)
-            for scan in scans:
-                scan.index_only = self._index_only_eligible(scan)
+        if clauses:
+            self._choose_join_strategy(plan)
+        for scan in scans:
+            scan.index_only = self._index_only_eligible(scan)
         return plan
 
     def demanded_levels_for(self, table: str,
@@ -358,16 +344,11 @@ class Planner:
 
     # -- estimates -----------------------------------------------------------------
 
-    def _table_stats(self, table: str):
-        registry = getattr(self.catalog, "statistics", None)
-        if registry is None:
-            return None
-        return registry.table(table)
+    def _table_stats(self, table: str) -> TableStatistics:
+        return self.catalog.statistics.table(table)
 
     def _access_estimate(self, table: str, access: AccessPath) -> Optional[float]:
         stats = self._table_stats(table)
-        if stats is None:
-            return None
         if access.kind == "seq":
             return float(stats.row_count)
         if access.kind == "index_eq":
@@ -475,9 +456,8 @@ class Planner:
         left_scan: Optional[TableScanPlan] = plan.base
         for (clause, scan), (left, right) in zip(plan.joins, plan.join_refs):
             if clause.kind == "inner":
-                smaller = None if running is None or scan.estimated_rows is None \
-                    else min(running, scan.estimated_rows)
-                scan.build_left = smaller is not None and running < scan.estimated_rows
+                smaller = min(running, scan.estimated_rows)
+                scan.build_left = running < scan.estimated_rows
                 if scan.build_left:
                     self._probe_by_keys(scan, right.column, smaller)
                 elif left_scan is not None:
@@ -488,7 +468,7 @@ class Planner:
             left_scan = None        # the next join's left input is this join
 
     def _probe_by_keys(self, scan: TableScanPlan, column: str,
-                       build_rows: Optional[float]) -> None:
+                       build_rows: float) -> None:
         """Make ``scan`` the probe side fed the build side's keys: through a
         hash index on ``column`` when one exists, hash-join key equality is
         that index's equality (a stable, non-text column) and probing it per
@@ -498,7 +478,7 @@ class Planner:
         info = self.catalog.table(scan.table)
         column_def = info.schema.column(column)
         stats = self._table_stats(scan.table)
-        if scan.access.kind != "seq" or build_rows is None or stats is None \
+        if scan.access.kind != "seq" \
                 or column_def.degradable or column_def.value_type is ValueType.TEXT:
             return
         for index_info in info.indexes_on(column):
@@ -521,9 +501,9 @@ class Planner:
         if not candidates:
             return AccessPath(kind="seq"), []
         stats = self._table_stats(table)
-        if stats is None or stats.row_count < SMALL_TABLE_ROWS:
-            # Stats-free (or tiny-table) fallback: the historical preference
-            # order — first equality candidate, else first complete range.
+        if stats.row_count < SMALL_TABLE_ROWS:
+            # Tiny-table fallback: the historical preference order — first
+            # equality candidate, else first complete range.
             return candidates[0]
         # The GT index prunes whole accuracy partitions the frequency map
         # cannot model; keep it whenever applicable.
@@ -534,10 +514,7 @@ class Planner:
         best: Optional[Tuple[AccessPath, List[ast.Expression]]] = None
         best_cost = seq_cost
         for path, consumed in candidates:
-            estimate = self._access_estimate(table, path)
-            if estimate is None:
-                estimate = stats.row_count * DEFAULT_SELECTIVITY
-            cost = INDEX_PROBE_COST + estimate * INDEX_FETCH_COST
+            cost = INDEX_PROBE_COST + self._access_estimate(table, path) * INDEX_FETCH_COST
             if cost < best_cost:
                 best = (path, consumed)
                 best_cost = cost
@@ -652,8 +629,7 @@ def _bind_scan(scan: TableScanPlan, params: Tuple[Any, ...]) -> TableScanPlan:
 
 
 def bind_physical_plan(template: PhysicalPlan, params: Sequence[Any],
-                       catalog: Catalog,
-                       mode: str = "compiled") -> PhysicalPlan:
+                       catalog: Catalog) -> PhysicalPlan:
     """Bind a parameter-shape template plan to one execution's values.
 
     The template was planned with :class:`ParamMarker` slots in its access
@@ -665,12 +641,12 @@ def bind_physical_plan(template: PhysicalPlan, params: Sequence[Any],
     instead of a full ``plan_physical``.
     """
     values = tuple(params)
-    compiled = template.ensure_compiled(catalog, mode)
+    compiled = template.ensure_compiled(catalog)
     templates = template.scans
     scans = [_bind_scan(scan, values) for scan in templates]
     filters = [
         fn if scan.filter is old.filter
-        else compile_truth(scan.filter, compiled.layout, mode, offset)
+        else compile_truth(scan.filter, compiled.layout, offset)
         for fn, scan, old, offset in zip(compiled.filters, scans, templates,
                                          compiled.layout.offsets)]
     residual, residual_fn = template.residual, compiled.residual
@@ -678,7 +654,7 @@ def bind_physical_plan(template: PhysicalPlan, params: Sequence[Any],
         bound = bind_expression(residual, values)
         if bound is not residual:
             residual = bound
-            residual_fn = compile_truth(bound, compiled.layout, mode)
+            residual_fn = compile_truth(bound, compiled.layout)
     return _clone(
         template, base=scans[0], residual=residual,
         joins=[(clause, scan) for (clause, _old), scan
@@ -686,18 +662,13 @@ def bind_physical_plan(template: PhysicalPlan, params: Sequence[Any],
         _compiled=_clone(compiled, filters=filters, residual=residual_fn))
 
 
-def _join_estimate(left_rows: Optional[float], scan: TableScanPlan,
-                   right_stats, right_column: str, kind: str) -> Optional[float]:
+def _join_estimate(left_rows: float, scan: TableScanPlan,
+                   right_stats: TableStatistics, right_column: str,
+                   kind: str) -> float:
     """Rows out of one hash join, given its left input's estimate."""
-    if left_rows is None or scan.estimated_rows is None:
-        return None
-    matches_per_row = 1.0
-    if right_stats is not None:
-        ndv = right_stats.ndv(right_column)
-        if ndv:
-            # ``estimated_rows`` is what is left of the table after its filter
-            matches_per_row = scan.estimated_rows / ndv
-    estimate = left_rows * matches_per_row
+    ndv = right_stats.ndv(right_column)
+    # ``estimated_rows`` is what is left of the table after its filter
+    estimate = left_rows * (scan.estimated_rows / ndv if ndv else 1.0)
     if kind == "left":
         estimate = max(estimate, left_rows)
     return estimate

@@ -4,8 +4,9 @@ Models a les-emplois-style labour-inclusion platform — job seekers, employer
 companies, work approvals, employment records, applications — with per-
 attribute retention policies (generalize, suppress, remove), seeded data
 generators and a mixed op-stream driver.  A differential oracle replays the
-same stream against every engine variant (interpreted, compiled, remote)
-and demands identical results; a retention checker independently
+same stream against every engine variant (compiled, remote) and the
+reference model — the paper's semantics over Python lists — and demands
+identical results; a retention checker independently
 re-derives each attribute's mandated accuracy floor from the policy automaton
 and asserts the stores never exceed it.  Chaos mode replays the same streams
 under a seeded fault schedule (I/O errors, dropped sockets, clock skips) and
@@ -32,7 +33,8 @@ from .retention import (
     forensic_leaks,
     retention_report,
 )
-from .variants import VARIANT_NAMES, ScenarioVariant, build_variants
+from .reference import ReferenceModel
+from .variants import REFERENCE, VARIANT_NAMES, ScenarioVariant, build_variants, reference_model
 
 __all__ = [
     "InclusionScenario", "paranoid_user",
@@ -43,7 +45,8 @@ __all__ = [
     "format_failure",
     "RetentionViolation", "check_engine", "forensic_leaks",
     "expired_employee_salaries", "retention_report",
-    "ScenarioVariant", "build_variants", "VARIANT_NAMES",
+    "ScenarioVariant", "build_variants", "VARIANT_NAMES", "REFERENCE",
+    "ReferenceModel", "reference_model",
     "ChaosGaveUp", "ChaosReport", "ChaosRunner", "arm_schedule", "run_chaos",
     "ENGINE_FAULT_SITES", "NETWORK_FAULT_SITES",
 ]

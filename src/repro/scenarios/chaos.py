@@ -205,11 +205,11 @@ class ChaosRunner:
 
     def _victim_now(self) -> float:
         assert self.victim is not None
-        return self.victim.engine_call(lambda db: db.clock.now())
+        return self.victim.now()
 
     def _twin_now(self) -> float:
         assert self.twin is not None
-        return self.twin.engine_call(lambda db: db.clock.now())
+        return self.twin.now()
 
     def _sync_twin_clock(self) -> None:
         """Clock skips fault only the victim; pull the twin level again."""
@@ -394,9 +394,7 @@ class ChaosRunner:
             self.report.recoveries += 1
         self.victim.close()
 
-        recovered = InstantDB(
-            data_dir=self.data_dir,
-            read_path_optimizations=(self.variant_name != "interpreted"))
+        recovered = InstantDB(data_dir=self.data_dir)
         recovery = recovered.recover(drain=True)
         try:
             if recovery.registrations == 0 and not recovered.catalog.tables():

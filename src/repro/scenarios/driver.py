@@ -19,7 +19,6 @@ from ..core.values import NULL, REMOVED, SUPPRESSED
 from ..workloads.distributions import Distributions
 from .generator import InclusionGenerator
 from .inclusion import InclusionScenario
-from .retention import retention_report
 from .variants import ScenarioVariant
 
 #: Default op mix (weights are relative, not normalized).
@@ -358,11 +357,10 @@ def run_op(variant: ScenarioVariant, op: Op,
     started = time.perf_counter()
     if op.kind == "wave":
         variant.advance(op.advance)
-        payload = {"clock": variant.engine_call(lambda db: db.clock.now()),
-                   "steps": variant.steps_applied()}
+        payload = {"clock": variant.now(), "steps": variant.steps_applied()}
         return OpResult("wave", payload, time.perf_counter() - started)
     if op.kind == "forensic":
-        payload = variant.engine_call(retention_report, salaries or {})
+        payload = variant.forensic_report(salaries)
         return OpResult("forensic", payload, time.perf_counter() - started)
     assert op.sql is not None
     cursor = variant.execute(op.sql, op.params, purpose=op.purpose)
@@ -388,14 +386,12 @@ def replay(variant: ScenarioVariant, ops: Sequence[Op],
     after every wave op (the armed mode CI uses); violations are counted in
     the report rather than raised, so the caller chooses the failure mode.
     """
-    from .retention import check_engine
     report = ReplayReport(variant=variant.name)
     for op in ops:
         report.results.append(run_op(variant, op, salaries=salaries))
         if check_retention_on_waves and op.kind == "wave":
-            violations = variant.engine_call(check_engine)
             report.retention_checks += 1
-            report.retention_violations += len(violations)
+            report.retention_violations += variant.forensic_report()["violations"]
     return report
 
 

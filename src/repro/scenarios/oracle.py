@@ -3,8 +3,9 @@
 The oracle replays one seeded op stream across several engine variants in
 lockstep and demands **identical canonical results for every op** — same rows
 (sentinel identity included), same rowcounts, same retention/forensic
-counters.  The interpreted engine is the reference; any disagreement is an
-engine bug by definition, because all variants implement one semantics.
+counters.  The reference is the model of :mod:`repro.scenarios.reference`,
+which shares no planner, store, index or scheduler with the engines; any
+disagreement is an engine bug (or a model bug) by definition.
 
 On disagreement the oracle reports the seed and a *minimized* op trace: the
 failing stream is first restricted to ops touching the tables involved (plus
@@ -76,7 +77,6 @@ class DifferentialOracle:
         self.reference = next(iter(variants))
 
     def run(self, ops: Sequence[Op], fail_fast: bool = True) -> OracleReport:
-        from .retention import check_engine
         names = tuple(self.variants)
         report = OracleReport(reference=self.reference, variants=names,
                               latencies={name: [] for name in names})
@@ -95,10 +95,10 @@ class DifferentialOracle:
                         op=op, reference=self.reference, variant=name,
                         expected=expected, actual=results[name]))
             if self.check_retention and op.kind == "wave":
-                for name, variant in self.variants.items():
-                    violations = variant.engine_call(check_engine)
+                for variant in self.variants.values():
                     report.retention_checks += 1
-                    report.retention_violations += len(violations)
+                    report.retention_violations += \
+                        variant.forensic_report()["violations"]
             if fail_fast and not report.ok:
                 break
         return report

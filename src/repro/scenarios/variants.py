@@ -1,19 +1,18 @@
 """Engine variants the scenario suite runs (and differences) against.
 
-One scenario op stream replays against three engines that must be
-behaviourally identical:
+One scenario op stream replays against two engines, each checked against
+the reference model of :mod:`repro.scenarios.reference`:
 
-* ``interpreted`` — ``InstantDB(read_path_optimizations=False)``: the
-  tree-walking reference read path, the ground truth.
-* ``compiled`` — the default engine: compiled predicates, column pruning,
+* ``compiled`` — the engine: compiled predicates, pushdown, column pruning,
   cost-based plans, index-only scans.
-* ``remote`` — a compiled engine behind the asyncio wire server, driven
+* ``remote`` — the same engine behind the asyncio wire server, driven
   through the remote PEP 249 driver: sentinels must round-trip the socket
   by identity.
 
-Every variant exposes the same tiny surface (``execute`` / ``commit`` /
-``advance`` / ``engine_call`` / ``close``), so the driver and the
-differential oracle never branch on transport.
+Every variant — and the model — exposes the same small surface
+(``execute`` / ``executemany`` / ``commit`` / ``rollback`` / ``advance`` /
+``now`` / ``steps_applied`` / ``forensic_report`` / ``close``), so the
+driver and the differential oracle never branch on what they drive.
 """
 
 from __future__ import annotations
@@ -27,9 +26,13 @@ from ..engine.database import InstantDB
 from ..faults import FaultPlan
 from ..server import ServerThread
 from .inclusion import InclusionScenario
+from .reference import ReferenceModel
+from .retention import retention_report
 
-#: Canonical variant order (the first one is the reference engine).
-VARIANT_NAMES: Tuple[str, ...] = ("interpreted", "compiled", "remote")
+#: The engine variants the oracles check.
+VARIANT_NAMES: Tuple[str, ...] = ("compiled", "remote")
+#: The name :func:`build_variants` gives the reference model.
+REFERENCE = "reference"
 
 
 class ScenarioVariant:
@@ -47,11 +50,7 @@ class ScenarioVariant:
         self.scenario = scenario
         self.fault_plan = fault_plan
         self._connect_kwargs = dict(connect_kwargs or {})
-        self.engine = InstantDB(
-            data_dir=data_dir,
-            read_path_optimizations=(name != "interpreted"),
-            fault_plan=fault_plan,
-        )
+        self.engine = InstantDB(data_dir=data_dir, fault_plan=fault_plan)
         scenario.install(self.engine)
         self.server: Optional[ServerThread] = None
         if name == "remote":
@@ -71,6 +70,10 @@ class ScenarioVariant:
         """Execute one statement; returns the (fetched) cursor."""
         return self.connection.execute(sql, params, purpose=purpose)
 
+    def executemany(self, sql: str, seq_of_params: Sequence[Sequence[Any]], *,
+                    purpose: Optional[str] = None) -> Any:
+        return self.connection.executemany(sql, seq_of_params, purpose=purpose)
+
     def commit(self) -> None:
         self.connection.commit()
 
@@ -83,6 +86,15 @@ class ScenarioVariant:
             return self.server.submit(
                 functools.partial(self.engine.advance_time, seconds))
         return self.engine.advance_time(seconds)
+
+    def now(self) -> float:
+        """The engine's clock."""
+        return self.engine_call(lambda db: db.clock.now())
+
+    def forensic_report(self, salaries: Optional[Dict[int, int]] = None
+                        ) -> Dict[str, int]:
+        """Retention violations and forensic leaks (:func:`retention_report`)."""
+        return self.engine_call(retention_report, salaries or {})
 
     def engine_call(self, fn: Callable[..., Any], *args: Any) -> Any:
         """Run ``fn(engine, *args)`` on the engine's executor thread.
@@ -133,14 +145,23 @@ class ScenarioVariant:
         self.close()
 
 
+def reference_model(scenario: InclusionScenario) -> ReferenceModel:
+    """The reference model over the scenario's definitions: the catalog of an
+    engine the scenario was installed on, which holds no row."""
+    return ReferenceModel(scenario.install(InstantDB()).catalog)
+
+
 def build_variants(scenario: InclusionScenario,
-                   names: Sequence[str] = VARIANT_NAMES,
+                   names: Sequence[str] = (REFERENCE, *VARIANT_NAMES),
                    data_dirs: Optional[Dict[str, str]] = None
-                   ) -> Dict[str, ScenarioVariant]:
-    """Build the requested variants over one shared scenario definition."""
+                   ) -> Dict[str, Any]:
+    """Build the requested variants (and :data:`REFERENCE`, the model) over
+    one shared scenario definition."""
     data_dirs = data_dirs or {}
-    return {name: ScenarioVariant(name, scenario, data_dir=data_dirs.get(name))
+    return {name: reference_model(scenario) if name == REFERENCE
+            else ScenarioVariant(name, scenario, data_dir=data_dirs.get(name))
             for name in names}
 
 
-__all__ = ["ScenarioVariant", "build_variants", "VARIANT_NAMES"]
+__all__ = ["ScenarioVariant", "build_variants", "reference_model",
+           "VARIANT_NAMES", "REFERENCE"]

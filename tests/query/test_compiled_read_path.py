@@ -5,8 +5,8 @@ Covers the PR-5 overhaul end to end:
 * prepared-statement re-execution performs **zero** predicate compilation
   (``StatementCacheStats.predicate_compiles`` / ``predicate_compile_hits``,
   the plan-cache analogue of the WAL's payload cache counters);
-* compiled and interpreted modes produce identical results across the SQL
-  surface (the baseline engine is the proof harness);
+* the engine produces the reference model's results across the SQL surface
+  (:mod:`repro.scenarios.reference` is the proof harness);
 * the planner's column pruning reaches the store (subset decode) and the
   scan's visible rows;
 * covering queries run as index-only scans over GT and B+-tree entries with
@@ -14,7 +14,7 @@ Covers the PR-5 overhaul end to end:
 * LIMIT over an index range streams B+-tree entries (O(k) index work);
 * hash-join key extractors normalize unhashable degraded values once per row;
 * ORDER BY columns that are not in the output list sort correctly and stay
-  out of the result, in both execution modes.
+  out of the result, on the engine and on the model.
 """
 
 import pytest
@@ -23,16 +23,20 @@ from repro import InstantDB
 from repro.core.errors import BindingError, GeneralizationError
 from repro.core.generalization import GeneralizationScheme
 from repro.core.values import SUPPRESSED
+from repro.scenarios.reference import ReferenceModel
 
 
-def make_stable_db(optimized=True, rows=200):
-    db = InstantDB(read_path_optimizations=optimized)
+def make_stable_db(rows=200, model=False):
+    """``t`` holding ``rows`` rows — in an engine, or with ``model`` in the
+    reference model over that engine's catalog."""
+    db = InstantDB()
     db.execute("CREATE TABLE t (id INT PRIMARY KEY, grp TEXT, val INT, "
                "note TEXT)")
-    db.executemany(
+    target = ReferenceModel(db.catalog) if model else db
+    target.executemany(
         "INSERT INTO t VALUES (?, ?, ?, ?)",
         [(i, f"g{i % 5}", (i * 7) % 101, f"note-{i}") for i in range(1, rows + 1)])
-    return db
+    return target
 
 
 class TestZeroRecompilation:
@@ -59,7 +63,7 @@ class TestZeroRecompilation:
         assert db.statements.stats.predicate_compile_hits == 1
 
 
-class TestCompiledMatchesInterpreted:
+class TestEngineMatchesTheModel:
     QUERIES = [
         "SELECT id, val FROM t WHERE grp = 'g1' AND val > 50",
         "SELECT id FROM t WHERE note LIKE 'note-1%'",
@@ -76,21 +80,26 @@ class TestCompiledMatchesInterpreted:
     ]
 
     def test_same_results_across_the_sql_surface(self):
-        compiled = make_stable_db(True)
-        interpreted = make_stable_db(False)
+        engine = make_stable_db()
+        model = make_stable_db(model=True)
         for sql in self.QUERIES:
-            left = compiled.execute(sql)
-            right = interpreted.execute(sql)
+            left = engine.execute(sql)
+            right = model.execute(sql)
             assert left.columns == right.columns, sql
             assert sorted(map(repr, left.rows)) == sorted(map(repr, right.rows)), sql
 
     def test_join_results_match(self):
-        for optimized in (True, False):
-            db = make_stable_db(optimized, rows=50)
+        for model in (False, True):
+            db = InstantDB()
+            db.execute("CREATE TABLE t (id INT PRIMARY KEY, grp TEXT, val INT, "
+                       "note TEXT)")
             db.execute("CREATE TABLE team (tid INT PRIMARY KEY, city TEXT)")
-            db.executemany("INSERT INTO team VALUES (?, ?)",
-                           [(i, f"city-{i}") for i in range(1, 11)])
-            result = db.execute(
+            target = ReferenceModel(db.catalog) if model else db
+            target.executemany("INSERT INTO t VALUES (?, ?, ?, ?)",
+                               [(i, f"g{i}", i, "") for i in range(1, 51)])
+            target.executemany("INSERT INTO team VALUES (?, ?)",
+                               [(i, f"city-{i}") for i in range(1, 11)])
+            result = target.execute(
                 "SELECT t.id, team.city FROM t JOIN team ON t.id = team.tid")
             assert sorted(result.rows) == [(i, f"city-{i}") for i in range(1, 11)]
 
@@ -117,7 +126,7 @@ class TestColumnPruning:
 
     def test_pruned_query_returns_the_same_rows(self):
         db = make_stable_db()
-        baseline = make_stable_db(False)
+        baseline = make_stable_db(model=True)
         sql = "SELECT grp, val FROM t WHERE id <= 10"
         assert db.execute(sql).rows == baseline.execute(sql).rows
 
@@ -161,8 +170,7 @@ class TestIndexOnlyScans:
         explain = "\n".join(r[0] for r in db.execute(
             "EXPLAIN SELECT COUNT(*) AS n FROM t WHERE val = 7").rows)
         assert "IndexOnlyScan" in explain
-        baseline = make_stable_db(False)
-        baseline.execute("CREATE INDEX idx_val ON t (val) USING btree")
+        baseline = make_stable_db(model=True)
         assert db.execute("SELECT COUNT(*) AS n FROM t WHERE val = 7").rows == \
             baseline.execute("SELECT COUNT(*) AS n FROM t WHERE val = 7").rows
 
@@ -300,20 +308,20 @@ class TestOrderByHiddenColumns:
     """Regression: ORDER BY columns absent from the output list used to fail
     binding; now they sort the rows and stay out of the result."""
 
-    MODES = pytest.mark.parametrize("optimized", [True, False],
-                                    ids=["compiled", "interpreted"])
+    MODES = pytest.mark.parametrize("model", [False, True],
+                                    ids=["engine", "model"])
 
     @MODES
-    def test_sorts_by_hidden_column_and_drops_it(self, optimized):
-        db = make_stable_db(optimized, rows=30)
+    def test_sorts_by_hidden_column_and_drops_it(self, model):
+        db = make_stable_db(rows=30, model=model)
         result = db.execute("SELECT grp FROM t ORDER BY val DESC, id ASC")
         assert result.columns == ["grp"]
         order = sorted(range(1, 31), key=lambda i: (-((i * 7) % 101), i))
         assert result.rows == [(f"g{i % 5}",) for i in order]
 
     @MODES
-    def test_topn_with_hidden_sort_column(self, optimized):
-        db = make_stable_db(optimized, rows=30)
+    def test_topn_with_hidden_sort_column(self, model):
+        db = make_stable_db(rows=30, model=model)
         result = db.execute("SELECT note FROM t ORDER BY val DESC, id LIMIT 4")
         assert result.columns == ["note"]
         order = sorted(range(1, 31), key=lambda i: (-((i * 7) % 101), i))

@@ -23,7 +23,7 @@ EMP_COMPANIES = ("SELECT employee_records.id, companies.name, employee_records.a
 def db():
     """The seeded inclusion scenario, aged until ``casework`` (address level)
     sees no job application any more while ``statistics`` still sees all."""
-    db = loaded_engine(True)
+    db = loaded_engine()
     db.advance_time(days=2)
     assert db.execute("SELECT COUNT(*) FROM job_applications",
                       purpose="casework").rows == [(0,)]

@@ -21,6 +21,7 @@ from repro.query.catalog import Catalog, IndexInfo
 from repro.query.operators import render_expression
 from repro.query.parser import parse
 from repro.query.planner import Planner
+from repro.scenarios.reference import ReferenceModel
 from repro.server import ServerThread
 
 
@@ -191,22 +192,6 @@ class TestResidualSplit:
         assert render_expression(physical.residual) == "team.city IS NULL"
         assert render_expression(physical.base.filter) == "person.name = 'x'"
 
-    def test_reference_mode_pushes_nothing(self, planner, catalog):
-        catalog.read_optimized = False
-        catalog.add_table(TableSchema("team", [
-            Column("tid", "INT", primary_key=True), Column("city", "TEXT")]))
-        single = plan(planner, "SELECT * FROM person WHERE id = 7 AND name = 'a'")
-        assert single.base.access.kind == "index_eq"
-        assert single.base.filter is None
-        assert render_expression(single.residual) == "name = 'a'"
-        joined = plan(planner,
-                      "SELECT person.name FROM person JOIN team "
-                      "ON person.id = team.tid WHERE id = 7 AND city = 'Lyon'")
-        assert joined.base.access.kind == "index_eq"
-        assert [scan.filter for scan in joined.scans] == [None, None]
-        # with joins the full WHERE clause stays above them
-        assert render_expression(joined.residual) == "(city = 'Lyon' AND id = 7)"
-
     def test_or_predicate_is_never_split(self, planner):
         physical = plan(planner,
                         "SELECT * FROM person WHERE id = 7 OR name = 'alice'")
@@ -229,16 +214,21 @@ class TestPlanCachingShape:
 # -- names bind when the plan is built ------------------------------------------
 
 
-@pytest.fixture(params=[True, False], ids=["compiled", "interpreted"])
+@pytest.fixture(params=["engine", "model"])
 def joined_db(request):
-    """Two tables sharing ``id`` and ``name``, one matching pair of rows — over
-    the transport ``REPRO_TRANSPORT`` names (the server refuses a statement
-    with the same typed error)."""
-    db = repro.InstantDB(read_path_optimizations=request.param)
+    """Two tables sharing ``id`` and ``name``, one matching pair of rows — in
+    the engine over the transport ``REPRO_TRANSPORT`` names (the server
+    refuses a statement with the same typed error), or in the reference model
+    over the engine's catalog: the model binds names the same way."""
+    db = repro.InstantDB()
     db.execute("CREATE TABLE a (id INT PRIMARY KEY, name TEXT, b_id INT)")
     db.execute("CREATE TABLE b (id INT PRIMARY KEY, name TEXT)")
-    db.execute("INSERT INTO a VALUES (2, 'left', 10)")
-    db.execute("INSERT INTO b VALUES (10, 'right')")
+    target = ReferenceModel(db.catalog) if request.param == "model" else db
+    target.execute("INSERT INTO a VALUES (2, 'left', 10)")
+    target.execute("INSERT INTO b VALUES (10, 'right')")
+    if request.param == "model":
+        yield target
+        return
     if os.environ.get("REPRO_TRANSPORT") != "remote":
         connection = repro.connect(engine=db)
         yield connection

@@ -20,6 +20,7 @@ from repro.query.compiler import compile_select
 from repro.query.planner import bind_physical_plan
 from repro.query.prepared import PLAN_CACHE_SIZE
 from repro.query.statistics import EPOCH_MOD_FLOOR
+from repro.scenarios.reference import ReferenceModel
 
 
 def cached(db, prepared, shape=(), purpose=None):
@@ -114,13 +115,13 @@ class TestParameterShapePlans:
         template compiles once however often it is bound."""
         sql = ("SELECT id FROM t WHERE val BETWEEN ? AND ? AND grp = ? "
                "ORDER BY id")
-        artefacts = {"mode", "layout", "columns", "items", "project", "filters",
+        artefacts = {"layout", "columns", "items", "project", "filters",
                      "reads", "residual", "join_keys", "aggregate", "hidden"}
         template = db.planner.plan_physical(db.prepare(sql).statement, None)
         assert set(vars(compile_select(db.catalog, template))) == artefacts
-        shared = template.ensure_compiled(db.catalog, "compiled")
+        shared = template.ensure_compiled(db.catalog)
         bound = bind_physical_plan(template, (10, 20, "g0"), db.catalog)
-        rebound = bound.ensure_compiled(db.catalog, "compiled")
+        rebound = bound.ensure_compiled(db.catalog)
         assert set(vars(rebound)) == artefacts
         assert rebound.project is shared.project        # template's closure
         assert rebound.layout is shared.layout and rebound.reads is shared.reads
@@ -213,16 +214,16 @@ class TestParameterShapePlans:
                              lambda: None) == (template, True)
         assert (None, db.catalog.version, 0, ("shape0",)) not in prepared._plans
 
-    def test_interpreted_mode_matches_compiled(self):
-        compiled = InstantDB()
-        interpreted = InstantDB(read_path_optimizations=False)
-        for engine in (compiled, interpreted):
-            engine.execute("CREATE TABLE t (id INT PRIMARY KEY, val INT)")
-            engine.executemany("INSERT INTO t VALUES (?, ?)",
+    def test_bound_templates_match_the_model(self):
+        engine = InstantDB()
+        engine.execute("CREATE TABLE t (id INT PRIMARY KEY, val INT)")
+        engine.execute("CREATE INDEX idx_val ON t (val) USING btree")
+        model = ReferenceModel(engine.catalog)
+        for target in (engine, model):
+            target.executemany("INSERT INTO t VALUES (?, ?)",
                                [(i, i % 13) for i in range(1, 151)])
-            engine.execute("CREATE INDEX idx_val ON t (val) USING btree")
         sql = "SELECT id FROM t WHERE val = ? AND id > ? ORDER BY id"
         for params in [(3, 0), (3, 100), (12, 50)]:
-            left = compiled.execute(sql, params=params).rows
-            right = interpreted.execute(sql, params=params).rows
+            left = engine.execute(sql, params=params).rows
+            right = model.execute(sql, params).rows
             assert left == right

@@ -3,13 +3,14 @@
 The default engine evaluates each WHERE conjunct inside the scan of the one
 table it reads — on the row degraded to the demanded levels, before the rest
 of the row is decoded — hands a hash join's probe side the build side's keys,
-and carries rows as positional tuples.  ``read_path_optimizations=False`` is
-the reference: the tree-walking interpreter with the full WHERE clause above
-the joins.  Two engines hold the same seeded scenario; every statement text
-the oracles and the benchmark send (the ``statements`` fixture: imported, not
-copied) plus seeded WHERE shapes must return the same rows — and affect the
-same number of rows — on both, under each purpose, before and after a 20-day
-degradation wave.  The named cases pin what the equivalence rests on.
+and carries rows as positional tuples.  The reference is the model of
+:mod:`repro.scenarios.reference`: nested joins over Python lists with the
+full WHERE clause above them.  Engine and model hold the same seeded
+scenario; every statement text the oracles and the benchmark send (the
+``statements`` fixture: imported, not copied) plus seeded WHERE shapes must
+return the same rows — and affect the same number of rows — on both, under
+each purpose, before and after a 20-day degradation wave.  The named cases
+pin what the equivalence rests on.
 """
 
 import random
@@ -23,9 +24,10 @@ from repro.core.policy import Purpose
 from repro.core.values import NULL, SUPPRESSED
 from repro.engine import ddl
 from repro.query.compiler import render_expression
-from repro.query.parser import parse_script
+from repro.query.parser import parse, parse_script
+from repro.scenarios.reference import evaluate
 
-from .conftest import SEED, loaded_engine
+from .conftest import SEED, loaded_engine, loaded_model, same_answer
 
 PURPOSES = (None, "casework", "placement", "statistics")
 SHAPES = 60
@@ -127,21 +129,8 @@ def seeded_shapes():
     return shapes
 
 
-def same_answer(pushed, reference, sql, purpose, params=()):
-    got = pushed.execute(sql, purpose=purpose, params=params)
-    want = reference.execute(sql, purpose=purpose, params=params)
-    if isinstance(want, int):
-        assert got == want, (sql, params, purpose)
-        return got
-    assert got.columns == want.columns, sql
-    # Row for row; a join may produce them in another order (its build side).
-    assert sorted(map(repr, got.rows)) == sorted(map(repr, want.rows)), \
-        (sql, params, purpose)
-    return len(got.rows)
-
-
 def test_default_engine_answers_like_the_reference(statements):
-    pushed, reference = loaded_engine(True), loaded_engine(False)
+    pushed, reference = loaded_engine(), loaded_model()
     shapes = seeded_shapes()
     assert {sql.split()[0] for sql in statements} == {"SELECT", "UPDATE", "DELETE"}
     assert sum("LEFT JOIN" in sql for sql in shapes) >= 5
@@ -157,18 +146,16 @@ def test_default_engine_answers_like_the_reference(statements):
         return matched
 
     assert run_everything() > 1000          # the predicates are not all empty
-    for engine in (pushed, reference):
-        engine.advance_time(days=20)        # a wave over most of the rows
-    assert pushed.stats.degradation_steps_applied > 0
+    pushed.advance_time(days=20)            # a wave over most of the rows
+    reference.advance(20 * 86400.0)
+    assert pushed.stats.degradation_steps_applied == reference.steps_applied() > 0
     assert run_everything() > 100
     for table in pushed.tables():
         same_answer(pushed, reference, f"SELECT * FROM {table}", "statistics")
-    # the comparison was pushdown against no pushdown
+    # the engine's side of the comparison was pushed down
     single = next(sql for sql in shapes if "JOIN" not in sql)
     plan = pushed.planner.plan_physical(pushed.prepare(single).query)
     assert plan.base.filter is not None and plan.residual is None
-    plan = reference.planner.plan_physical(reference.prepare(single).query)
-    assert plan.base.filter is None and plan.residual is not None
 
 
 # -- named cases -----------------------------------------------------------------
@@ -245,21 +232,25 @@ class TestNamedCases:
                                       purpose=anything).rows) == 4
 
     def test_crypto_destroyed_key_reads_suppressed_in_the_filter_column(self):
-        twins = []
-        for optimized in (True, False):
-            db = loaded_engine(optimized, strategy="crypto")
-            for row_key in (1, 2, 3):
-                db.keystore.destroy_key(("users", row_key, "address", 0))
-            twins.append(db)
-        pushed, reference = twins
+        """The model keeps no key, so the reference here is the model's
+        evaluator applied to the engine's own unfiltered read."""
+        pushed = loaded_engine(strategy="crypto")
+        for row_key in (1, 2, 3):
+            pushed.keystore.destroy_key(("users", row_key, "address", 0))
         result = pushed.execute("SELECT id, address FROM users WHERE id <= 5 "
                                 "AND address IS NULL", purpose="casework")
         assert sorted(result.rows) == [(1, SUPPRESSED), (2, SUPPRESSED), (3, SUPPRESSED)]
         assert "address IS NULL" in result.pipeline.find("SeqScan").describe()
         for predicate in ("address IS NULL", "address LIKE '%'", "address != 'x'",
                           "NOT address = 'x'", "address = 'x' OR id < 3"):
-            same_answer(pushed, reference,
-                        f"SELECT id, address FROM users WHERE {predicate}", "casework")
+            where = parse(f"SELECT id FROM users WHERE {predicate}").where
+            everything = pushed.execute("SELECT id, address FROM users",
+                                        purpose="casework").rows
+            want = [row for row in everything
+                    if evaluate(where, {"id": row[0], "address": row[1]}) is True]
+            got = pushed.execute(f"SELECT id, address FROM users WHERE {predicate}",
+                                 purpose="casework").rows
+            assert sorted(got) == sorted(want), predicate
 
     def test_null_never_matches_but_is_null_does(self, visits):
         assert visits.execute("SELECT id FROM visits WHERE note IS NULL").rows == [(3,)]

@@ -6,11 +6,12 @@ page on the page's level floor, before any header.  Everything that counts rows
 — ``ExecutorStats``, the operator's own counters and ``EXPLAIN ANALYZE`` — must
 read as it did when the operator decoded every row and threw the excluded ones
 away afterwards.  The numbers below were taken on the commit before that
-pushdown; since the WHERE clause runs inside the scan too (compiled mode), a
-scan's ``rows_out`` counts the rows that also passed its filter — the reference
-mode still shows a ``Filter``.  The store's ``reads`` counts records decoded:
-every record of each page that holds a row the purpose may see, none of the
-skipped pages (:func:`decoded_records`).
+pushdown; since the WHERE clause runs inside the scan too, a scan's
+``rows_out`` counts the rows that also passed its filter.  The store's
+``reads`` counts records decoded: every record of each page that holds a row
+the purpose may see, none of the skipped pages (:func:`decoded_records`).
+The rows themselves are the reference model's (:mod:`repro.scenarios.reference`),
+which holds the same inserts at the same instants.
 """
 
 from collections import Counter
@@ -19,6 +20,7 @@ import pytest
 
 from repro import AttributeLCP, InstantDB
 from repro.core.domains import build_location_tree, build_salary_ranges
+from repro.scenarios.reference import ReferenceModel
 
 PARIS = "1 Main Street, Paris"
 LYON = "2 Station Road, Lyon"
@@ -30,12 +32,12 @@ CAPS = {"address": 0, "city": 1, "region": 2}
 DECODED = {"address": 591, "city": 670, "region": 900}
 
 
-@pytest.fixture(params=[True, False], ids=["compiled", "interpreted"])
-def db(request):
+@pytest.fixture
+def db():
     """900 visits over ~20 pages: ids 1–300 at region level, 301–600 at city
-    level, 601–900 still at address level."""
-    db = InstantDB(read_path_optimizations=request.param)
-    db.pushdown = request.param
+    level, 601–900 still at address level — and ``db.model``, the reference
+    model holding the same rows."""
+    db = InstantDB()
     location = db.register_domain(build_location_tree())
     salary = db.register_domain(build_salary_ranges())
     db.register_policy(AttributeLCP(
@@ -50,14 +52,16 @@ def db(request):
     for level in ("address", "city", "region"):
         db.execute(f"DECLARE PURPOSE {level} SET ACCURACY LEVEL {level} "
                    f"FOR visits.location")
-    for wave, pause in enumerate(({"days": 2}, {"hours": 2}, None)):
+    db.model = ReferenceModel(db.catalog)
+    for wave, pause in enumerate((2 * 86400.0, 2 * 3600.0, 0.0)):
         first = wave * WAVE + 1
-        db.executemany(
-            "INSERT INTO visits VALUES (?, ?, ?, ?, ?)",
-            [(i, PARIS if i % 2 else LYON, 1000 + i, f"g{i % 5}", f"note-{i}")
-             for i in range(first, first + WAVE)])
-        if pause:
-            db.advance_time(**pause)
+        for target in (db, db.model):
+            target.executemany(
+                "INSERT INTO visits VALUES (?, ?, ?, ?, ?)",
+                [(i, PARIS if i % 2 else LYON, 1000 + i, f"g{i % 5}", f"note-{i}")
+                 for i in range(first, first + WAVE)])
+        db.advance_time(pause)
+        db.model.advance(pause)
     assert db.level_histogram("visits", "location") == {2: WAVE, 1: WAVE, 0: WAVE}
     return db
 
@@ -107,9 +111,8 @@ class TestFullyConsumedScans:
         assert scanned == scan.examined == 900
         assert reads == decoded_records(db, "city") == DECODED["city"]
         assert excluded == scan.rows_excluded_not_computable == 300
-        last = scan if db.pushdown else result.pipeline.find("Filter")
-        assert (scan.stats.rows_out, last.stats.rows_out) == \
-            ((50, 50) if db.pushdown else (600, 50))
+        assert scan.stats.rows_out == 50
+        assert result.pipeline.find("Filter") is None
         assert len(result.rows) == 50
 
     def test_explain_analyze_operator_rows(self, db):
@@ -118,11 +121,7 @@ class TestFullyConsumedScans:
             purpose="address").rows]
         scan_line = next(line for line in lines[1:] if "SeqScan" in line)
         assert scan_line.endswith("(examined=900 excluded=600 pages_skipped=9)")
-        if db.pushdown:
-            assert "filter (grp = 'g1') (rows=60)" in scan_line
-        else:
-            assert "(rows=300)" in scan_line
-            assert "(rows=60)" in next(line for line in lines[1:] if "Filter" in line)
+        assert "filter (grp = 'g1') (rows=60)" in scan_line
 
     def test_excluded_rows_reported_when_nothing_is_visible(self, db):
         db.advance_time(hours=2)        # the last wave leaves address level too
@@ -154,3 +153,14 @@ class TestEarlyTermination:
         assert scanned == 605
         skipped = decoded_records(db, "region") - decoded_records(db, "address")
         assert 605 - skipped <= reads <= 605 - skipped + fullest_page
+
+
+class TestRowsMatchTheModel:
+    @pytest.mark.parametrize("purpose", sorted(CAPS))
+    @pytest.mark.parametrize("sql", [
+        "SELECT id, location FROM visits",
+        "SELECT id FROM visits WHERE grp = 'g1' AND salary > 1650",
+        "SELECT id FROM visits LIMIT 5"])
+    def test_the_counted_rows_are_the_models(self, db, sql, purpose):
+        got = db.execute(sql, purpose=purpose).rows
+        assert sorted(got) == sorted(db.model.execute(sql, purpose=purpose).rows)

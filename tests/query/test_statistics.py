@@ -228,15 +228,6 @@ class TestPlanFlips:
         assert "IndexScan" in self.explain(db,
                                            "SELECT id FROM t WHERE grp = 'same'")
 
-    def test_baseline_mode_keeps_heuristic_plans(self):
-        db = InstantDB(read_path_optimizations=False)
-        db.execute("CREATE TABLE t (id INT PRIMARY KEY, grp TEXT)")
-        db.execute("CREATE INDEX idx_grp ON t (grp) USING hash")
-        db.executemany("INSERT INTO t VALUES (?, ?)",
-                       [(i, "hot") for i in range(1, 201)])
-        text = self.explain(db, "SELECT id FROM t WHERE grp = 'hot'")
-        assert "IndexScan" in text             # no stats: legacy preference
-
 
 class TestStatsSurviveRecovery:
     def test_checkpoint_close_reopen_recover_rebuilds_exactly(self, tmp_path):

@@ -1,23 +1,24 @@
 """Shared helpers for the scenario-suite tests."""
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import pytest
 
 from repro.scenarios import (
     InclusionGenerator,
     InclusionScenario,
-    ScenarioVariant,
+    REFERENCE,
     VARIANT_NAMES,
     build_variants,
 )
 
 
 def build_loaded(scenario: InclusionScenario, seed: int,
-                 names: Sequence[str] = VARIANT_NAMES,
+                 names: Sequence[str] = (REFERENCE, *VARIANT_NAMES),
                  data_dirs: Optional[Dict[str, str]] = None,
-                 ) -> Tuple[Dict[str, ScenarioVariant], InclusionGenerator]:
-    """Build the requested variants and load identical seeded data into each."""
+                 ) -> Tuple[Dict[str, Any], InclusionGenerator]:
+    """Build the requested variants (the reference model first by default)
+    and load identical seeded data into each."""
     variants = build_variants(scenario, names=names, data_dirs=data_dirs)
     generator = InclusionGenerator(scenario, seed=seed)
     try:

@@ -1,7 +1,8 @@
 """The cross-engine differential oracle, run for real.
 
 Five fixed seeds, ~200 mixed ops each (plus a full-lifecycle epilogue),
-replayed in lockstep against all three engine variants.  Any disagreement
+replayed in lockstep against both engine variants with the reference model
+of :mod:`repro.scenarios.reference` as the ground truth.  Any disagreement
 fails with the seed and a minimized op trace, so a regression here is
 immediately reproducible from the failure message alone.
 """
@@ -13,8 +14,6 @@ from repro.scenarios import (
     InclusionGenerator,
     InclusionScenario,
     OpStream,
-    ScenarioVariant,
-    VARIANT_NAMES,
     format_failure,
     minimize_trace,
 )
@@ -26,9 +25,9 @@ SCALE = 40
 OPS = 200
 
 
-def run_seed(seed, names=VARIANT_NAMES, check_retention=True):
+def run_seed(seed, check_retention=True):
     scenario = InclusionScenario(SCALE)
-    variants, generator = build_loaded(scenario, seed, names=names)
+    variants, generator = build_loaded(scenario, seed)
     try:
         stream = OpStream(scenario, seed=seed, count=OPS)
         ops = stream.ops() + stream.epilogue(OPS)
@@ -72,7 +71,7 @@ def test_edge_semantics_agree_across_variants():
     """Edges the random mix rarely hits, pinned explicitly: no-purpose reads
     of degraded attributes (stored-accuracy observation), deletes of rows the
     policy already removed, and the typed refusal to update a degradable
-    column — all three variants must behave identically."""
+    column — both variants must behave as the model does."""
     from repro.core.errors import PolicyError
     from repro.scenarios import Op, run_op
 
@@ -108,7 +107,7 @@ def test_edge_semantics_agree_across_variants():
         for op in probes:
             results = {name: run_op(variant, op)
                        for name, variant in variants.items()}
-            reference = results["interpreted"]
+            reference = results["reference"]
             for name, result in results.items():
                 assert result.matches(reference), (op.describe(), name)
     finally:
@@ -121,7 +120,7 @@ def test_oracle_catches_a_diverging_engine():
     clock mid-stream and the wave payloads (and every later read) diverge."""
     scenario = InclusionScenario(20)
     variants, generator = build_loaded(scenario, 4,
-                                       names=("interpreted", "compiled"))
+                                       names=("reference", "compiled"))
     try:
         variants["compiled"].engine.advance_time(86400.0)  # sabotage
         stream = OpStream(scenario, seed=4, count=40)
@@ -141,7 +140,7 @@ def test_minimizer_shrinks_a_failing_trace():
     """The minimized trace still reproduces and is genuinely smaller."""
     scenario = InclusionScenario(20)
     variants, generator = build_loaded(scenario, 6,
-                                       names=("interpreted", "compiled"))
+                                       names=("reference", "compiled"))
     try:
         variants["compiled"].engine.advance_time(86400.0)
         stream = OpStream(scenario, seed=6, count=60)
@@ -156,10 +155,10 @@ def test_minimizer_shrinks_a_failing_trace():
 
     def build_pair():
         pair, _ = build_loaded(InclusionScenario(20), 6,
-                               names=("interpreted", "compiled"))
+                               names=("reference", "compiled"))
         # reproduce the sabotage so the divergence is deterministic
         pair["compiled"].engine.advance_time(86400.0)
-        return pair["interpreted"], pair["compiled"]
+        return pair["reference"], pair["compiled"]
 
     trace = minimize_trace(build_pair, ops, first, budget=8)
     assert trace
