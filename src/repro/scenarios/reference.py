@@ -1,51 +1,41 @@
 """The reference model: what the paper promises, as an executable specification.
 
-The differential oracle needs a ground truth that shares no code with the
-engine it checks.  This is it, written from the paper (§II life-cycle
-policies, §III purposes) rather than from the engine:
+The differential oracle's ground truth, written from the paper (§II
+life-cycle policies, §III purposes) and sharing no code with the engine:
 
 * a table is a list of rows ``(accurate values, inserted_at, TupleLCP)``;
-  the accurate value is never overwritten, only the clock moves;
 * an attribute's level is ``TupleLCP.levels_at(now - inserted_at)``;
-* a purpose excludes a row one of whose attributes is above the level it
-  demands and sees the others at exactly that level
-  (``scheme.generalize(accurate, demanded)``); a column it leaves
-  unconstrained is seen at the level the policy reached.  With no purpose
-  every degradable column is demanded accurate;
-* a row whose policy says ``remove_on_final`` leaves the table the instant
-  every attribute reaches its final, suppressed state.  Under
-  ``remove_on_final=False`` it stays, fully suppressed: a plain query and
-  every purpose that constrains a suppressed column exclude it, so only a
-  purpose leaving all of them unconstrained sees it (as ``SUPPRESSED``) —
-  and only under such a purpose can ``DELETE`` or ``UPDATE`` reach it;
-* SELECT / INSERT / UPDATE / DELETE are evaluated from the parser's AST over
-  Python lists: joins with the whole WHERE clause above them, then grouping,
+* a purpose excludes a row with an attribute above the level it demands and
+  sees the others at that level (``scheme.generalize(accurate, demanded)``);
+  a column it leaves unconstrained is seen at the level the policy reached.
+  With no purpose every degradable column is demanded accurate;
+* under ``remove_on_final`` a row leaves the table the instant every
+  attribute reaches its final, suppressed state.  Without it the row stays,
+  fully suppressed: a plain query and every purpose constraining one of its
+  suppressed columns exclude it, so only a purpose leaving them all
+  unconstrained sees it (as ``SUPPRESSED``) — and only under such a purpose
+  can ``DELETE`` or ``UPDATE`` reach it;
+* SELECT / INSERT / UPDATE / DELETE ASTs from the parser run over Python
+  lists: joins with the whole WHERE clause above them, then GROUP BY,
   HAVING, ORDER BY and LIMIT.  Names bind before any row is read.
 
-Only *definitions* come from the engine's catalog — schemas, table policies,
-purposes, domains; never a row, page, index, statistic or schedule entry.  A
-tier-1 test parses this file and fails on any import from the layers it
-checks.
+Only definitions come from the engine's catalog (schemas, table policies,
+purposes, domains): never a row, page, index, statistic or schedule entry.
+A tier-1 test fails on any import from the layers the model checks.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..core.errors import (
-    BindingError,
-    ExecutionError,
-    NotSupportedError,
-    ParameterError,
-    PolicyError,
-)
+from ..core.errors import (BindingError, ExecutionError, NotSupportedError, ParameterError,
+                           PolicyError)
 from ..core.values import NULL, between, compare, equal, hashable, is_missing, sort_key, truthy
 from ..query import ast_nodes as ast
 from ..query.parser import parse
 
 #: What a plain column name maps to when more than one table has it.
 _AMBIGUOUS = object()
-
 Env = Dict[str, Any]
 
 
@@ -60,15 +50,11 @@ class _Row:
         self.lcp = lcp
 
 
-# -- expressions ----------------------------------------------------------------
-
-
 def _param(value: Any, params: Sequence[Any]) -> Any:
     if not isinstance(value, ast.Placeholder):
         return value
     if value.index >= len(params):
-        raise ParameterError(f"statement needs parameter {value.index + 1}, "
-                             f"got {len(params)}")
+        raise ParameterError(f"statement needs parameter {value.index + 1}, got {len(params)}")
     return params[value.index]
 
 
@@ -111,13 +97,10 @@ def evaluate(expression: ast.Expression, env: Env, params: Sequence[Any] = ()) -
         return all(tests) if expression.operator == "AND" else any(tests)
     if isinstance(expression, ast.Not):
         return not truthy(evaluate(expression.operand, env, params))
-    if isinstance(expression, ast.Aggregate):
-        # In HAVING an aggregate names the output column that computes it.
-        name = expression.display_name.lower()
-        if name in env:
-            return env[name]
-        raise BindingError(
-            f"aggregate {expression.display_name} used outside an aggregate query")
+    if isinstance(expression, ast.Aggregate):   # in HAVING: the output column
+        if expression.display_name.lower() in env:
+            return env[expression.display_name.lower()]
+        raise BindingError(f"aggregate {expression.display_name} used outside an aggregate")
     raise ExecutionError(f"cannot evaluate expression {expression!r}")
 
 
@@ -138,16 +121,12 @@ def _aggregate(function: str, values: List[Any]) -> Any:
     if function == "COUNT":
         return len(values)
     if function in ("SUM", "AVG"):
-        if not numbers:
-            return NULL
-        return sum(numbers) if function == "SUM" else sum(numbers) / len(numbers)
+        total = sum(numbers) if numbers else NULL
+        return total if function == "SUM" or not numbers else total / len(numbers)
     if function in ("MIN", "MAX"):
         pick = min if function == "MIN" else max
         return pick(values, key=sort_key) if values else NULL
     raise ExecutionError(f"unsupported aggregate {function}")
-
-
-# -- the model ------------------------------------------------------------------
 
 
 class Result:
@@ -185,8 +164,6 @@ class ReferenceModel:
         #: is an erase at statement time, as the engine's.
         self._undo: List[Tuple[str, _Row, Any]] = []
         self._parsed: Dict[str, ast.Statement] = {}
-
-    # -- the variant surface ------------------------------------------------------
 
     def execute(self, sql: str, params: Sequence[Any] = (), *, purpose: Any = None) -> Result:
         """Run one statement under ``purpose`` (a name, a ``Purpose`` or None)."""
@@ -256,17 +233,11 @@ class ReferenceModel:
         return self._steps
 
     def forensic_report(self, salaries: Optional[Dict[int, int]] = None) -> Dict[str, int]:
-        """What the forensic checks must find on every engine: nothing.  The
-        model keeps no bytes, and each level is computed from the clock."""
+        """What every engine's forensic check must find: no byte, no lag."""
         return {"violations": 0, "leaks": 0}
-
-    def reconnect(self) -> None:
-        """Nothing to reconnect: the model is in process."""
 
     def close(self) -> None:
         self.tables.clear()
-
-    # -- rows as a purpose sees them ----------------------------------------------
 
     def _visible(self, table: str, purpose: Any) -> List[Tuple[_Row, Dict[str, Any]]]:
         """``(row, values as the purpose sees them)`` for every row it may see."""
@@ -288,8 +259,6 @@ class ReferenceModel:
             else:
                 seen.append((row, values))
         return seen
-
-    # -- statements ---------------------------------------------------------------
 
     def _insert(self, statement: ast.Insert, param_rows: List[Tuple]) -> int:
         info = self.catalog.table(statement.table)
@@ -316,19 +285,17 @@ class ReferenceModel:
                        for column, value in getattr(statement, "assignments", ())]
         for column, _value in assignments:
             if column.degradable:
-                raise PolicyError(f"column {info.name}.{column.name} is degradable: "
-                                  "updates are not granted after the tuple creation "
-                                  "has been committed")
-        if statement.where is not None:     # names bind with no row to read
-            evaluate(statement.where, _bind({}, info.name, info.name, None, columns), params)
-        matched = [row for row, values in self._visible(info.name, purpose)
-                   if statement.where is None or truthy(evaluate(
-                       statement.where, _bind({}, info.name, info.name, values, columns),
-                       params))]
+                raise PolicyError(f"column {info.name}.{column.name} is degradable: updates "
+                                  "are not granted after the tuple creation has been committed")
+        where = statement.where
+        if where is not None:       # names bind with no row to read
+            evaluate(where, _bind({}, info.name, info.name, None, columns), params)
+        matched = [row for row, values in self._visible(info.name, purpose) if where is None
+                   or truthy(evaluate(where, _bind({}, info.name, info.name, values, columns),
+                                      params))]
         if isinstance(statement, ast.Delete):
-            gone = set(map(id, matched))
             self.tables[info.name] = [row for row in self.tables.get(info.name, ())
-                                      if id(row) not in gone]
+                                      if row not in matched]
         for row in matched if assignments else ():
             self._undo.append(("update", row, row.values))
             row.values = dict(row.values, **{
@@ -372,17 +339,9 @@ class ReferenceModel:
                 evaluate(expression, empty, params)
         if statement.where is not None:
             envs = [env for env in envs if truthy(evaluate(statement.where, env, params))]
-        if statement.is_aggregate:
-            groups = {ref.qualified for ref in statement.group_by} | \
-                {ref.column for ref in statement.group_by}
-            for item, at in order:
-                if at is None and not {item.column.column, item.column.qualified} & groups:
-                    raise BindingError(
-                        f"ORDER BY column {item.column.qualified!r} is not in the output")
-            rows = self._group(statement, items, envs, empty, params)
-        else:
-            rows = [(tuple(evaluate(expression, env, params) for _n, expression in items),
-                     env) for env in envs]
+        rows = self._group(statement, items, envs, empty, params) if statement.is_aggregate \
+            else [(tuple(evaluate(expression, env, params) for _n, expression in items), env)
+                  for env in envs]
         for item, at in reversed(order):
             rows.sort(key=lambda pair: sort_key(
                 pair[0][at] if at is not None else lookup(item.column, pair[1])),
