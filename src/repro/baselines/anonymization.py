@@ -18,8 +18,8 @@ B3 usability benchmark needs.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Mapping, Sequence
 
 from ..core.errors import ConfigurationError
 from ..core.generalization import GeneralizationScheme

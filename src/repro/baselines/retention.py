@@ -9,8 +9,7 @@ inspection hooks used by the exposure and usability benchmarks (B1, B3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import List, Optional
 
 from ..core.errors import ConfigurationError
 from .traditional import BaselineRow, TraditionalStore

@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .clock import DAY, HOUR, MINUTE, MONTH, YEAR
+from .clock import DAY, HOUR, MINUTE, MONTH
 from .errors import GeneralizationError, UnknownValueError
 from .values import SUPPRESSED
 

@@ -8,8 +8,8 @@ domain (generalization scheme) and life cycle policy govern it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .errors import SchemaError
 from .values import NULL, ValueType, coerce

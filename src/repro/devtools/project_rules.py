@@ -11,7 +11,7 @@ from the linted set the dependent checks are skipped.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from .findings import Finding
 

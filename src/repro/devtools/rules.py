@@ -518,6 +518,69 @@ class SingleFanoutRule(Rule):
             self._scan(path, child, function, findings)
 
 
+# ---------------------------------------------------------------- unused-import
+
+
+class UnusedImportRule(Rule):
+    """Every imported name is read, exported or re-exported.
+
+    A name an ``import`` binds and the module never reads hides what the
+    module really depends on (and keeps a dead layer looking alive).  Read
+    means any use of the name — in code, in an annotation, in a quoted
+    annotation; a name listed in ``__all__`` is exported.  A package's
+    ``__init__.py`` re-exports what it imports, so it is not checked, nor
+    are ``from __future__`` imports and ``import x as x``.
+    """
+
+    name = "unused-import"
+    description = "a name bound by an import that the module never reads"
+
+    def check(self, path: str, tree: ast.AST, source: str) -> List[Finding]:
+        if PurePosixPath(path).name == "__init__.py":
+            return []
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    if alias.name == "*" or alias.asname == alias.name:
+                        continue
+                    bound = alias.asname or alias.name.split(".")[0]
+                    imported.setdefault(bound, node)
+        used = set(_exported(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.update(_quoted_names(node.value))
+        return [self.finding(path, node, f"{name!r} is imported but never used")
+                for name, node in imported.items() if name not in used]
+
+
+def _exported(tree: ast.AST) -> List[str]:
+    """The string entries of a module-level ``__all__``."""
+    names: List[str] = []
+    for node in getattr(tree, "body", ()):
+        if isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                names += [element.value for element in ast.walk(node.value)
+                          if isinstance(element, ast.Constant)
+                          and isinstance(element.value, str)]
+    return names
+
+
+def _quoted_names(text: str) -> List[str]:
+    """Names a quoted annotation (``"Optional[Foo]"``) reads; nothing for
+    any other string."""
+    try:
+        expression = ast.parse(text.strip(), mode="eval")
+    except SyntaxError:
+        return []
+    return [node.id for node in ast.walk(expression) if isinstance(node, ast.Name)]
+
+
 PER_FILE_RULES = (
     SentinelIdentityRule,
     ExecutorConfinementRule,
@@ -525,9 +588,10 @@ PER_FILE_RULES = (
     NoSwallowedAbortRule,
     NoSwallowedIOErrorRule,
     SingleFanoutRule,
+    UnusedImportRule,
 )
 
 __all__ = ["Rule", "attribute_chain", "SentinelIdentityRule",
            "ExecutorConfinementRule", "LockDisciplineRule",
            "NoSwallowedAbortRule", "NoSwallowedIOErrorRule",
-           "SingleFanoutRule", "PER_FILE_RULES"]
+           "SingleFanoutRule", "UnusedImportRule", "PER_FILE_RULES"]

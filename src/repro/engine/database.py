@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from typing import Any, ContextManager, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -56,11 +56,10 @@ from ..core.lcp import AttributeLCP, TupleLCP
 from ..core.policy import AccuracyRequirement, Purpose, TablePolicy
 from ..core.scheduler import DegradationScheduler, DegradationStep
 from ..core.schema import TableSchema
-from ..core.values import SUPPRESSED
 from ..devtools import invariants
 from ..query import ast_nodes as ast
 from ..query.catalog import Catalog, IndexInfo, TableInfo
-from ..query.executor import Executor, QueryResult, ROW_KEY_FIELD
+from ..query.executor import Executor, QueryResult
 from ..query.planner import PhysicalPlan, Planner, bind_physical_plan
 from ..query.prepared import PreparedStatement, StatementCache, query_of
 from ..storage.buffer import BufferPool

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from ..core.errors import CatalogError, SchemaError
 from ..core.generalization import GeneralizationScheme

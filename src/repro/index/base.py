@@ -11,7 +11,7 @@ keys.  Degradation awareness shows up in two places:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.errors import IndexError_

@@ -11,7 +11,7 @@ number of distinct keys touched by degradation.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Set
+from typing import Any, Dict, Iterator, List, Optional
 
 from ..core.values import sort_key
 from .base import Index

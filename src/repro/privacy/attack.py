@@ -20,8 +20,8 @@ benchmark uses to quantify both halves of that claim:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Sequence
 
 
 @dataclass

@@ -19,7 +19,7 @@ provided so benchmarks can cross check one against the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..core.errors import ConfigurationError
 from ..core.lcp import NEVER, AttributeLCP

@@ -10,8 +10,8 @@ plus the paper's privacy extensions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Optional, Tuple
 
 
 # -- expressions ---------------------------------------------------------------

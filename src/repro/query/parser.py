@@ -6,7 +6,7 @@ from typing import Any, List, Optional, Tuple
 
 from ..core.errors import ParseError
 from . import ast_nodes as ast
-from .tokens import Token, TokenStream, TokenType, tokenize
+from .tokens import TokenStream, TokenType, tokenize
 
 _AGGREGATE_KEYWORDS = ("COUNT", "SUM", "AVG", "MIN", "MAX")
 

@@ -27,7 +27,6 @@ accurate value images degradation scrubbed are gone by design.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.schema import TableSchema

@@ -27,7 +27,7 @@ clock (:mod:`repro.scenarios.retention`).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..core.domains import build_diagnosis_tree, build_location_tree, build_salary_ranges
 from ..core.lcp import AttributeLCP

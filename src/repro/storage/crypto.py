@@ -20,7 +20,7 @@ import hashlib
 import hmac
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
 from ..core.errors import CryptoError, KeyDestroyedError

@@ -11,7 +11,7 @@ for residual plaintext.
 from __future__ import annotations
 
 import struct
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..core.errors import StorageError
 from ..core.values import NULL, REMOVED, SUPPRESSED

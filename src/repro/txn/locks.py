@@ -19,11 +19,11 @@ while a genuine deadlock raises :class:`~repro.core.errors.DeadlockError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set
 
-from ..core.errors import DeadlockError, TransactionError
+from ..core.errors import DeadlockError
 from ..devtools.invariants import observe_txn_lock, observe_txn_release
 
 

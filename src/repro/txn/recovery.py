@@ -24,7 +24,7 @@ due while the process was down are overdue (not lost) after a restart.  See
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.errors import RecoveryError
 from ..core.lcp import TupleLCP

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Dict, List, Optional
 
-from ..core.errors import DurabilityError, TransactionAborted, TransactionError
+from ..core.errors import DurabilityError, TransactionError
 from ..storage.wal import LogRecordType, WriteAheadLog
 from .locks import LockManager, LockMode
 

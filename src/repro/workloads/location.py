@@ -7,10 +7,10 @@ exactly the shape of data the paper's running PERSON example degrades
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
-from ..core.domains import addresses_for_city, build_location_tree, build_salary_ranges
+from ..core.domains import addresses_for_city, build_location_tree
 from ..core.generalization import GeneralizationTree
 from .distributions import Distributions
 

@@ -9,7 +9,7 @@ the C1/C3 benchmarks with representative statements of both kinds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional
 
 from .distributions import Distributions
 from .location import LocationTraceGenerator

@@ -559,3 +559,58 @@ class TestFrameTagExhaustive:
         write(tmp_path, "server/server.py", SERVER_FIXTURE)
         findings = run_rule(tmp_path, "frame-tag-exhaustive")
         assert not any("PROTOCOL_VERSION" in f.message for f in findings)
+
+
+class TestUnusedImport:
+    def test_unread_names_flagged(self, tmp_path):
+        write(tmp_path, "mod.py", """\
+            import os
+            import json as codec
+            from typing import Any, Dict
+            from .values import NULL, SUPPRESSED
+
+            def f(value: Any) -> bool:
+                return value is NULL
+        """)
+        findings = run_rule(tmp_path, "unused-import")
+        assert sorted(f.message.split("'")[1] for f in findings) == \
+            ["Dict", "SUPPRESSED", "codec", "os"]
+        assert all(f.rule == "unused-import" for f in findings)
+
+    def test_names_read_anywhere_are_clean(self, tmp_path):
+        write(tmp_path, "mod.py", """\
+            from __future__ import annotations
+            import os.path
+            from typing import TYPE_CHECKING, Optional
+            if TYPE_CHECKING:
+                from .engine import InstantDB
+
+            def f(db: "Optional[InstantDB]") -> str:
+                return os.path.join("a", "b")
+        """)
+        assert run_rule(tmp_path, "unused-import") == []
+
+    def test_all_exports_count_as_use(self, tmp_path):
+        write(tmp_path, "mod.py", """\
+            from .values import NULL, SUPPRESSED
+            __all__ = ["NULL"]
+            __all__ += ["SUPPRESSED"]
+        """)
+        assert run_rule(tmp_path, "unused-import") == []
+
+    def test_package_init_reexports_and_explicit_reexports_are_clean(self, tmp_path):
+        write(tmp_path, "pkg/__init__.py", """\
+            from .values import NULL, SUPPRESSED
+        """)
+        write(tmp_path, "pkg/mod.py", """\
+            from .values import NULL as NULL
+        """)
+        assert run_rule(tmp_path, "unused-import") == []
+
+    def test_a_shadowing_string_is_not_a_use(self, tmp_path):
+        write(tmp_path, "mod.py", """\
+            from .values import SUPPRESSED
+
+            MESSAGE = "SUPPRESSED rows are kept"
+        """)
+        assert len(run_rule(tmp_path, "unused-import")) == 1
