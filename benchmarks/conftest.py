@@ -49,7 +49,7 @@ def record_bench(tag: str, scenario: str, **metrics) -> None:
 
 
 def _bench_tag(fullname: str) -> str:
-    """``benchmarks/bench_c3_query_performance.py::test_x`` → ``c3``."""
+    """``benchmarks/bench_c4_batch_insert.py::test_x`` → ``c4``."""
     module = os.path.basename(fullname.split("::", 1)[0])
     stem = module[:-3] if module.endswith(".py") else module
     parts = stem.split("_")

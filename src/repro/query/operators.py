@@ -338,7 +338,7 @@ def make_scan(runtime: PipelineRuntime, scan: TableScanPlan,
 
 class Filter(Operator):
     """Evaluates the residual predicate — what no single scan could decide —
-    through the plan's truth function (compiled or interpreted)."""
+    through the plan's truth function."""
 
     label = "Filter"
 

@@ -1,6 +1,6 @@
 """Chaos mode: the scenario oracle under a seeded fault schedule.
 
-A :class:`ChaosRunner` replays one seeded C7 op stream on a *victim* engine
+A :class:`ChaosRunner` replays one seeded scenario op stream on a *victim* engine
 whose I/O seams are armed with a seeded :class:`~repro.faults.FaultPlan` —
 WAL flush failures, torn writes, ENOSPC, pager sync errors, dropped and
 stalled sockets, clock skips — while an identical unfaulted *twin* applies
