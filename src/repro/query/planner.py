@@ -60,7 +60,7 @@ SEQ_ROW_COST = 1.0
 INDEX_FETCH_COST = 2.0
 INDEX_PROBE_COST = 4.0
 
-#: Below this row count the stats-free preference order is kept: probing an
+#: Below this row count the plain preference order is kept: probing an
 #: index on a tiny table costs nothing either way, and estimates on nearly
 #: empty tables are noise.
 SMALL_TABLE_ROWS = 64
