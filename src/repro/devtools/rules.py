@@ -581,6 +581,44 @@ def _quoted_names(text: str) -> List[str]:
     return [node.id for node in ast.walk(expression) if isinstance(node, ast.Name)]
 
 
+# ---------------------------------------------------------------- exec-confined
+
+
+class ExecConfinedRule(Rule):
+    """Code is compiled at run time in one module only: ``storage/kernels.py``.
+
+    The scan kernels are written from integers and fixed error strings and
+    compiled there, and every value reaches them as an argument.  Anywhere
+    else, ``exec``, ``eval`` or the builtin ``compile`` (bare or as
+    ``builtins.<name>``) would run code built from whatever reached it — a
+    statement's text, a parameter, a row value — and a second run-time code
+    path would have to prove that of itself.  ``re.compile`` and other
+    methods named ``compile`` are not the builtin.
+    """
+
+    name = "exec-confined"
+    description = "exec / eval / builtin compile outside storage/kernels.py"
+
+    HOME = ("storage", "kernels.py")
+    BUILTINS = frozenset({"exec", "eval", "compile"})
+
+    def check(self, path: str, tree: ast.AST, source: str) -> List[Finding]:
+        if tuple(_path_parts(path)[-2:]) == self.HOME:
+            return []
+        findings: List[Finding] = []
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            chain = attribute_chain(node.func)
+            if chain[-1] in self.BUILTINS and chain[:-1] in ([], ["builtins"]):
+                findings.append(self.finding(
+                    path, node,
+                    f"{'.'.join(chain)}() outside storage/kernels.py: run-time "
+                    "code is compiled in one place, from integers and fixed "
+                    "strings, with every value passed as an argument"))
+        return findings
+
+
 PER_FILE_RULES = (
     SentinelIdentityRule,
     ExecutorConfinementRule,
@@ -589,9 +627,11 @@ PER_FILE_RULES = (
     NoSwallowedIOErrorRule,
     SingleFanoutRule,
     UnusedImportRule,
+    ExecConfinedRule,
 )
 
 __all__ = ["Rule", "attribute_chain", "SentinelIdentityRule",
            "ExecutorConfinementRule", "LockDisciplineRule",
            "NoSwallowedAbortRule", "NoSwallowedIOErrorRule",
-           "SingleFanoutRule", "UnusedImportRule", "PER_FILE_RULES"]
+           "SingleFanoutRule", "UnusedImportRule", "ExecConfinedRule",
+           "PER_FILE_RULES"]

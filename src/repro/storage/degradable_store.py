@@ -37,8 +37,8 @@ from ..devtools import invariants
 from .buffer import BufferPool
 from .crypto import KeyStore
 from .heap import HeapFile, RecordId
+from .kernels import Shape, compile_kernel
 from .serialization import (
-    decode_fields,
     decode_value,
     encode_value,
     fixed_prefix,
@@ -139,8 +139,10 @@ class TableStore:
         #: Bumped whenever a stored record is rewritten or erased, so a lazy
         #: reader can tell its decoded batch went stale (:meth:`_read_keys`).
         self._version = 0
-        #: Memoized per column-subset: which fields to decode vs. byte-skip.
-        self._decode_plans: Dict[Tuple, Any] = {}
+        #: Reader shape → its compiled kernel factory: code, no value.
+        self._kernels: Dict[Tuple, Callable[..., RunReader]] = {}
+        #: The :class:`StoredRow` readers, per (columns, level caps).
+        self._decode_plans: Dict[Tuple, RunReader] = {}
 
     # -- encoding helpers -----------------------------------------------------
 
@@ -170,15 +172,6 @@ class TableStore:
                     columns: Optional[frozenset] = None) -> StoredRow:
         """Decode a stand-alone record image (a log image, a fresh encode)."""
         return self._decode_plan(columns)(payload, ((0, len(payload)),))[0][0]
-
-    def _decrypt(self, row_key: int, column: str, level: int, blob: bytes) -> Any:
-        """The value a ciphertext field holds.  Fail safe: a destroyed key
-        means the value is, by design, unrecoverable — it reads suppressed."""
-        try:
-            return decode_value(self.keystore.decrypt(
-                (self.schema.name, row_key, column, level), blob), 0)[0]
-        except KeyDestroyedError:
-            return SUPPRESSED
 
     def _malformed(self, data: Any, start: int, end: int) -> StorageError:
         """Why ``data[start:end]`` does not begin with this table's record prefix."""
@@ -210,26 +203,6 @@ class TableStore:
                     head[2], dict(zip(names, values[1:])),
                     dict(zip(degradable, head[6::2])), head[4]))
         return plan
-
-    def _field_plan(self, slots: Dict[str, int]) -> Tuple[Tuple, bool]:
-        """The :func:`~repro.storage.serialization.decode_fields` schedule
-        that decodes the columns of ``slots`` into those positions: ``(slot,
-        0)`` per field to decode, ``(None, run length)`` per run of skipped
-        ones — collapsed, so a 2-of-20 projection pays one ``skip_values``
-        call per gap, and dropped after the last decoded column — and whether
-        that is the record's last field (its end is then verified)."""
-        entries: List[Tuple[Optional[int], int]] = []
-        for column in self.schema.columns:
-            if column.name in slots:
-                entries.append((slots[column.name], 0))
-            elif entries and entries[-1][0] is None:
-                entries[-1] = (None, entries[-1][1] + 1)
-            else:
-                entries.append((None, 1))
-        ends = bool(entries) and entries[-1][0] is not None
-        while entries and entries[-1][0] is None:
-            entries.pop()
-        return tuple(entries), ends
 
     def _log_page_allocation(self, page_id: int) -> None:
         """Make heap page ownership durable (see ``LogRecordType.PAGE_ALLOC``).
@@ -295,8 +268,8 @@ class TableStore:
     def row_reader(self, slots: Tuple[Tuple[str, int], ...], early: frozenset,
                    level_caps: Sequence[Tuple[str, int]] = (),
                    schemes: Optional[Dict[str, Tuple[Optional[int], Any]]] = None,
-                   predicate: Optional[Callable[[List[Any]], bool]] = None,
-                   make: Optional[Callable[[Tuple, List[Any]], Any]] = None
+                   predicate: Optional[Callable[[Tuple[Any, ...]], bool]] = None,
+                   make: Optional[Callable[[Tuple, Tuple[Any, ...]], Any]] = None
                    ) -> RunReader:
         """The record reader, one page run at a time: positional rows ``(row
         key, column, ...)``, ``slots`` naming each decoded column's position
@@ -312,81 +285,47 @@ class TableStore:
         the demanded level of ``schemes`` (``column → (demanded level,
         scheme)``) through a ``(stored level, value) → generalized`` memo
         that lives and dies with this reader; ``predicate`` sees the row so
-        far.  *Survivors* get the remaining columns: a second schedule over
-        the same bytes (late materialization).  A wrong field count or header
-        tag, a truncated field and trailing bytes raise :class:`StorageError`.
+        far.  *Survivors* get the remaining columns (late materialization).
+        A wrong field count or header tag, a truncated field and trailing
+        bytes raise :class:`StorageError`.
+
+        The reader is the kernel (:mod:`.kernels`) compiled for the shape of
+        these arguments, once per store; this call hands it the caps,
+        demanded levels, schemes, fresh memos, ``predicate`` and ``make``.
         """
-        plans = self._decode_plans.get((slots, early))
-        if plans is None:
-            plans = self._decode_plans[slots, early] = [
-                self._field_plan({name: slot for name, slot in slots
-                                  if (name in early) == first})
-                for first in (True, False)]
         crypto = self.strategy == "crypto"
-        #: early columns then the rest, each: schedule, whether it ends the
-        #: record, its columns to decrypt / generalize, the test that follows
-        phases = [(*plan, [], test) for plan, test in zip(plans, (predicate, None))]
-        for name, slot in slots:
-            demanded, scheme = (schemes or {}).get(name, (None, None))
-            if demanded is not None or (crypto and scheme is not None):
-                phases[name not in early][2].append(
-                    (slot, name, self._degradable.index(name), demanded, scheme, {}))
-        if not phases[1][0]:
-            del phases[1]
-        named_caps = [(self._degradable.index(name), cap) for name, cap in level_caps]
-        header, tags, count = self._header, self._header_tags, self._field_count
-        unpack, size = header.unpack_from, header.size
-        blank = [None] * (len(slots) + 1)
+        fixes = [(name, slot, demanded, scheme) for name, slot in slots
+                 for demanded, scheme in ((schemes or {}).get(name, (None, None)),)
+                 if demanded is not None or (crypto and scheme is not None)]
+        key = (slots, early, tuple(name for name, _cap in level_caps),
+               tuple((name, slot, demanded is not None)
+                     for name, slot, demanded, _scheme in fixes),
+               predicate is not None, make is not None)
+        factory = self._kernels.get(key)
+        if factory is None:
+            factory = self._kernels[key] = compile_kernel(self._shape(*key))
+        decrypt = self.keystore.decrypt if crypto else None
+        return factory(self._header.unpack_from, self._header_tags, self._malformed,
+                       [cap for _name, cap in level_caps],
+                       [(demanded, None if demanded is None else scheme.generalize, {},
+                         decrypt, self.schema.name, name)
+                        for name, _slot, demanded, scheme in fixes],
+                       predicate, make)
 
-        def fix(values: List[Any], levels: Tuple[int, ...], todo: List[Tuple]) -> None:
-            for slot, name, at, demanded, scheme, memo in todo:
-                value, stored = values[slot], levels[at]
-                if crypto and isinstance(value, bytes):
-                    value = self._decrypt(values[0], name, stored, value)
-                if demanded is not None and stored < demanded \
-                        and not is_missing(value):
-                    coarse = memo.get((stored, value), memo)
-                    if coarse is memo:
-                        coarse = memo[stored, value] = scheme.generalize(
-                            value, demanded, from_level=stored)
-                    value = coarse
-                values[slot] = value
-
-        def read(data: Any, spans: Sequence[Tuple[int, int]]):
-            rows, positions, drops = [], [], []
-            excluded = 0
-            for position, (start, end) in enumerate(spans):
-                body = start + size
-                if body > end:
-                    raise self._malformed(data, start, end)
-                head = unpack(data, start)
-                if head[0] != count or head[1::2] != tags:
-                    raise self._malformed(data, start, end)
-                levels = head[6::2]
-                for at, cap in named_caps:
-                    if levels[at] > cap:
-                        excluded += 1
-                        break
-                else:
-                    values = blank[:]
-                    values[0] = head[2]
-                    for fields, ends, todo, test in phases:
-                        if decode_fields(data, body, end, fields, values) != end \
-                                and ends:
-                            raise StorageError("trailing bytes after record payload")
-                        if todo:
-                            fix(values, levels, todo)
-                        if test is not None and not test(values):
-                            break
-                    else:
-                        drops.append(excluded)
-                        positions.append(position)
-                        rows.append(tuple(values) if make is None
-                                    else make(head, values))
-            return rows, positions, drops, excluded
-
-        read.caps = named_caps      # type: ignore[attr-defined]
-        return read
+    def _shape(self, slots: Tuple[Tuple[str, int], ...], early: frozenset,
+               capped: Tuple[str, ...], fixed: Tuple[Tuple[str, int, bool], ...],
+               test: bool, make: bool) -> Shape:
+        """The kernel shape of a :meth:`row_reader` call, in this table's
+        positions: its names go no further."""
+        position = self.schema.column_index
+        return Shape(
+            self._header.size, self._field_count, len(self.schema.columns) - 1,
+            tuple(tuple(sorted((position(name), slot) for name, slot in slots
+                               if (name in early) == first)) for first in (True, False)),
+            tuple(self._degradable_fields[name][0] for name in capped),
+            tuple((slot, self._degradable_fields[name][0], self.strategy == "crypto",
+                   generalize) for name, slot, generalize in fixed),
+            test, make)
 
     def scan(self, columns: Optional[frozenset] = None,
              level_caps: Iterable[Tuple[str, int]] = (),

@@ -210,7 +210,7 @@ class HeapFile:
         buffer, ((start, end),) = self.read_run(record_id.page_id, (record_id.slot,))
         return bytes(buffer[start:end])
 
-    def read_run(self, page_id: int, slots: Iterable[int]
+    def read_run(self, page_id: int, slots: Sequence[int]
                  ) -> Tuple[bytearray, List[Tuple[int, int]]]:
         """One buffer-pool lookup for a run of records on one page: the page
         buffer and each slot's ``(start, end)`` span (see

@@ -1,0 +1,286 @@
+"""Scan kernels: the record reader, compiled once per reader shape.
+
+A table's run reader (:meth:`~repro.storage.degradable_store.TableStore.row_reader`)
+does the same work for every record of a scan: check the fixed prefix, drop
+the row if a stored level is over its cap, hop over the fields nobody asked
+for, decode the others, decrypt and generalize some of them, run the pushed
+test, decode what the survivors still need.  What varies between scans is
+its **shape** (:class:`Shape`) — which positions each phase decodes into
+which slots, which levels are capped, which slots are decrypted or
+generalized, whether a test follows and whether a row builder is given.
+:func:`compile_kernel` writes that shape out as straight-line Python — one
+unrolled skip or decode per field, the tag dispatch, checks and
+:class:`StorageError` messages of :func:`~repro.storage.serialization.decode_value`
+and :func:`~repro.storage.serialization.skip_values`, the ``(stored level,
+value) → generalized`` memo and the key-store decrypt inline — and compiles
+it once.
+
+The source holds integers taken from the schema and the shape and the fixed
+error strings of :data:`MESSAGES`, nothing else: no table or column name, no
+parameter, no value.  Caps, demanded levels, schemes, memos, the test and
+the builder reach the compiled **factory** as arguments each time a reader
+is made, so a cache of factories holds code only.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable, Dict, List, NamedTuple, Tuple
+
+from ..core.errors import KeyDestroyedError, StorageError
+from ..core.values import NULL, REMOVED, SUPPRESSED
+from .serialization import (
+    _FLOAT_STRUCT,
+    _INT_STRUCT,
+    _LEN_STRUCT,
+    _TAG_BYTES,
+    _TAG_FLOAT,
+    _TAG_INT,
+    _TAG_NULL,
+    _TAG_SUPPRESSED,
+    _TAG_TEXT,
+    decode_value,
+)
+
+#: Every string a kernel's code holds: the messages it raises.
+MESSAGES = frozenset({
+    "truncated record: no type tag",
+    "truncated record: short length prefix",
+    "truncated record: short string payload",
+    "truncated record: short INT payload",
+    "truncated record: short FLOAT payload",
+    "truncated record: short payload",
+    "trailing bytes after record payload",
+})
+
+
+class Shape(NamedTuple):
+    """What a run reader's code depends on — integers and flags only."""
+
+    #: Bytes of the fixed record prefix: where the first value starts.
+    header: int
+    #: The field count every record of the table carries.
+    fields: int
+    #: Position of the record's last value.
+    last: int
+    #: Early phase, then late phase: ``(value position, slot)`` per decoded
+    #: column, in record order.  The late phase runs for rows the test kept.
+    phases: Tuple[Tuple[Tuple[int, int], ...], Tuple[Tuple[int, int], ...]]
+    #: Level position of each capped column, in the order of the caps.
+    caps: Tuple[int, ...]
+    #: ``(slot, level position, decrypt, generalize)`` per value to fix up
+    #: after its phase, in slot order.
+    fixes: Tuple[Tuple[int, int, bool, bool], ...]
+    #: Whether a test follows the early phase.
+    test: bool
+    #: Whether a row builder ``make(head, row)`` replaces the plain tuple.
+    make: bool
+
+
+def _unknown_tag(tag: int, offset: int) -> StorageError:
+    return StorageError(f"unknown type tag {tag} at offset {offset}")
+
+
+_GLOBALS: Dict[str, Any] = {
+    "StorageError": StorageError, "KeyDestroyedError": KeyDestroyedError,
+    "NULL": NULL, "SUPPRESSED": SUPPRESSED, "REMOVED": REMOVED,
+    "decode_value": decode_value, "unknown_tag": _unknown_tag,
+    "unpack_int": _INT_STRUCT.unpack_from, "unpack_float": _FLOAT_STRUCT.unpack_from,
+    "unpack_length": _LEN_STRUCT.unpack_from,
+}
+
+
+class _Source:
+    """Lines of Python at an indentation depth."""
+
+    def __init__(self) -> None:
+        self.lines: List[str] = []
+        self.depth = 0
+
+    def __call__(self, *lines: str) -> None:
+        self.lines.extend("    " * self.depth + line for line in lines)
+
+    def block(self, head: str) -> "_Source":
+        self(head)
+        self.depth += 1
+        return self
+
+    def __enter__(self) -> "_Source":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.depth -= 1
+
+
+def _raise(out: _Source, condition: str, message: str) -> None:
+    assert message in MESSAGES
+    with out.block(f"if {condition}:"):
+        out(f"raise StorageError({message!r})")
+
+
+def _skip(out: _Source, cursor: str) -> None:
+    """Hop over one field at ``cursor`` (one step of ``skip_values``: its
+    bound check waits for the end of the run)."""
+    _raise(out, f"{cursor} >= end", "truncated record: no type tag")
+    out(f"tag = data[{cursor}]")
+    with out.block(f"if tag == {_TAG_INT} or tag == {_TAG_FLOAT}:"):    # both 8 bytes
+        out(f"{cursor} += {1 + _INT_STRUCT.size}")
+    with out.block(f"elif tag == {_TAG_TEXT} or tag == {_TAG_BYTES}:"):
+        _raise(out, f"{cursor} + {1 + _LEN_STRUCT.size} > end",
+               "truncated record: short length prefix")
+        out(f"{cursor} += {1 + _LEN_STRUCT.size} + unpack_length(data, {cursor} + 1)[0]")
+    with out.block(f"elif tag > {_TAG_BYTES}:"):      # the highest tag
+        out(f"raise unknown_tag(tag, {cursor})")
+    with out.block("else:"):
+        out(f"{cursor} += 1")
+
+
+def _decode(out: _Source, cursor: str, slot: int) -> None:
+    """Decode the field at ``cursor`` into ``v<slot>``: INT, FLOAT, TEXT,
+    NULL and SUPPRESSED inline, the rest through ``decode_value``."""
+    value = f"v{slot}"
+    _raise(out, f"{cursor} >= end", "truncated record: no type tag")
+    out(f"tag = data[{cursor}]")
+    with out.block(f"if tag == {_TAG_TEXT}:"):
+        out(f"first = {cursor} + {1 + _LEN_STRUCT.size}")
+        _raise(out, "first > end", "truncated record: short length prefix")
+        out(f"{cursor} = first + unpack_length(data, {cursor} + 1)[0]")
+        _raise(out, f"{cursor} > end", "truncated record: short string payload")
+        out(f"{value} = data[first:{cursor}].decode()")
+    for tag, kind, size in ((_TAG_INT, "INT", _INT_STRUCT.size),
+                            (_TAG_FLOAT, "FLOAT", _FLOAT_STRUCT.size)):
+        with out.block(f"elif tag == {tag}:"):
+            out(f"{cursor} += {1 + size}")
+            _raise(out, f"{cursor} > end", f"truncated record: short {kind} payload")
+            out(f"{value} = unpack_{kind.lower()}(data, {cursor} - {size})[0]")
+    for tag, sentinel in ((_TAG_NULL, "NULL"), (_TAG_SUPPRESSED, "SUPPRESSED")):
+        with out.block(f"elif tag == {tag}:"):
+            out(f"{cursor} += 1", f"{value} = {sentinel}")
+    with out.block("else:"):
+        out(f"{value}, {cursor} = decode_value(data, {cursor}, end)")
+
+
+def _walk(out: _Source, start: int, stop: int, decoded: Dict[int, int],
+          saves: frozenset, last: int) -> None:
+    """Positions ``start`` up to ``stop`` from ``offset``: decode those of
+    ``decoded`` (position → slot), skip the others in runs checked at their
+    end, keep the offset of each of ``saves`` in ``o<position>``, and if
+    ``stop`` is the record's ``last`` position check that nothing trails it."""
+    run = False
+    for position in range(start, stop + 1):
+        if position in saves:
+            out(f"o{position} = offset")
+        if position in decoded:
+            if run:
+                _raise(out, "offset > end", "truncated record: short payload")
+                run = False
+            _decode(out, "offset", decoded[position])
+        else:
+            _skip(out, "offset")
+            run = True
+    if stop == last:
+        _raise(out, "offset != end", "trailing bytes after record payload")
+
+
+def _fix(out: _Source, index: int, slot: int, level_at: int,
+         decrypt: bool, generalize: bool) -> None:
+    """Decrypt a ciphertext (a destroyed key reads ``SUPPRESSED``), then
+    generalize a value stored more accurately than demanded, once per
+    distinct ``(stored level, value)``."""
+    value, memo = f"v{slot}", f"memo{index}"
+    out(f"level = head[{6 + 2 * level_at}]")
+    if decrypt:
+        with out.block(f"if isinstance({value}, bytes):"):
+            with out.block("try:"):
+                out(f"{value} = decode_value(decrypt{index}"
+                    f"((table{index}, key, column{index}, level), {value}), 0)[0]")
+            with out.block("except KeyDestroyedError:"):
+                out(f"{value} = SUPPRESSED")
+    if generalize:
+        present = " and ".join(f"{value} is not {sentinel}"
+                               for sentinel in ("NULL", "SUPPRESSED", "REMOVED", "None"))
+        with out.block(f"if level < demand{index} and {present}:"):
+            out(f"coarse = {memo}.get((level, {value}), {memo})")
+            with out.block(f"if coarse is {memo}:"):
+                out(f"coarse = {memo}[level, {value}] = "
+                    f"generalize{index}({value}, demand{index}, level)")
+            out(f"{value} = coarse")
+
+
+def _row(slots: List[int], decoded: Any) -> str:
+    """A row tuple: the key, then each slot's value if ``decoded`` has it."""
+    return "(key, " + "".join(f"v{slot}, " if slot in decoded else "None, "
+                              for slot in slots) + ")"
+
+
+def kernel_source(shape: Shape) -> str:
+    """The factory's Python source for ``shape``."""
+    early, late = (dict(phase) for phase in shape.phases)
+    slots = sorted((*early.values(), *late.values()))
+    reach = max(early, default=-1)
+    #: late positions the early walk passes: decoded later from a kept offset
+    kept = frozenset(position for position in late if position < reach)
+    out = _Source()
+
+    def fixes(phase: Dict[int, int]) -> None:
+        for index, (slot, *fix) in enumerate(shape.fixes):
+            if slot in phase.values():
+                _fix(out, index, slot, *fix)
+
+    with out.block("def factory(unpack, tags, malformed, caps, fixes, test, make):"):
+        if shape.caps:
+            out("".join(f"cap{at}, " for at in range(len(shape.caps))) + "= caps")
+        for index in range(len(shape.fixes)):
+            out(f"demand{index}, generalize{index}, memo{index}, decrypt{index}, "
+                f"table{index}, column{index} = fixes[{index}]")
+        with out.block("def read(data, spans):"):
+            out("rows, positions, drops = [], [], []",
+                "keep, place, drop = rows.append, positions.append, drops.append",
+                "excluded = 0")
+            with out.block("for position, (start, end) in enumerate(spans):"):
+                out(f"offset = start + {shape.header}")
+                with out.block("if offset > end:"):
+                    out("raise malformed(data, start, end)")
+                out("head = unpack(data, start)")
+                with out.block(f"if head[0] != {shape.fields} or head[1::2] != tags:"):
+                    out("raise malformed(data, start, end)")
+                if shape.caps:
+                    over = " or ".join(f"head[{6 + 2 * level_at}] > cap{at}"
+                                       for at, level_at in enumerate(shape.caps))
+                    with out.block(f"if {over}:"):
+                        out("excluded += 1", "continue")
+                out("key = head[2]")
+                _walk(out, 0, reach, early, kept, shape.last)
+                fixes(early)
+                if shape.test:
+                    out(f"row = {_row(slots, early.values())}")
+                    with out.block("if not test(row):"):
+                        out("continue")
+                for position in sorted(kept):
+                    _decode(out, f"o{position}", late[position])
+                if late and max(late) > reach:
+                    _walk(out, reach + 1, max(late), late, frozenset(), shape.last)
+                fixes(late)
+                if late or not shape.test:
+                    out(f"row = {_row(slots, slots)}")
+                out("drop(excluded)", "place(position)",
+                    "keep(make(head, row))" if shape.make else "keep(row)")
+            out("return rows, positions, drops, excluded")
+        out("read.caps = [" + "".join(f"({level_at}, cap{at}), " for at, level_at
+                                      in enumerate(shape.caps)) + "]")
+        out("return read")
+    return "\n".join(out.lines) + "\n"
+
+
+def compile_kernel(shape: Shape) -> Callable[..., Any]:
+    """Compile ``shape``'s kernel; returns its factory ``factory(unpack,
+    tags, malformed, caps, fixes, test, make)`` → run reader, where ``caps``
+    holds the cap of each level of ``shape.caps`` and ``fixes`` per fix
+    ``(demanded level, generalize, memo, decrypt, table, column)``.  The
+    reader's ``.caps`` are its ``(level position, cap)`` pairs."""
+    namespace = dict(_GLOBALS)
+    exec(compile(kernel_source(shape), "<scan kernel>", "exec"), namespace)
+    factory: Callable[..., Any] = namespace["factory"]
+    return factory
+
+
+__all__ = ["Shape", "MESSAGES", "kernel_source", "compile_kernel"]

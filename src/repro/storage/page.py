@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import heapq
 import struct
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.errors import PageFullError, RecordNotFoundError, StorageError
 
@@ -163,21 +163,30 @@ class SlottedPage:
         self._live += length
         return slot
 
-    def spans(self, slots: Iterable[int]) -> Tuple[bytearray, List[Tuple[int, int]]]:
+    def spans(self, slots: Sequence[int]) -> Tuple[bytearray, List[Tuple[int, int]]]:
         """The page buffer and the ``(start, end)`` byte span of each of ``slots``.
 
         The batch form of :meth:`read`: one header unpack for the whole run,
-        the slot directory read in place, no payload copied.  The buffer is
-        the live frame — decode from it before anything can mutate the page.
+        one unpack of the slot-directory span the run covers (its lowest to
+        its highest slot), no payload copied.  The buffer is the live frame —
+        decode from it before anything can mutate the page.
         """
         buffer = self._buffer
         slot_count = _HEADER.unpack_from(buffer, 0)[0]
-        unpack_slot = _SLOT.unpack_from
         spans: List[Tuple[int, int]] = []
+        if not slots:
+            return buffer, spans
+        low, high = min(slots), max(slots)
+        if low < 0:
+            low = 0
+        if high >= slot_count:
+            high = slot_count - 1
+        directory = [*_SLOT.iter_unpack(buffer[_HEADER.size + low * _SLOT.size:
+                                               _HEADER.size + (high + 1) * _SLOT.size])]
         for slot in slots:
             if not 0 <= slot < slot_count:
                 raise RecordNotFoundError(f"slot {slot} out of range")
-            offset, length = unpack_slot(buffer, _HEADER.size + slot * _SLOT.size)
+            offset, length = directory[slot - low]
             if offset == 0:
                 raise RecordNotFoundError(f"slot {slot} is deleted")
             spans.append((offset, offset + length))

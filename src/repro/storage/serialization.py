@@ -11,7 +11,7 @@ for residual plaintext.
 from __future__ import annotations
 
 import struct
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 from ..core.errors import StorageError
 from ..core.values import NULL, REMOVED, SUPPRESSED
@@ -177,52 +177,6 @@ def fixed_prefix(kinds: str) -> Tuple[struct.Struct, Tuple[int, ...]]:
             tuple(layout[kind][1] for kind in kinds))
 
 
-def decode_fields(data: bytes, offset: int, end: int,
-                  plan: Sequence[Tuple[Any, int]], into: Dict[Any, Any]) -> int:
-    """Decode the consecutive fields at ``data[offset:end]`` that ``plan`` asks for.
-
-    ``plan`` entries are ``(key, 0)`` — decode the next field into
-    ``into[key]`` — or ``(None, n)`` — hop over the next ``n`` fields with
-    :func:`skip_values`.  Returns the offset after the last planned field.
-    The common tags are dispatched inline (one loop, no call per value); the
-    rest take :func:`decode_value`.  Same checks and errors either way.
-    """
-    for key, run in plan:
-        if key is None:
-            offset = skip_values(data, offset, run, end)
-            continue
-        if offset >= end:
-            raise StorageError("truncated record: no type tag")
-        tag = data[offset]
-        if tag == _TAG_TEXT:
-            start = offset + 5
-            if start > end:
-                raise StorageError("truncated record: short length prefix")
-            offset = start + _LEN_STRUCT.unpack_from(data, offset + 1)[0]
-            if offset > end:
-                raise StorageError("truncated record: short string payload")
-            into[key] = data[start:offset].decode("utf-8")
-        elif tag == _TAG_INT:
-            offset += 9
-            if offset > end:
-                raise StorageError("truncated record: short INT payload")
-            into[key] = _INT_STRUCT.unpack_from(data, offset - 8)[0]
-        elif tag == _TAG_FLOAT:
-            offset += 9
-            if offset > end:
-                raise StorageError("truncated record: short FLOAT payload")
-            into[key] = _FLOAT_STRUCT.unpack_from(data, offset - 8)[0]
-        elif tag == _TAG_NULL:
-            offset += 1
-            into[key] = NULL
-        elif tag == _TAG_SUPPRESSED:
-            offset += 1
-            into[key] = SUPPRESSED
-        else:
-            into[key], offset = decode_value(data, offset, end)
-    return offset
-
-
 def encode_record(values: Sequence[Any]) -> bytes:
     """Encode a record (tuple of values) with a leading field count."""
     if len(values) > 0xFFFF:
@@ -246,5 +200,4 @@ def decode_record(data: bytes) -> Tuple[Any, ...]:
 
 
 __all__ = ["encode_value", "decode_value", "encode_record", "decode_record",
-           "skip_value", "skip_values", "record_field_count", "fixed_prefix",
-           "decode_fields"]
+           "skip_value", "skip_values", "record_field_count", "fixed_prefix"]

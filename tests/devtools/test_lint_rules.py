@@ -614,3 +614,40 @@ class TestUnusedImport:
             MESSAGE = "SUPPRESSED rows are kept"
         """)
         assert len(run_rule(tmp_path, "unused-import")) == 1
+
+
+class TestExecConfined:
+    def test_exec_eval_and_builtin_compile_flagged(self, tmp_path):
+        write(tmp_path, "query/mod.py", """\
+            import builtins
+
+            def f(source, namespace):
+                exec(compile(source, "<x>", "exec"), namespace)
+                return eval("1 + 1") + builtins.eval("2")
+        """)
+        findings = run_rule(tmp_path, "exec-confined")
+        assert sorted((f.line, f.message.split("(")[0]) for f in findings) == [
+            (4, "compile"), (4, "exec"), (5, "builtins.eval"), (5, "eval")]
+        assert all("storage/kernels.py" in f.message for f in findings)
+
+    def test_the_kernel_module_is_exempt(self, tmp_path):
+        write(tmp_path, "storage/kernels.py", """\
+            def compile_kernel(source, namespace):
+                exec(compile(source, "<scan kernel>", "exec"), namespace)
+        """)
+        assert run_rule(tmp_path, "exec-confined") == []
+
+    def test_other_compiles_and_a_kernels_module_elsewhere(self, tmp_path):
+        write(tmp_path, "query/mod.py", """\
+            import re
+
+            def f(self, text):
+                self.compile(text)
+                return re.compile(text), self.planner.eval(text)
+        """)
+        assert run_rule(tmp_path, "exec-confined") == []
+        write(tmp_path, "query/kernels.py", """\
+            def f(source):
+                exec(source)
+        """)
+        assert len(run_rule(tmp_path, "exec-confined")) == 1

@@ -6,8 +6,9 @@ some of them accurate values a degradation wave is about to remove — and all
 of them live in generator frames that die when the result is exhausted or
 closed.  After that, and again after a wave, no operator reachable from
 ``Executor.last_pipeline``, no cached plan template and no ``CompiledSelect``
-closure holds a row value (``docs/invariants.md``: "derived state holds
-current values only", "the plan cache holds templates only").
+closure and no store's kernel cache holds a row value (``docs/invariants.md``:
+"derived state holds current values only", "the plan cache holds templates
+only", "a kernel cache holds code only").
 """
 
 import functools
@@ -96,11 +97,14 @@ def held_values(roots, values):
 
 
 def plan_state(db):
-    """The operator tree of the last execution and every cached template with
-    its compiled closures."""
+    """The operator tree of the last execution, every cached template with
+    its compiled closures, and every store's kernel cache (reader shape →
+    compiled factory) and cached row readers."""
     roots = [db.executor.last_pipeline]
     for prepared in db.statements._entries.values():
         roots.extend(prepared._plans.values())
+    for store in db.stores.values():
+        roots.extend((store._kernels, store._decode_plans))
     return roots
 
 
@@ -132,6 +136,7 @@ def run_all(db, values):
 def test_an_exhausted_result_leaves_no_row_value_behind(db):
     values = row_values(db)
     run_all(db, values)
+    assert all(store._kernels for store in db.stores.values())
     db.advance_time(hours=2)            # a wave: every location leaves level 0
     assert db.level_histogram("visits", "location") == {1: 300}
     run_all(db, values)

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import PageFullError, RecordNotFoundError, StorageError
 from repro.storage.page import SlottedPage
@@ -340,3 +342,44 @@ def test_update_many_against_sequential_update(seed, page_size):
         batched.check()
         sequential.check()
     assert refused                 # the case that matters was exercised
+
+
+def per_slot_spans(page, slots):
+    """The slot-at-a-time directory read ``spans`` replaced, as the reference."""
+    slot_count = page.slot_count
+    spans = []
+    for slot in slots:
+        if not 0 <= slot < slot_count:
+            raise RecordNotFoundError(f"slot {slot} out of range")
+        offset, length = page._get_slot(slot)
+        if offset == 0:
+            raise RecordNotFoundError(f"slot {slot} is deleted")
+        spans.append((offset, offset + length))
+    return spans
+
+
+def outcome(read, page, slots):
+    try:
+        return read(page, slots)
+    except RecordNotFoundError as error:
+        return str(error)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_spans_match_the_per_slot_directory_read(data):
+    """One unpack of the directory span a run covers answers as one unpack
+    per slot did: the same spans, and the same error for the same first
+    out-of-range or deleted slot, whatever the order of the run."""
+    page = SlottedPage(page_size=512)
+    count = data.draw(st.integers(0, 20))
+    for index in range(count):
+        page.insert(bytes([index + 1]) * data.draw(st.integers(1, 12)))
+    for slot in data.draw(st.sets(st.integers(0, max(count - 2, 0)))):
+        if page.is_live(slot) and slot < page.slot_count - 1:
+            page.delete(slot)
+    slots = data.draw(st.lists(st.integers(-2, count + 2), max_size=12))
+    expected = outcome(per_slot_spans, page, slots)
+    assert outcome(lambda p, s: p.spans(s)[1], page, slots) == expected
+    live = [slot for slot in range(page.slot_count) if page.is_live(slot)]
+    assert page.spans(live)[1] == per_slot_spans(page, live)

@@ -4,17 +4,23 @@
   non-recoverability strategies and every column subset, the reader returns
   what the generic ``decode_record`` plus the per-value reference loop below
   returns, sentinels by identity, in place at any offset of a larger buffer;
+  and over random reader shapes (slot order, early/late split, level caps,
+  demanded levels, a test) what that decode plus ``generalize`` returns;
 * level-first exclusion — a row over its cap is dropped on the header alone;
-* corruption — a damaged prefix or payload raises ``StorageError`` (never a
-  silent misread), a destroyed key reads ``SUPPRESSED``;
+* corruption — a damaged prefix or payload raises ``StorageError`` with the
+  codec's own message (never a silent misread), a destroyed key reads
+  ``SUPPRESSED``;
+* the kernel cache — compiled code holding integers, ``None`` and fixed
+  error strings only;
 * laziness — a half-consumed scan interleaved with deletes and relocating
   degradation steps sees each row key at most once and never an image more
   accurate than what the store holds when the row is handed out.
 """
 
 import itertools
+import re
 import struct
-from types import SimpleNamespace
+from types import CodeType, SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -24,10 +30,11 @@ import repro
 from repro.core.domains import build_location_tree, build_salary_ranges
 from repro.core.errors import KeyDestroyedError, StorageError
 from repro.core.schema import Column, TableSchema
-from repro.core.values import NULL, REMOVED, SUPPRESSED
+from repro.core.values import NULL, REMOVED, SUPPRESSED, is_missing
 from repro.storage.buffer import BufferPool
 from repro.storage.degradable_store import TableStore
 from repro.storage.heap import RecordId
+from repro.storage.kernels import MESSAGES
 from repro.storage.pager import MemoryPager
 from repro.storage.serialization import decode_record, decode_value
 from repro.storage.wal import WriteAheadLog
@@ -72,17 +79,20 @@ def reference_decode(store: TableStore, payload: bytes):
     return row_key, inserted_at, levels, values
 
 
+def assert_value(got, want) -> None:
+    if want is None or want is NULL or want is SUPPRESSED or want is REMOVED:
+        assert got is want
+    else:
+        assert type(got) is type(want) and got == want
+
+
 def assert_same(row, expected, columns) -> None:
     row_key, inserted_at, levels, values = expected
     assert (row.row_key, row.inserted_at, row.levels) == (row_key, inserted_at, levels)
     wanted = NAMES if columns is None else [n for n in NAMES if n in columns]
     assert list(row.values) == wanted
     for name in wanted:
-        got, want = row.values[name], values[name]
-        if want is NULL or want is SUPPRESSED or want is REMOVED:
-            assert got is want, name
-        else:
-            assert type(got) is type(want) and got == want, name
+        assert_value(row.values[name], values[name])
 
 
 stable = {
@@ -102,6 +112,25 @@ records = st.fixed_dictionaries({
 })
 
 
+SCHEMES = {"location": LOCATION, "salary": SALARY}
+
+
+@st.composite
+def leveled_records(draw):
+    """``_encode_row`` arguments of a row whose degradable values are
+    expressed at their stored levels (or missing), so they generalize."""
+    levels = {name: draw(st.integers(0, 4)) for name in DEGRADABLE}
+    accurate = {"location": draw(st.sampled_from(LOCATION.leaves())),
+                "salary": draw(st.integers(0, 10**6))}
+    values = {name: draw(strategy) for name, strategy in stable.items()}
+    for name in DEGRADABLE:
+        values[name] = draw(st.one_of(
+            st.just(SCHEMES[name].generalize(accurate[name], levels[name])),
+            st.sampled_from([NULL, REMOVED])))
+    return (draw(st.integers(1, 2**40)), draw(st.floats(0, 1e12)), levels,
+            {name: values[name] for name in NAMES})
+
+
 class TestEquivalence:
     @pytest.mark.parametrize("strategy", ["rewrite", "crypto"])
     @given(record=records, pad=st.integers(0, 9))
@@ -119,6 +148,75 @@ class TestEquivalence:
             in_place = store._decode_plan(columns)(
                 framed, ((pad, pad + len(payload)),))[0][0]
             assert_same(in_place, expected, columns)
+
+    @pytest.mark.parametrize("strategy", ["rewrite", "crypto"])
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_every_reader_shape_matches_decode_record_and_generalize(
+            self, strategy, data):
+        """A run of records at random levels, read under a random shape:
+        columns in any slot order, any early/late split, any level caps,
+        any demanded levels, with or without a test.  Each row must be
+        what ``decode_record`` (and a decrypt) gives, generalized with the
+        scheme to its demanded level; the test must see the early columns
+        so far and ``None`` in each late slot; rows, positions, drops and
+        the excluded count must be those of the reference."""
+        store = make_store(strategy)
+        payloads = [store._encode_row(*data.draw(leveled_records())) for _ in
+                    range(data.draw(st.integers(1, 4)))]
+        pad = data.draw(st.integers(0, 5))
+        frame, spans = bytearray(), []
+        for payload in payloads:
+            frame += b"\xaa" * pad
+            spans.append((len(frame), len(frame) + len(payload)))
+            frame += payload
+        columns = data.draw(st.permutations(NAMES))[:data.draw(st.integers(0, len(NAMES)))]
+        slots = tuple((name, slot) for slot, name in enumerate(columns, 1))
+        early = frozenset(data.draw(st.sets(st.sampled_from(NAMES))))
+        caps = tuple((name, data.draw(st.integers(0, 4))) for name in DEGRADABLE
+                     if data.draw(st.booleans()))
+        demanded = {name: data.draw(st.one_of(st.none(), st.integers(0, 4)))
+                    for name in DEGRADABLE if name in columns}
+        schemes = {name: (level, SCHEMES[name]) for name, level in demanded.items()}
+        verdicts = data.draw(st.one_of(st.none(), st.lists(
+            st.booleans(), min_size=len(payloads), max_size=len(payloads))))
+        seen = []
+
+        def test(row):
+            seen.append(row)
+            return verdicts[len(seen) - 1]
+
+        reader = store.row_reader(slots, early, caps, schemes,
+                                  None if verdicts is None else test)
+        rows, positions, drops, excluded = reader(frame, spans)
+
+        want_rows, want_positions, want_drops, want_seen = [], [], [], []
+        dropped = 0
+        for position, payload in enumerate(payloads):
+            row_key, _inserted_at, levels, values = reference_decode(store, payload)
+            if any(levels[name] > cap for name, cap in caps):
+                dropped += 1
+                continue
+            for name, level in demanded.items():
+                value = values[name]
+                if level is not None and levels[name] < level and not is_missing(value):
+                    values[name] = SCHEMES[name].generalize(value, level,
+                                                            from_level=levels[name])
+            row = (row_key, *(values[name] for name in columns))
+            if verdicts is not None:
+                want_seen.append((row_key, *(values[name] if name in early else None
+                                             for name in columns)))
+                if not verdicts[len(want_seen) - 1]:
+                    continue
+            want_rows.append(row)
+            want_positions.append(position)
+            want_drops.append(dropped)
+        assert (positions, drops, excluded) == (want_positions, want_drops, dropped)
+        assert len(rows) == len(want_rows) and len(seen) == len(want_seen)
+        for got, want in zip([*rows, *seen], [*want_rows, *want_seen]):
+            assert len(got) == len(want)
+            for got_value, want_value in zip(got, want):
+                assert_value(got_value, want_value)
 
     @pytest.mark.parametrize("strategy", ["rewrite", "crypto"])
     def test_read_scan_and_fetch_agree_with_the_log_image(self, strategy):
@@ -232,6 +330,30 @@ class TestCorruption:
         store = make_store()
         assert store._decode_row(good_payload(store)).values["name"] == "alice"
 
+    #: case → the message of a full decode, and of a decode that reads the
+    #: last column only (every field before it byte-skipped, as
+    #: ``skip_values`` does: a run's payload bound is checked at its end).
+    MESSAGES = {
+        "wrong field count": ("table 'person': malformed record with 3 fields "
+                              "(expected 10)",) * 2,
+        "wrong row-key tag": ("table 'person': malformed record header (row key, "
+                              "insertion time and levels must be INT, FLOAT, INT...)",) * 2,
+        "wrong level tag": ("table 'person': malformed record header (row key, "
+                            "insertion time and levels must be INT, FLOAT, INT...)",) * 2,
+        "truncated header": ("truncated record: short header",) * 2,
+        "missing field count": ("truncated record: missing field count",) * 2,
+        "short TEXT payload": ("truncated record: short string payload",
+                               "truncated record: no type tag"),
+        "short TEXT length": ("truncated record: short length prefix",) * 2,
+        "short FLOAT payload": ("truncated record: short FLOAT payload",
+                                "truncated record: no type tag"),
+        "short INT payload": ("truncated record: short INT payload",
+                              "truncated record: short payload"),
+        "missing tag": ("truncated record: no type tag",) * 2,
+        "unknown tag": ("unknown type tag 99 at offset {at}",) * 2,
+        "trailing bytes": ("trailing bytes after record payload",) * 2,
+    }
+
     @pytest.mark.parametrize("case", [
         "wrong field count", "wrong row-key tag", "wrong level tag",
         "truncated header", "missing field count", "short TEXT payload",
@@ -240,8 +362,13 @@ class TestCorruption:
     def test_damaged_record_raises_storage_error(self, case):
         store = make_store()
         bad = self.corruptions(store)[case]
-        with pytest.raises(StorageError):
+        full, skipped = (re.escape(message).replace(r"\{at\}", "{at}")
+                         for message in self.MESSAGES[case])
+        at = value_offset(store, good_payload(store), "score")
+        with pytest.raises(StorageError, match=f"^{full.format(at=at)}$"):
             store._decode_row(bad)
+        with pytest.raises(StorageError, match=f"^{skipped.format(at=at)}$"):
+            store._decode_row(bad, frozenset({"active"}))
         # The same bytes inside a page: the record's own end bounds the
         # decode, not the end of the 4 KiB frame around it.  The damage is
         # planted in the page under the heap, as a bad disk would.
@@ -251,9 +378,11 @@ class TestCorruption:
         store._locations[99] = RecordId(
             page_id, store.buffer_pool.get_page(page_id).insert(bad))
         assert store.page_of(99) == store.page_of(filler)
-        with pytest.raises(StorageError):
+        start = store.heap.read_run(page_id, (store._locations[99].slot,))[1][0][0]
+        in_page = f"^{full.format(at=start + at)}$"
+        with pytest.raises(StorageError, match=in_page):
             store.read(99)
-        with pytest.raises(StorageError):
+        with pytest.raises(StorageError, match=in_page):
             list(store.scan())
 
     def test_pruned_decode_stops_before_a_damaged_tail(self):
@@ -264,6 +393,42 @@ class TestCorruption:
         assert store._decode_row(bad, frozenset({"name"})).values == {"name": "alice"}
         with pytest.raises(StorageError):
             store._decode_row(bad)
+
+
+def constants(code):
+    """Every constant of ``code`` and of the code objects nested in it."""
+    for const in code.co_consts:
+        if isinstance(const, CodeType):
+            yield from constants(const)
+        else:
+            yield const
+
+
+class TestKernelCache:
+    @pytest.mark.parametrize("strategy", ["rewrite", "crypto"])
+    def test_cached_kernels_hold_code_only(self, strategy):
+        """The per-store cache maps reader shapes to compiled factories whose
+        code holds integers, ``None`` and the fixed error strings — never a
+        table or column name, a parameter or a value — and that close over
+        nothing."""
+        store = make_store(strategy)
+        keys = fill(store, 60)
+        store.degrade_many([(keys[:20], "salary", SALARY, 1)], now=1.0)
+        for columns in SUBSETS:
+            assert all(row.row_key in keys for row in store.scan(columns, [("salary", 1)]))
+            names = NAMES if columns is None else [n for n in NAMES if n in columns]
+            slots = tuple((name, slot) for slot, name in enumerate(names, 1))
+            schemes = {name: (2, SCHEMES[name]) for name in DEGRADABLE if name in names}
+            for early in (frozenset(names), frozenset(names[-1:])):
+                reader = store.row_reader(slots, early, (("location", 3), ("salary", 2)),
+                                          schemes, lambda row: row[0] % 2 == 0)
+                rows = list(store._read_keys(store.row_keys(), reader))
+                assert [row[0] for row in rows] == [key for key in keys if key % 2 == 0]
+        assert len(store._kernels) > 2 * len(SUBSETS)
+        for factory in store._kernels.values():
+            assert factory.__closure__ is None and factory.__defaults__ is None
+            for const in constants(factory.__code__):
+                assert const is None or type(const) is int or const in MESSAGES, const
 
 
 def fill(store: TableStore, count: int):
