@@ -85,7 +85,7 @@ def main() -> None:
     slot = page.insert(addresses[0].encode())
     page.delete(slot)
     wal = WriteAheadLog()
-    wal.append(LogRecordType.INSERT, 1, table="person", row_key=1,
+    wal.append(LogRecordType.UPDATE, 1, table="person", row_key=1,
                after=addresses[0].encode())
     leaks = []
     if addresses[0].encode() in page.raw():

@@ -19,7 +19,9 @@ a per ``(row, column, level)`` key that a degradation step destroys.
 from __future__ import annotations
 
 import struct
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, islice
 from types import SimpleNamespace
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -37,15 +39,15 @@ from ..devtools import invariants
 from .buffer import BufferPool
 from .crypto import KeyStore
 from .heap import HeapFile, RecordId
-from .kernels import Shape, compile_kernel
+from .kernels import Shape, WaveShape, compile_kernel, compile_wave_kernel
 from .serialization import (
+    _INT_STRUCT,
     decode_value,
     encode_value,
     fixed_prefix,
     record_field_count,
-    skip_values,
 )
-from .wal import LogRecordType, WriteAheadLog, encode_degrade_chunk
+from .wal import LogRecordType, WriteAheadLog, encode_degrade_chunk, encode_insert_run
 
 #: Strategies for making degradation non-recoverable.
 STRATEGIES = ("rewrite", "crypto")
@@ -77,10 +79,6 @@ class DegradeChunk:
     scheme: GeneralizationScheme = field(repr=False)
     #: ``(old value, new value)`` → keys of the rows that made that move.
     transitions: Dict[Tuple[Any, Any], List[int]] = field(default_factory=dict)
-    #: Encoded old field → ``(encoded new field, new value, that transition's
-    #: row keys)``: ``generalize`` is pure, each distinct value pays it once.
-    memo: Dict[bytes, Tuple[bytes, Any, List[int]]] = field(
-        default_factory=dict, repr=False, compare=False)
 
     def row_keys(self) -> List[int]:
         return [row_key for moved in self.transitions.values() for row_key in moved]
@@ -232,22 +230,28 @@ class TableStore:
 
         Every row is coerced and encoded before any is placed, so a bad row
         inserts none; the pages fill through one :meth:`HeapFile.insert_many`
-        (placement as one-by-one inserts); each row keeps an ``INSERT`` image
-        of its own, so each stays individually scrubbable."""
+        (placement as one-by-one inserts); each page filled gets one
+        ``INSERT_RUN`` record of its new records, each one a sub-image of its
+        own that stays individually scrubbable."""
         first, table = self._next_row_key, self.schema.name
         values = [self.schema.coerce_row(row) for row in rows]
         zero = [0] * len(self._degradable)
         payloads = [self._encode_values(first + offset, now, zero, row)
                     for offset, row in enumerate(values)]
-        self._locations.update(zip(range(first, first + len(payloads)),
-                                   self.heap.insert_many(payloads)))
+        record_ids = self.heap.insert_many(payloads)
+        keys = range(first, first + len(payloads))
+        self._locations.update(zip(keys, record_ids))
         self._next_row_key = first + len(payloads)
-        stored = []
-        for row_key, payload, row in zip(range(first, self._next_row_key), payloads, values):
-            self.wal.append(LogRecordType.INSERT, txn_id, table=table,
-                            row_key=row_key, after=payload, timestamp=now)
-            stored.append(StoredRow(row_key, self.schema.row_dict(row),
-                                    dict(zip(self._degradable, zero)), float(now)))
+        runs: Dict[int, List[bytes]] = {}
+        for record_id, payload in zip(record_ids, payloads):
+            runs.setdefault(record_id.page_id, []).append(payload)
+        for run in runs.values():       # keyed by its highest row key, its last
+            self.wal.append(LogRecordType.INSERT_RUN, txn_id, table=table, timestamp=now,
+                            row_key=self._header.unpack_from(run[-1])[2],
+                            after=encode_insert_run(run))
+        stored = [StoredRow(row_key, self.schema.row_dict(row),
+                            dict(zip(self._degradable, zero)), float(now))
+                  for row_key, row in zip(keys, values)]
         self.stats.inserts += len(stored)
         return stored
 
@@ -499,159 +503,151 @@ class TableStore:
         a cohort's each — the only degradation routine; returns its chunks,
         handed to ``on_chunk`` once the pages are rewritten, before any I/O.
 
-        Per page one :meth:`HeapFile.read_run`, one new image per row with a
-        step to take (:meth:`_degraded_record`), one :meth:`HeapFile.update_many`;
-        one ``DEGRADE`` record per chunk (column, level, row keys, never a
-        value).  The rewritten pages reach stable storage (one sync) *before*
-        the rows' accurate log images are scrubbed, in one pass (under crypto
-        the logged ciphertext's key is destroyed here).  A row already at its
-        target is in no chunk; if the log still holds an image of it, an
-        earlier attempt died between page flush and scrub: flush, then scrub.
+        Per page, the rows taking the same steps cost one :meth:`HeapFile.read_run`
+        and one call of the wave kernel of that step shape (:meth:`_splicer`).
+        Every page is spliced before the first is written — a wave that
+        raises has changed nothing — then each gets one :meth:`HeapFile.update_many`,
+        each chunk one ``DEGRADE`` record (column, level, row keys, never a
+        value).  The pages reach stable storage (one sync) *before* the rows'
+        accurate log images are scrubbed in one pass (under crypto the old
+        levels' keys are destroyed).  A row already at its target is in no
+        chunk; if the log still holds an image of it, an earlier attempt died
+        between page flush and scrub: flush, then scrub.
         """
-        pages: Dict[int, Dict[int, Tuple[int, list]]] = {}
-        for row_keys, column, scheme, to_level in items:
+        table, locations = self.schema.name, self._locations
+        steps: List[Tuple[Tuple[int, int], GeneralizationScheme, int]] = []
+        #: row key → the indexes of the steps it takes, in order
+        taken: Dict[int, Tuple[int, ...]] = {}
+        for index, (row_keys, column, scheme, to_level) in enumerate(items):
             place = self._degradable_fields.get(column.lower())
             if place is None:
-                raise PolicyError(
-                    f"table {self.schema.name!r}: column {column!r} is not degradable")
-            step = (place, scheme, to_level)
+                raise PolicyError(f"table {table!r}: column {column!r} is not degradable")
+            steps.append((place, scheme, to_level))
             for row_key in row_keys:
-                record_id = self._location(row_key)
-                pages.setdefault(record_id.page_id, {}).setdefault(
-                    record_id.slot, (row_key, []))[1].append(step)
-        chunks: Dict[Tuple, DegradeChunk] = {}
+                taken[row_key] = taken.get(row_key, ()) + (index,)
+        #: page → step indexes → ``(slot, row key)`` of the rows taking them
+        pages: Dict[int, Dict[Tuple[int, ...], List[Tuple[int, int]]]] = defaultdict(
+            lambda: defaultdict(list))
+        for row_key, shape in taken.items():
+            record_id = locations.get(row_key) or self._location(row_key)
+            pages[record_id.page_id][shape].append((record_id.slot, row_key))
+        chunks: List[DegradeChunk] = []
+        lanes: Dict[Tuple, Dict[int, Tuple[dict, DegradeChunk]]] = {}
+        splicers: Dict[Tuple[int, ...], Callable] = {}
+        doomed: List[Tuple] = []                  # crypto keys of the old levels
         rewrite = self.strategy == "rewrite"
+        spliced: Dict[int, List[Tuple[int, bytes]]] = defaultdict(list)   # page → new images
         dirty_pages: List[int] = []
         settled: List[Tuple[str, int]] = []       # scrub keys: rows at their target
         for page_id in sorted(pages):
-            rows = pages[page_id]
-            slots = sorted(rows)
-            data, spans = self.heap.read_run(page_id, slots)
-            rewrites: List[Tuple[int, bytes]] = []
-            for slot, (start, end) in zip(slots, spans):
-                row_key, steps = rows[slot]
-                payload = self._degraded_record(data, start, end, steps, chunks)
-                if payload is not None:
-                    rewrites.append((slot, payload))
-                elif not (rewrite and self.wal.records_for(self.schema.name, row_key)):
-                    continue
-                settled.append((self.schema.name, row_key))
+            had = len(settled)
+            for shape, members in pages[page_id].items():
+                splice = splicers.get(shape)
+                if splice is None:
+                    splice = splicers[shape] = self._splicer(
+                        [steps[index] for index in shape], chunks, lanes, doomed)
+                members.sort()
+                images = splice(*self.heap.read_run(page_id, [slot for slot, _key in members]))
+                for (slot, row_key), image in zip(members, images):
+                    if image is not None:
+                        spliced[page_id].append((slot, image))
+                    elif not (rewrite and self.wal.records_for(table, row_key)):
+                        continue
+                    settled.append((table, row_key))
+            if len(settled) > had:
                 dirty_pages.append(page_id)
-            if rewrites:
-                self._version += 1
-                moved = self.heap.update_many(page_id, rewrites)
-                for slot, record_id in moved.items():
-                    self._locations[rows[slot][0]] = record_id
-                    self._vacated_pages.add(page_id)
-                    dirty_pages.append(record_id.page_id)
-                self.stats.relocations += len(moved)
-        for chunk in chunks.values():
+        for page_id, rewrites in spliced.items():
+            rewrites.sort()
+            self._version += 1
+            moved = self.heap.update_many(page_id, rewrites)
+            for slot, record_id in moved.items():
+                locations[self._header.unpack_from(dict(rewrites)[slot])[2]] = record_id
+                self._vacated_pages.add(page_id)
+                dirty_pages.append(record_id.page_id)
+            self.stats.relocations += len(moved)
+        for key_id in doomed:
+            self.keystore.destroy_key(key_id)
+        for chunk in chunks:
+            self.stats.degrade_steps += sum(map(len, chunk.transitions.values()))
             if on_chunk is not None:
                 on_chunk(chunk)
             for payload in encode_degrade_chunk(chunk.to_level, chunk.row_keys()):
-                self.wal.append(
-                    LogRecordType.DEGRADE, txn_id, table=self.schema.name,
-                    attribute=chunk.column, after=payload, timestamp=now)
+                self.wal.append(LogRecordType.DEGRADE, txn_id, table=table,
+                                attribute=chunk.column, after=payload, timestamp=now)
         if dirty_pages:
             self._flush_pages(dirty_pages)
         if settled and rewrite:
             self.wal.scrub_records(settled, now=now)
-        return list(chunks.values())
+        return chunks
 
-    def _degraded_record(self, data: Any, start: int, end: int,
-                         steps: Sequence[Tuple[Tuple[int, int], GeneralizationScheme, int]],
-                         chunks: Dict[Tuple, DegradeChunk]) -> Optional[bytes]:
-        """The record at ``data[start:end]`` after ``steps`` — ``((level
-        position, value position), scheme, to_level)`` each — or ``None`` when
-        the row already is at every target.
-
-        *Levels first*: one unpack of the fixed prefix decides which steps
-        apply.  Only their fields are then located (:func:`skip_values` over
-        what lies between) and replaced (:meth:`_degraded_field`); the new
-        record is the old one with those fields spliced in and the levels
-        patched in the prefix — byte for byte what :meth:`_encode_row` makes
-        of the degraded row, with no other value decoded or encoded.
-        """
-        fused = self._header
-        if start + fused.size > end:
-            raise self._malformed(data, start, end)
-        header = fused.unpack_from(data, start)
-        if header[0] != self._field_count or header[1::2] != self._header_tags:
-            raise self._malformed(data, start, end)
-        levels = list(header[6::2])
-        #: value position → the chunks its field passes through, in order
-        fields: Dict[int, List[DegradeChunk]] = {}
-        for (level_at, value_at), scheme, to_level in steps:
-            from_level = levels[level_at]
-            if to_level < from_level:
-                raise PolicyError("degradation is irreversible: cannot decrease the level")
-            if to_level == from_level:
-                continue
-            key = (value_at, from_level, to_level, scheme)
-            chunk = chunks.get(key)
-            if chunk is None:
-                chunk = chunks[key] = DegradeChunk(
-                    self._degradable[level_at], from_level, to_level, scheme)
-            fields.setdefault(value_at, []).append(chunk)
-            levels[level_at] = to_level
-            self.stats.degrade_steps += 1
-        if not fields:
-            return None
-        prefix = list(header)
-        prefix[6::2] = levels
-        pieces: List[Any] = [fused.pack(*prefix)]
-        cursor = start + fused.size
-        passed = 0
-        for value_at in sorted(fields):
-            first = skip_values(data, cursor, value_at - passed, end)
-            last = skip_values(data, first, 1, end)
-            image = bytes(data[first:last])
-            for chunk in fields[value_at]:
-                image = self._degraded_field(chunk, header[2], image)
-            pieces += (data[cursor:first], image)
-            cursor, passed = last, value_at + 1
-        pieces.append(data[cursor:end])
-        return b"".join(pieces)
-
-    def _degraded_field(self, chunk: DegradeChunk, row_key: int, image: bytes) -> bytes:
-        """``image`` — one encoded value of ``chunk.column`` at the chunk's
-        old level — degraded to its new one; ``row_key`` is entered under the
-        value transition it makes.
-
-        Missing and already-suppressed values carry no information to
-        degrade: only the stored level advances.  Under the crypto strategy
-        the field is ciphertext under the row's key of the old level: it is
-        decrypted first, the result encrypted under a fresh key of the new
-        level, and every key of a more accurate level destroyed — the
-        accurate and intermediate ciphertexts become unreadable everywhere.
-        """
+    def _splicer(self, steps: List[Tuple[Tuple[int, int], GeneralizationScheme, int]],
+                 chunks: List[DegradeChunk], lanes: Dict[Tuple, Dict[int, Tuple]],
+                 doomed: List[Tuple]) -> Callable:
+        """The wave kernel (:mod:`.kernels`) for rows taking ``steps`` —
+        ``((level position, value position), scheme, to_level)`` each —
+        compiled once per store and step shape, bound to this wave: its
+        ``chunks`` as they open, its doomed crypto keys and its **lanes**.
+        A lane is one ``(place, to_level, scheme)`` step, whatever shape
+        takes it: from level → ``(memo, chunk)``, the memo mapping an encoded
+        old field to ``(encoded new field, new value, that transition's row
+        keys)`` — ``generalize`` is pure, each distinct value pays it once."""
         crypto = self.strategy == "crypto"
-        if crypto:
-            key_id = (self.schema.name, row_key, chunk.column)
-            blob = decode_value(image)[0]
-            if isinstance(blob, bytes):
-                try:
-                    image = self.keystore.decrypt((*key_id, chunk.from_level), blob)
-                except KeyDestroyedError:
-                    image = encode_value(SUPPRESSED)    # fail safe, as in reads
-        entry = chunk.memo.get(image)
-        if entry is None:
-            old_value = decode_value(image)[0]
-            new_value = old_value if is_missing(old_value) else \
-                chunk.scheme.generalize(old_value, chunk.to_level,
-                                        from_level=chunk.from_level)
-            entry = chunk.memo[image] = (
-                encode_value(new_value), new_value,
-                chunk.transitions.setdefault((old_value, new_value), []))
-        image, new_value, row_keys = entry
-        row_keys.append(row_key)
-        if crypto:
-            if not is_missing(new_value):
-                image = encode_value(
-                    self.keystore.encrypt((*key_id, chunk.to_level), image))
-            for level in range(chunk.from_level, chunk.to_level):
-                self.keystore.destroy_key((*key_id, level))
-        return image
+        targets = tuple(place for place, _scheme, _to_level in steps)
+        factory = self._kernels.get(("wave", targets))
+        if factory is None:
+            header = self._header.size    # each level is a tag and 8 bytes, at its end
+            factory = self._kernels["wave", targets] = compile_wave_kernel(WaveShape(
+                header, self._field_count,
+                tuple(range(header - 9 * len(self._degradable) + 1, header, 9)), targets, crypto))
+        bound = [(to_level, lane, partial(self._open_chunk, chunks, lane,
+                                          self._degradable[place[0]], to_level, scheme))
+                 for place, scheme, to_level in steps
+                 for lane in (lanes.setdefault((place, to_level, scheme), {}),)]
+        top = max(to_level for _place, _scheme, to_level in steps)
+        return factory(self._header.unpack_from, self._header_tags, self._malformed,
+                       [_INT_STRUCT.pack(level) for level in range(top + 1)], bound,
+                       self._generalize, partial(self._rekey, doomed) if crypto else None)
+
+    @staticmethod
+    def _open_chunk(chunks: List[DegradeChunk], lane: Dict[int, Tuple], column: str,
+                    to_level: int, scheme: GeneralizationScheme, from_level: int) -> Tuple:
+        chunks.append(DegradeChunk(column, from_level, to_level, scheme))
+        entry = lane[from_level] = ({}, chunks[-1])
+        return entry
+
+    @staticmethod
+    def _generalize(entry: Tuple[dict, DegradeChunk], image: bytes) -> Tuple:
+        """A memo miss: ``image`` degraded by ``entry``'s chunk.  Missing and
+        already-suppressed values carry no information to degrade: only the
+        stored level advances."""
+        memo, chunk = entry
+        old_value = decode_value(image)[0]
+        new_value = old_value if is_missing(old_value) else chunk.scheme.generalize(
+            old_value, chunk.to_level, from_level=chunk.from_level)
+        hit = memo[image] = (encode_value(new_value), new_value,
+                             chunk.transitions.setdefault((old_value, new_value), []))
+        return hit
+
+    def _rekey(self, doomed: List[Tuple], entry: Tuple[dict, DegradeChunk], row_key: int,
+               image: bytes) -> bytes:
+        """A crypto field through ``entry``'s chunk: decrypted under the
+        row's key of the old level (a destroyed key reads as suppressed, as
+        in reads), generalized, encrypted under a fresh key of the new
+        level; the keys of every level it passed are doomed."""
+        chunk = entry[1]
+        key_id = (self.schema.name, row_key, chunk.column)
+        blob = decode_value(image)[0]
+        if isinstance(blob, bytes):
+            try:
+                image = self.keystore.decrypt((*key_id, chunk.from_level), blob)
+            except KeyDestroyedError:
+                image = encode_value(SUPPRESSED)
+        hit = entry[0].get(image) or self._generalize(entry, image)
+        hit[2].append(row_key)
+        doomed.extend((*key_id, level) for level in range(chunk.from_level, chunk.to_level))
+        if is_missing(hit[1]):
+            return hit[0]
+        return encode_value(self.keystore.encrypt((*key_id, chunk.to_level), hit[0]))
 
     def remove(self, row_key: int, now: float, txn_id: int = 0,
                scrub_log: bool = True) -> None:
@@ -761,18 +757,21 @@ class TableStore:
         """Raw bytes of the heap pages and the log (forensic scanning input)."""
         return self.heap.raw_image() + self.wal.raw_image()
 
-    def restore_row(self, payload: bytes) -> int:
-        """Write a logged row image (an INSERT/UPDATE record's) back into the
-        store — in place, or at a fresh location for a missing row (recovery
-        redo/undo).  Returns the row key."""
-        row = self._decode_row(payload)
-        if row.row_key in self._locations:
-            self._rewrite(row.row_key, payload)
-        else:
-            record_id = self.heap.insert(payload)
-            self._locations[row.row_key] = record_id
-        self._next_row_key = max(self._next_row_key, row.row_key + 1)
-        return row.row_key
+    def restore_rows(self, payloads: Sequence[bytes]) -> List[int]:
+        """Write logged row images (an ``INSERT_RUN``'s sub-images, an
+        ``UPDATE``'s) back into the store (recovery redo/undo): a row the
+        table holds in place, the missing ones with one heap batch.  Returns
+        their row keys."""
+        keys = [self._decode_row(payload, frozenset()).row_key for payload in payloads]
+        missing: Dict[int, bytes] = {}
+        for key, payload in zip(keys, payloads):
+            if key in self._locations:
+                self._rewrite(key, payload)
+            else:
+                missing[key] = payload
+        self._locations.update(zip(missing, self.heap.insert_many(list(missing.values()))))
+        self._next_row_key = max(self._next_row_key, *(key + 1 for key in keys))
+        return keys
 
     def reserve_row_keys_after(self, row_key: int) -> None:
         """Never hand out a key at or below ``row_key`` — recovery's highest

@@ -1,4 +1,5 @@
-"""Scan kernels: the record reader, compiled once per reader shape.
+"""Record kernels: the scan reader and the wave splicer, each compiled once
+per shape.
 
 A table's run reader (:meth:`~repro.storage.degradable_store.TableStore.row_reader`)
 does the same work for every record of a scan: check the fixed prefix, drop
@@ -9,24 +10,36 @@ its **shape** (:class:`Shape`) — which positions each phase decodes into
 which slots, which levels are capped, which slots are decrypted or
 generalized, whether a test follows and whether a row builder is given.
 :func:`compile_kernel` writes that shape out as straight-line Python — one
-unrolled skip or decode per field, the tag dispatch, checks and
+unrolled skip or decode per field, with the tag dispatch, checks and
 :class:`StorageError` messages of :func:`~repro.storage.serialization.decode_value`
-and :func:`~repro.storage.serialization.skip_values`, the ``(stored level,
-value) → generalized`` memo and the key-store decrypt inline — and compiles
-it once.
+(a skipped run of fields is bound-checked once, at its end), the ``(stored
+level, value) → generalized`` memo and the key-store decrypt inline — and
+compiles it once.
+
+A degradation wave (:meth:`~repro.storage.degradable_store.TableStore.degrade_many`)
+splices records the same way: its **wave shape** (:class:`WaveShape`) is the
+table's prefix and the ``(level position, value position)`` target of each
+step a row takes, in order, and the strategy.  :func:`compile_wave_kernel`
+writes one splicer per wave shape: check the prefix, compare each stored
+level with its step's target (an irreversible step raises, a row already
+there takes none), hop to each target field unrolled, look its chunk and its
+``image → (new image, new value, row keys)`` memo up inline, and glue the
+record back together with the level ints patched as fixed 8-byte pieces —
+byte for byte what encoding the degraded row would make.
 
 The source holds integers taken from the schema and the shape and the fixed
-error strings of :data:`MESSAGES`, nothing else: no table or column name, no
-parameter, no value.  Caps, demanded levels, schemes, memos, the test and
-the builder reach the compiled **factory** as arguments each time a reader
-is made, so a cache of factories holds code only.
+strings of :data:`MESSAGES`, nothing else: no table or column name, no
+parameter, no value.  Caps, demanded levels, schemes, memos, the test, the
+builder and a wave's targets and chunks reach the compiled **factory** as
+arguments each time a reader or splicer is made, so a cache of factories
+holds code only.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, NamedTuple, Tuple
 
-from ..core.errors import KeyDestroyedError, StorageError
+from ..core.errors import KeyDestroyedError, PolicyError, StorageError
 from ..core.values import NULL, REMOVED, SUPPRESSED
 from .serialization import (
     _FLOAT_STRUCT,
@@ -41,8 +54,12 @@ from .serialization import (
     decode_value,
 )
 
+#: The message a wave kernel raises for a step below the stored level.
+IRREVERSIBLE = "degradation is irreversible: cannot decrease the level"
+
 #: Every string a kernel's code holds: the messages it raises.
 MESSAGES = frozenset({
+    IRREVERSIBLE,
     "truncated record: no type tag",
     "truncated record: short length prefix",
     "truncated record: short string payload",
@@ -82,8 +99,9 @@ def _unknown_tag(tag: int, offset: int) -> StorageError:
 
 _GLOBALS: Dict[str, Any] = {
     "StorageError": StorageError, "KeyDestroyedError": KeyDestroyedError,
+    "PolicyError": PolicyError,
     "NULL": NULL, "SUPPRESSED": SUPPRESSED, "REMOVED": REMOVED,
-    "decode_value": decode_value, "unknown_tag": _unknown_tag,
+    "decode_value": decode_value, "unknown_tag": _unknown_tag, "join": b"".join,
     "unpack_int": _INT_STRUCT.unpack_from, "unpack_float": _FLOAT_STRUCT.unpack_from,
     "unpack_length": _LEN_STRUCT.unpack_from,
 }
@@ -111,15 +129,16 @@ class _Source:
         self.depth -= 1
 
 
-def _raise(out: _Source, condition: str, message: str) -> None:
+def _raise(out: _Source, condition: str, message: str, error: str = "StorageError") -> None:
     assert message in MESSAGES
     with out.block(f"if {condition}:"):
-        out(f"raise StorageError({message!r})")
+        out(f"raise {error}({message!r})")
 
 
 def _skip(out: _Source, cursor: str) -> None:
-    """Hop over one field at ``cursor`` (one step of ``skip_values``: its
-    bound check waits for the end of the run)."""
+    """Hop over one field at ``cursor`` without decoding it: fixed-width
+    payloads by size, strings and bytes by their length prefix; the payload
+    bound check waits for the end of the run of skipped fields."""
     _raise(out, f"{cursor} >= end", "truncated record: no type tag")
     out(f"tag = data[{cursor}]")
     with out.block(f"if tag == {_TAG_INT} or tag == {_TAG_FLOAT}:"):    # both 8 bytes
@@ -277,10 +296,113 @@ def compile_kernel(shape: Shape) -> Callable[..., Any]:
     holds the cap of each level of ``shape.caps`` and ``fixes`` per fix
     ``(demanded level, generalize, memo, decrypt, table, column)``.  The
     reader's ``.caps`` are its ``(level position, cap)`` pairs."""
+    return _compile(kernel_source(shape), "<scan kernel>")
+
+
+class WaveShape(NamedTuple):
+    """What a wave splicer's code depends on — integers and flags only."""
+
+    #: Bytes of the fixed record prefix: where the first value starts.
+    header: int
+    #: The field count every record of the table carries.
+    fields: int
+    #: Per level position, the offset in the record of that level's 8-byte int.
+    levels: Tuple[int, ...]
+    #: ``(level position, value position)`` of each step a row takes, in order.
+    targets: Tuple[Tuple[int, int], ...]
+    #: Whether the values are ciphertexts (the crypto strategy).
+    crypto: bool
+
+
+def wave_kernel_source(shape: WaveShape) -> str:
+    """The splicer factory's Python source for ``shape``."""
+    out = _Source()
+    steps = range(len(shape.targets))
+    positions = sorted({level_at for level_at, _value_at in shape.targets})
+    #: value position → the steps that go through its field, in order
+    fields: Dict[int, List[int]] = {}
+    for step, (_level_at, value_at) in enumerate(shape.targets):
+        fields.setdefault(value_at, []).append(step)
+    with out.block("def factory(unpack, tags, malformed, pieces, steps, generalize, rekey):"):
+        for step in steps:
+            out(f"to{step}, lane{step}, open{step} = steps[{step}]")
+        with out.block("def splice(data, spans):"):
+            # One copy of the page: every slice below is then a hashable field.
+            out("data = bytes(data)", "out = []", "put = out.append")
+            with out.block("for start, end in spans:"):
+                out(f"offset = start + {shape.header}")
+                with out.block("if offset > end:"):
+                    out("raise malformed(data, start, end)")
+                out("head = unpack(data, start)")
+                with out.block(f"if head[0] != {shape.fields} or head[1::2] != tags:"):
+                    out("raise malformed(data, start, end)")
+                for level_at in positions:
+                    out(f"a{level_at} = head[{6 + 2 * level_at}]")
+                for step, (level_at, _value_at) in enumerate(shape.targets):
+                    level = f"a{level_at}"
+                    out(f"c{step} = None")
+                    with out.block(f"if to{step} != {level}:"):
+                        _raise(out, f"to{step} < {level}", IRREVERSIBLE, "PolicyError")
+                        out(f"c{step} = lane{step}.get({level})")
+                        with out.block(f"if c{step} is None:"):
+                            out(f"c{step} = open{step}({level})")
+                        out(f"{level} = to{step}")
+                with out.block("if " + " and ".join(f"c{step} is None" for step in steps) + ":"):
+                    out("put(None)", "continue")
+                out("key = head[2]")
+                passed = 0
+                for value_at in sorted(fields):
+                    for _gap in range(value_at - passed):
+                        _skip(out, "offset")
+                    _raise(out, "offset > end", "truncated record: short payload")
+                    out(f"f{value_at} = offset")
+                    _skip(out, "offset")
+                    _raise(out, "offset > end", "truncated record: short payload")
+                    out(f"g{value_at} = offset", f"v{value_at} = data[f{value_at}:offset]")
+                    for step in fields[value_at]:
+                        with out.block(f"if c{step} is not None:"):
+                            if shape.crypto:
+                                out(f"v{value_at} = rekey(c{step}, key, v{value_at})")
+                                continue
+                            out(f"hit = c{step}[0].get(v{value_at})")
+                            with out.block("if hit is None:"):
+                                out(f"hit = generalize(c{step}, v{value_at})")
+                            out("hit[2].append(key)", f"v{value_at} = hit[0]")
+                    passed = value_at + 1
+                pieces, cursor = [], "start"
+                for level_at in positions:
+                    at = shape.levels[level_at]
+                    pieces += (f"data[{cursor}:start + {at}]", f"pieces[a{level_at}]")
+                    cursor = f"start + {at + 8}"
+                for value_at in sorted(fields):
+                    pieces += (f"data[{cursor}:f{value_at}]", f"v{value_at}")
+                    cursor = f"g{value_at}"
+                pieces.append(f"data[{cursor}:end]")
+                out("put(join((" + ", ".join(pieces) + ")))")
+            out("return out")
+        out("return splice")
+    return "\n".join(out.lines) + "\n"
+
+
+def compile_wave_kernel(shape: WaveShape) -> Callable[..., Any]:
+    """Compile ``shape``'s splicer; returns its factory ``factory(unpack,
+    tags, malformed, pieces, steps, generalize, rekey)`` → ``splice(data,
+    spans)``, which returns per record its new image, or ``None`` when the
+    row already is at every target.  ``pieces[level]`` is a level's 8-byte
+    int; ``steps`` holds per step ``(to level, lane, open)``: the lane maps
+    a from level to its chunk's ``(memo, chunk)`` and ``open(from level)``
+    makes that entry on a miss.  A memo miss calls ``generalize(entry,
+    image)`` → ``(new image, new value, row keys)``; under crypto every
+    field goes through ``rekey(entry, row key, image)`` → new image."""
+    return _compile(wave_kernel_source(shape), "<wave kernel>")
+
+
+def _compile(source: str, name: str) -> Callable[..., Any]:
     namespace = dict(_GLOBALS)
-    exec(compile(kernel_source(shape), "<scan kernel>", "exec"), namespace)
+    exec(compile(source, name, "exec"), namespace)
     factory: Callable[..., Any] = namespace["factory"]
     return factory
 
 
-__all__ = ["Shape", "MESSAGES", "kernel_source", "compile_kernel"]
+__all__ = ["Shape", "WaveShape", "MESSAGES", "kernel_source", "compile_kernel",
+           "wave_kernel_source", "compile_wave_kernel"]

@@ -11,6 +11,7 @@ for residual plaintext.
 from __future__ import annotations
 
 import struct
+from itertools import repeat
 from typing import Any, Optional, Sequence, Tuple
 
 from ..core.errors import StorageError
@@ -116,43 +117,6 @@ def decode_value(data: bytes, offset: int = 0,
     raise StorageError(f"unknown type tag {tag} at offset {offset - 1}")
 
 
-def skip_values(data: bytes, offset: int, count: int,
-                end: Optional[int] = None) -> int:
-    """Advance past ``count`` encoded values without materializing them.
-
-    The column-pruned read path uses this to hop over a *run* of fields a
-    query does not touch in one call: fixed-width payloads are skipped by
-    size, strings/bytes by their length prefix, so no Python object (and no
-    UTF-8 decode) is ever built for an unreferenced column.  ``end`` bounds
-    the record inside a larger buffer, as in :func:`decode_value`.
-    """
-    size = len(data) if end is None else end
-    unpack_length = _LEN_STRUCT.unpack_from
-    for _ in range(count):
-        if offset >= size:
-            raise StorageError("truncated record: no type tag")
-        tag = data[offset]
-        offset += 1
-        if tag == _TAG_TEXT or tag == _TAG_BYTES:
-            length_end = offset + 4
-            if length_end > size:
-                raise StorageError("truncated record: short length prefix")
-            offset = length_end + unpack_length(data, offset)[0]
-        elif tag == _TAG_INT or tag == _TAG_FLOAT:
-            offset += 8
-        elif tag not in (_TAG_NULL, _TAG_SUPPRESSED, _TAG_REMOVED,
-                         _TAG_BOOL_TRUE, _TAG_BOOL_FALSE):
-            raise StorageError(f"unknown type tag {tag} at offset {offset - 1}")
-    if offset > size:
-        raise StorageError("truncated record: short payload")
-    return offset
-
-
-def skip_value(data: bytes, offset: int = 0) -> int:
-    """Advance past one encoded value without materializing it."""
-    return skip_values(data, offset, 1)
-
-
 def record_field_count(data: bytes, offset: int = 0,
                        end: Optional[int] = None) -> Tuple[int, int]:
     """Field count of the encoded record at ``offset`` plus the offset of its
@@ -184,6 +148,15 @@ def encode_record(values: Sequence[Any]) -> bytes:
     return _COUNT_STRUCT.pack(len(values)) + b"".join(map(encode_value, values))
 
 
+def encode_ints(values: Sequence[int]) -> bytes:
+    """:func:`encode_record` of a record of ``int`` values, byte for byte,
+    with no Python-level call per field."""
+    if len(values) > 0xFFFF:
+        raise StorageError("records with more than 65535 fields are not supported")
+    return _COUNT_STRUCT.pack(len(values)) + b"".join(
+        map(_INT_FIELD.pack, repeat(_TAG_INT, len(values)), values))
+
+
 def decode_record(data: bytes) -> Tuple[Any, ...]:
     """Decode a record previously produced by :func:`encode_record`."""
     if len(data) < _COUNT_STRUCT.size:
@@ -199,5 +172,5 @@ def decode_record(data: bytes) -> Tuple[Any, ...]:
     return tuple(values)
 
 
-__all__ = ["encode_value", "decode_value", "encode_record", "decode_record",
-           "skip_value", "skip_values", "record_field_count", "fixed_prefix"]
+__all__ = ["encode_value", "decode_value", "encode_record", "encode_ints", "decode_record",
+           "record_field_count", "fixed_prefix"]

@@ -9,11 +9,15 @@ This WAL therefore supports, besides the classic append/flush/replay protocol:
   wave chunk names a column, a target accuracy level and the rows that reached
   it; degradation is deterministic and irreversible, so recovery never needs
   to undo it;
+* ``INSERT_RUN`` records — one per heap page an insert batch filled, the
+  page's new records back to back, each with its own length and CRC (a
+  *sub-image*), so one row's image can go while its neighbours stay;
 * :meth:`WriteAheadLog.scrub_record` / :meth:`WriteAheadLog.scrub_records` —
-  destroy every row image of the given rows **in place**: a key → LSN side
-  table finds the records, one mark byte per record flags it scrubbed and
-  its image bytes are overwritten with zeroes where they lie.  Nothing else
-  in the log moves or is rewritten, so a wave costs O(images it destroys);
+  destroy every row image of the given rows **in place**: a key → (LSN,
+  sub-image) side table finds them, one mark byte per record flags it
+  (partly) scrubbed and the image bytes are overwritten with zeroes where
+  they lie.  Nothing else in the log moves or is rewritten, so a wave costs
+  O(images it destroys);
 * :meth:`WriteAheadLog.truncate_until` — drop the prefix made obsolete by a
   checkpoint by unlinking whole segment files.
 
@@ -39,7 +43,8 @@ import errno
 import os
 import struct
 from array import array
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 from zlib import crc32
@@ -51,15 +56,16 @@ from ..core.errors import (
     WALError,
 )
 from ..faults import FaultPlan
-from .serialization import decode_record, encode_record
+from .serialization import decode_record, encode_ints, encode_record, fixed_prefix
 
 #: Version of the on-disk format, stored in every segment header.  Version 1
 #: was the single-file, unchecksummed ``wal.log``; version 2 had per-row
 #: ``DEGRADE`` and per-step ``SCHED_STEP`` payloads and a ``SEGMENT_DEGRADE``
 #: type whose code ``PAGE_ALLOC`` has now; version 3 had one ``SCHED_REGISTER``
 #: per row, per-step ``SCHED_DEFER`` entries and per-record schedule
-#: snapshots.  There is no reader for any of them.
-WAL_FORMAT_VERSION = 4
+#: snapshots; version 4 had one ``INSERT`` record per row and a reserved
+#: ``DELETE`` code.  There is no reader for any of them.
+WAL_FORMAT_VERSION = 5
 
 #: A segment is rolled when the next record would grow it past this many
 #: bytes.  A record larger than the cap gets a segment of its own.
@@ -81,9 +87,19 @@ _MARK_OFFSET = 8
 _CRC = struct.Struct("<I")
 #: Image length standing for "no image" (``None``), as opposed to ``b""``.
 _NO_IMAGE = 0xFFFFFFFF
-#: The two valid scrub marks: a single flipped bit turns neither into the other.
+#: Length field of an INSERT_RUN sub-image.
+_SUB_LENGTH = struct.Struct("<I")
+#: A sub-image's record prefix: field count, then the row key as an INT
+#: field (its tag must be ``_KEY_TAGS``).
+_KEY_PREFIX, _KEY_TAGS = fixed_prefix("i")
+#: Side-table offset of an image that is the whole record's, not a sub-image.
+_WHOLE = -1
+#: The valid scrub marks: a single flipped bit turns none into another.
+#: ``_PARTIAL`` marks an ``INSERT_RUN`` some of whose sub-images are zeroed:
+#: its record CRC no longer holds, each sub-image's own CRC does.
 _LIVE = 0x00
 _SCRUBBED = 0xA5
+_PARTIAL = 0x5A
 
 
 class LogRecordType(Enum):
@@ -95,9 +111,21 @@ class LogRecordType(Enum):
     BEGIN = "BEGIN"
     COMMIT = "COMMIT"
     ABORT = "ABORT"
-    INSERT = "INSERT"
+    # The rows an insert batch placed on one heap page: ``after`` holds their
+    # records back to back, each as ``length · image · image CRC`` (see
+    # :func:`encode_insert_run`); ``row_key`` is the run's highest key.  It
+    # took the slot of the per-row ``INSERT``, which format version 5 retired.
+    INSERT_RUN = "INSERT_RUN"
     UPDATE = "UPDATE"
-    DELETE = "DELETE"
+    # Catalog snapshot: the full DDL state (domains, policies, tables,
+    # purposes, indexes) serialized into the ``after`` payload, appended on
+    # DDL commit and folded into every checkpoint so ``recover()`` reopens
+    # without re-running DDL.  Like the SCHED_* records it carries names,
+    # structure and selector keys — never degradable attribute values — so
+    # it is scrub-exempt by construction.  (It took the slot of the reserved
+    # ``DELETE`` — never appended, retired in format version 5 — as the
+    # last member.)
+    CATALOG = "CATALOG"
     # One chunk of a degradation wave: every listed row of ``table`` had
     # ``attribute`` advanced to the same accuracy level.  The payload carries
     # the target level and the row keys (``row_key`` is unused) — never an
@@ -129,18 +157,12 @@ class LogRecordType(Enum):
     # that are absent from the reopened catalog *and* carry this marker;
     # an absent table without one is still a hard configuration error.
     TABLE_DROP = "TABLE_DROP"
-    # Catalog snapshot: the full DDL state (domains, policies, tables,
-    # purposes, indexes) serialized into the ``after``
-    # payload, appended on DDL commit and folded into every checkpoint so
-    # ``recover()`` reopens without re-running DDL.  Like the SCHED_* records
-    # it carries names, structure and selector keys — never degradable
-    # attribute values — so it is scrub-exempt by construction.
-    CATALOG = "CATALOG"
 
 
 _TYPES: Tuple[LogRecordType, ...] = tuple(LogRecordType)
 _TYPE_CODES: Dict[LogRecordType, int] = {
     record_type: code for code, record_type in enumerate(_TYPES)}
+_RUN_CODE = _TYPE_CODES[LogRecordType.INSERT_RUN]
 
 #: Record types whose before/after images hold row payloads: when a row
 #: degrades past an accuracy level, these are the records whose images
@@ -150,9 +172,8 @@ _TYPE_CODES: Dict[LogRecordType, int] = {
 #: ``_SCRUB_EXEMPT`` — enforced by the *wal-exhaustive* reprolint rule; see
 #: the new-record-type checklist in docs/invariants.md.
 _SCRUB_TARGETS = frozenset({
-    LogRecordType.INSERT,
+    LogRecordType.INSERT_RUN,
     LogRecordType.UPDATE,
-    LogRecordType.DELETE,
     LogRecordType.REMOVE,
 })
 
@@ -179,12 +200,15 @@ _SCRUB_EXEMPT = frozenset({
 })
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LogRecord:
     """One log entry.
 
     ``before`` and ``after`` are opaque byte images (encoded records).  For
-    ``DEGRADE`` records ``before`` is always ``None`` by construction.
+    ``DEGRADE`` records ``before`` is always ``None`` by construction.  An
+    ``INSERT_RUN``'s ``after`` is a ``bytearray``: a scrub zeroes one row's
+    sub-image in it where it lies, and sets it to ``None`` once the last
+    live one is gone (as it sets both images of any other record).
     """
 
     lsn: int
@@ -202,7 +226,7 @@ class LogRecord:
         table = self.table.encode("utf-8")
         attribute = self.attribute.encode("utf-8")
         before, after = self.before, self.after
-        images = (before or b"") + (after or b"")
+        images = bytes(before or b"") + (after or b"")
         head = _HEAD.pack(
             _HEAD.size - 4 + len(table) + len(attribute) + len(images) + 4,
             0, _LIVE, _TYPE_CODES[self.record_type], self.lsn, self.txn_id,
@@ -251,15 +275,19 @@ def _parse_record(data: bytes, offset: int, limit: int
         raise LogCorruptionError(f"unknown log record type code {code}")
     table_end = offset + _HEAD.size + table_len
     before = after = None
-    if mark == _LIVE:
-        if crc32(data[names_end:end - 4]) != \
+    run = code == _RUN_CODE
+    if mark == _LIVE or (mark == _PARTIAL and run):
+        if mark == _LIVE and crc32(data[names_end:end - 4]) != \
                 _CRC.unpack_from(data, end - 4)[0]:
             raise LogCorruptionError(
                 f"log record image CRC mismatch (lsn {lsn})")
         if before_len != _NO_IMAGE:
             before = bytes(data[names_end:names_end + before_len])
         if after_len != _NO_IMAGE:
-            after = bytes(data[end - 4 - after_len:end - 4])
+            after = data[end - 4 - after_len:end - 4]
+            after = bytearray(after) if run else bytes(after)
+            if run and not any(live for *_place, live in _sub_images(after)):
+                after = None
     elif mark != _SCRUBBED:
         raise LogCorruptionError(f"invalid scrub mark {mark:#x} (lsn {lsn})")
     record = LogRecord(
@@ -288,8 +316,7 @@ def encode_degrade_chunk(to_level: int, row_keys: Sequence[int]) -> Iterator[byt
     """DEGRADE payloads — target level, then row keys — for one wave chunk,
     its key list cut under the codec's field cap."""
     for start in range(0, len(row_keys), DEGRADE_RECORD_KEYS):
-        yield encode_record(
-            [int(to_level), *row_keys[start:start + DEGRADE_RECORD_KEYS]])
+        yield encode_ints([int(to_level), *row_keys[start:start + DEGRADE_RECORD_KEYS]])
 
 
 def decode_degrade_chunk(payload: bytes) -> Tuple[int, List[int]]:
@@ -298,6 +325,63 @@ def decode_degrade_chunk(payload: bytes) -> Tuple[int, List[int]]:
     if not flat:
         raise WALError("malformed DEGRADE payload: no target level")
     return int(flat[0]), [int(row_key) for row_key in flat[1:]]
+
+
+def encode_insert_run(images: Sequence[bytes]) -> bytearray:
+    """The INSERT_RUN payload of one page's new records: each as ``length ·
+    image · CRC-32 of the image``, back to back (a ``bytearray`` of exactly
+    that size, written in place: the log holds it until a checkpoint)."""
+    run = bytearray(sum(map(len, images)) + 8 * len(images))
+    offset = 0
+    for image in images:
+        end = offset + 4 + len(image)
+        _SUB_LENGTH.pack_into(run, offset, end - offset - 4)
+        run[offset + 4:end] = image
+        _CRC.pack_into(run, end, crc32(image))
+        offset = end + 4
+    return run
+
+
+def _sub_images(run: Any) -> Iterator[Tuple[int, int, Optional[int], bool]]:
+    """``(offset, length, row key, live)`` of each sub-image of an
+    INSERT_RUN payload; the row key is its record's first field (``None``
+    if that is no INT).
+
+    A sub-image is live when its CRC matches, gone when its image and CRC
+    are all zero (a scrub zeroes both and keeps the length); anything else
+    is a scrub a crash interrupted, and counts as gone too.  Framing that
+    does not add up raises :class:`LogCorruptionError`."""
+    offset, size = 0, len(run)
+    while offset < size:
+        if offset + 4 > size:
+            raise LogCorruptionError("INSERT_RUN payload ends inside a sub-image length")
+        length = _SUB_LENGTH.unpack_from(run, offset)[0]
+        offset += 4
+        if offset + length + 4 > size:
+            raise LogCorruptionError("INSERT_RUN sub-image runs past its record")
+        row_key = None
+        if length >= _KEY_PREFIX.size:
+            _count, tag, key = _KEY_PREFIX.unpack_from(run, offset)
+            row_key = key if (tag,) == _KEY_TAGS else None
+        yield offset, length, row_key, \
+            crc32(run[offset:offset + length]) == _CRC.unpack_from(run, offset + length)[0]
+        offset += length + 4
+
+
+def _live_sub_images(run: Any) -> Iterator[Tuple[int, int, int]]:
+    """``(offset, length, row key)`` of each live sub-image of ``run``."""
+    for offset, length, row_key, live in _sub_images(run):
+        if live:
+            if row_key is None:
+                raise LogCorruptionError("INSERT_RUN sub-image without a row key")
+            yield offset, length, row_key
+
+
+def run_images(record: LogRecord) -> List[Tuple[int, bytes]]:
+    """``(row key, image)`` of each live sub-image of an INSERT_RUN record."""
+    run = record.after
+    return [(row_key, bytes(run[offset:offset + length]))
+            for offset, length, row_key in _live_sub_images(run or b"")]
 
 
 def _encode_groups(groups: Mapping[Tuple[Any, ...], Sequence[int]],
@@ -428,12 +512,17 @@ def decode_page_directory(payload: bytes) -> Dict[str, List[int]]:
 @dataclass
 class WALStats:
     appended: int = 0
+    #: Appends per record type name, ``appended`` split by kind.
+    appended_by_type: Counter = field(default_factory=Counter)
     flushed: int = 0
+    #: Row images destroyed: a whole record's, or one row's sub-image of an
+    #: ``INSERT_RUN``.
     scrubbed_records: int = 0
     #: :meth:`WriteAheadLog.scrub_records` calls that found an image to
     #: destroy (a batch of keys is one pass, however many records it hits).
     scrub_passes: int = 0
-    #: Bytes of zeroes written over images in segment files.
+    #: Bytes written over images in segment files: zeroes, and the length
+    #: fields between adjacent sub-images of a run, rewritten as they are.
     scrub_bytes_zeroed: int = 0
     truncations: int = 0
     #: Bytes physically written to the log directory — appended records,
@@ -495,14 +584,20 @@ class WriteAheadLog:
         self._segments: List[_Segment] = []
         #: LSN whose record must open a new segment (:meth:`roll`).
         self._roll_at = 0
-        #: ``(table, row_key)`` → LSNs of the records that still hold a row
-        #: image of that row.  What a scrub looks up instead of scanning.
-        self._images: Dict[Tuple[str, int], List[int]] = {}
+        #: ``(table, row_key)`` → ``(LSN, sub-image offset, length)`` of each
+        #: record that still holds a row image of that row: where in an
+        #: ``INSERT_RUN``'s ``after`` the row's image starts and how long it
+        #: is, or ``(LSN, _WHOLE, 0)`` for a record whose images are all the
+        #: row's.  What a scrub looks up instead of scanning.
+        self._images: Dict[Tuple[str, int], List[Tuple[int, int, int]]] = {}
+        #: LSN of an ``INSERT_RUN`` → how many of its sub-images are live.
+        self._run_live: Dict[int, int] = {}
         #: Images already dropped from memory whose on-disk bytes are not
-        #: durably zeroed yet: ``(lsn, image offset in the record, length)``.
-        #: Emptied by a successful zeroing pass; one that failed leaves it
-        #: for the next :meth:`flush` to retry first.
-        self._unzeroed: List[Tuple[int, int, int]] = []
+        #: durably zeroed yet: ``(lsn, mark, offset in the record, bytes)`` —
+        #: the mark to set, then the bytes to write there.  Emptied by a
+        #: successful zeroing pass; one that failed leaves it for the next
+        #: :meth:`flush` to retry first.
+        self._unzeroed: List[Tuple[int, int, int, bytes]] = []
         #: Transactions that have begun but logged nothing yet: txn id → begin
         #: timestamp.  Their BEGIN is written just ahead of their first record
         #: (see :meth:`begin`), so a read-only transaction never reaches the log.
@@ -555,9 +650,22 @@ class WriteAheadLog:
         self._next_lsn += 1
         self._records.append(record)
         if (before or after) and record_type in _SCRUB_TARGETS:
-            self._images.setdefault((table, row_key), []).append(record.lsn)
+            self._index_images(record)
         self.stats.appended += 1
+        self.stats.appended_by_type[record_type._value_] += 1   # a str: no Enum.__hash__ call
         return record
+
+    def _index_images(self, record: LogRecord) -> None:
+        """Enter the row images ``record`` holds in the side table."""
+        images, lsn, table = self._images, record.lsn, record.table
+        if record.record_type is not LogRecordType.INSERT_RUN:
+            images.setdefault((table, record.row_key), []).append((lsn, _WHOLE, 0))
+            return
+        live = 0
+        for offset, length, row_key in _live_sub_images(record.after):
+            images.setdefault((table, row_key), []).append((lsn, offset, length))
+            live += 1
+        self._run_live[lsn] = live
 
     def flush(self) -> None:
         """Persist every appended record (durability point).
@@ -611,17 +719,19 @@ class WriteAheadLog:
         """The records still holding a row image of ``(table, row_key)``."""
         first = self._records[0].lsn if self._records else 0
         return [self._records[lsn - first]
-                for lsn in self._images.get((table, row_key), ())]
+                for lsn in dict.fromkeys(lsn for lsn, _offset, _length
+                                         in self._images.get((table, row_key), ()))]
 
     # -- degradation-aware maintenance -----------------------------------------
 
     def scrub_record(self, table: str, row_key: int, now: float = 0.0) -> int:
         """Destroy every row image of ``(table, row_key)`` in the log.
 
-        The images of its INSERT/UPDATE/DELETE/REMOVE records are dropped
-        (the structural entry remains so LSNs stay dense and recovery still
-        knows a record existed) and zeroed in the segment files, so no byte
-        of them survives on disk.  Returns the number of records scrubbed.
+        The row's sub-image of its ``INSERT_RUN`` and the images of its
+        UPDATE records are zeroed in memory and in the segment files, so no
+        byte of them survives on disk (a record itself remains, so LSNs stay
+        dense and recovery still knows it existed).  Returns the number of
+        images destroyed.
         """
         return self.scrub_records([(table, row_key)], now=now)
 
@@ -633,13 +743,15 @@ class WriteAheadLog:
         does no I/O at all.  Otherwise the pending suffix is written first
         (every record then has a place on disk, and — as scrubbing always
         did — everything appended so far is durable when this returns), the
-        hit records are marked scrubbed and their image bytes overwritten
-        with zeroes in place (:meth:`_zero_images`), and one *aggregate*
-        SCRUB audit record is appended per batch (its ``attribute`` names
-        the touched-key count and its ``after`` payload carries the count),
-        so a mass-removal wave grows the log by O(1) audit bytes.  A
-        single-key scrub keeps the per-row audit shape (table + row key).
-        Returns the total number of records scrubbed.
+        hit images are zeroed in place (:meth:`_zero_images`): a record that
+        keeps no live image is marked scrubbed and its whole image zeroed,
+        an ``INSERT_RUN`` that keeps some is marked partly scrubbed and only
+        the hit sub-images are.  One *aggregate* SCRUB audit record is
+        appended per batch (its ``attribute`` names the touched-key count
+        and its ``after`` payload carries the count), so a mass-removal wave
+        grows the log by O(1) audit bytes.  A single-key scrub keeps the
+        per-row audit shape (table + row key).  Returns the number of images
+        destroyed.
 
         A zeroing pass that fails raises :class:`DurabilityError` with the
         images already gone from memory; the next :meth:`flush` finishes it.
@@ -651,21 +763,29 @@ class WriteAheadLog:
         on_disk = self.path is not None
         if on_disk:
             self._flush_pending()
+        hits: Dict[int, List[Tuple[int, int]]] = {}
+        for key in touched:
+            for lsn, offset, length in images.pop(key):
+                hits.setdefault(lsn, []).append((offset, length))
         records = self._records
         first = records[0].lsn
         scrubbed = 0
-        for key in touched:
-            for lsn in images.pop(key):
-                record = records[lsn - first]
-                if on_disk:
-                    self._unzeroed.append((
-                        lsn,
-                        _HEAD.size + len(record.table.encode("utf-8"))
-                        + len(record.attribute.encode("utf-8")),
-                        len(record.before or b"") + len(record.after or b"")
-                        + _CRC.size))
-                records[lsn - first] = replace(record, before=None, after=None)
-                scrubbed += 1
+        for lsn, spans in hits.items():
+            record = records[lsn - first]
+            scrubbed += len(spans)
+            run = record.after if spans[0][0] != _WHOLE else None
+            live = self._run_live.get(lsn, 0) - len(spans)
+            image_at = _HEAD.size + len(record.table.encode("utf-8")) \
+                + len(record.attribute.encode("utf-8"))
+            if run is not None and live:
+                self._run_live[lsn] = live
+                self._zero_sub_images(lsn, run, spans, image_at if on_disk else None)
+                continue
+            self._run_live.pop(lsn, None)
+            if on_disk:
+                self._unzeroed.append((lsn, _SCRUBBED, image_at, bytes(
+                    len(record.before or b"") + len(record.after or b"") + _CRC.size)))
+            record.before = record.after = None
         self.stats.scrubbed_records += scrubbed
         self.stats.scrub_passes += 1
         if on_disk:
@@ -684,6 +804,30 @@ class WriteAheadLog:
                 timestamp=now,
             )
         return scrubbed
+
+    def _zero_sub_images(self, lsn: int, run: bytearray, spans: List[Tuple[int, int]],
+                         image_at: Optional[int]) -> None:
+        """Zero the ``(offset, length)`` sub-images of the run record ``lsn``
+        (image and CRC; the length stays) in ``run``, and — with the record's
+        image offset ``image_at`` — queue the disk writes: one per stretch
+        of adjacent sub-images, the length fields between them rewritten as
+        they are."""
+        spans.sort()
+        stretch_at = stretch_end = -1
+        for offset, length in spans:
+            end = offset + length + _CRC.size
+            run[offset:end] = bytes(end - offset)
+            if image_at is None:
+                continue
+            if offset - _SUB_LENGTH.size != stretch_end:
+                if stretch_end >= 0:
+                    self._unzeroed.append((lsn, _PARTIAL, image_at + stretch_at,
+                                           bytes(run[stretch_at:stretch_end])))
+                stretch_at = offset
+            stretch_end = end
+        if stretch_end >= 0:
+            self._unzeroed.append((lsn, _PARTIAL, image_at + stretch_at,
+                                   bytes(run[stretch_at:stretch_end])))
 
     def truncate_until(self, lsn: int) -> int:
         """Drop every record with ``record.lsn <= lsn`` (post-checkpoint cleanup).
@@ -712,8 +856,10 @@ class WriteAheadLog:
             kept = self._records[0].lsn if self._records else self._next_lsn
             self._flushed_lsn = max(self._flushed_lsn, kept - 1)
             self._images = {
-                key: live for key, lsns in self._images.items()
-                if (live := [held for held in lsns if held >= kept])}
+                key: live for key, held in self._images.items()
+                if (live := [entry for entry in held if entry[0] >= kept])}
+            self._run_live = {held: live for held, live in self._run_live.items()
+                              if held >= kept}
             self._unzeroed = [entry for entry in self._unzeroed
                               if entry[0] >= kept]
         self.stats.truncations += 1
@@ -833,35 +979,38 @@ class WriteAheadLog:
         """Make the scrubs in ``_unzeroed`` durable, in place.
 
         Mark before zero, with a barrier between: first every hit record's
-        mark byte is set to *scrubbed* (one byte each — it cannot tear, and
-        it lies outside the header CRC so nothing else is rewritten) and the
-        segment is fsynced; only then are the image bytes and their CRC
-        overwritten with zeroes and the segment fsynced again.  Whatever
-        subset of these writes a crash lets through, every record loads
-        either intact (its mark never landed, so no zero was written) or
-        scrubbed (:meth:`_load` queues a marked record whose image bytes are
-        not all zero and runs this pass again) — never half an image under a
-        live mark.
+        mark byte is set — *scrubbed*, or *partly scrubbed* for an
+        ``INSERT_RUN`` that keeps live sub-images (one byte each: it cannot
+        tear, and it lies outside the header CRC so nothing else is
+        rewritten) — and the segment is fsynced; only then are the image
+        bytes overwritten with zeroes and the segment fsynced again.
+        Whatever subset of these writes a crash lets through, every image
+        loads either intact (its mark never landed, so no zero was written)
+        or gone (:meth:`_load` queues a marked image whose bytes are not all
+        zero and runs this pass again) — never half an image under a live
+        mark.
         """
-        by_segment: Dict[_Segment, List[Tuple[int, int, int]]] = {}
-        for lsn, image_offset, length in self._unzeroed:
+        by_segment: Dict[_Segment, Dict[int, Tuple[int, List[Tuple[int, bytes]]]]] = {}
+        for lsn, mark, at, data in self._unzeroed:
             segment, offset = self._locate(lsn)
-            by_segment.setdefault(segment, []).append(
-                (offset, offset + image_offset, length))
+            marks = by_segment.setdefault(segment, {})
+            _earlier, writes = marks.get(offset, (mark, []))
+            writes.append((offset + at, data))
+            marks[offset] = (mark, writes)      # a later pass's mark wins
         event = self.faults.fire("wal.scrub") if self.faults else None
-        mark = bytes([_SCRUBBED])
         written = zeroed = 0
         try:
-            for segment, places in by_segment.items():
+            for segment, marks in by_segment.items():
                 fd = os.open(segment.path, os.O_RDWR)
                 try:
-                    for offset, _image_at, _length in places:
-                        written += os.pwrite(fd, mark, offset + _MARK_OFFSET)
+                    for offset, (mark, _writes) in marks.items():
+                        written += os.pwrite(fd, bytes((mark,)), offset + _MARK_OFFSET)
                     os.fsync(fd)
+                    places = [write for _mark, writes in marks.values() for write in writes]
                     if event is not None and event.kind == "torn_write":
                         places = places[:len(places) // 2]
-                    for _offset, image_at, length in places:
-                        zeroed += os.pwrite(fd, bytes(length), image_at)
+                    for at, data in places:
+                        zeroed += os.pwrite(fd, data, at)
                     if event is not None:
                         raise OSError(errno.EIO, f"injected: {event.kind}")
                     os.fsync(fd)
@@ -996,14 +1145,17 @@ class WriteAheadLog:
                     raise LogCorruptionError(
                         f"log segment {name} holds LSN {record.lsn} where "
                         f"{expected} belongs")
-                if data[offset + _MARK_OFFSET] == _SCRUBBED:
+                mark = data[offset + _MARK_OFFSET]
+                if mark == _SCRUBBED:
                     if data.count(0, image_at, end) != end - image_at:
-                        self._unzeroed.append(
-                            (record.lsn, image_at - offset, end - image_at))
-                elif (record.before or record.after) and \
+                        self._unzeroed.append((record.lsn, _SCRUBBED, image_at - offset,
+                                               bytes(end - image_at)))
+                elif mark == _PARTIAL:
+                    self._finish_sub_images(record, data[image_at:end - _CRC.size],
+                                            image_at - offset)
+                if (record.before or record.after) and \
                         record.record_type in _SCRUB_TARGETS:
-                    self._images.setdefault(
-                        (record.table, record.row_key), []).append(record.lsn)
+                    self._index_images(record)
                 self._records.append(record)
                 segment.offsets.append(offset)
                 offset = end
@@ -1015,6 +1167,18 @@ class WriteAheadLog:
             self._flushed_lsn = self._next_lsn - 1
         if self._unzeroed:
             self._zero_images()
+
+    def _finish_sub_images(self, record: LogRecord, run: bytes, at: int) -> None:
+        """Queue the zeroing of a partly scrubbed run's sub-images that are
+        neither live nor all zero — writes a crash cut short — and zero them
+        in memory too; ``run`` is the record's image, ``at`` where it starts
+        in the record."""
+        for offset, length, _row_key, live in _sub_images(run):
+            end = offset + length + _CRC.size
+            if not live and run.count(0, offset, end) != end - offset:
+                self._unzeroed.append((record.lsn, _PARTIAL, at + offset, bytes(end - offset)))
+                if record.after is not None:
+                    record.after[offset:end] = bytes(end - offset)
 
     @staticmethod
     def _read_header(name: str, data: bytes) -> int:
@@ -1105,7 +1269,7 @@ class WriteAheadLog:
 
 
 __all__ = ["WriteAheadLog", "LogRecord", "LogRecordType", "WALStats",
-           "WAL_FORMAT_VERSION",
+           "WAL_FORMAT_VERSION", "encode_insert_run", "run_images",
            "encode_degrade_chunk", "decode_degrade_chunk",
            "encode_schedule_steps", "decode_schedule_steps",
            "encode_schedule_defers", "decode_schedule_defers",

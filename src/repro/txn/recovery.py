@@ -40,6 +40,7 @@ from ..storage.wal import (
     decode_schedule_defers,
     decode_schedule_registration,
     decode_schedule_steps,
+    run_images,
 )
 
 #: Record types that replay deliberately ignores, with the reason on record.
@@ -272,17 +273,18 @@ class RecoveryManager:
             if store is None:
                 continue
             committed = record.txn_id in report.committed_txns or record.txn_id == 0
-            if record.record_type is LogRecordType.INSERT:
-                if committed and record.after is not None and not store.exists(record.row_key):
-                    store.restore_row(record.after)
-                    report.redone_inserts += 1
+            if record.record_type is LogRecordType.INSERT_RUN:
+                # The run's live sub-images of rows the heap lost, as one batch.
+                if committed:
+                    missing = [image for row_key, image in run_images(record)
+                               if not store.exists(row_key)]
+                    if missing:
+                        store.restore_rows(missing)
+                        report.redone_inserts += len(missing)
             elif record.record_type is LogRecordType.UPDATE:
                 if committed and record.after is not None and store.exists(record.row_key):
-                    store.restore_row(record.after)
+                    store.restore_rows([record.after])
                     report.redone_updates += 1
-            elif record.record_type is LogRecordType.DELETE:
-                if committed and store.exists(record.row_key):
-                    store.replay_remove(record.row_key, now=record.timestamp)
             elif record.record_type is LogRecordType.DEGRADE:
                 # Degradation is redone regardless of the surrounding txn.
                 if record.after is not None:
@@ -446,17 +448,18 @@ class RecoveryManager:
             store = self._store_for(record)
             if store is None:
                 continue
-            if record.record_type is LogRecordType.INSERT:
-                if store.exists(record.row_key):
-                    store.replay_remove(record.row_key, now=record.timestamp,
-                                        scrub_log=True)
-                    report.undone_inserts += 1
+            if record.record_type is LogRecordType.INSERT_RUN:
+                for row_key, _image in run_images(record):
+                    if store.exists(row_key):
+                        store.replay_remove(row_key, now=record.timestamp,
+                                            scrub_log=True)
+                        report.undone_inserts += 1
             elif record.record_type is LogRecordType.UPDATE:
                 if record.before is None:
                     report.skipped_undos += 1
                     continue
                 if store.exists(record.row_key):
-                    store.restore_row(record.before)
+                    store.restore_rows([record.before])
                     report.undone_updates += 1
             elif record.record_type in (LogRecordType.DEGRADE, LogRecordType.REMOVE):
                 # Never undone: degradation is irreversible by design.

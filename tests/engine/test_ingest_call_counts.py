@@ -3,9 +3,10 @@ wall-clock timings).
 
 * A batch insert is one statement: an 800-row ``executemany`` into a table
   whose selector column picks a per-tuple policy override appends exactly
-  800 ``INSERT`` records (each image stays scrubbable on its own) plus one
-  ``SCHED_REGISTER`` per policy group, and makes at most half of the 253,583
-  calls the row-at-a-time ingest (commit 8514bdb) made for it.
+  one ``INSERT_RUN`` record per heap page it filled (each row's image in it
+  stays scrubbable on its own) plus one ``SCHED_REGISTER`` per policy group,
+  and makes at most half of the 253,583 calls the row-at-a-time ingest
+  (commit 8514bdb) made for it.
 * A cohort of one does not tax the everyday path: a one-row INSERT +
   commit makes no more than the 391 calls it made there.
 
@@ -23,7 +24,7 @@ import pytest
 import repro
 from repro import AttributeLCP
 from repro.core.domains import build_location_tree
-from repro.storage.wal import LogRecordType
+from repro.storage.wal import LogRecordType, run_images
 
 ROW_AT_A_TIME_BATCH_CALLS = 253_583
 ROW_AT_A_TIME_ONE_ROW_CALLS = 391
@@ -76,9 +77,13 @@ def test_a_batch_insert_is_one_statement():
     calls = profiled(batch)
     logged = [record for record in db.wal if record.lsn > last]
     kinds = Counter(record.record_type for record in logged)
-    assert kinds[LogRecordType.INSERT] == 800
+    store = db._store_for("visits")
+    pages = {store.page_of(row_key) for row_key in range(801, 1601)}
+    assert kinds[LogRecordType.INSERT_RUN] == len(pages) < 800 // 20
+    assert sum(len(run_images(record)) for record in logged
+               if record.record_type is LogRecordType.INSERT_RUN) == 800
     assert kinds[LogRecordType.SCHED_REGISTER] == 2    # owner 3's override, the rest
-    assert db.wal.stats.appended - appended == len(logged) == 800 + 2 + sum(
+    assert db.wal.stats.appended - appended == len(logged) == len(pages) + 2 + sum(
         kinds[kind] for kind in (LogRecordType.BEGIN, LogRecordType.COMMIT,
                                  LogRecordType.PAGE_ALLOC))
     assert calls <= ROW_AT_A_TIME_BATCH_CALLS // 2

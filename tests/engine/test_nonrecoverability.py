@@ -91,7 +91,7 @@ class TestBaselineComparison:
     def test_wal_without_scrubbing_keeps_images(self):
         from repro.storage.wal import LogRecordType, WriteAheadLog
         wal = WriteAheadLog()
-        wal.append(LogRecordType.INSERT, 1, table="person", row_key=1,
+        wal.append(LogRecordType.UPDATE, 1, table="person", row_key=1,
                    after=PARIS.encode())
         assert PARIS.encode() in wal.raw_image()
 

@@ -1,20 +1,26 @@
 """The degradation wave kernel (``TableStore.degrade_many``).
 
 * the spliced record is byte for byte ``_encode_row`` of the degraded row —
-  the splice is a faster way to the same image, not a second record format;
-* a wave costs the log O(chunks) records, none with a value byte in it;
+  the splice is a faster way to the same image, not a second record format
+  (seeded waves, and a property over random rows, columns and step lists);
+* a wave that raises has changed nothing: heap, log, indexes;
+* a wave costs the log O(chunks) records, none with a value byte in it, and
+  an ingest one ``INSERT_RUN`` per page it filled;
 * ``insert(..., returning=True)`` hands back exactly what ``read`` decodes.
 """
 
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.domains import (
     build_diagnosis_tree,
     build_location_tree,
     build_salary_ranges,
 )
+from repro.core.errors import PolicyError
 from repro.core.schema import Column, TableSchema
 from repro.core.values import NULL, SUPPRESSED
 from repro.storage.buffer import BufferPool
@@ -116,6 +122,168 @@ def test_spliced_record_is_encode_row_of_the_degraded_row(seed, strategy):
             assert (row.values, row.levels) == (values, levels)
         store.heap.check()
     assert grew and shrank
+
+
+def row_strategy(row_id: int):
+    """A random row; a missing value is NULL."""
+    def maybe(values):
+        return st.one_of(st.none(), values)
+
+    return st.fixed_dictionaries({
+        "id": st.just(row_id),
+        "location": maybe(st.sampled_from(ADDRESSES)),
+        "name": maybe(st.text(alphabet="nx", max_size=30)),
+        "salary": maybe(st.integers(500, 9000)),
+        "visits": st.integers(0, 50),
+        "diagnosis": maybe(st.sampled_from(DIAGNOSES)),
+        "note": maybe(st.text(alphabet="xy", max_size=40))})
+
+
+@given(data=st.data(), strategy=st.sampled_from(["rewrite", "crypto"]))
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_wave_kernel_output_is_encode_row_of_the_model(data, strategy):
+    """Two waves over 1–30 random rows on 1 KiB pages: each row takes 0–2
+    steps on each of 1–3 degradable columns (a step to the level it is at is
+    a no-op; several steps chain), values are NULL or reach SUPPRESSED,
+    fields grow (a salary into a range label, relocating off a full page) and
+    shrink.  Every record afterwards is ``_encode_row`` of the model."""
+    store = make_store(strategy, page_size=1024)
+    count = data.draw(st.integers(1, 30), label="rows")
+    rows = [data.draw(row_strategy(row_id), label="row") for row_id in range(1, count + 1)]
+    keys = [row.row_key for row in store.insert_many(rows, now=0.0)]
+    columns = data.draw(st.lists(st.sampled_from(sorted(SCHEMES)), min_size=1, max_size=3,
+                                 unique=True), label="columns")
+    for wave in range(2):
+        items, expected, applied = [], {}, 0
+        for key in data.draw(st.permutations(keys), label="order"):
+            row = store.read(key)
+            values, levels = dict(row.values), dict(row.levels)
+            for column in columns:
+                scheme = SCHEMES[column]
+                for bump in data.draw(st.lists(st.integers(0, 3), max_size=2), label="steps"):
+                    to_level = min(levels[column] + bump, scheme.max_level)
+                    items.append(([key], column, scheme, to_level))
+                    old = values[column]
+                    applied += to_level != levels[column]
+                    if to_level != levels[column] and old is not NULL and old is not SUPPRESSED:
+                        values[column] = scheme.generalize(old, to_level,
+                                                           from_level=levels[column])
+                    levels[column] = to_level
+            expected[key] = (values, levels, store._encode_row(
+                key, row.inserted_at, levels, values))
+        chunks = store.degrade_many(items, now=10.0 + wave)
+        assert sum(len(chunk.row_keys()) for chunk in chunks) == applied
+        for key, (values, levels, image) in expected.items():
+            stored = store.heap.read(store._location(key))
+            if strategy == "rewrite":
+                assert stored == image
+            else:       # same layout; the ciphertexts carry fresh nonces
+                assert len(stored) == len(image)
+            row = store.read(key)
+            assert (row.values, row.levels) == (values, levels)
+        store.heap.check()
+
+
+def test_a_growing_wave_relocates_off_a_full_page_byte_identically():
+    """Every salary of full 1 KiB pages turns into a range label at once:
+    records move off their page, and each is still ``_encode_row``."""
+    store = make_store("rewrite", page_size=1024)
+    rng = random.Random(11)
+    keys = [row.row_key for row in store.insert_many(
+        [{**random_row(rng, i), "salary": 1000 + i, "name": "n" * 20, "note": "x" * 20}
+         for i in range(1, 81)], now=0.0)]
+    salary = SCHEMES["salary"]
+    expected = {}
+    for key in keys:
+        row = store.read(key)
+        values = {**row.values, "salary": salary.generalize(row.values["salary"], 1)}
+        expected[key] = store._encode_row(key, row.inserted_at, {**row.levels, "salary": 1},
+                                          values)
+    store.degrade_many([(keys, "salary", salary, 1)], now=1.0)
+    assert store.stats.relocations > 0
+    for key, image in expected.items():
+        assert store.heap.read(store._location(key)) == image
+    store.heap.check()
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_a_wave_that_raises_has_changed_nothing(seed):
+    """A wave meets an irreversible step on its *second* page: the first
+    page's rows must not keep their degraded images (with no DEGRADE record,
+    no index or statistics update and their accurate log images in place).
+    The wave splices every page before it writes one."""
+    store = make_store("rewrite", page_size=1024)
+    rng = random.Random(seed)
+    keys = [row.row_key for row in store.insert_many(
+        [random_row(rng, i) for i in range(1, 41)], now=0.0)]
+    first, second = sorted({store.page_of(key) for key in keys})[:2]
+    on_first = next(key for key in keys if store.page_of(key) == first)
+    on_second = next(key for key in keys if store.page_of(key) == second)
+    location = SCHEMES["location"]
+    store.degrade_many([([on_second], "location", location, 2)], now=1.0)
+    heap, logged = store.heap.raw_image(), len(store.wal)
+    images = {key: len(store.wal.records_for("patient", key)) for key in keys}
+    handed = []
+    with pytest.raises(PolicyError, match="irreversible"):
+        store.degrade_many([([on_first, on_second], "location", location, 1)], now=2.0,
+                           on_chunk=handed.append)
+    assert store.heap.raw_image() == heap
+    assert len(store.wal) == logged
+    assert handed == []                          # the index/statistics fan-out
+    assert {key: len(store.wal.records_for("patient", key)) for key in keys} == images
+    assert store.read(on_first).levels["location"] == 0
+
+
+def test_a_wave_that_raises_leaves_the_engine_as_it_was():
+    """The same, through the engine's fan-out: indexes, statistics and the
+    schedule are what they were before the wave."""
+    from ..conftest import build_engine, derived_state
+
+    db = build_engine()
+    db.execute("CREATE INDEX idx_location ON person (location) USING gt")
+    rng = random.Random(5)
+    db.executemany("INSERT INTO person VALUES (?, ?, ?, ?, ?, ?)",
+                   [(i, i % 7, f"p{i}", rng.choice(ADDRESSES), 1000 + i, "walk")
+                    for i in range(1, 121)])
+    store, info = db.table_store("person"), db.catalog.table("person")
+    keys = store.row_keys()
+    first, second = sorted({store.page_of(key) for key in keys})[:2]
+    on_first = next(key for key in keys if store.page_of(key) == first)
+    on_second = next(key for key in keys if store.page_of(key) == second)
+    location = SCHEMES["location"]
+    fan_out = lambda chunk: db._apply_delta(info, chunk=chunk)  # noqa: E731
+    store.degrade_many([([on_second], "location", location, 2)], now=1.0, on_chunk=fan_out)
+    before, heap, logged = derived_state(db, "person"), store.heap.raw_image(), len(db.wal)
+    with pytest.raises(PolicyError):
+        store.degrade_many([([on_first, on_second], "location", location, 1)], now=2.0,
+                           on_chunk=fan_out)
+    assert derived_state(db, "person") == before
+    assert store.heap.raw_image() == heap and len(db.wal) == logged
+
+
+def test_work_counts_of_a_cohort_insert_and_its_wave():
+    """Exact log work, by record type (``WALStats.appended_by_type``): a
+    120-row cohort fills 5 pages — 5 ``INSERT_RUN`` and 5 ``PAGE_ALLOC``
+    appends; its wave takes every row's location and 40 salaries one level
+    on — one ``DEGRADE`` per chunk, one ``SCRUB`` audit record, and one
+    scrubbed image per row settled."""
+    store = make_store("rewrite")
+    rng = random.Random(12)
+    stats = store.wal.stats
+    keys = [row.row_key for row in store.insert_many(
+        [random_row(rng, i) for i in range(1, 121)], now=0.0)]
+    pages = {store.page_of(key) for key in keys}
+    assert stats.appended_by_type == {"INSERT_RUN": len(pages), "PAGE_ALLOC": len(pages)}
+    assert len(pages) == 5 and stats.appended == 10
+    inserted = dict(stats.appended_by_type)
+    chunks = store.degrade_many([(keys, "location", SCHEMES["location"], 1),
+                                 (keys[:40], "salary", SCHEMES["salary"], 1)], now=1.0)
+    assert len(chunks) == 2
+    wave = {kind: count - inserted.get(kind, 0)
+            for kind, count in stats.appended_by_type.items() if count != inserted.get(kind)}
+    assert wave == {"DEGRADE": len(chunks), "SCRUB": 1}
+    assert stats.scrubbed_records == len(keys) == 120
+    assert stats.appended == 10 + 3
 
 
 def test_chunks_carry_the_value_transitions():

@@ -2,7 +2,7 @@
 placement, the bytes and the statistics of inserting them one at a time.
 
 * same ``(page, slot)`` per row, same free-space map and record count,
-  byte-identical pages and ``INSERT`` images — on a heap with holes
+  byte-identical pages and row images in the log — on a heap with holes
   (removals) and rewritten records (degradation), so the tail, the
   roomiest-class choice and in-page compaction all take part;
 * statistics of a batch — counts, NDV, min/max and the plan-cache *epoch*,
@@ -24,7 +24,7 @@ from repro.storage.buffer import BufferPool
 from repro.storage.crypto import KeyStore
 from repro.storage.degradable_store import TableStore
 from repro.storage.pager import MemoryPager
-from repro.storage.wal import LogRecordType, WriteAheadLog
+from repro.storage.wal import LogRecordType, WriteAheadLog, run_images
 
 LOCATION = build_location_tree()
 SALARY = build_salary_ranges()
@@ -62,8 +62,15 @@ def aged_store(strategy: str, seed: int) -> TableStore:
 
 
 def images(store: TableStore, since: int, kind: LogRecordType):
+    """``(row key, image, txn, time)`` of each record of ``kind`` — of each
+    sub-image of an ``INSERT_RUN``, in row-key order: a batch logs its rows
+    by the page they landed on."""
+    records = [record for record in store.wal.records()[since:] if record.record_type is kind]
+    if kind is LogRecordType.INSERT_RUN:
+        return sorted((row_key, image, record.txn_id, record.timestamp)
+                      for record in records for row_key, image in run_images(record))
     return [(record.row_key, record.after, record.txn_id, record.timestamp)
-            for record in store.wal.records()[since:] if record.record_type is kind]
+            for record in records]
 
 
 @pytest.mark.parametrize("strategy", ["rewrite", "crypto"])
@@ -84,8 +91,12 @@ def test_a_batch_lands_where_one_by_one_inserts_land(strategy, seed):
     assert one.heap.raw_image() == many.heap.raw_image()
     one.heap.check()
     many.heap.check()
-    for kind in (LogRecordType.INSERT, LogRecordType.PAGE_ALLOC):
+    for kind in (LogRecordType.INSERT_RUN, LogRecordType.PAGE_ALLOC):
         assert images(one, marks[0], kind) == images(many, marks[1], kind)
+    # One INSERT_RUN per page the batch filled.
+    runs = [record for record in many.wal.records()[marks[1]:]
+            if record.record_type is LogRecordType.INSERT_RUN]
+    assert len(runs) == len({many.page_of(key) for key in keys})
     # What the batch hands back is what a read decodes.
     assert stored == [many.read(key) for key in keys]
 

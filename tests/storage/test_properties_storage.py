@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.core.domains import build_location_tree
 from repro.index.gt_index import GTIndex
 from repro.storage.page import SlottedPage
-from repro.storage.wal import LogRecord, LogRecordType
+from repro.storage.wal import LogRecord, LogRecordType, encode_insert_run
 
 LOCATION = build_location_tree()
 ADDRESSES = LOCATION.leaves()
@@ -81,6 +81,9 @@ class TestWALRecordProperties:
     @settings(max_examples=100, deadline=None)
     def test_log_record_roundtrip(self, lsn, txn_id, record_type, table, row_key,
                                   attribute, before, after, timestamp):
+        if record_type is LogRecordType.INSERT_RUN and after is not None:
+            # A run's payload is framed sub-images; an empty image reads as scrubbed.
+            after = bytes(encode_insert_run([b"\x01" + after]))
         record = LogRecord(lsn=lsn, txn_id=txn_id, record_type=record_type,
                            table=table, row_key=row_key, attribute=attribute,
                            before=before, after=after, timestamp=timestamp)

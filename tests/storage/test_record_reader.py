@@ -17,6 +17,7 @@
   accurate than what the store holds when the row is handed out.
 """
 
+import gc
 import itertools
 import re
 import struct
@@ -32,12 +33,12 @@ from repro.core.errors import KeyDestroyedError, StorageError
 from repro.core.schema import Column, TableSchema
 from repro.core.values import NULL, REMOVED, SUPPRESSED, is_missing
 from repro.storage.buffer import BufferPool
-from repro.storage.degradable_store import TableStore
+from repro.storage.degradable_store import DegradeChunk, TableStore
 from repro.storage.heap import RecordId
 from repro.storage.kernels import MESSAGES
 from repro.storage.pager import MemoryPager
 from repro.storage.serialization import decode_record, decode_value
-from repro.storage.wal import WriteAheadLog
+from repro.storage.wal import LogRecordType, WriteAheadLog, run_images
 
 SALARY = build_salary_ranges()
 LOCATION = build_location_tree()
@@ -225,8 +226,9 @@ class TestEquivalence:
                               "score": i / 3, "salary": 1000 + i, "active": i % 2 == 0},
                              now=float(i)) for i in range(200)]
         assert store.heap.page_count > 1
-        images = {record.row_key: record.after for record in store.wal
-                  if record.after}
+        images = dict(image for record in store.wal
+                      if record.record_type is LogRecordType.INSERT_RUN
+                      for image in run_images(record))
         for columns in (None, frozenset(), frozenset({"name", "salary"})):
             scanned = list(store.scan(columns))
             fetched = list(store.fetch(iter(reversed(keys)), columns))
@@ -331,8 +333,8 @@ class TestCorruption:
         assert store._decode_row(good_payload(store)).values["name"] == "alice"
 
     #: case → the message of a full decode, and of a decode that reads the
-    #: last column only (every field before it byte-skipped, as
-    #: ``skip_values`` does: a run's payload bound is checked at its end).
+    #: last column only (every field before it byte-skipped: a run's payload
+    #: bound is checked at its end).
     MESSAGES = {
         "wrong field count": ("table 'person': malformed record with 3 fields "
                               "(expected 10)",) * 2,
@@ -429,6 +431,35 @@ class TestKernelCache:
             assert factory.__closure__ is None and factory.__defaults__ is None
             for const in constants(factory.__code__):
                 assert const is None or type(const) is int or const in MESSAGES, const
+
+    @pytest.mark.parametrize("strategy", ["rewrite", "crypto"])
+    def test_wave_kernels_hold_code_only_and_no_memo_outlives_its_wave(self, strategy):
+        """Wave splicers share the cache: one per step shape (a salary step;
+        a location step; both; two salary steps), code only.  Their memos and
+        chunk lanes are the wave's: once it returns, no object anywhere maps
+        an encoded field to its degraded image, and none holds a lane
+        entry — only the chunks the wave handed back survive."""
+        store = make_store(strategy)
+        keys = fill(store, 60)
+        store.degrade_many([(keys[:30], "salary", SALARY, 1),
+                            (keys[20:40], "location", LOCATION, 1)], now=1.0)
+        chunks = store.degrade_many([(keys[:10], "salary", SALARY, 2),
+                                     (keys[:10], "salary", SALARY, 3)], now=2.0)
+        waves = [key for key in store._kernels if key[0] == "wave"]
+        assert len(waves) == 4
+        for key in waves:
+            factory = store._kernels[key]
+            assert factory.__closure__ is None and factory.__defaults__ is None
+            for const in constants(factory.__code__):
+                assert const is None or type(const) is int or const in MESSAGES, const
+        assert [(chunk.from_level, chunk.to_level) for chunk in chunks] == [(1, 2), (2, 3)]
+        gc.collect()
+        for held in gc.get_objects():
+            if isinstance(held, tuple) and len(held) == 2:
+                assert not isinstance(held[1], DegradeChunk), "a lane entry outlived its wave"
+            elif isinstance(held, dict) and held and all(type(key) is bytes for key in held):
+                assert not any(isinstance(entry, tuple) and len(entry) == 3
+                               for entry in held.values()), "a memo outlived its wave"
 
 
 def fill(store: TableStore, count: int):

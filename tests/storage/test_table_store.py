@@ -65,7 +65,7 @@ class TestBasicOperations:
     def test_insert_logs_after_image(self, store):
         store.insert(ROW, now=0.0)
         types = [record.record_type for record in store.wal]
-        assert LogRecordType.INSERT in types
+        assert LogRecordType.INSERT_RUN in types
 
     def test_update_stable_column(self, store):
         row_key = store.insert(ROW, now=0.0)
@@ -273,8 +273,7 @@ class TestRecoveryHelpers:
         payload = store.heap.read(store._location(row_key))
         store.remove(row_key, now=1.0, scrub_log=False)
         assert not store.exists(row_key)
-        restored_key = store.restore_row(payload)
-        assert restored_key == row_key
+        assert store.restore_rows([payload]) == [row_key]
         assert store.read(row_key).values["name"] == "alice"
 
     def test_rebuild_locations_after_restart(self):

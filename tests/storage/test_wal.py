@@ -54,8 +54,8 @@ class TestBasicProtocol:
         """The row's records that still hold an image of it — what a scrub
         would hit; DEGRADE records carry a level, not an image."""
         wal = WriteAheadLog()
-        wal.append(LogRecordType.INSERT, 1, table="person", row_key=7, after=b"img")
-        wal.append(LogRecordType.INSERT, 1, table="person", row_key=8, after=b"img")
+        wal.append(LogRecordType.UPDATE, 1, table="person", row_key=7, after=b"img")
+        wal.append(LogRecordType.UPDATE, 1, table="person", row_key=8, after=b"img")
         wal.append(LogRecordType.UPDATE, 1, table="person", row_key=7,
                    attribute="name", before=b"img", after=b"img2")
         wal.append(LogRecordType.DEGRADE, 0, table="person", row_key=7, attribute="loc",
@@ -78,7 +78,7 @@ class TestBasicProtocol:
         assert decoded == record
 
     def test_empty_image_is_not_a_missing_image(self):
-        record = LogRecord(lsn=1, txn_id=0, record_type=LogRecordType.INSERT,
+        record = LogRecord(lsn=1, txn_id=0, record_type=LogRecordType.UPDATE,
                            table="t", row_key=1, before=None, after=b"")
         assert LogRecord.decode(record.encode()) == record
 
@@ -101,7 +101,7 @@ class TestBasicProtocol:
 class TestScrubbing:
     def test_scrub_removes_images_but_keeps_structure(self):
         wal = WriteAheadLog()
-        wal.append(LogRecordType.INSERT, 1, table="person", row_key=7,
+        wal.append(LogRecordType.UPDATE, 1, table="person", row_key=7,
                    after=b"SENSITIVE")
         wal.append(LogRecordType.UPDATE, 1, table="person", row_key=7,
                    attribute="name", before=b"SENSITIVE", after=b"SENSITIVE2")
@@ -110,13 +110,13 @@ class TestScrubbing:
         assert b"SENSITIVE" not in wal.raw_image()
         # The structural records are still there plus an audit SCRUB record.
         types = [record.record_type for record in wal]
-        assert types.count(LogRecordType.INSERT) == 1
+        assert types.count(LogRecordType.UPDATE) == 2
         assert LogRecordType.SCRUB in types
 
     def test_scrub_untouched_rows_left_alone(self):
         wal = WriteAheadLog()
-        wal.append(LogRecordType.INSERT, 1, table="person", row_key=1, after=b"keep-me")
-        wal.append(LogRecordType.INSERT, 1, table="person", row_key=2, after=b"scrub-me")
+        wal.append(LogRecordType.UPDATE, 1, table="person", row_key=1, after=b"keep-me")
+        wal.append(LogRecordType.UPDATE, 1, table="person", row_key=2, after=b"scrub-me")
         wal.scrub_record("person", 2)
         assert b"keep-me" in wal.raw_image()
         assert b"scrub-me" not in wal.raw_image()
@@ -142,7 +142,7 @@ class TestBulkScrubbing:
     def test_scrub_records_single_rewrite_for_many_keys(self):
         wal = WriteAheadLog()
         for row_key in range(1, 6):
-            wal.append(LogRecordType.INSERT, 1, table="person", row_key=row_key,
+            wal.append(LogRecordType.UPDATE, 1, table="person", row_key=row_key,
                        after=f"SECRET-{row_key}".encode())
         scrubbed = wal.scrub_records([("person", row_key) for row_key in range(1, 6)])
         assert scrubbed == 5
@@ -160,7 +160,7 @@ class TestBulkScrubbing:
 
     def test_scrub_records_empty_and_unmatched_keys(self):
         wal = WriteAheadLog()
-        wal.append(LogRecordType.INSERT, 1, table="person", row_key=1, after=b"keep")
+        wal.append(LogRecordType.UPDATE, 1, table="person", row_key=1, after=b"keep")
         assert wal.scrub_records([]) == 0
         assert wal.scrub_records([("person", 99), ("other", 1)]) == 0
         assert wal.stats.scrub_passes == 0
@@ -170,8 +170,8 @@ class TestBulkScrubbing:
         """Only the image bytes are rewritten (with zeroes), in one pass."""
         path = str(tmp_path / "wal")
         wal = WriteAheadLog(path)
-        wal.append(LogRecordType.INSERT, 1, table="t", row_key=1, after=b"AAA-ONE")
-        wal.append(LogRecordType.INSERT, 1, table="t", row_key=2, after=b"BBB-TWO")
+        wal.append(LogRecordType.UPDATE, 1, table="t", row_key=1, after=b"AAA-ONE")
+        wal.append(LogRecordType.UPDATE, 1, table="t", row_key=2, after=b"BBB-TWO")
         wal.flush()
         size = disk_size(path)
         wal.scrub_records([("t", 1), ("t", 2)])
@@ -189,7 +189,7 @@ class TestBulkScrubbing:
     def test_unmatched_keys_cost_no_io(self, tmp_path):
         path = str(tmp_path / "wal")
         wal = WriteAheadLog(path)
-        wal.append(LogRecordType.INSERT, 1, table="t", row_key=1, after=b"keep")
+        wal.append(LogRecordType.UPDATE, 1, table="t", row_key=1, after=b"keep")
         wal.flush()
         wal.append(LogRecordType.DEGRADE, 0, table="t", row_key=2,
                    attribute="a", after=b"\x01")
@@ -225,7 +225,7 @@ class TestAppendOnlyFlush:
     def test_flush_after_scrub_does_not_duplicate(self, tmp_path):
         path = str(tmp_path / "wal")
         wal = WriteAheadLog(path)
-        wal.append(LogRecordType.INSERT, 1, table="t", row_key=1, after=b"img")
+        wal.append(LogRecordType.UPDATE, 1, table="t", row_key=1, after=b"img")
         wal.flush()
         wal.scrub_record("t", 1)       # zeroes in place (SCRUB appended too)
         wal.flush()                    # must not re-append already-persisted records
@@ -254,7 +254,7 @@ class TestAppendOnlyFlush:
         path = str(tmp_path / "wal")
         wal = WriteAheadLog(path)
         for row_key in range(1000):
-            wal.append(LogRecordType.INSERT, txn_id=row_key, table="t",
+            wal.append(LogRecordType.UPDATE, txn_id=row_key, table="t",
                        row_key=row_key, after=b"payload-bytes")
             wal.flush()                # one durability point per insert
         # Append-only: total bytes written == bytes on disk (records plus
@@ -284,7 +284,7 @@ class TestTruncation:
         path = str(tmp_path / "wal")
         wal = WriteAheadLog(path)
         for row_key in range(30):
-            wal.append(LogRecordType.INSERT, 1, table="t", row_key=row_key,
+            wal.append(LogRecordType.UPDATE, 1, table="t", row_key=row_key,
                        after=b"x" * 40)
         wal.roll()
         anchor = wal.append(LogRecordType.CATALOG, 0, after=b"catalog")
@@ -307,7 +307,7 @@ class TestTruncation:
         path = str(tmp_path / "wal")
         wal = WriteAheadLog(path)
         for row_key in range(30):
-            wal.append(LogRecordType.INSERT, 1, table="t", row_key=row_key,
+            wal.append(LogRecordType.UPDATE, 1, table="t", row_key=row_key,
                        after=b"SECRET-%02d" % row_key)
         wal.flush()
         sizes = [os.path.getsize(p) for p in segment_paths(path)]
@@ -341,7 +341,7 @@ class TestPersistence:
         path = str(tmp_path / "wal")
         wal = WriteAheadLog(path)
         wal.append(LogRecordType.BEGIN, txn_id=1)
-        wal.append(LogRecordType.INSERT, txn_id=1, table="t", row_key=1, after=b"x")
+        wal.append(LogRecordType.UPDATE, txn_id=1, table="t", row_key=1, after=b"x")
         wal.append(LogRecordType.COMMIT, txn_id=1)
         wal.flush()
 
@@ -366,7 +366,7 @@ class TestPersistence:
         """The image bytes on disk are overwritten where they lie."""
         path = str(tmp_path / "wal")
         wal = WriteAheadLog(path)
-        wal.append(LogRecordType.INSERT, 1, table="t", row_key=1, after=b"PLAINTEXT")
+        wal.append(LogRecordType.UPDATE, 1, table="t", row_key=1, after=b"PLAINTEXT")
         wal.flush()
         before = disk_bytes(path)
         assert b"PLAINTEXT" in before
@@ -399,20 +399,24 @@ class TestPersistence:
 
     def test_a_version_3_data_directory_is_refused(self, tmp_path):
         # Version 3 logged one SCHED_REGISTER per row and checkpointed the
-        # schedule record by record; this build reads cohorts only.
+        # schedule record by record; version 4 logged one INSERT per row and
+        # numbered its types with DELETE among them.  This build reads
+        # cohorts and INSERT_RUN records only.
         from repro import InstantDB
         from repro.storage.wal import WAL_FORMAT_VERSION
-        assert WAL_FORMAT_VERSION == 4
-        db = InstantDB(data_dir=str(tmp_path))
-        db.execute("CREATE TABLE t (id INT PRIMARY KEY)")
-        db.executemany("INSERT INTO t VALUES (?)", [(1,), (2,)])
-        db.close()
-        for segment in segment_paths(str(tmp_path / "wal")):
-            data = bytearray(open(segment, "rb").read())
-            data[8] = 3
-            open(segment, "wb").write(bytes(data))
-        with pytest.raises(LogFormatError, match="format version 3"):
-            InstantDB(data_dir=str(tmp_path))
+        assert WAL_FORMAT_VERSION == 5
+        for version in (3, 4):
+            data_dir = str(tmp_path / f"v{version}")
+            db = InstantDB(data_dir=data_dir)
+            db.execute("CREATE TABLE t (id INT PRIMARY KEY)")
+            db.executemany("INSERT INTO t VALUES (?)", [(1,), (2,)])
+            db.close()
+            for segment in segment_paths(str(tmp_path / f"v{version}" / "wal")):
+                data = bytearray(open(segment, "rb").read())
+                data[8] = version
+                open(segment, "wb").write(bytes(data))
+            with pytest.raises(LogFormatError, match=f"format version {version}"):
+                InstantDB(data_dir=data_dir)
 
 
 class TestSegments:
@@ -420,7 +424,7 @@ class TestSegments:
         path = str(tmp_path / "wal")
         wal = WriteAheadLog(path)
         for row_key in range(40):
-            wal.append(LogRecordType.INSERT, 1, table="t", row_key=row_key,
+            wal.append(LogRecordType.UPDATE, 1, table="t", row_key=row_key,
                        after=b"y" * 50)
             if row_key % 7 == 0:
                 wal.flush()
@@ -458,7 +462,7 @@ class TestSegments:
         path = str(tmp_path / "wal")
         wal = WriteAheadLog(path)
         for row_key in range(30):
-            wal.append(LogRecordType.INSERT, 1, table="t", row_key=row_key,
+            wal.append(LogRecordType.UPDATE, 1, table="t", row_key=row_key,
                        after=b"z" * 40)
         wal.flush()
         sealed = segment_paths(path)[1]
@@ -472,7 +476,7 @@ class TestSegments:
         path = str(tmp_path / "wal")
         wal = WriteAheadLog(path)
         for row_key in range(30):
-            wal.append(LogRecordType.INSERT, 1, table="t", row_key=row_key,
+            wal.append(LogRecordType.UPDATE, 1, table="t", row_key=row_key,
                        after=b"z" * 40)
         wal.flush()
         os.unlink(segment_paths(path)[1])
@@ -484,7 +488,7 @@ class TestSegments:
         path = str(tmp_path / "wal")
         wal = WriteAheadLog(path)
         for row_key in range(30):
-            wal.append(LogRecordType.INSERT, 1, table="t", row_key=row_key,
+            wal.append(LogRecordType.UPDATE, 1, table="t", row_key=row_key,
                        after=b"z" * 40)
         wal.flush()
         last = segment_paths(path)[-1]
@@ -512,7 +516,7 @@ class TestSegments:
         path = str(tmp_path / "wal")
         wal = WriteAheadLog(path)
         for row_key in range(30):
-            wal.append(LogRecordType.INSERT, 1, table="t", row_key=row_key,
+            wal.append(LogRecordType.UPDATE, 1, table="t", row_key=row_key,
                        after=b"SECRET-%02d" % row_key)
         wal.flush()
         wal.scrub_record("t", 4)
@@ -538,7 +542,7 @@ class TestScrubWriteAmplification:
         wal = WriteAheadLog(path)
         image = b"v" * 60
         for row_key in range(self.N):
-            wal.append(LogRecordType.INSERT, 1, table="t", row_key=row_key,
+            wal.append(LogRecordType.UPDATE, 1, table="t", row_key=row_key,
                        after=image)
         wal.flush()
         segments = segment_paths(path)
@@ -570,7 +574,7 @@ class TestScrubWriteAmplification:
     def test_memory_only_log_scrubs_without_io(self):
         wal = WriteAheadLog()
         for row_key in range(50):
-            wal.append(LogRecordType.INSERT, 1, table="t", row_key=row_key,
+            wal.append(LogRecordType.UPDATE, 1, table="t", row_key=row_key,
                        after=b"SECRET")
         assert wal.scrub_records([("t", 1), ("t", 2)]) == 2
         assert wal.stats.bytes_written == 0
@@ -582,12 +586,12 @@ class TestForensicImageReadsTheDisk:
             self, tmp_path):
         path = str(tmp_path / "wal")
         wal = WriteAheadLog(path)
-        wal.append(LogRecordType.INSERT, 1, table="t", row_key=1,
+        wal.append(LogRecordType.UPDATE, 1, table="t", row_key=1,
                    after=b"PLAINTEXT-SALARY")
         wal.flush()
         # Scrub memory only, as a scrub that forgot the disk would.
         wal._records[0] = LogRecord(lsn=1, txn_id=1,
-                                    record_type=LogRecordType.INSERT,
+                                    record_type=LogRecordType.UPDATE,
                                     table="t", row_key=1)
         assert all(record.after is None for record in wal)
         assert b"PLAINTEXT-SALARY" in wal.raw_image()
@@ -607,7 +611,7 @@ class TestForensicImageReadsTheDisk:
 
     def test_unflushed_suffix_is_part_of_the_image(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path / "wal"))
-        wal.append(LogRecordType.INSERT, 1, table="t", row_key=1,
+        wal.append(LogRecordType.UPDATE, 1, table="t", row_key=1,
                    after=b"NOT-YET-ON-DISK")
         assert b"NOT-YET-ON-DISK" in wal.forensic_image()
 
@@ -615,7 +619,7 @@ class TestForensicImageReadsTheDisk:
         path = str(tmp_path / "wal")
         wal = WriteAheadLog(path)
         wal.append(LogRecordType.CATALOG, 0, after=b"DOMAIN-VOCABULARY")
-        wal.append(LogRecordType.INSERT, 1, table="t", row_key=1,
+        wal.append(LogRecordType.UPDATE, 1, table="t", row_key=1,
                    after=b"DOMAIN-VOCABULARY-row")
         wal.flush()
         wal.append(LogRecordType.CATALOG, 0, after=b"DOMAIN-VOCABULARY")
@@ -635,7 +639,7 @@ class TestDurabilityOfScrubAndDirectory:
         path = str(tmp_path / "wal")
         wal = WriteAheadLog(path, faults=plan)
         for row_key in range(4):
-            wal.append(LogRecordType.INSERT, 1, table="t", row_key=row_key,
+            wal.append(LogRecordType.UPDATE, 1, table="t", row_key=row_key,
                        after=b"SECRET-%d" % row_key)
         wal.flush()
         plan.fail_once("wal.scrub", "torn_write")
@@ -654,7 +658,7 @@ class TestDurabilityOfScrubAndDirectory:
     def test_failed_scrub_fsync_is_a_durability_error(self, tmp_path):
         plan = FaultPlan(seed=1)
         wal = WriteAheadLog(str(tmp_path / "wal"), faults=plan)
-        wal.append(LogRecordType.INSERT, 1, table="t", row_key=1, after=b"S")
+        wal.append(LogRecordType.UPDATE, 1, table="t", row_key=1, after=b"S")
         plan.fail_once("wal.scrub", "fsync")
         with pytest.raises(DurabilityError):
             wal.scrub_record("t", 1)
@@ -673,7 +677,7 @@ class TestDurabilityOfScrubAndDirectory:
 
         monkeypatch.setattr(WriteAheadLog, "_sync_directory", counting_sync)
         for row_key in range(12):
-            wal.append(LogRecordType.INSERT, 1, table="t", row_key=row_key,
+            wal.append(LogRecordType.UPDATE, 1, table="t", row_key=row_key,
                        after=b"w" * 40)
         wal.flush()
         creates = len(segment_paths(path))

@@ -12,6 +12,7 @@ from repro.storage.wal import (
     WriteAheadLog,
     decode_degrade_chunk,
     encode_degrade_chunk,
+    run_images,
 )
 from repro.txn.recovery import RecoveryManager
 from repro.txn.transaction import TransactionManager
@@ -116,8 +117,8 @@ class TestRedo:
         manager.commit(winner)
         store.remove(row_key, now=5.0, scrub_log=False)
         # Pretend the deletion page write was lost: restore the row image.
-        insert_image = [r for r in wal if r.record_type is LogRecordType.INSERT][0].after
-        store.restore_row(insert_image)
+        run = [r for r in wal if r.record_type is LogRecordType.INSERT_RUN][0]
+        store.restore_rows([run_images(run)[0][1]])
         report = RecoveryManager(wal, {"person": store}).recover()
         assert report.redone_removes == 1
         assert not store.exists(row_key)
@@ -137,7 +138,7 @@ class TestRedo:
 
     def test_unknown_table_in_log_raises(self):
         wal, store, manager = make_environment()
-        wal.append(LogRecordType.INSERT, 1, table="ghost", row_key=1, after=b"x")
+        wal.append(LogRecordType.UPDATE, 1, table="ghost", row_key=1, after=b"x")
         from repro.core.errors import RecoveryError
         with pytest.raises(RecoveryError):
             RecoveryManager(wal, {"person": store}).recover()
