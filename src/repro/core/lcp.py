@@ -155,10 +155,6 @@ class AttributeLCP:
         return len(self.states)
 
     @property
-    def initial_level(self) -> int:
-        return self.states[0]
-
-    @property
     def final_level(self) -> int:
         return self.states[-1]
 

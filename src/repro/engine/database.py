@@ -274,23 +274,20 @@ class InstantDB:
     def _append_catalog_if_dirty(self, now: float, txn_id: int = 0) -> None:
         """Log a CATALOG record when DDL state changed since the last one.
 
-        Appended (buffered) just before a commit's durable flush, so catalog
-        changes become durable with the first commit after them.  The record
-        is logged under the committing transaction's id: a commit that is
+        Appended (buffered) just before a commit's or a rollback's flush, so
+        catalog changes are durable before any record naming their tables is.
+        It is logged under the ending transaction's id: a commit that is
         otherwise read-only (``CREATE TABLE`` then ``commit()``) thereby has a
-        record of its own and still flushes, where a plain read-only commit
-        leaves the log alone.  Recovery restores the last CATALOG record
-        whatever its transaction's fate — DDL is not transactional.
-        :meth:`checkpoint` logs one unconditionally so WAL truncation never
-        loses the catalog.
+        record of its own and still flushes.  Recovery restores the last
+        CATALOG record whatever its transaction's fate (DDL is not transactional).
+        :meth:`checkpoint` logs one unconditionally, so truncation keeps one.
         """
         if not self._catalog_dirty:
             return
         payload = self._encode_catalog_snapshot()
         self._catalog_dirty = False
         if payload is not None:
-            self.wal.append(LogRecordType.CATALOG, txn_id, after=payload,
-                            timestamp=now)
+            self.wal.append(LogRecordType.CATALOG, txn_id, after=payload, timestamp=now)
 
     def _encode_catalog_snapshot(self) -> Optional[bytes]:
         """The encoded catalog document, or ``None`` when some registered
@@ -464,6 +461,7 @@ class InstantDB:
 
     def rollback(self, txn: Transaction) -> None:
         invariants.assert_engine_thread(self)
+        self._append_catalog_if_dirty(self.clock.now(), txn_id=txn.txn_id)
         self.transactions.abort(txn, now=self.clock.now())
 
     def _transaction(self, txn: Optional[Transaction], *tables: str,
@@ -488,7 +486,7 @@ class InstantDB:
             yield active
         except BaseException:
             if self.transactions.is_active(active.txn_id):
-                self.transactions.abort(active, now=self.clock.now())
+                self.rollback(active)
             raise
         self._commit_txn(active)
 
@@ -1186,10 +1184,12 @@ class InstantDB:
             anchor = marker
         self._flush_wal()
         if truncate_wal:
-            # Keep the catalog snapshot (and, behind it, the schedule chunks
-            # and their marker) together.
+            # Keep the catalog snapshot (and, behind it, the schedule chunks and
+            # their marker) together, and what undoes an open transaction's rows.
+            keep = next((record.lsn for record in self.wal
+                         if self.transactions.is_active(record.txn_id)), anchor.lsn)
             try:
-                self.wal.truncate_until(anchor.lsn - 1)
+                self.wal.truncate_until(min(keep, anchor.lsn) - 1)
             except DurabilityError as exc:
                 self._enter_read_only(str(exc))
                 raise

@@ -19,7 +19,7 @@ from ..core.errors import IndexError_
 
 @dataclass
 class IndexStats:
-    """Operation counters used by the C3 benchmark."""
+    """Operation counters of one index: maintenance, probes and entries read."""
 
     inserts: int = 0
     deletes: int = 0

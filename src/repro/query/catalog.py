@@ -92,9 +92,6 @@ class Catalog:
         except KeyError:
             raise CatalogError(f"unknown table {name!r}") from None
 
-    def has_table(self, name: str) -> bool:
-        return name.lower() in self._tables
-
     def tables(self) -> List[TableInfo]:
         return list(self._tables.values())
 

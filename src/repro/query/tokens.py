@@ -151,13 +151,6 @@ class TokenStream:
             self._index += 1
         return token
 
-    def at_end(self) -> bool:
-        token = self.peek()
-        return token.token_type is TokenType.EOF or (
-            token.token_type is TokenType.PUNCTUATION and token.value == ";"
-            and self.peek(1).token_type is TokenType.EOF
-        )
-
     def accept_keyword(self, *keywords: str) -> Optional[Token]:
         if self.peek().matches_keyword(*keywords):
             return self.advance()

@@ -22,10 +22,10 @@ from .chaos import (
     arm_schedule,
     run_chaos,
 )
-from .driver import DEFAULT_MIX, Op, OpResult, OpStream, ReplayReport, replay, run_op
+from .driver import DEFAULT_MIX, Op, OpResult, OpStream, run_op
 from .generator import InclusionGenerator, TableBatch, employee_salary
 from .inclusion import InclusionScenario, paranoid_user
-from .oracle import DifferentialOracle, Mismatch, OracleReport, format_failure, minimize_trace
+from .oracle import DifferentialOracle, Mismatch, OracleReport, format_failure
 from .retention import (
     RetentionViolation,
     check_engine,
@@ -39,10 +39,8 @@ from .variants import REFERENCE, VARIANT_NAMES, ScenarioVariant, build_variants,
 __all__ = [
     "InclusionScenario", "paranoid_user",
     "InclusionGenerator", "TableBatch", "employee_salary",
-    "Op", "OpStream", "OpResult", "ReplayReport", "replay", "run_op",
-    "DEFAULT_MIX",
-    "DifferentialOracle", "Mismatch", "OracleReport", "minimize_trace",
-    "format_failure",
+    "Op", "OpStream", "OpResult", "run_op", "DEFAULT_MIX",
+    "DifferentialOracle", "Mismatch", "OracleReport", "format_failure",
     "RetentionViolation", "check_engine", "forensic_leaks",
     "expired_employee_salaries", "retention_report",
     "ScenarioVariant", "build_variants", "VARIANT_NAMES", "REFERENCE",

@@ -361,16 +361,13 @@ class ChaosRunner:
                        "company_id, status, applicant_address, applied_day) "
                        "VALUES (?, ?, ?, ?, ?, ?)",
                    params=(next_id + round_index, 1, 1, "new",
-                           "12 Rue de la Paix, Paris", 0),
-                   tables=("job_applications",)),
+                           "12 Rue de la Paix, Paris", 0)),
                 Op(index=-1, kind="point_read",
                    sql="SELECT id, status FROM job_applications WHERE id = ?",
-                   params=(next_id + round_index,),
-                   tables=("job_applications",)),
+                   params=(next_id + round_index,)),
                 Op(index=-1, kind="delete",
                    sql="DELETE FROM job_applications WHERE id = ?",
-                   params=(next_id + round_index,),
-                   tables=("job_applications",)),
+                   params=(next_id + round_index,)),
                 Op(index=-1, kind="wave", advance=3600.0),
             ]
             for op in nudges:

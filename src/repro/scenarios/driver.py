@@ -11,8 +11,7 @@ can compare variants op by op (sentinel identity included).
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.values import NULL, REMOVED, SUPPRESSED
@@ -56,8 +55,6 @@ class Op:
     ordered: bool = False
     #: Clock advance in seconds (wave ops only).
     advance: float = 0.0
-    #: Tables the op touches (drives trace minimization).
-    tables: Tuple[str, ...] = ()
 
     def describe(self) -> str:
         if self.kind == "wave":
@@ -110,23 +107,18 @@ class OpStream:
                     sql="UPDATE job_applications SET status = ? WHERE id = ?",
                     params=(dist.uniform_choice(_STATUSES),
                             dist.uniform_int(1, max_app_id)),
-                    tables=("job_applications",),
                 ))
             elif kind == "delete":
                 ops.append(Op(
                     index=index, kind="delete",
                     sql="DELETE FROM job_applications WHERE id = ?",
                     params=(dist.uniform_int(1, max_app_id),),
-                    tables=("job_applications",),
                 ))
             elif kind == "wave":
-                ops.append(Op(
-                    index=index, kind="wave",
-                    advance=dist.uniform(WAVE_MIN_S, WAVE_MAX_S),
-                    tables=(),
-                ))
+                ops.append(Op(index=index, kind="wave",
+                              advance=dist.uniform(WAVE_MIN_S, WAVE_MAX_S)))
             else:
-                ops.append(Op(index=index, kind="forensic", tables=()))
+                ops.append(Op(index=index, kind="forensic"))
         return ops
 
     def epilogue(self, start_index: int) -> List[Op]:
@@ -143,21 +135,18 @@ class OpStream:
                 index=index, kind="range_scan",
                 sql="SELECT id, user_id, salary, address FROM employee_records "
                     "ORDER BY id",
-                purpose="statistics", ordered=True,
-                tables=("employee_records",)))
+                purpose="statistics", ordered=True))
             index += 1
             ops.append(Op(
                 index=index, kind="aggregate",
                 sql="SELECT applicant_address, COUNT(*) AS n "
                     "FROM job_applications GROUP BY applicant_address",
-                purpose="statistics",
-                tables=("job_applications",)))
+                purpose="statistics"))
             index += 1
             ops.append(Op(
                 index=index, kind="aggregate",
                 sql="SELECT address, COUNT(*) AS n FROM users GROUP BY address",
-                purpose="statistics",
-                tables=("users",)))
+                purpose="statistics"))
             index += 1
             ops.append(Op(index=index, kind="forensic"))
             index += 1
@@ -175,7 +164,6 @@ class OpStream:
                     "WHERE id = ?",
                 params=(dist.uniform_int(1, self.scenario.num_users),),
                 purpose=dist.uniform_choice(("placement", "casework")),
-                tables=("users",),
             )
         if roll < 0.8:
             return Op(
@@ -184,14 +172,12 @@ class OpStream:
                     "FROM job_applications WHERE id = ?",
                 params=(dist.uniform_int(1, max_app_id),),
                 purpose="placement",
-                tables=("job_applications",),
             )
         return Op(
             index=index, kind="point_read",
             sql="SELECT id, user_id, number, status FROM approvals "
                 "WHERE id = ?",
             params=(dist.uniform_int(1, self.scenario.num_approvals),),
-            tables=("approvals",),
         )
 
     def _range_scan(self, index: int, dist: Distributions) -> Op:
@@ -206,7 +192,6 @@ class OpStream:
                 params=(low, low + 30),
                 purpose="statistics",
                 ordered=True,
-                tables=("users",),
             )
         if roll < 0.7:
             # Exact-salary band: under the casework purpose rows degraded
@@ -222,7 +207,6 @@ class OpStream:
                 params=(low, low + 200),
                 purpose="casework",
                 ordered=True,
-                tables=("employee_records",),
             )
         low = dist.uniform_int(0, 300)
         return Op(
@@ -230,7 +214,6 @@ class OpStream:
             sql="SELECT id, user_id, status FROM approvals "
                 "WHERE granted_day >= ? AND granted_day <= ? ORDER BY id",
             params=(low, low + 45),
-            tables=("approvals",),
         )
 
     def _join(self, index: int, dist: Distributions) -> Op:
@@ -243,7 +226,6 @@ class OpStream:
                     "WHERE job_applications.company_id = ?",
                 params=(dist.uniform_int(1, self.scenario.num_companies),),
                 purpose="placement",
-                tables=("job_applications", "users"),
             )
         return Op(
             index=index, kind="join",
@@ -254,7 +236,6 @@ class OpStream:
                 "WHERE companies.id = ?",
             params=(dist.uniform_int(1, self.scenario.num_companies),),
             purpose="statistics",
-            tables=("employee_records", "companies"),
         )
 
     def _aggregate(self, index: int, dist: Distributions) -> Op:
@@ -265,7 +246,6 @@ class OpStream:
                 sql="SELECT status, COUNT(*) AS n FROM job_applications "
                     "GROUP BY status ORDER BY status",
                 ordered=True,
-                tables=("job_applications",),
             )
         if roll < 0.7:
             return Op(
@@ -273,14 +253,12 @@ class OpStream:
                 sql="SELECT address, COUNT(*) AS n FROM users "
                     "GROUP BY address",
                 purpose="statistics",
-                tables=("users",),
             )
         return Op(
             index=index, kind="aggregate",
             sql="SELECT applicant_address, COUNT(*) AS n "
                 "FROM job_applications GROUP BY applicant_address",
             purpose="statistics",
-            tables=("job_applications",),
         )
 
     def _insert(self, index: int, dist: Distributions, app_id: int) -> Op:
@@ -295,11 +273,10 @@ class OpStream:
                     "new",
                     self.generator.sample_address(dist),
                     dist.uniform_int(0, 365)),
-            tables=("job_applications",),
         )
 
 
-# ---------------------------------------------------------------------- replay
+# ------------------------------------------------------------------ canonical form
 
 def canonical_value(value: Any) -> Any:
     """Transport-independent token for one cell value.
@@ -327,41 +304,23 @@ def canonical_rows(rows: Sequence[Sequence[Any]], ordered: bool) -> List[Tuple[A
 
 @dataclass
 class OpResult:
-    """Canonical outcome of one op on one variant (plus its latency)."""
+    """Canonical outcome of one op on one variant."""
 
     kind: str
     payload: Any
-    seconds: float = 0.0
 
     def matches(self, other: "OpResult") -> bool:
         return self.kind == other.kind and self.payload == other.payload
 
 
-@dataclass
-class ReplayReport:
-    """Everything one variant produced for one stream."""
-
-    variant: str
-    results: List[OpResult] = field(default_factory=list)
-    retention_checks: int = 0
-    retention_violations: int = 0
-
-    @property
-    def latencies(self) -> List[float]:
-        return [result.seconds for result in self.results]
-
-
 def run_op(variant: ScenarioVariant, op: Op,
            salaries: Optional[Dict[int, int]] = None) -> OpResult:
     """Execute one op on one variant and canonicalize the outcome."""
-    started = time.perf_counter()
     if op.kind == "wave":
         variant.advance(op.advance)
-        payload = {"clock": variant.now(), "steps": variant.steps_applied()}
-        return OpResult("wave", payload, time.perf_counter() - started)
+        return OpResult("wave", {"clock": variant.now(), "steps": variant.steps_applied()})
     if op.kind == "forensic":
-        payload = variant.forensic_report(salaries)
-        return OpResult("forensic", payload, time.perf_counter() - started)
+        return OpResult("forensic", variant.forensic_report(salaries))
     assert op.sql is not None
     cursor = variant.execute(op.sql, op.params, purpose=op.purpose)
     if op.sql.lstrip().upper().startswith("SELECT"):
@@ -369,34 +328,15 @@ def run_op(variant: ScenarioVariant, op: Op,
         columns = tuple(d[0] for d in cursor.description) \
             if cursor.description else ()
         variant.commit()
-        payload = {"columns": columns,
-                   "rows": canonical_rows(rows, op.ordered)}
-        return OpResult("rows", payload, time.perf_counter() - started)
+        return OpResult("rows", {"columns": columns,
+                                 "rows": canonical_rows(rows, op.ordered)})
     rowcount = cursor.rowcount
     variant.commit()
-    return OpResult("rowcount", rowcount, time.perf_counter() - started)
-
-
-def replay(variant: ScenarioVariant, ops: Sequence[Op],
-           salaries: Optional[Dict[int, int]] = None,
-           check_retention_on_waves: bool = False) -> ReplayReport:
-    """Run a whole stream on one variant.
-
-    With ``check_retention_on_waves`` the retention invariant checker runs
-    after every wave op (the armed mode CI uses); violations are counted in
-    the report rather than raised, so the caller chooses the failure mode.
-    """
-    report = ReplayReport(variant=variant.name)
-    for op in ops:
-        report.results.append(run_op(variant, op, salaries=salaries))
-        if check_retention_on_waves and op.kind == "wave":
-            report.retention_checks += 1
-            report.retention_violations += variant.forensic_report()["violations"]
-    return report
+    return OpResult("rowcount", rowcount)
 
 
 __all__ = [
-    "Op", "OpStream", "OpResult", "ReplayReport", "DEFAULT_MIX",
-    "canonical_value", "canonical_rows", "run_op", "replay",
+    "Op", "OpStream", "OpResult", "DEFAULT_MIX",
+    "canonical_value", "canonical_rows", "run_op",
     "WAVE_MIN_S", "WAVE_MAX_S",
 ]

@@ -7,16 +7,16 @@ counters.  The reference is the model of :mod:`repro.scenarios.reference`,
 which shares no planner, store, index or scheduler with the engines; any
 disagreement is an engine bug (or a model bug) by definition.
 
-On disagreement the oracle reports the seed and a *minimized* op trace: the
-failing stream is first restricted to ops touching the tables involved (plus
-all clock waves, which change visibility globally), then greedily shrunk
-while the disagreement still reproduces on fresh engine pairs.
+On disagreement the oracle reports the seed and every mismatching op.  A
+minimal reproducer is the job of the engine-vs-model state machine
+(``tests/scenarios/test_model_machine.py``), whose rule sequences hypothesis
+shrinks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .driver import Op, OpResult, run_op
 from .variants import ScenarioVariant
@@ -50,8 +50,6 @@ class OracleReport:
     retention_violations: int = 0
     #: op kind -> count, for sanity-checking mix coverage.
     kind_counts: Dict[str, int] = field(default_factory=dict)
-    #: variant -> per-op latencies (seconds), for benchmark reporting.
-    latencies: Dict[str, List[float]] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -78,15 +76,11 @@ class DifferentialOracle:
 
     def run(self, ops: Sequence[Op], fail_fast: bool = True) -> OracleReport:
         names = tuple(self.variants)
-        report = OracleReport(reference=self.reference, variants=names,
-                              latencies={name: [] for name in names})
+        report = OracleReport(reference=self.reference, variants=names)
         for op in ops:
             report.kind_counts[op.kind] = report.kind_counts.get(op.kind, 0) + 1
-            results: Dict[str, OpResult] = {}
-            for name, variant in self.variants.items():
-                result = run_op(variant, op, salaries=self.salaries)
-                results[name] = result
-                report.latencies[name].append(result.seconds)
+            results = {name: run_op(variant, op, salaries=self.salaries)
+                       for name, variant in self.variants.items()}
             report.ops_run += 1
             expected = results[self.reference]
             for name in names[1:]:
@@ -104,88 +98,12 @@ class DifferentialOracle:
         return report
 
 
-# ----------------------------------------------------------------- minimization
-
-#: A factory producing a *fresh, loaded* (reference, suspect) variant pair.
-PairFactory = Callable[[], Tuple[ScenarioVariant, ScenarioVariant]]
-
-
-def _reproduces(build_pair: PairFactory, ops: Sequence[Op],
-                salaries: Dict[int, int]) -> bool:
-    """Does this op subset still produce any disagreement on a fresh pair?"""
-    reference, suspect = build_pair()
-    try:
-        for op in ops:
-            expected = run_op(reference, op, salaries=salaries)
-            actual = run_op(suspect, op, salaries=salaries)
-            if not actual.matches(expected):
-                return True
-        return False
-    finally:
-        reference.close()
-        suspect.close()
-
-
-def minimize_trace(build_pair: PairFactory, ops: Sequence[Op],
-                   failing: Mismatch,
-                   salaries: Optional[Dict[int, int]] = None,
-                   budget: int = 16) -> List[Op]:
-    """Shrink ``ops`` to a small prefix-closed trace that still disagrees.
-
-    Re-running costs a fresh engine pair per candidate, so the shrink is a
-    bounded greedy pass, not ddmin: (1) drop everything after the failing op,
-    (2) drop ops touching unrelated tables (waves always stay — the clock is
-    global state), (3) try dropping surviving ops one chunk at a time while
-    the budget lasts.  Each step keeps the candidate only if the disagreement
-    still reproduces from scratch.
-    """
-    salaries = salaries or {}
-    trace = [op for op in ops if op.index <= failing.op.index]
-    relevant = set(failing.op.tables)
-    if relevant:
-        filtered = [op for op in trace
-                    if op.kind in ("wave", "forensic")
-                    or op.index == failing.op.index
-                    or (set(op.tables) & relevant)]
-        if filtered != trace and _reproduces(build_pair, filtered, salaries):
-            trace = filtered
-            budget -= 1
-    # Greedy chunked removal (never the final op — it is the witness).
-    chunk = max(1, len(trace) // 8)
-    while budget > 0 and chunk >= 1:
-        removed_any = False
-        start = 0
-        while start < len(trace) - 1 and budget > 0:
-            candidate = trace[:start] + trace[start + chunk:]
-            if failing.op not in candidate:
-                candidate.append(failing.op)
-            budget -= 1
-            if len(candidate) < len(trace) and \
-                    _reproduces(build_pair, candidate, salaries):
-                trace = candidate
-                removed_any = True
-            else:
-                start += chunk
-        if not removed_any:
-            if chunk == 1:
-                break
-            chunk = max(1, chunk // 2)
-    return trace
-
-
-def format_failure(seed: int, mismatches: Sequence[Mismatch],
-                   trace: Optional[Sequence[Op]] = None) -> str:
-    """Human-oriented failure text: seed first, then the (minimized) trace."""
+def format_failure(seed: int, mismatches: Sequence[Mismatch]) -> str:
+    """Human-oriented failure text: the seed first, then each mismatch."""
     lines = [f"differential oracle failure (seed={seed}, "
              f"{len(mismatches)} mismatching op(s))"]
-    for mismatch in mismatches:
-        lines.append(mismatch.describe())
-    if trace is not None:
-        lines.append(f"minimized trace ({len(trace)} ops):")
-        for op in trace:
-            lines.append("  " + op.describe())
+    lines += [mismatch.describe() for mismatch in mismatches]
     return "\n".join(lines)
 
 
-__all__ = ["Mismatch", "OracleReport", "DifferentialOracle",
-           "minimize_trace", "format_failure", "PairFactory"]
+__all__ = ["Mismatch", "OracleReport", "DifferentialOracle", "format_failure"]

@@ -181,14 +181,13 @@ class ReferenceModel:
                                     f"catalog, not {type(statement).__name__} statements")
         return self.last
 
-    def executemany(self, sql: str, seq_of_params: Sequence[Sequence[Any]], *,
-                    purpose: Any = None) -> Result:
+    def executemany(self, sql: str, seq_of_params: Sequence[Sequence[Any]]) -> Result:
         statement = self._parsed.get(sql) or self._parsed.setdefault(sql, parse(sql))
         if isinstance(statement, ast.Select):
             raise NotSupportedError("executemany() cannot run a SELECT")
         if isinstance(statement, ast.Insert):   # one batch: one instant, one cohort
             return Result(rowcount=self._insert(statement, list(map(tuple, seq_of_params))))
-        return Result(rowcount=sum(self.execute(sql, params, purpose=purpose).rowcount
+        return Result(rowcount=sum(self.execute(sql, params).rowcount
                                    for params in seq_of_params))
 
     def cursor(self) -> "ReferenceModel":
@@ -202,8 +201,8 @@ class ReferenceModel:
 
     def rollback(self) -> None:
         for kind, row, undo in reversed(self._undo):
-            if kind == "insert":
-                self.tables[undo].remove(row)
+            if kind == "insert":    # a DELETE in the transaction may have erased it
+                self.tables[undo] = [kept for kept in self.tables[undo] if kept is not row]
             else:
                 row.values = undo
         self._undo.clear()

@@ -70,9 +70,8 @@ class ScenarioVariant:
         """Execute one statement; returns the (fetched) cursor."""
         return self.connection.execute(sql, params, purpose=purpose)
 
-    def executemany(self, sql: str, seq_of_params: Sequence[Sequence[Any]], *,
-                    purpose: Optional[str] = None) -> Any:
-        return self.connection.executemany(sql, seq_of_params, purpose=purpose)
+    def executemany(self, sql: str, seq_of_params: Sequence[Sequence[Any]]) -> Any:
+        return self.connection.executemany(sql, seq_of_params)
 
     def commit(self) -> None:
         self.connection.commit()

@@ -37,22 +37,13 @@ holds code only.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable, Dict, List, NamedTuple, Tuple
 
 from ..core.errors import KeyDestroyedError, PolicyError, StorageError
 from ..core.values import NULL, REMOVED, SUPPRESSED
-from .serialization import (
-    _FLOAT_STRUCT,
-    _INT_STRUCT,
-    _LEN_STRUCT,
-    _TAG_BYTES,
-    _TAG_FLOAT,
-    _TAG_INT,
-    _TAG_NULL,
-    _TAG_SUPPRESSED,
-    _TAG_TEXT,
-    decode_value,
-)
+from .serialization import (_FLOAT_STRUCT, _INT_STRUCT, _LEN_STRUCT, _TAG_BYTES, _TAG_FLOAT,
+                            _TAG_INT, _TAG_NULL, _TAG_SUPPRESSED, _TAG_TEXT, decode_value)
 
 #: The message a wave kernel raises for a step below the stored level.
 IRREVERSIBLE = "degradation is irreversible: cannot decrease the level"
@@ -397,7 +388,10 @@ def compile_wave_kernel(shape: WaveShape) -> Callable[..., Any]:
     return _compile(wave_kernel_source(shape), "<wave kernel>")
 
 
+@functools.lru_cache(maxsize=256)
 def _compile(source: str, name: str) -> Callable[..., Any]:
+    """The factory of ``source``: it holds code only, so every store of every
+    engine with that shape shares one (the 256 latest shapes stay compiled)."""
     namespace = dict(_GLOBALS)
     exec(compile(source, name, "exec"), namespace)
     factory: Callable[..., Any] = namespace["factory"]

@@ -68,9 +68,6 @@ class AdmissionGenerator:
                start: float = 0.0) -> List[AdmissionEvent]:
         return [self.event_at(start + index * interval) for index in range(count)]
 
-    def sample_specialty(self) -> str:
-        return self.dist.uniform_choice(self.tree.values_at_level(2))
-
     def sample_diagnosis(self) -> str:
         return self.dist.uniform_choice(self._diagnoses)
 

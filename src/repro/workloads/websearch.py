@@ -64,12 +64,6 @@ class SearchLogGenerator:
                start: float = 0.0) -> List[SearchEvent]:
         return [self.event_at(start + index * interval) for index in range(count)]
 
-    def sample_query(self) -> str:
-        return self.dist.zipf_choice(self._queries, self.zipf_skew)
-
-    def sample_category(self) -> str:
-        return self.dist.uniform_choice(self.tree.values_at_level(2))
-
 
 def searchlog_table_sql(policy_name: str = "websearch_lcp") -> str:
     """DDL of the search-log table used by the web-search example."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 
 import pytest
+from hypothesis import HealthCheck, Phase, settings
 
 from repro import AttributeLCP, InstantDB
 from repro.core.domains import (
@@ -14,6 +15,20 @@ from repro.core.domains import (
     build_websearch_tree,
 )
 from repro.workloads import LocationTraceGenerator, person_table_sql
+
+# hypothesis settings profiles.  Tier-1 runs "default": derandomized, so every
+# run tries the same examples, and unshrunk, so a failure reports the first
+# failing example at once.  ``pytest --hypothesis-profile=long`` runs five times
+# the examples and longer rule sequences (tests/scenarios/test_model_machine.py),
+# from a fresh seed, and shrinks a failure to a minimal one; print_blob adds the
+# ``@reproduce_failure`` line that replays it.
+settings.register_profile(
+    "default", derandomize=True, deadline=None, stateful_step_count=25,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate), report_multiple_bugs=False,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+settings.register_profile(
+    "long", settings.get_profile("default"), derandomize=False, database=None,
+    max_examples=500, stateful_step_count=60, phases=tuple(Phase), print_blob=True)
 
 #: The paper's Fig. 2 delays for the location attribute.
 LOCATION_TRANSITIONS = ["1 hour", "1 day", "1 month", "3 months"]

@@ -46,6 +46,20 @@ class TestCheckpointing:
         assert set(db.execute("SELECT location FROM person", purpose="city")
                    .column("location")) == {"Paris", "Lyon"}
 
+    def test_truncation_keeps_an_open_transactions_records(self, tmp_path):
+        """The checkpoint flushes an open transaction's rows to the pages; a
+        crash then leaves them uncommitted, so recovery must still hold the
+        records that undo them."""
+        db = build_engine(data_dir=str(tmp_path / "data"))
+        db.execute(f"INSERT INTO person (id, location) VALUES (1, '{PARIS}')")
+        txn = db.begin()
+        db.execute(f"INSERT INTO person (id, location) VALUES (2, '{LYON}')", txn=txn)
+        db.checkpoint(truncate_wal=True)
+        db.daemon.pause()                 # crash: the transaction never ends
+        reopened = InstantDB(data_dir=str(tmp_path / "data"))
+        reopened.recover()
+        assert reopened.execute("SELECT id FROM person").column("id") == [1]
+
 
 class TestIntrospection:
     def test_tables_listing(self, db):

@@ -113,6 +113,19 @@ class TestWritersStillLog:
         reopened.recover()
         assert reopened.tables() == ["t"]
 
+    def test_ddl_then_a_rolled_back_insert_is_durable(self, tmp_path):
+        """A rollback flushes the log too (the insert's page, its ABORT): the
+        table those records name reaches the log with them."""
+        conn = connect(str(tmp_path / "ddl"))
+        conn.execute("CREATE TABLE t (id INT PRIMARY KEY)")
+        conn.execute("INSERT INTO t VALUES (1)")
+        conn.rollback()
+        conn.engine.daemon.pause()        # abandon
+        reopened = InstantDB(data_dir=str(tmp_path / "ddl"))
+        reopened.recover()
+        assert reopened.tables() == ["t"]
+        assert reopened.execute("SELECT id FROM t").rows == []
+
 
 class TestInterleavedSessions:
     def test_only_the_writer_reaches_the_log(self, db):

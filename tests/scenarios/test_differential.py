@@ -3,20 +3,15 @@
 Five fixed seeds, ~200 mixed ops each (plus a full-lifecycle epilogue),
 replayed in lockstep against both engine variants with the reference model
 of :mod:`repro.scenarios.reference` as the ground truth.  Any disagreement
-fails with the seed and a minimized op trace, so a regression here is
-immediately reproducible from the failure message alone.
+fails with the seed and every mismatching op, so a regression here is
+reproducible from the failure message alone; the state machine of
+:mod:`.test_model_machine` shrinks what it finds to a minimal rule sequence.
 """
 
 import pytest
 
-from repro.scenarios import (
-    DifferentialOracle,
-    InclusionGenerator,
-    InclusionScenario,
-    OpStream,
-    format_failure,
-    minimize_trace,
-)
+from repro.scenarios import (DifferentialOracle, InclusionScenario, Op, OpStream, build_variants,
+                             format_failure, run_op)
 
 from .conftest import build_loaded
 
@@ -34,32 +29,17 @@ def run_seed(seed, check_retention=True):
         oracle = DifferentialOracle(variants,
                                     salaries=generator.sensitive_salaries(),
                                     check_retention=check_retention)
-        return oracle.run(ops, fail_fast=False), ops, generator
+        return oracle.run(ops, fail_fast=False), ops
     finally:
         for variant in variants.values():
             variant.close()
 
 
-def fail_with_trace(seed, report, ops, generator):
-    """Shrink to a reproducer on the first disagreeing pair, then fail."""
-    first = report.mismatches[0]
-
-    def build_pair():
-        scenario = InclusionScenario(SCALE)
-        pair, _ = build_loaded(scenario, seed,
-                               names=(first.reference, first.variant))
-        return pair[first.reference], pair[first.variant]
-
-    trace = minimize_trace(build_pair, ops, first,
-                           salaries=generator.sensitive_salaries())
-    pytest.fail(format_failure(seed, report.mismatches, trace))
-
-
 @pytest.mark.parametrize("seed", SEEDS)
 def test_all_variants_agree(seed):
-    report, ops, generator = run_seed(seed)
+    report, ops = run_seed(seed)
     if report.mismatches:
-        fail_with_trace(seed, report, ops, generator)
+        pytest.fail(format_failure(seed, report.mismatches))
     assert report.ops_run == len(ops)
     assert report.retention_violations == 0
     assert report.retention_checks > 0
@@ -73,7 +53,6 @@ def test_edge_semantics_agree_across_variants():
     policy already removed, and the typed refusal to update a degradable
     column — both variants must behave as the model does."""
     from repro.core.errors import PolicyError
-    from repro.scenarios import Op, run_op
 
     scenario = InclusionScenario(30)
     variants, generator = build_loaded(scenario, 9)
@@ -90,20 +69,19 @@ def test_edge_semantics_agree_across_variants():
         probes = [
             Op(0, "point_read",
                "SELECT id, address, health_note FROM users ORDER BY id", (),
-               None, True, tables=("users",)),
+               None, True),
             Op(1, "aggregate",
                "SELECT applicant_address, COUNT(*) AS n "
                "FROM job_applications GROUP BY applicant_address", (),
-               None, tables=("job_applications",)),
+               None),
         ]
         for variant in variants.values():
             variant.advance(90 * 86400.0)   # employee_records fully removed
         probes.append(Op(2, "delete",
-                         "DELETE FROM employee_records WHERE id = ?", (1,),
-                         tables=("employee_records",)))
+                         "DELETE FROM employee_records WHERE id = ?", (1,)))
         probes.append(Op(3, "aggregate",
                          "SELECT COUNT(*) AS n FROM employee_records", (),
-                         None, True, tables=("employee_records",)))
+                         None, True))
         for op in probes:
             results = {name: run_op(variant, op)
                        for name, variant in variants.items()}
@@ -136,32 +114,23 @@ def test_oracle_catches_a_diverging_engine():
             variant.close()
 
 
-def test_minimizer_shrinks_a_failing_trace():
-    """The minimized trace still reproduces and is genuinely smaller."""
-    scenario = InclusionScenario(20)
-    variants, generator = build_loaded(scenario, 6,
-                                       names=("reference", "compiled"))
+def test_executemany_agrees_across_variants():
+    """One batch insert on the model and on both engine variants: the same
+    row count, then the same rows."""
+    sql = "INSERT INTO companies (id, name, city, sector) VALUES (?, ?, ?, ?)"
+    batch = [(1, "Acme", "Paris", "care"), (2, "Bolt", "Lyon", "retail")]
+    read = Op(0, "range_scan", "SELECT id, name, city FROM companies ORDER BY id", (),
+              None, True)
+    variants = build_variants(InclusionScenario(20))
     try:
-        variants["compiled"].engine.advance_time(86400.0)
-        stream = OpStream(scenario, seed=6, count=60)
-        ops = stream.ops()
-        oracle = DifferentialOracle(variants, check_retention=False)
-        report = oracle.run(ops, fail_fast=True)
-        assert report.mismatches
+        counts = {name: variant.executemany(sql, batch).rowcount
+                  for name, variant in variants.items()}
+        assert set(counts.values()) == {2}, counts
+        results = {name: run_op(variant, read) for name, variant in variants.items()}
+        assert results["reference"].payload["rows"] == [(1, "Acme", "Paris"),
+                                                        (2, "Bolt", "Lyon")]
+        for name, result in results.items():
+            assert result.matches(results["reference"]), name
     finally:
         for variant in variants.values():
             variant.close()
-    first = report.mismatches[0]
-
-    def build_pair():
-        pair, _ = build_loaded(InclusionScenario(20), 6,
-                               names=("reference", "compiled"))
-        # reproduce the sabotage so the divergence is deterministic
-        pair["compiled"].engine.advance_time(86400.0)
-        return pair["reference"], pair["compiled"]
-
-    trace = minimize_trace(build_pair, ops, first, budget=8)
-    assert trace
-    assert len(trace) < len([op for op in ops
-                             if op.index <= first.op.index]) or len(trace) == 1
-    assert trace[-1].index <= first.op.index

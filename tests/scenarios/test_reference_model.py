@@ -9,7 +9,8 @@ import pytest
 import repro.scenarios.reference as reference
 from repro.core.policy import Purpose
 from repro.core.values import SUPPRESSED
-from repro.scenarios import REFERENCE, VARIANT_NAMES, InclusionScenario, Op, run_op
+from repro.scenarios import (REFERENCE, VARIANT_NAMES, InclusionScenario, Op, build_variants,
+                             run_op)
 from repro.scenarios.driver import canonical_value
 
 from .conftest import build_loaded
@@ -89,7 +90,7 @@ APPLICATIONS = "job_applications"
 
 def op(index, sql, params=(), purpose=None):
     return Op(index, "aggregate" if sql.startswith("SELECT") else "delete", sql, params,
-              purpose, tables=(APPLICATIONS,))
+              purpose)
 
 
 def test_fully_suppressed_rows_are_seen_and_deleted_only_where_unconstrained():
@@ -128,6 +129,23 @@ def test_fully_suppressed_rows_are_seen_and_deleted_only_where_unconstrained():
             assert got == pinned, probe.describe()
             for name, result in results.items():
                 assert result.matches(expected), (probe.describe(), name)
+    finally:
+        for variant in variants.values():
+            variant.close()
+
+
+# -- rollback ----------------------------------------------------------------------
+
+def test_rollback_after_deleting_a_row_the_transaction_inserted():
+    """DELETE erases at statement time, so the rollback has nothing of the row
+    left to undo: it stays gone, in the model as in the engine."""
+    variants = build_variants(InclusionScenario(20), names=(REFERENCE, "compiled"))
+    try:
+        for variant in variants.values():
+            variant.execute("INSERT INTO companies (id, name) VALUES (?, ?)", (1, "Acme"))
+            assert variant.execute("DELETE FROM companies WHERE id = ?", (1,)).rowcount == 1
+            variant.rollback()
+            assert variant.execute("SELECT id FROM companies").fetchall() == []
     finally:
         for variant in variants.values():
             variant.close()

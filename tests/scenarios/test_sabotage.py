@@ -1,13 +1,18 @@
-"""Three seeded sabotages the reference model catches.
+"""Seeded sabotages the reference model catches.
 
 Each one breaks a layer that every engine variant shares — the store's row
 reader, the planner, the degradation schedule — so two engines compared with
 each other agree on the wrong answer.  The reference model shares none of
 them (:mod:`repro.scenarios.reference`), so the differential oracle reports
-each one, with the op it first diverged on.
+the first three, with the op each first diverged on, and the engine-vs-model
+state machine (:mod:`.test_model_machine`) fails on all four.  Under a
+profile that shrinks (``--hypothesis-profile=long``) the machine's failing
+rule sequence must come down to at most ten rules.
 """
 
 import pytest
+from hypothesis import Phase, settings
+from hypothesis.stateful import run_state_machine_as_test
 
 from repro.core.scheduler import DegradationScheduler
 from repro.query.compiler import collect_refs
@@ -16,6 +21,7 @@ from repro.scenarios import DifferentialOracle, InclusionScenario, Op, OpStream
 from repro.storage.degradable_store import TableStore
 
 from .conftest import build_loaded
+from .test_model_machine import ModelMachine
 
 SCALE = 30
 SEED = 3
@@ -52,7 +58,7 @@ def test_an_unsabotaged_engine_agrees(prepare):
     assert oracle_run(stream_ops(), prepare).ok
 
 
-def test_a_level_cap_off_by_one_in_the_row_reader_is_caught(monkeypatch):
+def level_cap_off_by_one(monkeypatch):
     """Every scan lets a row through one level above what its purpose may
     see — on the header check and the page floor alike."""
     original = TableStore.row_reader
@@ -62,13 +68,9 @@ def test_a_level_cap_off_by_one_in_the_row_reader_is_caught(monkeypatch):
                         [(name, cap + 1) for name, cap in level_caps], *args, **kwargs)
 
     monkeypatch.setattr(TableStore, "row_reader", off_by_one)
-    report = oracle_run(stream_ops())
-    assert report.mismatches
-    # a read or a DML match saw a row its purpose may not: the clock agrees
-    assert report.mismatches[0].op.kind not in ("wave", "forensic")
 
 
-def test_a_left_join_right_side_conjunct_pushed_into_its_scan_is_caught(monkeypatch):
+def left_join_conjunct_pushed(monkeypatch):
     """The planner moves a WHERE conjunct on a LEFT JOIN's right table into
     that table's scan, where it can no longer see the NULL padding."""
     original = Planner.plan_physical
@@ -86,18 +88,9 @@ def test_a_left_join_right_side_conjunct_pushed_into_its_scan_is_caught(monkeypa
         return plan
 
     monkeypatch.setattr(Planner, "plan_physical", pushed)
-    sql = ("SELECT users.id, job_applications.id FROM users LEFT JOIN job_applications "
-           "ON users.id = job_applications.user_id WHERE job_applications.status = ?")
-    ops = [Op(index, "join", sql, (status,), "statistics", tables=("users", "job_applications"))
-           for index, status in enumerate(("accepted", "refused", "new"))]
-    report = oracle_run(ops)
-    assert report.mismatches
-    expected, actual = report.mismatches[0].expected, report.mismatches[0].actual
-    # the padded rows of users without such an application leak through
-    assert len(actual.payload["rows"]) > len(expected.payload["rows"])
 
 
-def test_a_cohort_split_that_leaves_half_its_rows_behind_is_caught(monkeypatch):
+def cohort_split_stranded(monkeypatch):
     """Cutting a cohort at the drain's batch limit gives the split-off part
     no queue entry: its rows stay in the old state for good."""
     original = DegradationScheduler._split
@@ -108,8 +101,60 @@ def test_a_cohort_split_that_leaves_half_its_rows_behind_is_caught(monkeypatch):
         return part
 
     monkeypatch.setattr(DegradationScheduler, "_split", stranded)
+
+
+def last_transition_never_queued(monkeypatch):
+    """Off by one in the schedule: an attribute's last transition is never
+    queued, so nothing reaches its final state (or leaves the table)."""
+    original = DegradationScheduler._schedule_next
+
+    def short(self, cohort, attribute):
+        if cohort.states[attribute] + 2 >= cohort.key[1].attributes[attribute].num_states:
+            cohort.queued.pop(attribute, None)
+            return
+        original(self, cohort, attribute)
+
+    monkeypatch.setattr(DegradationScheduler, "_schedule_next", short)
+
+
+def test_a_level_cap_off_by_one_in_the_row_reader_is_caught(monkeypatch):
+    level_cap_off_by_one(monkeypatch)
+    report = oracle_run(stream_ops())
+    assert report.mismatches
+    # a read or a DML match saw a row its purpose may not: the clock agrees
+    assert report.mismatches[0].op.kind not in ("wave", "forensic")
+
+
+def test_a_left_join_right_side_conjunct_pushed_into_its_scan_is_caught(monkeypatch):
+    left_join_conjunct_pushed(monkeypatch)
+    sql = ("SELECT users.id, job_applications.id FROM users LEFT JOIN job_applications "
+           "ON users.id = job_applications.user_id WHERE job_applications.status = ?")
+    ops = [Op(index, "join", sql, (status,), "statistics")
+           for index, status in enumerate(("accepted", "refused", "new"))]
+    report = oracle_run(ops)
+    assert report.mismatches
+    expected, actual = report.mismatches[0].expected, report.mismatches[0].actual
+    # the padded rows of users without such an application leak through
+    assert len(actual.payload["rows"]) > len(expected.payload["rows"])
+
+
+def test_a_cohort_split_that_leaves_half_its_rows_behind_is_caught(monkeypatch):
+    cohort_split_stranded(monkeypatch)
     report = oracle_run(stream_ops(), prepare=small_batches)
     assert report.mismatches
     first = report.mismatches[0]
     if first.op.kind == "wave":     # fewer row steps than the policy mandates
         assert first.actual.payload["steps"] < first.expected.payload["steps"]
+
+
+@pytest.mark.parametrize("sabotage", [level_cap_off_by_one, left_join_conjunct_pushed,
+                                      cohort_split_stranded, last_transition_never_queued])
+def test_the_model_machine_catches(sabotage, monkeypatch):
+    """The machine fails under each sabotage; where the profile shrinks, the
+    failing sequence it settles on is at most ten rules long."""
+    sabotage(monkeypatch)
+    with pytest.raises(AssertionError):     # the first failure ends the search
+        run_state_machine_as_test(ModelMachine,
+                                  settings=settings(settings.default, max_examples=1000))
+    if Phase.shrink in settings.default.phases:
+        assert len(ModelMachine.steps) <= 10, ModelMachine.steps
