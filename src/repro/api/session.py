@@ -38,19 +38,26 @@ Row = Tuple[Any, ...]
 #: trip however few rows its caller wants next.
 DEFAULT_PREFETCH = 64
 
-#: Rows pulled per refill when a result set is drained to its end
-#: (``fetchall``, settling at commit/rollback).
+#: Rows a remote result set asks for per FETCH round trip when it is
+#: drained to its end (``fetchall``, settling at commit/rollback).
 FETCH_BATCH = 1024
 
 #: ``more(n)``: at least ``n`` further rows unless the source ends first,
-#: plus a this-was-the-end flag.
-RowSource = Callable[[int], Tuple[List[Row], bool]]
+#: plus a this-was-the-end flag; ``more(None)``: the result set is drained to
+#: its end, as many rows as the source gives at once.
+RowSource = Callable[[Optional[int]], Tuple[List[Row], bool]]
 
 
-def pipeline_rows(rows: Iterator[Row]) -> RowSource:
-    """Row source over a live pipeline iterator: exactly the rows asked for
-    are computed, so ``fetchone`` pulls one row out of the operator tree."""
-    def more(n: int) -> Tuple[List[Row], bool]:
+def pipeline_rows(result: StreamingResult) -> RowSource:
+    """Row source over a live pipeline: exactly the rows asked for are
+    computed, so ``fetchone`` pulls one row out of the operator tree; a
+    drain takes the rest at once, the scans' page runs whole."""
+    rows = iter(result)
+
+    def more(n: Optional[int]) -> Tuple[List[Row], bool]:
+        if n is None:
+            result.drain()
+            return list(rows), True
         batch = list(islice(rows, n))
         return batch, len(batch) < n
     return more
@@ -70,7 +77,7 @@ class ResultSet:
         #: Tells the source it was abandoned before its end.
         self._release = release
 
-    def _refill(self, n: int) -> None:
+    def _refill(self, n: Optional[int]) -> None:
         assert self._more is not None
         rows, done = self._more(n)
         if done:
@@ -96,7 +103,7 @@ class ResultSet:
     def materialize(self) -> None:
         """Drain the source into the buffer (end of transaction, fetchall)."""
         while self._more is not None:
-            self._refill(FETCH_BATCH)
+            self._refill(None)
 
     def close(self) -> None:
         if self._more is not None and self._release is not None:
@@ -171,7 +178,7 @@ class EngineSession:
                                      txn=self._transaction(), params=params,
                                      stream=True)
         if isinstance(result, StreamingResult):
-            rows = ResultSet(result.columns, more=pipeline_rows(iter(result)))
+            rows = ResultSet(result.columns, more=pipeline_rows(result))
             self._streams.add(rows)
             return rows, -1
         if isinstance(result, QueryResult):

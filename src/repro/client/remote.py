@@ -41,6 +41,7 @@ from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from ..api.session import (
     DEFAULT_PREFETCH,
+    FETCH_BATCH,
     BaseConnection,
     BaseCursor,
     PurposeSpec,
@@ -381,13 +382,14 @@ class RemoteConnection(BaseConnection):
         self._check_open()
         return RemoteCursor(self)
 
-    def _fetch(self, cursor_id: int, n: int) -> Tuple[List[Row], bool]:
+    def _fetch(self, cursor_id: int, n: Optional[int]) -> Tuple[List[Row], bool]:
         """A result set's row source: one FETCH round trip, never for less
         than a prefetch batch — a caller reading row by row must not pay a
-        round trip per row."""
+        round trip per row — and for a batch of :data:`FETCH_BATCH` when the
+        result set is drained."""
         _, reply = self._request(protocol.FETCH, {
             "cursor": cursor_id,
-            "n": max(n, DEFAULT_PREFETCH),
+            "n": FETCH_BATCH if n is None else max(n, DEFAULT_PREFETCH),
         })
         return ([tuple(row) for row in reply.get("rows", [])],
                 bool(reply.get("done")))

@@ -59,7 +59,7 @@ from ..core.schema import TableSchema
 from ..devtools import invariants
 from ..query import ast_nodes as ast
 from ..query.catalog import Catalog, IndexInfo, TableInfo
-from ..query.executor import Executor, QueryResult
+from ..query.executor import Executor, QueryResult, draining
 from ..query.planner import PhysicalPlan, Planner, bind_physical_plan
 from ..query.prepared import PreparedStatement, StatementCache, query_of
 from ..storage.buffer import BufferPool
@@ -708,7 +708,7 @@ class InstantDB:
             # past a concurrent writer.
             with self._transaction(txn, inner.table,
                                    *(clause.table for clause in inner.joins)):
-                for _row in root:
+                for _run in root.runs(draining):
                     pass
         lines = plan.describe().splitlines()
         lines.extend(root.explain_lines(analyze=statement.analyze))

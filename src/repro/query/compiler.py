@@ -31,18 +31,8 @@ from functools import lru_cache
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import BindingError, ExecutionError, ParameterError
-from ..core.values import (
-    NULL,
-    ORDERINGS,
-    SUPPRESSED,
-    between,
-    compare,
-    equal,
-    hashable,
-    is_missing,
-    like_pattern,
-    truthy,
-)
+from ..core.values import (NULL, ORDERINGS, SUPPRESSED, between, compare, equal, hashable,
+                           is_missing, like_pattern, truthy)
 from . import ast_nodes as ast
 
 #: A compiled row function: positional row in, value (or bool) out.
@@ -328,6 +318,34 @@ def compile_truth(expression: ast.Expression, layout: Layout,
     return compile_predicate(expression, lambda ref: layout.slot(ref) - offset)
 
 
+#: A scan kernel's inline comparison: ``(slot, operator, number)``.
+Comparison = Tuple[int, str, Any]
+
+
+def split_filter(scan: Any, layout: Layout, offset: int
+                 ) -> Tuple[Tuple[Comparison, ...], List[ast.Expression]]:
+    """A scan's pushed filter split into the ``column op number`` conjuncts
+    its kernel evaluates inline — slots of the scan's own rows, a ``?`` still
+    its placeholder — and the others (all of them for an index-only scan: it
+    runs no kernel)."""
+    inline: List[Comparison] = []
+    rest: List[ast.Expression] = []
+    where = scan.filter
+    for conjunct in () if where is None else where.operands \
+            if isinstance(where, ast.BooleanOp) and where.operator == "AND" else (where,):
+        number = getattr(conjunct, "right", None)
+        if isinstance(number, ast.Literal) and type(number.value) in (int, float):
+            number = number.value
+        if isinstance(conjunct, ast.Comparison) and not scan.index_only \
+                and isinstance(number, (int, float, ast.Placeholder)) \
+                and conjunct.operator in ("=", "!=", "<", "<=", ">", ">=") \
+                and isinstance(conjunct.left, ast.ColumnRef):
+            inline.append((layout.slot(conjunct.left) - offset, conjunct.operator, number))
+        else:
+            rest.append(conjunct)
+    return tuple(inline), rest
+
+
 # -- whole-plan compilation -------------------------------------------------------
 
 
@@ -341,8 +359,11 @@ class CompiledSelect:
     #: Output-tuple builder; ``None`` for aggregate queries.
     project: Optional[RowFn]
     #: Per scan (base first): truth function of its pushed filter over the
-    #: scan's own rows, or ``None``.
+    #: scan's own rows, or ``None`` — less its ``comparisons``.
     filters: List[Optional[RowFn]]
+    #: Per scan: the ``column op number`` conjuncts of its pushed filter that
+    #: its kernel evaluates inline (:func:`split_filter`).
+    comparisons: List[Tuple[Comparison, ...]]
     #: Per scan: what its row reader decodes and when (:func:`read_spec`).
     reads: List[Tuple]
     #: Truth function of the cross-table residual; ``None`` when nothing is.
@@ -421,9 +442,10 @@ def compile_select(catalog: Any, plan: Any) -> CompiledSelect:
     else:
         project = compile_projection([expression for _name, expression in items],
                                      layout.slot)
-    filters = [None if scan.filter is None
-               else compile_truth(scan.filter, layout, offset)
-               for scan, offset in zip(scans, layout.offsets)]
+    pushed = [split_filter(scan, layout, offset)
+              for scan, offset in zip(scans, layout.offsets)]
+    filters = [all_of([compile_truth(conjunct, layout, offset) for conjunct in rest])
+               for (_comparisons, rest), offset in zip(pushed, layout.offsets)]
     residual = None if plan.residual is None \
         else compile_truth(plan.residual, layout)
     join_keys = [
@@ -431,7 +453,9 @@ def compile_select(catalog: Any, plan: Any) -> CompiledSelect:
          hash_key(layout.slot(right) - layout.offsets[position]))
         for position, (left, right) in enumerate(plan.join_refs, 1)]
     return CompiledSelect(layout=layout, columns=columns, items=items,
-                          project=project, filters=filters, residual=residual,
+                          project=project, filters=filters,
+                          comparisons=[comparisons for comparisons, _rest in pushed],
+                          residual=residual,
                           reads=[read_spec(catalog, scan, columns)
                                  for scan, columns in zip(scans, columns_of)],
                           join_keys=join_keys, aggregate=aggregate,
@@ -439,7 +463,7 @@ def compile_select(catalog: Any, plan: Any) -> CompiledSelect:
 
 
 __all__ = [
-    "RowFn", "Layout", "CompiledSelect", "compile_select", "compile_truth",
+    "RowFn", "Layout", "CompiledSelect", "compile_select", "compile_truth", "split_filter",
     "read_spec", "collect_refs", "all_of",
     "compile_predicate", "compile_value", "compile_projection", "hash_key",
     "render_expression",

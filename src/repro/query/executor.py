@@ -27,6 +27,7 @@ from .operators import (
     StreamingResult,
     build_match_pipeline,
     build_pipeline,
+    draining,
 )
 from .planner import PhysicalPlan
 
@@ -92,6 +93,7 @@ class Executor:
     def execute_physical(self, plan: PhysicalPlan) -> QueryResult:
         """:meth:`stream_physical`, drained into a :class:`QueryResult`."""
         stream = self.stream_physical(plan)
+        stream.drain()
         return QueryResult(columns=stream.columns, rows=list(stream),
                            pipeline=stream.pipeline)
 
@@ -104,19 +106,7 @@ class Executor:
         """
         columns, root = build_pipeline(self._runtime, plan)
         self.last_pipeline = root
-        iterator = iter(root)
-        first = next(iterator, _EXHAUSTED)
-
-        def rows() -> Iterator[Tuple[Any, ...]]:
-            if first is _EXHAUSTED:
-                return
-            self.stats.rows_returned += 1
-            yield first
-            for row in iterator:
-                self.stats.rows_returned += 1
-                yield row
-
-        return StreamingResult(columns=columns, rows_iter=rows(), pipeline=root)
+        return StreamingResult(columns, root, self.stats)
 
     def build(self, plan: PhysicalPlan) -> Tuple[List[str], Operator]:
         """Instantiate (but do not run) the operator tree — EXPLAIN's input."""
@@ -142,15 +132,8 @@ class Executor:
         """
         store = self.stores(plan.base.table)
         return [store.read(row[ROW_KEY_FIELD])
-                for row in self.match_pipeline(plan)]
-
-
-class _Exhausted:
-    """Sentinel distinguishing 'no first row' from a first row of None."""
-
-
-_EXHAUSTED = _Exhausted()
+                for run in self.match_pipeline(plan).runs(draining) for row in run]
 
 
 __all__ = ["Executor", "QueryResult", "ExecutorStats", "ROW_KEY_FIELD",
-           "StoreProvider"]
+           "StoreProvider", "draining"]

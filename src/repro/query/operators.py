@@ -1,11 +1,15 @@
 """Volcano-style streaming physical operators.
 
 The read path is a tree of pull-based operators: every operator is an iterator
-over rows and pulls from its children on demand, so ``LIMIT k`` stops the
-whole pipeline after ``k`` rows and a cursor's ``fetchone`` materializes no
-more than what was fetched.  Rows are **positional tuples** in the slot layout
-the plan's :class:`~repro.query.compiler.Layout` fixed; no operator looks a
-name up.  The degradation-specific parts of the paper live in the scans
+over **runs** — non-empty lists of rows — and pulls from its children on
+demand.  A consumer that reads its input to the end before anything else can
+run on the engine (:func:`draining`: an aggregate, a sort, a hash join's build
+side, the DML match, a drained result set) gets a scan's page run as one list;
+one that reads lazily (:func:`lazy`: ``LIMIT k``, ``fetchone``) gets one row
+per list, so ``LIMIT k`` stops the whole pipeline after ``k`` rows and
+``fetchone`` computes no more than what was fetched.  Rows are **positional
+tuples** in the slot layout the plan's :class:`~repro.query.compiler.Layout`
+fixed; no operator looks a name up.  The degradation-specific parts of the paper live in the scans
 (``σ_{P,k}`` / ``π_{*,k}``: a row is first excluded, or degraded to the
 demanded accuracy levels, *then* predicates see it); everything downstream is
 a conventional iterator engine:
@@ -31,7 +35,7 @@ Every operator counts the rows it produced in :class:`OperatorStats`, which is
 what ``EXPLAIN ANALYZE`` renders (alongside the planner's row estimates) and
 what tests/benchmarks use to prove that ``LIMIT k`` pulls only O(k) rows past
 the scan.  Nothing an operator learns from rows — hash tables, groups, the
-scan's generalization memo — outlives its ``rows()`` generator.
+scan's generalization memo — outlives its ``runs()`` generator.
 """
 
 from __future__ import annotations
@@ -39,16 +43,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import partial
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from itertools import chain
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.errors import BindingError, ExecutionError
 from ..core.values import NULL, is_missing, sort_key
@@ -56,7 +52,7 @@ from ..index.gt_index import GTIndex
 from ..storage.degradable_store import TableStore
 from . import ast_nodes as ast
 from .catalog import Catalog
-from .compiler import RowFn, all_of, hash_key, render_expression
+from .compiler import Comparison, RowFn, all_of, hash_key, render_expression
 from .planner import AccessPath, PhysicalPlan, TableScanPlan
 
 #: Callable giving the pipeline access to a table's storage manager.
@@ -66,6 +62,20 @@ StoreProvider = Callable[[str], TableStore]
 ROW_KEY_FIELD = 0
 
 _MISS = object()
+
+#: ``drain()``: whether the consumer of a pipeline now reads it to the end
+#: before anything else can run on the engine.
+Drain = Callable[[], bool]
+
+
+def draining() -> bool:
+    """The pace of a consumer that reads its input to the end at once."""
+    return True
+
+
+def lazy() -> bool:
+    """The pace of a consumer that reads a row at a time."""
+    return False
 
 
 # -- operator infrastructure ----------------------------------------------------
@@ -103,13 +113,18 @@ class Operator:
         #: Planner-estimated output rows (shown by EXPLAIN; None = unknown).
         self.estimated_rows: Optional[float] = None
 
-    def rows(self) -> Iterator[Any]:
-        raise NotImplementedError
+    def runs(self, drain: Drain) -> Iterator[Sequence[Any]]:
+        """The rows, a non-empty list at a time, counted as they go up: whole
+        runs while ``drain()`` is true, else as few rows as each pull
+        needs — one row of a scan."""
+        stats = self.stats
+        for run in self._runs(drain):
+            if run:
+                stats.rows_out += len(run)
+                yield run
 
-    def __iter__(self) -> Iterator[Any]:
-        for row in self.rows():
-            self.stats.rows_out += 1
-            yield row
+    def _runs(self, drain: Drain) -> Iterator[Sequence[Any]]:
+        raise NotImplementedError
 
     def describe(self) -> str:
         return self.label
@@ -153,13 +168,16 @@ class _ScanBase(Operator):
     """
 
     def __init__(self, runtime: PipelineRuntime, scan: TableScanPlan,
-                 filter_fn: Optional[RowFn], spec: Tuple) -> None:
+                 filter_fn: Optional[RowFn], spec: Tuple,
+                 comparisons: Tuple[Comparison, ...] = ()) -> None:
         super().__init__()
         self.runtime = runtime
         self.scan = scan
         self.filter_fn = filter_fn
         #: What to decode and when (:func:`~repro.query.compiler.read_spec`).
         self.spec = spec
+        #: The pushed ``column op number`` conjuncts the kernel runs inline.
+        self.comparisons = comparisons
         #: Rows whose header was examined, and those of them the level rule
         #: excluded (the store counts both as it hands rows out, a page its
         #: level floor excludes whole as skipped, its records unread);
@@ -201,19 +219,16 @@ class _ScanBase(Operator):
             tests.append(lambda row: not is_missing(row[slot]))
         if self.filter_fn is not None:
             tests.append(self.filter_fn)
-        return store.row_reader(*self.spec, all_of(tests))
+        return store.row_reader(*self.spec, all_of(tests), comparisons=self.comparisons)
 
-    def _rows(self, store: TableStore, reader: Callable) -> Iterator[Tuple[Any, ...]]:
+    def _open(self, store: TableStore, reader: Callable, drain: Drain) -> Iterator[Sequence[Any]]:
         raise NotImplementedError
 
-    def __iter__(self) -> Iterator[Tuple[Any, ...]]:
+    def _runs(self, drain: Drain) -> Iterator[Sequence[Any]]:
         store = self.runtime.stores(self.scan.table)
-        own = self.stats
         examined, excluded = self.examined, self.excluded
         try:
-            for row in self._rows(store, self._reader(store)):
-                own.rows_out += 1
-                yield row
+            yield from self._open(store, self._reader(store), drain)
         finally:
             # The engine-wide counters hear of a scan when it ends (the
             # operator's own are exact at every row).
@@ -225,18 +240,18 @@ class _ScanBase(Operator):
 class SeqScan(_ScanBase):
     label = "SeqScan"
 
-    def _rows(self, store: TableStore, reader: Callable) -> Iterator[Tuple[Any, ...]]:
+    def _open(self, store: TableStore, reader: Callable, drain: Drain) -> Iterator[Sequence[Any]]:
         self.runtime.stats.seq_scans += 1
-        return store.scan(reader=reader, tally=self)
+        return store.runs(reader=reader, tally=self, drain=drain)
 
 
 class IndexScan(_ScanBase):
     label = "IndexScan"
 
-    def _rows(self, store: TableStore, reader: Callable) -> Iterator[Tuple[Any, ...]]:
+    def _open(self, store: TableStore, reader: Callable, drain: Drain) -> Iterator[Sequence[Any]]:
+        """One row at a time, as probes go: index keys stay lazy."""
         self.runtime.stats.index_lookups += 1
-        return store.fetch(self._candidate_keys(self.scan.access),
-                           reader=reader, tally=self)
+        return zip(store.fetch(self._candidate_keys(self.scan.access), reader=reader, tally=self))
 
     def _candidate_keys(self, access: AccessPath) -> Iterator[int]:
         """Stream candidate row keys from the index.
@@ -251,14 +266,10 @@ class IndexScan(_ScanBase):
         if access.kind == "index_keys":
             search = index.search
             return (row_key for key in self.build_keys for row_key in search(key))
-        if access.kind == "index_range":
-            if hasattr(index, "iter_range_keys"):
-                return index.iter_range_keys(access.low, access.high,
-                                             include_low=access.include_low,
-                                             include_high=access.include_high)
-            return iter(index.range_search(access.low, access.high,
-                                           include_low=access.include_low,
-                                           include_high=access.include_high))
+        if access.kind == "index_range":      # only B+-trees serve ranges
+            return index.iter_range_keys(access.low, access.high,
+                                         include_low=access.include_low,
+                                         include_high=access.include_high)
         if access.kind == "gt_level":
             if not isinstance(index, GTIndex):
                 raise ExecutionError(
@@ -282,8 +293,9 @@ class IndexOnlyScan(Operator):
     label = "IndexOnlyScan"
 
     def __init__(self, runtime: PipelineRuntime, scan: TableScanPlan,
-                 filter_fn: Optional[RowFn], spec: Optional[Tuple] = None) -> None:
-        # ``spec`` (what a record reader would decode) is unused: none runs.
+                 filter_fn: Optional[RowFn], spec: Optional[Tuple] = None,
+                 comparisons: Tuple[Comparison, ...] = ()) -> None:
+        # ``spec`` and ``comparisons`` (a record reader's) are unused: none runs.
         super().__init__()
         self.runtime = runtime
         self.scan = scan
@@ -311,7 +323,7 @@ class IndexOnlyScan(Operator):
         raise ExecutionError(
             f"access path {access.kind!r} cannot run index-only")
 
-    def rows(self) -> Iterator[Tuple[Any, ...]]:
+    def _runs(self, drain: Drain) -> Iterator[Sequence[Any]]:
         stats = self.runtime.stats
         stats.index_lookups += 1
         stats.index_only_scans += 1
@@ -321,14 +333,14 @@ class IndexOnlyScan(Operator):
         for value, row_key in self._entries():
             row = (row_key,) if bare else (row_key, value)
             if store.exists(row_key) and (filter_fn is None or filter_fn(row)):
-                yield row
+                yield [row]
 
 
-def make_scan(runtime: PipelineRuntime, scan: TableScanPlan,
-              filter_fn: Optional[RowFn], spec: Tuple) -> Operator:
+def make_scan(runtime: PipelineRuntime, scan: TableScanPlan, filter_fn: Optional[RowFn],
+              spec: Tuple, comparisons: Tuple[Comparison, ...] = ()) -> Operator:
     kind = SeqScan if scan.access.kind == "seq" else \
         IndexOnlyScan if scan.index_only else IndexScan
-    operator = kind(runtime, scan, filter_fn, spec)
+    operator = kind(runtime, scan, filter_fn, spec, comparisons)
     operator.estimated_rows = scan.estimated_rows
     return operator
 
@@ -351,8 +363,9 @@ class Filter(Operator):
     def describe(self) -> str:
         return f"Filter ({render_expression(self.predicate)})"
 
-    def rows(self) -> Iterator[Tuple[Any, ...]]:
-        return filter(self.predicate_fn, self.children[0])
+    def _runs(self, drain: Drain) -> Iterator[Sequence[Any]]:
+        test = self.predicate_fn
+        return ([*filter(test, run)] for run in self.children[0].runs(drain))
 
 
 class HashJoin(Operator):
@@ -392,33 +405,31 @@ class HashJoin(Operator):
                 f"{clause.left.qualified} = {clause.right.qualified}, {build}, "
                 f"probe={probe})")
 
-    def rows(self) -> Iterator[Tuple[Any, ...]]:
+    def _runs(self, drain: Drain) -> Iterator[Sequence[Any]]:
         left, right = self.children
         left_key, right_key = self.key_fns
         inner = self.clause.kind == "inner"
         build_left = inner and self.right_scan.build_left
         build: Dict[Any, List[Tuple[Any, ...]]] = {}
         build_key = left_key if build_left else right_key
-        for row in left if build_left else right:
+        for row in chain.from_iterable((left if build_left else right).runs(draining)):
             build.setdefault(build_key(row), []).append(row)
         if inner and not build:
             return
+        pad = None if inner else self.pad
         try:
             if self.probe is not None:
                 self.probe.build_keys = build
-            if build_left:
-                for right_row in right:
-                    for left_row in build.get(right_key(right_row), ()):
-                        yield left_row + right_row
-                return
-            pad = None if inner else self.pad
-            for left_row in left:
-                matches = build.get(left_key(left_row))
-                if matches:
-                    for right_row in matches:
-                        yield left_row + right_row
-                elif pad is not None:
-                    yield left_row + pad
+            for run in (right if build_left else left).runs(drain):
+                joined: List[Tuple[Any, ...]] = []
+                for row in run:
+                    if build_left:
+                        joined += [match + row for match in build.get(right_key(row), ())]
+                    elif matches := build.get(left_key(row)):
+                        joined += [row + match for match in matches]
+                    elif pad is not None:
+                        joined.append(row + pad)
+                yield joined
         finally:
             if self.probe is not None:
                 self.probe.build_keys = None
@@ -446,29 +457,37 @@ class Project(Operator):
         visible = self.columns[:-self.hidden] if self.hidden else self.columns
         return f"Project ({', '.join(visible)})"
 
-    def rows(self) -> Iterator[Tuple[Any, ...]]:
-        return map(self.project_fn, self.children[0])
+    def _runs(self, drain: Drain) -> Iterator[Sequence[Any]]:
+        project = self.project_fn
+        return ([*map(project, run)] for run in self.children[0].runs(drain))
 
 
 class _Accumulator:
     """Running state of one aggregate over one group: counts and sums, the
-    extreme so far, the distinct values seen — never a row."""
+    extreme so far, the distinct values seen (a set; a list for unhashable
+    degraded values) — never a row."""
 
-    __slots__ = ("function", "count", "total", "numeric", "best", "seen")
+    __slots__ = ("function", "count", "total", "numeric", "best", "seen", "unhashable")
 
     def __init__(self, function: str, distinct: bool) -> None:
         self.function = function
         self.count = self.total = self.numeric = 0
         self.best: Any = _MISS
-        self.seen: Optional[List[Any]] = [] if distinct else None
+        self.seen: Optional[set] = set() if distinct else None
+        self.unhashable: List[Any] = []
 
     def add(self, value: Any) -> None:
         if is_missing(value):
             return
         if self.seen is not None:
-            if value in self.seen:
-                return
-            self.seen.append(value)
+            try:
+                if value in self.seen:      # equal builtins hash equal: 1, 1.0, True
+                    return
+                self.seen.add(value)
+            except TypeError:
+                if value in self.unhashable:
+                    return
+                self.unhashable.append(value)
         self.count += 1
         function = self.function
         if function in ("SUM", "AVG"):
@@ -514,7 +533,7 @@ class Aggregate(Operator):
         suffix = f" group by {groups}" if groups else ""
         return f"Aggregate ({', '.join(self.columns)}){suffix}"
 
-    def rows(self) -> Iterator[Tuple[Any, ...]]:
+    def _runs(self, drain: Drain) -> Iterator[Sequence[Any]]:
         key_fn, items, having = self.recipe
         recipes = [item for item in items if isinstance(item, tuple)]
         #: COUNT(*) bumps a counter in place; the others are fed a value.
@@ -531,7 +550,7 @@ class Aggregate(Operator):
             group.append(first)
             return group
 
-        for row in self.children[0]:
+        for row in chain.from_iterable(self.children[0].runs(draining)):
             key = key_fn(row)
             group = groups.get(key)
             if group is None:
@@ -542,13 +561,15 @@ class Aggregate(Operator):
                 group[position].add(1 if argument is None else argument(row))
         if not groups and not self.statement.group_by:
             open_group((), (NULL,) * self.width)
+        out = []
         for _key, (*accumulators, first) in sorted(
                 groups.items(), key=lambda kv: tuple(sort_key(v) for v in kv[0])):
             results = iter(accumulators)
             values = tuple(next(results).result() if isinstance(item, tuple)
                            else item(first) for item in items)
             if having is None or having(tuple(first) + values):
-                yield values
+                out.append(values)
+        yield out
 
 
 # -- ordering / limiting ---------------------------------------------------------
@@ -586,6 +607,11 @@ def _order_positions(order_by: Tuple[ast.OrderItem, ...],
     return positions
 
 
+def _order_text(order_by: Tuple[ast.OrderItem, ...]) -> str:
+    return ", ".join(f"{item.column.qualified}{' DESC' if item.descending else ''}"
+                     for item in order_by)
+
+
 def _order_key(positions: List[Tuple[int, bool]],
                row: Tuple[Any, ...]) -> Tuple[Any, ...]:
     return tuple(
@@ -609,20 +635,14 @@ class Sort(Operator):
         self.strip = strip
 
     def describe(self) -> str:
-        keys = ", ".join(
-            f"{item.column.qualified}{' DESC' if item.descending else ''}"
-            for item in self.order_by
-        )
-        return f"Sort ({keys})"
+        return f"Sort ({_order_text(self.order_by)})"
 
-    def rows(self) -> Iterator[Tuple[Any, ...]]:
+    def _runs(self, drain: Drain) -> Iterator[Sequence[Any]]:
         positions = _order_positions(self.order_by, self.columns)
-        materialized = list(self.children[0])
+        materialized = [*chain.from_iterable(self.children[0].runs(draining))]
         materialized.sort(key=lambda row: _order_key(positions, row))
-        if self.strip:
-            strip = self.strip
-            return (row[:-strip] for row in materialized)
-        return iter(materialized)
+        strip = self.strip
+        yield [row[:-strip] for row in materialized] if strip else materialized
 
 
 class _HeapEntry:
@@ -655,18 +675,14 @@ class TopN(Operator):
         self.max_held = 0
 
     def describe(self) -> str:
-        keys = ", ".join(
-            f"{item.column.qualified}{' DESC' if item.descending else ''}"
-            for item in self.order_by
-        )
-        return f"TopN (n={self.n}, by {keys})"
+        return f"TopN (n={self.n}, by {_order_text(self.order_by)})"
 
-    def rows(self) -> Iterator[Tuple[Any, ...]]:
+    def _runs(self, drain: Drain) -> Iterator[Sequence[Any]]:
         if self.n <= 0:
             return
         positions = _order_positions(self.order_by, self.columns)
         heap: List[_HeapEntry] = []
-        for seq, row in enumerate(self.children[0]):
+        for seq, row in enumerate(chain.from_iterable(self.children[0].runs(draining))):
             # seq breaks ties so equal-key rows keep their arrival order, the
             # same answer a stable full sort + slice would give.
             entry = _HeapEntry(_order_key(positions, row) + (seq,), row)
@@ -676,8 +692,8 @@ class TopN(Operator):
                 heapq.heapreplace(heap, entry)
             self.max_held = max(self.max_held, len(heap))
         strip = self.strip
-        for entry in sorted(heap, key=lambda e: e.key):
-            yield entry.row[:-strip] if strip else entry.row
+        yield [entry.row[:-strip] if strip else entry.row
+               for entry in sorted(heap, key=lambda e: e.key)]
 
 
 class Limit(Operator):
@@ -692,14 +708,14 @@ class Limit(Operator):
     def describe(self) -> str:
         return f"Limit ({self.n})"
 
-    def rows(self) -> Iterator[Any]:
-        if self.n <= 0:
-            return
-        produced = 0
-        for row in self.children[0]:
-            yield row
-            produced += 1
-            if produced >= self.n:
+    def _runs(self, drain: Drain) -> Iterator[Sequence[Any]]:
+        """Its input read lazily, whatever its own consumer does: the rows
+        past the ``n``-th are never computed."""
+        left = self.n
+        for run in self.children[0].runs(lazy) if left > 0 else ():
+            yield run[:left]
+            left -= len(run)
+            if left <= 0:
                 break
 
 
@@ -718,8 +734,8 @@ def build_pipeline(runtime: PipelineRuntime,
     """
     compiled = plan.ensure_compiled(runtime.catalog)
     statement = plan.statement
-    root, *rights = map(partial(make_scan, runtime),
-                        plan.scans, compiled.filters, compiled.reads)
+    root, *rights = map(partial(make_scan, runtime), plan.scans, compiled.filters,
+                        compiled.reads, compiled.comparisons)
     running = plan.base.estimated_rows
     offsets = compiled.layout.offsets + [compiled.layout.width]
     for position, ((clause, scan), right, key_fns) in enumerate(
@@ -774,7 +790,8 @@ def build_match_pipeline(runtime: PipelineRuntime,
     """Scan + residual filter only: the row-matching pipeline DML uses (its
     rows start with the row key, :data:`ROW_KEY_FIELD`)."""
     compiled = plan.ensure_compiled(runtime.catalog)
-    root = make_scan(runtime, plan.base, compiled.filters[0], compiled.reads[0])
+    root = make_scan(runtime, plan.base, compiled.filters[0], compiled.reads[0],
+                     compiled.comparisons[0])
     if plan.residual is not None:
         root = Filter(root, plan.residual, compiled.residual)
     return root
@@ -788,17 +805,31 @@ class StreamingResult:
 
     Produced by the cursor path so ``fetchone`` materializes only what was
     fetched; ``pipeline`` is the live operator tree (per-operator stats grow
-    as the stream is consumed).
+    as the stream is consumed).  The pipeline is read lazily — its first row
+    at once, so binding errors surface at execute time — until
+    :meth:`drain` says the rest is read to the end at once.
     """
 
-    def __init__(self, columns: List[str], rows_iter: Iterator[Tuple[Any, ...]],
-                 pipeline: Operator) -> None:
-        self.columns = columns
-        self.pipeline = pipeline
-        self._iterator = rows_iter
+    def __init__(self, columns: List[str], pipeline: Operator, stats: Any) -> None:
+        self.columns, self.pipeline = columns, pipeline
+        pace = self._pace = [False]
+        runs = pipeline.runs(lambda: pace[0])
+        first = next(runs, None)
+
+        def rows() -> Iterator[Tuple[Any, ...]]:
+            for run in chain((first,), runs) if first is not None else ():
+                stats.rows_returned += len(run)
+                yield from run
+
+        self._iterator = rows()
 
     def __iter__(self) -> Iterator[Tuple[Any, ...]]:
         return self._iterator
+
+    def drain(self) -> None:
+        """The rest is read to the end before anything else runs on the
+        engine: scans hand up whole page runs from here on."""
+        self._pace[0] = True
 
 
 __all__ = [
@@ -806,5 +837,5 @@ __all__ = [
     "IndexOnlyScan", "Filter", "HashJoin", "Project", "Aggregate", "Sort",
     "TopN", "Limit", "StreamingResult", "build_pipeline",
     "build_match_pipeline", "make_scan", "render_expression", "ROW_KEY_FIELD",
-    "StoreProvider",
+    "StoreProvider", "Drain", "draining", "lazy",
 ]

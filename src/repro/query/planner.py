@@ -42,14 +42,8 @@ from ..core.policy import Purpose
 from ..core.values import ValueType
 from . import ast_nodes as ast
 from .catalog import Catalog, IndexInfo
-from .compiler import (
-    CompiledSelect,
-    Layout,
-    collect_refs,
-    compile_select,
-    compile_truth,
-    render_expression,
-)
+from .compiler import (CompiledSelect, Layout, all_of, collect_refs, compile_select,
+                       compile_truth, render_expression, split_filter)
 from .parameters import bind_expression
 from .statistics import DEFAULT_SELECTIVITY, TableStatistics
 
@@ -351,29 +345,23 @@ class Planner:
         stats = self._table_stats(table)
         if access.kind == "seq":
             return float(stats.row_count)
-        if access.kind == "index_eq":
+        if access.kind in ("index_eq", "gt_level"):
             if _has_marker(access.key):
                 # Generic-plan estimate: the value is unknown at plan time,
                 # assume an average-frequency probe (row_count / NDV).
                 ndv = stats.ndv(access.column)
                 return max(1.0, stats.row_count / ndv) if ndv \
                     else max(1.0, stats.row_count * DEFAULT_SELECTIVITY)
-            return stats.estimated_eq_rows(access.column, access.key)
+            exact = stats.estimated_eq_rows(access.column, access.key)
+            # A GT probe also folds in finer-stored rows that generalize to
+            # the key, which the frequency map cannot see: a lower bound.
+            return exact if access.kind == "index_eq" else max(1.0, exact)
         if access.kind == "index_range":
             if _has_marker(access.low, access.high):
                 return max(1.0, stats.row_count * DEFAULT_SELECTIVITY)
             return stats.estimated_range_rows(
                 access.column, access.low, access.high,
                 access.include_low, access.include_high)
-        if access.kind == "gt_level":
-            # The probe also folds in finer-stored rows that generalize to
-            # the key, which the frequency map cannot see; the exact count is
-            # a lower bound.
-            if _has_marker(access.key):
-                ndv = stats.ndv(access.column)
-                return max(1.0, stats.row_count / ndv) if ndv \
-                    else max(1.0, stats.row_count * DEFAULT_SELECTIVITY)
-            return max(1.0, stats.estimated_eq_rows(access.column, access.key))
         return None
 
     def _selectivity(self, table: Optional[str],
@@ -638,28 +626,33 @@ def bind_physical_plan(template: PhysicalPlan, params: Sequence[Any],
     one — the layout, the projection and the key closures (and the whole
     access-path and join-strategy choice) are shared with the template,
     which is the entire point: re-execution pays a small substitution
-    instead of a full ``plan_physical``.
+    instead of a full ``plan_physical``.  A scan kernel's ``column op ?``
+    comparison takes its number as it is; one bound to anything but a
+    number joins the scan's truth function.
     """
     values = tuple(params)
     compiled = template.ensure_compiled(catalog)
-    templates = template.scans
+    layout, templates = compiled.layout, template.scans
     scans = [_bind_scan(scan, values) for scan in templates]
-    filters = [
-        fn if scan.filter is old.filter
-        else compile_truth(scan.filter, compiled.layout, offset)
-        for fn, scan, old, offset in zip(compiled.filters, scans, templates,
-                                         compiled.layout.offsets)]
+    filters, comparisons = list(compiled.filters), list(compiled.comparisons)
+    for position, (scan, old, offset) in enumerate(zip(scans, templates, layout.offsets)):
+        if scan.filter is not old.filter:
+            comparisons[position], rest = split_filter(scan, layout, offset)
+            if [*map(id, rest)] != [*map(id, split_filter(old, layout, offset)[1])]:
+                filters[position] = all_of([compile_truth(conjunct, layout, offset)
+                                             for conjunct in rest])
     residual, residual_fn = template.residual, compiled.residual
     if residual is not None:
         bound = bind_expression(residual, values)
         if bound is not residual:
             residual = bound
-            residual_fn = compile_truth(bound, compiled.layout)
+            residual_fn = compile_truth(bound, layout)
     return _clone(
         template, base=scans[0], residual=residual,
         joins=[(clause, scan) for (clause, _old), scan
                in zip(template.joins, scans[1:])],
-        _compiled=_clone(compiled, filters=filters, residual=residual_fn))
+        _compiled=_clone(compiled, filters=filters, comparisons=comparisons,
+                         residual=residual_fn))
 
 
 def _join_estimate(left_rows: float, scan: TableScanPlan,

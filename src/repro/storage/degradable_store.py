@@ -22,7 +22,8 @@ import struct
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, islice
+from itertools import chain, groupby, islice, takewhile
+from operator import attrgetter
 from types import SimpleNamespace
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -40,13 +41,8 @@ from .buffer import BufferPool
 from .crypto import KeyStore
 from .heap import HeapFile, RecordId
 from .kernels import Shape, WaveShape, compile_kernel, compile_wave_kernel
-from .serialization import (
-    _INT_STRUCT,
-    decode_value,
-    encode_value,
-    fixed_prefix,
-    record_field_count,
-)
+from .serialization import (_INT_STRUCT, decode_value, encode_value, fixed_prefix,
+                            record_field_count, wide_prefix)
 from .wal import LogRecordType, WriteAheadLog, encode_degrade_chunk, encode_insert_run
 
 #: Strategies for making degradation non-recoverable.
@@ -121,6 +117,11 @@ class TableStore:
         #: degradable column — as one struct, and the tags it must carry.
         self._header, self._header_tags = fixed_prefix(
             "if" + "i" * len(self._degradable))
+        #: The kernels' wide prefix: the record prefix and what follows it up
+        #: to the first degradable column (:func:`wide_prefix`).
+        self._wide = wide_prefix("if" + "i" * len(self._degradable), [
+            column.value_type for column in takewhile(
+                lambda column: not column.degradable, schema.columns)])
         self._field_count = 2 + len(self._degradable) + len(schema.columns)
         # The heap's level summary reads a record's levels off its prefix, unchecked: each
         # record it holds was encoded here or passed :meth:`rebuild_locations`'s checked read.
@@ -273,8 +274,8 @@ class TableStore:
                    level_caps: Sequence[Tuple[str, int]] = (),
                    schemes: Optional[Dict[str, Tuple[Optional[int], Any]]] = None,
                    predicate: Optional[Callable[[Tuple[Any, ...]], bool]] = None,
-                   make: Optional[Callable[[Tuple, Tuple[Any, ...]], Any]] = None
-                   ) -> RunReader:
+                   make: Optional[Callable[[Tuple, Tuple[Any, ...]], Any]] = None,
+                   comparisons: Sequence[Tuple[int, str, Any]] = ()) -> RunReader:
         """The record reader, one page run at a time: positional rows ``(row
         key, column, ...)``, ``slots`` naming each decoded column's position
         (or what ``make`` builds from the record prefix and such a row).
@@ -288,14 +289,16 @@ class TableStore:
         object, no UTF-8 decode, no decryption), decrypted and generalized to
         the demanded level of ``schemes`` (``column → (demanded level,
         scheme)``) through a ``(stored level, value) → generalized`` memo
-        that lives and dies with this reader; ``predicate`` sees the row so
-        far.  *Survivors* get the remaining columns (late materialization).
+        that lives and dies with this reader; ``comparisons`` (``(slot,
+        operator, number)``) test it, then ``predicate`` sees the row so far.
+        *Survivors* get the remaining columns (late materialization).
         A wrong field count or header tag, a truncated field and trailing
         bytes raise :class:`StorageError`.
 
         The reader is the kernel (:mod:`.kernels`) compiled for the shape of
         these arguments, once per store; this call hands it the caps,
-        demanded levels, schemes, fresh memos, ``predicate`` and ``make``.
+        demanded levels, schemes, fresh memos, the comparisons' numbers,
+        ``predicate`` and ``make``.
         """
         crypto = self.strategy == "crypto"
         fixes = [(name, slot, demanded, scheme) for name, slot in slots
@@ -304,21 +307,23 @@ class TableStore:
         key = (slots, early, tuple(name for name, _cap in level_caps),
                tuple((name, slot, demanded is not None)
                      for name, slot, demanded, _scheme in fixes),
-               predicate is not None, make is not None)
+               predicate is not None, make is not None,
+               tuple([(slot, operator) for slot, operator, _number in comparisons]))
         factory = self._kernels.get(key)
         if factory is None:
             factory = self._kernels[key] = compile_kernel(self._shape(*key))
         decrypt = self.keystore.decrypt if crypto else None
-        return factory(self._header.unpack_from, self._header_tags, self._malformed,
-                       [cap for _name, cap in level_caps],
+        wide, wide_tags, _covered, _text = self._wide
+        return factory(self._header.unpack_from, self._header_tags, wide.unpack_from, wide_tags,
+                       self._malformed, [cap for _name, cap in level_caps],
                        [(demanded, None if demanded is None else scheme.generalize, {},
                          decrypt, self.schema.name, name)
                         for name, _slot, demanded, scheme in fixes],
-                       predicate, make)
+                       [number for _slot, _operator, number in comparisons], predicate, make)
 
     def _shape(self, slots: Tuple[Tuple[str, int], ...], early: frozenset,
                capped: Tuple[str, ...], fixed: Tuple[Tuple[str, int, bool], ...],
-               test: bool, make: bool) -> Shape:
+               test: bool, make: bool, compares: Tuple[Tuple[int, str], ...]) -> Shape:
         """The kernel shape of a :meth:`row_reader` call, in this table's
         positions: its names go no further."""
         position = self.schema.column_index
@@ -329,58 +334,62 @@ class TableStore:
             tuple(self._degradable_fields[name][0] for name in capped),
             tuple((slot, self._degradable_fields[name][0], self.strategy == "crypto",
                    generalize) for name, slot, generalize in fixed),
-            test, make)
+            test, make, compares, *self._wide[2:])
 
     def scan(self, columns: Optional[frozenset] = None,
              level_caps: Iterable[Tuple[str, int]] = (),
              tally: Any = None, reader: Optional[RunReader] = None) -> Iterator[Any]:
+        """:meth:`runs`, a row at a time."""
+        for run in self.runs(columns, level_caps, tally, reader):
+            yield from run
+
+    def runs(self, columns: Optional[frozenset] = None,
+             level_caps: Iterable[Tuple[str, int]] = (), tally: Any = None,
+             reader: Optional[RunReader] = None,
+             drain: Callable[[], bool] = bool) -> Iterator[Sequence[Any]]:
         """Every row of the table, in row-key order of insertion — as
         :class:`StoredRow` objects carrying ``columns``, less the rows storing
         a ``(degradable column, level)`` of ``level_caps`` above that level;
-        or whatever ``reader`` (:meth:`row_reader`) makes of the records.
-        ``tally.examined`` / ``tally.excluded`` count, exact at every row
-        handed out, the records read so far and those the level rule dropped.
-        """
+        or whatever ``reader`` (:meth:`row_reader`) makes of the records — in
+        the runs of :meth:`_read_keys`, grouped from one snapshot of the
+        address map.  ``tally.examined`` / ``tally.excluded`` count the
+        records read so far and those the level rule dropped."""
         if reader is None:
             reader = self._decode_plan(columns, tuple(
                 (name.lower(), cap) for name, cap in level_caps))
-        return self._read_keys(list(self._locations), reader, tally)
+        return self._read_keys(list(self._locations), reader, tally, drain,
+                               list(self._locations.values()))
 
-    def _read_keys(self, row_keys: Sequence[int], reader: RunReader,
-                   tally: Any = None) -> Iterator[Any]:
+    def _read_keys(self, row_keys: Sequence[int], reader: RunReader, tally: Any = None,
+                   drain: Callable[[], bool] = bool,
+                   records: Optional[List[RecordId]] = None) -> Iterator[Sequence[Any]]:
         """Materialize ``row_keys`` in order, one page run at a time.
 
-        Consecutive keys that currently live on the same page form a run —
-        the batch.  If the page's level floor (:attr:`HeapFile.floors`) is
-        over a cap of the reader, the run is counted examined and excluded
-        and skipped unread; else ``reader`` decodes all of it before its first
-        row is yielded, so no page frame is held across a ``yield`` and an
-        early-exit consumer over-reads at most one page.  Keys are resolved
-        when their run is formed: vanished rows are skipped, relocated ones
-        found, each key produced at most once.  If the consumer changes the
-        table between two pulls, what follows the row just handed out is
-        dropped and re-read: a lazy reader never sees — or judges — an image
-        older than the last completed degradation step.
-        """
+        Consecutive keys on one page form a run — grouped from ``records``,
+        their addresses, or each key resolved as its run forms.  A run whose
+        page floor (:attr:`HeapFile.floors`) is over a cap of the reader is
+        counted examined and excluded, unread; else ``reader`` decodes all of
+        it before any row goes up, so no page frame is held across a
+        ``yield`` and an early exit over-reads at most one page.  Vanished
+        rows are skipped, moved ones found, each key produced at most once.
+        While ``drain()`` is true — the consumer reads to the end before
+        anything else runs on the engine — a run's rows go up as one list,
+        the tally updated once; else one row at a time, the tally exact at
+        every row, and if the table changed between two pulls what follows
+        the row just handed out is dropped: a lazy reader never sees — or
+        judges — an image older than the last completed degradation step.
+        Once the table changed, the keys not yet read are resolved again,
+        one by one."""
         if tally is None:
             tally = SimpleNamespace(examined=0, excluded=0, pages_skipped=0)
-        locations, floors, caps = self._locations, self.heap.floors, reader.caps
-        total = len(row_keys)
-        index = 0
-        while index < total:
-            record_id = locations.get(row_keys[index])
-            if record_id is None:
-                index += 1
+        floors, caps = self.heap.floors, reader.caps
+        runs = self._key_runs(row_keys, 0) if records is None else _page_runs(records)
+        version = self._version
+        while (run := next(runs, None)) is not None:
+            page_id, slots, first = run
+            if self._version != version:
+                version, runs = self._version, self._key_runs(row_keys, first)
                 continue
-            first = index
-            page_id = record_id.page_id
-            slots = []
-            while record_id is not None and record_id.page_id == page_id:
-                slots.append(record_id.slot)
-                index += 1
-                if index == total:
-                    break
-                record_id = locations.get(row_keys[index])
             if caps and any(floors[page_id][at] > cap for at, cap in caps):
                 if invariants.enabled():    # the level rule must drop the page
                     live = self.heap.live_slots(page_id)
@@ -388,24 +397,48 @@ class TableStore:
                         raise invariants.InvariantViolation(
                             f"{self.schema.name}: page {page_id} skipped holds a visible row")
                 tally.pages_skipped += 1
-                rows, positions, drops, excluded = (), (), (), len(slots)
+                rows, positions, drops, excluded = [], (), (), len(slots)
             else:
                 rows, positions, drops, excluded = reader(
                     *self.heap.read_run(page_id, slots))
                 self.stats.reads += len(slots)
-            version = self._version
             seen = dropped = 0
-            for row, position, drop in zip(rows, positions, drops):
+            rest: Optional[List[Any]] = []
+            for index, (row, position, drop) in enumerate(zip(rows, positions, drops)):
+                if drain():     # the rest of the run at once
+                    rest = rows[index:] if index else rows
+                    break
                 tally.examined += position + 1 - seen
                 tally.excluded += drop - dropped
                 seen, dropped = position + 1, drop
-                yield row
+                yield (row,)
                 if self._version != version:
-                    index = first + seen
+                    version, rest = self._version, None
+                    runs = self._key_runs(row_keys, first + seen)
                     break
-            else:
+            if rest is not None:
                 tally.examined += len(slots) - seen
                 tally.excluded += excluded - dropped
+                if rest:
+                    yield rest
+
+    def _key_runs(self, row_keys: Sequence[int], index: int
+                  ) -> Iterator[Tuple[int, List[int], int]]:
+        """``(page, slots, index of the first key)`` of each run of
+        ``row_keys[index:]``, each key resolved as its run forms (a vanished
+        one ends a run)."""
+        locations, total = self._locations, len(row_keys)
+        while index < total:
+            record_id = locations.get(row_keys[index])
+            if record_id is None:
+                index += 1
+                continue
+            first, page_id, slots = index, record_id.page_id, []
+            while record_id is not None and record_id.page_id == page_id:
+                slots.append(record_id.slot)
+                index += 1
+                record_id = locations.get(row_keys[index]) if index < total else None
+            yield page_id, slots, first
 
     #: fetch() chunks grow geometrically from this size up to the cap: small
     #: first chunks keep LIMIT-k consumers at O(k) heap reads, large later
@@ -433,8 +466,8 @@ class TableStore:
             chunk = sorted((record_id.page_id, record_id.slot, row_key)
                            for row_key in batch
                            if (record_id := locations.get(row_key)) is not None)
-            yield from self._read_keys([row_key for _page, _slot, row_key in chunk],
-                                       reader, tally)
+            yield from chain.from_iterable(self._read_keys(
+                [row_key for _page, _slot, row_key in chunk], reader, tally))
             limit = min(limit * 2, self._FETCH_CHUNK_MAX)
 
     def row_keys(self) -> List[int]:
@@ -665,7 +698,7 @@ class TableStore:
         meanwhile are skipped.  ``on_rows`` gets the rows as they were, read
         in page runs before the first is erased.  Returns how many went."""
         if on_rows is not None:
-            on_rows(list(self._read_keys(row_keys, self._decode_plan(None))))
+            on_rows([*chain.from_iterable(self._read_keys(row_keys, self._decode_plan(None)))])
         removed: List[Tuple[str, int]] = []
         dirty_pages: List[int] = []
         for row_key in row_keys:
@@ -792,6 +825,15 @@ class TableStore:
                 self._locations[row.row_key] = RecordId(page_id, slot)
                 max_key = max(max_key, row.row_key)
         self._next_row_key = max_key + 1
+
+
+def _page_runs(records: List[RecordId]) -> Iterator[Tuple[int, List[int], int]]:
+    """``(page, slots, index of the first)`` of each page run of ``records``."""
+    first = 0
+    for page_id, run in groupby(records, attrgetter("page_id")):
+        slots = [record.slot for record in run]
+        yield page_id, slots, first
+        first += len(slots)
 
 
 __all__ = ["TableStore", "StoredRow", "DegradeChunk", "TableStoreStats",

@@ -5,16 +5,19 @@ A table's run reader (:meth:`~repro.storage.degradable_store.TableStore.row_read
 does the same work for every record of a scan: check the fixed prefix, drop
 the row if a stored level is over its cap, hop over the fields nobody asked
 for, decode the others, decrypt and generalize some of them, run the pushed
-test, decode what the survivors still need.  What varies between scans is
-its **shape** (:class:`Shape`) — which positions each phase decodes into
-which slots, which levels are capped, which slots are decrypted or
-generalized, whether a test follows and whether a row builder is given.
-:func:`compile_kernel` writes that shape out as straight-line Python — one
-unrolled skip or decode per field, with the tag dispatch, checks and
-:class:`StorageError` messages of :func:`~repro.storage.serialization.decode_value`
-(a skipped run of fields is bound-checked once, at its end), the ``(stored
-level, value) → generalized`` memo and the key-store decrypt inline — and
-compiles it once.
+``column op number`` comparisons and test, decode what the survivors still
+need.  What varies between scans is its **shape** (:class:`Shape`) — which
+positions each phase decodes into which slots, which levels are capped, which
+slots are decrypted or generalized, which comparisons and whether a test
+follow, whether a row builder is given.  :func:`compile_kernel` writes that
+shape out as straight-line Python — one unrolled skip or decode per field,
+with the tag dispatch, checks and :class:`StorageError` messages of
+:func:`~repro.storage.serialization.decode_value` (a skipped run of fields is
+bound-checked once, at its end), the ``(stored level, value) → generalized``
+memo, the key-store decrypt and each comparison inline — and compiles it
+once.  A record whose leading fixed-width values and the head of the TEXT
+after them match the table's wide prefix takes them from the one unpack that
+checks its prefix; any other is walked field by field.
 
 A degradation wave (:meth:`~repro.storage.degradable_store.TableStore.degrade_many`)
 splices records the same way: its **wave shape** (:class:`WaveShape`) is the
@@ -29,19 +32,19 @@ byte for byte what encoding the degraded row would make.
 
 The source holds integers taken from the schema and the shape and the fixed
 strings of :data:`MESSAGES`, nothing else: no table or column name, no
-parameter, no value.  Caps, demanded levels, schemes, memos, the test, the
-builder and a wave's targets and chunks reach the compiled **factory** as
-arguments each time a reader or splicer is made, so a cache of factories
-holds code only.
+parameter, no value.  Caps, demanded levels, schemes, memos, the numbers
+compared with, the test, the builder and a wave's targets and chunks reach
+the compiled **factory** as arguments each time a reader or splicer is made,
+so a cache of factories holds code only.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable, Dict, List, NamedTuple, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.errors import KeyDestroyedError, PolicyError, StorageError
-from ..core.values import NULL, REMOVED, SUPPRESSED
+from ..core.values import NULL, REMOVED, SUPPRESSED, compare
 from .serialization import (_FLOAT_STRUCT, _INT_STRUCT, _LEN_STRUCT, _TAG_BYTES, _TAG_FLOAT,
                             _TAG_INT, _TAG_NULL, _TAG_SUPPRESSED, _TAG_TEXT, decode_value)
 
@@ -49,16 +52,10 @@ from .serialization import (_FLOAT_STRUCT, _INT_STRUCT, _LEN_STRUCT, _TAG_BYTES,
 IRREVERSIBLE = "degradation is irreversible: cannot decrease the level"
 
 #: Every string a kernel's code holds: the messages it raises.
-MESSAGES = frozenset({
-    IRREVERSIBLE,
-    "truncated record: no type tag",
-    "truncated record: short length prefix",
-    "truncated record: short string payload",
-    "truncated record: short INT payload",
-    "truncated record: short FLOAT payload",
-    "truncated record: short payload",
-    "trailing bytes after record payload",
-})
+MESSAGES = frozenset({IRREVERSIBLE, "trailing bytes after record payload", *(
+    f"truncated record: {what}" for what in (
+        "no type tag", "short length prefix", "short string payload", "short INT payload",
+        "short FLOAT payload", "short payload"))})
 
 
 class Shape(NamedTuple):
@@ -82,6 +79,19 @@ class Shape(NamedTuple):
     test: bool
     #: Whether a row builder ``make(head, row)`` replaces the plain tuple.
     make: bool
+    #: ``(slot, operator)`` per pushed ``column op number`` comparison, run
+    #: after the early fixes and before the test.
+    compares: Tuple[Tuple[int, str], ...] = ()
+    #: How many leading fixed-width value positions the wide prefix covers,
+    #: and whether it also covers the tag and length of the TEXT after them.
+    wide: int = 0
+    text: bool = False
+
+
+#: A pushed comparison's operator → its Python spelling, and the name of its
+#: fallback for a value that is not a number (``compare`` of that operator).
+_COMPARE = {operator: (spelling, f"compare{index}") for index, (operator, spelling) in enumerate(
+    (("=", "=="), ("!=", "!="), ("<", "<"), ("<=", "<="), (">", ">"), (">=", ">=")))}
 
 
 def _unknown_tag(tag: int, offset: int) -> StorageError:
@@ -95,6 +105,8 @@ _GLOBALS: Dict[str, Any] = {
     "decode_value": decode_value, "unknown_tag": _unknown_tag, "join": b"".join,
     "unpack_int": _INT_STRUCT.unpack_from, "unpack_float": _FLOAT_STRUCT.unpack_from,
     "unpack_length": _LEN_STRUCT.unpack_from,
+    **{fallback: functools.partial(compare, operator)
+       for operator, (_spelling, fallback) in _COMPARE.items()},
 }
 
 
@@ -170,13 +182,35 @@ def _decode(out: _Source, cursor: str, slot: int) -> None:
 
 
 def _walk(out: _Source, start: int, stop: int, decoded: Dict[int, int],
-          saves: frozenset, last: int) -> None:
+          saves: frozenset, last: int, wide: Optional[Shape] = None) -> None:
     """Positions ``start`` up to ``stop`` from ``offset``: decode those of
     ``decoded`` (position → slot), skip the others in runs checked at their
     end, keep the offset of each of ``saves`` in ``o<position>``, and if
-    ``stop`` is the record's ``last`` position check that nothing trails it."""
+    ``stop`` is the record's ``last`` position check that nothing trails it.
+    Under a matched ``wide`` prefix the positions it covers are not walked:
+    a fixed-width value is read off ``head``, the TEXT after them is sized by
+    the length ``head`` holds."""
     run = False
+    covered = -1 if wide is None else wide.wide
     for position in range(start, stop + 1):
+        if position < covered:
+            if position in decoded:
+                out(f"v{decoded[position]} = head[{_value_at(wide, position)}]")
+            continue
+        if position == covered:
+            out(f"offset = start + {wide.header + 9 * covered}")
+            if wide.text:
+                if position in saves:
+                    out(f"o{position} = offset")
+                length = f"head[{_value_at(wide, position)}]"
+                if position in decoded:
+                    out(f"first = offset + {1 + _LEN_STRUCT.size}", f"offset = first + {length}")
+                    _raise(out, "offset > end", "truncated record: short string payload")
+                    out(f"v{decoded[position]} = data[first:offset].decode()")
+                else:
+                    out(f"offset += {1 + _LEN_STRUCT.size} + {length}")
+                    run = True
+                continue
         if position in saves:
             out(f"o{position} = offset")
         if position in decoded:
@@ -188,7 +222,15 @@ def _walk(out: _Source, start: int, stop: int, decoded: Dict[int, int],
             _skip(out, "offset")
             run = True
     if stop == last:
+        if stop < covered:
+            out(f"offset = start + {wide.header + 9 * covered}")
         _raise(out, "offset != end", "trailing bytes after record payload")
+
+
+def _value_at(wide: Shape, position: int) -> int:
+    """Where in the wide ``head`` the payload of value ``position`` is: past
+    the count, a tag and a payload per prefix field and per value before it."""
+    return 2 + 2 * ((wide.header - 2) // 9 + position)
 
 
 def _fix(out: _Source, index: int, slot: int, level_at: int,
@@ -236,42 +278,75 @@ def kernel_source(shape: Shape) -> str:
             if slot in phase.values():
                 _fix(out, index, slot, *fix)
 
-    with out.block("def factory(unpack, tags, malformed, caps, fixes, test, make):"):
+    def record(wide: Optional[Shape]) -> None:
+        """One record from its prefix ``head`` on: under the matched
+        ``wide`` prefix, or walked from the narrow one."""
+        if shape.caps:
+            over = " or ".join(f"head[{6 + 2 * level_at}] > cap{at}"
+                               for at, level_at in enumerate(shape.caps))
+            with out.block(f"if {over}:"):
+                out("excluded += 1", "continue")
+        out("key = head[2]")
+        _walk(out, 0, reach, early, kept, shape.last, wide)
+        fixes(early)
+        for index, (slot, operator) in enumerate(shape.compares):
+            spelling, fallback = _COMPARE[operator]
+            out(f"kind = type(v{slot})")
+            with out.block("if kind is int or kind is float:"):
+                with out.block(f"if not float(v{slot}) {spelling} number{index}:"):
+                    out("continue")
+            with out.block(f"elif not {fallback}(v{slot}, constant{index}):"):
+                out("continue")
+        if shape.test:
+            out(f"row = {_row(slots, early.values())}")
+            with out.block("if not test(row):"):
+                out("continue")
+        for position in sorted(kept):
+            if wide is not None and position < wide.wide:
+                out(f"v{late[position]} = head[{_value_at(wide, position)}]")
+            else:
+                _decode(out, f"o{position}", late[position])
+        if late and max(late) > reach:
+            _walk(out, reach + 1, max(late), late, frozenset(), shape.last, wide)
+        fixes(late)
+        if late or not shape.test:
+            out(f"row = {_row(slots, slots)}")
+
+    def narrow() -> None:
+        """The field-by-field walk: the narrow prefix checked, then each field."""
+        out(f"offset = start + {shape.header}")
+        with out.block("if offset > end:"):
+            out("raise malformed(data, start, end)")
+        out("head = unpack(data, start)")
+        with out.block(f"if head[0] != {shape.fields} or head[1::2] != tags:"):
+            out("raise malformed(data, start, end)")
+        record(None)
+
+    with out.block("def factory(unpack, tags, wide, wide_tags, malformed, caps, fixes, "
+                   "constants, test, make):"):
         if shape.caps:
             out("".join(f"cap{at}, " for at in range(len(shape.caps))) + "= caps")
         for index in range(len(shape.fixes)):
             out(f"demand{index}, generalize{index}, memo{index}, decrypt{index}, "
                 f"table{index}, column{index} = fixes[{index}]")
+        for index in range(len(shape.compares)):
+            out(f"constant{index} = constants[{index}]",
+                f"number{index} = float(constant{index})")
         with out.block("def read(data, spans):"):
             out("rows, positions, drops = [], [], []",
                 "keep, place, drop = rows.append, positions.append, drops.append",
                 "excluded = 0")
             with out.block("for position, (start, end) in enumerate(spans):"):
-                out(f"offset = start + {shape.header}")
-                with out.block("if offset > end:"):
-                    out("raise malformed(data, start, end)")
-                out("head = unpack(data, start)")
-                with out.block(f"if head[0] != {shape.fields} or head[1::2] != tags:"):
-                    out("raise malformed(data, start, end)")
-                if shape.caps:
-                    over = " or ".join(f"head[{6 + 2 * level_at}] > cap{at}"
-                                       for at, level_at in enumerate(shape.caps))
-                    with out.block(f"if {over}:"):
-                        out("excluded += 1", "continue")
-                out("key = head[2]")
-                _walk(out, 0, reach, early, kept, shape.last)
-                fixes(early)
-                if shape.test:
-                    out(f"row = {_row(slots, early.values())}")
-                    with out.block("if not test(row):"):
-                        out("continue")
-                for position in sorted(kept):
-                    _decode(out, f"o{position}", late[position])
-                if late and max(late) > reach:
-                    _walk(out, reach + 1, max(late), late, frozenset(), shape.last)
-                fixes(late)
-                if late or not shape.test:
-                    out(f"row = {_row(slots, slots)}")
+                if (shape.wide or shape.text) and (early or late):
+                    size = shape.header + 9 * shape.wide + shape.text * (1 + _LEN_STRUCT.size)
+                    out(f"head = wide(data, start) if start + {size} <= end else None")
+                    with out.block(f"if head is not None and head[0] == {shape.fields} "
+                                   "and head[1::2] == wide_tags:"):
+                        record(shape)
+                    with out.block("else:"):
+                        narrow()
+                else:
+                    narrow()
                 out("drop(excluded)", "place(position)",
                     "keep(make(head, row))" if shape.make else "keep(row)")
             out("return rows, positions, drops, excluded")
@@ -283,10 +358,12 @@ def kernel_source(shape: Shape) -> str:
 
 def compile_kernel(shape: Shape) -> Callable[..., Any]:
     """Compile ``shape``'s kernel; returns its factory ``factory(unpack,
-    tags, malformed, caps, fixes, test, make)`` → run reader, where ``caps``
-    holds the cap of each level of ``shape.caps`` and ``fixes`` per fix
-    ``(demanded level, generalize, memo, decrypt, table, column)``.  The
-    reader's ``.caps`` are its ``(level position, cap)`` pairs."""
+    tags, wide, wide_tags, malformed, caps, fixes, constants, test, make)``
+    → run reader, where ``wide`` and ``wide_tags`` are the wide prefix's,
+    ``caps`` holds the cap of each level of ``shape.caps``, ``fixes`` per
+    fix ``(demanded level, generalize, memo, decrypt, table, column)`` and
+    ``constants`` the number of each of ``shape.compares``.  The reader's
+    ``.caps`` are its ``(level position, cap)`` pairs."""
     return _compile(kernel_source(shape), "<scan kernel>")
 
 

@@ -15,7 +15,7 @@ from itertools import repeat
 from typing import Any, Optional, Sequence, Tuple
 
 from ..core.errors import StorageError
-from ..core.values import NULL, REMOVED, SUPPRESSED
+from ..core.values import NULL, REMOVED, SUPPRESSED, ValueType
 
 _TAG_NULL = 0
 _TAG_INT = 1
@@ -131,14 +131,28 @@ def record_field_count(data: bytes, offset: int = 0,
 def fixed_prefix(kinds: str) -> Tuple[struct.Struct, Tuple[int, ...]]:
     """One-call decoder for a record whose leading fields are fixed-width.
 
-    ``kinds`` names those fields, ``"i"`` for an INT and ``"f"`` for a FLOAT.
+    ``kinds`` names those fields, ``"i"`` for an INT and ``"f"`` for a FLOAT
+    (and ``"t"`` for the tag and length of a TEXT, which ends the prefix).
     The returned struct unpacks ``count, tag, value, tag, value, ...`` from
     the start of the record; the prefix is well-formed exactly when the
     unpacked tags (every other item from index 1) equal the returned tuple.
     """
-    layout = {"i": ("Bq", _TAG_INT), "f": ("Bd", _TAG_FLOAT)}
+    layout = {"i": ("Bq", _TAG_INT), "f": ("Bd", _TAG_FLOAT), "t": ("BI", _TAG_TEXT)}
     return (struct.Struct("<H" + "".join(layout[kind][0] for kind in kinds)),
             tuple(layout[kind][1] for kind in kinds))
+
+
+def wide_prefix(kinds: str, types: Sequence[ValueType]
+                ) -> Tuple[struct.Struct, Tuple[int, ...], int, bool]:
+    """:func:`fixed_prefix` of ``kinds`` widened over the values of the
+    leading INT/FLOAT ``types`` and the tag and length of a TEXT right after
+    them; and how many values it covers, and whether a TEXT's head ends it."""
+    covered = 0
+    while covered < len(types) and types[covered] in (ValueType.INT, ValueType.FLOAT):
+        covered += 1
+    text = covered < len(types) and types[covered] is ValueType.TEXT
+    codes = "".join("i" if kind is ValueType.INT else "f" for kind in types[:covered])
+    return (*fixed_prefix(kinds + codes + "t" * text), covered, text)
 
 
 def encode_record(values: Sequence[Any]) -> bytes:
@@ -173,4 +187,4 @@ def decode_record(data: bytes) -> Tuple[Any, ...]:
 
 
 __all__ = ["encode_value", "decode_value", "encode_record", "encode_ints", "decode_record",
-           "record_field_count", "fixed_prefix"]
+           "record_field_count", "fixed_prefix", "wide_prefix"]

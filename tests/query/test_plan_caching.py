@@ -111,11 +111,12 @@ class TestParameterShapePlans:
     def test_binding_builds_row_closures_and_nothing_else(self, db):
         """One expression compiler: a plan carries its row layout and the
         row-at-a-time scan-filter, residual, projection, key and aggregate
-        closures — no second compiled form of the same predicate — and a
-        template compiles once however often it is bound."""
+        closures — no second compiled form of the same predicate: a scan's
+        ``column op number`` conjuncts are kernel comparisons *instead of*
+        closures — and a template compiles once however often it is bound."""
         sql = ("SELECT id FROM t WHERE val BETWEEN ? AND ? AND grp = ? "
                "ORDER BY id")
-        artefacts = {"layout", "columns", "items", "project", "filters",
+        artefacts = {"layout", "columns", "items", "project", "filters", "comparisons",
                      "reads", "residual", "join_keys", "aggregate", "hidden"}
         template = db.planner.plan_physical(db.prepare(sql).statement, None)
         assert set(vars(compile_select(db.catalog, template))) == artefacts
@@ -127,6 +128,10 @@ class TestParameterShapePlans:
         assert rebound.layout is shared.layout and rebound.reads is shared.reads
         (shared_filter,), (filter_fn,) = shared.filters, rebound.filters
         assert filter_fn is not shared_filter           # bound per execution
+        # ``grp = ?`` is a kernel comparison in the template; bound to text,
+        # it joins the closure instead of riding along as a comparison too
+        assert [len(comparisons) for comparisons in shared.comparisons] == [1]
+        assert shared_filter is None and rebound.comparisons == [()]
         grp = rebound.layout.slots["grp"]       # rows are positional
         assert filter_fn([None] * grp + ["g0"])
         assert not filter_fn([None] * grp + ["g1"])

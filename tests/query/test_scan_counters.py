@@ -20,6 +20,7 @@ import pytest
 
 from repro import AttributeLCP, InstantDB
 from repro.core.domains import build_location_tree, build_salary_ranges
+from repro.query.operators import lazy
 from repro.scenarios.reference import ReferenceModel
 
 PARIS = "1 Main Street, Paris"
@@ -164,3 +165,53 @@ class TestRowsMatchTheModel:
     def test_the_counted_rows_are_the_models(self, db, sql, purpose):
         got = db.execute(sql, purpose=purpose).rows
         assert sorted(got) == sorted(db.model.execute(sql, purpose=purpose).rows)
+
+
+class TestRunsCrossTheOperators:
+    """A drained consumer takes a scan's page runs whole, a lazy one row by
+    row: ``EXPLAIN ANALYZE`` (which drains) reads what it read when every
+    operator pulled one row at a time — the lines below were taken on the
+    commit before runs crossed the operator boundary — and so does the same
+    pipeline read lazily."""
+
+    CASES = {
+        "drained GROUP BY": (
+            "SELECT grp, COUNT(*) AS n FROM visits GROUP BY grp", "address", [
+                "Aggregate (grp, n) group by grp (rows=5) (est~5)",
+                "  SeqScan on visits as visits accuracy[location@0, salary@None] (rows=300)"
+                " (est~900) (examined=900 excluded=600 pages_skipped=9)"]),
+        "range with ORDER BY": (
+            "SELECT id, location FROM visits WHERE salary >= 1400 AND salary < 1800 "
+            "ORDER BY id", "city", [
+                "Sort (id) (rows=400) (est~445)",
+                "  Project (id, location) (rows=400) (est~445)",
+                "    SeqScan on visits as visits accuracy[location@1, salary@None] filter "
+                "(salary >= 1400 AND salary < 1800) (rows=400) (est~445) (examined=900 "
+                "excluded=300 pages_skipped=6)"]),
+        "join whose build side is a scan": (
+            "SELECT visits.id, labels.label FROM visits JOIN labels "
+            "ON visits.grp = labels.grp WHERE visits.salary > 1500", "region", [
+                "Project (id, label) (rows=240) (est~400)",
+                "  HashJoin (inner labels on visits.grp = labels.grp, build=right, "
+                "probe=scan filter) (rows=240) (est~400)",
+                "    SeqScan on visits as visits accuracy[location@2, salary@None] probe (grp "
+                "in build keys) filter (visits.salary > 1500) (rows=240) (est~400) "
+                "(examined=900 excluded=0 pages_skipped=0)",
+                "    SeqScan on labels as labels (rows=3) (est~3) (examined=3 excluded=0 "
+                "pages_skipped=0)"]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_explain_analyze_counts_are_unchanged(self, db, case):
+        sql, purpose, expected = self.CASES[case]
+        db.execute("CREATE TABLE labels (gid INT PRIMARY KEY, grp TEXT, label TEXT)")
+        db.executemany("INSERT INTO labels VALUES (?, ?, ?)",
+                       [(i, f"g{i}", f"label {i}") for i in range(3)])
+        explained = [row[0] for row in db.execute("EXPLAIN ANALYZE " + sql,
+                                                  purpose=purpose).rows]
+        plan = db.planner.plan_physical(db.prepare(sql).query, db.catalog.purpose(purpose))
+        assert explained == plan.describe().splitlines() + expected
+        _columns, root = db.executor.build(plan)
+        for _run in root.runs(lazy):
+            pass
+        assert root.explain_lines(analyze=True) == expected

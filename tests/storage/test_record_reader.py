@@ -11,7 +11,11 @@
   codec's own message (never a silent misread), a destroyed key reads
   ``SUPPRESSED``;
 * the kernel cache — compiled code holding integers, ``None`` and fixed
-  error strings only;
+  error strings only, one kernel for every binding of a template;
+* inline comparisons — a pushed ``column op number`` answers as the closure
+  it replaces, over numbers, sentinels and text;
+* the wide prefix — a record whose leading fixed-width fields do not match
+  it (a NULL, a short record) is walked, with the same answer and messages;
 * laziness — a half-consumed scan interleaved with deletes and relocating
   degradation steps sees each row key at most once and never an image more
   accurate than what the store holds when the row is handed out.
@@ -32,6 +36,8 @@ from repro.core.domains import build_location_tree, build_salary_ranges
 from repro.core.errors import KeyDestroyedError, StorageError
 from repro.core.schema import Column, TableSchema
 from repro.core.values import NULL, REMOVED, SUPPRESSED, is_missing
+from repro.query import ast_nodes as ast
+from repro.query.compiler import compile_predicate
 from repro.storage.buffer import BufferPool
 from repro.storage.degradable_store import DegradeChunk, TableStore
 from repro.storage.heap import RecordId
@@ -52,14 +58,17 @@ SCHEMA = TableSchema("person", [
     Column("active", "BOOL"),
 ])
 NAMES = [column.name for column in SCHEMA.columns]
+#: The same table with its leading columns INT, INT, TEXT: a wider prefix.
+WIDE = TableSchema("person", [SCHEMA.columns[0], Column("uid", "INT"), *SCHEMA.columns[1:]])
 DEGRADABLE = ["location", "salary"]
 SUBSETS = [None] + [frozenset(combo) for size in range(len(NAMES) + 1)
                     for combo in itertools.combinations(NAMES, size)]
 
 
-def make_store(strategy: str = "rewrite", capacity: int = 16) -> TableStore:
+def make_store(strategy: str = "rewrite", capacity: int = 16,
+               schema: TableSchema = SCHEMA) -> TableStore:
     pool = BufferPool(MemoryPager(), capacity=capacity)
-    return TableStore(SCHEMA, pool, WriteAheadLog(), strategy=strategy)
+    return TableStore(schema, pool, WriteAheadLog(), strategy=strategy)
 
 
 def reference_decode(store: TableStore, payload: bytes):
@@ -289,14 +298,14 @@ class TestLevelFirstExclusion:
 
 def good_payload(store: TableStore) -> bytes:
     return store._encode_row(7, 3.5, {"location": 1, "salary": 0},
-                             {"id": 7, "name": "alice", "location": "Paris",
+                             {"id": 7, "uid": 8, "name": "alice", "location": "Paris",
                               "score": 2.5, "salary": 2500, "active": True})
 
 
 def value_offset(store: TableStore, payload: bytes, column: str) -> int:
     """Offset of ``column``'s type tag inside ``payload``."""
     offset = store._header.size
-    for name in NAMES:
+    for name in store.schema.column_names():
         if name == column:
             return offset
         _, offset = decode_value(payload, offset)
@@ -362,10 +371,21 @@ class TestCorruption:
         "short TEXT length", "short FLOAT payload", "short INT payload",
         "missing tag", "unknown tag", "trailing bytes"])
     def test_damaged_record_raises_storage_error(self, case):
-        store = make_store()
+        self.check(make_store(), case)
+
+    @pytest.mark.parametrize("case", sorted(MESSAGES))
+    def test_a_wide_prefix_keeps_every_message(self, case):
+        """Leading columns INT, INT, TEXT: a good record's wide prefix
+        covers them, a damaged one raises as the field-by-field walk does."""
+        store = make_store(schema=WIDE)
+        assert store._wide[2:] == (2, True)
+        self.check(store, case)
+
+    def check(self, store, case):
         bad = self.corruptions(store)[case]
-        full, skipped = (re.escape(message).replace(r"\{at\}", "{at}")
-                         for message in self.MESSAGES[case])
+        full, skipped = (re.escape(message.replace(
+            "expected 10", f"expected {store._field_count}")).replace(r"\{at\}", "{at}")
+            for message in self.MESSAGES[case])
         at = value_offset(store, good_payload(store), "score")
         with pytest.raises(StorageError, match=f"^{full.format(at=at)}$"):
             store._decode_row(bad)
@@ -424,7 +444,7 @@ class TestKernelCache:
             for early in (frozenset(names), frozenset(names[-1:])):
                 reader = store.row_reader(slots, early, (("location", 3), ("salary", 2)),
                                           schemes, lambda row: row[0] % 2 == 0)
-                rows = list(store._read_keys(store.row_keys(), reader))
+                rows = list(store.scan(reader=reader))
                 assert [row[0] for row in rows] == [key for key in keys if key % 2 == 0]
         assert len(store._kernels) > 2 * len(SUBSETS)
         for factory in store._kernels.values():
@@ -460,6 +480,120 @@ class TestKernelCache:
             elif isinstance(held, dict) and held and all(type(key) is bytes for key in held):
                 assert not any(isinstance(entry, tuple) and len(entry) == 3
                                for entry in held.values()), "a memo outlived its wave"
+
+
+    def test_bindings_share_one_kernel_holding_no_number(self):
+        """Every binding of a template — and a FLOAT binding's template too —
+        runs the one kernel of its comparisons' ``(slot, operator)`` shape;
+        the numbers reach it as arguments, never as code constants."""
+        connection = repro.connect()
+        cursor = connection.cursor()
+        cursor.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT, note TEXT)")
+        cursor.executemany("INSERT INTO t VALUES (?, ?, ?)",
+                           [(i, i * 7, f"n{i}") for i in range(300)])
+        sql = "SELECT id, note FROM t WHERE v >= ? AND v < ?"
+        cursor.execute(sql, (123457, 987651))
+        store = connection.engine.table_store("t")
+        kernels = len(store._kernels)
+        for low, high in ((140, 700), (14.5, 700.25), (0, 2100)):
+            cursor.execute(sql, (low, high))
+            assert [row[0] for row in cursor.fetchall()] == \
+                [i for i in range(300) if low <= i * 7 < high]
+            assert len(store._kernels) == kernels
+        for factory in store._kernels.values():
+            held = set(constants(factory.__code__))
+            assert not held & {123457, 987651, 140, 700, 14.5, 700.25, 2100}
+        connection.close()
+
+
+class TestInlineComparisons:
+    """A kernel comparison answers as the ``column op number`` closure it
+    replaces: ``float(value) op float(number)`` for an int or float value,
+    ``compare`` for anything else — NULL, SUPPRESSED, text."""
+
+    VALUES = [3, -2, 7, 3.0, 7.5, -0.5, NULL, SUPPRESSED, "2000-3000", "abc", 3, NULL]
+
+    def store(self, strategy="rewrite"):
+        """One record per value of :attr:`VALUES` in its ``score`` field,
+        written as it is (no column coercion)."""
+        store = make_store(strategy)
+        keys = list(range(1, len(self.VALUES) + 1))
+        payloads = [store._encode_values(key, 0.0, [0, 0], [key, "x", NULL, value, 1, True])
+                    for key, value in zip(keys, self.VALUES)]
+        store._locations.update(zip(keys, store.heap.insert_many(payloads)))
+        return store
+
+    @pytest.mark.parametrize("operator", ["=", "!=", "<", "<=", ">", ">="])
+    @pytest.mark.parametrize("number", [3, 3.0, -2, 7.5, 0, -0.5])
+    def test_equals_the_closure(self, operator, number):
+        store = self.store()
+        slots = (("id", 1), ("score", 2))
+        closure = compile_predicate(ast.Comparison(ast.ColumnRef("score"), operator,
+                                                   ast.Literal(number)), lambda ref: 2)
+        inline = store.row_reader(slots, frozenset({"score"}),
+                                  comparisons=((2, operator, number),))
+        tested = store.row_reader(slots, frozenset({"score"}), predicate=closure)
+        got = list(store.scan(reader=inline))
+        assert got == list(store.scan(reader=tested))
+        assert [row[0] for row in got] == [key for key, value in enumerate(self.VALUES, 1)
+                                           if closure((key, key, value))]
+
+    @pytest.mark.parametrize("strategy", ["rewrite", "crypto"])
+    def test_parameters_through_the_engine(self, strategy):
+        """``?`` bound to an INT or a FLOAT, over a degradable INT column
+        holding numbers, ranges (text), NULL and SUPPRESSED values."""
+        db = repro.InstantDB(strategy=strategy)
+        salary = db.register_domain(build_salary_ranges())
+        location = db.register_domain(build_location_tree())
+        db.register_policy(repro.AttributeLCP(
+            salary, transitions=["1 h", "1 d", "3 d", "1 month"], name="salary_lcp"))
+        db.register_policy(repro.AttributeLCP(location, states=[0, 1],
+                                              transitions=["12 months"], name="slow_lcp"))
+        # the slow location keeps a row whose salary is suppressed
+        db.execute("CREATE TABLE pay (id INT PRIMARY KEY, salary INT DEGRADABLE DOMAIN "
+                   "salary POLICY salary_lcp, place TEXT DEGRADABLE DOMAIN location "
+                   "POLICY slow_lcp)")
+        # a purpose that leaves the salary unconstrained sees every level
+        db.execute("DECLARE PURPOSE audit SET ACCURACY LEVEL city FOR pay.place")
+        for wave, pause in enumerate((40 * 86400.0, 2 * 3600.0, 0.0)):
+            db.executemany("INSERT INTO pay VALUES (?, ?, ?)",
+                           [(i, None if i % 7 == 0 else 1500 + 37 * i, "1 Main Street, Paris")
+                            for i in range(wave * 40, wave * 40 + 40)])
+            db.advance_time(pause)
+        everything = db.execute("SELECT id, salary FROM pay", purpose="audit").rows
+        assert {repr(value) if is_missing(value) else type(value)
+                for _key, value in everything} == {int, str, repr(NULL), repr(SUPPRESSED)}
+        for operator in ("=", "!=", "<", "<=", ">", ">="):
+            closure_of = {}
+            for number in (1500 + 37 * 90, 3000.5, 5200, 1.0e9):
+                result = db.execute(f"SELECT id FROM pay WHERE salary {operator} ?",
+                                    params=(number,), purpose="audit")
+                assert result.pipeline.find("SeqScan").comparisons[0][1:] == (operator, number)
+                closure = closure_of.setdefault(number, compile_predicate(ast.Comparison(
+                    ast.ColumnRef("salary"), operator, ast.Literal(number)), lambda ref: 1))
+                assert sorted(result.rows) == sorted(
+                    (key,) for key, value in everything if closure((key, value)))
+
+
+class TestWidePrefix:
+    def test_a_null_in_a_leading_int_takes_the_walk(self):
+        """Rows whose leading INT or TEXT is NULL fail the wide prefix's tag
+        check and are walked: same values, same test outcome."""
+        store = make_store(schema=WIDE)
+        rows = [{"id": i, "uid": None if i % 3 == 0 else 10 * i,
+                 "name": None if i % 5 == 0 else f"n{i}", "location": "1 Main Street, Paris",
+                 "score": 0.5, "salary": 2500 + i, "active": True} for i in range(60)]
+        keys = [store.insert(row, now=0.0) for row in rows]
+        names = [column.name for column in WIDE.columns]
+        for columns in (None, frozenset({"uid"}), frozenset({"name", "salary"}),
+                        frozenset({"id", "active"})):
+            assert [row.values for row in store.scan(columns)] == [
+                {name: NULL if row[name] is None else row[name] for name in names
+                 if columns is None or name in columns} for row in rows]
+        reader = store.row_reader((("id", 1), ("uid", 2), ("name", 3)), frozenset({"uid"}),
+                                  comparisons=((2, ">", 100),))
+        assert [row[0] for row in store.scan(reader=reader)] == [
+            key for key, row in zip(keys, rows) if row["uid"] is not None and row["uid"] > 100]
 
 
 def fill(store: TableStore, count: int):
@@ -533,3 +667,30 @@ class TestLazyReaders:
         connection.commit()
         assert len(seen) == len(set(seen))
         assert set(seen) == set(range(400)) - set(range(200, 300))
+
+    def test_engine_cursor_interleaved_with_update(self):
+        """A lazy ``fetchone`` cursor on a streaming root and an UPDATE in
+        the same transaction that grows the records, relocating some: every
+        row handed out after the UPDATE shows the new value, no key twice,
+        none lost."""
+        connection = repro.connect()
+        cursor = connection.cursor()
+        cursor.execute("CREATE TABLE t (id INT PRIMARY KEY, note TEXT)")
+        cursor.executemany("INSERT INTO t VALUES (?, ?)",
+                           [(i, f"note-{i}") for i in range(400)])
+        connection.commit()
+        reader = connection.cursor()
+        reader.execute("SELECT id, note FROM t")
+        before = [reader.fetchone() for _ in range(5)]
+        grown = "updated-" + "x" * 40
+        connection.cursor().execute("UPDATE t SET note = ? WHERE id >= 2 AND id < 300",
+                                    (grown,))
+        assert connection.engine.table_store("t").stats.relocations > 0
+        after = []
+        while (row := reader.fetchone()) is not None:
+            after.append(row)
+        connection.commit()
+        seen = [key for key, _note in before + after]
+        assert len(seen) == len(set(seen)) and set(seen) == set(range(400))
+        assert before == [(i, f"note-{i}") for i in range(5)]
+        assert all(note == (grown if 2 <= key < 300 else f"note-{key}") for key, note in after)
