@@ -779,45 +779,29 @@ class InstantDB:
         table = statement.table.lower()
         info = self.catalog.table(table)
         store = self._store_for(table)
-        count = 0
         with self._transaction(txn, table, exclusive=True) as active:
-            for column, _value in assignments:
-                if info.schema.column(column).degradable:
-                    raise PolicyError(
-                        f"column {table}.{column} is degradable: updates are not granted "
-                        "after the tuple creation has been committed"
-                    )
-            now = self.clock.now()
-            for stored in self.executor.matching_rows(
-                    self._plan(prepared, params, purpose)):
-                for column, value in assignments:
-                    updated = store.update_stable(stored.row_key, column, value, now,
-                                                  txn_id=active.txn_id)
-                    active.on_abort(partial(self._undo_delta, info, store,
-                                            [stored], [updated]))
-                    self._apply_delta(info, [stored], [updated])
-                    stored = updated
-                count += 1
-        self.stats.rows_updated += count
-        return count
+            before, after = store.update_stable(
+                self.executor.matching_rows(self._plan(prepared, params, purpose)),
+                assignments, self.clock.now(), txn_id=active.txn_id)
+            if after:
+                active.on_abort(partial(self._undo_delta, info, store, before, after))
+                self._apply_delta(info, before, after)
+        self.stats.rows_updated += len(after)
+        return len(after)
 
     def _execute_delete(self, prepared: PreparedStatement,
                         params: Tuple[Any, ...], purpose: Optional[Purpose],
                         txn: Optional[Transaction]) -> int:
         """A secure erase at statement time (:meth:`TableStore.delete` scrubs
-        and flushes before it returns): no rollback brings the row back."""
+        and flushes before it returns): no rollback brings the rows back."""
         self._require_writable()
         table = prepared.statement.table.lower()
         info = self.catalog.table(table)
         store = self._store_for(table)
-        count = 0
         with self._transaction(txn, table, exclusive=True) as active:
-            for stored in self.executor.matching_rows(
-                    self._plan(prepared, params, purpose)):
-                self._apply_delta(info, [stored], None)
-                store.delete(stored.row_key, now=self.clock.now(),
-                             txn_id=active.txn_id)
-                count += 1
+            count = store.delete(self.executor.matching_rows(
+                self._plan(prepared, params, purpose)), self.clock.now(),
+                txn_id=active.txn_id, on_rows=partial(self._apply_delta, info))
         self.stats.rows_deleted += count
         return count
 
@@ -952,18 +936,17 @@ class InstantDB:
     def _undo_delta(self, info: TableInfo, store: TableStore,
                     old: Optional[List[StoredRow]], new: List[StoredRow]) -> None:
         """Abort-undo of the change ``old → new`` (batches): the physical
-        undo, then the inverse delta through the same fan-out.  Either
-        physical undo logs itself under system transaction 0 (``REMOVE``; the
-        before-image as an ``UPDATE``), which recovery always redoes.  A row
-        the transaction went on to ``DELETE`` stays erased."""
+        undo as one batch, then the inverse delta through the same fan-out.
+        Either physical undo logs itself under system transaction 0
+        (``REMOVE``; each before image as an ``UPDATE``), which recovery always
+        redoes.  A row the transaction went on to ``DELETE`` stays erased."""
         kept = [store.exists(row.row_key) for row in new]
         new = [row for row, keep in zip(new, kept) if keep]
         if old is None:
             store.remove_many([row.row_key for row in new], now=self.clock.now())
         else:
             old = [row for row, keep in zip(old, kept) if keep]
-            for before in old:
-                store.undo_update(before, now=self.clock.now())
+            store.restore_rows(list(map(store.image, old)), now=self.clock.now())
         if new:
             self._apply_delta(info, new, old)
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..core.errors import ExecutionError
-from ..storage.degradable_store import StoredRow
 from .catalog import Catalog
 from .operators import (
     ROW_KEY_FIELD,
@@ -81,7 +80,6 @@ class Executor:
 
     def __init__(self, catalog: Catalog, store_provider: StoreProvider) -> None:
         self.catalog = catalog
-        self.stores = store_provider
         self.stats = ExecutorStats()
         #: Operator tree of the most recent execution (stats introspection).
         self.last_pipeline: Optional[Operator] = None
@@ -120,18 +118,16 @@ class Executor:
         query; what :meth:`matching_rows` runs and EXPLAIN shows."""
         return build_match_pipeline(self._runtime, plan)
 
-    def matching_rows(self, plan: PhysicalPlan) -> List[StoredRow]:
-        """Stored rows matching ``plan``, the plan of an UPDATE/DELETE's
+    def matching_rows(self, plan: PhysicalPlan) -> List[int]:
+        """Keys of the rows matching ``plan``, the plan of an UPDATE/DELETE's
         match query (:func:`~repro.query.prepared.query_of`).
 
         Predicates are evaluated on the degraded view (the paper's view-style
-        delete semantics) but the *stored* rows are returned so the caller can
-        mutate them.  The match runs through the same scan + residual-filter
-        pipeline as SELECTs, so DML benefits from access paths and residual
-        pushdown too.
+        delete semantics); the caller reads the *stored* rows it changes.
+        The match runs through the same scan + residual-filter pipeline as
+        SELECTs, so DML benefits from access paths and residual pushdown too.
         """
-        store = self.stores(plan.base.table)
-        return [store.read(row[ROW_KEY_FIELD])
+        return [row[ROW_KEY_FIELD]
                 for run in self.match_pipeline(plan).runs(draining) for row in run]
 
 

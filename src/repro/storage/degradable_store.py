@@ -23,7 +23,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, groupby, islice, takewhile
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from types import SimpleNamespace
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -86,8 +86,6 @@ class TableStoreStats:
     reads: int = 0
     degrade_steps: int = 0
     removals: int = 0
-    deletes: int = 0
-    stable_updates: int = 0
     relocations: int = 0
 
 
@@ -145,11 +143,11 @@ class TableStore:
 
     # -- encoding helpers -----------------------------------------------------
 
-    def _encode_row(self, row_key: int, inserted_at: float,
-                    levels: Dict[str, int], values: Dict[str, Any]) -> bytes:
-        return self._encode_values(row_key, inserted_at,
-                                   [levels[column] for column in self._degradable],
-                                   [values[column.name] for column in self.schema.columns])
+    def image(self, row: StoredRow) -> bytes:
+        """The record of ``row`` as this table stores it."""
+        return self._encode_values(row.row_key, row.inserted_at,
+                                   [row.levels[column] for column in self._degradable],
+                                   [row.values[column.name] for column in self.schema.columns])
 
     def _encode_values(self, row_key: int, inserted_at: float,
                        levels: Sequence[int], values: Sequence[Any]) -> bytes:
@@ -166,6 +164,11 @@ class TableStore:
         prefix = zip(self._header_tags, (row_key, float(inserted_at), *levels))
         return self._header.pack(self._field_count, *chain.from_iterable(prefix)) \
             + b"".join(map(encode_value, values))
+
+    def _stored(self, row_keys: Sequence[int]) -> List[StoredRow]:
+        """The rows of ``row_keys`` the table holds, read in whole page runs."""
+        return [*chain.from_iterable(self._read_keys(row_keys, self._decode_plan(None),
+                                                     drain=lambda: True))]
 
     def _decode_row(self, payload: bytes,
                     columns: Optional[frozenset] = None) -> StoredRow:
@@ -490,14 +493,28 @@ class TableStore:
                 f"table {self.schema.name!r}: no row with key {row_key}"
             ) from None
 
-    def _rewrite(self, row_key: int, payload: bytes) -> None:
-        record_id = self._location(row_key)
-        self._version += 1
-        new_id = self.heap.update(record_id, payload)
-        if new_id != record_id:
-            self._locations[row_key] = new_id
-            self._vacated_pages.add(record_id.page_id)
-            self.stats.relocations += 1
+    def _rewrite_records(self, images: Iterable[Tuple[int, bytes]]) -> List[int]:
+        """The one writer of existing records: ``(row key, new image)`` pairs,
+        one :meth:`HeapFile.update_many` per page in slot order.  A record off
+        a page full in total relocates: its row's address follows it, and the
+        page it left is flushed by the next :meth:`_flush_pages`.  Returns the
+        pages written, those relocated records landed on included."""
+        locations, writes, pages = self._locations, [], []
+        for row_key, image in images:
+            record_id = locations[row_key]
+            writes.append((record_id.page_id, record_id.slot, row_key, image))
+        for page_id, run in groupby(sorted(writes), itemgetter(0)):
+            run = list(run)
+            self._version += 1
+            moved = self.heap.update_many(page_id, [(slot, image) for _p, slot, _k, image in run])
+            pages.append(page_id)
+            for _page, slot, row_key, _image in run if moved else ():
+                if slot in moved:
+                    locations[row_key] = moved[slot]
+                    pages.append(moved[slot].page_id)
+                    self._vacated_pages.add(page_id)
+            self.stats.relocations += len(moved)
+        return pages
 
     def _erase(self, row_key: int, record_id: RecordId) -> None:
         """Physically delete a record (secure page reclamation) and destroy
@@ -523,8 +540,7 @@ class TableStore:
 
     def degrade(self, row_key: int, column: str, scheme: GeneralizationScheme,
                 to_level: int, now: float, txn_id: int = 0) -> StoredRow:
-        """One degradation step — a wave of one (:meth:`degrade_many`);
-        returns the row as now visible to readers."""
+        """One step — a wave of one (:meth:`degrade_many`); returns the row as readers see it."""
         self.degrade_many([([row_key], column, scheme, to_level)], now, txn_id)
         return self.read(row_key)
 
@@ -539,11 +555,11 @@ class TableStore:
         Per page, the rows taking the same steps cost one :meth:`HeapFile.read_run`
         and one call of the wave kernel of that step shape (:meth:`_splicer`).
         Every page is spliced before the first is written — a wave that
-        raises has changed nothing — then each gets one :meth:`HeapFile.update_many`,
-        each chunk one ``DEGRADE`` record (column, level, row keys, never a
-        value).  The pages reach stable storage (one sync) *before* the rows'
-        accurate log images are scrubbed in one pass (under crypto the old
-        levels' keys are destroyed).  A row already at its target is in no
+        raises has changed nothing — then :meth:`_rewrite_records` writes them
+        and each chunk gets one ``DEGRADE`` record (column, level, row keys,
+        never a value).  The pages reach stable storage (one sync) *before*
+        the rows' accurate log images are scrubbed in one pass (under crypto
+        the old levels' keys are destroyed).  A row already at its target is in no
         chunk; if the log still holds an image of it, an earlier attempt died
         between page flush and scrub: flush, then scrub.
         """
@@ -569,7 +585,7 @@ class TableStore:
         splicers: Dict[Tuple[int, ...], Callable] = {}
         doomed: List[Tuple] = []                  # crypto keys of the old levels
         rewrite = self.strategy == "rewrite"
-        spliced: Dict[int, List[Tuple[int, bytes]]] = defaultdict(list)   # page → new images
+        spliced: List[Tuple[int, bytes]] = []     # (row key, new image)
         dirty_pages: List[int] = []
         settled: List[Tuple[str, int]] = []       # scrub keys: rows at their target
         for page_id in sorted(pages):
@@ -583,21 +599,13 @@ class TableStore:
                 images = splice(*self.heap.read_run(page_id, [slot for slot, _key in members]))
                 for (slot, row_key), image in zip(members, images):
                     if image is not None:
-                        spliced[page_id].append((slot, image))
+                        spliced.append((row_key, image))
                     elif not (rewrite and self.wal.records_for(table, row_key)):
                         continue
                     settled.append((table, row_key))
             if len(settled) > had:
                 dirty_pages.append(page_id)
-        for page_id, rewrites in spliced.items():
-            rewrites.sort()
-            self._version += 1
-            moved = self.heap.update_many(page_id, rewrites)
-            for slot, record_id in moved.items():
-                locations[self._header.unpack_from(dict(rewrites)[slot])[2]] = record_id
-                self._vacated_pages.add(page_id)
-                dirty_pages.append(record_id.page_id)
-            self.stats.relocations += len(moved)
+        dirty_pages.extend(self._rewrite_records(spliced))
         for key_id in doomed:
             self.keystore.destroy_key(key_id)
         for chunk in chunks:
@@ -684,21 +692,22 @@ class TableStore:
 
     def remove(self, row_key: int, now: float, txn_id: int = 0,
                scrub_log: bool = True) -> None:
-        """Final removal at the end of the life cycle (or explicit delete) of
-        one row that must exist: :meth:`remove_many` with one key."""
+        """Final removal of one row that must exist: :meth:`remove_many` of one."""
         self._location(row_key)
         self.remove_many([row_key], now, txn_id, scrub_log)
 
     def remove_many(self, row_keys: Sequence[int], now: float, txn_id: int = 0,
                     scrub_log: bool = True,
                     on_rows: Optional[Callable[[List[StoredRow]], None]] = None) -> int:
-        """Physically delete rows (secure page reclamation), destroy every
-        crypto key of theirs and scrub their images from the WAL: one scrub
-        pass and one flush per touched page for the lot.  Rows that vanished
-        meanwhile are skipped.  ``on_rows`` gets the rows as they were, read
-        in page runs before the first is erased.  Returns how many went."""
+        """Physically delete rows (secure page reclamation), destroy their
+        crypto keys and scrub their log images: one scrub pass and one pager
+        sync for the lot, none for no rows; vanished rows are skipped.
+        ``on_rows`` gets the rows as they were, read in page runs before the
+        first is erased.  Returns how many went."""
+        if not row_keys:
+            return 0
         if on_rows is not None:
-            on_rows([*chain.from_iterable(self._read_keys(row_keys, self._decode_plan(None)))])
+            on_rows(self._stored(row_keys))
         removed: List[Tuple[str, int]] = []
         dirty_pages: List[int] = []
         for row_key in row_keys:
@@ -736,49 +745,37 @@ class TableStore:
             self.wal.scrub_record(self.schema.name, row_key, now=now)
         self.stats.removals += 1
 
-    def delete(self, row_key: int, now: float, txn_id: int = 0) -> None:
-        """Explicit user delete — same non-recoverability guarantees as removal."""
-        self.remove(row_key, now, txn_id=txn_id, scrub_log=True)
-        self.stats.deletes += 1
-        self.stats.removals -= 1
+    def delete(self, row_keys: Sequence[int], now: float, txn_id: int = 0,
+               on_rows: Optional[Callable[[List[StoredRow]], None]] = None) -> int:
+        """A statement's explicit delete: :meth:`remove_many`, as non-recoverable."""
+        return self.remove_many(row_keys, now, txn_id, on_rows=on_rows)
 
-    def update_stable(self, row_key: int, column: str, value: Any,
-                      now: float, txn_id: int = 0) -> StoredRow:
-        """Update a stable attribute (degradable attributes are immutable)."""
-        column = column.lower()
-        column_def = self.schema.column(column)
-        if column_def.degradable:
-            raise PolicyError(
-                f"table {self.schema.name!r}: degradable column {column!r} cannot be "
-                "updated after the tuple creation has been committed"
-            )
-        row = self.read(row_key)
-        before_payload = self._encode_row(row.row_key, row.inserted_at, row.levels, row.values)
-        new_values = dict(row.values)
-        new_values[column] = column_def.coerce(value)
-        payload = self._encode_row(row_key, row.inserted_at, row.levels, new_values)
-        self._rewrite(row_key, payload)
-        self.wal.append(
-            LogRecordType.UPDATE, txn_id, table=self.schema.name, row_key=row_key,
-            attribute=column, before=before_payload, after=payload, timestamp=now,
-        )
-        self.stats.stable_updates += 1
-        return self._decode_row(payload)
-
-    def undo_update(self, before: StoredRow, now: float) -> None:
-        """Abort-undo of stable updates: write the row as it was ``before``
-        them back, and log that as an ``UPDATE`` of system transaction 0.
-
-        Recovery does not undo a transaction whose ``ABORT`` it finds — it
-        takes the undo as done — but always redoes transaction 0: the log
-        itself leads back to this image, even when the updated page had
-        reached disk before the abort and the restored one has not yet.
-        """
-        payload = self._encode_row(before.row_key, before.inserted_at,
-                                   before.levels, before.values)
-        self._rewrite(before.row_key, payload)
-        self.wal.append(LogRecordType.UPDATE, 0, table=self.schema.name,
-                        row_key=before.row_key, after=payload, timestamp=now)
+    def update_stable(self, row_keys: Sequence[int], assignments: Sequence[Tuple[str, Any]],
+                      now: float, txn_id: int = 0
+                      ) -> Tuple[List[StoredRow], List[StoredRow]]:
+        """One statement's ``(column, value)`` ``assignments`` to the rows of
+        ``row_keys`` the table holds (degradable attributes are immutable):
+        read in page runs, written by :meth:`_rewrite_records`, one ``UPDATE``
+        record a row with its whole before and after images.  Returns the
+        rows ``(before, after)``; no row, no read and no record."""
+        columns = [(self.schema.column(column.lower()), value) for column, value in assignments]
+        for column, _value in columns:
+            if column.degradable:
+                raise PolicyError(
+                    f"column {self.schema.name}.{column.name} is degradable: updates are "
+                    "not granted after the tuple creation has been committed")
+        if not row_keys:
+            return [], []
+        changes = {column.name: column.coerce(value) for column, value in columns}
+        before = self._stored(row_keys)
+        after = [StoredRow(row.row_key, {**row.values, **changes}, row.levels, row.inserted_at)
+                 for row in before]
+        images = [(row.row_key, self.image(row)) for row in after]
+        self._rewrite_records(images)
+        for row, (row_key, image) in zip(before, images):
+            self.wal.append(LogRecordType.UPDATE, txn_id, table=self.schema.name,
+                            row_key=row_key, before=self.image(row), after=image, timestamp=now)
+        return before, after
 
     # -- maintenance / recovery / forensics -----------------------------------------
 
@@ -790,21 +787,24 @@ class TableStore:
         """Raw bytes of the heap pages and the log (forensic scanning input)."""
         return self.heap.raw_image() + self.wal.raw_image()
 
-    def restore_rows(self, payloads: Sequence[bytes]) -> List[int]:
-        """Write logged row images (an ``INSERT_RUN``'s sub-images, an
-        ``UPDATE``'s) back into the store (recovery redo/undo): a row the
-        table holds in place, the missing ones with one heap batch.  Returns
-        their row keys."""
-        keys = [self._decode_row(payload, frozenset()).row_key for payload in payloads]
-        missing: Dict[int, bytes] = {}
-        for key, payload in zip(keys, payloads):
-            if key in self._locations:
-                self._rewrite(key, payload)
-            else:
-                missing[key] = payload
+    def restore_rows(self, payloads: Sequence[bytes], now: Optional[float] = None) -> List[int]:
+        """Write row images back — logged ones (an ``INSERT_RUN``'s sub-images,
+        an ``UPDATE``'s: recovery redo/undo) or, given ``now``, a statement's
+        before images (abort-undo, each logged as an ``UPDATE`` of system
+        transaction 0, which recovery always redoes: the log leads back to the
+        image even if the updated page reached disk before the abort and the
+        restored one has not): held rows through :meth:`_rewrite_records`,
+        missing ones as one heap batch.  Returns their row keys."""
+        images = [(self._decode_row(payload, frozenset()).row_key, payload)
+                  for payload in payloads]
+        self._rewrite_records(image for image in images if image[0] in self._locations)
+        missing = dict(image for image in images if image[0] not in self._locations)
         self._locations.update(zip(missing, self.heap.insert_many(list(missing.values()))))
-        self._next_row_key = max(self._next_row_key, *(key + 1 for key in keys))
-        return keys
+        self._next_row_key = max(self._next_row_key, max(missing, default=0) + 1)
+        for row_key, payload in images if now is not None else ():
+            self.wal.append(LogRecordType.UPDATE, 0, table=self.schema.name,
+                            row_key=row_key, after=payload, timestamp=now)
+        return [row_key for row_key, _payload in images]
 
     def reserve_row_keys_after(self, row_key: int) -> None:
         """Never hand out a key at or below ``row_key`` — recovery's highest

@@ -229,23 +229,16 @@ class HeapFile:
 
     # -- update / delete -----------------------------------------------------------
 
-    def update(self, record_id: RecordId, payload: bytes) -> RecordId:
-        """Update a record where it is, relocating it only off a full page
-        (:meth:`update_many` with one record).  Returns the record's id,
-        a new one when it moved."""
-        moved = self.update_many(record_id.page_id, [(record_id.slot, payload)])
-        return moved.get(record_id.slot, record_id)
-
     def update_many(self, page_id: int, updates: Sequence[Tuple[int, bytes]]
                     ) -> Dict[int, RecordId]:
         """Apply ``(slot, payload)`` updates to the records of one page, in
         order: at most one compaction of the page, one free-space refile.
 
-        A record the page — full in total — has no room for is relocated, as
-        by :meth:`update` at its turn: the new image is placed first — if
-        that fails (page allocation can raise) the record is still whole at
-        its old id — and only then is the old one securely scrubbed.  Returns
-        ``{slot: new record id}`` for the records that moved.
+        A record the page — full in total — has no room for is relocated at
+        its turn: the new image is placed first — if that fails (page
+        allocation can raise) the record is still whole at its old id — and
+        only then is the old one securely scrubbed.  Returns ``{slot: new
+        record id}`` for the records that moved.
         """
         moved: Dict[int, RecordId] = {}
         while updates:

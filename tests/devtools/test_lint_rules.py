@@ -360,11 +360,11 @@ class TestSingleFanout:
         real = open(database_module.__file__, encoding="utf-8").read()
         write(tmp_path, "engine/database.py", real)
         assert run_rule(tmp_path, "single-fanout") == []
-        anchor = "                self._apply_delta(info, [stored], None)\n"
+        anchor = "                self._apply_delta(info, before, after)\n"
         assert real.count(anchor) == 1
         write(tmp_path, "engine/database.py", real.replace(
             anchor,
-            anchor + "                self.statistics.on_remove(table, [stored.values])\n"))
+            anchor + "                self.statistics.on_remove(table, [before[0].values])\n"))
         findings = run_rule(tmp_path, "single-fanout")
         assert len(findings) == 1 and "on_remove" in findings[0].message
 

@@ -248,7 +248,7 @@ class TestPageHygiene:
         heap = HeapFile(BufferPool(MemoryPager(page_size=512), capacity=4))
         rid = heap.insert(b"record")
         heap.flush()                                    # a hygienic page passes
-        heap.update(rid, b"r")
+        heap.update_many(rid.page_id, [(rid.slot, b"r")])
         heap.buffer_pool.get_page(rid.page_id)._buffer[200] = 9     # a stale byte
         with pytest.raises(StorageError, match="stale bytes"):
             heap.flush()

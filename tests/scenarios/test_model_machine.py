@@ -3,8 +3,9 @@
 One serial connection drives the engine (``ScenarioVariant("compiled")`` over the
 inclusion scenario's definitions, no preloaded rows) and
 :func:`~repro.scenarios.reference_model` side by side.  Rules insert (one
-statement a row, or one ``executemany`` batch, which is one cohort), update and
-delete by key, read under a random purpose, commit, roll back, advance the
+statement a row, or one ``executemany`` batch, which is one cohort), update
+(one or two SET columns) and delete by key or by owner (``WHERE user_id = ?``,
+0..n rows), read under a random purpose, commit, roll back, advance the
 clock across transition deadlines, checkpoint, and crash: the engine is
 abandoned without ``close()`` and reopened with a bare ``recover()``, while the
 model rolls back.  A ``degradation_max_batch`` cut is drawn once per run.
@@ -52,6 +53,9 @@ DIAGNOSES = tuple(build_diagnosis_tree().values_at_level(0)[:4])
 SPANS = (4 * 3600.0, DAY, 3 * DAY, 7 * DAY, 21 * DAY, 45 * DAY, 90 * DAY)
 #: Keys an UPDATE or DELETE names; inserts hand ids out in order, never twice.
 KEY = st.integers(1, 12)
+#: Owners an UPDATE or DELETE may name instead, on the tables with a ``user_id``.
+OWNER = st.integers(1, 8)
+OWNED = ("job_applications", "employee_records")
 
 INSERTS = {
     "job_applications": "INSERT INTO job_applications (id, user_id, company_id, status, "
@@ -61,13 +65,14 @@ INSERTS = {
     "users": "INSERT INTO users (id, name, address, health_note, signup_day) "
              "VALUES (?, ?, ?, ?, ?)",
 }
-#: What an UPDATE by key may write: the table's one non-degradable column.
-UPDATED = {"job_applications": "status", "employee_records": "hired_day",
-           "users": "signup_day"}
-#: The reads; ``?`` takes a status.
+#: What an UPDATE may write: the first or both of these non-degradable
+#: columns (never ``user_id``: it selects the per-tuple policy).
+UPDATED = {"job_applications": ("status", "applied_day"),
+           "employee_records": ("hired_day", "company_id"), "users": ("signup_day",)}
+#: The reads (every column an UPDATE writes among them); ``?`` takes a status.
 QUERIES = (
-    "SELECT id, user_id, status, applicant_address FROM job_applications",
-    "SELECT id, user_id, salary, address FROM employee_records",
+    "SELECT id, user_id, company_id, status, applicant_address, applied_day FROM job_applications",
+    "SELECT id, user_id, company_id, salary, address, hired_day FROM employee_records",
     "SELECT id, name, address, health_note FROM users",
     "SELECT job_applications.id, users.name, users.address FROM job_applications "
     "JOIN users ON job_applications.user_id = users.id",
@@ -147,23 +152,32 @@ class ModelMachine(RuleBasedStateMachine):
         self._insert("users", rows, batch, lambda key, address, note:
                      (key, f"user {key}", address, note, key % 11))
 
-    @rule(table=st.sampled_from(sorted(UPDATED)), key=KEY, value=st.integers(0, 3),
-          purpose=st.sampled_from(PURPOSES))
-    def update(self, table, key, value, purpose):
-        value = STATUSES[value] if table == "job_applications" else value
-        sql = f"UPDATE {table} SET {UPDATED[table]} = ? WHERE id = ?"
-        ModelMachine.steps.append(f"{sql} {(value, key)} purpose={purpose}")
-        expected, actual = self._both(lambda v: v.execute(sql, (value, key), purpose=purpose))
+    def _modify(self, sql, table, values, key, owner, purpose):
+        """``sql`` ending in ``WHERE``, by key or — on a table with a
+        ``user_id`` and ``owner`` drawn — by owner."""
+        if owner is not None and table in OWNED:
+            sql, params = f"{sql} user_id = ?", (*values, owner)
+        else:
+            sql, params = f"{sql} id = ?", (*values, key)
+        ModelMachine.steps.append(f"{sql} {params} purpose={purpose}")
+        expected, actual = self._both(lambda v: v.execute(sql, params, purpose=purpose))
         assert actual.rowcount == expected.rowcount
         self.pending = True
 
-    @rule(table=st.sampled_from(sorted(INSERTS)), key=KEY, purpose=st.sampled_from(PURPOSES))
-    def delete(self, table, key, purpose):
-        sql = f"DELETE FROM {table} WHERE id = ?"
-        ModelMachine.steps.append(f"{sql} {(key,)} purpose={purpose}")
-        expected, actual = self._both(lambda v: v.execute(sql, (key,), purpose=purpose))
-        assert actual.rowcount == expected.rowcount
-        self.pending = True
+    @rule(table=st.sampled_from(sorted(UPDATED)), width=st.integers(1, 2), key=KEY,
+          owner=st.none() | OWNER, value=st.integers(0, 3), purpose=st.sampled_from(PURPOSES))
+    def update(self, table, width, key, owner, value, purpose):
+        columns = UPDATED[table][:width]
+        values = [STATUSES[value] if column == "status" else value + index
+                  for index, column in enumerate(columns)]
+        assignments = ", ".join(f"{column} = ?" for column in columns)
+        self._modify(f"UPDATE {table} SET {assignments} WHERE", table, values, key, owner,
+                     purpose)
+
+    @rule(table=st.sampled_from(sorted(INSERTS)), key=KEY, owner=st.none() | OWNER,
+          purpose=st.sampled_from(PURPOSES))
+    def delete(self, table, key, owner, purpose):
+        self._modify(f"DELETE FROM {table} WHERE", table, (), key, owner, purpose)
 
     @rule(purpose=st.sampled_from(PURPOSES), status=st.sampled_from(STATUSES))
     def select(self, purpose, status):
@@ -260,3 +274,41 @@ class ModelMachine(RuleBasedStateMachine):
 
 
 TestModelMachine = ModelMachine.TestCase
+
+
+def test_owner_statements_on_several_rows():
+    """What the derandomized run above reaches with at most one matching row,
+    on several: a two-column UPDATE and a DELETE by owner on both owned tables,
+    rolled back, done again and committed, then a crash and an advance — the
+    engine checked against the model after each rule, as there."""
+    machine = ModelMachine()
+
+    def owned_by_3(table):
+        return [row.values for row in machine.model.tables[table] if row.values["user_id"] == 3]
+
+    try:
+        machine.cut(max_batch=None)
+        machine.insert_applications(rows=[(3, status, ADDRESSES[0]) for status in STATUSES]
+                                    + [(4, "new", ADDRESSES[1])], batch=True)
+        machine.insert_employees(rows=[(3, ADDRESSES[2])] * 3 + [(5, ADDRESSES[3])], batch=False)
+        machine.commit()
+        for table in OWNED:
+            machine.update(table=table, width=2, key=1, owner=3, value=2, purpose=None)
+        assert {values["status"] for values in owned_by_3("job_applications")} == {"accepted"}
+        machine.rollback()
+        machine.stored_levels_are_the_models()
+        machine.select(purpose=None, status="accepted")
+        machine.update(table="job_applications", width=2, key=1, owner=3, value=1,
+                       purpose="casework")
+        machine.delete(table="employee_records", key=1, owner=3, purpose=None)
+        assert len(owned_by_3("job_applications")) == 4 and owned_by_3("employee_records") == []
+        machine.commit()
+        machine.select(purpose=None, status="processing")
+        machine.crash()
+        machine.stored_levels_are_the_models()
+        machine.select(purpose="statistics", status="processing")
+        machine.advance(seconds=DAY)
+        machine.stored_levels_are_the_models()
+        assert {values["applied_day"] for values in owned_by_3("job_applications")} == {2}
+    finally:
+        machine.teardown()

@@ -1,6 +1,6 @@
 """The degradation wave kernel (``TableStore.degrade_many``).
 
-* the spliced record is byte for byte ``_encode_row`` of the degraded row —
+* the spliced record is byte for byte ``TableStore.image`` of the degraded row —
   the splice is a faster way to the same image, not a second record format
   (seeded waves, and a property over random rows, columns and step lists);
 * a wave that raises has changed nothing: heap, log, indexes;
@@ -24,7 +24,7 @@ from repro.core.errors import PolicyError
 from repro.core.schema import Column, TableSchema
 from repro.core.values import NULL, SUPPRESSED
 from repro.storage.buffer import BufferPool
-from repro.storage.degradable_store import TableStore
+from repro.storage.degradable_store import StoredRow, TableStore
 from repro.storage.pager import MemoryPager
 from repro.storage.serialization import encode_value
 from repro.storage.wal import LogRecordType, WriteAheadLog, decode_degrade_chunk
@@ -102,8 +102,8 @@ def test_spliced_record_is_encode_row_of_the_degraded_row(seed, strategy):
         expected = {}
         for key, (row, steps) in steps_of.items():
             values, levels = degraded(row, steps)
-            expected[key] = (values, levels, store._encode_row(
-                key, row.inserted_at, levels, values))
+            expected[key] = (values, levels, store.image(
+                StoredRow(key, values, levels, row.inserted_at)))
         items = [([key], column, SCHEMES[column], to_level)
                  for key, (_row, steps) in steps_of.items()
                  for column, to_level in steps.items()]
@@ -146,7 +146,7 @@ def test_wave_kernel_output_is_encode_row_of_the_model(data, strategy):
     steps on each of 1–3 degradable columns (a step to the level it is at is
     a no-op; several steps chain), values are NULL or reach SUPPRESSED,
     fields grow (a salary into a range label, relocating off a full page) and
-    shrink.  Every record afterwards is ``_encode_row`` of the model."""
+    shrink.  Every record afterwards is ``image`` of the model."""
     store = make_store(strategy, page_size=1024)
     count = data.draw(st.integers(1, 30), label="rows")
     rows = [data.draw(row_strategy(row_id), label="row") for row_id in range(1, count + 1)]
@@ -169,8 +169,8 @@ def test_wave_kernel_output_is_encode_row_of_the_model(data, strategy):
                         values[column] = scheme.generalize(old, to_level,
                                                            from_level=levels[column])
                     levels[column] = to_level
-            expected[key] = (values, levels, store._encode_row(
-                key, row.inserted_at, levels, values))
+            expected[key] = (values, levels, store.image(
+                StoredRow(key, values, levels, row.inserted_at)))
         chunks = store.degrade_many(items, now=10.0 + wave)
         assert sum(len(chunk.row_keys()) for chunk in chunks) == applied
         for key, (values, levels, image) in expected.items():
@@ -186,7 +186,7 @@ def test_wave_kernel_output_is_encode_row_of_the_model(data, strategy):
 
 def test_a_growing_wave_relocates_off_a_full_page_byte_identically():
     """Every salary of full 1 KiB pages turns into a range label at once:
-    records move off their page, and each is still ``_encode_row``."""
+    records move off their page, and each is still ``image``."""
     store = make_store("rewrite", page_size=1024)
     rng = random.Random(11)
     keys = [row.row_key for row in store.insert_many(
@@ -197,8 +197,8 @@ def test_a_growing_wave_relocates_off_a_full_page_byte_identically():
     for key in keys:
         row = store.read(key)
         values = {**row.values, "salary": salary.generalize(row.values["salary"], 1)}
-        expected[key] = store._encode_row(key, row.inserted_at, {**row.levels, "salary": 1},
-                                          values)
+        expected[key] = store.image(StoredRow(key, values, {**row.levels, "salary": 1},
+                                              row.inserted_at))
     store.degrade_many([(keys, "salary", salary, 1)], now=1.0)
     assert store.stats.relocations > 0
     for key, image in expected.items():

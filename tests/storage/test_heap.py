@@ -10,6 +10,11 @@ from repro.storage.heap import HeapFile, RecordId
 from repro.storage.pager import MemoryPager
 
 
+def update(heap, rid, payload):
+    """One record through ``update_many``: its id, a new one if it moved."""
+    return heap.update_many(rid.page_id, [(rid.slot, payload)]).get(rid.slot, rid)
+
+
 @pytest.fixture
 def heap():
     return HeapFile(BufferPool(MemoryPager(page_size=512), capacity=8), name="t")
@@ -43,7 +48,7 @@ class TestHeapFile:
 
     def test_update_in_place_keeps_record_id(self, heap):
         rid = heap.insert(b"aaaa")
-        new_rid = heap.update(rid, b"bbbb")
+        new_rid = update(heap, rid, b"bbbb")
         assert new_rid == rid
         assert heap.read(rid) == b"bbbb"
 
@@ -51,7 +56,7 @@ class TestHeapFile:
         rid = heap.insert(b"a" * 150)
         heap.insert(b"b" * 150)
         heap.insert(b"c" * 100)
-        new_rid = heap.update(rid, b"d" * 400)
+        new_rid = update(heap, rid, b"d" * 400)
         assert heap.read(new_rid) == b"d" * 400
         assert heap.record_count == 3
         if new_rid != rid:
@@ -103,12 +108,12 @@ class TestHeapFile:
         heap.insert(b"b" * 200)                  # the page is full in total
         armed.append(True)
         with pytest.raises(StorageError, match="no page for you"):
-            heap.update(rid, b"c" * 320)
+            update(heap, rid, b"c" * 320)
         assert heap.read(rid) == b"a" * 200
         assert (heap.record_count, heap.page_count) == (2, 1)
         heap.check()
         armed.clear()
-        new_rid = heap.update(rid, b"c" * 320)
+        new_rid = update(heap, rid, b"c" * 320)
         assert new_rid.page_id != rid.page_id and not heap.exists(rid)
         assert heap.read(new_rid) == b"c" * 320
         assert heap.record_count == 2
@@ -130,8 +135,8 @@ class TestFreeSpaceMap:
         rids = [heap.insert(bytes([n]) * 120) for n in (1, 2, 3, 4)]   # 496 of 512
         assert heap.page_count == 1
         heap.delete(rids[1])
-        assert heap.update(rids[3], b"\x04" * 200) == rids[3]         # uses the hole
-        assert heap.update(rids[0], b"\x01" * 200) != rids[0]         # full in total
+        assert update(heap, rids[3], b"\x04" * 200) == rids[3]         # uses the hole
+        assert update(heap, rids[0], b"\x01" * 200) != rids[0]         # full in total
         heap.check()
 
     def test_insert_touches_only_the_page_it_writes(self, heap):
@@ -172,7 +177,7 @@ def _drive(heap, rng, model, steps, trail):
             on_page = sum(len(payload) for other, payload in model.values()
                           if other.page_id == rid.page_id)
             full = on_page - len(old) + len(image) > page_size - 4 - 4 * page.slot_count
-            new_rid = heap.update(rid, image)
+            new_rid = update(heap, rid, image)
             assert (new_rid != rid) is full         # relocated only off a full page
             assert heap.exists(rid) is not full
             model[key] = [new_rid, image]
@@ -219,8 +224,8 @@ def test_reopened_heap_chooses_the_same_pages(seed):
 @pytest.mark.parametrize("seed", [31, 32, 33])
 def test_update_many_places_records_where_sequential_updates_do(seed, page_size):
     """Twin heaps: every batch of updates to the records of one page goes
-    through ``update_many`` on one and ``update``, record by record, on the
-    other.  Same records relocated, to the same ids, and the same free-space
+    through ``update_many`` on one and through ``update_many`` record by
+    record on the other.  Same records relocated, to the same ids, and the same free-space
     map after every batch."""
     rng = random.Random(seed)
     batched = HeapFile(BufferPool(MemoryPager(page_size=page_size), capacity=4))
@@ -255,7 +260,7 @@ def test_update_many_places_records_where_sequential_updates_do(seed, page_size)
             expected = {}
             for slot, image in updates:
                 rid = RecordId(page_id, slot)
-                new_rid = sequential.update(rid, image)
+                new_rid = update(sequential, rid, image)
                 if new_rid != rid:
                     expected[slot] = new_rid
             moved = batched.update_many(page_id, updates)

@@ -39,7 +39,7 @@ from repro.core.values import NULL, REMOVED, SUPPRESSED, is_missing
 from repro.query import ast_nodes as ast
 from repro.query.compiler import compile_predicate
 from repro.storage.buffer import BufferPool
-from repro.storage.degradable_store import DegradeChunk, TableStore
+from repro.storage.degradable_store import DegradeChunk, StoredRow, TableStore
 from repro.storage.heap import RecordId
 from repro.storage.kernels import MESSAGES
 from repro.storage.pager import MemoryPager
@@ -127,8 +127,8 @@ SCHEMES = {"location": LOCATION, "salary": SALARY}
 
 @st.composite
 def leveled_records(draw):
-    """``_encode_row`` arguments of a row whose degradable values are
-    expressed at their stored levels (or missing), so they generalize."""
+    """A ``StoredRow`` whose degradable values are expressed at their stored
+    levels (or missing), so they generalize."""
     levels = {name: draw(st.integers(0, 4)) for name in DEGRADABLE}
     accurate = {"location": draw(st.sampled_from(LOCATION.leaves())),
                 "salary": draw(st.integers(0, 10**6))}
@@ -137,8 +137,8 @@ def leveled_records(draw):
         values[name] = draw(st.one_of(
             st.just(SCHEMES[name].generalize(accurate[name], levels[name])),
             st.sampled_from([NULL, REMOVED])))
-    return (draw(st.integers(1, 2**40)), draw(st.floats(0, 1e12)), levels,
-            {name: values[name] for name in NAMES})
+    return StoredRow(draw(st.integers(1, 2**40)), {name: values[name] for name in NAMES},
+                     levels, draw(st.floats(0, 1e12)))
 
 
 class TestEquivalence:
@@ -149,8 +149,8 @@ class TestEquivalence:
             self, strategy, record, pad):
         store = make_store(strategy)
         levels = dict(zip(DEGRADABLE, record["levels"]))
-        payload = store._encode_row(record["row_key"], record["inserted_at"], levels,
-                                    {name: record[name] for name in NAMES})
+        payload = store.image(StoredRow(record["row_key"], {name: record[name] for name in NAMES},
+                                        levels, record["inserted_at"]))
         expected = reference_decode(store, payload)
         framed = bytearray(b"\xaa" * pad + payload + b"\xbb" * pad)
         for columns in SUBSETS:
@@ -172,7 +172,7 @@ class TestEquivalence:
         so far and ``None`` in each late slot; rows, positions, drops and
         the excluded count must be those of the reference."""
         store = make_store(strategy)
-        payloads = [store._encode_row(*data.draw(leveled_records())) for _ in
+        payloads = [store.image(data.draw(leveled_records())) for _ in
                     range(data.draw(st.integers(1, 4)))]
         pad = data.draw(st.integers(0, 5))
         frame, spans = bytearray(), []
@@ -297,9 +297,9 @@ class TestLevelFirstExclusion:
 
 
 def good_payload(store: TableStore) -> bytes:
-    return store._encode_row(7, 3.5, {"location": 1, "salary": 0},
-                             {"id": 7, "uid": 8, "name": "alice", "location": "Paris",
-                              "score": 2.5, "salary": 2500, "active": True})
+    return store.image(StoredRow(7, {"id": 7, "uid": 8, "name": "alice", "location": "Paris",
+                                     "score": 2.5, "salary": 2500, "active": True},
+                                 {"location": 1, "salary": 0}, 3.5))
 
 
 def value_offset(store: TableStore, payload: bytes, column: str) -> int:
@@ -611,7 +611,7 @@ class TestLazyReaders:
         seen = [next(scan).row_key for _ in range(10)]
         # Delete rows of the batch being handed out and rows further on.
         for key in (keys[12], keys[13], keys[150]):
-            store.delete(key, now=1.0)
+            store.delete([key], now=1.0)
         # INT salary → TEXT range grows every record: full pages relocate rows.
         store.degrade_many([([key for key in keys[5:120] if store.exists(key)],
                              "salary", SALARY, 1)], now=2.0)
@@ -631,7 +631,7 @@ class TestLazyReaders:
         keys = fill(store, 200)
         fetch = store.fetch(iter(keys))
         first = [next(fetch).row_key for _ in range(3)]
-        store.delete(keys[5], now=1.0)
+        store.delete([keys[5]], now=1.0)
         store.degrade_many([([key for key in keys[3:100] if store.exists(key)],
                              "salary", SALARY, 1)], now=2.0)
         rest = list(fetch)

@@ -69,18 +69,20 @@ class TestBasicOperations:
 
     def test_update_stable_column(self, store):
         row_key = store.insert(ROW, now=0.0)
-        updated = store.update_stable(row_key, "name", "alice-renamed", now=1.0)
+        (before,), (updated,) = store.update_stable([row_key], [("name", "alice-renamed")],
+                                                    now=1.0)
+        assert before.values["name"] == "alice"
         assert updated.values["name"] == "alice-renamed"
         assert store.read(row_key).values["name"] == "alice-renamed"
 
     def test_update_degradable_column_rejected(self, store):
         row_key = store.insert(ROW, now=0.0)
         with pytest.raises(PolicyError):
-            store.update_stable(row_key, "location", "elsewhere", now=1.0)
+            store.update_stable([row_key], [("location", "elsewhere")], now=1.0)
 
     def test_delete(self, store):
         row_key = store.insert(ROW, now=0.0)
-        store.delete(row_key, now=1.0)
+        assert store.delete([row_key], now=1.0) == 1
         assert not store.exists(row_key)
         assert store.row_count == 0
 

@@ -77,7 +77,7 @@ class TestUndo:
         row_key = store.insert(ROW, now=0.0, txn_id=winner.txn_id)
         manager.commit(winner)
         loser = manager.begin()
-        store.update_stable(row_key, "name", "mallory", now=1.0, txn_id=loser.txn_id)
+        store.update_stable([row_key], [("name", "mallory")], now=1.0, txn_id=loser.txn_id)
         report = RecoveryManager(wal, {"person": store}).recover()
         assert report.undone_updates == 1
         assert store.read(row_key).values["name"] == "alice"
