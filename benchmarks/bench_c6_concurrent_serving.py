@@ -5,7 +5,7 @@ single-writer engine while the degradation daemon keeps firing.  This
 experiment drives a mixed read/write workload (INSERT + commit, then a
 purpose-scoped SELECT) from 1, 4 and 16 concurrent client connections
 against a live server, with a background *expiry wave* thread advancing the
-simulated clock through the engine executor the whole time — the paper's
+simulated clock on the server's loop thread the whole time — the paper's
 timely-degradation guarantee staying active under network load.
 
 Measured series per client count: aggregate statements/second, client-side
@@ -84,7 +84,7 @@ def _run_scenario(num_clients):
     stop_waves = threading.Event()
 
     def wave_worker():
-        # every wave runs on the engine executor, serialized with statements
+        # every wave runs on the server's loop thread, serialized with statements
         while not stop_waves.is_set():
             server.submit(lambda: engine.advance_time(minutes=30))
             time.sleep(WAVE_INTERVAL_S)

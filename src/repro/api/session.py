@@ -117,7 +117,7 @@ class EngineSession:
     """One implicit engine transaction and the result sets computed under it.
 
     Every method touches the engine and must run on the thread that owns it
-    (the caller's in process, the engine executor on the server).
+    (the caller's in process, the event-loop thread on the server).
     """
 
     def __init__(self, engine: InstantDB) -> None:

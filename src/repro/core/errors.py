@@ -230,9 +230,13 @@ class OverloadError(RetryableError):
 
 
 class StatementTimeoutError(RetryableError):
-    """A statement exceeded the server's per-statement timeout budget.  The
-    session is closed (the engine thread cannot be interrupted mid-statement);
-    reconnect and retry."""
+    """A statement exceeded the server's per-statement timeout budget.
+
+    The engine cannot be interrupted mid-statement, so the server checks the
+    budget when the statement returns and sends this whatever the statement's
+    outcome; every other session waited behind it meanwhile.  The session is
+    closed and its transaction rolled back: reconnect and retry from the
+    transaction start."""
 
 
 class ConnectionPoisonedError(InterfaceError):

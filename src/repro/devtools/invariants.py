@@ -16,8 +16,8 @@ runtime:
   detector), so they are recorded in :data:`observed_inversions` for
   diagnostics instead of raising.
 * **Engine-thread confinement.**  The serving layer promises that every
-  engine entry point runs on the server's single engine-executor thread.
-  :func:`register_engine_thread` pins an engine to the executor thread;
+  engine entry point runs on the server's event-loop thread.
+  :func:`register_engine_thread` pins an engine to the loop thread;
   :func:`assert_engine_thread` (called from the engine's entry points)
   raises :class:`InvariantViolation` when any other thread calls in while
   the engine is being served.
@@ -295,8 +295,8 @@ def _resource_key(resource: Any) -> str:
 
 # -------------------------------------------------------- thread confinement
 
-#: ``id(engine) -> thread ident`` for engines currently pinned to a serving
-#: executor.  Registered by ``InstantDBServer.start()`` on the executor
+#: ``id(engine) -> thread ident`` for engines currently pinned to a server's
+#: event-loop thread.  Registered by ``InstantDBServer.start()`` on the loop
 #: thread itself, removed by ``stop()``.
 _engine_threads: Dict[int, int] = {}
 
@@ -327,10 +327,10 @@ def assert_engine_thread(engine: Any) -> None:
     if actual != expected:
         thread = threading.current_thread()
         _violation(
-            f"engine entered off its executor thread: thread "
+            f"engine entered off the server's loop thread: thread "
             f"{thread.name!r} (ident {actual}) called into an engine pinned "
-            f"to thread ident {expected}; route the call through the "
-            "server's engine executor (run_on_engine / ServerThread.submit)")
+            f"to thread ident {expected}; run the call on the server's "
+            "event-loop thread (ServerThread.submit)")
 
 
 __all__ = [

@@ -127,80 +127,44 @@ class SentinelIdentityRule(Rule):
         return False
 
 
-# -------------------------------------------------------- executor-confinement
+# ------------------------------------------------------------ loop-confinement
 
 
-class ExecutorConfinementRule(Rule):
-    """No direct engine calls from ``async def`` bodies in the server package.
+class LoopConfinementRule(Rule):
+    """No engine work leaves the event-loop thread in the server package.
 
-    The serving layer's contract is that *all* engine work funnels through
-    the single engine-executor thread (``run_on_engine``).  An engine (or
-    session engine-method) call made directly from a coroutine runs on the
-    event-loop thread and races the executor.  Passing a bound method as a
-    *callable argument* (``run_on_engine(self.engine.close)``) is the
-    correct pattern and is not flagged; only direct calls are.
+    The serving layer runs every engine call inline on its event-loop
+    thread: the engine is single-writer and not thread-safe, and the loop
+    thread is the one it is pinned to.  Handing work to another thread —
+    ``loop.run_in_executor``, ``asyncio.to_thread`` or a
+    ``concurrent.futures`` executor — would run it off that thread and race
+    the loop.  Direct engine and session calls from an ``async def`` are the
+    correct pattern and are not flagged.  The runtime half of the contract
+    is :func:`repro.devtools.invariants.assert_engine_thread`.
     """
 
-    name = "executor-confinement"
-    description = ("direct engine / session engine-method call from an async "
-                   "def in the server package")
+    name = "loop-confinement"
+    description = ("run_in_executor / asyncio.to_thread / concurrent.futures "
+                   "executor in the server package")
 
-    #: Session methods that touch the engine (see sessions.py docstring).
-    SESSION_METHODS = frozenset({
-        "execute", "executemany", "fetch", "close_cursor",
-        "begin", "commit", "rollback", "close",
-    })
-    ENGINE_TYPES = frozenset({"InstantDB", "TableStore"})
+    HANDOFFS = frozenset({"run_in_executor", "to_thread",
+                          "ThreadPoolExecutor", "ProcessPoolExecutor"})
 
     def check(self, path: str, tree: ast.AST, source: str) -> List[Finding]:
         if "server" not in _path_parts(path):
             return []
         findings: List[Finding] = []
         for node in ast.walk(tree):
-            if isinstance(node, ast.AsyncFunctionDef):
-                for stmt in node.body:
-                    self._scan(path, stmt, findings)
+            if not isinstance(node, ast.Call):
+                continue
+            chain = attribute_chain(node.func)
+            if chain[-1] in self.HANDOFFS:
+                findings.append(self.finding(
+                    path, node,
+                    f"{'.'.join(chain)}() in the server package hands work to "
+                    "another thread; engine work runs inline on the event-loop "
+                    "thread (ServerThread.submit from outside it)"))
         return findings
-
-    def _scan(self, path: str, node: ast.AST,
-              findings: List[Finding]) -> None:
-        # Nested defs/lambdas execute elsewhere (typically on the executor
-        # via run_on_engine) — their bodies are out of scope here.
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            return
-        if isinstance(node, ast.Call):
-            self._check_call(path, node, findings)
-        for child in ast.iter_child_nodes(node):
-            self._scan(path, child, findings)
-
-    def _check_call(self, path: str, node: ast.Call,
-                    findings: List[Finding]) -> None:
-        func = node.func
-        if isinstance(func, ast.Name) and func.id in self.ENGINE_TYPES:
-            findings.append(self.finding(
-                path, node,
-                f"{func.id} constructed inside an async def; engine objects "
-                "must be created and driven on the engine executor"))
-            return
-        if not isinstance(func, ast.Attribute):
-            return
-        chain = attribute_chain(func)
-        receiver, method = chain[:-1], chain[-1]
-        if "engine" in receiver:
-            findings.append(self.finding(
-                path, node,
-                f"direct engine call {'.'.join(chain)}() from an async def; "
-                "engine work must go through the executor "
-                "(await self.run_on_engine(...))"))
-            return
-        if method in self.SESSION_METHODS and any(
-                segment in ("session", "sessions") for segment in receiver):
-            findings.append(self.finding(
-                path, node,
-                f"{'.'.join(chain)}() touches the engine and is called from "
-                "an async def; submit it to the executor instead "
-                "(await self.run_on_engine(...))"))
 
 
 # ------------------------------------------------------------- lock-discipline
@@ -621,7 +585,7 @@ class ExecConfinedRule(Rule):
 
 PER_FILE_RULES = (
     SentinelIdentityRule,
-    ExecutorConfinementRule,
+    LoopConfinementRule,
     LockDisciplineRule,
     NoSwallowedAbortRule,
     NoSwallowedIOErrorRule,
@@ -631,7 +595,7 @@ PER_FILE_RULES = (
 )
 
 __all__ = ["Rule", "attribute_chain", "SentinelIdentityRule",
-           "ExecutorConfinementRule", "LockDisciplineRule",
+           "LoopConfinementRule", "LockDisciplineRule",
            "NoSwallowedAbortRule", "NoSwallowedIOErrorRule",
            "SingleFanoutRule", "UnusedImportRule", "ExecConfinedRule",
            "PER_FILE_RULES"]

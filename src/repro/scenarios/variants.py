@@ -96,10 +96,10 @@ class ScenarioVariant:
         return self.engine_call(retention_report, salaries or {})
 
     def engine_call(self, fn: Callable[..., Any], *args: Any) -> Any:
-        """Run ``fn(engine, *args)`` on the engine's executor thread.
+        """Run ``fn(engine, *args)`` on the thread the engine is pinned to.
 
         While an engine is being served it is pinned to the server's
-        executor (enforced under ``REPRO_DEBUG_INVARIANTS=1``); unserved
+        loop thread (enforced under ``REPRO_DEBUG_INVARIANTS=1``); unserved
         engines run the callable inline.
         """
         if self.server is not None:

@@ -9,17 +9,12 @@ PEP 249 driver lives in :mod:`repro.client`.
 
 from .metrics import LatencyWindow, ServerMetrics
 from .protocol import MAX_FRAME_BYTES, PROTOCOL_VERSION, ProtocolError
-from .server import (
-    DEFAULT_QUEUE_SIZE,
-    DEFAULT_WRITE_LIMIT,
-    InstantDBServer,
-    ServerThread,
-)
+from .server import DEFAULT_WRITE_LIMIT, InstantDBServer, ServerThread
 from .sessions import DEFAULT_PREFETCH, Session, SessionManager
 
 __all__ = [
     "InstantDBServer", "ServerThread", "Session", "SessionManager",
     "ServerMetrics", "LatencyWindow", "ProtocolError",
     "PROTOCOL_VERSION", "MAX_FRAME_BYTES", "DEFAULT_PREFETCH",
-    "DEFAULT_QUEUE_SIZE", "DEFAULT_WRITE_LIMIT",
+    "DEFAULT_WRITE_LIMIT",
 ]

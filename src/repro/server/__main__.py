@@ -13,7 +13,7 @@ import signal
 import sys
 
 from ..engine.database import InstantDB
-from .server import DEFAULT_QUEUE_SIZE, InstantDBServer
+from .server import InstantDBServer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -27,16 +27,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-sessions", type=int, default=64)
     parser.add_argument("--idle-timeout", type=float, default=None,
                         help="seconds before an idle session is reaped")
-    parser.add_argument("--queue-size", type=int, default=DEFAULT_QUEUE_SIZE,
-                        help="per-session request queue bound")
     return parser
 
 
 async def serve(engine: InstantDB, args: argparse.Namespace) -> None:
     server = InstantDBServer(
         engine, args.host, args.port, max_sessions=args.max_sessions,
-        idle_timeout=args.idle_timeout, queue_size=args.queue_size,
-        owns_engine=True)
+        idle_timeout=args.idle_timeout, owns_engine=True)
     await server.start()
     host, port = server.address
     print(f"instantdb server listening on {host}:{port}", flush=True)
@@ -53,7 +50,7 @@ async def serve(engine: InstantDB, args: argparse.Namespace) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # Built before the event loop exists; once served it is pinned to the
-    # server's engine-executor thread (see docs/invariants.md).
+    # server's event-loop thread (see docs/invariants.md).
     engine = InstantDB(args.data_dir) if args.data_dir else InstantDB()
     asyncio.run(serve(engine, args))
     return 0

@@ -56,8 +56,6 @@ class ServerMetrics:
         self.sessions_rejected = 0
         self.sessions_reaped = 0
         self.active_sessions = 0
-        self.in_flight = 0
-        self.queue_depth = 0
         self.statements = 0
         self.errors = 0
         self.protocol_errors = 0
@@ -78,8 +76,6 @@ class ServerMetrics:
             "sessions_rejected": self.sessions_rejected,
             "sessions_reaped": self.sessions_reaped,
             "active_sessions": self.active_sessions,
-            "in_flight": self.in_flight,
-            "queue_depth": self.queue_depth,
             "statements": self.statements,
             "errors": self.errors,
             "protocol_errors": self.protocol_errors,

@@ -3,21 +3,19 @@
 Concurrency model
 -----------------
 
-* One **reader task** per connection parses length-prefixed frames and feeds
-  a bounded :class:`asyncio.Queue`.  When the queue is full the reader stops
-  reading, the kernel's receive window fills, and the client blocks — the
-  bounded queue *is* the backpressure mechanism, end to end over TCP.
-* One **worker task** per connection drains the queue, runs each request,
-  and writes the reply.  Replies go through ``writer.drain()`` under a small
-  write-buffer limit, so a slow-reading client throttles its own worker
+* The server's **event-loop thread is the engine thread**.  The engine is
+  lock-based, single-writer and not thread-safe; every engine call —
+  statements, commits, rollbacks, fetch-N pulls on live streams, session
+  teardown and ``ServerThread.submit`` work such as degradation ticks — runs
+  inline on the loop, so calls are serialized by construction and a wave
+  interleaves with statements exactly as two engine calls would in-process.
+  Cross-session conflicts surface as ``TransactionAborted`` error frames.
+* **One task per connection** reads a frame, dispatches it, writes the reply
+  and only then reads the next frame.  A client that sends faster than the
+  server answers meets TCP backpressure directly (the socket is not read
+  while a request is served).  Replies go through ``writer.drain()`` under a
+  small write-buffer limit, so a slow-reading client throttles its own task
   instead of buffering unbounded replies in server memory.
-* All engine access — statements, commits, rollbacks, fetch-N pulls on live
-  streams, and session teardown — funnels through a **single-thread
-  executor**.  The engine is lock-based and single-writer; serializing every
-  session's engine work on one thread multiplexes many network clients over
-  it safely while the degradation daemon keeps firing between statements.
-  Cross-session conflicts surface exactly as in-process: as
-  ``TransactionAborted`` error frames.
 
 Admission is a hard cap: past ``max_sessions`` concurrent sessions a new
 connection is shed with a typed, *retryable* ``OverloadError`` frame before
@@ -28,11 +26,11 @@ for longer than ``idle_timeout`` seconds.
 Overload and fault hardening
 ----------------------------
 
-* ``statement_timeout`` bounds every EXECUTE / EXECUTEMANY / FETCH: past the
-  budget the client gets a retryable ``StatementTimeoutError`` frame and the
-  connection closes — the engine thread cannot be interrupted mid-statement,
-  so the reply races ahead of it and session teardown (queued on the same
-  executor) rolls the transaction back once the statement finishes.
+* ``statement_timeout`` bounds every EXECUTE / EXECUTEMANY / FETCH.  An
+  engine call cannot be interrupted mid-statement, so the budget is checked
+  when the call returns: a statement that ran past it gets a retryable
+  ``StatementTimeoutError`` frame whatever its outcome, the connection
+  closes, and session teardown rolls its transaction back.
 * an optional :class:`~repro.faults.FaultPlan` arms the ``server.send`` /
   ``server.recv`` sites: reply frames can be truncated mid-frame, the
   transport dropped abruptly, or the peer stalled — the failure modes the
@@ -47,10 +45,9 @@ from __future__ import annotations
 
 import asyncio
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Awaitable, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
-from ..core.errors import Error, InstantDBError, OperationalError, StatementTimeoutError
+from ..core.errors import Error, StatementTimeoutError
 from ..devtools import invariants
 from ..engine.database import InstantDB
 from ..faults import FaultPlan
@@ -59,25 +56,19 @@ from .metrics import ServerMetrics
 from .protocol import ProtocolError
 from .sessions import DEFAULT_PREFETCH, Session, SessionManager
 
-#: Frames a connection may queue before the reader stops reading.
-DEFAULT_QUEUE_SIZE = 32
-
 #: High-water mark for a connection's outgoing buffer; ``drain()`` blocks
-#: the worker past this, throttling replies to slow clients.
+#: the connection's task past this, throttling replies to slow clients.
 DEFAULT_WRITE_LIMIT = 256 * 1024
-
-_EOF = None
 
 
 class _Connection:
-    """Per-connection plumbing: the queue between reader and worker."""
+    """Per-connection state the connection's task and the server share."""
 
     def __init__(self, session: Session, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter, queue_size: int) -> None:
+                 writer: asyncio.StreamWriter) -> None:
         self.session = session
         self.reader = reader
         self.writer = writer
-        self.queue: asyncio.Queue = asyncio.Queue(maxsize=queue_size)
         self.busy = False
         self.greeted = False
         self.said_goodbye = False
@@ -85,7 +76,7 @@ class _Connection:
 
     @property
     def settled(self) -> bool:
-        return self.queue.empty() and not self.busy
+        return not self.busy
 
     def force_close(self) -> None:
         try:
@@ -100,7 +91,6 @@ class InstantDBServer:
     def __init__(self, engine: InstantDB, host: str = "127.0.0.1",
                  port: int = 0, *, max_sessions: int = 64,
                  idle_timeout: Optional[float] = None,
-                 queue_size: int = DEFAULT_QUEUE_SIZE,
                  prefetch: int = DEFAULT_PREFETCH,
                  write_buffer_limit: int = DEFAULT_WRITE_LIMIT,
                  statement_timeout: Optional[float] = None,
@@ -110,7 +100,6 @@ class InstantDBServer:
         self.host = host
         self.port = port
         self.prefetch = prefetch
-        self.queue_size = queue_size
         self.write_buffer_limit = write_buffer_limit
         self.statement_timeout = statement_timeout
         self.faults = fault_plan
@@ -119,7 +108,6 @@ class InstantDBServer:
                                        idle_timeout=idle_timeout)
         self.metrics = ServerMetrics()
         self._server: Optional[asyncio.AbstractServer] = None
-        self._executor: Optional[ThreadPoolExecutor] = None
         self._connections: Dict[int, _Connection] = {}
         self._handlers: Dict[asyncio.Task, None] = {}
         self._reaper: Optional[asyncio.Task] = None
@@ -128,13 +116,10 @@ class InstantDBServer:
     # -- lifecycle -------------------------------------------------------------
 
     async def start(self) -> "InstantDBServer":
-        self._executor = ThreadPoolExecutor(max_workers=1,
-                                            thread_name_prefix="instantdb-engine")
-        # Pin the engine to the executor thread: from here until stop(), any
+        # Pin the engine to the loop thread: from here until stop(), any
         # engine entry off this thread is a confinement violation (enforced
         # at runtime under REPRO_DEBUG_INVARIANTS=1).
-        self._executor.submit(invariants.register_engine_thread,
-                              self.engine).result()
+        invariants.register_engine_thread(self.engine)
         self._server = await asyncio.start_server(self._handle_client,
                                                   self.host, self.port)
         if self.sessions.idle_timeout is not None:
@@ -166,23 +151,9 @@ class InstantDBServer:
             conn.force_close()
         if self._handlers:
             await asyncio.gather(*self._handlers, return_exceptions=True)
-        if self.owns_engine and self._executor is not None:
-            # Close on the executor: the engine is still pinned to it.
-            await self.run_on_engine(self.engine.close)
+        if self.owns_engine:
+            self.engine.close()
         invariants.unregister_engine_thread(self.engine)
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    async def run_on_engine(self, fn: Callable[..., Any], *args: Any) -> Any:
-        """Run ``fn`` on the engine executor, serialized with all statements.
-
-        Test and benchmark harnesses use this to drive the simulated clock
-        (degradation waves) safely between client statements.
-        """
-        assert self._executor is not None, "server is not running"
-        loop = asyncio.get_event_loop()
-        return await loop.run_in_executor(self._executor, fn, *args)
 
     # -- connection handling ---------------------------------------------------
 
@@ -225,20 +196,14 @@ class InstantDBServer:
             transport.set_write_buffer_limits(high=self.write_buffer_limit)
         self.metrics.sessions_opened += 1
         self.metrics.active_sessions = len(self.sessions)
-        conn = _Connection(session, reader, writer, self.queue_size)
+        conn = _Connection(session, reader, writer)
         self._connections[session.session_id] = conn
-        reader_task = asyncio.ensure_future(self._read_frames(conn))
         try:
             await self._serve_requests(conn)
         finally:
-            reader_task.cancel()
-            try:
-                await reader_task
-            except (asyncio.CancelledError, Exception):  # reprolint: disable=no-swallowed-abort -- reader is cancelled; session teardown below must still run
-                pass
             self._connections.pop(session.session_id, None)
             try:
-                had_txn = await self.run_on_engine(self.sessions.close, session)
+                had_txn = self.sessions.close(session)
             except Error:
                 # The rollback of the disconnected session hit a failing
                 # device; the engine has already degraded to read-only and
@@ -253,52 +218,45 @@ class InstantDBServer:
             self.metrics.active_sessions = len(self.sessions)
             conn.force_close()
 
-    async def _read_frames(self, conn: _Connection) -> None:
-        """Parse frames off the socket into the bounded per-session queue."""
-        try:
-            while True:
-                if self.faults is not None:
-                    event = self.faults.fire("server.recv")
-                    if event is not None:
-                        if event.kind == "stall":
-                            await asyncio.sleep(
-                                float(event.param("seconds", 0.05)))
-                        else:
-                            # disconnect / truncate: the inbound stream dies
-                            # mid-frame; the session tears down as on EOF.
-                            conn.force_close()
-                            await conn.queue.put(_EOF)
-                            return
-                prefix = await conn.reader.readexactly(4)
-                length = protocol.parse_frame_length(prefix)
-                body = await conn.reader.readexactly(length)
-                frame_type, payload = protocol.decode_frame_body(body)
-                await conn.queue.put(("frame", frame_type, payload))
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            await conn.queue.put(_EOF)
-        except ProtocolError as error:
-            await conn.queue.put(("protocol_error", error, None))
-
     async def _serve_requests(self, conn: _Connection) -> None:
+        """Read a frame, serve it, write the reply; repeat until the end."""
         while True:
-            item = await conn.queue.get()
-            self.metrics.queue_depth = conn.queue.qsize()
-            if item is _EOF:
+            try:
+                frame = await self._read_frame(conn)
+            except (asyncio.IncompleteReadError, ConnectionError, OSError):
                 return
-            kind, first, second = item
+            except ProtocolError as error:
+                self.metrics.protocol_errors += 1
+                try:
+                    await self._write_error(conn, error)
+                except ConnectionError:
+                    pass  # the peer is gone; teardown follows either way
+                return
+            if frame is None:
+                return
             conn.busy = True
             try:
-                if kind == "protocol_error":
-                    self.metrics.protocol_errors += 1
-                    await self._write_error(conn, first)
-                    return
-                done = await self._dispatch(conn, first, second)
-                if done:
+                if await self._dispatch(conn, *frame):
                     return
             except ConnectionError:
                 return
             finally:
                 conn.busy = False
+
+    async def _read_frame(self, conn: _Connection) -> Optional[Tuple[int, Any]]:
+        """The next request frame, or ``None`` once an injected fault has
+        killed the inbound stream (the session then tears down as on EOF)."""
+        if self.faults is not None:
+            event = self.faults.fire("server.recv")
+            if event is not None:
+                if event.kind != "stall":   # disconnect / truncate
+                    conn.force_close()
+                    return None
+                await asyncio.sleep(float(event.param("seconds", 0.05)))
+        prefix = await conn.reader.readexactly(4)
+        length = protocol.parse_frame_length(prefix)
+        body = await conn.reader.readexactly(length)
+        return protocol.decode_frame_body(body)
 
     # -- request dispatch ------------------------------------------------------
 
@@ -320,8 +278,6 @@ class InstantDBServer:
                                     {"in_txn": False})
             return True
         if frame_type == protocol.METRICS:
-            self.metrics.queue_depth = sum(
-                c.queue.qsize() for c in self._connections.values())
             snapshot = self.metrics.snapshot()
             snapshot["in_txn"] = session.in_transaction
             await self._write_frame(conn.writer, protocol.OK, snapshot)
@@ -333,35 +289,29 @@ class InstantDBServer:
             await self._write_error(conn, ProtocolError(
                 f"unknown frame type 0x{frame_type:02X}"))
             return True
+        failure: Optional[Exception] = None
+        started = time.perf_counter()
         try:
-            if (self.statement_timeout is not None
-                    and frame_type in _TIMED_FRAMES):
-                reply_type, reply = await asyncio.wait_for(
-                    handler(self, session, payload),
-                    timeout=self.statement_timeout)
-            else:
-                reply_type, reply = await handler(self, session, payload)
-        except asyncio.TimeoutError:
-            # The engine thread cannot be interrupted mid-statement: reply
-            # now, close the connection, and let session teardown (queued on
-            # the same executor) roll the transaction back once the statement
-            # finishes.  Retrying from the transaction start is then safe.
+            reply_type, reply = handler(self, session, payload)
+        except Exception as error:  # engine invariant failures too — don't hide them
+            failure = error
+        if (self.statement_timeout is not None
+                and frame_type in _TIMED_FRAMES
+                and time.perf_counter() - started > self.statement_timeout):
+            # Checked once the call returns (an engine call cannot be
+            # interrupted); teardown then rolls the transaction back.
             self.metrics.statement_timeouts += 1
             await self._write_error(conn, StatementTimeoutError(
                 f"statement exceeded the {self.statement_timeout:g}s budget; "
                 "the session is closed and its transaction rolled back"))
             return True
-        except ProtocolError as error:
+        if isinstance(failure, ProtocolError):
             self.metrics.protocol_errors += 1
-            await self._write_error(conn, error)
+            await self._write_error(conn, failure)
             return True
-        except InstantDBError as error:
+        if failure is not None:
             self.metrics.errors += 1
-            await self._write_error(conn, error)
-            return False
-        except Exception as error:  # engine invariant failure — don't hide it
-            self.metrics.errors += 1
-            await self._write_error(conn, error)
+            await self._write_error(conn, failure)
             return False
         reply["in_txn"] = session.in_transaction
         await self._write_frame(conn.writer, reply_type, reply)
@@ -384,63 +334,53 @@ class InstantDBServer:
         })
         return False
 
-    # -- engine-backed frames (run on the engine executor) ---------------------
+    # -- engine-backed frames (run inline on the loop thread) ------------------
 
-    async def _do_execute(self, session: Session,
-                          payload: Any) -> Tuple[int, Dict[str, Any]]:
+    def _do_execute(self, session: Session,
+                    payload: Any) -> Tuple[int, Dict[str, Any]]:
         sql, params = _require(payload, "sql"), payload.get("params")
         started = time.perf_counter()
-        self.metrics.in_flight += 1
         try:
-            reply = await self.run_on_engine(
-                lambda: session.execute(sql, params, payload.get("purpose"),
-                                        prefetch=self.prefetch))
+            reply = session.execute(sql, params, payload.get("purpose"),
+                                    prefetch=self.prefetch)
         finally:
-            self.metrics.in_flight -= 1
             self.metrics.record_statement(time.perf_counter() - started)
         return protocol.RESULT, reply
 
-    async def _do_executemany(self, session: Session,
-                              payload: Any) -> Tuple[int, Dict[str, Any]]:
+    def _do_executemany(self, session: Session,
+                        payload: Any) -> Tuple[int, Dict[str, Any]]:
         sql = _require(payload, "sql")
         seq = _require(payload, "params_seq")
         started = time.perf_counter()
-        self.metrics.in_flight += 1
         try:
-            reply = await self.run_on_engine(
-                lambda: session.executemany(sql, seq))
+            reply = session.executemany(sql, seq)
         finally:
-            self.metrics.in_flight -= 1
             self.metrics.record_statement(time.perf_counter() - started)
         return protocol.RESULT, reply
 
-    async def _do_fetch(self, session: Session,
-                        payload: Any) -> Tuple[int, Dict[str, Any]]:
+    def _do_fetch(self, session: Session,
+                  payload: Any) -> Tuple[int, Dict[str, Any]]:
         cursor_id = _require(payload, "cursor")
-        count = payload.get("n", 1)
-        reply = await self.run_on_engine(
-            lambda: session.fetch(cursor_id, count))
-        return protocol.ROWS, reply
+        return protocol.ROWS, session.fetch(cursor_id, payload.get("n", 1))
 
-    async def _do_close_cursor(self, session: Session,
-                               payload: Any) -> Tuple[int, Dict[str, Any]]:
-        cursor_id = _require(payload, "cursor")
-        await self.run_on_engine(lambda: session.close_cursor(cursor_id))
-        return protocol.OK, {}
-
-    async def _do_begin(self, session: Session,
-                        payload: Any) -> Tuple[int, Dict[str, Any]]:
-        await self.run_on_engine(session.begin)
-        return protocol.OK, {}
-
-    async def _do_commit(self, session: Session,
+    def _do_close_cursor(self, session: Session,
                          payload: Any) -> Tuple[int, Dict[str, Any]]:
-        await self.run_on_engine(session.commit)
+        session.close_cursor(_require(payload, "cursor"))
         return protocol.OK, {}
 
-    async def _do_rollback(self, session: Session,
-                           payload: Any) -> Tuple[int, Dict[str, Any]]:
-        await self.run_on_engine(session.rollback)
+    def _do_begin(self, session: Session,
+                  payload: Any) -> Tuple[int, Dict[str, Any]]:
+        session.begin()
+        return protocol.OK, {}
+
+    def _do_commit(self, session: Session,
+                   payload: Any) -> Tuple[int, Dict[str, Any]]:
+        session.commit()
+        return protocol.OK, {}
+
+    def _do_rollback(self, session: Session,
+                     payload: Any) -> Tuple[int, Dict[str, Any]]:
+        session.rollback()
         return protocol.OK, {}
 
     # -- idle reaper -----------------------------------------------------------
@@ -497,7 +437,7 @@ def _require(payload: Any, key: str) -> Any:
 _TIMED_FRAMES = frozenset({protocol.EXECUTE, protocol.EXECUTEMANY,
                            protocol.FETCH})
 
-_ENGINE_FRAMES: Dict[int, Callable[..., Awaitable[Tuple[int, Dict[str, Any]]]]] = {
+_ENGINE_FRAMES: Dict[int, Callable[..., Tuple[int, Dict[str, Any]]]] = {
     protocol.EXECUTE: InstantDBServer._do_execute,
     protocol.EXECUTEMANY: InstantDBServer._do_executemany,
     protocol.FETCH: InstantDBServer._do_fetch,
@@ -508,12 +448,16 @@ _ENGINE_FRAMES: Dict[int, Callable[..., Awaitable[Tuple[int, Dict[str, Any]]]]] 
 }
 
 
+async def _call(fn: Callable[..., Any], *args: Any) -> Any:
+    return fn(*args)
+
+
 class ServerThread:
     """Run an :class:`InstantDBServer` on a background event-loop thread.
 
     The test and benchmark harness for the serving layer: ``start()`` blocks
     until the socket is listening, ``address`` is the live ``(host, port)``,
-    ``submit(fn)`` runs ``fn`` on the engine executor serialized with client
+    ``submit(fn)`` runs ``fn`` on the loop thread serialized with client
     statements (e.g. ``advance_time`` to fire a degradation wave mid-load),
     and ``stop()`` performs the drain shutdown.
     """
@@ -549,9 +493,13 @@ class ServerThread:
         return self.server.address
 
     def submit(self, fn: Callable[..., Any], *args: Any) -> Any:
+        """Run ``fn(*args)`` on the server's loop thread and return its result.
+
+        The call is serialized with client statements: it runs between two
+        frames, never inside one.
+        """
         assert self._loop is not None
-        future = asyncio.run_coroutine_threadsafe(
-            self.server.run_on_engine(fn, *args), self._loop)
+        future = asyncio.run_coroutine_threadsafe(_call(fn, *args), self._loop)
         return future.result(timeout=30)
 
     def metrics(self) -> Dict[str, Any]:
@@ -568,5 +516,4 @@ class ServerThread:
         self._thread.join(timeout=10)
 
 
-__all__ = ["InstantDBServer", "ServerThread", "DEFAULT_QUEUE_SIZE",
-           "DEFAULT_WRITE_LIMIT"]
+__all__ = ["InstantDBServer", "ServerThread", "DEFAULT_WRITE_LIMIT"]

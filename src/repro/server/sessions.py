@@ -8,11 +8,11 @@ connection needs: numbered cursors whose result sets stream out of the
 engine's operator pipeline in fetch-N batches, the prefetch batch that rides
 the EXECUTE reply, and the idle clock the reaper reads.
 
-Every method that touches the engine is **synchronous** and must run on the
-server's single engine-executor thread — the engine is not thread-safe, and
-funnelling all sessions through one executor is what multiplexes the
-lock-based single-writer engine safely under the running degradation daemon
-(a statement and a degradation wave interleave exactly as two engine calls
+Every method that touches the engine is **synchronous** and runs inline on
+the server's event-loop thread — the engine is not thread-safe, and running
+every session's calls on that one thread is what multiplexes the lock-based
+single-writer engine safely under the running degradation daemon (a
+statement and a degradation wave interleave exactly as two engine calls
 would in-process; conflicts surface as ``TransactionAborted`` on the wire).
 """
 
@@ -29,7 +29,7 @@ from .protocol import decode_purpose
 
 
 class Session(EngineSession):
-    """Server-side connection state; engine calls run on the engine executor."""
+    """Server-side connection state; engine calls run on the loop thread."""
 
     def __init__(self, session_id: int, engine: InstantDB,
                  peer: str = "?") -> None:
@@ -123,8 +123,8 @@ class SessionManager:
         self.idle_timeout = idle_timeout
         self.sessions: Dict[int, Session] = {}
         self._next_id = 1
-        # Registry lock: the asyncio loop thread reads the registry (reaper,
-        # stats) while the engine executor mutates it via open/close.
+        # Registry lock: the loop thread opens and closes sessions while
+        # other threads (tests, harnesses) read ``len(server.sessions)``.
         self._lock = TrackedLock("server.sessions")
 
     def open(self, peer: str = "?") -> Optional[Session]:

@@ -114,7 +114,7 @@ class TestCliBehavior:
     def test_list_rules(self, capsys):
         assert lint_mod.main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in ("sentinel-identity", "executor-confinement",
+        for rule in ("sentinel-identity", "loop-confinement",
                      "lock-discipline", "no-swallowed-abort", "single-fanout",
                      "wal-exhaustive", "frame-tag-exhaustive"):
             assert rule in out

@@ -60,55 +60,52 @@ class TestSentinelIdentity:
         assert len(run_rule(tmp_path, "sentinel-identity")) == 1
 
 
-class TestExecutorConfinement:
-    def test_direct_engine_call_in_async_def_flagged(self, tmp_path):
+class TestLoopConfinement:
+    def test_run_in_executor_flagged(self, tmp_path):
         write(tmp_path, "server/handlers.py", """\
-            async def handle(self, frame):
-                return self.engine.execute(frame.sql)
+            async def handle(self, session):
+                loop = asyncio.get_running_loop()
+                return await loop.run_in_executor(None, session.execute, "SELECT 1")
         """)
-        findings = run_rule(tmp_path, "executor-confinement")
+        findings = run_rule(tmp_path, "loop-confinement")
         assert len(findings) == 1
-        assert "run_on_engine" in findings[0].message
+        assert findings[0].rule == "loop-confinement"
+        assert "ServerThread.submit" in findings[0].message
 
-    def test_session_method_call_flagged(self, tmp_path):
+    def test_to_thread_flagged(self, tmp_path):
         write(tmp_path, "server/handlers.py", """\
             async def handle(self, session):
-                session.commit()
+                return await asyncio.to_thread(session.commit)
         """)
-        assert len(run_rule(tmp_path, "executor-confinement")) == 1
+        assert len(run_rule(tmp_path, "loop-confinement")) == 1
 
-    def test_engine_construction_flagged(self, tmp_path):
+    def test_concurrent_futures_executors_flagged(self, tmp_path):
         write(tmp_path, "server/boot.py", """\
-            async def boot(path):
-                return InstantDB(path)
-        """)
-        assert len(run_rule(tmp_path, "executor-confinement")) == 1
+            import concurrent.futures
+            from concurrent.futures import ThreadPoolExecutor
 
-    def test_bound_method_passed_to_executor_clean(self, tmp_path):
+            def boot():
+                one = ThreadPoolExecutor(max_workers=1)
+                two = concurrent.futures.ProcessPoolExecutor()
+                return one, two
+        """)
+        assert len(run_rule(tmp_path, "loop-confinement")) == 2
+
+    def test_direct_session_call_in_async_def_clean(self, tmp_path):
         write(tmp_path, "server/handlers.py", """\
-            async def handle(self, session):
-                return await self.run_on_engine(session.execute, "SELECT 1")
+            async def handle(self, session, payload):
+                reply = session.execute(payload["sql"], None, None)
+                self.engine.advance_time(60.0)
+                return reply
         """)
-        assert run_rule(tmp_path, "executor-confinement") == []
-
-    def test_sync_def_and_nested_def_clean(self, tmp_path):
-        write(tmp_path, "server/handlers.py", """\
-            def sync_path(self):
-                return self.engine.execute("SELECT 1")
-
-            async def handle(self):
-                def on_executor():
-                    return self.engine.execute("SELECT 1")
-                return await self.run_on_engine(on_executor)
-        """)
-        assert run_rule(tmp_path, "executor-confinement") == []
+        assert run_rule(tmp_path, "loop-confinement") == []
 
     def test_outside_server_package_ignored(self, tmp_path):
         write(tmp_path, "client/driver.py", """\
-            async def handle(self):
-                return self.engine.execute("SELECT 1")
+            async def handle(self, loop):
+                return await loop.run_in_executor(None, self.engine.close)
         """)
-        assert run_rule(tmp_path, "executor-confinement") == []
+        assert run_rule(tmp_path, "loop-confinement") == []
 
 
 class TestLockDiscipline:

@@ -174,7 +174,7 @@ class TestThreadConfinement:
     def test_foreign_thread_entry_raises(self):
         db = InstantDB()
         invariants.register_engine_thread(db, ident=-1)   # no thread has -1
-        with pytest.raises(InvariantViolation, match="executor thread"):
+        with pytest.raises(InvariantViolation, match="server's loop thread"):
             db.begin()
 
     def test_pinned_thread_entry_is_allowed(self):
@@ -205,7 +205,7 @@ class TestThreadConfinement:
             db.begin()
         message = str(excinfo.value)
         assert threading.current_thread().name in message
-        assert "run_on_engine" in message
+        assert "ServerThread.submit" in message
 
 
 class TestServedEngineConfinement:
@@ -213,12 +213,12 @@ class TestServedEngineConfinement:
         engine = build_engine()
         server = ServerThread(engine).start()
         try:
-            with pytest.raises(InvariantViolation, match="executor thread"):
+            with pytest.raises(InvariantViolation, match="server's loop thread"):
                 engine.execute("SELECT id FROM person")
         finally:
             server.stop(drain=False)
 
-    def test_submit_routes_through_the_executor(self):
+    def test_submit_routes_through_the_loop_thread(self):
         engine = build_engine()
         server = ServerThread(engine).start()
         try:

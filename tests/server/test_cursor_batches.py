@@ -70,7 +70,7 @@ def test_walking_a_remote_cursor_is_not_a_round_trip_per_row(
         served, fetches, walk):
     engine, server = served
     local = repro.connect(engine=engine)
-    # the served engine is pinned to the server's executor thread
+    # the served engine is pinned to the server's loop thread
     expected = server.submit(lambda: walk(local.execute(SQL)))
     server.submit(local.commit)
     remote = connect(*server.address)

@@ -20,6 +20,7 @@ from repro.core.errors import (
 )
 from repro.faults import FaultPlan
 from repro.server import ServerThread
+from repro.server.sessions import Session
 
 
 def wait_until(predicate, timeout=5.0, interval=0.01):
@@ -46,6 +47,43 @@ class TestStatementTimeout:
                 conn.execute("SELECT id FROM t")
             assert server.metrics()["statement_timeouts"] >= 1
             conn.close()
+        finally:
+            server.stop(drain=False)
+            engine.close()
+
+    def test_statement_past_a_positive_budget_is_cut_and_rolled_back(
+            self, monkeypatch):
+        execute = Session.execute
+
+        def slow_when_asked(self, sql, params, *args, **kwargs):
+            reply = execute(self, sql, params, *args, **kwargs)
+            if params and params[-1] == "slow":
+                time.sleep(0.4)             # the statement ran past 0.2 s
+            return reply
+
+        monkeypatch.setattr(Session, "execute", slow_when_asked)
+        engine = InstantDB()
+        server = serve(engine, statement_timeout=0.2)
+        try:
+            conn = connect(*server.address, retries=0)
+            with pytest.raises(StatementTimeoutError):
+                conn.execute("INSERT INTO t (id, val) VALUES (?, ?)",
+                             (1, "slow"))
+            assert server.metrics()["statement_timeouts"] == 1
+            # the connection closed and teardown rolled the INSERT back
+            assert wait_until(
+                lambda: server.metrics()["sessions_closed"] == 1)
+            assert server.metrics()["disconnects_with_open_txn"] == 1
+            conn.close()
+            fresh = connect(*server.address, retries=0)
+            assert fresh.execute("SELECT COUNT(*) AS n FROM t") \
+                .fetchall()[0][0] == 0
+            # fast statements under the same budget are untouched
+            fresh.execute("INSERT INTO t (id, val) VALUES (?, ?)", (2, "fast"))
+            fresh.commit()
+            assert fresh.execute("SELECT val FROM t").fetchall() == [("fast",)]
+            assert server.metrics()["statement_timeouts"] == 1
+            fresh.close()
         finally:
             server.stop(drain=False)
             engine.close()

@@ -20,6 +20,7 @@ from repro.core.errors import (
     TransactionAborted,
 )
 from repro.server import ServerThread, protocol
+from repro.server.sessions import Session
 
 from ..conftest import build_engine
 
@@ -252,7 +253,7 @@ class TestExpiryWaves:
             conn.execute("INSERT INTO person (id, location) VALUES (?, ?)",
                          (1, "1 Main Street, Paris"))
             conn.commit()
-            # fire the degradation wave *on the engine executor*, serialized
+            # fire the degradation wave *on the loop thread*, serialized
             # with client statements exactly like a production timer would be
             server.submit(lambda: engine.advance_time(hours=2))
             assert conn.execute("SELECT location FROM person").fetchall() == \
@@ -304,10 +305,76 @@ class TestExpiryWaves:
         try:
             assert errors == []
             # the engine survived interleaving and still answers queries
-            # (on its executor thread: the server is still serving it)
+            # (on the loop thread: the server is still serving it)
             result = server.submit(
                 engine.execute, "SELECT COUNT(*) AS n FROM person")
             assert result.rows[0][0] >= 0
+        finally:
+            server.stop(drain=False)
+
+
+# -- the loop thread is the engine thread ------------------------------------------
+
+
+class TestLoopThread:
+    def test_submit_runs_on_the_servers_loop_thread(self, served):
+        _, server = served
+        name, ident = server.submit(
+            lambda: (threading.current_thread().name, threading.get_ident()))
+        assert name == "instantdb-server"
+        assert ident != threading.get_ident()
+
+    def test_wave_lands_between_frames_of_an_open_cursor(self, monkeypatch):
+        engine = build_engine()
+        engine.execute("DECLARE PURPOSE service SET ACCURACY LEVEL city "
+                       "FOR person.location")
+        engine.executemany("INSERT INTO person (id, location) VALUES (?, ?)",
+                           [(i, "1 Main Street, Paris") for i in range(300)])
+        fetch = Session.fetch
+        inside = []                    # non-empty while a FETCH is served
+        waves = []                     # per wave: was a FETCH being served?
+
+        def slow_fetch(self, cursor_id, n):
+            inside.append(cursor_id)
+            try:
+                time.sleep(0.002)
+                return fetch(self, cursor_id, n)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(Session, "fetch", slow_fetch)
+        server = ServerThread(engine).start()
+        opened, first_wave, done = (threading.Event(), threading.Event(),
+                                    threading.Event())
+        rows = []
+
+        def reader():
+            try:
+                conn = connect(*server.address, purpose="service")
+                cursor = conn.execute("SELECT id FROM person")
+                rows.append(cursor.fetchone())
+                opened.set()
+                first_wave.wait(timeout=10)
+                rows.extend(iter(cursor.fetchone, None))
+                conn.close()
+            finally:
+                done.set()
+
+        def wave():
+            waves.append(bool(inside))
+            engine.advance_time(minutes=30)
+
+        thread = threading.Thread(target=reader)
+        thread.start()
+        try:
+            assert opened.wait(timeout=10)
+            server.submit(wave)            # the cursor is open, mid-stream
+            first_wave.set()
+            while not done.is_set():
+                server.submit(wave)
+            thread.join(timeout=10)
+            assert len(rows) == 300
+            assert waves and not any(waves)
         finally:
             server.stop(drain=False)
 
