@@ -111,8 +111,8 @@ def test_mass_expiry_batch_vs_per_step():
     assert per_step["wal_flushes"] >= N
     assert per_step["scrub_passes"] >= N
     # The wave is one (column, level) chunk: BEGIN, the DEGRADE chunk, the
-    # scrub's audit record, SCHED_STEP and COMMIT — however many rows.
-    assert batched["wal_records"] <= 6
+    # scrub's audit record and COMMIT — however many rows.
+    assert batched["wal_records"] <= 5
 
     # Each dirty heap page is flushed at most once per batch.
     assert batched["page_flushes"] <= heap_pages

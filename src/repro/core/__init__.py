@@ -47,7 +47,6 @@ from .policy import AccuracyRequirement, PolicyRegistry, Purpose, TablePolicy
 from .scheduler import (
     DegradationScheduler,
     DegradationStep,
-    SchedulerSnapshot,
     SchedulerStats,
 )
 from .schema import Column, TableSchema
@@ -72,7 +71,7 @@ __all__ = [
     # policy
     "Purpose", "AccuracyRequirement", "PolicyRegistry", "TablePolicy",
     # scheduler
-    "DegradationScheduler", "DegradationStep", "SchedulerSnapshot", "SchedulerStats",
+    "DegradationScheduler", "DegradationStep", "SchedulerStats",
     # schema
     "Column", "TableSchema",
     # values

@@ -308,6 +308,9 @@ class TupleLCP:
         if not attribute_lcps:
             raise PolicyError("a tuple LCP needs at least one degradable attribute")
         self.attributes: Dict[str, AttributeLCP] = dict(attribute_lcps)
+        #: Attribute → the accuracy level its life cycle ends at.
+        self.final_levels: Dict[str, int] = {
+            name: lcp.final_level for name, lcp in self.attributes.items()}
 
     # -- states --------------------------------------------------------------
 

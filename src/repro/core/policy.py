@@ -176,10 +176,13 @@ class TablePolicy:
         default_factory=dict, init=False, repr=False, compare=False)
     _resolved: Dict[Any, TupleLCP] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    _final: Optional[Dict[str, int]] = field(default=None, init=False, repr=False,
+                                             compare=False)
 
     def add_column(self, column: str, policy: AttributeLCP) -> None:
         self.column_policies[column.lower()] = policy
         self._resolved.clear()
+        self._final = None
 
     def has_degradable_columns(self) -> bool:
         return bool(self.column_policies)
@@ -212,6 +215,23 @@ class TablePolicy:
             column.lower(): policy for column, policy in policies.items()
         }
         self._resolved.clear()
+        self._final = None
+
+    def mentions(self, event: str) -> bool:
+        """Whether a transition of the table's policies, overrides included,
+        is triggered by ``event``."""
+        return any(transition.event == event
+                   for policies in (self.column_policies, *self.per_tuple_policies.values())
+                   for lcp in policies.values() for transition in lcp.transitions)
+
+    def final_levels(self) -> Dict[str, int]:
+        """The stored levels every tuple of the table ends its life cycle
+        at — empty unless the default policy and every override agree."""
+        if self._final is None:
+            finals = [self.tuple_lcp(value).final_levels
+                      for value in (None, *self.per_tuple_policies)]
+            self._final = finals[0] if all(final == finals[0] for final in finals) else {}
+        return self._final
 
     def tuple_lcp(self, selector_value: Any = None) -> TupleLCP:
         """Tuple LCP applying to a tuple (honouring per-tuple overrides):
@@ -232,25 +252,6 @@ class TablePolicy:
         if interned is None:
             interned = self._interned[key] = TupleLCP(policies)
         return interned
-
-    def named(self, names: Optional[Mapping[str, str]],
-              registry: PolicyRegistry) -> Optional[TupleLCP]:
-        """The shared TupleLCP of persisted attribute → policy ``names`` —
-        each found in ``registry``, else among the overrides (whose policies
-        need not be registered) — or ``None`` when they do not resolve."""
-        if not names or set(names) != set(self.column_policies):
-            return None
-        resolved: Dict[str, AttributeLCP] = {}
-        for attribute, name in names.items():
-            if registry.has_policy(name):
-                resolved[attribute] = registry.policy(name)
-                continue
-            found = [override[attribute] for override in self.per_tuple_policies.values()
-                     if attribute in override and override[attribute].name == name]
-            if not found:
-                return None
-            resolved[attribute] = found[0]
-        return self.interned(resolved)
 
     def tuple_lcp_of(self, values: Mapping[str, Any]) -> TupleLCP:
         """Tuple LCP of the row holding ``values``: its selector column, if

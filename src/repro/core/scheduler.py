@@ -8,9 +8,9 @@ degrade together.  The scheduler tracks **cohorts**: records of one group
 cohort holds one entry per pending ``(attribute, state)`` in a priority queue
 ordered by due time, and a due entry is one :class:`DegradationStep` for all
 of its records.  A record leaves its cohort only when something happens to it
-alone: it is cancelled (deleted, removed), or a ``max_batch`` cut or a
-replayed log record covers part of the cohort, which splits it into two
-cohorts in the same state.
+alone: it is cancelled (deleted, removed), or a ``max_batch`` cut covers part
+of the cohort, which splits it into two cohorts in the same state (they join
+again after the drain once their schedules coincide).
 
 Due steps drain step by step (:meth:`DegradationScheduler.run_due` hands each
 to an *applier* callback, which performs the physical degradation) or grouped
@@ -21,15 +21,20 @@ round, so a huge backlog drains in bounded chunks).  Event-triggered
 transitions (:meth:`fire_event`) and per-tuple policies — the paper's
 future-work extensions — are supported.
 
-The schedule is **durable**: :meth:`DegradationScheduler.snapshot` captures
-every cohort with its queued steps (deferrals and event-released steps
-verbatim with their queue positions) as a :class:`SchedulerSnapshot` of plain
-serializable fields, :meth:`DegradationScheduler.restore_from` rebuilds a
-scheduler from one — resolving policies through a ``resolve_lcp(record_id,
-policy_names)`` callback that returns ``None`` for records whose row is gone —
-and the ``replay_*`` methods re-apply the WAL's schedule records on top of it
-without touching stats or completion callbacks.  Lag statistics (due time to
-application) are collected for the benchmarks.
+The schedule is **derived**, never logged: a record's state and due times
+follow from its tuple LCP, its insertion time, the accuracy levels it is
+stored at and the event firings on record, so
+:meth:`DegradationScheduler.register_many` places a fresh insert (every
+attribute at its first state) and a row recovery finds on the heap (at its
+stored levels) the same way.  Each due time is the previous state's entry
+time plus the delay, step by step from the insertion, exactly as a live
+application moves a cohort on; an event transition is released by the
+first firing at or after the attribute started waiting (a tie releases: the
+earlier degradation is the privacy-safe side).  The firings are the one
+input the heap cannot give back: the engine logs each one, and
+:meth:`DegradationScheduler.snapshot` names those a checkpoint must log
+again.  Lag statistics (due time to application) are collected for the
+benchmarks.
 """
 
 from __future__ import annotations
@@ -37,23 +42,28 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from bisect import bisect_left, insort
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DegradationError
-from .lcp import NEVER, TupleLCP
+from .lcp import NEVER, AttributeLCP, TupleLCP
+
+
+#: ``(group, tuple LCP, inserted_at, the states registered in)``.
+_CohortKey = Tuple[Any, TupleLCP, float, Tuple[int, ...]]
 
 
 class _Cohort:
     """Records registered together, in one state: ``key`` is ``(group,
-    tuple LCP, inserted_at)``; per attribute the state, when it was entered
-    (scheduled time, so catch-up keeps the original cadence), the event it
-    waits on, and its one live queue entry."""
+    tuple LCP, inserted_at, states registered in)``; per attribute the
+    state, when it was entered (scheduled time, so catch-up keeps the
+    original cadence), the event it waits on, and its one live queue entry."""
 
     __slots__ = ("key", "members", "states", "entered_at", "waiting_on", "queued")
 
-    def __init__(self, key: Tuple[Any, TupleLCP, float], states: Dict[str, int],
+    def __init__(self, key: _CohortKey, states: Dict[str, int],
                  entered_at: Dict[str, float], waiting_on: Dict[str, str]) -> None:
         self.key = key
         self.members: Dict[Any, None] = {}
@@ -169,193 +179,6 @@ class SchedulerStats:
         return 0.0
 
 
-#: Resolver callback used when restoring a snapshot or replaying a
-#: registration: maps ``(record_id, policy_names)`` back to the record's
-#: TupleLCP (or None to drop it from the schedule).  ``policy_names`` is the
-#: persisted attribute → policy-name mapping when the log carries one — the
-#: reliable way to re-resolve per-tuple overrides, since the row's selector
-#: value may have been degraded or updated since registration.  Records that
-#: resolve to the same object form one cohort again.
-LCPResolver = Callable[[Any, Optional[Dict[str, str]]], Optional[TupleLCP]]
-
-
-@dataclass
-class CohortSnapshot:
-    """Serializable image of one cohort and its queued steps."""
-
-    record_ids: List[Any]
-    inserted_at: float
-    current_states: Dict[str, int]
-    entered_at: Dict[str, float]
-    #: Attributes blocked on a named event (attribute -> event name).
-    waiting_on: Dict[str, str]
-    #: Queued steps captured verbatim: attribute -> (step due time, queue
-    #: position).  The two differ for deferred steps (original due, retry at)
-    #: and capture event-released steps that have left ``waiting_on``.
-    pending: Dict[str, Tuple[float, float]] = field(default_factory=dict)
-    #: Attribute -> policy name, so restoring re-resolves the exact automaton
-    #: (per-tuple overrides included) without consulting the stored selector
-    #: value, which may have degraded since registration.
-    policies: Dict[str, str] = field(default_factory=dict)
-
-
-@dataclass
-class SchedulerSnapshot:
-    """Full image of a scheduler's live state (the checkpointed due-queue).
-
-    ``to_fields`` / ``from_fields`` flatten it to plain values (strings,
-    ints, floats, bools) the storage layer encodes into a WAL record; a
-    cohort of ``(table, int)`` record ids flattens to its table and row keys.
-    """
-
-    cohorts: List[CohortSnapshot] = field(default_factory=list)
-    taken_at: float = 0.0
-
-    _MAGIC = "sched-snapshot"
-    _VERSION = 2
-
-    def chunked(self, max_fields: int = 60000) -> List["SchedulerSnapshot"]:
-        """Split into self-contained snapshots (same ``taken_at``) whose
-        flattened form fits a record codec cap — a cohort too large for one
-        is cut into pieces in the same state.  Checkpoints write one WAL
-        record per chunk; restoring every chunk restores the whole queue."""
-        chunks: List[SchedulerSnapshot] = []
-        current: List[CohortSnapshot] = []
-        used = 4                     # magic, version, taken_at, count
-        for snap in self.cohorts:
-            per_piece = max(1, (max_fields - 8 - 8 * len(snap.current_states)) // 3)
-            for start in range(0, max(1, len(snap.record_ids)), per_piece):
-                piece = replace(snap, record_ids=snap.record_ids[start:start + per_piece])
-                needed = len(self._cohort_fields(piece))
-                if current and used + needed > max_fields:
-                    chunks.append(SchedulerSnapshot(current, self.taken_at))
-                    current, used = [], 4
-                current.append(piece)
-                used += needed
-        chunks.append(SchedulerSnapshot(current, self.taken_at))
-        return chunks
-
-    @staticmethod
-    def _record_id_fields(record_id: Any) -> List[Any]:
-        if (isinstance(record_id, tuple) and len(record_id) == 2
-                and isinstance(record_id[0], str)):
-            return [0, record_id[0], int(record_id[1])]
-        if isinstance(record_id, str):
-            return [1, record_id]
-        if isinstance(record_id, int):
-            return [2, record_id]
-        raise DegradationError(
-            f"record id {record_id!r} is not serializable for a schedule "
-            "snapshot (expected (table, row_key), str or int)"
-        )
-
-    @classmethod
-    def _cohort_fields(cls, snap: CohortSnapshot) -> List[Any]:
-        ids = snap.record_ids
-        table = ids[0][0] if ids and isinstance(ids[0], tuple) else None
-        if isinstance(table, str) and all(
-                isinstance(record_id, tuple) and len(record_id) == 2
-                and record_id[0] == table and isinstance(record_id[1], int)
-                for record_id in ids):
-            fields: List[Any] = [float(snap.inserted_at), table, len(ids),
-                                 *(record_id[1] for record_id in ids)]
-        else:
-            fields = [float(snap.inserted_at), False, len(ids)]
-            for record_id in ids:
-                fields.extend(cls._record_id_fields(record_id))
-        fields.append(len(snap.current_states))
-        for attribute in sorted(snap.current_states):
-            waiting = snap.waiting_on.get(attribute, False)
-            pending = snap.pending.get(attribute)
-            fields.extend([
-                attribute,
-                snap.policies.get(attribute, False),
-                int(snap.current_states[attribute]),
-                float(snap.entered_at.get(attribute, snap.inserted_at)),
-                waiting if waiting else False,
-                pending is not None,
-                float(pending[0]) if pending else 0.0,
-                float(pending[1]) if pending else 0.0,
-            ])
-        return fields
-
-    def to_fields(self) -> List[Any]:
-        """Flatten to plain values for WAL encoding."""
-        fields: List[Any] = [self._MAGIC, self._VERSION, float(self.taken_at),
-                             len(self.cohorts)]
-        for snap in self.cohorts:
-            fields.extend(self._cohort_fields(snap))
-        return fields
-
-    @classmethod
-    def from_fields(cls, fields: Sequence[Any]) -> "SchedulerSnapshot":
-        """Rebuild a snapshot from :meth:`to_fields` output."""
-        if len(fields) < 4 or fields[0] != cls._MAGIC:
-            raise DegradationError("malformed scheduler snapshot payload")
-        if int(fields[1]) != cls._VERSION:
-            raise DegradationError(
-                f"unsupported scheduler snapshot version {fields[1]!r}"
-            )
-        try:
-            return cls._parse_fields(fields)
-        except (IndexError, ValueError, TypeError) as error:
-            # A truncated or corrupted payload fails with the module's typed
-            # error, like the magic/version/marker checks above.
-            raise DegradationError(
-                f"malformed scheduler snapshot payload: {error}"
-            ) from error
-
-    @classmethod
-    def _parse_fields(cls, fields: Sequence[Any]) -> "SchedulerSnapshot":
-        taken_at = float(fields[2])
-        cursor = 4
-        cohorts: List[CohortSnapshot] = []
-        for _ in range(int(fields[3])):
-            inserted_at, table, count = fields[cursor:cursor + 3]
-            cursor += 3
-            record_ids: List[Any] = []
-            for _ in range(int(count)):
-                if table is not False:
-                    record_ids.append((str(table), int(fields[cursor])))
-                    cursor += 1
-                    continue
-                marker = int(fields[cursor])
-                if marker == 0:
-                    record_ids.append((str(fields[cursor + 1]), int(fields[cursor + 2])))
-                    cursor += 1
-                elif marker == 1:
-                    record_ids.append(str(fields[cursor + 1]))
-                elif marker == 2:
-                    record_ids.append(int(fields[cursor + 1]))
-                else:
-                    raise DegradationError(
-                        f"unknown record-id marker {marker} in scheduler snapshot")
-                cursor += 2
-            snap = CohortSnapshot(record_ids, float(inserted_at), {}, {}, {})
-            attr_count = int(fields[cursor])
-            cursor += 1
-            for _ in range(attr_count):
-                if cursor + 8 > len(fields):
-                    raise DegradationError(
-                        "malformed scheduler snapshot payload: truncated "
-                        "attribute entry"
-                    )
-                (attribute, policy_name, state, entered, waiting,
-                 has_pending, due, at) = fields[cursor:cursor + 8]
-                cursor += 8
-                attribute = str(attribute)
-                snap.current_states[attribute] = int(state)
-                snap.entered_at[attribute] = float(entered)
-                if policy_name:
-                    snap.policies[attribute] = str(policy_name)
-                if waiting:
-                    snap.waiting_on[attribute] = str(waiting)
-                if has_pending:
-                    snap.pending[attribute] = (float(due), float(at))
-            cohorts.append(snap)
-        return cls(cohorts=cohorts, taken_at=taken_at)
-
-
 #: Applier callback: receives the step and must perform the physical
 #: degradation; it returns True on success (False aborts rescheduling).
 StepApplier = Callable[[DegradationStep], bool]
@@ -385,17 +208,26 @@ class DegradationScheduler:
     the storage engine, which registers records and provides the applier."""
 
     def __init__(self) -> None:
+        self.stats = SchedulerStats()
+        #: Event → the times it fired, ascending.
+        self._firings: Dict[str, List[float]] = {}
+        self.clear()
+
+    def clear(self) -> None:
+        """Forget every registration (the firings and the statistics stay),
+        for the schedule to be derived afresh from the heap."""
         self._heap: List[tuple] = []
         self._cohort_of: Dict[Any, _Cohort] = {}
         #: Live cohorts, in creation order.
         self._cohorts: Dict[_Cohort, None] = {}
         #: Cohort key → the cohort new registrations of that key join: one
-        #: nothing has happened to yet (no step popped, released or
-        #: replayed), so a newcomer's schedule is exactly its schedule.
-        self._open: Dict[Tuple[Any, TupleLCP, float], _Cohort] = {}
+        #: nothing has happened to yet (no step popped or released), so a
+        #: newcomer's schedule is exactly its schedule.
+        self._open: Dict[_CohortKey, _Cohort] = {}
         self._event_waiters: Dict[str, List[Tuple[_Cohort, str]]] = {}
+        #: Cohorts a ``max_batch`` cut made or cut, until they join again.
+        self._cut: Dict[_Cohort, None] = {}
         self._counter = itertools.count()
-        self.stats = SchedulerStats()
 
     # -- registration ---------------------------------------------------------
 
@@ -404,24 +236,53 @@ class DegradationScheduler:
         self.register_many((record_id,), tuple_lcp, inserted_at)
 
     def register_many(self, record_ids: Sequence[Any], tuple_lcp: TupleLCP,
-                      inserted_at: float) -> None:
+                      inserted_at: float, levels: Optional[Dict[str, int]] = None) -> None:
         """Start tracking ``record_ids`` — records of one group under one
-        tuple LCP, inserted at ``inserted_at`` (most accurate state) — as one
-        cohort, or as newcomers to an untouched cohort of theirs."""
+        tuple LCP, inserted at ``inserted_at`` and stored at ``levels``
+        (attribute → accuracy level; ``None`` is a fresh insert's, every
+        attribute in its first state) — as one cohort in the state those
+        levels are, or as newcomers to an untouched cohort of theirs.  Each
+        state's entry time is derived step by step from ``inserted_at``.
+        Records already in their final tuple state are not tracked."""
         if not record_ids:
             return
         if not self._cohort_of.keys().isdisjoint(record_ids):
             taken = next(rid for rid in record_ids if rid in self._cohort_of)
             raise DegradationError(f"record {taken!r} is already registered")
-        key = (_group_of(record_ids[0]), tuple_lcp, inserted_at)
+        states = {name: 0 if levels is None else lcp.level_to_state(levels[name])
+                  for name, lcp in tuple_lcp.attributes.items()}
+        if _final(tuple_lcp, states):
+            return
+        key = (_group_of(record_ids[0]), tuple_lcp, inserted_at, tuple(states.values()))
         cohort = self._open.get(key)
         if cohort is None:
-            cohort = self._open[key] = self._new_cohort(
-                key, dict.fromkeys(tuple_lcp.attributes, 0),
-                dict.fromkeys(tuple_lcp.attributes, inserted_at), {})
+            cohort = self._open[key] = self._new_cohort(key, states, {
+                name: self._entered_at(lcp, states[name], inserted_at)
+                for name, lcp in tuple_lcp.attributes.items()}, {})
             for attribute in tuple_lcp.attributes:
                 self._schedule_next(cohort, attribute)
         self._add_members(cohort, record_ids)
+
+    def _entered_at(self, lcp: AttributeLCP, state: int, inserted_at: float) -> float:
+        """When a record inserted at ``inserted_at`` entered ``state`` of
+        ``lcp``: each timed step adds its delay to the previous entry time
+        (the sum a live cohort accumulates, in the same order); an event
+        step took the first firing at or after it — or, with none on
+        record, the earliest time it can have happened."""
+        entered = inserted_at
+        for transition in lcp.transitions[:state]:
+            if transition.timed:
+                entered = entered + float(transition.delay)
+            else:
+                fired = self._fired(transition.event, entered)
+                entered = entered if fired is None else fired
+        return entered
+
+    def _fired(self, event: str, since: float) -> Optional[float]:
+        """The first firing of ``event`` at or after ``since``, if any."""
+        times = self._firings.get(event, ())
+        at = bisect_left(times, since)
+        return times[at] if at < len(times) else None
 
     def cancel(self, record_id: Any) -> int:
         """Stop tracking ``record_id`` (explicit delete); returns how many of
@@ -445,12 +306,6 @@ class DegradationScheduler:
         """Number of live registrations (records not yet in their final state)."""
         return len(self._cohort_of)
 
-    def tuple_lcp(self, record_id: Any) -> Optional[TupleLCP]:
-        """The policy ``record_id`` was registered with — the registration is
-        its one owner — or ``None`` for ids the scheduler does not track."""
-        cohort = self._cohort_of.get(record_id)
-        return cohort.key[1] if cohort is not None else None
-
     def current_state(self, record_id: Any) -> Dict[str, int]:
         """Per-attribute state indices of ``record_id`` — an **empty dict**
         ("no pending degradation") for ids the scheduler does not track:
@@ -460,7 +315,7 @@ class DegradationScheduler:
 
     # -- cohort internals -----------------------------------------------------
 
-    def _new_cohort(self, key: Tuple[Any, TupleLCP, float], states: Dict[str, int],
+    def _new_cohort(self, key: _CohortKey, states: Dict[str, int],
                     entered_at: Dict[str, float], waiting_on: Dict[str, str]) -> _Cohort:
         cohort = _Cohort(key, states, entered_at, waiting_on)
         self._cohorts[cohort] = None
@@ -505,16 +360,31 @@ class DegradationScheduler:
                 list(cohort.queued.items()):
             self._push(part, attribute, state, due, at, event)
         self._close(cohort)
+        self._cut.update(((cohort, None), (part, None)))
         return part
 
-    def _cohorts_of(self, record_ids: Iterable[Any]) -> Dict[_Cohort, List[Any]]:
-        """The registered ones of ``record_ids``, grouped by cohort."""
-        grouped: Dict[_Cohort, List[Any]] = {}
-        for record_id in dict.fromkeys(record_ids):
-            cohort = self._cohort_of.get(record_id)
-            if cohort is not None:
-                grouped.setdefault(cohort, []).append(record_id)
-        return grouped
+    def _rejoin(self) -> None:
+        """Cohorts a cut split apart are one cohort again once their
+        schedules coincide — both parts applied, or deferred, alike — so
+        ``max_batch`` rounds do not fragment the schedule into rows.  Runs
+        after a drain, when no popped step refers to a cohort any more."""
+        kin: Dict[_CohortKey, Dict[tuple, _Cohort]] = {}
+        for cohort in list(self._cut):
+            del self._cut[cohort]
+            if not cohort.members:
+                continue
+            schedule = (*(tuple(sorted(part.items())) for part in (
+                cohort.states, cohort.entered_at, cohort.waiting_on)),
+                tuple(sorted((attribute, entry[0], entry[5])
+                             for attribute, entry in cohort.queued.items())))
+            twin = kin.setdefault(cohort.key, {}).setdefault(schedule, cohort)
+            if twin is not cohort:
+                self._add_members(twin, list(cohort.members))
+                cohort.members.clear()
+                self._retire(cohort)
+        for schedules in kin.values():
+            if len(schedules) > 1:          # parts still apart: try again later
+                self._cut.update(dict.fromkeys(schedules.values()))
 
     def _finish(self, cohort: _Cohort,
                 on_complete: Optional[CompletionCallback]) -> None:
@@ -549,6 +419,10 @@ class DegradationScheduler:
             if due != NEVER:
                 self._push(cohort, attribute, state, due, due)
         else:
+            fired = self._fired(transition.event, cohort.entered_at[attribute])
+            if fired is not None:
+                self._push(cohort, attribute, state, fired, fired, transition.event)
+                return
             cohort.waiting_on[attribute] = transition.event
             self._event_waiters.setdefault(transition.event, []).append(
                 (cohort, attribute))
@@ -572,7 +446,11 @@ class DegradationScheduler:
         return bool(self._event_waiters.get(event))
 
     def fire_event(self, event: str, now: float) -> List[DegradationStep]:
-        """Release every step waiting on ``event``; due time is ``now``."""
+        """Record that ``event`` fired at ``now`` and release every step
+        waiting on it, due at ``now``."""
+        times = self._firings.setdefault(event, [])
+        if self._fired(event, now) != now:
+            insort(times, now)
         released: List[DegradationStep] = []
         for cohort, attribute in self._event_waiters.pop(event, []):
             if not cohort.members or cohort.waiting_on.get(attribute) != event:
@@ -722,6 +600,7 @@ class DegradationScheduler:
             for step in steps:
                 if step._cohort.members and applier(step):
                     self._mark_applied((step,), now, applied, on_complete)
+        self._rejoin()
         return applied
 
     def run_due_batched(self, now: float, applier: BatchApplier,
@@ -743,6 +622,7 @@ class DegradationScheduler:
             for batch in batches:
                 self._mark_applied(applier(batch.key, batch.steps), now,
                                    applied, on_complete)
+        self._rejoin()
         return applied
 
     def _queued_records(self, now: float = math.inf) -> int:
@@ -761,125 +641,33 @@ class DegradationScheduler:
         """
         return self._queued_records(now)
 
-    # -- durability: snapshot / restore / replay -------------------------------
+    # -- inspection --------------------------------------------------------------
 
-    def snapshot(self, now: float = 0.0) -> SchedulerSnapshot:
-        """Capture the live schedule (cohorts + queued steps) verbatim:
-        queued steps keep their original due time *and* queue position, so
-        deferrals and event-released steps survive a round trip exactly.  No
-        attribute value and no policy object is in it (policy *names* are)."""
-        return SchedulerSnapshot(cohorts=[
-            CohortSnapshot(
-                record_ids=list(cohort.members),
-                inserted_at=cohort.key[2],
-                current_states=dict(cohort.states),
-                entered_at=dict(cohort.entered_at),
-                waiting_on=dict(cohort.waiting_on),
-                pending={attribute: (entry[5], entry[0])
-                         for attribute, entry in cohort.queued.items()},
-                policies={attribute: lcp.name
-                          for attribute, lcp in cohort.key[1].attributes.items()},
-            )
-            for cohort in self._cohorts], taken_at=now)
+    def cohorts(self) -> List[Tuple[Tuple[Any, ...], Dict[str, int],
+                                    Dict[str, Tuple[float, float]]]]:
+        """The live cohorts, in creation order, as ``(record ids, states,
+        queued)``: ``queued`` maps an attribute to its step's ``(due, queue
+        position)`` — they differ for a deferred step."""
+        return [(tuple(cohort.members), dict(cohort.states),
+                 {attribute: (entry[5], entry[0])
+                  for attribute, entry in cohort.queued.items()})
+                for cohort in self._cohorts]
 
-    def restore_from(self, snapshot: SchedulerSnapshot,
-                     resolve_lcp: LCPResolver) -> int:
-        """Rebuild cohorts and the due-queue from ``snapshot``.
-
-        ``resolve_lcp(record_id, policy_names)`` supplies each record's
-        TupleLCP; ``None`` drops the record (its row is gone).  Records
-        already registered, already final or no longer fitting the resolved
-        policy are skipped.  Returns the number of records restored.
-        """
-        restored = 0
-        for snap in snapshot.cohorts:
-            groups: Dict[TupleLCP, List[Any]] = {}
-            for record_id in snap.record_ids:
-                if record_id not in self._cohort_of:
-                    tuple_lcp = resolve_lcp(record_id, snap.policies or None)
-                    if tuple_lcp is not None:
-                        groups.setdefault(tuple_lcp, []).append(record_id)
-            for tuple_lcp, record_ids in groups.items():
-                restored += self._restore_cohort(snap, tuple_lcp, record_ids)
-        return restored
-
-    def _restore_cohort(self, snap: CohortSnapshot, tuple_lcp: TupleLCP,
-                        record_ids: List[Any]) -> int:
-        if set(tuple_lcp.attributes) != set(snap.current_states) or _final(
-                tuple_lcp, snap.current_states) or not all(
-                0 <= snap.current_states[name] < lcp.num_states
-                for name, lcp in tuple_lcp.attributes.items()):
-            return 0
-        cohort = self._new_cohort(
-            (_group_of(record_ids[0]), tuple_lcp, snap.inserted_at),
-            dict(snap.current_states), dict(snap.entered_at), dict(snap.waiting_on))
-        self._add_members(cohort, record_ids)
-        for attribute, lcp in tuple_lcp.attributes.items():
-            state = cohort.states[attribute]
-            if state + 1 >= lcp.num_states:
-                continue
-            queued = snap.pending.get(attribute)
-            if queued is not None:
-                # Re-queue the captured step verbatim: original due time for
-                # lag accounting, captured position for ordering (they differ
-                # for deferred steps).
-                transition = lcp.transitions[state]
-                cohort.waiting_on.pop(attribute, None)
-                self._push(cohort, attribute, state, queued[0], queued[1],
-                           None if transition.timed else transition.event)
-            elif attribute in cohort.waiting_on:
-                self._event_waiters.setdefault(
-                    cohort.waiting_on[attribute], []).append((cohort, attribute))
-            else:
-                self._schedule_next(cohort, attribute)
-        return len(record_ids)
-
-    def replay_applied(self, record_ids: Iterable[Any], attribute: str,
-                       to_state: int, due: float) -> int:
-        """Recovery replay of a logged step application (a ``SCHED_STEP``
-        group): ``attribute`` of ``record_ids`` enters ``to_state`` at
-        ``due`` and its follow-up is scheduled, as by :meth:`_mark_applied`,
-        but no lag is recorded and no completion callback fires (the data
-        records were redone already).  Records of a cohort not wholly in the
-        group split off; unknown ones and ones not in the source state
-        (replayed already, moved on) are skipped.  Returns how many moved."""
-        advanced = 0
-        for cohort, members in self._cohorts_of(record_ids).items():
-            if cohort.states.get(attribute) != to_state - 1:
-                continue
-            if len(members) != len(cohort.members):
-                cohort = self._split(cohort, members)
-            self._close(cohort)
-            event = cohort.waiting_on.pop(attribute, None)
-            if event is not None:
-                self._unwait(cohort, attribute, event)
-            cohort.states[attribute] = to_state
-            cohort.entered_at[attribute] = due
-            self._schedule_next(cohort, attribute)
-            if cohort.is_final():
-                self._finish(cohort, None)
-            advanced += len(members)
-        return advanced
-
-    def replay_defer(self, record_ids: Iterable[Any], attribute: str,
-                     from_state: int, due: float, until: float) -> int:
-        """Recovery replay of a logged deferral (a ``SCHED_DEFER`` group):
-        the queued step of ``attribute`` of ``record_ids`` moves to retry at
-        ``until``, keeping its original ``due`` for lag accounting —
-        :meth:`defer` for steps that were never popped.  Returns how many
-        records' steps moved."""
-        moved = 0
-        for cohort, members in self._cohorts_of(record_ids).items():
-            if cohort.states.get(attribute) != from_state:
-                continue
-            if len(members) != len(cohort.members):
-                cohort = self._split(cohort, members)
-            self._close(cohort)
-            self._push(cohort, attribute, from_state, due, until)
-            moved += len(members)
-        return moved
-
+    def snapshot(self) -> List[Tuple[str, float]]:
+        """The firings a derivation can still need, ``(event, time)`` in
+        time order: those at or after the oldest registered cohort's
+        insertion — with none registered, at the latest firing's instant (a
+        record inserted then takes it).  The older ones are forgotten.  A
+        checkpoint logs these again, so truncating the log's prefix loses no
+        time a live record entered a state by an event."""
+        horizon = min((cohort.key[2] for cohort in self._cohorts), default=max(
+            (times[-1] for times in self._firings.values()), default=math.inf))
+        for event, times in list(self._firings.items()):
+            del times[:bisect_left(times, horizon)]
+            if not times:
+                del self._firings[event]
+        return sorted(((event, time) for event, times in self._firings.items()
+                       for time in times), key=lambda firing: firing[1])
 
 __all__ = ["DegradationStep", "DegradationBatch", "DegradationScheduler",
-           "SchedulerStats", "SchedulerSnapshot", "CohortSnapshot",
-           "StepApplier", "BatchApplier", "CompletionCallback", "LCPResolver"]
+           "SchedulerStats", "StepApplier", "BatchApplier", "CompletionCallback"]

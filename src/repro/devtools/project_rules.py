@@ -130,9 +130,8 @@ class WalExhaustiveRule(ProjectRule):
                 findings.append(self.finding(
                     recovery.path, 1,
                     f"LogRecordType.{member} has no replay arm in "
-                    "txn/recovery.py; dispatch it (redo/undo/analysis/"
-                    "schedule replay) or list it in _REPLAY_IGNORED with a "
-                    "reason"))
+                    "txn/recovery.py; dispatch it (redo/undo/analysis) "
+                    "or list it in _REPLAY_IGNORED with a reason"))
         redo_refs = self._refs_in_functions(recovery.tree, "_redo")
         for member in sorted(targets & set(members)):
             if member not in redo_refs:

@@ -105,7 +105,7 @@ class DegradationDaemon:
         """Drain every step that came due while the process was down.
 
         Called by :meth:`InstantDB.recover` after the schedule has been
-        reconstructed from the WAL: the backlog drains through the normal
+        derived from the recovered heap: the backlog drains through the normal
         pipeline (chunked by ``max_batch``), so a restart after a long outage
         pays the same amortized cost as a live mass-expiry wave.  The applied
         steps are also counted separately in

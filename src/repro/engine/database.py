@@ -52,7 +52,7 @@ from ..core.errors import (
 )
 from ..faults import FaultPlan
 from ..core.generalization import GeneralizationScheme
-from ..core.lcp import AttributeLCP, TupleLCP
+from ..core.lcp import AttributeLCP
 from ..core.policy import AccuracyRequirement, Purpose, TablePolicy
 from ..core.scheduler import DegradationScheduler, DegradationStep
 from ..core.schema import TableSchema
@@ -66,16 +66,8 @@ from ..storage.buffer import BufferPool
 from ..storage.crypto import KeyStore
 from ..storage.degradable_store import DegradeChunk, StoredRow, TableStore
 from ..storage.pager import open_pager
-from ..storage.serialization import encode_record
-from ..storage.wal import (
-    LogRecordType,
-    WriteAheadLog,
-    encode_page_directory,
-    encode_schedule_defers,
-    encode_schedule_registration,
-    encode_schedule_steps,
-)
-from ..txn.recovery import RecoveryManager, RecoveryReport, ScheduleReplayReport
+from ..storage.wal import LogRecordType, WriteAheadLog, encode_page_directory
+from ..txn.recovery import RecoveryManager, RecoveryReport
 from ..txn.transaction import Transaction, TransactionManager
 from . import ddl
 from .catalog_io import (
@@ -88,12 +80,6 @@ from .daemon import DegradationDaemon
 
 #: Back-off applied when a degradation step hits a lock conflict.
 _CONFLICT_RETRY_SECONDS = 1.0
-
-
-#: Max row keys per schedule WAL record: an unbounded wave or batch must be
-#: split across records to respect the record codec's 65535-field cap (a row
-#: key is one field, plus — at worst, in a group of its own — 5 more).
-_SCHED_RECORD_CHUNK = 10_000
 
 
 def _row_keys(step: DegradationStep) -> List[int]:
@@ -114,9 +100,7 @@ class EngineRecovery:
 
     #: Data recovery summary (redo/undo counts, winner/loser transactions).
     recovery: RecoveryReport
-    #: Schedule replay summary (snapshot + tail replay counts).
-    schedule: ScheduleReplayReport
-    #: Live registrations after the schedule was reconstructed.
+    #: Live registrations after the schedule was derived from the heap.
     registrations: int = 0
     #: Steps that had come due while the process was down and were applied by
     #: the catch-up drain (batched through the normal pipeline).
@@ -401,10 +385,25 @@ class InstantDB:
 
     def register_user_policy(self, table: str, selector_value: Any,
                              policies: Dict[str, AttributeLCP]) -> None:
-        """Per-tuple policy override (the paper's "paranoid user" extension)."""
-        policy = self.catalog.table(table).policy
+        """Per-tuple policy override (the paper's "paranoid user" extension).
+
+        The selector is stable: its column exists and does not degrade (nor
+        may an UPDATE assign it), and no live row holds ``selector_value``
+        yet — so a row follows the policy its selector picked at insertion
+        for life, and recovery finds that policy again from the row."""
+        info = self.catalog.table(table)
+        policy = info.policy
         if policy is None:
             raise PolicyError(f"table {table!r} has no degradable columns")
+        column = policy.selector_column
+        if column is not None:
+            if not info.schema.has_column(column) or info.schema.column(column).degradable:
+                raise PolicyError(f"table {table!r}: selector column {column!r} must be "
+                                  "a stable (non-degradable) column")
+            if any(row.values[column] == selector_value
+                   for row in self._store_for(info.name).scan(frozenset({column}))):
+                raise PolicyError(f"table {table!r} already holds rows with "
+                                  f"{column} = {selector_value!r}")
         policy.register_override(selector_value, policies)
         self._catalog_dirty = True
 
@@ -433,14 +432,20 @@ class InstantDB:
     def fire_event(self, event: str) -> List[DegradationStep]:
         """Fire a named event releasing event-triggered transitions, then run them.
 
-        The firing is logged and flushed *before* the released steps run: if
-        the process dies mid-drain, recovery re-fires the event at the same
-        timestamp and the unapplied steps come back overdue.  Events nothing
-        waits on are a no-op live and in replay, so they skip the log record
-        and its fsync entirely.
+        The firing releases every attribute whose wait on ``event`` began
+        by now.  Waits are reckoned in schedule time: a step a lock deferred
+        or a ``max_batch`` cut held back enters its next state at its due
+        time, so a firing between that and its application releases it as
+        the step lands — whatever else waits.  The firing is logged and
+        flushed *before* the released steps run: if the process dies
+        mid-drain, recovery's derived schedule releases the same waits at
+        the same time and the unapplied steps come back overdue.  An event
+        no table's policy mentions releases nothing, so it skips the log
+        record and its fsync entirely.
         """
         now = self.clock.now()
-        if self.scheduler.has_waiters(event):
+        if any(info.policy is not None and info.policy.mentions(event)
+               for info in self.catalog.tables()):
             self._require_writable()
             self.wal.append(LogRecordType.SCHED_EVENT, 0, attribute=event,
                             timestamp=now)
@@ -752,15 +757,7 @@ class InstantDB:
         store = self._store_for(info.name)
         stored = store.insert_many(rows, now, txn_id=active.txn_id)
         active.on_abort(partial(self._undo_delta, info, store, None, stored))
-        for tuple_lcp, row_keys in self._apply_delta(info, None, stored):
-            # One record per cohort, durable with the transaction's commit
-            # flush (replayed only if it committed).  It names each
-            # attribute's policy, so replay re-resolves per-tuple overrides
-            # even after the selector value has degraded (no value is logged).
-            names = {attribute: lcp.name for attribute, lcp in tuple_lcp.attributes.items()}
-            for payload in encode_schedule_registration(names, row_keys, _SCHED_RECORD_CHUNK):
-                self.wal.append(LogRecordType.SCHED_REGISTER, active.txn_id,
-                                table=info.name, after=payload, timestamp=now)
+        self._apply_delta(info, None, stored)
         self.stats.rows_inserted += len(stored)
         return stored
 
@@ -778,6 +775,10 @@ class InstantDB:
             for column, value in statement.assignments]
         table = statement.table.lower()
         info = self.catalog.table(table)
+        selector = info.policy.selector_column if info.policy is not None else None
+        if selector is not None and any(column == selector for column, _ in assignments):
+            raise ExecutionError(f"UPDATE cannot assign {table}.{selector}: it selects "
+                                 "the rows' degradation policy")
         store = self._store_for(table)
         with self._transaction(txn, table, exclusive=True) as active:
             before, after = store.update_stable(
@@ -857,24 +858,23 @@ class InstantDB:
                      chunk: Optional[DegradeChunk] = None,
                      gone: Optional[Sequence[int]] = None,
                      only: Optional[IndexInfo] = None,
-                     schedule: bool = True) -> List[Tuple[TupleLCP, List[int]]]:
+                     schedule: bool = True) -> None:
         """The one way row changes reach what is derived from rows: the
         table's indexes, its statistics and the degradation schedule.
 
         ``(None, rows)`` enter and ``(rows, None)`` leave, a batch each (one
-        index pass, one statistics update per column; an entering batch is one
-        statement's rows, so one insertion time, and joins the schedule as
-        one cohort per tuple LCP); two batches of images of the same rows move
-        every value that differs.  Undoing a change is the same call with the
+        index pass, one statistics update per column; entering rows join the
+        schedule as one cohort per tuple LCP, insertion time and stored
+        levels — a statement's inserts are one, a recovered heap's rows enter
+        at the state their levels are); two batches of images of the same
+        rows move every value that differs.  Undoing a change is the same call with the
         images swapped (:meth:`_undo_delta`).  A wave passes each ``chunk`` as
         the store produced it — value transitions, no row decoded.  ``gone``
         are keys of rows that left without an image to retract (a dropped
         table's; a row a faulted wave had erased): only the schedule still
         holds them.  ``only`` feeds entering rows to one index, a new one
-        catching up.  ``schedule=False`` leaves the schedule to its own source
-        for the change: WAL replay after recovery, the drain's advance for
-        the rows a wave removes.  Returns the cohorts entering rows joined,
-        ``(tuple LCP, row keys)``.
+        catching up.  ``schedule=False`` leaves the schedule to the drain's
+        advance, for the rows a wave removes.
         """
         table = info.name
         indexes = info.indexes.values() if only is None else (only,)
@@ -898,19 +898,20 @@ class InstantDB:
                 for row in new:
                     index.insert(row.values[column], row.row_key, row.levels.get(column))
             if only is not None:
-                return []
+                return
             self.statistics.on_insert(table, [row.values for row in new])
             policy = info.policy
-            if not (schedule and new and policy is not None
-                    and policy.has_degradable_columns()):
-                return []
-            cohorts: Dict[TupleLCP, List[int]] = {}
+            if policy is None or not policy.has_degradable_columns():
+                return
+            final = policy.final_levels()
+            cohorts: Dict[tuple, List[Tuple[str, int]]] = {}
             for row in new:
-                cohorts.setdefault(policy.tuple_lcp_of(row.values), []).append(row.row_key)
-            for tuple_lcp, row_keys in cohorts.items():
-                self.scheduler.register_many([(table, row_key) for row_key in row_keys],
-                                             tuple_lcp, new[0].inserted_at)
-            return list(cohorts.items())
+                if row.levels != final:     # (a final row is not tracked)
+                    cohorts.setdefault((policy.tuple_lcp_of(row.values), row.inserted_at,
+                                        tuple(row.levels.items())), []).append(
+                                            (table, row.row_key))
+            for (tuple_lcp, inserted_at, levels), record_ids in cohorts.items():
+                self.scheduler.register_many(record_ids, tuple_lcp, inserted_at, dict(levels))
         elif new is None:
             for index_info in indexes:
                 column, index = index_info.column, index_info.index
@@ -931,7 +932,6 @@ class InstantDB:
                         if index_info.column == column:
                             index_info.index.update(before, value, before_row.row_key,
                                                     before_row.levels.get(column))
-        return []
 
     def _undo_delta(self, info: TableInfo, store: TableStore,
                     old: Optional[List[StoredRow]], new: List[StoredRow]) -> None:
@@ -952,31 +952,13 @@ class InstantDB:
 
     # ------------------------------------------------------------------ degradation machinery
 
-    def _log_deferrals(self, table: str, steps: List[DegradationStep],
-                       until: float, now: float, txn_id: int) -> None:
-        """``SCHED_DEFER`` record(s) moving ``steps`` to ``until``, as
-        ``(attribute, from_state, due, until) → row keys`` groups."""
-        groups: Dict[Tuple[str, int, float, float], List[int]] = {}
-        for step in steps:
-            groups.setdefault((step.attribute, step.from_state, step.due, until),
-                              []).extend(_row_keys(step))
-        for payload in encode_schedule_defers(groups, _SCHED_RECORD_CHUNK):
-            self.wal.append(LogRecordType.SCHED_DEFER, txn_id, table=table,
-                            after=payload, timestamp=now)
-
-    def _defer_conflicted(self, table: str, steps: List[DegradationStep],
-                          txn: Transaction, now: float) -> None:
-        """Lock-conflict protocol of a degradation batch.
-
-        The SCHED_DEFER record(s) are appended *before* the abort, under the
-        system transaction's id, so the abort's durable flush carries them —
-        they are the only records that transaction logs, and without one of
-        its own its abort would skip the flush.  Replay honours a deferral
-        whatever became of its transaction.  The steps are then re-queued at
-        the retry time.
-        """
+    def _defer_conflicted(self, steps: List[DegradationStep], txn: Transaction,
+                          now: float) -> None:
+        """Lock-conflict protocol of a degradation batch: the system
+        transaction (which logged nothing) aborts and the steps are re-queued
+        at the retry time.  A deferral is not durable: after a crash no
+        transaction holds a lock, so a deferred step is simply overdue."""
         until = now + _CONFLICT_RETRY_SECONDS
-        self._log_deferrals(table, steps, until, now, txn.txn_id)
         self.transactions.abort(txn, now=now, reason="degradation lock conflict")
         self.transactions.note_reader_degrader_conflict()
         self.stats.degradation_conflicts += 1
@@ -991,19 +973,15 @@ class InstantDB:
         faulted wave is *re-queued* with per-table exponential backoff — the
         timeliness promise degrades gracefully instead of halting, and the
         retried wave re-applies idempotently (degradation is monotone, and
-        any effect the failed wave left in memory converges with the log
-        through recovery's schedule replay).  ``txn is None`` means the
-        engine is already read-only and no WAL records may be written.
+        any effect the failed wave left on the heap is where recovery's
+        derived schedule starts from).  ``txn is None`` means the engine is
+        already read-only and no WAL records may be written.
         """
         attempts = self._fault_backoff.get(table, 0)
         self._fault_backoff[table] = attempts + 1
         until = now + _CONFLICT_RETRY_SECONDS * (2 ** min(attempts, 8))
-        if txn is not None:
-            # Buffered only: these ride the next healthy flush.
-            self._log_deferrals(table, steps, until, now, 0)
-            if self.transactions.is_active(txn.txn_id):
-                self.transactions.abort(txn, now=now,
-                                        reason="degradation durability fault")
+        if txn is not None and self.transactions.is_active(txn.txn_id):
+            self.transactions.abort(txn, now=now, reason="degradation durability fault")
         self.daemon.stats.steps_deferred_by_fault += sum(map(len, steps))
         self.stats.degradation_waves_faulted += 1
         for step in steps:
@@ -1048,7 +1026,7 @@ class InstantDB:
         except DeadlockError:
             granted = False
         if not granted:
-            self._defer_conflicted(table, live, txn, now)
+            self._defer_conflicted(live, txn, now)
             return []
         try:
             # Indexes and statistics follow the heap even if the wave's log
@@ -1057,17 +1035,6 @@ class InstantDB:
             store.degrade_many(items, now, txn_id=txn.txn_id,
                                on_chunk=lambda chunk: self._apply_delta(info, chunk=chunk))
             self._on_records_final(info, store, live, txn, now)
-            # The schedule advance of the whole batch, as (attribute, state,
-            # due) → row keys groups, inside the same system transaction as
-            # its DEGRADE records: the single commit flush makes data and
-            # schedule durable together.
-            groups: Dict[Tuple[str, int, float], List[int]] = {}
-            for step, (row_keys, *_rest) in zip(live, items):
-                groups.setdefault((step.attribute, step.to_state, step.due),
-                                  []).extend(row_keys)
-            for payload in encode_schedule_steps(groups, _SCHED_RECORD_CHUNK):
-                self.wal.append(LogRecordType.SCHED_STEP, txn.txn_id,
-                                table=table, after=payload, timestamp=now)
         except DurabilityError:
             self._defer_faulted(table, live, txn, now)
             return []
@@ -1109,14 +1076,11 @@ class InstantDB:
     def checkpoint(self, truncate_wal: bool = False) -> None:
         """Flush every table and the WAL; optionally truncate the log prefix.
 
-        ``SCHED_CHECKPOINT`` chunk records snapshot the live due-queue
-        (registrations, queued steps, deferrals, event waiters), followed by
-        the CHECKPOINT marker carrying the heap page directory (table → page
-        ids) so a reopened database can find its flushed pages again.  The
-        marker comes last so a torn tail can never leave a marker without
-        its chunks; truncation keeps from the first chunk, and recovery
-        restores the snapshot then replays only the schedule records behind
-        the marker.
+        The CATALOG anchor comes first, then the event firings the schedule
+        can still need (:meth:`DegradationScheduler.snapshot`), logged again
+        as ``SCHED_EVENT`` records, then the CHECKPOINT marker carrying the
+        heap page directory (table → page ids) so a reopened database can
+        find its flushed pages again.  Truncation keeps from the anchor on.
         """
         self._require_writable()
         now = self.clock.now()
@@ -1131,7 +1095,7 @@ class InstantDB:
         # record on, so the log always carries the DDL state a bare recover()
         # needs, even after every older record is dropped.  (Engines with
         # unserializable custom schemes skip it and keep the legacy re-run-DDL
-        # reopen protocol; truncation then anchors on the schedule snapshot.)
+        # reopen protocol; truncation then anchors on what follows.)
         # The anchor opens a log segment of its own, so truncating up to it
         # unlinks whole segment files.
         self.wal.roll()
@@ -1141,20 +1105,10 @@ class InstantDB:
             anchor = self.wal.append(LogRecordType.CATALOG, 0, after=payload,
                                      timestamp=now)
         self._catalog_dirty = False
-        # Snapshot chunks first (one record per chunk — large queues exceed
-        # the record codec's field cap), then the CHECKPOINT marker: in an
-        # append-only log a torn tail chops everything from the first torn
-        # record on, so a surviving marker *proves* its chunks survived too.
-        # Recovery treats the marker as the snapshot's commit record and
-        # falls back to the previous checkpoint when it is missing.
-        for chunk in self.scheduler.snapshot(now).chunked():
-            record = self.wal.append(
-                LogRecordType.SCHED_CHECKPOINT, txn_id=0,
-                after=encode_record(chunk.to_fields()),
-                timestamp=now,
-            )
-            if anchor is None:
-                anchor = record
+        for event, fired_at in self.scheduler.snapshot():
+            record = self.wal.append(LogRecordType.SCHED_EVENT, 0, attribute=event,
+                                     timestamp=fired_at)
+            anchor = anchor or record
         marker = self.wal.append(
             LogRecordType.CHECKPOINT, txn_id=0,
             after=encode_page_directory({
@@ -1163,12 +1117,11 @@ class InstantDB:
             }),
             timestamp=now,
         )
-        if anchor is None:
-            anchor = marker
+        anchor = anchor or marker
         self._flush_wal()
         if truncate_wal:
-            # Keep the catalog snapshot (and, behind it, the schedule chunks and
-            # their marker) together, and what undoes an open transaction's rows.
+            # Keep the catalog snapshot, the firings and the marker behind
+            # it, and what undoes an open transaction's rows.
             keep = next((record.lsn for record in self.wal
                          if self.transactions.is_active(record.txn_id)), anchor.lsn)
             try:
@@ -1179,8 +1132,7 @@ class InstantDB:
         self.stats.checkpoints += 1
 
     def close(self) -> None:
-        """Clean shutdown: checkpoint (including the schedule snapshot),
-        flush the WAL and release the pager.
+        """Clean shutdown: checkpoint, flush the WAL and release the pager.
 
         In read-only degraded mode the checkpoint is skipped (it would write)
         and a failing final WAL flush is tolerated — everything durably
@@ -1214,10 +1166,10 @@ class InstantDB:
         0. catalog restore from the last CATALOG record (when needed);
         1. classic redo/undo over the table stores
            (:class:`~repro.txn.recovery.RecoveryManager`);
-        2. schedule replay — the last ``SCHED_CHECKPOINT`` snapshot plus the
-           schedule records behind it rebuild the due-queue, resolving each
-           registration's policy from the catalog and dropping records whose
-           row no longer exists;
+        2. derived state — indexes, statistics and the schedule — from one
+           scan of the recovered heap: every live row joins the schedule at
+           the state its stored levels are, under the policy its selector
+           picks, with the logged event firings as the only other input;
         3. a simulated clock is fast-forwarded to the latest timestamp the
            log proves had been reached (a wall clock moved on by itself);
         4. with ``drain=True`` (default), every step that came due while the
@@ -1240,13 +1192,12 @@ class InstantDB:
         # fresh id counter colliding with an old loser would make that loser
         # look committed to the next recovery pass.
         self.transactions.resume_after(max_txn_id)
-        schedule = manager.replay_schedule(self.scheduler,
-                                           self._resolve_tuple_lcp,
-                                           recovery_report=report)
-        # Secondary indexes were created against stores that were still
-        # empty; rebuild them from the recovered rows before anything (the
-        # catch-up drain included) queries or maintains them.
-        self._rebuild_indexes()
+        # Indexes and the schedule were built against stores that were still
+        # empty (or are stale); derive them from the recovered rows before
+        # anything (the catch-up drain included) queries or maintains them.
+        for event, fired_at in manager.firings:
+            self.scheduler.fire_event(event, fired_at)
+        finished = self._rebuild_indexes()
         was_enabled = self.daemon.enabled
         self.daemon.pause()
         try:
@@ -1260,6 +1211,11 @@ class InstantDB:
         # read-only degraded mode (and any fault backoff) ends here.
         self._read_only_reason = None
         self._fault_backoff.clear()
+        # A crash between a wave's last step and its removal leaves tuples
+        # fully suppressed on the heap: finish the removal the wave began.
+        for info, row_keys in finished:
+            self.stats.rows_removed_by_policy += self._store_for(info.name).remove_many(
+                row_keys, now=self.clock.now(), on_rows=partial(self._apply_delta, info))
         applied: List[DegradationStep] = []
         if drain:
             applied = self.daemon.catch_up(self.clock.now())
@@ -1269,23 +1225,28 @@ class InstantDB:
         self._flush_wal()
         return EngineRecovery(
             recovery=report,
-            schedule=schedule,
             registrations=self.scheduler.registered_count(),
             overdue_steps_applied=sum(map(len, applied)),
             recovered_to=self.clock.now(),
         )
 
-    def _rebuild_indexes(self) -> None:
-        """Repopulate every catalog index — and the table statistics — from
-        its recovered store.
+    def _rebuild_indexes(self) -> List[Tuple[TableInfo, List[int]]]:
+        """Repopulate every catalog index, the table statistics and the
+        degradation schedule from the recovered stores.
 
         Each index structure is re-instantiated (in place on its
         :class:`IndexInfo`, so cached plans keep working) and refilled with
         one scan per table; the same scan rebuilds the table's statistics
-        exactly.  The WAL cannot replay statistics: the accurate value images
+        exactly and registers its rows with the scheduler, cleared first.
+        The WAL cannot replay statistics: the accurate value images
         degradation scrubbed are gone by design, so the recovered heap is the
-        only source.
+        only source.  Returns, per table, the rows a removing life cycle has
+        finished with: the scheduler leaves a final row untracked, and one
+        that is fully suppressed under ``remove_on_final`` is where a crash
+        between a wave's last step and its removal left it.
         """
+        self.scheduler.clear()
+        finished = []
         for info in self.catalog.tables():
             self.statistics.table(info.name).reset()
             for index_info in info.indexes.values():
@@ -1294,35 +1255,19 @@ class InstantDB:
                                     column=index_info.column,
                                     method=index_info.method),
                     info.schema, self.registry)
-            # The same fan-out as a live insert, minus the schedule: WAL
-            # replay has rebuilt that from the log's own records.
+            policy = info.policy
+            removes = policy is not None and policy.remove_on_final \
+                and policy.has_degradable_columns()
+            row_keys: List[int] = []
             for rows in _batches(self.stores[info.name].scan()):
-                self._apply_delta(info, None, rows, schedule=False)
-
-    def _resolve_tuple_lcp(self, record_id: Any,
-                           policy_names: Optional[Dict[str, str]] = None
-                           ) -> Optional[TupleLCP]:
-        """Schedule-replay resolver: record id -> live TupleLCP, or None.
-
-        ``None`` drops the registration: the row vanished (removed, deleted,
-        or its insert was undone as a loser) or its table/policy is no longer
-        part of the catalog.  ``policy_names`` (persisted at registration
-        time) takes precedence over selector-based resolution — the stored
-        selector value may have been degraded or updated since, which would
-        silently pick the wrong automaton for per-tuple overrides.
-        """
-        table, row_key = record_id
-        store = self.stores.get(table)
-        if store is None or not store.exists(row_key):
-            return None
-        try:
-            info = self.catalog.table(table)
-        except CatalogError:
-            return None
-        if info.policy is None or not info.policy.has_degradable_columns():
-            return None
-        return info.policy.named(policy_names, self.registry) \
-            or info.policy.tuple_lcp_of(store.read(row_key).values)
+                self._apply_delta(info, None, rows)
+                if removes:
+                    row_keys += [row.row_key for row in rows
+                                 if not self.scheduler.is_registered((info.name, row.row_key))
+                                 and policy.tuple_lcp_of(row.values).fully_suppresses]
+            if row_keys:
+                finished.append((info, row_keys))
+        return finished
 
     # ------------------------------------------------------------------ introspection
 

@@ -60,10 +60,7 @@ def check_engine(db: InstantDB) -> List[RetentionViolation]:
         if store is None:
             continue
         for stored in store.scan():
-            selector_value = None
-            if policy.selector_column is not None:
-                selector_value = stored.values.get(policy.selector_column)
-            tuple_lcp = policy.tuple_lcp(selector_value)
+            tuple_lcp = policy.tuple_lcp_of(stored.values)
             elapsed = max(0.0, now - stored.inserted_at)
             for column, lcp in tuple_lcp.attributes.items():
                 if not lcp.timed_only:

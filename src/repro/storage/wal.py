@@ -21,13 +21,12 @@ This WAL therefore supports, besides the classic append/flush/replay protocol:
 * :meth:`WriteAheadLog.truncate_until` — drop the prefix made obsolete by a
   checkpoint by unlinking whole segment files.
 
-The log also persists the **degradation schedule** (the ``SCHED_*`` record
-types): registrations, applied steps, deferrals, event firings and — on clean
-shutdown — a full snapshot of the due-queue.  These records carry row keys,
-state indices and due times but never attribute values, so they survive
-scrubbing untouched; :class:`~repro.txn.recovery.RecoveryManager` replays them
-into a reconstructed :class:`~repro.core.scheduler.DegradationScheduler` (see
-``docs/durability.md``).
+The **degradation schedule** is not in the log: recovery derives it from
+the heap (each row's insertion time and stored levels).  The one schedule
+input the heap cannot give back is an event firing, logged as a
+``SCHED_EVENT`` record (an event name and a time, never an attribute value)
+and logged again by every checkpoint for as long as a live row can need it
+(see ``docs/durability.md``).
 
 On disk the log is a directory of append-grown **segment** files named by
 the first LSN they were created for.  Every record is framed with its own
@@ -46,7 +45,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from zlib import crc32
 
 from ..core.errors import (
@@ -60,12 +59,14 @@ from .serialization import decode_record, encode_ints, encode_record, fixed_pref
 
 #: Version of the on-disk format, stored in every segment header.  Version 1
 #: was the single-file, unchecksummed ``wal.log``; version 2 had per-row
-#: ``DEGRADE`` and per-step ``SCHED_STEP`` payloads and a ``SEGMENT_DEGRADE``
-#: type whose code ``PAGE_ALLOC`` has now; version 3 had one ``SCHED_REGISTER``
-#: per row, per-step ``SCHED_DEFER`` entries and per-record schedule
-#: snapshots; version 4 had one ``INSERT`` record per row and a reserved
-#: ``DELETE`` code.  There is no reader for any of them.
-WAL_FORMAT_VERSION = 5
+#: ``DEGRADE`` and per-step schedule payloads and a ``SEGMENT_DEGRADE`` type
+#: whose code ``PAGE_ALLOC`` has now; version 3 had one schedule registration
+#: per row, per-step deferral entries and per-record schedule snapshots;
+#: version 4 had one ``INSERT`` record per row and a reserved ``DELETE``
+#: code; version 5 logged the schedule itself (registrations, steps,
+#: deferrals and checkpoint snapshots: four record types), which recovery now
+#: derives from the heap.  There is no reader for any of them.
+WAL_FORMAT_VERSION = 6
 
 #: A segment is rolled when the next record would grow it past this many
 #: bytes.  A record larger than the cap gets a segment of its own.
@@ -120,7 +121,7 @@ class LogRecordType(Enum):
     # Catalog snapshot: the full DDL state (domains, policies, tables,
     # purposes, indexes) serialized into the ``after`` payload, appended on
     # DDL commit and folded into every checkpoint so ``recover()`` reopens
-    # without re-running DDL.  Like the SCHED_* records it carries names,
+    # without re-running DDL.  Like SCHED_EVENT it carries names,
     # structure and selector keys — never degradable attribute values — so
     # it is scrub-exempt by construction.  (It took the slot of the reserved
     # ``DELETE`` — never appended, retired in format version 5 — as the
@@ -144,15 +145,10 @@ class LogRecordType(Enum):
     REMOVE = "REMOVE"          # final removal at end of life cycle
     CHECKPOINT = "CHECKPOINT"
     SCRUB = "SCRUB"            # audit trace of a log scrubbing action
-    # Degradation-schedule records: the durable image of the scheduler's
-    # due-queue.  They carry row keys, attribute names, state indices and due
-    # times — never attribute values — so they are exempt from scrubbing by
-    # construction (nothing in them can leak a degraded value).
-    SCHED_REGISTER = "SCHED_REGISTER"      # rows entered the schedule (a cohort)
-    SCHED_STEP = "SCHED_STEP"              # step(s) applied (batch payload)
-    SCHED_DEFER = "SCHED_DEFER"            # step(s) re-queued (batch payload)
-    SCHED_EVENT = "SCHED_EVENT"            # named event fired
-    SCHED_CHECKPOINT = "SCHED_CHECKPOINT"  # full queue snapshot (clean shutdown)
+    # A named event fired (``attribute`` holds the event, ``timestamp`` the
+    # time): the one input of the degradation schedule the heap cannot give
+    # back.  No attribute value is in it, so it is scrub-exempt.
+    SCHED_EVENT = "SCHED_EVENT"
     # DDL marker: the table was dropped.  Recovery skips records of tables
     # that are absent from the reopened catalog *and* carry this marker;
     # an absent table without one is still a hard configuration error.
@@ -179,18 +175,14 @@ _SCRUB_TARGETS = frozenset({
 
 #: Record types whose payloads carry no attribute values and must survive
 #: scrubbing: transaction control and checkpoint markers, the SCRUB audit
-#: trail itself, the degradation schedule, and storage-structure records.
+#: trail itself, event firings, and storage-structure records.
 _SCRUB_EXEMPT = frozenset({
     LogRecordType.BEGIN,
     LogRecordType.COMMIT,
     LogRecordType.ABORT,
     LogRecordType.CHECKPOINT,
     LogRecordType.SCRUB,
-    LogRecordType.SCHED_REGISTER,
-    LogRecordType.SCHED_STEP,
-    LogRecordType.SCHED_DEFER,
     LogRecordType.SCHED_EVENT,
-    LogRecordType.SCHED_CHECKPOINT,
     LogRecordType.TABLE_DROP,
     LogRecordType.CATALOG,
     LogRecordType.PAGE_ALLOC,
@@ -302,10 +294,9 @@ def _parse_record(data: bytes, offset: int, limit: int
 # -- wave record payloads --------------------------------------------------------
 #
 # A degradation wave reaches the log as *chunks*: DEGRADE says "these rows of
-# this column are now at this level", SCHED_STEP "these rows took this step
-# of the schedule", SCHED_DEFER "these steps were put off".  Their ``after``
-# payloads are flat encoded lists.  The table name lives in the record header
-# (for DEGRADE the column too); row keys identify the tuples within it.
+# this column are now at this level".  Its ``after`` payload is a flat encoded
+# list; the table name and the column live in the record header, and row keys
+# identify the tuples within the table.
 
 #: Row keys one DEGRADE record lists at most: the record codec stops at
 #: 65,535 fields.
@@ -382,104 +373,6 @@ def run_images(record: LogRecord) -> List[Tuple[int, bytes]]:
     run = record.after
     return [(row_key, bytes(run[offset:offset + length]))
             for offset, length, row_key in _live_sub_images(run or b"")]
-
-
-def _encode_groups(groups: Mapping[Tuple[Any, ...], Sequence[int]],
-                   limit: int) -> Iterator[bytes]:
-    """Payloads for ``header → row keys`` groups: ``*header, n, key × n``
-    runs back to back, at most ``limit`` row keys per payload (a group is
-    split where it must be; the fields have to fit the codec's cap)."""
-    flat: List[Any] = []
-    room = limit
-    for header, row_keys in groups.items():
-        for start in range(0, len(row_keys), limit):
-            part = row_keys[start:start + limit]
-            if len(part) > room:
-                yield encode_record(flat)
-                flat, room = [], limit
-            flat += (*header, len(part), *part)
-            room -= len(part)
-    if flat:
-        yield encode_record(flat)
-
-
-def _decode_groups(payload: bytes, width: int, kind: str
-                   ) -> List[Tuple[Tuple[Any, ...], List[int]]]:
-    """Inverse of :func:`_encode_groups` for headers of ``width`` fields."""
-    flat = decode_record(payload)
-    groups = []
-    cursor = 0
-    while cursor < len(flat):
-        if cursor + width + 1 > len(flat):
-            raise WALError(f"malformed {kind} payload with {len(flat)} fields")
-        header, count = flat[cursor:cursor + width], int(flat[cursor + width])
-        cursor += width + 1 + count
-        if cursor > len(flat):
-            raise WALError(f"malformed {kind} payload with {len(flat)} fields")
-        groups.append((header, [int(row_key) for row_key in flat[cursor - count:cursor]]))
-    return groups
-
-
-def encode_schedule_steps(groups: Mapping[Tuple[str, int, float], Sequence[int]],
-                          limit: int) -> Iterator[bytes]:
-    """SCHED_STEP payloads for ``(attribute, to_state, due) → row keys``
-    groups, at most ``limit`` row keys per payload."""
-    return _encode_groups({(attribute, int(to_state), float(due)): row_keys
-                           for (attribute, to_state, due), row_keys in groups.items()},
-                          limit)
-
-
-def decode_schedule_steps(payload: bytes
-                          ) -> List[Tuple[str, int, float, List[int]]]:
-    """One SCHED_STEP payload back as ``(attribute, to_state, due, row keys)``
-    groups."""
-    return [(str(attribute), int(to_state), float(due), row_keys)
-            for (attribute, to_state, due), row_keys
-            in _decode_groups(payload, 3, "SCHED_STEP")]
-
-
-def encode_schedule_defers(groups: Mapping[Tuple[str, int, float, float], Sequence[int]],
-                           limit: int) -> Iterator[bytes]:
-    """SCHED_DEFER payloads for ``(attribute, from_state, due, until) → row
-    keys`` groups, at most ``limit`` row keys per payload."""
-    return _encode_groups({(attribute, int(from_state), float(due), float(until)): row_keys
-                           for (attribute, from_state, due, until), row_keys
-                           in groups.items()}, limit)
-
-
-def decode_schedule_defers(payload: bytes
-                           ) -> List[Tuple[str, int, float, float, List[int]]]:
-    """One SCHED_DEFER payload back as ``(attribute, from_state, due, until,
-    row keys)`` groups."""
-    return [(str(attribute), int(from_state), float(due), float(until), row_keys)
-            for (attribute, from_state, due, until), row_keys
-            in _decode_groups(payload, 4, "SCHED_DEFER")]
-
-
-def encode_schedule_registration(policies: Dict[str, str], row_keys: Sequence[int],
-                                 limit: int) -> Iterator[bytes]:
-    """SCHED_REGISTER payloads: the attribute → policy-name map the rows
-    were registered under, then their row keys (at most ``limit`` a payload).
-
-    Policy *names* are not sensitive (unlike the selector value that picked
-    them, which must never enter the log): they let recovery re-resolve
-    per-tuple overrides even after the selector value degraded.
-    """
-    names: List[Any] = [len(policies)]
-    for attribute in sorted(policies):
-        names += (attribute, policies[attribute])
-    for start in range(0, len(row_keys), limit):
-        yield encode_record([*names, *row_keys[start:start + limit]])
-
-
-def decode_schedule_registration(payload: bytes) -> Tuple[Dict[str, str], List[int]]:
-    """One SCHED_REGISTER payload back as ``(policy names, row keys)``."""
-    flat = decode_record(payload)
-    keys_at = 1 + 2 * int(flat[0]) if flat else 1
-    if keys_at > len(flat):
-        raise WALError(f"malformed SCHED_REGISTER payload with {len(flat)} fields")
-    return ({str(flat[i]): str(flat[i + 1]) for i in range(1, keys_at, 2)},
-            [int(row_key) for row_key in flat[keys_at:]])
 
 
 def encode_page_directory(directory: Dict[str, List[int]]) -> bytes:
@@ -1271,7 +1164,4 @@ class WriteAheadLog:
 __all__ = ["WriteAheadLog", "LogRecord", "LogRecordType", "WALStats",
            "WAL_FORMAT_VERSION", "encode_insert_run", "run_images",
            "encode_degrade_chunk", "decode_degrade_chunk",
-           "encode_schedule_steps", "decode_schedule_steps",
-           "encode_schedule_defers", "decode_schedule_defers",
-           "encode_schedule_registration", "decode_schedule_registration",
            "encode_page_directory", "decode_page_directory"]

@@ -1,7 +1,7 @@
 """Transaction substrate: 2PL locking, transaction manager, degradation-aware recovery."""
 
 from .locks import LockManager, LockMode, LockStats
-from .recovery import RecoveryManager, RecoveryReport, ScheduleReplayReport
+from .recovery import RecoveryManager, RecoveryReport
 from .transaction import (
     Transaction,
     TransactionManager,
@@ -12,5 +12,5 @@ from .transaction import (
 __all__ = [
     "LockManager", "LockMode", "LockStats",
     "Transaction", "TransactionManager", "TransactionState", "TransactionStats",
-    "RecoveryManager", "RecoveryReport", "ScheduleReplayReport",
+    "RecoveryManager", "RecoveryReport",
 ]

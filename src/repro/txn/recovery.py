@@ -12,12 +12,11 @@ therefore implements a redo/undo pass with two degradation-specific rules:
    before-image was scrubbed (``None``) the undo is skipped — privacy wins over
    exact rollback, as argued in §III of the paper.
 
-Besides the data, recovery reconstructs the **degradation schedule**:
-:meth:`RecoveryManager.replay_schedule` restores the last ``SCHED_CHECKPOINT``
-snapshot (written on clean shutdown) and replays the schedule records behind
-it — committed registrations, applied steps, deferrals and event firings —
-into a :class:`~repro.core.scheduler.DegradationScheduler`, so steps that came
-due while the process was down are overdue (not lost) after a restart.  See
+The log holds no image of the **degradation schedule**: the engine derives
+it from the recovered heap (each row's insertion time and stored levels), as
+it derives indexes and statistics.  The one schedule input recovery reads
+from the log is the event firings (``SCHED_EVENT``), collected by the
+preparation pass into :attr:`RecoveryManager.firings`.  See
 ``docs/durability.md`` for the full protocol.
 """
 
@@ -27,19 +26,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.errors import RecoveryError
-from ..core.lcp import TupleLCP
-from ..core.scheduler import DegradationScheduler, LCPResolver, SchedulerSnapshot
 from ..storage.degradable_store import TableStore
-from ..storage.serialization import decode_record
 from ..storage.wal import (
     LogRecord,
     LogRecordType,
     WriteAheadLog,
     decode_degrade_chunk,
     decode_page_directory,
-    decode_schedule_defers,
-    decode_schedule_registration,
-    decode_schedule_steps,
     run_images,
 )
 
@@ -85,25 +78,6 @@ class RecoveryReport:
     wal_prep_passes: int = 0
 
 
-@dataclass
-class ScheduleReplayReport:
-    """Summary of a degradation-schedule replay pass."""
-
-    #: LSN of the snapshot the replay started from (0 = no snapshot found,
-    #: full replay from the start of the log).
-    snapshot_lsn: int = 0
-    #: Registrations (records) restored from the snapshot's cohorts.
-    snapshot_restored: int = 0
-    #: Registrations (records) replayed from SCHED_REGISTER records behind
-    #: the snapshot.
-    registrations_replayed: int = 0
-    #: Registrations whose row or policy no longer resolves (dropped).
-    registrations_dropped: int = 0
-    steps_replayed: int = 0
-    events_replayed: int = 0
-    defers_replayed: int = 0
-
-
 class RecoveryManager:
     """Replays a WAL against a set of :class:`TableStore` objects."""
 
@@ -123,6 +97,9 @@ class RecoveryManager:
         self._page_directory: Dict[str, List[int]] = {}
         #: Table → highest row key the surviving log mentions.
         self._highest_row_keys: Dict[str, int] = {}
+        #: ``(event, time)`` of every logged firing, in log order (a
+        #: checkpoint logs again the ones the schedule can still need).
+        self.firings: List[Tuple[str, float]] = []
         #: Full forward WAL iterations spent preparing recovery — exactly one.
         self.wal_prep_passes = 0
         #: Rows the redo pass found degraded to (or past) a logged target
@@ -188,6 +165,9 @@ class RecoveryManager:
                 self._page_directory.setdefault(record.table, []).append(
                     record.row_key)
                 continue
+            if record_type is LogRecordType.SCHED_EVENT:
+                self.firings.append((record.attribute, record.timestamp))
+                continue
             # (A DEGRADE chunk has no row key of its own; the rows it lists
             # are live — the heap scan finds them — or have a REMOVE record
             # behind the chunk.)
@@ -244,9 +224,8 @@ class RecoveryManager:
             store = self.stores.get(table)
             if store is None:
                 # A dropped table's allocation records may outlive it in the
-                # log; its pages have no store to attach to — skip them (the
-                # schedule replay drops such tables' registrations the same
-                # way) rather than make every other table unrecoverable.
+                # log; its pages have no store to attach to — skip them
+                # rather than make every other table unrecoverable.
                 continue
             store.heap.adopt_pages(page_ids)
 
@@ -300,122 +279,6 @@ class RecoveryManager:
         if store.strategy == "rewrite":
             self._settled[(store.schema.name, row_key)] = None
 
-    # -- schedule replay -------------------------------------------------------
-
-    def replay_schedule(self, scheduler: DegradationScheduler,
-                        resolve_lcp: LCPResolver,
-                        recovery_report: Optional[RecoveryReport] = None
-                        ) -> ScheduleReplayReport:
-        """Reconstruct the degradation schedule from the log's SCHED records.
-
-        Call after :meth:`recover` — the replay resolves registrations against
-        the recovered stores (losers undone, removals redone), so
-        ``resolve_lcp`` can simply drop ids whose row no longer exists.  The
-        replay starts from the last ``SCHED_CHECKPOINT`` snapshot if one
-        survives in the log (clean shutdowns write one, and checkpoint
-        truncation keeps it), then applies the schedule tail behind it in LSN
-        order.  Registrations and step applications belonging to uncommitted
-        transactions are ignored: an unapplied step stays pending at its
-        original due time and simply comes up overdue after the restart —
-        never lost, never applied twice.
-        """
-        report = ScheduleReplayReport()
-        # The winner set comes from the caller's recovery report when given,
-        # else from the fused prepare pass — never from a fresh log iteration.
-        committed = (recovery_report.committed_txns
-                     if recovery_report is not None else self._committed)
-        # Checkpoints append their snapshot chunks *before* the CHECKPOINT
-        # marker: a torn tail chops the log from the first torn record on,
-        # so a surviving marker proves the complete chunk run before it
-        # survived as well.  The snapshot is therefore the contiguous run of
-        # SCHED_CHECKPOINT records (same timestamp) immediately preceding
-        # the *last* marker; chunks after it — a checkpoint whose marker was
-        # lost — are orphans and are ignored, falling back to this one.
-        records = self.wal.records()
-        marker_index = None
-        for index, record in enumerate(records):
-            if record.record_type is LogRecordType.CHECKPOINT:
-                marker_index = index
-        chunks: List[LogRecord] = []
-        if marker_index is not None:
-            marker = records[marker_index]
-            cursor = marker_index - 1
-            while cursor >= 0:
-                candidate = records[cursor]
-                if candidate.record_type is not LogRecordType.SCHED_CHECKPOINT:
-                    break
-                if candidate.timestamp != marker.timestamp:
-                    break
-                chunks.append(candidate)
-                cursor -= 1
-            if chunks:
-                report.snapshot_lsn = marker.lsn
-
-        def epoch_resolver(record_id, policy_names=None):
-            # Snapshot entries of a table dropped *after* the snapshot was
-            # taken describe the old incarnation — drop them even when a
-            # same-name table (with reused row keys) exists again.
-            if isinstance(record_id, tuple) and record_id and \
-                    self._drop_lsns.get(record_id[0], 0) > report.snapshot_lsn:
-                return None
-            return resolve_lcp(record_id, policy_names)
-
-        for record in chunks:
-            if record.after is None:
-                continue
-            snapshot = SchedulerSnapshot.from_fields(decode_record(record.after))
-            restored = scheduler.restore_from(snapshot, epoch_resolver)
-            report.snapshot_restored += restored
-            report.registrations_dropped += (
-                sum(len(cohort.record_ids) for cohort in snapshot.cohorts) - restored)
-        for record in self.wal:
-            if record.lsn <= report.snapshot_lsn:
-                continue
-            record_type = record.record_type
-            if record.table and self._old_epoch(record):
-                continue            # schedule records of a dropped incarnation
-            if record_type is LogRecordType.SCHED_REGISTER:
-                if record.txn_id != 0 and record.txn_id not in committed:
-                    continue
-                if record.after is None:
-                    continue
-                policy_names, row_keys = decode_schedule_registration(record.after)
-                cohorts: Dict[TupleLCP, List[Tuple[str, int]]] = {}
-                for row_key in row_keys:
-                    record_id = (record.table, row_key)
-                    if scheduler.is_registered(record_id):
-                        continue
-                    tuple_lcp = resolve_lcp(record_id, policy_names or None)
-                    if tuple_lcp is None:
-                        report.registrations_dropped += 1
-                    else:
-                        cohorts.setdefault(tuple_lcp, []).append(record_id)
-                for tuple_lcp, record_ids in cohorts.items():
-                    scheduler.register_many(record_ids, tuple_lcp, record.timestamp)
-                    report.registrations_replayed += len(record_ids)
-            elif record_type is LogRecordType.SCHED_STEP:
-                if record.txn_id != 0 and record.txn_id not in committed:
-                    continue
-                if record.after is None:
-                    continue
-                for attribute, to_state, due, row_keys in \
-                        decode_schedule_steps(record.after):
-                    report.steps_replayed += scheduler.replay_applied(
-                        [(record.table, row_key) for row_key in row_keys],
-                        attribute, to_state, due)
-            elif record_type is LogRecordType.SCHED_EVENT:
-                scheduler.fire_event(record.attribute, record.timestamp)
-                report.events_replayed += 1
-            elif record_type is LogRecordType.SCHED_DEFER:
-                if record.after is None:
-                    continue
-                for attribute, from_state, due, until, row_keys in \
-                        decode_schedule_defers(record.after):
-                    report.defers_replayed += scheduler.replay_defer(
-                        [(record.table, row_key) for row_key in row_keys],
-                        attribute, from_state, due, until)
-        return report
-
     def _redo_degrade(self, store: TableStore, record: LogRecord) -> int:
         """Redo of one wave chunk is a lag check, row by row.
 
@@ -466,4 +329,4 @@ class RecoveryManager:
                 report.skipped_undos += 1
 
 
-__all__ = ["RecoveryManager", "RecoveryReport", "ScheduleReplayReport"]
+__all__ = ["RecoveryManager", "RecoveryReport"]

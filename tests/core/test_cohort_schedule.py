@@ -2,21 +2,23 @@
 state) behaves like one per row and step.
 
 A seeded stream runs against a ``remove_on_final`` table with two degradable
-columns and a per-tuple override on its selector column: ``executemany``
-batches, one-row and multi-row INSERTs (rows inserted at one instant under
-one policy form, or join, one cohort), selector UPDATEs and DELETEs of
+columns and a per-tuple override on its (stable) selector column:
+``executemany`` batches, one-row and multi-row INSERTs (rows inserted at one
+instant under one policy form, or join, one cohort), UPDATEs and DELETEs of
 cohort members, clock advances — some against a reader holding the table
 lock (every due step deferred one second), some with the WAL failing once
 (the wave re-queued with backoff) — checkpoints and crash + recover.  An
 independent per-row automaton, written from the policies alone, predicts
 every row's state and queued step (due time and queue position), every step
 applied (row, attribute, state, due, applied at — hence its lag) and how
-many; the engine, read through the scheduler and the log's committed
-``SCHED_STEP`` records, must agree after every operation, with and without
-``degradation_max_batch`` cuts.  A twin recovered from the directory equals
-the live engine, and the run goes on with the twin.
+many; the engine, read through the scheduler and the steps its applier
+reports, must agree after every operation, with and without
+``degradation_max_batch`` cuts.  The run goes on with a twin recovered from
+the directory, whose schedule is derived from the heap: a step a lock
+deferred is due again, one a fault deferred is on the heap already.
 """
 
+import copy
 import random
 
 import pytest
@@ -24,7 +26,6 @@ import pytest
 from repro import AttributeLCP, FaultPlan, InstantDB
 from repro.core.domains import build_location_tree, build_salary_ranges
 from repro.core.lcp import parse_duration
-from repro.storage.wal import LogRecordType, decode_schedule_steps
 
 HOUR = 3600.0
 LOCATION_STEPS = ["2 hours", "1 day", "3 days", "5 days"]
@@ -70,6 +71,8 @@ class Model:
         self.rows = {}
         self.applied = []               # (row, attribute, to_state, due, applied at)
         self.steps_since_start = 0
+        self.faulted = set()            # (row, attribute) deferred by a faulted wave
+        self.backoff = 0                # consecutive faulted waves
 
     def insert(self, row_key, owner, now):
         plan = {"location": delays(STRICT_STEPS if owner in PARANOID else LOCATION_STEPS),
@@ -81,33 +84,78 @@ class Model:
         return [(key, name) for key, row in self.rows.items()
                 for name, entry in row.items() if entry[3] is not None and entry[3] <= now]
 
-    def ends_a_life(self, now):
-        """Whether a step due at ``now`` takes some attribute to its last state."""
-        return any(self.rows[key][name][0] + 1 == len(self.rows[key][name][4])
-                   for key, name in self.due(now))
+    def fault_lands(self, now):
+        """Whether a WAL flush failing once is met by the drain to ``now``:
+        some round of it writes a record (a faulted wave's retry writes none:
+        its rewrite is on the heap already), and that round takes no
+        attribute to its last state (a removal in a faulted wave is not
+        modelled)."""
+        twin = copy.deepcopy(self)
+        while True:
+            due = twin.due(now)
+            if not due:
+                return False
+            if not twin.faulted.issuperset(due):
+                return not any(twin.rows[key][name][0] + 1 == len(twin.rows[key][name][4])
+                               for key, name in due)
+            twin.apply(due, now)
 
-    def defer(self, now, until):
+    def defer(self, now, until, faulted=False):
         for key, name in self.due(now):
             self.rows[key][name][3] = until
+            if faulted:
+                self.faulted.add((key, name))
 
-    def drain(self, now):
+    @staticmethod
+    def step(entry):
+        entry[0] += 1
+        entry[1] = entry[2]
+        if entry[0] < len(entry[4]):
+            entry[2] = entry[3] = entry[1] + entry[4][entry[0]]
+        else:
+            entry[2] = entry[3] = None
+
+    def apply(self, due, now):
+        """One drain round applies ``due``; it commits, so the backoff ends."""
+        for key, name in due:
+            entry = self.rows[key][name]
+            self.step(entry)
+            self.faulted.discard((key, name))
+            self.applied.append((key, name, entry[0], entry[1], now))
+            self.steps_since_start += 1
+        for key in [key for key, row in self.rows.items()
+                    if all(entry[2] is None for entry in row.values())]:
+            del self.rows[key]            # full suppression: removed
+        self.backoff = 0
+
+    def drain(self, now, fault=False):
+        """Round by round, as the engine's drain goes; with ``fault`` the
+        first round that writes a record meets the failing flush, and its
+        steps are deferred with backoff (retry-only rounds before it apply)."""
         while True:
             due = self.due(now)
             if not due:
                 return
-            for key, name in due:
-                entry = self.rows[key][name]
-                entry[0] += 1
-                entry[1] = entry[2]
-                self.applied.append((key, name, entry[0], entry[2], now))
-                self.steps_since_start += 1
-                if entry[0] < len(entry[4]):
-                    entry[2] = entry[3] = entry[1] + entry[4][entry[0]]
-                else:
-                    entry[2] = entry[3] = None
-            for key in [key for key, row in self.rows.items()
-                        if all(entry[2] is None for entry in row.values())]:
-                del self.rows[key]        # full suppression: removed
+            if fault and not self.faulted.issuperset(due):
+                self.defer(now, now + 2.0 ** min(self.backoff, 8), faulted=True)
+                self.backoff += 1
+                return
+            self.apply(due, now)
+
+    def recover(self, now):
+        """What a twin derives from the heap: a faulted wave's rewrite is on
+        it (that step is done, uncounted); a lock deferral is lost (the step
+        is due again) — then the twin's catch-up drains at ``now``."""
+        for key, name in self.faulted:
+            if key in self.rows:            # else deleted since
+                self.step(self.rows[key][name])
+        self.faulted.clear()
+        self.backoff = 0
+        for row in self.rows.values():
+            for entry in row.values():
+                entry[3] = entry[2]
+        self.steps_since_start = 0
+        self.drain(now)
 
     def schedule(self):
         return {key: {name: (entry[0], entry[2], entry[3]) for name, entry in row.items()}
@@ -115,59 +163,34 @@ class Model:
 
 
 def engine_schedule(db):
-    flat = {}
-    for cohort in db.scheduler.snapshot().cohorts:
-        for table, row_key in cohort.record_ids:
-            flat[row_key] = {name: (state, *cohort.pending.get(name, (None, None)))
-                             for name, state in cohort.current_states.items()}
-    return flat
+    return {row_key: {name: (state, *queued.get(name, (None, None)))
+                      for name, state in states.items()}
+            for record_ids, states, queued in db.scheduler.cohorts()
+            for _table, row_key in record_ids}
 
 
-class LogReader:
-    """The committed SCHED_STEP groups of the log, read as the log grows
-    (checkpoints truncate it, so a transaction id may come back: an
-    incarnation ends where the next BEGIN of its id starts)."""
+def observe(db, applied):
+    """Append each step the engine's applier applies to ``applied``, as
+    ``(row, attribute, to_state, due, applied at)``."""
+    applier = db.daemon.applier
 
-    def __init__(self):
-        self.seen = 0
-        self.open = {}                  # txn id → [steps, last control record]
-        self.committed = []
+    def observed(table, steps):
+        done = applier(table, steps)
+        applied.extend((row_key, step.attribute, step.to_state, step.due, db.now())
+                       for step in done for _table, row_key in step.record_ids)
+        return done
 
-    def _close(self, txn_id):
-        steps, fate = self.open.pop(txn_id, ([], None))
-        if fate is LogRecordType.COMMIT:
-            self.committed += steps
-
-    def read(self, db):
-        for record in db.wal:
-            if record.lsn <= self.seen:
-                continue
-            self.seen = record.lsn
-            kind, txn = record.record_type, record.txn_id
-            if kind is LogRecordType.BEGIN:
-                self._close(txn)
-            entry = self.open.setdefault(txn, [[], None])
-            if kind in (LogRecordType.COMMIT, LogRecordType.ABORT):
-                entry[1] = kind
-            elif kind is LogRecordType.SCHED_STEP:
-                entry[0] += [(row_key, attribute, to_state, due, record.timestamp)
-                             for attribute, to_state, due, row_keys
-                             in decode_schedule_steps(record.after)
-                             for row_key in row_keys]
-
-    def applied(self):
-        return sorted(self.committed + [step for steps, fate in self.open.values()
-                                        if fate is LogRecordType.COMMIT for step in steps])
+    db.daemon.applier = observed
+    return db
 
 
-def check(db, model, log):
+def check(db, model, applied):
     assert engine_schedule(db) == model.schedule()
     assert db.scheduler.registered_count() == db.row_count("visits") == len(model.rows)
     for row_key in list(model.rows)[:5]:
         assert db.scheduler.current_state(("visits", row_key)) == \
             {name: entry[0] for name, entry in model.rows[row_key].items()}
-    log.read(db)
-    assert log.applied() == sorted(model.applied)
+    assert sorted(applied) == sorted(model.applied)
     assert db.scheduler.stats.steps_applied == model.steps_since_start
     lags = [now - due for *_rest, due, now in model.applied[-model.steps_since_start:]] \
         if model.steps_since_start else []
@@ -180,10 +203,9 @@ def check(db, model, log):
 def test_cohorts_step_like_rows(tmp_path, seed, max_batch, faults):
     rng = random.Random(seed)
     plan = FaultPlan(seed)
-    db = build(str(tmp_path), max_batch, plan)
-    model, log = Model(), LogReader()
+    model, applied = Model(), []
+    db = observe(build(str(tmp_path), max_batch, plan), applied)
     next_id = iter(range(1, 10**6))
-    backoff = 0                         # consecutive faulted waves
 
     def rows(count):
         return [(next(next_id), rng.randrange(1, 7), rng.choice(ADDRESSES),
@@ -208,9 +230,9 @@ def test_cohorts_step_like_rows(tmp_path, seed, max_batch, faults):
         elif op in ("update", "delete") and model.rows:
             for row_key in rng.sample(sorted(model.rows), min(len(model.rows), 3)):
                 row_id = db.table_store("visits").read(row_key).values["id"]
-                if op == "update":     # the selector moves; the registered policy stays
-                    db.execute("UPDATE visits SET owner = ? WHERE id = ?", purpose=PURPOSE,
-                               params=(rng.randrange(1, 7), row_id))
+                if op == "update":     # the selector (owner) cannot be assigned
+                    db.execute("UPDATE visits SET note = ? WHERE id = ?", purpose=PURPOSE,
+                               params=("u" * rng.randrange(0, 9), row_id))
                 else:
                     db.execute("DELETE FROM visits WHERE id = ?", purpose=PURPOSE,
                                params=(row_id,))
@@ -223,7 +245,7 @@ def test_cohorts_step_like_rows(tmp_path, seed, max_batch, faults):
             if due and rng.random() < 0.2:
                 holder = db.begin()              # a reader holding the table lock
                 db.execute("SELECT COUNT(*) FROM visits", txn=holder)
-            elif faults and due and rng.random() < 0.3 and not model.ends_a_life(expected):
+            elif faults and due and rng.random() < 0.3 and model.fault_lands(expected):
                 fault = len(plan.fired)
                 plan.fail_once("wal.flush", "enospc")
             db.advance_time(hours=hours)
@@ -232,29 +254,22 @@ def test_cohorts_step_like_rows(tmp_path, seed, max_batch, faults):
             if holder is not None:
                 model.defer(now, now + 1.0)
                 db.commit(holder)
-            elif fault is not None:
-                assert len(plan.fired) == fault + 1     # the wave met it
-                model.defer(now, now + 2.0 ** min(backoff, 8))
-                backoff += 1
             else:
-                if due:
-                    backoff = 0
-                model.drain(now)
+                if fault is not None:
+                    assert len(plan.fired) == fault + 1     # the wave met it
+                model.drain(now, fault=fault is not None)
         elif op == "recover":
             db.checkpoint(truncate_wal=rng.random() < 0.5)
-            log.read(db)
-            live, now = engine_schedule(db), db.now()
+            now = db.now()
             db.pager.close()                     # abandoned: no checkpoint, no close()
-            db = InstantDB(data_dir=str(tmp_path), degradation_max_batch=max_batch,
-                           fault_plan=plan)
+            db = observe(InstantDB(data_dir=str(tmp_path), degradation_max_batch=max_batch,
+                                   fault_plan=plan), applied)
             db.recover()
-            if db.now() < now:
-                db.advance_time(seconds=now - db.now())
-            assert engine_schedule(db) == live   # live ≡ recovered
-            model.steps_since_start = 0
-            backoff = 0
-        check(db, model, log)
+            assert db.now() == now               # the checkpoint logged the time
+            model.recover(now)
+        check(db, model, applied)
     db.close()
     assert model.applied
-    if max_batch != 1:              # the per-step baseline cuts every cohort to rows
-        assert len(db.scheduler.snapshot().cohorts) < db.scheduler.registered_count() / 2
+    # Rows share cohorts: the parts a max_batch cut splits off (down to one
+    # row a round) rejoin once they are in step again.
+    assert len(db.scheduler.cohorts()) < db.scheduler.registered_count() / 2

@@ -363,7 +363,8 @@ class TestCohorts:
     per attribute and state, until something happens to some of them."""
 
     def cohorts(self, scheduler):
-        return sorted(sorted(snap.record_ids) for snap in scheduler.snapshot().cohorts)
+        return sorted(sorted(record_ids) for record_ids, _states, _queued
+                      in scheduler.cohorts())
 
     def test_rows_registered_together_step_together(self, tuple_lcp):
         scheduler = DegradationScheduler()
@@ -384,10 +385,14 @@ class TestCohorts:
         scheduler = DegradationScheduler()
         scheduler.register("r1", lcp, inserted_at=0.0)
         scheduler.fire_event("go", now=0.0)
-        scheduler.register("r2", lcp, inserted_at=0.0)     # still waiting on "go"
+        scheduler.register("r2", lcp, inserted_at=0.0)     # as it would be recovered
         assert self.cohorts(scheduler) == [["r1"], ["r2"]]
         assert scheduler.current_state("r2") == {"location": 0}
-        assert scheduler.has_waiters("go")
+        # It waits from 0.0, when "go" fired: a tie releases it too.
+        assert not scheduler.has_waiters("go")
+        assert [(step.record_ids, step.due, step.event)
+                for step in scheduler.due_steps(0.0)] == [(("r1",), 0.0, "go"),
+                                                          (("r2",), 0.0, "go")]
 
     def test_a_popped_cohort_takes_no_newcomers(self, location_tree):
         lcp = TupleLCP({"location": AttributeLCP(
@@ -416,14 +421,30 @@ class TestCohorts:
         (rest,) = scheduler.due_steps(HOUR)
         assert rest.record_ids == (("t", 3), ("t", 4)) and rest.due == HOUR
 
-    def test_partial_replay_splits_a_cohort(self, tuple_lcp):
+    def test_cut_parts_rejoin_once_in_step_again(self, tuple_lcp):
         scheduler = DegradationScheduler()
-        scheduler.register_many(["a", "b", "c"], tuple_lcp, inserted_at=0.0)
-        assert scheduler.replay_applied(["b"], "location", 1, HOUR) == 1
-        assert scheduler.replay_defer(["c"], "location", 0, HOUR, 2 * HOUR) == 1
-        assert self.cohorts(scheduler) == [["a"], ["b"], ["c"]]
-        assert [(step.record_ids, step.due) for step in scheduler.due_steps(HOUR)] == \
-            [(("a",), HOUR)]
+        scheduler.register_many([("t", key) for key in range(5)], tuple_lcp, inserted_at=0.0)
+        scheduler.register(("t", 9), tuple_lcp, inserted_at=1.0)      # another instant
+        rounds = []
+
+        def defer_all(_table, steps):
+            rounds.append(sum(map(len, steps)))
+            for step in steps:
+                scheduler.defer(step, HOUR + 2.0)
+            return []
+
+        # Rounds of two records cut the cohort into three parts; deferred
+        # alike, they are one cohort again once the drain is over.
+        assert scheduler.run_due_batched(HOUR + 1.0, defer_all, max_batch=2) == []
+        assert rounds == [2, 2, 2]
+        assert self.cohorts(scheduler) == [[("t", key) for key in range(5)], [("t", 9)]]
+        applied = scheduler.run_due_batched(HOUR + 2.0, lambda _table, steps: steps,
+                                            max_batch=2)
+        assert sum(map(len, applied)) == 6 and len(applied) == 4
+        assert self.cohorts(scheduler) == [[("t", key) for key in range(5)], [("t", 9)]]
+        assert [queued for _ids, _states, queued in scheduler.cohorts()] == [
+            {"location": (HOUR + DAY, HOUR + DAY)},
+            {"location": (1.0 + HOUR + DAY, 1.0 + HOUR + DAY)}]
 
 
 class TestEventSteps:
@@ -474,116 +495,81 @@ class TestEventSteps:
         assert scheduler.stats.records_completed == 1
 
 
-class TestSnapshotRestore:
-    """The durable due-queue: snapshot / restore_from / replay_* round trips."""
+class TestDerivedRegistration:
+    """A record registered at its stored levels gets the schedule the live
+    cohort it once belonged to had: recovery's registration path."""
 
-    def test_snapshot_fields_round_trip(self, two_attr_lcp):
+    def test_derived_state_and_dues_match_live_application(self, two_attr_lcp):
+        live = DegradationScheduler()
+        live.register("r1", two_attr_lcp, inserted_at=0.1)
+        live.run_due(0.1 + HOUR + DAY + 2 * HOUR, collect_applier([]))
+        assert live.current_state("r1") == {"location": 2, "salary": 1}
+        derived = DegradationScheduler()
+        derived.register_many(["r1"], two_attr_lcp, 0.1, {"location": 2, "salary": 2})
+        assert derived.current_state("r1") == live.current_state("r1")
+        # The dues are sums taken step by step, as float additions in the
+        # same order the live cohort took them: equal exactly.
+        assert derived.cohorts()[0][2] == live.cohorts()[0][2]
+        assert derived.peek_next_due() == live.peek_next_due() == (0.1 + 2 * HOUR) + 2 * DAY
+        assert derived.stats.steps_applied == 0
+
+    def test_final_levels_are_not_tracked(self, tuple_lcp):
         scheduler = DegradationScheduler()
-        scheduler.register(("person", 1), two_attr_lcp, inserted_at=10.0)
-        snapshot = scheduler.snapshot(now=20.0)
-        from repro.core.scheduler import SchedulerSnapshot
-        rebuilt = SchedulerSnapshot.from_fields(snapshot.to_fields())
-        assert rebuilt.taken_at == 20.0
-        assert len(rebuilt.cohorts) == 1
-        snap = rebuilt.cohorts[0]
-        assert snap.record_ids == [("person", 1)]
-        assert snap.inserted_at == 10.0
-        assert snap.current_states == {"location": 0, "salary": 0}
-        assert snap.pending["location"] == (10.0 + HOUR, 10.0 + HOUR)
+        scheduler.register_many(["r1"], tuple_lcp, 0.0, {"location": 4})
+        assert not scheduler.is_registered("r1")
+        assert scheduler.peek_next_due() is None
 
-    def test_restore_preserves_queue_and_cadence(self, tuple_lcp):
+    def test_rows_at_one_instant_and_state_share_a_cohort(self, tuple_lcp):
         scheduler = DegradationScheduler()
-        scheduler.register("r1", tuple_lcp, inserted_at=0.0)
-        applied = []
-        scheduler.run_due(HOUR, collect_applier(applied))
-        restored = DegradationScheduler()
-        count = restored.restore_from(scheduler.snapshot(),
-                                      lambda record_id, policies=None: tuple_lcp)
-        assert count == 1
-        assert restored.current_state("r1") == {"location": 1}
-        assert restored.peek_next_due() == HOUR + DAY
-        # The restored queue drains exactly like the original would.
-        restored.run_due(HOUR + DAY, collect_applier(applied))
-        assert restored.current_state("r1") == {"location": 2}
+        scheduler.register_many(["a", "b"], tuple_lcp, 0.0, {"location": 1})
+        scheduler.register_many(["c"], tuple_lcp, 0.0, {"location": 1})       # joins
+        scheduler.register_many(["d"], tuple_lcp, 0.0, {"location": 0})       # another state
+        assert sorted(sorted(ids) for ids, _states, _queued in scheduler.cohorts()) == \
+            [["a", "b", "c"], ["d"]]
 
-    def test_restore_resolver_none_drops_registration(self, tuple_lcp):
+    def test_an_event_step_takes_the_first_firing_since_the_wait_began(self, location_tree):
+        lcp = TupleLCP({"location": AttributeLCP(
+            location_tree, states=[0, 1, 2, 4],
+            transitions=["1 hour", {"event": "closed"}, "1 day"])})
         scheduler = DegradationScheduler()
-        scheduler.register("r1", tuple_lcp, inserted_at=0.0)
-        scheduler.register("r2", tuple_lcp, inserted_at=0.0)
-        restored = DegradationScheduler()
-        count = restored.restore_from(
-            scheduler.snapshot(),
-            lambda record_id, policies=None: tuple_lcp if record_id == "r2" else None)
-        assert count == 1
-        assert not restored.is_registered("r1")
-        assert restored.is_registered("r2")
+        for at in (0.5 * HOUR, 3 * HOUR):
+            scheduler.fire_event("closed", now=at)
+        # Waiting since 1h: the 0.5h firing came too early, the 3h one counts.
+        scheduler.register_many(["past"], lcp, 0.0, {"location": 2})
+        assert scheduler.peek_next_due() == 3 * HOUR + DAY
+        scheduler.register_many(["waiting"], lcp, 0.0, {"location": 1})
+        (released,) = scheduler.due_steps(3 * HOUR)
+        assert (released.record_ids, released.due, released.event) == \
+            (("waiting",), 3 * HOUR, "closed")
+        # Waiting since 3.5h, after the last firing: it waits for the next.
+        scheduler.register_many(["late"], lcp, 2.5 * HOUR, {"location": 1})
+        assert scheduler.has_waiters("closed")
 
-    def test_restore_preserves_deferral(self, tuple_lcp):
+    def test_snapshot_keeps_the_firings_a_live_record_can_need(self, location_tree):
+        lcp = TupleLCP({"location": AttributeLCP(
+            location_tree, states=[0, 4], transitions=[{"event": "go"}])})
         scheduler = DegradationScheduler()
-        scheduler.register("r1", tuple_lcp, inserted_at=0.0)
-        (step,) = scheduler.due_steps(HOUR)
-        scheduler.defer(step, until=2 * HOUR)       # e.g. a lock conflict
-        restored = DegradationScheduler()
-        restored.restore_from(scheduler.snapshot(), lambda record_id, policies=None: tuple_lcp)
-        # Not due before the retry time, due at it, with original lag basis.
-        assert restored.due_steps(2 * HOUR - 1) == []
-        (redone,) = restored.due_steps(2 * HOUR)
-        assert redone.due == HOUR
+        scheduler.fire_event("go", now=1.0)
+        scheduler.fire_event("stop", now=2.0)
+        # Nothing registered: only the latest instant counts (a record
+        # inserted right then would take it); the rest is forgotten.
+        assert scheduler.snapshot() == [("stop", 2.0)]
+        scheduler.register("r1", lcp, inserted_at=2.0)
+        scheduler.fire_event("go", now=5.0)
+        scheduler.fire_event("go", now=5.0)        # the same firing, recorded once
+        assert scheduler.snapshot() == [("stop", 2.0), ("go", 5.0)]
+        scheduler.register("r2", lcp, inserted_at=6.0)
+        scheduler.cancel("r1")
+        assert scheduler.snapshot() == []
+        assert scheduler._firings == {}
 
-    def test_restore_preserves_event_waiters(self, location_tree):
+    def test_clear_forgets_registrations_but_not_firings(self, location_tree):
         lcp = TupleLCP({"location": AttributeLCP(
             location_tree, states=[0, 4], transitions=[{"event": "go"}])})
         scheduler = DegradationScheduler()
         scheduler.register("r1", lcp, inserted_at=0.0)
-        restored = DegradationScheduler()
-        restored.restore_from(scheduler.snapshot(), lambda record_id, policies=None: lcp)
-        released = restored.fire_event("go", now=5.0)
-        assert [step.record_ids for step in released] == [("r1",)]
-
-    def test_replay_applied_matches_live_application(self, tuple_lcp):
-        live = DegradationScheduler()
-        live.register("r1", tuple_lcp, inserted_at=0.0)
-        applied = []
-        live.run_due(HOUR, collect_applier(applied))
-
-        replayed = DegradationScheduler()
-        replayed.register("r1", tuple_lcp, inserted_at=0.0)
-        assert replayed.replay_applied(["r1"], "location", to_state=1, due=HOUR)
-        assert replayed.current_state("r1") == live.current_state("r1")
-        assert replayed.peek_next_due() == live.peek_next_due()
-        # Replays are stats-neutral: no lag is recorded.
-        assert replayed.stats.steps_applied == 0
-
-    def test_replay_applied_rejects_stale_or_unknown(self, tuple_lcp):
-        scheduler = DegradationScheduler()
-        scheduler.register("r1", tuple_lcp, inserted_at=0.0)
-        assert not scheduler.replay_applied(["ghost"], "location", 1, HOUR)
-        assert scheduler.replay_applied(["r1"], "location", 1, HOUR)
-        # Replaying the same step twice is a no-op (exactly-once).
-        assert not scheduler.replay_applied(["r1"], "location", 1, HOUR)
-
-    def test_replay_applied_drops_final_registrations(self, location_tree):
-        lcp = TupleLCP({"location": AttributeLCP(
-            location_tree, states=[0, 4], transitions=["1 hour"])})
-        scheduler = DegradationScheduler()
+        scheduler.fire_event("go", now=5.0)
+        scheduler.clear()
+        assert scheduler.registered_count() == 0 and scheduler.peek_next_due() is None
         scheduler.register("r1", lcp, inserted_at=0.0)
-        assert scheduler.replay_applied(["r1"], "location", 1, HOUR)
-        assert not scheduler.is_registered("r1")
-        assert scheduler.stats.records_completed == 0   # stats-neutral
-
-    def test_replay_defer_moves_queued_step(self, tuple_lcp):
-        scheduler = DegradationScheduler()
-        scheduler.register("r1", tuple_lcp, inserted_at=0.0)
-        assert scheduler.replay_defer(["r1"], "location", from_state=0,
-                                      due=HOUR, until=3 * HOUR)
-        assert scheduler.due_steps(2 * HOUR) == []
-        (step,) = scheduler.due_steps(3 * HOUR)
-        assert step.due == HOUR
-
-    def test_restore_skips_already_registered_and_final(self, tuple_lcp):
-        scheduler = DegradationScheduler()
-        scheduler.register("r1", tuple_lcp, inserted_at=0.0)
-        snapshot = scheduler.snapshot()
-        # Restoring over an existing registration leaves it alone.
-        assert scheduler.restore_from(snapshot, lambda record_id, policies=None: tuple_lcp) == 0
-        assert scheduler.pending_count() == 1
+        assert [step.due for step in scheduler.due_steps(5.0)] == [5.0]

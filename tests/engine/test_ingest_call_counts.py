@@ -4,8 +4,8 @@ wall-clock timings).
 * A batch insert is one statement: an 800-row ``executemany`` into a table
   whose selector column picks a per-tuple policy override appends exactly
   one ``INSERT_RUN`` record per heap page it filled (each row's image in it
-  stays scrubbable on its own) plus one ``SCHED_REGISTER`` per policy group,
-  and makes at most half of the 253,583 calls the row-at-a-time ingest
+  stays scrubbable on its own) and no schedule record (the schedule is
+  derived from the heap), and makes at most half of the 253,583 calls the row-at-a-time ingest
   (commit 8514bdb) made for it.
 * A cohort of one does not tax the everyday path: a one-row INSERT +
   commit makes no more than the 391 calls it made there.
@@ -82,10 +82,10 @@ def test_a_batch_insert_is_one_statement():
     assert kinds[LogRecordType.INSERT_RUN] == len(pages) < 800 // 20
     assert sum(len(run_images(record)) for record in logged
                if record.record_type is LogRecordType.INSERT_RUN) == 800
-    assert kinds[LogRecordType.SCHED_REGISTER] == 2    # owner 3's override, the rest
-    assert db.wal.stats.appended - appended == len(logged) == len(pages) + 2 + sum(
-        kinds[kind] for kind in (LogRecordType.BEGIN, LogRecordType.COMMIT,
-                                 LogRecordType.PAGE_ALLOC))
+    assert not [kind for kind in kinds if kind.name.startswith("SCHED_")]
+    assert kinds[LogRecordType.BEGIN] == kinds[LogRecordType.COMMIT] == 1
+    assert db.wal.stats.appended - appended == len(logged) == len(pages) + 2 + \
+        kinds[LogRecordType.PAGE_ALLOC]
     assert calls <= ROW_AT_A_TIME_BATCH_CALLS // 2
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro import AttributeLCP, InstantDB
 from repro.core.domains import build_location_tree
-from repro.core.errors import PolicyError
+from repro.core.errors import ExecutionError, PolicyError
 
 from ..conftest import build_engine
 
@@ -58,6 +58,13 @@ class TestPerUserPolicies:
         db.advance_time(days=200)
         assert db.row_count("visits") == 0
 
+    def test_an_update_cannot_assign_the_selector(self, db):
+        db.execute(f"INSERT INTO visits VALUES (1, 7, '{PARIS}')")
+        with pytest.raises(ExecutionError, match="user_id"):
+            db.execute("UPDATE visits SET user_id = 42 WHERE id = 1")
+        db.execute("UPDATE visits SET id = 2 WHERE id = 1")
+        assert db.execute("SELECT id, user_id FROM visits").rows == [(2, 7)]
+
     def test_override_requires_selector_column(self):
         db = build_engine()
         location = db.registry.domain("location")
@@ -105,6 +112,44 @@ class TestEventTriggeredTransitions:
         db.fire_event("case_closed")
         assert db.row_count("sightings") == 1
         assert db.execute("SELECT location FROM sightings").rows == [(PARIS,)]
+
+    def test_a_firing_releases_only_attributes_already_waiting(self, db):
+        db.execute(f"INSERT INTO sightings VALUES (1, '{PARIS}')")
+        db.advance_time(hours=2)              # row 1 waits on the event since 1h
+        db.execute(f"INSERT INTO sightings VALUES (2, '{LYON}')")
+        db.fire_event("case_closed")          # at 2h: row 1 goes, row 2 waits for 1h
+        assert db.execute("SELECT id FROM sightings").rows == [(2,)]
+        db.advance_time(hours=2)
+        assert db.level_histogram("sightings", "location") == {1: 1}
+        assert db.scheduler.has_waiters("case_closed")
+        # The closed form lets a firing before the wait began release it.
+        lcp = db.registry.policy("event_lcp")
+        assert lcp.level_at(7200, {"case_closed": 0.0}) == 4
+
+    def test_a_firing_at_the_instant_a_wait_begins_releases_it(self, db):
+        db.execute(f"INSERT INTO sightings VALUES (1, '{PARIS}')")
+        db.advance_time(hours=1)              # the timed step lands: waiting from now
+        db.fire_event("case_closed")
+        assert db.row_count("sightings") == 0
+
+    @pytest.mark.parametrize("other_waiter", [False, True], ids=["alone", "other_waiter"])
+    def test_a_step_held_back_past_a_firing_is_released_as_it_lands(self, db, other_waiter):
+        """Waits are reckoned in schedule time: row 1 waits from the instant
+        its timed step was due, so a firing while a lock held that step back
+        releases it once the step lands — whether anything else waited."""
+        if other_waiter:
+            db.execute(f"INSERT INTO sightings VALUES (9, '{LYON}')")
+            db.advance_time(hours=1)          # row 9 waits from now
+        db.execute(f"INSERT INTO sightings VALUES (1, '{PARIS}')")
+        holder = db.begin()
+        db.execute("SELECT COUNT(*) FROM sightings", txn=holder)
+        db.advance_time(hours=1)              # row 1's step is due: deferred 1 s
+        db.advance_time(seconds=0.5)
+        db.fire_event("case_closed")
+        assert db.level_histogram("sightings", "location")[0] == 1     # row 1 held back
+        db.commit(holder)
+        db.advance_time(seconds=1)            # the step lands, the firing releases it
+        assert db.row_count("sightings") == 0
 
     def test_unknown_event_is_noop(self, db):
         db.execute(f"INSERT INTO sightings VALUES (1, '{PARIS}')")

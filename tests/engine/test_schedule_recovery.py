@@ -1,11 +1,13 @@
-"""Crash recovery of the degradation schedule (the durable due-queue).
+"""Crash recovery of the degradation schedule, derived from the heap.
 
 The paper's promise is *timely* degradation regardless of what happens to the
 process.  These tests kill the engine at every awkward moment — mid-wave
 between the WAL flush and the step application, while a deferral is pending,
 between an event firing and its released steps — reopen the database
 directory, run :meth:`InstantDB.recover`, and assert that every overdue step
-fires **exactly once**: no step is lost, no tuple is degraded twice.
+fires **exactly once**: no step is lost, no tuple is degraded twice.  The
+recovered schedule — states, due times (compared exactly) and event waiters
+— is the one the live engine had.
 """
 
 import os
@@ -15,6 +17,7 @@ import pytest
 from repro import AttributeLCP, InstantDB
 from repro.core.clock import DAY, HOUR
 from repro.core.domains import build_location_tree
+from repro.core.errors import PolicyError
 from repro.storage.wal import LogRecordType
 
 PARIS = "1 Main Street, Paris"
@@ -104,9 +107,8 @@ class TestOverdueStepsAfterCrash:
         report = db2.recover()
         assert report.recovery.wal_prep_passes == 1
         assert report.recovery.redone_degrade_chunks >= 1
-        # The two logged steps are *replayed* (not re-applied); the four
+        # The two committed steps are on the heap (not re-applied); the four
         # unapplied ones come back overdue and fire exactly once.
-        assert report.schedule.steps_replayed == 2
         assert report.overdue_steps_applied == 4
         assert db2.stats.degradation_steps_applied == 4
         assert db2.level_histogram("trace", "location") == {1: 6}
@@ -115,25 +117,29 @@ class TestOverdueStepsAfterCrash:
         # with its next step due at the original cadence.
         assert db2.scheduler.peek_next_due() == HOUR + DAY
 
-    def test_huge_waves_chunk_their_schedule_records(self, tmp_path, monkeypatch):
-        """A wave larger than one record's field cap spans several SCHED_STEP
-        records in the same system transaction; replay reads them all."""
-        from repro.engine import database as database_module
+    def test_a_tuple_left_final_on_the_heap_is_removed(self, tmp_path):
+        """A crash between a wave's last step (pages flushed) and its removal
+        leaves the tuples fully suppressed on the heap: recovery finishes the
+        removal the wave began."""
+        transitions = ["1 hour"] * 4
+        db = build_trace_db(tmp_path, transitions)
+        insert_wave(db, 3)
+        db.advance_time(hours=3)
 
-        monkeypatch.setattr(database_module, "_SCHED_RECORD_CHUNK", 2)
-        db = build_trace_db(tmp_path)
-        insert_wave(db, 5)
-        db.advance_time(hours=2)
-        step_records = [record for record in db.wal
-                        if record.record_type is LogRecordType.SCHED_STEP]
-        assert len(step_records) == 3          # ceil(5 / 2)
+        def die(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        db.table_store("trace").remove_many = die
+        with pytest.raises(KeyboardInterrupt):
+            db.advance_time(hours=1)
         crash(db)
 
-        db2 = build_trace_db(tmp_path)
+        db2 = build_trace_db(tmp_path, transitions)
         report = db2.recover()
-        assert report.schedule.steps_replayed == 5
-        assert report.overdue_steps_applied == 0
-        assert db2.level_histogram("trace", "location") == {1: 5}
+        assert report.registrations == 0
+        assert db2.row_count("trace") == 0
+        assert db2.stats.rows_removed_by_policy == 3
+        assert PARIS.encode() not in db2.forensic_image()
 
     def test_recovered_rows_survive_scrubbed_log_images(self, tmp_path):
         """Degraded rows exist only on their flushed pages (their accurate log
@@ -145,40 +151,36 @@ class TestOverdueStepsAfterCrash:
 
         db2 = build_trace_db(tmp_path)
         report = db2.recover()
-        assert report.schedule.registrations_dropped == 0
+        assert report.registrations == 3
         assert db2.row_count("trace") == 3
         assert db2.level_histogram("trace", "location") == {1: 3}
         # The accurate addresses are gone for good, even after recovery.
         assert PARIS.encode() not in db2.forensic_image()
 
 
-class TestCleanShutdownSnapshot:
-    def test_recovery_restores_from_snapshot_not_tail(self, tmp_path):
+class TestCheckpoints:
+    def test_clean_shutdown_keeps_the_cadence(self, tmp_path):
         db = build_trace_db(tmp_path)
         insert_wave(db, 5)
         db.advance_time(hours=2)
-        db.close()                            # writes the SCHED_CHECKPOINT
+        db.close()                            # a checkpoint: no schedule record
 
         db2 = build_trace_db(tmp_path)
         report = db2.recover()
-        assert report.schedule.snapshot_lsn > 0
-        assert report.schedule.snapshot_restored == 5
-        # The whole schedule came from the snapshot; the tail had nothing.
-        assert report.schedule.registrations_replayed == 0
-        assert report.schedule.steps_replayed == 0
+        assert report.registrations == 5
         assert report.overdue_steps_applied == 0
         # Cadence preserved: next step 1 day after the first one fired at 1h.
         assert db2.scheduler.peek_next_due() == HOUR + DAY
         assert db2.scheduler.current_state(("trace", 1)) == {"location": 1}
 
-    def test_torn_snapshot_tail_falls_back_to_previous_checkpoint(self, tmp_path):
+    def test_torn_checkpoint_marker_falls_back_to_previous_checkpoint(self, tmp_path):
         """A checkpoint whose marker is lost to a torn tail write must not
-        shadow the previous intact snapshot."""
+        shadow the previous intact one."""
         db = build_trace_db(tmp_path)
         insert_wave(db, 3)
-        db.checkpoint(truncate_wal=True)      # intact snapshot run + marker
+        db.checkpoint(truncate_wal=True)      # intact anchor + marker
         db.advance_time(hours=2)
-        db.checkpoint()                       # second snapshot run + marker
+        db.checkpoint()                       # second anchor + marker
         # Simulate the torn tail: the second marker (the last record) only
         # half reached the disk, exactly what WriteAheadLog._load chops.
         assert db.wal.records()[-1].record_type.name == "CHECKPOINT"
@@ -206,15 +208,19 @@ class TestCleanShutdownSnapshot:
 
         db2 = build_trace_db(tmp_path)
         report = db2.recover()
-        # Snapshot from the surviving checkpoint + the one tail registration.
-        assert report.schedule.snapshot_restored == 4
-        assert report.schedule.registrations_replayed == 1
+        assert report.registrations == 5
         assert db2.row_count("trace") == 5
         assert db2.level_histogram("trace", "location") == {1: 4, 0: 1}
+        assert db2.scheduler.current_state(("trace", 1)) == {"location": 1}
+        assert db2.scheduler.current_state(("trace", 5)) == {"location": 0}
+        # Row 50 was inserted at t=2h: its first step is due at 3h.
+        assert db2.scheduler.peek_next_due() == 2 * HOUR + HOUR
 
 
 class TestDeferralsAndEvents:
-    def test_deferred_step_survives_crash(self, tmp_path):
+    def test_a_deferred_step_is_overdue_after_a_crash(self, tmp_path):
+        """A deferral is not durable: after the crash no transaction holds the
+        lock it waited for, so the step is simply overdue."""
         db = build_trace_db(tmp_path)
         insert_wave(db, 1)
         blocker = db.begin()
@@ -226,16 +232,17 @@ class TestDeferralsAndEvents:
 
         db2 = build_trace_db(tmp_path)
         report = db2.recover()
-        assert report.schedule.defers_replayed == 1
-        # The retry time (conflict + 1s) is still in the future at t=2h...
+        # The log proves no time past the insert (the deferral logged
+        # nothing), so the step is queued at its 1h due again...
+        assert report.recovered_to == 0.0
         assert report.overdue_steps_applied == 0
-        assert db2.daemon.backlog() == 0
-        # ...and the step fires once the clock passes it, with its original
-        # due time (1h) intact for lag accounting.
-        db2.advance_time(seconds=2)
+        assert db2.scheduler.peek_next_due() == HOUR
+        # ...and fires once the clock passes it, its lag counted from 1h.
+        db2.advance_time(hours=2)
         assert db2.stats.degradation_steps_applied == 1
-        assert db2.scheduler.stats.max_lag == pytest.approx(HOUR + 2)
+        assert db2.scheduler.stats.max_lag == HOUR
         assert db2.level_histogram("trace", "location") == {1: 1}
+        assert db2.scheduler.peek_next_due() == HOUR + DAY
 
     def test_event_fired_but_steps_unapplied_at_crash(self, tmp_path):
         db = build_trace_db(tmp_path, transitions=EVENT_TRANSITIONS)
@@ -252,11 +259,28 @@ class TestDeferralsAndEvents:
 
         db2 = build_trace_db(tmp_path, transitions=EVENT_TRANSITIONS)
         report = db2.recover()
-        assert report.schedule.events_replayed == 1
         # The released steps came back overdue at the firing time and applied.
         assert report.overdue_steps_applied == 2
         assert db2.level_histogram("trace", "location") == {1: 2}
         # Timed follow-up runs relative to the event, as in live operation.
+        assert db2.scheduler.peek_next_due() == 5 * HOUR + DAY
+
+    def test_a_truncating_checkpoint_keeps_the_firings_live_rows_need(self, tmp_path):
+        db = build_trace_db(tmp_path, transitions=EVENT_TRANSITIONS)
+        insert_wave(db, 2)
+        db.advance_time(hours=5)
+        db.fire_event("consent_revoked")      # both rows enter d1 at 5h
+        first = [r.lsn for r in db.wal if r.record_type is LogRecordType.SCHED_EVENT]
+        db.checkpoint(truncate_wal=True)      # the firing's own record goes...
+        kept = [(r.lsn, r.timestamp) for r in db.wal
+                if r.record_type is LogRecordType.SCHED_EVENT]
+        assert len(first) == len(kept) == 1 and kept[0][0] > first[0]
+        assert kept[0][1] == 5 * HOUR         # ...logged again behind the anchor
+        crash(db)
+
+        db2 = build_trace_db(tmp_path, transitions=EVENT_TRANSITIONS)
+        db2.recover()
+        assert db2.level_histogram("trace", "location") == {1: 2}
         assert db2.scheduler.peek_next_due() == 5 * HOUR + DAY
 
     def test_event_waiters_survive_clean_shutdown(self, tmp_path):
@@ -266,10 +290,104 @@ class TestDeferralsAndEvents:
 
         db2 = build_trace_db(tmp_path, transitions=EVENT_TRANSITIONS)
         report = db2.recover()
-        assert report.schedule.snapshot_restored == 2
+        assert report.registrations == 2
         assert db2.daemon.backlog() == 0
+        assert db2.scheduler.has_waiters("consent_revoked")
         db2.fire_event("consent_revoked")
         assert db2.level_histogram("trace", "location") == {1: 2}
+
+
+def schedule_of(db: InstantDB):
+    """Per record its states and queued steps, and who waits on the event."""
+    return ({record_id: (states, queued) for ids, states, queued in db.scheduler.cohorts()
+             for record_id in ids}, db.scheduler.has_waiters("case_closed"))
+
+
+class TestEventRuleAcrossRecovery:
+    """A firing releases the attributes that wait on it when it fires, a
+    wait that begins at that very instant included; a recovered engine
+    derives the same from the logged firing."""
+
+    TRANSITIONS = ["1 hour", {"event": "case_closed"}, "1 month", "3 months"]
+
+    def twins(self, tmp_path):
+        return (build_trace_db(tmp_path / "live", self.TRANSITIONS),
+                build_trace_db(tmp_path / "victim", self.TRANSITIONS))
+
+    def recovered(self, tmp_path):
+        db = build_trace_db(tmp_path / "victim", self.TRANSITIONS)
+        db.recover()
+        return db
+
+    def test_a_wait_that_begins_after_the_firing_is_not_released(self, tmp_path):
+        live, victim = self.twins(tmp_path)
+        for db in (live, victim):
+            insert_wave(db, 1)
+            db.advance_time(hours=2)          # row 1 waits since 1h
+            db.execute(f"INSERT INTO trace VALUES (2, '{LYON}')")
+            db.fire_event("case_closed")      # at 2h: row 1 only
+            db.advance_time(hours=2)          # row 2 waits since 3h
+        crash(victim)
+        db2 = self.recovered(tmp_path)
+        assert schedule_of(db2) == schedule_of(live)
+        assert db2.scheduler.current_state(("trace", 2)) == {"location": 1}
+        assert db2.scheduler.peek_next_due() == 2 * HOUR + 30 * DAY
+        for db in (live, db2):
+            db.fire_event("case_closed")
+        assert db2.level_histogram("trace", "location") == \
+            live.level_histogram("trace", "location") == {2: 2}
+
+    def test_a_firing_tied_with_the_start_of_a_wait_releases_it(self, tmp_path):
+        live, victim = self.twins(tmp_path)
+        for db in (live, victim):
+            insert_wave(db, 1)
+            db.advance_time(hours=1)          # row 1 waits from exactly 1h
+
+        def crashing_applier(key, steps):     # dies before the released step
+            raise KeyboardInterrupt
+
+        victim.daemon.applier = crashing_applier
+        with pytest.raises(KeyboardInterrupt):
+            victim.fire_event("case_closed")
+        crash(victim)
+        live.fire_event("case_closed")
+        db2 = self.recovered(tmp_path)
+        assert db2.level_histogram("trace", "location") == \
+            live.level_histogram("trace", "location") == {2: 1}
+        assert schedule_of(db2) == schedule_of(live)
+        assert db2.scheduler.peek_next_due() == HOUR + 30 * DAY
+
+
+    @staticmethod
+    def held_back_past_a_firing(db, other_waiter):
+        """Row 1's timed step is due while a reader holds the table, and the
+        event fires before it lands; returns the reader."""
+        if other_waiter:
+            db.execute(f"INSERT INTO trace VALUES (9, '{LYON}')")
+            db.advance_time(hours=1)          # row 9 waits from now
+        insert_wave(db, 1)
+        holder = db.begin()
+        db.execute("SELECT COUNT(*) FROM trace", txn=holder)
+        db.advance_time(hours=1)              # row 1's step is due: deferred
+        db.advance_time(seconds=0.5)
+        db.fire_event("case_closed")
+        return holder
+
+    @pytest.mark.parametrize("other_waiter", [False, True], ids=["alone", "other_waiter"])
+    def test_a_step_held_back_past_a_firing_is_released_as_it_lands(self, tmp_path,
+                                                                     other_waiter):
+        live, victim = self.twins(tmp_path)
+        holder = self.held_back_past_a_firing(live, other_waiter)
+        self.held_back_past_a_firing(victim, other_waiter)
+        fired_at = victim.now()
+        crash(victim)                         # the reader dies with it
+        live.commit(holder)
+        live.advance_time(seconds=1)          # the step lands, the firing releases it
+        db2 = self.recovered(tmp_path)        # overdue: the catch-up does the same
+        assert db2.level_histogram("trace", "location") == \
+            live.level_histogram("trace", "location") == {2: 1 + other_waiter}
+        assert schedule_of(db2) == schedule_of(live)
+        assert db2.scheduler.peek_next_due() == fired_at + 30 * DAY
 
 
 class TestScheduleHygieneAcrossRestart:
@@ -282,13 +400,12 @@ class TestScheduleHygieneAcrossRestart:
         db2 = build_trace_db(tmp_path)
         report = db2.recover()
         assert report.registrations == 2
-        assert report.schedule.registrations_dropped == 1
         assert not db2.scheduler.is_registered(("trace", 2))
         assert db2.row_count("trace") == 2
 
     def test_recreated_table_ignores_old_epoch_records(self, tmp_path):
         """A re-created table reuses row keys; recovery must not replay the
-        dropped incarnation's removals (or registrations) against it."""
+        dropped incarnation's removals against it."""
         db = build_trace_db(tmp_path)
         insert_wave(db, 1)
         db.execute("DROP TABLE trace")
@@ -318,7 +435,7 @@ class TestScheduleHygieneAcrossRestart:
         db2 = build_trace_db(tmp_path)
         report = db2.recover()
         # The loser's row never survives (its page was not flushed and its
-        # insert is not redone) and its registration is not replayed.
+        # insert is not redone), so it is not on the heap to be scheduled.
         assert open_txn.txn_id in report.recovery.loser_txns
         assert db2.row_count("trace") == 1
         assert report.registrations == 1
@@ -372,36 +489,58 @@ class TestScheduleHygieneAcrossRestart:
         assert db3.row_count("trace") == 3
         assert {row["id"] for row in _city_rows(db3)} == {1, 2, 9}
 
-    def test_per_tuple_override_survives_selector_degradation(self, tmp_path):
-        """Recovery must restore the override automaton even though the
-        selector value that picked it has since been degraded/suppressed."""
+    def test_a_selector_must_be_stable(self, tmp_path):
+        """A per-tuple policy is keyed on a column that never changes (not a
+        degradable one) and on a value no live row holds yet (that row
+        follows the default policy)."""
+        db = build_trace_db(tmp_path)
+        db.execute("CREATE TABLE users (id INT PRIMARY KEY, owner INT, "
+                   "home TEXT DEGRADABLE DOMAIN location POLICY location_lcp)")
+        paranoid = db.register_policy(domain="location", name="paranoid_lcp",
+                                      transitions=["30 min", "1 hour", "1 day", "1 week"])
+        db.table_policy("users").selector_column = "home"
+        with pytest.raises(PolicyError, match="non-degradable"):
+            db.register_user_policy("users", PARIS, {"home": paranoid})
+        db.table_policy("users").selector_column = "missing"
+        with pytest.raises(PolicyError, match="non-degradable"):
+            db.register_user_policy("users", 1, {"home": paranoid})
+        db.table_policy("users").selector_column = "owner"
+        db.execute(f"INSERT INTO users VALUES (1, 7, '{PARIS}')")
+        with pytest.raises(PolicyError, match="already holds"):
+            db.register_user_policy("users", 7, {"home": paranoid})
+        db.register_user_policy("users", 8, {"home": paranoid})
+
+    def test_per_tuple_override_keeps_its_cadence_across_recovery(self, tmp_path):
+        """The override a row's stable selector picks is found again from the
+        row itself: after a crash, and after a truncating checkpoint."""
         def build(path):
             db = build_trace_db(path)
-            db.execute("CREATE TABLE users (id INT PRIMARY KEY, "
-                       "owner TEXT DEGRADABLE DOMAIN location POLICY location_lcp)")
+            db.execute("CREATE TABLE users (id INT PRIMARY KEY, owner INT, "
+                       "home TEXT DEGRADABLE DOMAIN location POLICY location_lcp)")
             db.register_policy(domain="location",
                                transitions=["30 min", "1 hour", "1 day", "1 week"],
                                name="paranoid_lcp")
-            policy = db.table_policy("users")
-            policy.selector_column = "owner"
-            db.register_user_policy(
-                "users", "1 Main Street, Paris",
-                {"owner": db.registry.policy("paranoid_lcp")})
+            db.table_policy("users").selector_column = "owner"
+            db.register_user_policy("users", 42, {"home": db.registry.policy("paranoid_lcp")})
             return db
 
         db = build(tmp_path)
-        db.insert_row("users", {"id": 1, "owner": "1 Main Street, Paris"})
-        db.advance_time(hours=2)     # override steps fire; the selector value
-        crash(db)                    # itself is now degraded past recognition
+        db.insert_row("users", {"id": 1, "owner": 42, "home": PARIS})
+        db.insert_row("users", {"id": 2, "owner": 7, "home": PARIS})
+        db.advance_time(hours=2)     # the override's 30 min and 1 h steps fire
+        crash(db)
 
-        db2 = build(tmp_path)
-        db2.recover()
-        # Selector-based re-resolution would now miss the override (the
-        # stored value is no longer '1 Main Street, Paris'); the persisted
-        # policy names keep the paranoid cadence: 30min + 1h steps have both
-        # fired by t=2h, and the next (1 day) step counts from t=1.5h.
-        assert db2.scheduler.current_state(("users", 1)) == {"owner": 2}
-        assert db2.scheduler.peek_next_due() == 1.5 * HOUR + DAY
+        for truncate in (False, True):
+            db = build(tmp_path)
+            db.recover()
+            assert db.scheduler.current_state(("users", 1)) == {"home": 2}
+            assert db.scheduler.current_state(("users", 2)) == {"home": 1}
+            # The override's next step (1 day) counts from t=1.5h.
+            queued = {ids: queued for ids, _states, queued in db.scheduler.cohorts()}
+            assert queued[(("users", 1),)] == {"home": (1.5 * HOUR + DAY,) * 2}
+            assert queued[(("users", 2),)] == {"home": (HOUR + DAY,) * 2}
+            db.checkpoint(truncate_wal=truncate)
+            crash(db)
 
     def test_indexes_are_rebuilt_from_recovered_rows(self, tmp_path):
         """Secondary indexes were populated against still-empty stores by the

@@ -5,12 +5,14 @@ Seeded reproducer.  Seven rows with unique salaries take their 1-hour step;
 the process dies at the entry of ``WriteAheadLog.scrub_records`` — the
 degraded pages are already durable, the INSERT images are not scrubbed yet
 and the wave's system transaction never commits.  After reopen +
-``recover()`` every row is at level 1 and the seven overdue steps were
-re-applied, but each re-applied step finds ``to_level == from_level``.  Before
-the fix such a step returned without handing the row to the scrub, so the
-accurate salaries stayed in the log file (and in ``forensic_image()``) until
-the rows' *next* step a day later.  The same path finishes a scrub that a
-crash interrupted halfway.
+``recover()`` every row is at level 1, and a row the heap holds at the level
+its ``DEGRADE`` chunk logged has its images scrubbed by recovery itself: the
+schedule derived from the heap has that step done and never re-applies it.
+(Before the fix a re-applied step that found ``to_level == from_level``
+returned without handing the row to the scrub, so the accurate salaries
+stayed in the log file, and in ``forensic_image()``, until the rows' *next*
+step a day later.)  The same path finishes a scrub that a crash interrupted
+halfway.
 """
 
 import os
@@ -77,10 +79,9 @@ def test_crash_at_scrub_entry_leaves_no_accurate_image_after_recovery(
     reopened = _open(tmp_path, mode)
     report = reopened.recover()
     assert reopened.level_histogram("pay", "salary") == {1: len(ROWS)}
-    if mode != "per_step":
-        # The batch paths die before any SCHED_STEP is logged, so every step
-        # comes back overdue; per-step commits the steps before the dying one.
-        assert report.overdue_steps_applied == len(ROWS)
+    # A page at the target level is a step done: the batch wave's seven are
+    # not re-applied; per-step died in its first step, six never started.
+    assert report.overdue_steps_applied == (len(ROWS) - 1 if mode == "per_step" else 0)
     assert _leaked(_log_bytes(tmp_path)) == []
     assert _leaked(reopened.forensic_image()) == []
     reopened.close()

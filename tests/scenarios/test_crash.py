@@ -15,9 +15,10 @@ recover to "scrubbed", never to "accurate".
 
 A third sweep kills the victim at the seams of one of the wave's batches —
 after its DEGRADE chunk records are appended and before any page is flushed,
-after the page flush and before the scrub, after the scrub and before the
-SCHED_STEP record, and at the commit — where the chunk record, the degraded
-pages and the schedule must never disagree in a way recovery cannot settle.
+after the page flush and before the scrub, and at the commit (the first
+record a batch without removals appends after its scrub) — where the chunk
+record and the degraded pages must never disagree in a way recovery cannot
+settle.
 
 The victim's directory is reopened **cold** with one-call recovery — the
 catalog comes back from its WAL CATALOG record, no DDL re-run — and must
@@ -143,9 +144,9 @@ def arm_scrub_crash(db: InstantDB, point: str, nth_pass: int) -> None:
     db.wal.append = killing_append
 
 
-#: Kill points at the seams of one wave batch (``_apply_degradation_batch``).
-WAVE_KILL_POINTS = ("after_chunk_append", "after_page_flush", "after_scrub",
-                    "at_commit")
+#: Kill points at the seams of one wave batch (``_apply_degradation_batch``),
+#: each with the offset of the seed that draws its batch.
+WAVE_KILL_POINTS = {"after_chunk_append": 0, "after_page_flush": 13, "at_commit": 39}
 
 
 def watch_wave_batches(db: InstantDB, on_batch=None, on_append=None):
@@ -178,8 +179,7 @@ def arm_wave_crash(db: InstantDB, point: str, nth_batch: int) -> None:
         state["armed"] = count == nth_batch
 
     def on_append(name):
-        if state["armed"] and (point, name) in (("after_scrub", "SCHED_STEP"),
-                                                ("at_commit", "COMMIT")):
+        if state["armed"] and (point, name) == ("at_commit", "COMMIT"):
             raise KeyboardInterrupt
 
     def killing_flush_page(page_id):
@@ -200,7 +200,7 @@ def arm_wave_crash(db: InstantDB, point: str, nth_batch: int) -> None:
 @pytest.mark.parametrize("point", WAVE_KILL_POINTS)
 def test_crash_at_a_seam_of_a_wave_batch_recovers_to_twin_equivalence(
         tmp_path, point):
-    kill_seed = BASE_SEED + 13 * WAVE_KILL_POINTS.index(point)
+    kill_seed = BASE_SEED + WAVE_KILL_POINTS[point]
 
     def arm(victim, twin_counts):
         batches = twin_counts["wave_batches"]

@@ -15,7 +15,9 @@ Invariants:
 * every statement answers as the model does (checked inside its rule);
 * with no transaction open, every live ``(row, attribute)`` is stored at the
   level ``lcp.levels_at(now - inserted_at)`` of the model's row with the same
-  primary key;
+  primary key, and the scheduler holds it in the state that level is, its
+  next step due at ``inserted_at`` plus the model's ``lcp.next_transition``
+  (so a schedule that drifts after a crash shows before a deadline passes);
 * after each advance, the forensic scan finds no unique employee salary the
   model says is past its exact level.
 
@@ -256,6 +258,28 @@ class ModelMachine(RuleBasedStateMachine):
         for table in INSERTS:
             stored = {row.values["id"]: row.levels for row in engine.stores[table].scan()}
             assert stored == self.model_levels(table), table
+
+    @invariant()
+    def schedule_is_the_models(self):
+        if self.pending:
+            return
+        engine, now = self.variant.engine, self.model.now()
+        queued = {record_id: steps for record_ids, _states, steps in engine.scheduler.cohorts()
+                  for record_id in record_ids}
+        for table in INSERTS:
+            lcps = {row.values["id"]: row.lcp for row in self.model.tables.get(table, ())}
+            for row in engine.stores[table].scan():
+                record_id, lcp = (table, row.row_key), lcps[row.values["id"]]
+                states = {name: attribute.level_to_state(row.levels[name])
+                          for name, attribute in lcp.attributes.items()}
+                final = all(state == lcp.attributes[name].num_states - 1
+                            for name, state in states.items())
+                assert engine.scheduler.current_state(record_id) == ({} if final else states)
+                for name, attribute in lcp.attributes.items():
+                    step = attribute.next_transition(now - row.inserted_at)
+                    due = queued.get(record_id, {}).get(name, (None,))[0]
+                    assert due == (None if step is None else row.inserted_at + step[0]), \
+                        (record_id, name)
 
     def check_forensics(self):
         levels = self.model_levels("employee_records")

@@ -398,14 +398,14 @@ class TestPersistence:
             WriteAheadLog(path)
 
     def test_a_version_3_data_directory_is_refused(self, tmp_path):
-        # Version 3 logged one SCHED_REGISTER per row and checkpointed the
-        # schedule record by record; version 4 logged one INSERT per row and
-        # numbered its types with DELETE among them.  This build reads
-        # cohorts and INSERT_RUN records only.
+        # Version 3 logged one schedule registration per row and checkpointed
+        # the schedule record by record; version 4 logged one INSERT per row
+        # and numbered its types with DELETE among them; version 5 logged the
+        # schedule in four record types this build no longer has.
         from repro import InstantDB
         from repro.storage.wal import WAL_FORMAT_VERSION
-        assert WAL_FORMAT_VERSION == 5
-        for version in (3, 4):
+        assert WAL_FORMAT_VERSION == 6
+        for version in (3, 4, 5):
             data_dir = str(tmp_path / f"v{version}")
             db = InstantDB(data_dir=data_dir)
             db.execute("CREATE TABLE t (id INT PRIMARY KEY)")
@@ -443,7 +443,7 @@ class TestSegments:
         path = str(tmp_path / "wal")
         wal = WriteAheadLog(path)
         wal.append(LogRecordType.BEGIN, txn_id=1)
-        wal.append(LogRecordType.SCHED_CHECKPOINT, 0, after=b"s" * 5000)
+        wal.append(LogRecordType.CATALOG, 0, after=b"s" * 5000)
         wal.append(LogRecordType.CHECKPOINT, 0, after=b"dir")
         wal.flush()
         sizes = [os.path.getsize(p) for p in segment_paths(path)]
