@@ -156,10 +156,6 @@ class DeadlockError(TransactionAborted):
     """The transaction was chosen as a deadlock victim."""
 
 
-class LockTimeoutError(TransactionError):
-    """A lock could not be acquired within the configured timeout."""
-
-
 class QueryError(InstantDBError, ProgrammingError):
     """SQL front-end failure."""
 

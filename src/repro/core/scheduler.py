@@ -7,17 +7,15 @@ degrade together.  The scheduler tracks **cohorts**: records of one group
 :class:`~repro.core.lcp.TupleLCP` at one insertion time, in one state.  A
 cohort holds one entry per pending ``(attribute, state)`` in a priority queue
 ordered by due time, and a due entry is one :class:`DegradationStep` for all
-of its records.  A record leaves its cohort only when something happens to it
-alone: it is cancelled (deleted, removed), or a ``max_batch`` cut covers part
-of the cohort, which splits it into two cohorts in the same state (they join
-again after the drain once their schedules coincide).
+of its records.  A record leaves its cohort only when it is cancelled
+(deleted, removed): a drain advances, defers or finishes whole cohorts and
+never splits one.
 
-Due steps drain step by step (:meth:`DegradationScheduler.run_due` hands each
-to an *applier* callback, which performs the physical degradation) or grouped
-by table (:meth:`DegradationScheduler.run_due_batched` hands each group to a
-*batch applier*, so the engine pays one system transaction, one lock and one
-durable WAL flush per group; ``max_batch`` bounds the records stepped per
-round, so a huge backlog drains in bounded chunks).  Event-triggered
+Due steps drain grouped by table: :meth:`DegradationScheduler.run_due_batched`
+hands each group's due steps to a *batch applier*, which performs the
+physical degradation, so the engine pays one system transaction, one lock
+and one durable WAL flush per group and round (:meth:`run_due` hands the
+steps to a per-step callback through the same drain).  Event-triggered
 transitions (:meth:`fire_event`) and per-tuple policies — the paper's
 future-work extensions — are supported.
 
@@ -44,7 +42,6 @@ import itertools
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DegradationError
@@ -64,12 +61,12 @@ class _Cohort:
     __slots__ = ("key", "members", "states", "entered_at", "waiting_on", "queued")
 
     def __init__(self, key: _CohortKey, states: Dict[str, int],
-                 entered_at: Dict[str, float], waiting_on: Dict[str, str]) -> None:
+                 entered_at: Dict[str, float]) -> None:
         self.key = key
         self.members: Dict[Any, None] = {}
         self.states = states
         self.entered_at = entered_at
-        self.waiting_on = waiting_on
+        self.waiting_on: Dict[str, str] = {}
         #: attribute → its entry in the due-queue, ``(at, seq, cohort,
         #: attribute, from_state, due, event)``; an entry in the heap that is
         #: not the one here is stale and skipped when popped.
@@ -179,10 +176,6 @@ class SchedulerStats:
         return 0.0
 
 
-#: Applier callback: receives the step and must perform the physical
-#: degradation; it returns True on success (False aborts rescheduling).
-StepApplier = Callable[[DegradationStep], bool]
-
 #: Batch applier callback: receives a group key (the table name for engine
 #: record ids) and that group's due steps; returns the steps that were applied
 #: successfully (steps it dropped or deferred are simply not returned).
@@ -190,17 +183,6 @@ BatchApplier = Callable[[Any, List[DegradationStep]], List[DegradationStep]]
 
 #: Callback invoked when a record reaches its final tuple state.
 CompletionCallback = Callable[[Any], None]
-
-
-@dataclass
-class DegradationBatch:
-    """Due steps sharing one group key, drained together."""
-
-    key: Any
-    steps: List[DegradationStep] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return sum(len(step) for step in self.steps)
 
 
 class DegradationScheduler:
@@ -225,8 +207,6 @@ class DegradationScheduler:
         #: newcomer's schedule is exactly its schedule.
         self._open: Dict[_CohortKey, _Cohort] = {}
         self._event_waiters: Dict[str, List[Tuple[_Cohort, str]]] = {}
-        #: Cohorts a ``max_batch`` cut made or cut, until they join again.
-        self._cut: Dict[_Cohort, None] = {}
         self._counter = itertools.count()
 
     # -- registration ---------------------------------------------------------
@@ -256,12 +236,14 @@ class DegradationScheduler:
         key = (_group_of(record_ids[0]), tuple_lcp, inserted_at, tuple(states.values()))
         cohort = self._open.get(key)
         if cohort is None:
-            cohort = self._open[key] = self._new_cohort(key, states, {
+            cohort = self._open[key] = _Cohort(key, states, {
                 name: self._entered_at(lcp, states[name], inserted_at)
-                for name, lcp in tuple_lcp.attributes.items()}, {})
+                for name, lcp in tuple_lcp.attributes.items()})
+            self._cohorts[cohort] = None
             for attribute in tuple_lcp.attributes:
                 self._schedule_next(cohort, attribute)
-        self._add_members(cohort, record_ids)
+        cohort.members.update(dict.fromkeys(record_ids))
+        self._cohort_of.update(dict.fromkeys(record_ids, cohort))
 
     def _entered_at(self, lcp: AttributeLCP, state: int, inserted_at: float) -> float:
         """When a record inserted at ``inserted_at`` entered ``state`` of
@@ -315,16 +297,6 @@ class DegradationScheduler:
 
     # -- cohort internals -----------------------------------------------------
 
-    def _new_cohort(self, key: _CohortKey, states: Dict[str, int],
-                    entered_at: Dict[str, float], waiting_on: Dict[str, str]) -> _Cohort:
-        cohort = _Cohort(key, states, entered_at, waiting_on)
-        self._cohorts[cohort] = None
-        return cohort
-
-    def _add_members(self, cohort: _Cohort, record_ids: Sequence[Any]) -> None:
-        cohort.members.update(dict.fromkeys(record_ids))
-        self._cohort_of.update(dict.fromkeys(record_ids, cohort))
-
     def _close(self, cohort: _Cohort) -> None:
         """No newcomer joins ``cohort`` any more: its schedule moved on."""
         if self._open.get(cohort.key) is cohort:
@@ -345,46 +317,6 @@ class DegradationScheduler:
             self._event_waiters[event] = remaining
         else:
             self._event_waiters.pop(event, None)
-
-    def _split(self, cohort: _Cohort, record_ids: List[Any]) -> _Cohort:
-        """Move ``record_ids`` out of ``cohort`` into a new cohort in the
-        same state, with copies of its queue entries."""
-        part = self._new_cohort(cohort.key, dict(cohort.states),
-                                dict(cohort.entered_at), dict(cohort.waiting_on))
-        for record_id in record_ids:
-            del cohort.members[record_id]
-        self._add_members(part, record_ids)
-        for attribute, event in part.waiting_on.items():
-            self._event_waiters.setdefault(event, []).append((part, attribute))
-        for attribute, (at, _seq, _cohort, _attr, state, due, event) in \
-                list(cohort.queued.items()):
-            self._push(part, attribute, state, due, at, event)
-        self._close(cohort)
-        self._cut.update(((cohort, None), (part, None)))
-        return part
-
-    def _rejoin(self) -> None:
-        """Cohorts a cut split apart are one cohort again once their
-        schedules coincide — both parts applied, or deferred, alike — so
-        ``max_batch`` rounds do not fragment the schedule into rows.  Runs
-        after a drain, when no popped step refers to a cohort any more."""
-        kin: Dict[_CohortKey, Dict[tuple, _Cohort]] = {}
-        for cohort in list(self._cut):
-            del self._cut[cohort]
-            if not cohort.members:
-                continue
-            schedule = (*(tuple(sorted(part.items())) for part in (
-                cohort.states, cohort.entered_at, cohort.waiting_on)),
-                tuple(sorted((attribute, entry[0], entry[5])
-                             for attribute, entry in cohort.queued.items())))
-            twin = kin.setdefault(cohort.key, {}).setdefault(schedule, cohort)
-            if twin is not cohort:
-                self._add_members(twin, list(cohort.members))
-                cohort.members.clear()
-                self._retire(cohort)
-        for schedules in kin.values():
-            if len(schedules) > 1:          # parts still apart: try again later
-                self._cut.update(dict.fromkeys(schedules.values()))
 
     def _finish(self, cohort: _Cohort,
                 on_complete: Optional[CompletionCallback]) -> None:
@@ -441,10 +373,6 @@ class DegradationScheduler:
 
     # -- events ----------------------------------------------------------------
 
-    def has_waiters(self, event: str) -> bool:
-        """Whether any registered attribute is blocked on ``event``."""
-        return bool(self._event_waiters.get(event))
-
     def fire_event(self, event: str, now: float) -> List[DegradationStep]:
         """Record that ``event`` fired at ``now`` and release every step
         waiting on it, due at ``now``."""
@@ -474,59 +402,21 @@ class DegradationScheduler:
             heapq.heappop(heap)
         return None
 
-    def _pop_due(self, now: float, max_batch: Optional[int] = None
-                 ) -> List[DegradationStep]:
-        """Pop the steps due at or before ``now``, in queue order — at most
-        ``max_batch`` records' worth: the cohort at the limit is cut, its
-        first records stepping now and the rest keeping their entry.  (A
-        cohort with another step already popped in this round is not cut:
-        the round ends before it instead.)"""
+    def _pop_due(self, now: float) -> Dict[Any, List[DegradationStep]]:
+        """Pop the steps due at or before ``now``, each its whole cohort's,
+        grouped by cohort group (first-seen order; due order within one)."""
         heap = self._heap
-        steps: List[DegradationStep] = []
-        popped = 0
+        grouped: Dict[Any, List[DegradationStep]] = {}
         while heap and heap[0][0] <= now:
-            entry = heap[0]
+            entry = heapq.heappop(heap)
             _at, _seq, cohort, attribute, state, due, event = entry
             if cohort.queued.get(attribute) is not entry:
-                heapq.heappop(heap)
                 continue
-            size = len(cohort.members)
-            if max_batch is not None and popped + size > max_batch:
-                room = max_batch - popped
-                if room <= 0 or any(step._cohort is cohort for step in steps):
-                    break
-                cohort = self._split(cohort, list(islice(cohort.members, room)))
-                size = room
-            else:
-                heapq.heappop(heap)
             del cohort.queued[attribute]
             self._close(cohort)
-            steps.append(DegradationStep(cohort, attribute, state, due, event))
-            popped += size
-        return steps
-
-    def due_steps(self, now: float) -> List[DegradationStep]:
-        """Pop every step due at or before ``now`` without applying it."""
-        return self._pop_due(now)
-
-    def due_batches(self, now: float, max_batch: Optional[int] = None
-                    ) -> List[DegradationBatch]:
-        """Pop due steps grouped by cohort group (table name for engine
-        record ids).
-
-        At most ``max_batch`` records' steps are popped per call (``None`` =
-        no bound); the remainder stays queued so callers drain huge backlogs
-        in bounded chunks.  Batches preserve first-seen key order and, within
-        a batch, due order.
-        """
-        grouped: Dict[Any, DegradationBatch] = {}
-        for step in self._pop_due(now, max_batch):
-            key = step._cohort.key[0]
-            batch = grouped.get(key)
-            if batch is None:
-                batch = grouped[key] = DegradationBatch(key=key)
-            batch.steps.append(step)
-        return list(grouped.values())
+            grouped.setdefault(cohort.key[0], []).append(
+                DegradationStep(cohort, attribute, state, due, event))
+        return grouped
 
     def _mark_applied(self, steps: Iterable[DegradationStep], now: float,
                       applied: List[DegradationStep],
@@ -582,64 +472,43 @@ class DegradationScheduler:
                 completed.extend(cohort.members)
         return completed
 
-    def run_due(self, now: float, applier: StepApplier,
+    def run_due(self, now: float, applier: Callable[[DegradationStep], bool],
                 on_complete: Optional[CompletionCallback] = None) -> List[DegradationStep]:
-        """Apply every due step through ``applier`` and schedule follow-ups.
-
-        Returns the steps that were applied successfully.  Steps whose applier
-        returns ``False`` are dropped (the records keep their previous state);
-        the engine is expected to raise instead for unexpected failures.
-        """
-        applied: List[DegradationStep] = []
-        # Applied steps may make follow-ups due (catch-up), so loop until the
-        # queue has nothing due.
-        while True:
-            steps = self._pop_due(now)
-            if not steps:
-                break
-            for step in steps:
-                if step._cohort.members and applier(step):
-                    self._mark_applied((step,), now, applied, on_complete)
-        self._rejoin()
-        return applied
+        """:meth:`run_due_batched` with a per-step ``applier``, which returns
+        whether it applied the step (a refused step's records keep their
+        state)."""
+        return self.run_due_batched(
+            now, lambda _group, steps: [step for step in steps if applier(step)],
+            on_complete)
 
     def run_due_batched(self, now: float, applier: BatchApplier,
-                        on_complete: Optional[CompletionCallback] = None,
-                        max_batch: Optional[int] = None) -> List[DegradationStep]:
+                        on_complete: Optional[CompletionCallback] = None
+                        ) -> List[DegradationStep]:
         """Drain due steps through a batch applier, group by group.
 
-        Each :class:`DegradationBatch` is handed to ``applier`` whole; the
-        applier returns the steps it actually applied (deferring or dropping
-        the rest).  Follow-up steps released by an applied batch (next timed
-        transitions already overdue during catch-up) are drained in subsequent
-        rounds until nothing is due.
+        Each group's due steps — every one a whole cohort's — are handed to
+        ``applier`` together; the applier returns the steps it actually
+        applied (deferring or dropping the rest).  Follow-up steps an applied
+        step makes due (next timed transitions already overdue during
+        catch-up) drain in subsequent rounds until nothing is due.
         """
         applied: List[DegradationStep] = []
         while True:
-            batches = self.due_batches(now, max_batch=max_batch)
-            if not batches:
-                break
-            for batch in batches:
-                self._mark_applied(applier(batch.key, batch.steps), now,
-                                   applied, on_complete)
-        self._rejoin()
-        return applied
-
-    def _queued_records(self, now: float = math.inf) -> int:
-        return sum(len(entry[2].members) for entry in self._heap
-                   if entry[0] <= now and entry[2].queued.get(entry[3]) is entry)
-
-    def pending_count(self) -> int:
-        """Number of record steps currently queued (O(queue) scan, test helper)."""
-        return self._queued_records()
+            grouped = self._pop_due(now)
+            if not grouped:
+                return applied
+            for group, steps in grouped.items():
+                self._mark_applied(applier(group, steps), now, applied, on_complete)
 
     def overdue_count(self, now: float) -> int:
         """Number of record steps due at or before ``now`` (O(queue) scan).
 
         This is the public backlog measure the daemon reports; it never pops
-        or applies anything.
+        or applies anything.  ``overdue_count(math.inf)`` counts every
+        queued record step.
         """
-        return self._queued_records(now)
+        return sum(len(entry[2].members) for entry in self._heap
+                   if entry[0] <= now and entry[2].queued.get(entry[3]) is entry)
 
     # -- inspection --------------------------------------------------------------
 
@@ -669,5 +538,5 @@ class DegradationScheduler:
         return sorted(((event, time) for event, times in self._firings.items()
                        for time in times), key=lambda firing: firing[1])
 
-__all__ = ["DegradationStep", "DegradationBatch", "DegradationScheduler",
-           "SchedulerStats", "StepApplier", "BatchApplier", "CompletionCallback"]
+__all__ = ["DegradationStep", "DegradationScheduler", "SchedulerStats",
+           "BatchApplier", "CompletionCallback"]

@@ -12,15 +12,12 @@ Due steps are drained through
 :meth:`~repro.core.scheduler.DegradationScheduler.run_due_batched`, grouped
 per table, so a mass-expiry wave pays one system transaction, one exclusive
 table lock, one coalesced page-flush pass and one durable WAL flush per
-batch instead of per step.  Tuples a batch drives into their final state are
-removed by the applier inside that batch's own transaction.
+table and drain round instead of per step.  Tuples a batch drives into their
+final state are removed by the applier inside that batch's own transaction.
 
-``max_batch`` bounds how many steps each scheduler drain round may pop: a
-backlog of 100k overdue steps is then applied in 100k/``max_batch`` chunks,
-each with its own short-lived lock and WAL flush, so readers interleave with
-a draining backlog instead of stalling behind one giant system transaction.
-``None`` (the default) applies each wave as a single batch per table;
-``1`` is the per-step baseline (a transaction, a flush and a scrub per step).
+A drain is one synchronous call on the engine thread (the caller's thread
+embedded, the server's event-loop thread served), so no statement runs
+between two of its rounds; a due cohort is never cut into chunks.
 
 The daemon delegates the physical work to the engine-provided applier and
 tracks timeliness statistics through the scheduler.
@@ -52,14 +49,11 @@ class DegradationDaemon:
 
     def __init__(self, clock: Clock, scheduler: DegradationScheduler,
                  applier: BatchApplier,
-                 auto_attach: bool = True,
-                 max_batch: Optional[int] = None) -> None:
+                 auto_attach: bool = True) -> None:
         self.clock = clock
         self.scheduler = scheduler
         #: Applies one table's batch of due steps, returns those it applied.
         self.applier = applier
-        #: Upper bound on steps popped per drain round (``None`` = unbounded).
-        self.max_batch = max_batch
         self.stats = DaemonStats()
         self._enabled = True
         if auto_attach and isinstance(clock, SimulatedClock):
@@ -96,8 +90,7 @@ class DegradationDaemon:
                 self.stats.batches += 1
             return result
 
-        applied = self.scheduler.run_due_batched(
-            now, counting_applier, max_batch=self.max_batch)
+        applied = self.scheduler.run_due_batched(now, counting_applier)
         self.stats.steps_applied += sum(map(len, applied))
         return applied
 
@@ -106,8 +99,8 @@ class DegradationDaemon:
 
         Called by :meth:`InstantDB.recover` after the schedule has been
         derived from the recovered heap: the backlog drains through the normal
-        pipeline (chunked by ``max_batch``), so a restart after a long outage
-        pays the same amortized cost as a live mass-expiry wave.  The applied
+        pipeline, so a restart after a long outage pays the same amortized
+        cost as a live mass-expiry wave.  The applied
         steps are also counted separately in
         :attr:`DaemonStats.catch_up_steps` so benchmarks can report
         post-restart degradation lag.

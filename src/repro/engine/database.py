@@ -139,7 +139,6 @@ class InstantDB:
                  buffer_capacity: int = 256,
                  data_dir: Optional[str] = None,
                  deterministic_crypto: bool = True,
-                 degradation_max_batch: Optional[int] = None,
                  fault_plan: Optional[FaultPlan] = None) -> None:
         self.clock: Clock = make_clock(clock) if isinstance(clock, str) else clock
         self.strategy = strategy
@@ -176,10 +175,7 @@ class InstantDB:
         self.planner = Planner(self.catalog)
         self.statements = StatementCache(capacity=256)
         self.daemon = DegradationDaemon(
-            self.clock, self.scheduler,
-            applier=self._apply_degradation_batch,
-            max_batch=degradation_max_batch,
-        )
+            self.clock, self.scheduler, applier=self._apply_degradation_batch)
         self.stats = EngineStats()
         #: Why the engine is in read-only degraded mode (``None`` = writable).
         self._read_only_reason: Optional[str] = None
@@ -425,23 +421,18 @@ class InstantDB:
             raise ConfigurationError("advance_time requires a simulated clock")
         return self.clock.advance(seconds, **units)
 
-    def run_degradation(self) -> List[DegradationStep]:
-        """Explicitly run every due degradation step (wall-clock deployments)."""
-        return self.daemon.run_pending(self.clock.now())
-
     def fire_event(self, event: str) -> List[DegradationStep]:
         """Fire a named event releasing event-triggered transitions, then run them.
 
         The firing releases every attribute whose wait on ``event`` began
         by now.  Waits are reckoned in schedule time: a step a lock deferred
-        or a ``max_batch`` cut held back enters its next state at its due
-        time, so a firing between that and its application releases it as
-        the step lands — whatever else waits.  The firing is logged and
-        flushed *before* the released steps run: if the process dies
-        mid-drain, recovery's derived schedule releases the same waits at
-        the same time and the unapplied steps come back overdue.  An event
-        no table's policy mentions releases nothing, so it skips the log
-        record and its fsync entirely.
+        enters its next state at its due time, so a firing between that and
+        its application releases it as the step lands — whatever else
+        waits.  The firing is logged and flushed *before* the released
+        steps run: if the process dies mid-drain, recovery's derived
+        schedule releases the same waits at the same time and the unapplied
+        steps come back overdue.  An event no table's policy mentions
+        releases nothing, so it skips the log record and its fsync entirely.
         """
         now = self.clock.now()
         if any(info.policy is not None and info.policy.mentions(event)

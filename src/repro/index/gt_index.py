@@ -132,32 +132,6 @@ class GTIndex(Index):
             moved += count
         return moved
 
-    def degrade_bucket(self, value: Any, old_level: int, new_level: int) -> int:
-        """Bulk-degrade every posting of ``value`` at ``old_level``.
-
-        Returns the number of postings moved.  This is the operation that makes
-        uniform LCP steps cheap: one bucket merge instead of per-row updates.
-        """
-        if new_level < old_level:
-            raise IndexError_(
-                f"index {self.name!r}: degradation cannot decrease the level"
-            )
-        surrogate = _hashable(value)
-        bucket = self._buckets.get(old_level, {}).pop(surrogate, None)
-        if not bucket:
-            return 0
-        self._display_keys.pop((old_level, surrogate), None)
-        new_value = self.scheme.generalize(value, new_level, from_level=old_level)
-        new_surrogate = _hashable(new_value)
-        target = self._buckets[new_level].setdefault(new_surrogate, set())
-        moved = len(bucket)
-        before = len(target)
-        target.update(bucket)
-        self._display_keys[(new_level, new_surrogate)] = new_value
-        self._size -= moved - (len(target) - before)
-        self.stats.updates += moved
-        return moved
-
     # -- Index interface ----------------------------------------------------------
 
     def insert(self, key: Any, row_key: int, level: Optional[int] = None) -> None:

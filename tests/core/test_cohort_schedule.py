@@ -12,9 +12,8 @@ independent per-row automaton, written from the policies alone, predicts
 every row's state and queued step (due time and queue position), every step
 applied (row, attribute, state, due, applied at — hence its lag) and how
 many; the engine, read through the scheduler and the steps its applier
-reports, must agree after every operation, with and without
-``degradation_max_batch`` cuts.  The run goes on with a twin recovered from
-the directory, whose schedule is derived from the heap: a step a lock
+reports, must agree after every operation, and no drain adds a cohort.  The
+run goes on with a twin recovered from the directory, whose schedule is derived from the heap: a step a lock
 deferred is due again, one a fault deferred is on the heap already.
 """
 
@@ -43,8 +42,8 @@ def delays(steps):
     return [parse_duration(step) for step in steps]
 
 
-def build(data_dir, max_batch, plan):
-    db = InstantDB(data_dir=data_dir, degradation_max_batch=max_batch, fault_plan=plan)
+def build(data_dir, plan):
+    db = InstantDB(data_dir=data_dir, fault_plan=plan)
     location = db.register_domain(build_location_tree())
     salary = db.register_domain(build_salary_ranges())
     db.register_policy(AttributeLCP(location, transitions=LOCATION_STEPS, name="addr_lcp"))
@@ -198,13 +197,12 @@ def check(db, model, applied):
     assert db.scheduler.stats.max_lag == pytest.approx(max(lags, default=0.0))
 
 
-@pytest.mark.parametrize("max_batch, faults", [(None, True), (7, False), (1, False)])
 @pytest.mark.parametrize("seed", [3, 17])
-def test_cohorts_step_like_rows(tmp_path, seed, max_batch, faults):
+def test_cohorts_step_like_rows(tmp_path, seed):
     rng = random.Random(seed)
     plan = FaultPlan(seed)
     model, applied = Model(), []
-    db = observe(build(str(tmp_path), max_batch, plan), applied)
+    db = observe(build(str(tmp_path), plan), applied)
     next_id = iter(range(1, 10**6))
 
     def rows(count):
@@ -245,12 +243,15 @@ def test_cohorts_step_like_rows(tmp_path, seed, max_batch, faults):
             if due and rng.random() < 0.2:
                 holder = db.begin()              # a reader holding the table lock
                 db.execute("SELECT COUNT(*) FROM visits", txn=holder)
-            elif faults and due and rng.random() < 0.3 and model.fault_lands(expected):
+            elif due and rng.random() < 0.3 and model.fault_lands(expected):
                 fault = len(plan.fired)
                 plan.fail_once("wal.flush", "enospc")
+            cohorts = len(db.scheduler.cohorts())
             db.advance_time(hours=hours)
             now = db.now()
             assert now == expected
+            # A drain advances, defers or finishes cohorts, never splits one.
+            assert len(db.scheduler.cohorts()) <= cohorts
             if holder is not None:
                 model.defer(now, now + 1.0)
                 db.commit(holder)
@@ -262,14 +263,12 @@ def test_cohorts_step_like_rows(tmp_path, seed, max_batch, faults):
             db.checkpoint(truncate_wal=rng.random() < 0.5)
             now = db.now()
             db.pager.close()                     # abandoned: no checkpoint, no close()
-            db = observe(InstantDB(data_dir=str(tmp_path), degradation_max_batch=max_batch,
-                                   fault_plan=plan), applied)
+            db = observe(InstantDB(data_dir=str(tmp_path), fault_plan=plan), applied)
             db.recover()
             assert db.now() == now               # the checkpoint logged the time
             model.recover(now)
         check(db, model, applied)
     db.close()
     assert model.applied
-    # Rows share cohorts: the parts a max_batch cut splits off (down to one
-    # row a round) rejoin once they are in step again.
+    # Rows share cohorts: a drain never splits one.
     assert len(db.scheduler.cohorts()) < db.scheduler.registered_count() / 2

@@ -1,5 +1,7 @@
 """Tests for the degradation scheduler."""
 
+import math
+
 import pytest
 
 from repro.core.clock import DAY, HOUR, MONTH
@@ -31,6 +33,24 @@ def collect_applier(applied):
         applied.append(step)
         return True
     return applier
+
+
+def popped(scheduler, now):
+    """The steps a drain at ``now`` hands its applier, which applies none
+    (the records keep their state; the steps are dropped, not re-queued)."""
+    steps = []
+
+    def applier(_group, due):
+        steps.extend(due)
+        return []
+
+    scheduler.run_due_batched(now, applier)
+    return steps
+
+
+def waiting(scheduler, event):
+    """Whether some registered attribute waits on ``event``."""
+    return bool(scheduler._event_waiters.get(event))
 
 
 class TestRegistration:
@@ -177,14 +197,6 @@ class TestTimedSteps:
         records = {record_id for step in applied for record_id in step.record_ids}
         assert records == {"a", "b"}
 
-    def test_pending_count_skips_stale(self, tuple_lcp):
-        scheduler = DegradationScheduler()
-        scheduler.register("r1", tuple_lcp, inserted_at=0.0)
-        assert scheduler.pending_count() == 1
-        scheduler.cancel("r1")
-        assert scheduler.pending_count() == 0
-        assert scheduler.peek_next_due() is None
-
 
 class TestCancellation:
     def test_cancel_counts_actual_pending_steps(self, two_attr_lcp):
@@ -206,7 +218,7 @@ class TestCancellation:
                            transitions=[float("inf")])
         scheduler = DegradationScheduler()
         scheduler.register("r1", TupleLCP({"location": lcp}), inserted_at=0.0)
-        assert scheduler.pending_count() == 0       # never scheduled
+        assert scheduler.overdue_count(math.inf) == 0      # never scheduled
         assert scheduler.cancel("r1") == 0          # so nothing to cancel
         assert scheduler.stats.steps_cancelled == 0
 
@@ -222,9 +234,9 @@ class TestCancellation:
         scheduler.register("r2", TupleLCP({"location": lcp}), inserted_at=0.0)
         assert scheduler.cancel("r1") == 1
         # The cancelled record is released no more; the survivor still is.
-        assert scheduler.has_waiters("go")
+        assert waiting(scheduler, "go")
         scheduler.cancel("r2")
-        assert not scheduler.has_waiters("go")
+        assert not waiting(scheduler, "go")
         assert scheduler._event_waiters == {}
 
 
@@ -233,7 +245,7 @@ class TestPredictComplete:
         lcp = AttributeLCP(location_tree, states=[0, 4], transitions=["1 hour"])
         scheduler = DegradationScheduler()
         scheduler.register("r1", TupleLCP({"location": lcp}), inserted_at=0.0)
-        steps = scheduler.due_steps(HOUR)
+        steps = popped(scheduler, HOUR)
         assert scheduler.predict_complete(steps) == ["r1"]
         # Pure prediction: the registration and its state are untouched.
         assert scheduler.is_registered("r1")
@@ -242,7 +254,7 @@ class TestPredictComplete:
     def test_intermediate_step_predicts_nothing(self, tuple_lcp):
         scheduler = DegradationScheduler()
         scheduler.register("r1", tuple_lcp, inserted_at=0.0)
-        steps = scheduler.due_steps(HOUR)           # first of four transitions
+        steps = popped(scheduler, HOUR)             # first of four transitions
         assert scheduler.predict_complete(steps) == []
 
     def test_all_attributes_must_finalize(self, location_tree, salary_scheme):
@@ -254,10 +266,10 @@ class TestPredictComplete:
         })
         scheduler = DegradationScheduler()
         scheduler.register("r1", lcp, inserted_at=0.0)
-        only_location = scheduler.due_steps(HOUR)
+        only_location = popped(scheduler, HOUR)
         assert [s.attribute for s in only_location] == ["location"]
         assert scheduler.predict_complete(only_location) == []
-        both = only_location + scheduler.due_steps(3 * DAY)
+        both = only_location + popped(scheduler, 3 * DAY)
         assert scheduler.predict_complete(both) == ["r1"]
 
     def test_stale_and_unknown_steps_ignored(self, location_tree):
@@ -266,7 +278,7 @@ class TestPredictComplete:
         scheduler = DegradationScheduler()
         scheduler.register("r1", lcp, inserted_at=0.0)
         scheduler.register("ghost", lcp, inserted_at=1.0)
-        stale, ghost = scheduler.due_steps(HOUR + 1)
+        stale, ghost = popped(scheduler, HOUR + 1)
         scheduler._mark_applied([stale], HOUR, [], None)   # r1 moved on: stale
         scheduler.cancel("ghost")                          # no record left
         assert (stale.record_ids, ghost.record_ids) == (("r1",), ("ghost",))
@@ -285,8 +297,11 @@ class TestOverdueCount:
     def test_overdue_count_skips_stale_entries(self, tuple_lcp):
         scheduler = DegradationScheduler()
         scheduler.register("r1", tuple_lcp, inserted_at=0.0)
+        assert scheduler.overdue_count(math.inf) == 1
         scheduler.cancel("r1")
         assert scheduler.overdue_count(10 * MONTH) == 0
+        assert scheduler.overdue_count(math.inf) == 0
+        assert scheduler.peek_next_due() is None
 
     def test_overdue_count_does_not_pop(self, tuple_lcp):
         scheduler = DegradationScheduler()
@@ -299,22 +314,19 @@ class TestOverdueCount:
 
 
 class TestBatchedDrain:
-    def test_due_batches_group_by_record_id_prefix(self, tuple_lcp):
+    def test_run_due_batched_groups_by_record_id_prefix(self, tuple_lcp):
         scheduler = DegradationScheduler()
         scheduler.register(("person", 1), tuple_lcp, inserted_at=0.0)
         scheduler.register(("person", 2), tuple_lcp, inserted_at=0.0)
         scheduler.register(("visits", 1), tuple_lcp, inserted_at=0.0)
-        batches = scheduler.due_batches(HOUR)
-        assert {batch.key: len(batch) for batch in batches} == {"person": 2, "visits": 1}
+        batches = []
 
-    def test_due_batches_respects_max_batch(self, tuple_lcp):
-        scheduler = DegradationScheduler()
-        for key in range(5):
-            scheduler.register(("person", key), tuple_lcp, inserted_at=0.0)
-        first = scheduler.due_batches(HOUR, max_batch=3)
-        assert sum(len(batch) for batch in first) == 3
-        rest = scheduler.due_batches(HOUR, max_batch=3)
-        assert sum(len(batch) for batch in rest) == 2
+        def applier(key, steps):
+            batches.append((key, sum(map(len, steps))))
+            return steps
+
+        scheduler.run_due_batched(HOUR, applier)
+        assert batches == [("person", 2), ("visits", 1)]
 
     def test_run_due_batched_applies_and_completes(self, tuple_lcp):
         scheduler = DegradationScheduler()
@@ -348,15 +360,6 @@ class TestBatchedDrain:
         applied = scheduler.run_due_batched(2 * HOUR, lambda key, steps: steps)
         assert (("person", 2),) in {step.record_ids for step in applied}
 
-    def test_run_due_batched_max_batch_drains_everything(self, tuple_lcp):
-        scheduler = DegradationScheduler()
-        for key in range(7):
-            scheduler.register(("person", key), tuple_lcp, inserted_at=0.0)
-        applied = scheduler.run_due_batched(HOUR, lambda key, steps: steps,
-                                            max_batch=2)
-        # One cohort, cut into steps of at most two records.
-        assert [len(step) for step in applied] == [2, 2, 2, 1]
-
 
 class TestCohorts:
     """Rows registered at one instant under one policy are one queue entry
@@ -375,7 +378,7 @@ class TestCohorts:
         assert self.cohorts(scheduler) == [[("t", 1), ("t", 2), ("t", 3), ("t", 4)],
                                            [("t", 5)], [("u", 6)]]
         assert len(scheduler._heap) == 3
-        steps = scheduler.due_steps(HOUR)                # ("t", 5) is due a second later
+        steps = popped(scheduler, HOUR)                  # ("t", 5) is due a second later
         assert [len(step) for step in steps] == [4, 1]
         assert all(step.tuple_lcp is tuple_lcp for step in steps)
 
@@ -389,62 +392,65 @@ class TestCohorts:
         assert self.cohorts(scheduler) == [["r1"], ["r2"]]
         assert scheduler.current_state("r2") == {"location": 0}
         # It waits from 0.0, when "go" fired: a tie releases it too.
-        assert not scheduler.has_waiters("go")
+        assert not waiting(scheduler, "go")
         assert [(step.record_ids, step.due, step.event)
-                for step in scheduler.due_steps(0.0)] == [(("r1",), 0.0, "go"),
-                                                          (("r2",), 0.0, "go")]
+                for step in popped(scheduler, 0.0)] == [(("r1",), 0.0, "go"),
+                                                        (("r2",), 0.0, "go")]
 
     def test_a_popped_cohort_takes_no_newcomers(self, location_tree):
         lcp = TupleLCP({"location": AttributeLCP(
             location_tree, states=[0, 1, 4], transitions=[0.0, "1 hour"])})
         scheduler = DegradationScheduler()
         scheduler.register("r1", lcp, inserted_at=0.0)
-        (step,) = scheduler.due_steps(0.0)               # due at once, in flight
-        scheduler.register("r2", lcp, inserted_at=0.0)
-        scheduler._mark_applied([step], 0.0, [], None)
-        assert step.record_ids == ("r1",)
-        assert (scheduler.current_state("r1"), scheduler.current_state("r2")) == \
-            ({"location": 1}, {"location": 0})
-        assert [step.record_ids for step in scheduler.due_steps(0.0)] == [("r2",)]
+        rounds = []
 
-    def test_a_max_batch_cut_splits_a_cohort_in_the_same_state(self, tuple_lcp):
-        scheduler = DegradationScheduler()
-        scheduler.register_many([("t", key) for key in range(5)], tuple_lcp, inserted_at=0.0)
-        (batch,) = scheduler.due_batches(HOUR, max_batch=3)
-        (step,) = batch.steps
-        assert step.record_ids == (("t", 0), ("t", 1), ("t", 2))
-        assert self.cohorts(scheduler) == [[("t", 0), ("t", 1), ("t", 2)],
-                                           [("t", 3), ("t", 4)]]
-        scheduler._mark_applied([step], HOUR, [], None)
-        assert scheduler.current_state(("t", 0)) == {"location": 1}
-        assert scheduler.current_state(("t", 4)) == {"location": 0}
-        (rest,) = scheduler.due_steps(HOUR)
-        assert rest.record_ids == (("t", 3), ("t", 4)) and rest.due == HOUR
+        def applier(_table, steps):
+            rounds.append([step.record_ids for step in steps])
+            if len(rounds) == 1:                         # r1's step is in flight
+                scheduler.register("r2", lcp, inserted_at=0.0)
+            return steps
 
-    def test_cut_parts_rejoin_once_in_step_again(self, tuple_lcp):
+        scheduler.run_due_batched(0.0, applier)           # due at once
+        assert rounds == [[("r1",)], [("r2",)]]
+        assert self.cohorts(scheduler) == [["r1"], ["r2"]]
+
+    def test_a_drain_hands_each_cohort_over_whole(self, tuple_lcp):
         scheduler = DegradationScheduler()
         scheduler.register_many([("t", key) for key in range(5)], tuple_lcp, inserted_at=0.0)
         scheduler.register(("t", 9), tuple_lcp, inserted_at=1.0)      # another instant
         rounds = []
 
         def defer_all(_table, steps):
-            rounds.append(sum(map(len, steps)))
+            rounds.append([len(step) for step in steps])
             for step in steps:
                 scheduler.defer(step, HOUR + 2.0)
             return []
 
-        # Rounds of two records cut the cohort into three parts; deferred
-        # alike, they are one cohort again once the drain is over.
-        assert scheduler.run_due_batched(HOUR + 1.0, defer_all, max_batch=2) == []
-        assert rounds == [2, 2, 2]
+        # Deferred, a cohort stays one cohort with one queue entry.
+        assert scheduler.run_due_batched(HOUR + 1.0, defer_all) == []
+        assert rounds == [[5, 1]]
         assert self.cohorts(scheduler) == [[("t", key) for key in range(5)], [("t", 9)]]
-        applied = scheduler.run_due_batched(HOUR + 2.0, lambda _table, steps: steps,
-                                            max_batch=2)
-        assert sum(map(len, applied)) == 6 and len(applied) == 4
+        applied = scheduler.run_due_batched(HOUR + 2.0, lambda _table, steps: steps)
+        assert [len(step) for step in applied] == [5, 1]
         assert self.cohorts(scheduler) == [[("t", key) for key in range(5)], [("t", 9)]]
         assert [queued for _ids, _states, queued in scheduler.cohorts()] == [
             {"location": (HOUR + DAY, HOUR + DAY)},
             {"location": (1.0 + HOUR + DAY, 1.0 + HOUR + DAY)}]
+
+    def test_a_catch_up_drain_keeps_every_cohort_until_final(self, tuple_lcp):
+        scheduler = DegradationScheduler()
+        scheduler.register_many([("t", key) for key in range(5)], tuple_lcp, inserted_at=0.0)
+        scheduler.register_many([("t", key) for key in range(5, 8)], tuple_lcp, inserted_at=1.0)
+        rounds = []
+
+        def applier(_table, steps):
+            rounds.append(([len(step) for step in steps], len(scheduler.cohorts())))
+            return steps
+
+        scheduler.run_due_batched(10 * MONTH, applier)
+        # Four rounds, one per transition; both cohorts whole in every one.
+        assert rounds == [([5, 3], 2)] * 4
+        assert scheduler.cohorts() == [] and scheduler.stats.records_completed == 8
 
 
 class TestEventSteps:
@@ -538,12 +544,12 @@ class TestDerivedRegistration:
         scheduler.register_many(["past"], lcp, 0.0, {"location": 2})
         assert scheduler.peek_next_due() == 3 * HOUR + DAY
         scheduler.register_many(["waiting"], lcp, 0.0, {"location": 1})
-        (released,) = scheduler.due_steps(3 * HOUR)
+        (released,) = popped(scheduler, 3 * HOUR)
         assert (released.record_ids, released.due, released.event) == \
             (("waiting",), 3 * HOUR, "closed")
         # Waiting since 3.5h, after the last firing: it waits for the next.
         scheduler.register_many(["late"], lcp, 2.5 * HOUR, {"location": 1})
-        assert scheduler.has_waiters("closed")
+        assert waiting(scheduler, "closed")
 
     def test_snapshot_keeps_the_firings_a_live_record_can_need(self, location_tree):
         lcp = TupleLCP({"location": AttributeLCP(
@@ -572,4 +578,4 @@ class TestDerivedRegistration:
         scheduler.clear()
         assert scheduler.registered_count() == 0 and scheduler.peek_next_due() is None
         scheduler.register("r1", lcp, inserted_at=0.0)
-        assert [step.due for step in scheduler.due_steps(5.0)] == [5.0]
+        assert [step.due for step in popped(scheduler, 5.0)] == [5.0]

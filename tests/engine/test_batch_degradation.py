@@ -1,9 +1,12 @@
-"""The batch degradation pipeline: grouped drains, coalesced I/O, parity with
-the per-step baseline, and the retry / event paths around it."""
+"""The batch degradation pipeline: grouped drains, coalesced I/O, the
+levels the policy prescribes, and the retry / event paths around it."""
+
+import math
 
 import pytest
 
 from repro import AttributeLCP, InstantDB
+from repro.core.clock import DAY
 from repro.core.domains import build_location_tree
 from repro.privacy.forensic import scan_engine
 from repro.storage.wal import LogRecordType
@@ -16,25 +19,23 @@ ENSCHEDE = "3 Church Lane, Enschede"
 ADDRESSES = [PARIS, LYON, ENSCHEDE]
 
 
-def build_trace_engine(batch: bool = True, max_batch=None,
-                       strategy: str = "rewrite",
-                       transitions=None) -> InstantDB:
-    """Single-table engine with a location-only policy (fully controllable
-    waves); ``batch=False`` is the per-step baseline, a drain of one step at
-    a time."""
-    db = InstantDB(strategy=strategy,
-                   degradation_max_batch=max_batch if batch else 1)
+def build_trace_engine(strategy: str = "rewrite", transitions=None,
+                       tables=("trace",)) -> InstantDB:
+    """Engine whose tables share a location-only policy (fully controllable
+    waves)."""
+    db = InstantDB(strategy=strategy)
     location = db.register_domain(build_location_tree())
     db.register_policy(AttributeLCP(
         location, transitions=transitions or ["1 hour", "1 day", "1 month", "3 months"],
         name="location_lcp"))
-    db.execute("CREATE TABLE trace (id INT PRIMARY KEY, location TEXT "
-               "DEGRADABLE DOMAIN location POLICY location_lcp)")
+    for table in tables:
+        db.execute(f"CREATE TABLE {table} (id INT PRIMARY KEY, location TEXT "
+                   "DEGRADABLE DOMAIN location POLICY location_lcp)")
     return db
 
 
-def insert_wave(db: InstantDB, count: int) -> None:
-    db.executemany("INSERT INTO trace VALUES (?, ?)",
+def insert_wave(db: InstantDB, count: int, table: str = "trace") -> None:
+    db.executemany(f"INSERT INTO {table} VALUES (?, ?)",
                    [(i, ADDRESSES[i % len(ADDRESSES)]) for i in range(1, count + 1)])
 
 
@@ -70,14 +71,38 @@ class TestBatchedWave:
         db.advance_time(hours=2)
         assert db.transactions.stats.system_begun - system == 1
 
-    def test_max_batch_chunks_the_drain(self):
-        db = build_trace_engine(max_batch=10)
-        insert_wave(db, 35)
+    def test_a_deep_backlog_drains_one_txn_per_table_and_round(self):
+        # Two tables, two cohorts each, three steps overdue at once: every
+        # catch-up round hands each table its cohorts whole, in one system
+        # transaction, and no round adds a cohort.
+        db = build_trace_engine(tables=("trace", "other"))
+        for table in ("trace", "other"):
+            insert_wave(db, 12, table)
+        db.advance_time(seconds=1)
+        db.execute(f"INSERT INTO trace VALUES (99, '{LYON}')")
+        db.execute(f"INSERT INTO other VALUES (99, '{LYON}')")
+        assert len(db.scheduler.cohorts()) == 4
+        calls = []
+        apply = db.daemon.applier
+
+        def spy(table, steps):
+            calls.append((table, [len(step) for step in steps], len(db.scheduler.cohorts())))
+            return apply(table, steps)
+
+        db.daemon.applier = spy
+        system = db.transactions.stats.system_begun
         flushed = db.wal.stats.flushed
-        db.advance_time(hours=2)
-        assert db.stats.degradation_steps_applied == 35
-        assert db.wal.stats.flushed - flushed == 4     # ceil(35 / 10) chunks
-        assert db.daemon.backlog() == 0
+        db.daemon.pause()
+        db.advance_time(days=40)          # 1 hour, 1 day and 1 month overdue
+        db.daemon.resume()
+        db.daemon.run_pending()
+        assert calls == [("trace", [12, 1], 4), ("other", [12, 1], 4)] * 3
+        assert db.transactions.stats.system_begun - system == 6
+        assert db.wal.stats.flushed - flushed == 6
+        assert len(db.scheduler.cohorts()) == 4
+        assert db.level_histogram("trace", "location") == {3: 13}
+        db.advance_time(days=100)         # the last step: the rows go final
+        assert db.scheduler.cohorts() == [] and db.row_count("trace") == 0
 
     @pytest.mark.parametrize("strategy", ["rewrite", "crypto"])
     def test_batch_wave_not_forensically_recoverable(self, strategy):
@@ -88,24 +113,23 @@ class TestBatchedWave:
         assert report.clean, report.summary()
 
     @pytest.mark.parametrize("strategy", ["rewrite", "crypto"])
-    def test_batch_matches_per_step_visible_state(self, strategy):
-        batched = build_trace_engine(batch=True, strategy=strategy)
-        per_step = build_trace_engine(batch=False, strategy=strategy)
-        for db in (batched, per_step):
-            insert_wave(db, 15)
-            db.advance_time(days=2)       # two steps: city, then region
-            db.execute("DECLARE PURPOSE r SET ACCURACY LEVEL region FOR trace.location")
-        rows_batched = batched.execute("SELECT id, location FROM trace", purpose="r").rows
-        rows_per_step = per_step.execute("SELECT id, location FROM trace", purpose="r").rows
-        assert rows_batched == rows_per_step
-        assert batched.level_histogram("trace", "location") == \
-            per_step.level_histogram("trace", "location") == {2: 15}
-        assert batched.scheduler.pending_count() == \
-            per_step.scheduler.pending_count() == 15
-        assert batched.scheduler.peek_next_due() == \
-            per_step.scheduler.peek_next_due()
-        assert batched.stats.degradation_steps_applied == \
-            per_step.stats.degradation_steps_applied == 30
+    def test_wave_reaches_the_levels_the_policy_prescribes(self, strategy):
+        db = build_trace_engine(strategy=strategy)
+        inserted_at = db.now()
+        insert_wave(db, 15)
+        db.advance_time(days=2)           # two steps: city, then region
+        tuple_lcp = db.catalog.table("trace").policy.tuple_lcp(None)
+        levels = tuple_lcp.levels_at(2 * DAY)
+        assert levels == {"location": 2}
+        assert db.level_histogram("trace", "location") == {levels["location"]: 15}
+        db.execute("DECLARE PURPOSE r SET ACCURACY LEVEL region FOR trace.location")
+        scheme = tuple_lcp.attributes["location"].scheme
+        assert db.execute("SELECT id, location FROM trace", purpose="r").rows == [
+            (i, scheme.generalize(ADDRESSES[i % len(ADDRESSES)], 2)) for i in range(1, 16)]
+        assert db.scheduler.overdue_count(math.inf) == 15
+        offset, _state = tuple_lcp.attributes["location"].next_transition(2 * DAY)
+        assert db.scheduler.peek_next_due() == inserted_at + offset
+        assert db.stats.degradation_steps_applied == 30
 
     def test_gt_index_maintained_in_bulk(self):
         db = build_trace_engine()
@@ -170,9 +194,8 @@ class TestBatchedWave:
 
 
 class TestLockConflictDeferral:
-    @pytest.mark.parametrize("batch", [True, False])
-    def test_conflicting_batch_defers_and_retries(self, batch):
-        db = build_trace_engine(batch=batch)
+    def test_conflicting_batch_defers_and_retries(self):
+        db = build_trace_engine()
         insert_wave(db, 8)
         reader = db.begin()
         db.execute("SELECT * FROM trace", txn=reader)
@@ -255,7 +278,7 @@ class TestBacklogReporting:
         assert db.daemon.backlog() == 9
         assert db.scheduler.overdue_count(db.now()) == 9
         db.daemon.resume()
-        db.run_degradation()
+        db.daemon.run_pending()
         assert db.daemon.backlog() == 0
 
     def test_backlog_zero_when_nothing_due(self):

@@ -194,7 +194,7 @@ class TestEngineConfiguration:
         options = list(inspect.signature(InstantDB.__init__).parameters)[1:]
         assert options == [
             "clock", "strategy", "page_size", "buffer_capacity", "data_dir",
-            "deterministic_crypto", "degradation_max_batch", "fault_plan"]
+            "deterministic_crypto", "fault_plan"]
         assert VARIANT_NAMES == ("compiled", "remote")
 
     def test_wall_clock_engine_rejects_advance_time(self):

@@ -28,8 +28,8 @@ VISIBLE = "SELECT id, name, grp FROM t"
 HOUR, DAY = 3600.0, 86400.0
 
 
-def build(data_dir, max_batch):
-    db = InstantDB(data_dir=data_dir, degradation_max_batch=max_batch)
+def build(data_dir):
+    db = InstantDB(data_dir=data_dir)
     tree = db.register_domain(build_location_tree())
     db.register_policy(AttributeLCP(tree, transitions=LOCATION_TRANSITIONS,
                                     name="location_lcp"))
@@ -69,11 +69,10 @@ def check(db, model, txn):
     assert db.scheduler.registered_count() == db.row_count("t") == len(live[3])
 
 
-@pytest.mark.parametrize("max_batch", [None, 1])
 @pytest.mark.parametrize("seed", [23, 42])
-def test_derived_state_follows_every_change(tmp_path, seed, max_batch):
+def test_derived_state_follows_every_change(tmp_path, seed):
     rng = random.Random(seed)
-    db = build(str(tmp_path), max_batch)
+    db = build(str(tmp_path))
 
     def run(sql, *params):
         # Under the purpose: a bare UPDATE/DELETE does not see degraded rows.
@@ -133,7 +132,7 @@ def test_derived_state_follows_every_change(tmp_path, seed, max_batch):
         db.rollback(txn)
         model.settle(model.committed)
         check(db, model, None)
-    twin = InstantDB(data_dir=str(tmp_path), degradation_max_batch=max_batch)
+    twin = InstantDB(data_dir=str(tmp_path))
     twin.recover()
     assert sorted(twin.execute(VISIBLE, purpose="coarse").rows) == model.rows()
     assert twin.level_histogram("t", "location") == db.level_histogram("t", "location")

@@ -1,5 +1,7 @@
 """Engine maintenance surface: checkpoints, histograms, persistence, stats."""
 
+import math
+
 import pytest
 
 from repro import InstantDB
@@ -162,5 +164,5 @@ class TestCatalogRecordCompatibility:
                            key=lambda row: row.row_key)
         assert recovered == rows
         assert reopened.level_histogram("person", "location") == {1: 3, 0: 1}
-        assert reopened.scheduler.pending_count() == \
-            db.scheduler.pending_count()
+        assert reopened.scheduler.overdue_count(math.inf) == \
+            db.scheduler.overdue_count(math.inf)

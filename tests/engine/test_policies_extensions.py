@@ -121,7 +121,7 @@ class TestEventTriggeredTransitions:
         assert db.execute("SELECT id FROM sightings").rows == [(2,)]
         db.advance_time(hours=2)
         assert db.level_histogram("sightings", "location") == {1: 1}
-        assert db.scheduler.has_waiters("case_closed")
+        assert "case_closed" in db.scheduler._event_waiters
         # The closed form lets a firing before the wait began release it.
         lcp = db.registry.policy("event_lcp")
         assert lcp.level_at(7200, {"case_closed": 0.0}) == 4

@@ -15,8 +15,6 @@ all: it compacts itself around the grown record (the mirror test below).
 
 import os
 
-import pytest
-
 from repro import AttributeLCP, InstantDB
 from repro.core.domains import build_salary_ranges
 from repro.storage.serialization import encode_value
@@ -48,21 +46,15 @@ def _salary(row_id: int) -> int:
     return 41_003 + 7 * row_id       # unique per row, so its bytes are traceable
 
 
-#: One mode per way a degraded record gets rewritten: the default wave and
-#: the per-step baseline (a wave of one per step) — both through
-#: ``TableStore.degrade_many`` → ``HeapFile.update_many``.
-MODES = {"batch": {}, "per_step": {"degradation_max_batch": 1}}
+def _open(data_dir) -> InstantDB:
+    return InstantDB(data_dir=str(data_dir), page_size=PAGE_SIZE)
 
 
-def _open(data_dir, mode) -> InstantDB:
-    return InstantDB(data_dir=str(data_dir), page_size=PAGE_SIZE, **MODES[mode])
-
-
-def _young_cohort_on_full_pages(data_dir, mode):
+def _young_cohort_on_full_pages(data_dir):
     """Pages 1–3 hold four fillers and one young row each and are full in
     total, page 0 four fillers; everything is on disk.  Returns the engine
     and each young row key's page."""
-    db = _open(data_dir, mode)
+    db = _open(data_dir)
     salary = db.register_domain(build_salary_ranges())
     db.register_policy(AttributeLCP(
         salary, transitions=["1 hour", "1 day", "1 month", "3 months"],
@@ -84,13 +76,13 @@ def _young_cohort_on_full_pages(data_dir, mode):
     return db, pages
 
 
-def _abandon_and_recover(db, data_dir, mode):
+def _abandon_and_recover(db, data_dir):
     """No close(), no checkpoint: reopen from what is on disk, and check the
     recovered levels and that ``pages.db`` holds no accurate salary."""
     expected = db.level_histogram("pay", "salary")
     assert set(expected) == {1}
     db.daemon.pause()
-    reopened = _open(data_dir, mode)
+    reopened = _open(data_dir)
     reopened.recover()
     assert reopened.level_histogram("pay", "salary") == expected
     with open(os.path.join(str(data_dir), "pages.db"), "rb") as handle:
@@ -99,9 +91,8 @@ def _abandon_and_recover(db, data_dir, mode):
             if encode_value(_salary(row_id)) in raw] == []
 
 
-@pytest.mark.parametrize("mode", sorted(MODES))
-def test_relocating_degrade_leaves_no_accurate_image_behind(tmp_path, mode):
-    db, pages_before = _young_cohort_on_full_pages(tmp_path, mode)
+def test_relocating_degrade_leaves_no_accurate_image_behind(tmp_path):
+    db, pages_before = _young_cohort_on_full_pages(tmp_path)
     store = db.table_store("pay")
     # room for the grown images opens on page 0 only
     assert db.execute("DELETE FROM pay WHERE id IN (2, 3)", purpose="coarse") == 2
@@ -113,15 +104,14 @@ def test_relocating_degrade_leaves_no_accurate_image_behind(tmp_path, mode):
     # in order and keeps the image it meets last.
     assert all(store.page_of(key) < page for key, page in pages_before.items())
     assert store.stats.relocations == len(YOUNG)
-    _abandon_and_recover(db, tmp_path, mode)
+    _abandon_and_recover(db, tmp_path)
 
 
-@pytest.mark.parametrize("mode", sorted(MODES))
-def test_page_with_holes_keeps_its_growing_records(tmp_path, mode):
+def test_page_with_holes_keeps_its_growing_records(tmp_path):
     """The mirror case: the same full pages, but each has a hole (a deleted
     filler behind the live records — no contiguous room).  Every young row
     grows where it is, and the step is as durable as a relocating one."""
-    db, pages_before = _young_cohort_on_full_pages(tmp_path, mode)
+    db, pages_before = _young_cohort_on_full_pages(tmp_path)
     store = db.table_store("pay")
     assert db.execute("DELETE FROM pay WHERE id IN (11, 21, 31)", purpose="coarse") == 3
     db.checkpoint()
@@ -130,4 +120,4 @@ def test_page_with_holes_keeps_its_growing_records(tmp_path, mode):
     assert store.stats.relocations == 0
     assert {key: store.page_of(key) for key in pages_before} == pages_before
     store.heap.check()
-    _abandon_and_recover(db, tmp_path, mode)
+    _abandon_and_recover(db, tmp_path)

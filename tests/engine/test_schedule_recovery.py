@@ -30,20 +30,38 @@ TRANSITIONS = ["1 hour", "1 day", "1 month", "3 months"]
 EVENT_TRANSITIONS = [{"event": "consent_revoked"}, "1 day", "1 month", "3 months"]
 
 
-def build_trace_db(data_dir, transitions=TRANSITIONS, **kwargs) -> InstantDB:
-    """A single-table engine over ``data_dir`` (reopening re-runs the DDL)."""
-    db = InstantDB(data_dir=str(data_dir), **kwargs)
+def build_trace_db(data_dir, transitions=TRANSITIONS, tables=("trace",)) -> InstantDB:
+    """An engine over ``data_dir`` whose tables share one location policy
+    (reopening re-runs the DDL)."""
+    db = InstantDB(data_dir=str(data_dir))
     location = db.register_domain(build_location_tree())
     db.register_policy(AttributeLCP(location, transitions=transitions,
                                     name="location_lcp"))
-    db.execute("CREATE TABLE trace (id INT PRIMARY KEY, location TEXT "
-               "DEGRADABLE DOMAIN location POLICY location_lcp)")
+    for table in tables:
+        db.execute(f"CREATE TABLE {table} (id INT PRIMARY KEY, location TEXT "
+                   "DEGRADABLE DOMAIN location POLICY location_lcp)")
     return db
 
 
-def insert_wave(db: InstantDB, count: int, address: str = PARIS) -> None:
-    db.executemany("INSERT INTO trace VALUES (?, ?)",
+def insert_wave(db: InstantDB, count: int, address: str = PARIS,
+                table: str = "trace") -> None:
+    db.executemany(f"INSERT INTO {table} VALUES (?, ?)",
                    [(index, address) for index in range(1, count + 1)])
+
+
+def crash_on_second_batch(db: InstantDB) -> None:
+    """The daemon's second batch kills the process: the first one has
+    committed and flushed its WAL records."""
+    original = db.daemon.applier
+    calls = []
+
+    def crashing_applier(key, steps):
+        calls.append(key)
+        if len(calls) > 1:
+            raise KeyboardInterrupt
+        return original(key, steps)
+
+    db.daemon.applier = crashing_applier
 
 
 def crash(db: InstantDB) -> None:
@@ -80,41 +98,50 @@ class TestOverdueStepsAfterCrash:
         # Row 99 was inserted at t=2h: its first step is due at 3h.
         assert db2.scheduler.peek_next_due() == 2 * HOUR + HOUR
 
-    def test_kill_between_wal_flush_and_step_application(self, tmp_path):
-        """The acceptance scenario: crash mid-wave, after the WAL flush of the
-        first batch but before the remaining batches apply."""
-        db = build_trace_db(tmp_path, degradation_max_batch=2)
+    def test_kill_between_two_catch_up_rounds(self, tmp_path):
+        """The acceptance scenario: crash mid-drain, after the WAL flush of
+        the first round's batch but before the next round applies."""
+        db = build_trace_db(tmp_path)
         insert_wave(db, 6)
-
-        original = db.daemon.applier
-        calls = {"count": 0}
-
-        def crashing_applier(key, steps):
-            calls["count"] += 1
-            if calls["count"] > 1:            # batch 1 committed + flushed,
-                raise KeyboardInterrupt      # then the process is killed
-            return original(key, steps)
-
-        db.daemon.applier = crashing_applier
+        crash_on_second_batch(db)
         with pytest.raises(KeyboardInterrupt):
-            db.advance_time(hours=2)
-        assert db.stats.degradation_steps_applied == 2
+            db.advance_time(days=2)           # 1 hour, then (next round) 1 day
+        assert db.stats.degradation_steps_applied == 6
         # The committed batch is in the surviving log as one chunk record.
         assert sum(r.record_type is LogRecordType.DEGRADE for r in db.wal) == 1
         crash(db)
 
-        db2 = build_trace_db(tmp_path, degradation_max_batch=2)
+        db2 = build_trace_db(tmp_path)
         report = db2.recover()
         assert report.recovery.wal_prep_passes == 1
         assert report.recovery.redone_degrade_chunks >= 1
-        # The two committed steps are on the heap (not re-applied); the four
-        # unapplied ones come back overdue and fire exactly once.
-        assert report.overdue_steps_applied == 4
-        assert db2.stats.degradation_steps_applied == 4
-        assert db2.level_histogram("trace", "location") == {1: 6}
+        # The first round's steps are on the heap (not re-applied); the
+        # second round's come back overdue and fire exactly once.
+        assert report.overdue_steps_applied == 6
+        assert db2.stats.degradation_steps_applied == 6
+        assert db2.level_histogram("trace", "location") == {2: 6}
         assert db2.daemon.backlog() == 0
-        # Nothing was double-degraded: every row sits exactly one step along,
-        # with its next step due at the original cadence.
+        # Nothing was double-degraded: every row sits exactly two steps
+        # along, with its next step due at the original cadence.
+        assert db2.scheduler.peek_next_due() == HOUR + DAY + 30 * DAY
+
+    def test_kill_between_two_tables_waves(self, tmp_path):
+        """One round, two tables: the first table's wave committed, the
+        second never began."""
+        db = build_trace_db(tmp_path, tables=("trace", "other"))
+        insert_wave(db, 4)
+        insert_wave(db, 3, table="other")
+        crash_on_second_batch(db)
+        with pytest.raises(KeyboardInterrupt):
+            db.advance_time(hours=2)
+        crash(db)
+
+        db2 = build_trace_db(tmp_path, tables=("trace", "other"))
+        report = db2.recover()
+        assert report.overdue_steps_applied == 3      # the second table's only
+        assert db2.level_histogram("trace", "location") == {1: 4}
+        assert db2.level_histogram("other", "location") == {1: 3}
+        assert db2.daemon.backlog() == 0
         assert db2.scheduler.peek_next_due() == HOUR + DAY
 
     def test_a_tuple_left_final_on_the_heap_is_removed(self, tmp_path):
@@ -292,7 +319,7 @@ class TestDeferralsAndEvents:
         report = db2.recover()
         assert report.registrations == 2
         assert db2.daemon.backlog() == 0
-        assert db2.scheduler.has_waiters("consent_revoked")
+        assert [queued for _ids, _states, queued in db2.scheduler.cohorts()] == [{}]
         db2.fire_event("consent_revoked")
         assert db2.level_histogram("trace", "location") == {1: 2}
 
@@ -300,7 +327,7 @@ class TestDeferralsAndEvents:
 def schedule_of(db: InstantDB):
     """Per record its states and queued steps, and who waits on the event."""
     return ({record_id: (states, queued) for ids, states, queued in db.scheduler.cohorts()
-             for record_id in ids}, db.scheduler.has_waiters("case_closed"))
+             for record_id in ids}, "case_closed" in db.scheduler._event_waiters)
 
 
 class TestEventRuleAcrossRecovery:

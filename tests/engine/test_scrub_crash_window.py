@@ -27,9 +27,6 @@ from ..conftest import log_dir_bytes
 
 ROWS = range(1, 8)
 
-#: One mode per way the engine drives ``TableStore.degrade_many``.
-MODES = {"batch": {}, "per_step": {"degradation_max_batch": 1}}
-
 
 def _salary(row_id: int) -> int:
     return 52_009 + 13 * row_id      # unique per row, so its bytes are traceable
@@ -43,12 +40,12 @@ def _leaked(image: bytes):
     return [row_id for row_id in ROWS if encode_value(_salary(row_id)) in image]
 
 
-def _open(data_dir, mode) -> InstantDB:
-    return InstantDB(data_dir=str(data_dir), **MODES[mode])
+def _open(data_dir) -> InstantDB:
+    return InstantDB(data_dir=str(data_dir))
 
 
-def _load(tmp_path, mode) -> InstantDB:
-    db = _open(tmp_path, mode)
+def _load(tmp_path) -> InstantDB:
+    db = _open(tmp_path)
     salary = db.register_domain(build_salary_ranges())
     db.register_policy(AttributeLCP(
         salary, transitions=["1 hour", "1 day", "1 month", "3 months"],
@@ -62,10 +59,8 @@ def _load(tmp_path, mode) -> InstantDB:
     return db
 
 
-@pytest.mark.parametrize("mode", sorted(MODES))
-def test_crash_at_scrub_entry_leaves_no_accurate_image_after_recovery(
-        tmp_path, mode):
-    db = _load(tmp_path, mode)
+def test_crash_at_scrub_entry_leaves_no_accurate_image_after_recovery(tmp_path):
+    db = _load(tmp_path)
 
     def die(*args, **kwargs):
         raise KeyboardInterrupt      # the process is gone: pages durable, log not scrubbed
@@ -76,21 +71,20 @@ def test_crash_at_scrub_entry_leaves_no_accurate_image_after_recovery(
     db.daemon.pause()                # abandon: no close(), no checkpoint
     assert _leaked(_log_bytes(tmp_path)) == list(ROWS)
 
-    reopened = _open(tmp_path, mode)
+    reopened = _open(tmp_path)
     report = reopened.recover()
     assert reopened.level_histogram("pay", "salary") == {1: len(ROWS)}
-    # A page at the target level is a step done: the batch wave's seven are
-    # not re-applied; per-step died in its first step, six never started.
-    assert report.overdue_steps_applied == (len(ROWS) - 1 if mode == "per_step" else 0)
+    # A page at the target level is a step done: the wave's seven are not
+    # re-applied.
+    assert report.overdue_steps_applied == 0
     assert _leaked(_log_bytes(tmp_path)) == []
     assert _leaked(reopened.forensic_image()) == []
     reopened.close()
 
 
-@pytest.mark.parametrize("mode", sorted(MODES))
-def test_crash_inside_the_zeroing_pass_is_healed_by_recovery(tmp_path, mode):
+def test_crash_inside_the_zeroing_pass_is_healed_by_recovery(tmp_path):
     """Marks landed, no image zeroed yet: reopening finishes the job."""
-    db = _load(tmp_path, mode)
+    db = _load(tmp_path)
     real_pwrite = os.pwrite
 
     def die_on_first_zero(fd, data, offset):
@@ -107,11 +101,9 @@ def test_crash_inside_the_zeroing_pass_is_healed_by_recovery(tmp_path, mode):
     db.daemon.pause()
     assert _leaked(_log_bytes(tmp_path)) != []
 
-    reopened = _open(tmp_path, mode)
-    if mode != "per_step":
-        # The whole batch was marked: loading the log already finished the
-        # zeroing (per-step died inside the first row's own scrub).
-        assert _leaked(_log_bytes(tmp_path)) == []
+    reopened = _open(tmp_path)
+    # The whole wave was marked: loading the log already finished the zeroing.
+    assert _leaked(_log_bytes(tmp_path)) == []
     reopened.recover()
     assert reopened.level_histogram("pay", "salary") == {1: len(ROWS)}
     assert _leaked(_log_bytes(tmp_path)) == []
@@ -127,11 +119,10 @@ def _die_on_first_mark(real_pwrite):
     return pwrite
 
 
-@pytest.mark.parametrize("mode", sorted(MODES))
-def test_redo_finishes_the_scrub_even_without_a_drain(tmp_path, mode):
+def test_redo_finishes_the_scrub_even_without_a_drain(tmp_path):
     """The wave's DEGRADE records reached the disk, no mark did: recovery's
     redo pass sees rows at their logged level and scrubs them itself."""
-    db = _load(tmp_path, mode)
+    db = _load(tmp_path)
     real_pwrite = os.pwrite
     os.pwrite = _die_on_first_mark(real_pwrite)
     try:
@@ -141,20 +132,19 @@ def test_redo_finishes_the_scrub_even_without_a_drain(tmp_path, mode):
         os.pwrite = real_pwrite
     db.daemon.pause()
 
-    reopened = _open(tmp_path, mode)
+    reopened = _open(tmp_path)
     reopened.recover(drain=False)
     degraded = sum(count for level, count in
                    reopened.level_histogram("pay", "salary").items() if level)
     assert degraded >= 1
-    assert len(_leaked(_log_bytes(tmp_path))) == len(ROWS) - (
-        len(ROWS) if mode != "per_step" else 1)
+    assert _leaked(_log_bytes(tmp_path)) == []
     reopened.close()
 
 
 def test_redo_of_a_removal_scrubs_the_rows_images(tmp_path):
     """DELETE of a never-degraded row, killed between the REMOVE record
     reaching the disk and the scrub of the row's INSERT image."""
-    db = _load(tmp_path, "batch")
+    db = _load(tmp_path)
     real_pwrite = os.pwrite
     os.pwrite = _die_on_first_mark(real_pwrite)
     try:
@@ -165,7 +155,7 @@ def test_redo_of_a_removal_scrubs_the_rows_images(tmp_path):
     db.daemon.pause()
     assert 3 in _leaked(_log_bytes(tmp_path))
 
-    reopened = _open(tmp_path, "batch")
+    reopened = _open(tmp_path)
     reopened.recover(drain=False)
     assert reopened.row_count("pay") == len(ROWS) - 1
     assert _leaked(_log_bytes(tmp_path)) == [r for r in ROWS if r != 3]

@@ -17,6 +17,13 @@ LYON_ADDR = "2 Station Road, Lyon"
 BERLIN_ADDR = "3 Church Lane, Berlin"
 
 
+def wave(index, value, old_level, new_level, row_keys):
+    """``degrade_entries`` moves taking ``row_keys`` of ``value`` one wave on."""
+    new_value = index.scheme.generalize(value, new_level, from_level=old_level)
+    return index.degrade_entries(
+        (value, old_level, new_value, new_level, row_key) for row_key in row_keys)
+
+
 class TestLevelAwareOperations:
     def test_insert_at_and_search_at_level0(self, index):
         index.insert_at(PARIS_ADDR, 0, 1)
@@ -51,23 +58,24 @@ class TestLevelAwareOperations:
         with pytest.raises(IndexError_):
             index.degrade_entry("Paris", 1, PARIS_ADDR, 0, 1)
 
-    def test_degrade_bucket_moves_every_posting(self, index):
+    def test_degrade_entries_moves_every_posting(self, index):
         for row in range(10):
             index.insert_at(PARIS_ADDR, 0, row)
-        moved = index.degrade_bucket(PARIS_ADDR, 0, 1)
+        moved = wave(index, PARIS_ADDR, 0, 1, range(10))
         assert moved == 10
         assert index.search_at("Paris", 1) == list(range(10))
         assert index.level_histogram()[0] == 0
         index.verify()
 
-    def test_degrade_bucket_merges_into_existing(self, index):
+    def test_degrade_entries_merges_into_existing(self, index):
         index.insert_at(PARIS_ADDR, 0, 1)
         index.insert_at("Paris", 1, 2)
-        index.degrade_bucket(PARIS_ADDR, 0, 1)
+        wave(index, PARIS_ADDR, 0, 1, [1])
         assert index.search_at("Paris", 1) == [1, 2]
+        assert len(index) == 2
 
-    def test_degrade_bucket_empty_returns_zero(self, index):
-        assert index.degrade_bucket(PARIS_ADDR, 0, 1) == 0
+    def test_degrade_entries_empty_returns_zero(self, index):
+        assert wave(index, PARIS_ADDR, 0, 1, []) == 0
 
     def test_delete_at(self, index):
         index.insert_at(PARIS_ADDR, 0, 1)
@@ -117,6 +125,6 @@ class TestFlatInterface:
     def test_raw_image_reflects_degradation(self, index):
         index.insert_at(PARIS_ADDR, 0, 1)
         assert PARIS_ADDR.encode() in index.raw_image()
-        index.degrade_bucket(PARIS_ADDR, 0, 3)
+        wave(index, PARIS_ADDR, 0, 3, [1])
         assert PARIS_ADDR.encode() not in index.raw_image()
         assert b"France" in index.raw_image()

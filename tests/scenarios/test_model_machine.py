@@ -8,7 +8,7 @@ statement a row, or one ``executemany`` batch, which is one cohort), update
 0..n rows), read under a random purpose, commit, roll back, advance the
 clock across transition deadlines, checkpoint, and crash: the engine is
 abandoned without ``close()`` and reopened with a bare ``recover()``, while the
-model rolls back.  A ``degradation_max_batch`` cut is drawn once per run.
+model rolls back.
 
 Invariants:
 
@@ -19,7 +19,9 @@ Invariants:
   next step due at ``inserted_at`` plus the model's ``lcp.next_transition``
   (so a schedule that drifts after a crash shows before a deadline passes);
 * after each advance, the forensic scan finds no unique employee salary the
-  model says is past its exact level.
+  model says is past its exact level, and the scheduler holds no more cohorts
+  than before it (a drain advances, defers or finishes cohorts, never splits
+  one).
 
 On a failure hypothesis shrinks the rule sequence to a minimal one.  The
 settings come from the profile ``tests/conftest.py`` loads: a fixed,
@@ -31,7 +33,7 @@ import shutil
 import tempfile
 
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.api.connection import connect as local_connect
 from repro.core.domains import build_diagnosis_tree, build_location_tree
@@ -99,7 +101,6 @@ class ModelMachine(RuleBasedStateMachine):
         self.variant = ScenarioVariant("compiled", scenario, data_dir=self.data_dir)
         self.variant.engine.checkpoint()    # the definitions are durable, as deployed
         self.model = ReferenceModel(DEFINITIONS)
-        self.max_batch = None
         self.next_id = dict.fromkeys(INSERTS, 1)
         #: Statements since the last commit or rollback.
         self.pending = False
@@ -112,10 +113,6 @@ class ModelMachine(RuleBasedStateMachine):
     def _both(self, call):
         """``call`` on the model, then on the engine: their two results."""
         return call(self.model), call(self.variant)
-
-    @initialize(max_batch=st.sampled_from((None, 1, 2, 3)))
-    def cut(self, max_batch):
-        self.max_batch = self.variant.engine.daemon.max_batch = max_batch
 
     # -- statements ----------------------------------------------------------
 
@@ -215,8 +212,10 @@ class ModelMachine(RuleBasedStateMachine):
     def advance(self, seconds):
         ModelMachine.steps.append(f"commit, advance {seconds / DAY:g} d")
         self._commit()
+        cohorts = len(self.variant.engine.scheduler.cohorts())
         self._both(lambda v: v.advance(seconds))
         assert self.variant.now() == self.model.now()
+        assert len(self.variant.engine.scheduler.cohorts()) <= cohorts
         self.check_forensics()
 
     @rule(truncate=st.booleans())
@@ -233,7 +232,6 @@ class ModelMachine(RuleBasedStateMachine):
         self.abandoned.append(victim)
         engine = InstantDB(data_dir=self.data_dir)
         engine.recover()
-        engine.daemon.max_batch = self.max_batch
         self.variant.engine = engine
         self.variant.connection = local_connect(engine=engine)
         self.model.rollback()
@@ -311,7 +309,6 @@ def test_owner_statements_on_several_rows():
         return [row.values for row in machine.model.tables[table] if row.values["user_id"] == 3]
 
     try:
-        machine.cut(max_batch=None)
         machine.insert_applications(rows=[(3, status, ADDRESSES[0]) for status in STATUSES]
                                     + [(4, "new", ADDRESSES[1])], batch=True)
         machine.insert_employees(rows=[(3, ADDRESSES[2])] * 3 + [(5, ADDRESSES[3])], batch=False)

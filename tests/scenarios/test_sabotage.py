@@ -14,7 +14,7 @@ import pytest
 from hypothesis import Phase, settings
 from hypothesis.stateful import run_state_machine_as_test
 
-from repro.core.scheduler import DegradationScheduler
+from repro.core.scheduler import DegradationScheduler, DegradationStep
 from repro.query.compiler import collect_refs
 from repro.query.planner import Planner, _conjunction, _flatten_and
 from repro.scenarios import DifferentialOracle, InclusionScenario, Op, OpStream
@@ -27,14 +27,12 @@ SCALE = 30
 SEED = 3
 
 
-def oracle_run(ops, prepare=None):
-    """Lockstep ``ops`` on the model and the embedded engine (``prepare``
-    adjusts the engine first); returns the oracle's report."""
+def oracle_run(ops):
+    """Lockstep ``ops`` on the model and the embedded engine; returns the
+    oracle's report."""
     scenario = InclusionScenario(SCALE)
     variants, generator = build_loaded(scenario, SEED, names=("reference", "compiled"))
     try:
-        if prepare is not None:
-            prepare(variants["compiled"].engine)
         oracle = DifferentialOracle(variants, salaries=generator.sensitive_salaries(),
                                     check_retention=False)
         return oracle.run(ops, fail_fast=True)
@@ -48,14 +46,8 @@ def stream_ops():
     return stream.ops() + stream.epilogue(200)
 
 
-def small_batches(engine):
-    """Drain rounds of at most 7 rows: waves cut cohorts in two."""
-    engine.daemon.max_batch = 7
-
-
-@pytest.mark.parametrize("prepare", [None, small_batches], ids=["default", "max_batch_7"])
-def test_an_unsabotaged_engine_agrees(prepare):
-    assert oracle_run(stream_ops(), prepare).ok
+def test_an_unsabotaged_engine_agrees():
+    assert oracle_run(stream_ops()).ok
 
 
 def level_cap_off_by_one(monkeypatch):
@@ -90,17 +82,17 @@ def left_join_conjunct_pushed(monkeypatch):
     monkeypatch.setattr(Planner, "plan_physical", pushed)
 
 
-def cohort_split_stranded(monkeypatch):
-    """Cutting a cohort at the drain's batch limit gives the split-off part
-    no queue entry: its rows stay in the old state for good."""
-    original = DegradationScheduler._split
+def cohort_step_leaves_a_row_behind(monkeypatch):
+    """A drain hands the applier a cohort's step without the cohort's
+    newest row: the schedule moves the whole cohort on, the store degrades
+    all rows but that one."""
+    original = DegradationStep.__init__
 
-    def stranded(self, cohort, record_ids):
-        part = original(self, cohort, record_ids)
-        cohort.queued.clear()       # the rest's heap entries go stale
-        return part
+    def short(self, cohort, *args, **kwargs):
+        original(self, cohort, *args, **kwargs)
+        self.record_ids = self.record_ids[:-1] or self.record_ids
 
-    monkeypatch.setattr(DegradationScheduler, "_split", stranded)
+    monkeypatch.setattr(DegradationStep, "__init__", short)
 
 
 def last_transition_never_queued(monkeypatch):
@@ -138,9 +130,9 @@ def test_a_left_join_right_side_conjunct_pushed_into_its_scan_is_caught(monkeypa
     assert len(actual.payload["rows"]) > len(expected.payload["rows"])
 
 
-def test_a_cohort_split_that_leaves_half_its_rows_behind_is_caught(monkeypatch):
-    cohort_split_stranded(monkeypatch)
-    report = oracle_run(stream_ops(), prepare=small_batches)
+def test_a_cohort_step_that_leaves_a_row_behind_is_caught(monkeypatch):
+    cohort_step_leaves_a_row_behind(monkeypatch)
+    report = oracle_run(stream_ops())
     assert report.mismatches
     first = report.mismatches[0]
     if first.op.kind == "wave":     # fewer row steps than the policy mandates
@@ -148,7 +140,8 @@ def test_a_cohort_split_that_leaves_half_its_rows_behind_is_caught(monkeypatch):
 
 
 @pytest.mark.parametrize("sabotage", [level_cap_off_by_one, left_join_conjunct_pushed,
-                                      cohort_split_stranded, last_transition_never_queued])
+                                      cohort_step_leaves_a_row_behind,
+                                      last_transition_never_queued])
 def test_the_model_machine_catches(sabotage, monkeypatch):
     """The machine fails under each sabotage; where the profile shrinks, the
     failing sequence it settles on is at most ten rules long."""

@@ -114,7 +114,7 @@ class TestGTIndexProperties:
                     min_size=1, max_size=60))
     @settings(max_examples=50, deadline=None)
     def test_bulk_degradation_preserves_coarse_answers(self, entries):
-        """Degrading every bucket one level never changes country-level answers."""
+        """Degrading every posting one level never changes country-level answers."""
         index = GTIndex("gt", LOCATION)
         seen = set()
         for address, row_key in entries:
@@ -124,8 +124,8 @@ class TestGTIndexProperties:
             index.insert_at(address, 0, row_key)
         country = LOCATION.generalize(entries[0][0], 3)
         before = index.search_at(country, 3)
-        for address in list(index.values_at_level(0)):
-            index.degrade_bucket(address, 0, 1)
+        index.degrade_entries((address, 0, LOCATION.generalize(address, 1), 1, row_key)
+                              for address, row_key in seen)
         after = index.search_at(country, 3)
         assert before == after
         assert index.level_histogram()[0] == 0
