@@ -12,9 +12,10 @@ independent per-row automaton, written from the policies alone, predicts
 every row's state and queued step (due time and queue position), every step
 applied (row, attribute, state, due, applied at — hence its lag) and how
 many; the engine, read through the scheduler and the steps its applier
-reports, must agree after every operation, and no drain adds a cohort.  The
-run goes on with a twin recovered from the directory, whose schedule is derived from the heap: a step a lock
-deferred is due again, one a fault deferred is on the heap already.
+reports, must agree after every operation, with and without WAL faults,
+and no drain adds a cohort.  The run goes on with a twin recovered from the
+directory, whose schedule is derived from the heap: a step a lock deferred
+is due again, one a fault deferred is on the heap already.
 """
 
 import copy
@@ -197,8 +198,9 @@ def check(db, model, applied):
     assert db.scheduler.stats.max_lag == pytest.approx(max(lags, default=0.0))
 
 
+@pytest.mark.parametrize("faults", [True, False])
 @pytest.mark.parametrize("seed", [3, 17])
-def test_cohorts_step_like_rows(tmp_path, seed):
+def test_cohorts_step_like_rows(tmp_path, seed, faults):
     rng = random.Random(seed)
     plan = FaultPlan(seed)
     model, applied = Model(), []
@@ -243,7 +245,7 @@ def test_cohorts_step_like_rows(tmp_path, seed):
             if due and rng.random() < 0.2:
                 holder = db.begin()              # a reader holding the table lock
                 db.execute("SELECT COUNT(*) FROM visits", txn=holder)
-            elif due and rng.random() < 0.3 and model.fault_lands(expected):
+            elif faults and due and rng.random() < 0.3 and model.fault_lands(expected):
                 fault = len(plan.fired)
                 plan.fail_once("wal.flush", "enospc")
             cohorts = len(db.scheduler.cohorts())

@@ -172,6 +172,24 @@ class TestTimedSteps:
         scheduler.run_due(HOUR, lambda step: False)
         assert scheduler.current_state("r1") == {"location": 0}
 
+    def test_run_due_applies_the_steps_its_step_applier_accepts(self, tuple_lcp):
+        scheduler = DegradationScheduler()
+        scheduler.register_many(["a", "b"], tuple_lcp, inserted_at=0.0)
+        scheduler.register("c", tuple_lcp, inserted_at=1.0)
+        offered = []
+
+        def applier(step):
+            offered.append(step.record_ids)
+            return "c" not in step.record_ids
+
+        applied = scheduler.run_due(HOUR + 1.0, applier)
+        # One drain round offers both cohorts; the refused one keeps its state.
+        assert offered == [("a", "b"), ("c",)]
+        assert [step.record_ids for step in applied] == [("a", "b")]
+        assert scheduler.current_state("a") == {"location": 1}
+        assert scheduler.current_state("c") == {"location": 0}
+        assert scheduler.stats.steps_applied == 2
+
     def test_defer_requeues_step(self, tuple_lcp):
         scheduler = DegradationScheduler()
         scheduler.register("r1", tuple_lcp, inserted_at=0.0)
@@ -313,6 +331,20 @@ class TestOverdueCount:
         assert len(applied) == 1
 
 
+    def test_a_deferred_cohort_counts_from_its_new_position(self, tuple_lcp):
+        scheduler = DegradationScheduler()
+        scheduler.register_many(["a", "b", "c"], tuple_lcp, inserted_at=0.0)
+
+        def defer(_group, steps):
+            for step in steps:
+                scheduler.defer(step, HOUR + 10.0)
+            return []
+
+        scheduler.run_due_batched(HOUR, defer)
+        assert scheduler.overdue_count(HOUR) == 0
+        assert scheduler.overdue_count(HOUR + 10.0) == 3
+        assert scheduler.overdue_count(math.inf) == 3
+
 class TestBatchedDrain:
     def test_run_due_batched_groups_by_record_id_prefix(self, tuple_lcp):
         scheduler = DegradationScheduler()
@@ -451,6 +483,63 @@ class TestCohorts:
         # Four rounds, one per transition; both cohorts whole in every one.
         assert rounds == [([5, 3], 2)] * 4
         assert scheduler.cohorts() == [] and scheduler.stats.records_completed == 8
+
+
+    def test_a_cancel_is_all_that_shrinks_a_cohort(self, tuple_lcp):
+        scheduler = DegradationScheduler()
+        scheduler.register_many([("t", key) for key in range(5)], tuple_lcp, inserted_at=0.0)
+        applied = scheduler.run_due_batched(HOUR, lambda _table, steps: steps)
+        assert [len(step) for step in applied] == [5]
+        assert scheduler.cancel(("t", 2)) == 1
+        survivors = [("t", 0), ("t", 1), ("t", 3), ("t", 4)]
+        assert self.cohorts(scheduler) == [survivors]
+        applied = scheduler.run_due_batched(HOUR + DAY, lambda _table, steps: steps)
+        assert [step.record_ids for step in applied] == [tuple(survivors)]
+        assert self.cohorts(scheduler) == [survivors]
+        assert scheduler.current_state(("t", 0)) == {"location": 2}
+
+    def test_a_member_cancelled_mid_drain_is_left_out_of_its_step(self, tuple_lcp):
+        scheduler = DegradationScheduler()
+        scheduler.register_many([("t", key) for key in range(4)], tuple_lcp, inserted_at=0.0)
+
+        def applier(_table, steps):
+            scheduler.cancel(("t", 1))           # gone while its step is in flight
+            return steps
+
+        (step,) = scheduler.run_due_batched(HOUR, applier)
+        assert step.record_ids == (("t", 0), ("t", 2), ("t", 3))
+        assert scheduler.stats.steps_applied == 3
+        assert self.cohorts(scheduler) == [[("t", 0), ("t", 2), ("t", 3)]]
+        assert scheduler.current_state(("t", 2)) == {"location": 1}
+
+    @pytest.mark.parametrize("outcome", ["apply", "defer", "refuse"])
+    def test_no_drain_adds_a_cohort(self, tuple_lcp, outcome):
+        # Whatever the applier does with a step — apply, defer or refuse
+        # it — a drain advances, keeps or finishes cohorts, never splits one.
+        scheduler = DegradationScheduler()
+        for instant in range(4):
+            scheduler.register_many([("t", instant, key) for key in range(instant + 2)],
+                                    tuple_lcp, inserted_at=float(instant))
+        scheduler.register(("u", 0), tuple_lcp, inserted_at=0.0)
+        clock = [0.0]
+
+        def applier(_table, steps):
+            if outcome == "defer":
+                for step in steps:
+                    scheduler.defer(step, clock[0] + 1.0)
+            return steps if outcome == "apply" else []
+
+        counts = [len(scheduler.cohorts())]
+        for now in (HOUR, HOUR + 2.0, 2 * HOUR, HOUR + DAY + 3.0, 10 * MONTH):
+            clock[0] = now
+            scheduler.run_due_batched(now, applier)
+            counts.append(len(scheduler.cohorts()))
+        assert counts == [5] * 5 + [{"apply": 0, "defer": 5, "refuse": 5}[outcome]]
+        sizes = sorted(len(record_ids) for record_ids, _states, _queued
+                       in scheduler.cohorts())
+        assert sizes == ([] if outcome == "apply" else [1, 2, 3, 4, 5])
+        if outcome != "apply":
+            assert {scheduler.current_state(("t", 3, 0))["location"]} == {0}
 
 
 class TestEventSteps:

@@ -104,6 +104,27 @@ class TestBatchedWave:
         db.advance_time(days=100)         # the last step: the rows go final
         assert db.scheduler.cohorts() == [] and db.row_count("trace") == 0
 
+    def test_a_deleted_member_leaves_the_rest_of_its_cohort_whole(self):
+        db = build_trace_engine()
+        insert_wave(db, 9)
+        db.advance_time(hours=2)
+        db.execute("DECLARE PURPOSE c SET ACCURACY LEVEL city FOR trace.location")
+        assert db.execute("DELETE FROM trace WHERE id = 4", purpose="c") == 1
+        ((members, states, _queued),) = db.scheduler.cohorts()
+        assert len(members) == 8 and states == {"location": 1}
+        calls = []
+        apply = db.daemon.applier
+
+        def spy(table, steps):
+            calls.append((table, [len(step) for step in steps]))
+            return apply(table, steps)
+
+        db.daemon.applier = spy
+        db.advance_time(days=1)
+        assert calls == [("trace", [8])]
+        assert len(db.scheduler.cohorts()) == 1
+        assert db.level_histogram("trace", "location") == {2: 8}
+
     @pytest.mark.parametrize("strategy", ["rewrite", "crypto"])
     def test_batch_wave_not_forensically_recoverable(self, strategy):
         db = build_trace_engine(strategy=strategy)
@@ -194,8 +215,9 @@ class TestBatchedWave:
 
 
 class TestLockConflictDeferral:
-    def test_conflicting_batch_defers_and_retries(self):
-        db = build_trace_engine()
+    @pytest.mark.parametrize("strategy", ["rewrite", "crypto"])
+    def test_conflicting_batch_defers_and_retries(self, strategy):
+        db = build_trace_engine(strategy=strategy)
         insert_wave(db, 8)
         reader = db.begin()
         db.execute("SELECT * FROM trace", txn=reader)
@@ -259,6 +281,26 @@ class TestEventInterleaving:
         assert db.row_count("held") == 0
         assert db.stats.rows_removed_by_policy == 1
         assert db.scheduler.stats.records_completed == 1
+
+    def test_an_event_releases_each_cohort_whole_in_one_batch(self):
+        db = build_trace_engine(
+            transitions=[{"event": "go"}, "1 day", "1 month", "3 months"])
+        insert_wave(db, 5)
+        db.advance_time(seconds=1)
+        db.execute(f"INSERT INTO trace VALUES (99, '{LYON}')")
+        assert len(db.scheduler.cohorts()) == 2
+        calls = []
+        apply = db.daemon.applier
+
+        def spy(table, steps):
+            calls.append((table, [len(step) for step in steps]))
+            return apply(table, steps)
+
+        db.daemon.applier = spy
+        db.fire_event("go")
+        assert calls == [("trace", [5, 1])]
+        assert len(db.scheduler.cohorts()) == 2
+        assert db.level_histogram("trace", "location") == {1: 6}
 
     def test_cancelled_record_ignores_later_event(self):
         db = build_trace_engine(

@@ -15,6 +15,8 @@ all: it compacts itself around the grown record (the mirror test below).
 
 import os
 
+import pytest
+
 from repro import AttributeLCP, InstantDB
 from repro.core.domains import build_salary_ranges
 from repro.storage.serialization import encode_value
@@ -31,6 +33,9 @@ LEFT_BY_THREE = PAGE_SIZE - 4 - 3 * (SLOT + FILLER + 60) - SLOT
 #: 3 bytes to spare: less than the 7 the row grows by.
 PAGES = range(4)
 YOUNG = range(101, 104)
+#: How the young rows are inserted: by one statement (one cohort) or one a
+#: second (a cohort each).  Either way their first step is one wave.
+COHORTS = ("one", "per_row")
 
 
 def _fillers():
@@ -50,7 +55,7 @@ def _open(data_dir) -> InstantDB:
     return InstantDB(data_dir=str(data_dir), page_size=PAGE_SIZE)
 
 
-def _young_cohort_on_full_pages(data_dir):
+def _young_cohort_on_full_pages(data_dir, cohorts):
     """Pages 1–3 hold four fillers and one young row each and are full in
     total, page 0 four fillers; everything is on disk.  Returns the engine
     and each young row key's page."""
@@ -67,8 +72,13 @@ def _young_cohort_on_full_pages(data_dir):
     db.executemany("INSERT INTO pay VALUES (?, ?, ?)", _fillers())
     assert store.heap.page_count == len(PAGES)
     db.advance_time(hours=2)          # fillers take their step now, not later
-    db.executemany("INSERT INTO pay VALUES (?, ?, ?)",
-                   [(row_id, "", _salary(row_id)) for row_id in YOUNG])
+    young = [(row_id, "", _salary(row_id)) for row_id in YOUNG]
+    if cohorts == "one":
+        db.executemany("INSERT INTO pay VALUES (?, ?, ?)", young)
+    else:
+        for row in young:
+            db.execute("INSERT INTO pay VALUES (?, ?, ?)", params=row)
+            db.advance_time(seconds=1)
     young_keys = [key for key in store.row_keys()
                   if store.read(key).values["id"] in YOUNG]
     pages = {key: store.page_of(key) for key in young_keys}
@@ -91,8 +101,9 @@ def _abandon_and_recover(db, data_dir):
             if encode_value(_salary(row_id)) in raw] == []
 
 
-def test_relocating_degrade_leaves_no_accurate_image_behind(tmp_path):
-    db, pages_before = _young_cohort_on_full_pages(tmp_path)
+@pytest.mark.parametrize("cohorts", COHORTS)
+def test_relocating_degrade_leaves_no_accurate_image_behind(tmp_path, cohorts):
+    db, pages_before = _young_cohort_on_full_pages(tmp_path, cohorts)
     store = db.table_store("pay")
     # room for the grown images opens on page 0 only
     assert db.execute("DELETE FROM pay WHERE id IN (2, 3)", purpose="coarse") == 2
@@ -107,11 +118,12 @@ def test_relocating_degrade_leaves_no_accurate_image_behind(tmp_path):
     _abandon_and_recover(db, tmp_path)
 
 
-def test_page_with_holes_keeps_its_growing_records(tmp_path):
+@pytest.mark.parametrize("cohorts", COHORTS)
+def test_page_with_holes_keeps_its_growing_records(tmp_path, cohorts):
     """The mirror case: the same full pages, but each has a hole (a deleted
     filler behind the live records — no contiguous room).  Every young row
     grows where it is, and the step is as durable as a relocating one."""
-    db, pages_before = _young_cohort_on_full_pages(tmp_path)
+    db, pages_before = _young_cohort_on_full_pages(tmp_path, cohorts)
     store = db.table_store("pay")
     assert db.execute("DELETE FROM pay WHERE id IN (11, 21, 31)", purpose="coarse") == 3
     db.checkpoint()

@@ -27,6 +27,11 @@ from ..conftest import log_dir_bytes
 
 ROWS = range(1, 8)
 
+#: How the seven rows are inserted: by one statement (one cohort) or one a
+#: second (seven cohorts).  Either way their step comes due in one wave, one
+#: ``TableStore.degrade_many`` call.
+COHORTS = ("one", "per_row")
+
 
 def _salary(row_id: int) -> int:
     return 52_009 + 13 * row_id      # unique per row, so its bytes are traceable
@@ -44,7 +49,7 @@ def _open(data_dir) -> InstantDB:
     return InstantDB(data_dir=str(data_dir))
 
 
-def _load(tmp_path) -> InstantDB:
+def _load(tmp_path, cohorts) -> InstantDB:
     db = _open(tmp_path)
     salary = db.register_domain(build_salary_ranges())
     db.register_policy(AttributeLCP(
@@ -52,15 +57,22 @@ def _load(tmp_path) -> InstantDB:
         name="salary_lcp"))
     db.execute("CREATE TABLE pay (id INT PRIMARY KEY, salary INT "
                "DEGRADABLE DOMAIN salary POLICY salary_lcp)")
-    db.executemany("INSERT INTO pay VALUES (?, ?)",
-                   [(row_id, _salary(row_id)) for row_id in ROWS])
+    if cohorts == "one":
+        db.executemany("INSERT INTO pay VALUES (?, ?)",
+                       [(row_id, _salary(row_id)) for row_id in ROWS])
+    else:
+        for row_id in ROWS:
+            db.execute("INSERT INTO pay VALUES (?, ?)", params=(row_id, _salary(row_id)))
+            db.advance_time(seconds=1)
+    assert len(db.scheduler.cohorts()) == (1 if cohorts == "one" else len(ROWS))
     db.checkpoint()
     assert _leaked(_log_bytes(tmp_path)) == list(ROWS)   # not due yet
     return db
 
 
-def test_crash_at_scrub_entry_leaves_no_accurate_image_after_recovery(tmp_path):
-    db = _load(tmp_path)
+@pytest.mark.parametrize("cohorts", COHORTS)
+def test_crash_at_scrub_entry_leaves_no_accurate_image_after_recovery(tmp_path, cohorts):
+    db = _load(tmp_path, cohorts)
 
     def die(*args, **kwargs):
         raise KeyboardInterrupt      # the process is gone: pages durable, log not scrubbed
@@ -82,9 +94,10 @@ def test_crash_at_scrub_entry_leaves_no_accurate_image_after_recovery(tmp_path):
     reopened.close()
 
 
-def test_crash_inside_the_zeroing_pass_is_healed_by_recovery(tmp_path):
+@pytest.mark.parametrize("cohorts", COHORTS)
+def test_crash_inside_the_zeroing_pass_is_healed_by_recovery(tmp_path, cohorts):
     """Marks landed, no image zeroed yet: reopening finishes the job."""
-    db = _load(tmp_path)
+    db = _load(tmp_path, cohorts)
     real_pwrite = os.pwrite
 
     def die_on_first_zero(fd, data, offset):
@@ -119,10 +132,11 @@ def _die_on_first_mark(real_pwrite):
     return pwrite
 
 
-def test_redo_finishes_the_scrub_even_without_a_drain(tmp_path):
+@pytest.mark.parametrize("cohorts", COHORTS)
+def test_redo_finishes_the_scrub_even_without_a_drain(tmp_path, cohorts):
     """The wave's DEGRADE records reached the disk, no mark did: recovery's
     redo pass sees rows at their logged level and scrubs them itself."""
-    db = _load(tmp_path)
+    db = _load(tmp_path, cohorts)
     real_pwrite = os.pwrite
     os.pwrite = _die_on_first_mark(real_pwrite)
     try:
@@ -144,7 +158,7 @@ def test_redo_finishes_the_scrub_even_without_a_drain(tmp_path):
 def test_redo_of_a_removal_scrubs_the_rows_images(tmp_path):
     """DELETE of a never-degraded row, killed between the REMOVE record
     reaching the disk and the scrub of the row's INSERT image."""
-    db = _load(tmp_path)
+    db = _load(tmp_path, "one")
     real_pwrite = os.pwrite
     os.pwrite = _die_on_first_mark(real_pwrite)
     try:
