@@ -95,7 +95,7 @@ def test_mass_expiry_wave():
     assert wave["page_flushes"] <= heap_pages
     assert db.daemon.backlog() == 0
 
-    record_bench("c2", "mass_expiry_wave",
+    record_bench("c2", "mass_expiry_wave", sizes={"MASS_EXPIRY_N": N},
                  rows=N,
                  batched_steps_per_sec=round(rate, 1),
                  batched_wal_flushes=wave["wal_flushes"],

@@ -130,6 +130,7 @@ def test_concurrent_serving_qps_and_tail_latency():
     results = [_run_scenario(n) for n in CLIENT_COUNTS]
     for result in results:
         record_bench("c6", f"clients_{result['clients']}",
+                     sizes={"C6_OPS": OPS_PER_CLIENT, "C6_WAVE_MS": WAVE_INTERVAL_S * 1000},
                      **{k: v for k, v in result.items() if k != "clients"})
     print_table(
         "C6: mixed read/write serving under live expiry waves "

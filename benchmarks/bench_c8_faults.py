@@ -103,6 +103,8 @@ def test_throughput_and_retention_lag_under_faults(tmp_path):
         base_qps = round(base_ops / base_elapsed, 1) if base_elapsed else 0.0
         qps = round(report.ops_run / fault_elapsed, 1) if fault_elapsed else 0.0
         record_bench("c8", f"faults_{variant}",
+                     sizes={"C8_ROWS": SCALE, "C8_OPS": OPS, "C8_SEED": SEED,
+                            "C8_FAULT_RATE": FAULT_RATE},
                      scale=SCALE, ops=report.ops_run,
                      fault_rate=FAULT_RATE, faults_fired=len(faulted.plan.fired),
                      qps=qps, baseline_qps=base_qps,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import pytest
 
@@ -31,10 +31,16 @@ SALARY_TRANSITIONS = ["2 hours", "2 days", "2 months", "6 months"]
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")
 
 
-def record_bench(tag: str, scenario: str, **metrics) -> None:
-    """Merge one scenario's metrics into ``benchmarks/results/BENCH_<tag>.json``."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, f"BENCH_{tag}.json")
+def record_bench(tag: str, scenario: str, sizes: Optional[Dict] = None,
+                 results_dir: str = RESULTS_DIR, **metrics) -> bool:
+    """Merge one scenario's metrics, measured at ``sizes`` (the workload
+    knobs the run used), into ``<results_dir>/BENCH_<tag>.json``.
+
+    An entry recorded at other sizes is kept — a smoke run does not replace
+    full-size figures — and the skip is printed.  Returns whether the entry
+    was written."""
+    os.makedirs(results_dir, exist_ok=True)
+    path = os.path.join(results_dir, f"BENCH_{tag}.json")
     data: Dict[str, Dict] = {}
     if os.path.exists(path):
         try:
@@ -42,10 +48,16 @@ def record_bench(tag: str, scenario: str, **metrics) -> None:
                 data = json.load(handle)
         except (OSError, ValueError):
             data = {}
-    data[scenario] = metrics
+    held = data.get(scenario, {}).get("sizes")
+    if held is not None and held != sizes:
+        print(f"record_bench: kept BENCH_{tag}.json[{scenario!r}], recorded at sizes "
+              f"{held}, not replaced by a run at {sizes}")
+        return False
+    data[scenario] = metrics if sizes is None else {**metrics, "sizes": sizes}
     with open(path, "w") as handle:
         json.dump(data, handle, indent=2, sort_keys=True)
         handle.write("\n")
+    return True
 
 
 def _bench_tag(fullname: str) -> str:

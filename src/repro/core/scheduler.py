@@ -365,11 +365,8 @@ class DegradationScheduler:
         The step keeps its original transition and due time (for lag
         accounting) but its cohort's entry moves to ``until``.
         """
-        cohort = step._cohort
-        if not cohort.members or step.attribute in cohort.queued \
-                or cohort.states[step.attribute] != step.from_state:
-            return
-        self._push(cohort, step.attribute, step.from_state, step.due, until, step.event)
+        if self.moving(step):
+            self._push(step._cohort, step.attribute, step.from_state, step.due, until, step.event)
 
     # -- events ----------------------------------------------------------------
 
@@ -432,15 +429,19 @@ class DegradationScheduler:
         for due, count in dues.items():
             self.stats.record_lag(max(0.0, now - due), count)
 
+    def moving(self, step: DegradationStep) -> Tuple[Any, ...]:
+        """The record ids applying ``step`` moves on: its cohort's members, none if stale."""
+        cohort = step._cohort
+        stale = step.attribute in cohort.queued or cohort.states[step.attribute] != step.from_state
+        return () if stale else tuple(cohort.members)
+
     def _advance(self, step: DegradationStep,
                  on_complete: Optional[CompletionCallback]) -> int:
         """Move the step's cohort on; returns how many records stepped."""
-        cohort = step._cohort
-        if not cohort.members or step.attribute in cohort.queued \
-                or cohort.states[step.attribute] != step.from_state:
+        moved = self.moving(step)
+        if not moved:
             return 0
-        if len(step.record_ids) != len(cohort.members):
-            step.record_ids = tuple(cohort.members)     # some were cancelled
+        cohort, step.record_ids = step._cohort, moved   # less the members cancelled since
         cohort.states[step.attribute] = step.to_state
         cohort.entered_at[step.attribute] = step.due
         self._schedule_next(cohort, step.attribute)
@@ -501,12 +502,9 @@ class DegradationScheduler:
                 self._mark_applied(applier(group, steps), now, applied, on_complete)
 
     def overdue_count(self, now: float) -> int:
-        """Number of record steps due at or before ``now`` (O(queue) scan).
-
-        This is the public backlog measure the daemon reports; it never pops
-        or applies anything.  ``overdue_count(math.inf)`` counts every
-        queued record step.
-        """
+        """Record steps due at or before ``now`` — the backlog the daemon
+        reports (an O(queue) scan that pops nothing); ``overdue_count(math.inf)``
+        counts every queued record step."""
         return sum(len(entry[2].members) for entry in self._heap
                    if entry[0] <= now and entry[2].queued.get(entry[3]) is entry)
 

@@ -123,49 +123,28 @@ class TableSchema:
 
     def coerce_row(self, row: Any) -> Tuple[Any, ...]:
         """Coerce ``row`` (mapping or sequence) into a value tuple in column order."""
+        return tuple(column.coerce(value)
+                     for column, value in zip(self.columns, self.values_of(row)))
+
+    def values_of(self, row: Any) -> Tuple[Any, ...]:
+        """``row`` — a column → value mapping (names in any case, a column it
+        leaves out is NULL) or a sequence of every column's value — as a
+        value tuple in column order, uncoerced."""
         if isinstance(row, dict):
-            unknown = set(key.lower() for key in row) - set(self._by_name)
+            lowered = {key.lower(): value for key, value in row.items()}
+            unknown = set(lowered) - set(self._by_name)
             if unknown:
                 raise SchemaError(
                     f"table {self.name!r}: unknown columns {sorted(unknown)!r}"
                 )
-            values = []
-            lowered = {key.lower(): value for key, value in row.items()}
-            for column in self.columns:
-                values.append(column.coerce(lowered.get(column.name)))
-            return tuple(values)
-        values = list(row)
+            return tuple(lowered.get(column.name) for column in self.columns)
+        values = tuple(row)
         if len(values) != len(self.columns):
             raise SchemaError(
                 f"table {self.name!r}: expected {len(self.columns)} values, "
                 f"got {len(values)}"
             )
-        return tuple(
-            column.coerce(value) for column, value in zip(self.columns, values)
-        )
-
-    def positions(self, names: Sequence[str]) -> Optional[List[Optional[int]]]:
-        """Where each column's value sits in a row that lists ``names`` (an
-        INSERT's column list): ``None`` for a column it leaves out (NULL);
-        ``None`` instead of the list when ``names`` is every column in order."""
-        lowered = [name.lower() for name in names]
-        unknown = set(lowered) - set(self._by_name)
-        if unknown:
-            raise SchemaError(
-                f"table {self.name!r}: unknown columns {sorted(unknown)!r}"
-            )
-        at = {name: index for index, name in enumerate(lowered)}
-        order = [at.get(column.name) for column in self.columns]
-        return None if order == list(range(len(lowered))) else order
-
-    def row_dict(self, values: Sequence[Any]) -> Dict[str, Any]:
-        """Inverse of :meth:`coerce_row` — a name → value mapping."""
-        if len(values) != len(self.columns):
-            raise SchemaError(
-                f"table {self.name!r}: expected {len(self.columns)} values, "
-                f"got {len(values)}"
-            )
-        return {column.name: value for column, value in zip(self.columns, values)}
+        return values
 
     def describe(self) -> str:
         body = ",\n  ".join(column.describe() for column in self.columns)

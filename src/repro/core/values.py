@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Dict, Optional, Pattern
 
-from .errors import ExecutionError, SchemaError
+from .errors import ExecutionError, ParameterError, SchemaError
 
 
 class _Sentinel:
@@ -148,6 +148,20 @@ def coerce(value: Any, value_type: ValueType) -> Any:
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"cannot coerce {value!r} to {value_type.value}") from exc
     raise SchemaError(f"unsupported value type {value_type!r}")  # pragma: no cover
+
+
+#: Python types accepted as statement parameters.
+SUPPORTED_PARAMETER_TYPES = (type(None), bool, int, float, str)
+
+
+def check_parameter(value: Any) -> Any:
+    """Validate one statement parameter value; returns it unchanged."""
+    if not isinstance(value, SUPPORTED_PARAMETER_TYPES):
+        raise ParameterError(
+            f"unsupported parameter type {type(value).__name__!r}; "
+            "parameters must be None, bool, int, float or str"
+        )
+    return value
 
 
 def is_missing(value: Any) -> bool:

@@ -437,7 +437,7 @@ class SingleFanoutRule(Rule):
     rows, and stay right only if every row change reaches all of them — so
     under ``engine/`` the calls that maintain them (an index's ``insert`` /
     ``delete`` / ``update`` / ``degrade_entries``, ``on_insert`` /
-    ``on_remove`` / ``on_value_change``, the scheduler's ``register`` /
+    ``on_remove`` / ``on_value_changes``, the scheduler's ``register`` /
     ``register_many`` / ``cancel``) may appear in that one function only.
     A second call site is a change that some structure will miss, and an
     undo nobody wrote.
@@ -452,7 +452,7 @@ class SingleFanoutRule(Rule):
     MAINTENANCE = {
         "index": frozenset({"insert", "delete", "update", "degrade_entries"}),
         "scheduler": frozenset({"register", "register_many", "cancel"}),
-        None: frozenset({"on_insert", "on_remove", "on_value_change"}),
+        None: frozenset({"on_insert", "on_remove", "on_value_changes"}),
     }
 
     def check(self, path: str, tree: ast.AST, source: str) -> List[Finding]:

@@ -35,7 +35,7 @@ import os
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
+from itertools import islice, repeat
 from typing import Any, ContextManager, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..core.clock import Clock, SimulatedClock, make_clock
@@ -60,11 +60,12 @@ from ..devtools import invariants
 from ..query import ast_nodes as ast
 from ..query.catalog import Catalog, IndexInfo, TableInfo
 from ..query.executor import Executor, QueryResult, draining
+from ..query.parameters import InsertSources
 from ..query.planner import PhysicalPlan, Planner, bind_physical_plan
 from ..query.prepared import PreparedStatement, StatementCache, query_of
 from ..storage.buffer import BufferPool
 from ..storage.crypto import KeyStore
-from ..storage.degradable_store import DegradeChunk, StoredRow, TableStore
+from ..storage.degradable_store import DegradeChunk, RowBatch, StoredRow, TableStore
 from ..storage.pager import open_pager
 from ..storage.wal import LogRecordType, WriteAheadLog, encode_page_directory
 from ..txn.recovery import RecoveryManager, RecoveryReport
@@ -140,6 +141,9 @@ class InstantDB:
                  data_dir: Optional[str] = None,
                  deterministic_crypto: bool = True,
                  fault_plan: Optional[FaultPlan] = None) -> None:
+        if strategy == "crypto" and data_dir is not None:
+            raise ConfigurationError("strategy='crypto' keeps its keys in memory only: an engine "
+                                     "with a data_dir could not decrypt its rows after a restart")
         self.clock: Clock = make_clock(clock) if isinstance(clock, str) else clock
         self.strategy = strategy
         #: Optional fault-injection schedule threaded through every I/O seam
@@ -549,12 +553,10 @@ class InstantDB:
             raise NotSupportedError("executemany() cannot produce result sets; "
                                     "use execute() for queries")
         if isinstance(statement, ast.Insert):
-            rows: List[Tuple[Any, ...]] = []
-            for params in seq_of_params:
-                prepared.executions += 1
-                self.stats.statements_executed += 1
-                rows.extend(prepared.insert_rows(params))
-            return self._execute_insert(statement, rows, txn) if rows else 0
+            rows = list(seq_of_params)
+            prepared.executions += len(rows)
+            self.stats.statements_executed += len(rows)
+            return self._execute_insert(prepared, rows, txn) if rows else 0
         total = 0
         with self._transaction(txn) as active:
             for params in seq_of_params:
@@ -579,7 +581,7 @@ class InstantDB:
         resolved = self._resolve_purpose(purpose)
         statement = prepared.statement
         if isinstance(statement, ast.Insert):
-            return self._execute_insert(statement, prepared.insert_rows(params), txn)
+            return self._execute_insert(prepared, [() if params is None else params], txn)
         params = prepared.checked(params)
         if isinstance(statement, ast.Select):
             return self._execute_select(prepared, params, resolved, txn, stream)
@@ -712,41 +714,29 @@ class InstantDB:
 
     # ------------------------------------------------------------------ INSERT
 
-    def _execute_insert(self, statement: ast.Insert, rows: List[Sequence[Any]],
+    def _execute_insert(self, prepared: PreparedStatement, rows: List[Sequence[Any]],
                         txn: Optional[Transaction]) -> int:
-        """``rows`` — an INSERT's bound VALUES rows, one statement's or a
-        batch's — as one insert: every row or none, one lock, one flush."""
+        """An INSERT's parameter sequences as one insert: every row or none, one lock, one flush."""
         self._require_writable()
-        table = statement.table.lower()
-        info = self.catalog.table(table)
-        if statement.columns is not None:
-            for row in rows:
-                if len(row) != len(statement.columns):
-                    raise ExecutionError(
-                        f"INSERT specifies {len(statement.columns)} columns "
-                        f"but {len(row)} values")
-            order = info.schema.positions(statement.columns)
-            if order is not None:
-                rows = [tuple([None if at is None else row[at] for at in order])
-                        for row in rows]
-        with self._transaction(txn, table, exclusive=True) as active:
-            self._insert(info, rows, active)
-        return len(rows)
+        info = self.catalog.table(prepared.statement.table.lower())
+        sources = prepared.insert_sources(info.schema)
+        with self._transaction(txn, info.name, exclusive=True) as active:
+            self._insert(info, rows, active, sources)
+        return len(rows) * len(sources.records)
 
     def insert_row(self, table: str, row: Any, txn: Optional[Transaction] = None) -> int:
         """Insert one row (Python API); returns the logical row key."""
         self._require_writable()
         info = self.catalog.table(table.lower())
         with self._transaction(txn, info.name, exclusive=True) as active:
-            return self._insert(info, [row], active)[0].row_key
+            return self._insert(info, [row], active).keys[0]
 
-    def _insert(self, info: TableInfo, rows: Sequence[Any],
-                active: Transaction) -> List[StoredRow]:
+    def _insert(self, info: TableInfo, rows: Sequence[Any], active: Transaction,
+                sources: Optional[InsertSources] = None) -> RowBatch:
         """``rows`` into the table under ``active``, which holds its exclusive
         lock — one batch from store to log to schedule; returns them stored."""
-        now = self.clock.now()
         store = self._store_for(info.name)
-        stored = store.insert_many(rows, now, txn_id=active.txn_id)
+        stored = store.insert_many(rows, self.clock.now(), active.txn_id, sources)
         active.on_abort(partial(self._undo_delta, info, store, None, stored))
         self._apply_delta(info, None, stored)
         self.stats.rows_inserted += len(stored)
@@ -853,27 +843,26 @@ class InstantDB:
         """The one way row changes reach what is derived from rows: the
         table's indexes, its statistics and the degradation schedule.
 
-        ``(None, rows)`` enter and ``(rows, None)`` leave, a batch each (one
-        index pass, one statistics update per column; entering rows join the
-        schedule as one cohort per tuple LCP, insertion time and stored
-        levels — a statement's inserts are one, a recovered heap's rows enter
-        at the state their levels are); two batches of images of the same
-        rows move every value that differs.  Undoing a change is the same call with the
-        images swapped (:meth:`_undo_delta`).  A wave passes each ``chunk`` as
-        the store produced it — value transitions, no row decoded.  ``gone``
-        are keys of rows that left without an image to retract (a dropped
-        table's; a row a faulted wave had erased): only the schedule still
-        holds them.  ``only`` feeds entering rows to one index, a new one
-        catching up.  ``schedule=False`` leaves the schedule to the drain's
-        advance, for the rows a wave removes.
+        ``(None, rows)`` enter and ``(rows, None)`` leave, a batch each read
+        column by column (:class:`RowBatch`): one index pass, one statistics
+        update per column; entering rows join the schedule as one cohort per
+        tuple LCP, insertion time and stored levels (a statement's inserts
+        are one, a recovered heap's rows enter at the state their levels
+        are).  Two batches of images of the same rows move every value that
+        differs; undoing a change is the same call with them swapped
+        (:meth:`_undo_delta`).  A wave passes each ``chunk`` as the store
+        made it: its value transitions, one statistics batch.  ``gone`` are
+        keys of rows that left without an image to retract (a dropped
+        table's; a row a faulted wave had erased): only the schedule holds
+        them.  ``only`` feeds entering rows to one index catching up;
+        ``schedule=False`` leaves the schedule to the drain's advance.
         """
         table = info.name
         indexes = info.indexes.values() if only is None else (only,)
         if chunk is not None:
             moves = chunk.transitions.items()
-            for (old_value, new_value), row_keys in moves:
-                self.statistics.on_value_change(table, chunk.column, old_value,
-                                                new_value, len(row_keys))
+            self.statistics.on_value_changes(table, chunk.column, (
+                (before, after, len(row_keys)) for (before, after), row_keys in moves))
             for index_info in indexes:
                 if index_info.column == chunk.column:
                     index_info.index.degrade_entries(
@@ -883,42 +872,48 @@ class InstantDB:
         elif gone is not None:
             for row_key in gone:
                 self.scheduler.cancel((table, row_key))
-        elif old is None:
+        elif old is None or new is None:
+            batch = RowBatch.of(new if old is None else old)
+            keys, columns, levels = batch.keys, batch.columns, batch.levels
+            if not keys:
+                return
             for index_info in indexes:
                 column, index = index_info.column, index_info.index
-                for row in new:
-                    index.insert(row.values[column], row.row_key, row.levels.get(column))
+                change = index.insert if old is None else index.delete
+                for row_key, value, level in zip(keys, columns[column],
+                                                 levels.get(column) or repeat(None)):
+                    change(value, row_key, level)
             if only is not None:
                 return
-            self.statistics.on_insert(table, [row.values for row in new])
+            if old is not None:
+                self.statistics.on_remove(table, columns, len(keys))
+                for row_key in keys if schedule else ():
+                    self.scheduler.cancel((table, row_key))
+                return
+            self.statistics.on_insert(table, columns, len(keys))
             policy = info.policy
             if policy is None or not policy.has_degradable_columns():
                 return
             final = policy.final_levels()
+            final = tuple(map(final.get, levels)) if final.keys() == levels.keys() else None
+            choices = columns.get(policy.selector_column)     # else one tuple LCP for all
+            same = None if choices else policy.tuple_lcp()
             cohorts: Dict[tuple, List[Tuple[str, int]]] = {}
-            for row in new:
-                if row.levels != final:     # (a final row is not tracked)
-                    cohorts.setdefault((policy.tuple_lcp_of(row.values), row.inserted_at,
-                                        tuple(row.levels.items())), []).append(
-                                            (table, row.row_key))
-            for (tuple_lcp, inserted_at, levels), record_ids in cohorts.items():
-                self.scheduler.register_many(record_ids, tuple_lcp, inserted_at, dict(levels))
-        elif new is None:
-            for index_info in indexes:
-                column, index = index_info.column, index_info.index
-                for row in old:
-                    index.delete(row.values[column], row.row_key, row.levels.get(column))
-            self.statistics.on_remove(table, [row.values for row in old])
-            if schedule:
-                for row in old:
-                    self.scheduler.cancel((table, row.row_key))
+            for row_key, choice, inserted_at, stored in zip(
+                    keys, choices or repeat(None), batch.inserted_at, zip(*levels.values())):
+                if stored != final:     # (a final row is not tracked)
+                    cohorts.setdefault((same or policy.tuple_lcp(choice), inserted_at, stored),
+                                       []).append((table, row_key))
+            for (tuple_lcp, inserted_at, stored), record_ids in cohorts.items():
+                self.scheduler.register_many(record_ids, tuple_lcp, inserted_at,
+                                             dict(zip(levels, stored)))
         else:
             for before_row, after_row in zip(old, new):
                 for column, value in after_row.values.items():
                     before = before_row.values[column]
                     if before == value:
                         continue
-                    self.statistics.on_value_change(table, column, before, value)
+                    self.statistics.on_value_changes(table, column, ((before, value, 1),))
                     for index_info in indexes:
                         if index_info.column == column:
                             index_info.index.update(before, value, before_row.row_key,
@@ -1039,7 +1034,21 @@ class InstantDB:
             return []
         self._fault_backoff.pop(table, None)
         self.stats.degradation_steps_applied += sum(len(item[0]) for item in items)
+        if invariants.enabled():
+            self._check_wave(store, live)
         return live
+
+    def _check_wave(self, store: TableStore, steps: List[DegradationStep]) -> None:
+        """Armed invariant (docs/invariants.md): every row an applied step
+        moves on stores at least the step's target level."""
+        for step in steps:
+            target = step.tuple_lcp.attributes[step.attribute].state_level(step.to_state)
+            moving = [record_id[1] for record_id in self.scheduler.moving(step)]
+            for row in store.fetch(iter(moving), frozenset()):
+                if row.levels[step.attribute] < target:
+                    raise invariants.InvariantViolation(
+                        f"{store.schema.name}: row {row.row_key} stores {step.attribute} at "
+                        f"level {row.levels[step.attribute]} after its cohort's step to {target}")
 
     def _on_records_final(self, info: TableInfo, store: TableStore,
                           steps: List[DegradationStep], txn: Transaction,

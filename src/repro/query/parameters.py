@@ -15,13 +15,13 @@ the AST, never re-tokenized, so no value can alter the shape of the statement
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, List, NamedTuple, Sequence, Tuple
 
-from ..core.errors import ParameterError
+from ..core.errors import ExecutionError, ParameterError, SchemaError
+from ..core.schema import TableSchema
+from ..core.values import SUPPORTED_PARAMETER_TYPES, check_parameter
 from . import ast_nodes as ast
-
-#: Python types accepted as statement parameters.
-SUPPORTED_PARAMETER_TYPES = (type(None), bool, int, float, str)
 
 
 def placeholder_indexes(node: Any) -> Tuple[int, ...]:
@@ -39,16 +39,6 @@ def placeholder_indexes(node: Any) -> Tuple[int, ...]:
 def count_placeholders(statement: ast.Statement) -> int:
     """Number of ``?`` placeholders in a parsed statement."""
     return len(placeholder_indexes(statement))
-
-
-def check_parameter(value: Any) -> Any:
-    """Validate one parameter value; returns it unchanged."""
-    if not isinstance(value, SUPPORTED_PARAMETER_TYPES):
-        raise ParameterError(
-            f"unsupported parameter type {type(value).__name__!r}; "
-            "parameters must be None, bool, int, float or str"
-        )
-    return value
 
 
 def bind_parameters(statement: ast.Statement, params: Sequence[Any],
@@ -88,31 +78,45 @@ def checked_parameters(params: Sequence[Any], expected: int) -> Tuple[Any, ...]:
     return bound
 
 
-#: One VALUES row of an INSERT, resolved: ``(parameter index, literal)`` per
-#: value, the index being -1 where the row holds a literal.
-InsertSlots = Tuple[Tuple[Tuple[int, Any], ...], ...]
+class InsertSources(NamedTuple):
+    """Where an INSERT's records take their values from a parameter sequence
+    of ``width`` values: per VALUES row, per column of the table, the
+    parameter's index, -1 for a column it leaves out (NULL) or ``-2 - k`` for
+    ``literals[k]``; ``sized`` is the count check (:func:`checked_parameters`)."""
+
+    records: Tuple[Tuple[int, ...], ...]
+    literals: Tuple[Any, ...]
+    width: int
+    sized: Callable[[Any], Tuple[Any, ...]]
 
 
-def insert_slots(statement: ast.Insert) -> InsertSlots:
-    """Where each parameter goes in the VALUES rows of ``statement``.
+def insert_sources(statement: ast.Insert, schema: TableSchema, expected: int) -> InsertSources:
+    """Where each of ``schema``'s columns takes its value in the VALUES rows
+    of ``statement``: INSERT values are plain literals or placeholders (never
+    expressions), so a prepared statement resolves them once and each
+    parameter sequence is encoded straight into records."""
+    literals: List[Any] = []
 
-    INSERT values are plain literals or placeholders (never expressions), so
-    binding needs no tree walk: a prepared statement resolves the slots once
-    and :func:`bind_insert` fills them per parameter sequence.
-    """
-    return tuple(
-        tuple((value.index, None) if isinstance(value, ast.Placeholder)
-              else (-1, value) for value in row)
-        for row in statement.rows)
+    def source(value: Any) -> int:
+        if isinstance(value, ast.Placeholder):
+            return value.index
+        literals.append(value)
+        return -1 - len(literals)
 
-
-def bind_insert(slots: InsertSlots, params: Sequence[Any],
-                expected: int) -> Tuple[Tuple[Any, ...], ...]:
-    """The VALUES rows :func:`bind_parameters` would put in an INSERT whose
-    slots are already resolved — checked the same way."""
-    bound = checked_parameters(params, expected)
-    return tuple(tuple([bound[index] if index >= 0 else literal
-                        for index, literal in row]) for row in slots)
+    names = statement.columns
+    for row in statement.rows:
+        if names is not None and len(row) != len(names):
+            raise ExecutionError(f"INSERT specifies {len(names)} columns but {len(row)} values")
+        if names is None and len(row) != len(schema.columns):
+            raise SchemaError(f"table {schema.name!r}: expected {len(schema.columns)} values, "
+                              f"got {len(row)}")
+    records = [tuple(map(source, row)) for row in statement.rows]
+    if names is not None:       # by name: a column the list leaves out is NULL
+        records = [tuple(-1 if at is None else at
+                         for at in schema.values_of(dict(zip(names, record))))
+                   for record in records]
+    return InsertSources(tuple(records), tuple(literals), expected,
+                         partial(checked_parameters, expected=expected))
 
 
 def _bind_node(node: Any, params: Tuple[Any, ...]) -> Any:
@@ -157,6 +161,6 @@ def bind_expression(expression: ast.Expression,
     return _bind_node(expression, tuple(params))
 
 
-__all__ = ["bind_parameters", "bind_expression", "bind_insert", "insert_slots",
+__all__ = ["bind_parameters", "bind_expression", "insert_sources", "InsertSources",
            "count_placeholders", "placeholder_indexes", "check_parameter",
            "checked_parameters", "SUPPORTED_PARAMETER_TYPES"]

@@ -4,9 +4,10 @@ Parsing is the dominant per-statement cost of the SQL front-end, so the
 engine keeps an LRU cache of parsed statements keyed on the exact SQL text.
 A :class:`PreparedStatement` is immutable once parsed: binding parameters
 (:meth:`PreparedStatement.bind`) rebuilds the AST with literals substituted
-and never mutates the cached tree.  An INSERT resolves where each parameter
-goes in its VALUES rows once and then binds each parameter sequence straight
-to value rows (:meth:`PreparedStatement.insert_rows`), which is how an
+and never mutates the cached tree.  An INSERT resolves where each column of
+its table takes its value in the VALUES rows once
+(:meth:`PreparedStatement.insert_sources`) and the table's row encoder turns
+each parameter sequence straight into records, which is how an
 ``executemany`` of N sequences becomes one insert of N rows.
 
 A ``SELECT`` — and the row match of an ``UPDATE`` or ``DELETE``, which is the
@@ -31,14 +32,14 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence, Tuple
 
+from ..core.schema import TableSchema
 from . import ast_nodes as ast
 from .parameters import (
-    InsertSlots,
-    bind_insert,
+    InsertSources,
     bind_parameters,
     checked_parameters,
     count_placeholders,
-    insert_slots,
+    insert_sources,
     placeholder_indexes,
 )
 from .parser import parse
@@ -73,7 +74,7 @@ class PreparedStatement:
     executions: int = 0
     _plans: "OrderedDict[PlanKey, PhysicalPlan]" = \
         field(default_factory=OrderedDict)
-    _insert_slots: Optional[InsertSlots] = field(default=None, repr=False)
+    _sources: Optional[Tuple[TableSchema, InsertSources]] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         #: What :func:`query_of` makes of the statement, placeholders in place.
@@ -97,27 +98,20 @@ class PreparedStatement:
                                   self.param_count)
 
     def bind(self, params: Optional[Sequence[Any]] = None) -> ast.Statement:
-        """Return an executable statement with ``params`` substituted (for an
-        INSERT: its :meth:`insert_rows` in the statement's shape)."""
+        """Return an executable statement with ``params`` substituted."""
         if params is None:
             params = ()
         if self.param_count == 0 and not params:
             return self.statement
-        if isinstance(self.statement, ast.Insert):
-            return ast.Insert(table=self.statement.table,
-                              columns=self.statement.columns,
-                              rows=self.insert_rows(params))
         return bind_parameters(self.statement, params, expected=self.param_count)
 
-    def insert_rows(self, params: Optional[Sequence[Any]]) -> Tuple[Tuple[Any, ...], ...]:
-        """An INSERT's VALUES rows with ``params`` filled in — straight to
-        value tuples, no tree rebuilt.  The slots are resolved once per
-        prepared statement, so a batch of N parameter sequences fills N × rows
-        without walking the tree."""
-        if self._insert_slots is None:
-            self._insert_slots = insert_slots(self.statement)
-        return bind_insert(self._insert_slots, () if params is None else params,
-                           self.param_count)
+    def insert_sources(self, schema: TableSchema) -> InsertSources:
+        """An INSERT's :func:`~repro.query.parameters.insert_sources` into
+        ``schema``, resolved once per table schema."""
+        if self._sources is None or self._sources[0] is not schema:
+            assert isinstance(self.statement, ast.Insert)
+            self._sources = (schema, insert_sources(self.statement, schema, self.param_count))
+        return self._sources[1]
 
     # -- plan reuse ----------------------------------------------------------
 

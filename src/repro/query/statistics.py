@@ -27,10 +27,11 @@ accurate value images degradation scrubbed are gone by design.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..core.schema import TableSchema
-from ..core.values import is_missing, sort_key
+from ..core.values import NULL, REMOVED, SUPPRESSED, is_missing, sort_key
 
 #: Above this NDV, range selectivity interpolates min/max instead of summing
 #: the frequency map.
@@ -69,6 +70,26 @@ def _stat_key(value: Any) -> Any:
         return repr(value)
 
 
+#: The values a column counts as missing, not in its frequency map, and their types.
+_MISSING = (None, NULL, SUPPRESSED, REMOVED)
+_MISSING_TYPES = frozenset(map(type, _MISSING))
+
+#: A value type → the surrogate of a value of it (:func:`_stat_key`), one
+#: C-level call; the surrogates of one type order as their sort keys do.
+_KEYS: Dict[type, Callable[[Any], Any]] = {int: float, float: float, str: str.lower, bool: bool}
+
+
+def _split(counted: Dict[Any, int]) -> Tuple[int, Optional[Callable[[Any], Any]]]:
+    """Take the missing values out of ``counted`` (value → rows): their
+    rows, and the one key function of the rest's type (a column holds one;
+    ``None`` for several)."""
+    kinds = set(map(type, counted))
+    missing = 0 if _MISSING_TYPES.isdisjoint(kinds) else sum(
+        [counted.pop(sentinel, 0) for sentinel in _MISSING])
+    kinds -= _MISSING_TYPES
+    return missing, _KEYS.get(kinds.pop()) if len(kinds) == 1 else None
+
+
 class ColumnStatistics:
     """Frequency map, NDV, min/max and missing count of one column."""
 
@@ -90,52 +111,49 @@ class ColumnStatistics:
 
     # -- maintenance ----------------------------------------------------------
 
-    def add(self, value: Any, count: int = 1) -> None:
-        if is_missing(value):
-            self.missing += count
-        else:
-            self._add(_stat_key(value), count)
-
     def add_many(self, values: Iterable[Any]) -> None:
-        """One row per value enters — a column's share of an inserted batch;
-        the state is the one adding them one by one leaves."""
-        entering: Dict[Any, int] = {}
-        for value in values:
-            if is_missing(value):
-                self.missing += 1
-            else:
-                surrogate = _stat_key(value)
-                entering[surrogate] = entering.get(surrogate, 0) + 1
-        for surrogate, count in entering.items():
-            self._add(surrogate, count)
-
-    def _add(self, surrogate: Any, count: int) -> None:
-        self.counts[surrogate] = self.counts.get(surrogate, 0) + count
-        self.non_missing += count
-        self._hist = None
-        skey = sort_key(surrogate)
-        if self._min is None or skey < self._min[0]:
-            self._min = (skey, surrogate)
-        if self._max is None or skey > self._max[0]:
-            self._max = (skey, surrogate)
-
-    def remove(self, value: Any, count: int = 1) -> None:
-        if is_missing(value):
-            self.missing = max(0, self.missing - count)
-        else:
-            self._remove(_stat_key(value), count)
+        """One row per value enters — a column's share of a batch; the state
+        is the one adding them one by one leaves."""
+        self._enter(Counter(values))
 
     def remove_many(self, values: Iterable[Any]) -> None:
         """One row per value leaves; the state is the one removing them one
         by one leaves."""
-        leaving: Dict[Any, int] = {}
-        for value in values:
-            if is_missing(value):
-                self.missing = max(0, self.missing - 1)
+        self._leave(Counter(values))
+
+    def _enter(self, counted: Dict[Any, int]) -> None:
+        """``counted`` (value → rows) enters: each distinct value counted
+        once, the extremes updated once from the keys new to the column."""
+        missing, key = _split(counted)
+        self.missing += missing
+        counts, new, total = self.counts, [], 0
+        for surrogate, count in zip(map(key or _stat_key, counted), counted.values()):
+            held = counts.get(surrogate)
+            if held is None:
+                counts[surrogate] = count
+                new.append(surrogate)
             else:
-                surrogate = _stat_key(value)
-                leaving[surrogate] = leaving.get(surrogate, 0) + 1
-        for surrogate, count in leaving.items():
+                counts[surrogate] = held + count
+            total += count
+        self.non_missing += total
+        self._hist = None
+        if new and not self._dirty:
+            if key is None:     # values of several types: their sort keys order them
+                low, high = min(new, key=sort_key), max(new, key=sort_key)
+            else:
+                low, high = (new[0], new[0]) if len(new) == 1 else (min(new), max(new))
+            low_key = sort_key(low)
+            high_key = low_key if high is low else sort_key(high)
+            if self._min is None or low_key < self._min[0]:
+                self._min = (low_key, low)
+            if self._max is None or high_key > self._max[0]:
+                self._max = (high_key, high)
+
+    def _leave(self, counted: Dict[Any, int]) -> None:
+        """``counted`` (value → rows) leaves."""
+        missing, key = _split(counted)
+        self.missing = max(0, self.missing - missing)
+        for surrogate, count in zip(map(key or _stat_key, counted), counted.values()):
             self._remove(surrogate, count)
 
     def _remove(self, surrogate: Any, count: int) -> None:
@@ -155,11 +173,6 @@ class ColumnStatistics:
                 self._dirty = True
         else:
             self.counts[surrogate] = held - count
-
-    def replace(self, old: Any, new: Any, count: int = 1) -> None:
-        """``count`` rows move from ``old`` to ``new``."""
-        self.remove(old, count)
-        self.add(new, count)
 
     # -- introspection --------------------------------------------------------
 
@@ -339,27 +352,36 @@ class TableStatistics:
             self._mods_since_epoch = 0
             count -= low
 
-    def on_insert(self, rows: Sequence[Mapping[str, Any]]) -> None:
-        """``rows`` (each a column → value mapping) enter: one update per
-        column, the state inserting them one by one would leave."""
+    def on_insert(self, columns: Mapping[str, Iterable[Any]], count: int) -> None:
+        """``count`` rows enter, ``columns`` holding each column's values:
+        one update per column, the state inserting them one by one would leave."""
         for name, stats in self.columns.items():
-            stats.add_many([values.get(name) for values in rows])
-        self._note_rows(len(rows), 1)
+            stats.add_many(columns[name])
+        self._note_rows(count, 1)
 
-    def on_remove(self, rows: Sequence[Mapping[str, Any]]) -> None:
-        """``rows`` leave — the inverse of :meth:`on_insert`."""
+    def on_remove(self, columns: Mapping[str, Iterable[Any]], count: int) -> None:
+        """``count`` rows leave — the inverse of :meth:`on_insert`."""
         for name, stats in self.columns.items():
-            stats.remove_many([values.get(name) for values in rows])
-        self._note_rows(len(rows), -1)
+            stats.remove_many(columns[name])
+        self._note_rows(count, -1)
 
-    def on_value_change(self, column: str, old: Any, new: Any,
-                        count: int = 1) -> None:
-        """``count`` rows making one value transition: a stable update, or
-        the rows of a degradation wave that shared both values."""
+    def on_value_changes(self, column: str, moves: Iterable[Tuple[Any, Any, int]]) -> None:
+        """Rows making value transitions in ``column``, ``(old, new, count)``
+        each — a wave chunk's, or a statement's updates: one batch leaves, one
+        enters, leaving the state the transitions one at a time would."""
         stats = self.columns.get(column)
-        if stats is not None:
-            stats.replace(old, new, count)
-            self._note_mod(count)
+        if stats is None:
+            return
+        leaving: Dict[Any, int] = {}
+        entering: Dict[Any, int] = {}
+        total = 0
+        for old, new, count in moves:
+            leaving[old] = leaving.get(old, 0) + count
+            entering[new] = entering.get(new, 0) + count
+            total += count
+        stats._leave(leaving)
+        stats._enter(entering)
+        self._note_mod(total)
 
     def reset(self) -> None:
         self.row_count = 0
@@ -441,21 +463,21 @@ class StatisticsRegistry:
 
     # -- engine-side maintenance hooks (no-ops for unregistered tables) --------
 
-    def on_insert(self, table: str, rows: Sequence[Mapping[str, Any]]) -> None:
+    def on_insert(self, table: str, columns: Mapping[str, Iterable[Any]], count: int) -> None:
         stats = self._tables.get(table)
         if stats is not None:
-            stats.on_insert(rows)
+            stats.on_insert(columns, count)
 
-    def on_remove(self, table: str, rows: Sequence[Mapping[str, Any]]) -> None:
+    def on_remove(self, table: str, columns: Mapping[str, Iterable[Any]], count: int) -> None:
         stats = self._tables.get(table)
         if stats is not None:
-            stats.on_remove(rows)
+            stats.on_remove(columns, count)
 
-    def on_value_change(self, table: str, column: str, old: Any, new: Any,
-                        count: int = 1) -> None:
+    def on_value_changes(self, table: str, column: str,
+                         moves: Iterable[Tuple[Any, Any, int]]) -> None:
         stats = self._tables.get(table)
         if stats is not None:
-            stats.on_value_change(column, old, new, count)
+            stats.on_value_changes(column, moves)
 
 
 __all__ = ["ColumnStatistics", "TableStatistics", "StatisticsRegistry",

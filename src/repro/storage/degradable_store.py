@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import struct
 from collections import defaultdict
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, groupby, islice, takewhile
+from itertools import chain, groupby, islice, repeat, takewhile
 from operator import attrgetter, itemgetter
 from types import SimpleNamespace
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -40,7 +41,8 @@ from ..devtools import invariants
 from .buffer import BufferPool
 from .crypto import KeyStore
 from .heap import HeapFile, RecordId
-from .kernels import Shape, WaveShape, compile_kernel, compile_wave_kernel
+from .kernels import (RowShape, Shape, WaveShape, compile_kernel, compile_row_kernel,
+                      compile_wave_kernel)
 from .serialization import (_INT_STRUCT, decode_value, encode_value, fixed_prefix,
                             record_field_count, wide_prefix)
 from .wal import LogRecordType, WriteAheadLog, encode_degrade_chunk, encode_insert_run
@@ -62,6 +64,40 @@ class StoredRow:
     values: Dict[str, Any]
     levels: Dict[str, int]
     inserted_at: float
+
+
+class RowBatch(SequenceABC):
+    """Rows that enter or leave the table together, held column by column —
+    what the fan-out reads, one sequence per column — and, as a sequence,
+    each row as the :class:`StoredRow` a read decodes."""
+
+    def __init__(self, keys: Sequence[int], columns: Dict[str, Sequence[Any]],
+                 levels: Dict[str, Sequence[int]], inserted_at: Sequence[float]) -> None:
+        self.keys, self.columns, self.levels, self.inserted_at = keys, columns, levels, inserted_at
+
+    @classmethod
+    def of(cls, rows: Sequence[StoredRow]) -> "RowBatch":
+        """Whole stored rows as a batch (a batch as it is)."""
+        if isinstance(rows, RowBatch):
+            return rows
+        rows = list(rows)
+        names, degradable = (rows[0].values, rows[0].levels) if rows else ((), ())
+        return cls([row.row_key for row in rows],
+                   {name: [row.values[name] for row in rows] for name in names},
+                   {name: [row.levels[name] for row in rows] for name in degradable},
+                   [row.inserted_at for row in rows])
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, index: Any) -> Any:
+        return StoredRow(self.keys[index],
+                         {name: values[index] for name, values in self.columns.items()},
+                         {name: levels[index] for name, levels in self.levels.items()},
+                         self.inserted_at[index])
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, SequenceABC) and list(self) == list(other)
 
 
 @dataclass
@@ -106,6 +142,7 @@ class TableStore:
         self.keystore = keystore
         self.stats = TableStoreStats()
         self._degradable = [column.name for column in schema.degradable_columns()]
+        self._names = [column.name for column in schema.columns]
         #: Degradable column → (its position among the record's levels, its
         #: position among the record's values).
         self._degradable_fields = {
@@ -140,30 +177,47 @@ class TableStore:
         self._kernels: Dict[Tuple, Callable[..., RunReader]] = {}
         #: The :class:`StoredRow` readers, per (columns, level caps).
         self._decode_plans: Dict[Tuple, RunReader] = {}
+        #: The row encoder's view of the table (:class:`RowShape`), the slow
+        #: path of each column's values and the fields after a record's key.
+        self._columns = tuple((column.value_type.python_type.__name__,
+                               column.nullable and not column.primary_key)
+                              for column in schema.columns)
+        self._sealed = tuple((value_at, level_at) for level_at, value_at
+                             in self._degradable_fields.values()) if strategy == "crypto" else ()
+        self._slow = [partial(_coerced, column) for column in schema.columns]
+        self._tail = struct.Struct("<Bd" + "Bq" * len(self._degradable))
+        whole = (tuple(range(len(schema.columns))),)
+        self._row_encoder = self._encoder("row", whole, len(schema.columns))
+        self._image_encoder = self._encoder("image", whole, len(schema.columns))
 
     # -- encoding helpers -----------------------------------------------------
 
     def image(self, row: StoredRow) -> bytes:
-        """The record of ``row`` as this table stores it."""
-        return self._encode_values(row.row_key, row.inserted_at,
-                                   [row.levels[column] for column in self._degradable],
-                                   [row.values[column.name] for column in self.schema.columns])
+        """The record of ``row`` as this table stores it, its values encoded
+        as they are (no coercion) by the table's row encoder."""
+        images: List[bytes] = []
+        levels = tuple(map(row.levels.__getitem__, self._degradable))
+        self._image_encoder(row.row_key, (tuple(map(row.values.__getitem__, self._names)),),
+                            self._tail_of(row.inserted_at, levels), levels, images.append, None)
+        return images[0]
 
-    def _encode_values(self, row_key: int, inserted_at: float,
-                       levels: Sequence[int], values: Sequence[Any]) -> bytes:
-        """The record of a row — levels in degradable-column order, values in
-        column order — byte for byte :func:`encode_record` of ``[row_key,
-        inserted_at, *levels, *values]``, its fixed prefix in one pack."""
-        if self.strategy == "crypto":
-            values = list(values)
-            for name, (level_at, value_at) in self._degradable_fields.items():
-                if not is_missing(values[value_at]):
-                    values[value_at] = self.keystore.encrypt(
-                        (self.schema.name, row_key, name, levels[level_at]),
-                        encode_value(values[value_at]))
-        prefix = zip(self._header_tags, (row_key, float(inserted_at), *levels))
-        return self._header.pack(self._field_count, *chain.from_iterable(prefix)) \
-            + b"".join(map(encode_value, values))
+    def _tail_of(self, inserted_at: float, levels: Iterable[int]) -> bytes:
+        return self._tail.pack(2, float(inserted_at), *chain.from_iterable(
+            zip(repeat(1), levels)))
+
+    def _encoder(self, mode: str, records: Tuple[Tuple[int, ...], ...], width: int,
+                 literals: Tuple[Any, ...] = (), sized: Optional[Callable] = None) -> Callable:
+        """The row encoder (:mod:`.kernels`) for ``mode`` and ``records``,
+        compiled once per store and shape, bound to a statement's ``literals``
+        and count check ``sized`` (by default: :meth:`TableSchema.values_of`)."""
+        key = ("row", mode, records, width)
+        factory = self._kernels.get(key)
+        if factory is None:
+            factory = self._kernels[key] = compile_row_kernel(RowShape(
+                self._field_count, self._columns, records, width, mode, self._sealed))
+        return factory(literals, sized or self.schema.values_of, self._slow,
+                       self.keystore.encrypt if self._sealed else None, self.schema.name,
+                       self._names)
 
     def _stored(self, row_keys: Sequence[int]) -> List[StoredRow]:
         """The rows of ``row_keys`` the table holds, read in whole page runs."""
@@ -224,28 +278,32 @@ class TableStore:
                returning: bool = False) -> Union[int, StoredRow]:
         """Insert one row — :meth:`insert_many` with one — and return its
         logical row key (with ``returning``, the stored row)."""
-        stored = self.insert_many((row,), now, txn_id)[0]
-        return stored if returning else stored.row_key
+        stored = self.insert_many((row,), now, txn_id)
+        return stored[0] if returning else stored.keys[0]
 
-    def insert_many(self, rows: Sequence[Any], now: float,
-                    txn_id: int = 0) -> List[StoredRow]:
-        """Insert ``rows`` (mappings or value sequences, most accurate state)
-        and return them exactly as :meth:`read` would decode them.
+    def insert_many(self, rows: Sequence[Any], now: float, txn_id: int = 0,
+                    sources: Any = None) -> RowBatch:
+        """Insert ``rows`` (mappings or value sequences, most accurate state;
+        given an INSERT's ``sources`` — :class:`~repro.query.parameters.InsertSources`
+        — its parameter sequences) and return them exactly as :meth:`read`
+        would decode them.
 
-        Every row is coerced and encoded before any is placed, so a bad row
-        inserts none; the pages fill through one :meth:`HeapFile.insert_many`
-        (placement as one-by-one inserts); each page filled gets one
-        ``INSERT_RUN`` record of its new records, each one a sub-image of its
-        own that stays individually scrubbable."""
+        The row encoder checks, coerces and encodes every row before any is
+        placed, so a bad row inserts none; the pages fill through one
+        :meth:`HeapFile.insert_many` (placement as one-by-one inserts); each
+        page filled gets one ``INSERT_RUN`` record of its new records, each
+        one a sub-image of its own that stays individually scrubbable."""
         first, table = self._next_row_key, self.schema.name
-        values = [self.schema.coerce_row(row) for row in rows]
-        zero = [0] * len(self._degradable)
-        payloads = [self._encode_values(first + offset, now, zero, row)
-                    for offset, row in enumerate(values)]
+        encode = self._row_encoder if sources is None else self._encoder(
+            "param", sources.records, sources.width, sources.literals, sources.sized)
+        zero = (0,) * len(self._degradable)
+        payloads: List[bytes] = []
+        values: List[Tuple[Any, ...]] = []
+        end = encode(first, rows, self._tail_of(now, zero), zero, payloads.append, values.append)
         record_ids = self.heap.insert_many(payloads)
-        keys = range(first, first + len(payloads))
+        keys = range(first, end)
         self._locations.update(zip(keys, record_ids))
-        self._next_row_key = first + len(payloads)
+        self._next_row_key = end
         runs: Dict[int, List[bytes]] = {}
         for record_id, payload in zip(record_ids, payloads):
             runs.setdefault(record_id.page_id, []).append(payload)
@@ -253,11 +311,10 @@ class TableStore:
             self.wal.append(LogRecordType.INSERT_RUN, txn_id, table=table, timestamp=now,
                             row_key=self._header.unpack_from(run[-1])[2],
                             after=encode_insert_run(run))
-        stored = [StoredRow(row_key, self.schema.row_dict(row),
-                            dict(zip(self._degradable, zero)), float(now))
-                  for row_key, row in zip(keys, values)]
-        self.stats.inserts += len(stored)
-        return stored
+        self.stats.inserts += len(keys)
+        return RowBatch(keys, dict(zip(self._names, zip(*values) if values else repeat(()))),
+                        dict.fromkeys(self._degradable, zero[:1] * len(keys)),
+                        (float(now),) * len(keys))
 
     def exists(self, row_key: int) -> bool:
         return row_key in self._locations
@@ -827,6 +884,12 @@ class TableStore:
         self._next_row_key = max_key + 1
 
 
+def _coerced(column: Any, value: Any) -> Tuple[Any, bytes]:
+    """A value off its column's fast path: coerced, and its field."""
+    value = column.coerce(value)
+    return value, encode_value(value)
+
+
 def _page_runs(records: List[RecordId]) -> Iterator[Tuple[int, List[int], int]]:
     """``(page, slots, index of the first)`` of each page run of ``records``."""
     first = 0
@@ -836,5 +899,5 @@ def _page_runs(records: List[RecordId]) -> Iterator[Tuple[int, List[int], int]]:
         first += len(slots)
 
 
-__all__ = ["TableStore", "StoredRow", "DegradeChunk", "TableStoreStats",
+__all__ = ["TableStore", "StoredRow", "RowBatch", "DegradeChunk", "TableStoreStats",
            "STRATEGIES"]

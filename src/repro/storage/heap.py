@@ -31,10 +31,9 @@ adopted pages' headers.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat, takewhile
 from operator import itemgetter
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.errors import StorageError
 from .buffer import BufferPool
@@ -48,8 +47,7 @@ SIZE_CLASSES = 16
 LevelReader = Callable[[Any, int], Tuple[int, ...]]
 
 
-@dataclass(frozen=True, order=True)
-class RecordId:
+class RecordId(NamedTuple):
     """Physical address of a record."""
 
     page_id: int
@@ -152,48 +150,53 @@ class HeapFile:
     def insert_many(self, payloads: Sequence[bytes]) -> List[RecordId]:
         """Insert ``payloads`` in order, each into the tail page if it has
         room, else into a page of the roomiest size class, else into a newly
-        allocated page — the placement one-by-one inserts make — with one
-        buffer-pool lookup per page filled and its free space refiled when
-        the next choice needs the map (a bulk load: once per page)."""
+        allocated page — the placement one-by-one inserts make — a page at a
+        time: each page chosen takes the run of records that would land on
+        it (:meth:`SlottedPage.insert_many`) and is refiled once."""
         max_payload = self.buffer_pool.pager.page_size - 64
-        for payload in payloads:
-            if len(payload) > max_payload:
-                raise StorageError(f"record of {len(payload)} bytes exceeds "
-                                   f"page capacity ({max_payload})")
+        if max(map(len, payloads), default=0) > max_payload:
+            length = next(size for size in map(len, payloads) if size > max_payload)
+            raise StorageError(f"record of {length} bytes exceeds "
+                               f"page capacity ({max_payload})")
         ids: List[RecordId] = []
-        page_id = page = None     # the page being filled; its map entry lags
-        free = 0
-        try:
-            for payload in payloads:
-                length = len(payload)
-                tail = self._page_ids[-1] if self._page_ids else None
-                room = free if page_id == tail else self._free.get(tail, -1)
-                target = tail if room >= length else None
-                if target is None:
-                    if page is not None:
-                        self._file(page_id, page)
-                    target = self._roomiest()
-                    if target is None or self._free[target] < length:
-                        target = self._allocate()
-                if target != page_id:
-                    if page is not None:
-                        self._file(page_id, page)
-                    page_id, page = target, self.buffer_pool.get_page(target)
-                    self.buffer_pool.mark_dirty(page_id)
-                ids.append(RecordId(page_id, page.insert(payload)))
-                free = page.free_space()
-        finally:    # what was placed is filed and counted, even if a page allocation raised
-            if page is not None:
-                self._file(page_id, page)
-            self._record_count += len(ids)
-            placed: Dict[int, Tuple[List[int], List[bytes]]] = {}
-            for record_id, payload in zip(ids, payloads):
-                slots, images = placed.setdefault(record_id.page_id, ([], []))
-                slots.append(record_id.slot)
-                images.append(payload)
-            for page_id, (slots, images) in placed.items():
-                self._relevel(page_id, slots, images)
+        done, total = 0, len(payloads)
+        while done < total:
+            length = len(payloads[done])
+            tail = self._page_ids[-1] if self._page_ids else None
+            run: Iterable[bytes] = islice(payloads, done, None)
+            floor = 0
+            if tail is not None and self._free[tail] >= length:
+                target = tail
+            else:
+                target = self._roomiest()
+                if target is None or self._free[target] < length:
+                    target = self._allocate()
+                else:   # until the tail takes one, or another page is the roomiest
+                    room = -1 if tail is None else self._free[tail]
+                    run = takewhile(lambda payload: len(payload) > room, run)
+                    floor = self._floor(target)
+            page = self.buffer_pool.get_page(target)
+            self.buffer_pool.mark_dirty(target)
+            slots = page.insert_many(run, floor)
+            if not slots:       # the choice above guarantees room for the first
+                raise StorageError(f"heap {self.name!r}: page {target} took no record")
+            ids += map(tuple.__new__, repeat(RecordId), zip(repeat(target), slots))  # no frame
+            self._record_count += len(slots)
+            self._relevel(target, slots, payloads[done:done + len(slots)])
+            self._file(target, page)
+            done += len(slots)
         return ids
+
+    def _floor(self, page_id: int) -> int:
+        """The least free space at which ``page_id`` still is the roomiest
+        page: the lowest page of the highest size class of the others."""
+        others = [members & ~(1 << page_id) for members in self._classes]
+        for size_class in reversed(range(SIZE_CLASSES)):
+            if others[size_class]:
+                lowest = (others[size_class] & -others[size_class]).bit_length() - 1
+                above = size_class + (lowest < page_id)
+                return -(-above * self.buffer_pool.pager.page_size // SIZE_CLASSES)
+        return 0
 
     def _allocate(self) -> int:
         """A fresh page; its ownership is logged before the heap uses it."""

@@ -1,5 +1,5 @@
-"""Record kernels: the scan reader and the wave splicer, each compiled once
-per shape.
+"""Record kernels: the scan reader, the wave splicer and the row encoder,
+each compiled once per shape.
 
 A table's run reader (:meth:`~repro.storage.degradable_store.TableStore.row_reader`)
 does the same work for every record of a scan: check the fixed prefix, drop
@@ -30,23 +30,35 @@ there takes none), hop to each target field unrolled, look its chunk and its
 record back together with the level ints patched as fixed 8-byte pieces —
 byte for byte what encoding the degraded row would make.
 
-The source holds integers taken from the schema and the shape and the fixed
-strings of :data:`MESSAGES`, nothing else: no table or column name, no
-parameter, no value.  Caps, demanded levels, schemes, memos, the numbers
-compared with, the test, the builder and a wave's targets and chunks reach
-the compiled **factory** as arguments each time a reader or splicer is made,
-so a cache of factories holds code only.
+An insert (:meth:`~repro.storage.degradable_store.TableStore.insert_many`)
+encodes its rows the same way: its **row shape** (:class:`RowShape`) is the
+table's column types and NULL rules, where each column's value comes from in
+an input row (an INSERT's parameter, literal or nothing), and the strategy.
+:func:`compile_row_kernel` writes one straight-line function per record that
+handles each value once — the parameter type rule, the column's coercion and
+its tag and payload, a value of the column's own type inline, any other
+through the column's slow path — and packs the record head in the same call.
+
+The source holds integers taken from the schema and the shape, Python type
+names and the fixed strings of :data:`MESSAGES`, nothing else: no table or
+column name, no parameter, no value.  Caps, demanded levels, schemes, memos,
+the numbers compared with, the test, the builder, a wave's targets and
+chunks and a statement's literals reach the compiled **factory** as
+arguments each time a reader, splicer or encoder is made, so a cache of
+factories holds code only.
 """
 
 from __future__ import annotations
 
 import functools
+import struct
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.errors import KeyDestroyedError, PolicyError, StorageError
-from ..core.values import NULL, REMOVED, SUPPRESSED, compare
-from .serialization import (_FLOAT_STRUCT, _INT_STRUCT, _LEN_STRUCT, _TAG_BYTES, _TAG_FLOAT,
-                            _TAG_INT, _TAG_NULL, _TAG_SUPPRESSED, _TAG_TEXT, decode_value)
+from ..core.values import NULL, REMOVED, SUPPRESSED, check_parameter, compare
+from .serialization import (_FLOAT_FIELD, _FLOAT_STRUCT, _INT_FIELD, _INT_STRUCT, _LEN_STRUCT,
+                            _TAG_BYTES, _TAG_FLOAT, _TAG_INT, _TAG_NULL, _TAG_SUPPRESSED,
+                            _TAG_TEXT, _TEXT_HEAD, decode_value, encode_value)
 
 #: The message a wave kernel raises for a step below the stored level.
 IRREVERSIBLE = "degradation is irreversible: cannot decrease the level"
@@ -105,6 +117,11 @@ _GLOBALS: Dict[str, Any] = {
     "decode_value": decode_value, "unknown_tag": _unknown_tag, "join": b"".join,
     "unpack_int": _INT_STRUCT.unpack_from, "unpack_float": _FLOAT_STRUCT.unpack_from,
     "unpack_length": _LEN_STRUCT.unpack_from,
+    "encode_value": encode_value, "key_head": struct.Struct("<HBq").pack,
+    "pack_int": _INT_FIELD.pack, "pack_float": _FLOAT_FIELD.pack,
+    "length_head": _TEXT_HEAD.pack,
+    "null_field": encode_value(NULL), "true_field": encode_value(True),
+    "false_field": encode_value(False), "check_parameter": check_parameter,
     **{fallback: functools.partial(compare, operator)
        for operator, (_spelling, fallback) in _COMPARE.items()},
 }
@@ -465,6 +482,98 @@ def compile_wave_kernel(shape: WaveShape) -> Callable[..., Any]:
     return _compile(wave_kernel_source(shape), "<wave kernel>")
 
 
+class RowShape(NamedTuple):
+    """What a row encoder's code depends on — integers, flags and type names only."""
+
+    #: The field count every record of the table carries.
+    fields: int
+    #: Per column: its coerced values' Python type, whether NULL is stored inline.
+    columns: Tuple[Tuple[str, bool], ...]
+    #: Per record of an input row, per column: the input value's index, -1
+    #: none (NULL), ``-2 - k`` literal ``k``.
+    sources: Tuple[Tuple[int, ...], ...]
+    #: How many values an input row holds.
+    width: int
+    #: ``"param"`` (parameters: the parameter type rule, then coercion),
+    #: ``"row"`` (coercion) or ``"image"`` (stored values, encoded as they are).
+    mode: str
+    #: ``(value position, level position)`` of each encrypted field (crypto).
+    sealed: Tuple[Tuple[int, int], ...]
+
+
+#: A coerced value's type → the fast-path field it encodes to, of ``{v}``.
+_FIELDS = {"int": "pack_int(1, {v})", "float": "pack_float(2, {v})",
+           "str": "length_head(3, len(b)) + b", "bool": "true_field if {v} else false_field"}
+
+
+def row_kernel_source(shape: RowShape) -> str:
+    """The row encoder factory's Python source for ``shape``."""
+    out = _Source()
+    with out.block("def factory(literals, sized, slow, encrypt, table, names):"):
+        out("".join(f"slow{index}, " for index in range(len(shape.columns))) + "= slow")
+        with out.block("def encode(key, rows, tail, levels, put, keep):"):
+            with out.block("for row in rows:"):
+                out("kind = type(row)")
+                with out.block("if kind is not tuple and kind is not list "
+                               f"or len(row) != {shape.width}:"):
+                    out("row = sized(row)")
+                if shape.width:
+                    out("".join(f"p{index}, " for index in range(shape.width)) + "= row")
+                for sources in shape.sources:
+                    _encode_row(out, shape, sources)
+            out("return key")
+        out("return encode")
+    return "\n".join(out.lines) + "\n"
+
+
+def _encode_row(out: _Source, shape: RowShape, sources: Tuple[int, ...]) -> None:
+    """One record: each column's value checked, coerced and encoded once."""
+    for index, ((exact, null), source) in enumerate(zip(shape.columns, sources)):
+        value, field = f"v{index}", f"f{index}"
+        out(f"{value} = " + (f"p{source}" if source >= 0 else "None" if source == -1
+                             else f"literals[{-2 - source}]"))
+        with out.block(f"if type({value}) is {exact}:"):
+            if exact == "str":
+                out(f"b = {value}.encode()")
+            out(f"{field} = " + _FIELDS[exact].format(v=value))
+        if shape.mode == "image":
+            with out.block("else:"):
+                out(f"{field} = encode_value({value})")
+            continue
+        if null:
+            with out.block(f"elif {value} is None:"):
+                out(f"{value} = NULL", f"{field} = null_field")
+        with out.block("else:"):
+            checked = f"check_parameter({value})" if shape.mode == "param" and source >= 0 \
+                else value
+            out(f"{value}, {field} = slow{index}({checked})")
+    for value_at, level_at in shape.sealed:
+        value = f"v{value_at}"
+        present = " and ".join(f"{value} is not {sentinel}"
+                               for sentinel in ("NULL", "SUPPRESSED", "REMOVED", "None"))
+        with out.block(f"if {present}:"):
+            out(f"b = encrypt((table, key, names[{value_at}], levels[{level_at}]), f{value_at})",
+                f"f{value_at} = length_head(8, len(b)) + b")
+    fields = "".join(f"f{index}, " for index in range(len(shape.columns)))
+    out(f"put(join((key_head({shape.fields}, 1, key), tail, {fields})))")
+    if shape.mode != "image":
+        out("keep((" + "".join(f"v{index}, " for index in range(len(shape.columns))) + "))")
+    out("key += 1")
+
+
+def compile_row_kernel(shape: RowShape) -> Callable[..., Any]:
+    """Compile ``shape``'s row encoder; returns its factory ``factory(literals,
+    sized, slow, encrypt, table, names)`` → ``encode(key, rows, tail, levels,
+    put, keep)``: each input row (through ``sized(row)`` unless a tuple or
+    list of ``shape.width`` values) makes the records of ``shape.sources``,
+    keyed from ``key`` on, each ``put`` as :func:`~repro.storage.serialization.encode_record`
+    of ``[key, time, *levels, *values]`` would make it (``tail``: the time
+    and levels encoded) and its coerced values ``keep``-ed; returns the next
+    key.  ``slow[column](value)`` → ``(coerced value, field)`` off the fast
+    path; a sealed field is ``encrypt((table, key, names[position], level), field)``."""
+    return _compile(row_kernel_source(shape), "<row kernel>")
+
+
 @functools.lru_cache(maxsize=256)
 def _compile(source: str, name: str) -> Callable[..., Any]:
     """The factory of ``source``: it holds code only, so every store of every
@@ -475,5 +584,5 @@ def _compile(source: str, name: str) -> Callable[..., Any]:
     return factory
 
 
-__all__ = ["Shape", "WaveShape", "MESSAGES", "kernel_source", "compile_kernel",
-           "wave_kernel_source", "compile_wave_kernel"]
+__all__ = ["Shape", "WaveShape", "RowShape", "MESSAGES", "kernel_source", "compile_kernel",
+           "wave_kernel_source", "compile_wave_kernel", "row_kernel_source", "compile_row_kernel"]

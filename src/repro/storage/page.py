@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import heapq
 import struct
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.errors import PageFullError, RecordNotFoundError, StorageError
 
@@ -133,35 +133,57 @@ class SlottedPage:
     # -- record operations -------------------------------------------------------
 
     def insert(self, payload: bytes) -> int:
-        """Insert ``payload`` and return its slot number.
-
-        The lowest dead slot is reused before the directory grows, and a page
-        whose contiguous gap is too small is compacted first (:meth:`compact`)
-        — :class:`PageFullError` means full in total, holes included.
-        """
-        if not payload:
-            raise StorageError("cannot store an empty record")
-        length = len(payload)
-        if not self.can_fit(length):
+        """Insert ``payload`` and return its slot number — :meth:`insert_many`
+        of one; :class:`PageFullError` means full in total, holes included."""
+        slots = self.insert_many((payload,))
+        if not slots:
             raise PageFullError(
-                f"record of {length} bytes does not fit (free={self.free_space()})"
+                f"record of {len(payload)} bytes does not fit (free={self.free_space()})"
             )
-        slot_count, free_offset = self._get_header()
-        entry = 0 if self._dead else _SLOT.size
-        if length + entry > free_offset - self._slot_directory_end(slot_count):
-            self._repack()      # may trim every dead slot: look again
-            slot_count, free_offset = self._get_header()
-        if self._dead:
-            slot = heapq.heappop(self._dead)
-        else:
-            slot = slot_count
-            slot_count += 1
-        new_offset = free_offset - length
-        self._buffer[new_offset:free_offset] = payload
-        self._set_header(slot_count, new_offset)
-        self._set_slot(slot, new_offset, length)
-        self._live += length
-        return slot
+        return slots[0]
+
+    def insert_many(self, payloads: Iterable[bytes], floor: int = 0) -> List[int]:
+        """Insert the leading ``payloads`` while :meth:`free_space` is at
+        least each one's length and ``floor``; returns their slots.  One
+        header read and write for the run; each record lands where it would
+        alone (lowest dead slot first, :meth:`_repack` when the gap is short)."""
+        self._account()
+        buffer, dead, size, pack = self._buffer, self._dead, self.page_size, _SLOT.pack_into
+        slot_count, free_offset = _HEADER.unpack_from(buffer, 0)
+        directory = self._slot_directory_end(slot_count)
+        live = self._live
+        slots: List[int] = []
+        try:
+            for payload in payloads:
+                length = len(payload)
+                if not length:
+                    raise StorageError("cannot store an empty record")
+                entry = 0 if dead else _SLOT.size
+                free = size - directory - live - entry
+                if length > free or free < floor:
+                    break
+                if length + entry > free_offset - directory:
+                    self._set_header(slot_count, free_offset)
+                    self._live = live
+                    self._repack()      # may trim every dead slot: look again
+                    dead = self._dead
+                    slot_count, free_offset = _HEADER.unpack_from(buffer, 0)
+                    directory = self._slot_directory_end(slot_count)
+                if dead:
+                    slot = heapq.heappop(dead)
+                else:
+                    slot = slot_count
+                    slot_count += 1
+                    directory += _SLOT.size
+                free_offset -= length
+                buffer[free_offset:free_offset + length] = payload
+                pack(buffer, _HEADER.size + slot * _SLOT.size, free_offset, length)
+                live += length
+                slots.append(slot)
+        finally:
+            self._set_header(slot_count, free_offset)
+            self._live = live
+        return slots
 
     def spans(self, slots: Sequence[int]) -> Tuple[bytearray, List[Tuple[int, int]]]:
         """The page buffer and the ``(start, end)`` byte span of each of ``slots``.

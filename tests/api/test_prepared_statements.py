@@ -91,15 +91,14 @@ class TestInsertSlotBinding:
 
     def test_no_tree_walk_per_row(self, db, monkeypatch):
         from repro.query import parameters
-        prepared = db.prepare(SQL_INSERT)
-        prepared.bind((0, "warm"))           # resolves the slots
+        db.execute(SQL_INSERT, params=(0, "warm"))      # resolves the sources
 
         def no_walk(*args, **kwargs):
             raise AssertionError("executemany walked the AST for a row")
 
         monkeypatch.setattr(parameters, "_bind_node", no_walk)
-        monkeypatch.setattr(parameters, "insert_slots", no_walk)
-        assert db.executemany(SQL_INSERT, [(i, "x") for i in range(50)]) == 50
+        monkeypatch.setattr(parameters, "insert_sources", no_walk)
+        assert db.executemany(SQL_INSERT, [(i, "x") for i in range(1, 51)]) == 50
 
     @pytest.mark.parametrize("params, message", [
         ((1,), "takes 2 parameter(s) but 1 were given"),
@@ -114,9 +113,10 @@ class TestInsertSlotBinding:
         with pytest.raises(ParameterError) as generic:
             bind_parameters(prepared.statement, params)
         with pytest.raises(ParameterError) as fast:
-            prepared.bind(params)
+            db.execute(SQL_INSERT, params=params)
         assert str(fast.value) == str(generic.value)
         assert message in str(fast.value)
+        assert db.row_count("t") == 0
 
 
 class TestPlanReuse:

@@ -104,15 +104,15 @@ class TestTableSchema:
         with pytest.raises(SchemaError):
             person_schema.coerce_row([1, "bob"])
 
-    def test_row_dict_roundtrip(self, person_schema):
+    def test_values_of_roundtrip(self, person_schema):
         values = person_schema.coerce_row([1, "a", "Paris", 100, True])
-        as_dict = person_schema.row_dict(values)
-        assert as_dict["name"] == "a"
-        assert person_schema.coerce_row(as_dict) == values
+        as_dict = dict(zip(person_schema.column_names(), values))
+        assert person_schema.values_of(as_dict) == values
+        assert person_schema.values_of({"NAME": "b"})[:2] == (None, "b")
 
-    def test_row_dict_wrong_arity(self, person_schema):
+    def test_values_of_wrong_arity(self, person_schema):
         with pytest.raises(SchemaError):
-            person_schema.row_dict([1, 2])
+            person_schema.values_of([1, 2])
 
     def test_describe_is_create_table_like(self, person_schema):
         text = person_schema.describe()

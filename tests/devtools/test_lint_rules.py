@@ -324,7 +324,7 @@ class TestSingleFanout:
                 index.delete(stored.values["name"], stored.row_key)
                 info.indexes["pk"].index.update(1, 2, stored.row_key)
                 self.statistics.on_remove(info.name, stored.values)
-                table_stats.on_value_change("name", "a", "b")
+                table_stats.on_value_changes("name", [("a", "b", 1)])
                 self.scheduler.cancel((info.name, stored.row_key))
         """)
         findings = run_rule(tmp_path, "single-fanout")

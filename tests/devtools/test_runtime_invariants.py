@@ -252,3 +252,26 @@ class TestPageHygiene:
         heap.buffer_pool.get_page(rid.page_id)._buffer[200] = 9     # a stale byte
         with pytest.raises(StorageError, match="stale bytes"):
             heap.flush()
+
+
+class TestWaveCheck:
+    """An applied wave leaves every row its steps move on at least at the
+    step's target level; a step applied short trips the armed check."""
+
+    def wave(self):
+        db = build_engine()
+        for row_id in range(3):     # one instant: one cohort
+            db.insert_row("person", {"id": row_id, "user_id": row_id,
+                                     "location": "1 Main Street, Paris", "salary": 2500})
+        db.advance_time(hours=3)
+        return db
+
+    def test_a_whole_wave_passes(self):
+        db = self.wave()
+        assert db.level_histogram("person", "location") == {1: 3}
+
+    def test_a_step_applied_short_raises(self, monkeypatch):
+        from ..scenarios.test_sabotage import cohort_step_leaves_a_row_behind
+        cohort_step_leaves_a_row_behind(monkeypatch)
+        with pytest.raises(InvariantViolation, match="after its cohort's step to 1"):
+            self.wave()

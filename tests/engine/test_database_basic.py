@@ -211,6 +211,13 @@ class TestEngineConfiguration:
         db.execute("DECLARE PURPOSE c SET ACCURACY LEVEL city FOR person.location")
         assert db.execute("SELECT location FROM person", purpose="c").rows == [("Paris",)]
 
+    def test_crypto_strategy_refuses_a_data_dir(self, tmp_path):
+        """Crypto keys live in memory only: a durable crypto engine could not
+        decrypt its rows after a restart, so it is refused up front."""
+        with pytest.raises(ConfigurationError, match="keys in memory only"):
+            InstantDB(strategy="crypto", data_dir=str(tmp_path / "data"))
+        assert not (tmp_path / "data").exists()
+
     def test_close_flushes(self, tmp_path):
         db = build_engine(data_dir=str(tmp_path / "data"))
         db.execute("INSERT INTO person (id, location) VALUES (1, '1 Main Street, Paris')")

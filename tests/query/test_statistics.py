@@ -34,35 +34,35 @@ class TestColumnStatistics:
     def test_add_remove_tracks_ndv_and_extremes(self):
         stats = ColumnStatistics()
         for value in (5, 1, 9, 1):
-            stats.add(value)
+            stats.add_many([value])
         assert stats.ndv == 3
         assert stats.non_missing == 4
         assert stats.min_value == 1.0 and stats.max_value == 9.0
-        stats.remove(9)
+        stats.remove_many([9])
         assert stats.max_value == 5.0          # extreme rescans lazily
-        stats.remove(1)
+        stats.remove_many([1])
         assert stats.ndv == 2                  # one '1' remains
         assert stats.min_value == 1.0
 
     def test_missing_values_are_counted_separately(self):
         stats = ColumnStatistics()
-        stats.add(None)
-        stats.add(3)
+        stats.add_many([None])
+        stats.add_many([3])
         assert stats.missing == 1
         assert stats.non_missing == 1
         assert stats.eq_rows(None) == 0.0
 
     def test_equality_matches_executor_semantics(self):
         stats = ColumnStatistics()
-        stats.add("Paris")
-        stats.add(10)
+        stats.add_many(["Paris"])
+        stats.add_many([10])
         assert stats.eq_rows("PARIS") == 1.0   # case-insensitive like '='
         assert stats.eq_rows(10.0) == 1.0      # numeric cross-type like '='
 
     def test_range_fraction_is_exact_at_small_ndv(self):
         stats = ColumnStatistics()
         for value in range(100):
-            stats.add(value)
+            stats.add_many([value])
         assert stats.range_fraction(low=10, high=19) == pytest.approx(0.10)
         assert stats.range_fraction(low=10, high=19,
                                     include_high=False) == pytest.approx(0.09)
@@ -264,9 +264,9 @@ class TestStatsSurviveRecovery:
 class TestRegistry:
     def test_hooks_ignore_unregistered_tables(self):
         registry = StatisticsRegistry()
-        registry.on_insert("ghost", [{"a": 1}])
-        registry.on_remove("ghost", [{"a": 1}])
-        registry.on_value_change("ghost", "a", 1, 2)
+        registry.on_insert("ghost", {"a": [1]}, 1)
+        registry.on_remove("ghost", {"a": [1]}, 1)
+        registry.on_value_changes("ghost", "a", [(1, 2, 1)])
         assert registry.table("ghost") is None
 
 
@@ -291,12 +291,12 @@ class TestTransitionCounts:
         for row_id in range(rng.randrange(50, 600)):
             held.append(rng.choice(values))
             for stats in (counted, single):
-                stats.on_insert([{"id": row_id, "v": held[-1]}])
+                stats.on_insert({"id": [row_id], "v": [held[-1]]}, 1)
         for _ in range(60):
             if rng.random() < 0.2 and held:          # the threshold moves with the rows
                 gone = held.pop(rng.randrange(len(held)))
                 for stats in (counted, single):
-                    stats.on_remove([{"id": 0, "v": gone}])
+                    stats.on_remove({"id": [0], "v": [gone]}, 1)
                 continue
             old, new = rng.choice(values), rng.choice(values)
             movers = [i for i, value in enumerate(held) if value is old or value == old]
@@ -305,8 +305,8 @@ class TestTransitionCounts:
                 continue
             for i in movers:
                 held[i] = new
-                single.on_value_change("v", old, new)
-            counted.on_value_change("v", old, new, len(movers))
+                single.on_value_changes("v", [(old, new, 1)])
+            counted.on_value_changes("v", [(old, new, len(movers))])
             for stats in (counted, single):
                 assert stats.epoch == single.epoch
                 assert stats._mods_since_epoch == single._mods_since_epoch
@@ -323,9 +323,9 @@ class TestHistograms:
         # 90% of values cluster near zero; a sparse tail stretches to 50M.
         stats = ColumnStatistics()
         for value in range(4500):
-            stats.add(value)
+            stats.add_many([value])
         for j in range(1, 501):
-            stats.add(100_000 * j)
+            stats.add_many([100_000 * j])
         assert stats.ndv > 4096                # past EXACT_RANGE_NDV_LIMIT
         return stats
 
@@ -348,17 +348,17 @@ class TestHistograms:
         stats = self.build_skewed()
         stats.range_fraction(low=0, high=1000)
         assert stats._hist is not None
-        stats.add(123_456_789)
+        stats.add_many([123_456_789])
         assert stats._hist is None             # rebuilt on next estimate
         stats.range_fraction(low=0, high=1000)
         assert stats._hist is not None
-        stats.remove(123_456_789)
+        stats.remove_many([123_456_789])
         assert stats._hist is None
 
     def test_non_numeric_columns_skip_the_histogram(self):
         stats = ColumnStatistics()
         for i in range(5000):
-            stats.add(f"v{i}")
+            stats.add_many([f"v{i}"])
         assert stats.range_fraction(low="a", high="z") > 0.0
         assert stats._hist in (None, ())
 

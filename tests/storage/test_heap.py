@@ -274,3 +274,50 @@ def test_update_many_places_records_where_sequential_updates_do(seed, page_size)
         assert dict(batched.scan()) == dict(sequential.scan()) == model
         assert batched._free == sequential._free
     assert relocated
+
+
+def place_one_by_one(heap, payloads):
+    """The placement rule record by record — the loop page runs replaced:
+    the tail page if it has room, else the lowest page of the roomiest size
+    class, else a new page, the free-space map refiled before each choice."""
+    ids = []
+    for payload in payloads:
+        tail = heap._page_ids[-1] if heap._page_ids else None
+        if tail is not None and heap._free[tail] >= len(payload):
+            target = tail
+        else:
+            target = heap._roomiest()
+            if target is None or heap._free[target] < len(payload):
+                target = heap._allocate()
+        page = heap.buffer_pool.get_page(target)
+        heap.buffer_pool.mark_dirty(target)
+        ids.append(RecordId(target, page.insert(payload)))
+        heap._record_count += 1
+        heap._relevel(target, [ids[-1].slot], [payload])
+        heap._file(target, page)
+    return ids
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("page_size", [256, 512])
+def test_page_runs_place_records_where_the_record_loop_does(seed, page_size):
+    """``insert_many`` hands each page the run of records that would land
+    on it: on a heap with holes and grown records — so tail, roomiest class,
+    a class change mid-run and in-page compaction all take part — its ids,
+    pages and free-space map are the record-by-record loop's."""
+    rng = random.Random(seed)
+    heaps = [HeapFile(BufferPool(MemoryPager(page_size=page_size), capacity=64)) for _ in "ab"]
+    for heap in heaps:
+        _drive(heap, random.Random(seed), {}, 120, [])
+    for _ in range(6):
+        payloads = [bytes([rng.randrange(1, 256)]) * rng.choice((1, 7, 30, 60, page_size // 3))
+                    for _ in range(rng.randrange(1, 80))]
+        assert heaps[0].insert_many(payloads) == place_one_by_one(heaps[1], payloads)
+        assert heaps[0].raw_image() == heaps[1].raw_image()
+        assert (heaps[0]._free, heaps[0]._classes, heaps[0].record_count) == \
+            (heaps[1]._free, heaps[1]._classes, heaps[1].record_count)
+        heaps[0].check()
+        holes = rng.random()
+        for heap in heaps:      # new holes for the next batch, the same in both
+            for rid in random.Random(holes).sample(list(heap.record_ids()), 5):
+                heap.delete(rid)

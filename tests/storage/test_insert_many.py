@@ -130,28 +130,51 @@ def statistics_state(stats: TableStatistics):
              for name, column in stats.columns.items()})
 
 
+def by_column(rows):
+    """Rows (column → value mappings) as the fan-out hands them over."""
+    return {name: [row[name] for row in rows] for name in ("id", "v", "n")}, len(rows)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_batch_statistics_equal_the_per_row_sequence(seed):
+    """Inserts, removals and wave chunks (a batch of ``(old, new, count)``
+    transitions) leave min, max, NDV, counts, missing and the epoch of every
+    column where the same changes one row at a time leave them."""
     rng = random.Random(seed)
     schema = TableSchema("t", [Column("id", "INT", primary_key=True),
                                Column("v", "TEXT"), Column("n", "INT")])
     batched, single = TableStatistics(schema), TableStatistics(schema)
     held = []
-    for _ in range(40):
-        if held and rng.random() < 0.35:
+    for _ in range(60):
+        draw = rng.random()
+        if held and draw < 0.3:
             leaving = [held.pop(rng.randrange(len(held)))
                        for _ in range(rng.randrange(1, len(held) + 1))]
-            batched.on_remove(leaving)
+            batched.on_remove(*by_column(leaving))
             for values in leaving:
-                single.on_remove([values])
+                single.on_remove(*by_column([values]))
+        elif held and draw < 0.5:      # a wave chunk: some rows of a value take another
+            column = rng.choice(("v", "n"))
+            pool = {"v": ["a", "B", "b", "c", "city", NULL, SUPPRESSED],
+                    "n": [rng.randrange(-50, 50), -100, 100, 0.5, None, SUPPRESSED]}[column]
+            moves = {}
+            for row in rng.sample(held, rng.randrange(1, len(held) + 1)):
+                new = rng.choice(pool)
+                moves.setdefault((row[column], new), []).append(row)
+                row[column] = new
+            batched.on_value_changes(column, [(old, new, len(rows))
+                                              for (old, new), rows in moves.items()])
+            for (old, new), rows in moves.items():
+                for _row in rows:
+                    single.on_value_changes(column, [(old, new, 1)])
         else:
             entering = [{"id": rng.randrange(10**6),
                          "v": rng.choice(["a", "B", "b", "c", NULL, SUPPRESSED]),
                          "n": rng.choice([rng.randrange(-50, 50), None])}
                         for _ in range(rng.choice((1, 3, 64, 65, 300, 900)))]
             held += entering
-            batched.on_insert(entering)
+            batched.on_insert(*by_column(entering))
             for values in entering:
-                single.on_insert([values])
+                single.on_insert(*by_column([values]))
         assert statistics_state(batched) == statistics_state(single)
     assert batched.epoch > 3        # the threshold was crossed, many times

@@ -518,7 +518,10 @@ class TestInlineComparisons:
         written as it is (no column coercion)."""
         store = make_store(strategy)
         keys = list(range(1, len(self.VALUES) + 1))
-        payloads = [store._encode_values(key, 0.0, [0, 0], [key, "x", NULL, value, 1, True])
+        names = store.schema.column_names()
+        levels = {column.name: 0 for column in store.schema.degradable_columns()}
+        payloads = [store.image(StoredRow(key, dict(zip(names, [key, "x", NULL, value, 1, True])),
+                                          levels, 0.0))
                     for key, value in zip(keys, self.VALUES)]
         store._locations.update(zip(keys, store.heap.insert_many(payloads)))
         return store
