@@ -844,7 +844,7 @@ class InstantDB:
         table's indexes, its statistics and the degradation schedule.
 
         ``(None, rows)`` enter and ``(rows, None)`` leave, a batch each read
-        column by column (:class:`RowBatch`): one index pass, one statistics
+        column by column (:class:`RowBatch`): one call per index, one statistics
         update per column; entering rows join the schedule as one cohort per
         tuple LCP, insertion time and stored levels (a statement's inserts
         are one, a recovered heap's rows enter at the state their levels
@@ -879,10 +879,8 @@ class InstantDB:
                 return
             for index_info in indexes:
                 column, index = index_info.column, index_info.index
-                change = index.insert if old is None else index.delete
-                for row_key, value, level in zip(keys, columns[column],
-                                                 levels.get(column) or repeat(None)):
-                    change(value, row_key, level)
+                (index.insert_many if old is None else index.delete_many)(
+                    columns[column], keys, levels.get(column) or repeat(None))
             if only is not None:
                 return
             if old is not None:

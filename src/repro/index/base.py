@@ -61,6 +61,18 @@ class Index:
         """Remove one entry; returns True when the entry existed."""
         raise NotImplementedError
 
+    def insert_many(self, keys: Iterable[Any], row_keys: Iterable[int],
+                    levels: Iterable[Optional[int]]) -> None:
+        """A batch of entries enters: the state :meth:`insert` of each leaves."""
+        for key, row_key, level in zip(keys, row_keys, levels):
+            self.insert(key, row_key, level)
+
+    def delete_many(self, keys: Iterable[Any], row_keys: Iterable[int],
+                    levels: Iterable[Optional[int]]) -> int:
+        """A batch of entries leaves (:meth:`delete` of each); returns how many did."""
+        return sum(self.delete(key, row_key, level)
+                   for key, row_key, level in zip(keys, row_keys, levels))
+
     def update(self, old_key: Any, new_key: Any, row_key: int,
                level: Optional[int] = None) -> None:
         """Move ``row_key`` from ``old_key`` to ``new_key`` at one level (a

@@ -12,10 +12,14 @@ the engine does not enforce primary-key uniqueness.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Set
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set
 
 from ..core.values import sort_key
 from .base import Index
+
+
+#: Key types that are their own surrogate: the batch loops skip :func:`_hashable`.
+_PLAIN = frozenset({int, float, str, bool, type(None)})
 
 
 def _hashable(key: Any) -> Any:
@@ -39,26 +43,40 @@ class HashIndex(Index):
         self._size = 0
 
     def insert(self, key: Any, row_key: int, level: Optional[int] = None) -> None:
-        surrogate = _hashable(key)
-        bucket = self._buckets.setdefault(surrogate, set())
-        if row_key not in bucket:
-            bucket.add(row_key)
-            self._size += 1
-        self._display_keys[surrogate] = key
-        self.stats.inserts += 1
+        self.insert_many((key,), (row_key,), (level,))
 
     def delete(self, key: Any, row_key: int, level: Optional[int] = None) -> bool:
-        surrogate = _hashable(key)
-        bucket = self._buckets.get(surrogate)
-        if bucket is None or row_key not in bucket:
-            return False
-        bucket.discard(row_key)
-        self._size -= 1
-        if not bucket:
-            del self._buckets[surrogate]
-            del self._display_keys[surrogate]
-        self.stats.deletes += 1
-        return True
+        return self.delete_many((key,), (row_key,), (level,)) == 1
+
+    def insert_many(self, keys: Iterable[Any], row_keys: Iterable[int],
+                    levels: Iterable[Optional[int]]) -> None:
+        buckets, display, size, count = self._buckets, self._display_keys, self._size, 0
+        for count, (key, row_key) in enumerate(zip(keys, row_keys), 1):
+            surrogate = key if type(key) in _PLAIN else _hashable(key)
+            bucket = buckets.get(surrogate)
+            if bucket is None:
+                bucket = buckets[surrogate] = set()
+            if row_key not in bucket:
+                bucket.add(row_key)
+                size += 1
+            display[surrogate] = key
+        self._size = size
+        self.stats.inserts += count
+
+    def delete_many(self, keys: Iterable[Any], row_keys: Iterable[int],
+                    levels: Iterable[Optional[int]]) -> int:
+        buckets, display, removed = self._buckets, self._display_keys, 0
+        for key, row_key in zip(keys, row_keys):
+            surrogate = key if type(key) in _PLAIN else _hashable(key)
+            bucket = buckets.get(surrogate)
+            if bucket is not None and row_key in bucket:
+                bucket.discard(row_key)
+                removed += 1
+                if not bucket:
+                    del buckets[surrogate], display[surrogate]
+        self._size -= removed
+        self.stats.deletes += removed
+        return removed
 
     def search(self, key: Any) -> List[int]:
         self.stats.lookups += 1

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.schema import TableSchema
 from ..core.values import NULL, REMOVED, SUPPRESSED, is_missing, sort_key
@@ -111,14 +111,16 @@ class ColumnStatistics:
 
     # -- maintenance ----------------------------------------------------------
 
-    def add_many(self, values: Iterable[Any]) -> None:
+    def add_many(self, values: Sequence[Any]) -> None:
         """One row per value enters — a column's share of a batch; the state
         is the one adding them one by one leaves."""
-        self._enter(Counter(values))
+        self._enter({values[0]: 1} if len(values) == 1 else Counter(values))
 
-    def remove_many(self, values: Iterable[Any]) -> None:
+    def remove_many(self, values: Sequence[Any]) -> None:
         """One row per value leaves; the state is the one removing them one
         by one leaves."""
+        if len(values) == 1 and type(values[0]) not in _MISSING_TYPES:
+            return self._remove(_stat_key(values[0]), 1)    # a row alone: no batch survey
         self._leave(Counter(values))
 
     def _enter(self, counted: Dict[Any, int]) -> None:
@@ -164,9 +166,8 @@ class ColumnStatistics:
         self._hist = None
         if held <= count:
             del self.counts[surrogate]
-            # The removed value was an extreme: drop both cached extremes now
-            # (a degraded or removed value must not outlive its last row
-            # here) and rescan lazily.
+            # The removed value was an extreme: drop both cached extremes now (a degraded
+            # or removed value must not outlive its last row here) and rescan lazily.
             if (self._min is not None and surrogate == self._min[1]) or \
                     (self._max is not None and surrogate == self._max[1]):
                 self._min = self._max = None
@@ -211,8 +212,7 @@ class ColumnStatistics:
         count = self.counts.get(_stat_key(value))
         if count is not None:
             return float(count)
-        # Unseen value: almost certainly no rows, but never estimate zero —
-        # a zero estimate would make every plan look free.
+        # Unseen value: almost certainly no rows, but never zero (every plan would look free).
         return 0.5
 
     def range_fraction(self, low: Any = None, high: Any = None,
@@ -352,14 +352,14 @@ class TableStatistics:
             self._mods_since_epoch = 0
             count -= low
 
-    def on_insert(self, columns: Mapping[str, Iterable[Any]], count: int) -> None:
+    def on_insert(self, columns: Mapping[str, Sequence[Any]], count: int) -> None:
         """``count`` rows enter, ``columns`` holding each column's values:
         one update per column, the state inserting them one by one would leave."""
         for name, stats in self.columns.items():
             stats.add_many(columns[name])
         self._note_rows(count, 1)
 
-    def on_remove(self, columns: Mapping[str, Iterable[Any]], count: int) -> None:
+    def on_remove(self, columns: Mapping[str, Sequence[Any]], count: int) -> None:
         """``count`` rows leave — the inverse of :meth:`on_insert`."""
         for name, stats in self.columns.items():
             stats.remove_many(columns[name])

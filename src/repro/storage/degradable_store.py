@@ -43,6 +43,7 @@ from .crypto import KeyStore
 from .heap import HeapFile, RecordId
 from .kernels import (RowShape, Shape, WaveShape, compile_kernel, compile_row_kernel,
                       compile_wave_kernel)
+from .page import SlottedPage
 from .serialization import (_INT_STRUCT, decode_value, encode_value, fixed_prefix,
                             record_field_count, wide_prefix)
 from .wal import LogRecordType, WriteAheadLog, encode_degrade_chunk, encode_insert_run
@@ -50,10 +51,15 @@ from .wal import LogRecordType, WriteAheadLog, encode_degrade_chunk, encode_inse
 #: Strategies for making degradation non-recoverable.
 STRATEGIES = ("rewrite", "crypto")
 
-#: Decodes one page run (page buffer, record spans): ``(rows kept, each one's
+#: Decodes one page run (page buffer, slots): ``(rows kept, each one's
 #: position in the run, records the level rule had excluded before each,
 #: records it excluded in the whole run)``; ``.caps`` are its level caps.
 RunReader = Callable[..., Tuple[List[Any], List[int], List[int], int]]
+
+#: ``(page, slots, index of the first key)`` of a run of keys on one page.
+PageRun = Tuple[int, List[int], int]
+#: Keys in order, and their page runs.
+PageRuns = Tuple[List[int], List[PageRun]]
 
 
 @dataclass
@@ -165,6 +171,11 @@ class TableStore:
             f"<{self._header.size - 9 * levels}x" + "xq" * levels).unpack_from
             if levels else None, on_allocate=self._log_page_allocation)
         self._locations: Dict[int, RecordId] = {}
+        #: The address map's page runs, derived from it (map order).  Built by
+        #: the first full read (:meth:`runs`), extended by an insert, dropped
+        #: wherever else the map changes; replaced, never mutated, so a lazy
+        #: reader keeps the snapshot it started from.  No value, ever.
+        self._runs: Optional[PageRuns] = None
         #: Pages a relocating rewrite (a page full in total) moved a record
         #: *out of*: their zeroed old image is in the buffer pool only, so
         #: whatever scrubs the log afterwards flushes them first.
@@ -226,8 +237,11 @@ class TableStore:
 
     def _decode_row(self, payload: bytes,
                     columns: Optional[frozenset] = None) -> StoredRow:
-        """Decode a stand-alone record image (a log image, a fresh encode)."""
-        return self._decode_plan(columns)(payload, ((0, len(payload)),))[0][0]
+        """Decode a stand-alone record image (a log image, a fresh encode),
+        read as the one record of a page of its own."""
+        page = SlottedPage(max(64, len(payload) + 8))
+        page.insert(payload)
+        return self._decode_plan(columns)(page.frame, (0,))[0][0]
 
     def _malformed(self, data: Any, start: int, end: int) -> StorageError:
         """Why ``data[start:end]`` does not begin with this table's record prefix."""
@@ -303,14 +317,17 @@ class TableStore:
         record_ids = self.heap.insert_many(payloads)
         keys = range(first, end)
         self._locations.update(zip(keys, record_ids))
+        if self._runs is not None:      # the new keys are the largest: runs at the tail
+            self._runs = self._grouped(keys, record_ids, self._runs)
         self._next_row_key = end
-        runs: Dict[int, List[bytes]] = {}
-        for record_id, payload in zip(record_ids, payloads):
-            runs.setdefault(record_id.page_id, []).append(payload)
+        runs: Dict[int, List[int]] = {}     # page → the rows it took, by batch position
+        for at, record_id in enumerate(record_ids):
+            runs.setdefault(record_id.page_id, []).append(at)
         for run in runs.values():       # keyed by its highest row key, its last
+            after, images = encode_insert_run([payloads[at] for at in run],
+                                              [first + at for at in run])
             self.wal.append(LogRecordType.INSERT_RUN, txn_id, table=table, timestamp=now,
-                            row_key=self._header.unpack_from(run[-1])[2],
-                            after=encode_insert_run(run))
+                            row_key=first + run[-1], after=after, images=images)
         self.stats.inserts += len(keys)
         return RowBatch(keys, dict(zip(self._names, zip(*values) if values else repeat(()))),
                         dict.fromkeys(self._degradable, zero[:1] * len(keys)),
@@ -327,8 +344,8 @@ class TableStore:
              columns: Optional[frozenset] = None) -> StoredRow:
         record_id = self._location(row_key)
         self.stats.reads += 1
-        data, spans = self.heap.read_run(record_id.page_id, (record_id.slot,))
-        return self._decode_plan(columns)(data, spans)[0][0]
+        return self._decode_plan(columns)(self.heap.frame(record_id.page_id),
+                                          (record_id.slot,))[0][0]
 
     def row_reader(self, slots: Tuple[Tuple[str, int], ...], early: frozenset,
                    level_caps: Sequence[Tuple[str, int]] = (),
@@ -411,22 +428,45 @@ class TableStore:
         :class:`StoredRow` objects carrying ``columns``, less the rows storing
         a ``(degradable column, level)`` of ``level_caps`` above that level;
         or whatever ``reader`` (:meth:`row_reader`) makes of the records — in
-        the runs of :meth:`_read_keys`, grouped from one snapshot of the
-        address map.  ``tally.examined`` / ``tally.excluded`` count the
-        records read so far and those the level rule dropped."""
+        the page runs of the address map (:attr:`_runs`, built once and
+        reused until the map changes), read by :meth:`_read_keys`.
+        ``tally.examined`` / ``tally.excluded`` count the records read so far
+        and those the level rule dropped."""
         if reader is None:
             reader = self._decode_plan(columns, tuple(
                 (name.lower(), cap) for name, cap in level_caps))
-        return self._read_keys(list(self._locations), reader, tally, drain,
-                               list(self._locations.values()))
+        cached = self._runs
+        if cached is None:
+            cached = self._runs = self._grouped(self._locations, self._locations.values())
+        elif invariants.enabled() and cached != self._grouped(self._locations,
+                                                              self._locations.values()):
+            raise invariants.InvariantViolation(
+                f"{self.schema.name}: cached page runs out of step with the address map")
+        return self._read_keys(cached[0], reader, tally, drain, cached[1])
+
+    @staticmethod
+    def _grouped(new_keys: Iterable[int], records: Iterable[RecordId],
+                 runs: Optional[PageRuns] = None) -> PageRuns:
+        """Page ``runs`` (:attr:`_runs`) followed by ``new_keys`` at
+        ``records``, as new lists: a run they continue is replaced, not grown."""
+        keys, held = runs or ([], [])
+        grouped, first = held[:], len(keys)
+        for page_id, run in groupby(records, attrgetter("page_id")):
+            slots = [record.slot for record in run]
+            if grouped and grouped[-1][0] == page_id:
+                page_id, before, start = grouped.pop()
+                slots, first = before + slots, start
+            grouped.append((page_id, slots, first))
+            first += len(slots)
+        return [*keys, *new_keys], grouped
 
     def _read_keys(self, row_keys: Sequence[int], reader: RunReader, tally: Any = None,
                    drain: Callable[[], bool] = bool,
-                   records: Optional[List[RecordId]] = None) -> Iterator[Sequence[Any]]:
+                   page_runs: Optional[List[PageRun]] = None) -> Iterator[Sequence[Any]]:
         """Materialize ``row_keys`` in order, one page run at a time.
 
-        Consecutive keys on one page form a run — grouped from ``records``,
-        their addresses, or each key resolved as its run forms.  A run whose
+        Consecutive keys on one page form a run — ``page_runs``, their
+        grouping, or each key resolved as its run forms.  A run whose
         page floor (:attr:`HeapFile.floors`) is over a cap of the reader is
         counted examined and excluded, unread; else ``reader`` decodes all of
         it before any row goes up, so no page frame is held across a
@@ -443,7 +483,7 @@ class TableStore:
         if tally is None:
             tally = SimpleNamespace(examined=0, excluded=0, pages_skipped=0)
         floors, caps = self.heap.floors, reader.caps
-        runs = self._key_runs(row_keys, 0) if records is None else _page_runs(records)
+        runs = self._key_runs(row_keys, 0) if page_runs is None else iter(page_runs)
         version = self._version
         while (run := next(runs, None)) is not None:
             page_id, slots, first = run
@@ -453,14 +493,13 @@ class TableStore:
             if caps and any(floors[page_id][at] > cap for at, cap in caps):
                 if invariants.enabled():    # the level rule must drop the page
                     live = self.heap.live_slots(page_id)
-                    if reader(*self.heap.read_run(page_id, live))[3] != len(live):
+                    if reader(self.heap.frame(page_id), live)[3] != len(live):
                         raise invariants.InvariantViolation(
                             f"{self.schema.name}: page {page_id} skipped holds a visible row")
                 tally.pages_skipped += 1
                 rows, positions, drops, excluded = [], (), (), len(slots)
             else:
-                rows, positions, drops, excluded = reader(
-                    *self.heap.read_run(page_id, slots))
+                rows, positions, drops, excluded = reader(self.heap.frame(page_id), slots)
                 self.stats.reads += len(slots)
             seen = dropped = 0
             rest: Optional[List[Any]] = []
@@ -567,6 +606,7 @@ class TableStore:
             pages.append(page_id)
             for _page, slot, row_key, _image in run if moved else ():
                 if slot in moved:
+                    self._runs = None
                     locations[row_key] = moved[slot]
                     pages.append(moved[slot].page_id)
                     self._vacated_pages.add(page_id)
@@ -579,6 +619,7 @@ class TableStore:
         self._version += 1
         self.heap.delete(record_id)
         del self._locations[row_key]
+        self._runs = None
         if self.keystore is not None:
             self.keystore.destroy_matching((self.schema.name, row_key))
 
@@ -609,7 +650,7 @@ class TableStore:
         a cohort's each — the only degradation routine; returns its chunks,
         handed to ``on_chunk`` once the pages are rewritten, before any I/O.
 
-        Per page, the rows taking the same steps cost one :meth:`HeapFile.read_run`
+        Per page, the rows taking the same steps cost one :meth:`HeapFile.frame`
         and one call of the wave kernel of that step shape (:meth:`_splicer`).
         Every page is spliced before the first is written — a wave that
         raises has changed nothing — then :meth:`_rewrite_records` writes them
@@ -653,7 +694,7 @@ class TableStore:
                     splice = splicers[shape] = self._splicer(
                         [steps[index] for index in shape], chunks, lanes, doomed)
                 members.sort()
-                images = splice(*self.heap.read_run(page_id, [slot for slot, _key in members]))
+                images = splice(self.heap.frame(page_id), [slot for slot, _key in members])
                 for (slot, row_key), image in zip(members, images):
                     if image is not None:
                         spliced.append((row_key, image))
@@ -856,7 +897,9 @@ class TableStore:
                   for payload in payloads]
         self._rewrite_records(image for image in images if image[0] in self._locations)
         missing = dict(image for image in images if image[0] not in self._locations)
-        self._locations.update(zip(missing, self.heap.insert_many(list(missing.values()))))
+        if missing:
+            self._runs = None
+            self._locations.update(zip(missing, self.heap.insert_many(list(missing.values()))))
         self._next_row_key = max(self._next_row_key, max(missing, default=0) + 1)
         for row_key, payload in images if now is not None else ():
             self.wal.append(LogRecordType.UPDATE, 0, table=self.schema.name,
@@ -874,11 +917,12 @@ class TableStore:
         """Rebuild the row-key → record-id map by scanning the heap's record
         headers (recovery)."""
         self._locations.clear()
+        self._runs = None
         plan = self._decode_plan(frozenset())
         max_key = 0
         for page_id in self.heap.page_ids():
             slots = self.heap.live_slots(page_id)
-            for slot, row in zip(slots, plan(*self.heap.read_run(page_id, slots))[0]):
+            for slot, row in zip(slots, plan(self.heap.frame(page_id), slots)[0]):
                 self._locations[row.row_key] = RecordId(page_id, slot)
                 max_key = max(max_key, row.row_key)
         self._next_row_key = max_key + 1
@@ -888,15 +932,6 @@ def _coerced(column: Any, value: Any) -> Tuple[Any, bytes]:
     """A value off its column's fast path: coerced, and its field."""
     value = column.coerce(value)
     return value, encode_value(value)
-
-
-def _page_runs(records: List[RecordId]) -> Iterator[Tuple[int, List[int], int]]:
-    """``(page, slots, index of the first)`` of each page run of ``records``."""
-    first = 0
-    for page_id, run in groupby(records, attrgetter("page_id")):
-        slots = [record.slot for record in run]
-        yield page_id, slots, first
-        first += len(slots)
 
 
 __all__ = ["TableStore", "StoredRow", "RowBatch", "DegradeChunk", "TableStoreStats",

@@ -37,7 +37,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Op
 
 from ..core.errors import StorageError
 from .buffer import BufferPool
-from .page import SlottedPage
+from .page import SlottedPage, record_span
 
 #: Size classes of the free-space map: class ``c`` holds the pages whose free
 #: space is in ``[c, c + 1) × page_size / SIZE_CLASSES``.
@@ -112,8 +112,8 @@ class HeapFile:
 
     def _page_levels(self, page: SlottedPage, slots: List[int]) -> Dict[int, Tuple[int, ...]]:
         """Slot → level vector of ``page``'s records in ``slots``, read off their headers."""
-        data, spans = page.spans(slots)
-        return dict(zip(slots, map(self.levels, repeat(data), map(itemgetter(0), spans))))
+        data = page.frame
+        return {slot: self.levels(data, record_span(data, slot)[0]) for slot in slots}
 
     def _file(self, page_id: int, page: SlottedPage) -> None:
         """Record ``page``'s free space in the map (after every mutation)."""
@@ -210,15 +210,12 @@ class HeapFile:
     # -- read --------------------------------------------------------------------
 
     def read(self, record_id: RecordId) -> bytes:
-        buffer, ((start, end),) = self.read_run(record_id.page_id, (record_id.slot,))
-        return bytes(buffer[start:end])
+        return self.buffer_pool.get_page(record_id.page_id).read(record_id.slot)
 
-    def read_run(self, page_id: int, slots: Sequence[int]
-                 ) -> Tuple[bytearray, List[Tuple[int, int]]]:
-        """One buffer-pool lookup for a run of records on one page: the page
-        buffer and each slot's ``(start, end)`` span (see
-        :meth:`SlottedPage.spans` — decode before the page can change)."""
-        return self.buffer_pool.get_page(page_id).spans(slots)
+    def frame(self, page_id: int) -> bytearray:
+        """One buffer-pool lookup for a run of records on one page: the live
+        page buffer (:attr:`SlottedPage.frame`) a kernel reads the run's slots off."""
+        return self.buffer_pool.get_page(page_id).frame
 
     def live_slots(self, page_id: int) -> List[int]:
         return self.buffer_pool.get_page(page_id).live_slots()

@@ -2,7 +2,9 @@
 each compiled once per shape.
 
 A table's run reader (:meth:`~repro.storage.degradable_store.TableStore.row_reader`)
-does the same work for every record of a scan: check the fixed prefix, drop
+does the same work for every record of a scan: find it through the page's slot
+directory (an out-of-range or deleted slot raises as
+:func:`~repro.storage.page.record_span` does), check the fixed prefix, drop
 the row if a stored level is over its cap, hop over the fields nobody asked
 for, decode the others, decrypt and generalize some of them, run the pushed
 ``column op number`` comparisons and test, decode what the survivors still
@@ -56,6 +58,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.errors import KeyDestroyedError, PolicyError, StorageError
 from ..core.values import NULL, REMOVED, SUPPRESSED, check_parameter, compare
+from .page import _HEADER, _SLOT, lost_slot
 from .serialization import (_FLOAT_FIELD, _FLOAT_STRUCT, _INT_FIELD, _INT_STRUCT, _LEN_STRUCT,
                             _TAG_BYTES, _TAG_FLOAT, _TAG_INT, _TAG_NULL, _TAG_SUPPRESSED,
                             _TAG_TEXT, _TEXT_HEAD, decode_value, encode_value)
@@ -63,8 +66,10 @@ from .serialization import (_FLOAT_FIELD, _FLOAT_STRUCT, _INT_FIELD, _INT_STRUCT
 #: The message a wave kernel raises for a step below the stored level.
 IRREVERSIBLE = "degradation is irreversible: cannot decrease the level"
 
-#: Every string a kernel's code holds: the messages it raises.
-MESSAGES = frozenset({IRREVERSIBLE, "trailing bytes after record payload", *(
+#: Every string a kernel's code holds: the messages it raises (a slot the page
+#: does not hold is "out of range" or "is deleted", :func:`~.page.lost_slot`).
+MESSAGES = frozenset({IRREVERSIBLE, "out of range", "is deleted",
+                      "trailing bytes after record payload", *(
     f"truncated record: {what}" for what in (
         "no type tag", "short length prefix", "short string payload", "short INT payload",
         "short FLOAT payload", "short payload"))})
@@ -116,7 +121,8 @@ _GLOBALS: Dict[str, Any] = {
     "NULL": NULL, "SUPPRESSED": SUPPRESSED, "REMOVED": REMOVED,
     "decode_value": decode_value, "unknown_tag": _unknown_tag, "join": b"".join,
     "unpack_int": _INT_STRUCT.unpack_from, "unpack_float": _FLOAT_STRUCT.unpack_from,
-    "unpack_length": _LEN_STRUCT.unpack_from,
+    "unpack_length": _LEN_STRUCT.unpack_from, "unpack_slot": _SLOT.unpack_from,
+    "lost_slot": lost_slot,
     "encode_value": encode_value, "key_head": struct.Struct("<HBq").pack,
     "pack_int": _INT_FIELD.pack, "pack_float": _FLOAT_FIELD.pack,
     "length_head": _TEXT_HEAD.pack,
@@ -149,10 +155,21 @@ class _Source:
         self.depth -= 1
 
 
-def _raise(out: _Source, condition: str, message: str, error: str = "StorageError") -> None:
+def _raise(out: _Source, condition: str, message: str, error: str = "StorageError",
+           args: str = "") -> None:
     assert message in MESSAGES
     with out.block(f"if {condition}:"):
-        out(f"raise {error}({message!r})")
+        out(f"raise {error}({args}{message!r})")
+
+
+def _span(out: _Source) -> None:
+    """``start`` and ``end`` of the record in ``slot`` of the page ``data``,
+    off its slot directory — :func:`~repro.storage.page.record_span` inline,
+    with the same errors (``count``: the page's slot count)."""
+    _raise(out, "not 0 <= slot < count", "out of range", "lost_slot", "slot, ")
+    out(f"start, end = unpack_slot(data, {_HEADER.size} + {_SLOT.size} * slot)")
+    _raise(out, "not start", "is deleted", "lost_slot", "slot, ")
+    out("end += start")
 
 
 def _skip(out: _Source, cursor: str) -> None:
@@ -349,11 +366,12 @@ def kernel_source(shape: Shape) -> str:
         for index in range(len(shape.compares)):
             out(f"constant{index} = constants[{index}]",
                 f"number{index} = float(constant{index})")
-        with out.block("def read(data, spans):"):
+        with out.block("def read(data, slots):"):
             out("rows, positions, drops = [], [], []",
                 "keep, place, drop = rows.append, positions.append, drops.append",
-                "excluded = 0")
-            with out.block("for position, (start, end) in enumerate(spans):"):
+                "excluded = 0", "count = unpack_slot(data, 0)[0]")
+            with out.block("for position, slot in enumerate(slots):"):
+                _span(out)
                 if (shape.wide or shape.text) and (early or late):
                     size = shape.header + 9 * shape.wide + shape.text * (1 + _LEN_STRUCT.size)
                     out(f"head = wide(data, start) if start + {size} <= end else None")
@@ -376,9 +394,9 @@ def kernel_source(shape: Shape) -> str:
 def compile_kernel(shape: Shape) -> Callable[..., Any]:
     """Compile ``shape``'s kernel; returns its factory ``factory(unpack,
     tags, wide, wide_tags, malformed, caps, fixes, constants, test, make)``
-    → run reader, where ``wide`` and ``wide_tags`` are the wide prefix's,
-    ``caps`` holds the cap of each level of ``shape.caps``, ``fixes`` per
-    fix ``(demanded level, generalize, memo, decrypt, table, column)`` and
+    → run reader ``read(page buffer, slots)``, where ``wide`` and ``wide_tags``
+    are the wide prefix's, ``caps`` holds the cap of each level of ``shape.caps``,
+    ``fixes`` per fix ``(demanded level, generalize, memo, decrypt, table, column)`` and
     ``constants`` the number of each of ``shape.compares``.  The reader's
     ``.caps`` are its ``(level position, cap)`` pairs."""
     return _compile(kernel_source(shape), "<scan kernel>")
@@ -411,10 +429,12 @@ def wave_kernel_source(shape: WaveShape) -> str:
     with out.block("def factory(unpack, tags, malformed, pieces, steps, generalize, rekey):"):
         for step in steps:
             out(f"to{step}, lane{step}, open{step} = steps[{step}]")
-        with out.block("def splice(data, spans):"):
+        with out.block("def splice(data, slots):"):
             # One copy of the page: every slice below is then a hashable field.
-            out("data = bytes(data)", "out = []", "put = out.append")
-            with out.block("for start, end in spans:"):
+            out("data = bytes(data)", "out = []", "put = out.append",
+                "count = unpack_slot(data, 0)[0]")
+            with out.block("for slot in slots:"):
+                _span(out)
                 out(f"offset = start + {shape.header}")
                 with out.block("if offset > end:"):
                     out("raise malformed(data, start, end)")
@@ -471,8 +491,8 @@ def wave_kernel_source(shape: WaveShape) -> str:
 
 def compile_wave_kernel(shape: WaveShape) -> Callable[..., Any]:
     """Compile ``shape``'s splicer; returns its factory ``factory(unpack,
-    tags, malformed, pieces, steps, generalize, rekey)`` → ``splice(data,
-    spans)``, which returns per record its new image, or ``None`` when the
+    tags, malformed, pieces, steps, generalize, rekey)`` → ``splice(page buffer,
+    slots)``, which returns per record its new image, or ``None`` when the
     row already is at every target.  ``pieces[level]`` is a level's 8-byte
     int; ``steps`` holds per step ``(to level, lane, open)``: the lane maps
     a from level to its chunk's ``(memo, chunk)`` and ``open(from level)``

@@ -41,6 +41,22 @@ _HEADER = struct.Struct("<HH")          # slot_count, free_space_offset (from en
 _SLOT = struct.Struct("<HH")            # record_offset, record_length
 
 
+def lost_slot(slot: int, what: str) -> RecordNotFoundError:
+    """The error of a read of ``slot``, ``what`` being "out of range" or "is deleted"."""
+    return RecordNotFoundError(f"slot {slot} {what}")
+
+
+def record_span(buffer: bytearray, slot: int) -> Tuple[int, int]:
+    """The ``(start, end)`` of ``slot``'s record in a page ``buffer``, read
+    off the slot directory — what the kernels do inline for each slot."""
+    if not 0 <= slot < _HEADER.unpack_from(buffer, 0)[0]:
+        raise lost_slot(slot, "out of range")
+    offset, length = _SLOT.unpack_from(buffer, _HEADER.size + slot * _SLOT.size)
+    if not offset:
+        raise lost_slot(slot, "is deleted")
+    return offset, offset + length
+
+
 class SlottedPage:
     """A fixed-size slotted page holding variable length records."""
 
@@ -83,7 +99,7 @@ class SlottedPage:
 
     def _get_slot(self, slot: int) -> Tuple[int, int]:
         if not 0 <= slot < self.slot_count:
-            raise RecordNotFoundError(f"slot {slot} out of range")
+            raise lost_slot(slot, "out of range")
         return _SLOT.unpack_from(self._buffer, _HEADER.size + slot * _SLOT.size)
 
     def _set_slot(self, slot: int, offset: int, length: int) -> None:
@@ -185,38 +201,15 @@ class SlottedPage:
             self._live = live
         return slots
 
-    def spans(self, slots: Sequence[int]) -> Tuple[bytearray, List[Tuple[int, int]]]:
-        """The page buffer and the ``(start, end)`` byte span of each of ``slots``.
-
-        The batch form of :meth:`read`: one header unpack for the whole run,
-        one unpack of the slot-directory span the run covers (its lowest to
-        its highest slot), no payload copied.  The buffer is the live frame —
-        decode from it before anything can mutate the page.
-        """
-        buffer = self._buffer
-        slot_count = _HEADER.unpack_from(buffer, 0)[0]
-        spans: List[Tuple[int, int]] = []
-        if not slots:
-            return buffer, spans
-        low, high = min(slots), max(slots)
-        if low < 0:
-            low = 0
-        if high >= slot_count:
-            high = slot_count - 1
-        directory = [*_SLOT.iter_unpack(buffer[_HEADER.size + low * _SLOT.size:
-                                               _HEADER.size + (high + 1) * _SLOT.size])]
-        for slot in slots:
-            if not 0 <= slot < slot_count:
-                raise RecordNotFoundError(f"slot {slot} out of range")
-            offset, length = directory[slot - low]
-            if offset == 0:
-                raise RecordNotFoundError(f"slot {slot} is deleted")
-            spans.append((offset, offset + length))
-        return buffer, spans
+    @property
+    def frame(self) -> bytearray:
+        """The live page buffer, read through :func:`record_span` (or the
+        kernels' inline copy of it): decode before the page can change."""
+        return self._buffer
 
     def read(self, slot: int) -> bytes:
-        buffer, ((start, end),) = self.spans((slot,))
-        return bytes(buffer[start:end])
+        start, end = record_span(self._buffer, slot)
+        return bytes(self._buffer[start:end])
 
     def is_live(self, slot: int) -> bool:
         try:
@@ -275,11 +268,11 @@ class SlottedPage:
         slot_count = self.slot_count        # an update adds and drops no slot
         for done, (slot, payload) in enumerate(updates):
             if not 0 <= slot < slot_count:
-                raise RecordNotFoundError(f"slot {slot} out of range")
+                raise lost_slot(slot, "out of range")
             entry = _HEADER.size + slot * _SLOT.size
             offset, length = _SLOT.unpack_from(buffer, entry)
             if offset == 0:
-                raise RecordNotFoundError(f"slot {slot} is deleted")
+                raise lost_slot(slot, "is deleted")
             new_length = len(payload)
             if new_length <= length:
                 buffer[offset:offset + new_length] = payload
@@ -304,10 +297,7 @@ class SlottedPage:
                 if offset != 0]
 
     def records(self) -> List[Tuple[int, bytes]]:
-        slots = self.live_slots()
-        buffer, spans = self.spans(slots)
-        return [(slot, bytes(buffer[start:end]))
-                for slot, (start, end) in zip(slots, spans)]
+        return [(slot, self.read(slot)) for slot in self.live_slots()]
 
     # -- maintenance ----------------------------------------------------------
 
@@ -415,4 +405,4 @@ class SlottedPage:
         return cls(page_size=len(data), data=data, secure=secure)
 
 
-__all__ = ["SlottedPage", "DEFAULT_PAGE_SIZE"]
+__all__ = ["SlottedPage", "DEFAULT_PAGE_SIZE", "record_span", "lost_slot"]

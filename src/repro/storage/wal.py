@@ -318,19 +318,19 @@ def decode_degrade_chunk(payload: bytes) -> Tuple[int, List[int]]:
     return int(flat[0]), [int(row_key) for row_key in flat[1:]]
 
 
-def encode_insert_run(images: Sequence[bytes]) -> bytearray:
-    """The INSERT_RUN payload of one page's new records: each as ``length ·
-    image · CRC-32 of the image``, back to back (a ``bytearray`` of exactly
-    that size, written in place: the log holds it until a checkpoint)."""
-    run = bytearray(sum(map(len, images)) + 8 * len(images))
-    offset = 0
-    for image in images:
+def encode_insert_run(images: Sequence[bytes], row_keys: Iterable[int]) -> Tuple[bytearray, List]:
+    """The INSERT_RUN payload of one page's new records (rows ``row_keys``): each
+    as ``length · image · CRC-32 of the image``, back to back, in a ``bytearray``
+    of exactly that size — and the ``(offset, length, row key)`` of each."""
+    run, index, offset = bytearray(sum(map(len, images)) + 8 * len(images)), [], 0
+    for image, row_key in zip(images, row_keys):
         end = offset + 4 + len(image)
         _SUB_LENGTH.pack_into(run, offset, end - offset - 4)
         run[offset + 4:end] = image
         _CRC.pack_into(run, end, crc32(image))
+        index.append((offset + 4, len(image), row_key))
         offset = end + 4
-    return run
+    return run, index
 
 
 def _sub_images(run: Any) -> Iterator[Tuple[int, int, Optional[int], bool]]:
@@ -521,7 +521,8 @@ class WriteAheadLog:
     def append(self, record_type: LogRecordType, txn_id: int, *, table: str = "",
                row_key: int = -1, attribute: str = "",
                before: Optional[bytes] = None, after: Optional[bytes] = None,
-               timestamp: float = 0.0) -> LogRecord:
+               timestamp: float = 0.0, images: Optional[List[Tuple]] = None) -> LogRecord:
+        """``images``: an INSERT_RUN's sub-images as :func:`encode_insert_run` says."""
         if txn_id in self._unlogged:
             self.append(LogRecordType.BEGIN, txn_id,
                         timestamp=self._unlogged.pop(txn_id))
@@ -543,22 +544,21 @@ class WriteAheadLog:
         self._next_lsn += 1
         self._records.append(record)
         if (before or after) and record_type in _SCRUB_TARGETS:
-            self._index_images(record)
+            self._index_images(record, images)
         self.stats.appended += 1
         self.stats.appended_by_type[record_type._value_] += 1   # a str: no Enum.__hash__ call
         return record
 
-    def _index_images(self, record: LogRecord) -> None:
-        """Enter the row images ``record`` holds in the side table."""
+    def _index_images(self, record: LogRecord, index: Optional[List[Tuple]] = None) -> None:
+        """Enter the row images ``record`` holds (``index``: unparsed) in the side table."""
         images, lsn, table = self._images, record.lsn, record.table
         if record.record_type is not LogRecordType.INSERT_RUN:
             images.setdefault((table, record.row_key), []).append((lsn, _WHOLE, 0))
             return
-        live = 0
-        for offset, length, row_key in _live_sub_images(record.after):
+        index = [*_live_sub_images(record.after)] if index is None else index
+        for offset, length, row_key in index:
             images.setdefault((table, row_key), []).append((lsn, offset, length))
-            live += 1
-        self._run_live[lsn] = live
+        self._run_live[lsn] = len(index)
 
     def flush(self) -> None:
         """Persist every appended record (durability point).

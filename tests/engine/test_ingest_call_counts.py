@@ -12,7 +12,9 @@ wall-clock timings).
   ingest of commit 8514bdb).
 * A cohort of one does not tax the everyday path: a one-row INSERT +
   commit makes no more than the 363 calls it made before the batch path
-  went per page and per column.
+  went per page and per column, and a one-row ``DELETE`` + commit no more
+  than the 430 it made before (commit 3c16a51) — its leaving row is counted
+  into the statistics without a ``Counter`` or a batch's type survey.
 
 The armed suite (``REPRO_DEBUG_INVARIANTS=1``) wraps engine entry points and
 counts differently, so the pins are taken unarmed only.
@@ -32,6 +34,7 @@ from repro.storage.wal import LogRecordType, run_images
 
 BATCH_CALLS = 36_367
 ONE_ROW_CALLS = 363
+ONE_ROW_DELETE_CALLS = 430
 ADDRESSES = ("1 Main Street, Paris", "2 Station Road, Lyon", "10 Downing Street, London")
 INSERT = "INSERT INTO visits VALUES (?, ?, ?, ?)"
 
@@ -107,3 +110,19 @@ def test_a_cohort_of_one_costs_no_more_than_a_row_did():
 
     one()
     assert profiled(one) <= ONE_ROW_CALLS
+
+
+def test_a_one_row_delete_costs_no_more_than_before_the_batch_path():
+    db = engine()
+    connection = repro.connect(engine=db)
+    cursor = connection.cursor()
+    cursor.executemany(INSERT, rows(1, 200))
+    connection.commit()
+    doomed = iter(range(1, 200))
+
+    def one():
+        cursor.execute("DELETE FROM visits WHERE id = ?", (next(doomed),))
+        connection.commit()
+
+    one()
+    assert profiled(one) <= ONE_ROW_DELETE_CALLS

@@ -13,6 +13,7 @@ import pytest
 
 from repro import AttributeLCP, InstantDB
 from repro.core.domains import build_location_tree
+from repro.core.values import NULL, REMOVED, SUPPRESSED
 from repro.query.statistics import ColumnStatistics, StatisticsRegistry
 
 PARIS = "1 Main Street, Paris"
@@ -43,6 +44,21 @@ class TestColumnStatistics:
         stats.remove_many([1])
         assert stats.ndv == 2                  # one '1' remains
         assert stats.min_value == 1.0
+
+    @pytest.mark.parametrize("values", [
+        [5, 1, 9, 1, 1.0, True], ["Paris", "paris", "Lyon"], [None, 3, NULL, SUPPRESSED, REMOVED]])
+    def test_a_row_alone_leaves_as_in_a_batch(self, values):
+        """``remove_many`` of one value (no ``Counter``, no type survey)
+        leaves the state the batch path leaves, missing values included."""
+        alone, batched = ColumnStatistics(), ColumnStatistics()
+        for stats in (alone, batched):
+            stats.add_many(values + values[:2])
+        for value in values:
+            alone.remove_many([value])
+        batched.remove_many(values)
+        state = [(stats.counts, stats.non_missing, stats.missing, stats.min_value,
+                  stats.max_value) for stats in (alone, batched)]
+        assert state[0] == state[1] and alone.counts
 
     def test_missing_values_are_counted_separately(self):
         stats = ColumnStatistics()

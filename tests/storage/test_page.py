@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import PageFullError, RecordNotFoundError, StorageError
-from repro.storage.page import SlottedPage
+from repro.storage.page import SlottedPage, record_span
 
 
 class TestBasicOperations:
@@ -345,7 +345,7 @@ def test_update_many_against_sequential_update(seed, page_size):
 
 
 def per_slot_spans(page, slots):
-    """The slot-at-a-time directory read ``spans`` replaced, as the reference."""
+    """The slot-at-a-time directory read through ``_get_slot``, as the reference."""
     slot_count = page.slot_count
     spans = []
     for slot in slots:
@@ -367,10 +367,11 @@ def outcome(read, page, slots):
 
 @given(st.data())
 @settings(max_examples=200, deadline=None)
-def test_spans_match_the_per_slot_directory_read(data):
-    """One unpack of the directory span a run covers answers as one unpack
-    per slot did: the same spans, and the same error for the same first
-    out-of-range or deleted slot, whatever the order of the run."""
+def test_record_span_matches_the_per_slot_directory_read(data):
+    """``record_span`` — the directory read the kernels make inline, off the
+    bare page buffer — answers as ``_get_slot`` does: the same spans, and the
+    same error for the same first out-of-range or deleted slot, whatever the
+    order of the run."""
     page = SlottedPage(page_size=512)
     count = data.draw(st.integers(0, 20))
     for index in range(count):
@@ -380,6 +381,7 @@ def test_spans_match_the_per_slot_directory_read(data):
             page.delete(slot)
     slots = data.draw(st.lists(st.integers(-2, count + 2), max_size=12))
     expected = outcome(per_slot_spans, page, slots)
-    assert outcome(lambda p, s: p.spans(s)[1], page, slots) == expected
+    assert outcome(lambda p, s: [record_span(p.frame, slot) for slot in s],
+                   page, slots) == expected
     live = [slot for slot in range(page.slot_count) if page.is_live(slot)]
-    assert page.spans(live)[1] == per_slot_spans(page, live)
+    assert [record_span(page.frame, slot) for slot in live] == per_slot_spans(page, live)

@@ -83,7 +83,7 @@ class TestWALRecordProperties:
                                   attribute, before, after, timestamp):
         if record_type is LogRecordType.INSERT_RUN and after is not None:
             # A run's payload is framed sub-images; an empty image reads as scrubbed.
-            after = bytes(encode_insert_run([b"\x01" + after]))
+            after = bytes(encode_insert_run([b"\x01" + after], [0])[0])
         record = LogRecord(lsn=lsn, txn_id=txn_id, record_type=record_type,
                            table=table, row_key=row_key, attribute=attribute,
                            before=before, after=after, timestamp=timestamp)

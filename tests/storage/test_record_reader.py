@@ -42,6 +42,7 @@ from repro.storage.buffer import BufferPool
 from repro.storage.degradable_store import DegradeChunk, StoredRow, TableStore
 from repro.storage.heap import RecordId
 from repro.storage.kernels import MESSAGES
+from repro.storage.page import SlottedPage, record_span
 from repro.storage.pager import MemoryPager
 from repro.storage.serialization import decode_record, decode_value
 from repro.storage.wal import LogRecordType, WriteAheadLog, run_images
@@ -69,6 +70,17 @@ def make_store(strategy: str = "rewrite", capacity: int = 16,
                schema: TableSchema = SCHEMA) -> TableStore:
     pool = BufferPool(MemoryPager(), capacity=capacity)
     return TableStore(schema, pool, WriteAheadLog(), strategy=strategy)
+
+
+def framed(payloads, pad=0):
+    """A page holding ``payloads``, a ``pad``-byte filler record beside
+    each: its buffer, which the kernels read in place, and their slots."""
+    page, slots = SlottedPage(), []
+    for payload in payloads:
+        if pad:
+            page.insert(b"\xaa" * pad)
+        slots.append(page.insert(payload))
+    return page.frame, slots
 
 
 def reference_decode(store: TableStore, payload: bytes):
@@ -152,11 +164,10 @@ class TestEquivalence:
         payload = store.image(StoredRow(record["row_key"], {name: record[name] for name in NAMES},
                                         levels, record["inserted_at"]))
         expected = reference_decode(store, payload)
-        framed = bytearray(b"\xaa" * pad + payload + b"\xbb" * pad)
+        frame, slots = framed([payload], pad)
         for columns in SUBSETS:
             assert_same(store._decode_row(payload, columns), expected, columns)
-            in_place = store._decode_plan(columns)(
-                framed, ((pad, pad + len(payload)),))[0][0]
+            in_place = store._decode_plan(columns)(frame, slots)[0][0]
             assert_same(in_place, expected, columns)
 
     @pytest.mark.parametrize("strategy", ["rewrite", "crypto"])
@@ -175,11 +186,7 @@ class TestEquivalence:
         payloads = [store.image(data.draw(leveled_records())) for _ in
                     range(data.draw(st.integers(1, 4)))]
         pad = data.draw(st.integers(0, 5))
-        frame, spans = bytearray(), []
-        for payload in payloads:
-            frame += b"\xaa" * pad
-            spans.append((len(frame), len(frame) + len(payload)))
-            frame += payload
+        frame, page_slots = framed(payloads, pad)
         columns = data.draw(st.permutations(NAMES))[:data.draw(st.integers(0, len(NAMES)))]
         slots = tuple((name, slot) for slot, name in enumerate(columns, 1))
         early = frozenset(data.draw(st.sets(st.sampled_from(NAMES))))
@@ -198,7 +205,7 @@ class TestEquivalence:
 
         reader = store.row_reader(slots, early, caps, schemes,
                                   None if verdicts is None else test)
-        rows, positions, drops, excluded = reader(frame, spans)
+        rows, positions, drops, excluded = reader(frame, page_slots)
 
         want_rows, want_positions, want_drops, want_seen = [], [], [], []
         dropped = 0
@@ -290,10 +297,10 @@ class TestLevelFirstExclusion:
         store.degrade(key, "salary", SALARY, 2, now=1.0)
         payload = store.heap.read(store._location(key))
         broken = payload[:store._header.size] + b"\xff" * 8
-        span = ((0, len(broken)),)
-        assert store._decode_plan(None, (("salary", 1),))(broken, span)[0] == []
+        frame, slots = framed([broken])
+        assert store._decode_plan(None, (("salary", 1),))(frame, slots)[0] == []
         with pytest.raises(StorageError):
-            store._decode_plan(None, (("salary", 2),))(broken, span)
+            store._decode_plan(None, (("salary", 2),))(frame, slots)
 
 
 def good_payload(store: TableStore) -> bytes:
@@ -387,9 +394,12 @@ class TestCorruption:
             "expected 10", f"expected {store._field_count}")).replace(r"\{at\}", "{at}")
             for message in self.MESSAGES[case])
         at = value_offset(store, good_payload(store), "score")
-        with pytest.raises(StorageError, match=f"^{full.format(at=at)}$"):
+        # A stand-alone image is read as the one record of a (64-byte or
+        # just large enough) page of its own, at the page's end.
+        alone = max(64, len(bad) + 8) - len(bad) + at
+        with pytest.raises(StorageError, match=f"^{full.format(at=alone)}$"):
             store._decode_row(bad)
-        with pytest.raises(StorageError, match=f"^{skipped.format(at=at)}$"):
+        with pytest.raises(StorageError, match=f"^{skipped.format(at=alone)}$"):
             store._decode_row(bad, frozenset({"active"}))
         # The same bytes inside a page: the record's own end bounds the
         # decode, not the end of the 4 KiB frame around it.  The damage is
@@ -400,7 +410,7 @@ class TestCorruption:
         store._locations[99] = RecordId(
             page_id, store.buffer_pool.get_page(page_id).insert(bad))
         assert store.page_of(99) == store.page_of(filler)
-        start = store.heap.read_run(page_id, (store._locations[99].slot,))[1][0][0]
+        start = record_span(store.heap.frame(page_id), store._locations[99].slot)[0]
         in_page = f"^{full.format(at=start + at)}$"
         with pytest.raises(StorageError, match=in_page):
             store.read(99)

@@ -701,3 +701,28 @@ class TestDurabilityOfScrubAndDirectory:
         wal.flush()
         assert wal.flushed_lsn == 1
         assert len(WriteAheadLog(str(tmp_path / "wal"))) == 1
+
+
+def test_the_side_table_a_live_insert_files_is_the_one_recovery_parses(tmp_path):
+    """An insert batch hands the log each INSERT_RUN's sub-image index as it
+    encoded the run; a reopened log parses the same records for it.  Both
+    build the same side table — live, after a scrub of some rows too."""
+    from repro.core.schema import Column, TableSchema
+    from repro.storage.buffer import BufferPool
+    from repro.storage.degradable_store import TableStore
+    from repro.storage.pager import MemoryPager
+
+    path = str(tmp_path / "wal")
+    wal = WriteAheadLog(path)
+    store = TableStore(TableSchema("t", [Column("id", "INT", primary_key=True),
+                                         Column("note", "TEXT")]),
+                       BufferPool(MemoryPager(), capacity=8), wal)
+    keys = store.insert_many([(i, "n" * (i % 50)) for i in range(300)], now=1.0).keys
+    store.insert_many([(1000, "late")], now=2.0)
+    assert len(wal._run_live) > 2
+    for live in (True, False):
+        wal.flush()
+        reopened = WriteAheadLog(path)
+        assert (reopened._images, reopened._run_live) == (wal._images, wal._run_live)
+        assert reopened._images and live == (("t", keys[3]) in reopened._images)
+        wal.scrub_records([("t", key) for key in keys[::3]])
