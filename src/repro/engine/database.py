@@ -160,8 +160,8 @@ class InstantDB:
             wal_path = os.path.join(data_dir, "wal")
         self.pager = open_pager(pager_path, page_size=page_size,
                                 faults=fault_plan)
-        self.buffer_pool = BufferPool(self.pager, capacity=buffer_capacity)
         self.wal = WriteAheadLog(wal_path, faults=fault_plan)
+        self.buffer_pool = BufferPool(self.pager, capacity=buffer_capacity, wal=self.wal)
         self.keystore = KeyStore(deterministic_seed=b"instantdb" if deterministic_crypto else None)
         self.catalog = Catalog()
         self.registry = self.catalog.registry

@@ -6,13 +6,16 @@ two reasons: to give the storage engine realistic read/write amplification
 behaviour for the C2/C3 benchmarks, and to provide a single flush point that
 the degradation engine can force after a degradation step (a step is only
 *non-recoverable* once the overwritten page has reached the backing store).
+It keeps the write-ahead rule too: no page is written before the log is
+durable up to its page LSN, the last record recovery would undo for it.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator
+from typing import Any, Dict, Iterator, Optional, Set
 
 from ..core.errors import StorageError
 from ..devtools import invariants
@@ -41,16 +44,21 @@ class BufferPool:
     Pages are returned by reference: callers mutate the returned
     :class:`SlottedPage` and then call :meth:`mark_dirty`.  Pinning is not
     reference counted (single threaded engine); eviction simply flushes dirty
-    victims.
+    victims, the ``wal`` first where a victim's page LSN asks for it.
     """
 
-    def __init__(self, pager: Pager, capacity: int = 128) -> None:
+    def __init__(self, pager: Pager, capacity: int = 128, wal: Any = None) -> None:
         if capacity < 1:
             raise StorageError("buffer pool capacity must be at least 1")
         self.pager = pager
         self.capacity = capacity
+        self.wal = wal
         self._frames: "OrderedDict[int, SlottedPage]" = OrderedDict()
         self._dirty: Dict[int, bool] = {}
+        #: Page LSNs of dirty frames (in memory only), and the pages changed
+        #: inside :meth:`unlogged`.
+        self._lsn: Dict[int, int] = {}
+        self._held: Optional[Set[int]] = None
         self.stats = BufferStats()
 
     # -- page access -----------------------------------------------------------
@@ -78,23 +86,44 @@ class BufferPool:
             raise StorageError(f"page {page_id} is not resident")
         self._dirty[page_id] = True
         self._frames.move_to_end(page_id)
+        if self._held is not None:
+            self._held.add(page_id)
+
+    @contextmanager
+    def unlogged(self) -> Iterator[None]:
+        """Pin the pages changed inside the block (the pool runs over its capacity
+        instead) until it has logged their records: the last LSN is their page LSN."""
+        self._held = set()
+        try:
+            yield
+        finally:
+            held, self._held = self._held, None
+            if self.wal is not None:
+                self._lsn.update(dict.fromkeys(held, self.wal.last_lsn))
+            while len(self._frames) > self.capacity:
+                self._evict_one()
 
     def _admit(self, page_id: int, page: SlottedPage, dirty: bool) -> None:
-        while len(self._frames) >= self.capacity:
+        while len(self._frames) >= self.capacity and next(iter(self._frames)) not in (
+                self._held or ()):      # a held LRU frame stays: the pool runs over
             self._evict_one()
         self._frames[page_id] = page
         self._dirty[page_id] = dirty
 
     def _evict_one(self) -> None:
-        victim_id, victim = self._frames.popitem(last=False)
-        if self._dirty.pop(victim_id, False):
-            self._write_back(victim_id, victim)
+        victim_id, victim = next(iter(self._frames.items()))
+        if self._dirty.get(victim_id, False):
+            self._write_back(victim_id, victim)     # a write that fails keeps the frame
+        del self._frames[victim_id], self._dirty[victim_id]
         self.stats.evictions += 1
 
     def _write_back(self, page_id: int, page: SlottedPage) -> None:
         if invariants.enabled():
             page.check()    # page hygiene (docs/invariants.md)
+        if self._lsn and self._lsn.get(page_id, 0) > self.wal.flushed_lsn:  # none without a log
+            self.wal.flush()        # the write-ahead rule
         self.pager.write_page(page_id, page)
+        self._lsn.pop(page_id, None)
         self.stats.flushes += 1
 
     # -- flushing ----------------------------------------------------------------

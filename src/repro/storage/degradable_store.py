@@ -314,20 +314,21 @@ class TableStore:
         payloads: List[bytes] = []
         values: List[Tuple[Any, ...]] = []
         end = encode(first, rows, self._tail_of(now, zero), zero, payloads.append, values.append)
-        record_ids = self.heap.insert_many(payloads)
-        keys = range(first, end)
-        self._locations.update(zip(keys, record_ids))
-        if self._runs is not None:      # the new keys are the largest: runs at the tail
-            self._runs = self._grouped(keys, record_ids, self._runs)
-        self._next_row_key = end
-        runs: Dict[int, List[int]] = {}     # page → the rows it took, by batch position
-        for at, record_id in enumerate(record_ids):
-            runs.setdefault(record_id.page_id, []).append(at)
-        for run in runs.values():       # keyed by its highest row key, its last
-            after, images = encode_insert_run([payloads[at] for at in run],
-                                              [first + at for at in run])
-            self.wal.append(LogRecordType.INSERT_RUN, txn_id, table=table, timestamp=now,
-                            row_key=first + run[-1], after=after, images=images)
+        with self.buffer_pool.unlogged():       # its pages wait for their INSERT_RUNs
+            record_ids = self.heap.insert_many(payloads)
+            keys = range(first, end)
+            self._locations.update(zip(keys, record_ids))
+            if self._runs is not None:      # the new keys are the largest: runs at the tail
+                self._runs = self._grouped(keys, record_ids, self._runs)
+            self._next_row_key = end
+            runs: Dict[int, List[int]] = {}     # page → the rows it took, by batch position
+            for at, record_id in enumerate(record_ids):
+                runs.setdefault(record_id.page_id, []).append(at)
+            for run in runs.values():       # keyed by its highest row key, its last
+                after, images = encode_insert_run([payloads[at] for at in run],
+                                                  [first + at for at in run])
+                self.wal.append(LogRecordType.INSERT_RUN, txn_id, table=table, timestamp=now,
+                                row_key=first + run[-1], after=after, images=images)
         self.stats.inserts += len(keys)
         return RowBatch(keys, dict(zip(self._names, zip(*values) if values else repeat(()))),
                         dict.fromkeys(self._degradable, zero[:1] * len(keys)),
@@ -391,18 +392,30 @@ class TableStore:
             factory = self._kernels[key] = compile_kernel(self._shape(*key))
         decrypt = self.keystore.decrypt if crypto else None
         wide, wide_tags, _covered, _text = self._wide
-        return factory(self._header.unpack_from, self._header_tags, wide.unpack_from, wide_tags,
-                       self._malformed, [cap for _name, cap in level_caps],
-                       [(demanded, None if demanded is None else scheme.generalize, {},
-                         decrypt, self.schema.name, name)
-                        for name, _slot, demanded, scheme in fixes],
-                       [number for _slot, _operator, number in comparisons], predicate, make)
+        args = (self._header.unpack_from, self._header_tags, wide.unpack_from, wide_tags,
+                self._malformed, [cap for _name, cap in level_caps],
+                [(demanded, None if demanded is None else scheme.generalize, {},
+                  decrypt, self.schema.name, name) for name, _slot, demanded, scheme in fixes],
+                [number for _slot, _operator, number in comparisons], predicate, make)
+        reader = factory(*args)
+        reader.spec = key, args
+        return reader
+
+    def _drained(self, reader: RunReader) -> Callable[..., Tuple]:
+        """``reader``'s drained pace: its kernel key and arguments (memos
+        included) with the loop over page runs compiled in, made when first drained."""
+        if "drained" not in reader.__dict__:
+            key, args = reader.spec
+            reader.drained = (self._kernels.get(key + (True,)) or self._kernels.setdefault(
+                key + (True,), compile_kernel(self._shape(*key, True))))(*args)
+        return reader.drained
 
     def _shape(self, slots: Tuple[Tuple[str, int], ...], early: frozenset,
                capped: Tuple[str, ...], fixed: Tuple[Tuple[str, int, bool], ...],
-               test: bool, make: bool, compares: Tuple[Tuple[int, str], ...]) -> Shape:
-        """The kernel shape of a :meth:`row_reader` call, in this table's
-        positions: its names go no further."""
+               test: bool, make: bool, compares: Tuple[Tuple[int, str], ...],
+               drained: bool = False) -> Shape:
+        """The kernel shape of a :meth:`row_reader` call (``drained``: of its
+        drained pace), in this table's positions: its names go no further."""
         position = self.schema.column_index
         return Shape(
             self._header.size, self._field_count, len(self.schema.columns) - 1,
@@ -411,7 +424,7 @@ class TableStore:
             tuple(self._degradable_fields[name][0] for name in capped),
             tuple((slot, self._degradable_fields[name][0], self.strategy == "crypto",
                    generalize) for name, slot, generalize in fixed),
-            test, make, compares, *self._wide[2:])
+            test, make, compares, *self._wide[2:], drained)
 
     def scan(self, columns: Optional[frozenset] = None,
              level_caps: Iterable[Tuple[str, int]] = (),
@@ -473,53 +486,70 @@ class TableStore:
         ``yield`` and an early exit over-reads at most one page.  Vanished
         rows are skipped, moved ones found, each key produced at most once.
         While ``drain()`` is true — the consumer reads to the end before
-        anything else runs on the engine — a run's rows go up as one list,
-        the tally updated once; else one row at a time, the tally exact at
-        every row, and if the table changed between two pulls what follows
+        anything else runs on the engine — the reader's drained pace takes
+        the runs and hands up :data:`~.kernels.BATCH_PAGES` pages' rows as one
+        list, the tally updated once; else one row at a time, the tally exact
+        at every row, and if the table changed between two pulls what follows
         the row just handed out is dropped: a lazy reader never sees — or
         judges — an image older than the last completed degradation step.
         Once the table changed, the keys not yet read are resolved again,
         one by one."""
         if tally is None:
             tally = SimpleNamespace(examined=0, excluded=0, pages_skipped=0)
-        floors, caps = self.heap.floors, reader.caps
+        floors, caps, frame = self.heap.floors, reader.caps, self.heap.frame
         runs = self._key_runs(row_keys, 0) if page_runs is None else iter(page_runs)
-        version = self._version
-        while (run := next(runs, None)) is not None:
-            page_id, slots, first = run
+        version, at = self._version, 0
+        while True:
             if self._version != version:
-                version, runs = self._version, self._key_runs(row_keys, first)
+                version, runs = self._version, self._key_runs(row_keys, at)
+            if drain():
+                rows, at, decoded, unread, excluded, skipped = self._drained(reader)(
+                    runs, floors, frame,
+                    partial(self._recheck, reader) if invariants.enabled() else None)
+                if at is None:
+                    return
+                tally.examined += decoded + unread
+                tally.excluded += excluded + unread
+                tally.pages_skipped += skipped
+                self.stats.reads += decoded
+                if rows:
+                    yield rows
                 continue
-            if caps and any(floors[page_id][at] > cap for at, cap in caps):
-                if invariants.enabled():    # the level rule must drop the page
-                    live = self.heap.live_slots(page_id)
-                    if reader(self.heap.frame(page_id), live)[3] != len(live):
-                        raise invariants.InvariantViolation(
-                            f"{self.schema.name}: page {page_id} skipped holds a visible row")
+            run = next(runs, None)
+            if run is None:
+                return
+            page_id, slots, first = run
+            if caps and any(floors[page_id][level_at] > cap for level_at, cap in caps):
+                if invariants.enabled():
+                    self._recheck(reader, page_id)
+                at = first + len(slots)
                 tally.pages_skipped += 1
-                rows, positions, drops, excluded = [], (), (), len(slots)
-            else:
-                rows, positions, drops, excluded = reader(self.heap.frame(page_id), slots)
-                self.stats.reads += len(slots)
+                tally.examined += at - first
+                tally.excluded += at - first
+                continue
+            rows, positions, drops, excluded = reader(frame(page_id), slots)
+            self.stats.reads += len(slots)
             seen = dropped = 0
-            rest: Optional[List[Any]] = []
-            for index, (row, position, drop) in enumerate(zip(rows, positions, drops)):
-                if drain():     # the rest of the run at once
-                    rest = rows[index:] if index else rows
-                    break
+            for row, position, drop in zip(rows, positions, drops):
                 tally.examined += position + 1 - seen
                 tally.excluded += drop - dropped
                 seen, dropped = position + 1, drop
                 yield (row,)
                 if self._version != version:
-                    version, rest = self._version, None
-                    runs = self._key_runs(row_keys, first + seen)
+                    at = first + seen
                     break
-            if rest is not None:
-                tally.examined += len(slots) - seen
+            else:
+                at = first + len(slots)
+                tally.examined += at - first - seen
                 tally.excluded += excluded - dropped
-                if rest:
-                    yield rest
+
+    def _recheck(self, reader: RunReader, page_id: int) -> None:
+        """``REPRO_DEBUG_INVARIANTS=1``: a page skipped for its floor must
+        hold no row the level rule of ``reader`` keeps."""
+        live = self.heap.live_slots(page_id)
+        if reader(self.heap.frame(page_id), live)[3] != len(live):
+            raise invariants.InvariantViolation(
+                f"{self.schema.name}: page {page_id} skipped holds a visible row")
 
     def _key_runs(self, row_keys: Sequence[int], index: int
                   ) -> Iterator[Tuple[int, List[int], int]]:
@@ -869,10 +899,12 @@ class TableStore:
         after = [StoredRow(row.row_key, {**row.values, **changes}, row.levels, row.inserted_at)
                  for row in before]
         images = [(row.row_key, self.image(row)) for row in after]
-        self._rewrite_records(images)
-        for row, (row_key, image) in zip(before, images):
-            self.wal.append(LogRecordType.UPDATE, txn_id, table=self.schema.name,
-                            row_key=row_key, before=self.image(row), after=image, timestamp=now)
+        with self.buffer_pool.unlogged():       # its pages wait for their UPDATEs
+            self._rewrite_records(images)
+            for row, (row_key, image) in zip(before, images):
+                self.wal.append(LogRecordType.UPDATE, txn_id, table=self.schema.name,
+                                row_key=row_key, before=self.image(row), after=image,
+                                timestamp=now)
         return before, after
 
     # -- maintenance / recovery / forensics -----------------------------------------

@@ -19,7 +19,9 @@ bound-checked once, at its end), the ``(stored level, value) → generalized``
 memo, the key-store decrypt and each comparison inline — and compiles it
 once.  A record whose leading fixed-width values and the head of the TEXT
 after them match the table's wide prefix takes them from the one unpack that
-checks its prefix; any other is walked field by field.
+checks its prefix; any other is walked field by field.  A drained reader
+runs the same record body inside its own loop over page runs: a page whose
+floor is over a cap costs it one comparison.
 
 A degradation wave (:meth:`~repro.storage.degradable_store.TableStore.degrade_many`)
 splices records the same way: its **wave shape** (:class:`WaveShape`) is the
@@ -103,6 +105,12 @@ class Shape(NamedTuple):
     #: and whether it also covers the tag and length of the TEXT after them.
     wide: int = 0
     text: bool = False
+    #: The pace: one page run, where each kept row sat — or a loop over runs.
+    drained: bool = False
+
+
+#: The most pages a drained reader decodes (not skips) in one call.
+BATCH_PAGES = 64
 
 
 #: A pushed comparison's operator → its Python spelling, and the name of its
@@ -356,6 +364,24 @@ def kernel_source(shape: Shape) -> str:
             out("raise malformed(data, start, end)")
         record(None)
 
+    def records(head: str) -> None:
+        """The record body for each slot of the page ``data``, then the row kept."""
+        with out.block(head):
+            _span(out)
+            if (shape.wide or shape.text) and (early or late):
+                size = shape.header + 9 * shape.wide + shape.text * (1 + _LEN_STRUCT.size)
+                out(f"head = wide(data, start) if start + {size} <= end else None")
+                with out.block(f"if head is not None and head[0] == {shape.fields} "
+                               "and head[1::2] == wide_tags:"):
+                    record(shape)
+                with out.block("else:"):
+                    narrow()
+            else:
+                narrow()
+            if not shape.drained:
+                out("drop(excluded)", "place(position)")
+            out("keep(make(head, row))" if shape.make else "keep(row)")
+
     with out.block("def factory(unpack, tags, wide, wide_tags, malformed, caps, fixes, "
                    "constants, test, make):"):
         if shape.caps:
@@ -366,25 +392,31 @@ def kernel_source(shape: Shape) -> str:
         for index in range(len(shape.compares)):
             out(f"constant{index} = constants[{index}]",
                 f"number{index} = float(constant{index})")
-        with out.block("def read(data, slots):"):
-            out("rows, positions, drops = [], [], []",
-                "keep, place, drop = rows.append, positions.append, drops.append",
-                "excluded = 0", "count = unpack_slot(data, 0)[0]")
-            with out.block("for position, slot in enumerate(slots):"):
-                _span(out)
-                if (shape.wide or shape.text) and (early or late):
-                    size = shape.header + 9 * shape.wide + shape.text * (1 + _LEN_STRUCT.size)
-                    out(f"head = wide(data, start) if start + {size} <= end else None")
-                    with out.block(f"if head is not None and head[0] == {shape.fields} "
-                                   "and head[1::2] == wide_tags:"):
-                        record(shape)
-                    with out.block("else:"):
-                        narrow()
-                else:
-                    narrow()
-                out("drop(excluded)", "place(position)",
-                    "keep(make(head, row))" if shape.make else "keep(row)")
-            out("return rows, positions, drops, excluded")
+        if not shape.drained:
+            with out.block("def read(data, slots):"):
+                out("rows, positions, drops = [], [], []",
+                    "keep, place, drop = rows.append, positions.append, drops.append",
+                    "excluded = 0", "count = unpack_slot(data, 0)[0]")
+                records("for position, slot in enumerate(slots):")
+                out("return rows, positions, drops, excluded")
+        else:
+            with out.block("def read(runs, floors, frame, armed):"):
+                out("rows, first = [], None", "keep = rows.append",
+                    "decoded = unread = excluded = skipped = pages = 0")
+                with out.block("for page, slots, first in runs:"):
+                    if shape.caps:
+                        over = " or ".join(f"floor[{level_at}] > cap{at}"
+                                           for at, level_at in enumerate(shape.caps))
+                        out("floor = floors[page]")
+                        with out.block(f"if {over}:"):
+                            out("unread += len(slots)", "skipped += 1",
+                                "if armed is not None: armed(page)", "continue")
+                    out("data = frame(page)", "count = unpack_slot(data, 0)[0]",
+                        "decoded += len(slots)")
+                    records("for slot in slots:")
+                    out("pages += 1", f"if pages == {BATCH_PAGES}: break")
+                out("return rows, None if first is None else first + len(slots), decoded, unread, "
+                    "excluded, skipped")
         out("read.caps = [" + "".join(f"({level_at}, cap{at}), " for at, level_at
                                       in enumerate(shape.caps)) + "]")
         out("return read")
@@ -397,8 +429,11 @@ def compile_kernel(shape: Shape) -> Callable[..., Any]:
     → run reader ``read(page buffer, slots)``, where ``wide`` and ``wide_tags``
     are the wide prefix's, ``caps`` holds the cap of each level of ``shape.caps``,
     ``fixes`` per fix ``(demanded level, generalize, memo, decrypt, table, column)`` and
-    ``constants`` the number of each of ``shape.compares``.  The reader's
-    ``.caps`` are its ``(level position, cap)`` pairs."""
+    ``constants`` the number of each of ``shape.compares``.  A drained reader is
+    ``read(page runs, floors, frame, armed)``: it takes runs until it has decoded
+    :data:`BATCH_PAGES` pages (``armed(page)`` hears of each it skips) → ``(rows,
+    index after the last run or None, decoded, unread, excluded, pages skipped)``.
+    The reader's ``.caps`` are its ``(level position, cap)`` pairs."""
     return _compile(kernel_source(shape), "<scan kernel>")
 
 
@@ -604,5 +639,6 @@ def _compile(source: str, name: str) -> Callable[..., Any]:
     return factory
 
 
-__all__ = ["Shape", "WaveShape", "RowShape", "MESSAGES", "kernel_source", "compile_kernel",
-           "wave_kernel_source", "compile_wave_kernel", "row_kernel_source", "compile_row_kernel"]
+__all__ = ["Shape", "WaveShape", "RowShape", "MESSAGES", "BATCH_PAGES", "kernel_source",
+           "compile_kernel", "wave_kernel_source", "compile_wave_kernel", "row_kernel_source",
+           "compile_row_kernel"]

@@ -10,6 +10,10 @@ timings in a shared sandbox).
   keeps 527 — at most 40 % of the 345,006 calls the parent commit (84cce92,
   ``StoredRow`` + visible dict + ``Filter`` operator per row) made for the
   same statement.
+* A page over the purpose's cap costs one comparison, not a generator step:
+  a ``GROUP BY`` over 6,000 rows (134 pages) under a purpose that sees none
+  of them costs at most half the 1,132 calls the parent commit (db33bfa, one
+  ``_read_keys`` step per page run) made for it.
 
 The armed suite (``REPRO_DEBUG_INVARIANTS=1``) wraps engine entry points and
 counts differently, so the pins are taken unarmed only.
@@ -27,6 +31,7 @@ from repro.core.domains import build_location_tree
 
 POINT_STATEMENT_CALLS = 255
 PARENT_FILTERED_SCAN_CALLS = 345_006
+PARENT_SKIPPED_GROUP_BY_CALLS = 1_132
 
 pytestmark = pytest.mark.skipif(
     bool(os.environ.get("REPRO_DEBUG_INVARIANTS")),
@@ -59,7 +64,8 @@ def test_a_point_statement_costs_no_more_than_it_did():
     assert calls(point) <= POINT_STATEMENT_CALLS
 
 
-def test_a_filtered_scan_pays_for_the_rows_it_keeps():
+def visits(purpose_level):
+    """6,000 visits under the location policy, and a purpose ``p`` at ``purpose_level``."""
     db = repro.InstantDB()
     location = db.register_domain(build_location_tree())
     db.register_policy(AttributeLCP(
@@ -67,7 +73,7 @@ def test_a_filtered_scan_pays_for_the_rows_it_keeps():
         name="location_lcp"))
     db.execute("CREATE TABLE visits (id INT PRIMARY KEY, location TEXT "
                "DEGRADABLE DOMAIN location POLICY location_lcp, day INT, note TEXT)")
-    db.execute("DECLARE PURPOSE region SET ACCURACY LEVEL region FOR visits.location")
+    db.execute(f"DECLARE PURPOSE p SET ACCURACY LEVEL {purpose_level} FOR visits.location")
     connection = repro.connect(engine=db)
     cursor = connection.cursor()
     cursor.executemany(
@@ -75,12 +81,29 @@ def test_a_filtered_scan_pays_for_the_rows_it_keeps():
         [(i, "1 Main Street, Paris" if i % 2 else "2 Station Road, Lyon",
           i % 365, f"note-{i}") for i in range(1, 6001)])
     connection.commit()
+    return db, connection, cursor
+
+
+def test_a_filtered_scan_pays_for_the_rows_it_keeps():
+    _db, connection, cursor = visits("region")
 
     def scan():
         cursor.execute("SELECT id, location, note FROM visits "
-                       "WHERE day >= ? AND day <= ? ORDER BY id", (100, 130),
-                       purpose="region")
+                       "WHERE day >= ? AND day <= ? ORDER BY id", (100, 130), purpose="p")
         assert len(cursor.fetchall()) == 527
         connection.commit()
 
     assert calls(scan) <= 0.40 * PARENT_FILTERED_SCAN_CALLS
+
+
+def test_a_scan_over_pages_above_the_cap_pays_per_page_read():
+    db, connection, cursor = visits("address")
+    db.advance_time(hours=2)            # every row a level past the purpose's cap
+    assert db.table_store("visits").heap.page_count == 134
+
+    def group_by():
+        cursor.execute("SELECT day, COUNT(*) AS n FROM visits GROUP BY day", purpose="p")
+        assert cursor.fetchall() == []
+        connection.commit()
+
+    assert calls(group_by) <= 0.50 * PARENT_SKIPPED_GROUP_BY_CALLS

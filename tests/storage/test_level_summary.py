@@ -24,6 +24,7 @@ import pytest
 from repro import AttributeLCP, InstantDB
 from repro.core.domains import build_location_tree, build_salary_ranges
 from repro.devtools import invariants
+from repro.query.operators import draining, lazy
 
 LOCATION = build_location_tree()
 ADDRESSES = sorted(LOCATION.values_at_level(0))
@@ -146,19 +147,25 @@ def test_the_summary_holds_levels_only():
     assert set(heap.floors.values()) == {(1, 1)}
 
 
-def test_an_armed_scan_rereads_each_page_it_skips(monkeypatch):
+@pytest.mark.parametrize("pace", [lazy, draining], ids=["lazy", "drained"])
+def test_an_armed_scan_rereads_each_page_it_skips(monkeypatch, pace):
     """``REPRO_DEBUG_INVARIANTS=1``: a skipped page whose records the level rule
-    would not all drop is an ``InvariantViolation``, not a silently short scan."""
+    would not all drop is an ``InvariantViolation``, not a silently short scan
+    — whether a run at a time (lazy) or inside the drained reader's loop."""
     db = InstantDB(page_size=512)
     create(db)
     db.executemany("INSERT INTO t VALUES (?, ?, ?, ?)",
                    [(i, "x", ADDRESSES[0], 50_000 + i) for i in range(40)])
     store = db.table_store("t")
     page = store.page_of(1)
+
+    def rows():
+        return [row for run in store.runs(None, (("location", 0),), drain=pace) for row in run]
+
     monkeypatch.setattr(invariants, "_enabled", True)
-    assert len(list(store.scan(None, (("location", 0),)))) == 40
+    assert len(rows()) == 40
     store.heap.floors[page] = (1, 0)        # a summary out of step with the page
     with pytest.raises(invariants.InvariantViolation, match=f"page {page} skipped"):
-        list(store.scan(None, (("location", 0),)))
+        rows()
     monkeypatch.setattr(invariants, "_enabled", False)
-    assert len(list(store.scan(None, (("location", 0),)))) < 40
+    assert len(rows()) < 40

@@ -38,6 +38,7 @@ from repro.core.schema import Column, TableSchema
 from repro.core.values import NULL, REMOVED, SUPPRESSED, is_missing
 from repro.query import ast_nodes as ast
 from repro.query.compiler import compile_predicate
+from repro.query.operators import draining
 from repro.storage.buffer import BufferPool
 from repro.storage.degradable_store import DegradeChunk, StoredRow, TableStore
 from repro.storage.heap import RecordId
@@ -439,10 +440,10 @@ def constants(code):
 class TestKernelCache:
     @pytest.mark.parametrize("strategy", ["rewrite", "crypto"])
     def test_cached_kernels_hold_code_only(self, strategy):
-        """The per-store cache maps reader shapes to compiled factories whose
-        code holds integers, ``None`` and the fixed error strings — never a
-        table or column name, a parameter or a value — and that close over
-        nothing."""
+        """The per-store cache maps reader shapes — each at both paces — to
+        compiled factories whose code holds integers, ``None`` and the fixed
+        error strings — never a table or column name, a parameter or a value
+        — and that close over nothing."""
         store = make_store(strategy)
         keys = fill(store, 60)
         store.degrade_many([(keys[:20], "salary", SALARY, 1)], now=1.0)
@@ -456,7 +457,12 @@ class TestKernelCache:
                                           schemes, lambda row: row[0] % 2 == 0)
                 rows = list(store.scan(reader=reader))
                 assert [row[0] for row in rows] == [key for key in keys if key % 2 == 0]
-        assert len(store._kernels) > 2 * len(SUBSETS)
+                drained = [row for run in store.runs(reader=reader, drain=draining)
+                           for row in run]
+                assert drained == rows
+        readers = [key for key in store._kernels if key[0] not in ("row", "wave")]
+        assert len(readers) > 4 * len(SUBSETS)
+        assert {store._shape(*key).drained for key in readers} == {False, True}
         for factory in store._kernels.values():
             assert factory.__closure__ is None and factory.__defaults__ is None
             for const in constants(factory.__code__):
@@ -494,7 +500,8 @@ class TestKernelCache:
 
     def test_bindings_share_one_kernel_holding_no_number(self):
         """Every binding of a template — and a FLOAT binding's template too —
-        runs the one kernel of its comparisons' ``(slot, operator)`` shape;
+        runs the one kernel of its comparisons' ``(slot, operator)`` shape and
+        pace (the first execution reads lazily and then drains: both paces);
         the numbers reach it as arguments, never as code constants."""
         connection = repro.connect()
         cursor = connection.cursor()
@@ -502,7 +509,8 @@ class TestKernelCache:
         cursor.executemany("INSERT INTO t VALUES (?, ?, ?)",
                            [(i, i * 7, f"n{i}") for i in range(300)])
         sql = "SELECT id, note FROM t WHERE v >= ? AND v < ?"
-        cursor.execute(sql, (123457, 987651))
+        cursor.execute(sql, (7, 987651))
+        assert [row[0] for row in cursor.fetchall()] == list(range(1, 300))
         store = connection.engine.table_store("t")
         kernels = len(store._kernels)
         for low, high in ((140, 700), (14.5, 700.25), (0, 2100)):
@@ -512,7 +520,7 @@ class TestKernelCache:
             assert len(store._kernels) == kernels
         for factory in store._kernels.values():
             held = set(constants(factory.__code__))
-            assert not held & {123457, 987651, 140, 700, 14.5, 700.25, 2100}
+            assert not held & {987651, 140, 700, 14.5, 700.25, 2100}
         connection.close()
 
 
