@@ -80,13 +80,13 @@ def main() -> None:
 
     print("\n=== what a naive engine would have leaked ===")
     from repro.storage.page import SlottedPage
-    from repro.storage.wal import LogRecordType, WriteAheadLog
+    from repro.storage.wal import LogRecordType, WriteAheadLog, encode_delta
     page = SlottedPage(secure=False)
     slot = page.insert(addresses[0].encode())
     page.delete(slot)
     wal = WriteAheadLog()
-    wal.append(LogRecordType.UPDATE, 1, table="person", row_key=1,
-               after=addresses[0].encode())
+    after, images = encode_delta([(1, 1, addresses[0].encode())])
+    wal.append(LogRecordType.DELTA, 1, table="person", row_key=1, after=after, images=images)
     leaks = []
     if addresses[0].encode() in page.raw():
         leaks.append("free space of the data page")

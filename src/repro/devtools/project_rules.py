@@ -138,8 +138,8 @@ class WalExhaustiveRule(ProjectRule):
                 findings.append(self.finding(
                     recovery.path, 1,
                     f"scrub target LogRecordType.{member} is not dispatched "
-                    "in _redo(); degradation/removal records must always be "
-                    "redone or recovery resurrects scrubbed data"))
+                    "in _redo(); its removals must always be redone or "
+                    "recovery resurrects scrubbed data"))
         return findings
 
     def _record_types(self, tree: ast.AST) -> Dict[str, int]:

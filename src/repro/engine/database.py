@@ -921,9 +921,9 @@ class InstantDB:
                     old: Optional[List[StoredRow]], new: List[StoredRow]) -> None:
         """Abort-undo of the change ``old → new`` (batches): the physical
         undo as one batch, then the inverse delta through the same fan-out.
-        Either physical undo logs itself under system transaction 0
-        (``REMOVE``; each before image as an ``UPDATE``), which recovery always
-        redoes.  A row the transaction went on to ``DELETE`` stays erased."""
+        Either physical undo logs itself under system transaction 0 (a
+        ``DELTA`` of −1 entries; of −1/+1 pairs back to the before images),
+        which recovery always redoes.  A row the transaction went on to ``DELETE`` stays erased."""
         kept = [store.exists(row.row_key) for row in new]
         new = [row for row, keep in zip(new, kept) if keep]
         if old is None:
@@ -1054,7 +1054,7 @@ class InstantDB:
         """The one policy remover, a step of the wave: tuples that ``steps``
         drive into the final state of a ``remove_on_final`` policy leave the
         table inside the wave's system transaction — under its table lock,
-        their ``REMOVE`` records in its commit flush.  Removal only closes a
+        their ``DELTA`` records in its commit flush.  Removal only closes a
         life cycle that ends in full suppression; a partial policy (final
         state = some intermediate level) keeps the degraded tuple."""
         if info.policy is None or not info.policy.remove_on_final:

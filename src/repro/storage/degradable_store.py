@@ -46,7 +46,7 @@ from .kernels import (RowShape, Shape, WaveShape, compile_kernel, compile_row_ke
 from .page import SlottedPage
 from .serialization import (_INT_STRUCT, decode_value, encode_value, fixed_prefix,
                             record_field_count, wide_prefix)
-from .wal import LogRecordType, WriteAheadLog, encode_degrade_chunk, encode_insert_run
+from .wal import Entry, LogRecordType, WriteAheadLog, encode_degrade_chunk, encode_delta
 
 #: Strategies for making degradation non-recoverable.
 STRATEGIES = ("rewrite", "crypto")
@@ -274,6 +274,17 @@ class TableStore:
                     dict(zip(degradable, head[6::2])), head[4]))
         return plan
 
+    def _log_delta(self, entries: Iterable[Entry], now: float, txn_id: int) -> None:
+        """Log a statement's ``(row key, weight, image)`` entries: one ``DELTA``
+        per heap page holding their rows, keyed by its highest row key."""
+        pages: Dict[int, List[Entry]] = defaultdict(list)
+        for entry in entries:
+            pages[self._locations[entry[0]].page_id].append(entry)
+        for changes in pages.values():
+            after, index = encode_delta(changes)
+            self.wal.append(LogRecordType.DELTA, txn_id, table=self.schema.name, timestamp=now,
+                            row_key=max(map(itemgetter(0), changes)), after=after, images=index)
+
     def _log_page_allocation(self, page_id: int) -> None:
         """Make heap page ownership durable (see ``LogRecordType.PAGE_ALLOC``).
 
@@ -305,8 +316,8 @@ class TableStore:
         The row encoder checks, coerces and encodes every row before any is
         placed, so a bad row inserts none; the pages fill through one
         :meth:`HeapFile.insert_many` (placement as one-by-one inserts); each
-        page filled gets one ``INSERT_RUN`` record of its new records, each
-        one a sub-image of its own that stays individually scrubbable."""
+        page filled gets one ``DELTA`` (:meth:`_log_delta`), each new record
+        a +1 entry that stays individually scrubbable."""
         first, table = self._next_row_key, self.schema.name
         encode = self._row_encoder if sources is None else self._encoder(
             "param", sources.records, sources.width, sources.literals, sources.sized)
@@ -314,21 +325,14 @@ class TableStore:
         payloads: List[bytes] = []
         values: List[Tuple[Any, ...]] = []
         end = encode(first, rows, self._tail_of(now, zero), zero, payloads.append, values.append)
-        with self.buffer_pool.unlogged():       # its pages wait for their INSERT_RUNs
+        with self.buffer_pool.unlogged():       # its pages wait for their DELTAs
             record_ids = self.heap.insert_many(payloads)
             keys = range(first, end)
             self._locations.update(zip(keys, record_ids))
             if self._runs is not None:      # the new keys are the largest: runs at the tail
                 self._runs = self._grouped(keys, record_ids, self._runs)
             self._next_row_key = end
-            runs: Dict[int, List[int]] = {}     # page → the rows it took, by batch position
-            for at, record_id in enumerate(record_ids):
-                runs.setdefault(record_id.page_id, []).append(at)
-            for run in runs.values():       # keyed by its highest row key, its last
-                after, images = encode_insert_run([payloads[at] for at in run],
-                                                  [first + at for at in run])
-                self.wal.append(LogRecordType.INSERT_RUN, txn_id, table=table, timestamp=now,
-                                row_key=first + run[-1], after=after, images=images)
+            self._log_delta(zip(keys, repeat(1), payloads), now, txn_id)
         self.stats.inserts += len(keys)
         return RowBatch(keys, dict(zip(self._names, zip(*values) if values else repeat(()))),
                         dict.fromkeys(self._degradable, zero[:1] * len(keys)),
@@ -382,9 +386,9 @@ class TableStore:
         fixes = [(name, slot, demanded, scheme) for name, slot in slots
                  for demanded, scheme in ((schemes or {}).get(name, (None, None)),)
                  if demanded is not None or (crypto and scheme is not None)]
-        key = (slots, early, tuple(name for name, _cap in level_caps),
-               tuple((name, slot, demanded is not None)
-                     for name, slot, demanded, _scheme in fixes),
+        key = (slots, early, tuple([name for name, _cap in level_caps]),
+               tuple([(name, slot, demanded is not None)
+                      for name, slot, demanded, _scheme in fixes]),
                predicate is not None, make is not None,
                tuple([(slot, operator) for slot, operator, _number in comparisons]))
         factory = self._kernels.get(key)
@@ -643,15 +647,20 @@ class TableStore:
             self.stats.relocations += len(moved)
         return pages
 
-    def _erase(self, row_key: int, record_id: RecordId) -> None:
-        """Physically delete a record (secure page reclamation) and destroy
-        every crypto key of the row."""
+    def _erase(self, row_keys: Iterable[int]) -> List[int]:
+        """Securely delete the records of ``row_keys``, one :meth:`HeapFile.delete_many`
+        a page, and destroy the rows' crypto keys; returns the pages written."""
+        pages: Dict[int, List[int]] = defaultdict(list)
+        for row_key in row_keys:
+            record_id = self._locations.pop(row_key)
+            pages[record_id.page_id].append(record_id.slot)
+            if self._sealed:
+                self.keystore.destroy_matching((self.schema.name, row_key))
         self._version += 1
-        self.heap.delete(record_id)
-        del self._locations[row_key]
         self._runs = None
-        if self.keystore is not None:
-            self.keystore.destroy_matching((self.schema.name, row_key))
+        for page_id, slots in pages.items():
+            self.heap.delete_many(page_id, slots)
+        return list(pages)
 
     def _flush_pages(self, page_ids: List[int]) -> None:
         """Make ``page_ids`` — and every page vacated by a relocation since
@@ -662,7 +671,7 @@ class TableStore:
         for page_id in dict.fromkeys((*page_ids, *self._vacated_pages)):
             self.buffer_pool.flush_page(page_id)    # no-op on a clean page
         self.buffer_pool.sync()
-        self._vacated_pages.clear()
+        self._vacated_pages = set()
 
     # -- degradation ------------------------------------------------------------
 
@@ -827,51 +836,23 @@ class TableStore:
     def remove_many(self, row_keys: Sequence[int], now: float, txn_id: int = 0,
                     scrub_log: bool = True,
                     on_rows: Optional[Callable[[List[StoredRow]], None]] = None) -> int:
-        """Physically delete rows (secure page reclamation), destroy their
-        crypto keys and scrub their log images: one scrub pass and one pager
-        sync for the lot, none for no rows; vanished rows are skipped.
-        ``on_rows`` gets the rows as they were, read in page runs before the
-        first is erased.  Returns how many went."""
-        if not row_keys:
+        """Physically delete rows, vanished ones skipped: per page one
+        ``DELTA`` of imageless −1 entries and one erase (:meth:`_erase`), then
+        one scrub pass of their log images and one pager sync for the lot,
+        none for no rows.  ``on_rows`` gets the rows as they were, read in
+        page runs before the first is erased.  Returns how many went."""
+        held = [row_key for row_key in dict.fromkeys(row_keys) if row_key in self._locations]
+        if not held:
             return 0
         if on_rows is not None:
-            on_rows(self._stored(row_keys))
-        removed: List[Tuple[str, int]] = []
-        dirty_pages: List[int] = []
-        for row_key in row_keys:
-            record_id = self._locations.get(row_key)
-            if record_id is None:
-                continue
-            self._erase(row_key, record_id)
-            self.wal.append(
-                LogRecordType.REMOVE, txn_id, table=self.schema.name,
-                row_key=row_key, timestamp=now,
-            )
-            dirty_pages.append(record_id.page_id)
-            removed.append((self.schema.name, row_key))
-        self.stats.removals += len(removed)
-        if removed and scrub_log:
-            self.wal.scrub_records(removed, now=now)
-        if removed:
-            self._flush_pages(dirty_pages)
-        return len(removed)
-
-    def replay_remove(self, row_key: int, now: float,
-                      scrub_log: bool = False) -> None:
-        """Physically remove a row during recovery replay.
-
-        Unlike :meth:`remove` this appends no REMOVE record (the log record
-        being replayed already proves the removal) and defers page flushing
-        to recovery's final :meth:`flush` — a redo pass over a mass-removal
-        wave must not pay one fsync and one log append per row.
-        ``scrub_log=True`` still scrubs the row's log images (needed when
-        undoing a loser insert).
-        """
-        record_id = self._location(row_key)
-        self._erase(row_key, record_id)
+            on_rows(self._stored(held))
+        self._log_delta(zip(held, repeat(-1), repeat(None)), now, txn_id)
+        pages = self._erase(held)
         if scrub_log:
-            self.wal.scrub_record(self.schema.name, row_key, now=now)
-        self.stats.removals += 1
+            self.wal.scrub_records(zip(repeat(self.schema.name), held), now=now)
+        self._flush_pages(pages)
+        self.stats.removals += (count := len(held))
+        return count
 
     def delete(self, row_keys: Sequence[int], now: float, txn_id: int = 0,
                on_rows: Optional[Callable[[List[StoredRow]], None]] = None) -> int:
@@ -883,9 +864,10 @@ class TableStore:
                       ) -> Tuple[List[StoredRow], List[StoredRow]]:
         """One statement's ``(column, value)`` ``assignments`` to the rows of
         ``row_keys`` the table holds (degradable attributes are immutable):
-        read in page runs, written by :meth:`_rewrite_records`, one ``UPDATE``
-        record a row with its whole before and after images.  Returns the
-        rows ``(before, after)``; no row, no read and no record."""
+        read in page runs, written by :meth:`_rewrite_records`, each row a −1
+        entry with its before image and a +1 with its after image in its
+        page's ``DELTA``.  Returns the rows ``(before, after)``; no row, no
+        read and no record."""
         columns = [(self.schema.column(column.lower()), value) for column, value in assignments]
         for column, _value in columns:
             if column.degradable:
@@ -899,12 +881,11 @@ class TableStore:
         after = [StoredRow(row.row_key, {**row.values, **changes}, row.levels, row.inserted_at)
                  for row in before]
         images = [(row.row_key, self.image(row)) for row in after]
-        with self.buffer_pool.unlogged():       # its pages wait for their UPDATEs
+        with self.buffer_pool.unlogged():       # its pages wait for their DELTAs
             self._rewrite_records(images)
-            for row, (row_key, image) in zip(before, images):
-                self.wal.append(LogRecordType.UPDATE, txn_id, table=self.schema.name,
-                                row_key=row_key, before=self.image(row), after=image,
-                                timestamp=now)
+            self._log_delta([entry for row, (row_key, image) in zip(before, images) for entry
+                             in ((row_key, -1, self.image(row)), (row_key, 1, image))],
+                            now, txn_id)
         return before, after
 
     # -- maintenance / recovery / forensics -----------------------------------------
@@ -918,30 +899,49 @@ class TableStore:
         return self.heap.raw_image() + self.wal.raw_image()
 
     def restore_rows(self, payloads: Sequence[bytes], now: Optional[float] = None) -> List[int]:
-        """Write row images back — logged ones (an ``INSERT_RUN``'s sub-images,
-        an ``UPDATE``'s: recovery redo/undo) or, given ``now``, a statement's
-        before images (abort-undo, each logged as an ``UPDATE`` of system
-        transaction 0, which recovery always redoes: the log leads back to the
-        image even if the updated page reached disk before the abort and the
-        restored one has not): held rows through :meth:`_rewrite_records`,
-        missing ones as one heap batch.  Returns their row keys."""
+        """Write row images back — logged ones (:meth:`apply_entries`) or, given
+        ``now``, a statement's before images (abort-undo, logged under system
+        transaction 0, which recovery always redoes: a held row's −1 with the
+        image it replaces, each row's +1): held rows through
+        :meth:`_rewrite_records`, missing ones as one heap batch; their keys."""
         images = [(self._decode_row(payload, frozenset()).row_key, payload)
                   for payload in payloads]
-        self._rewrite_records(image for image in images if image[0] in self._locations)
+        held = [image for image in images if image[0] in self._locations]
+        replaced = [(row_key, -1, self.heap.read(self._locations[row_key]))
+                    for row_key, _payload in held] if now is not None else []
+        self._rewrite_records(held)
         missing = dict(image for image in images if image[0] not in self._locations)
         if missing:
             self._runs = None
             self._locations.update(zip(missing, self.heap.insert_many(list(missing.values()))))
         self._next_row_key = max(self._next_row_key, max(missing, default=0) + 1)
-        for row_key, payload in images if now is not None else ():
-            self.wal.append(LogRecordType.UPDATE, 0, table=self.schema.name,
-                            row_key=row_key, after=payload, timestamp=now)
+        if now is not None:
+            self._log_delta(replaced + [(row_key, 1, payload) for row_key, payload in images],
+                            now, 0)
         return [row_key for row_key, _payload in images]
+
+    def apply_entries(self, entries: Iterable[Entry]) -> Tuple[int, int, List[int]]:
+        """Apply logged ``(row key, weight, image)`` entries unlogged, no page
+        flushed (recovery): a row with a −1 and a +1 takes the +1 image where
+        the table holds it, one with a +1 alone enters where it lacks it, one
+        with an imageless −1 alone leaves (an imaged −1 alone is what a scrub
+        left of a pair).  Returns how many entered, how many were replaced
+        and the keys that left."""
+        entering, leaving = {}, {}      # row key → its image
+        for row_key, weight, image in entries:
+            (entering if weight > 0 else leaving)[row_key] = image
+        written = [row_key for row_key in entering if (row_key in leaving) == self.exists(row_key)]
+        self.restore_rows([entering[row_key] for row_key in written])
+        left = [row_key for row_key, image in leaving.items()
+                if image is None and row_key not in entering and self.exists(row_key)]
+        self._erase(left)
+        replaced = sum(row_key in leaving for row_key in written)
+        return len(written) - replaced, replaced, left
 
     def reserve_row_keys_after(self, row_key: int) -> None:
         """Never hand out a key at or below ``row_key`` — recovery's highest
         key in the log: a key freed by a removal and reused would have its
-        old incarnation's REMOVE records delete the new row on a later
+        old incarnation's −1 entries delete the new row on a later
         recovery (the row-key analogue of ``TransactionManager.resume_after``)."""
         self._next_row_key = max(self._next_row_key, int(row_key) + 1)
 

@@ -254,16 +254,18 @@ class HeapFile:
             # top of the old image does not fit beside it either.
             slot, payload = updates[applied]
             moved[slot] = self.insert(payload)
-            self.delete(RecordId(page_id, slot))
+            self.delete_many(page_id, (slot,))
             updates = updates[applied + 1:]
         return moved
 
-    def delete(self, record_id: RecordId) -> None:
-        page = self.buffer_pool.get_page(record_id.page_id)
-        page.delete(record_id.slot)
-        self._relevel(record_id.page_id, (record_id.slot,))
-        self._changed(record_id.page_id, page)
-        self._record_count -= 1
+    def delete_many(self, page_id: int, slots: Sequence[int]) -> None:
+        """Delete ``slots`` of one page (a secure page zeroes them): one relevel, one refile."""
+        page = self.buffer_pool.get_page(page_id)
+        for slot in slots:
+            page.delete(slot)
+        self._relevel(page_id, slots)
+        self._changed(page_id, page)
+        self._record_count -= len(slots)
 
     # -- scans ----------------------------------------------------------------------
 
@@ -273,10 +275,6 @@ class HeapFile:
             page = self.buffer_pool.get_page(page_id)
             for slot, payload in page.records():
                 yield RecordId(page_id, slot), payload
-
-    def record_ids(self) -> Iterator[RecordId]:
-        for record_id, _payload in self.scan():
-            yield record_id
 
     # -- maintenance ------------------------------------------------------------------
 

@@ -9,15 +9,16 @@ This WAL therefore supports, besides the classic append/flush/replay protocol:
   wave chunk names a column, a target accuracy level and the rows that reached
   it; degradation is deterministic and irreversible, so recovery never needs
   to undo it;
-* ``INSERT_RUN`` records — one per heap page an insert batch filled, the
-  page's new records back to back, each with its own length and CRC (a
-  *sub-image*), so one row's image can go while its neighbours stay;
-* :meth:`WriteAheadLog.scrub_record` / :meth:`WriteAheadLog.scrub_records` —
-  destroy every row image of the given rows **in place**: a key → (LSN,
-  sub-image) side table finds them, one mark byte per record flags it
-  (partly) scrubbed and the image bytes are overwritten with zeroes where
-  they lie.  Nothing else in the log moves or is rewritten, so a wave costs
-  O(images it destroys);
+* ``DELTA`` records — one per statement and heap page, every row change as
+  a weighted entry: a row entering (+1, its image), a row replaced (−1 with
+  the old image, +1 with the new) or a row leaving (−1, no image); each
+  entry has its own length and CRC, so one row's image can go while its
+  neighbours stay;
+* :meth:`WriteAheadLog.scrub_records` — destroy every row image of the given
+  rows **in place**: a key → (LSN, entry) side table finds them, one mark
+  byte per record flags it (partly) scrubbed and the entries are
+  overwritten with zeroes where they lie.  Nothing else in the log moves or
+  is rewritten, so a wave costs O(images it destroys);
 * :meth:`WriteAheadLog.truncate_until` — drop the prefix made obsolete by a
   checkpoint by unlinking whole segment files.
 
@@ -45,6 +46,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from operator import itemgetter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from zlib import crc32
 
@@ -65,8 +67,11 @@ from .serialization import decode_record, encode_ints, encode_record, fixed_pref
 #: version 4 had one ``INSERT`` record per row and a reserved ``DELETE``
 #: code; version 5 logged the schedule itself (registrations, steps,
 #: deferrals and checkpoint snapshots: four record types), which recovery now
-#: derives from the heap.  There is no reader for any of them.
-WAL_FORMAT_VERSION = 6
+#: derives from the heap; version 6 logged a row change as one of three
+#: record types (``INSERT_RUN`` per page, ``UPDATE`` and ``REMOVE`` per row)
+#: and had a before-image field in every record head.  There is no reader for
+#: any of them.
+WAL_FORMAT_VERSION = 7
 
 #: A segment is rolled when the next record would grow it past this many
 #: bytes.  A record larger than the cap gets a segment of its own.
@@ -80,24 +85,25 @@ _SEGMENT_HEADER = struct.Struct("<8sIQI")
 
 #: Fixed record head: length of everything behind this field · header CRC ·
 #: scrub mark · type code · lsn · txn id · row key · timestamp · table length
-#: · attribute length · before length · after length.  The header CRC covers
-#: the length field and everything from the type code to the end of the
-#: attribute name — not the mark, which a scrub flips with a one-byte write.
-_HEAD = struct.Struct("<IIBBqqqdHHII")
+#: · attribute length · payload length.  The header CRC covers the length
+#: field and everything from the type code to the end of the attribute name
+#: — not the mark, which a scrub flips with a one-byte write.
+_HEAD = struct.Struct("<IIBBqqqdHHI")
 _MARK_OFFSET = 8
 _CRC = struct.Struct("<I")
-#: Image length standing for "no image" (``None``), as opposed to ``b""``.
+#: A SCRUB audit's payload, ``[keys touched, images destroyed]`` in the record
+#: codec, and the tags it packs.
+_AUDIT, _AUDIT_TAGS = fixed_prefix("ii")
+#: Payload length standing for "no payload" (``None``), as opposed to ``b""``.
 _NO_IMAGE = 0xFFFFFFFF
-#: Length field of an INSERT_RUN sub-image.
+#: Length field of a DELTA entry: the bytes of its key, weight and image.
 _SUB_LENGTH = struct.Struct("<I")
-#: A sub-image's record prefix: field count, then the row key as an INT
-#: field (its tag must be ``_KEY_TAGS``).
-_KEY_PREFIX, _KEY_TAGS = fixed_prefix("i")
-#: Side-table offset of an image that is the whole record's, not a sub-image.
-_WHOLE = -1
+#: A DELTA entry's row key and weight, ahead of its image; with its length.
+_KEYED = struct.Struct("<qb")
+_ENTRY = struct.Struct("<Iqb")
 #: The valid scrub marks: a single flipped bit turns none into another.
-#: ``_PARTIAL`` marks an ``INSERT_RUN`` some of whose sub-images are zeroed:
-#: its record CRC no longer holds, each sub-image's own CRC does.
+#: ``_PARTIAL`` marks a ``DELTA`` some of whose entries are zeroed: its
+#: record CRC no longer holds, each entry's own CRC does.
 _LIVE = 0x00
 _SCRUBBED = 0xA5
 _PARTIAL = 0x5A
@@ -112,12 +118,17 @@ class LogRecordType(Enum):
     BEGIN = "BEGIN"
     COMMIT = "COMMIT"
     ABORT = "ABORT"
-    # The rows an insert batch placed on one heap page: ``after`` holds their
-    # records back to back, each as ``length · image · image CRC`` (see
-    # :func:`encode_insert_run`); ``row_key`` is the run's highest key.  It
-    # took the slot of the per-row ``INSERT``, which format version 5 retired.
-    INSERT_RUN = "INSERT_RUN"
-    UPDATE = "UPDATE"
+    # One statement's row changes on one heap page: ``after`` holds its
+    # ``(row key, weight, image?)`` entries back to back, each as ``length ·
+    # key · weight · image · CRC`` (see :func:`encode_delta`); ``row_key`` is
+    # the highest key.  It took the slot of ``INSERT_RUN`` (format 6), which
+    # had taken the per-row ``INSERT``'s (format 5).
+    DELTA = "DELTA"
+    # DDL marker: the table was dropped.  Recovery skips records of tables
+    # that are absent from the reopened catalog *and* carry this marker;
+    # an absent table without one is still a hard configuration error.
+    # (It took the slot of ``UPDATE``, which format version 7 retired.)
+    TABLE_DROP = "TABLE_DROP"
     # Catalog snapshot: the full DDL state (domains, policies, tables,
     # purposes, indexes) serialized into the ``after`` payload, appended on
     # DDL commit and folded into every checkpoint so ``recover()`` reopens
@@ -142,36 +153,28 @@ class LogRecordType(Enum):
     # slot of ``SEGMENT_DEGRADE``, which format version 3 retired: one type
     # renumbered instead of every type behind the hole.)
     PAGE_ALLOC = "PAGE_ALLOC"
-    REMOVE = "REMOVE"          # final removal at end of life cycle
-    CHECKPOINT = "CHECKPOINT"
-    SCRUB = "SCRUB"            # audit trace of a log scrubbing action
     # A named event fired (``attribute`` holds the event, ``timestamp`` the
     # time): the one input of the degradation schedule the heap cannot give
-    # back.  No attribute value is in it, so it is scrub-exempt.
+    # back.  No attribute value is in it, so it is scrub-exempt.  (It took
+    # the slot of ``REMOVE``, which format version 7 retired.)
     SCHED_EVENT = "SCHED_EVENT"
-    # DDL marker: the table was dropped.  Recovery skips records of tables
-    # that are absent from the reopened catalog *and* carry this marker;
-    # an absent table without one is still a hard configuration error.
-    TABLE_DROP = "TABLE_DROP"
+    CHECKPOINT = "CHECKPOINT"
+    SCRUB = "SCRUB"            # audit trace of a log scrubbing action
 
 
 _TYPES: Tuple[LogRecordType, ...] = tuple(LogRecordType)
 _TYPE_CODES: Dict[LogRecordType, int] = {
     record_type: code for code, record_type in enumerate(_TYPES)}
-_RUN_CODE = _TYPE_CODES[LogRecordType.INSERT_RUN]
+_DELTA_CODE = _TYPE_CODES[LogRecordType.DELTA]
 
-#: Record types whose before/after images hold row payloads: when a row
+#: Record types whose payloads hold row images: when a row
 #: degrades past an accuracy level, these are the records whose images
 #: :meth:`WriteAheadLog.scrub_records` zeroes so the accurate value cannot be
 #: resurrected from the log (the paper's bounded-retention guarantee).  Every
 #: :class:`LogRecordType` must appear in exactly one of ``_SCRUB_TARGETS`` /
 #: ``_SCRUB_EXEMPT`` — enforced by the *wal-exhaustive* reprolint rule; see
 #: the new-record-type checklist in docs/invariants.md.
-_SCRUB_TARGETS = frozenset({
-    LogRecordType.INSERT_RUN,
-    LogRecordType.UPDATE,
-    LogRecordType.REMOVE,
-})
+_SCRUB_TARGETS = (LogRecordType.DELTA,)    # a tuple: ``in`` tests identity, no Enum.__hash__
 
 #: Record types whose payloads carry no attribute values and must survive
 #: scrubbing: transaction control and checkpoint markers, the SCRUB audit
@@ -186,8 +189,7 @@ _SCRUB_EXEMPT = frozenset({
     LogRecordType.TABLE_DROP,
     LogRecordType.CATALOG,
     LogRecordType.PAGE_ALLOC,
-    # Its payload is a target accuracy level and row keys: no attribute
-    # value (and never a before-image, enforced at append).
+    # Its payload is a target accuracy level and row keys: no attribute value.
     LogRecordType.DEGRADE,
 })
 
@@ -196,11 +198,9 @@ _SCRUB_EXEMPT = frozenset({
 class LogRecord:
     """One log entry.
 
-    ``before`` and ``after`` are opaque byte images (encoded records).  For
-    ``DEGRADE`` records ``before`` is always ``None`` by construction.  An
-    ``INSERT_RUN``'s ``after`` is a ``bytearray``: a scrub zeroes one row's
-    sub-image in it where it lies, and sets it to ``None`` once the last
-    live one is gone (as it sets both images of any other record).
+    ``after`` is its opaque payload.  A ``DELTA``'s is a ``bytearray``: a
+    scrub zeroes one row's entries in it where they lie, and sets it to
+    ``None`` once the last live one is gone.
     """
 
     lsn: int
@@ -209,7 +209,6 @@ class LogRecord:
     table: str = ""
     row_key: int = -1
     attribute: str = ""
-    before: Optional[bytes] = None
     after: Optional[bytes] = None
     timestamp: float = 0.0
 
@@ -217,19 +216,18 @@ class LogRecord:
         """The record as it is framed on disk (length prefix included)."""
         table = self.table.encode("utf-8")
         attribute = self.attribute.encode("utf-8")
-        before, after = self.before, self.after
-        images = bytes(before or b"") + (after or b"")
+        after = self.after
+        image = after or b""
         head = _HEAD.pack(
-            _HEAD.size - 4 + len(table) + len(attribute) + len(images) + 4,
+            _HEAD.size - 4 + len(table) + len(attribute) + len(image) + 4,
             0, _LIVE, _TYPE_CODES[self.record_type], self.lsn, self.txn_id,
             self.row_key, float(self.timestamp), len(table), len(attribute),
-            _NO_IMAGE if before is None else len(before),
             _NO_IMAGE if after is None else len(after))
         covered = head[_MARK_OFFSET + 1:] + table + attribute
         return b"".join((
             head[:4], _CRC.pack(crc32(covered, crc32(head[:4]))),
             head[_MARK_OFFSET:_MARK_OFFSET + 1], covered,
-            images, _CRC.pack(crc32(images))))
+            image, _CRC.pack(crc32(image))))
 
     @classmethod
     def decode(cls, data: bytes) -> "LogRecord":
@@ -244,21 +242,18 @@ def _parse_record(data: bytes, offset: int, limit: int
                   ) -> Tuple[LogRecord, int, int]:
     """Parse the record framed at ``data[offset:limit]``.
 
-    Returns ``(record, end offset, image offset)``.  A record marked scrubbed
-    comes back without images whatever its image bytes hold (the caller
-    checks they are zero); a live record's images must match their CRC.
+    Returns ``(record, end offset, payload offset)``.  A record marked
+    scrubbed comes back without payload whatever its bytes hold (the caller
+    checks they are zero); a live record's payload must match its CRC.
     Anything that does not check out raises :class:`LogCorruptionError`.
     """
     if offset + _HEAD.size > limit:
         raise LogCorruptionError("truncated log record head")
     (length, header_crc, mark, code, lsn, txn_id, row_key, timestamp,
-     table_len, attribute_len, before_len, after_len) = \
-        _HEAD.unpack_from(data, offset)
+     table_len, attribute_len, after_len) = _HEAD.unpack_from(data, offset)
     end = offset + 4 + length
     names_end = offset + _HEAD.size + table_len + attribute_len
-    image_len = ((0 if before_len == _NO_IMAGE else before_len)
-                 + (0 if after_len == _NO_IMAGE else after_len))
-    if end > limit or names_end + image_len + 4 != end:
+    if end > limit or names_end + (0 if after_len == _NO_IMAGE else after_len) + 4 != end:
         raise LogCorruptionError("log record framing does not add up")
     if crc32(data[offset + _MARK_OFFSET + 1:names_end],
              crc32(data[offset:offset + 4])) != header_crc:
@@ -266,19 +261,17 @@ def _parse_record(data: bytes, offset: int, limit: int
     if code >= len(_TYPES):
         raise LogCorruptionError(f"unknown log record type code {code}")
     table_end = offset + _HEAD.size + table_len
-    before = after = None
-    run = code == _RUN_CODE
-    if mark == _LIVE or (mark == _PARTIAL and run):
+    after = None
+    delta = code == _DELTA_CODE
+    if mark == _LIVE or (mark == _PARTIAL and delta):
         if mark == _LIVE and crc32(data[names_end:end - 4]) != \
                 _CRC.unpack_from(data, end - 4)[0]:
             raise LogCorruptionError(
                 f"log record image CRC mismatch (lsn {lsn})")
-        if before_len != _NO_IMAGE:
-            before = bytes(data[names_end:names_end + before_len])
         if after_len != _NO_IMAGE:
-            after = data[end - 4 - after_len:end - 4]
-            after = bytearray(after) if run else bytes(after)
-            if run and not any(live for *_place, live in _sub_images(after)):
+            after = data[names_end:end - 4]
+            after = bytearray(after) if delta else bytes(after)
+            if delta and not any(live for *_place, live in _entry_spans(after)):
                 after = None
     elif mark != _SCRUBBED:
         raise LogCorruptionError(f"invalid scrub mark {mark:#x} (lsn {lsn})")
@@ -287,7 +280,7 @@ def _parse_record(data: bytes, offset: int, limit: int
         table=str(data[offset + _HEAD.size:table_end], "utf-8"),
         row_key=row_key,
         attribute=str(data[table_end:names_end], "utf-8"),
-        before=before, after=after, timestamp=timestamp)
+        after=after, timestamp=timestamp)
     return record, end, names_end
 
 
@@ -318,61 +311,60 @@ def decode_degrade_chunk(payload: bytes) -> Tuple[int, List[int]]:
     return int(flat[0]), [int(row_key) for row_key in flat[1:]]
 
 
-def encode_insert_run(images: Sequence[bytes], row_keys: Iterable[int]) -> Tuple[bytearray, List]:
-    """The INSERT_RUN payload of one page's new records (rows ``row_keys``): each
-    as ``length · image · CRC-32 of the image``, back to back, in a ``bytearray``
-    of exactly that size — and the ``(offset, length, row key)`` of each."""
-    run, index, offset = bytearray(sum(map(len, images)) + 8 * len(images)), [], 0
-    for image, row_key in zip(images, row_keys):
-        end = offset + 4 + len(image)
-        _SUB_LENGTH.pack_into(run, offset, end - offset - 4)
-        run[offset + 4:end] = image
-        _CRC.pack_into(run, end, crc32(image))
-        index.append((offset + 4, len(image), row_key))
-        offset = end + 4
-    return run, index
+#: A ``DELTA`` entry: ``(row key, weight ±1, image or None)``.
+Entry = Tuple[int, int, Optional[bytes]]
 
 
-def _sub_images(run: Any) -> Iterator[Tuple[int, int, Optional[int], bool]]:
-    """``(offset, length, row key, live)`` of each sub-image of an
-    INSERT_RUN payload; the row key is its record's first field (``None``
-    if that is no INT).
+def encode_delta(entries: Sequence[Entry]) -> Tuple[bytearray, List[Tuple[int, int, int]]]:
+    """The DELTA payload of ``entries``: each as ``length · row key · weight ·
+    image · CRC-32 of key, weight and image``, back to back, in a
+    ``bytearray`` of exactly that size — and the ``(offset, length, row key)``
+    of each, what a scrub zeroes (the length stays)."""
+    parts: List[bytes] = []
+    index, offset = [], 4
+    for row_key, weight, image in entries:
+        image = image or b""
+        length = _KEYED.size + len(image)
+        head = _ENTRY.pack(length, row_key, weight)
+        parts += head, image, _CRC.pack(crc32(head[4:] + image))
+        index.append((offset, length, row_key))
+        offset += length + 8
+    return bytearray(b"".join(parts)), index
 
-    A sub-image is live when its CRC matches, gone when its image and CRC
-    are all zero (a scrub zeroes both and keeps the length); anything else
-    is a scrub a crash interrupted, and counts as gone too.  Framing that
-    does not add up raises :class:`LogCorruptionError`."""
-    offset, size = 0, len(run)
+
+def _entry_spans(payload: Any) -> Iterator[Tuple[int, int, bool]]:
+    """``(offset, length, live)`` of each entry of a DELTA payload.
+
+    An entry is live when its CRC matches, gone when its bytes and CRC are
+    all zero (a scrub zeroes both and keeps the length); anything else is a
+    scrub a crash interrupted, and counts as gone too.  Framing that does not
+    add up raises :class:`LogCorruptionError`."""
+    offset, size = 0, len(payload)
     while offset < size:
         if offset + 4 > size:
-            raise LogCorruptionError("INSERT_RUN payload ends inside a sub-image length")
-        length = _SUB_LENGTH.unpack_from(run, offset)[0]
+            raise LogCorruptionError("DELTA payload ends inside an entry length")
+        length = _SUB_LENGTH.unpack_from(payload, offset)[0]
         offset += 4
-        if offset + length + 4 > size:
-            raise LogCorruptionError("INSERT_RUN sub-image runs past its record")
-        row_key = None
-        if length >= _KEY_PREFIX.size:
-            _count, tag, key = _KEY_PREFIX.unpack_from(run, offset)
-            row_key = key if (tag,) == _KEY_TAGS else None
-        yield offset, length, row_key, \
-            crc32(run[offset:offset + length]) == _CRC.unpack_from(run, offset + length)[0]
+        if length < _KEYED.size or offset + length + 4 > size:
+            raise LogCorruptionError("DELTA entry runs past its record")
+        yield offset, length, \
+            crc32(payload[offset:offset + length]) == _CRC.unpack_from(payload, offset + length)[0]
         offset += length + 4
 
 
-def _live_sub_images(run: Any) -> Iterator[Tuple[int, int, int]]:
-    """``(offset, length, row key)`` of each live sub-image of ``run``."""
-    for offset, length, row_key, live in _sub_images(run):
-        if live:
-            if row_key is None:
-                raise LogCorruptionError("INSERT_RUN sub-image without a row key")
-            yield offset, length, row_key
+def _live_entries(payload: Any) -> List[Tuple[int, int, int]]:
+    """``(offset, length, row key)`` of each live entry of ``payload``."""
+    return [(offset, length, _KEYED.unpack_from(payload, offset)[0])
+            for offset, length, live in _entry_spans(payload) if live]
 
 
-def run_images(record: LogRecord) -> List[Tuple[int, bytes]]:
-    """``(row key, image)`` of each live sub-image of an INSERT_RUN record."""
-    run = record.after
-    return [(row_key, bytes(run[offset:offset + length]))
-            for offset, length, row_key in _live_sub_images(run or b"")]
+def delta_entries(record: LogRecord) -> List[Entry]:
+    """``(row key, weight, image or None)`` of each live entry of a DELTA record."""
+    payload = record.after or b""
+    return [(*_KEYED.unpack_from(payload, offset),
+             bytes(payload[offset + _KEYED.size:offset + length])
+             if length > _KEYED.size else None)
+            for offset, length, _row_key in _live_entries(payload)]
 
 
 def encode_page_directory(directory: Dict[str, List[int]]) -> bytes:
@@ -408,14 +400,13 @@ class WALStats:
     #: Appends per record type name, ``appended`` split by kind.
     appended_by_type: Counter = field(default_factory=Counter)
     flushed: int = 0
-    #: Row images destroyed: a whole record's, or one row's sub-image of an
-    #: ``INSERT_RUN``.
+    #: Row images destroyed: ``DELTA`` entries zeroed.
     scrubbed_records: int = 0
     #: :meth:`WriteAheadLog.scrub_records` calls that found an image to
     #: destroy (a batch of keys is one pass, however many records it hits).
     scrub_passes: int = 0
     #: Bytes written over images in segment files: zeroes, and the length
-    #: fields between adjacent sub-images of a run, rewritten as they are.
+    #: fields between adjacent entries, rewritten as they are.
     scrub_bytes_zeroed: int = 0
     truncations: int = 0
     #: Bytes physically written to the log directory — appended records,
@@ -477,13 +468,13 @@ class WriteAheadLog:
         self._segments: List[_Segment] = []
         #: LSN whose record must open a new segment (:meth:`roll`).
         self._roll_at = 0
-        #: ``(table, row_key)`` → ``(LSN, sub-image offset, length)`` of each
-        #: record that still holds a row image of that row: where in an
-        #: ``INSERT_RUN``'s ``after`` the row's image starts and how long it
-        #: is, or ``(LSN, _WHOLE, 0)`` for a record whose images are all the
-        #: row's.  What a scrub looks up instead of scanning.
+        #: ``(table, row_key)`` → ``(LSN, entry offset, length)`` of each
+        #: ``DELTA`` entry that still holds an image of that row: where in the
+        #: record's ``after`` the entry starts and how long it is.  What a
+        #: scrub looks up instead of scanning.
         self._images: Dict[Tuple[str, int], List[Tuple[int, int, int]]] = {}
-        #: LSN of an ``INSERT_RUN`` → how many of its sub-images are live.
+        #: LSN of a ``DELTA`` holding an image → how many of its entries are
+        #: live (imageless ones included: they are never scrubbed).
         self._run_live: Dict[int, int] = {}
         #: Images already dropped from memory whose on-disk bytes are not
         #: durably zeroed yet: ``(lsn, mark, offset in the record, bytes)`` —
@@ -519,17 +510,12 @@ class WriteAheadLog:
         return self._unlogged.pop(txn_id, None) is not None
 
     def append(self, record_type: LogRecordType, txn_id: int, *, table: str = "",
-               row_key: int = -1, attribute: str = "",
-               before: Optional[bytes] = None, after: Optional[bytes] = None,
+               row_key: int = -1, attribute: str = "", after: Optional[bytes] = None,
                timestamp: float = 0.0, images: Optional[List[Tuple]] = None) -> LogRecord:
-        """``images``: an INSERT_RUN's sub-images as :func:`encode_insert_run` says."""
+        """``images``: a DELTA's entries as :func:`encode_delta` indexes them."""
         if txn_id in self._unlogged:
             self.append(LogRecordType.BEGIN, txn_id,
                         timestamp=self._unlogged.pop(txn_id))
-        if before is not None and record_type is LogRecordType.DEGRADE:
-            raise WALError(
-                "DEGRADE log records must not carry an accurate before-image"
-            )
         record = LogRecord(
             lsn=self._next_lsn,
             txn_id=txn_id,
@@ -537,13 +523,12 @@ class WriteAheadLog:
             table=table,
             row_key=row_key,
             attribute=attribute,
-            before=before,
             after=after,
             timestamp=timestamp,
         )
         self._next_lsn += 1
         self._records.append(record)
-        if (before or after) and record_type in _SCRUB_TARGETS:
+        if after and record_type in _SCRUB_TARGETS:
             self._index_images(record, images)
         self.stats.appended += 1
         self.stats.appended_by_type[record_type._value_] += 1   # a str: no Enum.__hash__ call
@@ -552,13 +537,14 @@ class WriteAheadLog:
     def _index_images(self, record: LogRecord, index: Optional[List[Tuple]] = None) -> None:
         """Enter the row images ``record`` holds (``index``: unparsed) in the side table."""
         images, lsn, table = self._images, record.lsn, record.table
-        if record.record_type is not LogRecordType.INSERT_RUN:
-            images.setdefault((table, record.row_key), []).append((lsn, _WHOLE, 0))
-            return
-        index = [*_live_sub_images(record.after)] if index is None else index
+        index = _live_entries(record.after) if index is None else index
+        imaged = 0
         for offset, length, row_key in index:
-            images.setdefault((table, row_key), []).append((lsn, offset, length))
-        self._run_live[lsn] = len(index)
+            if length > _KEYED.size:        # an imageless entry has nothing to scrub
+                images.setdefault((table, row_key), []).append((lsn, offset, length))
+                imaged += 1
+        if imaged:
+            self._run_live[lsn] = len(index)
 
     def flush(self) -> None:
         """Persist every appended record (durability point).
@@ -617,34 +603,24 @@ class WriteAheadLog:
 
     # -- degradation-aware maintenance -----------------------------------------
 
-    def scrub_record(self, table: str, row_key: int, now: float = 0.0) -> int:
-        """Destroy every row image of ``(table, row_key)`` in the log.
-
-        The row's sub-image of its ``INSERT_RUN`` and the images of its
-        UPDATE records are zeroed in memory and in the segment files, so no
-        byte of them survives on disk (a record itself remains, so LSNs stay
-        dense and recovery still knows it existed).  Returns the number of
-        images destroyed.
-        """
-        return self.scrub_records([(table, row_key)], now=now)
-
     def scrub_records(self, keys: Iterable[Tuple[str, int]], now: float = 0.0) -> int:
-        """Bulk :meth:`scrub_record`: one pass for all ``keys``.
+        """Destroy every row image of the ``(table, row key)`` ``keys`` in the
+        log, in memory and in the segment files, in one pass: no byte of them
+        survives on disk (a record itself remains, so LSNs stay dense and
+        recovery still knows it existed).
 
         Each key costs one lookup in the image side table; a key with no
         image left in the log costs nothing else and a batch of such keys
         does no I/O at all.  Otherwise the pending suffix is written first
         (every record then has a place on disk, and — as scrubbing always
         did — everything appended so far is durable when this returns), the
-        hit images are zeroed in place (:meth:`_zero_images`): a record that
-        keeps no live image is marked scrubbed and its whole image zeroed,
-        an ``INSERT_RUN`` that keeps some is marked partly scrubbed and only
-        the hit sub-images are.  One *aggregate* SCRUB audit record is
-        appended per batch (its ``attribute`` names the touched-key count
-        and its ``after`` payload carries the count), so a mass-removal wave
-        grows the log by O(1) audit bytes.  A single-key scrub keeps the
-        per-row audit shape (table + row key).  Returns the number of images
-        destroyed.
+        hit entries are zeroed in place (:meth:`_zero_images`): a record that
+        keeps no live entry is marked scrubbed and its whole payload zeroed,
+        one that keeps some is marked partly scrubbed and only the hit
+        entries are.  One SCRUB audit record is appended per pass (its
+        ``attribute`` names the touched-key count and its ``after`` payload
+        carries the count), so a mass-removal wave grows the log by O(1)
+        audit bytes.  Returns the number of images destroyed.
 
         A zeroing pass that fails raises :class:`DurabilityError` with the
         images already gone from memory; the next :meth:`flush` finishes it.
@@ -665,49 +641,40 @@ class WriteAheadLog:
         scrubbed = 0
         for lsn, spans in hits.items():
             record = records[lsn - first]
-            scrubbed += len(spans)
-            run = record.after if spans[0][0] != _WHOLE else None
-            live = self._run_live.get(lsn, 0) - len(spans)
+            hit = len(spans)
+            scrubbed += hit
+            live = self._run_live[lsn] - hit
             image_at = _HEAD.size + len(record.table.encode("utf-8")) \
-                + len(record.attribute.encode("utf-8"))
-            if run is not None and live:
+                + len(record.attribute.encode("utf-8")) if on_disk else None
+            if live:
                 self._run_live[lsn] = live
-                self._zero_sub_images(lsn, run, spans, image_at if on_disk else None)
+                self._zero_entries(lsn, record.after, spans, image_at)
                 continue
-            self._run_live.pop(lsn, None)
+            del self._run_live[lsn]
             if on_disk:
-                self._unzeroed.append((lsn, _SCRUBBED, image_at, bytes(
-                    len(record.before or b"") + len(record.after or b"") + _CRC.size)))
-            record.before = record.after = None
+                self._unzeroed.append((lsn, _SCRUBBED, image_at,
+                                       bytes(len(record.after) + _CRC.size)))
+            record.after = None
         self.stats.scrubbed_records += scrubbed
         self.stats.scrub_passes += 1
         if on_disk:
             self._zero_images()
-        if len(touched) == 1:
-            table, row_key = touched[0]
-            self.append(LogRecordType.SCRUB, txn_id=0, table=table,
-                        row_key=row_key, timestamp=now)
-        else:
-            tables = {table for table, _row_key in touched}
-            self.append(
-                LogRecordType.SCRUB, txn_id=0,
-                table=tables.pop() if len(tables) == 1 else "",
-                row_key=-1, attribute=f"batch:{len(touched)}",
-                after=encode_record([len(touched), scrubbed]),
-                timestamp=now,
-            )
+        tables, count = set(map(itemgetter(0), touched)), len(touched)
+        self.append(LogRecordType.SCRUB, txn_id=0,
+                    table=tables.pop() if len(tables) == 1 else "",
+                    attribute=f"batch:{count}", timestamp=now,
+                    after=_AUDIT.pack(2, _AUDIT_TAGS[0], count, _AUDIT_TAGS[1], scrubbed))
         return scrubbed
 
-    def _zero_sub_images(self, lsn: int, run: bytearray, spans: List[Tuple[int, int]],
+    def _zero_entries(self, lsn: int, run: bytearray, spans: List[Tuple[int, int]],
                          image_at: Optional[int]) -> None:
-        """Zero the ``(offset, length)`` sub-images of the run record ``lsn``
-        (image and CRC; the length stays) in ``run``, and — with the record's
-        image offset ``image_at`` — queue the disk writes: one per stretch
-        of adjacent sub-images, the length fields between them rewritten as
-        they are."""
-        spans.sort()
+        """Zero the ``(offset, length)`` entries of the DELTA record ``lsn``
+        (key, weight, image and CRC; the length stays) in its payload
+        ``run``, and — with the record's payload offset ``image_at`` — queue
+        the disk writes: one per stretch of adjacent entries, the length
+        fields between them rewritten as they are."""
         stretch_at = stretch_end = -1
-        for offset, length in spans:
+        for offset, length in spans if image_at is None else sorted(spans):
             end = offset + length + _CRC.size
             run[offset:end] = bytes(end - offset)
             if image_at is None:
@@ -872,8 +839,8 @@ class WriteAheadLog:
         """Make the scrubs in ``_unzeroed`` durable, in place.
 
         Mark before zero, with a barrier between: first every hit record's
-        mark byte is set — *scrubbed*, or *partly scrubbed* for an
-        ``INSERT_RUN`` that keeps live sub-images (one byte each: it cannot
+        mark byte is set — *scrubbed*, or *partly scrubbed* for a ``DELTA``
+        that keeps live entries (one byte each: it cannot
         tear, and it lies outside the header CRC so nothing else is
         rewritten) — and the segment is fsynced; only then are the image
         bytes overwritten with zeroes and the segment fsynced again.
@@ -1044,10 +1011,9 @@ class WriteAheadLog:
                         self._unzeroed.append((record.lsn, _SCRUBBED, image_at - offset,
                                                bytes(end - image_at)))
                 elif mark == _PARTIAL:
-                    self._finish_sub_images(record, data[image_at:end - _CRC.size],
+                    self._finish_entries(record, data[image_at:end - _CRC.size],
                                             image_at - offset)
-                if (record.before or record.after) and \
-                        record.record_type in _SCRUB_TARGETS:
+                if record.after and record.record_type in _SCRUB_TARGETS:
                     self._index_images(record)
                 self._records.append(record)
                 segment.offsets.append(offset)
@@ -1061,12 +1027,12 @@ class WriteAheadLog:
         if self._unzeroed:
             self._zero_images()
 
-    def _finish_sub_images(self, record: LogRecord, run: bytes, at: int) -> None:
-        """Queue the zeroing of a partly scrubbed run's sub-images that are
+    def _finish_entries(self, record: LogRecord, run: bytes, at: int) -> None:
+        """Queue the zeroing of a partly scrubbed DELTA's entries that are
         neither live nor all zero — writes a crash cut short — and zero them
-        in memory too; ``run`` is the record's image, ``at`` where it starts
-        in the record."""
-        for offset, length, _row_key, live in _sub_images(run):
+        in memory too; ``run`` is the record's payload, ``at`` where it
+        starts in the record."""
+        for offset, length, live in _entry_spans(run):
             end = offset + length + _CRC.size
             if not live and run.count(0, offset, end) != end - offset:
                 self._unzeroed.append((record.lsn, _PARTIAL, at + offset, bytes(end - offset)))
@@ -1162,6 +1128,6 @@ class WriteAheadLog:
 
 
 __all__ = ["WriteAheadLog", "LogRecord", "LogRecordType", "WALStats",
-           "WAL_FORMAT_VERSION", "encode_insert_run", "run_images",
+           "WAL_FORMAT_VERSION", "encode_delta", "delta_entries",
            "encode_degrade_chunk", "decode_degrade_chunk",
            "encode_page_directory", "decode_page_directory"]

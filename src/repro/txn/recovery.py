@@ -6,11 +6,12 @@ the threat the paper warns about: a before-image of an already-degraded value
 is an accurate copy that must not come back.  The :class:`RecoveryManager`
 therefore implements a redo/undo pass with two degradation-specific rules:
 
-1. ``DEGRADE`` and ``REMOVE`` records are always *redone*, even for loser
-   transactions (degradation is a system action, not part of user atomicity);
-2. undo uses logical before-images only for stable-attribute updates; if a
-   before-image was scrubbed (``None``) the undo is skipped — privacy wins over
-   exact rollback, as argued in §III of the paper.
+1. ``DEGRADE`` records and a ``DELTA``'s imageless −1 entries (a removal)
+   are always *redone*, even for loser transactions (degradation and
+   removal are system actions, not part of user atomicity);
+2. undo negates only the entries that still hold an image; a scrubbed one
+   is gone and its undo with it — privacy wins over exact rollback, as
+   argued in §III of the paper.
 
 The log holds no image of the **degradation schedule**: the engine derives
 it from the recovered heap (each row's insertion time and stored levels), as
@@ -33,7 +34,7 @@ from ..storage.wal import (
     WriteAheadLog,
     decode_degrade_chunk,
     decode_page_directory,
-    run_images,
+    delta_entries,
 )
 
 #: Record types that replay deliberately ignores, with the reason on record.
@@ -169,7 +170,7 @@ class RecoveryManager:
                 self.firings.append((record.attribute, record.timestamp))
                 continue
             # (A DEGRADE chunk has no row key of its own; the rows it lists
-            # are live — the heap scan finds them — or have a REMOVE record
+            # are live — the heap scan finds them — or have a −1 entry
             # behind the chunk.)
             if record.table and record.row_key > highest.get(record.table, 0):
                 highest[record.table] = record.row_key
@@ -201,7 +202,7 @@ class RecoveryManager:
 
         Rebuilding from live rows alone would re-issue keys freed by
         removals; a reused key would collide with the old incarnation's
-        surviving REMOVE records on the next recovery and delete the new
+        surviving −1 entries on the next recovery and delete the new
         row.  The per-table highs come from the prepare pass (PAGE_ALLOC
         records excluded — their row-key field holds a page id — as are
         records of dropped epochs).
@@ -252,32 +253,23 @@ class RecoveryManager:
             if store is None:
                 continue
             committed = record.txn_id in report.committed_txns or record.txn_id == 0
-            if record.record_type is LogRecordType.INSERT_RUN:
-                # The run's live sub-images of rows the heap lost, as one batch.
-                if committed:
-                    missing = [image for row_key, image in run_images(record)
-                               if not store.exists(row_key)]
-                    if missing:
-                        store.restore_rows(missing)
-                        report.redone_inserts += len(missing)
-            elif record.record_type is LogRecordType.UPDATE:
-                if committed and record.after is not None and store.exists(record.row_key):
-                    store.restore_rows([record.after])
-                    report.redone_updates += 1
+            if record.record_type is LogRecordType.DELTA:
+                # A loser's entries wait for undo, but a removal (an
+                # imageless −1) cannot be undone: it is redone whatever the txn.
+                entries = [entry for entry in delta_entries(record)
+                           if committed or entry[2] is None]
+                entered, replaced, left = store.apply_entries(entries)
+                report.redone_inserts += entered
+                report.redone_updates += replaced
+                report.redone_removes += len(left)
+                self._settled.update(dict.fromkeys(
+                    (record.table, row_key) for row_key, _weight, image in entries
+                    if image is None))
             elif record.record_type is LogRecordType.DEGRADE:
                 # Degradation is redone regardless of the surrounding txn.
                 if record.after is not None:
                     report.redone_degrades += self._redo_degrade(store, record)
                     report.redone_degrade_chunks += 1
-            elif record.record_type is LogRecordType.REMOVE:
-                if store.exists(record.row_key):
-                    store.replay_remove(record.row_key, now=record.timestamp)
-                    report.redone_removes += 1
-                self._settle(store, record.row_key)
-
-    def _settle(self, store: TableStore, row_key: int) -> None:
-        if store.strategy == "rewrite":
-            self._settled[(store.schema.name, row_key)] = None
 
     def _redo_degrade(self, store: TableStore, record: LogRecord) -> int:
         """Redo of one wave chunk is a lag check, row by row.
@@ -300,31 +292,30 @@ class RecoveryManager:
             levels = store.read(row_key, frozenset()).levels
             if levels.get(record.attribute, 0) < to_level:
                 lagging += 1
-            else:
-                self._settle(store, row_key)
+            elif store.strategy == "rewrite":
+                self._settled[(store.schema.name, row_key)] = None
         return lagging
 
     def _undo(self, report: RecoveryReport) -> None:
+        """Negate each loser ``DELTA``'s entries that hold an image, newest
+        record first: a row it inserted leaves (and its images with it), a
+        row it replaced gets its −1 image back."""
         for record in reversed(self.wal.records()):
             if record.txn_id not in report.loser_txns:
                 continue
             store = self._store_for(record)
             if store is None:
                 continue
-            if record.record_type is LogRecordType.INSERT_RUN:
-                for row_key, _image in run_images(record):
-                    if store.exists(row_key):
-                        store.replay_remove(row_key, now=record.timestamp,
-                                            scrub_log=True)
-                        report.undone_inserts += 1
-            elif record.record_type is LogRecordType.UPDATE:
-                if record.before is None:
-                    report.skipped_undos += 1
-                    continue
-                if store.exists(record.row_key):
-                    store.restore_rows([record.before])
-                    report.undone_updates += 1
-            elif record.record_type in (LogRecordType.DEGRADE, LogRecordType.REMOVE):
+            if record.record_type is LogRecordType.DELTA:
+                entries = delta_entries(record)
+                entered, replaced, left = store.apply_entries(
+                    (row_key, -weight, image if weight < 0 else None)
+                    for row_key, weight, image in entries if image is not None)
+                report.undone_inserts += len(left)
+                report.undone_updates += entered + replaced
+                report.skipped_undos += sum(image is None for _key, _weight, image in entries)
+                self._settled.update(dict.fromkeys((record.table, row_key) for row_key in left))
+            elif record.record_type is LogRecordType.DEGRADE:
                 # Never undone: degradation is irreversible by design.
                 report.skipped_undos += 1
 

@@ -370,20 +370,18 @@ WAL_FIXTURE = """\
     class LogRecordType:
         BEGIN = "BEGIN"
         COMMIT = "COMMIT"
-        INSERT = "INSERT"
+        DELTA = "DELTA"
         DEGRADE = "DEGRADE"
         SCRUB = "SCRUB"
 
     _SCRUB_EXEMPT = frozenset({
         LogRecordType.BEGIN,
         LogRecordType.COMMIT,
+        LogRecordType.DEGRADE,
         LogRecordType.SCRUB,
     })
 
-    _SCRUB_TARGETS = frozenset({
-        LogRecordType.INSERT,
-        LogRecordType.DEGRADE,
-    })
+    _SCRUB_TARGETS = (LogRecordType.DELTA,)
 """
 
 RECOVERY_FIXTURE = """\
@@ -398,8 +396,8 @@ RECOVERY_FIXTURE = """\
             winners.add(record.txn_id)
 
     def _redo(record, store):
-        if record.record_type is LogRecordType.INSERT:
-            store.replay_insert(record)
+        if record.record_type is LogRecordType.DELTA:
+            store.apply_entries(record)
         elif record.record_type is LogRecordType.DEGRADE:
             store.replay_degrade(record)
 """
@@ -427,16 +425,18 @@ class TestWalExhaustive:
         assert any("_SCRUB_TARGETS" in f.message for f in findings)
 
     def test_deleting_replay_arm_flagged(self, tmp_path):
-        # The acceptance scenario: drop the DEGRADE arm from _redo and the
+        # The acceptance scenario: drop the DELTA arm from _redo and the
         # rule must fail the build (scrub targets are redo-always).
         broken = RECOVERY_FIXTURE.replace(
-            "        elif record.record_type is LogRecordType.DEGRADE:\n"
-            "            store.replay_degrade(record)\n", "")
+            "        if record.record_type is LogRecordType.DELTA:\n"
+            "            store.apply_entries(record)\n"
+            "        elif record.record_type is LogRecordType.DEGRADE:\n",
+            "        if record.record_type is LogRecordType.DEGRADE:\n")
         write(tmp_path, "storage/wal.py", WAL_FIXTURE)
         write(tmp_path, "txn/recovery.py", broken)
         findings = run_rule(tmp_path, "wal-exhaustive")
         assert findings
-        assert any("DEGRADE" in f.message and "_redo" in f.message
+        assert any("DELTA" in f.message and "_redo" in f.message
                    for f in findings)
 
     def test_replay_ignored_escape_hatch(self, tmp_path):
@@ -459,7 +459,7 @@ class TestWalExhaustive:
         write(tmp_path, "storage/wal.py", real_wal)
         write(tmp_path, "txn/recovery.py",
               real_recovery.replace("LogRecordType.DEGRADE",
-                                    "LogRecordType.UPDATE"))
+                                    "LogRecordType.CATALOG"))
         findings = run_rule(tmp_path, "wal-exhaustive")
         assert any("DEGRADE" in f.message for f in findings)
 

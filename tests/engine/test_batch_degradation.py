@@ -9,7 +9,7 @@ from repro import AttributeLCP, InstantDB
 from repro.core.clock import DAY
 from repro.core.domains import build_location_tree
 from repro.privacy.forensic import scan_engine
-from repro.storage.wal import LogRecordType
+from repro.storage.wal import LogRecordType, delta_entries
 
 from ..conftest import build_engine
 
@@ -192,11 +192,12 @@ class TestBatchedWave:
         assert db.stats.rows_removed_by_policy == 10
         assert db.transactions.stats.system_begun - system == 1
         assert db.wal.stats.flushed - flushed == 1
-        removes = [record for record in db.wal.records()
-                   if record.record_type is LogRecordType.REMOVE]
+        removes = [(record.txn_id, row_key) for record in db.wal.records()
+                   if record.record_type is LogRecordType.DELTA
+                   for row_key, weight, _image in delta_entries(record) if weight < 0]
         assert len(removes) == 10
-        assert {record.txn_id for record in removes} != {0}
-        assert len({record.txn_id for record in removes}) == 1
+        assert {txn_id for txn_id, _row_key in removes} != {0}
+        assert len({txn_id for txn_id, _row_key in removes}) == 1
 
     def test_partial_policy_batch_keeps_degraded_rows(self):
         # remove_on_final only fires for fully-suppressing life cycles; a

@@ -3,8 +3,9 @@ statement, written through the store's one writer of existing records.
 
 On a 500-row table with 50 rows matched:
 
-* a two-column UPDATE appends one ``UPDATE`` record a row (whole before and
-  after images) and reads each row once beyond the match scan;
+* a two-column UPDATE appends one ``DELTA`` record a page, each row in it
+  once, as a −1 with its whole before image and a +1 with its whole after
+  image, and reads each row once beyond the match scan;
 * a DELETE scrubs the log in one pass and syncs the page file once;
 * a statement matching nothing appends, reads and syncs nothing;
 * a rolled-back UPDATE leaves values, index lookups and statistics as they
@@ -15,6 +16,7 @@ import pytest
 
 from repro import AttributeLCP, InstantDB
 from repro.core.domains import build_location_tree
+from repro.storage.wal import delta_entries
 
 ROWS, OWNERS = 500, 10
 ADDRESSES = ("1 Main Street, Paris", "2 Station Road, Lyon", "10 Downing Street, London")
@@ -67,13 +69,13 @@ class Costs:
         stats, reads = self.db.wal.stats, self.store.stats.reads
         self.db.execute(f"SELECT id FROM visits {where}")
         scan_reads, reads = self.store.stats.reads - reads, self.store.stats.reads
-        appended, updates = stats.appended, stats.appended_by_type["UPDATE"]
+        appended, updates = stats.appended, stats.appended_by_type["DELTA"]
         scrubs, self.syncs = stats.scrub_passes, 0
         count = self.db.execute(sql, params=params)
         return {
             "count": count,
             "appended": stats.appended - appended,
-            "updates": stats.appended_by_type["UPDATE"] - updates,
+            "updates": stats.appended_by_type["DELTA"] - updates,
             "reads": self.store.stats.reads - reads - scan_reads,
             "scrub_passes": stats.scrub_passes - scrubs,
             "syncs": self.syncs,
@@ -82,14 +84,20 @@ class Costs:
 
 def test_a_two_column_update_is_one_record_and_one_read_a_row(monkeypatch):
     db = build()
+    last = db.wal.last_lsn
     cost = Costs(db, monkeypatch).of(UPDATE, (7777, "changed"))
     assert cost["count"] == ROWS // OWNERS == 50
-    assert cost["updates"] == 50            # one a row, not one a row and column
     assert cost["reads"] == 50              # the match hands up keys, not rows
     assert matched(db) == [(i, 7777, "changed") for i in range(3, ROWS, OWNERS)]
-    records = [record for record in db.wal.records()
-               if record.record_type.name == "UPDATE"]
-    assert all(record.before and record.after for record in records)
+    store = db.table_store("visits")
+    keys = [key for key in store.row_keys() if store.read(key).values["owner"] == 3]
+    # One a page, each row once in it: not one a row and column.
+    assert cost["updates"] == len({store.page_of(key) for key in keys}) < 50
+    entries = [entry for record in db.wal.records() if record.lsn > last
+               and record.record_type.name == "DELTA" for entry in delta_entries(record)]
+    assert sorted((key, weight) for key, weight, _image in entries) == \
+        sorted((key, weight) for key in keys for weight in (-1, 1))
+    assert all(image for _key, _weight, image in entries)
 
 
 def test_a_delete_is_one_scrub_pass_and_one_sync(monkeypatch):

@@ -89,10 +89,10 @@ class TestBaselineComparison:
         assert PARIS.encode() in page.raw()
 
     def test_wal_without_scrubbing_keeps_images(self):
-        from repro.storage.wal import LogRecordType, WriteAheadLog
+        from repro.storage.wal import LogRecordType, WriteAheadLog, encode_delta
         wal = WriteAheadLog()
-        wal.append(LogRecordType.UPDATE, 1, table="person", row_key=1,
-                   after=PARIS.encode())
+        wal.append(LogRecordType.DELTA, 1, table="person", row_key=1,
+                   after=encode_delta([(1, 1, PARIS.encode())])[0])
         assert PARIS.encode() in wal.raw_image()
 
 
@@ -105,7 +105,7 @@ class TestScannerReadsTheLogFromDisk:
         db = build_engine(data_dir=str(tmp_path / "data"))
         populate(db)
         # What a scrub that forgot the disk would leave behind.
-        db.wal._records[:] = [replace(record, before=None, after=None)
+        db.wal._records[:] = [replace(record, after=None)
                               if record.table == "person" else record
                               for record in db.wal]
         assert all(record.after is None for record in db.wal

@@ -94,7 +94,7 @@ class TestWritersStillLog:
         db.execute("INSERT INTO b VALUES (2, 'y')", txn=txn)
         db.commit(txn)
         assert record_types(db, txn.txn_id) == [
-            LogRecordType.BEGIN, LogRecordType.INSERT_RUN, LogRecordType.INSERT_RUN,
+            LogRecordType.BEGIN, LogRecordType.DELTA, LogRecordType.DELTA,
             LogRecordType.COMMIT]
         begin = next(record for record in db.wal
                      if record.txn_id == txn.txn_id)
@@ -146,7 +146,7 @@ class TestInterleavedSessions:
         assert db.wal.stats.flushed == before[1] + 1
         assert record_types(db, reader.txn_id) == []
         assert record_types(db, writer.txn_id) == [
-            LogRecordType.BEGIN, LogRecordType.INSERT_RUN, LogRecordType.COMMIT]
+            LogRecordType.BEGIN, LogRecordType.DELTA, LogRecordType.COMMIT]
 
     def test_reader_begun_between_the_writers_begin_and_first_record(self, db):
         writer = db.begin()
@@ -161,7 +161,7 @@ class TestInterleavedSessions:
         assert record_types(db, reader.txn_id) == []
         for txn in (writer, second):
             assert record_types(db, txn.txn_id) == [
-                LogRecordType.BEGIN, LogRecordType.INSERT_RUN,
+                LogRecordType.BEGIN, LogRecordType.DELTA,
                 LogRecordType.COMMIT]
 
     def test_recovery_sees_nothing_of_the_reader(self, db, tmp_path):

@@ -496,7 +496,7 @@ class TestScheduleHygieneAcrossRestart:
 
     def test_row_keys_are_not_reused_after_recovery(self, tmp_path):
         """Keys freed by a removal must stay retired: a reused key would
-        collide with the old incarnation's surviving REMOVE records on the
+        collide with the old incarnation's surviving −1 entries on the
         *next* recovery and silently delete the new committed row."""
         db = build_trace_db(tmp_path)
         insert_wave(db, 3)

@@ -156,8 +156,8 @@ def test_redo_finishes_the_scrub_even_without_a_drain(tmp_path, cohorts):
 
 
 def test_redo_of_a_removal_scrubs_the_rows_images(tmp_path):
-    """DELETE of a never-degraded row, killed between the REMOVE record
-    reaching the disk and the scrub of the row's INSERT image."""
+    """DELETE of a never-degraded row, killed between its −1 entry reaching
+    the disk and the scrub of the row's +1 image."""
     db = _load(tmp_path, "one")
     real_pwrite = os.pwrite
     os.pwrite = _die_on_first_mark(real_pwrite)

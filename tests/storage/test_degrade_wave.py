@@ -5,7 +5,7 @@
   (seeded waves, and a property over random rows, columns and step lists);
 * a wave that raises has changed nothing: heap, log, indexes;
 * a wave costs the log O(chunks) records, none with a value byte in it, and
-  an ingest one ``INSERT_RUN`` per page it filled;
+  an ingest one ``DELTA`` per page it filled;
 * ``insert(..., returning=True)`` hands back exactly what ``read`` decodes.
 """
 
@@ -263,7 +263,7 @@ def test_a_wave_that_raises_leaves_the_engine_as_it_was():
 
 def test_work_counts_of_a_cohort_insert_and_its_wave():
     """Exact log work, by record type (``WALStats.appended_by_type``): a
-    120-row cohort fills 5 pages — 5 ``INSERT_RUN`` and 5 ``PAGE_ALLOC``
+    120-row cohort fills 5 pages — 5 ``DELTA`` and 5 ``PAGE_ALLOC``
     appends; its wave takes every row's location and 40 salaries one level
     on — one ``DEGRADE`` per chunk, one ``SCRUB`` audit record, and one
     scrubbed image per row settled."""
@@ -273,7 +273,7 @@ def test_work_counts_of_a_cohort_insert_and_its_wave():
     keys = [row.row_key for row in store.insert_many(
         [random_row(rng, i) for i in range(1, 121)], now=0.0)]
     pages = {store.page_of(key) for key in keys}
-    assert stats.appended_by_type == {"INSERT_RUN": len(pages), "PAGE_ALLOC": len(pages)}
+    assert stats.appended_by_type == {"DELTA": len(pages), "PAGE_ALLOC": len(pages)}
     assert len(pages) == 5 and stats.appended == 10
     inserted = dict(stats.appended_by_type)
     chunks = store.degrade_many([(keys, "location", SCHEMES["location"], 1),
@@ -320,7 +320,7 @@ def test_wave_appends_o_chunks_records_without_a_value_byte():
     assert sorted(decode_degrade_chunk(degrades[0].after)[1]) == keys
     for record in wave:
         image = record.encode()
-        assert record.before is None
+        assert record.record_type is not LogRecordType.DELTA     # no row image
         for row in rows:
             if row["location"] is not None:
                 assert row["location"].encode() not in image

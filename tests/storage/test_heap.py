@@ -40,7 +40,7 @@ class TestHeapFile:
 
     def test_delete(self, heap):
         rid = heap.insert(b"bye")
-        heap.delete(rid)
+        heap.delete_many(rid.page_id, [rid.slot])
         assert not heap.exists(rid)
         assert heap.record_count == 0
         with pytest.raises(RecordNotFoundError):
@@ -65,14 +65,14 @@ class TestHeapFile:
     def test_scan_returns_live_records_only(self, heap):
         keep = heap.insert(b"keep")
         victim = heap.insert(b"victim")
-        heap.delete(victim)
+        heap.delete_many(victim.page_id, [victim.slot])
         scanned = dict(heap.scan())
         assert scanned == {keep: b"keep"}
-        assert list(heap.record_ids()) == [keep]
+        assert [rid for rid, _payload in heap.scan()] == [keep]
 
     def test_compact_preserves_data(self, heap):
         rids = [heap.insert(f"rec{i}".encode()) for i in range(5)]
-        heap.delete(rids[2])
+        heap.delete_many(rids[2].page_id, [rids[2].slot])
         heap.compact()
         for i, rid in enumerate(rids):
             if i == 2:
@@ -125,7 +125,7 @@ class TestFreeSpaceMap:
         rids = [heap.insert(b"x" * 100) for _ in range(20)]
         pages = heap.page_count
         for rid in rids:
-            heap.delete(rid)
+            heap.delete_many(rid.page_id, [rid.slot])
         again = [heap.insert(b"y" * 100) for _ in range(20)]
         assert heap.page_count == pages
         assert {rid.page_id for rid in again} == {rid.page_id for rid in rids}
@@ -134,7 +134,7 @@ class TestFreeSpaceMap:
     def test_update_compacts_in_place_before_relocating(self, heap):
         rids = [heap.insert(bytes([n]) * 120) for n in (1, 2, 3, 4)]   # 496 of 512
         assert heap.page_count == 1
-        heap.delete(rids[1])
+        heap.delete_many(rids[1].page_id, [rids[1].slot])
         assert update(heap, rids[3], b"\x04" * 200) == rids[3]         # uses the hole
         assert update(heap, rids[0], b"\x01" * 200) != rids[0]         # full in total
         heap.check()
@@ -165,7 +165,7 @@ def _drive(heap, rng, model, steps, trail):
             key = rng.choice(sorted(model))
             rid, old = model[key]
             if op == "delete":
-                heap.delete(rid)
+                heap.delete_many(rid.page_id, [rid.slot])
                 del model[key]
                 continue
             if op == "shrink":
@@ -245,8 +245,8 @@ def test_update_many_places_records_where_sequential_updates_do(seed, page_size)
             model[rid] = image
         elif op == "delete" and model:
             rid = rng.choice(sorted(model))
-            batched.delete(rid)
-            sequential.delete(rid)
+            batched.delete_many(rid.page_id, [rid.slot])
+            sequential.delete_many(rid.page_id, [rid.slot])
             del model[rid]
         elif model:
             page_id = rng.choice(sorted(model)).page_id
@@ -319,5 +319,5 @@ def test_page_runs_place_records_where_the_record_loop_does(seed, page_size):
         heaps[0].check()
         holes = rng.random()
         for heap in heaps:      # new holes for the next batch, the same in both
-            for rid in random.Random(holes).sample(list(heap.record_ids()), 5):
-                heap.delete(rid)
+            for rid in random.Random(holes).sample([rid for rid, _payload in heap.scan()], 5):
+                heap.delete_many(rid.page_id, [rid.slot])

@@ -24,7 +24,7 @@ from repro.storage.buffer import BufferPool
 from repro.storage.crypto import KeyStore
 from repro.storage.degradable_store import TableStore
 from repro.storage.pager import MemoryPager
-from repro.storage.wal import LogRecordType, WriteAheadLog, run_images
+from repro.storage.wal import LogRecordType, WriteAheadLog, delta_entries
 
 LOCATION = build_location_tree()
 SALARY = build_salary_ranges()
@@ -63,12 +63,13 @@ def aged_store(strategy: str, seed: int) -> TableStore:
 
 def images(store: TableStore, since: int, kind: LogRecordType):
     """``(row key, image, txn, time)`` of each record of ``kind`` — of each
-    sub-image of an ``INSERT_RUN``, in row-key order: a batch logs its rows
-    by the page they landed on."""
+    entry of a ``DELTA``, in row-key order: a batch logs its rows by the page
+    they landed on."""
     records = [record for record in store.wal.records()[since:] if record.record_type is kind]
-    if kind is LogRecordType.INSERT_RUN:
-        return sorted((row_key, image, record.txn_id, record.timestamp)
-                      for record in records for row_key, image in run_images(record))
+    if kind is LogRecordType.DELTA:
+        return sorted((row_key, weight, image, record.txn_id, record.timestamp)
+                      for record in records
+                      for row_key, weight, image in delta_entries(record))
     return [(record.row_key, record.after, record.txn_id, record.timestamp)
             for record in records]
 
@@ -91,11 +92,11 @@ def test_a_batch_lands_where_one_by_one_inserts_land(strategy, seed):
     assert one.heap.raw_image() == many.heap.raw_image()
     one.heap.check()
     many.heap.check()
-    for kind in (LogRecordType.INSERT_RUN, LogRecordType.PAGE_ALLOC):
+    for kind in (LogRecordType.DELTA, LogRecordType.PAGE_ALLOC):
         assert images(one, marks[0], kind) == images(many, marks[1], kind)
-    # One INSERT_RUN per page the batch filled.
+    # One DELTA per page the batch filled.
     runs = [record for record in many.wal.records()[marks[1]:]
-            if record.record_type is LogRecordType.INSERT_RUN]
+            if record.record_type is LogRecordType.DELTA]
     assert len(runs) == len({many.page_of(key) for key in keys})
     # What the batch hands back is what a read decodes.
     assert stored == [many.read(key) for key in keys]

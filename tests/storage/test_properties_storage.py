@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.core.domains import build_location_tree
 from repro.index.gt_index import GTIndex
 from repro.storage.page import SlottedPage
-from repro.storage.wal import LogRecord, LogRecordType, encode_insert_run
+from repro.storage.wal import LogRecord, LogRecordType, encode_delta
 
 LOCATION = build_location_tree()
 ADDRESSES = LOCATION.leaves()
@@ -74,19 +74,19 @@ class TestWALRecordProperties:
         table=st.text(max_size=30),
         row_key=st.integers(min_value=-1, max_value=2**31),
         attribute=st.text(max_size=20),
-        before=st.one_of(st.none(), st.binary(max_size=100)),
+        weight=st.sampled_from((1, -1)),
         after=st.one_of(st.none(), st.binary(max_size=100)),
         timestamp=st.floats(min_value=0, max_value=1e12, allow_nan=False),
     )
     @settings(max_examples=100, deadline=None)
     def test_log_record_roundtrip(self, lsn, txn_id, record_type, table, row_key,
-                                  attribute, before, after, timestamp):
-        if record_type is LogRecordType.INSERT_RUN and after is not None:
-            # A run's payload is framed sub-images; an empty image reads as scrubbed.
-            after = bytes(encode_insert_run([b"\x01" + after], [0])[0])
+                                  attribute, weight, after, timestamp):
+        if record_type is LogRecordType.DELTA and after is not None:
+            # A DELTA's payload is framed entries; an empty one reads as scrubbed.
+            after = bytes(encode_delta([(row_key, weight, after)])[0])
         record = LogRecord(lsn=lsn, txn_id=txn_id, record_type=record_type,
                            table=table, row_key=row_key, attribute=attribute,
-                           before=before, after=after, timestamp=timestamp)
+                           after=after, timestamp=timestamp)
         assert LogRecord.decode(record.encode()) == record
 
 

@@ -46,7 +46,7 @@ from repro.storage.kernels import MESSAGES
 from repro.storage.page import SlottedPage, record_span
 from repro.storage.pager import MemoryPager
 from repro.storage.serialization import decode_record, decode_value
-from repro.storage.wal import LogRecordType, WriteAheadLog, run_images
+from repro.storage.wal import LogRecordType, WriteAheadLog, delta_entries
 
 SALARY = build_salary_ranges()
 LOCATION = build_location_tree()
@@ -243,9 +243,9 @@ class TestEquivalence:
                               "score": i / 3, "salary": 1000 + i, "active": i % 2 == 0},
                              now=float(i)) for i in range(200)]
         assert store.heap.page_count > 1
-        images = dict(image for record in store.wal
-                      if record.record_type is LogRecordType.INSERT_RUN
-                      for image in run_images(record))
+        images = {row_key: image for record in store.wal
+                  if record.record_type is LogRecordType.DELTA
+                  for row_key, _weight, image in delta_entries(record)}
         for columns in (None, frozenset(), frozenset({"name", "salary"})):
             scanned = list(store.scan(columns))
             fetched = list(store.fetch(iter(reversed(keys)), columns))

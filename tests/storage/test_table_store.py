@@ -9,7 +9,7 @@ from repro.core.values import NULL, SUPPRESSED
 from repro.storage.buffer import BufferPool
 from repro.storage.degradable_store import TableStore
 from repro.storage.pager import MemoryPager
-from repro.storage.wal import LogRecordType, WriteAheadLog
+from repro.storage.wal import LogRecordType, WriteAheadLog, decode_degrade_chunk
 
 LOCATION = build_location_tree()
 SALARY = build_salary_ranges()
@@ -65,7 +65,7 @@ class TestBasicOperations:
     def test_insert_logs_after_image(self, store):
         store.insert(ROW, now=0.0)
         types = [record.record_type for record in store.wal]
-        assert LogRecordType.INSERT_RUN in types
+        assert LogRecordType.DELTA in types
 
     def test_update_stable_column(self, store):
         row_key = store.insert(ROW, now=0.0)
@@ -132,7 +132,8 @@ class TestDegradation:
         store.degrade(row_key, "location", LOCATION, to_level=1, now=1.0)
         degrade_records = [r for r in store.wal if r.record_type is LogRecordType.DEGRADE]
         assert len(degrade_records) == 1
-        assert degrade_records[0].before is None
+        # Its payload is the target level and the row keys: no image.
+        assert decode_degrade_chunk(degrade_records[0].after) == (1, [row_key])
 
     def test_independent_columns(self, store):
         row_key = store.insert(ROW, now=0.0)

@@ -12,9 +12,25 @@ from repro.core.errors import (
 )
 from repro.faults import FaultPlan
 from repro.storage import wal as wal_module
-from repro.storage.wal import LogRecord, LogRecordType, WriteAheadLog
+from repro.storage.wal import LogRecord, LogRecordType, WriteAheadLog, encode_delta
 
 from ..conftest import log_dir_bytes as disk_bytes
+
+
+def change(wal, row_key, *images, txn_id=1, table="t"):
+    """Append a one-row DELTA: ``row_key`` entering with its one image, or
+    replaced — a −1 with the first image, a +1 with the second."""
+    entries = [(row_key, 1, images[-1])]
+    if len(images) == 2:
+        entries.insert(0, (row_key, -1, images[0]))
+    after, index = encode_delta(entries)
+    return wal.append(LogRecordType.DELTA, txn_id, table=table, row_key=row_key,
+                      after=after, images=index)
+
+
+def payload(*entries):
+    """The DELTA payload of ``entries``."""
+    return encode_delta(entries)[0]
 
 
 def segment_paths(path):
@@ -54,32 +70,33 @@ class TestBasicProtocol:
         """The row's records that still hold an image of it — what a scrub
         would hit; DEGRADE records carry a level, not an image."""
         wal = WriteAheadLog()
-        wal.append(LogRecordType.UPDATE, 1, table="person", row_key=7, after=b"img")
-        wal.append(LogRecordType.UPDATE, 1, table="person", row_key=8, after=b"img")
-        wal.append(LogRecordType.UPDATE, 1, table="person", row_key=7,
-                   attribute="name", before=b"img", after=b"img2")
+        change(wal, 7, b"img", table="person")
+        change(wal, 8, b"img", table="person")
+        change(wal, 7, b"img", b"img2", table="person")
         wal.append(LogRecordType.DEGRADE, 0, table="person", row_key=7, attribute="loc",
                    after=b"1")
         assert [record.lsn for record in wal.records_for("person", 7)] == [1, 3]
-        wal.scrub_record("person", 7)
+        wal.scrub_records([("person", 7)])
         assert wal.records_for("person", 7) == []
 
     def test_degrade_record_must_not_carry_before_image(self):
+        """No record has a before-image field: there is none to fill."""
         wal = WriteAheadLog()
-        with pytest.raises(WALError):
+        with pytest.raises(TypeError):
             wal.append(LogRecordType.DEGRADE, 0, table="t", row_key=1,
                        attribute="loc", before=b"accurate!")
 
     def test_record_encode_decode_roundtrip(self):
-        record = LogRecord(lsn=3, txn_id=9, record_type=LogRecordType.UPDATE,
+        record = LogRecord(lsn=3, txn_id=9, record_type=LogRecordType.DELTA,
                            table="person", row_key=4, attribute="name",
-                           before=b"old", after=b"new", timestamp=12.5)
+                           after=payload((4, -1, b"old"), (4, 1, b"new"), (2, -1, None)),
+                           timestamp=12.5)
         decoded = LogRecord.decode(record.encode())
         assert decoded == record
 
     def test_empty_image_is_not_a_missing_image(self):
-        record = LogRecord(lsn=1, txn_id=0, record_type=LogRecordType.UPDATE,
-                           table="t", row_key=1, before=None, after=b"")
+        record = LogRecord(lsn=1, txn_id=0, record_type=LogRecordType.CATALOG,
+                           table="t", row_key=1, after=b"")
         assert LogRecord.decode(record.encode()) == record
 
     def test_decode_malformed_rejected(self):
@@ -88,9 +105,9 @@ class TestBasicProtocol:
             LogRecord.decode(encode_record([1, 2, 3]))
 
     def test_decode_rejects_a_flipped_bit_anywhere(self):
-        encoded = LogRecord(lsn=3, txn_id=9, record_type=LogRecordType.UPDATE,
+        encoded = LogRecord(lsn=3, txn_id=9, record_type=LogRecordType.DELTA,
                             table="person", row_key=4, attribute="name",
-                            before=b"old", after=b"new").encode()
+                            after=payload((4, -1, b"old"), (4, 1, b"new"))).encode()
         for position in range(len(encoded)):
             damaged = bytearray(encoded)
             damaged[position] ^= 0x10
@@ -101,30 +118,28 @@ class TestBasicProtocol:
 class TestScrubbing:
     def test_scrub_removes_images_but_keeps_structure(self):
         wal = WriteAheadLog()
-        wal.append(LogRecordType.UPDATE, 1, table="person", row_key=7,
-                   after=b"SENSITIVE")
-        wal.append(LogRecordType.UPDATE, 1, table="person", row_key=7,
-                   attribute="name", before=b"SENSITIVE", after=b"SENSITIVE2")
-        scrubbed = wal.scrub_record("person", 7)
-        assert scrubbed == 2
+        change(wal, 7, b"SENSITIVE", table="person")
+        change(wal, 7, b"SENSITIVE", b"SENSITIVE2", table="person")
+        scrubbed = wal.scrub_records([("person", 7)])
+        assert scrubbed == 3               # the entering image, then the −1's and the +1's
         assert b"SENSITIVE" not in wal.raw_image()
         # The structural records are still there plus an audit SCRUB record.
         types = [record.record_type for record in wal]
-        assert types.count(LogRecordType.UPDATE) == 2
+        assert types.count(LogRecordType.DELTA) == 2
         assert LogRecordType.SCRUB in types
 
     def test_scrub_untouched_rows_left_alone(self):
         wal = WriteAheadLog()
-        wal.append(LogRecordType.UPDATE, 1, table="person", row_key=1, after=b"keep-me")
-        wal.append(LogRecordType.UPDATE, 1, table="person", row_key=2, after=b"scrub-me")
-        wal.scrub_record("person", 2)
+        change(wal, 1, b"keep-me", table="person")
+        change(wal, 2, b"scrub-me", table="person")
+        wal.scrub_records([("person", 2)])
         assert b"keep-me" in wal.raw_image()
         assert b"scrub-me" not in wal.raw_image()
 
     def test_scrub_nothing_matching_returns_zero(self):
         wal = WriteAheadLog()
         wal.append(LogRecordType.BEGIN, 1)
-        assert wal.scrub_record("person", 99) == 0
+        assert wal.scrub_records([("person", 99)]) == 0
         assert wal.stats.scrub_passes == 0
 
     def test_degrade_records_are_exempt(self):
@@ -133,7 +148,7 @@ class TestScrubbing:
         wal = WriteAheadLog()
         wal.append(LogRecordType.DEGRADE, 0, table="person", row_key=7,
                    attribute="loc", after=b"\x01")
-        assert wal.scrub_record("person", 7) == 0
+        assert wal.scrub_records([("person", 7)]) == 0
         assert wal.records()[0].after == b"\x01"
         assert len(wal) == 1               # not even an audit record
 
@@ -142,8 +157,7 @@ class TestBulkScrubbing:
     def test_scrub_records_single_rewrite_for_many_keys(self):
         wal = WriteAheadLog()
         for row_key in range(1, 6):
-            wal.append(LogRecordType.UPDATE, 1, table="person", row_key=row_key,
-                       after=f"SECRET-{row_key}".encode())
+            change(wal, row_key, f"SECRET-{row_key}".encode(), table="person")
         scrubbed = wal.scrub_records([("person", row_key) for row_key in range(1, 6)])
         assert scrubbed == 5
         assert wal.stats.scrubbed_records == 5
@@ -160,7 +174,7 @@ class TestBulkScrubbing:
 
     def test_scrub_records_empty_and_unmatched_keys(self):
         wal = WriteAheadLog()
-        wal.append(LogRecordType.UPDATE, 1, table="person", row_key=1, after=b"keep")
+        change(wal, 1, b"keep", table="person")
         assert wal.scrub_records([]) == 0
         assert wal.scrub_records([("person", 99), ("other", 1)]) == 0
         assert wal.stats.scrub_passes == 0
@@ -170,8 +184,8 @@ class TestBulkScrubbing:
         """Only the image bytes are rewritten (with zeroes), in one pass."""
         path = str(tmp_path / "wal")
         wal = WriteAheadLog(path)
-        wal.append(LogRecordType.UPDATE, 1, table="t", row_key=1, after=b"AAA-ONE")
-        wal.append(LogRecordType.UPDATE, 1, table="t", row_key=2, after=b"BBB-TWO")
+        change(wal, 1, b"AAA-ONE")
+        change(wal, 2, b"BBB-TWO")
         wal.flush()
         size = disk_size(path)
         wal.scrub_records([("t", 1), ("t", 2)])
@@ -189,7 +203,7 @@ class TestBulkScrubbing:
     def test_unmatched_keys_cost_no_io(self, tmp_path):
         path = str(tmp_path / "wal")
         wal = WriteAheadLog(path)
-        wal.append(LogRecordType.UPDATE, 1, table="t", row_key=1, after=b"keep")
+        change(wal, 1, b"keep")
         wal.flush()
         wal.append(LogRecordType.DEGRADE, 0, table="t", row_key=2,
                    attribute="a", after=b"\x01")
@@ -225,9 +239,9 @@ class TestAppendOnlyFlush:
     def test_flush_after_scrub_does_not_duplicate(self, tmp_path):
         path = str(tmp_path / "wal")
         wal = WriteAheadLog(path)
-        wal.append(LogRecordType.UPDATE, 1, table="t", row_key=1, after=b"img")
+        change(wal, 1, b"img")
         wal.flush()
-        wal.scrub_record("t", 1)       # zeroes in place (SCRUB appended too)
+        wal.scrub_records([("t", 1)])       # zeroes in place (SCRUB appended too)
         wal.flush()                    # must not re-append already-persisted records
         reopened = WriteAheadLog(path)
         assert len(reopened) == len(wal)
@@ -254,8 +268,7 @@ class TestAppendOnlyFlush:
         path = str(tmp_path / "wal")
         wal = WriteAheadLog(path)
         for row_key in range(1000):
-            wal.append(LogRecordType.UPDATE, txn_id=row_key, table="t",
-                       row_key=row_key, after=b"payload-bytes")
+            change(wal, row_key, b"payload-bytes", txn_id=row_key)
             wal.flush()                # one durability point per insert
         # Append-only: total bytes written == bytes on disk (records plus
         # one small header per segment).
@@ -284,8 +297,7 @@ class TestTruncation:
         path = str(tmp_path / "wal")
         wal = WriteAheadLog(path)
         for row_key in range(30):
-            wal.append(LogRecordType.UPDATE, 1, table="t", row_key=row_key,
-                       after=b"x" * 40)
+            change(wal, row_key, b"x" * 40)
         wal.roll()
         anchor = wal.append(LogRecordType.CATALOG, 0, after=b"catalog")
         wal.append(LogRecordType.CHECKPOINT, 0, after=b"dir")
@@ -307,8 +319,7 @@ class TestTruncation:
         path = str(tmp_path / "wal")
         wal = WriteAheadLog(path)
         for row_key in range(30):
-            wal.append(LogRecordType.UPDATE, 1, table="t", row_key=row_key,
-                       after=b"SECRET-%02d" % row_key)
+            change(wal, row_key, b"SECRET-%02d" % row_key)
         wal.flush()
         sizes = [os.path.getsize(p) for p in segment_paths(path)]
         written = wal.stats.bytes_written
@@ -321,7 +332,7 @@ class TestTruncation:
         # Exact across a reopen, and scrubs still find the survivors.
         reopened = WriteAheadLog(path)
         assert [record.lsn for record in reopened] == list(range(14, 31))
-        assert reopened.scrub_record("t", 13) == 1
+        assert reopened.scrub_records([("t", 13)]) == 1
         assert b"SECRET-13" not in disk_bytes(path)
 
     def test_truncate_everything_then_append(self, tmp_path):
@@ -341,14 +352,14 @@ class TestPersistence:
         path = str(tmp_path / "wal")
         wal = WriteAheadLog(path)
         wal.append(LogRecordType.BEGIN, txn_id=1)
-        wal.append(LogRecordType.UPDATE, txn_id=1, table="t", row_key=1, after=b"x")
+        change(wal, 1, b"x")
         wal.append(LogRecordType.COMMIT, txn_id=1)
         wal.flush()
 
         reopened = WriteAheadLog(path)
         assert len(reopened) == 3
         assert reopened.last_lsn == 3
-        assert reopened.records()[1].after == b"x"
+        assert reopened.records()[1].after == payload((1, 1, b"x"))
 
     def test_torn_tail_ignored_on_reload(self, tmp_path):
         path = str(tmp_path / "wal")
@@ -366,15 +377,16 @@ class TestPersistence:
         """The image bytes on disk are overwritten where they lie."""
         path = str(tmp_path / "wal")
         wal = WriteAheadLog(path)
-        wal.append(LogRecordType.UPDATE, 1, table="t", row_key=1, after=b"PLAINTEXT")
+        change(wal, 1, b"PLAINTEXT")
         wal.flush()
         before = disk_bytes(path)
         assert b"PLAINTEXT" in before
-        wal.scrub_record("t", 1)
+        wal.scrub_records([("t", 1)])
         after = disk_bytes(path)
         assert b"PLAINTEXT" not in after
         assert len(after) == len(before)
-        assert wal.stats.scrub_bytes_zeroed == len(b"PLAINTEXT") + 4
+        # The record's whole payload (its one entry) and the record CRC.
+        assert wal.stats.scrub_bytes_zeroed == len(payload((1, 1, b"PLAINTEXT"))) + 4
 
     def test_old_single_file_log_is_refused(self, tmp_path):
         (tmp_path / "wal.log").write_bytes(b"\x10\x00\x00\x00old-format")
@@ -401,11 +413,12 @@ class TestPersistence:
         # Version 3 logged one schedule registration per row and checkpointed
         # the schedule record by record; version 4 logged one INSERT per row
         # and numbered its types with DELETE among them; version 5 logged the
-        # schedule in four record types this build no longer has.
+        # schedule in four record types this build no longer has; version 6
+        # logged a row change as INSERT_RUN, UPDATE or REMOVE.
         from repro import InstantDB
         from repro.storage.wal import WAL_FORMAT_VERSION
-        assert WAL_FORMAT_VERSION == 6
-        for version in (3, 4, 5):
+        assert WAL_FORMAT_VERSION == 7
+        for version in (3, 4, 5, 6):
             data_dir = str(tmp_path / f"v{version}")
             db = InstantDB(data_dir=data_dir)
             db.execute("CREATE TABLE t (id INT PRIMARY KEY)")
@@ -424,8 +437,7 @@ class TestSegments:
         path = str(tmp_path / "wal")
         wal = WriteAheadLog(path)
         for row_key in range(40):
-            wal.append(LogRecordType.UPDATE, 1, table="t", row_key=row_key,
-                       after=b"y" * 50)
+            change(wal, row_key, b"y" * 50)
             if row_key % 7 == 0:
                 wal.flush()
         wal.flush()
@@ -462,8 +474,7 @@ class TestSegments:
         path = str(tmp_path / "wal")
         wal = WriteAheadLog(path)
         for row_key in range(30):
-            wal.append(LogRecordType.UPDATE, 1, table="t", row_key=row_key,
-                       after=b"z" * 40)
+            change(wal, row_key, b"z" * 40)
         wal.flush()
         sealed = segment_paths(path)[1]
         data = bytearray(open(sealed, "rb").read())
@@ -476,8 +487,7 @@ class TestSegments:
         path = str(tmp_path / "wal")
         wal = WriteAheadLog(path)
         for row_key in range(30):
-            wal.append(LogRecordType.UPDATE, 1, table="t", row_key=row_key,
-                       after=b"z" * 40)
+            change(wal, row_key, b"z" * 40)
         wal.flush()
         os.unlink(segment_paths(path)[1])
         with pytest.raises(LogCorruptionError, match="missing"):
@@ -488,8 +498,7 @@ class TestSegments:
         path = str(tmp_path / "wal")
         wal = WriteAheadLog(path)
         for row_key in range(30):
-            wal.append(LogRecordType.UPDATE, 1, table="t", row_key=row_key,
-                       after=b"z" * 40)
+            change(wal, row_key, b"z" * 40)
         wal.flush()
         last = segment_paths(path)[-1]
         data = bytearray(open(last, "rb").read())
@@ -516,10 +525,9 @@ class TestSegments:
         path = str(tmp_path / "wal")
         wal = WriteAheadLog(path)
         for row_key in range(30):
-            wal.append(LogRecordType.UPDATE, 1, table="t", row_key=row_key,
-                       after=b"SECRET-%02d" % row_key)
+            change(wal, row_key, b"SECRET-%02d" % row_key)
         wal.flush()
-        wal.scrub_record("t", 4)
+        wal.scrub_records([("t", 4)])
         wal.flush()
         reopened = WriteAheadLog(path)
         assert reopened.records_for("t", 4) == []         # stayed scrubbed
@@ -542,8 +550,7 @@ class TestScrubWriteAmplification:
         wal = WriteAheadLog(path)
         image = b"v" * 60
         for row_key in range(self.N):
-            wal.append(LogRecordType.UPDATE, 1, table="t", row_key=row_key,
-                       after=image)
+            change(wal, row_key, image)
         wal.flush()
         segments = segment_paths(path)
         assert len(segments) > 8
@@ -560,10 +567,10 @@ class TestScrubWriteAmplification:
         written = wal.stats.bytes_written
         assert wal.scrub_records([("t", k) for k in victims]) == self.K
         monkeypatch.undo()
-        # One mark byte plus the zeroed image (+ its CRC) per victim: O(k).
-        assert wal.stats.bytes_written - written == \
-            self.K * (1 + len(image) + 4)
-        assert wal.stats.scrub_bytes_zeroed == self.K * (len(image) + 4)
+        # One mark byte plus the zeroed payload (+ its CRC) per victim: O(k).
+        zeroed = len(payload((0, 1, image))) + 4
+        assert wal.stats.bytes_written - written == self.K * (1 + zeroed)
+        assert wal.stats.scrub_bytes_zeroed == self.K * zeroed
         # Only the two segments holding victims were opened at all...
         assert set(opened) == {segments[0], segments[-1]}
         # ...and every other segment is byte-for-byte what it was.
@@ -574,8 +581,7 @@ class TestScrubWriteAmplification:
     def test_memory_only_log_scrubs_without_io(self):
         wal = WriteAheadLog()
         for row_key in range(50):
-            wal.append(LogRecordType.UPDATE, 1, table="t", row_key=row_key,
-                       after=b"SECRET")
+            change(wal, row_key, b"SECRET")
         assert wal.scrub_records([("t", 1), ("t", 2)]) == 2
         assert wal.stats.bytes_written == 0
         assert wal.raw_image().count(b"SECRET") == 48
@@ -586,12 +592,11 @@ class TestForensicImageReadsTheDisk:
             self, tmp_path):
         path = str(tmp_path / "wal")
         wal = WriteAheadLog(path)
-        wal.append(LogRecordType.UPDATE, 1, table="t", row_key=1,
-                   after=b"PLAINTEXT-SALARY")
+        change(wal, 1, b"PLAINTEXT-SALARY")
         wal.flush()
         # Scrub memory only, as a scrub that forgot the disk would.
         wal._records[0] = LogRecord(lsn=1, txn_id=1,
-                                    record_type=LogRecordType.UPDATE,
+                                    record_type=LogRecordType.DELTA,
                                     table="t", row_key=1)
         assert all(record.after is None for record in wal)
         assert b"PLAINTEXT-SALARY" in wal.raw_image()
@@ -611,16 +616,14 @@ class TestForensicImageReadsTheDisk:
 
     def test_unflushed_suffix_is_part_of_the_image(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path / "wal"))
-        wal.append(LogRecordType.UPDATE, 1, table="t", row_key=1,
-                   after=b"NOT-YET-ON-DISK")
+        change(wal, 1, b"NOT-YET-ON-DISK")
         assert b"NOT-YET-ON-DISK" in wal.forensic_image()
 
     def test_catalog_documents_are_blanked_by_offset(self, tmp_path):
         path = str(tmp_path / "wal")
         wal = WriteAheadLog(path)
         wal.append(LogRecordType.CATALOG, 0, after=b"DOMAIN-VOCABULARY")
-        wal.append(LogRecordType.UPDATE, 1, table="t", row_key=1,
-                   after=b"DOMAIN-VOCABULARY-row")
+        change(wal, 1, b"DOMAIN-VOCABULARY-row")
         wal.flush()
         wal.append(LogRecordType.CATALOG, 0, after=b"DOMAIN-VOCABULARY")
         assert wal.raw_image().count(b"DOMAIN-VOCABULARY") == 3
@@ -639,8 +642,7 @@ class TestDurabilityOfScrubAndDirectory:
         path = str(tmp_path / "wal")
         wal = WriteAheadLog(path, faults=plan)
         for row_key in range(4):
-            wal.append(LogRecordType.UPDATE, 1, table="t", row_key=row_key,
-                       after=b"SECRET-%d" % row_key)
+            change(wal, row_key, b"SECRET-%d" % row_key)
         wal.flush()
         plan.fail_once("wal.scrub", "torn_write")
         with pytest.raises(DurabilityError):
@@ -658,10 +660,10 @@ class TestDurabilityOfScrubAndDirectory:
     def test_failed_scrub_fsync_is_a_durability_error(self, tmp_path):
         plan = FaultPlan(seed=1)
         wal = WriteAheadLog(str(tmp_path / "wal"), faults=plan)
-        wal.append(LogRecordType.UPDATE, 1, table="t", row_key=1, after=b"S")
+        change(wal, 1, b"S")
         plan.fail_once("wal.scrub", "fsync")
         with pytest.raises(DurabilityError):
-            wal.scrub_record("t", 1)
+            wal.scrub_records([("t", 1)])
         assert plan.fired_kinds() == {"fsync"}
 
     def test_directory_fsync_follows_create_rename_and_unlink(
@@ -677,8 +679,7 @@ class TestDurabilityOfScrubAndDirectory:
 
         monkeypatch.setattr(WriteAheadLog, "_sync_directory", counting_sync)
         for row_key in range(12):
-            wal.append(LogRecordType.UPDATE, 1, table="t", row_key=row_key,
-                       after=b"w" * 40)
+            change(wal, row_key, b"w" * 40)
         wal.flush()
         creates = len(segment_paths(path))
         assert len(synced) == creates       # one per segment created
@@ -704,8 +705,8 @@ class TestDurabilityOfScrubAndDirectory:
 
 
 def test_the_side_table_a_live_insert_files_is_the_one_recovery_parses(tmp_path):
-    """An insert batch hands the log each INSERT_RUN's sub-image index as it
-    encoded the run; a reopened log parses the same records for it.  Both
+    """An insert batch hands the log each DELTA's entry index as it encoded
+    the record; a reopened log parses the same records for it.  Both
     build the same side table — live, after a scrub of some rows too."""
     from repro.core.schema import Column, TableSchema
     from repro.storage.buffer import BufferPool

@@ -1,13 +1,13 @@
 """No heap page reaches disk ahead of the log record recovery would undo.
 
-Recovery undoes a loser transaction from what the log holds: its
-``INSERT_RUN`` and ``UPDATE`` records.  A page written before such a record
+Recovery undoes a loser transaction from what the log holds: the images
+of its ``DELTA`` records.  A page written before such a record
 is durable carries a change no undo can find.  Seeded reproducer: an open
 transaction inserts a row, then a ``DELETE`` in the same transaction erases
 another row of that page and flushes the page (a secure erase is durable at
 statement time); the process dies before the commit.  Without the rule the
 page held the uncommitted accurate salary while the log ended before its
-``INSERT_RUN``, and ``recover()`` brought the row back.
+``DELTA``, and ``recover()`` brought the row back.
 
 The buffer pool keeps the rule (``BufferPool._write_back``): every dirty frame
 carries the LSN of the last record that changed it, and the log is flushed up
@@ -52,7 +52,7 @@ def _delete_beside_an_open_insert(data_dir):
     db.advance_time(hours=72)
     txn = db.begin()
     db.execute("INSERT INTO pay VALUES (2, 60000)", txn=txn)
-    assert db.wal.flushed_lsn < db.wal.last_lsn        # the INSERT_RUN is not durable
+    assert db.wal.flushed_lsn < db.wal.last_lsn        # the insert's DELTA is not durable
     assert db.execute("DELETE FROM pay WHERE id = 1", txn=txn, purpose="p") == 1
     db.daemon.pause()                  # abandoned: no commit, no close
     return db, _recovered(data_dir)
@@ -83,7 +83,7 @@ def test_a_batch_that_outgrows_a_two_frame_pool_leaves_no_uncommitted_row(
         tmp_path, batch, read):
     """A two-frame pool: the batch fills more pages than the pool holds, so
     its pages are written while its transaction is open — after their
-    ``INSERT_RUN`` records are durable, never before.  A crash right after
+    ``DELTA`` records are durable, never before.  A crash right after
     the batch (or after a read that evicts the rest), then no row of the
     batch after ``recover()``."""
     db = _open(tmp_path, page_size=512, buffer_capacity=2)

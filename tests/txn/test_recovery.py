@@ -11,8 +11,9 @@ from repro.storage.wal import (
     LogRecordType,
     WriteAheadLog,
     decode_degrade_chunk,
+    delta_entries,
     encode_degrade_chunk,
-    run_images,
+    encode_delta,
 )
 from repro.txn.recovery import RecoveryManager
 from repro.txn.transaction import TransactionManager
@@ -104,7 +105,8 @@ class TestRedo:
         row_key = store.insert(ROW, now=0.0, txn_id=winner.txn_id)
         manager.commit(winner)
         # Simulate losing the in-memory row map and the heap record.
-        store.heap.delete(store._location(row_key))
+        record_id = store._location(row_key)
+        store.heap.delete_many(record_id.page_id, [record_id.slot])
         store._locations.clear()
         report = RecoveryManager(wal, {"person": store}).recover()
         assert report.redone_inserts == 1
@@ -117,8 +119,8 @@ class TestRedo:
         manager.commit(winner)
         store.remove(row_key, now=5.0, scrub_log=False)
         # Pretend the deletion page write was lost: restore the row image.
-        run = [r for r in wal if r.record_type is LogRecordType.INSERT_RUN][0]
-        store.restore_rows([run_images(run)[0][1]])
+        run = [r for r in wal if r.record_type is LogRecordType.DELTA][0]
+        store.restore_rows([delta_entries(run)[0][2]])
         report = RecoveryManager(wal, {"person": store}).recover()
         assert report.redone_removes == 1
         assert not store.exists(row_key)
@@ -136,9 +138,84 @@ class TestRedo:
         report = RecoveryManager(wal, {"person": store}).recover()
         assert report.redone_degrades == 1
 
+    def test_a_page_removal_whose_flush_was_lost_is_erased_by_redo(self):
+        """A removal is one DELTA of imageless −1 entries for the page.  The
+        crash came after it was logged, before the scrub and the page flush:
+        redo erases the rows the heap still holds, and the settled scrub at
+        the end leaves no image of them in the log."""
+        wal, store, manager = make_environment()
+        winner = manager.begin()
+        keys = store.insert_many([{**ROW, "id": i, "name": f"gone-{i}"} for i in range(1, 6)],
+                                 now=0.0, txn_id=winner.txn_id).keys
+        manager.commit(winner)
+        doomed = keys[1:4]
+        lost = [store.image(store.read(key)) for key in doomed]
+
+        def die(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        wal.scrub_records = die
+        with pytest.raises(KeyboardInterrupt):
+            store.remove_many(doomed, now=5.0)
+        del wal.scrub_records
+        (removal,) = [r for r in wal if r.record_type is LogRecordType.DELTA][1:]
+        assert delta_entries(removal) == [(key, -1, None) for key in doomed]
+        store.restore_rows(lost)                  # the page write never happened
+        report = RecoveryManager(wal, {"person": store}).recover()
+        assert report.redone_removes == len(doomed)
+        assert sorted(store.row_keys()) == [keys[0], keys[4]]
+        image = wal.raw_image()
+        assert all(f"gone-{key}".encode() not in image for key in doomed)
+        assert b"gone-1" in image and not any(wal.records_for("person", key) for key in doomed)
+
+    def test_a_loser_delete_stays_erased(self):
+        """DELETE is a secure erase at statement time: its −1 entries are
+        redone although the transaction never committed, so the row stays
+        gone even where the erased page did not reach the disk."""
+        wal, store, manager = make_environment()
+        winner = manager.begin()
+        keys = store.insert_many([{**ROW, "id": i} for i in (1, 2)], now=0.0,
+                                 txn_id=winner.txn_id).keys
+        manager.commit(winner)
+        image = store.image(store.read(keys[0]))
+        loser = manager.begin()
+        assert store.delete([keys[0]], now=1.0, txn_id=loser.txn_id) == 1
+        store.restore_rows([image])               # the page write never happened
+        report = RecoveryManager(wal, {"person": store}).recover()
+        assert loser.txn_id in report.loser_txns
+        assert report.redone_removes == 1 and report.undone_inserts == 0
+        assert store.row_keys() == [keys[1]]
+        assert not wal.records_for("person", keys[0])
+
+    def test_a_loser_update_is_written_back_in_place(self):
+        """Undo of an UPDATE writes the −1 image over the row where it is:
+        the row keeps its address, nothing relocates."""
+        wal, store, manager = make_environment()
+        winner = manager.begin()
+        keys = store.insert_many([{**ROW, "id": i, "name": "n" * 40} for i in range(1, 120)],
+                                 now=0.0, txn_id=winner.txn_id).keys
+        manager.commit(winner)
+        row_key = keys[0]
+        address = store._location(row_key)
+        assert address.page_id != store.page_of(keys[-1])    # not on the tail page
+        loser = manager.begin()
+        store.update_stable([row_key], [("name", "mallory")], now=1.0, txn_id=loser.txn_id)
+        (update,) = [r for r in wal if r.txn_id == loser.txn_id
+                     and r.record_type is LogRecordType.DELTA]
+        assert [(key, weight) for key, weight, _image in delta_entries(update)] == \
+            [(row_key, -1), (row_key, 1)]
+        relocations = store.stats.relocations
+        report = RecoveryManager(wal, {"person": store}).recover()
+        assert report.undone_updates == 1 and report.undone_inserts == 0
+        assert store._location(row_key) == address
+        assert store.stats.relocations == relocations
+        assert store.read(row_key).values["name"] == "n" * 40
+
     def test_unknown_table_in_log_raises(self):
         wal, store, manager = make_environment()
-        wal.append(LogRecordType.UPDATE, 1, table="ghost", row_key=1, after=b"x")
+        after, images = encode_delta([(1, 1, b"x")])
+        wal.append(LogRecordType.DELTA, 1, table="ghost", row_key=1, after=after,
+                   images=images)
         from repro.core.errors import RecoveryError
         with pytest.raises(RecoveryError):
             RecoveryManager(wal, {"person": store}).recover()
@@ -187,7 +264,6 @@ class TestSegmentDegradeRecords:
             ("person", "location", -1)
         to_level, row_keys = decode_degrade_chunk(record.after)
         assert to_level == 1 and sorted(row_keys) == sorted(keys)
-        assert record.before is None
 
     def test_recovery_rebuilds_segments_and_level_vectors(self):
         """The row map is rebuilt from the pages, and the pages hold the

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.errors import TransactionError
-from repro.storage.wal import LogRecordType, WriteAheadLog
+from repro.storage.wal import LogRecordType, WriteAheadLog, encode_delta
 from repro.txn.transaction import TransactionManager, TransactionState
 
 
@@ -21,13 +21,13 @@ class TestLifecycle:
 
     def test_commit(self, manager):
         txn = manager.begin()
-        manager.wal.append(LogRecordType.UPDATE, txn.txn_id, table="t",
-                           row_key=1, after=b"row")
+        manager.wal.append(LogRecordType.DELTA, txn.txn_id, table="t", row_key=1,
+                           after=encode_delta([(1, 1, b"row")])[0])
         manager.commit(txn)
         assert txn.state is TransactionState.COMMITTED
         assert not manager.is_active(txn.txn_id)
         types = [record.record_type for record in manager.wal]
-        assert types == [LogRecordType.BEGIN, LogRecordType.UPDATE,
+        assert types == [LogRecordType.BEGIN, LogRecordType.DELTA,
                          LogRecordType.COMMIT]
         assert manager.wal.stats.flushed == 1
 
