@@ -930,7 +930,8 @@ class InstantDB:
             store.remove_many([row.row_key for row in new], now=self.clock.now())
         else:
             old = [row for row, keep in zip(old, kept) if keep]
-            store.restore_rows(list(map(store.image, old)), now=self.clock.now())
+            store.restore_rows([(row.row_key, store.image(row)) for row in old],
+                              now=self.clock.now())
         if new:
             self._apply_delta(info, new, old)
 

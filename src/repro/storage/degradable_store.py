@@ -43,7 +43,6 @@ from .crypto import KeyStore
 from .heap import HeapFile, RecordId
 from .kernels import (RowShape, Shape, WaveShape, compile_kernel, compile_row_kernel,
                       compile_wave_kernel)
-from .page import SlottedPage
 from .serialization import (_INT_STRUCT, decode_value, encode_value, fixed_prefix,
                             record_field_count, wide_prefix)
 from .wal import Entry, LogRecordType, WriteAheadLog, encode_degrade_chunk, encode_delta
@@ -186,6 +185,8 @@ class TableStore:
         self._version = 0
         #: Reader shape → its compiled kernel factory: code, no value.
         self._kernels: Dict[Tuple, Callable[..., RunReader]] = {}
+        #: :meth:`row_reader`'s argument shape → kernel key, factory, fixed arguments.
+        self._reader_plans: Dict[Tuple, Tuple] = {}
         #: The :class:`StoredRow` readers, per (columns, level caps).
         self._decode_plans: Dict[Tuple, RunReader] = {}
         #: The row encoder's view of the table (:class:`RowShape`), the slow
@@ -234,14 +235,6 @@ class TableStore:
         """The rows of ``row_keys`` the table holds, read in whole page runs."""
         return [*chain.from_iterable(self._read_keys(row_keys, self._decode_plan(None),
                                                      drain=lambda: True))]
-
-    def _decode_row(self, payload: bytes,
-                    columns: Optional[frozenset] = None) -> StoredRow:
-        """Decode a stand-alone record image (a log image, a fresh encode),
-        read as the one record of a page of its own."""
-        page = SlottedPage(max(64, len(payload) + 8))
-        page.insert(payload)
-        return self._decode_plan(columns)(page.frame, (0,))[0][0]
 
     def _malformed(self, data: Any, start: int, end: int) -> StorageError:
         """Why ``data[start:end]`` does not begin with this table's record prefix."""
@@ -378,28 +371,36 @@ class TableStore:
         bytes raise :class:`StorageError`.
 
         The reader is the kernel (:mod:`.kernels`) compiled for the shape of
-        these arguments, once per store; this call hands it the caps,
-        demanded levels, schemes, fresh memos, the comparisons' numbers,
-        ``predicate`` and ``make``.
+        these arguments, once per store; its key, caps, demanded levels and
+        schemes are derived once per shape (:attr:`_reader_plans`: a cached
+        statement pays none of it again); this call hands them, fresh memos,
+        the comparisons' numbers, ``predicate`` and ``make`` to its factory.
         """
-        crypto = self.strategy == "crypto"
-        fixes = [(name, slot, demanded, scheme) for name, slot in slots
-                 for demanded, scheme in ((schemes or {}).get(name, (None, None)),)
-                 if demanded is not None or (crypto and scheme is not None)]
-        key = (slots, early, tuple([name for name, _cap in level_caps]),
-               tuple([(name, slot, demanded is not None)
-                      for name, slot, demanded, _scheme in fixes]),
-               predicate is not None, make is not None,
-               tuple([(slot, operator) for slot, operator, _number in comparisons]))
-        factory = self._kernels.get(key)
-        if factory is None:
-            factory = self._kernels[key] = compile_kernel(self._shape(*key))
-        decrypt = self.keystore.decrypt if crypto else None
-        wide, wide_tags, _covered, _text = self._wide
-        args = (self._header.unpack_from, self._header_tags, wide.unpack_from, wide_tags,
-                self._malformed, [cap for _name, cap in level_caps],
-                [(demanded, None if demanded is None else scheme.generalize, {},
-                  decrypt, self.schema.name, name) for name, _slot, demanded, scheme in fixes],
+        shape = (slots, early, tuple(level_caps), tuple(schemes.items()) if schemes else (),
+                 predicate is not None, make is not None,
+                 tuple([(slot, operator) for slot, operator, _number in comparisons]))
+        plan = self._reader_plans.get(shape)
+        if plan is None:
+            crypto, by_name = self.strategy == "crypto", dict(shape[3])
+            fixes = [(name, slot, demanded, scheme) for name, slot in slots
+                     for demanded, scheme in (by_name.get(name, (None, None)),)
+                     if demanded is not None or (crypto and scheme is not None)]
+            key = (slots, early, tuple([name for name, _cap in level_caps]),
+                   tuple([(name, slot, demanded is not None)
+                          for name, slot, demanded, _scheme in fixes]), *shape[4:])
+            factory = self._kernels.get(key)
+            if factory is None:
+                factory = self._kernels[key] = compile_kernel(self._shape(*key))
+            wide, wide_tags, _covered, _text = self._wide
+            decrypt = self.keystore.decrypt if crypto else None
+            plan = self._reader_plans[shape] = key, factory, (
+                self._header.unpack_from, self._header_tags, wide.unpack_from, wide_tags,
+                self._malformed, [cap for _name, cap in level_caps]), [
+                (demanded, None if demanded is None else scheme.generalize, decrypt,
+                 self.schema.name, name) for name, _slot, demanded, scheme in fixes]
+        key, factory, head, fixes = plan
+        args = (*head, [(demanded, generalize, {}, decrypt, table, name)
+                        for demanded, generalize, decrypt, table, name in fixes],
                 [number for _slot, _operator, number in comparisons], predicate, make)
         reader = factory(*args)
         reader.spec = key, args
@@ -671,7 +672,7 @@ class TableStore:
         for page_id in dict.fromkeys((*page_ids, *self._vacated_pages)):
             self.buffer_pool.flush_page(page_id)    # no-op on a clean page
         self.buffer_pool.sync()
-        self._vacated_pages = set()
+        self._vacated_pages.clear()
 
     # -- degradation ------------------------------------------------------------
 
@@ -898,14 +899,13 @@ class TableStore:
         """Raw bytes of the heap pages and the log (forensic scanning input)."""
         return self.heap.raw_image() + self.wal.raw_image()
 
-    def restore_rows(self, payloads: Sequence[bytes], now: Optional[float] = None) -> List[int]:
-        """Write row images back — logged ones (:meth:`apply_entries`) or, given
-        ``now``, a statement's before images (abort-undo, logged under system
-        transaction 0, which recovery always redoes: a held row's −1 with the
-        image it replaces, each row's +1): held rows through
+    def restore_rows(self, images: Sequence[Tuple[int, bytes]],
+                     now: Optional[float] = None) -> List[int]:
+        """Write ``(row key, image)`` pairs back — logged ones (:meth:`apply_entries`)
+        or, given ``now``, a statement's before images (abort-undo, logged under
+        system transaction 0, which recovery always redoes: a held row's −1
+        with the image it replaces, each row's +1): held rows through
         :meth:`_rewrite_records`, missing ones as one heap batch; their keys."""
-        images = [(self._decode_row(payload, frozenset()).row_key, payload)
-                  for payload in payloads]
         held = [image for image in images if image[0] in self._locations]
         replaced = [(row_key, -1, self.heap.read(self._locations[row_key]))
                     for row_key, _payload in held] if now is not None else []
@@ -931,7 +931,7 @@ class TableStore:
         for row_key, weight, image in entries:
             (entering if weight > 0 else leaving)[row_key] = image
         written = [row_key for row_key in entering if (row_key in leaving) == self.exists(row_key)]
-        self.restore_rows([entering[row_key] for row_key in written])
+        self.restore_rows([(row_key, entering[row_key]) for row_key in written])
         left = [row_key for row_key, image in leaving.items()
                 if image is None and row_key not in entering and self.exists(row_key)]
         self._erase(left)

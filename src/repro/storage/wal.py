@@ -57,7 +57,7 @@ from ..core.errors import (
     WALError,
 )
 from ..faults import FaultPlan
-from .serialization import decode_record, encode_ints, encode_record, fixed_prefix
+from .serialization import decode_record, encode_ints, encode_record
 
 #: Version of the on-disk format, stored in every segment header.  Version 1
 #: was the single-file, unchecksummed ``wal.log``; version 2 had per-row
@@ -91,9 +91,6 @@ _SEGMENT_HEADER = struct.Struct("<8sIQI")
 _HEAD = struct.Struct("<IIBBqqqdHHI")
 _MARK_OFFSET = 8
 _CRC = struct.Struct("<I")
-#: A SCRUB audit's payload, ``[keys touched, images destroyed]`` in the record
-#: codec, and the tags it packs.
-_AUDIT, _AUDIT_TAGS = fixed_prefix("ii")
 #: Payload length standing for "no payload" (``None``), as opposed to ``b""``.
 _NO_IMAGE = 0xFFFFFFFF
 #: Length field of a DELTA entry: the bytes of its key, weight and image.
@@ -663,7 +660,7 @@ class WriteAheadLog:
         self.append(LogRecordType.SCRUB, txn_id=0,
                     table=tables.pop() if len(tables) == 1 else "",
                     attribute=f"batch:{count}", timestamp=now,
-                    after=_AUDIT.pack(2, _AUDIT_TAGS[0], count, _AUDIT_TAGS[1], scrubbed))
+                    after=encode_ints([count, scrubbed]))
         return scrubbed
 
     def _zero_entries(self, lsn: int, run: bytearray, spans: List[Tuple[int, int]],

@@ -91,7 +91,7 @@ def restore(store, keys, step):
     image = store.image(store.read(keys[-1 - step]))
     store.delete([keys[-1 - step]], now=1.0)
     list(store.scan())                  # the runs of the map without it
-    store.restore_rows([image])
+    store.restore_rows([(keys[-1 - step], image)])
 
 
 def rebuild(store, keys, step):
@@ -148,7 +148,7 @@ def test_a_lazy_scan_keeps_its_snapshot_of_the_runs(strategy):
     relocate(store, keys[5:150])
     pull(5)
     store.delete([keys[250]], now=3.0)
-    store.restore_rows([image])             # back from its image: redo's restore
+    store.restore_rows([(keys[250], image)])  # back from its image: redo's restore
     seen.extend(scan)
     got = [stored.row_key for stored in seen]
     assert len(got) == len(set(got)) and not set(got) & set(late)

@@ -84,6 +84,13 @@ def framed(payloads, pad=0):
     return page.frame, slots
 
 
+def decode_alone(store, payload, columns=None):
+    """``payload`` read as the one record of a page of its own by the
+    store's :class:`StoredRow` reader for ``columns``."""
+    page = SlottedPage(max(64, len(payload) + 8))
+    return store._decode_plan(columns)(page.frame, (page.insert(payload),))[0][0]
+
+
 def reference_decode(store: TableStore, payload: bytes):
     """What the reader must return: the generic record decode, then one
     decrypt per ciphertext field (the per-value loop the reader replaced)."""
@@ -167,7 +174,7 @@ class TestEquivalence:
         expected = reference_decode(store, payload)
         frame, slots = framed([payload], pad)
         for columns in SUBSETS:
-            assert_same(store._decode_row(payload, columns), expected, columns)
+            assert_same(decode_alone(store, payload, columns), expected, columns)
             in_place = store._decode_plan(columns)(frame, slots)[0][0]
             assert_same(in_place, expected, columns)
 
@@ -347,7 +354,7 @@ class TestCorruption:
 
     def test_good_payload_decodes(self):
         store = make_store()
-        assert store._decode_row(good_payload(store)).values["name"] == "alice"
+        assert decode_alone(store, good_payload(store)).values["name"] == "alice"
 
     #: case → the message of a full decode, and of a decode that reads the
     #: last column only (every field before it byte-skipped: a run's payload
@@ -399,9 +406,9 @@ class TestCorruption:
         # just large enough) page of its own, at the page's end.
         alone = max(64, len(bad) + 8) - len(bad) + at
         with pytest.raises(StorageError, match=f"^{full.format(at=alone)}$"):
-            store._decode_row(bad)
+            decode_alone(store, bad)
         with pytest.raises(StorageError, match=f"^{skipped.format(at=alone)}$"):
-            store._decode_row(bad, frozenset({"active"}))
+            decode_alone(store, bad, frozenset({"active"}))
         # The same bytes inside a page: the record's own end bounds the
         # decode, not the end of the 4 KiB frame around it.  The damage is
         # planted in the page under the heap, as a bad disk would.
@@ -423,9 +430,9 @@ class TestCorruption:
         column, so only full decodes verify the tail."""
         store = make_store()
         bad = good_payload(store) + b"\x00"
-        assert store._decode_row(bad, frozenset({"name"})).values == {"name": "alice"}
+        assert decode_alone(store, bad, frozenset({"name"})).values == {"name": "alice"}
         with pytest.raises(StorageError):
-            store._decode_row(bad)
+            decode_alone(store, bad)
 
 
 def constants(code):

@@ -276,7 +276,7 @@ class TestRecoveryHelpers:
         payload = store.heap.read(store._location(row_key))
         store.remove(row_key, now=1.0, scrub_log=False)
         assert not store.exists(row_key)
-        assert store.restore_rows([payload]) == [row_key]
+        assert store.restore_rows([(row_key, payload)]) == [row_key]
         assert store.read(row_key).values["name"] == "alice"
 
     def test_rebuild_locations_after_restart(self):

@@ -165,6 +165,7 @@ def _check_crash_state(tmp_path, recorded, applied, label):
     store = _store(loaded)
     report = RecoveryManager(loaded, {"t": store}).recover()
     assert sorted(store.row_keys()) == sorted(entering - {removed}), label
+    assert report.redone_inserts == len(entering), label
     assert report.redone_removes == (removed in entering), label
     # ... and nothing of a row that is gone is left in the log.
     gone = [_secret(row) for row in images if not held.get(row)]

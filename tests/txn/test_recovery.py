@@ -120,7 +120,7 @@ class TestRedo:
         store.remove(row_key, now=5.0, scrub_log=False)
         # Pretend the deletion page write was lost: restore the row image.
         run = [r for r in wal if r.record_type is LogRecordType.DELTA][0]
-        store.restore_rows([delta_entries(run)[0][2]])
+        store.restore_rows([(row_key, delta_entries(run)[0][2])])
         report = RecoveryManager(wal, {"person": store}).recover()
         assert report.redone_removes == 1
         assert not store.exists(row_key)
@@ -160,7 +160,7 @@ class TestRedo:
         del wal.scrub_records
         (removal,) = [r for r in wal if r.record_type is LogRecordType.DELTA][1:]
         assert delta_entries(removal) == [(key, -1, None) for key in doomed]
-        store.restore_rows(lost)                  # the page write never happened
+        store.restore_rows(list(zip(doomed, lost)))  # the page write never happened
         report = RecoveryManager(wal, {"person": store}).recover()
         assert report.redone_removes == len(doomed)
         assert sorted(store.row_keys()) == [keys[0], keys[4]]
@@ -180,7 +180,7 @@ class TestRedo:
         image = store.image(store.read(keys[0]))
         loser = manager.begin()
         assert store.delete([keys[0]], now=1.0, txn_id=loser.txn_id) == 1
-        store.restore_rows([image])               # the page write never happened
+        store.restore_rows([(keys[0], image)])    # the page write never happened
         report = RecoveryManager(wal, {"person": store}).recover()
         assert loser.txn_id in report.loser_txns
         assert report.redone_removes == 1 and report.undone_inserts == 0
