@@ -181,9 +181,6 @@ class SchedulerStats:
 #: successfully (steps it dropped or deferred are simply not returned).
 BatchApplier = Callable[[Any, List[DegradationStep]], List[DegradationStep]]
 
-#: Callback invoked when a record reaches its final tuple state.
-CompletionCallback = Callable[[Any], None]
-
 
 class DegradationScheduler:
     """Priority-queue scheduler of cohort degradation steps — independent of
@@ -318,17 +315,12 @@ class DegradationScheduler:
         else:
             self._event_waiters.pop(event, None)
 
-    def _finish(self, cohort: _Cohort,
-                on_complete: Optional[CompletionCallback]) -> None:
+    def _finish(self, cohort: _Cohort) -> None:
         """``cohort`` reached its final tuple state: its records leave."""
-        done = list(cohort.members)
-        for record_id in done:
+        for record_id in cohort.members:
             del self._cohort_of[record_id]
         cohort.members.clear()
         self._retire(cohort)
-        if on_complete is not None:
-            for record_id in done:
-                on_complete(record_id)
 
     def _push(self, cohort: _Cohort, attribute: str, from_state: int, due: float,
               at: float, event: Optional[str] = None) -> None:
@@ -416,13 +408,12 @@ class DegradationScheduler:
         return grouped
 
     def _mark_applied(self, steps: Iterable[DegradationStep], now: float,
-                      applied: List[DegradationStep],
-                      on_complete: Optional[CompletionCallback]) -> None:
+                      applied: List[DegradationStep]) -> None:
         """Book-keeping after an applier reported ``steps`` as done; their
         lag is recorded once per due time, not once per record."""
         dues: Dict[float, int] = {}
         for step in steps:
-            count = self._advance(step, on_complete)
+            count = self._advance(step)
             if count:
                 applied.append(step)
                 dues[step.due] = dues.get(step.due, 0) + count
@@ -435,8 +426,7 @@ class DegradationScheduler:
         stale = step.attribute in cohort.queued or cohort.states[step.attribute] != step.from_state
         return () if stale else tuple(cohort.members)
 
-    def _advance(self, step: DegradationStep,
-                 on_complete: Optional[CompletionCallback]) -> int:
+    def _advance(self, step: DegradationStep) -> int:
         """Move the step's cohort on; returns how many records stepped."""
         moved = self.moving(step)
         if not moved:
@@ -447,7 +437,7 @@ class DegradationScheduler:
         self._schedule_next(cohort, step.attribute)
         if cohort.is_final():
             self.stats.records_completed += len(step.record_ids)
-            self._finish(cohort, on_complete)
+            self._finish(cohort)
         return len(step.record_ids)
 
     def predict_complete(self, steps: Sequence[DegradationStep]) -> List[Any]:
@@ -473,17 +463,15 @@ class DegradationScheduler:
                 completed.extend(cohort.members)
         return completed
 
-    def run_due(self, now: float, applier: Callable[[DegradationStep], bool],
-                on_complete: Optional[CompletionCallback] = None) -> List[DegradationStep]:
+    def run_due(self, now: float, applier: Callable[[DegradationStep], bool]
+                ) -> List[DegradationStep]:
         """:meth:`run_due_batched` with a per-step ``applier``, which returns
         whether it applied the step (a refused step's records keep their
         state)."""
         return self.run_due_batched(
-            now, lambda _group, steps: [step for step in steps if applier(step)],
-            on_complete)
+            now, lambda _group, steps: [step for step in steps if applier(step)])
 
-    def run_due_batched(self, now: float, applier: BatchApplier,
-                        on_complete: Optional[CompletionCallback] = None
+    def run_due_batched(self, now: float, applier: BatchApplier
                         ) -> List[DegradationStep]:
         """Drain due steps through a batch applier, group by group.
 
@@ -499,7 +487,7 @@ class DegradationScheduler:
             if not grouped:
                 return applied
             for group, steps in grouped.items():
-                self._mark_applied(applier(group, steps), now, applied, on_complete)
+                self._mark_applied(applier(group, steps), now, applied)
 
     def overdue_count(self, now: float) -> int:
         """Record steps due at or before ``now`` — the backlog the daemon
@@ -537,4 +525,4 @@ class DegradationScheduler:
                        for time in times), key=lambda firing: firing[1])
 
 __all__ = ["DegradationStep", "DegradationScheduler", "SchedulerStats",
-           "BatchApplier", "CompletionCallback"]
+           "BatchApplier"]

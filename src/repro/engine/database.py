@@ -264,7 +264,7 @@ class InstantDB:
         otherwise read-only (``CREATE TABLE`` then ``commit()``) thereby has a
         record of its own and still flushes.  Recovery restores the last
         CATALOG record whatever its transaction's fate (DDL is not transactional).
-        :meth:`checkpoint` logs one unconditionally, so truncation keeps one.
+        :meth:`checkpoint` logs one when it truncates, so truncation keeps one.
         """
         if not self._catalog_dirty:
             return
@@ -1075,11 +1075,11 @@ class InstantDB:
     def checkpoint(self, truncate_wal: bool = False) -> None:
         """Flush every table and the WAL; optionally truncate the log prefix.
 
-        The CATALOG anchor comes first, then the event firings the schedule
-        can still need (:meth:`DegradationScheduler.snapshot`), logged again
-        as ``SCHED_EVENT`` records, then the CHECKPOINT marker carrying the
-        heap page directory (table → page ids) so a reopened database can
-        find its flushed pages again.  Truncation keeps from the anchor on.
+        The CATALOG anchor (if due) comes first, then the event firings the
+        schedule can still need (:meth:`DegradationScheduler.snapshot`),
+        logged again as ``SCHED_EVENT`` records, then the CHECKPOINT marker
+        with the heap page directory (table → page ids) a reopened database
+        finds its pages by.  Truncation keeps from the anchor on.
         """
         self._require_writable()
         now = self.clock.now()
@@ -1092,14 +1092,14 @@ class InstantDB:
             raise
         # The catalog snapshot is appended FIRST: truncation keeps from this
         # record on, so the log always carries the DDL state a bare recover()
-        # needs, even after every older record is dropped.  (Engines with
+        # needs; a checkpoint that drops nothing appends one only if the
+        # catalog is dirty (the log holds the last).  Engines with
         # unserializable custom schemes skip it and keep the legacy re-run-DDL
-        # reopen protocol; truncation then anchors on what follows.)
-        # The anchor opens a log segment of its own, so truncating up to it
-        # unlinks whole segment files.
+        # reopen protocol; truncation then anchors on what follows.  The anchor
+        # opens a log segment of its own, so truncating up to it unlinks whole segments.
         self.wal.roll()
         anchor = None
-        payload = self._encode_catalog_snapshot()
+        payload = self._encode_catalog_snapshot() if truncate_wal or self._catalog_dirty else None
         if payload is not None:
             anchor = self.wal.append(LogRecordType.CATALOG, 0, after=payload,
                                      timestamp=now)

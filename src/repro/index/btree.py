@@ -155,22 +155,6 @@ class BPlusTreeIndex(Index):
             result.add(row_key)
         return sorted(result)
 
-    def entries(self, key: Any) -> List[Tuple[Any, int]]:
-        """``(stored key, row key)`` pairs of one key (index-only eq probes).
-
-        Unlike :meth:`search` this exposes the key *as stored* — an
-        index-only scan projects it without touching the heap.
-        """
-        self.stats.lookups += 1
-        skey = sort_key(key)
-        leaf = self._find_leaf(skey)
-        index = bisect.bisect_left(leaf.sort_keys, skey)
-        if index < len(leaf.keys) and leaf.sort_keys[index] == skey:
-            self.stats.entries_scanned += len(leaf.values[index])
-            stored = leaf.keys[index]
-            return [(stored, row_key) for row_key in sorted(leaf.values[index])]
-        return []
-
     def iter_range_entries(self, low: Any = None, high: Any = None,
                            include_low: bool = True,
                            include_high: bool = True) -> Iterator[Tuple[Any, int]]:

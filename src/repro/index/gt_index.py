@@ -154,20 +154,18 @@ class GTIndex(Index):
     # -- accuracy-aware queries -----------------------------------------------------
 
     def _matching_buckets(self, value: Any,
-                          level: int) -> Iterator[Tuple[Any, Set[int]]]:
-        """Buckets matching ``value`` at ``level``: the exact ``(level, v)``
-        bucket plus every finer-stored bucket whose value generalizes to it
-        (the paper's query semantics: only rows whose state makes level ``k``
-        computable qualify).  Yields ``(visible value, posting set)`` pairs —
-        the visible value is what a heap fetch would have produced at the
-        demanded accuracy."""
+                          level: int) -> Iterator[Set[int]]:
+        """Posting sets matching ``value`` at ``level``: the exact
+        ``(level, v)`` bucket plus every finer-stored bucket whose value
+        generalizes to it (the paper's query semantics: only rows whose state
+        makes level ``k`` computable qualify)."""
         if not 0 <= level < self.scheme.num_levels:
             raise IndexError_(f"index {self.name!r}: bad accuracy level {level}")
         surrogate = _hashable(value)
         exact = self._buckets[level].get(surrogate)
         if exact:
             self.stats.entries_scanned += len(exact)
-            yield self._display_keys[(level, surrogate)], exact
+            yield exact
         for finer_level in range(level):
             for finer_surrogate, bucket in self._buckets[finer_level].items():
                 self.stats.nodes_visited += 1
@@ -180,26 +178,15 @@ class GTIndex(Index):
                     continue
                 if _hashable(generalized) == surrogate:
                     self.stats.entries_scanned += len(bucket)
-                    yield generalized, bucket
+                    yield bucket
 
     def search_at(self, value: Any, level: int) -> List[int]:
         """Rows whose value generalizes to ``value`` at accuracy ``level``."""
         self.stats.lookups += 1
         result: Set[int] = set()
-        for _visible, bucket in self._matching_buckets(value, level):
+        for bucket in self._matching_buckets(value, level):
             result.update(bucket)
         return sorted(result)
-
-    def entries_at(self, value: Any, level: int) -> Iterator[Tuple[Any, int]]:
-        """``(visible value, row key)`` pairs matching ``value`` at ``level``.
-
-        Carrying the visible value lets a covering query be answered from
-        the index alone (index-only scan), skipping the heap entirely.
-        """
-        self.stats.lookups += 1
-        for visible, bucket in self._matching_buckets(value, level):
-            for row_key in sorted(bucket):
-                yield visible, row_key
 
     def level_histogram(self) -> Dict[int, int]:
         """Number of postings per accuracy level (C2/C3 reporting)."""

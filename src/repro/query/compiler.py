@@ -326,8 +326,7 @@ def split_filter(scan: Any, layout: Layout, offset: int
                  ) -> Tuple[Tuple[Comparison, ...], List[ast.Expression]]:
     """A scan's pushed filter split into the ``column op number`` conjuncts
     its kernel evaluates inline — slots of the scan's own rows, a ``?`` still
-    its placeholder — and the others (all of them for an index-only scan: it
-    runs no kernel)."""
+    its placeholder — and the others."""
     inline: List[Comparison] = []
     rest: List[ast.Expression] = []
     where = scan.filter
@@ -336,7 +335,7 @@ def split_filter(scan: Any, layout: Layout, offset: int
         number = getattr(conjunct, "right", None)
         if isinstance(number, ast.Literal) and type(number.value) in (int, float):
             number = number.value
-        if isinstance(conjunct, ast.Comparison) and not scan.index_only \
+        if isinstance(conjunct, ast.Comparison) \
                 and isinstance(number, (int, float, ast.Placeholder)) \
                 and conjunct.operator in ("=", "!=", "<", "<=", ">", ">=") \
                 and isinstance(conjunct.left, ast.ColumnRef):

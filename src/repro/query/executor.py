@@ -71,8 +71,6 @@ class ExecutorStats:
     rows_returned: int = 0
     index_lookups: int = 0
     seq_scans: int = 0
-    #: Covering queries answered from index entries alone (no heap fetch).
-    index_only_scans: int = 0
 
 
 class Executor:

@@ -19,8 +19,6 @@ a conventional iterator engine:
   access path the planner chose.  The store reads page runs: the level rule
   on the record header first, then only the filter's columns, then — for the
   survivors — the other columns the query needs;
-* :class:`IndexOnlyScan` — answers a covering query from GT/B+-tree index
-  entries alone, never touching the heap;
 * :class:`Filter` — evaluates the cross-table **residual** above the joins;
 * :class:`HashJoin` — builds a hash table on the estimated-smaller input,
   ends at once when it is empty, and hands the other input — when that is a
@@ -279,67 +277,9 @@ class IndexScan(_ScanBase):
         raise ExecutionError(f"unknown access path kind {access.kind!r}")
 
 
-class IndexOnlyScan(Operator):
-    """Covering scan: rows come from index entries, never the heap.
-
-    Eligible when the planner proved the chosen GT/B+-tree index covers every
-    column the query needs at its accuracy level
-    (:meth:`~repro.query.planner.Planner._index_only_eligible`).  Each index
-    entry carries the visible value — the stored key for B+-tree probes, the
-    demanded-level generalization for GT probes — so no heap page is read and
-    no record is decoded.
-    """
-
-    label = "IndexOnlyScan"
-
-    def __init__(self, runtime: PipelineRuntime, scan: TableScanPlan,
-                 filter_fn: Optional[RowFn], spec: Optional[Tuple] = None,
-                 comparisons: Tuple[Comparison, ...] = ()) -> None:
-        # ``spec`` and ``comparisons`` (a record reader's) are unused: none runs.
-        super().__init__()
-        self.runtime = runtime
-        self.scan = scan
-        self.filter_fn = filter_fn
-
-    def describe(self) -> str:
-        return self.scan.describe()
-
-    def _entries(self) -> Iterator[Tuple[Any, int]]:
-        access = self.scan.access
-        index = access.index.index
-        if access.kind == "gt_level":
-            return index.entries_at(access.key, access.level)
-        if access.kind == "index_eq":
-            return iter(index.entries(access.key))
-        if access.kind == "index_range":
-            entries = index.iter_range_entries(
-                access.low, access.high,
-                include_low=access.include_low,
-                include_high=access.include_high)
-            # Same sentinel guard as IndexScan: an open upper bound would
-            # admit NULL/SUPPRESSED keys, which the predicate excludes.
-            return ((key, row_key) for key, row_key in entries
-                    if not is_missing(key))
-        raise ExecutionError(
-            f"access path {access.kind!r} cannot run index-only")
-
-    def _runs(self, drain: Drain) -> Iterator[Sequence[Any]]:
-        stats = self.runtime.stats
-        stats.index_lookups += 1
-        stats.index_only_scans += 1
-        store = self.runtime.stores(self.scan.table)
-        filter_fn = self.filter_fn
-        bare = not self.scan.needed_columns     # e.g. COUNT(*): the key only
-        for value, row_key in self._entries():
-            row = (row_key,) if bare else (row_key, value)
-            if store.exists(row_key) and (filter_fn is None or filter_fn(row)):
-                yield [row]
-
-
 def make_scan(runtime: PipelineRuntime, scan: TableScanPlan, filter_fn: Optional[RowFn],
               spec: Tuple, comparisons: Tuple[Comparison, ...] = ()) -> Operator:
-    kind = SeqScan if scan.access.kind == "seq" else \
-        IndexOnlyScan if scan.index_only else IndexScan
+    kind = SeqScan if scan.access.kind == "seq" else IndexScan
     operator = kind(runtime, scan, filter_fn, spec, comparisons)
     operator.estimated_rows = scan.estimated_rows
     return operator
@@ -834,7 +774,7 @@ class StreamingResult:
 
 __all__ = [
     "Operator", "OperatorStats", "PipelineRuntime", "SeqScan", "IndexScan",
-    "IndexOnlyScan", "Filter", "HashJoin", "Project", "Aggregate", "Sort",
+    "Filter", "HashJoin", "Project", "Aggregate", "Sort",
     "TopN", "Limit", "StreamingResult", "build_pipeline",
     "build_match_pipeline", "make_scan", "render_expression", "ROW_KEY_FIELD",
     "StoreProvider", "Drain", "draining", "lazy",

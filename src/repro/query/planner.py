@@ -24,8 +24,6 @@ The physical step (:meth:`Planner.plan_physical`) additionally:
   **residual** evaluated above the joins;
 * **costs** the candidate access paths against a sequential scan from the
   catalog's table statistics (:mod:`repro.query.statistics`);
-* marks a scan **index-only** when the chosen GT/B+-tree index entries cover
-  every needed column at the query's accuracy level;
 * estimates each scan *after* its filter, builds an inner join's hash table
   on the smaller filtered side and fetches the other side by the build
   side's keys — through an index on its join column when the cost model
@@ -134,8 +132,6 @@ class TableScanPlan:
     #: This scan is the probe side of an inner hash join: only rows whose
     #: ``probe_key`` column is among the build side's keys are produced.
     probe_key: Optional[str] = None
-    #: The chosen index covers every needed column: skip the heap fetch.
-    index_only: bool = False
     #: Estimated rows this scan produces, after its filter.
     estimated_rows: Optional[float] = None
     #: For join-side scans of an inner join: build the hash table on the
@@ -149,9 +145,6 @@ class TableScanPlan:
         levels = ", ".join(f"{col}@{lvl}" for col, lvl in sorted(self.demanded_levels.items()))
         accuracy = f" accuracy[{levels}]" if levels else ""
         access = self.access.describe()
-        if self.index_only:
-            _name, _sep, detail = access.partition("(")
-            access = f"IndexOnlyScan({detail}" if detail else "IndexOnlyScan"
         pushed = ""
         if self.probe_key is not None and self.access.kind != "index_keys":
             pushed += f" probe ({self.probe_key} in build keys)"
@@ -311,8 +304,6 @@ class Planner:
                 plan.base.table if not clauses else None, residual)
         if clauses:
             self._choose_join_strategy(plan)
-        for scan in scans:
-            scan.index_only = self._index_only_eligible(scan)
         return plan
 
     def demanded_levels_for(self, table: str,
@@ -398,39 +389,6 @@ class Planner:
                         include_high=operator == "<=") / stats.row_count
             selectivity *= min(1.0, max(0.0, fraction))
         return max(selectivity, 0.001)
-
-    # -- index-only scans -----------------------------------------------------------
-
-    def _index_only_eligible(self, scan: TableScanPlan) -> bool:
-        """A scan can skip the heap when the index covers everything.
-
-        Covering requires (a) every needed column to be the indexed column
-        itself (GT and B+-tree entries carry their key, so the visible value
-        is reconstructible without the heap), and (b) no *other* degradable
-        column to demand an accuracy level: visibility exclusion (a stored
-        level coarser than demanded hides the row) is decided by per-row
-        levels that live in the heap record — except for the GT index's own
-        column, whose bucket structure enforces exactly that rule.
-        """
-        access = scan.access
-        if access.kind == "gt_level":
-            pass
-        elif access.kind in ("index_eq", "index_range"):
-            if access.index is None or access.index.method != "btree":
-                return False
-        else:
-            return False
-        if scan.needed_columns is None or scan.probe_key is not None:
-            return False
-        if not set(scan.needed_columns) <= {access.column}:
-            return False
-        for column, level in scan.demanded_levels.items():
-            if level is None:
-                continue
-            if access.kind == "gt_level" and column == access.column:
-                continue
-            return False
-        return True
 
     # -- join strategy ----------------------------------------------------------------
 

@@ -4,7 +4,7 @@ One scenario op stream replays against two engines, each checked against
 the reference model of :mod:`repro.scenarios.reference`:
 
 * ``compiled`` — the engine: compiled predicates, pushdown, column pruning,
-  cost-based plans, index-only scans.
+  cost-based plans, every read through the compiled record reader.
 * ``remote`` — the same engine behind the asyncio wire server, driven
   through the remote PEP 249 driver: sentinels must round-trip the socket
   by identity.

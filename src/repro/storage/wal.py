@@ -407,7 +407,7 @@ class WALStats:
     scrub_bytes_zeroed: int = 0
     truncations: int = 0
     #: Bytes physically written to the log directory — appended records,
-    #: segment headers, scrub marks and zeroes, boundary-segment rewrites;
+    #: segment headers, scrub marks and zeroes;
     #: the guard that the durability path stays O(n) and scrubbing O(k).
     bytes_written: int = 0
 
@@ -435,7 +435,7 @@ class _Segment:
 
 
 def _fsync_directory(path: str) -> None:
-    """Make a create, rename or unlink inside ``path`` durable."""
+    """Make a create or unlink inside ``path`` durable."""
     fd = os.open(path, os.O_RDONLY)
     try:
         os.fsync(fd)
@@ -570,7 +570,7 @@ class WriteAheadLog:
         """Make the next record appended the first of a new segment.
 
         Checkpoints call this ahead of their anchor record, so truncating up
-        to the anchor unlinks whole segments and rewrites none.
+        to the anchor drops every record before it.
         """
         self._roll_at = self._next_lsn
 
@@ -687,14 +687,17 @@ class WriteAheadLog:
                                    bytes(run[stretch_at:stretch_end])))
 
     def truncate_until(self, lsn: int) -> int:
-        """Drop every record with ``record.lsn <= lsn`` (post-checkpoint cleanup).
+        """Drop the records with ``record.lsn <= lsn`` (post-checkpoint cleanup).
 
-        Segments lying wholly at or below ``lsn`` are unlinked; when ``lsn``
-        falls inside a segment, that one boundary segment is rewritten
-        without its dropped prefix (tmp file + rename) — the only rewrite
-        the log ever does, and one a checkpoint avoids through :meth:`roll`.
-        Memory follows the disk segment by segment, so an I/O failure
-        (:class:`DurabilityError`) leaves a shorter but consistent truncation.
+        On disk a segment goes whole or not at all: the segments lying wholly
+        at or below ``lsn`` are unlinked, and a segment ``lsn`` falls inside
+        is kept whole, so the log keeps a longer prefix — one recovery
+        replays as it replays an untruncated log.  A checkpoint calls
+        :meth:`roll` ahead of its anchor, so only a transaction left open
+        across it keeps such a segment.  A memory-only log drops exactly
+        up to ``lsn``.  Memory follows the disk segment by segment, so an
+        I/O failure (:class:`DurabilityError`) leaves a shorter but
+        consistent truncation.  Returns the number of records dropped.
         """
         if not self._records or lsn < self._records[0].lsn:
             return 0
@@ -730,7 +733,7 @@ class WriteAheadLog:
     # -- segment files -------------------------------------------------------------
 
     def _sync_directory(self) -> None:
-        """fsync the log directory after a segment create, rename or unlink."""
+        """fsync the log directory after a segment create or unlink."""
         _fsync_directory(self.path)
 
     def _create_segment(self, first_lsn: int) -> _Segment:
@@ -883,50 +886,15 @@ class WriteAheadLog:
     def _truncate_segments(self, lsn: int) -> None:
         changed = False
         try:
-            while self._segments and self._segments[0].first_lsn <= lsn:
+            while self._segments and self._segments[0].end_lsn - 1 <= lsn:
                 segment = self._segments[0]
-                if segment.end_lsn - 1 <= lsn:
-                    os.unlink(segment.path)
-                    changed = True
-                    del self._segments[0]
-                    self._drop_records(segment.end_lsn - 1)
-                else:
-                    self._rewrite_boundary(segment, lsn)
-                    changed = True
-                    self._drop_records(lsn)
+                os.unlink(segment.path)
+                changed = True
+                del self._segments[0]
+                self._drop_records(segment.end_lsn - 1)
         finally:
             if changed:
                 self._sync_directory()
-
-    def _rewrite_boundary(self, segment: _Segment, lsn: int) -> None:
-        """Rewrite ``segment`` without its records up to ``lsn``."""
-        cut = segment.offsets[lsn + 1 - segment.first_lsn]
-        with open(segment.path, "rb") as handle:
-            handle.seek(cut)
-            body = handle.read(segment.size - cut)
-        data = _segment_header(lsn + 1) + body
-        tmp_path = segment.path + _TMP_SUFFIX
-        try:
-            fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-            try:
-                os.write(fd, data)
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-            os.replace(tmp_path, segment.path)
-        except OSError:
-            try:
-                os.unlink(tmp_path)
-            except OSError:  # reprolint: disable=no-swallowed-io-error -- best-effort tmp cleanup while propagating the original failure
-                pass
-            raise
-        self.stats.bytes_written += len(data)
-        shift = cut - _SEGMENT_HEADER.size
-        segment.offsets = array("I", (
-            offset - shift
-            for offset in segment.offsets[lsn + 1 - segment.first_lsn:]))
-        segment.first_lsn = lsn + 1
-        segment.size = len(data)
 
     # -- opening ---------------------------------------------------------------------
 
@@ -951,7 +919,8 @@ class WriteAheadLog:
     def _load(self) -> None:
         """Read every segment back, repairing what a crash left half-done.
 
-        * a stray ``*.tmp`` (an interrupted boundary rewrite) is removed;
+        * a stray ``*.tmp`` (an interrupted segment rewrite of an older
+          build) is removed;
         * in the *last* segment a record that does not check out is a torn
           append: the file is chopped there.  Anywhere else — or an LSN out
           of sequence — it is corruption and raises

@@ -159,12 +159,12 @@ class TestTimedSteps:
         assert scheduler.stats.steps_applied == 50
         assert scheduler.stats.mean_lag == pytest.approx(9.5)
 
-    def test_completion_callback(self, tuple_lcp):
+    def test_completed_record_leaves_the_schedule(self, tuple_lcp):
         scheduler = DegradationScheduler()
         scheduler.register("r1", tuple_lcp, inserted_at=0.0)
-        completed = []
-        scheduler.run_due(10 * MONTH, lambda step: True, on_complete=completed.append)
-        assert completed == ["r1"]
+        scheduler.run_due(10 * MONTH, lambda step: True)
+        assert not scheduler.is_registered("r1")
+        assert scheduler.stats.records_completed == 1
 
     def test_applier_false_drops_without_state_change(self, tuple_lcp):
         scheduler = DegradationScheduler()
@@ -297,7 +297,7 @@ class TestPredictComplete:
         scheduler.register("r1", lcp, inserted_at=0.0)
         scheduler.register("ghost", lcp, inserted_at=1.0)
         stale, ghost = popped(scheduler, HOUR + 1)
-        scheduler._mark_applied([stale], HOUR, [], None)   # r1 moved on: stale
+        scheduler._mark_applied([stale], HOUR, [])   # r1 moved on: stale
         scheduler.cancel("ghost")                          # no record left
         assert (stale.record_ids, ghost.record_ids) == (("r1",), ("ghost",))
         assert scheduler.predict_complete([stale, ghost]) == []
@@ -363,11 +363,9 @@ class TestBatchedDrain:
     def test_run_due_batched_applies_and_completes(self, tuple_lcp):
         scheduler = DegradationScheduler()
         scheduler.register(("person", 1), tuple_lcp, inserted_at=0.0)
-        completed = []
-        applied = scheduler.run_due_batched(
-            10 * MONTH, lambda key, steps: steps, on_complete=completed.append)
+        applied = scheduler.run_due_batched(10 * MONTH, lambda key, steps: steps)
         assert len(applied) == 4                     # full life cycle, catch-up
-        assert completed == [("person", 1)]
+        assert not scheduler.is_registered(("person", 1))
         assert scheduler.stats.steps_applied == 4
         assert scheduler.stats.records_completed == 1
 

@@ -63,6 +63,41 @@ class TestCheckpointing:
         assert reopened.execute("SELECT id FROM person").column("id") == [1]
 
 
+    def test_clean_checkpoint_that_truncates_nothing_logs_no_catalog(
+            self, tmp_path):
+        """The log still holds the last CATALOG snapshot, so a checkpoint
+        that drops nothing and finds the catalog clean adds none; a bare
+        recover() restores the catalog from the one logged with the DDL."""
+        data_dir = str(tmp_path / "data")
+        db = build_engine(data_dir=data_dir)
+        db.execute(f"INSERT INTO person (id, location) VALUES (1, '{PARIS}')")
+        appended = db.wal.stats.appended_by_type
+        catalogs = appended.get("CATALOG", 0)
+        assert catalogs >= 1
+        db.checkpoint()
+        assert appended.get("CATALOG", 0) == catalogs
+        assert appended.get("CHECKPOINT", 0) == 1
+        db.daemon.pause()                 # abandon without close()
+        reopened = InstantDB(data_dir=data_dir)
+        reopened.recover()
+        assert reopened.describe() == db.describe()
+        assert reopened.execute("SELECT id FROM person").column("id") == [1]
+
+    def test_truncating_checkpoint_logs_catalog(self, tmp_path):
+        data_dir = str(tmp_path / "data")
+        db = build_engine(data_dir=data_dir)
+        db.execute(f"INSERT INTO person (id, location) VALUES (1, '{PARIS}')")
+        catalogs = db.wal.stats.appended_by_type.get("CATALOG", 0)
+        db.checkpoint(truncate_wal=True)
+        assert db.wal.stats.appended_by_type.get("CATALOG", 0) == catalogs + 1
+        assert next(iter(db.wal)).record_type is LogRecordType.CATALOG
+        db.daemon.pause()                 # abandon without close()
+        reopened = InstantDB(data_dir=data_dir)
+        reopened.recover()
+        assert reopened.describe() == db.describe()
+        assert reopened.execute("SELECT id FROM person").column("id") == [1]
+
+
 class TestIntrospection:
     def test_tables_listing(self, db):
         assert db.tables() == ["person"]

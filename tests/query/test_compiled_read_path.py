@@ -1,4 +1,4 @@
-"""The compiled read path: closures, pruning, index-only scans, streaming.
+"""The compiled read path: closures, pruning, covering index probes, streaming.
 
 Covers the PR-5 overhaul end to end:
 
@@ -9,8 +9,8 @@ Covers the PR-5 overhaul end to end:
   (:mod:`repro.scenarios.reference` is the proof harness);
 * the planner's column pruning reaches the store (subset decode) and the
   scan's visible rows;
-* covering queries run as index-only scans over GT and B+-tree entries with
-  zero heap reads;
+* covering queries run as index scans through the record reader and answer
+  as the model does, rows hidden by the level rule included;
 * LIMIT over an index range streams B+-tree entries (O(k) index work);
 * hash-join key extractors normalize unhashable degraded values once per row;
 * ORDER BY columns that are not in the output list sort correctly and stay
@@ -138,25 +138,26 @@ class TestColumnPruning:
         assert db.execute("SELECT COUNT(*) AS n FROM t").rows == [(200,)]
 
 
-class TestIndexOnlyScans:
+class TestCoveringIndexQueries:
+    """A query the index alone could answer still reads the heap through the
+    record reader, so the level rule decides every row it returns."""
+
     def make_indexed(self):
         db = make_stable_db()
         db.execute("CREATE INDEX idx_val ON t (val) USING btree")
         return db
 
-    def test_covering_range_query_skips_the_heap(self):
+    def test_covering_range_query_runs_as_index_scan(self):
         db = self.make_indexed()
-        explain = "\n".join(r[0] for r in db.execute(
-            "EXPLAIN SELECT val FROM t WHERE val BETWEEN 10 AND 20").rows)
-        assert "IndexOnlyScan" in explain
+        sql = "SELECT val FROM t WHERE val BETWEEN 10 AND 20"
+        explain = "\n".join(r[0] for r in db.execute("EXPLAIN " + sql).rows)
+        assert "IndexRangeScan(idx_val" in explain
         store = db.table_store("t")
         reads_before = store.stats.reads
-        result = db.execute("SELECT val FROM t WHERE val BETWEEN 10 AND 20")
-        assert store.stats.reads == reads_before      # zero heap fetches
-        assert db.executor.stats.index_only_scans > 0
-        expected = sorted(v for v in ((i * 7) % 101 for i in range(1, 201))
-                          if 10 <= v <= 20)
-        assert sorted(row[0] for row in result.rows) == expected
+        result = db.execute(sql)
+        assert store.stats.reads > reads_before       # the heap is fetched
+        assert sorted(result.rows) == \
+            sorted(make_stable_db(model=True).execute(sql).rows)
 
     def test_non_covering_query_still_fetches_the_heap(self):
         db = self.make_indexed()
@@ -167,16 +168,16 @@ class TestIndexOnlyScans:
 
     def test_covering_aggregate_over_equality_probe(self):
         db = self.make_indexed()
-        explain = "\n".join(r[0] for r in db.execute(
-            "EXPLAIN SELECT COUNT(*) AS n FROM t WHERE val = 7").rows)
-        assert "IndexOnlyScan" in explain
+        sql = "SELECT COUNT(*) AS n FROM t WHERE val = 7"
+        explain = "\n".join(r[0] for r in db.execute("EXPLAIN " + sql).rows)
+        assert "IndexScan(idx_val val=7)" in explain
         baseline = make_stable_db(model=True)
-        assert db.execute("SELECT COUNT(*) AS n FROM t WHERE val = 7").rows == \
-            baseline.execute("SELECT COUNT(*) AS n FROM t WHERE val = 7").rows
+        assert db.execute(sql).rows == baseline.execute(sql).rows
 
-    def test_demanded_accuracy_on_other_columns_blocks_index_only(self):
-        """Visibility exclusion needs per-row levels from the heap, so a
-        degradable column with a demanded level disables the heap skip."""
+    @staticmethod
+    def make_located(index_sql):
+        """``p (id, location)`` in an engine and in the model over its
+        catalog, the location degrading address → city after an hour."""
         from repro import AttributeLCP
         from repro.core.domains import build_location_tree
         db = InstantDB()
@@ -186,41 +187,51 @@ class TestIndexOnlyScans:
                                         name="location_lcp"))
         db.execute("CREATE TABLE p (id INT PRIMARY KEY, location TEXT "
                    "DEGRADABLE DOMAIN location POLICY location_lcp)")
-        db.execute("CREATE INDEX idx_id ON p (id) USING btree")
-        db.executemany("INSERT INTO p VALUES (?, ?)",
-                       [(i, "1 Main Street, Paris") for i in range(1, 100)])
+        db.execute(index_sql)
+        return db, ReferenceModel(db.catalog)
+
+    def test_rows_hidden_by_the_level_rule_stay_hidden_through_the_index(self):
+        """Rows whose location is stored coarser than the purpose demands
+        take no part, whichever access path reaches them."""
+        db, model = self.make_located("CREATE INDEX idx_id ON p (id) USING btree")
+        sql = "INSERT INTO p VALUES (?, ?)"
+        for target in (db, model):
+            target.executemany(sql, [(i, "1 Main Street, Paris")
+                                     for i in range(1, 50)])
+        db.advance_time(hours=2)               # ids 1..49 at city level
+        model.advance(2 * 3600)
+        for target in (db, model):
+            target.executemany(sql, [(i, "1 Main Street, Paris")
+                                     for i in range(50, 100)])
+        db.execute("DECLARE PURPOSE exact SET ACCURACY LEVEL address "
+                   "FOR p.location")
+        query = "SELECT id FROM p WHERE id BETWEEN 45 AND 55"
         explain = "\n".join(r[0] for r in db.execute(
-            "EXPLAIN SELECT id FROM p WHERE id BETWEEN 5 AND 90").rows)
-        assert "IndexOnlyScan" not in explain
+            "EXPLAIN " + query, purpose="exact").rows)
+        assert "IndexRangeScan(idx_id" in explain
+        result = db.execute(query, purpose="exact")
+        assert sorted(result.rows) == [(i,) for i in range(50, 56)]
+        assert sorted(result.rows) == \
+            sorted(model.execute(query, purpose="exact").rows)
 
-    def test_gt_covering_probe_is_index_only(self):
-        from repro import AttributeLCP
-        from repro.core.domains import build_location_tree
-        db = InstantDB()
-        location = db.register_domain(build_location_tree())
-        db.register_policy(AttributeLCP(location,
-                                        transitions=["1 h", "1 d", "1 month", "3 months"],
-                                        name="location_lcp"))
-        db.execute("CREATE TABLE p (id INT PRIMARY KEY, location TEXT "
-                   "DEGRADABLE DOMAIN location POLICY location_lcp)")
-        db.execute("CREATE INDEX idx_loc ON p (location) USING gt")
-        db.executemany(
-            "INSERT INTO p VALUES (?, ?)",
-            [(i, "1 Main Street, Paris" if i % 2 else "2 Station Road, Lyon")
-             for i in range(1, 101)])
+    def test_gt_covering_probe_answers_as_the_model(self):
+        db, model = self.make_located("CREATE INDEX idx_loc ON p (location) USING gt")
+        for target in (db, model):
+            target.executemany(
+                "INSERT INTO p VALUES (?, ?)",
+                [(i, "1 Main Street, Paris" if i % 2 else "2 Station Road, Lyon")
+                 for i in range(1, 101)])
         db.advance_time(hours=2)               # everything at city level
+        model.advance(2 * 3600)
         db.execute("DECLARE PURPOSE stat SET ACCURACY LEVEL city "
                    "FOR p.location")
+        query = "SELECT location FROM p WHERE location = 'Paris'"
         explain = "\n".join(r[0] for r in db.execute(
-            "EXPLAIN SELECT location FROM p WHERE location = 'Paris'",
-            purpose="stat").rows)
-        assert "IndexOnlyScan" in explain
-        store = db.table_store("p")
-        reads_before = store.stats.reads
-        result = db.execute("SELECT location FROM p WHERE location = 'Paris'",
-                            purpose="stat")
-        assert store.stats.reads == reads_before
+            "EXPLAIN " + query, purpose="stat").rows)
+        assert "GTIndexScan(idx_loc" in explain
+        result = db.execute(query, purpose="stat")
         assert result.rows == [("Paris",)] * 50
+        assert result.rows == model.execute(query, purpose="stat").rows
 
 
 class TestStreamedIndexRange:
@@ -288,14 +299,15 @@ class TestHashJoinCompiledKeys:
 
 
 class TestExplainShape:
-    def test_explain_has_estimates_and_index_only_node(self):
+    def test_explain_has_estimates_and_index_scan_node(self):
         db = make_stable_db()
         db.execute("CREATE INDEX idx_val ON t (val) USING btree")
-        lines = [r[0] for r in db.execute(
-            "EXPLAIN SELECT val FROM t WHERE val BETWEEN 10 AND 20 LIMIT 3").rows]
+        sql = "SELECT val FROM t WHERE val BETWEEN 10 AND 20 LIMIT 3"
+        lines = [r[0] for r in db.execute("EXPLAIN " + sql).rows]
         text = "\n".join(lines)
-        assert "IndexOnlyScan" in text
+        assert "IndexRangeScan(idx_val" in text
         assert "est~" in text
+        assert len(db.execute(sql).rows) == 3
 
     def test_explain_analyze_shows_estimate_vs_actual(self):
         db = make_stable_db()

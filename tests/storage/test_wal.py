@@ -314,26 +314,30 @@ class TestTruncation:
         assert [record.lsn for record in WriteAheadLog(path)] == \
             [anchor.lsn, anchor.lsn + 1]
 
-    def test_truncate_inside_a_segment_rewrites_only_that_segment(
+    def test_truncate_inside_a_segment_keeps_that_segment_whole(
             self, tmp_path, small_segments):
         path = str(tmp_path / "wal")
         wal = WriteAheadLog(path)
-        for row_key in range(30):
+        for row_key in range(30):              # row key k is LSN k + 1
             change(wal, row_key, b"SECRET-%02d" % row_key)
         wal.flush()
-        sizes = [os.path.getsize(p) for p in segment_paths(path)]
+        firsts = [int(os.path.basename(p)[:20]) for p in segment_paths(path)]
+        boundary = max(first for first in firsts if first <= 13)
+        assert boundary < 13 < firsts[firsts.index(boundary) + 1] - 1
         written = wal.stats.bytes_written
-        assert wal.truncate_until(13) == 13
-        assert [record.lsn for record in wal] == list(range(14, 31))
-        assert wal.stats.bytes_written - written <= max(sizes)
+        assert wal.truncate_until(13) == boundary - 1
+        assert [record.lsn for record in wal] == list(range(boundary, 31))
+        assert wal.stats.bytes_written == written    # nothing rewritten
         data = disk_bytes(path)
-        assert b"SECRET-12" not in data and b"SECRET-13" in data
+        assert b"SECRET-%02d" % (boundary - 2) not in data
+        assert b"SECRET-12" in data and b"SECRET-13" in data
         assert not [n for n in os.listdir(path) if n.endswith(".tmp")]
-        # Exact across a reopen, and scrubs still find the survivors.
+        # The boundary segment's records survive a reopen, and scrubs still
+        # find them.
         reopened = WriteAheadLog(path)
-        assert [record.lsn for record in reopened] == list(range(14, 31))
-        assert reopened.scrub_records([("t", 13)]) == 1
-        assert b"SECRET-13" not in disk_bytes(path)
+        assert [record.lsn for record in reopened] == list(range(boundary, 31))
+        assert reopened.scrub_records([("t", 12)]) == 1
+        assert b"SECRET-12" not in disk_bytes(path)
 
     def test_truncate_everything_then_append(self, tmp_path):
         path = str(tmp_path / "wal")
@@ -666,7 +670,7 @@ class TestDurabilityOfScrubAndDirectory:
             wal.scrub_records([("t", 1)])
         assert plan.fired_kinds() == {"fsync"}
 
-    def test_directory_fsync_follows_create_rename_and_unlink(
+    def test_directory_fsync_follows_create_and_unlink(
             self, tmp_path, monkeypatch, small_segments):
         path = str(tmp_path / "wal")
         wal = WriteAheadLog(path)
@@ -683,7 +687,10 @@ class TestDurabilityOfScrubAndDirectory:
         wal.flush()
         creates = len(segment_paths(path))
         assert len(synced) == creates       # one per segment created
-        wal.truncate_until(7)               # unlinks + one boundary rename
+        assert wal.truncate_until(7) > 0    # unlinks the first segment
+        assert len(segment_paths(path)) == creates - 1
+        assert len(synced) == creates + 1
+        wal.truncate_until(wal.records()[0].lsn)   # inside a segment: none go
         assert len(synced) == creates + 1
 
     def test_directory_fsync_failure_is_a_durability_error(
