@@ -1,11 +1,12 @@
 """Catalog persistence: snapshot / restore the DDL state through the WAL.
 
 ``InstantDB`` logs a ``CATALOG`` record (a JSON document produced by
-:func:`snapshot_catalog`) whenever a transaction that changed DDL state
-commits, and again at the head of every checkpoint so WAL truncation never
-loses it.  :meth:`InstantDB.recover` feeds the latest such document to
-:func:`restore_catalog` *before* replaying data records, which makes reopening
-a database a true one-call operation — no caller-side re-running of DDL.
+:func:`snapshot_catalog`, compressed by :func:`encode_catalog`) whenever a
+transaction that changed DDL state commits, and again at the head of every
+checkpoint so WAL truncation never loses it.  :meth:`InstantDB.recover`
+feeds the latest such document to :func:`restore_catalog` *before* replaying
+data records, which makes reopening a database a true one-call operation —
+no caller-side re-running of DDL.
 
 Everything here is structural: generalization schemes are serialized as the
 paths / widths / buckets they were built from, policies as their state lists
@@ -24,6 +25,7 @@ value.
 from __future__ import annotations
 
 import json
+import zlib
 from typing import Any, Dict, List, Optional
 
 from ..core.errors import CatalogError
@@ -263,8 +265,10 @@ def restore_catalog(db, snapshot: Dict[str, Any]) -> None:
 
 def encode_catalog(snapshot: Dict[str, Any]) -> bytes:
     """Serialize a snapshot document to the ``after`` payload of a CATALOG
-    WAL record (sorted keys keep the bytes deterministic across runs)."""
-    return json.dumps(snapshot, sort_keys=True).encode("utf-8")
+    WAL record: its JSON, ``zlib``-compressed at the default level — the
+    domains' leaf paths repeat their ancestors' names — (sorted keys keep
+    the bytes deterministic across runs)."""
+    return zlib.compress(json.dumps(snapshot, sort_keys=True).encode("utf-8"))
 
 
 def latest_catalog_snapshot(wal) -> Optional[Dict[str, Any]]:
@@ -276,7 +280,7 @@ def latest_catalog_snapshot(wal) -> Optional[Dict[str, Any]]:
             payload = record.after
     if payload is None:
         return None
-    return json.loads(payload.decode("utf-8"))
+    return json.loads(zlib.decompress(payload).decode("utf-8"))
 
 
 __all__ = [

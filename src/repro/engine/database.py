@@ -1095,9 +1095,10 @@ class InstantDB:
         # needs; a checkpoint that drops nothing appends one only if the
         # catalog is dirty (the log holds the last).  Engines with
         # unserializable custom schemes skip it and keep the legacy re-run-DDL
-        # reopen protocol; truncation then anchors on what follows.  The anchor
-        # opens a log segment of its own, so truncating up to it unlinks whole segments.
-        self.wal.roll()
+        # reopen protocol; truncation then anchors on what follows.  A truncating
+        # checkpoint's anchor opens a segment of its own: the cut unlinks whole ones.
+        if truncate_wal:
+            self.wal.roll()
         anchor = None
         payload = self._encode_catalog_snapshot() if truncate_wal or self._catalog_dirty else None
         if payload is not None:

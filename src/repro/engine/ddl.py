@@ -14,6 +14,7 @@ from ..index.btree import BPlusTreeIndex
 from ..index.gt_index import GTIndex
 from ..index.hashindex import HashIndex
 from ..query import ast_nodes as ast
+from ..storage.serialization import MAX_LEVEL
 
 #: Index methods accepted by ``CREATE INDEX ... USING <method>``.
 INDEX_METHODS = ("btree", "hash", "bitmap", "gt")
@@ -65,6 +66,11 @@ def build_table_policy(schema: TableSchema, registry: PolicyRegistry,
             )
         policy = registry.policy(policy_name)
         scheme = registry.domain(column.domain)
+        if scheme.max_level > MAX_LEVEL:
+            raise SchemaError(
+                f"column {schema.name}.{column.name}: domain {scheme.name!r} has "
+                f"{scheme.max_level + 1} accuracy levels; a stored record holds at most "
+                f"{MAX_LEVEL + 1} (one byte each)")
         if policy.scheme is not scheme and policy.scheme.name != scheme.name:
             raise SchemaError(
                 f"column {schema.name}.{column.name}: policy {policy_name!r} is defined "

@@ -18,7 +18,6 @@ a per ``(row, column, level)`` key that a degradation step destroys.
 
 from __future__ import annotations
 
-import struct
 from collections import defaultdict
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
@@ -43,8 +42,7 @@ from .crypto import KeyStore
 from .heap import HeapFile, RecordId
 from .kernels import (RowShape, Shape, WaveShape, compile_kernel, compile_row_kernel,
                       compile_wave_kernel)
-from .serialization import (_INT_STRUCT, decode_value, encode_value, fixed_prefix,
-                            record_field_count, wide_prefix)
+from .serialization import decode_value, encode_value, record_field_count, record_prefix
 from .wal import Entry, LogRecordType, WriteAheadLog, encode_degrade_chunk, encode_delta
 
 #: Strategies for making degradation non-recoverable.
@@ -153,22 +151,19 @@ class TableStore:
         self._degradable_fields = {
             name: (position, schema.column_index(name))
             for position, name in enumerate(self._degradable)}
-        #: The record prefix — count, row key, insertion time, one level per
-        #: degradable column — as one struct, and the tags it must carry.
-        self._header, self._header_tags = fixed_prefix(
-            "if" + "i" * len(self._degradable))
+        #: The record prefix — count, one level per degradable column, row
+        #: key, insertion time (:class:`~.serialization.RecordPrefix`).
+        self._prefix = prefix = record_prefix(len(self._degradable))
         #: The kernels' wide prefix: the record prefix and what follows it up
-        #: to the first degradable column (:func:`wide_prefix`).
-        self._wide = wide_prefix("if" + "i" * len(self._degradable), [
-            column.value_type for column in takewhile(
-                lambda column: not column.degradable, schema.columns)])
+        #: to the first degradable column (:meth:`~.serialization.RecordPrefix.widened`).
+        self._wide = prefix.widened([column.value_type for column in takewhile(
+            lambda column: not column.degradable, schema.columns)])
         self._field_count = 2 + len(self._degradable) + len(schema.columns)
         # The heap's level summary reads a record's levels off its prefix, unchecked: each
         # record it holds was encoded here or passed :meth:`rebuild_locations`'s checked read.
-        levels = len(self._degradable)
-        self.heap = HeapFile(buffer_pool, name=schema.name, levels=struct.Struct(
-            f"<{self._header.size - 9 * levels}x" + "xq" * levels).unpack_from
-            if levels else None, on_allocate=self._log_page_allocation)
+        self.heap = HeapFile(buffer_pool, name=schema.name,
+                             levels=prefix.read_levels if self._degradable else None,
+                             on_allocate=self._log_page_allocation)
         self._locations: Dict[int, RecordId] = {}
         #: The address map's page runs, derived from it (map order).  Built by
         #: the first full read (:meth:`runs`), extended by an insert, dropped
@@ -197,7 +192,6 @@ class TableStore:
         self._sealed = tuple((value_at, level_at) for level_at, value_at
                              in self._degradable_fields.values()) if strategy == "crypto" else ()
         self._slow = [partial(_coerced, column) for column in schema.columns]
-        self._tail = struct.Struct("<Bd" + "Bq" * len(self._degradable))
         whole = (tuple(range(len(schema.columns))),)
         self._row_encoder = self._encoder("row", whole, len(schema.columns))
         self._image_encoder = self._encoder("image", whole, len(schema.columns))
@@ -210,12 +204,9 @@ class TableStore:
         images: List[bytes] = []
         levels = tuple(map(row.levels.__getitem__, self._degradable))
         self._image_encoder(row.row_key, (tuple(map(row.values.__getitem__, self._names)),),
-                            self._tail_of(row.inserted_at, levels), levels, images.append, None)
+                            self._prefix.lead(self._field_count, levels),
+                            self._prefix.stamp(row.inserted_at), levels, images.append, None)
         return images[0]
-
-    def _tail_of(self, inserted_at: float, levels: Iterable[int]) -> bytes:
-        return self._tail.pack(2, float(inserted_at), *chain.from_iterable(
-            zip(repeat(1), levels)))
 
     def _encoder(self, mode: str, records: Tuple[Tuple[int, ...], ...], width: int,
                  literals: Tuple[Any, ...] = (), sized: Optional[Callable] = None) -> Callable:
@@ -226,7 +217,7 @@ class TableStore:
         factory = self._kernels.get(key)
         if factory is None:
             factory = self._kernels[key] = compile_row_kernel(RowShape(
-                self._field_count, self._columns, records, width, mode, self._sealed))
+                self._columns, records, width, mode, self._sealed))
         return factory(literals, sized or self.schema.values_of, self._slow,
                        self.keystore.encrypt if self._sealed else None, self.schema.name,
                        self._names)
@@ -242,10 +233,10 @@ class TableStore:
         if count != self._field_count:
             return StorageError(f"table {self.schema.name!r}: malformed record with "
                                 f"{count} fields (expected {self._field_count})")
-        if end - start < self._header.size:
+        if end - start < self._prefix.size:
             return StorageError("truncated record: short header")
         return StorageError(f"table {self.schema.name!r}: malformed record header (row "
-                            "key, insertion time and levels must be INT, FLOAT, INT...)")
+                            "key and insertion time must be INT and FLOAT)")
 
     def _decode_plan(self, columns: Optional[frozenset],
                      level_caps: Tuple[Tuple[str, int], ...] = ()) -> RunReader:
@@ -257,14 +248,15 @@ class TableStore:
         if plan is None:
             names = [column.name for column in self.schema.columns
                      if columns is None or column.name in columns]
-            degradable = self._degradable
+            degradable, prefix = self._degradable, self._prefix
+            key_at, time_at, levels = prefix.key_at, prefix.time_at, slice(1, prefix.tags_at)
             plan = self._decode_plans[columns, level_caps] = self.row_reader(
                 tuple((name, slot) for slot, name in enumerate(names, 1)),
                 frozenset(names), level_caps,
                 {name: (None, True) for name in names if name in degradable},
                 make=lambda head, values: StoredRow(
-                    head[2], dict(zip(names, values[1:])),
-                    dict(zip(degradable, head[6::2])), head[4]))
+                    head[key_at], dict(zip(names, values[1:])),
+                    dict(zip(degradable, head[levels])), head[time_at]))
         return plan
 
     def _log_delta(self, entries: Iterable[Entry], now: float, txn_id: int) -> None:
@@ -317,7 +309,8 @@ class TableStore:
         zero = (0,) * len(self._degradable)
         payloads: List[bytes] = []
         values: List[Tuple[Any, ...]] = []
-        end = encode(first, rows, self._tail_of(now, zero), zero, payloads.append, values.append)
+        end = encode(first, rows, self._prefix.lead(self._field_count, zero),
+                     self._prefix.stamp(now), zero, payloads.append, values.append)
         with self.buffer_pool.unlogged():       # its pages wait for their DELTAs
             record_ids = self.heap.insert_many(payloads)
             keys = range(first, end)
@@ -356,7 +349,7 @@ class TableStore:
         (or what ``make`` builds from the record prefix and such a row).
         Every read of this table decodes here, in place in the page frame.
 
-        *Level first.*  The prefix ``count, row_key, inserted_at, level×n`` is
+        *Level first.*  The prefix ``count, level×n, row_key, inserted_at`` is
         fixed-width: one precompiled struct decodes it in a single call, and a
         row storing a column of ``level_caps`` above its cap is excluded
         before a value byte is touched.  *Then the filter.*  Only the
@@ -394,7 +387,7 @@ class TableStore:
             wide, wide_tags, _covered, _text = self._wide
             decrypt = self.keystore.decrypt if crypto else None
             plan = self._reader_plans[shape] = key, factory, (
-                self._header.unpack_from, self._header_tags, wide.unpack_from, wide_tags,
+                self._prefix.struct.unpack_from, self._prefix.tags, wide.unpack_from, wide_tags,
                 self._malformed, [cap for _name, cap in level_caps]), [
                 (demanded, None if demanded is None else scheme.generalize, decrypt,
                  self.schema.name, name) for name, _slot, demanded, scheme in fixes]
@@ -423,7 +416,7 @@ class TableStore:
         drained pace), in this table's positions: its names go no further."""
         position = self.schema.column_index
         return Shape(
-            self._header.size, self._field_count, len(self.schema.columns) - 1,
+            len(self._degradable), self._field_count, len(self.schema.columns) - 1,
             tuple(tuple(sorted((position(name), slot) for name, slot in slots
                                if (name in early) == first)) for first in (True, False)),
             tuple(self._degradable_fields[name][0] for name in capped),
@@ -774,17 +767,15 @@ class TableStore:
         targets = tuple(place for place, _scheme, _to_level in steps)
         factory = self._kernels.get(("wave", targets))
         if factory is None:
-            header = self._header.size    # each level is a tag and 8 bytes, at its end
             factory = self._kernels["wave", targets] = compile_wave_kernel(WaveShape(
-                header, self._field_count,
-                tuple(range(header - 9 * len(self._degradable) + 1, header, 9)), targets, crypto))
+                len(self._degradable), self._field_count, targets, crypto))
         bound = [(to_level, lane, partial(self._open_chunk, chunks, lane,
                                           self._degradable[place[0]], to_level, scheme))
                  for place, scheme, to_level in steps
                  for lane in (lanes.setdefault((place, to_level, scheme), {}),)]
         top = max(to_level for _place, _scheme, to_level in steps)
-        return factory(self._header.unpack_from, self._header_tags, self._malformed,
-                       [_INT_STRUCT.pack(level) for level in range(top + 1)], bound,
+        return factory(self._prefix.struct.unpack_from, self._prefix.tags, self._malformed,
+                       self._prefix.level_pieces(top), bound,
                        self._generalize, partial(self._rekey, doomed) if crypto else None)
 
     @staticmethod

@@ -31,8 +31,8 @@ writes one splicer per wave shape: check the prefix, compare each stored
 level with its step's target (an irreversible step raises, a row already
 there takes none), hop to each target field unrolled, look its chunk and its
 ``image → (new image, new value, row keys)`` memo up inline, and glue the
-record back together with the level ints patched as fixed 8-byte pieces —
-byte for byte what encoding the degraded row would make.
+record back together with each level patched as its one byte — byte for
+byte what encoding the degraded row would make.
 
 An insert (:meth:`~repro.storage.degradable_store.TableStore.insert_many`)
 encodes its rows the same way: its **row shape** (:class:`RowShape`) is the
@@ -41,7 +41,7 @@ an input row (an INSERT's parameter, literal or nothing), and the strategy.
 :func:`compile_row_kernel` writes one straight-line function per record that
 handles each value once — the parameter type rule, the column's coercion and
 its tag and payload, a value of the column's own type inline, any other
-through the column's slow path — and packs the record head in the same call.
+through the column's slow path — and joins the record prefix in the same call.
 
 The source holds integers taken from the schema and the shape, Python type
 names and the fixed strings of :data:`MESSAGES`, nothing else: no table or
@@ -55,7 +55,6 @@ factories holds code only.
 from __future__ import annotations
 
 import functools
-import struct
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.errors import KeyDestroyedError, PolicyError, StorageError
@@ -63,7 +62,7 @@ from ..core.values import NULL, REMOVED, SUPPRESSED, check_parameter, compare
 from .page import _HEADER, _SLOT, lost_slot
 from .serialization import (_FLOAT_FIELD, _FLOAT_STRUCT, _INT_FIELD, _INT_STRUCT, _LEN_STRUCT,
                             _TAG_BYTES, _TAG_FLOAT, _TAG_INT, _TAG_NULL, _TAG_SUPPRESSED,
-                            _TAG_TEXT, _TEXT_HEAD, decode_value, encode_value)
+                            _TAG_TEXT, _TEXT_HEAD, decode_value, encode_value, record_prefix)
 
 #: The message a wave kernel raises for a step below the stored level.
 IRREVERSIBLE = "degradation is irreversible: cannot decrease the level"
@@ -80,8 +79,8 @@ MESSAGES = frozenset({IRREVERSIBLE, "out of range", "is deleted",
 class Shape(NamedTuple):
     """What a run reader's code depends on — integers and flags only."""
 
-    #: Bytes of the fixed record prefix: where the first value starts.
-    header: int
+    #: How many levels the record prefix holds (:func:`~.serialization.record_prefix`).
+    levels: int
     #: The field count every record of the table carries.
     fields: int
     #: Position of the record's last value.
@@ -131,7 +130,7 @@ _GLOBALS: Dict[str, Any] = {
     "unpack_int": _INT_STRUCT.unpack_from, "unpack_float": _FLOAT_STRUCT.unpack_from,
     "unpack_length": _LEN_STRUCT.unpack_from, "unpack_slot": _SLOT.unpack_from,
     "lost_slot": lost_slot,
-    "encode_value": encode_value, "key_head": struct.Struct("<HBq").pack,
+    "encode_value": encode_value,
     "pack_int": _INT_FIELD.pack, "pack_float": _FLOAT_FIELD.pack,
     "length_head": _TEXT_HEAD.pack,
     "null_field": encode_value(NULL), "true_field": encode_value(True),
@@ -234,17 +233,18 @@ def _walk(out: _Source, start: int, stop: int, decoded: Dict[int, int],
     the length ``head`` holds."""
     run = False
     covered = -1 if wide is None else wide.wide
+    prefix = None if wide is None else record_prefix(wide.levels)
     for position in range(start, stop + 1):
         if position < covered:
             if position in decoded:
-                out(f"v{decoded[position]} = head[{_value_at(wide, position)}]")
+                out(f"v{decoded[position]} = head[{prefix.value_at(position)}]")
             continue
         if position == covered:
-            out(f"offset = start + {wide.header + 9 * covered}")
+            out(f"offset = start + {prefix.value_offset(covered)}")
             if wide.text:
                 if position in saves:
                     out(f"o{position} = offset")
-                length = f"head[{_value_at(wide, position)}]"
+                length = f"head[{prefix.value_at(position)}]"
                 if position in decoded:
                     out(f"first = offset + {1 + _LEN_STRUCT.size}", f"offset = first + {length}")
                     _raise(out, "offset > end", "truncated record: short string payload")
@@ -265,23 +265,17 @@ def _walk(out: _Source, start: int, stop: int, decoded: Dict[int, int],
             run = True
     if stop == last:
         if stop < covered:
-            out(f"offset = start + {wide.header + 9 * covered}")
+            out(f"offset = start + {prefix.value_offset(covered)}")
         _raise(out, "offset != end", "trailing bytes after record payload")
 
 
-def _value_at(wide: Shape, position: int) -> int:
-    """Where in the wide ``head`` the payload of value ``position`` is: past
-    the count, a tag and a payload per prefix field and per value before it."""
-    return 2 + 2 * ((wide.header - 2) // 9 + position)
-
-
-def _fix(out: _Source, index: int, slot: int, level_at: int,
+def _fix(out: _Source, index: int, slot: int, level: int,
          decrypt: bool, generalize: bool) -> None:
     """Decrypt a ciphertext (a destroyed key reads ``SUPPRESSED``), then
     generalize a value stored more accurately than demanded, once per
-    distinct ``(stored level, value)``."""
+    distinct ``(stored level, value)``; ``level``: where ``head`` holds its level."""
     value, memo = f"v{slot}", f"memo{index}"
-    out(f"level = head[{6 + 2 * level_at}]")
+    out(f"level = head[{level}]")
     if decrypt:
         with out.block(f"if isinstance({value}, bytes):"):
             with out.block("try:"):
@@ -313,22 +307,23 @@ def kernel_source(shape: Shape) -> str:
     reach = max(early, default=-1)
     #: late positions the early walk passes: decoded later from a kept offset
     kept = frozenset(position for position in late if position < reach)
+    prefix = record_prefix(shape.levels)
     out = _Source()
 
     def fixes(phase: Dict[int, int]) -> None:
-        for index, (slot, *fix) in enumerate(shape.fixes):
+        for index, (slot, level_at, *fix) in enumerate(shape.fixes):
             if slot in phase.values():
-                _fix(out, index, slot, *fix)
+                _fix(out, index, slot, prefix.level_at(level_at), *fix)
 
     def record(wide: Optional[Shape]) -> None:
         """One record from its prefix ``head`` on: under the matched
         ``wide`` prefix, or walked from the narrow one."""
         if shape.caps:
-            over = " or ".join(f"head[{6 + 2 * level_at}] > cap{at}"
+            over = " or ".join(f"head[{prefix.level_at(level_at)}] > cap{at}"
                                for at, level_at in enumerate(shape.caps))
             with out.block(f"if {over}:"):
                 out("excluded += 1", "continue")
-        out("key = head[2]")
+        out(f"key = head[{prefix.key_at}]")
         _walk(out, 0, reach, early, kept, shape.last, wide)
         fixes(early)
         for index, (slot, operator) in enumerate(shape.compares):
@@ -345,7 +340,7 @@ def kernel_source(shape: Shape) -> str:
                 out("continue")
         for position in sorted(kept):
             if wide is not None and position < wide.wide:
-                out(f"v{late[position]} = head[{_value_at(wide, position)}]")
+                out(f"v{late[position]} = head[{prefix.value_at(position)}]")
             else:
                 _decode(out, f"o{position}", late[position])
         if late and max(late) > reach:
@@ -356,11 +351,11 @@ def kernel_source(shape: Shape) -> str:
 
     def narrow() -> None:
         """The field-by-field walk: the narrow prefix checked, then each field."""
-        out(f"offset = start + {shape.header}")
+        out(f"offset = start + {prefix.size}")
         with out.block("if offset > end:"):
             out("raise malformed(data, start, end)")
         out("head = unpack(data, start)")
-        with out.block(f"if head[0] != {shape.fields} or head[1::2] != tags:"):
+        with out.block(f"if head[0] != {shape.fields} or head[{prefix.tags_at}::2] != tags:"):
             out("raise malformed(data, start, end)")
         record(None)
 
@@ -369,10 +364,10 @@ def kernel_source(shape: Shape) -> str:
         with out.block(head):
             _span(out)
             if (shape.wide or shape.text) and (early or late):
-                size = shape.header + 9 * shape.wide + shape.text * (1 + _LEN_STRUCT.size)
+                size = prefix.value_offset(shape.wide) + shape.text * (1 + _LEN_STRUCT.size)
                 out(f"head = wide(data, start) if start + {size} <= end else None")
                 with out.block(f"if head is not None and head[0] == {shape.fields} "
-                               "and head[1::2] == wide_tags:"):
+                               f"and head[{prefix.tags_at}::2] == wide_tags:"):
                     record(shape)
                 with out.block("else:"):
                     narrow()
@@ -440,12 +435,10 @@ def compile_kernel(shape: Shape) -> Callable[..., Any]:
 class WaveShape(NamedTuple):
     """What a wave splicer's code depends on — integers and flags only."""
 
-    #: Bytes of the fixed record prefix: where the first value starts.
-    header: int
+    #: How many levels the record prefix holds (:func:`~.serialization.record_prefix`).
+    levels: int
     #: The field count every record of the table carries.
     fields: int
-    #: Per level position, the offset in the record of that level's 8-byte int.
-    levels: Tuple[int, ...]
     #: ``(level position, value position)`` of each step a row takes, in order.
     targets: Tuple[Tuple[int, int], ...]
     #: Whether the values are ciphertexts (the crypto strategy).
@@ -455,6 +448,7 @@ class WaveShape(NamedTuple):
 def wave_kernel_source(shape: WaveShape) -> str:
     """The splicer factory's Python source for ``shape``."""
     out = _Source()
+    prefix = record_prefix(shape.levels)
     steps = range(len(shape.targets))
     positions = sorted({level_at for level_at, _value_at in shape.targets})
     #: value position → the steps that go through its field, in order
@@ -470,14 +464,15 @@ def wave_kernel_source(shape: WaveShape) -> str:
                 "count = unpack_slot(data, 0)[0]")
             with out.block("for slot in slots:"):
                 _span(out)
-                out(f"offset = start + {shape.header}")
+                out(f"offset = start + {prefix.size}")
                 with out.block("if offset > end:"):
                     out("raise malformed(data, start, end)")
                 out("head = unpack(data, start)")
-                with out.block(f"if head[0] != {shape.fields} or head[1::2] != tags:"):
+                with out.block(f"if head[0] != {shape.fields} or "
+                               f"head[{prefix.tags_at}::2] != tags:"):
                     out("raise malformed(data, start, end)")
                 for level_at in positions:
-                    out(f"a{level_at} = head[{6 + 2 * level_at}]")
+                    out(f"a{level_at} = head[{prefix.level_at(level_at)}]")
                 for step, (level_at, _value_at) in enumerate(shape.targets):
                     level = f"a{level_at}"
                     out(f"c{step} = None")
@@ -489,7 +484,7 @@ def wave_kernel_source(shape: WaveShape) -> str:
                         out(f"{level} = to{step}")
                 with out.block("if " + " and ".join(f"c{step} is None" for step in steps) + ":"):
                     out("put(None)", "continue")
-                out("key = head[2]")
+                out(f"key = head[{prefix.key_at}]")
                 passed = 0
                 for value_at in sorted(fields):
                     for _gap in range(value_at - passed):
@@ -509,11 +504,15 @@ def wave_kernel_source(shape: WaveShape) -> str:
                                 out(f"hit = generalize(c{step}, v{value_at})")
                             out("hit[2].append(key)", f"v{value_at} = hit[0]")
                     passed = value_at + 1
-                pieces, cursor = [], "start"
+                # The levels' bytes are adjacent: no empty slice between two.
+                pieces, cursor, at = [], "start", 0
                 for level_at in positions:
-                    at = shape.levels[level_at]
-                    pieces += (f"data[{cursor}:start + {at}]", f"pieces[a{level_at}]")
-                    cursor = f"start + {at + 8}"
+                    if prefix.level_offsets[level_at] != at:
+                        at = prefix.level_offsets[level_at]
+                        pieces.append(f"data[{cursor}:start + {at}]")
+                    pieces.append(f"pieces[a{level_at}]")
+                    at += 1
+                    cursor = f"start + {at}"
                 for value_at in sorted(fields):
                     pieces += (f"data[{cursor}:f{value_at}]", f"v{value_at}")
                     cursor = f"g{value_at}"
@@ -528,8 +527,7 @@ def compile_wave_kernel(shape: WaveShape) -> Callable[..., Any]:
     """Compile ``shape``'s splicer; returns its factory ``factory(unpack,
     tags, malformed, pieces, steps, generalize, rekey)`` → ``splice(page buffer,
     slots)``, which returns per record its new image, or ``None`` when the
-    row already is at every target.  ``pieces[level]`` is a level's 8-byte
-    int; ``steps`` holds per step ``(to level, lane, open)``: the lane maps
+    row already is at every target.  ``pieces[level]`` is a level's byte; ``steps`` holds per step ``(to level, lane, open)``: the lane maps
     a from level to its chunk's ``(memo, chunk)`` and ``open(from level)``
     makes that entry on a miss.  A memo miss calls ``generalize(entry,
     image)`` → ``(new image, new value, row keys)``; under crypto every
@@ -540,8 +538,6 @@ def compile_wave_kernel(shape: WaveShape) -> Callable[..., Any]:
 class RowShape(NamedTuple):
     """What a row encoder's code depends on — integers, flags and type names only."""
 
-    #: The field count every record of the table carries.
-    fields: int
     #: Per column: its coerced values' Python type, whether NULL is stored inline.
     columns: Tuple[Tuple[str, bool], ...]
     #: Per record of an input row, per column: the input value's index, -1
@@ -566,7 +562,7 @@ def row_kernel_source(shape: RowShape) -> str:
     out = _Source()
     with out.block("def factory(literals, sized, slow, encrypt, table, names):"):
         out("".join(f"slow{index}, " for index in range(len(shape.columns))) + "= slow")
-        with out.block("def encode(key, rows, tail, levels, put, keep):"):
+        with out.block("def encode(key, rows, lead, stamp, levels, put, keep):"):
             with out.block("for row in rows:"):
                 out("kind = type(row)")
                 with out.block("if kind is not tuple and kind is not list "
@@ -610,7 +606,7 @@ def _encode_row(out: _Source, shape: RowShape, sources: Tuple[int, ...]) -> None
             out(f"b = encrypt((table, key, names[{value_at}], levels[{level_at}]), f{value_at})",
                 f"f{value_at} = length_head(8, len(b)) + b")
     fields = "".join(f"f{index}, " for index in range(len(shape.columns)))
-    out(f"put(join((key_head({shape.fields}, 1, key), tail, {fields})))")
+    out(f"put(join((lead, pack_int({_TAG_INT}, key), stamp, {fields})))")
     if shape.mode != "image":
         out("keep((" + "".join(f"v{index}, " for index in range(len(shape.columns))) + "))")
     out("key += 1")
@@ -618,13 +614,14 @@ def _encode_row(out: _Source, shape: RowShape, sources: Tuple[int, ...]) -> None
 
 def compile_row_kernel(shape: RowShape) -> Callable[..., Any]:
     """Compile ``shape``'s row encoder; returns its factory ``factory(literals,
-    sized, slow, encrypt, table, names)`` → ``encode(key, rows, tail, levels,
-    put, keep)``: each input row (through ``sized(row)`` unless a tuple or
-    list of ``shape.width`` values) makes the records of ``shape.sources``,
-    keyed from ``key`` on, each ``put`` as :func:`~repro.storage.serialization.encode_record`
-    of ``[key, time, *levels, *values]`` would make it (``tail``: the time
-    and levels encoded) and its coerced values ``keep``-ed; returns the next
-    key.  ``slow[column](value)`` → ``(coerced value, field)`` off the fast
+    sized, slow, encrypt, table, names)`` → ``encode(key, rows, lead, stamp,
+    levels, put, keep)``: each input row (through ``sized(row)`` unless a
+    tuple or list of ``shape.width`` values) makes the records of
+    ``shape.sources``, keyed from ``key`` on, each ``put`` as
+    :func:`~repro.storage.serialization.encode_stored` would make it
+    (``lead``: the field count and ``levels`` packed, ``stamp``: the
+    insertion time's field) and its coerced values ``keep``-ed; returns the
+    next key.  ``slow[column](value)`` → ``(coerced value, field)`` off the fast
     path; a sealed field is ``encrypt((table, key, names[position], level), field)``."""
     return _compile(row_kernel_source(shape), "<row kernel>")
 

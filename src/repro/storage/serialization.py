@@ -1,18 +1,32 @@
 """Record serialization.
 
-Records are tuples of Python values (ints, floats, booleans, strings and the
-degradation sentinels) encoded to a compact, self describing byte string.  The
-codec is deliberately simple — a one byte type tag followed by a fixed or
-length prefixed payload — so that tests can reason about exact byte layouts
-and the forensic scanner (:mod:`repro.privacy.forensic`) can grep raw pages
-for residual plaintext.
+Values (ints, floats, booleans, strings and the degradation sentinels) are
+encoded to a compact, self describing byte string.  The codec is deliberately
+simple — a one byte type tag followed by a fixed or length prefixed payload —
+so that tests can reason about exact byte layouts and the forensic scanner
+(:mod:`repro.privacy.forensic`) can grep raw pages for residual plaintext.
+
+A **stored record** — what a table's heap pages and its ``DELTA`` log images
+hold — is a fixed prefix followed by the row's tagged values::
+
+    count:H · level:B × L · (tag, key:q) · (tag, inserted_at:d) · values…
+
+``count`` is the record's field count (``2 + L`` plus one per column), each
+of the ``L`` accuracy levels of the table's degradable columns is one
+untagged unsigned byte (at most :data:`MAX_LEVEL`), and the row key and the
+insertion time are a tagged INT and FLOAT.  :class:`RecordPrefix` is the one
+definition of that layout: its struct, the tags it carries and the offset of
+every field of it; the table store, the heap's level reader and the record
+kernels all derive theirs from it.  Generic records (:func:`encode_record`,
+the log's own payloads) are a count followed by tagged values only.
 """
 
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 from itertools import repeat
-from typing import Any, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..core.errors import StorageError
 from ..core.values import NULL, REMOVED, SUPPRESSED, ValueType
@@ -128,31 +142,90 @@ def record_field_count(data: bytes, offset: int = 0,
     return count, first
 
 
-def fixed_prefix(kinds: str) -> Tuple[struct.Struct, Tuple[int, ...]]:
-    """One-call decoder for a record whose leading fields are fixed-width.
+#: The highest accuracy level a stored record can carry: each is one byte.
+MAX_LEVEL = 0xFF
 
-    ``kinds`` names those fields, ``"i"`` for an INT and ``"f"`` for a FLOAT
-    (and ``"t"`` for the tag and length of a TEXT, which ends the prefix).
-    The returned struct unpacks ``count, tag, value, tag, value, ...`` from
-    the start of the record; the prefix is well-formed exactly when the
-    unpacked tags (every other item from index 1) equal the returned tuple.
+#: Fixed-width value kinds of a widened prefix: struct code and tag.
+_FIXED = {ValueType.INT: ("Bq", _TAG_INT), ValueType.FLOAT: ("Bd", _TAG_FLOAT)}
+
+
+class RecordPrefix:
+    """The fixed prefix of the stored records of a table with ``levels``
+    degradable columns: ``count:H · level:B × levels · (tag, key:q) · (tag,
+    inserted_at:d)``.
+
+    :attr:`struct` unpacks it in one call into ``head``: ``head[0]`` is the
+    field count, ``head[level_at(i)]`` level ``i``, ``head[key_at]`` the row
+    key and ``head[time_at]`` the insertion time; the prefix is well formed
+    exactly when ``head[tags_at::2] == tags`` (the levels carry no tag, so the
+    tags sit at every other item from :attr:`tags_at` on, widened or not).
     """
-    layout = {"i": ("Bq", _TAG_INT), "f": ("Bd", _TAG_FLOAT), "t": ("BI", _TAG_TEXT)}
-    return (struct.Struct("<H" + "".join(layout[kind][0] for kind in kinds)),
-            tuple(layout[kind][1] for kind in kinds))
 
+    def __init__(self, levels: int) -> None:
+        self.struct = struct.Struct("<H" + "B" * levels + "BqBd")
+        #: Bytes of the prefix: where the first value starts.
+        self.size = self.struct.size
+        self.tags: Tuple[int, ...] = (_TAG_INT, _TAG_FLOAT)
+        self.tags_at = 1 + levels
+        self.key_at = 2 + levels
+        self.time_at = 4 + levels
+        #: Offsets in the record: of each level's byte, of the row key's tag
+        #: and of the insertion time's tag.
+        self.level_offsets = tuple(range(_COUNT_STRUCT.size, _COUNT_STRUCT.size + levels))
+        self.key_offset = _COUNT_STRUCT.size + levels
+        self.time_offset = self.key_offset + _INT_FIELD.size
+        #: ``read_levels(data, start)`` → the levels of the record at ``data[start]``.
+        self.read_levels: Callable[[Any, int], Tuple[int, ...]] = struct.Struct(
+            f"<{_COUNT_STRUCT.size}x{levels}B").unpack_from
+        self._lead = struct.Struct("<H" + "B" * levels)
 
-def wide_prefix(kinds: str, types: Sequence[ValueType]
+    def level_at(self, level: int) -> int:
+        """Where in ``head`` level ``level`` is."""
+        return 1 + level
+
+    def value_at(self, position: int) -> int:
+        """Where in a widened ``head`` (:meth:`widened`) the payload of value
+        ``position`` is: past a tag and a payload per value before it."""
+        return self.time_at + 2 + 2 * position
+
+    def value_offset(self, position: int) -> int:
+        """The offset in the record of value ``position``'s tag when every
+        value before it is a fixed-width INT or FLOAT (9 bytes each)."""
+        return self.size + (1 + _INT_STRUCT.size) * position
+
+    def widened(self, types: Sequence[ValueType]
                 ) -> Tuple[struct.Struct, Tuple[int, ...], int, bool]:
-    """:func:`fixed_prefix` of ``kinds`` widened over the values of the
-    leading INT/FLOAT ``types`` and the tag and length of a TEXT right after
-    them; and how many values it covers, and whether a TEXT's head ends it."""
-    covered = 0
-    while covered < len(types) and types[covered] in (ValueType.INT, ValueType.FLOAT):
-        covered += 1
-    text = covered < len(types) and types[covered] is ValueType.TEXT
-    codes = "".join("i" if kind is ValueType.INT else "f" for kind in types[:covered])
-    return (*fixed_prefix(kinds + codes + "t" * text), covered, text)
+        """The prefix widened over the values of the leading INT/FLOAT
+        ``types`` and the tag and length of a TEXT right after them — one
+        struct, the tags it must carry (from :attr:`tags_at`, every other
+        item) — and how many values it covers, and whether a TEXT's head
+        ends it."""
+        covered = 0
+        while covered < len(types) and types[covered] in _FIXED:
+            covered += 1
+        text = covered < len(types) and types[covered] is ValueType.TEXT
+        fixed = [_FIXED[kind] for kind in types[:covered]] + [("BI", _TAG_TEXT)] * text
+        return (struct.Struct(self.struct.format + "".join(code for code, _tag in fixed)),
+                self.tags + tuple(tag for _code, tag in fixed), covered, text)
+
+    def lead(self, count: int, levels: Sequence[int]) -> bytes:
+        """The record's field ``count`` and ``levels``: its first bytes."""
+        return self._lead.pack(count, *levels)
+
+    @staticmethod
+    def stamp(inserted_at: float) -> bytes:
+        """The insertion time's field: the prefix's last bytes."""
+        return _FLOAT_FIELD.pack(_TAG_FLOAT, float(inserted_at))
+
+    def level_pieces(self, top: int) -> List[bytes]:
+        """The bytes of each level ``0..top`` as a record stores it."""
+        return [bytes((level,)) for level in range(top + 1)]
+
+
+@lru_cache(maxsize=None)
+def record_prefix(levels: int) -> RecordPrefix:
+    """The (shared) :class:`RecordPrefix` of ``levels`` levels."""
+    return RecordPrefix(levels)
 
 
 def encode_record(values: Sequence[Any]) -> bytes:
@@ -187,4 +260,4 @@ def decode_record(data: bytes) -> Tuple[Any, ...]:
 
 
 __all__ = ["encode_value", "decode_value", "encode_record", "encode_ints", "decode_record",
-           "record_field_count", "fixed_prefix", "wide_prefix"]
+           "record_field_count", "MAX_LEVEL", "RecordPrefix", "record_prefix"]

@@ -69,9 +69,10 @@ from .serialization import decode_record, encode_ints, encode_record
 #: deferrals and checkpoint snapshots: four record types), which recovery now
 #: derives from the heap; version 6 logged a row change as one of three
 #: record types (``INSERT_RUN`` per page, ``UPDATE`` and ``REMOVE`` per row)
-#: and had a before-image field in every record head.  There is no reader for
-#: any of them.
-WAL_FORMAT_VERSION = 7
+#: and had a before-image field in every record head; version 7's row images
+#: stored each level as a tagged 8-byte INT and its ``CATALOG`` documents
+#: uncompressed.  There is no reader for any of them.
+WAL_FORMAT_VERSION = 8
 
 #: A segment is rolled when the next record would grow it past this many
 #: bytes.  A record larger than the cap gets a segment of its own.
@@ -193,12 +194,9 @@ _SCRUB_EXEMPT = frozenset({
 
 @dataclass(slots=True)
 class LogRecord:
-    """One log entry.
-
-    ``after`` is its opaque payload.  A ``DELTA``'s is a ``bytearray``: a
-    scrub zeroes one row's entries in it where they lie, and sets it to
-    ``None`` once the last live one is gone.
-    """
+    """One log entry.  ``after`` is its opaque payload.  A ``DELTA``'s is a
+    ``bytearray``: a scrub zeroes one row's entries in it where they lie,
+    and sets it to ``None`` once the last live one is gone."""
 
     lsn: int
     txn_id: int
@@ -569,8 +567,8 @@ class WriteAheadLog:
     def roll(self) -> None:
         """Make the next record appended the first of a new segment.
 
-        Checkpoints call this ahead of their anchor record, so truncating up
-        to the anchor drops every record before it.
+        A truncating checkpoint calls this ahead of its anchor record, so
+        truncating up to the anchor drops every record before it.
         """
         self._roll_at = self._next_lsn
 
@@ -692,8 +690,8 @@ class WriteAheadLog:
         On disk a segment goes whole or not at all: the segments lying wholly
         at or below ``lsn`` are unlinked, and a segment ``lsn`` falls inside
         is kept whole, so the log keeps a longer prefix — one recovery
-        replays as it replays an untruncated log.  A checkpoint calls
-        :meth:`roll` ahead of its anchor, so only a transaction left open
+        replays as it replays an untruncated log.  A truncating checkpoint
+        calls :meth:`roll` ahead of its anchor, so only a transaction left open
         across it keeps such a segment.  A memory-only log drops exactly
         up to ``lsn``.  Memory follows the disk segment by segment, so an
         I/O failure (:class:`DurabilityError`) leaves a shorter but

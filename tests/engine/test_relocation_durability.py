@@ -23,9 +23,9 @@ from repro.storage.serialization import encode_value
 
 PAGE_SIZE = 512
 #: Record sizes of this fixture: a filler (NULL salary — it degrades in level
-#: only, so it never changes size) is 44 bytes plus its note, a young row 52
-#: bytes before its first step and 59 after.
-FILLER, YOUNG_ROW, SLOT = 44, 52, 4
+#: only, so it never changes size) is 36 bytes plus its note, a young row 44
+#: bytes before its first step and 51 after.
+FILLER, YOUNG_ROW, SLOT = 36, 44, 4
 #: What three wide fillers leave of a page for the fourth record.
 LEFT_BY_THREE = PAGE_SIZE - 4 - 3 * (SLOT + FILLER + 60) - SLOT
 #: Four pages of four fillers.  The last filler of a page is cut so that page

@@ -11,9 +11,10 @@ timings in a shared sandbox).
   ``StoredRow`` + visible dict + ``Filter`` operator per row) made for the
   same statement.
 * A page over the purpose's cap costs one comparison, not a generator step:
-  a ``GROUP BY`` over 6,000 rows (134 pages) under a purpose that sees none
-  of them costs at most half the 1,138 calls the parent commit (db33bfa, one
-  ``_read_keys`` step per page run) made for it.
+  a ``GROUP BY`` over 6,000 rows (122 pages; 134 when a record stored each
+  level in nine bytes) under a purpose that sees none of them costs at most
+  half the 1,138 calls the parent commit (db33bfa, one ``_read_keys`` step
+  per page run, 134 pages) made for it.
 
 Calls are summed over every profile entry.  The pins were first read off
 ``pstats.Stats(profile).total_calls``, which keys its entries by ``(file,
@@ -104,7 +105,7 @@ def test_a_filtered_scan_pays_for_the_rows_it_keeps():
 def test_a_scan_over_pages_above_the_cap_pays_per_page_read():
     db, connection, cursor = visits("address")
     db.advance_time(hours=2)            # every row a level past the purpose's cap
-    assert db.table_store("visits").heap.page_count == 134
+    assert db.table_store("visits").heap.page_count == 122
 
     def group_by():
         cursor.execute("SELECT day, COUNT(*) AS n FROM visits GROUP BY day", purpose="p")

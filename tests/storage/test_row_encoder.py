@@ -2,8 +2,8 @@
 strategy) is the record codec, byte for byte, and the checks it replaced.
 
 * property: a row stored by ``TableStore.insert_many`` — given as a value
-  row or as an INSERT's parameters — is :func:`encode_record` of ``[row
-  key, insertion time, levels, coerced values]`` (degradable fields
+  row or as an INSERT's parameters — is :func:`encode_stored` of its row
+  key, insertion time, levels and coerced values (degradable fields
   encrypted under ``crypto``), for every column type, NULL, bools, big ints
   and non-ASCII text; its coerced values are what it hands the fan-out, and
   :meth:`TableStore.image` of the row read back is the stored record;
@@ -30,6 +30,8 @@ from repro.storage.degradable_store import TableStore
 from repro.storage.pager import MemoryPager
 from repro.storage.serialization import encode_record, encode_value
 from repro.storage.wal import WriteAheadLog
+
+from .test_record_prefix import encode_stored
 
 SCHEMA = TableSchema("t", [
     Column("id", "INT", primary_key=True),
@@ -81,7 +83,7 @@ def expected_records(strategy, rows, first, now):
             if strategy == "crypto" and column.degradable and not is_missing(values[position]):
                 values[position] = twin.encrypt(("t", key, column.name, 0),
                                                 encode_value(values[position]))
-        records.append(encode_record([key, float(now), 0, 0, *values]))
+        records.append(encode_stored(key, now, (0, 0), values))
     return records
 
 

@@ -418,11 +418,13 @@ class TestPersistence:
         # the schedule record by record; version 4 logged one INSERT per row
         # and numbered its types with DELETE among them; version 5 logged the
         # schedule in four record types this build no longer has; version 6
-        # logged a row change as INSERT_RUN, UPDATE or REMOVE.
+        # logged a row change as INSERT_RUN, UPDATE or REMOVE; version 7's row
+        # images stored each level as a tagged 8-byte INT and its CATALOG
+        # documents uncompressed.
         from repro import InstantDB
         from repro.storage.wal import WAL_FORMAT_VERSION
-        assert WAL_FORMAT_VERSION == 7
-        for version in (3, 4, 5, 6):
+        assert WAL_FORMAT_VERSION == 8
+        for version in (3, 4, 5, 6, 7):
             data_dir = str(tmp_path / f"v{version}")
             db = InstantDB(data_dir=data_dir)
             db.execute("CREATE TABLE t (id INT PRIMARY KEY)")
