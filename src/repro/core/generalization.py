@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .clock import DAY, HOUR, MINUTE, MONTH
 from .errors import GeneralizationError, UnknownValueError
@@ -222,36 +222,6 @@ class GeneralizationTree(GeneralizationScheme):
                     node = existing
                 parent = node
         return cls(name, level_names, root, nodes_by_level)
-
-    @classmethod
-    def from_nested(cls, name: str, nested: Mapping[Any, Any],
-                    level_names: Optional[Sequence[str]] = None) -> "GeneralizationTree":
-        """Build a tree from a nested mapping ``{coarse: {finer: {...}}}``.
-
-        Leaves are the keys whose value is an empty mapping, a list of leaf
-        values, or ``None``.
-        """
-        paths: List[Tuple[Any, ...]] = []
-
-        def walk(node: Any, trail: Tuple[Any, ...]) -> None:
-            if isinstance(node, Mapping):
-                if not node:
-                    paths.append(trail)
-                    return
-                for key, child in node.items():
-                    walk(child, (key,) + trail)
-            elif isinstance(node, (list, tuple, set)):
-                for leaf in node:
-                    paths.append((leaf,) + trail)
-            elif node is None:
-                paths.append(trail)
-            else:
-                paths.append((node,) + trail)
-
-        for key, child in nested.items():
-            walk(child, (key,))
-        # ``walk`` produced paths leaf→root already because we prepend.
-        return cls.from_paths(name, paths, level_names=level_names)
 
     # -- GeneralizationScheme ------------------------------------------------
 

@@ -67,7 +67,7 @@ from ..storage.buffer import BufferPool
 from ..storage.crypto import KeyStore
 from ..storage.degradable_store import DegradeChunk, RowBatch, StoredRow, TableStore
 from ..storage.pager import open_pager
-from ..storage.wal import LogRecordType, WriteAheadLog, encode_page_directory
+from ..storage.wal import LogRecordType, WriteAheadLog
 from ..txn.recovery import RecoveryManager, RecoveryReport
 from ..txn.transaction import Transaction, TransactionManager
 from . import ddl
@@ -317,12 +317,6 @@ class InstantDB:
         registered = self.registry.register_policy(policy, name=name)
         self._catalog_dirty = True
         return registered
-
-    def define_purpose(self, purpose: Purpose) -> Purpose:
-        """Register a purpose built through the Python API."""
-        added = self.catalog.add_purpose(purpose)
-        self._catalog_dirty = True
-        return added
 
     def purpose(self, name: str) -> Purpose:
         return self.catalog.purpose(name)
@@ -810,6 +804,9 @@ class InstantDB:
             # schedule still holds the rows.
             self._apply_delta(info, gone=store.row_keys())
             store.remove_many(store.row_keys(), now=self.clock.now())
+            # Its pages name no owner on disk before the drop is logged: a
+            # re-created table of the same name adopts none of them.
+            store.heap.disown()
         # The TABLE_DROP marker closes the table's log *epoch*: it is written
         # after the drop's own removals so every record up to and including
         # the marker belongs to the dropped incarnation.  Recovery skips
@@ -1077,9 +1074,10 @@ class InstantDB:
 
         The CATALOG anchor (if due) comes first, then the event firings the
         schedule can still need (:meth:`DegradationScheduler.snapshot`),
-        logged again as ``SCHED_EVENT`` records, then the CHECKPOINT marker
-        with the heap page directory (table → page ids) a reopened database
-        finds its pages by.  Truncation keeps from the anchor on.
+        logged again as ``SCHED_EVENT`` records, then the CHECKPOINT marker.
+        Every page is flushed and synced first, so each names its owner on
+        disk before the log behind the anchor goes.  Truncation keeps from
+        the anchor on.
         """
         self._require_writable()
         now = self.clock.now()
@@ -1109,14 +1107,7 @@ class InstantDB:
             record = self.wal.append(LogRecordType.SCHED_EVENT, 0, attribute=event,
                                      timestamp=fired_at)
             anchor = anchor or record
-        marker = self.wal.append(
-            LogRecordType.CHECKPOINT, txn_id=0,
-            after=encode_page_directory({
-                table: store.heap.page_ids()
-                for table, store in self.stores.items()
-            }),
-            timestamp=now,
-        )
+        marker = self.wal.append(LogRecordType.CHECKPOINT, 0, timestamp=now)
         anchor = anchor or marker
         self._flush_wal()
         if truncate_wal:
@@ -1219,9 +1210,8 @@ class InstantDB:
         applied: List[DegradationStep] = []
         if drain:
             applied = self.daemon.catch_up(self.clock.now())
-        # Make recovery's own log writes durable (redo may allocate heap
-        # pages and append PAGE_ALLOC records; losing them to a crash before
-        # the next commit would orphan pages that still hold accurate rows).
+        # Make whatever the recovery appended durable before the engine takes
+        # statements again.
         self._flush_wal()
         return EngineRecovery(
             recovery=report,

@@ -74,11 +74,14 @@ class BufferPool:
         self._admit(page_id, page, dirty=False)
         return page
 
-    def new_page(self) -> int:
-        """Allocate a page through the pager and admit it clean."""
+    def new_page(self, owner: int = 0) -> int:
+        """Allocate a page through the pager and admit it, stamped with
+        ``owner`` (:attr:`SlottedPage.owner`): dirty then, so the stamp
+        reaches the pager with the page's first write-back."""
         page_id = self.pager.allocate()
         page = self.pager.read_page(page_id)
-        self._admit(page_id, page, dirty=False)
+        page.owner = owner
+        self._admit(page_id, page, dirty=bool(owner))
         return page_id
 
     def mark_dirty(self, page_id: int) -> None:
@@ -150,12 +153,6 @@ class BufferPool:
         for page_id in list(self._frames):
             self.flush_page(page_id)
         self.pager.sync()
-
-    def drop_cache(self) -> None:
-        """Flush then forget every frame (simulates a restart)."""
-        self.flush_all()
-        self._frames.clear()
-        self._dirty.clear()
 
     # -- introspection ------------------------------------------------------------
 

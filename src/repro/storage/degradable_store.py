@@ -162,8 +162,7 @@ class TableStore:
         # The heap's level summary reads a record's levels off its prefix, unchecked: each
         # record it holds was encoded here or passed :meth:`rebuild_locations`'s checked read.
         self.heap = HeapFile(buffer_pool, name=schema.name,
-                             levels=prefix.read_levels if self._degradable else None,
-                             on_allocate=self._log_page_allocation)
+                             levels=prefix.read_levels if self._degradable else None)
         self._locations: Dict[int, RecordId] = {}
         #: The address map's page runs, derived from it (map order).  Built by
         #: the first full read (:meth:`runs`), extended by an insert, dropped
@@ -269,18 +268,6 @@ class TableStore:
             after, index = encode_delta(changes)
             self.wal.append(LogRecordType.DELTA, txn_id, table=self.schema.name, timestamp=now,
                             row_key=max(map(itemgetter(0), changes)), after=after, images=index)
-
-    def _log_page_allocation(self, page_id: int) -> None:
-        """Make heap page ownership durable (see ``LogRecordType.PAGE_ALLOC``).
-
-        Degraded rows survive a crash only on their flushed pages — their
-        accurate WAL images are scrubbed by design — so the table must be able
-        to find its pages again after a reopen.  The record carries the page
-        id in the row-key field and no payload, which keeps it exempt from
-        scrubbing.
-        """
-        self.wal.append(LogRecordType.PAGE_ALLOC, 0, table=self.schema.name,
-                        row_key=page_id)
 
     # -- basic operations ----------------------------------------------------
 

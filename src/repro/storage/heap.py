@@ -15,7 +15,9 @@ while that has room (a bulk load only ever appends), else to a page of the
 roomiest non-empty class (one compaction there serves many inserts), else to a
 freshly allocated page — it touches no page it does not write.  The map is
 derived state: nothing of it is persisted, :meth:`HeapFile.adopt_pages`
-rebuilds it from the slot directories it reads anyway.
+rebuilds it from the slot directories of the pages recovery finds naming the
+heap in their *owner* field — stamped when the heap allocates a page, cleared
+when a dropped table's heap gives its pages up (:meth:`HeapFile.disown`).
 
 Beside it, by the same argument, the heap keeps a **level summary** when its
 owner hands it a ``levels(data, start)`` reader of a record's degradable-column
@@ -37,7 +39,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Op
 
 from ..core.errors import StorageError
 from .buffer import BufferPool
-from .page import SlottedPage, record_span
+from .page import SlottedPage, owner_of, record_span
 
 #: Size classes of the free-space map: class ``c`` holds the pages whose free
 #: space is in ``[c, c + 1) × page_size / SIZE_CLASSES``.
@@ -61,13 +63,10 @@ class HeapFile:
     """An unordered collection of records belonging to one table."""
 
     def __init__(self, buffer_pool: BufferPool, name: str = "heap",
-                 on_allocate: Optional[Callable[[int], None]] = None,
                  levels: Optional[LevelReader] = None) -> None:
         self.buffer_pool = buffer_pool
         self.name = name
-        #: Called with the page id whenever the heap allocates a fresh page;
-        #: the table store uses this to log page ownership durably.
-        self.on_allocate = on_allocate
+        self.owner = owner_of(name)         #: what each of its pages names as its owner
         self._page_ids: List[int] = []
         self._record_count = 0
         #: The free-space map: page id → ``free_space()`` of that page, and
@@ -199,10 +198,8 @@ class HeapFile:
         return 0
 
     def _allocate(self) -> int:
-        """A fresh page; its ownership is logged before the heap uses it."""
-        page_id = self.buffer_pool.new_page()
-        if self.on_allocate is not None:
-            self.on_allocate(page_id)
+        """A fresh page, stamped with the heap's owner."""
+        page_id = self.buffer_pool.new_page(self.owner)
         self._page_ids.append(page_id)
         self._file(page_id, self.buffer_pool.get_page(page_id))
         return page_id
@@ -281,28 +278,17 @@ class HeapFile:
     def adopt_pages(self, page_ids: List[int]) -> int:
         """Re-attach previously allocated pages after a reopen (recovery).
 
-        A fresh :class:`HeapFile` owns no pages; recovery feeds it the page
-        ids the WAL proves were allocated to this table (checkpoint directory
-        plus PAGE_ALLOC tail).  Ids unknown to the pager are skipped — their
-        allocation never became durable, so no data can live there.  The live
-        record count and the free-space map are rebuilt from the adopted
-        pages' slot directories, the level summary from their record headers.
-        Returns the number of pages adopted.
+        A fresh :class:`HeapFile` owns no pages; recovery feeds it the pager
+        pages that name it as their owner, in page order.  The live record
+        count and the free-space map are rebuilt from the adopted pages' slot
+        directories, the level summary from their record headers.  Returns
+        the number of pages adopted.
         """
-        known = set(self._page_ids)
-        adopted = 0
-        for page_id in page_ids:
-            if page_id in known:
-                continue
-            try:
-                page = self.buffer_pool.get_page(page_id)
-            except StorageError:
-                continue
+        known = set(self._page_ids)     # already counted
+        adopted = [page_id for page_id in page_ids if page_id not in known]
+        for page_id in adopted:         # its records, room and levels off one read
+            page = self.buffer_pool.get_page(page_id)
             self._page_ids.append(page_id)
-            known.add(page_id)
-            adopted += 1
-            # Count the adopted page's records and room in the same read
-            # that validated it; already-known pages are already counted.
             self._record_count += page.live_count
             if self.levels is not None and page.live_count:
                 try:
@@ -312,7 +298,17 @@ class HeapFile:
                                        f"a truncated record") from exc
                 self._relevel(page_id, ())      # its floor
             self._file(page_id, page)
-        return adopted
+        return len(adopted)
+
+    def disown(self) -> None:
+        """Leave every page (a dropped table's, its records erased) empty and
+        naming no owner, written and synced: no heap adopts it again."""
+        for page_id in self._page_ids:
+            page = self.buffer_pool.get_page(page_id)
+            page.compact()          # no live record: the whole payload area zeroed
+            page.owner = 0
+            self.buffer_pool.mark_dirty(page_id)
+        self.flush()
 
     def compact(self) -> None:
         """Compact every page (secure pages zero the reclaimed space)."""
@@ -323,8 +319,8 @@ class HeapFile:
 
     def check(self) -> None:
         """Raise :class:`StorageError` unless every page passes
-        :meth:`SlottedPage.check` and the free-space map, the record count and
-        the level summary equal a recount from the pages."""
+        :meth:`SlottedPage.check` and names the heap its owner, and the free-space
+        map, the record count and the level summary equal a recount from the pages."""
         free: Dict[int, int] = {}
         classes = [0] * SIZE_CLASSES
         records = 0
@@ -333,6 +329,8 @@ class HeapFile:
         for page_id in self._page_ids:
             page = self.buffer_pool.get_page(page_id)
             page.check()
+            if page.owner != self.owner:
+                raise StorageError(f"heap {self.name!r}: page {page_id} names another owner")
             free[page_id] = page.free_space()
             classes[self._size_class(free[page_id])] |= 1 << page_id
             slots = page.live_slots()

@@ -59,7 +59,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.errors import KeyDestroyedError, PolicyError, StorageError
 from ..core.values import NULL, REMOVED, SUPPRESSED, check_parameter, compare
-from .page import _HEADER, _SLOT, lost_slot
+from .page import _DIRECTORY, _SLOT, lost_slot
 from .serialization import (_FLOAT_FIELD, _FLOAT_STRUCT, _INT_FIELD, _INT_STRUCT, _LEN_STRUCT,
                             _TAG_BYTES, _TAG_FLOAT, _TAG_INT, _TAG_NULL, _TAG_SUPPRESSED,
                             _TAG_TEXT, _TEXT_HEAD, decode_value, encode_value, record_prefix)
@@ -174,7 +174,7 @@ def _span(out: _Source) -> None:
     off its slot directory — :func:`~repro.storage.page.record_span` inline,
     with the same errors (``count``: the page's slot count)."""
     _raise(out, "not 0 <= slot < count", "out of range", "lost_slot", "slot, ")
-    out(f"start, end = unpack_slot(data, {_HEADER.size} + {_SLOT.size} * slot)")
+    out(f"start, end = unpack_slot(data, {_DIRECTORY} + {_SLOT.size} * slot)")
     _raise(out, "not start", "is deleted", "lost_slot", "slot, ")
     out("end += start")
 

@@ -2,7 +2,9 @@
 
 A page is a fixed size byte buffer organised as a classic slotted page:
 
-* a header with the slot count and the offset of the free space frontier;
+* a header with the slot count, the offset of the free space frontier and
+  the page's *owner* (:func:`owner_of` its table; 0: nobody's), by which
+  recovery hands each table its pages;
 * a slot directory growing from the front, one ``(offset, length)`` pair per
   slot (``offset == 0`` marks a deleted slot);
 * record payloads growing from the back.
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import heapq
 import struct
+from hashlib import blake2b
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.errors import PageFullError, RecordNotFoundError, StorageError
@@ -38,7 +41,15 @@ from ..core.errors import PageFullError, RecordNotFoundError, StorageError
 DEFAULT_PAGE_SIZE = 4096
 
 _HEADER = struct.Struct("<HH")          # slot_count, free_space_offset (from end)
+_OWNER = struct.Struct("<Q")            # owner_of(its table), behind the two counts
+_DIRECTORY = _HEADER.size + _OWNER.size  # where the slot directory starts
 _SLOT = struct.Struct("<HH")            # record_offset, record_length
+
+
+def owner_of(name: str) -> int:
+    """What the pages of heap ``name`` name as their owner: a digest of the
+    name, so no small integer sits in every page header."""
+    return int.from_bytes(blake2b(name.encode(), digest_size=_OWNER.size).digest(), "little")
 
 
 def lost_slot(slot: int, what: str) -> RecordNotFoundError:
@@ -51,7 +62,7 @@ def record_span(buffer: bytearray, slot: int) -> Tuple[int, int]:
     off the slot directory — what the kernels do inline for each slot."""
     if not 0 <= slot < _HEADER.unpack_from(buffer, 0)[0]:
         raise lost_slot(slot, "out of range")
-    offset, length = _SLOT.unpack_from(buffer, _HEADER.size + slot * _SLOT.size)
+    offset, length = _SLOT.unpack_from(buffer, _DIRECTORY + slot * _SLOT.size)
     if not offset:
         raise lost_slot(slot, "is deleted")
     return offset, offset + length
@@ -93,22 +104,30 @@ class SlottedPage:
     def slot_count(self) -> int:
         return self._get_header()[0]
 
+    @property
+    def owner(self) -> int:
+        return _OWNER.unpack_from(self._buffer, _HEADER.size)[0]
+
+    @owner.setter
+    def owner(self, owner: int) -> None:
+        _OWNER.pack_into(self._buffer, _HEADER.size, owner)
+
     @staticmethod
     def _slot_directory_end(slot_count: int) -> int:
-        return _HEADER.size + slot_count * _SLOT.size
+        return _DIRECTORY + slot_count * _SLOT.size
 
     def _get_slot(self, slot: int) -> Tuple[int, int]:
         if not 0 <= slot < self.slot_count:
             raise lost_slot(slot, "out of range")
-        return _SLOT.unpack_from(self._buffer, _HEADER.size + slot * _SLOT.size)
+        return _SLOT.unpack_from(self._buffer, _DIRECTORY + slot * _SLOT.size)
 
     def _set_slot(self, slot: int, offset: int, length: int) -> None:
-        _SLOT.pack_into(self._buffer, _HEADER.size + slot * _SLOT.size, offset, length)
+        _SLOT.pack_into(self._buffer, _DIRECTORY + slot * _SLOT.size, offset, length)
 
     def _directory(self) -> Iterator[Tuple[int, int]]:
         """The ``(offset, length)`` entry of every slot, in slot order."""
         return _SLOT.iter_unpack(
-            self._buffer[_HEADER.size:self._slot_directory_end(self.slot_count)])
+            self._buffer[_DIRECTORY:self._slot_directory_end(self.slot_count)])
 
     # -- capacity --------------------------------------------------------------
 
@@ -193,7 +212,7 @@ class SlottedPage:
                     directory += _SLOT.size
                 free_offset -= length
                 buffer[free_offset:free_offset + length] = payload
-                pack(buffer, _HEADER.size + slot * _SLOT.size, free_offset, length)
+                pack(buffer, _DIRECTORY + slot * _SLOT.size, free_offset, length)
                 live += length
                 slots.append(slot)
         finally:
@@ -269,7 +288,7 @@ class SlottedPage:
         for done, (slot, payload) in enumerate(updates):
             if not 0 <= slot < slot_count:
                 raise lost_slot(slot, "out of range")
-            entry = _HEADER.size + slot * _SLOT.size
+            entry = _DIRECTORY + slot * _SLOT.size
             offset, length = _SLOT.unpack_from(buffer, entry)
             if offset == 0:
                 raise lost_slot(slot, "is deleted")
@@ -344,7 +363,7 @@ class SlottedPage:
                 directory += (0, 0)
         area = self._slot_directory_end(len(entries))
         buffer[area:] = bytes(free_offset - area) + b"".join(images)
-        struct.pack_into(f"<{len(directory)}H", buffer, _HEADER.size, *directory)
+        struct.pack_into(f"<{len(directory)}H", buffer, _DIRECTORY, *directory)
         self._set_header(len(entries), free_offset)
         self._dead = [slot for slot, (start, _length) in enumerate(entries) if not start]
         return len(replaced)
@@ -405,4 +424,4 @@ class SlottedPage:
         return cls(page_size=len(data), data=data, secure=secure)
 
 
-__all__ = ["SlottedPage", "DEFAULT_PAGE_SIZE", "record_span", "lost_slot"]
+__all__ = ["SlottedPage", "DEFAULT_PAGE_SIZE", "record_span", "lost_slot", "owner_of"]

@@ -9,13 +9,19 @@ Two backends share the :class:`Pager` interface:
 
 Both expose :meth:`Pager.raw_image` so the forensic scanner can look for
 residual plaintext in *all* bytes under management, not only live records.
+
+A pager does not know which table a page belongs to: the page's header does
+(:attr:`~repro.storage.page.SlottedPage.owner`).  What it keeps is the list of
+*spare* pages recovery found empty and naming no owner (:meth:`Pager.reuse`),
+which :meth:`Pager.allocate` hands out again before the store grows.
 """
 
 from __future__ import annotations
 
 import errno
+import heapq
 import os
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from ..core.errors import DurabilityError, StorageError
 from ..faults import FaultPlan
@@ -26,10 +32,21 @@ class Pager:
     """Interface of a page store."""
 
     page_size: int = DEFAULT_PAGE_SIZE
+    #: Empty pages that name no owner (:meth:`reuse`), handed out lowest first.
+    _spare: List[int]
 
     def allocate(self) -> int:
-        """Allocate a fresh page and return its page id."""
+        """A page for a heap: the lowest spare page, else a fresh one."""
+        return heapq.heappop(self._spare) if self._spare else self._grow()
+
+    def _grow(self) -> int:
+        """Add a fresh, empty page and return its page id."""
         raise NotImplementedError
+
+    def reuse(self, page_ids: Iterable[int]) -> None:
+        """Hand ``page_ids`` out again: the pages recovery found empty and
+        naming no owner — never written, or given up by a dropped table."""
+        self._spare = sorted(page_ids)
 
     def read_page(self, page_id: int) -> SlottedPage:
         raise NotImplementedError
@@ -62,8 +79,9 @@ class MemoryPager(Pager):
         self.secure = secure
         self._pages: Dict[int, bytes] = {}
         self._next_id = 0
+        self._spare = []
 
-    def allocate(self) -> int:
+    def _grow(self) -> int:
         page_id = self._next_id
         self._next_id += 1
         self._pages[page_id] = SlottedPage(self.page_size, secure=self.secure).to_bytes()
@@ -104,8 +122,9 @@ class FilePager(Pager):
                 f"file {path!r} has {size} bytes, not a multiple of page size {page_size}"
             )
         self._page_count = size // page_size
+        self._spare = []
 
-    def allocate(self) -> int:
+    def _grow(self) -> int:
         page_id = self._page_count
         self._page_count += 1
         empty = SlottedPage(self.page_size, secure=self.secure).to_bytes()

@@ -57,22 +57,25 @@ from ..core.errors import (
     WALError,
 )
 from ..faults import FaultPlan
-from .serialization import decode_record, encode_ints, encode_record
+from .serialization import decode_record, encode_ints
 
 #: Version of the on-disk format, stored in every segment header.  Version 1
 #: was the single-file, unchecksummed ``wal.log``; version 2 had per-row
-#: ``DEGRADE`` and per-step schedule payloads and a ``SEGMENT_DEGRADE`` type
-#: whose code ``PAGE_ALLOC`` has now; version 3 had one schedule registration
-#: per row, per-step deferral entries and per-record schedule snapshots;
-#: version 4 had one ``INSERT`` record per row and a reserved ``DELETE``
-#: code; version 5 logged the schedule itself (registrations, steps,
-#: deferrals and checkpoint snapshots: four record types), which recovery now
-#: derives from the heap; version 6 logged a row change as one of three
-#: record types (``INSERT_RUN`` per page, ``UPDATE`` and ``REMOVE`` per row)
-#: and had a before-image field in every record head; version 7's row images
-#: stored each level as a tagged 8-byte INT and its ``CATALOG`` documents
-#: uncompressed.  There is no reader for any of them.
-WAL_FORMAT_VERSION = 8
+#: ``DEGRADE`` and per-step schedule payloads and a ``SEGMENT_DEGRADE`` type;
+#: version 3 had one schedule registration per row, per-step deferral
+#: entries and per-record schedule snapshots; version 4 had one ``INSERT``
+#: record per row and a reserved ``DELETE`` code; version 5 logged the
+#: schedule itself (registrations, steps, deferrals and checkpoint
+#: snapshots: four record types), which recovery now derives from the heap;
+#: version 6 logged a row change as one of three record types
+#: (``INSERT_RUN`` per page, ``UPDATE`` and ``REMOVE`` per row) and had a
+#: before-image field in every record head; version 7's row images stored
+#: each level as a tagged 8-byte INT and its ``CATALOG`` documents
+#: uncompressed; version 8 logged each heap page's allocation to its table
+#: as a record of its own and folded the table → pages directory into every
+#: ``CHECKPOINT``: a page's header names its owner now.  There is no reader
+#: for any of them.
+WAL_FORMAT_VERSION = 9
 
 #: A segment is rolled when the next record would grow it past this many
 #: bytes.  A record larger than the cap gets a segment of its own.
@@ -141,23 +144,17 @@ class LogRecordType(Enum):
     # the target level and the row keys (``row_key`` is unused) — never an
     # attribute value — so the record is scrub-exempt by construction.
     DEGRADE = "DEGRADE"
-    # Heap page allocated to a table (``row_key`` holds the page id).  The
-    # row→page map is rebuilt by scanning the heap at recovery, but *which*
-    # pager pages belong to which table must itself be durable: degraded rows
-    # exist only on their flushed pages (their accurate log images are
-    # scrubbed), so losing page ownership would lose the rows.  CHECKPOINT
-    # records fold the full directory into their payload; PAGE_ALLOC covers
-    # the tail behind the last checkpoint.  (It sits here because it took the
-    # slot of ``SEGMENT_DEGRADE``, which format version 3 retired: one type
-    # renumbered instead of every type behind the hole.)
-    PAGE_ALLOC = "PAGE_ALLOC"
+    # Audit trace of a log scrubbing action.  (It took the slot of the
+    # page-allocation type, which format version 9 retired: a page's header
+    # names its owner.)
+    SCRUB = "SCRUB"
     # A named event fired (``attribute`` holds the event, ``timestamp`` the
     # time): the one input of the degradation schedule the heap cannot give
     # back.  No attribute value is in it, so it is scrub-exempt.  (It took
     # the slot of ``REMOVE``, which format version 7 retired.)
     SCHED_EVENT = "SCHED_EVENT"
+    # The truncation anchor of a checkpoint; it carries no payload.
     CHECKPOINT = "CHECKPOINT"
-    SCRUB = "SCRUB"            # audit trace of a log scrubbing action
 
 
 _TYPES: Tuple[LogRecordType, ...] = tuple(LogRecordType)
@@ -186,7 +183,6 @@ _SCRUB_EXEMPT = frozenset({
     LogRecordType.SCHED_EVENT,
     LogRecordType.TABLE_DROP,
     LogRecordType.CATALOG,
-    LogRecordType.PAGE_ALLOC,
     # Its payload is a target accuracy level and row keys: no attribute value.
     LogRecordType.DEGRADE,
 })
@@ -360,33 +356,6 @@ def delta_entries(record: LogRecord) -> List[Entry]:
              bytes(payload[offset + _KEYED.size:offset + length])
              if length > _KEYED.size else None)
             for offset, length, _row_key in _live_entries(payload)]
-
-
-def encode_page_directory(directory: Dict[str, List[int]]) -> bytes:
-    """Encode the table → heap-page-ids directory (CHECKPOINT payload)."""
-    flat: List[Any] = [len(directory)]
-    for table in sorted(directory):
-        pages = directory[table]
-        flat.append(table)
-        flat.append(len(pages))
-        flat.extend(int(page_id) for page_id in pages)
-    return encode_record(flat)
-
-
-def decode_page_directory(payload: bytes) -> Dict[str, List[int]]:
-    """Inverse of :func:`encode_page_directory`."""
-    flat = decode_record(payload)
-    cursor = 0
-    count = int(flat[cursor]); cursor += 1
-    directory: Dict[str, List[int]] = {}
-    for _ in range(count):
-        table = str(flat[cursor]); cursor += 1
-        n_pages = int(flat[cursor]); cursor += 1
-        directory[table] = [int(p) for p in flat[cursor:cursor + n_pages]]
-        cursor += n_pages
-    if cursor != len(flat):
-        raise WALError("malformed page-directory payload")
-    return directory
 
 
 @dataclass
@@ -1093,5 +1062,4 @@ class WriteAheadLog:
 
 __all__ = ["WriteAheadLog", "LogRecord", "LogRecordType", "WALStats",
            "WAL_FORMAT_VERSION", "encode_delta", "delta_entries",
-           "encode_degrade_chunk", "decode_degrade_chunk",
-           "encode_page_directory", "decode_page_directory"]
+           "encode_degrade_chunk", "decode_degrade_chunk"]

@@ -23,17 +23,18 @@ preparation pass into :attr:`RecoveryManager.firings`.  See
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.errors import RecoveryError
+from ..storage.buffer import BufferPool
 from ..storage.degradable_store import TableStore
 from ..storage.wal import (
     LogRecord,
     LogRecordType,
     WriteAheadLog,
     decode_degrade_chunk,
-    decode_page_directory,
     delta_entries,
 )
 
@@ -52,6 +53,9 @@ _REPLAY_IGNORED = frozenset({
     # time RecoveryManager runs, the tables it describes already exist, so
     # the data passes have nothing to do with it.
     LogRecordType.CATALOG,
+    # CHECKPOINT is the anchor a truncating checkpoint keeps the log from;
+    # its pages were flushed before it, and it carries nothing to apply.
+    LogRecordType.CHECKPOINT,
 })
 
 
@@ -73,7 +77,7 @@ class RecoveryReport:
     undone_updates: int = 0
     skipped_undos: int = 0
     #: Full forward iterations over the WAL spent *preparing* recovery
-    #: (transaction analysis, drop epochs, page directory, row-key highs).
+    #: (transaction analysis, drop epochs, event firings, row-key highs).
     #: Exactly 1 by construction — the fused :meth:`RecoveryManager._prepare`
     #: pass — and asserted on by the recovery tests.
     wal_prep_passes: int = 0
@@ -94,8 +98,6 @@ class RecoveryManager:
         #: Transaction analysis (winners / losers at the crash point).
         self._committed: Set[int] = set()
         self._losers: Set[int] = set()
-        #: Table → heap page ids (last CHECKPOINT directory + PAGE_ALLOC tail).
-        self._page_directory: Dict[str, List[int]] = {}
         #: Table → highest row key the surviving log mentions.
         self._highest_row_keys: Dict[str, int] = {}
         #: ``(event, time)`` of every logged firing, in log order (a
@@ -115,13 +117,11 @@ class RecoveryManager:
     def _prepare(self) -> None:
         """One fused forward pass over the log.
 
-        Historically four separate iterations (drop-epoch scan, transaction
-        analysis, page-directory restore, row-key reservation) each walked the
-        full record list.  They fold into one because every
-        drop-epoch-dependent decision can be made *incrementally*: a
-        ``TABLE_DROP`` simply discards whatever state its table accumulated so
-        far (directory pages, row-key high), which is exactly what filtering
-        by the final drop LSN would have removed afterwards.
+        Drop epochs, transaction analysis, event firings and row-key
+        reservation share it because every drop-epoch-dependent decision can
+        be made *incrementally*: a ``TABLE_DROP`` simply discards the row-key
+        high its table accumulated so far, which is exactly what filtering by
+        the final drop LSN would have removed afterwards.
         """
         self.wal_prep_passes += 1
         begun: Set[int] = set()
@@ -151,20 +151,7 @@ class RecoveryManager:
                 # incarnation; a re-created table rebuilds its state from the
                 # newer-epoch records that follow.
                 self._drop_lsns[record.table] = record.lsn
-                self._page_directory.pop(record.table, None)
                 highest.pop(record.table, None)
-                continue
-            if record_type is LogRecordType.CHECKPOINT:
-                if record.after is not None:
-                    # The directory payload supersedes everything before it;
-                    # entries of tables dropped later are removed by the
-                    # TABLE_DROP branch above as those records stream past.
-                    self._page_directory = decode_page_directory(record.after)
-                continue
-            if record_type is LogRecordType.PAGE_ALLOC:
-                # The row-key field holds a page id, not a row key.
-                self._page_directory.setdefault(record.table, []).append(
-                    record.row_key)
                 continue
             if record_type is LogRecordType.SCHED_EVENT:
                 self.firings.append((record.attribute, record.timestamp))
@@ -183,7 +170,7 @@ class RecoveryManager:
         """Rebuild row maps, redo winner work and degradation, undo losers."""
         report = RecoveryReport(committed_txns=set(self._committed),
                                 loser_txns=set(self._losers))
-        self._restore_page_directories()
+        self._adopt_pages()
         for store in self.stores.values():
             store.rebuild_locations()
         self._redo(report)
@@ -203,32 +190,33 @@ class RecoveryManager:
         Rebuilding from live rows alone would re-issue keys freed by
         removals; a reused key would collide with the old incarnation's
         surviving −1 entries on the next recovery and delete the new
-        row.  The per-table highs come from the prepare pass (PAGE_ALLOC
-        records excluded — their row-key field holds a page id — as are
-        records of dropped epochs).
+        row.  The per-table highs come from the prepare pass (records of
+        dropped epochs excluded).
         """
         for table, row_key in self._highest_row_keys.items():
             store = self.stores.get(table)
             if store is not None:
                 store.reserve_row_keys_after(row_key)
 
-    def _restore_page_directories(self) -> None:
-        """Re-attach heap pages to their tables before scanning them.
-
-        Page ownership is durable as the last CHECKPOINT record's directory
-        payload plus the PAGE_ALLOC records behind it (assembled by the
-        prepare pass).  Freshly opened stores own no pages, so without this
-        step every row that exists only on a flushed page (all degraded rows
-        — their log images are scrubbed) would be unreachable.
+    def _adopt_pages(self) -> None:
+        """Hand every store the pager pages that name it as their owner
+        (:attr:`~repro.storage.page.SlottedPage.owner`), in page order,
+        before scanning them: each pager's pages are read once.  Freshly
+        opened stores own no pages, so without this step every row that
+        exists only on a flushed page (all degraded rows — their log images
+        are scrubbed) would be unreachable.  A page that names no owner —
+        never written, given up by a drop — is adopted by none: the pager
+        hands it out again before it grows.
         """
-        for table, page_ids in self._page_directory.items():
-            store = self.stores.get(table)
-            if store is None:
-                # A dropped table's allocation records may outlive it in the
-                # log; its pages have no store to attach to — skip them
-                # rather than make every other table unrecoverable.
-                continue
-            store.heap.adopt_pages(page_ids)
+        owned: Dict[BufferPool, Dict[int, List[int]]] = {}
+        for store in self.stores.values():
+            pool = store.buffer_pool
+            if pool not in owned:
+                owned[pool] = defaultdict(list)
+                for page_id in pool.pager.page_ids():
+                    owned[pool][pool.get_page(page_id).owner].append(page_id)
+                pool.pager.reuse(owned[pool][0])
+            store.heap.adopt_pages(owned[pool][store.heap.owner])
 
     def _old_epoch(self, record: LogRecord) -> bool:
         """Whether ``record`` predates the last drop of its table."""

@@ -114,17 +114,6 @@ class TestGeneralizationTree:
         with pytest.raises(GeneralizationError):
             GeneralizationTree.from_paths("bad", [])
 
-    def test_from_nested(self):
-        tree = GeneralizationTree.from_nested(
-            "product",
-            {"Food": {"Fruit": ["apple", "pear"], "Dairy": ["milk"]},
-             "Tools": {"Hand": ["hammer"]}},
-            level_names=["item", "group", "department"],
-        )
-        assert tree.generalize("apple", 1) == "Fruit"
-        assert tree.generalize("hammer", 2) == "Tools"
-        assert tree.num_levels == 4
-
 
 class TestNumericRangeGeneralization:
     @pytest.fixture

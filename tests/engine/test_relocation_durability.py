@@ -26,8 +26,10 @@ PAGE_SIZE = 512
 #: only, so it never changes size) is 36 bytes plus its note, a young row 44
 #: bytes before its first step and 51 after.
 FILLER, YOUNG_ROW, SLOT = 36, 44, 4
+#: A page header: slot count, free frontier and the owner's 8-byte digest.
+HEADER = 12
 #: What three wide fillers leave of a page for the fourth record.
-LEFT_BY_THREE = PAGE_SIZE - 4 - 3 * (SLOT + FILLER + 60) - SLOT
+LEFT_BY_THREE = PAGE_SIZE - HEADER - 3 * (SLOT + FILLER + 60) - SLOT
 #: Four pages of four fillers.  The last filler of a page is cut so that page
 #: 0 ends up full and pages 1–3 keep room for exactly one young row, with
 #: 3 bytes to spare: less than the 7 the row grows by.

@@ -31,9 +31,10 @@ LYON = "2 Station Road, Lyon"
 WAVE = 300          # rows per insert wave; three waves sit at three levels
 #: Purpose → its cap on the location level, and the records its full scan
 #: decodes (degradation shrank the old waves' records, so later waves filled
-#: their pages' room: 7 pages hold no address-level row, 5 no city-level one).
+#: their pages' room: 6 of 19 pages hold no address-level row, 5 no
+#: city-level one).
 CAPS = {"address": 0, "city": 1, "region": 2}
-DECODED = {"address": 625, "city": 673, "region": 900}
+DECODED = {"address": 626, "city": 674, "region": 900}
 
 
 @pytest.fixture

@@ -263,8 +263,8 @@ def test_a_wave_that_raises_leaves_the_engine_as_it_was():
 
 def test_work_counts_of_a_cohort_insert_and_its_wave():
     """Exact log work, by record type (``WALStats.appended_by_type``): a
-    120-row cohort fills 4 pages — 4 ``DELTA`` and 4 ``PAGE_ALLOC``
-    appends; its wave takes every row's location and 40 salaries one level
+    120-row cohort fills 4 pages — 4 ``DELTA`` appends, the pages naming
+    their owner themselves; its wave takes every row's location and 40 salaries one level
     on — one ``DEGRADE`` per chunk, one ``SCRUB`` audit record, and one
     scrubbed image per row settled."""
     store = make_store("rewrite")
@@ -273,8 +273,8 @@ def test_work_counts_of_a_cohort_insert_and_its_wave():
     keys = [row.row_key for row in store.insert_many(
         [random_row(rng, i) for i in range(1, 121)], now=0.0)]
     pages = {store.page_of(key) for key in keys}
-    assert stats.appended_by_type == {"DELTA": len(pages), "PAGE_ALLOC": len(pages)}
-    assert len(pages) == 4 and stats.appended == 8
+    assert stats.appended_by_type == {"DELTA": len(pages)}
+    assert len(pages) == 4 and stats.appended == 4
     inserted = dict(stats.appended_by_type)
     chunks = store.degrade_many([(keys, "location", SCHEMES["location"], 1),
                                  (keys[:40], "salary", SCHEMES["salary"], 1)], now=1.0)
@@ -283,7 +283,7 @@ def test_work_counts_of_a_cohort_insert_and_its_wave():
             for kind, count in stats.appended_by_type.items() if count != inserted.get(kind)}
     assert wave == {"DEGRADE": len(chunks), "SCRUB": 1}
     assert stats.scrubbed_records == len(keys) == 120
-    assert stats.appended == 8 + 3
+    assert stats.appended == 4 + 3
 
 
 def test_chunks_carry_the_value_transitions():

@@ -52,7 +52,7 @@ def test_every_row_change_is_one_delta_per_statement_and_page():
     assert not {"INSERT_RUN", "UPDATE", "REMOVE"} & set(by_type)
     assert by_type["DELTA"] == sum(pages for _rows, pages in groups)
     assert [rows for rows, _pages in groups] == [300, 40, 50, 250]
-    assert by_type == {"CATALOG": 1, "BEGIN": 5, "COMMIT": 5, "PAGE_ALLOC": 8,
+    assert by_type == {"CATALOG": 1, "BEGIN": 5, "COMMIT": 5,
                        "DELTA": 18, "DEGRADE": 2, "SCRUB": 2}
     # Every row is gone and every image of it with it: what is left of the
     # DELTAs is one imageless −1 a row.

@@ -95,15 +95,15 @@ class TestHeapFile:
 
     def test_failed_relocation_leaves_the_record_where_it_was(self):
         """Relocation places the new image before it zeroes the old one: page
-        allocation raising (a full disk, a failing PAGE_ALLOC append) must not
-        cost the record."""
-        def refuse(page_id):
-            if armed:
-                raise StorageError("no page for you")
+        allocation raising (a full disk) must not cost the record."""
+        class RefusingPager(MemoryPager):
+            def allocate(self):
+                if armed:
+                    raise StorageError("no page for you")
+                return super().allocate()
 
         armed = []
-        heap = HeapFile(BufferPool(MemoryPager(page_size=512), capacity=8),
-                        on_allocate=refuse)
+        heap = HeapFile(BufferPool(RefusingPager(page_size=512), capacity=8))
         rid = heap.insert(b"a" * 200)
         heap.insert(b"b" * 200)                  # the page is full in total
         armed.append(True)
@@ -176,7 +176,7 @@ def _drive(heap, rng, model, steps, trail):
             page = heap.buffer_pool.get_page(rid.page_id)
             on_page = sum(len(payload) for other, payload in model.values()
                           if other.page_id == rid.page_id)
-            full = on_page - len(old) + len(image) > page_size - 4 - 4 * page.slot_count
+            full = on_page - len(old) + len(image) > page_size - 12 - 4 * page.slot_count
             new_rid = update(heap, rid, image)
             assert (new_rid != rid) is full         # relocated only off a full page
             assert heap.exists(rid) is not full

@@ -61,17 +61,15 @@ def aged_store(strategy: str, seed: int) -> TableStore:
     return store
 
 
-def images(store: TableStore, since: int, kind: LogRecordType):
-    """``(row key, image, txn, time)`` of each record of ``kind`` — of each
-    entry of a ``DELTA``, in row-key order: a batch logs its rows by the page
-    they landed on."""
-    records = [record for record in store.wal.records()[since:] if record.record_type is kind]
-    if kind is LogRecordType.DELTA:
-        return sorted((row_key, weight, image, record.txn_id, record.timestamp)
-                      for record in records
-                      for row_key, weight, image in delta_entries(record))
-    return [(record.row_key, record.after, record.txn_id, record.timestamp)
-            for record in records]
+def images(store: TableStore, since: int):
+    """``(row key, weight, image, txn, time)`` of each entry of the records
+    logged since ``since`` — all of them ``DELTA``s — in row-key order: a
+    batch logs its rows by the page they landed on."""
+    records = store.wal.records()[since:]
+    assert {record.record_type for record in records} == {LogRecordType.DELTA}
+    return sorted((row_key, weight, image, record.txn_id, record.timestamp)
+                  for record in records
+                  for row_key, weight, image in delta_entries(record))
 
 
 @pytest.mark.parametrize("strategy", ["rewrite", "crypto"])
@@ -92,8 +90,7 @@ def test_a_batch_lands_where_one_by_one_inserts_land(strategy, seed):
     assert one.heap.raw_image() == many.heap.raw_image()
     one.heap.check()
     many.heap.check()
-    for kind in (LogRecordType.DELTA, LogRecordType.PAGE_ALLOC):
-        assert images(one, marks[0], kind) == images(many, marks[1], kind)
+    assert images(one, marks[0]) == images(many, marks[1])
     # One DELTA per page the batch filled.
     runs = [record for record in many.wal.records()[marks[1]:]
             if record.record_type is LogRecordType.DELTA]

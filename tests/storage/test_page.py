@@ -164,8 +164,8 @@ class TestPersistence:
 
 class TestSpaceReuse:
     def test_insert_compacts_to_reach_the_holes(self):
-        page = SlottedPage(page_size=128)
-        slots = [page.insert(bytes([n]) * 36) for n in (1, 2, 3)]   # 120 of 128 bytes
+        page = SlottedPage(page_size=136)
+        slots = [page.insert(bytes([n]) * 36) for n in (1, 2, 3)]   # 132 of 136 bytes
         page.delete(slots[1])
         assert page.read(page.insert(b"\x09" * 36)) == b"\x09" * 36
         page.update(slots[0], b"\x01" * 10)             # a hole behind the frontier
@@ -207,7 +207,7 @@ class TestSpaceReuse:
 
 
 _SLOT_BYTES = 4
-_HEADER_BYTES = 4
+_HEADER_BYTES = 12                  # slot count, free frontier, owner
 
 
 @pytest.mark.parametrize("page_size", [128, 256, 512, 1024, 4096])

@@ -120,16 +120,17 @@ class TestBufferPool:
         assert a in list(pool.resident_pages())
         assert b not in list(pool.resident_pages())
 
-    def test_drop_cache_simulates_restart(self):
+    def test_a_fresh_pool_over_the_pager_reads_what_was_flushed(self):
         pager = MemoryPager()
         pool = BufferPool(pager, capacity=4)
         page_id = pool.new_page()
         page = pool.get_page(page_id)
         slot = page.insert(b"still-there")
         pool.mark_dirty(page_id)
-        pool.drop_cache()
-        assert len(pool) == 0
-        assert pool.get_page(page_id).read(slot) == b"still-there"
+        pool.flush_all()
+        reopened = BufferPool(pager, capacity=4)
+        assert len(reopened) == 0
+        assert reopened.get_page(page_id).read(slot) == b"still-there"
 
     def test_is_dirty_flag(self):
         pool = BufferPool(MemoryPager(), capacity=4)

@@ -89,7 +89,7 @@ def framed(payloads, pad=0):
 def decode_alone(store, payload, columns=None):
     """``payload`` read as the one record of a page of its own by the
     store's :class:`StoredRow` reader for ``columns``."""
-    page = SlottedPage(max(64, len(payload) + 8))
+    page = SlottedPage(max(64, len(payload) + 16))     # the header and one slot
     return store._decode_plan(columns)(page.frame, (page.insert(payload),))[0][0]
 
 
@@ -407,7 +407,7 @@ class TestCorruption:
         at = value_offset(store, good_payload(store), "score")
         # A stand-alone image is read as the one record of a (64-byte or
         # just large enough) page of its own, at the page's end.
-        alone = max(64, len(bad) + 8) - len(bad) + at
+        alone = max(64, len(bad) + 16) - len(bad) + at
         with pytest.raises(StorageError, match=f"^{full.format(at=alone)}$"):
             decode_alone(store, bad)
         with pytest.raises(StorageError, match=f"^{skipped.format(at=alone)}$"):

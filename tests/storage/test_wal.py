@@ -300,7 +300,7 @@ class TestTruncation:
             change(wal, row_key, b"x" * 40)
         wal.roll()
         anchor = wal.append(LogRecordType.CATALOG, 0, after=b"catalog")
-        wal.append(LogRecordType.CHECKPOINT, 0, after=b"dir")
+        wal.append(LogRecordType.CHECKPOINT, 0)
         wal.flush()
         assert len(segment_paths(path)) > 3
         written = wal.stats.bytes_written
@@ -420,11 +420,12 @@ class TestPersistence:
         # schedule in four record types this build no longer has; version 6
         # logged a row change as INSERT_RUN, UPDATE or REMOVE; version 7's row
         # images stored each level as a tagged 8-byte INT and its CATALOG
-        # documents uncompressed.
+        # documents uncompressed; version 8 logged page ownership in a
+        # record type of its own and in every CHECKPOINT's payload.
         from repro import InstantDB
         from repro.storage.wal import WAL_FORMAT_VERSION
-        assert WAL_FORMAT_VERSION == 8
-        for version in (3, 4, 5, 6, 7):
+        assert WAL_FORMAT_VERSION == 9
+        for version in (3, 4, 5, 6, 7, 8):
             data_dir = str(tmp_path / f"v{version}")
             db = InstantDB(data_dir=data_dir)
             db.execute("CREATE TABLE t (id INT PRIMARY KEY)")
@@ -462,7 +463,7 @@ class TestSegments:
         wal = WriteAheadLog(path)
         wal.append(LogRecordType.BEGIN, txn_id=1)
         wal.append(LogRecordType.CATALOG, 0, after=b"s" * 5000)
-        wal.append(LogRecordType.CHECKPOINT, 0, after=b"dir")
+        wal.append(LogRecordType.CHECKPOINT, 0)
         wal.flush()
         sizes = [os.path.getsize(p) for p in segment_paths(path)]
         assert len(sizes) == 3 and sizes[1] > 5000

@@ -57,8 +57,7 @@ def _store(wal: WriteAheadLog) -> TableStore:
 
 def _runs():
     """The DELTA records of one batch of ROWS rows on 512-byte pages, then of a
-    batch of two more (made on a throwaway in-memory log, so the recorded one
-    holds no PAGE_ALLOC)."""
+    batch of two more (made on a throwaway in-memory log)."""
     store = _store(WriteAheadLog())
     store.insert_many([{"id": row, "secret": _secret(row)} for row in range(1, ROWS + 1)],
                       now=0.0)
