@@ -203,6 +203,7 @@ class DegradationScheduler:
         #: nothing has happened to yet (no step popped or released), so a
         #: newcomer's schedule is exactly its schedule.
         self._open: Dict[_CohortKey, _Cohort] = {}
+        self.latest_entry = 0.0  # latest entry time derived, final records' too: the clock floor
         self._event_waiters: Dict[str, List[Tuple[_Cohort, str]]] = {}
         self._counter = itertools.count()
 
@@ -214,13 +215,12 @@ class DegradationScheduler:
 
     def register_many(self, record_ids: Sequence[Any], tuple_lcp: TupleLCP,
                       inserted_at: float, levels: Optional[Dict[str, int]] = None) -> None:
-        """Start tracking ``record_ids`` — records of one group under one
-        tuple LCP, inserted at ``inserted_at`` and stored at ``levels``
-        (attribute → accuracy level; ``None`` is a fresh insert's, every
-        attribute in its first state) — as one cohort in the state those
-        levels are, or as newcomers to an untouched cohort of theirs.  Each
-        state's entry time is derived step by step from ``inserted_at``.
-        Records already in their final tuple state are not tracked."""
+        """Start tracking ``record_ids`` — records of one group under one tuple
+        LCP, inserted at ``inserted_at`` and stored at ``levels`` (attribute →
+        accuracy level; ``None`` is a fresh insert's, every attribute in its
+        first state) — as one cohort in the state those levels are, or as
+        newcomers to an untouched cohort of theirs.  Each state's entry time is
+        derived step by step from ``inserted_at``; final records are not tracked."""
         if not record_ids:
             return
         if not self._cohort_of.keys().isdisjoint(record_ids):
@@ -228,14 +228,15 @@ class DegradationScheduler:
             raise DegradationError(f"record {taken!r} is already registered")
         states = {name: 0 if levels is None else lcp.level_to_state(levels[name])
                   for name, lcp in tuple_lcp.attributes.items()}
-        if _final(tuple_lcp, states):
-            return
         key = (_group_of(record_ids[0]), tuple_lcp, inserted_at, tuple(states.values()))
         cohort = self._open.get(key)
         if cohort is None:
-            cohort = self._open[key] = _Cohort(key, states, {
-                name: self._entered_at(lcp, states[name], inserted_at)
-                for name, lcp in tuple_lcp.attributes.items()})
+            entered_at = {name: self._entered_at(lcp, states[name], inserted_at)
+                          for name, lcp in tuple_lcp.attributes.items()}
+            self.latest_entry = max([self.latest_entry, *entered_at.values()])
+            if _final(tuple_lcp, states):
+                return
+            cohort = self._open[key] = _Cohort(key, states, entered_at)
             self._cohorts[cohort] = None
             for attribute in tuple_lcp.attributes:
                 self._schedule_next(cohort, attribute)
@@ -443,9 +444,8 @@ class DegradationScheduler:
     def predict_complete(self, steps: Sequence[DegradationStep]) -> List[Any]:
         """Record ids that reach their final tuple state once ``steps`` apply.
 
-        Pure prediction — the schedule is not mutated.  A batch applier uses
-        this to fold the resulting final removals into the same system
-        transaction as the batch's ``DEGRADE`` records.
+        Pure prediction — the schedule is not mutated.  A batch applier folds
+        the resulting final removals into its own system transaction.
         """
         overlay: Dict[_Cohort, Dict[str, int]] = {}
         for step in steps:

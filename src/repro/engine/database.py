@@ -804,9 +804,11 @@ class InstantDB:
             # schedule still holds the rows.
             self._apply_delta(info, gone=store.row_keys())
             store.remove_many(store.row_keys(), now=self.clock.now())
-            # Its pages name no owner on disk before the drop is logged: a
-            # re-created table of the same name adopts none of them.
+            # Its pages name no owner on disk before the drop is logged — a
+            # re-created table of the same name adopts no row of it — and the
+            # pager hands them out again.
             store.heap.disown()
+            self.pager.reuse(store.heap.page_ids())
         # The TABLE_DROP marker closes the table's log *epoch*: it is written
         # after the drop's own removals so every record up to and including
         # the marker belongs to the dropped incarnation.  Recovery skips
@@ -889,16 +891,13 @@ class InstantDB:
             policy = info.policy
             if policy is None or not policy.has_degradable_columns():
                 return
-            final = policy.final_levels()
-            final = tuple(map(final.get, levels)) if final.keys() == levels.keys() else None
             choices = columns.get(policy.selector_column)     # else one tuple LCP for all
             same = None if choices else policy.tuple_lcp()
             cohorts: Dict[tuple, List[Tuple[str, int]]] = {}
             for row_key, choice, inserted_at, stored in zip(
                     keys, choices or repeat(None), batch.inserted_at, zip(*levels.values())):
-                if stored != final:     # (a final row is not tracked)
-                    cohorts.setdefault((same or policy.tuple_lcp(choice), inserted_at, stored),
-                                       []).append((table, row_key))
+                cohorts.setdefault((same or policy.tuple_lcp(choice), inserted_at, stored),
+                                   []).append((table, row_key))
             for (tuple_lcp, inserted_at, stored), record_ids in cohorts.items():
                 self.scheduler.register_many(record_ids, tuple_lcp, inserted_at,
                                              dict(zip(levels, stored)))
@@ -974,12 +973,12 @@ class InstantDB:
         """Apply one table's worth of due steps — cohort steps, each handing
         its row keys to the store as they are — as one batch.
 
-        The whole batch pays one system transaction, one exclusive table lock
-        and one durable WAL flush (the commit); the store coalesces page
-        writes so each dirty heap page is flushed once and scrubs the WAL in
-        a single pass.  On a lock conflict every step of the batch is
-        deferred and retried after the conflicting transaction finishes.
-        Returns the steps that were applied.
+        The whole batch pays one system transaction and one exclusive table
+        lock, and a log flush only if it removes rows (their −1 ``DELTA``s);
+        the store flushes each dirty heap page once — the synced page is the
+        record of a step — and scrubs the WAL in one pass.  On a lock
+        conflict every step of the batch is deferred and retried after the
+        conflicting transaction finishes.  Returns the steps that were applied.
         """
         if self._read_only_reason is not None:
             self._defer_faulted(table, steps, None, self.clock.now())
@@ -1014,7 +1013,7 @@ class InstantDB:
             # Indexes and statistics follow the heap even if the wave's log
             # or page I/O fails after the rewrite (a retry finds the rows at
             # their target and has no chunk left to hand over).
-            store.degrade_many(items, now, txn_id=txn.txn_id,
+            store.degrade_many(items, now,
                                on_chunk=lambda chunk: self._apply_delta(info, chunk=chunk))
             self._on_records_final(info, store, live, txn, now)
         except DurabilityError:
@@ -1161,8 +1160,9 @@ class InstantDB:
            scan of the recovered heap: every live row joins the schedule at
            the state its stored levels are, under the policy its selector
            picks, with the logged event firings as the only other input;
-        3. a simulated clock is fast-forwarded to the latest timestamp the
-           log proves had been reached (a wall clock moved on by itself);
+        3. a simulated clock is fast-forwarded to the latest time the log (a
+           timestamp) or the heap (a state entry the schedule derives for a
+           row's stored levels) proves had been reached (a wall clock moved on);
         4. with ``drain=True`` (default), every step that came due while the
            process was down is applied immediately through the normal batched
            pipeline — the paper's timeliness promise, restored across
@@ -1192,9 +1192,9 @@ class InstantDB:
         was_enabled = self.daemon.enabled
         self.daemon.pause()
         try:
-            if isinstance(self.clock, SimulatedClock) and \
-                    self.clock.now() < last_timestamp:
-                self.clock.advance_to(last_timestamp)
+            reached = max(last_timestamp, self.scheduler.latest_entry)
+            if isinstance(self.clock, SimulatedClock) and self.clock.now() < reached:
+                self.clock.advance_to(reached)
         finally:
             if was_enabled:
                 self.daemon.resume()

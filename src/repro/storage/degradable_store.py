@@ -23,7 +23,7 @@ from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, groupby, islice, repeat, takewhile
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, lt
 from types import SimpleNamespace
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -43,7 +43,7 @@ from .heap import HeapFile, RecordId
 from .kernels import (RowShape, Shape, WaveShape, compile_kernel, compile_row_kernel,
                       compile_wave_kernel)
 from .serialization import decode_value, encode_value, record_field_count, record_prefix
-from .wal import Entry, LogRecordType, WriteAheadLog, encode_degrade_chunk, encode_delta
+from .wal import Entry, LogRecordType, WriteAheadLog, encode_delta
 
 #: Strategies for making degradation non-recoverable.
 STRATEGIES = ("rewrite", "crypto")
@@ -105,8 +105,8 @@ class RowBatch(SequenceABC):
 
 @dataclass
 class DegradeChunk:
-    """One cohort of a degradation wave — the rows that took ``column`` from
-    ``from_level`` to ``to_level`` — and what one ``DEGRADE`` log record says."""
+    """One cohort of a degradation wave: the rows that took ``column`` from
+    ``from_level`` to ``to_level``, and their value transitions."""
 
     column: str
     from_level: int
@@ -114,9 +114,6 @@ class DegradeChunk:
     scheme: GeneralizationScheme = field(repr=False)
     #: ``(old value, new value)`` → keys of the rows that made that move.
     transitions: Dict[Tuple[Any, Any], List[int]] = field(default_factory=dict)
-
-    def row_keys(self) -> List[int]:
-        return [row_key for moved in self.transitions.values() for row_key in moved]
 
 
 @dataclass
@@ -657,14 +654,13 @@ class TableStore:
     # -- degradation ------------------------------------------------------------
 
     def degrade(self, row_key: int, column: str, scheme: GeneralizationScheme,
-                to_level: int, now: float, txn_id: int = 0) -> StoredRow:
+                to_level: int, now: float) -> StoredRow:
         """One step — a wave of one (:meth:`degrade_many`); returns the row as readers see it."""
-        self.degrade_many([([row_key], column, scheme, to_level)], now, txn_id)
+        self.degrade_many([([row_key], column, scheme, to_level)], now)
         return self.read(row_key)
 
     def degrade_many(self, items: Iterable[Tuple[Sequence[int], str, GeneralizationScheme, int]],
-                     now: float, txn_id: int = 0,
-                     on_chunk: Optional[Callable[[DegradeChunk], None]] = None
+                     now: float, on_chunk: Optional[Callable[[DegradeChunk], None]] = None
                      ) -> List[DegradeChunk]:
         """Apply a wave of ``(row keys, column, scheme, to_level)`` steps —
         a cohort's each — the only degradation routine; returns its chunks,
@@ -673,11 +669,11 @@ class TableStore:
         Per page, the rows taking the same steps cost one :meth:`HeapFile.frame`
         and one call of the wave kernel of that step shape (:meth:`_splicer`).
         Every page is spliced before the first is written — a wave that
-        raises has changed nothing — then :meth:`_rewrite_records` writes them
-        and each chunk gets one ``DEGRADE`` record (column, level, row keys,
-        never a value).  The pages reach stable storage (one sync) *before*
-        the rows' accurate log images are scrubbed in one pass (under crypto
-        the old levels' keys are destroyed).  A row already at its target is in no
+        raises has changed nothing — then :meth:`_rewrite_records` writes them.
+        Nothing is logged: the pages reach stable storage (one sync) *before*
+        the rows' accurate log images are scrubbed in one pass, and that
+        synced page is the durable record of the step (under crypto the old
+        levels' keys are destroyed).  A row already at its target is in no
         chunk; if the log still holds an image of it, an earlier attempt died
         between page flush and scrub: flush, then scrub.
         """
@@ -730,9 +726,6 @@ class TableStore:
             self.stats.degrade_steps += sum(map(len, chunk.transitions.values()))
             if on_chunk is not None:
                 on_chunk(chunk)
-            for payload in encode_degrade_chunk(chunk.to_level, chunk.row_keys()):
-                self.wal.append(LogRecordType.DEGRADE, txn_id, table=table,
-                                attribute=chunk.column, after=payload, timestamp=now)
         if dirty_pages:
             self._flush_pages(dirty_pages)
         if settled and rewrite:
@@ -901,20 +894,27 @@ class TableStore:
     def apply_entries(self, entries: Iterable[Entry]) -> Tuple[int, int, List[int]]:
         """Apply logged ``(row key, weight, image)`` entries unlogged, no page
         flushed (recovery): a row with a −1 and a +1 takes the +1 image where
-        the table holds it, one with a +1 alone enters where it lacks it, one
-        with an imageless −1 alone leaves (an imaged −1 alone is what a scrub
-        left of a pair).  Returns how many entered, how many were replaced
-        and the keys that left."""
+        the table holds it unless it is :meth:`behind`, one with a +1 alone
+        enters where it lacks it, one with an imageless −1 alone leaves (an
+        imaged −1 alone is what a scrub left of a pair).  Returns how many
+        entered, how many were replaced and the keys that left."""
         entering, leaving = {}, {}      # row key → its image
         for row_key, weight, image in entries:
             (entering if weight > 0 else leaving)[row_key] = image
-        written = [row_key for row_key in entering if (row_key in leaving) == self.exists(row_key)]
+        written = [row_key for row_key, image in entering.items()
+                   if (row_key in leaving) == self.exists(row_key)
+                   and not self.behind(row_key, image)]
         self.restore_rows([(row_key, entering[row_key]) for row_key in written])
         left = [row_key for row_key, image in leaving.items()
                 if image is None and row_key not in entering and self.exists(row_key)]
         self._erase(left)
         replaced = sum(row_key in leaving for row_key in written)
         return len(written) - replaced, replaced, left
+
+    def behind(self, row_key: int, image: bytes) -> bool:
+        """Whether ``image`` stores a column of ``row_key`` less degraded than the table does."""
+        held, levels = self._locations.get(row_key), self._prefix.read_levels
+        return held is not None and any(map(lt, levels(image, 0), levels(self.heap.read(held), 0)))
 
     def reserve_row_keys_after(self, row_key: int) -> None:
         """Never hand out a key at or below ``row_key`` — recovery's highest

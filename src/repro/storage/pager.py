@@ -12,8 +12,9 @@ residual plaintext in *all* bytes under management, not only live records.
 
 A pager does not know which table a page belongs to: the page's header does
 (:attr:`~repro.storage.page.SlottedPage.owner`).  What it keeps is the list of
-*spare* pages recovery found empty and naming no owner (:meth:`Pager.reuse`),
-which :meth:`Pager.allocate` hands out again before the store grows.
+*spare* pages — empty and naming no owner: found so by recovery, or given up
+by a dropped table (:meth:`Pager.reuse`) — which :meth:`Pager.allocate` hands
+out again before the store grows.
 """
 
 from __future__ import annotations
@@ -44,9 +45,10 @@ class Pager:
         raise NotImplementedError
 
     def reuse(self, page_ids: Iterable[int]) -> None:
-        """Hand ``page_ids`` out again: the pages recovery found empty and
-        naming no owner — never written, or given up by a dropped table."""
-        self._spare = sorted(page_ids)
+        """Hand ``page_ids`` out again, beside the spare pages held already:
+        pages empty and naming no owner — never written, or given up by a
+        dropped table."""
+        self._spare = sorted({*self._spare, *page_ids})
 
     def read_page(self, page_id: int) -> SlottedPage:
         raise NotImplementedError

@@ -5,10 +5,6 @@ singles out: even after a value has been degraded in the data store, its
 accurate before-image survives in the log and can be recovered forensically.
 This WAL therefore supports, besides the classic append/flush/replay protocol:
 
-* ``DEGRADE`` log records that carry **no image at all** — one record per
-  wave chunk names a column, a target accuracy level and the rows that reached
-  it; degradation is deterministic and irreversible, so recovery never needs
-  to undo it;
 * ``DELTA`` records — one per statement and heap page, every row change as
   a weighted entry: a row entering (+1, its image), a row replaced (−1 with
   the old image, +1 with the new) or a row leaving (−1, no image); each
@@ -22,7 +18,10 @@ This WAL therefore supports, besides the classic append/flush/replay protocol:
 * :meth:`WriteAheadLog.truncate_until` — drop the prefix made obsolete by a
   checkpoint by unlinking whole segment files.
 
-The **degradation schedule** is not in the log: recovery derives it from
+A **degradation step** is not in the log at all: its durable record is the
+heap page it rewrote, synced before the step's images are scrubbed, so a
+wave that removes no row appends nothing but the scrub's audit record.  The
+**degradation schedule** is not in the log either: recovery derives it from
 the heap (each row's insertion time and stored levels).  The one schedule
 input the heap cannot give back is an event firing, logged as a
 ``SCHED_EVENT`` record (an event name and a time, never an attribute value)
@@ -57,7 +56,7 @@ from ..core.errors import (
     WALError,
 )
 from ..faults import FaultPlan
-from .serialization import decode_record, encode_ints
+from .serialization import encode_ints
 
 #: Version of the on-disk format, stored in every segment header.  Version 1
 #: was the single-file, unchecksummed ``wal.log``; version 2 had per-row
@@ -73,9 +72,11 @@ from .serialization import decode_record, encode_ints
 #: each level as a tagged 8-byte INT and its ``CATALOG`` documents
 #: uncompressed; version 8 logged each heap page's allocation to its table
 #: as a record of its own and folded the table → pages directory into every
-#: ``CHECKPOINT``: a page's header names its owner now.  There is no reader
-#: for any of them.
-WAL_FORMAT_VERSION = 9
+#: ``CHECKPOINT``: a page's header names its owner now; version 9 logged
+#: each wave chunk as a ``DEGRADE`` record (target level and row keys): the
+#: synced heap page is the record of a step now.  There is no reader for
+#: any of them.
+WAL_FORMAT_VERSION = 10
 
 #: A segment is rolled when the next record would grow it past this many
 #: bytes.  A record larger than the cap gets a segment of its own.
@@ -139,11 +140,10 @@ class LogRecordType(Enum):
     # ``DELETE`` — never appended, retired in format version 5 — as the
     # last member.)
     CATALOG = "CATALOG"
-    # One chunk of a degradation wave: every listed row of ``table`` had
-    # ``attribute`` advanced to the same accuracy level.  The payload carries
-    # the target level and the row keys (``row_key`` is unused) — never an
-    # attribute value — so the record is scrub-exempt by construction.
-    DEGRADE = "DEGRADE"
+    # The truncation anchor of a checkpoint; it carries no payload.  (It
+    # took the slot of ``DEGRADE``, which format version 10 retired: the
+    # synced heap page is the record of a degradation step.)
+    CHECKPOINT = "CHECKPOINT"
     # Audit trace of a log scrubbing action.  (It took the slot of the
     # page-allocation type, which format version 9 retired: a page's header
     # names its owner.)
@@ -153,8 +153,6 @@ class LogRecordType(Enum):
     # back.  No attribute value is in it, so it is scrub-exempt.  (It took
     # the slot of ``REMOVE``, which format version 7 retired.)
     SCHED_EVENT = "SCHED_EVENT"
-    # The truncation anchor of a checkpoint; it carries no payload.
-    CHECKPOINT = "CHECKPOINT"
 
 
 _TYPES: Tuple[LogRecordType, ...] = tuple(LogRecordType)
@@ -183,8 +181,6 @@ _SCRUB_EXEMPT = frozenset({
     LogRecordType.SCHED_EVENT,
     LogRecordType.TABLE_DROP,
     LogRecordType.CATALOG,
-    # Its payload is a target accuracy level and row keys: no attribute value.
-    LogRecordType.DEGRADE,
 })
 
 
@@ -273,33 +269,6 @@ def _parse_record(data: bytes, offset: int, limit: int
         attribute=str(data[table_end:names_end], "utf-8"),
         after=after, timestamp=timestamp)
     return record, end, names_end
-
-
-# -- wave record payloads --------------------------------------------------------
-#
-# A degradation wave reaches the log as *chunks*: DEGRADE says "these rows of
-# this column are now at this level".  Its ``after`` payload is a flat encoded
-# list; the table name and the column live in the record header, and row keys
-# identify the tuples within the table.
-
-#: Row keys one DEGRADE record lists at most: the record codec stops at
-#: 65,535 fields.
-DEGRADE_RECORD_KEYS = 60_000
-
-
-def encode_degrade_chunk(to_level: int, row_keys: Sequence[int]) -> Iterator[bytes]:
-    """DEGRADE payloads — target level, then row keys — for one wave chunk,
-    its key list cut under the codec's field cap."""
-    for start in range(0, len(row_keys), DEGRADE_RECORD_KEYS):
-        yield encode_ints([int(to_level), *row_keys[start:start + DEGRADE_RECORD_KEYS]])
-
-
-def decode_degrade_chunk(payload: bytes) -> Tuple[int, List[int]]:
-    """One DEGRADE payload back as ``(to_level, row keys)``."""
-    flat = decode_record(payload)
-    if not flat:
-        raise WALError("malformed DEGRADE payload: no target level")
-    return int(flat[0]), [int(row_key) for row_key in flat[1:]]
 
 
 #: A ``DELTA`` entry: ``(row key, weight ±1, image or None)``.
@@ -1061,5 +1030,4 @@ class WriteAheadLog:
 
 
 __all__ = ["WriteAheadLog", "LogRecord", "LogRecordType", "WALStats",
-           "WAL_FORMAT_VERSION", "encode_delta", "delta_entries",
-           "encode_degrade_chunk", "decode_degrade_chunk"]
+           "WAL_FORMAT_VERSION", "encode_delta", "delta_entries"]

@@ -4,14 +4,22 @@ A conventional ARIES recovery replays the log and undoes losers using the
 before-images it finds there.  In a degradation-aware engine that is exactly
 the threat the paper warns about: a before-image of an already-degraded value
 is an accurate copy that must not come back.  The :class:`RecoveryManager`
-therefore implements a redo/undo pass with two degradation-specific rules:
+therefore implements a redo/undo pass with three degradation-specific rules:
 
-1. ``DEGRADE`` records and a ``DELTA``'s imageless −1 entries (a removal)
-   are always *redone*, even for loser transactions (degradation and
-   removal are system actions, not part of user atomicity);
+1. a ``DELTA``'s imageless −1 entries (a removal) are always *redone*, even
+   for loser transactions (removal is a system action, not part of user
+   atomicity);
 2. undo negates only the entries that still hold an image; a scrubbed one
    is gone and its undo with it — privacy wins over exact rollback, as
-   argued in §III of the paper.
+   argued in §III of the paper;
+3. the **level rule**: a degradation step is not logged — its durable record
+   is the heap page, synced before the step's images are scrubbed — so
+   neither redo nor undo writes an image less degraded than the heap's
+   record of its row, and once the recovered pages are durable every log
+   image less degraded than its row's heap record is scrubbed.  That
+   finishes a scrub a crash cut short after the page sync, and a step whose
+   page write was lost is simply pending again (the schedule derived from
+   the heap has it due).
 
 The log holds no image of the **degradation schedule**: the engine derives
 it from the recovered heap (each row's insertion time and stored levels), as
@@ -25,7 +33,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..core.errors import RecoveryError
 from ..storage.buffer import BufferPool
@@ -34,7 +42,6 @@ from ..storage.wal import (
     LogRecord,
     LogRecordType,
     WriteAheadLog,
-    decode_degrade_chunk,
     delta_entries,
 )
 
@@ -66,11 +73,6 @@ class RecoveryReport:
     committed_txns: Set[int] = field(default_factory=set)
     loser_txns: Set[int] = field(default_factory=set)
     redone_inserts: int = 0
-    #: Rows a DEGRADE chunk lists that the heap still holds *below* the
-    #: logged level (their page write was lost; the step is pending again).
-    redone_degrades: int = 0
-    #: DEGRADE chunk records dispatched during redo.
-    redone_degrade_chunks: int = 0
     redone_removes: int = 0
     redone_updates: int = 0
     undone_inserts: int = 0
@@ -105,11 +107,11 @@ class RecoveryManager:
         self.firings: List[Tuple[str, float]] = []
         #: Full forward WAL iterations spent preparing recovery — exactly one.
         self.wal_prep_passes = 0
-        #: Rows the redo pass found degraded to (or past) a logged target
-        #: level, or removed: no accurate image of them may stay in the log.
-        #: Normally none is left; one is when the crash fell between a
-        #: step's page flush and the end of its log scrub.
+        #: Rows redo or undo removed: no image of them may stay in the log.
         self._settled: Dict[Tuple[str, int], None] = {}
+        #: ``(table, row key)`` → the first live image of the row the log
+        #: holds (the least degraded: levels only grow), for the level rule.
+        self._oldest: Dict[Tuple[str, int], bytes] = {}
         self._prepare()
 
     # -- preparation (the single forward pass) ---------------------------------
@@ -156,9 +158,6 @@ class RecoveryManager:
             if record_type is LogRecordType.SCHED_EVENT:
                 self.firings.append((record.attribute, record.timestamp))
                 continue
-            # (A DEGRADE chunk has no row key of its own; the rows it lists
-            # are live — the heap scan finds them — or have a −1 entry
-            # behind the chunk.)
             if record.table and record.row_key > highest.get(record.table, 0):
                 highest[record.table] = record.row_key
         self._committed = committed
@@ -180,7 +179,7 @@ class RecoveryManager:
             store.flush()
         # Only now, with every recovered page durable: finish any scrub the
         # crash interrupted (a dict miss per row when there is none).
-        self.wal.scrub_records(self._settled)
+        self.wal.scrub_records([*self._settled, *self._outdated()])
         report.wal_prep_passes = self.wal_prep_passes
         return report
 
@@ -236,53 +235,37 @@ class RecoveryManager:
 
     def _redo(self, report: RecoveryReport) -> None:
         # System txn id 0 (degradation daemon bookkeeping) is always redone.
+        oldest = self._oldest
         for record in self.wal:
+            if record.record_type is not LogRecordType.DELTA:
+                continue
             store = self._store_for(record)
             if store is None:
                 continue
             committed = record.txn_id in report.committed_txns or record.txn_id == 0
-            if record.record_type is LogRecordType.DELTA:
-                # A loser's entries wait for undo, but a removal (an
-                # imageless −1) cannot be undone: it is redone whatever the txn.
-                entries = [entry for entry in delta_entries(record)
-                           if committed or entry[2] is None]
-                entered, replaced, left = store.apply_entries(entries)
-                report.redone_inserts += entered
-                report.redone_updates += replaced
-                report.redone_removes += len(left)
-                self._settled.update(dict.fromkeys(
-                    (record.table, row_key) for row_key, _weight, image in entries
-                    if image is None))
-            elif record.record_type is LogRecordType.DEGRADE:
-                # Degradation is redone regardless of the surrounding txn.
-                if record.after is not None:
-                    report.redone_degrades += self._redo_degrade(store, record)
-                    report.redone_degrade_chunks += 1
+            entries = delta_entries(record)
+            if store.strategy == "rewrite":
+                for row_key, _weight, image in entries:
+                    if image is not None:
+                        oldest.setdefault((record.table, row_key), image)
+            # A loser's entries wait for undo, but a removal (an imageless
+            # −1) cannot be undone: it is redone whatever the txn.
+            entries = [entry for entry in entries if committed or entry[2] is None]
+            entered, replaced, left = store.apply_entries(entries)
+            report.redone_inserts += entered
+            report.redone_updates += replaced
+            report.redone_removes += len(left)
+            self._settled.update(dict.fromkeys(
+                (record.table, row_key) for row_key, _weight, image in entries
+                if image is None))
 
-    def _redo_degrade(self, store: TableStore, record: LogRecord) -> int:
-        """Redo of one wave chunk is a lag check, row by row.
-
-        The value cannot be recomputed from the log (no accurate image, by
-        design), and need not be: the engine flushes the degraded pages
-        before it scrubs or commits the step.  A listed row the heap holds at
-        (or past) the logged level is *settled* — whatever accurate image of
-        it the log still has is scrubbed once the recovered pages are
-        durable.  A row that lags had its page write lost in the crash: the
-        accurate value is still there, the step is simply pending again and
-        the daemon re-applies it on restart.  Returns the number of lagging
-        rows (asserted on by tests).
-        """
-        to_level, row_keys = decode_degrade_chunk(record.after)
-        lagging = 0
-        for row_key in row_keys:
-            if not store.exists(row_key):
-                continue
-            levels = store.read(row_key, frozenset()).levels
-            if levels.get(record.attribute, 0) < to_level:
-                lagging += 1
-            elif store.strategy == "rewrite":
-                self._settled[(store.schema.name, row_key)] = None
-        return lagging
+    def _outdated(self) -> Iterator[Tuple[str, int]]:
+        """The level rule's scrub: the rows the heap holds more degraded than
+        some live log image of them — a step whose page reached the disk
+        before the crash, its scrub did not."""
+        for (table, row_key), image in self._oldest.items():
+            if self.stores[table].behind(row_key, image):
+                yield table, row_key
 
     def _undo(self, report: RecoveryReport) -> None:
         """Negate each loser ``DELTA``'s entries that hold an image, newest
@@ -303,9 +286,6 @@ class RecoveryManager:
                 report.undone_updates += entered + replaced
                 report.skipped_undos += sum(image is None for _key, _weight, image in entries)
                 self._settled.update(dict.fromkeys((record.table, row_key) for row_key in left))
-            elif record.record_type is LogRecordType.DEGRADE:
-                # Never undone: degradation is irreversible by design.
-                report.skipped_undos += 1
 
 
 __all__ = ["RecoveryManager", "RecoveryReport"]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import shutil
 
 import pytest
 from hypothesis import HealthCheck, Phase, settings
@@ -65,6 +66,15 @@ def location_lcp(location_tree):
 def salary_lcp(salary_scheme):
     return AttributeLCP(salary_scheme, transitions=SALARY_TRANSITIONS,
                         name="salary_lcp")
+
+
+def die_copying(data_dir, into) -> None:
+    """A process death at this instant: copy ``data_dir`` — what its files
+    hold now — to ``into`` and raise ``KeyboardInterrupt``.  Recover the
+    copy: nothing the dying engine writes afterwards (its abort path flushes
+    the log) reaches it, as nothing would reach the disk of a killed process."""
+    shutil.copytree(str(data_dir), str(into))
+    raise KeyboardInterrupt
 
 
 def log_dir_bytes(wal_dir) -> bytes:

@@ -6,19 +6,19 @@ columns and a per-tuple override on its (stable) selector column:
 ``executemany`` batches, one-row and multi-row INSERTs (rows inserted at one
 instant under one policy form, or join, one cohort), UPDATEs and DELETEs of
 cohort members, clock advances — some against a reader holding the table
-lock (every due step deferred one second), some with the WAL failing once
-(the wave re-queued with backoff) — checkpoints and crash + recover.  An
+lock (every due step deferred one second), some with the wave's page sync
+failing once (the wave re-queued with backoff) — checkpoints and crash +
+recover.  An
 independent per-row automaton, written from the policies alone, predicts
 every row's state and queued step (due time and queue position), every step
 applied (row, attribute, state, due, applied at — hence its lag) and how
 many; the engine, read through the scheduler and the steps its applier
-reports, must agree after every operation, with and without WAL faults,
+reports, must agree after every operation, with and without sync faults,
 and no drain adds a cohort.  The run goes on with a twin recovered from the
 directory, whose schedule is derived from the heap: a step a lock deferred
 is due again, one a fault deferred is on the heap already.
 """
 
-import copy
 import random
 
 import pytest
@@ -85,20 +85,16 @@ class Model:
                 for name, entry in row.items() if entry[3] is not None and entry[3] <= now]
 
     def fault_lands(self, now):
-        """Whether a WAL flush failing once is met by the drain to ``now``:
-        some round of it writes a record (a faulted wave's retry writes none:
-        its rewrite is on the heap already), and that round takes no
-        attribute to its last state (a removal in a faulted wave is not
-        modelled)."""
-        twin = copy.deepcopy(self)
-        while True:
-            due = twin.due(now)
-            if not due:
-                return False
-            if not twin.faulted.issuperset(due):
-                return not any(twin.rows[key][name][0] + 1 == len(twin.rows[key][name][4])
-                               for key, name in due)
-            twin.apply(due, now)
+        """Whether a page sync failing once is met by the drain to ``now`` as
+        the model tells it: no faulted step waits for its retry (a retry
+        rewrites no record, and syncs a page only where its rows still hold
+        log images, which the model does not track), some step is due — the
+        first round rewrites its records and syncs their pages — and that
+        round takes no attribute to its last state (a removal in a faulted
+        wave is not modelled)."""
+        due = self.due(now)
+        return not self.faulted and bool(due) and not any(
+            self.rows[key][name][0] + 1 == len(self.rows[key][name][4]) for key, name in due)
 
     def defer(self, now, until, faulted=False):
         for key, name in self.due(now):
@@ -130,7 +126,7 @@ class Model:
 
     def drain(self, now, fault=False):
         """Round by round, as the engine's drain goes; with ``fault`` the
-        first round that writes a record meets the failing flush, and its
+        first round that rewrites a record meets the failing sync, and its
         steps are deferred with backoff (retry-only rounds before it apply)."""
         while True:
             due = self.due(now)
@@ -247,7 +243,7 @@ def test_cohorts_step_like_rows(tmp_path, seed, faults):
                 db.execute("SELECT COUNT(*) FROM visits", txn=holder)
             elif faults and due and rng.random() < 0.3 and model.fault_lands(expected):
                 fault = len(plan.fired)
-                plan.fail_once("wal.flush", "enospc")
+                plan.fail_once("pager.sync", "enospc")
             cohorts = len(db.scheduler.cohorts())
             db.advance_time(hours=hours)
             now = db.now()

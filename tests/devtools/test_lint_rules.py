@@ -371,13 +371,13 @@ WAL_FIXTURE = """\
         BEGIN = "BEGIN"
         COMMIT = "COMMIT"
         DELTA = "DELTA"
-        DEGRADE = "DEGRADE"
+        TABLE_DROP = "TABLE_DROP"
         SCRUB = "SCRUB"
 
     _SCRUB_EXEMPT = frozenset({
         LogRecordType.BEGIN,
         LogRecordType.COMMIT,
-        LogRecordType.DEGRADE,
+        LogRecordType.TABLE_DROP,
         LogRecordType.SCRUB,
     })
 
@@ -398,8 +398,8 @@ RECOVERY_FIXTURE = """\
     def _redo(record, store):
         if record.record_type is LogRecordType.DELTA:
             store.apply_entries(record)
-        elif record.record_type is LogRecordType.DEGRADE:
-            store.replay_degrade(record)
+        elif record.record_type is LogRecordType.TABLE_DROP:
+            store.forget(record)
 """
 
 
@@ -430,8 +430,8 @@ class TestWalExhaustive:
         broken = RECOVERY_FIXTURE.replace(
             "        if record.record_type is LogRecordType.DELTA:\n"
             "            store.apply_entries(record)\n"
-            "        elif record.record_type is LogRecordType.DEGRADE:\n",
-            "        if record.record_type is LogRecordType.DEGRADE:\n")
+            "        elif record.record_type is LogRecordType.TABLE_DROP:\n",
+            "        if record.record_type is LogRecordType.TABLE_DROP:\n")
         write(tmp_path, "storage/wal.py", WAL_FIXTURE)
         write(tmp_path, "txn/recovery.py", broken)
         findings = run_rule(tmp_path, "wal-exhaustive")
@@ -450,7 +450,7 @@ class TestWalExhaustive:
                    for f in findings)
 
     def test_real_tree_with_deleted_redo_arm_fails(self, tmp_path):
-        # Same scenario against the real sources: renaming every DEGRADE
+        # Same scenario against the real sources: renaming every DELTA
         # dispatch in recovery.py deletes its replay arm; the rule must fire.
         import repro.storage.wal as wal_module
         import repro.txn.recovery as recovery_module
@@ -458,10 +458,10 @@ class TestWalExhaustive:
         real_recovery = open(recovery_module.__file__, encoding="utf-8").read()
         write(tmp_path, "storage/wal.py", real_wal)
         write(tmp_path, "txn/recovery.py",
-              real_recovery.replace("LogRecordType.DEGRADE",
+              real_recovery.replace("LogRecordType.DELTA",
                                     "LogRecordType.CATALOG"))
         findings = run_rule(tmp_path, "wal-exhaustive")
-        assert any("DEGRADE" in f.message for f in findings)
+        assert any("DELTA" in f.message for f in findings)
 
     def test_skips_silently_without_anchor_files(self, tmp_path):
         write(tmp_path, "mod.py", "x = 1\n")

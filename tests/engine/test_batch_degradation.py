@@ -40,13 +40,17 @@ def insert_wave(db: InstantDB, count: int, table: str = "trace") -> None:
 
 
 class TestBatchedWave:
-    def test_one_wal_flush_per_batch(self):
+    def test_a_batch_that_removes_nothing_flushes_no_log(self):
+        # Its synced pages are the record of its steps: no BEGIN, no COMMIT.
         db = build_trace_engine()
         insert_wave(db, 25)
-        flushed = db.wal.stats.flushed
+        flushed, appended = db.wal.stats.flushed, dict(db.wal.stats.appended_by_type)
         db.advance_time(hours=2)          # 25 steps due in one wave
         assert db.stats.degradation_steps_applied == 25
-        assert db.wal.stats.flushed - flushed == 1
+        assert db.wal.stats.flushed - flushed == 0
+        assert {kind: count - appended.get(kind, 0) for kind, count
+                in db.wal.stats.appended_by_type.items()
+                if count != appended.get(kind)} == {"SCRUB": 1}
         assert db.level_histogram("trace", "location") == {1: 25}
 
     def test_dirty_pages_flushed_at_most_once_per_batch(self):
@@ -98,7 +102,7 @@ class TestBatchedWave:
         db.daemon.run_pending()
         assert calls == [("trace", [12, 1], 4), ("other", [12, 1], 4)] * 3
         assert db.transactions.stats.system_begun - system == 6
-        assert db.wal.stats.flushed - flushed == 6
+        assert db.wal.stats.flushed - flushed == 0      # no round removes a row
         assert len(db.scheduler.cohorts()) == 4
         assert db.level_histogram("trace", "location") == {3: 13}
         db.advance_time(days=100)         # the last step: the rows go final
@@ -175,8 +179,8 @@ class TestBatchedWave:
 
     def test_final_removals_share_the_batch_transaction(self):
         # A single-transition policy: the wave's only step is also the final
-        # one, so the removals must fold into the same system transaction as
-        # the DEGRADE records — one txn, one commit flush for the whole wave.
+        # one, so the removals must fold into the wave's own system
+        # transaction — one txn, one commit flush for the whole wave.
         db = InstantDB()
         location = db.register_domain(build_location_tree())
         db.register_policy(AttributeLCP(location, states=[0, 4],

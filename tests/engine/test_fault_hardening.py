@@ -140,8 +140,8 @@ class TestDaemonWaveFault:
                 row = event.as_row()
                 row["id"] = index
                 db.insert_row("person", row)
-            # every wave write for a while hits the failing device
-            plan.fail_with_probability("wal.flush", "enospc", 1.0,
+            # every wave's page sync for a while hits the failing device
+            plan.fail_with_probability("pager.sync", "enospc", 1.0,
                                        max_fires=3)
             db.advance_time(3700)
             assert db.daemon.stats.steps_deferred_by_fault > 0
@@ -154,7 +154,7 @@ class TestDaemonWaveFault:
         finally:
             db.close()
 
-    @pytest.mark.parametrize("site", ["wal.flush", "pager.sync"])
+    @pytest.mark.parametrize("site", ["wal.scrub", "pager.sync"])
     def test_a_wave_faulted_after_its_rewrite_leaves_no_stale_index_key(
             self, tmp_path, site):
         """The fault hits after the wave rewrote its pages: the retry finds
@@ -174,7 +174,7 @@ class TestDaemonWaveFault:
             db.execute("CREATE INDEX t_location ON t (location) USING gt")
             db.executemany("INSERT INTO t VALUES (?, ?)",
                            [(i, "1 Main Street, Paris") for i in range(5)])
-            plan.fail_once(site, "enospc" if site == "wal.flush" else "fsync")
+            plan.fail_once(site, "enospc" if site == "wal.scrub" else "fsync")
             db.advance_time(hours=2)
             assert plan.fired and db.daemon.stats.steps_deferred_by_fault == 5
             db.advance_time(seconds=2)           # the retry lands

@@ -9,7 +9,8 @@ record of it.  Recovery hands each table the pages that name it:
   its log images scrubbed, the log cut by a truncating checkpoint — comes
   back at its stored level;
 * a dropped table's pages name no owner before the drop is logged, so a
-  re-created table of the same name adopts none of them;
+  re-created table of the same name adopts no row of it — and the pager
+  hands the pages out again while the engine runs: it does not grow;
 * a page the pager allocated but the engine never wrote names nobody: no
   table adopts it, and the pager hands it out again before it grows;
 * ``HeapFile.check()`` refuses a page that names another owner.
@@ -61,27 +62,35 @@ def test_a_row_only_its_page_holds_comes_back_at_its_stored_level(tmp_path):
     recovered.heap.check()
 
 
-def test_a_re_created_table_adopts_none_of_the_dropped_ones_pages(tmp_path):
+def test_a_re_created_table_adopts_none_of_the_dropped_ones_rows(tmp_path):
+    """Drop, re-create and re-insert without a restart: the new rows take the
+    lowest of the dropped table's pages — the pager does not grow — and the
+    rest stay empty and nobody's; recovery finds the new rows alone."""
     db = InstantDB(data_dir=str(tmp_path), page_size=PAGE_SIZE)
     db.execute("CREATE TABLE t (id INT PRIMARY KEY, note TEXT)")
     db.executemany("INSERT INTO t VALUES (?, ?)", [(i, "old" * 20) for i in range(40)])
     db.checkpoint()                          # the old rows are on their pages
-    old_pages = db.table_store("t").heap.page_ids()
+    old_pages = sorted(db.table_store("t").heap.page_ids())
     assert len(old_pages) > 1
+    pages = db.pager.num_pages()
     db.execute("DROP TABLE t")
     db.execute("CREATE TABLE t (id INT PRIMARY KEY, note TEXT)")
     db.executemany("INSERT INTO t VALUES (?, ?)", [(i, "new") for i in range(100, 103)])
-    db.checkpoint()                          # the new rows are on their pages too
+    assert db.table_store("t").heap.page_ids() == old_pages[:1]
+    assert db.pager.num_pages() == pages
+    db.checkpoint()                          # the new rows are on their page too
     crash(db)
 
     reopened = InstantDB(data_dir=str(tmp_path), page_size=PAGE_SIZE)
-    for page_id in old_pages:                # empty, and nobody's
+    for page_id in old_pages[1:]:            # empty, and nobody's
         page = reopened.pager.read_page(page_id)
         assert (page.owner, page.slot_count, any(page.raw()[4:])) == (0, 0, False)
     reopened.recover()
     assert sorted(reopened.execute("SELECT id, note FROM t").rows) == \
         [(i, "new") for i in range(100, 103)]
-    assert not set(reopened.table_store("t").heap.page_ids()) & set(old_pages)
+    assert reopened.table_store("t").heap.page_ids() == old_pages[:1]
+    assert reopened.pager.num_pages() == pages
+    assert b"old" not in reopened.pager.raw_image()
     reopened.table_store("t").heap.check()
 
 

@@ -104,20 +104,26 @@ class TestOverdueStepsAfterCrash:
         db = build_trace_db(tmp_path)
         insert_wave(db, 6)
         crash_on_second_batch(db)
+        logged = len(db.wal)
         with pytest.raises(KeyboardInterrupt):
             db.advance_time(days=2)           # 1 hour, then (next round) 1 day
         assert db.stats.degradation_steps_applied == 6
-        # The committed batch is in the surviving log as one chunk record.
-        assert sum(r.record_type is LogRecordType.DEGRADE for r in db.wal) == 1
+        # The first round logged its scrub's audit record alone: its synced
+        # pages are the record of its steps.
+        assert [r.record_type for r in db.wal.records()[logged:]] == [LogRecordType.SCRUB]
         crash(db)
 
         db2 = build_trace_db(tmp_path)
         report = db2.recover()
         assert report.recovery.wal_prep_passes == 1
-        assert report.recovery.redone_degrade_chunks >= 1
-        # The first round's steps are on the heap (not re-applied); the
-        # second round's come back overdue and fire exactly once.
-        assert report.overdue_steps_applied == 6
+        # The first round's steps are on the heap (not re-applied), and the
+        # clock stands where they prove it stood: at their due time, 1 h.
+        # Nothing proves the second round's time came: it is pending, and
+        # fires exactly once when it does.
+        assert report.recovered_to == HOUR
+        assert report.overdue_steps_applied == 0
+        assert db2.level_histogram("trace", "location") == {1: 6}
+        db2.advance_time(days=1)
         assert db2.stats.degradation_steps_applied == 6
         assert db2.level_histogram("trace", "location") == {2: 6}
         assert db2.daemon.backlog() == 0

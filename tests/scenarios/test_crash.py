@@ -2,10 +2,11 @@
 
 A seeded macro-workload runs on two identical engines over separate data
 directories.  The twin applies a 10-day degradation wave first, counting how
-many WAL appends the wave costs; the victim is then killed at a seeded
-offset inside that span — each sweep stratum covers a different slice of the
-wave, so together the sweep samples kill points across the *whole* WAL
-rather than a fixed handful near the start.  ``REPRO_CRASH_SWEEP`` widens
+many WAL appends and heap page flushes the wave costs (a wave logs no record
+of its steps: its page flushes are most of its durable events); the victim
+is then killed at a seeded offset inside that span — each sweep stratum
+covers a different slice of the wave, so together the sweep samples kill
+points across the *whole* wave rather than a fixed handful near the start.  ``REPRO_CRASH_SWEEP`` widens
 the sweep (default 3 strata) for soak runs.
 
 A second sweep kills the victim *inside* one of the wave's log scrubs — after
@@ -14,11 +15,12 @@ fsync, and before the SCRUB audit record — where a half-scrubbed segment must
 recover to "scrubbed", never to "accurate".
 
 A third sweep kills the victim at the seams of one of the wave's batches —
-after its DEGRADE chunk records are appended and before any page is flushed,
-after the page flush and before the scrub, and at the commit (the first
-record a batch without removals appends after its scrub) — where the chunk
-record and the degraded pages must never disagree in a way recovery cannot
-settle.
+at its first page flush, at its scrub (the pages synced, no image scrubbed)
+and at the commit of a batch that removes rows — freezing the disk at the
+instant of death: the data directory is copied there (``die_copying``) and
+the copy recovered, so nothing the dying engine writes afterwards settles
+anything.  A wave logs no record of its steps — its synced pages are their
+record — so recovery's level rule alone must settle what a kill leaves.
 
 The victim's directory is reopened **cold** with one-call recovery — the
 catalog comes back from its WAL CATALOG record, no DDL re-run — and must
@@ -30,6 +32,8 @@ import os
 import random
 
 import pytest
+
+from ..conftest import die_copying
 
 from repro.api.connection import connect as local_connect
 from repro.engine.database import InstantDB
@@ -51,32 +55,49 @@ SWEEP = int(os.environ.get("REPRO_CRASH_SWEEP", "3"))
 BASE_SEED = int(os.environ.get("REPRO_CRASH_SEED", "101"))
 
 
-def arm_crash(db: InstantDB, appends_left: int) -> None:
-    """Kill the process (KeyboardInterrupt) after ``appends_left`` more WAL
-    appends — between a record hitting the log and the wave completing."""
-    original = db.wal.append
-    state = {"left": appends_left}
+def watch_events(db: InstantDB, on_event):
+    """Call ``on_event()`` ahead of every WAL append and heap page flush from
+    now on; returns a function that restores both."""
+    append, flush_page = db.wal.append, db.buffer_pool.flush_page
 
-    def crashing_append(*args, **kwargs):
+    def watching_append(*args, **kwargs):
+        on_event()
+        return append(*args, **kwargs)
+
+    def watching_flush_page(*args, **kwargs):
+        on_event()
+        return flush_page(*args, **kwargs)
+
+    def restore():
+        db.wal.append, db.buffer_pool.flush_page = append, flush_page
+
+    db.wal.append, db.buffer_pool.flush_page = watching_append, watching_flush_page
+    return restore
+
+
+def arm_crash(db: InstantDB, events_left: int) -> None:
+    """Kill the process (KeyboardInterrupt) after ``events_left`` more WAL
+    appends and heap page flushes — anywhere between the wave's first page
+    write and its last record."""
+    state = {"left": events_left}
+
+    def crash_when_due():
         if state["left"] <= 0:
             raise KeyboardInterrupt
         state["left"] -= 1
-        return original(*args, **kwargs)
 
-    db.wal.append = crashing_append
+    watch_events(db, crash_when_due)
 
 
-def count_appends(db: InstantDB):
-    """Count WAL appends from now on; returns ``(counter_dict, restore)``."""
-    original = db.wal.append
+def count_events(db: InstantDB):
+    """Count WAL appends and heap page flushes from now on; returns
+    ``(counter_dict, restore)``."""
     state = {"count": 0}
 
-    def counting_append(*args, **kwargs):
+    def count():
         state["count"] += 1
-        return original(*args, **kwargs)
 
-    db.wal.append = counting_append
-    return state, lambda: setattr(db.wal, "append", original)
+    return state, watch_events(db, count)
 
 
 def crash(db: InstantDB) -> None:
@@ -145,54 +166,71 @@ def arm_scrub_crash(db: InstantDB, point: str, nth_pass: int) -> None:
 
 
 #: Kill points at the seams of one wave batch (``_apply_degradation_batch``),
-#: each with the offset of the seed that draws its batch.
-WAVE_KILL_POINTS = {"after_chunk_append": 0, "after_page_flush": 13, "at_commit": 39}
+#: each with the offset of the seed that draws its batch and the killer
+#: wave's span in days: a batch removes rows only where a tuple reaches the
+#: end of a removing life cycle — an employee record's, 75 days.
+WAVE_KILL_POINTS = {"at_page_flush": (0, 10), "at_scrub": (13, 10),
+                    "at_removing_commit": (39, 80)}
 
 
-def watch_wave_batches(db: InstantDB, on_batch=None, on_append=None):
-    """Call ``on_batch(n)`` when the ``n``-th system transaction that logs a
-    DEGRADE chunk appends its first one, ``on_append(record type name)`` before
-    every append; returns ``(counter_dict, restore)``."""
-    original = db.wal.append
-    state = {"count": 0, "txn": None}
+def watch_wave_batches(db: InstantDB, on_batch=None, on_commit=None):
+    """Count the wave's batches (calls of the daemon's applier) and the
+    commits inside them — a batch that removes rows commits, one that does
+    not logs nothing to commit: ``on_batch(n)`` as the ``n``-th batch
+    begins, ``on_commit(n)`` before the ``n``-th such COMMIT is appended;
+    returns ``(counter_dict, restore)``."""
+    applier, append = db.daemon.applier, db.wal.append
+    state = {"batches": 0, "commits": 0, "inside": False}
 
-    def watching_append(record_type, txn_id=0, **kwargs):
-        if record_type.name == "DEGRADE" and txn_id != state["txn"]:
-            state["txn"] = txn_id
-            state["count"] += 1
-            if on_batch is not None:
-                on_batch(state["count"])
-        if on_append is not None:
-            on_append(record_type.name)
-        return original(record_type, txn_id, **kwargs)
+    def watching_applier(table, steps):
+        state["batches"] += 1
+        if on_batch is not None:
+            on_batch(state["batches"])
+        state["inside"] = True
+        try:
+            return applier(table, steps)
+        finally:
+            state["inside"] = False
 
-    db.wal.append = watching_append
-    return state, lambda: setattr(db.wal, "append", original)
+    def watching_append(record_type, *args, **kwargs):
+        if state["inside"] and record_type.name == "COMMIT":
+            state["commits"] += 1
+            if on_commit is not None:
+                on_commit(state["commits"])
+        return append(record_type, *args, **kwargs)
+
+    def restore():
+        db.daemon.applier, db.wal.append = applier, append
+
+    db.daemon.applier, db.wal.append = watching_applier, watching_append
+    return state, restore
 
 
-def arm_wave_crash(db: InstantDB, point: str, nth_batch: int) -> None:
-    """Kill the process at ``point`` of the ``nth_batch``-th wave batch."""
+def arm_wave_crash(db: InstantDB, point: str, nth: int, data_dir, frozen) -> None:
+    """Kill the process at ``point`` of the ``nth`` wave batch (of the
+    ``nth`` removing one, at its commit), copying ``data_dir`` to ``frozen``
+    at that instant."""
     state = {"armed": False}
     flush_page, scrub_records = db.buffer_pool.flush_page, db.wal.scrub_records
 
     def on_batch(count):
-        state["armed"] = count == nth_batch
+        state["armed"] = count == nth
 
-    def on_append(name):
-        if state["armed"] and (point, name) == ("at_commit", "COMMIT"):
-            raise KeyboardInterrupt
+    def on_commit(count):
+        if point == "at_removing_commit" and count == nth:
+            die_copying(data_dir, frozen)
 
     def killing_flush_page(page_id):
-        if state["armed"] and point == "after_chunk_append":
-            raise KeyboardInterrupt
+        if state["armed"] and point == "at_page_flush":
+            die_copying(data_dir, frozen)
         return flush_page(page_id)
 
     def killing_scrub(keys, now=0.0):
-        if state["armed"] and point == "after_page_flush":
-            raise KeyboardInterrupt
+        if state["armed"] and point == "at_scrub":
+            die_copying(data_dir, frozen)
         return scrub_records(keys, now=now)
 
-    watch_wave_batches(db, on_batch, on_append)
+    watch_wave_batches(db, on_batch, on_commit)
     db.buffer_pool.flush_page = killing_flush_page
     db.wal.scrub_records = killing_scrub
 
@@ -200,16 +238,18 @@ def arm_wave_crash(db: InstantDB, point: str, nth_batch: int) -> None:
 @pytest.mark.parametrize("point", WAVE_KILL_POINTS)
 def test_crash_at_a_seam_of_a_wave_batch_recovers_to_twin_equivalence(
         tmp_path, point):
-    kill_seed = BASE_SEED + WAVE_KILL_POINTS[point]
+    offset, days = WAVE_KILL_POINTS[point]
+    kill_seed = BASE_SEED + offset
 
     def arm(victim, twin_counts):
-        batches = twin_counts["wave_batches"]
+        batches = twin_counts["removing_batches" if point == "at_removing_commit"
+                              else "wave_batches"]
         assert batches > 0
-        nth_batch = random.Random(kill_seed).randrange(1, batches + 1)
-        arm_wave_crash(victim, point, nth_batch)
-        return f"point={point} batch={nth_batch}/{batches}"
+        nth = random.Random(kill_seed).randrange(1, batches + 1)
+        arm_wave_crash(victim, point, nth, tmp_path / "victim", tmp_path / "frozen")
+        return f"point={point} batch={nth}/{batches}"
 
-    run_crash_case(tmp_path, kill_seed, arm)
+    run_crash_case(tmp_path, kill_seed, arm, days * DAY)
 
 
 @pytest.mark.parametrize("stratum", range(SWEEP))
@@ -217,16 +257,16 @@ def test_mid_wave_crash_recovers_to_twin_equivalence(tmp_path, stratum):
     kill_seed = BASE_SEED + 101 * stratum
 
     def arm(victim, twin_counts):
-        wave_appends = twin_counts["appends"]
-        assert wave_appends > 0
-        # The kill offset is drawn from this stratum's slice of [0, appends)
+        wave_events = twin_counts["events"]
+        assert wave_events > 0
+        # The kill offset is drawn from this stratum's slice of [0, events)
         # — the sweep as a whole covers the entire wave, not just its first
-        # few records.
-        lo = wave_appends * stratum // SWEEP
-        hi = max(lo + 1, wave_appends * (stratum + 1) // SWEEP)
+        # few writes.
+        lo = wave_events * stratum // SWEEP
+        hi = max(lo + 1, wave_events * (stratum + 1) // SWEEP)
         kill_after = random.Random(kill_seed).randrange(lo, hi)
         arm_crash(victim, kill_after)
-        return f"kill_after={kill_after}/{wave_appends}"
+        return f"kill_after={kill_after}/{wave_events}"
 
     run_crash_case(tmp_path, kill_seed, arm)
 
@@ -245,9 +285,10 @@ def test_crash_inside_a_scrub_recovers_to_twin_equivalence(tmp_path, point):
     run_crash_case(tmp_path, kill_seed, arm)
 
 
-def run_crash_case(tmp_path, kill_seed, arm):
-    """Load twins, run the killer wave on the twin, kill the victim where
-    ``arm(victim engine, twin's wave counts)`` says, recover, compare."""
+def run_crash_case(tmp_path, kill_seed, arm, span=10 * DAY):
+    """Load twins, run the killer wave — ``span`` due at once — on the
+    twin, kill the victim where ``arm(victim engine, twin's wave counts)``
+    says, recover, compare."""
     scenario = InclusionScenario(SCALE)
     generator = InclusionGenerator(scenario, seed=kill_seed)
     salaries = generator.sensitive_salaries()
@@ -268,28 +309,31 @@ def run_crash_case(tmp_path, kill_seed, arm):
         run_op(victim, op)
         run_op(twin, op)
 
-    # The killer wave: 10 days due at once.  The twin runs it first, counting
-    # its WAL appends; the engines are deterministic over identical state, so
-    # the victim's wave costs the same number (and as many zeroing passes).
-    appends, restore_appends = count_appends(twin.engine)
+    # The killer wave: ``span`` due at once.  The twin runs it first, counting
+    # its WAL appends and page flushes; the engines are deterministic over
+    # identical state, so the victim's wave costs the same number (and as
+    # many zeroing passes).
+    events, restore_events = count_events(twin.engine)
     batches, restore_batches = watch_wave_batches(twin.engine)
     passes, restore_passes = count_zeroing_passes(twin.engine)
-    twin.advance(10 * DAY)
+    twin.advance(span)
     restore_batches()
-    restore_appends()
+    restore_events()
     restore_passes()
 
-    kill = arm(victim.engine, {"appends": appends["count"],
-                               "wave_batches": batches["count"],
+    kill = arm(victim.engine, {"events": events["count"],
+                               "wave_batches": batches["batches"],
+                               "removing_batches": batches["commits"],
                                "zeroing_passes": passes["count"]})
     with pytest.raises(KeyboardInterrupt):
-        victim.advance(10 * DAY)
+        victim.advance(span)
     crash(victim.engine)
 
-    # Reopen the directory cold: one-call recovery restores the catalog from
-    # the WAL's CATALOG record (no DDL re-run), replays the heap, and drains
-    # the overdue schedule.
-    recovered = InstantDB(data_dir=str(tmp_path / "victim"))
+    # Reopen the directory cold — the copy a kill froze, where it made one:
+    # one-call recovery restores the catalog from the WAL's CATALOG record
+    # (no DDL re-run), replays the heap, and drains the overdue schedule.
+    frozen = tmp_path / "frozen"
+    recovered = InstantDB(data_dir=str(frozen if frozen.exists() else tmp_path / "victim"))
     report = recovered.recover(drain=True)
     context = f"kill_seed={kill_seed} {kill}"
     assert report.registrations > 0, context
@@ -335,6 +379,6 @@ def run_crash_case(tmp_path, kill_seed, arm):
             conn.close()
     finally:
         # The victim stays abandoned (a crashed process never close()s);
-        # its directory now belongs to ``recovered``.
+        # its directory (or the frozen copy) now belongs to ``recovered``.
         recovered.close()
         twin.close()

@@ -236,7 +236,8 @@ class ModelMachine(RuleBasedStateMachine):
         self.variant.connection = local_connect(engine=engine)
         self.model.rollback()
         self.pending = False
-        # recovery's clock is the log's last timestamp: never past the model's
+        # recovery's clock is the latest time the log or the heap proves (a
+        # logged timestamp, a step's due time): never past the model's
         if self.model.now() > engine.clock.now():
             self.variant.advance(self.model.now() - engine.clock.now())
 

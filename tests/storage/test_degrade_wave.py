@@ -4,8 +4,8 @@
   the splice is a faster way to the same image, not a second record format
   (seeded waves, and a property over random rows, columns and step lists);
 * a wave that raises has changed nothing: heap, log, indexes;
-* a wave costs the log O(chunks) records, none with a value byte in it, and
-  an ingest one ``DELTA`` per page it filled;
+* a wave logs nothing but its scrub's audit record — its synced pages are
+  the record of its steps — and an ingest one ``DELTA`` per page it filled;
 * ``insert(..., returning=True)`` hands back exactly what ``read`` decodes.
 """
 
@@ -27,7 +27,7 @@ from repro.storage.buffer import BufferPool
 from repro.storage.degradable_store import StoredRow, TableStore
 from repro.storage.pager import MemoryPager
 from repro.storage.serialization import encode_value
-from repro.storage.wal import LogRecordType, WriteAheadLog, decode_degrade_chunk
+from repro.storage.wal import LogRecordType, WriteAheadLog
 
 SCHEMES = {"location": build_location_tree(), "salary": build_salary_ranges(),
            "diagnosis": build_diagnosis_tree()}
@@ -109,7 +109,7 @@ def test_spliced_record_is_encode_row_of_the_degraded_row(seed, strategy):
                  for column, to_level in steps.items()]
         rng.shuffle(items)
         chunks = store.degrade_many(items, now=1000.0 + wave)
-        assert sum(len(chunk.row_keys()) for chunk in chunks) == len(items)
+        assert sum(len(keys) for chunk in chunks for keys in chunk.transitions.values()) == len(items)
         for key, (values, levels, image) in expected.items():
             stored = store.heap.read(store._location(key))
             grew += len(stored) > before[key]
@@ -172,7 +172,7 @@ def test_wave_kernel_output_is_encode_row_of_the_model(data, strategy):
             expected[key] = (values, levels, store.image(
                 StoredRow(key, values, levels, row.inserted_at)))
         chunks = store.degrade_many(items, now=10.0 + wave)
-        assert sum(len(chunk.row_keys()) for chunk in chunks) == applied
+        assert sum(len(keys) for chunk in chunks for keys in chunk.transitions.values()) == applied
         for key, (values, levels, image) in expected.items():
             stored = store.heap.read(store._location(key))
             if strategy == "rewrite":
@@ -209,7 +209,7 @@ def test_a_growing_wave_relocates_off_a_full_page_byte_identically():
 @pytest.mark.parametrize("seed", [3, 8])
 def test_a_wave_that_raises_has_changed_nothing(seed):
     """A wave meets an irreversible step on its *second* page: the first
-    page's rows must not keep their degraded images (with no DEGRADE record,
+    page's rows must not keep their degraded images (with no log record,
     no index or statistics update and their accurate log images in place).
     The wave splices every page before it writes one."""
     store = make_store("rewrite", page_size=1024)
@@ -265,8 +265,8 @@ def test_work_counts_of_a_cohort_insert_and_its_wave():
     """Exact log work, by record type (``WALStats.appended_by_type``): a
     120-row cohort fills 4 pages — 4 ``DELTA`` appends, the pages naming
     their owner themselves; its wave takes every row's location and 40 salaries one level
-    on — one ``DEGRADE`` per chunk, one ``SCRUB`` audit record, and one
-    scrubbed image per row settled."""
+    on — one ``SCRUB`` audit record and nothing else (the synced pages are the
+    record of the steps), and one scrubbed image per row settled."""
     store = make_store("rewrite")
     rng = random.Random(12)
     stats = store.wal.stats
@@ -281,9 +281,9 @@ def test_work_counts_of_a_cohort_insert_and_its_wave():
     assert len(chunks) == 2
     wave = {kind: count - inserted.get(kind, 0)
             for kind, count in stats.appended_by_type.items() if count != inserted.get(kind)}
-    assert wave == {"DEGRADE": len(chunks), "SCRUB": 1}
+    assert wave == {"SCRUB": 1}
     assert stats.scrubbed_records == len(keys) == 120
-    assert stats.appended == 4 + 3
+    assert stats.appended == 4 + 1
 
 
 def test_chunks_carry_the_value_transitions():
@@ -306,7 +306,8 @@ def test_chunks_carry_the_value_transitions():
 
 
 def test_wave_appends_o_chunks_records_without_a_value_byte():
-    """Log-amplification guard: 1,000 rows take one step of one column."""
+    """Log-amplification guard: 1,000 rows take one step of one column, and
+    the log gets the scrub's audit record alone."""
     store = make_store("rewrite")
     rng = random.Random(9)
     rows = [random_row(rng, i) for i in range(1, 1001)]
@@ -314,10 +315,7 @@ def test_wave_appends_o_chunks_records_without_a_value_byte():
     appended = store.wal.stats.appended
     store.degrade_many([(keys, "location", SCHEMES["location"], 2)], now=3600.0)
     wave = store.wal.records()[appended:]
-    degrades = [r for r in wave if r.record_type is LogRecordType.DEGRADE]
-    assert len(degrades) == 1               # one (column, 0 → 2) chunk
-    assert len(wave) <= 3                   # + the scrub's audit record
-    assert sorted(decode_degrade_chunk(degrades[0].after)[1]) == keys
+    assert [record.record_type for record in wave] == [LogRecordType.SCRUB]
     for record in wave:
         image = record.encode()
         assert record.record_type is not LogRecordType.DELTA     # no row image
@@ -341,21 +339,23 @@ def test_insert_returning_equals_what_read_decodes(strategy):
     assert store.read(store.insert({"id": 7}, now=1.0)).values["id"] == 7
 
 
-def test_a_chunk_larger_than_one_record_is_cut_and_redone_whole(monkeypatch):
-    """The record codec caps a payload at 65,535 fields: a chunk's key list is
-    cut under it (here: at 2 keys), and redo reads every piece."""
-    from repro.storage import wal as wal_module
+def test_a_wave_of_many_chunks_is_recovered_from_its_pages_alone():
+    """A wave of three chunks logs no record of its steps; recovery from the
+    log finds every row at its step's level on the pages, writes none of
+    the (scrubbed) insert images back, and every row's value stays degraded."""
     from repro.txn.recovery import RecoveryManager
 
-    monkeypatch.setattr(wal_module, "DEGRADE_RECORD_KEYS", 2)
     store = make_store("rewrite")
     rng = random.Random(2)
     keys = [store.insert({**random_row(rng, i), "location": ADDRESSES[0]}, now=0.0)
-            for i in range(1, 6)]
-    store.degrade_many([(keys, "location", SCHEMES["location"], 1)], now=10.0)
-    pieces = [decode_degrade_chunk(record.after) for record in store.wal
-              if record.record_type is LogRecordType.DEGRADE]
-    assert [len(row_keys) for _level, row_keys in pieces] == [2, 2, 1]
-    assert sorted(key for _level, row_keys in pieces for key in row_keys) == keys
+            for i in range(1, 7)]
+    chunks = store.degrade_many([(keys[:2], "location", SCHEMES["location"], 1),
+                                 (keys[2:4], "location", SCHEMES["location"], 2),
+                                 (keys[4:], "salary", SCHEMES["salary"], 1)], now=10.0)
+    assert len(chunks) == 3
+    assert [r.record_type for r in store.wal] == [LogRecordType.DELTA] * 6 + [LogRecordType.SCRUB]
+    before = {key: store.read(key) for key in keys}
+    store._locations.clear()
     report = RecoveryManager(store.wal, {"patient": store}).recover()
-    assert (report.redone_degrade_chunks, report.redone_degrades) == (3, 0)
+    assert (report.redone_inserts, report.redone_updates) == (0, 0)
+    assert {key: store.read(key) for key in keys} == before

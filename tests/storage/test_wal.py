@@ -68,22 +68,21 @@ class TestBasicProtocol:
 
     def test_records_for(self):
         """The row's records that still hold an image of it — what a scrub
-        would hit; DEGRADE records carry a level, not an image."""
+        would hit; a scrub-exempt record naming the row holds none."""
         wal = WriteAheadLog()
         change(wal, 7, b"img", table="person")
         change(wal, 8, b"img", table="person")
         change(wal, 7, b"img", b"img2", table="person")
-        wal.append(LogRecordType.DEGRADE, 0, table="person", row_key=7, attribute="loc",
-                   after=b"1")
+        wal.append(LogRecordType.TABLE_DROP, 0, table="person", row_key=7, after=b"1")
         assert [record.lsn for record in wal.records_for("person", 7)] == [1, 3]
         wal.scrub_records([("person", 7)])
         assert wal.records_for("person", 7) == []
 
-    def test_degrade_record_must_not_carry_before_image(self):
+    def test_no_record_carries_a_before_image(self):
         """No record has a before-image field: there is none to fill."""
         wal = WriteAheadLog()
         with pytest.raises(TypeError):
-            wal.append(LogRecordType.DEGRADE, 0, table="t", row_key=1,
+            wal.append(LogRecordType.DELTA, 0, table="t", row_key=1,
                        attribute="loc", before=b"accurate!")
 
     def test_record_encode_decode_roundtrip(self):
@@ -142,11 +141,11 @@ class TestScrubbing:
         assert wal.scrub_records([("person", 99)]) == 0
         assert wal.stats.scrub_passes == 0
 
-    def test_degrade_records_are_exempt(self):
-        """A DEGRADE payload is a target level, not a value: a wave over rows
-        whose images are already gone finds nothing to scrub."""
+    def test_exempt_records_are_not_scrubbed(self):
+        """A scrub-exempt record naming a row holds no image of it: a wave
+        over rows whose images are already gone finds nothing to scrub."""
         wal = WriteAheadLog()
-        wal.append(LogRecordType.DEGRADE, 0, table="person", row_key=7,
+        wal.append(LogRecordType.CATALOG, 0, table="person", row_key=7,
                    attribute="loc", after=b"\x01")
         assert wal.scrub_records([("person", 7)]) == 0
         assert wal.records()[0].after == b"\x01"
@@ -205,8 +204,7 @@ class TestBulkScrubbing:
         wal = WriteAheadLog(path)
         change(wal, 1, b"keep")
         wal.flush()
-        wal.append(LogRecordType.DEGRADE, 0, table="t", row_key=2,
-                   attribute="a", after=b"\x01")
+        wal.append(LogRecordType.SCHED_EVENT, 0, attribute="a", timestamp=2.0)
         written = wal.stats.bytes_written
         assert wal.scrub_records([("t", 2), ("t", 3)]) == 0
         assert wal.stats.bytes_written == written
@@ -413,6 +411,23 @@ class TestPersistence:
         with pytest.raises(LogFormatError, match="format version 2"):
             WriteAheadLog(path)
 
+    def test_a_format_9_segment_is_refused(self, tmp_path):
+        """A segment a format-9 build wrote — header intact, its CRC valid —
+        numbers its record types differently (its DEGRADE had the code
+        CHECKPOINT has now): it is refused, not misread."""
+        from zlib import crc32
+        path = str(tmp_path / "wal")
+        wal = WriteAheadLog(path)
+        wal.append(LogRecordType.CHECKPOINT, txn_id=0)
+        wal.flush()
+        segment = segment_paths(path)[0]
+        data = bytearray(open(segment, "rb").read())
+        data[8:12] = (9).to_bytes(4, "little")
+        data[20:24] = crc32(bytes(data[:20])).to_bytes(4, "little")
+        open(segment, "wb").write(bytes(data))
+        with pytest.raises(LogFormatError, match="format version 9"):
+            WriteAheadLog(path)
+
     def test_a_version_3_data_directory_is_refused(self, tmp_path):
         # Version 3 logged one schedule registration per row and checkpointed
         # the schedule record by record; version 4 logged one INSERT per row
@@ -421,11 +436,13 @@ class TestPersistence:
         # logged a row change as INSERT_RUN, UPDATE or REMOVE; version 7's row
         # images stored each level as a tagged 8-byte INT and its CATALOG
         # documents uncompressed; version 8 logged page ownership in a
-        # record type of its own and in every CHECKPOINT's payload.
+        # record type of its own and in every CHECKPOINT's payload; version 9
+        # logged each wave chunk as a DEGRADE record, whose code CHECKPOINT
+        # took.
         from repro import InstantDB
         from repro.storage.wal import WAL_FORMAT_VERSION
-        assert WAL_FORMAT_VERSION == 9
-        for version in (3, 4, 5, 6, 7, 8):
+        assert WAL_FORMAT_VERSION == 10
+        for version in (3, 4, 5, 6, 7, 8, 9):
             data_dir = str(tmp_path / f"v{version}")
             db = InstantDB(data_dir=data_dir)
             db.execute("CREATE TABLE t (id INT PRIMARY KEY)")

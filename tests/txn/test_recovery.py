@@ -10,9 +10,7 @@ from repro.storage.pager import MemoryPager
 from repro.storage.wal import (
     LogRecordType,
     WriteAheadLog,
-    decode_degrade_chunk,
     delta_entries,
-    encode_degrade_chunk,
     encode_delta,
 )
 from repro.txn.recovery import RecoveryManager
@@ -84,18 +82,24 @@ class TestUndo:
         assert store.read(row_key).values["name"] == "alice"
 
     def test_degradation_of_loser_transaction_not_undone(self):
+        """A wave whose system transaction never committed (crash right
+        after): its steps logged nothing to undo, and its removal's −1 is
+        redone, not undone."""
         wal, store, manager = make_environment()
         winner = manager.begin()
-        row_key = store.insert(ROW, now=0.0, txn_id=winner.txn_id)
+        row_key, doomed = store.insert_many([ROW, {**ROW, "id": 2}], now=0.0,
+                                            txn_id=winner.txn_id).keys
         manager.commit(winner)
-        # Degradation runs inside a system transaction that never committed
-        # (crash right after) — it must still not be rolled back.
         loser = manager.begin(system=True)
-        store.degrade(row_key, "location", LOCATION, to_level=1, now=3600.0,
-                      txn_id=loser.txn_id)
+        store.degrade_many([([row_key], "location", LOCATION, 1)], now=3600.0)
+        store.remove_many([doomed], now=3600.0, txn_id=loser.txn_id)
         report = RecoveryManager(wal, {"person": store}).recover()
+        assert loser.txn_id in report.loser_txns
         assert store.read(row_key).values["location"] == "Paris"
+        assert store.read(row_key).levels["location"] == 1
+        assert not store.exists(doomed)
         assert report.skipped_undos >= 1
+        assert b"Main Street" not in wal.raw_image()
 
 
 class TestRedo:
@@ -124,19 +128,6 @@ class TestRedo:
         report = RecoveryManager(wal, {"person": store}).recover()
         assert report.redone_removes == 1
         assert not store.exists(row_key)
-
-    def test_lagging_degradation_reported(self):
-        wal, store, manager = make_environment()
-        winner = manager.begin()
-        row_key = store.insert(ROW, now=0.0, txn_id=winner.txn_id)
-        manager.commit(winner)
-        # Append a DEGRADE record without performing the physical degradation,
-        # as if the crash hit between WAL append and page flush.
-        (payload,) = encode_degrade_chunk(1, [row_key])
-        wal.append(LogRecordType.DEGRADE, 0, table="person",
-                   attribute="location", after=payload, timestamp=3600.0)
-        report = RecoveryManager(wal, {"person": store}).recover()
-        assert report.redone_degrades == 1
 
     def test_a_page_removal_whose_flush_was_lost_is_erased_by_redo(self):
         """A removal is one DELTA of imageless −1 entries for the page.  The
@@ -235,37 +226,55 @@ class TestSinglePassPrepare:
         assert report.wal_prep_passes == 1
 
 
-class TestSegmentDegradeRecords:
-    """A wave is logged as one DEGRADE record per (column, level) chunk (the
-    class is named after the record type the chunk DEGRADE absorbed)."""
+class TestWaveRecovery:
+    """A wave logs no record of its steps: its synced pages are their record,
+    and recovery keeps no log image less degraded than the heap's record."""
 
     def rows(self, count):
         return [{**ROW, "id": i} for i in range(1, count + 1)]
 
-    def make_wave(self, count=5, to_level=1):
+    def make_rows(self, count):
         wal, store, manager = make_environment()
         winner = manager.begin()
-        keys = [store.insert(row, now=0.0, txn_id=winner.txn_id)
-                for row in self.rows(count)]
+        keys = store.insert_many(self.rows(count), now=0.0, txn_id=winner.txn_id).keys
         manager.commit(winner)
-        system = manager.begin(system=True)
-        store.degrade_many([(keys, "location", LOCATION, to_level)], now=3600.0,
-                           txn_id=system.txn_id)
+        return wal, store, manager, list(keys)
+
+    def make_wave(self, count=5, to_level=1):
+        wal, store, manager, keys = self.make_rows(count)
+        store.degrade_many([(keys, "location", LOCATION, to_level)], now=3600.0)
         return wal, store, manager, keys
 
-    def test_columnar_wave_logs_chunks_not_rows(self):
-        """A wave's cohort is one record, whatever its size."""
-        wal, store, _manager, keys = self.make_wave()
-        (record,) = [r for r in wal if r.record_type is LogRecordType.DEGRADE]
-        # The record names the column; the payload lists every affected
-        # heap row behind the target level.  No row key of its own, no
-        # image.
-        assert (record.table, record.attribute, record.row_key) == \
-            ("person", "location", -1)
-        to_level, row_keys = decode_degrade_chunk(record.after)
-        assert to_level == 1 and sorted(row_keys) == sorted(keys)
+    def crash_at_scrub(self, wal, store, keys, lost=()):
+        """A wave over ``keys`` dies at its scrub, the pages synced — but the
+        page write of the rows ``lost`` never happened: their records are
+        the accurate ones again."""
+        images = {key: store.image(store.read(key)) for key in lost}
 
-    def test_recovery_rebuilds_segments_and_level_vectors(self):
+        def die(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        wal.scrub_records = die
+        with pytest.raises(KeyboardInterrupt):
+            store.degrade_many([(keys, "location", LOCATION, 1)], now=3600.0)
+        del wal.scrub_records
+        store.restore_rows(list(images.items()))
+        assert all(wal.records_for("person", key) for key in keys)
+
+    def test_a_wave_logs_no_record_of_its_steps(self):
+        """A wave's system transaction that removes nothing ends with no
+        BEGIN, no COMMIT and no log flush; the log gets the scrub's audit
+        record alone."""
+        wal, store, manager, keys = self.make_rows(5)
+        appended, flushed = wal.stats.appended, wal.stats.flushed
+        system = manager.begin(system=True)
+        store.degrade_many([(keys, "location", LOCATION, 1)], now=3600.0)
+        manager.commit(system)
+        assert [r.record_type for r in wal.records()[appended:]] == [LogRecordType.SCRUB]
+        assert wal.stats.flushed == flushed
+        assert all(store.read(key).values["location"] == "Paris" for key in keys)
+
+    def test_recovery_rebuilds_rows_and_levels_from_the_pages(self):
         """The row map is rebuilt from the pages, and the pages hold the
         degraded values and levels: nothing is redone."""
         wal, store, manager, keys = self.make_wave()
@@ -273,58 +282,33 @@ class TestSegmentDegradeRecords:
         store._locations.clear()
         report = RecoveryManager(wal, {"person": store}).recover()
         assert report.wal_prep_passes == 1
-        assert report.redone_degrade_chunks == 1
-        assert report.redone_degrades == 0            # pages were flushed
+        assert (report.redone_inserts, report.redone_updates) == (0, 0)
         for key in keys:
             row = store.read(key)
             assert row.levels["location"] == 1
             assert row.values["location"] == "Paris"
 
-    def test_lagging_rows_counted_and_left_to_the_daemon(self):
-        wal, store, manager = make_environment()
-        winner = manager.begin()
-        keys = [store.insert(row, now=0.0, txn_id=winner.txn_id)
-                for row in self.rows(3)]
-        manager.commit(winner)
-        # A chunk record whose page write never made it: every listed row
-        # still stores the accurate value at level 0.
-        (payload,) = encode_degrade_chunk(1, keys)
-        wal.append(LogRecordType.DEGRADE, 0, table="person",
-                   attribute="location", after=payload, timestamp=3600.0)
-        report = RecoveryManager(wal, {"person": store}).recover()
-        assert report.redone_degrade_chunks == 1
-        assert report.redone_degrades == 3            # all three rows lag
-        # The values were NOT fabricated from the log (it carries no images).
+    def test_a_lost_page_write_leaves_the_step_pending(self):
+        """The wave's page write never reached the disk: every row is still
+        accurate at level 0, recovery fabricates nothing (the log holds no
+        degraded value) and keeps the images of the rows' pending step."""
+        wal, store, manager, keys = self.make_rows(3)
+        self.crash_at_scrub(wal, store, keys, lost=keys)
+        RecoveryManager(wal, {"person": store}).recover()
         for key in keys:
             assert store.read(key).values["location"] == ROW["location"]
+            assert store.read(key).levels["location"] == 0
+            assert wal.records_for("person", key)
 
-    def test_chunk_whose_rows_partly_lag(self):
-        """Of the four rows a chunk lists, two were degraded on disk before
-        the crash (which came ahead of the scrub) and two had their page write
-        lost: the first two are settled — their INSERT images leave the log —
-        the others stay pending, accurate value and log image intact."""
-        wal, store, manager = make_environment()
-        winner = manager.begin()
-        keys = [store.insert(row, now=0.0, txn_id=winner.txn_id)
-                for row in self.rows(4)]
-        manager.commit(winner)
+    def test_a_wave_whose_page_writes_partly_landed(self):
+        """Of the four rows a wave took, two were degraded on disk before the
+        crash (which came ahead of the scrub) and two had their page write
+        lost: the level rule scrubs the first two's INSERT images, the
+        others stay pending, accurate value and log image intact."""
+        wal, store, manager, keys = self.make_rows(4)
         done, lost = keys[:2], keys[2:]
-
-        def die(*args, **kwargs):
-            raise KeyboardInterrupt
-
-        wal.scrub_records = die                # pages flushed, log not scrubbed
-        with pytest.raises(KeyboardInterrupt):
-            store.degrade_many([(done, "location", LOCATION, 1)], now=3600.0)
-        del wal.scrub_records
-        (payload,) = encode_degrade_chunk(1, keys)
-        wal.append(LogRecordType.DEGRADE, 0, table="person",
-                   attribute="location", after=payload, timestamp=3600.0)
-        assert all(wal.records_for("person", key) for key in keys)
-
-        report = RecoveryManager(wal, {"person": store}).recover()
-        assert report.redone_degrade_chunks == 2       # the wave's own + ours
-        assert report.redone_degrades == len(lost)
+        self.crash_at_scrub(wal, store, keys, lost=lost)
+        RecoveryManager(wal, {"person": store}).recover()
         for key in done:
             assert store.read(key).values["location"] == "Paris"
             assert not wal.records_for("person", key)     # settled: re-scrubbed
@@ -333,9 +317,23 @@ class TestSegmentDegradeRecords:
             assert wal.records_for("person", key)         # still pending
         assert b"1 Main Street, Paris" in wal.raw_image()
 
-    def test_segment_ids_do_not_pollute_row_key_reservation(self):
-        """A chunk record has no row key of its own (the field reads -1); it
-        must not drag the store's row-key counter around."""
+    def test_redo_writes_no_image_less_degraded_than_the_heap(self):
+        """A committed UPDATE ahead of the wave: its +1 image is at level 0,
+        the record at 1 already has the update, and redo keeps the record."""
+        wal, store, manager, keys = self.make_rows(2)
+        writer = manager.begin()
+        store.update_stable([keys[0]], [("name", "bob")], now=1.0, txn_id=writer.txn_id)
+        manager.commit(writer)
+        self.crash_at_scrub(wal, store, keys)
+        report = RecoveryManager(wal, {"person": store}).recover()
+        assert report.redone_updates == 0
+        row = store.read(keys[0])
+        assert (row.values["name"], row.values["location"], row.levels["location"]) == \
+            ("bob", "Paris", 1)
+        assert b"Main Street" not in wal.raw_image()
+
+    def test_row_key_reservation_after_a_wave(self):
+        """Recovery of a wave leaves the store's row-key counter past every key."""
         wal, store, manager, keys = self.make_wave(count=2)
         store._locations.clear()
         RecoveryManager(wal, {"person": store}).recover()
