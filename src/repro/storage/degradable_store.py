@@ -22,17 +22,12 @@ from collections import defaultdict
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, groupby, islice, repeat, takewhile
+from itertools import chain, groupby, islice, repeat
 from operator import attrgetter, itemgetter, lt
 from types import SimpleNamespace
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from ..core.errors import (
-    KeyDestroyedError,
-    PolicyError,
-    RecordNotFoundError,
-    StorageError,
-)
+from ..core.errors import KeyDestroyedError, PolicyError, RecordNotFoundError, StorageError
 from ..core.generalization import GeneralizationScheme
 from ..core.schema import TableSchema
 from ..core.values import SUPPRESSED, is_missing
@@ -142,19 +137,21 @@ class TableStore:
         self.keystore = keystore
         self.stats = TableStoreStats()
         self._degradable = [column.name for column in schema.degradable_columns()]
-        self._names = [column.name for column in schema.columns]
-        #: Degradable column → (its position among the record's levels, its
-        #: position among the record's values).
-        self._degradable_fields = {
-            name: (position, schema.column_index(name))
-            for position, name in enumerate(self._degradable)}
         #: The record prefix — count, one level per degradable column, row
         #: key, insertion time (:class:`~.serialization.RecordPrefix`).
         self._prefix = prefix = record_prefix(len(self._degradable))
-        #: The kernels' wide prefix: the record prefix and what follows it up
-        #: to the first degradable column (:meth:`~.serialization.RecordPrefix.widened`).
-        self._wide = prefix.widened([column.value_type for column in takewhile(
-            lambda column: not column.degradable, schema.columns)])
+        #: The declared index of each value a record stores, in record order, and
+        #: the names in that order (:meth:`~.serialization.RecordPrefix.order`).
+        self._order = prefix.order(schema.columns)
+        stored = [schema.columns[index] for index in self._order]
+        self._names = [column.name for column in stored]
+        #: Degradable column → (its position among the record's levels, its
+        #: position among the record's values).
+        self._degradable_fields = {
+            name: (position, self._names.index(name))
+            for position, name in enumerate(self._degradable)}
+        #: The kernels' wide prefix (:meth:`~.serialization.RecordPrefix.widened`).
+        self._wide = prefix.widened(stored)
         self._field_count = 2 + len(self._degradable) + len(schema.columns)
         # The heap's level summary reads a record's levels off its prefix, unchecked: each
         # record it holds was encoded here or passed :meth:`rebuild_locations`'s checked read.
@@ -184,10 +181,10 @@ class TableStore:
         #: path of each column's values and the fields after a record's key.
         self._columns = tuple((column.value_type.python_type.__name__,
                                column.nullable and not column.primary_key)
-                              for column in schema.columns)
+                              for column in stored)
         self._sealed = tuple((value_at, level_at) for level_at, value_at
                              in self._degradable_fields.values()) if strategy == "crypto" else ()
-        self._slow = [partial(_coerced, column) for column in schema.columns]
+        self._slow = [partial(_coerced, column) for column in stored]
         whole = (tuple(range(len(schema.columns))),)
         self._row_encoder = self._encoder("row", whole, len(schema.columns))
         self._image_encoder = self._encoder("image", whole, len(schema.columns))
@@ -199,21 +196,23 @@ class TableStore:
         as they are (no coercion) by the table's row encoder."""
         images: List[bytes] = []
         levels = tuple(map(row.levels.__getitem__, self._degradable))
-        self._image_encoder(row.row_key, (tuple(map(row.values.__getitem__, self._names)),),
+        self._image_encoder(row.row_key, (tuple(map(row.values.__getitem__,
+                                                    self.schema.column_names())),),
                             self._prefix.lead(self._field_count, levels),
                             self._prefix.stamp(row.inserted_at), levels, images.append, None)
         return images[0]
 
     def _encoder(self, mode: str, records: Tuple[Tuple[int, ...], ...], width: int,
                  literals: Tuple[Any, ...] = (), sized: Optional[Callable] = None) -> Callable:
-        """The row encoder (:mod:`.kernels`) for ``mode`` and ``records``,
-        compiled once per store and shape, bound to a statement's ``literals``
+        """The row encoder (:mod:`.kernels`) for ``mode`` and ``records`` (declared
+        order), compiled once per store and shape, bound to a statement's ``literals``
         and count check ``sized`` (by default: :meth:`TableSchema.values_of`)."""
         key = ("row", mode, records, width)
         factory = self._kernels.get(key)
         if factory is None:
-            factory = self._kernels[key] = compile_row_kernel(RowShape(
-                self._columns, records, width, mode, self._sealed))
+            factory = self._kernels[key] = compile_row_kernel(RowShape(self._columns, tuple(
+                tuple(map(record.__getitem__, self._order)) for record in records), width,
+                mode, self._sealed))
         return factory(literals, sized or self.schema.values_of, self._slow,
                        self.keystore.encrypt if self._sealed else None, self.schema.name,
                        self._names)
@@ -398,7 +397,7 @@ class TableStore:
                drained: bool = False) -> Shape:
         """The kernel shape of a :meth:`row_reader` call (``drained``: of its
         drained pace), in this table's positions: its names go no further."""
-        position = self.schema.column_index
+        position = self._names.index
         return Shape(
             len(self._degradable), self._field_count, len(self.schema.columns) - 1,
             tuple(tuple(sorted((position(name), slot) for name, slot in slots

@@ -17,11 +17,11 @@ with the tag dispatch, checks and :class:`StorageError` messages of
 :func:`~repro.storage.serialization.decode_value` (a skipped run of fields is
 bound-checked once, at its end), the ``(stored level, value) → generalized``
 memo, the key-store decrypt and each comparison inline — and compiles it
-once.  A record whose leading fixed-width values and the head of the TEXT
-after them match the table's wide prefix takes them from the one unpack that
-checks its prefix; any other is walked field by field.  A drained reader
-runs the same record body inside its own loop over page runs: a page whose
-floor is over a cap costs it one comparison.
+once.  A record stores every stable INT and FLOAT first; if they and the
+head of a TEXT after them match the table's wide prefix, it takes them from
+the one unpack that checks its prefix, else it is walked field by field.  A
+drained reader runs the same record body in its own loop over page runs: a
+page whose floor is over a cap costs it one comparison.
 
 A degradation wave (:meth:`~repro.storage.degradable_store.TableStore.degrade_many`)
 splices records the same way: its **wave shape** (:class:`WaveShape`) is the
@@ -396,9 +396,9 @@ def kernel_source(shape: Shape) -> str:
                 out("return rows, positions, drops, excluded")
         else:
             with out.block("def read(runs, floors, frame, armed):"):
-                out("rows, first = [], None", "keep = rows.append",
+                out("rows, run_first = [], None", "keep = rows.append",
                     "decoded = unread = excluded = skipped = pages = 0")
-                with out.block("for page, slots, first in runs:"):
+                with out.block("for page, slots, run_first in runs:"):
                     if shape.caps:
                         over = " or ".join(f"floor[{level_at}] > cap{at}"
                                            for at, level_at in enumerate(shape.caps))
@@ -410,8 +410,8 @@ def kernel_source(shape: Shape) -> str:
                         "decoded += len(slots)")
                     records("for slot in slots:")
                     out("pages += 1", f"if pages == {BATCH_PAGES}: break")
-                out("return rows, None if first is None else first + len(slots), decoded, unread, "
-                    "excluded, skipped")
+                out("return rows, None if run_first is None else run_first + len(slots), decoded, "
+                    "unread, excluded, skipped")
         out("read.caps = [" + "".join(f"({level_at}, cap{at}), " for at, level_at
                                       in enumerate(shape.caps)) + "]")
         out("return read")

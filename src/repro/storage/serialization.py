@@ -17,7 +17,10 @@ untagged unsigned byte (at most :data:`MAX_LEVEL`), and the row key and the
 insertion time are a tagged INT and FLOAT.  :class:`RecordPrefix` is the one
 definition of that layout: its struct, the tags it carries and the offset of
 every field of it; the table store, the heap's level reader and the record
-kernels all derive theirs from it.  Generic records (:func:`encode_record`,
+kernels all derive theirs from it.  The values follow in
+:meth:`RecordPrefix.order`: the stable INT and FLOAT columns first, so the
+prefix widened over them (:meth:`RecordPrefix.widened`) reaches every one
+in the same unpack that checks it.  Generic records (:func:`encode_record`,
 the log's own payloads) are a count followed by tagged values only.
 """
 
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import struct
 from functools import lru_cache
-from itertools import repeat
+from itertools import repeat, takewhile
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..core.errors import StorageError
@@ -193,13 +196,25 @@ class RecordPrefix:
         value before it is a fixed-width INT or FLOAT (9 bytes each)."""
         return self.size + (1 + _INT_STRUCT.size) * position
 
-    def widened(self, types: Sequence[ValueType]
+    @staticmethod
+    def order(columns: Sequence[Any]) -> Tuple[int, ...]:
+        """The one physical order of a table's values: the declared index of
+        each of its ``columns`` (``.value_type``, ``.degradable``) in record
+        order — first the stable columns of the fixed-width types
+        :meth:`widened` covers, then every other one, each group as declared."""
+        return tuple(sorted(range(len(columns)), key=lambda index: (
+            columns[index].degradable or columns[index].value_type not in _FIXED)))
+
+    def widened(self, columns: Sequence[Any]
                 ) -> Tuple[struct.Struct, Tuple[int, ...], int, bool]:
-        """The prefix widened over the values of the leading INT/FLOAT
-        ``types`` and the tag and length of a TEXT right after them — one
+        """The prefix widened over the leading stable INT/FLOAT values of
+        ``columns`` (in record order, :meth:`order`: every stable INT and
+        FLOAT) and the tag and length of a stable TEXT right after them — one
         struct, the tags it must carry (from :attr:`tags_at`, every other
         item) — and how many values it covers, and whether a TEXT's head
         ends it."""
+        types = [column.value_type for column in takewhile(
+            lambda column: not column.degradable, columns)]
         covered = 0
         while covered < len(types) and types[covered] in _FIXED:
             covered += 1

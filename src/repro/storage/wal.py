@@ -73,10 +73,9 @@ from .serialization import encode_ints
 #: uncompressed; version 8 logged each heap page's allocation to its table
 #: as a record of its own and folded the table → pages directory into every
 #: ``CHECKPOINT``: a page's header names its owner now; version 9 logged
-#: each wave chunk as a ``DEGRADE`` record (target level and row keys): the
-#: synced heap page is the record of a step now.  There is no reader for
-#: any of them.
-WAL_FORMAT_VERSION = 10
+#: each wave chunk as a ``DEGRADE`` record; version 10's row images held
+#: their values in declared order.  There is no reader for any of them.
+WAL_FORMAT_VERSION = 11
 
 #: A segment is rolled when the next record would grow it past this many
 #: bytes.  A record larger than the cap gets a segment of its own.

@@ -18,7 +18,9 @@ pages over a cap without a generator step each.  What it must not change:
   does;
 * the snapshot — a cursor read lazily, then drained, sees no row inserted
   after it started and no image older than the last degradation step, across
-  an insert batch, a ``DELETE`` and a relocating wave.
+  an insert batch, a ``DELETE`` and a relocating wave;
+* the resume — a drained scan that a rewrite interrupts between two batches
+  goes on at the row after the last one it handed up.
 """
 
 import pytest
@@ -26,6 +28,7 @@ import pytest
 import repro
 from repro import AttributeLCP, InstantDB
 from repro.core.domains import build_location_tree
+from repro.core.schema import Column, TableSchema
 from repro.scenarios.reference import ReferenceModel
 from repro.storage.kernels import BATCH_PAGES
 
@@ -164,3 +167,23 @@ def test_an_engine_cursor_read_lazily_then_drained():
     seen += reader.fetchall()
     connection.commit()
     assert sorted(seen) == [(i, f"note-{i}") for i in range(3000) if not 100 <= i < 1200]
+
+
+def test_a_drained_scan_resumes_at_its_next_row_after_a_rewrite():
+    """A rewrite between two drained batches makes the scan resolve the keys
+    it has not read again, from the index its last batch handed back: the
+    index of the key after its last run, not the offset at which a TEXT it
+    decoded starts in that run's last record."""
+    store = make_store(schema=TableSchema("t", [
+        Column("id", "INT", primary_key=True), Column("name", "TEXT"), Column("note", "TEXT")]))
+    keys = store.insert_many([(i, f"name-{i}", f"note-{i}") for i in range(6000)],
+                             now=0.0).keys
+    assert store.heap.page_count > BATCH_PAGES
+    reader = store.row_reader((("id", 1), ("name", 2)), frozenset({"id", "name"}))
+    batches = store._read_keys(list(keys), reader, drain=lambda: True)
+    seen = next(batches)
+    assert 0 < len(seen) < len(keys)
+    store.update_stable([seen[-1][0]], [("note", "m")], 0.0)
+    seen += [row for batch in batches for row in batch]
+    assert [row[0] for row in seen] == list(keys)
+    assert [row[2] for row in seen] == [f"name-{i}" for i in range(6000)]

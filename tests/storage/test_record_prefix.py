@@ -12,7 +12,13 @@
 * the size — each image is ``2 + L + 9 + 9`` bytes plus its values'
   encodings: one byte a level;
 * the bound — a domain of more levels than a byte holds is refused when a
-  column is defined over it, and one of as many degrades as any other.
+  column is defined over it, and one of as many degrades as any other;
+* the order — the values follow the prefix stable INT and FLOAT columns
+  first (``serialization.stored_order``), and no answer shows it: over random
+  declared orders, INSERT with and without a column list, ``SELECT *``,
+  pushed filters, an UPDATE, a wave and a crash answer as the reference
+  model, a ``StoredRow`` is keyed by name, the wide prefix covers every
+  stable INT and FLOAT, and a record with a NULL in one is walked.
 """
 
 import struct
@@ -27,12 +33,13 @@ from repro.core.domains import build_diagnosis_tree, build_location_tree, build_
 from repro.core.errors import PolicyError, SchemaError, StorageError
 from repro.core.generalization import NumericRangeGeneralization
 from repro.core.schema import Column, TableSchema
-from repro.core.values import NULL
+from repro.core.values import NULL, ValueType
 from repro.storage.buffer import BufferPool
 from repro.storage.degradable_store import TableStore
 from repro.storage.page import record_span
 from repro.storage.pager import MemoryPager
 from repro.storage.serialization import MAX_LEVEL, decode_value, encode_value
+from repro.scenarios.reference import ReferenceModel
 from repro.storage.wal import WriteAheadLog
 
 
@@ -63,6 +70,14 @@ def decode_stored(data, levels: int):
 DEGRADABLE = [("location", "TEXT", build_location_tree()),
               ("salary", "INT", build_salary_ranges()),
               ("diagnosis", "TEXT", build_diagnosis_tree())]
+
+
+def record_order(schema: TableSchema):
+    """The column names in the order a record stores their values: the
+    stable INT and FLOAT columns first, then the others, each as declared."""
+    first = [column.name for column in schema.columns
+             if not column.degradable and column.value_type in (ValueType.INT, ValueType.FLOAT)]
+    return first + [column.name for column in schema.columns if column.name not in first]
 
 
 def schema_of(count: int) -> TableSchema:
@@ -118,7 +133,7 @@ def levels_everywhere(store: TableStore, count: int):
         row = store.read(key)
         readers["StoredRow"][key] = tuple(row.levels[name] for name in names)
         if store.strategy == "rewrite":
-            assert values == tuple(row.values.values())
+            assert values == tuple(map(row.values.__getitem__, record_order(store.schema)))
     for pace, drain in (("lazy", bool), ("drained", lambda: True)):
         readers[f"scan kernel, {pace}"] = {
             row.row_key: tuple(row.levels[name] for name in names)
@@ -202,3 +217,146 @@ def test_a_domain_of_as_many_levels_as_a_byte_holds_degrades_to_its_end():
     store = db.table_store("t")
     store.degrade_many([(store.row_keys(), "pay", scheme, MAX_LEVEL)], now=db.now())
     assert db.level_histogram("t", "pay") == {MAX_LEVEL: 2}
+
+
+# -- the physical order is invisible ------------------------------------------
+
+#: Column type → the domain a degradable column of that type degrades in.
+KINDS = {"INT": "salary", "FLOAT": "salary", "TEXT": "location"}
+
+
+def value_of(kind: str, degradable: bool):
+    """Values of a column of ``kind``: a degradable one's come from its domain."""
+    if kind == "TEXT":
+        return st.sampled_from(build_location_tree().leaves()) if degradable \
+            else st.text(max_size=12)
+    if kind == "INT":
+        return st.integers(0 if degradable else -2**40, 10**6 if degradable else 2**40)
+    return st.floats(0.0 if degradable else -1e9, 1e6 if degradable else 1e9,
+                     allow_nan=False)
+
+
+@st.composite
+def declared_tables(draw):
+    """A declared order of ``id`` and stable, nullable and degradable INT,
+    FLOAT and TEXT columns: ``(name, kind, role)`` each, and rows for them."""
+    columns = [(f"c{index}", kind, role) for index, (kind, role) in enumerate(draw(st.lists(
+        st.tuples(st.sampled_from(sorted(KINDS)),
+                  st.sampled_from(["stable", "nullable", "degradable"])),
+        min_size=1, max_size=7)))]
+    columns.insert(draw(st.integers(0, len(columns))), ("id", "INT", "key"))
+    rows = []
+    for key in range(1, draw(st.integers(1, 30)) + 1):
+        row = {}
+        for name, kind, role in columns:
+            value = value_of(kind, role == "degradable")
+            row[name] = key if role == "key" else draw(
+                st.one_of(st.none(), value) if role == "nullable" else value)
+        rows.append(row)
+    return columns, rows
+
+
+def ddl(columns) -> str:
+    spelled = {"key": " PRIMARY KEY", "stable": " NOT NULL", "nullable": ""}
+    return "CREATE TABLE t (" + ", ".join(
+        f"{name} {kind}" + (spelled[role] if role != "degradable" else
+                            f" DEGRADABLE DOMAIN {KINDS[kind]} POLICY {KINDS[kind]}_lcp")
+        for name, kind, role in columns) + ")"
+
+
+def same_answers(db, model, sql, params=(), purpose=None) -> None:
+    got = db.execute(sql, params=params, purpose=purpose)
+    want = model.execute(sql, params, purpose=purpose)
+    assert list(got.columns) == list(want.columns), sql
+    assert sorted(got.rows, key=repr) == sorted(want.fetchall(), key=repr), (sql, params)
+
+
+def check_reads(db, model, columns, rows) -> None:
+    """``SELECT *`` under each purpose and a pushed filter on each stable column."""
+    for purpose in (None, "exact", "coarse"):
+        same_answers(db, model, "SELECT * FROM t", purpose=purpose)
+    for name, kind, role in columns:
+        present = [row[name] for row in rows if row[name] is not None]
+        if role == "degradable" or not present:
+            continue
+        operator = "=" if kind == "TEXT" else ">="
+        same_answers(db, model, f"SELECT * FROM t WHERE {name} {operator} ?",
+                     (present[len(present) // 2],), purpose="exact")
+
+
+def check_store(store, columns) -> None:
+    """Every ``StoredRow`` is keyed by name; the wide prefix covers every
+    stable INT and FLOAT column, and a record with a NULL in one is walked."""
+    fixed = [name for name, kind, role in columns
+             if role != "degradable" and kind in ("INT", "FLOAT")]
+    wide, wide_tags, covered, text = store._wide
+    assert covered == len(fixed) and record_order(store.schema)[:covered] == fixed
+    head = record_order(store.schema)[:covered + text]
+    for run in store.runs(drain=lambda: True):
+        for row in run:
+            assert list(row.values) == [name for name, _kind, _role in columns]
+            record_id = store._locations[row.row_key]
+            data = store.heap.frame(record_id.page_id)
+            start, end = record_span(data, record_id.slot)
+            matched = end - start >= wide.size and \
+                wide.unpack_from(data, start)[store._prefix.tags_at::2] == wide_tags
+            assert matched == all(row.values[name] is not NULL for name in head)
+
+
+@given(table=declared_tables(), split=st.integers(0, 30), hours=st.sampled_from([0, 2, 30]))
+@settings(max_examples=25, deadline=None)
+def test_the_physical_order_is_invisible(tmp_path_factory, table, split, hours):
+    """Random declared orders: INSERT with and without a column list, ``SELECT
+    *``, pushed filters, an UPDATE of a stable column, a wave, a crash and
+    ``recover()`` answer as the reference model does (the crypto strategy,
+    which keeps no keys across a restart, is the store-level property's)."""
+    columns, rows = table
+    data_dir = str(tmp_path_factory.mktemp("order"))
+    db = InstantDB(data_dir=data_dir)
+    for name, scheme in (("salary", build_salary_ranges()), ("location", build_location_tree())):
+        db.register_policy(AttributeLCP(db.register_domain(scheme), states=[0, 1, 2],
+                                        transitions=["1 h", "1 d"], name=f"{name}_lcp"))
+    db.execute(ddl(columns))
+    degradable = [name for name, _kind, role in columns if role == "degradable"] or ["id"]
+    for purpose, level in (("exact", 0), ("coarse", 1)):
+        db.execute(f"DECLARE PURPOSE {purpose} SET ACCURACY LEVEL " + ", ".join(
+            f"{level} FOR t.{name}" for name in degradable))
+    model = ReferenceModel(db.catalog)
+    names = [name for name, _kind, _role in columns]
+    whole, listed = rows[:split], rows[split:]
+    if whole:
+        sql = f"INSERT INTO t VALUES ({', '.join('?' * len(names))})"
+        params = [tuple(row[name] for name in names) for row in whole]
+        for target in (db, model):
+            target.executemany(sql, params)
+    # a column list in reverse declared order, leaving the nullable columns out
+    named = [name for name, _kind, role in reversed(columns) if role != "nullable"]
+    if listed:
+        sql = f"INSERT INTO t ({', '.join(named)}) VALUES ({', '.join('?' * len(named))})"
+        params = [tuple(row[name] for name in named) for row in listed]
+        for target in (db, model):
+            target.executemany(sql, params)
+        for row in listed:
+            row.update((name, None) for name in names if name not in named)
+    check_reads(db, model, columns, rows)
+    stable = [(name, kind) for name, kind, role in columns if role in ("stable", "nullable")]
+    if stable:
+        name, kind = stable[0]
+        value = {"INT": 7, "FLOAT": 7.5, "TEXT": "seven"}[kind]
+        sql, params = f"UPDATE t SET {name} = ? WHERE id <= ?", (value, len(rows) // 2)
+        assert db.execute(sql, params=params) == model.execute(sql, params).rowcount
+        for row in rows[:len(rows) // 2]:
+            row[name] = value
+    if hours:
+        db.advance_time(hours=hours)
+        model.advance(hours * 3600.0)
+    check_reads(db, model, columns, rows)
+    check_store(db.table_store("t"), columns)
+    # a crash, after a checkpoint or not: the engine abandoned, its directory reopened cold
+    if split % 2:
+        db.checkpoint()
+    engine = InstantDB(data_dir=data_dir)
+    engine.recover()
+    check_reads(engine, model, columns, rows)
+    check_store(engine.table_store("t"), columns)
+    engine.close()

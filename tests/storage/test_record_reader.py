@@ -48,7 +48,7 @@ from repro.storage.pager import MemoryPager
 from repro.storage.serialization import decode_value
 from repro.storage.wal import LogRecordType, WriteAheadLog, delta_entries
 
-from .test_record_prefix import decode_stored
+from .test_record_prefix import decode_stored, record_order
 
 SALARY = build_salary_ranges()
 LOCATION = build_location_tree()
@@ -62,7 +62,7 @@ SCHEMA = TableSchema("person", [
     Column("active", "BOOL"),
 ])
 NAMES = [column.name for column in SCHEMA.columns]
-#: The same table with its leading columns INT, INT, TEXT: a wider prefix.
+#: The same table with a second stable INT: a wider prefix.
 WIDE = TableSchema("person", [SCHEMA.columns[0], Column("uid", "INT"), *SCHEMA.columns[1:]])
 DEGRADABLE = ["location", "salary"]
 SUBSETS = [None] + [frozenset(combo) for size in range(len(NAMES) + 1)
@@ -99,7 +99,7 @@ def reference_decode(store: TableStore, payload: bytes):
     row_key, inserted_at, stored, flat = decode_stored(payload, len(DEGRADABLE))
     levels = dict(zip(DEGRADABLE, stored))
     values = {}
-    for name, value in zip(NAMES, flat):
+    for name, value in zip(record_order(store.schema), flat):
         if store.strategy == "crypto" and name in levels and isinstance(value, bytes):
             key_id = (SCHEMA.name, row_key, name, levels[name])
             try:
@@ -321,7 +321,7 @@ def good_payload(store: TableStore) -> bytes:
 def value_offset(store: TableStore, payload: bytes, column: str) -> int:
     """Offset of ``column``'s type tag inside ``payload``."""
     offset = store._prefix.size
-    for name in store.schema.column_names():
+    for name in record_order(store.schema):
         if name == column:
             return offset
         _, offset = decode_value(payload, offset)
@@ -393,10 +393,12 @@ class TestCorruption:
 
     @pytest.mark.parametrize("case", sorted(MESSAGES))
     def test_a_wide_prefix_keeps_every_message(self, case):
-        """Leading columns INT, INT, TEXT: a good record's wide prefix
-        covers them, a damaged one raises as the field-by-field walk does."""
+        """Stable INT, INT and FLOAT columns, then a TEXT: a good record's
+        wide prefix covers the three and the TEXT's head (the record stores
+        them first, ``score`` ahead of ``name`` though declared after it), a
+        damaged one raises as the field-by-field walk does."""
         store = make_store(schema=WIDE)
-        assert store._wide[2:] == (2, True)
+        assert store._wide[2:] == (3, True)
         self.check(store, case)
 
     def check(self, store, case):

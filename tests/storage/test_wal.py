@@ -438,11 +438,12 @@ class TestPersistence:
         # documents uncompressed; version 8 logged page ownership in a
         # record type of its own and in every CHECKPOINT's payload; version 9
         # logged each wave chunk as a DEGRADE record, whose code CHECKPOINT
-        # took.
+        # took; version 10's row images held their values in declared
+        # column order.
         from repro import InstantDB
         from repro.storage.wal import WAL_FORMAT_VERSION
-        assert WAL_FORMAT_VERSION == 10
-        for version in (3, 4, 5, 6, 7, 8, 9):
+        assert WAL_FORMAT_VERSION == 11
+        for version in (3, 4, 5, 6, 7, 8, 9, 10):
             data_dir = str(tmp_path / f"v{version}")
             db = InstantDB(data_dir=data_dir)
             db.execute("CREATE TABLE t (id INT PRIMARY KEY)")
