@@ -12,8 +12,13 @@ rate), retries / recoveries / reconnects, and the retention lag the faults
 caused — degradation steps deferred by faulted waves, all of which must
 drain to zero violations once the device heals.
 
-Assertions are structural (every op ran, retention clean after the drain,
-no deferred step left behind); timings are recorded, never asserted.  Set
+Besides the seeded rate, one log flush half-way through the replay fails
+for sure (armed by count): the seeded coins alone may land on no call at
+all, and the faulted run would then time an unfaulted one.
+
+Assertions are structural (every op ran, at least one fault fired,
+retention clean after the drain, no deferred step left behind); timings are
+recorded, never asserted.  Set
 ``C8_ROWS`` / ``C8_OPS`` / ``C8_FAULT_RATE`` / ``C8_VARIANTS`` to shrink
 or refocus the workload for CI smoke runs.
 """
@@ -41,12 +46,15 @@ VARIANTS = tuple(
     os.environ.get("C8_VARIANTS", "compiled,remote").split(","))
 
 
-def _run(variant, data_dir, fault_rate):
-    """Replay the stream, healing throughout; returns (runner, elapsed)."""
+def _run(variant, data_dir, fault_rate, nth=1):
+    """Replay the stream, healing throughout (a faulted run's ``nth`` call to
+    ``wal.flush`` fails for sure); returns (runner, elapsed, the call to
+    ``wal.flush`` half-way through the replay)."""
     runner = ChaosRunner(variant, InclusionScenario(SCALE), seed=SEED,
                          fault_seed=SEED, data_dir=data_dir, ops=OPS)
     runner._build()
     if fault_rate > 0:
+        runner.plan.fail_nth("wal.flush", ENGINE_FAULT_SITES["wal.flush"][0], nth)
         sites = dict(ENGINE_FAULT_SITES)
         if variant == "remote":
             sites.update(NETWORK_FAULT_SITES)
@@ -54,10 +62,11 @@ def _run(variant, data_dir, fault_rate):
             if site == "clock.advance":
                 continue  # a skipping clock distorts the lag measurement
             runner.plan.fail_with_probability(site, kinds[0], fault_rate)
+    first = runner.plan.calls("wal.flush")
     started = time.perf_counter()
     runner._replay_stream()
     elapsed = time.perf_counter() - started
-    return runner, elapsed
+    return runner, elapsed, (first + runner.plan.calls("wal.flush")) // 2
 
 
 def _drain_and_report(runner):
@@ -78,7 +87,7 @@ def _drain_and_report(runner):
 def test_throughput_and_retention_lag_under_faults(tmp_path):
     rows = []
     for variant in VARIANTS:
-        baseline, base_elapsed = _run(
+        baseline, base_elapsed, middle = _run(
             variant, str(tmp_path / f"{variant}-baseline"), fault_rate=0.0)
         try:
             assert baseline.report.retries == 0
@@ -88,12 +97,13 @@ def test_throughput_and_retention_lag_under_faults(tmp_path):
             baseline.victim.close()
             baseline.twin.close()
 
-        faulted, fault_elapsed = _run(
+        faulted, fault_elapsed, _middle = _run(
             variant, str(tmp_path / f"{variant}-faulted"),
-            fault_rate=FAULT_RATE)
+            fault_rate=FAULT_RATE, nth=middle)
         try:
             report = faulted.report
             assert report.ops_run == base_ops
+            assert len(faulted.plan.fired) >= 1, faulted.plan.describe()
             deferred, retention = _drain_and_report(faulted)
             assert retention == {"violations": 0, "leaks": 0}, retention
         finally:

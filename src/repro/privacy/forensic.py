@@ -11,8 +11,11 @@ reports the ones it finds.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
+
+from ..storage.serialization import INT32_END, INT32_MIN, encode_value
 
 
 @dataclass
@@ -62,10 +65,10 @@ def _patterns_for(value: Any) -> List[bytes]:
     elif isinstance(value, bool):
         pass  # one-byte booleans carry no identifiable plaintext
     elif isinstance(value, int):
-        import struct
         patterns.append(struct.pack("<q", value))
+        if INT32_MIN <= value < INT32_END:      # the tagged 4-byte form a record stores
+            patterns.append(encode_value(int(value)))
     elif isinstance(value, float):
-        import struct
         patterns.append(struct.pack("<d", value))
     elif isinstance(value, (bytes, bytearray)):
         patterns.append(bytes(value))

@@ -13,8 +13,9 @@ every page the largest record it still accepts (:meth:`SlottedPage.free_space`
 filed in :data:`SIZE_CLASSES` size classes.  An insert goes to the tail page
 while that has room (a bulk load only ever appends), else to a page of the
 roomiest non-empty class (one compaction there serves many inserts), else to a
-freshly allocated page — it touches no page it does not write.  The map is
-derived state: nothing of it is persisted, :meth:`HeapFile.adopt_pages`
+freshly allocated page — it touches no page it does not write — and a batch
+fills the page it chose until a record does not fit before it chooses again.
+The map is derived state: nothing of it is persisted, :meth:`HeapFile.adopt_pages`
 rebuilds it from the slot directories of the pages recovery finds naming the
 heap in their *owner* field — stamped when the heap allocates a page, cleared
 when a dropped table's heap gives its pages up (:meth:`HeapFile.disown`).
@@ -33,7 +34,7 @@ adopted pages' headers.
 from __future__ import annotations
 
 import struct
-from itertools import islice, repeat, takewhile
+from itertools import islice, repeat
 from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -147,11 +148,12 @@ class HeapFile:
         return self.insert_many((payload,))[0]
 
     def insert_many(self, payloads: Sequence[bytes]) -> List[RecordId]:
-        """Insert ``payloads`` in order, each into the tail page if it has
-        room, else into a page of the roomiest size class, else into a newly
-        allocated page — the placement one-by-one inserts make — a page at a
-        time: each page chosen takes the run of records that would land on
-        it (:meth:`SlottedPage.insert_many`) and is refiled once."""
+        """Insert ``payloads`` in order, a page at a time: the tail page if it
+        has room for the next record, else a page of the roomiest size class
+        if that has, else a newly allocated page takes records until one does
+        not fit (:meth:`SlottedPage.insert_many`), is refiled once, and the
+        next record chooses again — so a batch logs about one ``DELTA`` a
+        page it fills."""
         max_payload = self.buffer_pool.pager.page_size - 64
         if max(map(len, payloads), default=0) > max_payload:
             length = next(size for size in map(len, payloads) if size > max_payload)
@@ -162,21 +164,15 @@ class HeapFile:
         while done < total:
             length = len(payloads[done])
             tail = self._page_ids[-1] if self._page_ids else None
-            run: Iterable[bytes] = islice(payloads, done, None)
-            floor = 0
             if tail is not None and self._free[tail] >= length:
                 target = tail
             else:
                 target = self._roomiest()
                 if target is None or self._free[target] < length:
                     target = self._allocate()
-                else:   # until the tail takes one, or another page is the roomiest
-                    room = -1 if tail is None else self._free[tail]
-                    run = takewhile(lambda payload: len(payload) > room, run)
-                    floor = self._floor(target)
             page = self.buffer_pool.get_page(target)
             self.buffer_pool.mark_dirty(target)
-            slots = page.insert_many(run, floor)
+            slots = page.insert_many(islice(payloads, done, None))
             if not slots:       # the choice above guarantees room for the first
                 raise StorageError(f"heap {self.name!r}: page {target} took no record")
             ids += map(tuple.__new__, repeat(RecordId), zip(repeat(target), slots))  # no frame
@@ -185,17 +181,6 @@ class HeapFile:
             self._file(target, page)
             done += len(slots)
         return ids
-
-    def _floor(self, page_id: int) -> int:
-        """The least free space at which ``page_id`` still is the roomiest
-        page: the lowest page of the highest size class of the others."""
-        others = [members & ~(1 << page_id) for members in self._classes]
-        for size_class in reversed(range(SIZE_CLASSES)):
-            if others[size_class]:
-                lowest = (others[size_class] & -others[size_class]).bit_length() - 1
-                above = size_class + (lowest < page_id)
-                return -(-above * self.buffer_pool.pager.page_size // SIZE_CLASSES)
-        return 0
 
     def _allocate(self) -> int:
         """A fresh page, stamped with the heap's owner."""

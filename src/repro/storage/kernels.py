@@ -17,11 +17,11 @@ with the tag dispatch, checks and :class:`StorageError` messages of
 :func:`~repro.storage.serialization.decode_value` (a skipped run of fields is
 bound-checked once, at its end), the ``(stored level, value) → generalized``
 memo, the key-store decrypt and each comparison inline — and compiles it
-once.  A record stores every stable INT and FLOAT first; if they and the
-head of a TEXT after them match the table's wide prefix, it takes them from
-the one unpack that checks its prefix, else it is walked field by field.  A
-drained reader runs the same record body in its own loop over page runs: a
-page whose floor is over a cap costs it one comparison.
+once.  A record stores every stable INT and FLOAT first; if they (each INT
+in 4 bytes) and the head of a short TEXT after them match the table's wide
+prefix, it takes them from the one unpack that checks its prefix, else it is
+walked field by field.  A drained reader runs the same record body in its own
+loop over page runs: a page whose floor is over a cap costs it one comparison.
 
 A degradation wave (:meth:`~repro.storage.degradable_store.TableStore.degrade_many`)
 splices records the same way: its **wave shape** (:class:`WaveShape`) is the
@@ -40,16 +40,15 @@ table's column types and NULL rules, where each column's value comes from in
 an input row (an INSERT's parameter, literal or nothing), and the strategy.
 :func:`compile_row_kernel` writes one straight-line function per record that
 handles each value once — the parameter type rule, the column's coercion and
-its tag and payload, a value of the column's own type inline, any other
+its narrowest field, a value of the column's own type inline, any other
 through the column's slow path — and joins the record prefix in the same call.
 
-The source holds integers taken from the schema and the shape, Python type
-names and the fixed strings of :data:`MESSAGES`, nothing else: no table or
-column name, no parameter, no value.  Caps, demanded levels, schemes, memos,
-the numbers compared with, the test, the builder, a wave's targets and
-chunks and a statement's literals reach the compiled **factory** as
-arguments each time a reader, splicer or encoder is made, so a cache of
-factories holds code only.
+The source holds integers taken from the codec, the schema and the shape,
+Python type names and the fixed strings of :data:`MESSAGES`, nothing else:
+no table or column name, no parameter, no value.  Caps, demanded levels,
+schemes, memos, the numbers compared with, the test, the builder, a wave's
+targets and chunks and a statement's literals reach the compiled **factory**
+as arguments each time a reader, splicer or encoder is made.
 """
 
 from __future__ import annotations
@@ -60,9 +59,11 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 from ..core.errors import KeyDestroyedError, PolicyError, StorageError
 from ..core.values import NULL, REMOVED, SUPPRESSED, check_parameter, compare
 from .page import _DIRECTORY, _SLOT, lost_slot
-from .serialization import (_FLOAT_FIELD, _FLOAT_STRUCT, _INT_FIELD, _INT_STRUCT, _LEN_STRUCT,
-                            _TAG_BYTES, _TAG_FLOAT, _TAG_INT, _TAG_NULL, _TAG_SUPPRESSED,
-                            _TAG_TEXT, _TEXT_HEAD, decode_value, encode_value, record_prefix)
+from .serialization import (_FLOAT_FIELD, _FLOAT_STRUCT, _INT32_FIELD, _INT32_STRUCT, _INT_FIELD,
+                            _LEN_STRUCT, _SHORT_HEAD, _TAG_BYTES, _TAG_FLOAT, _TAG_INT, _TAG_INT32,
+                            _TAG_NULL, _TAG_SHORT_BYTES, _TAG_SHORT_TEXT, _TAG_SUPPRESSED, _TAG_TEXT,
+                            _TEXT_HEAD, _WIDTHS, INT32_END, INT32_MIN, decode_value, encode_value,
+                            record_prefix)
 
 #: The message a wave kernel raises for a step below the stored level.
 IRREVERSIBLE = "degradation is irreversible: cannot decrease the level"
@@ -100,9 +101,9 @@ class Shape(NamedTuple):
     #: ``(slot, operator)`` per pushed ``column op number`` comparison, run
     #: after the early fixes and before the test.
     compares: Tuple[Tuple[int, str], ...] = ()
-    #: How many leading fixed-width value positions the wide prefix covers,
-    #: and whether it also covers the tag and length of the TEXT after them.
-    wide: int = 0
+    #: The payload width of each leading fixed-width value the wide prefix
+    #: covers, and whether it also covers the tag and length of the TEXT after them.
+    wide: Tuple[int, ...] = ()
     text: bool = False
     #: The pace: one page run, where each kept row sat — or a loop over runs.
     drained: bool = False
@@ -118,21 +119,14 @@ _COMPARE = {operator: (spelling, f"compare{index}") for index, (operator, spelli
     (("=", "=="), ("!=", "!="), ("<", "<"), ("<=", "<="), (">", ">"), (">=", ">=")))}
 
 
-def _unknown_tag(tag: int, offset: int) -> StorageError:
-    return StorageError(f"unknown type tag {tag} at offset {offset}")
-
-
 _GLOBALS: Dict[str, Any] = {
     "StorageError": StorageError, "KeyDestroyedError": KeyDestroyedError,
-    "PolicyError": PolicyError,
-    "NULL": NULL, "SUPPRESSED": SUPPRESSED, "REMOVED": REMOVED,
-    "decode_value": decode_value, "unknown_tag": _unknown_tag, "join": b"".join,
-    "unpack_int": _INT_STRUCT.unpack_from, "unpack_float": _FLOAT_STRUCT.unpack_from,
+    "PolicyError": PolicyError, "NULL": NULL, "SUPPRESSED": SUPPRESSED, "REMOVED": REMOVED,
+    "decode_value": decode_value, "join": b"".join, "widths": _WIDTHS, "lost_slot": lost_slot,
+    "unpack_int32": _INT32_STRUCT.unpack_from, "unpack_float": _FLOAT_STRUCT.unpack_from,
     "unpack_length": _LEN_STRUCT.unpack_from, "unpack_slot": _SLOT.unpack_from,
-    "lost_slot": lost_slot,
-    "encode_value": encode_value,
-    "pack_int": _INT_FIELD.pack, "pack_float": _FLOAT_FIELD.pack,
-    "length_head": _TEXT_HEAD.pack,
+    "pack_int": _INT_FIELD.pack, "pack_int32": _INT32_FIELD.pack, "pack_float": _FLOAT_FIELD.pack,
+    "length_head": _TEXT_HEAD.pack, "short_head": _SHORT_HEAD.pack, "encode_value": encode_value,
     "null_field": encode_value(NULL), "true_field": encode_value(True),
     "false_field": encode_value(False), "check_parameter": check_parameter,
     **{fallback: functools.partial(compare, operator)
@@ -180,41 +174,42 @@ def _span(out: _Source) -> None:
 
 
 def _skip(out: _Source, cursor: str) -> None:
-    """Hop over one field at ``cursor`` without decoding it: fixed-width
-    payloads by size, strings and bytes by their length prefix; the payload
-    bound check waits for the end of the run of skipped fields."""
+    """Hop over one field at ``cursor`` without decoding it: strings and
+    bytes by their length prefix, fixed-width fields by their tag's width;
+    the payload bound check waits for the end of the run of skipped fields."""
     _raise(out, f"{cursor} >= end", "truncated record: no type tag")
     out(f"tag = data[{cursor}]")
-    with out.block(f"if tag == {_TAG_INT} or tag == {_TAG_FLOAT}:"):    # both 8 bytes
-        out(f"{cursor} += {1 + _INT_STRUCT.size}")
+    with out.block(f"if tag == {_TAG_SHORT_TEXT} or tag == {_TAG_SHORT_BYTES}:"):
+        _raise(out, f"{cursor} + {_SHORT_HEAD.size} > end", "truncated record: short length prefix")
+        out(f"{cursor} += {_SHORT_HEAD.size} + data[{cursor} + 1]")
     with out.block(f"elif tag == {_TAG_TEXT} or tag == {_TAG_BYTES}:"):
         _raise(out, f"{cursor} + {1 + _LEN_STRUCT.size} > end",
                "truncated record: short length prefix")
         out(f"{cursor} += {1 + _LEN_STRUCT.size} + unpack_length(data, {cursor} + 1)[0]")
-    with out.block(f"elif tag > {_TAG_BYTES}:"):      # the highest tag
-        out(f"raise unknown_tag(tag, {cursor})")
+    with out.block(f"elif tag > {_TAG_SHORT_BYTES}:"):      # the highest tag
+        out(f"decode_value(data, {cursor}, end)")      # raises: an unknown tag
     with out.block("else:"):
-        out(f"{cursor} += 1")
+        out(f"{cursor} += widths[tag]")
 
 
 def _decode(out: _Source, cursor: str, slot: int) -> None:
-    """Decode the field at ``cursor`` into ``v<slot>``: INT, FLOAT, TEXT,
-    NULL and SUPPRESSED inline, the rest through ``decode_value``."""
+    """Decode the field at ``cursor`` into ``v<slot>``: an INT or TEXT in its
+    narrow form, FLOAT, NULL and SUPPRESSED inline, the rest through ``decode_value``."""
     value = f"v{slot}"
     _raise(out, f"{cursor} >= end", "truncated record: no type tag")
     out(f"tag = data[{cursor}]")
-    with out.block(f"if tag == {_TAG_TEXT}:"):
-        out(f"first = {cursor} + {1 + _LEN_STRUCT.size}")
+    with out.block(f"if tag == {_TAG_SHORT_TEXT}:"):
+        out(f"first = {cursor} + {_SHORT_HEAD.size}")
         _raise(out, "first > end", "truncated record: short length prefix")
-        out(f"{cursor} = first + unpack_length(data, {cursor} + 1)[0]")
+        out(f"{cursor} = first + data[{cursor} + 1]")
         _raise(out, f"{cursor} > end", "truncated record: short string payload")
         out(f"{value} = data[first:{cursor}].decode()")
-    for tag, kind, size in ((_TAG_INT, "INT", _INT_STRUCT.size),
-                            (_TAG_FLOAT, "FLOAT", _FLOAT_STRUCT.size)):
+    for tag, kind, size, unpack in ((_TAG_INT32, "INT", _INT32_STRUCT.size, "int32"),
+                                    (_TAG_FLOAT, "FLOAT", _FLOAT_STRUCT.size, "float")):
         with out.block(f"elif tag == {tag}:"):
             out(f"{cursor} += {1 + size}")
             _raise(out, f"{cursor} > end", f"truncated record: short {kind} payload")
-            out(f"{value} = unpack_{kind.lower()}(data, {cursor} - {size})[0]")
+            out(f"{value} = unpack_{unpack}(data, {cursor} - {size})[0]")
     for tag, sentinel in ((_TAG_NULL, "NULL"), (_TAG_SUPPRESSED, "SUPPRESSED")):
         with out.block(f"elif tag == {tag}:"):
             out(f"{cursor} += 1", f"{value} = {sentinel}")
@@ -232,7 +227,7 @@ def _walk(out: _Source, start: int, stop: int, decoded: Dict[int, int],
     a fixed-width value is read off ``head``, the TEXT after them is sized by
     the length ``head`` holds."""
     run = False
-    covered = -1 if wide is None else wide.wide
+    covered = -1 if wide is None else len(wide.wide)
     prefix = None if wide is None else record_prefix(wide.levels)
     for position in range(start, stop + 1):
         if position < covered:
@@ -240,17 +235,17 @@ def _walk(out: _Source, start: int, stop: int, decoded: Dict[int, int],
                 out(f"v{decoded[position]} = head[{prefix.value_at(position)}]")
             continue
         if position == covered:
-            out(f"offset = start + {prefix.value_offset(covered)}")
+            out(f"offset = start + {prefix.value_offset(wide.wide)}")
             if wide.text:
                 if position in saves:
                     out(f"o{position} = offset")
                 length = f"head[{prefix.value_at(position)}]"
                 if position in decoded:
-                    out(f"first = offset + {1 + _LEN_STRUCT.size}", f"offset = first + {length}")
+                    out(f"first = offset + {_SHORT_HEAD.size}", f"offset = first + {length}")
                     _raise(out, "offset > end", "truncated record: short string payload")
                     out(f"v{decoded[position]} = data[first:offset].decode()")
                 else:
-                    out(f"offset += {1 + _LEN_STRUCT.size} + {length}")
+                    out(f"offset += {_SHORT_HEAD.size} + {length}")
                     run = True
                 continue
         if position in saves:
@@ -265,7 +260,7 @@ def _walk(out: _Source, start: int, stop: int, decoded: Dict[int, int],
             run = True
     if stop == last:
         if stop < covered:
-            out(f"offset = start + {prefix.value_offset(covered)}")
+            out(f"offset = start + {prefix.value_offset(wide.wide)}")
         _raise(out, "offset != end", "trailing bytes after record payload")
 
 
@@ -339,7 +334,7 @@ def kernel_source(shape: Shape) -> str:
             with out.block("if not test(row):"):
                 out("continue")
         for position in sorted(kept):
-            if wide is not None and position < wide.wide:
+            if wide is not None and position < len(wide.wide):
                 out(f"v{late[position]} = head[{prefix.value_at(position)}]")
             else:
                 _decode(out, f"o{position}", late[position])
@@ -364,7 +359,7 @@ def kernel_source(shape: Shape) -> str:
         with out.block(head):
             _span(out)
             if (shape.wide or shape.text) and (early or late):
-                size = prefix.value_offset(shape.wide) + shape.text * (1 + _LEN_STRUCT.size)
+                size = prefix.value_offset(shape.wide) + shape.text * _SHORT_HEAD.size
                 out(f"head = wide(data, start) if start + {size} <= end else None")
                 with out.block(f"if head is not None and head[0] == {shape.fields} "
                                f"and head[{prefix.tags_at}::2] == wide_tags:"):
@@ -552,9 +547,14 @@ class RowShape(NamedTuple):
     sealed: Tuple[Tuple[int, int], ...]
 
 
-#: A coerced value's type → the fast-path field it encodes to, of ``{v}``.
-_FIELDS = {"int": "pack_int(1, {v})", "float": "pack_float(2, {v})",
-           "str": "length_head(3, len(b)) + b", "bool": "true_field if {v} else false_field"}
+#: A coerced value's (or a ciphertext's) type → the fast-path field it encodes
+#: to, in its narrowest form, of ``{v}`` (of its bytes ``b``, a string's).
+_FIELDS = {"int": f"pack_int32({_TAG_INT32}, {{v}}) if {INT32_MIN} <= {{v}} < {INT32_END} "
+                  f"else pack_int({_TAG_INT}, {{v}})", "float": f"pack_float({_TAG_FLOAT}, {{v}})",
+           "bool": "true_field if {v} else false_field", **{
+               kind: f"(short_head({short}, n) if (n := len(b)) < 256 else length_head({tag}, n)) + b"
+               for kind, short, tag in (("str", _TAG_SHORT_TEXT, _TAG_TEXT),
+                                        ("bytes", _TAG_SHORT_BYTES, _TAG_BYTES))}}
 
 
 def row_kernel_source(shape: RowShape) -> str:
@@ -604,7 +604,7 @@ def _encode_row(out: _Source, shape: RowShape, sources: Tuple[int, ...]) -> None
                                for sentinel in ("NULL", "SUPPRESSED", "REMOVED", "None"))
         with out.block(f"if {present}:"):
             out(f"b = encrypt((table, key, names[{value_at}], levels[{level_at}]), f{value_at})",
-                f"f{value_at} = length_head(8, len(b)) + b")
+                f"f{value_at} = " + _FIELDS["bytes"])
     fields = "".join(f"f{index}, " for index in range(len(shape.columns)))
     out(f"put(join((lead, pack_int({_TAG_INT}, key), stamp, {fields})))")
     if shape.mode != "image":

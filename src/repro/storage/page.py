@@ -177,9 +177,9 @@ class SlottedPage:
             )
         return slots[0]
 
-    def insert_many(self, payloads: Iterable[bytes], floor: int = 0) -> List[int]:
+    def insert_many(self, payloads: Iterable[bytes]) -> List[int]:
         """Insert the leading ``payloads`` while :meth:`free_space` is at
-        least each one's length and ``floor``; returns their slots.  One
+        least each one's length; returns their slots.  One
         header read and write for the run; each record lands where it would
         alone (lowest dead slot first, :meth:`_repack` when the gap is short)."""
         self._account()
@@ -195,7 +195,7 @@ class SlottedPage:
                     raise StorageError("cannot store an empty record")
                 entry = 0 if dead else _SLOT.size
                 free = size - directory - live - entry
-                if length > free or free < floor:
+                if length > free:
                     break
                 if length + entry > free_offset - directory:
                     self._set_header(slot_count, free_offset)

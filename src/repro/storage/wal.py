@@ -56,7 +56,7 @@ from ..core.errors import (
     WALError,
 )
 from ..faults import FaultPlan
-from .serialization import encode_ints
+from .serialization import encode_record
 
 #: Version of the on-disk format, stored in every segment header.  Version 1
 #: was the single-file, unchecksummed ``wal.log``; version 2 had per-row
@@ -74,8 +74,9 @@ from .serialization import encode_ints
 #: as a record of its own and folded the table → pages directory into every
 #: ``CHECKPOINT``: a page's header names its owner now; version 9 logged
 #: each wave chunk as a ``DEGRADE`` record; version 10's row images held
-#: their values in declared order.  There is no reader for any of them.
-WAL_FORMAT_VERSION = 11
+#: their values in declared order; version 11's stored every INT in 8 bytes
+#: and every TEXT length in 4.  There is no reader for any of them.
+WAL_FORMAT_VERSION = 12
 
 #: A segment is rolled when the next record would grow it past this many
 #: bytes.  A record larger than the cap gets a segment of its own.
@@ -595,7 +596,7 @@ class WriteAheadLog:
         self.append(LogRecordType.SCRUB, txn_id=0,
                     table=tables.pop() if len(tables) == 1 else "",
                     attribute=f"batch:{count}", timestamp=now,
-                    after=encode_ints([count, scrubbed]))
+                    after=encode_record([count, scrubbed]))
         return scrubbed
 
     def _zero_entries(self, lsn: int, run: bytearray, spans: List[Tuple[int, int]],

@@ -23,16 +23,17 @@ from repro.storage.serialization import encode_value
 
 PAGE_SIZE = 512
 #: Record sizes of this fixture: a filler (NULL salary — it degrades in level
-#: only, so it never changes size) is 36 bytes plus its note, a young row 44
-#: bytes before its first step and 51 after.
-FILLER, YOUNG_ROW, SLOT = 36, 44, 4
+#: only, so it never changes size) is 29 bytes plus its note (of under 256
+#: bytes: a 1-byte length), a young row 33 bytes before its first step (a
+#: 4-byte salary) and 41 after (an 11-byte range label).
+FILLER, YOUNG_ROW, SLOT = 29, 33, 4
 #: A page header: slot count, free frontier and the owner's 8-byte digest.
 HEADER = 12
 #: What three wide fillers leave of a page for the fourth record.
 LEFT_BY_THREE = PAGE_SIZE - HEADER - 3 * (SLOT + FILLER + 60) - SLOT
 #: Four pages of four fillers.  The last filler of a page is cut so that page
 #: 0 ends up full and pages 1–3 keep room for exactly one young row, with
-#: 3 bytes to spare: less than the 7 the row grows by.
+#: 3 bytes to spare: less than the 8 the row grows by.
 PAGES = range(4)
 YOUNG = range(101, 104)
 #: How the young rows are inserted: by one statement (one cohort) or one a

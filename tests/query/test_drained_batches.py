@@ -13,7 +13,9 @@ pages over a cap without a generator step each.  What it must not change:
   one byte and a page to hold more records, and again when a page header
   came to name its owner — 8 bytes less room a page, 337 → 345 pages, which
   moves where the later waves refill the room the first one's degradation
-  freed);
+  freed; since a record stores a small INT in 5 bytes and a short TEXT with
+  a 1-byte length, each note is padded by the 14 bytes that saves a row,
+  :data:`PAD`, so every record keeps the length the lines were taken at);
 * the answers — a table of several batches answers as the reference model
   does;
 * the snapshot — a cursor read lazily, then drained, sees no row inserted
@@ -38,6 +40,8 @@ from ..storage.test_record_reader import make_store
 PARIS = "1 Main Street, Paris"
 LYON = "2 Station Road, Lyon"
 WAVE = 1500         # rows per insert wave; three waves sit at three levels
+#: 4 bytes each of ``id`` and ``day``, 3 each of two TEXT lengths.
+PAD = "." * 14
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +62,7 @@ def built():
         first = wave * WAVE + 1
         for target in (db, model):
             target.executemany("INSERT INTO visits VALUES (?, ?, ?, ?)",
-                               [(i, PARIS if i % 3 else LYON, i % 97, f"n{i}")
+                               [(i, PARIS if i % 3 else LYON, i % 97, f"n{i}{PAD}")
                                 for i in range(first, first + WAVE)])
         db.advance_time(hours=hours)
         model.advance(hours * 3600.0)

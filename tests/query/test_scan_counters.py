@@ -12,7 +12,10 @@ pushdown; since the WHERE clause runs inside the scan too, a scan's
 the purpose may see, none of the skipped pages (:func:`decoded_records`).
 Page counts and decoded records were taken again when a record came to
 store each level in one byte (more records a page; the lazy pipeline of
-:class:`TestRunsCrossTheOperators` reads the same).
+:class:`TestRunsCrossTheOperators` reads the same).  Since a record stores
+a small INT in 5 bytes and a short TEXT with a 1-byte length, each note is
+padded by the 17 bytes that saves a row (:data:`PAD`): every record keeps
+the length those counts were taken at.
 The rows themselves are the reference model's (:mod:`repro.scenarios.reference`),
 which holds the same inserts at the same instants.
 """
@@ -29,6 +32,8 @@ from repro.scenarios.reference import ReferenceModel
 PARIS = "1 Main Street, Paris"
 LYON = "2 Station Road, Lyon"
 WAVE = 300          # rows per insert wave; three waves sit at three levels
+#: 4 bytes each of ``id`` and ``salary``, 3 each of three TEXT lengths.
+PAD = "." * 17
 #: Purpose → its cap on the location level, and the records its full scan
 #: decodes (degradation shrank the old waves' records, so later waves filled
 #: their pages' room: 6 of 19 pages hold no address-level row, 5 no
@@ -63,7 +68,7 @@ def db():
         for target in (db, db.model):
             target.executemany(
                 "INSERT INTO visits VALUES (?, ?, ?, ?, ?)",
-                [(i, PARIS if i % 2 else LYON, 1000 + i, f"g{i % 5}", f"note-{i}")
+                [(i, PARIS if i % 2 else LYON, 1000 + i, f"g{i % 5}", f"note-{i}{PAD}")
                  for i in range(first, first + WAVE)])
         db.advance_time(pause)
         db.model.advance(pause)

@@ -32,8 +32,9 @@ def test_every_row_change_is_one_delta_per_statement_and_page():
     def changed(keys):
         groups.append((len(keys), len({store.page_of(key) for key in keys})))
 
+    # Notes of 20–69 bytes: records of 70–122 bytes, 300 rows on 8 pages.
     db.executemany("INSERT INTO trace VALUES (?, ?, ?)",
-                   [(i, "n" * rng.randrange(10, 60), rng.choice(ADDRESSES))
+                   [(i, "n" * rng.randrange(20, 70), rng.choice(ADDRESSES))
                     for i in range(300)])
     inserted = store.row_keys()
     changed(inserted)

@@ -277,13 +277,16 @@ def test_update_many_places_records_where_sequential_updates_do(seed, page_size)
 
 
 def place_one_by_one(heap, payloads):
-    """The placement rule record by record — the loop page runs replaced:
-    the tail page if it has room, else the lowest page of the roomiest size
-    class, else a new page, the free-space map refiled before each choice."""
+    """The placement rule of a batch record by record: the page the batch's
+    previous record went to while it has room, else the tail page if it has
+    room, else the lowest page of the roomiest size class, else a new page,
+    the free-space map refiled after each record."""
     ids = []
     for payload in payloads:
         tail = heap._page_ids[-1] if heap._page_ids else None
-        if tail is not None and heap._free[tail] >= len(payload):
+        if ids and heap._free[ids[-1].page_id] >= len(payload):
+            target = ids[-1].page_id
+        elif tail is not None and heap._free[tail] >= len(payload):
             target = tail
         else:
             target = heap._roomiest()
@@ -303,8 +306,8 @@ def place_one_by_one(heap, payloads):
 def test_page_runs_place_records_where_the_record_loop_does(seed, page_size):
     """``insert_many`` hands each page the run of records that would land
     on it: on a heap with holes and grown records — so tail, roomiest class,
-    a class change mid-run and in-page compaction all take part — its ids,
-    pages and free-space map are the record-by-record loop's."""
+    a page filled past a class change and in-page compaction all take part —
+    its ids, pages and free-space map are the record-by-record loop's."""
     rng = random.Random(seed)
     heaps = [HeapFile(BufferPool(MemoryPager(page_size=page_size), capacity=64)) for _ in "ab"]
     for heap in heaps:

@@ -1,10 +1,14 @@
 """``TableStore.insert_many`` — a statement's rows as one batch — is the
-placement, the bytes and the statistics of inserting them one at a time.
+bytes and the statistics of inserting them one at a time, placed by the
+heap's batch rule.
 
-* same ``(page, slot)`` per row, same free-space map and record count,
-  byte-identical pages and row images in the log — on a heap with holes
-  (removals) and rewritten records (degradation), so the tail, the
-  roomiest-class choice and in-page compaction all take part;
+* same row keys and row images in the log as one-by-one inserts; the
+  ``(page, slot)`` of each row, the free-space map, the record count and
+  the pages' bytes are those of the heap's rule applied record by record
+  (``test_heap.place_one_by_one``: a batch fills the page it chose before it
+  chooses again) — on a heap with holes (removals) and rewritten records
+  (degradation), so the tail, the roomiest-class choice and in-page
+  compaction all take part;
 * statistics of a batch — counts, NDV, min/max and the plan-cache *epoch*,
   whose bump threshold moves with the row count — equal the per-row
   sequence, for rows entering and leaving;
@@ -25,6 +29,8 @@ from repro.storage.crypto import KeyStore
 from repro.storage.degradable_store import TableStore
 from repro.storage.pager import MemoryPager
 from repro.storage.wal import LogRecordType, WriteAheadLog, delta_entries
+
+from .test_heap import place_one_by_one
 
 LOCATION = build_location_tree()
 SALARY = build_salary_ranges()
@@ -74,8 +80,8 @@ def images(store: TableStore, since: int):
 
 @pytest.mark.parametrize("strategy", ["rewrite", "crypto"])
 @pytest.mark.parametrize("seed", range(6))
-def test_a_batch_lands_where_one_by_one_inserts_land(strategy, seed):
-    one, many = aged_store(strategy, seed), aged_store(strategy, seed)
+def test_a_batch_lands_where_the_record_loop_places_it(strategy, seed):
+    one, many, placed = (aged_store(strategy, seed) for _ in range(3))
     rng = random.Random(seed + 100)
     rows = [random_row(rng, 1000 + i) for i in range(rng.randrange(1, 90))]
     marks = len(one.wal), len(many.wal)
@@ -84,13 +90,14 @@ def test_a_batch_lands_where_one_by_one_inserts_land(strategy, seed):
     stored = many.insert_many(rows, now=5.0, txn_id=7)
 
     assert [row.row_key for row in stored] == keys
-    assert one._locations == many._locations
-    assert (one.heap._free, one.heap._classes, one.heap.record_count) == \
+    assert images(one, marks[0]) == images(many, marks[1])
+    ids = place_one_by_one(placed.heap, [one.heap.read(one._locations[key]) for key in keys])
+    assert ids == [many._locations[key] for key in keys]
+    assert (placed.heap._free, placed.heap._classes, placed.heap.record_count) == \
         (many.heap._free, many.heap._classes, many.heap.record_count)
-    assert one.heap.raw_image() == many.heap.raw_image()
+    assert placed.heap.raw_image() == many.heap.raw_image()
     one.heap.check()
     many.heap.check()
-    assert images(one, marks[0]) == images(many, marks[1])
     # One DELTA per page the batch filled.
     runs = [record for record in many.wal.records()[marks[1]:]
             if record.record_type is LogRecordType.DELTA]

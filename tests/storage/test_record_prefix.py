@@ -45,9 +45,10 @@ from repro.storage.wal import WriteAheadLog
 
 def encode_stored(row_key, inserted_at, levels, values) -> bytes:
     """A stored record spelled out from the layout, field by field: the
-    field count, one byte a level, the tagged key and time, each value."""
+    field count, one byte a level, the tagged key (always in the 8-byte
+    form) and time, each value in its narrowest form."""
     return b"".join((struct.pack(f"<H{len(levels)}B", 2 + len(levels) + len(values), *levels),
-                     encode_value(row_key), encode_value(float(inserted_at)),
+                     struct.pack("<Bq", 1, row_key), encode_value(float(inserted_at)),
                      *map(encode_value, values)))
 
 
@@ -286,12 +287,21 @@ def check_reads(db, model, columns, rows) -> None:
 
 def check_store(store, columns) -> None:
     """Every ``StoredRow`` is keyed by name; the wide prefix covers every
-    stable INT and FLOAT column, and a record with a NULL in one is walked."""
+    stable INT (in its 4-byte form) and FLOAT column, and a record with a
+    NULL or an INT outside the 4-byte range in one is walked."""
     fixed = [name for name, kind, role in columns
              if role != "degradable" and kind in ("INT", "FLOAT")]
-    wide, wide_tags, covered, text = store._wide
+    wide, wide_tags, widths, text = store._wide
+    covered = len(widths)
     assert covered == len(fixed) and record_order(store.schema)[:covered] == fixed
+    kinds = dict((name, kind) for name, kind, _role in columns)
+    assert widths == tuple(4 if kinds[name] == "INT" else 8 for name in fixed)
     head = record_order(store.schema)[:covered + text]
+
+    def narrow(value) -> bool:
+        return value is not NULL and (type(value) is not int or -2**31 <= value < 2**31) \
+            and (type(value) is not str or len(value.encode()) < 256)
+
     for run in store.runs(drain=lambda: True):
         for row in run:
             assert list(row.values) == [name for name, _kind, _role in columns]
@@ -300,7 +310,7 @@ def check_store(store, columns) -> None:
             start, end = record_span(data, record_id.slot)
             matched = end - start >= wide.size and \
                 wide.unpack_from(data, start)[store._prefix.tags_at::2] == wide_tags
-            assert matched == all(row.values[name] is not NULL for name in head)
+            assert matched == all(narrow(row.values[name]) for name in head)
 
 
 @given(table=declared_tables(), split=st.integers(0, 30), hours=st.sampled_from([0, 2, 30]))

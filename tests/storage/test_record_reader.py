@@ -276,7 +276,8 @@ class TestEquivalence:
 class TestLevelFirstExclusion:
     def test_capped_rows_are_counted_not_decoded(self):
         store = make_store()
-        keys = [store.insert({"id": i, "name": "x", "location": "1 Main Street, Paris",
+        # A 14-byte name: 86-byte records, the first 48 of them on page 0.
+        keys = [store.insert({"id": i, "name": "x" * 14, "location": "1 Main Street, Paris",
                               "score": 0.5, "salary": 2500, "active": True}, now=0.0)
                 for i in range(120)]
         store.degrade_many([(keys[:50], "salary", SALARY, 2)], now=1.0)
@@ -346,10 +347,10 @@ class TestCorruption:
             "wrong insertion-time tag": good[:time] + b"\x01" + good[time + 1:],
             "truncated header": good[:header - 4],
             "missing field count": good[:1],
-            "short TEXT payload": good[:name_at + 5 + 2],
-            "short TEXT length": good[:name_at + 3],
+            "short TEXT payload": good[:name_at + 2 + 2],
+            "short TEXT length": good[:name_at + 1],
             "short FLOAT payload": good[:score_at + 5],
-            "short INT payload": good[:salary_at + 5],
+            "short INT payload": good[:salary_at + 3],
             "missing tag": good[:score_at],
             "unknown tag": good[:score_at] + b"\x63" + good[score_at + 1:],
             "trailing bytes": good + b"\x00",
@@ -398,7 +399,7 @@ class TestCorruption:
         them first, ``score`` ahead of ``name`` though declared after it), a
         damaged one raises as the field-by-field walk does."""
         store = make_store(schema=WIDE)
-        assert store._wide[2:] == (3, True)
+        assert store._wide[2:] == ((4, 4, 8), True)
         self.check(store, case)
 
     def check(self, store, case):

@@ -9,7 +9,6 @@ from repro.core.values import NULL, REMOVED, SUPPRESSED
 from repro.storage.serialization import (
     decode_record,
     decode_value,
-    encode_ints,
     encode_record,
     encode_value,
 )
@@ -81,11 +80,6 @@ class TestEncodeDecodeRecord:
 
     def test_record_is_binary_stable(self):
         assert encode_record((1, "a")) == encode_record((1, "a"))
-
-    @given(st.lists(st.integers(min_value=-(2**63), max_value=2**63 - 1), max_size=50))
-    def test_encode_ints_is_encode_record(self, values):
-        """The int-only fast path (DEGRADE payloads) is the same bytes."""
-        assert encode_ints(values) == encode_record(values)
 
 
 simple_values = st.one_of(

@@ -439,11 +439,12 @@ class TestPersistence:
         # record type of its own and in every CHECKPOINT's payload; version 9
         # logged each wave chunk as a DEGRADE record, whose code CHECKPOINT
         # took; version 10's row images held their values in declared
-        # column order.
+        # column order; version 11's stored every INT in 8 bytes and every
+        # TEXT length in 4.
         from repro import InstantDB
         from repro.storage.wal import WAL_FORMAT_VERSION
-        assert WAL_FORMAT_VERSION == 11
-        for version in (3, 4, 5, 6, 7, 8, 9, 10):
+        assert WAL_FORMAT_VERSION == 12
+        for version in (3, 4, 5, 6, 7, 8, 9, 10, 11):
             data_dir = str(tmp_path / f"v{version}")
             db = InstantDB(data_dir=data_dir)
             db.execute("CREATE TABLE t (id INT PRIMARY KEY)")

@@ -46,7 +46,8 @@ ROWS = 24
 
 
 def _secret(row: int) -> str:
-    return "SECRET-%02d-" % row + chr(65 + row) * 30
+    """42 bytes: a 68-byte record, so that six rows fill a 512-byte page."""
+    return "SECRET-%02d-" % row + chr(65 + row) * 31
 
 
 def _store(wal: WriteAheadLog) -> TableStore:
